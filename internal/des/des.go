@@ -16,13 +16,60 @@
 //     plain functions that run flat on the scheduler goroutine with no
 //     goroutine, channel handoff or per-event allocation. This is the
 //     hot path: a Sleep-equivalent reschedule of a cached closure costs
-//     one value-record push into the heap and nothing else.
+//     one payload write into a reused slab slot and, at most, one heap
+//     sift.
 //
 // Determinism: simultaneous events fire in schedule order (a
 // monotonically increasing sequence number breaks time ties), and the
 // two styles interleave on the same (time, seq) total order, so a
 // callback port of a process workload replays the exact event order of
 // the original as long as it issues the same schedule calls.
+//
+// # The event queue: runs of simultaneous events
+//
+// The simulated workloads are bulk-synchronous: thousands of identical
+// ranks wake, stage and poll at the same virtual instants. Half of the
+// events an `experiments -exp all` pass schedules (fig3 69 %, scale-out
+// 50 %, fig6 47 %, fig4 44 %, resilience 36 %; 79 % of the LP-partitioned
+// cells; fig5 and campaign 0 %) carry a timestamp bit-equal to an event
+// already pending. The queue therefore orders runs of simultaneous
+// events, not single events:
+//
+//   - A run is a FIFO of events with one bit-identical time, linked
+//     through the payload slab. A push whose time matches the run
+//     cached for that time (a 64-slot direct-mapped table keyed on the
+//     time's bit pattern) is appended in O(1) and never touches the
+//     heap. Draining a run of length L costs one sift per L events.
+//   - The 4-ary min-heap holds one pointer-free 24-byte key {t, seq of
+//     the run's first event, slab index of the run's head} per run, so
+//     sifting moves no pointers and needs no GC write barriers. The
+//     {proc, fn, cb, val, kind, next} payloads are written once into a
+//     free-listed slab and never move: the slab grows by fixed 32-slot
+//     chunks, so an Env allocates its deepest moment once and copies
+//     nothing.
+//   - When the root run empties, the root is left vacant while the
+//     handler runs. The handler's first push that starts a new run is
+//     placed at the root with one sift-down (pop and push fused);
+//     otherwise the hole is filled when the handler returns, or sooner
+//     if the handler reads NextT.
+//
+// Why the pop order is exactly (t, seq). seq is strictly increasing, so
+// appending keeps each run in seq order. The table slot is chosen from
+// the time's bit pattern with the sign bit dropped, so numerically equal
+// times — including +0.0 and -0.0, the only equal times with different
+// bits — always compete for the same slot, and a slot holds one run. A
+// run enters the table only when it is created and leaves it for good
+// when a later run takes its slot or when it drains. Hence a run is only
+// ever appended to while it is the latest-created live run for its
+// numeric time, every event of an older same-time run has a smaller seq
+// than the first event of a newer one, and ordering runs by (t, seq of
+// first event) and events within a run by FIFO is the (t, seq) order. A
+// partially drained root run stays the minimum — anything pushed later
+// has a larger seq and no earlier time — so its key is never re-sifted.
+// Any table size or hash is exact; they only decide how many ties are
+// caught. (A one-entry "last run" table was measured: it catches 0.1 %
+// of gradsync's ties against 48 % with 64 slots, because ranks alternate
+// between a few distinct wake times.)
 package des
 
 import (
@@ -30,7 +77,7 @@ import (
 	"math"
 )
 
-// Event kinds. The pending queue stores value-type records rather than
+// Event kinds. The slab stores value-type records rather than
 // heap-allocated closures; the kind selects which payload field fires.
 const (
 	evFunc   uint8 = iota // run fn()
@@ -38,35 +85,85 @@ const (
 	evCall                // run cb(val)
 )
 
-// event is one queued occurrence: a flat 64-byte record ordered by
-// (t, seq). Records live inline in the heap slice, so scheduling never
-// allocates; the slice itself is the pool, growing once and then being
-// reused for the life of the environment.
+// event is one queued occurrence's payload: a 48-byte slab record,
+// written once when scheduled and cleared when fired. next links the
+// record into its run's FIFO or, once freed, into the slab free list;
+// 0 ends either chain (slab slot 0 is a reserved sentinel).
 type event struct {
-	t    float64
-	seq  int64
 	proc *Proc
 	fn   func()
 	cb   func(any)
 	val  any
+	next int32
 	kind uint8
 }
 
-// before reports heap ordering: earlier time first, schedule order
+// runKey is one heap entry: a run of events that share one time, ordered
+// by (t, seq of the run's first event). head is the slab index of the
+// run's earliest unfired event. Pointer-free by design.
+type runKey struct {
+	t    float64
+	seq  int64
+	head int32
+}
+
+// before reports heap ordering: earlier time first, creation order
 // breaking ties.
-func (a *event) before(b *event) bool {
+func (a *runKey) before(b *runKey) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
 	return a.seq < b.seq
 }
 
+// openRun is one slot of the run table: the run that currently accepts
+// appends for the time with bit pattern bits. tail is the slab index of
+// its last event; 0 marks the slot empty.
+type openRun struct {
+	bits uint64
+	tail int32
+}
+
+// slabChunk is the number of payload slots the slab grows by. The slab
+// is a list of fixed chunks, not one slice: growing it copies nothing,
+// slots never move, and an Env allocates the slots of its deepest
+// moment once. (As one slice grown by append — 1.25x steps past 256
+// elements — a 512-node cell's slab was re-allocated and copied some
+// fifteen times, five times its final size in all: a quarter of every
+// byte a sweep allocated, all of it large pointerful objects for the
+// collector to zero, barrier-copy and sweep.) 32 slots, 1.5 KB, are what
+// one node's ranks keep pending, so the thousands of per-LP Envs of a
+// partitioned run stay at one chunk each.
+const slabChunk = 32
+
+// runSlots is the size of the direct-mapped run table. A constant, not
+// a knob: see the package doc for what smaller tables miss.
+const runSlots = 64
+
+// runSlot maps a time to its run-table slot: Fibonacci hashing of the
+// bit pattern with the sign bit dropped, so that +0.0 and -0.0 share a
+// slot (the exactness argument in the package doc depends on it).
+func runSlot(t float64) int {
+	return int((math.Float64bits(t) << 1) * 0x9E3779B97F4A7C15 >> 58)
+}
+
 // Env is a simulation environment: a virtual clock plus a pending-event
 // queue. The zero value is not usable; construct with NewEnv.
 type Env struct {
-	now     float64
-	seq     int64
-	q       []event // flat 4-ary min-heap on (t, seq)
+	now float64
+	seq int64
+
+	// The pending queue (see the package doc): heap orders the live
+	// runs, slab holds every pending payload, open finds the run a
+	// same-time push may join.
+	heap    []runKey            // 4-ary min-heap on (t, seq)
+	slab    []*[slabChunk]event // slot 0 reserved; free slots chained through next
+	used    int32               // slab slots handed out so far, the sentinel included
+	free    int32               // head of the slab free list, 0 when empty
+	pending int                 // queued events (not runs)
+	vacant  bool                // heap[0] is a hole: its run drained in the running handler
+	open    [runSlots]openRun
+
 	yield   chan struct{}
 	procs   int // live (spawned, unfinished) processes
 	live    []*Proc
@@ -91,75 +188,131 @@ func NewEnv() *Env {
 // Now returns the current virtual time in seconds.
 func (e *Env) Now() float64 { return e.now }
 
-// push enqueues a record, maintaining the 4-ary heap invariant. The
-// hole-based sift-up writes the new record exactly once.
-func (e *Env) push(ev event) {
-	if ev.t < e.now {
-		panic(fmt.Sprintf("des: schedule at t=%v before now=%v", ev.t, e.now))
-	}
-	e.seq++
-	ev.seq = e.seq
-	q := append(e.q, ev)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !ev.before(&q[parent]) {
-			break
-		}
-		q[i] = q[parent]
-		i = parent
-	}
-	q[i] = ev
-	e.q = q
+// slot returns slab slot i.
+func (e *Env) slot(i int32) *event {
+	u := uint32(i)
+	return &e.slab[u/slabChunk][u%slabChunk]
 }
 
-// pop removes and returns the earliest record.
-func (e *Env) pop() event {
-	q := e.q
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q[n] = event{} // release payload references
-	q = q[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			min := c
-			for j := c + 1; j < end; j++ {
-				if q[j].before(&q[min]) {
-					min = j
-				}
-			}
-			if !q[min].before(&last) {
-				break
-			}
-			q[i] = q[min]
-			i = min
-		}
-		q[i] = last
+// push enqueues one event at time t — it either joins the open run for
+// t or starts a new run in the heap — and returns its zeroed slab slot
+// for the caller to fill in. (Filling the slot field by field keeps the
+// GC write barrier to the inlined per-pointer form; assigning a whole
+// event record goes through the much slower bulk barrier whenever a GC
+// cycle is running.)
+func (e *Env) push(t float64) *event {
+	if !(t >= e.now) { // also rejects NaN, which no comparison could order
+		panic(fmt.Sprintf("des: schedule at t=%v before now=%v", t, e.now))
 	}
-	e.q = q
-	return top
+	e.seq++
+	e.pending++
+	i := e.free
+	var s *event
+	if i != 0 {
+		s = e.slot(i)
+		e.free = s.next
+		s.next = 0
+	} else {
+		if int(e.used) == len(e.slab)*slabChunk {
+			if len(e.slab) == math.MaxInt32/slabChunk {
+				panic("des: more than 2^31 pending events")
+			}
+			e.slab = append(e.slab, new([slabChunk]event))
+			if e.used == 0 {
+				e.used = 1 // the sentinel slot
+			}
+		}
+		i = e.used
+		e.used++
+		s = e.slot(i)
+	}
+	bits := math.Float64bits(t)
+	o := &e.open[runSlot(t)]
+	if o.tail != 0 && o.bits == bits {
+		e.slot(o.tail).next = i
+		o.tail = i
+		return s
+	}
+	*o = openRun{bits: bits, tail: i}
+	k := runKey{t: t, seq: e.seq, head: i}
+	if e.vacant {
+		e.vacant = false
+		e.siftDown(k)
+		return s
+	}
+	// Hole-based sift-up: the new key is written exactly once.
+	h := append(e.heap, k)
+	j := len(h) - 1
+	for j > 0 {
+		parent := (j - 1) / 4
+		if !k.before(&h[parent]) {
+			break
+		}
+		h[j] = h[parent]
+		j = parent
+	}
+	h[j] = k
+	e.heap = h
+	return s
+}
+
+// siftDown places k in the hole at the heap's root and restores the
+// heap invariant.
+func (e *Env) siftDown(k runKey) {
+	h := e.heap
+	n := len(h)
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		min := c
+		for j := c + 1; j < end; j++ {
+			if h[j].before(&h[min]) {
+				min = j
+			}
+		}
+		if !h[min].before(&k) {
+			break
+		}
+		h[i] = h[min]
+		i = min
+	}
+	h[i] = k
+}
+
+// settle fills a vacant root with the heap's last key. The run loop
+// calls it when a handler returns without having started a new run;
+// readers of the root call it before looking.
+func (e *Env) settle() {
+	if !e.vacant {
+		return
+	}
+	e.vacant = false
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if n > 0 {
+		e.siftDown(last)
+	}
 }
 
 // Schedule runs fn at absolute virtual time t (>= Now). It is the
 // low-level primitive beneath processes, timeouts and event triggers.
 func (e *Env) Schedule(t float64, fn func()) {
-	e.push(event{t: t, kind: evFunc, fn: fn})
+	s := e.push(t)
+	s.kind, s.fn = evFunc, fn
 }
 
 // At is Schedule under its callback-fast-path name: run fn at absolute
 // virtual time t, flat on the scheduler goroutine. Reuse one closure
 // across reschedules (store it in your state struct) and the only
-// per-occurrence cost is a value push into the event heap.
+// per-occurrence cost is a value push into the event queue.
 func (e *Env) At(t float64, fn func()) { e.Schedule(t, fn) }
 
 // After runs fn d seconds from now.
@@ -168,12 +321,14 @@ func (e *Env) After(d float64, fn func()) { e.Schedule(e.now+d, fn) }
 // call schedules cb(v) at time t: the value-carrying callback used by
 // Event triggers. Allocation-free like all record pushes.
 func (e *Env) call(t float64, cb func(any), v any) {
-	e.push(event{t: t, kind: evCall, cb: cb, val: v})
+	s := e.push(t)
+	s.kind, s.cb, s.val = evCall, cb, v
 }
 
 // resume schedules delivery of v to parked process p at time t.
 func (e *Env) resume(t float64, p *Proc, v any) {
-	e.push(event{t: t, kind: evResume, proc: p, val: v})
+	s := e.push(t)
+	s.kind, s.proc, s.val = evResume, p, v
 }
 
 // Run executes events until the queue is empty. It returns the final
@@ -184,8 +339,9 @@ func (e *Env) Run() float64 { return e.RunUntil(math.Inf(1)) }
 // horizon remain queued. It returns the virtual time of the last executed
 // event (or the starting time if nothing ran).
 func (e *Env) RunUntil(until float64) float64 {
-	for len(e.q) > 0 && !e.stopped {
-		if e.q[0].t > until {
+	e.settle()
+	for e.pending > 0 && !e.stopped {
+		if e.heap[0].t > until {
 			break
 		}
 		if !e.execNext() {
@@ -200,8 +356,9 @@ func (e *Env) RunUntil(until float64) float64 {
 // (LPSet): a window [floor, floor+lookahead) must exclude its upper
 // bound, because a cross-LP message can still arrive exactly at it.
 func (e *Env) RunBefore(limit float64) float64 {
-	for len(e.q) > 0 && !e.stopped {
-		if e.q[0].t >= limit {
+	e.settle()
+	for e.pending > 0 && !e.stopped {
+		if e.heap[0].t >= limit {
 			break
 		}
 		if !e.execNext() {
@@ -214,10 +371,11 @@ func (e *Env) RunBefore(limit float64) float64 {
 // NextT peeks at the earliest pending event time; ok is false when the
 // queue is empty.
 func (e *Env) NextT() (t float64, ok bool) {
-	if len(e.q) == 0 {
+	if e.pending == 0 {
 		return 0, false
 	}
-	return e.q[0].t, true
+	e.settle()
+	return e.heap[0].t, true
 }
 
 // stepOne executes exactly one event (the earliest pending), honoring
@@ -226,22 +384,43 @@ func (e *Env) NextT() (t float64, ok bool) {
 // zero-lookahead fallback loop, which interleaves single steps across
 // LPs in global (t, LP index) order.
 func (e *Env) stepOne() bool {
-	if len(e.q) == 0 || e.stopped {
+	if e.pending == 0 || e.stopped {
 		return false
 	}
+	e.settle()
 	return e.execNext()
 }
 
-// execNext pops and runs the earliest queued event, honoring the
-// guard. It reports false when the guard tripped (the event stays
-// queued and the guard error is recorded for Err).
+// execNext fires the earliest queued event — the head of the root run —
+// honoring the guard. It reports false when the guard tripped (the
+// event stays queued and the guard error is recorded for Err). The
+// root must not be vacant on entry: execNext settles its own hole when
+// the handler returns, and the run loops settle once on entry in case
+// they were called from inside a handler or after one panicked.
 func (e *Env) execNext() bool {
-	if e.guarded && e.checkGuard(e.q[0].t) {
+	root := &e.heap[0]
+	if e.guarded && e.checkGuard(root.t) {
 		return false
 	}
 	e.executed++
-	ev := e.pop()
-	e.now = ev.t
+	e.now = root.t
+	i := root.head
+	s := e.slot(i)
+	ev := *s
+	s.proc, s.fn, s.cb, s.val = nil, nil, nil, nil // release payload references
+	s.next = e.free
+	e.free = i
+	e.pending--
+	if ev.next != 0 {
+		root.head = ev.next
+	} else {
+		// The run is drained: close it to appends and leave the root
+		// vacant for the handler's first new run to take.
+		if o := &e.open[runSlot(root.t)]; o.tail == i {
+			o.tail = 0
+		}
+		e.vacant = true
+	}
 	switch ev.kind {
 	case evFunc:
 		ev.fn()
@@ -250,6 +429,7 @@ func (e *Env) execNext() bool {
 	case evCall:
 		ev.cb(ev.val)
 	}
+	e.settle()
 	return true
 }
 
@@ -267,7 +447,7 @@ func (e *Env) Resume() float64 {
 }
 
 // Pending reports the number of queued events.
-func (e *Env) Pending() int { return len(e.q) }
+func (e *Env) Pending() int { return e.pending }
 
 // Procs reports the number of live processes.
 func (e *Env) Procs() int { return e.procs }
@@ -291,7 +471,8 @@ func (e *Env) Shutdown() {
 		<-e.yield
 	}
 	e.live = nil
-	e.q = nil
+	e.heap, e.slab, e.used, e.free, e.pending, e.vacant = nil, nil, 0, 0, 0, false
+	e.open = [runSlots]openRun{}
 }
 
 // Proc is the handle a process body uses to interact with the simulation:

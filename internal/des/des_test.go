@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -57,6 +58,22 @@ func TestSchedulePastPanics(t *testing.T) {
 		}
 	}()
 	env.Schedule(5, func() {})
+}
+
+// TestScheduleNaNPanics: a NaN time compares false against everything,
+// so once queued it would silently break the heap order; it must be
+// rejected like a time in the past.
+func TestScheduleNaNPanics(t *testing.T) {
+	env := NewEnv()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("scheduling at NaN did not panic")
+		}
+		if env.Pending() != 0 {
+			t.Fatalf("rejected NaN schedule left %d events pending", env.Pending())
+		}
+	}()
+	env.Schedule(math.NaN(), func() {})
 }
 
 func TestProcessSleep(t *testing.T) {

@@ -1,6 +1,7 @@
 package des
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -287,6 +288,60 @@ func BenchmarkCallbackTick(b *testing.B) {
 	env.Run()
 }
 
+// tickers starts n self-rescheduling callbacks of period 1 on env, the
+// i-th first firing at phase(i), and returns the counter of fired ticks;
+// the environment stops itself once the counter reaches limit.
+func tickers(env *Env, n int, phase func(i int) float64, limit int) *int {
+	fired := new(int)
+	for i := 0; i < n; i++ {
+		var tick func()
+		tick = func() {
+			if *fired++; *fired >= limit {
+				env.Stop()
+				return
+			}
+			env.After(1, tick)
+		}
+		env.At(phase(i), tick)
+	}
+	return fired
+}
+
+// The two regimes of the run queue (see the package doc), plus the
+// deep-heap case of the benchmark's des.ns_per_event_deep probe.
+var (
+	tiedPhase     = func(int) float64 { return 0 }                   // every ticker wakes at the same instants
+	distinctPhase = func(i int) float64 { return float64(i) / 4096 } // no two pending times are equal
+)
+
+// BenchmarkQueue measures one schedule+fire through the run queue with
+// 4096 pending tickers that all tie (one run, no sifts), with 4096 that
+// never tie (one run per event, the plain 4-ary heap cost), and with
+// one ticker above 49152 timers that never fire (a deep heap whose root
+// the ticker keeps re-taking).
+func BenchmarkQueue(b *testing.B) {
+	for _, c := range []struct {
+		name            string
+		tickers, timers int
+		phase           func(int) float64
+	}{
+		{"ties=4096", 4096, 0, tiedPhase},
+		{"distinct", 4096, 0, distinctPhase},
+		{"deep-49152", 1, 49152, tiedPhase},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			env := NewEnv()
+			for i := 0; i < c.timers; i++ {
+				env.At(1e15+float64(i), func() {})
+			}
+			tickers(env, c.tickers, c.phase, b.N)
+			b.ReportAllocs()
+			b.ResetTimer()
+			env.Run()
+		})
+	}
+}
+
 // BenchmarkEventTrigger measures trigger+callback delivery with one
 // subscriber per event.
 func BenchmarkEventTrigger(b *testing.B) {
@@ -338,5 +393,24 @@ func TestResourceQueueReusesStorage(t *testing.T) {
 	}
 	if grants == 0 || res.Waiting() != 7 {
 		t.Fatalf("bad accounting: grants=%d waiting=%d", grants, res.Waiting())
+	}
+}
+
+// TestEventQueueReusesStorage pins the run queue's steady state: once
+// the slab, its free list and the heap have grown to the working set, a
+// warmed Env schedules and fires with zero allocations, whether every
+// event ties with a pending one or none does.
+func TestEventQueueReusesStorage(t *testing.T) {
+	for name, phase := range map[string]func(int) float64{"ties": tiedPhase, "distinct": distinctPhase} {
+		env := NewEnv()
+		fired := tickers(env, 256, phase, math.MaxInt)
+		env.RunUntil(8)
+		allocs := testing.AllocsPerRun(20, func() { env.RunUntil(env.Now() + 8) })
+		if allocs > 0 {
+			t.Errorf("%s: steady-state scheduling allocates %.1f allocs/run, want 0", name, allocs)
+		}
+		if *fired == 0 || env.Pending() != 256 {
+			t.Errorf("%s: fired %d ticks with %d pending, want 256 tickers still live", name, *fired, env.Pending())
+		}
 	}
 }

@@ -5,7 +5,7 @@ package des
 // down mid-wait (a rank's next wake-up, a checkpoint cadence timer, a
 // repair deadline). A Hold owns at most one pending occurrence at a
 // time; Cancel orphans the pending occurrence without touching the
-// event heap — the record still pops at its scheduled time, sees a
+// event queue — the record still pops at its scheduled time, sees a
 // stale generation, and falls through without running the callback.
 // Armed/fired/cancelled occurrences all keep the (time, seq) order of
 // every other event untouched, so adding cancellation to a schedule

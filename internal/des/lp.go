@@ -7,9 +7,9 @@ import (
 )
 
 // Conservative parallel DES: an LPSet partitions a simulation into
-// logical processes (LPs), each owning a private Env — its own 4-ary
-// event heap, clock and resources — and advances them concurrently
-// under a lookahead bound.
+// logical processes (LPs), each owning a private Env — its own event
+// queue, clock and resources — and advances them concurrently under a
+// lookahead bound.
 //
 // Cross-LP interaction happens only through declared links (Connect),
 // each carrying the minimum virtual latency of the edge it models. The
@@ -160,7 +160,7 @@ func (s *LPSet) Send(src, dst int, delayS float64, fn func()) {
 	if s.merged {
 		// Zero-lookahead fallback: the global loop keeps every LP at the
 		// same frontier, so direct delivery is safe and immediate.
-		s.envs[dst].push(event{t: at, kind: evFunc, fn: fn})
+		s.envs[dst].Schedule(at, fn)
 		return
 	}
 	s.outbox[src] = append(s.outbox[src], lpMsg{at: at, fn: fn, dst: dst})
@@ -323,7 +323,7 @@ func (s *LPSet) deliver() {
 				if m.dst != dst {
 					continue
 				}
-				s.envs[dst].push(event{t: m.at, kind: evFunc, fn: m.fn})
+				s.envs[dst].Schedule(m.at, m.fn)
 			}
 		}
 	}

@@ -3,120 +3,239 @@ package des
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// Property-based coverage of the engine's core invariant: the flat
-// 4-ary event heap pops records in strictly increasing (time, seq)
-// order, and every scheduled event fires exactly once. The generator
-// builds randomized schedules — including events that schedule more
-// events from inside their own callbacks, the shape every rank machine
-// in this repo has — across 1k seeds; FuzzHeapOrder feeds the same
-// checker from arbitrary byte strings so `go test -fuzz` can walk the
-// heap into corners the seeded generator never reaches.
+// Property-based coverage of the engine's core invariant: the run queue
+// fires events in exactly (time, schedule order), and every scheduled
+// event fires exactly once. The oracle is exact: the schedule log,
+// stably sorted by time, must equal the firing sequence id for id. The
+// generator builds randomized schedules — including events that schedule
+// more events from inside their own callbacks, the shape every rank
+// machine in this repo has — across 1k seeds and every way the harnesses
+// drive an Env (Run, RunBefore/RunUntil windows, Stop/Resume);
+// FuzzHeapOrder feeds the same checker from arbitrary byte strings so
+// `go test -fuzz` can walk the queue into corners the seeded generator
+// never reaches.
 
 // firing is one observed event execution.
 type firing struct {
-	t   float64
-	id  int
+	id  int     // index of the Schedule call that queued the event
 	now float64 // Env.Now() inside the callback
 }
 
+// How orderRun drives its environment.
+const (
+	driveRun     = iota // one Run call
+	driveWindows        // RunBefore/RunUntil windows from NextT, as LPSet.Run does
+	driveStop           // handlers call Stop; the driver Resumes until drained
+	driveModes
+)
+
+// orderRun is one randomized schedule and the model it is checked
+// against: times[id] is the time given to the id-th Schedule call, so
+// the slice index is the global schedule order the engine must break
+// ties with.
+type orderRun struct {
+	t          *testing.T
+	env        *Env
+	offsets    []float64
+	chainEvery int
+	drive      int
+	times      []float64
+	done       []bool
+	fired      []firing
+}
+
 // runSchedule schedules events at the given offsets (each a delay from
-// time zero; negative values are clamped to zero), with every chainEvery-th
-// event rescheduling a follow-up from inside its callback. It returns
-// the firings in execution order.
-func runSchedule(t *testing.T, offsets []float64, chainEvery int) []firing {
+// time zero; negative values are clamped to zero), with every
+// chainEvery-th event scheduling follow-ups from inside its callback,
+// drives the environment to completion in the given mode and checks the
+// firing sequence against the exact (t, schedule index) order.
+func runSchedule(t *testing.T, offsets []float64, chainEvery, drive int) {
 	t.Helper()
-	env := NewEnv()
-	var fired []firing
-	id := 0
-	var add func(at float64)
-	add = func(at float64) {
-		myID := id
-		id++
-		chain := chainEvery > 0 && myID%chainEvery == chainEvery-1
-		env.Schedule(at, func() {
-			fired = append(fired, firing{t: at, id: myID, now: env.Now()})
-			if chain && len(fired) < 4*len(offsets) {
-				// Schedule a follow-up strictly from "now", as every
-				// periodic rank machine does.
-				add(env.Now() + math.Abs(at-math.Floor(at)) + 0.25)
-			}
-		})
-	}
+	r := &orderRun{t: t, env: NewEnv(), offsets: offsets, chainEvery: chainEvery, drive: drive}
 	for _, off := range offsets {
 		if off < 0 {
 			off = 0
 		}
-		add(off)
+		r.add(off)
 	}
-	env.Run()
-	scheduled := id // includes follow-ups chained during the run
-	if env.Pending() != 0 {
-		t.Fatalf("run left %d events pending", env.Pending())
+	env := r.env
+	switch drive {
+	case driveRun:
+		env.Run()
+	case driveWindows:
+		for n := 0; ; n++ {
+			r.checkQueue("between windows")
+			floor, ok := env.NextT()
+			if !ok {
+				break
+			}
+			if n%2 == 0 {
+				env.RunBefore(floor + 0.5) // fires the floor, excludes the bound
+			} else {
+				env.RunUntil(floor + 0.5)
+			}
+		}
+	case driveStop:
+		env.Run()
+		for env.Pending() > 0 {
+			r.checkQueue("stopped")
+			env.Resume()
+		}
 	}
-	if len(fired) != scheduled {
-		t.Fatalf("scheduled %d events, fired %d (lost or duplicated)", scheduled, len(fired))
-	}
-	return fired
+	r.checkQueue("after the run")
+	r.checkOrder()
 }
 
-// checkMonotone asserts the heap-order invariant over an execution:
-// firing times never decrease, equal-time firings run in schedule (id)
-// order when both were scheduled from outside callbacks at the same
-// time, and the clock the callbacks observe matches their schedule time.
-func checkMonotone(t *testing.T, fired []firing) {
-	t.Helper()
-	seen := map[int]int{}
-	for i, f := range fired {
-		seen[f.id]++
-		if f.now != f.t {
-			t.Fatalf("firing %d: callback observed Now()=%v, scheduled at %v", i, f.now, f.t)
+// add schedules one more event and records it in the model.
+func (r *orderRun) add(at float64) {
+	id := len(r.times)
+	r.times = append(r.times, at)
+	r.done = append(r.done, false)
+	r.env.Schedule(at, func() { r.fire(id) })
+}
+
+// fire is every event's handler.
+func (r *orderRun) fire(id int) {
+	env := r.env
+	now := env.Now()
+	r.fired = append(r.fired, firing{id: id, now: now})
+	r.done[id] = true
+	if id%3 == 0 {
+		// Only some handlers look: NextT fills a vacated root, and the
+		// others must leave it for their own pushes to take.
+		r.checkQueue("inside a handler")
+	}
+	if r.drive == driveStop && id%4 == 1 {
+		env.Stop()
+	}
+	if r.chainEvery == 0 || id%r.chainEvery != r.chainEvery-1 || len(r.times) >= 4*len(r.offsets) {
+		return
+	}
+	at := r.times[id]
+	later := now + math.Abs(at-math.Floor(at)) + 0.25
+	switch (id / r.chainEvery) % 4 {
+	case 0: // strictly later, as every periodic rank machine does
+		r.add(later)
+	case 1: // this instant: onto the run being drained, or a new run if it just emptied
+		r.add(now)
+	case 2: // a time some other event was given: joins that run if it is still open
+		if other := r.offsets[id%len(r.offsets)]; other >= now {
+			r.add(other)
+		} else {
+			r.add(now)
 		}
-		if i == 0 {
-			continue
-		}
-		prev := fired[i-1]
-		if f.t < prev.t {
-			t.Fatalf("firing %d: time went backwards (%v after %v)", i, f.t, prev.t)
+	case 3: // two new times: the first may take a vacated root, the second cannot
+		r.add(later)
+		r.add(later + 0.125)
+	}
+}
+
+// checkQueue compares Pending and NextT with the model.
+func (r *orderRun) checkQueue(where string) {
+	r.t.Helper()
+	pending, next := 0, math.Inf(1)
+	for id, at := range r.times {
+		if !r.done[id] {
+			pending++
+			next = math.Min(next, at)
 		}
 	}
-	for id, n := range seen {
-		if n != 1 {
-			t.Fatalf("event %d fired %d times", id, n)
+	if got := r.env.Pending(); got != pending {
+		r.t.Fatalf("%s: Pending() = %d, model has %d", where, got, pending)
+	}
+	got, ok := r.env.NextT()
+	if ok != (pending > 0) || (ok && got != next) {
+		r.t.Fatalf("%s: NextT() = %v, %v; model has %d pending, earliest %v", where, got, ok, pending, next)
+	}
+}
+
+// checkOrder asserts the firing sequence is the schedule log sorted by
+// (t, schedule index) — which also makes every event fire exactly once —
+// and that each callback observed its own schedule time, sign of zero
+// included.
+func (r *orderRun) checkOrder() {
+	r.t.Helper()
+	if len(r.fired) != len(r.times) {
+		r.t.Fatalf("scheduled %d events, fired %d (lost or duplicated)", len(r.times), len(r.fired))
+	}
+	want := make([]int, len(r.times))
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(a, b int) bool { return r.times[want[a]] < r.times[want[b]] })
+	for i, f := range r.fired {
+		if f.id != want[i] {
+			r.t.Fatalf("firing %d is event %d (t=%v), want event %d (t=%v)",
+				i, f.id, r.times[f.id], want[i], r.times[want[i]])
+		}
+		if at := r.times[f.id]; f.now != at || math.Signbit(f.now) != math.Signbit(at) {
+			r.t.Fatalf("firing %d: callback observed Now()=%v, scheduled at %v", i, f.now, at)
 		}
 	}
+}
+
+// slotMates returns n distinct positive times that all map to one slot
+// of the run table, so runs for them keep evicting each other.
+func slotMates(n, slot int) []float64 {
+	var mates []float64
+	for k := 1; len(mates) < n; k++ {
+		if at := float64(k) / 8; runSlot(at) == slot {
+			mates = append(mates, at)
+		}
+	}
+	return mates
 }
 
 // TestHeapOrderRandomSchedules is the 1k-seed property test: randomized
-// schedules (uniform, clustered-tie, and chained shapes) must fire every
-// event exactly once in monotone time order.
+// schedules must fire in exact (t, schedule index) order under every
+// drive mode. Shapes: the original uniform / small-grid / clustered mix;
+// more distinct pending times than the run table has slots; times
+// crafted to share one table slot; and signed zeros.
 func TestHeapOrderRandomSchedules(t *testing.T) {
+	negZero := math.Copysign(0, -1)
 	for seed := int64(0); seed < 1000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(64)
+		shape := rng.Intn(8)
+		if shape == 4 {
+			n = 2*runSlots + rng.Intn(3*runSlots)
+		}
+		mates := slotMates(2+rng.Intn(3), rng.Intn(runSlots))
 		offsets := make([]float64, n)
 		for i := range offsets {
-			switch rng.Intn(3) {
-			case 0: // uniform spread
-				offsets[i] = rng.Float64() * 100
-			case 1: // heavy ties: small integer grid
-				offsets[i] = float64(rng.Intn(8))
-			default: // clustered near one instant
-				offsets[i] = 50 + rng.Float64()*1e-9
+			switch shape {
+			case 4: // up to 200 distinct times pending at once, with ties
+				offsets[i] = float64(rng.Intn(200)) * 0.125
+			case 5: // a few times in one table slot, interleaved
+				offsets[i] = mates[rng.Intn(len(mates))]
+			case 6: // signed zeros among a few other instants
+				offsets[i] = []float64{0, negZero, negZero, 0, 0.5, 1}[rng.Intn(6)]
+			default:
+				switch rng.Intn(3) {
+				case 0: // uniform spread
+					offsets[i] = rng.Float64() * 100
+				case 1: // heavy ties: small integer grid
+					offsets[i] = float64(rng.Intn(8))
+				default: // clustered near one instant
+					offsets[i] = 50 + rng.Float64()*1e-9
+				}
 			}
 		}
 		chain := 0
 		if rng.Intn(2) == 0 {
 			chain = 1 + rng.Intn(5)
 		}
-		checkMonotone(t, runSchedule(t, offsets, chain))
+		runSchedule(t, offsets, chain, rng.Intn(driveModes))
 	}
 }
 
 // TestHeapTieOrderIsScheduleOrder pins the tie-break: events scheduled
-// at one identical time fire in exactly the order they were scheduled.
+// at one identical time fire in exactly the order they were scheduled,
+// chained follow-ups included.
 func TestHeapTieOrderIsScheduleOrder(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
@@ -126,12 +245,7 @@ func TestHeapTieOrderIsScheduleOrder(t *testing.T) {
 		for i := range offsets {
 			offsets[i] = at
 		}
-		fired := runSchedule(t, offsets, 0)
-		for i, f := range fired {
-			if f.id != i {
-				t.Fatalf("seed %d: tie firing %d has id %d (want schedule order)", seed, i, f.id)
-			}
-		}
+		runSchedule(t, offsets, int(seed%3), driveRun)
 	}
 }
 
@@ -237,32 +351,40 @@ func TestGrantCancelPreservesFIFO(t *testing.T) {
 	}
 }
 
-// FuzzHeapOrder drives the heap-order checker from arbitrary bytes:
-// each 2-byte group becomes one event offset (coarse 0-255 grid plus a
-// fine fraction, maximizing tie pressure), and the final byte selects
-// the chaining density. CI runs this as a 30 s smoke
+// FuzzHeapOrder drives the order oracle from arbitrary bytes: each
+// 2-byte group becomes one event offset (coarse 0-255 grid plus a fine
+// fraction, maximizing tie pressure; the pair 255,255 is -0.0), and the
+// final byte selects the chaining density and the drive mode. CI runs
+// this as a 30 s smoke
 // (`go test -fuzz=FuzzHeapOrder -fuzztime=30s ./internal/des`).
 func FuzzHeapOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 1})
 	f.Add([]byte{255, 1, 255, 2, 255, 3, 0})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7})
+	f.Add([]byte{0, 0, 255, 255, 0, 0, 255, 255, 0, 128, 8})    // signed zeros, windows
+	f.Add([]byte{1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 13}) // alternating times, Stop/Resume
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
 		}
-		chain := 0
+		chain, drive := 0, driveRun
 		if len(data) > 0 {
-			chain = int(data[len(data)-1]) % 6
+			ctl := int(data[len(data)-1])
+			chain, drive = ctl%6, ctl/6%driveModes
 			data = data[:len(data)-1]
 		}
 		var offsets []float64
 		for i := 0; i+1 < len(data); i += 2 {
+			if data[i] == 255 && data[i+1] == 255 {
+				offsets = append(offsets, math.Copysign(0, -1))
+				continue
+			}
 			offsets = append(offsets, float64(data[i])+float64(data[i+1])/256)
 		}
 		if len(offsets) == 0 {
 			return
 		}
-		checkMonotone(t, runSchedule(t, offsets, chain))
+		runSchedule(t, offsets, chain, drive)
 	})
 }
