@@ -330,39 +330,6 @@ func BenchmarkGuardrails(b *testing.B) {
 	}
 }
 
-// BenchmarkFig3LP prices the parallel DES engine on one Fig 3 point
-// (node-local, 8 MB): the 512-node scale-out point at workers 1/2/4/8,
-// plus the paper's 4096-node Fig-3 extrapolation at workers 1 and 4 —
-// the headline scaling curve recorded in BENCH_DES.json as
-// parallel_des. Metrics are bit-identical across worker counts (the
-// equivalence suite enforces it); only wall time may change. On a
-// single-core host the workers>1 rows measure the engine's
-// synchronization overhead rather than speedup — the scaling shows on
-// multicore CI.
-func BenchmarkFig3LP(b *testing.B) {
-	cases := []struct{ nodes, workers int }{
-		{512, 1}, {512, 2}, {512, 4}, {512, 8},
-		{4096, 1}, {4096, 4},
-	}
-	for _, c := range cases {
-		b.Run(fmt.Sprintf("nodes=%d/workers=%d", c.nodes, c.workers), func(b *testing.B) {
-			var pt experiments.Pattern1Point
-			for i := 0; i < b.N; i++ {
-				var err error
-				pt, err = experiments.RunPattern1Checked(experiments.Pattern1Config{
-					Nodes: c.nodes, Backend: datastore.NodeLocal, SizeMB: 8,
-					TrainIters: 600, Workers: c.workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(pt.WriteGBps, "write-GBps")
-			b.ReportMetric(float64(pt.Writes+pt.Reads), "ops")
-		})
-	}
-}
-
 // BenchmarkCampaign runs the facility-scale scheduling campaign at the
 // two interesting offered-load multiples: 0.7× capacity (the healthy
 // operating point) and 1.2× (sustained overload, where discipline

@@ -73,7 +73,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	policy := fs.String("policy", "", "scheduling policy for the campaign family: fifo|edf|srpt|hermod (empty = all policies)")
 	jobs := fs.Int("jobs", 0, "open-loop jobs per campaign sweep cell (0 = scenario default, 2000)")
 	parallel := fs.Int("parallel", 0, "sweep worker count (0 = all cores, 1 = serial); results are identical at any setting")
-	workers := fs.Int("workers", 1, "parallel DES workers per simulated cell for fig3/fig4/scale-out/gradsync (1 = sequential engine); metrics are bit-identical at any setting")
+	workers := fs.Int("workers", 1, "cores advancing one gradsync cell's logical processes (1 = one core; other scenarios run a cell on one sequential Env and ignore it); metrics are bit-identical at any setting")
 	collAlgo := fs.String("collalgo", "", "collective algorithm for the gradsync family: flat|ring|tree|hier (empty = full algorithm sweep)")
 	timeout := fs.Float64("timeout", 0, "per-sweep-cell wall-clock deadline in seconds (0 = none); a wedged cell is abandoned with a structured failure instead of hanging the run")
 	retries := fs.Int("retries", 0, "extra attempts per sweep cell on retryable failures (0 = fail on first error)")
@@ -129,7 +129,7 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		CollAlgo:     *collAlgo,
 	}
 	if *workers > 1 {
-		// Only record an explicit parallel-engine request: Workers stays
+		// Only record an explicit fan-out request: Workers stays
 		// zero at the default so workers=1 artifacts (JSON params
 		// included) remain byte-identical to pre-knob output.
 		params.Workers = *workers

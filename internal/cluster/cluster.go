@@ -142,7 +142,7 @@ func CoSchedule(s Spec, n, nodesPer int) ([]Tenant, error) {
 }
 
 // Block is a contiguous range of a partition's node indices assigned to
-// one logical process of the parallel DES engine (des.LPSet): the
+// one logical process of a share-nothing run (des.LPSet): the
 // node-block granularity of LP partitioning.
 type Block struct {
 	// Start is the first global node index of the block.
@@ -153,11 +153,11 @@ type Block struct {
 
 // LPBlocks partitions nodes into contiguous blocks of blockNodes each
 // (the final block takes any remainder) — the block→LP mapping of the
-// parallel engine. The mapping is a pure function of (nodes,
+// gradsync harness. The mapping is a pure function of (nodes,
 // blockNodes), deliberately independent of worker count: the canonical
-// cross-LP merge order — and therefore every bit of a parallel run's
-// metrics — depends only on the partition, so results cannot vary with
-// how many cores executed it.
+// merge order of the per-LP sample logs — and therefore every bit of
+// the run's metrics — depends only on the partition, so results cannot
+// vary with how many cores executed it.
 func LPBlocks(nodes, blockNodes int) []Block {
 	if nodes < 1 {
 		return nil

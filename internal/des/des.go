@@ -30,10 +30,9 @@
 // The simulated workloads are bulk-synchronous: thousands of identical
 // ranks wake, stage and poll at the same virtual instants. Half of the
 // events an `experiments -exp all` pass schedules (fig3 69 %, scale-out
-// 50 %, fig6 47 %, fig4 44 %, resilience 36 %; 79 % of the LP-partitioned
-// cells; fig5 and campaign 0 %) carry a timestamp bit-equal to an event
-// already pending. The queue therefore orders runs of simultaneous
-// events, not single events:
+// 50 %, fig6 47 %, fig4 44 %, resilience 36 %; fig5 and campaign 0 %)
+// carry a timestamp bit-equal to an event already pending. The queue
+// therefore orders runs of simultaneous events, not single events:
 //
 //   - A run is a FIFO of events with one bit-identical time, linked
 //     through the payload slab. A push whose time matches the run
@@ -132,8 +131,8 @@ type openRun struct {
 // fifteen times, five times its final size in all: a quarter of every
 // byte a sweep allocated, all of it large pointerful objects for the
 // collector to zero, barrier-copy and sweep.) 32 slots, 1.5 KB, are what
-// one node's ranks keep pending, so the thousands of per-LP Envs of a
-// partitioned run stay at one chunk each.
+// one node's ranks keep pending, so a small Env — one LP of an LPSet —
+// stays at one chunk.
 const slabChunk = 32
 
 // runSlots is the size of the direct-mapped run table. A constant, not
@@ -171,8 +170,7 @@ type Env struct {
 
 	// Run guardrails (see guard.go). guarded mirrors guard.enabled() so
 	// the healthy hot path pays one predictable branch per event. shared
-	// is the joint cross-LP event budget of a partitioned run (nil
-	// outside LPSet runs).
+	// is the joint event budget of an LPSet run (nil outside one).
 	guard    Guard
 	shared   *SharedGuard
 	guarded  bool
@@ -351,23 +349,6 @@ func (e *Env) RunUntil(until float64) float64 {
 	return e.now
 }
 
-// RunBefore executes events with time strictly below limit — the
-// window-execution primitive of the conservative parallel engine
-// (LPSet): a window [floor, floor+lookahead) must exclude its upper
-// bound, because a cross-LP message can still arrive exactly at it.
-func (e *Env) RunBefore(limit float64) float64 {
-	e.settle()
-	for e.pending > 0 && !e.stopped {
-		if e.heap[0].t >= limit {
-			break
-		}
-		if !e.execNext() {
-			break
-		}
-	}
-	return e.now
-}
-
 // NextT peeks at the earliest pending event time; ok is false when the
 // queue is empty.
 func (e *Env) NextT() (t float64, ok bool) {
@@ -376,19 +357,6 @@ func (e *Env) NextT() (t float64, ok bool) {
 	}
 	e.settle()
 	return e.heap[0].t, true
-}
-
-// stepOne executes exactly one event (the earliest pending), honoring
-// the guard; it reports false when the queue is empty, the env is
-// stopped, or the guard tripped. It is the primitive of the LPSet
-// zero-lookahead fallback loop, which interleaves single steps across
-// LPs in global (t, LP index) order.
-func (e *Env) stepOne() bool {
-	if e.pending == 0 || e.stopped {
-		return false
-	}
-	e.settle()
-	return e.execNext()
 }
 
 // execNext fires the earliest queued event — the head of the root run —

@@ -40,6 +40,10 @@ type BudgetExceeded struct {
 	// ByHorizon reports which limit tripped: true for the virtual-time
 	// horizon, false for the event budget.
 	ByHorizon bool
+	// joint marks the trip of a SharedGuard as LPSet.Err reports it: Now
+	// and NextT are unset, because no LP-local time is a function of
+	// the run.
+	joint bool
 }
 
 // Error renders the trip diagnosis.
@@ -47,6 +51,10 @@ func (e *BudgetExceeded) Error() string {
 	if e.ByHorizon {
 		return fmt.Sprintf("des: virtual-time horizon exceeded: next event at t=%.6g is past the %.6gs guard horizon (%d events executed, now=%.6g)",
 			e.NextT, e.Guard.HorizonS, e.Events, e.Now)
+	}
+	if e.joint {
+		return fmt.Sprintf("des: event budget exceeded: %d events executed (limit %d) across the LP set with work still queued",
+			e.Events, e.Guard.MaxEvents)
 	}
 	return fmt.Sprintf("des: event budget exceeded: %d events executed (limit %d) at t=%.6g with work still queued",
 		e.Events, e.Guard.MaxEvents, e.Now)
@@ -73,10 +81,10 @@ func (e *Env) Err() error { return e.guardErr }
 func (e *Env) Executed() int64 { return e.executed }
 
 // SharedGuard is one event budget enforced jointly across several
-// environments — the logical processes of a partitioned LPSet run.
-// Without it, a per-LP Guard.MaxEvents would multiply the budget by
-// the LP count: a cell allowed 1M events sequentially could execute
-// 4096M under a per-node partition. Every participating Env reserves
+// environments — the logical processes of an LPSet run. Without it, a
+// per-LP Guard.MaxEvents would multiply the budget by the LP count: a
+// cell allowed 1M events on one Env could execute 64M over 64 LPs.
+// Every participating Env reserves
 // from the same atomic counter before executing an event; reservation
 // i executes iff i <= max, so when the budget trips, exactly max
 // events have executed across the set — the same count a sequential

@@ -1,29 +1,19 @@
 package des
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 )
 
-// Property layer for the parallel engine: randomized workloads of
-// chattering machines with cross-machine messaging, executed three ways
-// — one shared Env (the reference), an LPSet at several partition
-// granularities, and each partition at several worker counts — must
-// produce identical per-machine timestamp traces. This is the engine's
-// core contract: partitioning and parallelism are pure execution
-// strategies, never observable in results.
+// Property layer for the share-nothing engine: k randomized LPs of
+// chattering machines, run as one LPSet at several worker counts, must
+// produce per-machine timestamp traces identical to each LP run alone
+// on a fresh Env. This is the engine's whole contract: the fan-out is a
+// pure execution strategy, never observable in results.
 
-// lpWorld abstracts where machines live so one generator builds the
-// reference and the partitioned runs from identical schedule calls.
-type lpWorld struct {
-	env  func(machine int) *Env
-	send func(src, dst int, delayS float64, fn func())
-}
-
-// lpWorkload is one generated scenario: n machines with start offsets,
-// periods, fire counts, and a cross-send pattern.
+// lpWorkload is one LP's generated scenario: n machines with start
+// offsets, periods, fire counts, and a send pattern within the LP.
 type lpWorkload struct {
 	starts  []float64
 	periods []float64
@@ -31,11 +21,10 @@ type lpWorkload struct {
 	// sendEvery: machine i messages machine (i+1)%n on every k-th fire
 	// (0 = never).
 	sendEvery []int
-	// sendDelay per machine, always >= the partition's link lookahead.
 	sendDelay []float64
 }
 
-func genLPWorkload(rng *rand.Rand, n int, minDelay float64) lpWorkload {
+func genLPWorkload(rng *rand.Rand, n int) lpWorkload {
 	w := lpWorkload{
 		starts:    make([]float64, n),
 		periods:   make([]float64, n),
@@ -46,173 +35,88 @@ func genLPWorkload(rng *rand.Rand, n int, minDelay float64) lpWorkload {
 	for i := 0; i < n; i++ {
 		w.starts[i] = rng.Float64()
 		// Quantized periods create plenty of exact time ties across
-		// machines — the hard case for merge determinism.
+		// machines, and across LPs that share nothing but the grid.
 		w.periods[i] = float64(1+rng.Intn(8)) * 0.125
 		w.counts[i] = 1 + rng.Intn(40)
 		w.sendEvery[i] = rng.Intn(4) // 0 = never
-		w.sendDelay[i] = minDelay + float64(1+rng.Intn(8))*0.25
+		w.sendDelay[i] = float64(rng.Intn(8)) * 0.25
 	}
 	return w
 }
 
-// buildLP instantiates the workload in a world, returning one timestamp
+// buildLP instantiates the workload on env, returning one timestamp
 // trace per machine (fires and receipts interleaved in local order).
-func buildLP(w lpWorld, wl lpWorkload) [][]float64 {
+func buildLP(env *Env, wl lpWorkload) [][]float64 {
 	n := len(wl.starts)
 	traces := make([][]float64, n)
-	var receive func(dst int) func()
-	receive = func(dst int) func() {
-		return func() {
-			traces[dst] = append(traces[dst], w.env(dst).Now())
-		}
-	}
 	for i := 0; i < n; i++ {
 		i := i
+		next := (i + 1) % n
+		receive := func() { traces[next] = append(traces[next], env.Now()) }
 		fires := 0
 		var fire func()
 		fire = func() {
-			traces[i] = append(traces[i], w.env(i).Now())
+			traces[i] = append(traces[i], env.Now())
 			fires++
 			if wl.sendEvery[i] > 0 && fires%wl.sendEvery[i] == 0 {
-				w.send(i, (i+1)%n, wl.sendDelay[i], receive((i+1)%n))
+				env.After(wl.sendDelay[i], receive)
 			}
 			if fires < wl.counts[i] {
-				w.env(i).After(wl.periods[i], fire)
+				env.After(wl.periods[i], fire)
 			}
 		}
-		w.env(i).At(wl.starts[i], fire)
+		env.At(wl.starts[i], fire)
 	}
 	return traces
 }
 
-// runLPReference executes the workload on one shared Env.
-func runLPReference(wl lpWorkload) [][]float64 {
-	env := NewEnv()
-	traces := buildLP(lpWorld{
-		env:  func(int) *Env { return env },
-		send: func(_, _ int, delayS float64, fn func()) { env.After(delayS, fn) },
-	}, wl)
-	env.RunUntil(1e9)
-	return traces
-}
-
-// runLPPartitioned executes the workload on an LPSet: machines are
-// distributed round-robin over lps logical processes, every distinct LP
-// pair is linked with the given lookahead (the all-cross-LP-edge case),
-// and the set runs with the given worker count.
-func runLPPartitioned(wl lpWorkload, lps, workers int, lookS float64) [][]float64 {
-	n := len(wl.starts)
-	set := NewLPSet(lps)
-	lpOf := func(machine int) int { return machine % lps }
-	if lps > 1 {
-		for a := 0; a < lps; a++ {
-			for b := 0; b < lps; b++ {
-				if a != b {
-					set.Connect(a, b, lookS)
-				}
-			}
-		}
-	}
-	traces := buildLP(lpWorld{
-		env: func(m int) *Env { return set.Env(lpOf(m)) },
-		send: func(src, dst int, delayS float64, fn func()) {
-			if lpOf(src) == lpOf(dst) {
-				set.Env(lpOf(src)).After(delayS, fn)
-			} else {
-				set.Send(lpOf(src), lpOf(dst), delayS, fn)
-			}
-		},
-	}, wl)
-	set.Run(workers, 1e9)
-	_ = n
-	return traces
-}
-
-// checkLPEquivalence runs one workload through every (partition,
-// lookahead, workers) combination and compares traces to the reference.
-func checkLPEquivalence(t *testing.T, seed int64, wl lpWorkload, lookS float64) {
-	t.Helper()
-	ref := runLPReference(wl)
-	n := len(wl.starts)
-	for _, lps := range []int{1, 2, n} {
-		if lps > n {
-			continue
-		}
-		for _, workers := range []int{1, 4} {
-			got := runLPPartitioned(wl, lps, workers, lookS)
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("seed %d: lps=%d workers=%d look=%v: traces diverged from single-env reference",
-					seed, lps, workers, lookS)
-			}
-		}
-	}
-}
-
-// TestLPRandomWorkloadsMatchSequential: 1000 random workloads, each
-// checked at partition granularities {1, 2, n} × workers {1, 4} ×
-// lookahead {0 (fallback), small (many windows), large (one window)}.
+// TestLPRandomWorkloadsMatchSequential: 1000 random sets of 1-8 LPs,
+// each run at workers {1, 2, 4, 8}, against every LP alone on its own
+// Env. Odd seeds pause the set at a mid-run horizon first, so Run is
+// also checked to resume where RunUntil would.
 func TestLPRandomWorkloadsMatchSequential(t *testing.T) {
 	seeds := 1000
 	if testing.Short() {
 		seeds = 100
 	}
-	looks := []float64{0, 0.05, 50}
 	for seed := 0; seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		n := 2 + rng.Intn(6)
-		look := looks[seed%len(looks)]
-		wl := genLPWorkload(rng, n, look)
-		checkLPEquivalence(t, int64(seed), wl, look)
-	}
-}
-
-// TestLPDegenerateShapes pins the edge cases of the window computation:
-// a single LP (no links), an empty set run, all-cross-LP edges at zero
-// lookahead, and a lookahead so small the window holds one event.
-func TestLPDegenerateShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	wl := genLPWorkload(rng, 4, 0)
-
-	// Single LP: no links, one pass to the horizon.
-	ref := runLPReference(wl)
-	if got := runLPPartitioned(wl, 1, 4, 0); !reflect.DeepEqual(got, ref) {
-		t.Error("single-LP run diverged")
-	}
-	// Empty set: Run on LPs with no events returns 0.
-	if end := NewLPSet(3).Run(2, 100); end != 0 {
-		t.Errorf("empty run end = %v, want 0", end)
-	}
-	// Tiny lookahead: every window holds at most a handful of events.
-	tiny := genLPWorkload(rng, 4, 0.001)
-	if got := runLPPartitioned(tiny, 4, 4, 0.001); !reflect.DeepEqual(got, runLPReference(tiny)) {
-		t.Error("tiny-lookahead run diverged")
-	}
-}
-
-// FuzzLPWindow fuzzes the lookahead/window computation: arbitrary seeds,
-// machine counts, partition sizes, worker counts and lookahead bits must
-// never break trace equivalence with the single-env reference. The
-// lookahead is decoded from raw bits through abs() so the corpus can
-// reach denormals and huge values; non-finite values are clamped.
-func FuzzLPWindow(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(2), uint8(4), float64(0))
-	f.Add(int64(2), uint8(6), uint8(6), uint8(1), float64(0.05))
-	f.Add(int64(3), uint8(3), uint8(2), uint8(8), float64(1e300))
-	f.Add(int64(4), uint8(2), uint8(2), uint8(3), math.SmallestNonzeroFloat64)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, lpsRaw, workersRaw uint8, lookRaw float64) {
-		n := 2 + int(nRaw%6)
-		lps := 1 + int(lpsRaw)%n
-		workers := 1 + int(workersRaw%8)
-		look := math.Abs(lookRaw)
-		if math.IsNaN(look) || math.IsInf(look, 0) || look > 1e6 {
-			look = 1e6
+		wls := make([]lpWorkload, 1+rng.Intn(8))
+		for lp := range wls {
+			wls[lp] = genLPWorkload(rng, 1+rng.Intn(6))
 		}
-		rng := rand.New(rand.NewSource(seed))
-		wl := genLPWorkload(rng, n, look)
-		ref := runLPReference(wl)
-		got := runLPPartitioned(wl, lps, workers, look)
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("n=%d lps=%d workers=%d look=%v: traces diverged", n, lps, workers, look)
+		horizons := []float64{1e9}
+		if seed%2 == 1 {
+			horizons = []float64{1 + 4*rng.Float64(), 1e9}
 		}
-	})
+
+		ref := make([][][]float64, len(wls))
+		refEnd := 0.0
+		for lp, wl := range wls {
+			env := NewEnv()
+			ref[lp] = buildLP(env, wl)
+			for _, h := range horizons {
+				env.RunUntil(h)
+			}
+			refEnd = max(refEnd, env.Now())
+		}
+
+		for _, workers := range []int{1, 2, 4, 8} {
+			set := NewLPSet(len(wls))
+			got := make([][][]float64, len(wls))
+			for lp, wl := range wls {
+				got[lp] = buildLP(set.Env(lp), wl)
+			}
+			end := 0.0
+			for _, h := range horizons {
+				end = set.Run(workers, h)
+			}
+			if end != refEnd {
+				t.Fatalf("seed %d workers=%d: end = %v, LPs alone end at %v", seed, workers, end, refEnd)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("seed %d workers=%d: traces diverged from the LPs run alone", seed, workers)
+			}
+		}
+	}
 }

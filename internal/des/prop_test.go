@@ -14,7 +14,7 @@ import (
 // generator builds randomized schedules — including events that schedule
 // more events from inside their own callbacks, the shape every rank
 // machine in this repo has — across 1k seeds and every way the harnesses
-// drive an Env (Run, RunBefore/RunUntil windows, Stop/Resume);
+// drive an Env (Run, RunUntil windows, Stop/Resume);
 // FuzzHeapOrder feeds the same checker from arbitrary byte strings so
 // `go test -fuzz` can walk the queue into corners the seeded generator
 // never reaches.
@@ -28,7 +28,7 @@ type firing struct {
 // How orderRun drives its environment.
 const (
 	driveRun     = iota // one Run call
-	driveWindows        // RunBefore/RunUntil windows from NextT, as LPSet.Run does
+	driveWindows        // RunUntil windows from NextT, as a paused-and-resumed horizon does
 	driveStop           // handlers call Stop; the driver Resumes until drained
 	driveModes
 )
@@ -67,17 +67,13 @@ func runSchedule(t *testing.T, offsets []float64, chainEvery, drive int) {
 	case driveRun:
 		env.Run()
 	case driveWindows:
-		for n := 0; ; n++ {
+		for {
 			r.checkQueue("between windows")
 			floor, ok := env.NextT()
 			if !ok {
 				break
 			}
-			if n%2 == 0 {
-				env.RunBefore(floor + 0.5) // fires the floor, excludes the bound
-			} else {
-				env.RunUntil(floor + 0.5)
-			}
+			env.RunUntil(floor + 0.5) // fires the floor, includes the bound
 		}
 	case driveStop:
 		env.Run()

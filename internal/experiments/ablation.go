@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"io"
 
 	"simaibench/internal/costmodel"
 	"simaibench/internal/datastore"
@@ -81,11 +80,6 @@ func mdsAblationTable(points []MDSAblationPoint) scenario.Table {
 	return t
 }
 
-// PrintMDSAblation renders the sweep.
-func PrintMDSAblation(w io.Writer, points []MDSAblationPoint) {
-	_ = scenario.WriteTable(w, mdsAblationTable(points))
-}
-
 // CacheAblationPoint is one (cache share, size) node-local measurement.
 type CacheAblationPoint struct {
 	CacheShareMB float64
@@ -140,11 +134,6 @@ func cacheAblationTable(points []CacheAblationPoint) scenario.Table {
 		t.Rows = append(t.Rows, []any{pt.CacheShareMB, pt.SizeMB, pt.WriteGBps})
 	}
 	return t
-}
-
-// PrintCacheAblation renders the sweep.
-func PrintCacheAblation(w io.Writer, points []CacheAblationPoint) {
-	_ = scenario.WriteTable(w, cacheAblationTable(points))
 }
 
 // IncastAblationPoint is one (incast latency, size) Pattern 2 comparison.
@@ -222,9 +211,4 @@ func incastAblationTable(points []IncastAblationPoint) scenario.Table {
 		t.Rows = append(t.Rows, []any{pt.IncastLatencyS * 1000, pt.SizeMB, pt.DragonFetchS, pt.FSFetchS})
 	}
 	return t
-}
-
-// PrintIncastAblation renders the sweep.
-func PrintIncastAblation(w io.Writer, points []IncastAblationPoint) {
-	_ = scenario.WriteTable(w, incastAblationTable(points))
 }

@@ -89,17 +89,17 @@ func TestAblationPrinters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	PrintMDSAblation(&buf, mds)
+	writeTable(t, &buf, mdsAblationTable(mds))
 	cache, err := RunCacheAblation(bg, []float64{8.75}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	PrintCacheAblation(&buf, cache)
+	writeTable(t, &buf, cacheAblationTable(cache))
 	incast, err := RunIncastAblation(bg, []float64{0.010}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	PrintIncastAblation(&buf, incast)
+	writeTable(t, &buf, incastAblationTable(incast))
 	out := buf.String()
 	for _, want := range []string{"MDS service", "L3 share", "incast latency"} {
 		if !strings.Contains(out, want) {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"simaibench/internal/cluster"
@@ -268,12 +267,6 @@ func campaignTable(label string, points []CampaignPoint) scenario.Table {
 			pt.WaitP999S, pt.SlowP99, pt.Util, pt.Fairness, pt.Dropped, pt.Crashes})
 	}
 	return t
-}
-
-// PrintCampaign renders one fault profile's campaign rows in text
-// layout.
-func PrintCampaign(w io.Writer, label string, points []CampaignPoint) {
-	_ = scenario.WriteTable(w, campaignTable(label, points))
 }
 
 // runCampaignScenario is the registered "campaign" scenario: the

@@ -3,11 +3,13 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
 
 	"simaibench/internal/datastore"
+	"simaibench/internal/scenario"
 )
 
 // --- Pattern 1 (Fig 3/4) shape tests against the paper's findings ---
@@ -108,13 +110,22 @@ func TestPattern1EventCountsReasonable(t *testing.T) {
 	}
 }
 
+// writeTable renders one table in the text layout, as the scenario
+// reporters do.
+func writeTable(t *testing.T, w io.Writer, tab scenario.Table) {
+	t.Helper()
+	if err := scenario.WriteTable(w, tab); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPrintFig3Fig4(t *testing.T) {
 	points, err := RunFig3(bg, 8, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	PrintFig3(&buf, 8, points)
+	writeTable(t, &buf, fig3Table(8, points))
 	out := buf.String()
 	for _, want := range []string{"redis", "filesystem", "dragon", "node-local", "read(GB/s)"} {
 		if !strings.Contains(out, want) {
@@ -126,7 +137,7 @@ func TestPrintFig3Fig4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	PrintFig4(&buf4, 8, fig4Points)
+	writeTable(t, &buf4, fig4Table(8, fig4Points))
 	if !strings.Contains(buf4.String(), "sim-iter(s)") {
 		t.Fatalf("fig4 output malformed:\n%s", buf4.String())
 	}
@@ -229,7 +240,7 @@ func TestPrintFig5Fig6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	PrintFig5(&buf, fig5Points)
+	writeTable(t, &buf, fig5Table(fig5Points))
 	if !strings.Contains(buf.String(), "non-local read") {
 		t.Fatalf("fig5 output malformed:\n%s", buf.String())
 	}
@@ -238,7 +249,7 @@ func TestPrintFig5Fig6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	PrintFig6(&buf6, 8, fig6Points)
+	writeTable(t, &buf6, fig6Table(8, fig6Points))
 	if !strings.Contains(buf6.String(), "exec/iter(s)") {
 		t.Fatalf("fig6 output malformed:\n%s", buf6.String())
 	}
@@ -341,10 +352,14 @@ func TestValidationPrinters(t *testing.T) {
 	mini := smallValidation(t, MiniApp)
 	orig := smallValidation(t, Original)
 	var buf bytes.Buffer
-	PrintTable2(&buf, orig, mini)
-	PrintTable3(&buf, orig, mini)
-	if err := PrintFig2(&buf, orig, mini, 10); err != nil {
+	writeTable(t, &buf, table2Table(orig, mini))
+	writeTable(t, &buf, table3Table(orig, mini))
+	timelines, err := fig2Tables(orig, mini, 10)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, tab := range timelines {
+		writeTable(t, &buf, tab)
 	}
 	out := buf.String()
 	for _, want := range []string{"Table 2", "Table 3", "Original", "Mini-app", "Fig 2"} {

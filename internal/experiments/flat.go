@@ -33,7 +33,6 @@ type simWriter struct {
 	time    *stats.Welford    // optional
 	tput    *stats.Throughput // optional
 	samples *[]float64        // optional per-op latency sink (scale-out p50)
-	log     *sampleLog        // optional timestamped sink (parallel runs)
 	xfer    xferStarter
 	wake    func()
 }
@@ -62,7 +61,6 @@ func initSimWriter(w *simWriter, env *des.Env, model *costmodel.Model, cfg simWr
 		time:    cfg.time,
 		tput:    cfg.tput,
 		samples: cfg.samples,
-		log:     cfg.log,
 	}
 	w.wake = func() {
 		w.start = w.env.Now()
@@ -79,9 +77,6 @@ func initSimWriter(w *simWriter, env *des.Env, model *costmodel.Model, cfg simWr
 		}
 		if w.samples != nil {
 			*w.samples = append(*w.samples, d)
-		}
-		if w.log != nil {
-			w.log.add(now, d)
 		}
 		if now < w.horizon {
 			w.env.After(w.period, w.wake)
@@ -107,10 +102,6 @@ type simWriterConfig struct {
 	time    *stats.Welford
 	tput    *stats.Throughput
 	samples *[]float64
-	// log, when set, records (completion time, latency) of every staged
-	// write — the replayable stream the parallel harness merges across
-	// LPs (see parallel.go).
-	log *sampleLog
 	// shared routes the write through the multi-tenant shared
 	// deployment (costmodel.NewSharedLocalWrite).
 	shared bool
@@ -129,7 +120,6 @@ type aiReader struct {
 	bytes       int64
 	time        *stats.Welford    // optional
 	tput        *stats.Throughput // optional
-	log         *sampleLog        // optional timestamped sink (parallel runs)
 	xfer        xferStarter
 	wake        func()
 }
@@ -144,9 +134,6 @@ type aiReaderConfig struct {
 	bytes       int64
 	time        *stats.Welford
 	tput        *stats.Throughput
-	// log, when set, records (completion time, latency) of every read —
-	// the replayable stream the parallel harness merges across LPs.
-	log *sampleLog
 	// shared routes the read through the multi-tenant shared deployment
 	// (costmodel.NewSharedLocalRead).
 	shared bool
@@ -163,7 +150,7 @@ func newAIReader(env *des.Env, model *costmodel.Model, cfg aiReaderConfig) *aiRe
 func initAIReader(r *aiReader, env *des.Env, model *costmodel.Model, cfg aiReaderConfig) {
 	*r = aiReader{
 		env: env, readPeriod: cfg.readPeriod, writePeriod: cfg.writePeriod, horizon: cfg.horizon,
-		lastRead: -cfg.writePeriod, bytes: cfg.bytes, time: cfg.time, tput: cfg.tput, log: cfg.log,
+		lastRead: -cfg.writePeriod, bytes: cfg.bytes, time: cfg.time, tput: cfg.tput,
 	}
 	r.wake = func() {
 		now := r.env.Now()
@@ -186,9 +173,6 @@ func initAIReader(r *aiReader, env *des.Env, model *costmodel.Model, cfg aiReade
 		}
 		if r.tput != nil {
 			r.tput.Add(r.bytes, d)
-		}
-		if r.log != nil {
-			r.log.add(now, d)
 		}
 		if now < r.horizon {
 			r.env.After(r.readPeriod, r.wake)

@@ -26,12 +26,13 @@ import (
 // counts (latency-bound), the ring wins at large messages
 // (bandwidth-bound).
 //
-// Every cell runs through the parallel LP engine (des.LPSet, one LP
-// per dragonfly group). The gradient barrier makes every rank's step
-// boundary a pure function of the per-(rank, step) compute jitter —
-// precomputed once and shared read-only — so LPs have no cross-LP
-// edges (lookahead +Inf) and metrics are bit-identical at any worker
-// count via the canonical sampleLog merge.
+// Every cell runs as a share-nothing des.LPSet, one LP per dragonfly
+// group — the one harness that fans out inside a cell. The gradient
+// barrier makes every rank's step boundary a pure function of the
+// per-(rank, step) compute jitter — precomputed once and shared
+// read-only — so no LP's event ever reaches another, and metrics are
+// bit-identical at any worker count via the canonical sampleLog merge
+// (parallel.go).
 
 // Gradsync sweep axes (the -exp gradsync grid).
 var (
@@ -204,8 +205,8 @@ func RunGradSync(cfg GradSyncConfig) (GradSyncPoint, error) {
 
 	// Precompute each step's straggler bound — the time the slowest
 	// rank reaches the gradient barrier. A pure function of (rank,
-	// step), shared read-only by every LP: the partition has no
-	// cross-LP edges, so the LPs are embarrassingly parallel.
+	// step), shared read-only by every LP, so the LPs share nothing
+	// that changes during the run.
 	gmax := make([]float64, cfg.Steps)
 	horizon := 1.0
 	for s := range gmax {

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
+	"simaibench/internal/des"
 	"simaibench/internal/scenario"
 )
 
@@ -32,10 +35,8 @@ func TestGradSyncDeterministic(t *testing.T) {
 	}
 }
 
-// TestGradSyncWorkersBitIdentical: the parallel LP engine at any
-// worker count reproduces the serial metrics to the bit, for every
-// algorithm (the engine guarantee runPattern1LP establishes, here for
-// the gradsync harness).
+// TestGradSyncWorkersBitIdentical: the LP fan-out at any worker count
+// reproduces the serial metrics to the bit, for every algorithm.
 func TestGradSyncWorkersBitIdentical(t *testing.T) {
 	for _, algo := range GradSyncAlgos {
 		cfg := GradSyncConfig{Ranks: 64, ModelMB: 4, Algo: algo, Steps: 60}
@@ -86,11 +87,38 @@ func TestGradSyncShape(t *testing.T) {
 }
 
 // TestGradSyncEventBudget: a too-small DES event budget trips the
-// shared guard and surfaces as a structured error, not a hang.
+// shared guard and surfaces as a structured error, not a hang — and the
+// error is a pure function of the run. Which LP reserves the first
+// event past the budget, and at what time on its own clock, depends on
+// worker scheduling, so neither may reach the text that cell failures,
+// reports and the serve error body carry.
 func TestGradSyncEventBudget(t *testing.T) {
-	_, err := RunGradSync(GradSyncConfig{Ranks: 64, ModelMB: 4, Algo: "ring", Steps: 400, MaxEvents: 100})
-	if err == nil {
-		t.Fatal("100-event budget over 400 steps × 64 ranks should trip")
+	const budget = 20000
+	cfg := GradSyncConfig{Ranks: 512, ModelMB: 4, Algo: "ring", Steps: 400, MaxEvents: budget}
+	var want string
+	for _, workers := range []int{1, 2, 4} {
+		cfg.Workers = workers
+		for rep := 0; rep < 20; rep++ {
+			_, err := RunGradSync(cfg)
+			var be *des.BudgetExceeded
+			if !errors.As(err, &be) {
+				t.Fatalf("workers=%d: %d-event budget over 400 steps × 512 ranks should trip, got %v", workers, budget, err)
+			}
+			if be.Events != budget || be.Guard != (des.Guard{MaxEvents: budget}) {
+				t.Fatalf("workers=%d: BudgetExceeded{Guard:%+v Events:%d}, want the joint budget %d", workers, be.Guard, be.Events, budget)
+			}
+			if want == "" {
+				want = err.Error()
+			}
+			if got := err.Error(); got != want {
+				t.Fatalf("workers=%d rep %d: error text depends on scheduling:\n  %s\n  %s", workers, rep, got, want)
+			}
+		}
+	}
+	for _, sub := range []string{"event budget exceeded", "20000 events executed (limit 20000)"} {
+		if !strings.Contains(want, sub) {
+			t.Errorf("budget error %q lost %q", want, sub)
+		}
 	}
 }
 

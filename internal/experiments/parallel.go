@@ -1,46 +1,14 @@
 package experiments
 
-import (
-	"fmt"
-	"math"
-
-	"simaibench/internal/cluster"
-	"simaibench/internal/costmodel"
-	"simaibench/internal/des"
-	"simaibench/internal/stats"
-)
-
-// Parallel experiment harnesses: the Pattern 1 and scale-out workloads
-// on the conservative multi-LP engine (des.LPSet). The partitioning
-// exploits a structural fact of the cost model: with a node-local
-// backend every resource a rank touches — its node's exchange bus, the
-// cache/window thresholds, the in-memory transfer chain — is private to
-// that rank's node, so the simulation decomposes into fully independent
-// logical processes (lookahead +Inf, cluster.LPBlocks granularity).
-// Backends with shared serialization points (the Lustre MDS/OSTs, the
-// multi-tenant Redis/Dragon service slots) have zero modeled cross-LP
-// latency (costmodel.LPLookaheadS), so those runs stay on the
-// sequential engine — correctness never depends on the parallel path.
-//
-// Bit-identical metrics, not just statistically equivalent ones, are
-// the contract: Workers=N must reproduce Workers=1 byte for byte.
-// Two mechanisms deliver that:
-//
-//  1. The engine itself is deterministic for any worker count (see
-//     internal/des/lp.go), and the partition is a pure function of the
-//     workload shape — never of Workers — so per-LP event streams are
-//     fixed.
-//  2. Metric accumulation order is canonicalized: instead of feeding
-//     the shared Welford/Throughput accumulators during execution (an
-//     order that would depend on the partition), each LP records its
-//     (completion time, latency) stream into a private sampleLog and
-//     the streams are k-way merged by (time, LP index) afterwards.
-//     Samples tied in time carry identical latencies here — every rank
-//     of a node-symmetric workload measures the same constants — so
-//     the merge order within a tie cannot perturb the floating-point
-//     accumulation, and the replayed statistics match the sequential
-//     run's bits. The equivalence tests in parallel_test.go enforce
-//     this struct-for-struct and byte-for-byte.
+// Canonical metric replay for a share-nothing partitioned run (gradsync
+// on des.LPSet; see gradsync.go). Feeding a shared Welford accumulator
+// during execution would make the floating-point accumulation order
+// depend on which worker ran which LP when. Instead each LP records its
+// (completion time, sample) stream into a private sampleLog and the
+// streams are k-way merged by (time, LP index) afterwards — an order
+// that is a pure function of the partition, which is itself a pure
+// function of the workload shape, never of Workers. That is what makes
+// Workers=N reproduce Workers=1 byte for byte.
 
 // sampleLog records one accumulator's (completion time, latency)
 // stream on a single LP. Within a log, times are nondecreasing (events
@@ -112,193 +80,4 @@ func mergeLogs(logs []*sampleLog, emit func(v float64)) {
 			push(head{t: l.t[pos[h.lp]], lp: h.lp})
 		}
 	}
-}
-
-// lpEligible reports whether a run should dispatch to the parallel
-// engine: parallelism was requested, the workload splits into more
-// than one LP, and the backend imposes no finite cross-LP lookahead
-// (+Inf = no cross-LP edges at all). Zero-lookahead backends fall back
-// to the sequential engine per the conservative-synchronization
-// contract.
-func lpEligible(workers, lps int, lookS float64) bool {
-	return workers > 1 && lps > 1 && math.IsInf(lookS, 1)
-}
-
-// runPattern1LP is RunPattern1Checked on the parallel engine: one LP
-// per node (cluster.LPBlocks granularity 1), each with a private Env
-// and cost model sized to its block. Only called when lpEligible — the
-// backend's ranks touch no resource outside their own node, so the
-// per-block models are behavior-identical to slices of the global one.
-func runPattern1LP(cfg Pattern1Config) (Pattern1Point, error) {
-	blocks := cluster.LPBlocks(cfg.Nodes, 1)
-	set := des.NewLPSet(len(blocks))
-	if cfg.MaxEvents > 0 {
-		// The budget is global across LPs — the same cap the sequential
-		// engine enforces — not per-LP, which would multiply it.
-		set.SetSharedGuard(des.NewSharedGuard(cfg.MaxEvents))
-	}
-	params := costmodel.Default()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
-	place := cluster.Pattern1Placement(cluster.Aurora(cfg.Nodes))
-	horizon := float64(cfg.TrainIters) * cfg.TrainIterS
-	bytes := int64(cfg.SizeMB * 1e6)
-
-	writeLogs := make([]*sampleLog, len(blocks))
-	readLogs := make([]*sampleLog, len(blocks))
-	for li, blk := range blocks {
-		env := set.Env(li)
-		model := costmodel.New(env, cluster.Aurora(blk.Nodes), params)
-		writeLogs[li] = &sampleLog{}
-		readLogs[li] = &sampleLog{}
-		writers := make([]simWriter, blk.Nodes*place.SimTilesPerNode)
-		readers := make([]aiReader, blk.Nodes*place.AITilesPerNode)
-		wi, ri := 0, 0
-		for node := 0; node < blk.Nodes; node++ {
-			for r := 0; r < place.SimTilesPerNode; r++ {
-				initSimWriter(&writers[wi], env, model, simWriterConfig{
-					backend: cfg.Backend, node: node, sizeMB: cfg.SizeMB,
-					period:  float64(cfg.WritePeriod) * cfg.SimIterS,
-					horizon: horizon, bytes: bytes, log: writeLogs[li],
-				})
-				wi++
-			}
-			for r := 0; r < place.AITilesPerNode; r++ {
-				initAIReader(&readers[ri], env, model, aiReaderConfig{
-					backend: cfg.Backend, node: node, sizeMB: cfg.SizeMB,
-					readPeriod:  float64(cfg.ReadPeriod) * cfg.TrainIterS,
-					writePeriod: float64(cfg.WritePeriod) * cfg.SimIterS,
-					horizon:     horizon, bytes: bytes, log: readLogs[li],
-				})
-				ri++
-			}
-		}
-	}
-	set.Run(cfg.Workers, horizon*1.5)
-	if err := set.Err(); err != nil {
-		return Pattern1Point{}, fmt.Errorf("pattern1 (%s, %g MB, %d nodes): %w",
-			cfg.Backend, cfg.SizeMB, cfg.Nodes, err)
-	}
-
-	var writeTput, readTput stats.Throughput
-	var writeTime, readTime stats.Welford
-	mergeLogs(writeLogs, func(d float64) {
-		writeTime.Add(d)
-		writeTput.Add(bytes, d)
-	})
-	mergeLogs(readLogs, func(d float64) {
-		readTime.Add(d)
-		readTput.Add(bytes, d)
-	})
-	return Pattern1Point{
-		Nodes:     cfg.Nodes,
-		Backend:   cfg.Backend,
-		SizeMB:    cfg.SizeMB,
-		ReadGBps:  readTput.MeanGBps(),
-		WriteGBps: writeTput.MeanGBps(),
-		ReadMeanS: readTime.Mean(),
-		WriteMean: writeTime.Mean(),
-		SimIterS:  cfg.SimIterS,
-		TrainIter: cfg.TrainIterS,
-		Writes:    writeTime.N(),
-		Reads:     readTime.N(),
-	}, nil
-}
-
-// runScaleOutLP is RunScaleOutChecked on the parallel engine: one LP
-// per tenant (CoSchedule hands each tenant a dedicated contiguous node
-// block). Only called when lpEligible with shared deployment mode —
-// i.e. only for the node-local backend, whose "shared" deployment
-// still touches nothing outside each tenant's own nodes.
-func runScaleOutLP(cfg ScaleOutConfig) (ScaleOutPoint, error) {
-	spec := cluster.Aurora(cfg.Tenants * cfg.NodesPerTenant)
-	tenants, err := cluster.CoSchedule(spec, cfg.Tenants, cfg.NodesPerTenant)
-	if err != nil {
-		// Unreachable with withDefaults-sanitized inputs.
-		panic(err)
-	}
-	place := cluster.Pattern1Placement(spec)
-	set := des.NewLPSet(len(tenants))
-	if cfg.MaxEvents > 0 {
-		set.SetSharedGuard(des.NewSharedGuard(cfg.MaxEvents))
-	}
-	params := costmodel.Default()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
-	horizon := float64(cfg.TrainIters) * cfg.TrainIterS
-	bytes := int64(cfg.SizeMB * 1e6)
-	writePeriod := float64(cfg.WritePeriod) * cfg.SimIterS
-
-	models := make([]*costmodel.Model, len(tenants))
-	writeLogs := make([]*sampleLog, len(tenants))
-	readLogs := make([]*sampleLog, len(tenants))
-	for li, tn := range tenants {
-		env := set.Env(li)
-		model := costmodel.New(env, cluster.Aurora(cfg.NodesPerTenant), params)
-		models[li] = model
-		writeLogs[li] = &sampleLog{}
-		readLogs[li] = &sampleLog{}
-		writers := make([]simWriter, len(tn.Nodes)*place.SimTilesPerNode)
-		readers := make([]aiReader, len(tn.Nodes)*place.AITilesPerNode)
-		wi, ri := 0, 0
-		for node := range tn.Nodes {
-			for r := 0; r < place.SimTilesPerNode; r++ {
-				initSimWriter(&writers[wi], env, model, simWriterConfig{
-					backend: cfg.Backend, node: node, sizeMB: cfg.SizeMB,
-					period: writePeriod, horizon: horizon, bytes: bytes,
-					log: writeLogs[li], shared: true,
-				})
-				wi++
-			}
-			for r := 0; r < place.AITilesPerNode; r++ {
-				initAIReader(&readers[ri], env, model, aiReaderConfig{
-					backend: cfg.Backend, node: node, sizeMB: cfg.SizeMB,
-					readPeriod:  float64(cfg.ReadPeriod) * cfg.TrainIterS,
-					writePeriod: writePeriod,
-					horizon:     horizon, bytes: bytes, log: readLogs[li],
-					shared: true,
-				})
-				ri++
-			}
-		}
-	}
-	endT := set.Run(cfg.Workers, horizon*1.5)
-	if err := set.Err(); err != nil {
-		return ScaleOutPoint{}, fmt.Errorf("scale-out (%s, %g MB, %d tenants): %w",
-			cfg.Backend, cfg.SizeMB, cfg.Tenants, err)
-	}
-	if endT <= 0 {
-		endT = horizon
-	}
-
-	var writeTput, readTput stats.Throughput
-	var writeTime stats.Welford
-	simRanks := spec.Nodes * place.SimTilesPerNode
-	samples := make([]float64, 0, simRanks*(int(horizon/writePeriod)+2))
-	mergeLogs(writeLogs, func(d float64) {
-		writeTime.Add(d)
-		writeTput.Add(bytes, d)
-		samples = append(samples, d)
-	})
-	mergeLogs(readLogs, func(d float64) {
-		readTput.Add(bytes, d)
-	})
-	aggGBps := 0.0
-	if writeTime.N() > 0 {
-		aggGBps = float64(writeTime.N()) * float64(bytes) / 1e9 / endT
-	}
-	return ScaleOutPoint{
-		Tenants:     cfg.Tenants,
-		Backend:     cfg.Backend,
-		SizeMB:      cfg.SizeMB,
-		WriteGBps:   writeTput.MeanGBps(),
-		ReadGBps:    readTput.MeanGBps(),
-		StageMeanS:  writeTime.Mean(),
-		StageP50S:   stats.Quantile(samples, 0.5),
-		SharedWaitS: models[0].SharedWaitS(cfg.Backend),
-		AggGBps:     aggGBps,
-		Writes:      writeTime.N(),
-	}, nil
 }

@@ -3,134 +3,18 @@ package experiments
 import (
 	"bytes"
 	"errors"
-	"math"
+	"fmt"
 	"testing"
 
-	"simaibench/internal/costmodel"
 	"simaibench/internal/datastore"
 	"simaibench/internal/des"
 	"simaibench/internal/scenario"
 )
 
-// Cross-engine equivalence: every metric a parallel run reports must be
-// bit-identical to the sequential engine's — not approximately equal,
-// ==. Pattern1Point and ScaleOutPoint are flat float64/int64 structs,
-// so struct equality is bitwise equality of every reported number.
-
-// TestLPLookaheadTagging pins the costmodel's cross-LP edge analysis:
-// node-private backends parallelize, shared serialization points force
-// the sequential engine.
-func TestLPLookaheadTagging(t *testing.T) {
-	inf := math.Inf(1)
-	cases := []struct {
-		b      datastore.Backend
-		shared bool
-		want   float64
-	}{
-		{datastore.NodeLocal, false, inf},
-		{datastore.NodeLocal, true, inf},
-		{datastore.Redis, false, inf},
-		{datastore.Dragon, false, inf},
-		{datastore.Redis, true, 0},       // multi-tenant service slots
-		{datastore.Dragon, true, 0},      // multi-tenant service slots
-		{datastore.FileSystem, false, 0}, // shared MDS/OST queues
-		{datastore.FileSystem, true, 0},
-	}
-	for _, c := range cases {
-		if got := costmodel.LPLookaheadS(c.b, c.shared); got != c.want {
-			t.Errorf("LPLookaheadS(%s, shared=%v) = %v, want %v", c.b, c.shared, got, c.want)
-		}
-	}
-	if !lpEligible(4, 8, inf) {
-		t.Error("workers=4 over 8 LPs with +Inf lookahead should dispatch to the parallel engine")
-	}
-	if lpEligible(1, 8, inf) || lpEligible(4, 1, inf) || lpEligible(4, 8, 0) {
-		t.Error("workers<=1, single LP, or finite lookahead must keep the sequential engine")
-	}
-}
-
-// TestLPPattern1MatchesSequential: RunPattern1Checked at Workers=N is
-// struct-for-struct (hence bit-for-bit) identical to the sequential
-// engine, for every backend — including FileSystem, whose zero
-// lookahead exercises the transparent sequential fallback.
-func TestLPPattern1MatchesSequential(t *testing.T) {
-	for _, b := range datastore.Backends() {
-		for _, size := range []float64{2, 8} {
-			base := Pattern1Config{Nodes: 8, Backend: b, SizeMB: size, TrainIters: 120}
-			seq, err := RunPattern1Checked(base)
-			if err != nil {
-				t.Fatalf("%s/%g sequential: %v", b, size, err)
-			}
-			if seq.Writes == 0 || seq.Reads == 0 {
-				t.Fatalf("%s/%g: degenerate sequential point %+v", b, size, seq)
-			}
-			for _, w := range []int{1, 2, 4, 8} {
-				cfg := base
-				cfg.Workers = w
-				par, err := RunPattern1Checked(cfg)
-				if err != nil {
-					t.Fatalf("%s/%g workers=%d: %v", b, size, w, err)
-				}
-				if par != seq {
-					t.Errorf("%s/%g workers=%d diverged:\n  par %+v\n  seq %+v", b, size, w, par, seq)
-				}
-			}
-		}
-	}
-}
-
-// TestLPPattern1LargePartition drives the headline shape — many more
-// LPs than workers — through the window scheduler.
-func TestLPPattern1LargePartition(t *testing.T) {
-	base := Pattern1Config{Nodes: 64, Backend: datastore.NodeLocal, SizeMB: 8, TrainIters: 120}
-	seq, err := RunPattern1Checked(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := base
-	cfg.Workers = 4
-	par, err := RunPattern1Checked(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par != seq {
-		t.Errorf("64-node workers=4 diverged:\n  par %+v\n  seq %+v", par, seq)
-	}
-}
-
-// TestLPScaleOutMatchesSequential: the multi-tenant harness at
-// Workers=N reproduces the sequential engine bit-for-bit on every
-// backend (node-local dispatches to per-tenant LPs; the shared-queue
-// backends keep the sequential engine).
-func TestLPScaleOutMatchesSequential(t *testing.T) {
-	for _, b := range datastore.Backends() {
-		base := ScaleOutConfig{Tenants: 4, Backend: b, SizeMB: 8, TrainIters: 60}
-		seq, err := RunScaleOutChecked(base)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", b, err)
-		}
-		if seq.Writes == 0 {
-			t.Fatalf("%s: degenerate sequential point %+v", b, seq)
-		}
-		for _, w := range []int{2, 4} {
-			cfg := base
-			cfg.Workers = w
-			par, err := RunScaleOutChecked(cfg)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", b, w, err)
-			}
-			if par != seq {
-				t.Errorf("%s workers=%d diverged:\n  par %+v\n  seq %+v", b, w, par, seq)
-			}
-		}
-	}
-}
-
 // TestLPScenarioEquivalenceByteIdentical: registered scenarios render
 // byte-identical text reports at workers=1 and workers=4 — the
-// end-to-end artifact equivalence the engine promises. resilience and
-// campaign do not consume Workers (their subsystems stay sequential);
-// including them pins that the knob is inert there.
+// end-to-end artifact equivalence the Workers knob promises. Only
+// gradsync consumes it; the others pin that the knob is inert there.
 func TestLPScenarioEquivalenceByteIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -141,6 +25,7 @@ func TestLPScenarioEquivalenceByteIdentical(t *testing.T) {
 		{"scale-out", scenario.Params{SweepIters: 60, Tenants: 4}},
 		{"resilience", scenario.Params{SweepIters: 120, Tenants: 2}},
 		{"campaign", scenario.Params{Jobs: 200, Tenants: 4}},
+		{"gradsync", scenario.Params{SweepIters: 20}},
 	}
 	for _, c := range cases {
 		p1 := c.p
@@ -156,49 +41,40 @@ func TestLPScenarioEquivalenceByteIdentical(t *testing.T) {
 	}
 }
 
-// TestLPGuardBudgetMatchesSequential: a parallel run that blows the
-// event budget reports the same structured des.BudgetExceeded as the
-// sequential engine — same Guard, same Events — because the budget is
-// enforced globally across LPs, not per LP.
+// TestLPGuardBudgetMatchesSequential: an event budget means the same
+// count whether a cell runs on one Env (Pattern 1, scale-out) or as a
+// set of LPs (gradsync, any worker count) — the joint budget is
+// enforced across LPs, not per LP, and a trip reports exactly that many
+// events executed.
 func TestLPGuardBudgetMatchesSequential(t *testing.T) {
-	base := Pattern1Config{Nodes: 8, Backend: datastore.NodeLocal, SizeMB: 8,
-		TrainIters: 600, MaxEvents: 500}
-	_, seqErr := RunPattern1Checked(base)
-	var seqBE *des.BudgetExceeded
-	if !errors.As(seqErr, &seqBE) {
-		t.Fatalf("sequential run did not trip the budget: %v", seqErr)
+	const budget = 500
+	trips := map[string]func() error{
+		"pattern1": func() error {
+			_, err := RunPattern1Checked(Pattern1Config{Nodes: 8, Backend: datastore.NodeLocal, SizeMB: 8,
+				TrainIters: 600, MaxEvents: budget})
+			return err
+		},
+		"scale-out": func() error {
+			_, err := RunScaleOutChecked(ScaleOutConfig{Tenants: 4, Backend: datastore.NodeLocal, SizeMB: 8,
+				TrainIters: 600, MaxEvents: budget})
+			return err
+		},
 	}
-	for _, w := range []int{2, 4} {
-		cfg := base
-		cfg.Workers = w
-		_, parErr := RunPattern1Checked(cfg)
-		var parBE *des.BudgetExceeded
-		if !errors.As(parErr, &parBE) {
-			t.Fatalf("workers=%d run did not trip the budget: %v", w, parErr)
+	for _, w := range []int{1, 2, 4} {
+		trips[fmt.Sprintf("gradsync workers=%d", w)] = func() error {
+			_, err := RunGradSync(GradSyncConfig{Ranks: 64, Steps: 400, MaxEvents: budget, Workers: w})
+			return err
 		}
-		if parBE.Guard != seqBE.Guard || parBE.Events != seqBE.Events {
-			t.Errorf("workers=%d: BudgetExceeded{Guard:%+v Events:%d}, sequential {Guard:%+v Events:%d}",
-				w, parBE.Guard, parBE.Events, seqBE.Guard, seqBE.Events)
+	}
+	for name, trip := range trips {
+		var be *des.BudgetExceeded
+		if err := trip(); !errors.As(err, &be) {
+			t.Fatalf("%s did not trip the budget: %v", name, err)
 		}
-	}
-	// The scale-out harness enforces the same global-budget contract.
-	soBase := ScaleOutConfig{Tenants: 4, Backend: datastore.NodeLocal, SizeMB: 8,
-		TrainIters: 600, MaxEvents: 400}
-	_, soSeqErr := RunScaleOutChecked(soBase)
-	var soSeqBE *des.BudgetExceeded
-	if !errors.As(soSeqErr, &soSeqBE) {
-		t.Fatalf("sequential scale-out did not trip the budget: %v", soSeqErr)
-	}
-	soCfg := soBase
-	soCfg.Workers = 4
-	_, soParErr := RunScaleOutChecked(soCfg)
-	var soParBE *des.BudgetExceeded
-	if !errors.As(soParErr, &soParBE) {
-		t.Fatalf("workers=4 scale-out did not trip the budget: %v", soParErr)
-	}
-	if soParBE.Guard != soSeqBE.Guard || soParBE.Events != soSeqBE.Events {
-		t.Errorf("scale-out workers=4: BudgetExceeded{Guard:%+v Events:%d}, sequential {Guard:%+v Events:%d}",
-			soParBE.Guard, soParBE.Events, soSeqBE.Guard, soSeqBE.Events)
+		if be.Guard != (des.Guard{MaxEvents: budget}) || be.Events != budget {
+			t.Errorf("%s: BudgetExceeded{Guard:%+v Events:%d}, want the %d-event budget spent exactly",
+				name, be.Guard, be.Events, budget)
+		}
 	}
 }
 

@@ -5,15 +5,14 @@
 //	Fig 3/4         — Pattern 1 transport sweep (simulated cluster)
 //	Fig 5/6         — Pattern 2 non-local transport and scaling (simulated)
 //
-// Each experiment returns structured results and can print itself in the
-// same rows/series the paper reports; EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// Each experiment returns structured results, which the scenario
+// registry renders in the same rows/series the paper reports;
+// EXPERIMENTS.md records the paper-vs-measured comparison.
 package experiments
 
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"simaibench/internal/cluster"
 	"simaibench/internal/costmodel"
@@ -45,11 +44,8 @@ type Pattern1Config struct {
 	// MaxEvents caps the DES events the run may execute (0 = unlimited);
 	// RunPattern1Checked surfaces the budget trip as an error.
 	MaxEvents int64
-	// Workers selects the parallel DES engine: with Workers > 1 the run
-	// partitions into one logical process per node (des.LPSet) advanced
-	// by up to that many cores, when the backend has no cross-LP edges
-	// (costmodel.LPLookaheadS = +Inf); zero-lookahead backends keep the
-	// sequential engine. Results are bit-identical to Workers <= 1.
+	// Deprecated: ignored — a cell runs fastest on one Env; kept until
+	// the benchmark stops setting it.
 	Workers int
 	// Params overrides the cost-model constants (zero value = Default).
 	Params *costmodel.Params
@@ -110,9 +106,6 @@ func RunPattern1(cfg Pattern1Config) Pattern1Point {
 // never fails.
 func RunPattern1Checked(cfg Pattern1Config) (Pattern1Point, error) {
 	cfg = cfg.withDefaults()
-	if lpEligible(cfg.Workers, cfg.Nodes, costmodel.LPLookaheadS(cfg.Backend, false)) {
-		return runPattern1LP(cfg)
-	}
 	spec := cluster.Aurora(cfg.Nodes)
 	place := cluster.Pattern1Placement(spec)
 	env := newGuardedEnv(cfg.MaxEvents)
@@ -219,11 +212,6 @@ func fig3Table(nodes int, points []Pattern1Point) scenario.Table {
 	return t
 }
 
-// PrintFig3 renders Fig-3-style rows in the paper's text layout.
-func PrintFig3(w io.Writer, nodes int, points []Pattern1Point) {
-	_ = scenario.WriteTable(w, fig3Table(nodes, points))
-}
-
 // Fig4Backends are the two extremes compared in Fig 4.
 var Fig4Backends = []datastore.Backend{datastore.NodeLocal, datastore.FileSystem}
 
@@ -260,9 +248,4 @@ func fig4Table(nodes int, points []Pattern1Point) scenario.Table {
 			pt.SimIterS, pt.TrainIter, pt.WriteMean, pt.ReadMeanS})
 	}
 	return t
-}
-
-// PrintFig4 renders Fig-4-style rows in the paper's text layout.
-func PrintFig4(w io.Writer, nodes int, points []Pattern1Point) {
-	_ = scenario.WriteTable(w, fig4Table(nodes, points))
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"simaibench/internal/cluster"
 	"simaibench/internal/costmodel"
@@ -105,11 +104,6 @@ func fig5Table(points []Fig5Point) scenario.Table {
 		t.Rows = append(t.Rows, []any{pt.Backend.String(), pt.SizeMB, pt.ReadGBps, pt.WriteGBps})
 	}
 	return t
-}
-
-// PrintFig5 renders Fig-5-style rows in the paper's text layout.
-func PrintFig5(w io.Writer, points []Fig5Point) {
-	_ = scenario.WriteTable(w, fig5Table(points))
 }
 
 // Fig6Config drives the many-to-one scaling experiment: one simulation
@@ -269,9 +263,4 @@ func fig6Table(nodes int, points []Fig6Point) scenario.Table {
 		t.Rows = append(t.Rows, []any{pt.Backend.String(), pt.SizeMB, pt.ExecPerIterS, pt.FetchMeanS})
 	}
 	return t
-}
-
-// PrintFig6 renders Fig-6-style rows in the paper's text layout.
-func PrintFig6(w io.Writer, nodes int, points []Fig6Point) {
-	_ = scenario.WriteTable(w, fig6Table(nodes, points))
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"simaibench/internal/cluster"
@@ -866,11 +865,6 @@ func optimalCkptTable(byBackend map[datastore.Backend][]ResiliencePoint, ckptSiz
 		}
 	}
 	return t
-}
-
-// PrintResilience renders one backend's resilience rows in text layout.
-func PrintResilience(w io.Writer, b datastore.Backend, points []ResiliencePoint) {
-	_ = scenario.WriteTable(w, resilienceTable(b, points))
 }
 
 // runResilienceScenario is the registered "resilience" scenario: the

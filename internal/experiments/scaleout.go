@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"simaibench/internal/cluster"
 	"simaibench/internal/costmodel"
@@ -52,12 +51,8 @@ type ScaleOutConfig struct {
 	// MaxEvents caps the DES events the run may execute (0 = unlimited);
 	// RunScaleOutChecked surfaces the budget trip as an error.
 	MaxEvents int64
-	// Workers selects the parallel DES engine: with Workers > 1 the run
-	// partitions into one logical process per tenant (des.LPSet)
-	// advanced by up to that many cores, when the shared deployment has
-	// no cross-tenant edges (node-local only); backends with shared
-	// service queues keep the sequential engine. Results are
-	// bit-identical to Workers <= 1.
+	// Deprecated: ignored — a cell runs fastest on one Env; kept until
+	// the benchmark stops setting it.
 	Workers int
 	// Params overrides the cost-model constants (zero value = Default).
 	Params *costmodel.Params
@@ -134,9 +129,6 @@ func RunScaleOut(cfg ScaleOutConfig) ScaleOutPoint {
 // des.BudgetExceeded error. With no budget it never fails.
 func RunScaleOutChecked(cfg ScaleOutConfig) (ScaleOutPoint, error) {
 	cfg = cfg.withDefaults()
-	if lpEligible(cfg.Workers, cfg.Tenants, costmodel.LPLookaheadS(cfg.Backend, true)) {
-		return runScaleOutLP(cfg)
-	}
 	spec := cluster.Aurora(cfg.Tenants * cfg.NodesPerTenant)
 	tenants, err := cluster.CoSchedule(spec, cfg.Tenants, cfg.NodesPerTenant)
 	if err != nil {
@@ -286,11 +278,6 @@ func scaleOutTable(b datastore.Backend, points []ScaleOutPoint) scenario.Table {
 	return t
 }
 
-// PrintScaleOut renders one backend's scale-out rows in text layout.
-func PrintScaleOut(w io.Writer, b datastore.Backend, points []ScaleOutPoint) {
-	_ = scenario.WriteTable(w, scaleOutTable(b, points))
-}
-
 // runScaleOutScenario is the registered "scale-out" scenario: the
 // tenants × size grid for all four backends, one collapse-curve table
 // per backend. Each grid runs under the run guardrails: failed cells
@@ -303,7 +290,7 @@ func runScaleOutScenario(ctx context.Context, p scenario.Params) (*scenario.Resu
 			func(tenants int, size float64) (ScaleOutPoint, error) {
 				return RunScaleOutChecked(ScaleOutConfig{
 					Tenants: tenants, Backend: b, SizeMB: size,
-					TrainIters: p.SweepIters, MaxEvents: p.MaxEvents, Workers: p.Workers,
+					TrainIters: p.SweepIters, MaxEvents: p.MaxEvents,
 				})
 			})
 		if err != nil {

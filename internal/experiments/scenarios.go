@@ -183,7 +183,7 @@ func runFig3Scenario(ctx context.Context, p scenario.Params) (*scenario.Result, 
 			func(b datastore.Backend, size float64) (Pattern1Point, error) {
 				return RunPattern1Checked(Pattern1Config{
 					Nodes: nodes, Backend: b, SizeMB: size,
-					TrainIters: p.SweepIters, MaxEvents: p.MaxEvents, Workers: p.Workers,
+					TrainIters: p.SweepIters, MaxEvents: p.MaxEvents,
 				})
 			})
 		if err != nil {
@@ -203,7 +203,7 @@ func runFig4Scenario(ctx context.Context, p scenario.Params) (*scenario.Result, 
 			func(b datastore.Backend, size float64) (Pattern1Point, error) {
 				return RunPattern1Checked(Pattern1Config{
 					Nodes: nodes, Backend: b, SizeMB: size,
-					TrainIters: p.SweepIters, MaxEvents: p.MaxEvents, Workers: p.Workers,
+					TrainIters: p.SweepIters, MaxEvents: p.MaxEvents,
 				})
 			})
 		if err != nil {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"simaibench/internal/clock"
@@ -286,9 +285,4 @@ func streamingTable(points []StreamingPoint) scenario.Table {
 		t.Rows = append(t.Rows, []any{string(pt.Method), pt.SizeMB, pt.LatencyMeanS * 1000, pt.GBps})
 	}
 	return t
-}
-
-// PrintStreaming renders the comparison.
-func PrintStreaming(w io.Writer, points []StreamingPoint) {
-	_ = scenario.WriteTable(w, streamingTable(points))
 }

@@ -63,7 +63,7 @@ func TestPrintStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	PrintStreaming(&buf, points)
+	writeTable(t, &buf, streamingTable(points))
 	out := buf.String()
 	for _, want := range []string{"staged-poll", "stream-inproc", "stream-tcp", "latency-mean"} {
 		if !strings.Contains(out, want) {

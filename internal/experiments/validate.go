@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"strings"
 	"time"
@@ -363,11 +362,6 @@ func table2Table(original, miniApp *ValidationResult) scenario.Table {
 	return t
 }
 
-// PrintTable2 renders the event-count comparison (Table 2).
-func PrintTable2(w io.Writer, original, miniApp *ValidationResult) {
-	_ = scenario.WriteTable(w, table2Table(original, miniApp))
-}
-
 // table3Table structures the iteration-time comparison (Table 3).
 func table3Table(original, miniApp *ValidationResult) scenario.Table {
 	t := scenario.Table{
@@ -387,11 +381,6 @@ func table3Table(original, miniApp *ValidationResult) scenario.Table {
 	return t
 }
 
-// PrintTable3 renders the iteration-time comparison (Table 3).
-func PrintTable3(w io.Writer, original, miniApp *ValidationResult) {
-	_ = scenario.WriteTable(w, table3Table(original, miniApp))
-}
-
 // fig2Tables renders the two execution timelines as freeform ASCII
 // tables (Fig 2): a window of the run showing compute spans, transfer
 // marks and init areas.
@@ -409,19 +398,4 @@ func fig2Tables(original, miniApp *ValidationResult, windowS float64) ([]scenari
 		})
 	}
 	return tables, nil
-}
-
-// PrintFig2 renders the two execution timelines as ASCII (Fig 2).
-func PrintFig2(w io.Writer, original, miniApp *ValidationResult, windowS float64) error {
-	tables, err := fig2Tables(original, miniApp, windowS)
-	if err != nil {
-		return err
-	}
-	for _, t := range tables {
-		if err := scenario.WriteTable(w, t); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
 }

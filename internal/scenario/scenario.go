@@ -83,12 +83,11 @@ type Params struct {
 	// execute (0 = unlimited); a runaway cell aborts with a structured
 	// budget error instead of looping forever.
 	MaxEvents int64 `json:"max_events,omitempty"`
-	// Workers selects the parallel DES engine for the simulated-scale
-	// cells that support it (fig3/fig4/scale-out/gradsync): with
-	// Workers > 1 each cell partitions into logical processes advanced
-	// by up to that many cores (des.LPSet); 0 or 1 keeps the sequential
-	// engine. Metrics are bit-identical for every value — Workers only
-	// trades wall-clock.
+	// Workers is consumed by gradsync alone: each of its cells is one
+	// logical process per dragonfly group, sharing nothing, advanced by
+	// up to that many cores (des.LPSet; 0 or 1 = one core). Every other
+	// scenario runs a cell on one sequential Env and ignores it. Metrics
+	// are bit-identical for every value — Workers only trades wall-clock.
 	Workers int `json:"workers,omitempty"`
 	// CollAlgo narrows the gradsync family's collective-algorithm sweep
 	// to one algorithm: "flat", "ring", "tree" or "hier" (empty = the

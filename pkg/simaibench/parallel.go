@@ -1,40 +1,24 @@
 package simaibench
 
-import (
-	"simaibench/internal/costmodel"
-	"simaibench/internal/des"
-)
+import "simaibench/internal/des"
 
-// Parallel DES engine: the public surface of the conservative multi-LP
-// core (internal/des.LPSet). The simulated-scale harnesses partition a
-// run into logical processes and advance them concurrently under a
-// lookahead bound; the knob is the Workers field carried by
-// ScenarioParams, Pattern1Config and ScaleOutConfig (0 or 1 = the
-// sequential engine, >1 = that many cores). Metrics are bit-identical
-// at every setting — Workers only trades wall-clock — and backends
-// whose cross-LP lookahead is zero (see LPLookaheadS) transparently
-// keep the sequential engine.
-
-// LPLookaheadS reports the minimum modeled cross-LP latency of backend
-// b under node-block partitioning: +Inf when b touches only
-// node-private resources (the run parallelizes), 0 when it serializes
-// through a shared queue (the run stays on the sequential engine).
-// shared selects the multi-tenant deployment mode of the scale-out
-// family.
-func LPLookaheadS(b Backend, shared bool) float64 {
-	return costmodel.LPLookaheadS(b, shared)
-}
+// Parallelism inside one cell. A simulated cell runs on one sequential
+// event loop — measured fastest for every fig3/fig4/scale-out point up
+// to 4096 nodes — and sweeps fan whole cells across cores. The one
+// harness that also fans out inside a cell is gradsync, whose dragonfly
+// groups share nothing during a run: ScenarioParams.Workers sets how
+// many cores advance them. Metrics are bit-identical at every setting —
+// Workers only trades wall-clock.
 
 // SharedSimGuard is one event budget enforced jointly across the
-// logical processes of a parallel run — the global form of
+// logical processes of a gradsync cell — the global form of
 // SimGuard.MaxEvents, so a budget means the same count whether a cell
-// runs on one core or many. Parallel cells arm it automatically from
-// ScenarioParams.MaxEvents; it is exported for custom des.LPSet
-// harnesses.
+// runs on one core or many. Cells arm it automatically from
+// ScenarioParams.MaxEvents.
 type SharedSimGuard = des.SharedGuard
 
 // NewSharedSimGuard returns a joint event budget of maxEvents (> 0)
-// for a parallel run's logical processes.
+// for the logical processes of one cell.
 func NewSharedSimGuard(maxEvents int64) *SharedSimGuard {
 	return des.NewSharedGuard(maxEvents)
 }
