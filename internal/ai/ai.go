@@ -87,7 +87,7 @@ type Trainer struct {
 	runTime   dist.Sampler
 
 	// loader holds the most recently staged training samples.
-	loader [][]float64
+	loader loader
 
 	iterStats stats.Welford
 	lossStats stats.Welford
@@ -127,6 +127,7 @@ func New(name string, cfg config.AIConfig, opts ...Option) (*Trainer, error) {
 		return nil, err
 	}
 	t.model = model
+	t.loader.w = t.inDim()
 	lr := cfg.LR
 	if lr == 0 {
 		lr = 0.01
@@ -165,7 +166,10 @@ func (t *Trainer) outDim() int { return t.cfg.Layers[len(t.cfg.Layers)-1] }
 // UpdateLoader reads a staged array and appends its samples to the data
 // loader, recording the transfer (the trainer-side "read" of the
 // one-to-one pattern). The staged array is reshaped into rows of the
-// model's input width; short tails are dropped.
+// model's input width; short tails and non-finite rows are dropped, and
+// beyond maxSamples rows the oldest are evicted first. The staged bytes
+// are decoded straight into the loader's ring: nothing is allocated per
+// sample.
 func (t *Trainer) UpdateLoader(key string) error {
 	if t.store == nil {
 		return fmt.Errorf("ai %s: no data store attached", t.name)
@@ -184,32 +188,8 @@ func (t *Trainer) UpdateLoader(key string) error {
 		end := t.Elapsed() / t.timeScale
 		t.timeline.AddSpan(t.lane, trace.KindTransfer, end-dur/t.timeScale, end, "read "+key)
 	}
-	xs := DecodeFloat64s(raw)
-	w := t.inDim()
-	for off := 0; off+w <= len(xs); off += w {
-		row := make([]float64, w)
-		copy(row, xs[off:off+w])
-		if !finite(row) {
-			continue // drop corrupt samples rather than poison training
-		}
-		t.loader = append(t.loader, row)
-	}
-	// Bound loader memory like a real streaming dataset.
-	const maxSamples = 65536
-	if len(t.loader) > maxSamples {
-		t.loader = t.loader[len(t.loader)-maxSamples:]
-	}
+	t.loader.ingest(raw)
 	return nil
-}
-
-// finite reports whether every element is a finite number.
-func finite(xs []float64) bool {
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // Poll checks whether a key is staged.
@@ -221,20 +201,23 @@ func (t *Trainer) Poll(key string) (bool, error) {
 }
 
 // LoaderSize reports the number of buffered training samples.
-func (t *Trainer) LoaderSize() int { return len(t.loader) }
+func (t *Trainer) LoaderSize() int { return t.loader.n }
 
 // sampleBatch draws a minibatch from the loader (synthetic data when the
 // loader is empty, so training can begin before the first snapshot — the
 // original GNN warm-starts the same way). Targets are a fixed smooth
 // function of the inputs, giving the optimizer a real signal.
+//
+// Rows drawn from the loader alias its ring: they are valid until the
+// next UpdateLoader on the same goroutine, which may overwrite them.
 func (t *Trainer) sampleBatch() (xs, ys [][]float64) {
 	b := t.batchSize()
 	xs = make([][]float64, b)
 	ys = make([][]float64, b)
 	for i := 0; i < b; i++ {
 		var row []float64
-		if len(t.loader) > 0 {
-			row = t.loader[t.rng.Intn(len(t.loader))]
+		if n := t.loader.n; n > 0 {
+			row = t.loader.row(t.rng.Intn(n))
 		} else {
 			row = make([]float64, t.inDim())
 			for j := range row {

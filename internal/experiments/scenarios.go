@@ -93,8 +93,46 @@ func init() {
 // pre-registry CLI ran validation once for table2+table3+fig2 — while
 // independent Run calls (fresh contexts) re-measure from scratch.
 type validationCache struct {
-	sync.Mutex
-	m map[ValidationConfig]*ValidationResult
+	mu sync.Mutex // guards m only; never held across a run
+	m  map[ValidationConfig]*validationEntry
+}
+
+// validationEntry is one configuration's measurement: callers arriving
+// while it is in flight wait in once.Do and share its outcome.
+type validationEntry struct {
+	once sync.Once
+	res  *ValidationResult
+	err  error
+}
+
+// validationRunner measures one configuration (RunValidation, or a
+// test's stand-in).
+type validationRunner func(context.Context, ValidationConfig) (*ValidationResult, error)
+
+// get returns cfg's measurement, running it if this context tree has
+// not yet: one configuration is measured once however many callers ask
+// for it at once, different configurations do not wait for each other,
+// and a failed run is forgotten so that a later call measures again. A
+// nil cache measures every time.
+func (c *validationCache) get(ctx context.Context, cfg ValidationConfig, run validationRunner) (*ValidationResult, error) {
+	if c == nil {
+		return run(ctx, cfg)
+	}
+	c.mu.Lock()
+	e, ok := c.m[cfg]
+	if !ok {
+		e = new(validationEntry)
+		c.m[cfg] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() {
+		if e.res, e.err = run(ctx, cfg); e.err != nil {
+			c.mu.Lock()
+			delete(c.m, cfg)
+			c.mu.Unlock()
+		}
+	})
+	return e.res, e.err
 }
 
 type validationCacheKey struct{}
@@ -105,34 +143,56 @@ type validationCacheKey struct{}
 // it each Run measures independently.
 func WithValidationCache(ctx context.Context) context.Context {
 	return context.WithValue(ctx, validationCacheKey{},
-		&validationCache{m: map[ValidationConfig]*ValidationResult{}})
+		&validationCache{m: map[ValidationConfig]*validationEntry{}})
 }
 
 // validationPair returns the Original and MiniApp runs for p, sharing
 // measurements through the context's validation cache when present.
 func validationPair(ctx context.Context, p scenario.Params) (orig, mini *ValidationResult, err error) {
+	return validationPairVia(ctx, p, RunValidation)
+}
+
+// validationPairVia is validationPair over the given runner. The two
+// runs share nothing — each owns its clock, backend process, workflow,
+// timeline and RNGs, and each is bit-deterministic per seed — so on the
+// virtual clock they run side by side: one run is a latency-bound
+// ping-pong between the sim, trainer and backend goroutines and leaves
+// cores idle. On the wall clock they stay one after the other, because
+// the spin-sleep padding of four components competing for the host's
+// cores would distort exactly what wall mode measures. When both runs
+// fail the Original's error is returned, whichever failed first.
+func validationPairVia(ctx context.Context, p scenario.Params, run validationRunner) (orig, mini *ValidationResult, err error) {
 	cache, _ := ctx.Value(validationCacheKey{}).(*validationCache)
-	run := func(mode ValidationMode) (*ValidationResult, error) {
+	measure := func(mode ValidationMode) (*ValidationResult, error) {
 		cfg := ValidationConfig{Mode: mode, TrainIters: p.TrainIters, TimeScale: p.TimeScale, Clock: p.Clock}
-		if cache == nil {
-			return RunValidation(ctx, cfg)
-		}
-		cache.Lock()
-		defer cache.Unlock()
-		if r, ok := cache.m[cfg]; ok {
-			return r, nil
-		}
-		r, err := RunValidation(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cache.m[cfg] = r
-		return r, nil
+		return cache.get(ctx, cfg, run)
 	}
-	if orig, err = run(Original); err != nil {
-		return nil, nil, err
+	if !clock.IsVirtual(p.Clock) {
+		if orig, err = measure(Original); err != nil {
+			return nil, nil, err
+		}
+		if mini, err = measure(MiniApp); err != nil {
+			return nil, nil, err
+		}
+		return orig, mini, nil
 	}
-	if mini, err = run(MiniApp); err != nil {
+	var miniErr error
+	var miniPanic any
+	miniDone := make(chan struct{})
+	go func() {
+		defer close(miniDone)
+		defer func() { miniPanic = recover() }()
+		mini, miniErr = measure(MiniApp)
+	}()
+	orig, err = measure(Original)
+	<-miniDone
+	if miniPanic != nil {
+		panic(miniPanic) // on the caller's goroutine, where its guard can see it
+	}
+	if err == nil {
+		err = miniErr
+	}
+	if err != nil {
 		return nil, nil, err
 	}
 	return orig, mini, nil

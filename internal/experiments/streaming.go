@@ -47,7 +47,8 @@ type StreamingConfig struct {
 	// their latency decomposition as wall runs without sleeping for
 	// real.
 	PollInterval time.Duration
-	// Backend for the staged path (node-local by default).
+	// Backend for the staged path (the zero value, datastore.Redis, by
+	// default: a live mini-Redis over loopback TCP).
 	Backend datastore.Backend
 	// Clock selects the time domain (clock.KindVirtual by default, see
 	// ValidationConfig.Clock). Wall runs measure real transfer times;
@@ -152,6 +153,11 @@ func RunStagedPolling(ctx context.Context, cfg StreamingConfig) (StreamingPoint,
 		d := clk.Now().Sub(start).Seconds()
 		lat.Add(d)
 		tput.Add(int64(len(got)), d)
+		// clean_staged_data, outside the measured interval: a consumed
+		// snapshot must not stay resident in the backend until teardown.
+		if err := store.Clean(key); err != nil {
+			return StreamingPoint{}, err
+		}
 	}
 	return StreamingPoint{
 		Method: MethodStagedPolling, SizeMB: cfg.SizeMB,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"time"
 
@@ -168,6 +169,18 @@ func dataKeys(step int) (string, string) {
 	return fmt.Sprintf("data/%d/x", step), fmt.Sprintf("data/%d/y", step)
 }
 
+// headStep parses the head pointer the simulation publishes under
+// keyHead: the decimal step of its newest snapshot. A corrupt pointer is
+// an error naming its value, not step 0 and a misleading ErrNotStaged
+// for data/0/x.
+func headStep(head string) (int, error) {
+	step, err := strconv.Atoi(head)
+	if err != nil {
+		return 0, fmt.Errorf("head pointer %s = %q is not a step number: %w", keyHead, head, err)
+	}
+	return step, nil
+}
+
 // RunValidation executes the one-to-one workflow in real mode: two
 // concurrent components exchanging real bytes through a real backend,
 // with the trainer steering the simulation to stop after its final
@@ -240,12 +253,16 @@ func RunValidation(ctx context.Context, cfg ValidationConfig) (*ValidationResult
 						return err
 					}
 					// Head pointer: control metadata, written raw.
-					if err := store.StageWrite(keyHead, []byte(fmt.Sprint(step))); err != nil {
+					if err := store.StageWrite(keyHead, []byte(strconv.Itoa(step))); err != nil {
 						return err
 					}
 				}
 				if step%10 == 0 {
-					if stop, _ := store.Poll(keyStop); stop {
+					stop, err := store.Poll(keyStop)
+					if err != nil {
+						return fmt.Errorf("poll %s: %w", keyStop, err)
+					}
+					if stop {
 						break
 					}
 					if ctx.Err() != nil {
@@ -304,8 +321,10 @@ func RunValidation(ctx context.Context, cfg ValidationConfig) (*ValidationResult
 						continue // no new snapshot
 					}
 					lastStep = string(head)
-					var step int
-					fmt.Sscan(lastStep, &step)
+					step, err := headStep(lastStep)
+					if err != nil {
+						return err
+					}
 					kx, ky := dataKeys(step)
 					if err := tr.UpdateLoader(kx); err != nil {
 						return err

@@ -285,6 +285,46 @@ func TestLargeValue8MB(t *testing.T) {
 	}
 }
 
+// TestServerSetOwnsValue: SET and MSET store the bulk their connection's
+// reader decoded, without copying it. That is only sound while every
+// decoded bulk is a buffer of its own, so write several large values
+// over one connection and read the first back: a reader that recycled
+// its buffer would have overwritten it with a later one.
+func TestServerSetOwnsValue(t *testing.T) {
+	big := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, 1<<20) }
+	sameAs := func(t *testing.T, c *Client, key string, want []byte) {
+		t.Helper()
+		got, err := c.Get(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s starts %x, want %x: a later write reached the stored value", key, got[:4], want[:4])
+		}
+	}
+	t.Run("SET", func(t *testing.T) {
+		_, c := newPair(t)
+		for i, key := range []string{"first", "second", "third"} {
+			if err := c.Set(key, big(byte(i+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameAs(t, c, "first", big(1))
+		sameAs(t, c, "second", big(2))
+	})
+	t.Run("MSET", func(t *testing.T) {
+		_, c := newPair(t)
+		if _, err := c.Do("MSET", []byte("a"), big(1), []byte("b"), big(2)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Do("MSET", []byte("c"), big(3), []byte("d"), big(4)); err != nil {
+			t.Fatal(err)
+		}
+		sameAs(t, c, "a", big(1))
+		sameAs(t, c, "b", big(2))
+	})
+}
+
 func TestManyClientsConcurrent(t *testing.T) {
 	s := newServer(t)
 	const clients, per = 8, 40

@@ -140,7 +140,11 @@ type Reader struct {
 // NewReader returns a RESP reader over r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
 
-// Read decodes one value.
+// Read decodes one value. Every Bulk is a new buffer the caller owns:
+// the reader keeps no reference to it and never hands it out twice. The
+// server's SET and MSET rely on that to store a value without copying
+// it; a reader that reuses its buffers must not be introduced without
+// changing them.
 func (r *Reader) Read() (Value, error) {
 	t, err := r.r.ReadByte()
 	if err != nil {

@@ -157,9 +157,9 @@ func (s *Server) execute(cmd []Value) Value {
 		if len(args) != 2 {
 			return wrongArity(name)
 		}
-		buf := make([]byte, len(args[1].Bulk))
-		copy(buf, args[1].Bulk)
-		s.data[args[0].Text()] = buf
+		// The bulk is this request's own buffer (see Reader.Read), so
+		// the keyspace takes it over instead of copying it.
+		s.data[args[0].Text()] = args[1].Bulk
 		return Simple("OK")
 	case "GET":
 		if len(args) != 1 {
@@ -225,9 +225,7 @@ func (s *Server) execute(cmd []Value) Value {
 			return wrongArity(name)
 		}
 		for i := 0; i < len(args); i += 2 {
-			buf := make([]byte, len(args[i+1].Bulk))
-			copy(buf, args[i+1].Bulk)
-			s.data[args[i].Text()] = buf
+			s.data[args[i].Text()] = args[i+1].Bulk // owned, as in SET
 		}
 		return Simple("OK")
 	case "MGET":

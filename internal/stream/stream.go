@@ -13,6 +13,7 @@
 package stream
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -89,9 +90,7 @@ func (o *OpenStep) Put(name string, data []byte) error {
 	if o.done {
 		return fmt.Errorf("stream: Put after EndStep")
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	o.step.vars[name] = buf
+	o.step.vars[name] = bytes.Clone(data)
 	return nil
 }
 
