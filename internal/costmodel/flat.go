@@ -16,7 +16,10 @@ import (
 // process methods (LocalWrite/LocalRead, RemoteReadOne, FetchAll): they
 // issue the same Schedule/Acquire/Release calls in the same order, so a
 // simulation ported from processes to these objects replays the
-// identical event sequence and produces bit-identical metrics.
+// identical event sequence and produces bit-identical metrics. That
+// promise is about one transfer, Start to done; when a rank machine
+// starts its next one is the machine's business (experiments/flat.go:
+// aiReader skips the polls that would start nothing).
 
 // LocalXfer models one co-located stage_write/stage_read of a fixed
 // (backend, node, size), completing through a done callback. Construct

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"simaibench/internal/clock"
@@ -99,6 +100,60 @@ func TestPattern1MatchesProcessReference(t *testing.T) {
 				t.Errorf("%v %gMB: flat %+v != reference %+v", b, size, got, want)
 			}
 		}
+	}
+}
+
+// TestNextPollMatchesPollChain: aiReader.nextPoll must name the exact
+// time at which the chain of per-poll events it stands for — wake, find
+// nothing, After(readPeriod), wake again — would first read or stop,
+// bit for bit. The chain below is that poll-every-period loop on a real
+// Env.
+func TestNextPollMatchesPollChain(t *testing.T) {
+	chain := func(r *aiReader, now float64) float64 {
+		env := des.NewEnv()
+		at, polls := -1.0, 0
+		var wake func()
+		wake = func() {
+			polls++
+			if t := env.Now(); t-r.lastRead < r.writePeriod && t < r.horizon {
+				env.After(r.readPeriod, wake)
+			} else {
+				at = t
+			}
+		}
+		env.At(now, func() { env.After(r.readPeriod, wake) })
+		env.Run()
+		if polls > 1 && r.writePeriod < r.readPeriod && r.lastRead <= now {
+			t.Errorf("%+v now=%v: %d polls although a write period is shorter than a read period", r, now, polls)
+		}
+		return at
+	}
+	check := func(r aiReader, now float64) {
+		t.Helper()
+		if got, want := r.nextPoll(now), chain(&r, now); got != want {
+			t.Errorf("readPeriod=%v writePeriod=%v lastRead=%v horizon=%v now=%v: nextPoll %v, the poll chain stops at %v",
+				r.readPeriod, r.writePeriod, r.lastRead, r.horizon, now, got, want)
+		}
+	}
+
+	// Pattern 1's periods: a read just done, the horizon far, between the
+	// second and third idle poll, exactly on a poll, and already behind.
+	p1 := aiReader{readPeriod: 10 * 0.0633, writePeriod: 100 * 0.0325, lastRead: 7.25}
+	for _, horizon := range []float64{1e9, 7.3 + 2.5*p1.readPeriod, 7.3 + p1.readPeriod + p1.readPeriod, 7.3, 1} {
+		p1.horizon = horizon
+		check(p1, 7.3)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20_000; i++ {
+		r := aiReader{readPeriod: 0.01 + 5*rng.Float64(), writePeriod: 0.01 + 20*rng.Float64()}
+		if i%4 == 0 {
+			r.writePeriod = r.readPeriod * rng.Float64() // never skips
+		}
+		now := 100 * rng.Float64()
+		r.lastRead = now - 2*r.writePeriod*rng.Float64()
+		r.horizon = now - 5 + 35*rng.Float64() // behind now one time in seven
+		check(r, now)
 	}
 }
 
@@ -225,6 +280,60 @@ func TestFig6MatchesProcessReference(t *testing.T) {
 				t.Errorf("%v %gMB: flat %+v != reference %+v", b, size, got, want)
 			}
 		}
+	}
+}
+
+// TestFig6StopsWithTrainer: a Fig 6 cell ends when its trainer's last
+// period does — everything the point reports is final then — and only
+// then: a cell whose trainer cannot finish inside the horizon cap still
+// runs to the cap.
+func TestFig6StopsWithTrainer(t *testing.T) {
+	// Run to the horizon this cell executes 540 969 events (37 ms), all
+	// but 67 417 of them after the trainer's last period at t = 20.2 s of
+	// 189.9 s; the event budget is the pin.
+	cfg := Fig6Config{Nodes: 128, Backend: datastore.FileSystem, SizeMB: 0.4, TrainIters: 300}
+	want, err := RunFig6Checked(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxEvents = 150_000
+	got, err := RunFig6Checked(cfg)
+	if err != nil {
+		t.Fatalf("the run outlived its trainer: %v", err)
+	}
+	if got != want {
+		t.Errorf("budgeted %+v != unbudgeted %+v", got, want)
+	}
+	if ref := runFig6Reference(cfg); got != ref {
+		t.Errorf("stopped run %+v != reference run to the horizon %+v", got, ref)
+	}
+
+	// 128-node Redis completes 11 and 2 of its 30 periods inside the cap:
+	// the stop must not fire, and the partial-period point must be the one
+	// the full-horizon reference reports.
+	for _, size := range []float64{32, 128} {
+		cfg := Fig6Config{Nodes: 128, Backend: datastore.Redis, SizeMB: size, TrainIters: 300}
+		got, want := RunFig6(cfg), runFig6Reference(cfg)
+		if got != want {
+			t.Errorf("redis %g MB: flat %+v != reference %+v", size, got, want)
+		}
+		// A trainer that finishes inside the cap reports at most
+		// cap / TrainIters = 10 x TrainIterS per iteration.
+		if capPerIter := 10 * cfg.withDefaults().TrainIterS; got.ExecPerIterS <= capPerIter {
+			t.Errorf("redis %g MB: exec/iter %g <= %g, the cell is no longer truncated by the cap",
+				size, got.ExecPerIterS, capPerIter)
+		}
+	}
+
+	// No period at all: the trainer never starts, so it never stops the
+	// run either; the writers run out the (short) cap and the point is zero.
+	none := Fig6Config{Nodes: 8, Backend: datastore.Dragon, SizeMB: 1, TrainIters: 5, MaxEvents: 10_000}
+	pt, err := RunFig6Checked(none)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt.ExecPerIterS != 0 || pt.FetchMeanS != 0 {
+		t.Errorf("no periods: %+v, want a zero point", pt)
 	}
 }
 

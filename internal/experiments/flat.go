@@ -12,9 +12,20 @@ import (
 // goroutine process (one goroutine + one channel handoff pair per
 // event); these structs run the same loops flat on the scheduler
 // goroutine, building every closure once at construction so steady-state
-// iterations allocate nothing. The callback chains are exact CPS
-// transforms of the old process bodies — same schedule calls in the same
-// order — so event order and reported metrics are bit-identical.
+// iterations allocate nothing. simWriter, fig5Pair and fig6Trainer are
+// exact CPS transforms of the old process bodies — same schedule calls
+// in the same order — so event order and reported metrics are
+// bit-identical. aiReader promises less and delivers the same: it
+// schedules the same *effective* events (a poll that reads, or the last
+// poll before the horizon) at bit-identical times with the same relative
+// order among ranks, and never schedules the idle polls in between (see
+// nextPoll for what "same order" rests on).
+// TestPattern1MatchesProcessReference holds that promise: its process
+// reference still polls every read period.
+//
+// The rule both departures follow is in ARCHITECTURE.md ("Run until the
+// observables are decided"): an event nothing reported depends on is not
+// scheduled.
 
 // xferStarter is what a rank machine needs from its transfer op: both
 // the single-tenant LocalXfer and the multi-tenant SharedXfer satisfy
@@ -109,7 +120,8 @@ type simWriterConfig struct {
 
 // aiReader replays the trainer rank of Pattern 1: poll every read
 // period, read only when a fresh snapshot exists (once per write
-// period), record stats.
+// period), record stats. Polls that would find nothing are skipped, not
+// executed (nextPoll).
 type aiReader struct {
 	env         *des.Env
 	readPeriod  float64
@@ -155,10 +167,8 @@ func initAIReader(r *aiReader, env *des.Env, model *costmodel.Model, cfg aiReade
 	r.wake = func() {
 		now := r.env.Now()
 		if now-r.lastRead < r.writePeriod {
-			// No new snapshot staged yet: this poll costs no transfer.
-			if now < r.horizon {
-				r.env.After(r.readPeriod, r.wake)
-			}
+			// No new snapshot staged yet. nextPoll lands on such a poll
+			// only once the horizon is behind it: the rank is done.
 			return
 		}
 		r.lastRead = now
@@ -175,7 +185,7 @@ func initAIReader(r *aiReader, env *des.Env, model *costmodel.Model, cfg aiReade
 			r.tput.Add(r.bytes, d)
 		}
 		if now < r.horizon {
-			r.env.After(r.readPeriod, r.wake)
+			r.env.At(r.nextPoll(now), r.wake)
 		}
 	}
 	if cfg.shared {
@@ -184,8 +194,33 @@ func initAIReader(r *aiReader, env *des.Env, model *costmodel.Model, cfg aiReade
 		r.xfer = model.NewLocalRead(cfg.backend, cfg.node, cfg.sizeMB, done)
 	}
 	if env.Now() < r.horizon {
-		env.After(r.readPeriod, r.wake)
+		env.At(r.nextPoll(env.Now()), r.wake)
 	}
+}
+
+// nextPoll returns the time of the first poll after now that does
+// anything: it reads (a write period has passed since lastRead) or it is
+// the poll that finds the horizon behind it and stops the rank. The polls
+// in between would each read the clock, compare and reschedule
+// themselves, so they are not scheduled. The poll clock advances by the
+// same repeated addition those polls would have performed — After(d) is
+// At(now+d) — so the wake-up lands on the bit-identical float.
+//
+// Order among simultaneous wake-ups: ranks that left the same instant on
+// the same poll clock (the bulk-synchronous case — every tie these
+// workloads produce by construction) are scheduled here in the order
+// their per-poll chains would have carried forward, so they fire in the
+// same order. The wake-up does get its sequence number earlier than the
+// last skipped poll would have issued it, so a bit-exact tie with an
+// event of a rank on a different clock, scheduled in between, would
+// resolve the other way; the process-reference tests and the goldens
+// are what say no reported number sees one.
+func (r *aiReader) nextPoll(now float64) float64 {
+	t := now + r.readPeriod
+	for t-r.lastRead < r.writePeriod && t < r.horizon {
+		t += r.readPeriod
+	}
+	return t
 }
 
 // fig5Pair replays the 2-node point-to-point loop: a local write on node
@@ -237,7 +272,8 @@ func newFig5Pair(env *des.Env, model *costmodel.Model, backend datastore.Backend
 // fig6Trainer replays the many-to-one trainer: compute for a read
 // period, then a blocking ensemble read of the whole ensemble, tracking
 // per-period progress so exec/iter stays correct when a slow backend
-// does not finish within the horizon.
+// does not finish within the horizon. Its last period stops the
+// environment: it is the only rank of its harness that reports anything.
 type fig6Trainer struct {
 	env              *des.Env
 	periods          int
@@ -279,6 +315,11 @@ func newFig6Trainer(env *des.Env, model *costmodel.Model, cfg fig6TrainerConfig)
 		t.i++
 		if t.i < t.periods {
 			t.env.After(t.sleepS, t.wake)
+		} else {
+			// Everything Fig 6 reports was final three lines up, and the
+			// writers still running record nothing: end the run here
+			// instead of at the horizon cap.
+			t.env.Stop()
 		}
 	})
 	env.At(env.Now(), func() {

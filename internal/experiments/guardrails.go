@@ -25,8 +25,17 @@ func newGuardedEnv(maxEvents int64) *des.Env {
 	if maxEvents > 0 {
 		env.SetGuard(des.Guard{MaxEvents: maxEvents})
 	}
+	if onCellEnv != nil {
+		onCellEnv(env)
+	}
 	return env
 }
+
+// onCellEnv, when set, is handed every cell's environment as it is
+// built. It is the event census's way in (TestEventCensus reads
+// Env.Executed from each after the scenario returns); nothing outside
+// tests sets it, and sweeps call it from worker goroutines.
+var onCellEnv func(*des.Env)
 
 // guardedGrid runs one scenario sweep grid (row-major xs × ys) under the
 // params' guardrails, returning the completed points plus the failed

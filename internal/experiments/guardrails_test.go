@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"simaibench/internal/clock"
 	"simaibench/internal/des"
 	"simaibench/internal/scenario"
+	"simaibench/internal/serve"
 	"simaibench/internal/sweep"
 )
 
@@ -235,6 +238,70 @@ func TestGuardrailsZeroCostOnHealthyRuns(t *testing.T) {
 		if !bytes.Equal(plain, withRails) {
 			t.Errorf("%s: output differs with guardrails enabled\n--- plain ---\n%s\n--- guarded ---\n%s",
 				tc.name, plain, withRails)
+		}
+	}
+}
+
+// TestCellFailureKindsThroughServe: a failed cell of a guarded sweep
+// reaches the serve layer's failure_kinds by its type, never by its
+// text. One cell per guardrail goes through guardedGrid and POST /v1/run;
+// the decoy cell's message carries every phrase the old text classifier
+// keyed on and must still be "internal".
+func TestCellFailureKindsThroughServe(t *testing.T) {
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	cells := []struct {
+		kind string
+		run  func() (Pattern1Point, error)
+	}{
+		{serve.KindBudgetExceeded, func() (Pattern1Point, error) {
+			return RunPattern1Checked(Pattern1Config{Nodes: 8, SizeMB: 2, TrainIters: 50, MaxEvents: 50})
+		}},
+		{serve.KindStall, func() (Pattern1Point, error) {
+			return Pattern1Point{}, fmt.Errorf("cell gave up: %w",
+				&clock.StallError{Joined: 2, Sleepers: 1, Idle: time.Second})
+		}},
+		{serve.KindPanic, func() (Pattern1Point, error) { panic("saboteur: deliberate") }},
+		{serve.KindTimeout, func() (Pattern1Point, error) {
+			<-release // ignores its deadline: abandoned with sweep.ErrCellTimeout
+			return Pattern1Point{}, nil
+		}},
+		{serve.KindInternal, func() (Pattern1Point, error) {
+			return Pattern1Point{}, errors.New("panic: stalled, event budget exceeded, horizon exceeded, deadline exceeded")
+		}},
+	}
+	idx := make([]int, len(cells))
+	for i := range idx {
+		idx[i] = i
+	}
+	scenario.Register(scenario.New("t-cell-kinds", "test-only: one failing cell per failure kind",
+		scenario.Params{},
+		func(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
+			_, fails, err := guardedGrid(ctx, p, "t-cell-kinds/cells", idx, []int{0},
+				func(i, _ int) (Pattern1Point, error) { return cells[i].run() })
+			if err != nil {
+				return nil, err
+			}
+			return &scenario.Result{Scenario: "t-cell-kinds", Params: p, Failures: fails}, nil
+		}))
+
+	srv := serve.New(serve.Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Shutdown(bg)
+	})
+	c := &serve.Client{BaseURL: ts.URL}
+	resp, _, err := c.Run(bg, serve.RunRequest{Scenario: "t-cell-kinds", Params: scenario.Params{TimeoutS: 0.2}})
+	if err != nil {
+		t.Fatalf("the run failed as a whole instead of reporting per-cell failures: %v", err)
+	}
+	if len(resp.Result.Failures) != len(cells) || len(resp.FailureKinds) != len(cells) {
+		t.Fatalf("%d failures, %d kinds, want %d of each: %+v", len(resp.Result.Failures), len(resp.FailureKinds), len(cells), resp)
+	}
+	for i, f := range resp.Result.Failures {
+		if got, want := resp.FailureKinds[i], cells[f.Cell].kind; got != want {
+			t.Errorf("cell %d (%s): kind %q, want %q", f.Cell, f.Error, got, want)
 		}
 	}
 }

@@ -183,7 +183,10 @@ func RunFig6Checked(cfg Fig6Config) (Fig6Point, error) {
 	}
 	model := costmodel.New(env, spec, params)
 
-	horizon := float64(cfg.TrainIters) * cfg.TrainIterS * 10 // generous cap
+	// A cap, not the expected run length: the trainer stops the run at
+	// the end of its last period (fig6Trainer), and only a backend too
+	// slow to finish inside ten times the compute time runs this far.
+	horizon := float64(cfg.TrainIters) * cfg.TrainIterS * 10
 	var fetchTime stats.Welford
 
 	// Simulation components: one per node, staging locally every write

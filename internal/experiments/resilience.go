@@ -33,9 +33,12 @@ import (
 // abortable checkpoints (costmodel.CheckpointOp over cancellable
 // des.Grants), and epoch counters that discard transfers whose node
 // died mid-flight. With a healthy profile (MTBF=∞, checkpointing off)
-// they issue exactly the schedule calls of initSimWriter/initAIReader,
-// so the healthy resilience run is bit-identical to the equivalent
-// scale-out run — pinned by TestResilienceHealthyMatchesScaleOut.
+// they issue exactly the schedule calls of initSimWriter and the
+// effective ones of initAIReader (resAIReader still executes the idle
+// polls aiReader.nextPoll skips; its default periods have none), so the
+// healthy resilience run is bit-identical to the equivalent scale-out
+// run — pinned by TestResilienceHealthyMatchesScaleOut, idle polls
+// included.
 
 // ResilienceConfig drives one disturbance measurement: the scale-out
 // workload of ScaleOutConfig plus a fault profile and recovery policy.
@@ -492,8 +495,9 @@ type resAIReader struct {
 	pendResume bool
 }
 
-// initResAIReader mirrors initAIReader's schedule calls in a healthy
-// run.
+// initResAIReader mirrors initAIReader in a healthy run, except that it
+// executes every poll: an idle one is a point where a crash or an outage
+// can find the rank.
 func initResAIReader(r *resAIReader, env *des.Env, fs *resFaultState, node int,
 	readPeriod, writePeriod float64, bytes int64, tput *stats.Throughput) {
 	*r = resAIReader{

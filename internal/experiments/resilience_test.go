@@ -21,28 +21,41 @@ import (
 // scale-out machines — every shared observable bit-identical, for every
 // backend. This is what guarantees the fault layer is a pure extension:
 // its interruptibility hooks cost the healthy path nothing.
+//
+// The second profile (the Pattern 1 periods) writes every 3.25 s and
+// polls every 0.633 s, so four polls in five find nothing: resAIReader
+// executes them, aiReader skips them (nextPoll), and the two must still
+// agree — this is the test that notices if one machine's poll clock is
+// changed without the other's.
 func TestResilienceHealthyMatchesScaleOut(t *testing.T) {
-	for _, b := range datastore.Backends() {
-		so := RunScaleOut(ScaleOutConfig{Tenants: 4, Backend: b, TrainIters: 150})
-		re := RunResilience(ResilienceConfig{Tenants: 4, Backend: b, TrainIters: 150})
-		if re.Crashes != 0 || re.WastedS != 0 || re.CkptWrites != 0 {
-			t.Fatalf("%v: healthy run reported faults: %+v", b, re)
-		}
-		if !math.IsInf(re.MTBFS, 1) {
-			t.Fatalf("%v: healthy MTBF should normalize to +Inf, got %v", b, re.MTBFS)
-		}
-		pairs := [][2]float64{
-			{so.WriteGBps, re.WriteGBps},
-			{so.ReadGBps, re.ReadGBps},
-			{so.StageMeanS, re.StageMeanS},
-			{so.StageP50S, re.StageP50S},
-			{so.SharedWaitS, re.SharedWaitS},
-			{so.AggGBps, re.AggGBps},
-			{float64(so.Writes), float64(re.Writes)},
-		}
-		for i, p := range pairs {
-			if p[0] != p[1] {
-				t.Errorf("%v: observable %d differs: scale-out %v, resilience %v", b, i, p[0], p[1])
+	for _, periods := range []struct{ write, read int }{{10, 10}, {100, 10}} {
+		for _, b := range datastore.Backends() {
+			so := RunScaleOut(ScaleOutConfig{Tenants: 4, Backend: b, TrainIters: 150,
+				WritePeriod: periods.write, ReadPeriod: periods.read})
+			re := RunResilience(ResilienceConfig{Tenants: 4, Backend: b, TrainIters: 150,
+				WritePeriod: periods.write, ReadPeriod: periods.read})
+			if so.Writes == 0 || so.ReadGBps == 0 {
+				t.Fatalf("%v %+v: the scale-out run staged nothing: %+v", b, periods, so)
+			}
+			if re.Crashes != 0 || re.WastedS != 0 || re.CkptWrites != 0 {
+				t.Fatalf("%v %+v: healthy run reported faults: %+v", b, periods, re)
+			}
+			if !math.IsInf(re.MTBFS, 1) {
+				t.Fatalf("%v %+v: healthy MTBF should normalize to +Inf, got %v", b, periods, re.MTBFS)
+			}
+			pairs := [][2]float64{
+				{so.WriteGBps, re.WriteGBps},
+				{so.ReadGBps, re.ReadGBps},
+				{so.StageMeanS, re.StageMeanS},
+				{so.StageP50S, re.StageP50S},
+				{so.SharedWaitS, re.SharedWaitS},
+				{so.AggGBps, re.AggGBps},
+				{float64(so.Writes), float64(re.Writes)},
+			}
+			for i, p := range pairs {
+				if p[0] != p[1] {
+					t.Errorf("%v %+v: observable %d differs: scale-out %v, resilience %v", b, periods, i, p[0], p[1])
+				}
 			}
 		}
 	}

@@ -229,6 +229,11 @@ type CellFailure struct {
 	Attempts int `json:"attempts,omitempty"`
 	// Error is the structured cell failure rendered as text.
 	Error string `json:"error"`
+	// Err is the typed failure Error was rendered from, for consumers
+	// that classify with errors.As/Is (serve's failure_kinds). It never
+	// reaches a report or a response body, and is nil on a record that
+	// was decoded from one.
+	Err error `json:"-"`
 }
 
 // FailuresFrom converts the hardened sweep runner's cell errors into
@@ -238,7 +243,7 @@ func FailuresFrom(sweepLabel string, errs []*sweep.CellError) []CellFailure {
 	for _, ce := range errs {
 		out = append(out, CellFailure{
 			Sweep: sweepLabel, Cell: ce.Index, Attempts: ce.Attempts,
-			Error: ce.Err.Error(),
+			Error: ce.Err.Error(), Err: ce.Err,
 		})
 	}
 	return out

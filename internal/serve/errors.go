@@ -6,10 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"simaibench/internal/clock"
 	"simaibench/internal/des"
+	"simaibench/internal/scenario"
 	"simaibench/internal/sweep"
 )
 
@@ -120,23 +120,13 @@ func classifyRunError(err error) *APIError {
 	return &APIError{Status: http.StatusInternalServerError, Kind: KindInternal, Message: err.Error()}
 }
 
-// classifyFailureText maps one scenario.CellFailure's rendered error
-// text onto an error kind. Per-cell failures of a partially completed
-// sweep arrive as strings (the scenario layer renders them for its
-// reports), so this is a prefix vocabulary over the structured errors'
-// stable Error() forms — used only to annotate per-cell failure records
-// inside 200 responses, never to classify whole-request errors.
-func classifyFailureText(text string) string {
-	switch {
-	case strings.Contains(text, "event budget exceeded"), strings.Contains(text, "horizon exceeded"):
-		return KindBudgetExceeded
-	case strings.Contains(text, "stalled"):
-		return KindStall
-	case strings.Contains(text, "panic:"):
-		return KindPanic
-	case strings.Contains(text, "deadline exceeded"):
-		return KindTimeout
-	default:
+// cellFailureKind is the error kind of one failed cell inside a 200
+// response: the typed error the scenario layer kept on the record goes
+// through the same chain as a whole-request failure. A record without
+// one (built by hand rather than by scenario.FailuresFrom) is internal.
+func cellFailureKind(f scenario.CellFailure) string {
+	if f.Err == nil {
 		return KindInternal
 	}
+	return classifyRunError(f.Err).Kind
 }

@@ -474,7 +474,7 @@ func (s *Server) runner(sc scenario.Scenario, name, key string, p scenario.Param
 func encodeRunResponse(name, key string, res *scenario.Result) ([]byte, error) {
 	resp := RunResponse{Key: key, Scenario: name, Result: res}
 	for _, f := range res.Failures {
-		resp.FailureKinds = append(resp.FailureKinds, classifyFailureText(f.Error))
+		resp.FailureKinds = append(resp.FailureKinds, cellFailureKind(f))
 	}
 	body, err := json.Marshal(resp)
 	if err != nil {
