@@ -1,38 +1,25 @@
-// Package bench holds the top-level benchmark harness: one testing.B
-// benchmark per table and figure of the paper's evaluation section. Each
-// benchmark runs the corresponding experiment end to end and reports the
-// headline quantities as custom metrics, so
+// Package bench holds the top-level testing.B harness: the real-mode
+// artifacts (Table 2/3, Fig 2, streaming) and single cells of the
+// simulated families (scale-out, resilience, guardrails, campaign), each
+// run end to end and reporting its headline quantities as custom
+// metrics:
 //
 //	go test -bench=. -benchmem
 //
-// regenerates (in miniature) every artifact the paper presents. The full
-// rows/series come from `go run ./cmd/experiments -exp all`; see
+// The figure sweeps are timed by benchmark/ (scenario.run_ms.*); their
+// full rows/series come from `go run ./cmd/experiments -exp all`. See
 // EXPERIMENTS.md for the paper-vs-measured record.
 package bench
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"testing"
 
 	"simaibench/internal/clock"
 	"simaibench/internal/datastore"
 	"simaibench/internal/experiments"
-	"simaibench/internal/sweep"
 )
-
-// sweepWorkers fans the independent points of the Fig 3/4/5/6 sweeps
-// across cores (0 = all cores, 1 = serial). Sweep points are isolated
-// single-threaded simulations, so reported metrics are identical at any
-// worker count — only the wall time changes.
-var sweepWorkers = flag.Int("sweepworkers", 0, "parallel sweep workers for the figure benchmarks (0 = all cores)")
-
-func TestMain(m *testing.M) {
-	flag.Parse()
-	sweep.Workers = *sweepWorkers
-	m.Run()
-}
 
 // validationCfg is a scaled-down validation run sized for benchmarking,
 // parameterized by emulation clock. TimeScale 0.1 keeps the wall-mode
@@ -123,90 +110,6 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
-// BenchmarkFig3Throughput regenerates Fig 3: the Pattern 1 backend ×
-// size × scale throughput sweep on the simulated cluster.
-func BenchmarkFig3Throughput(b *testing.B) {
-	for _, nodes := range experiments.Fig3NodeCounts {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			var points []experiments.Pattern1Point
-			for i := 0; i < b.N; i++ {
-				var err error
-				points, err = experiments.RunFig3(context.Background(), nodes, 300)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, pt := range points {
-				if pt.SizeMB == 8 {
-					b.ReportMetric(pt.WriteGBps, pt.Backend.String()+"-8MB-GBps")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig4ComputeVsTransport regenerates Fig 4: compute versus
-// transport time per event for the two extreme backends.
-func BenchmarkFig4ComputeVsTransport(b *testing.B) {
-	for _, nodes := range experiments.Fig3NodeCounts {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			var points []experiments.Pattern1Point
-			for i := 0; i < b.N; i++ {
-				var err error
-				points, err = experiments.RunFig4(context.Background(), nodes, 300)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, pt := range points {
-				if pt.SizeMB == 32 {
-					b.ReportMetric(pt.WriteMean*1000, pt.Backend.String()+"-32MB-write-ms")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig5NonLocalThroughput regenerates Fig 5: the 2-node
-// local-write / non-local-read profile.
-func BenchmarkFig5NonLocalThroughput(b *testing.B) {
-	var points []experiments.Fig5Point
-	for i := 0; i < b.N; i++ {
-		var err error
-		points, err = experiments.RunFig5Sweep(context.Background(), 30)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, pt := range points {
-		if pt.SizeMB == 10 {
-			b.ReportMetric(pt.ReadGBps, pt.Backend.String()+"-10MB-read-GBps")
-		}
-	}
-}
-
-// BenchmarkFig6ManyToOne regenerates Fig 6: training runtime per
-// iteration for the many-to-one pattern at both ensemble scales.
-func BenchmarkFig6ManyToOne(b *testing.B) {
-	for _, nodes := range experiments.Fig6NodeCounts {
-		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
-			var points []experiments.Fig6Point
-			for i := 0; i < b.N; i++ {
-				var err error
-				points, err = experiments.RunFig6Sweep(context.Background(), nodes, 200)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, pt := range points {
-				if pt.SizeMB == 1 {
-					b.ReportMetric(pt.ExecPerIterS*1000, pt.Backend.String()+"-1MB-exec-ms")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkScaleOut tracks the multi-tenant subsystem: one shared-Redis
 // scale-out point per tenant count, reporting the contention observables
 // (mean staging latency and aggregate delivered throughput) so the perf
@@ -217,9 +120,13 @@ func BenchmarkScaleOut(b *testing.B) {
 		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) {
 			var pt experiments.ScaleOutPoint
 			for i := 0; i < b.N; i++ {
-				pt = experiments.RunScaleOut(experiments.ScaleOutConfig{
+				var err error
+				pt, err = experiments.RunScaleOutChecked(experiments.ScaleOutConfig{
 					Tenants: tenants, Backend: datastore.Redis, SizeMB: 8, TrainIters: 200,
 				})
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(pt.StageMeanS*1000, "redis-8MB-stage-ms")
 			b.ReportMetric(pt.AggGBps, "redis-8MB-agg-GBps")
@@ -246,31 +153,16 @@ func BenchmarkResilience(b *testing.B) {
 		b.Run(cell.name, func(b *testing.B) {
 			var pt experiments.ResiliencePoint
 			for i := 0; i < b.N; i++ {
-				pt = experiments.RunResilience(cell.cfg)
+				var err error
+				pt, err = experiments.RunResilienceChecked(cell.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(pt.WastedFrac, "wasted-frac")
 			b.ReportMetric(pt.EffGBps, "eff-GBps")
 			b.ReportMetric(float64(pt.Crashes), "crashes")
 		})
-	}
-}
-
-// BenchmarkAblationIncast regenerates the incast-latency ablation (a
-// mechanism check on the Fig 6b small-message gap).
-func BenchmarkAblationIncast(b *testing.B) {
-	var points []experiments.IncastAblationPoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		points, err = experiments.RunIncastAblation(context.Background(), []float64{0, 0.010}, 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, pt := range points {
-		if pt.SizeMB == 1 {
-			b.ReportMetric(pt.DragonFetchS*1000,
-				fmt.Sprintf("dragon-1MB-lat%.0fms-fetch-ms", pt.IncastLatencyS*1000))
-		}
 	}
 }
 

@@ -3,8 +3,8 @@
 // deployment, where contention inverts the paper's single-tenant
 // transport rankings. Two views of the same machinery:
 //
-// With no flags, single points through simaibench.RunScaleOut: one
-// backend at increasing tenant counts, printing the slowdown and
+// With no flags, single points through simaibench.RunScaleOutChecked:
+// one backend at increasing tenant counts, printing the slowdown and
 // aggregate-throughput collapse as the shared deployment saturates.
 //
 // With -scenario, the registered "scale-out" scenario runs through the
@@ -72,9 +72,12 @@ func main() {
 
 	var base float64
 	for _, n := range []int{1, 2, 4, 8, 16} {
-		pt := simaibench.RunScaleOut(simaibench.ScaleOutConfig{
+		pt, err := simaibench.RunScaleOutChecked(simaibench.ScaleOutConfig{
 			Tenants: n, Backend: backend, SizeMB: *sizeMB, TrainIters: *iters,
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		if n == 1 {
 			base = pt.StageMeanS
 		}

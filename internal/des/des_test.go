@@ -373,67 +373,6 @@ func TestResourceBadCapacityPanics(t *testing.T) {
 	NewResource(env, 0)
 }
 
-func TestStoreProducerConsumer(t *testing.T) {
-	env := NewEnv()
-	st := NewStore(env)
-	var got []int
-	env.Spawn("producer", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			p.Sleep(1)
-			st.Put(i)
-		}
-	})
-	env.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 10; i++ {
-			got = append(got, st.Get(p).(int))
-		}
-	})
-	env.Run()
-	if len(got) != 10 {
-		t.Fatalf("consumed %d items, want 10", len(got))
-	}
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("items out of order: %v", got)
-		}
-	}
-}
-
-func TestStoreGetBeforePut(t *testing.T) {
-	env := NewEnv()
-	st := NewStore(env)
-	var at float64
-	env.Spawn("c", func(p *Proc) {
-		v := st.Get(p)
-		if v != "x" {
-			t.Errorf("got %v, want x", v)
-		}
-		at = p.Now()
-	})
-	env.SpawnAt(9, "p", func(p *Proc) { st.Put("x") })
-	env.Run()
-	if at != 9 {
-		t.Fatalf("consumer resumed at %v, want 9", at)
-	}
-}
-
-func TestStoreTryGet(t *testing.T) {
-	env := NewEnv()
-	st := NewStore(env)
-	if _, ok := st.TryGet(); ok {
-		t.Fatal("TryGet on empty store returned ok")
-	}
-	st.Put(1)
-	st.Put(2)
-	if st.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", st.Len())
-	}
-	v, ok := st.TryGet()
-	if !ok || v != 1 {
-		t.Fatalf("TryGet = %v,%v, want 1,true", v, ok)
-	}
-}
-
 func TestRunUntilHorizon(t *testing.T) {
 	env := NewEnv()
 	fired := 0

@@ -160,20 +160,6 @@ func TestResourceRequestSynchronousWhenFree(t *testing.T) {
 	res.Release()
 }
 
-func TestStoreOnNext(t *testing.T) {
-	env := NewEnv()
-	st := NewStore(env)
-	var got []any
-	st.OnNext(func(v any) { got = append(got, v) }) // parked
-	env.At(1, func() { st.Put("a") })
-	env.Run()
-	st.Put("b")
-	st.OnNext(func(v any) { got = append(got, v) }) // synchronous
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("OnNext delivered %v", got)
-	}
-}
-
 // TestFlatMatchesProcSemantics runs the same randomized
 // resource-contention workload twice — once with processes, once with
 // flat callbacks — and requires identical completion traces. This is

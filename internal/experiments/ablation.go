@@ -6,7 +6,6 @@ import (
 	"simaibench/internal/costmodel"
 	"simaibench/internal/datastore"
 	"simaibench/internal/scenario"
-	"simaibench/internal/sweep"
 )
 
 // Ablations probe the cost-model mechanisms behind the paper's three
@@ -30,26 +29,10 @@ type MDSAblationPoint struct {
 	WriteMeanS  float64
 }
 
-// RunMDSAblation sweeps the MDS service time at both Fig 3 scales,
+// mdsAblationGrid sweeps the MDS service time at both Fig 3 scales,
 // measuring the Pattern 1 file-system write time at 8 MB.
-func RunMDSAblation(ctx context.Context, services []float64, trainIters int) ([]MDSAblationPoint, error) {
-	return sweep.Grid(ctx, services, []int{8, 512},
-		func(svc float64, nodes int) MDSAblationPoint {
-			params := costmodel.Default()
-			params.LustreMDSServiceS = svc
-			pt := RunPattern1(Pattern1Config{
-				Nodes: nodes, Backend: datastore.FileSystem, SizeMB: 8,
-				TrainIters: trainIters, Params: &params,
-			})
-			return MDSAblationPoint{MDSServiceS: svc, Nodes: nodes, WriteMeanS: pt.WriteMean}
-		})
-}
-
-// runMDSAblationGuarded is the scenario-path variant of RunMDSAblation:
-// the same grid under the run guardrails, with failed cells returned as
-// reportable records instead of aborting the sweep.
-func runMDSAblationGuarded(ctx context.Context, p scenario.Params) ([]MDSAblationPoint, []scenario.CellFailure, error) {
-	return guardedGrid(ctx, p, "ablation/mds", MDSAblationServices, []int{8, 512},
+func mdsAblationGrid(ctx context.Context, p scenario.Params, services []float64) ([]MDSAblationPoint, []scenario.CellFailure, error) {
+	return guardedGrid(ctx, p, "ablation/mds", services, []int{8, 512},
 		func(svc float64, nodes int) (MDSAblationPoint, error) {
 			params := costmodel.Default()
 			params.LustreMDSServiceS = svc
@@ -87,25 +70,10 @@ type CacheAblationPoint struct {
 	WriteGBps    float64
 }
 
-// RunCacheAblation sweeps the per-process cache share and measures the
+// cacheAblationGrid sweeps the per-process cache share and measures the
 // node-local write throughput profile across the Fig 3 sizes.
-func RunCacheAblation(ctx context.Context, shares []float64, trainIters int) ([]CacheAblationPoint, error) {
-	return sweep.Grid(ctx, shares, Fig3Sizes,
-		func(share, size float64) CacheAblationPoint {
-			params := costmodel.Default()
-			params.CacheShareMB = share
-			pt := RunPattern1(Pattern1Config{
-				Nodes: 8, Backend: datastore.NodeLocal, SizeMB: size,
-				TrainIters: trainIters, Params: &params,
-			})
-			return CacheAblationPoint{CacheShareMB: share, SizeMB: size, WriteGBps: pt.WriteGBps}
-		})
-}
-
-// runCacheAblationGuarded is the scenario-path variant of
-// RunCacheAblation, under the run guardrails.
-func runCacheAblationGuarded(ctx context.Context, p scenario.Params) ([]CacheAblationPoint, []scenario.CellFailure, error) {
-	return guardedGrid(ctx, p, "ablation/cache", CacheAblationShares, Fig3Sizes,
+func cacheAblationGrid(ctx context.Context, p scenario.Params, shares []float64) ([]CacheAblationPoint, []scenario.CellFailure, error) {
+	return guardedGrid(ctx, p, "ablation/cache", shares, Fig3Sizes,
 		func(share, size float64) (CacheAblationPoint, error) {
 			params := costmodel.Default()
 			params.CacheShareMB = share
@@ -144,34 +112,12 @@ type IncastAblationPoint struct {
 	FSFetchS       float64
 }
 
-// RunIncastAblation sweeps Dragon's per-message incast latency at 128
+// incastAblationGrid sweeps Dragon's per-message incast latency at 128
 // nodes, comparing the trainer's ensemble-fetch time against the file
 // system's. With the latency ablated to ~zero, Dragon's point-to-point
 // advantage should reassert itself at small messages.
-func RunIncastAblation(ctx context.Context, latencies []float64, trainIters int) ([]IncastAblationPoint, error) {
-	return sweep.Grid(ctx, latencies, []float64{1, 10, 128},
-		func(lat, size float64) IncastAblationPoint {
-			params := costmodel.Default()
-			params.DragonIncastLatencyS = lat
-			dr := RunFig6(Fig6Config{
-				Nodes: 128, Backend: datastore.Dragon, SizeMB: size,
-				TrainIters: trainIters, Params: &params,
-			})
-			fs := RunFig6(Fig6Config{
-				Nodes: 128, Backend: datastore.FileSystem, SizeMB: size,
-				TrainIters: trainIters, Params: &params,
-			})
-			return IncastAblationPoint{
-				IncastLatencyS: lat, SizeMB: size,
-				DragonFetchS: dr.FetchMeanS, FSFetchS: fs.FetchMeanS,
-			}
-		})
-}
-
-// runIncastAblationGuarded is the scenario-path variant of
-// RunIncastAblation, under the run guardrails.
-func runIncastAblationGuarded(ctx context.Context, p scenario.Params) ([]IncastAblationPoint, []scenario.CellFailure, error) {
-	return guardedGrid(ctx, p, "ablation/incast", IncastAblationLatencies, []float64{1, 10, 128},
+func incastAblationGrid(ctx context.Context, p scenario.Params, latencies []float64) ([]IncastAblationPoint, []scenario.CellFailure, error) {
+	return guardedGrid(ctx, p, "ablation/incast", latencies, []float64{1, 10, 128},
 		func(lat, size float64) (IncastAblationPoint, error) {
 			params := costmodel.Default()
 			params.DragonIncastLatencyS = lat

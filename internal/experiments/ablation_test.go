@@ -4,16 +4,16 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"simaibench/internal/scenario"
 )
 
 func TestMDSAblationDrivesCollapse(t *testing.T) {
 	// The 512-node FS collapse must be caused by the MDS service time:
 	// with a near-zero service time the 8-vs-512-node gap shrinks
 	// drastically; with the default it is large.
-	points, err := RunMDSAblation(bg, []float64{0.00001, 0.0004}, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points, fails, err := mdsAblationGrid(bg, scenario.Params{SweepIters: 200}, []float64{0.00001, 0.0004})
+	gridOK(t, fails, err)
 	get := func(svc float64, nodes int) float64 {
 		for _, pt := range points {
 			if pt.MDSServiceS == svc && pt.Nodes == nodes {
@@ -36,10 +36,8 @@ func TestMDSAblationDrivesCollapse(t *testing.T) {
 func TestCacheAblationMovesDip(t *testing.T) {
 	// With a huge cache share the 32 MB dip disappears (monotonic
 	// profile); with the default it is present.
-	points, err := RunCacheAblation(bg, []float64{8.75, 1000}, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points, fails, err := cacheAblationGrid(bg, scenario.Params{SweepIters: 200}, []float64{8.75, 1000})
+	gridOK(t, fails, err)
 	get := func(share, size float64) float64 {
 		for _, pt := range points {
 			if pt.CacheShareMB == share && pt.SizeMB == size {
@@ -60,10 +58,8 @@ func TestCacheAblationMovesDip(t *testing.T) {
 func TestIncastAblationControlsCrossover(t *testing.T) {
 	// With incast latency ablated to zero, Dragon's small-message fetch
 	// should beat or match FS; with the default it clearly lags.
-	points, err := RunIncastAblation(bg, []float64{0, 0.010}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	points, fails, err := incastAblationGrid(bg, scenario.Params{SweepIters: 100}, []float64{0, 0.010})
+	gridOK(t, fails, err)
 	get := func(lat, size float64) (dragon, fs float64) {
 		for _, pt := range points {
 			if pt.IncastLatencyS == lat && pt.SizeMB == size {
@@ -85,20 +81,14 @@ func TestIncastAblationControlsCrossover(t *testing.T) {
 
 func TestAblationPrinters(t *testing.T) {
 	var buf bytes.Buffer
-	mds, err := RunMDSAblation(bg, []float64{0.0004}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mds, fails, err := mdsAblationGrid(bg, scenario.Params{SweepIters: 100}, []float64{0.0004})
+	gridOK(t, fails, err)
 	writeTable(t, &buf, mdsAblationTable(mds))
-	cache, err := RunCacheAblation(bg, []float64{8.75}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache, fails, err := cacheAblationGrid(bg, scenario.Params{SweepIters: 100}, []float64{8.75})
+	gridOK(t, fails, err)
 	writeTable(t, &buf, cacheAblationTable(cache))
-	incast, err := RunIncastAblation(bg, []float64{0.010}, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	incast, fails, err := incastAblationGrid(bg, scenario.Params{SweepIters: 50}, []float64{0.010})
+	gridOK(t, fails, err)
 	writeTable(t, &buf, incastAblationTable(incast))
 	out := buf.String()
 	for _, want := range []string{"MDS service", "L3 share", "incast latency"} {

@@ -128,16 +128,9 @@ type CampaignPoint struct {
 	MakespanS float64
 }
 
-// RunCampaign simulates one campaign cell. Deterministic: equal
-// configs give bit-equal points.
-func RunCampaign(cfg CampaignConfig) CampaignPoint {
-	pt, _ := RunCampaignChecked(cfg)
-	return pt
-}
-
-// RunCampaignChecked is RunCampaign under the run guardrails: a
-// malformed policy id, a degenerate generator config or a blown event
-// budget surface as errors instead of zero-value points.
+// RunCampaignChecked simulates one campaign cell. Deterministic: equal
+// configs give bit-equal points. A malformed policy id, a degenerate
+// generator config or a blown event budget surface as errors.
 func RunCampaignChecked(cfg CampaignConfig) (CampaignPoint, error) {
 	cfg = cfg.withDefaults()
 	fail := func(err error) (CampaignPoint, error) {
@@ -223,26 +216,6 @@ func campaignPolicies(policy string) []string {
 		return []string{policy}
 	}
 	return schedule.PolicyNames()
-}
-
-// RunCampaignSweep runs the load × policy grid for one fault profile,
-// fanning cells across the worker pool; each cell is an isolated
-// deterministic simulation.
-func RunCampaignSweep(ctx context.Context, loads []float64, policies []string,
-	jobs int, mtbfS float64) ([]CampaignPoint, error) {
-	points, fails, err := guardedGrid(ctx, scenario.Params{}, "campaign", loads, policies,
-		func(load float64, pol string) (CampaignPoint, error) {
-			return RunCampaignChecked(CampaignConfig{
-				Load: load, Policy: pol, Jobs: jobs, MTBFS: mtbfS,
-			})
-		})
-	if err != nil {
-		return nil, err
-	}
-	if len(fails) > 0 {
-		return points, fmt.Errorf("campaign: %d cell(s) failed: %s", len(fails), fails[0].Error)
-	}
-	return points, nil
 }
 
 // campaignTable structures one fault profile's load × policy grid.

@@ -24,7 +24,7 @@ import (
 // engine, cost model, or rank state machine — fails here.
 
 // runPattern1Reference is the pre-refactor process implementation of
-// RunPattern1.
+// RunPattern1Checked.
 func runPattern1Reference(cfg Pattern1Config) Pattern1Point {
 	cfg = cfg.withDefaults()
 	spec := cluster.Aurora(cfg.Nodes)
@@ -94,7 +94,7 @@ func TestPattern1MatchesProcessReference(t *testing.T) {
 	for _, b := range datastore.Backends() {
 		for _, size := range []float64{0.4, 8, 32} {
 			cfg := Pattern1Config{Nodes: 4, Backend: b, SizeMB: size, TrainIters: 120}
-			got := RunPattern1(cfg)
+			got := checked(t, RunPattern1Checked, cfg)
 			want := runPattern1Reference(cfg)
 			if got != want {
 				t.Errorf("%v %gMB: flat %+v != reference %+v", b, size, got, want)
@@ -165,14 +165,15 @@ func TestPattern1MatchesReferenceAtScaleFS(t *testing.T) {
 		t.Skip("contention case is slow in -short mode")
 	}
 	cfg := Pattern1Config{Nodes: 64, Backend: datastore.FileSystem, SizeMB: 8, TrainIters: 60}
-	got := RunPattern1(cfg)
+	got := checked(t, RunPattern1Checked, cfg)
 	want := runPattern1Reference(cfg)
 	if got != want {
 		t.Errorf("fs@64: flat %+v != reference %+v", got, want)
 	}
 }
 
-// runFig5Reference is the pre-refactor process implementation of RunFig5.
+// runFig5Reference is the pre-refactor process implementation of
+// RunFig5Checked.
 func runFig5Reference(cfg Fig5Config) Fig5Point {
 	if cfg.Transfers == 0 {
 		cfg.Transfers = 50
@@ -208,7 +209,7 @@ func TestFig5MatchesProcessReference(t *testing.T) {
 	for _, b := range Pattern2Backends {
 		for _, size := range []float64{1, 10, 128} {
 			cfg := Fig5Config{Backend: b, SizeMB: size, Transfers: 25}
-			got := RunFig5(cfg)
+			got := checked(t, RunFig5Checked, cfg)
 			want := runFig5Reference(cfg)
 			if got != want {
 				t.Errorf("%v %gMB: flat %+v != reference %+v", b, size, got, want)
@@ -217,7 +218,8 @@ func TestFig5MatchesProcessReference(t *testing.T) {
 	}
 }
 
-// runFig6Reference is the pre-refactor process implementation of RunFig6.
+// runFig6Reference is the pre-refactor process implementation of
+// RunFig6Checked.
 func runFig6Reference(cfg Fig6Config) Fig6Point {
 	cfg = cfg.withDefaults()
 	spec := cluster.Aurora(cfg.Nodes + 1)
@@ -274,7 +276,7 @@ func TestFig6MatchesProcessReference(t *testing.T) {
 	for _, b := range Pattern2Backends {
 		for _, size := range []float64{1, 10} {
 			cfg := Fig6Config{Nodes: 16, Backend: b, SizeMB: size, TrainIters: 100}
-			got := RunFig6(cfg)
+			got := checked(t, RunFig6Checked, cfg)
 			want := runFig6Reference(cfg)
 			if got != want {
 				t.Errorf("%v %gMB: flat %+v != reference %+v", b, size, got, want)
@@ -313,7 +315,7 @@ func TestFig6StopsWithTrainer(t *testing.T) {
 	// the full-horizon reference reports.
 	for _, size := range []float64{32, 128} {
 		cfg := Fig6Config{Nodes: 128, Backend: datastore.Redis, SizeMB: size, TrainIters: 300}
-		got, want := RunFig6(cfg), runFig6Reference(cfg)
+		got, want := checked(t, RunFig6Checked, cfg), runFig6Reference(cfg)
 		if got != want {
 			t.Errorf("redis %g MB: flat %+v != reference %+v", size, got, want)
 		}
@@ -344,17 +346,16 @@ func TestSweepParallelismInvariant(t *testing.T) {
 	prev := sweep.Workers
 	defer func() { sweep.Workers = prev }()
 
-	sweep.Workers = 1
-	serial, err := RunFig3(bg, 4, 80)
-	if err != nil {
-		t.Fatal(err)
+	fig3 := func() []Pattern1Point {
+		points, fails, err := pattern1Grid(bg, scenario.Params{SweepIters: 80}, "fig3", datastore.Backends(), 4)
+		gridOK(t, fails, err)
+		return points
 	}
+	sweep.Workers = 1
+	serial := fig3()
 	for _, workers := range []int{2, 8} {
 		sweep.Workers = workers
-		got, err := RunFig3(bg, 4, 80)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := fig3()
 		if len(got) != len(serial) {
 			t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(serial))
 		}

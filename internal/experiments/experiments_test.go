@@ -14,17 +14,18 @@ import (
 
 // --- Pattern 1 (Fig 3/4) shape tests against the paper's findings ---
 
-func p1(nodes int, b datastore.Backend, size float64) Pattern1Point {
-	return RunPattern1(Pattern1Config{
+func p1(t *testing.T, nodes int, b datastore.Backend, size float64) Pattern1Point {
+	t.Helper()
+	return checked(t, RunPattern1Checked, Pattern1Config{
 		Nodes: nodes, Backend: b, SizeMB: size, TrainIters: 300,
 	})
 }
 
 func TestFig3InMemoryNonMonotonicAt8Nodes(t *testing.T) {
 	for _, b := range []datastore.Backend{datastore.NodeLocal, datastore.Dragon, datastore.Redis} {
-		t04 := p1(8, b, 0.4).WriteGBps
-		t8 := p1(8, b, 8).WriteGBps
-		t32 := p1(8, b, 32).WriteGBps
+		t04 := p1(t, 8, b, 0.4).WriteGBps
+		t8 := p1(t, 8, b, 8).WriteGBps
+		t32 := p1(t, 8, b, 32).WriteGBps
 		if !(t8 > t04 && t32 < t8) {
 			t.Errorf("%v: want rise-then-dip, got %.3f %.3f %.3f GB/s", b, t04, t8, t32)
 		}
@@ -34,7 +35,7 @@ func TestFig3InMemoryNonMonotonicAt8Nodes(t *testing.T) {
 func TestFig3FilesystemMonotonicAt8Nodes(t *testing.T) {
 	prev := -1.0
 	for _, size := range Fig3Sizes {
-		pt := p1(8, datastore.FileSystem, size)
+		pt := p1(t, 8, datastore.FileSystem, size)
 		if pt.WriteGBps <= prev {
 			t.Fatalf("filesystem write throughput not monotonic at %v MB: %v <= %v",
 				size, pt.WriteGBps, prev)
@@ -46,13 +47,13 @@ func TestFig3FilesystemMonotonicAt8Nodes(t *testing.T) {
 func TestFig3FilesystemCollapsesAt512Nodes(t *testing.T) {
 	// The paper's headline Pattern 1 result: FS degrades severely from 8
 	// to 512 nodes, in-memory backends stay flat.
-	fs8 := p1(8, datastore.FileSystem, 8)
-	fs512 := p1(512, datastore.FileSystem, 8)
+	fs8 := p1(t, 8, datastore.FileSystem, 8)
+	fs512 := p1(t, 512, datastore.FileSystem, 8)
 	if fs512.WriteGBps > fs8.WriteGBps/3 {
 		t.Fatalf("filesystem did not collapse: %v -> %v GB/s", fs8.WriteGBps, fs512.WriteGBps)
 	}
-	nl8 := p1(8, datastore.NodeLocal, 8)
-	nl512 := p1(512, datastore.NodeLocal, 8)
+	nl8 := p1(t, 8, datastore.NodeLocal, 8)
+	nl512 := p1(t, 512, datastore.NodeLocal, 8)
 	ratio := nl512.WriteGBps / nl8.WriteGBps
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Fatalf("node-local should be scale-stable: %v -> %v GB/s", nl8.WriteGBps, nl512.WriteGBps)
@@ -61,9 +62,9 @@ func TestFig3FilesystemCollapsesAt512Nodes(t *testing.T) {
 
 func TestFig3BackendOrdering(t *testing.T) {
 	// Node-local and Dragon excellent, Redis "not as performant".
-	nl := p1(8, datastore.NodeLocal, 8).WriteGBps
-	dr := p1(8, datastore.Dragon, 8).WriteGBps
-	rd := p1(8, datastore.Redis, 8).WriteGBps
+	nl := p1(t, 8, datastore.NodeLocal, 8).WriteGBps
+	dr := p1(t, 8, datastore.Dragon, 8).WriteGBps
+	rd := p1(t, 8, datastore.Redis, 8).WriteGBps
 	if !(nl >= dr && dr > rd) {
 		t.Fatalf("ordering: node-local %v, dragon %v, redis %v", nl, dr, rd)
 	}
@@ -72,12 +73,12 @@ func TestFig3BackendOrdering(t *testing.T) {
 func TestFig4NodeLocalTransferComparableToIteration(t *testing.T) {
 	// "Even at the largest message size of 32 MB, the time for a single
 	// data transfer is roughly equal to one computation iteration."
-	pt := p1(8, datastore.NodeLocal, 32)
+	pt := p1(t, 8, datastore.NodeLocal, 32)
 	if pt.WriteMean > 3*pt.SimIterS || pt.WriteMean < pt.SimIterS/10 {
 		t.Fatalf("node-local 32MB write %v vs iter %v: not comparable", pt.WriteMean, pt.SimIterS)
 	}
 	// ...and scale-stable from 8 to 512 nodes.
-	pt512 := p1(512, datastore.NodeLocal, 32)
+	pt512 := p1(t, 512, datastore.NodeLocal, 32)
 	if pt512.WriteMean > pt.WriteMean*1.5 {
 		t.Fatalf("node-local transfer grew with scale: %v -> %v", pt.WriteMean, pt512.WriteMean)
 	}
@@ -86,13 +87,13 @@ func TestFig4NodeLocalTransferComparableToIteration(t *testing.T) {
 func TestFig4FilesystemOrderOfMagnitudeAt512(t *testing.T) {
 	// "At this larger scale ... the transfer time becoming approximately
 	// an order of magnitude larger than one iteration."
-	pt := p1(512, datastore.FileSystem, 32)
+	pt := p1(t, 512, datastore.FileSystem, 32)
 	if pt.WriteMean < 4*pt.SimIterS {
 		t.Fatalf("filesystem 32MB write at 512 nodes = %v, want >> iter %v",
 			pt.WriteMean, pt.SimIterS)
 	}
 	// While at 8 nodes it is comparable to an iteration.
-	pt8 := p1(8, datastore.FileSystem, 32)
+	pt8 := p1(t, 8, datastore.FileSystem, 32)
 	if pt8.WriteMean > 3*pt8.SimIterS {
 		t.Fatalf("filesystem 32MB write at 8 nodes = %v, want ~iter %v",
 			pt8.WriteMean, pt8.SimIterS)
@@ -100,7 +101,7 @@ func TestFig4FilesystemOrderOfMagnitudeAt512(t *testing.T) {
 }
 
 func TestPattern1EventCountsReasonable(t *testing.T) {
-	pt := RunPattern1(Pattern1Config{Nodes: 8, Backend: datastore.NodeLocal, SizeMB: 2, TrainIters: 600})
+	pt := checked(t, RunPattern1Checked, Pattern1Config{Nodes: 8, Backend: datastore.NodeLocal, SizeMB: 2, TrainIters: 600})
 	if pt.Writes == 0 || pt.Reads == 0 {
 		t.Fatalf("no transport events: %+v", pt)
 	}
@@ -120,10 +121,9 @@ func writeTable(t *testing.T, w io.Writer, tab scenario.Table) {
 }
 
 func TestPrintFig3Fig4(t *testing.T) {
-	points, err := RunFig3(bg, 8, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := scenario.Params{SweepIters: 100}
+	points, fails, err := pattern1Grid(bg, p, "fig3", datastore.Backends(), 8)
+	gridOK(t, fails, err)
 	var buf bytes.Buffer
 	writeTable(t, &buf, fig3Table(8, points))
 	out := buf.String()
@@ -133,10 +133,8 @@ func TestPrintFig3Fig4(t *testing.T) {
 		}
 	}
 	var buf4 bytes.Buffer
-	fig4Points, err := RunFig4(bg, 8, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig4Points, fails, err := pattern1Grid(bg, p, "fig4", Fig4Backends, 8)
+	gridOK(t, fails, err)
 	writeTable(t, &buf4, fig4Table(8, fig4Points))
 	if !strings.Contains(buf4.String(), "sim-iter(s)") {
 		t.Fatalf("fig4 output malformed:\n%s", buf4.String())
@@ -146,8 +144,8 @@ func TestPrintFig3Fig4(t *testing.T) {
 // --- Pattern 2 (Fig 5/6) shape tests ---
 
 func TestFig5RedisNonLocalReadPoor(t *testing.T) {
-	rd := RunFig5(Fig5Config{Backend: datastore.Redis, SizeMB: 8})
-	dr := RunFig5(Fig5Config{Backend: datastore.Dragon, SizeMB: 8})
+	rd := checked(t, RunFig5Checked, Fig5Config{Backend: datastore.Redis, SizeMB: 8})
+	dr := checked(t, RunFig5Checked, Fig5Config{Backend: datastore.Dragon, SizeMB: 8})
 	if rd.ReadGBps > dr.ReadGBps/3 {
 		t.Fatalf("redis read %v should be << dragon %v", rd.ReadGBps, dr.ReadGBps)
 	}
@@ -159,9 +157,9 @@ func TestFig5RedisNonLocalReadPoor(t *testing.T) {
 }
 
 func TestFig5DragonPeaksNear10MB(t *testing.T) {
-	t1 := RunFig5(Fig5Config{Backend: datastore.Dragon, SizeMB: 1}).ReadGBps
-	t10 := RunFig5(Fig5Config{Backend: datastore.Dragon, SizeMB: 10}).ReadGBps
-	t128 := RunFig5(Fig5Config{Backend: datastore.Dragon, SizeMB: 128}).ReadGBps
+	t1 := checked(t, RunFig5Checked, Fig5Config{Backend: datastore.Dragon, SizeMB: 1}).ReadGBps
+	t10 := checked(t, RunFig5Checked, Fig5Config{Backend: datastore.Dragon, SizeMB: 10}).ReadGBps
+	t128 := checked(t, RunFig5Checked, Fig5Config{Backend: datastore.Dragon, SizeMB: 128}).ReadGBps
 	if !(t10 > t1 && t128 < t10) {
 		t.Fatalf("dragon read should peak near 10MB: %v %v %v", t1, t10, t128)
 	}
@@ -169,8 +167,8 @@ func TestFig5DragonPeaksNear10MB(t *testing.T) {
 
 func TestFig5FSApproachesDragonAtLargeSizes(t *testing.T) {
 	gap := func(size float64) float64 {
-		fs := RunFig5(Fig5Config{Backend: datastore.FileSystem, SizeMB: size}).ReadGBps
-		dr := RunFig5(Fig5Config{Backend: datastore.Dragon, SizeMB: size}).ReadGBps
+		fs := checked(t, RunFig5Checked, Fig5Config{Backend: datastore.FileSystem, SizeMB: size}).ReadGBps
+		dr := checked(t, RunFig5Checked, Fig5Config{Backend: datastore.Dragon, SizeMB: size}).ReadGBps
 		return dr / fs
 	}
 	if small, large := gap(1), gap(128); large >= small/1.5 {
@@ -181,8 +179,8 @@ func TestFig5FSApproachesDragonAtLargeSizes(t *testing.T) {
 func TestFig6At8NodesDragonAndFSComparable(t *testing.T) {
 	// "At this scale, the DragonHPC and file system backends perform
 	// equally well."
-	dr := RunFig6(Fig6Config{Nodes: 8, Backend: datastore.Dragon, SizeMB: 4, TrainIters: 200})
-	fs := RunFig6(Fig6Config{Nodes: 8, Backend: datastore.FileSystem, SizeMB: 4, TrainIters: 200})
+	dr := checked(t, RunFig6Checked, Fig6Config{Nodes: 8, Backend: datastore.Dragon, SizeMB: 4, TrainIters: 200})
+	fs := checked(t, RunFig6Checked, Fig6Config{Nodes: 8, Backend: datastore.FileSystem, SizeMB: 4, TrainIters: 200})
 	ratio := dr.ExecPerIterS / fs.ExecPerIterS
 	if ratio > 1.5 || ratio < 0.5 {
 		t.Fatalf("8-node dragon/fs ratio = %v (%v vs %v)", ratio, dr.ExecPerIterS, fs.ExecPerIterS)
@@ -192,16 +190,16 @@ func TestFig6At8NodesDragonAndFSComparable(t *testing.T) {
 func TestFig6At128NodesDragonLagsFSAtSmallSizes(t *testing.T) {
 	// "For message sizes less than 10 MB, DragonHPC runtime is
 	// significantly longer than the file system."
-	dr := RunFig6(Fig6Config{Nodes: 128, Backend: datastore.Dragon, SizeMB: 1, TrainIters: 200})
-	fs := RunFig6(Fig6Config{Nodes: 128, Backend: datastore.FileSystem, SizeMB: 1, TrainIters: 200})
+	dr := checked(t, RunFig6Checked, Fig6Config{Nodes: 128, Backend: datastore.Dragon, SizeMB: 1, TrainIters: 200})
+	fs := checked(t, RunFig6Checked, Fig6Config{Nodes: 128, Backend: datastore.FileSystem, SizeMB: 1, TrainIters: 200})
 	if dr.FetchMeanS < 2*fs.FetchMeanS {
 		t.Fatalf("dragon fetch %v should be >= 2x fs %v at 1MB/128 nodes",
 			dr.FetchMeanS, fs.FetchMeanS)
 	}
 	// "For larger message sizes, both DragonHPC and the file system show
 	// similar performance."
-	drBig := RunFig6(Fig6Config{Nodes: 128, Backend: datastore.Dragon, SizeMB: 128, TrainIters: 100})
-	fsBig := RunFig6(Fig6Config{Nodes: 128, Backend: datastore.FileSystem, SizeMB: 128, TrainIters: 100})
+	drBig := checked(t, RunFig6Checked, Fig6Config{Nodes: 128, Backend: datastore.Dragon, SizeMB: 128, TrainIters: 100})
+	fsBig := checked(t, RunFig6Checked, Fig6Config{Nodes: 128, Backend: datastore.FileSystem, SizeMB: 128, TrainIters: 100})
 	ratio := drBig.ExecPerIterS / fsBig.ExecPerIterS
 	if ratio > 2.5 {
 		t.Fatalf("large-size dragon/fs should converge: ratio %v", ratio)
@@ -211,9 +209,9 @@ func TestFig6At128NodesDragonLagsFSAtSmallSizes(t *testing.T) {
 func TestFig6RedisSlowestEverywhere(t *testing.T) {
 	for _, nodes := range []int{8, 128} {
 		for _, size := range []float64{1, 32} {
-			rd := RunFig6(Fig6Config{Nodes: nodes, Backend: datastore.Redis, SizeMB: size, TrainIters: 100})
-			dr := RunFig6(Fig6Config{Nodes: nodes, Backend: datastore.Dragon, SizeMB: size, TrainIters: 100})
-			fs := RunFig6(Fig6Config{Nodes: nodes, Backend: datastore.FileSystem, SizeMB: size, TrainIters: 100})
+			rd := checked(t, RunFig6Checked, Fig6Config{Nodes: nodes, Backend: datastore.Redis, SizeMB: size, TrainIters: 100})
+			dr := checked(t, RunFig6Checked, Fig6Config{Nodes: nodes, Backend: datastore.Dragon, SizeMB: size, TrainIters: 100})
+			fs := checked(t, RunFig6Checked, Fig6Config{Nodes: nodes, Backend: datastore.FileSystem, SizeMB: size, TrainIters: 100})
 			if rd.FetchMeanS < dr.FetchMeanS || rd.FetchMeanS < fs.FetchMeanS {
 				t.Fatalf("nodes=%d size=%v: redis fetch %v not slowest (dragon %v, fs %v)",
 					nodes, size, rd.FetchMeanS, dr.FetchMeanS, fs.FetchMeanS)
@@ -225,7 +223,7 @@ func TestFig6RedisSlowestEverywhere(t *testing.T) {
 func TestFig6ExecTimeIncludesCompute(t *testing.T) {
 	// With tiny messages the trainer should be compute-bound near its
 	// iteration time (the flat left side of Fig 6a).
-	pt := RunFig6(Fig6Config{Nodes: 8, Backend: datastore.FileSystem, SizeMB: 0.4, TrainIters: 200})
+	pt := checked(t, RunFig6Checked, Fig6Config{Nodes: 8, Backend: datastore.FileSystem, SizeMB: 0.4, TrainIters: 200})
 	if pt.ExecPerIterS < 0.0633 {
 		t.Fatalf("exec/iter %v below pure compute 0.0633", pt.ExecPerIterS)
 	}
@@ -236,19 +234,15 @@ func TestFig6ExecTimeIncludesCompute(t *testing.T) {
 
 func TestPrintFig5Fig6(t *testing.T) {
 	var buf bytes.Buffer
-	fig5Points, err := RunFig5Sweep(bg, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig5Points, fails, err := fig5Grid(bg, scenario.Params{Transfers: 10})
+	gridOK(t, fails, err)
 	writeTable(t, &buf, fig5Table(fig5Points))
 	if !strings.Contains(buf.String(), "non-local read") {
 		t.Fatalf("fig5 output malformed:\n%s", buf.String())
 	}
 	var buf6 bytes.Buffer
-	fig6Points, err := RunFig6Sweep(bg, 8, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig6Points, fails, err := fig6Grid(bg, scenario.Params{SweepIters: 100}, 8)
+	gridOK(t, fails, err)
 	writeTable(t, &buf6, fig6Table(8, fig6Points))
 	if !strings.Contains(buf6.String(), "exec/iter(s)") {
 		t.Fatalf("fig6 output malformed:\n%s", buf6.String())

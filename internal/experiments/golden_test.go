@@ -81,18 +81,12 @@ func TestGoldenAblationTables(t *testing.T) {
 	// The golden file was generated with per-table iteration counts
 	// (100/100/50), so assemble the Result from the harnesses directly
 	// and render it through the same text reporter.
-	mds, err := RunMDSAblation(bg, []float64{0.00001, 0.0004}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := RunCacheAblation(bg, []float64{8.75, 1000}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	incast, err := RunIncastAblation(bg, []float64{0, 0.010}, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mds, fails, err := mdsAblationGrid(bg, scenario.Params{SweepIters: 100}, []float64{0.00001, 0.0004})
+	gridOK(t, fails, err)
+	cache, fails, err := cacheAblationGrid(bg, scenario.Params{SweepIters: 100}, []float64{8.75, 1000})
+	gridOK(t, fails, err)
+	incast, fails, err := incastAblationGrid(bg, scenario.Params{SweepIters: 50}, []float64{0, 0.010})
+	gridOK(t, fails, err)
 	res := &scenario.Result{Scenario: "ablation", Tables: []scenario.Table{
 		mdsAblationTable(mds), cacheAblationTable(cache), incastAblationTable(incast),
 	}}

@@ -19,7 +19,6 @@ import (
 	"simaibench/internal/datastore"
 	"simaibench/internal/scenario"
 	"simaibench/internal/stats"
-	"simaibench/internal/sweep"
 )
 
 // Pattern1Config drives the Fig 3/4 sweep: the co-located one-to-one
@@ -89,21 +88,15 @@ type Pattern1Point struct {
 	Reads     int64
 }
 
-// RunPattern1 simulates the co-located one-to-one workflow: 6 simulation
-// ranks and 6 trainer ranks per node, fully asynchronous staging through
-// the chosen backend, and returns throughput/time-per-event statistics
-// averaged over all processes and events (the paper's methodology).
-// Ranks run as flat callback state machines (see flat.go), so a 512-node
-// point costs no goroutines and no steady-state allocations.
-func RunPattern1(cfg Pattern1Config) Pattern1Point {
-	pt, _ := RunPattern1Checked(cfg)
-	return pt
-}
-
-// RunPattern1Checked is RunPattern1 under the run guardrails: with
-// cfg.MaxEvents set, a runaway simulation aborts with the structured
-// des.BudgetExceeded error instead of looping forever. With no budget it
-// never fails.
+// RunPattern1Checked simulates the co-located one-to-one workflow: 6
+// simulation ranks and 6 trainer ranks per node, fully asynchronous
+// staging through the chosen backend, and returns throughput and
+// time-per-event statistics averaged over all processes and events (the
+// paper's methodology). Ranks run as flat callback state machines (see
+// flat.go), so a 512-node point costs no goroutines and no steady-state
+// allocations. With cfg.MaxEvents set, a runaway simulation aborts with
+// the structured des.BudgetExceeded error instead of looping forever;
+// with no budget it never fails.
 func RunPattern1Checked(cfg Pattern1Config) (Pattern1Point, error) {
 	cfg = cfg.withDefaults()
 	spec := cluster.Aurora(cfg.Nodes)
@@ -180,13 +173,16 @@ var Fig3Sizes = []float64{0.4, 2, 8, 32}
 // Fig3NodeCounts are the two scales shown in Fig 3.
 var Fig3NodeCounts = []int{8, 512}
 
-// RunFig3 sweeps all backends and sizes at the given node count,
-// fanning the independent points across cores (see sweep.Workers).
-func RunFig3(ctx context.Context, nodes, trainIters int) ([]Pattern1Point, error) {
-	return sweep.Grid(ctx, datastore.Backends(), Fig3Sizes,
-		func(b datastore.Backend, size float64) Pattern1Point {
-			return RunPattern1(Pattern1Config{
-				Nodes: nodes, Backend: b, SizeMB: size, TrainIters: trainIters,
+// pattern1Grid sweeps backends × Fig3Sizes at one node count, fanning
+// the independent points across cores (see sweep.Workers): the grid of
+// Fig 3 (every backend) and of Fig 4 (the two extremes). fig names the
+// figure in the failure records.
+func pattern1Grid(ctx context.Context, p scenario.Params, fig string, backends []datastore.Backend, nodes int) ([]Pattern1Point, []scenario.CellFailure, error) {
+	return guardedGrid(ctx, p, fmt.Sprintf("%s/%d-nodes", fig, nodes), backends, Fig3Sizes,
+		func(b datastore.Backend, size float64) (Pattern1Point, error) {
+			return RunPattern1Checked(Pattern1Config{
+				Nodes: nodes, Backend: b, SizeMB: size,
+				TrainIters: p.SweepIters, MaxEvents: p.MaxEvents,
 			})
 		})
 }
@@ -214,17 +210,6 @@ func fig3Table(nodes int, points []Pattern1Point) scenario.Table {
 
 // Fig4Backends are the two extremes compared in Fig 4.
 var Fig4Backends = []datastore.Backend{datastore.NodeLocal, datastore.FileSystem}
-
-// RunFig4 reuses the Pattern 1 harness for the compute-vs-transport
-// comparison of Fig 4, with the same parallel fan-out as RunFig3.
-func RunFig4(ctx context.Context, nodes, trainIters int) ([]Pattern1Point, error) {
-	return sweep.Grid(ctx, Fig4Backends, Fig3Sizes,
-		func(b datastore.Backend, size float64) Pattern1Point {
-			return RunPattern1(Pattern1Config{
-				Nodes: nodes, Backend: b, SizeMB: size, TrainIters: trainIters,
-			})
-		})
-}
 
 // fig4Table structures Fig-4-style rows: mean time per event for compute
 // (Sim iter, AI iter) versus transport (read, write).

@@ -9,7 +9,6 @@ import (
 	"simaibench/internal/datastore"
 	"simaibench/internal/scenario"
 	"simaibench/internal/stats"
-	"simaibench/internal/sweep"
 )
 
 // Pattern2Backends are the backends that support non-local access
@@ -40,15 +39,9 @@ type Fig5Point struct {
 	WriteGBps float64
 }
 
-// RunFig5 measures the 2-node local-write / non-local-read pattern.
-func RunFig5(cfg Fig5Config) Fig5Point {
-	pt, _ := RunFig5Checked(cfg)
-	return pt
-}
-
-// RunFig5Checked is RunFig5 under the run guardrails: with cfg.MaxEvents
-// set, a runaway simulation aborts with the structured des.BudgetExceeded
-// error. With no budget it never fails.
+// RunFig5Checked measures the 2-node local-write / non-local-read
+// pattern. With cfg.MaxEvents set, a runaway simulation aborts with the
+// structured des.BudgetExceeded error; with no budget it never fails.
 func RunFig5Checked(cfg Fig5Config) (Fig5Point, error) {
 	if cfg.Transfers == 0 {
 		cfg.Transfers = 50
@@ -81,11 +74,13 @@ func RunFig5Checked(cfg Fig5Config) (Fig5Point, error) {
 // Fig5Sizes spans the paper's log-scale x axis (10^0 .. ~10^2 MB).
 var Fig5Sizes = []float64{0.4, 1, 4, 10, 32, 128}
 
-// RunFig5Sweep runs the full Fig 5 grid, one worker per point.
-func RunFig5Sweep(ctx context.Context, transfers int) ([]Fig5Point, error) {
-	return sweep.Grid(ctx, Pattern2Backends, Fig5Sizes,
-		func(b datastore.Backend, size float64) Fig5Point {
-			return RunFig5(Fig5Config{Backend: b, SizeMB: size, Transfers: transfers})
+// fig5Grid runs the full Fig 5 grid, one worker per point.
+func fig5Grid(ctx context.Context, p scenario.Params) ([]Fig5Point, []scenario.CellFailure, error) {
+	return guardedGrid(ctx, p, "fig5", Pattern2Backends, Fig5Sizes,
+		func(b datastore.Backend, size float64) (Fig5Point, error) {
+			return RunFig5Checked(Fig5Config{
+				Backend: b, SizeMB: size, Transfers: p.Transfers, MaxEvents: p.MaxEvents,
+			})
 		})
 }
 
@@ -164,15 +159,9 @@ type Fig6Point struct {
 	FetchMeanS   float64 // mean blocking ensemble-read time per period
 }
 
-// RunFig6 simulates the many-to-one pattern at scale.
-func RunFig6(cfg Fig6Config) Fig6Point {
-	pt, _ := RunFig6Checked(cfg)
-	return pt
-}
-
-// RunFig6Checked is RunFig6 under the run guardrails: with cfg.MaxEvents
-// set, a runaway simulation aborts with the structured des.BudgetExceeded
-// error. With no budget it never fails.
+// RunFig6Checked simulates the many-to-one pattern at scale. With
+// cfg.MaxEvents set, a runaway simulation aborts with the structured
+// des.BudgetExceeded error; with no budget it never fails.
 func RunFig6Checked(cfg Fig6Config) (Fig6Point, error) {
 	cfg = cfg.withDefaults()
 	spec := cluster.Aurora(cfg.Nodes + 1) // +1 trainer node
@@ -237,13 +226,14 @@ var Fig6Sizes = []float64{0.4, 1, 4, 10, 32, 128}
 // Fig6NodeCounts are the two ensemble scales of Fig 6.
 var Fig6NodeCounts = []int{8, 128}
 
-// RunFig6Sweep runs the full grid at one node count, one worker per
+// fig6Grid runs the full Fig 6 grid at one node count, one worker per
 // point.
-func RunFig6Sweep(ctx context.Context, nodes, trainIters int) ([]Fig6Point, error) {
-	return sweep.Grid(ctx, Pattern2Backends, Fig6Sizes,
-		func(b datastore.Backend, size float64) Fig6Point {
-			return RunFig6(Fig6Config{
-				Nodes: nodes, Backend: b, SizeMB: size, TrainIters: trainIters,
+func fig6Grid(ctx context.Context, p scenario.Params, nodes int) ([]Fig6Point, []scenario.CellFailure, error) {
+	return guardedGrid(ctx, p, fmt.Sprintf("fig6/%d-nodes", nodes), Pattern2Backends, Fig6Sizes,
+		func(b datastore.Backend, size float64) (Fig6Point, error) {
+			return RunFig6Checked(Fig6Config{
+				Nodes: nodes, Backend: b, SizeMB: size,
+				TrainIters: p.SweepIters, MaxEvents: p.MaxEvents,
 			})
 		})
 }

@@ -12,7 +12,6 @@ import (
 	"simaibench/internal/faults"
 	"simaibench/internal/scenario"
 	"simaibench/internal/stats"
-	"simaibench/internal/sweep"
 )
 
 // Resilience family: the scale-out campaign under disturbance. Every
@@ -573,19 +572,13 @@ func (r *resAIReader) onRepair() {
 	r.resume()
 }
 
-// RunResilience simulates one disturbance configuration and returns its
-// measurement. Deterministic: equal configs give bit-equal points, and
-// the crash timeline depends only on (Seed, MTBFS, RepairS, node
-// count), so sweeping the checkpoint cadence compares recovery
-// policies against identical disturbances.
-func RunResilience(cfg ResilienceConfig) ResiliencePoint {
-	pt, _ := RunResilienceChecked(cfg)
-	return pt
-}
-
-// RunResilienceChecked is RunResilience under the run guardrails: with
-// cfg.MaxEvents set, a runaway simulation aborts with the structured
-// des.BudgetExceeded error. With no budget it never fails.
+// RunResilienceChecked simulates one disturbance configuration and
+// returns its measurement. Deterministic: equal configs give bit-equal
+// points, and the crash timeline depends only on (Seed, MTBFS, RepairS,
+// node count), so sweeping the checkpoint cadence compares recovery
+// policies against identical disturbances. With cfg.MaxEvents set, a
+// runaway simulation aborts with the structured des.BudgetExceeded
+// error; with no budget it never fails.
 func RunResilienceChecked(cfg ResilienceConfig) (ResiliencePoint, error) {
 	cfg = cfg.withDefaults()
 	spec := cluster.Aurora(cfg.Tenants * cfg.NodesPerTenant)
@@ -753,19 +746,6 @@ func resilienceCkpts(ckpt float64) []float64 {
 		return []float64{0, ckpt}
 	}
 	return ResilienceCkptIntervals
-}
-
-// RunResilienceSweep runs the MTBF × checkpoint-interval grid for one
-// backend, fanning cells across the worker pool; each cell is an
-// isolated deterministic simulation.
-func RunResilienceSweep(ctx context.Context, b datastore.Backend, mtbfs, ckpts []float64,
-	tenants, trainIters int) ([]ResiliencePoint, error) {
-	return sweep.Grid(ctx, mtbfs, ckpts, func(mtbf, ckpt float64) ResiliencePoint {
-		return RunResilience(ResilienceConfig{
-			Tenants: tenants, Backend: b, TrainIters: trainIters,
-			MTBFS: mtbf, CkptIntervalS: ckpt,
-		})
-	})
 }
 
 // mtbfLabel renders an MTBF cell: finite seconds, or "never" for the

@@ -30,9 +30,9 @@ import (
 func TestResilienceHealthyMatchesScaleOut(t *testing.T) {
 	for _, periods := range []struct{ write, read int }{{10, 10}, {100, 10}} {
 		for _, b := range datastore.Backends() {
-			so := RunScaleOut(ScaleOutConfig{Tenants: 4, Backend: b, TrainIters: 150,
+			so := checked(t, RunScaleOutChecked, ScaleOutConfig{Tenants: 4, Backend: b, TrainIters: 150,
 				WritePeriod: periods.write, ReadPeriod: periods.read})
-			re := RunResilience(ResilienceConfig{Tenants: 4, Backend: b, TrainIters: 150,
+			re := checked(t, RunResilienceChecked, ResilienceConfig{Tenants: 4, Backend: b, TrainIters: 150,
 				WritePeriod: periods.write, ReadPeriod: periods.read})
 			if so.Writes == 0 || so.ReadGBps == 0 {
 				t.Fatalf("%v %+v: the scale-out run staged nothing: %+v", b, periods, so)
@@ -72,7 +72,7 @@ func TestResilienceWasteMonotoneInCkptInterval(t *testing.T) {
 		prevInterval := "start"
 		wastes := []float64{}
 		for _, ckpt := range ResilienceCkptIntervals { // 0 (off), then shrinking
-			pt := RunResilience(ResilienceConfig{Backend: b, MTBFS: 30, CkptIntervalS: ckpt})
+			pt := checked(t, RunResilienceChecked, ResilienceConfig{Backend: b, MTBFS: 30, CkptIntervalS: ckpt})
 			if pt.Crashes == 0 {
 				t.Fatalf("%v ckpt=%v: no crashes at MTBF 30", b, ckpt)
 			}
@@ -97,7 +97,7 @@ func TestResilienceWasteMonotoneInCkptInterval(t *testing.T) {
 func TestResilienceCrashTimelineSharedAcrossPolicies(t *testing.T) {
 	var crashes []int
 	for _, ckpt := range []float64{0, 8, 2} {
-		pt := RunResilience(ResilienceConfig{Backend: datastore.NodeLocal, MTBFS: 45, CkptIntervalS: ckpt})
+		pt := checked(t, RunResilienceChecked, ResilienceConfig{Backend: datastore.NodeLocal, MTBFS: 45, CkptIntervalS: ckpt})
 		crashes = append(crashes, pt.Crashes)
 	}
 	if crashes[0] == 0 || crashes[0] != crashes[1] || crashes[1] != crashes[2] {
@@ -109,8 +109,8 @@ func TestResilienceCrashTimelineSharedAcrossPolicies(t *testing.T) {
 // something — fewer completed writes and positive waste relative to the
 // healthy run.
 func TestResilienceFaultsCostThroughput(t *testing.T) {
-	healthy := RunResilience(ResilienceConfig{Backend: datastore.Redis})
-	faulty := RunResilience(ResilienceConfig{Backend: datastore.Redis, MTBFS: 20})
+	healthy := checked(t, RunResilienceChecked, ResilienceConfig{Backend: datastore.Redis})
+	faulty := checked(t, RunResilienceChecked, ResilienceConfig{Backend: datastore.Redis, MTBFS: 20})
 	if faulty.Crashes == 0 {
 		t.Fatal("no crashes at MTBF 20")
 	}
@@ -129,7 +129,7 @@ func TestResilienceFaultsCostThroughput(t *testing.T) {
 // checkpoint writes complete and carry nonzero cost through the
 // backend.
 func TestResilienceCheckpointTrafficFlows(t *testing.T) {
-	pt := RunResilience(ResilienceConfig{Backend: datastore.Dragon, MTBFS: 60, CkptIntervalS: 4})
+	pt := checked(t, RunResilienceChecked, ResilienceConfig{Backend: datastore.Dragon, MTBFS: 60, CkptIntervalS: 4})
 	if pt.CkptWrites == 0 || pt.CkptTotalS <= 0 {
 		t.Fatalf("no checkpoint traffic: %+v", pt)
 	}
@@ -146,10 +146,10 @@ func TestResilienceStragglerReDispatch(t *testing.T) {
 		Backend:       datastore.NodeLocal,
 		StragglerMTBS: 15, StragglerFactor: 8, StragglerDurS: 10,
 	}
-	ride := RunResilience(base)
+	ride := checked(t, RunResilienceChecked, base)
 	red := base
 	red.ReDispatchStragglers = true
-	moved := RunResilience(red)
+	moved := checked(t, RunResilienceChecked, red)
 	if ride.Writes >= moved.Writes {
 		t.Fatalf("re-dispatch did not help: %d writes vs %d riding it out", moved.Writes, ride.Writes)
 	}
@@ -159,16 +159,16 @@ func TestResilienceStragglerReDispatch(t *testing.T) {
 // completed staging traffic — and checkpoint traffic, which must not
 // start against a backend that is down — without crashing anything.
 func TestResilienceOutageDefersStaging(t *testing.T) {
-	healthy := RunResilience(ResilienceConfig{Backend: datastore.Redis})
-	out := RunResilience(ResilienceConfig{Backend: datastore.Redis, OutageMTBS: 10, OutageDurS: 2})
+	healthy := checked(t, RunResilienceChecked, ResilienceConfig{Backend: datastore.Redis})
+	out := checked(t, RunResilienceChecked, ResilienceConfig{Backend: datastore.Redis, OutageMTBS: 10, OutageDurS: 2})
 	if out.Crashes != 0 {
 		t.Fatalf("outage run crashed nodes: %+v", out)
 	}
 	if out.Writes >= healthy.Writes {
 		t.Fatalf("outages did not defer staging: %d writes vs healthy %d", out.Writes, healthy.Writes)
 	}
-	ckHealthy := RunResilience(ResilienceConfig{Backend: datastore.Redis, CkptIntervalS: 2})
-	ckOut := RunResilience(ResilienceConfig{Backend: datastore.Redis, CkptIntervalS: 2,
+	ckHealthy := checked(t, RunResilienceChecked, ResilienceConfig{Backend: datastore.Redis, CkptIntervalS: 2})
+	ckOut := checked(t, RunResilienceChecked, ResilienceConfig{Backend: datastore.Redis, CkptIntervalS: 2,
 		OutageMTBS: 10, OutageDurS: 2})
 	if ckOut.CkptWrites == 0 || ckOut.CkptWrites >= ckHealthy.CkptWrites {
 		t.Fatalf("outages did not defer checkpoints: %d commits vs healthy %d",

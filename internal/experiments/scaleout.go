@@ -9,7 +9,6 @@ import (
 	"simaibench/internal/datastore"
 	"simaibench/internal/scenario"
 	"simaibench/internal/stats"
-	"simaibench/internal/sweep"
 )
 
 // Scale-out family: multi-tenant cluster contention. Every scenario the
@@ -59,7 +58,7 @@ type ScaleOutConfig struct {
 }
 
 // withDefaults fills unset (or nonsensical non-positive) fields with the
-// scale-out defaults, so RunScaleOut — a public API through
+// scale-out defaults, so RunScaleOutChecked — a public API through
 // pkg/simaibench — never panics on bad input.
 func (c ScaleOutConfig) withDefaults() ScaleOutConfig {
 	if c.Tenants <= 0 {
@@ -114,19 +113,14 @@ type ScaleOutPoint struct {
 	Writes int64
 }
 
-// RunScaleOut simulates cfg.Tenants concurrent one-to-one workflows
-// co-scheduled by cluster.CoSchedule onto dedicated node blocks, all
-// staging through one shared deployment of cfg.Backend. The ranks are
-// the Pattern 1 machines of flat.go in shared mode (shared: true), so
-// single- and multi-tenant runs share one state-machine implementation.
-func RunScaleOut(cfg ScaleOutConfig) ScaleOutPoint {
-	pt, _ := RunScaleOutChecked(cfg)
-	return pt
-}
-
-// RunScaleOutChecked is RunScaleOut under the run guardrails: with
-// cfg.MaxEvents set, a runaway simulation aborts with the structured
-// des.BudgetExceeded error. With no budget it never fails.
+// RunScaleOutChecked simulates cfg.Tenants concurrent one-to-one
+// workflows co-scheduled by cluster.CoSchedule onto dedicated node
+// blocks, all staging through one shared deployment of cfg.Backend. The
+// ranks are the Pattern 1 machines of flat.go in shared mode (shared:
+// true), so single- and multi-tenant runs share one state-machine
+// implementation. With cfg.MaxEvents set, a runaway simulation aborts
+// with the structured des.BudgetExceeded error; with no budget it never
+// fails.
 func RunScaleOutChecked(cfg ScaleOutConfig) (ScaleOutPoint, error) {
 	cfg = cfg.withDefaults()
 	spec := cluster.Aurora(cfg.Tenants * cfg.NodesPerTenant)
@@ -155,7 +149,7 @@ func RunScaleOutChecked(cfg ScaleOutConfig) (ScaleOutPoint, error) {
 	// periods, plus slack for boundary writes) so recording contention
 	// percentiles never regrows it mid-run.
 	samples := make([]float64, 0, simRanks*(int(horizon/writePeriod)+2))
-	// Slab-allocate the rank machines, as RunPattern1 does.
+	// Slab-allocate the rank machines, as RunPattern1Checked does.
 	writers := make([]simWriter, simRanks)
 	readers := make([]aiReader, nodes*place.AITilesPerNode)
 	wi, ri := 0, 0
@@ -231,14 +225,15 @@ func scaleOutTenants(maxTenants int) []int {
 	return out
 }
 
-// RunScaleOutSweep runs the tenants × size grid for one backend, fanning
-// cells across the worker pool; each cell is an isolated deterministic
-// simulation.
-func RunScaleOutSweep(ctx context.Context, b datastore.Backend, maxTenants, trainIters int) ([]ScaleOutPoint, error) {
-	return sweep.Grid(ctx, scaleOutTenants(maxTenants), ScaleOutSizes,
-		func(tenants int, size float64) ScaleOutPoint {
-			return RunScaleOut(ScaleOutConfig{
-				Tenants: tenants, Backend: b, SizeMB: size, TrainIters: trainIters,
+// scaleOutGrid runs the tenants × size grid for one backend (tenant
+// counts doubling up to p.Tenants), fanning cells across the worker
+// pool; each cell is an isolated deterministic simulation.
+func scaleOutGrid(ctx context.Context, p scenario.Params, b datastore.Backend) ([]ScaleOutPoint, []scenario.CellFailure, error) {
+	return guardedGrid(ctx, p, "scale-out/"+b.String(), scaleOutTenants(p.Tenants), ScaleOutSizes,
+		func(tenants int, size float64) (ScaleOutPoint, error) {
+			return RunScaleOutChecked(ScaleOutConfig{
+				Tenants: tenants, Backend: b, SizeMB: size,
+				TrainIters: p.SweepIters, MaxEvents: p.MaxEvents,
 			})
 		})
 }
@@ -285,14 +280,7 @@ func scaleOutTable(b datastore.Backend, points []ScaleOutPoint) scenario.Table {
 func runScaleOutScenario(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
 	res := &scenario.Result{Scenario: "scale-out", Params: p}
 	for _, b := range datastore.Backends() {
-		points, fails, err := guardedGrid(ctx, p, "scale-out/"+b.String(),
-			scaleOutTenants(p.Tenants), ScaleOutSizes,
-			func(tenants int, size float64) (ScaleOutPoint, error) {
-				return RunScaleOutChecked(ScaleOutConfig{
-					Tenants: tenants, Backend: b, SizeMB: size,
-					TrainIters: p.SweepIters, MaxEvents: p.MaxEvents,
-				})
-			})
+		points, fails, err := scaleOutGrid(ctx, p, b)
 		if err != nil {
 			return nil, err
 		}

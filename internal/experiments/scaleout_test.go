@@ -15,7 +15,7 @@ import (
 
 func scaleOutPoint(t *testing.T, b datastore.Backend, tenants int) ScaleOutPoint {
 	t.Helper()
-	return RunScaleOut(ScaleOutConfig{
+	return checked(t, RunScaleOutChecked, ScaleOutConfig{
 		Tenants: tenants, Backend: b, SizeMB: 8, TrainIters: 120,
 	})
 }
@@ -81,16 +81,15 @@ func TestScaleOutAggregateThroughputScalesForNodeLocal(t *testing.T) {
 func TestScaleOutSweepDeterministicAcrossWorkers(t *testing.T) {
 	old := sweep.Workers
 	defer func() { sweep.Workers = old }()
+	grid := func() []ScaleOutPoint {
+		points, fails, err := scaleOutGrid(bg, scenario.Params{SweepIters: 80, Tenants: 4}, datastore.Redis)
+		gridOK(t, fails, err)
+		return points
+	}
 	sweep.Workers = 1
-	serial, err := RunScaleOutSweep(bg, datastore.Redis, 4, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := grid()
 	sweep.Workers = 4
-	parallel, err := RunScaleOutSweep(bg, datastore.Redis, 4, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parallel := grid()
 	if len(serial) != len(parallel) || len(serial) == 0 {
 		t.Fatalf("sweep lengths differ: %d vs %d", len(serial), len(parallel))
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"simaibench/internal/clock"
@@ -229,23 +228,15 @@ func runFig2(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
 }
 
 // The simulated-scale scenario runners below all follow one shape: each
-// grid runs through guardedGrid, so a panicking, hanging or
+// grid is a function over guardedGrid that lives next to its harness
+// (pattern1Grid, fig5Grid, …), so a panicking, hanging or
 // budget-blowing cell becomes a structured entry in Result.Failures
-// while every other cell still renders. The exported Run* sweep helpers
-// (RunFig3, RunFig5Sweep, …) keep their plain unguarded signatures for
-// library callers.
+// while every other cell still renders.
 
 func runFig3Scenario(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
 	res := &scenario.Result{Scenario: "fig3", Params: p}
 	for _, nodes := range Fig3NodeCounts {
-		points, fails, err := guardedGrid(ctx, p, fmt.Sprintf("fig3/%d-nodes", nodes),
-			datastore.Backends(), Fig3Sizes,
-			func(b datastore.Backend, size float64) (Pattern1Point, error) {
-				return RunPattern1Checked(Pattern1Config{
-					Nodes: nodes, Backend: b, SizeMB: size,
-					TrainIters: p.SweepIters, MaxEvents: p.MaxEvents,
-				})
-			})
+		points, fails, err := pattern1Grid(ctx, p, "fig3", datastore.Backends(), nodes)
 		if err != nil {
 			return nil, err
 		}
@@ -258,14 +249,7 @@ func runFig3Scenario(ctx context.Context, p scenario.Params) (*scenario.Result, 
 func runFig4Scenario(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
 	res := &scenario.Result{Scenario: "fig4", Params: p}
 	for _, nodes := range Fig3NodeCounts {
-		points, fails, err := guardedGrid(ctx, p, fmt.Sprintf("fig4/%d-nodes", nodes),
-			Fig4Backends, Fig3Sizes,
-			func(b datastore.Backend, size float64) (Pattern1Point, error) {
-				return RunPattern1Checked(Pattern1Config{
-					Nodes: nodes, Backend: b, SizeMB: size,
-					TrainIters: p.SweepIters, MaxEvents: p.MaxEvents,
-				})
-			})
+		points, fails, err := pattern1Grid(ctx, p, "fig4", Fig4Backends, nodes)
 		if err != nil {
 			return nil, err
 		}
@@ -276,12 +260,7 @@ func runFig4Scenario(ctx context.Context, p scenario.Params) (*scenario.Result, 
 }
 
 func runFig5Scenario(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
-	points, fails, err := guardedGrid(ctx, p, "fig5", Pattern2Backends, Fig5Sizes,
-		func(b datastore.Backend, size float64) (Fig5Point, error) {
-			return RunFig5Checked(Fig5Config{
-				Backend: b, SizeMB: size, Transfers: p.Transfers, MaxEvents: p.MaxEvents,
-			})
-		})
+	points, fails, err := fig5Grid(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -292,14 +271,7 @@ func runFig5Scenario(ctx context.Context, p scenario.Params) (*scenario.Result, 
 func runFig6Scenario(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
 	res := &scenario.Result{Scenario: "fig6", Params: p}
 	for _, nodes := range Fig6NodeCounts {
-		points, fails, err := guardedGrid(ctx, p, fmt.Sprintf("fig6/%d-nodes", nodes),
-			Pattern2Backends, Fig6Sizes,
-			func(b datastore.Backend, size float64) (Fig6Point, error) {
-				return RunFig6Checked(Fig6Config{
-					Nodes: nodes, Backend: b, SizeMB: size,
-					TrainIters: p.SweepIters, MaxEvents: p.MaxEvents,
-				})
-			})
+		points, fails, err := fig6Grid(ctx, p, nodes)
 		if err != nil {
 			return nil, err
 		}
@@ -325,15 +297,15 @@ func runStreamingScenario(ctx context.Context, p scenario.Params) (*scenario.Res
 }
 
 func runAblationScenario(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
-	mds, mdsFails, err := runMDSAblationGuarded(ctx, p)
+	mds, mdsFails, err := mdsAblationGrid(ctx, p, MDSAblationServices)
 	if err != nil {
 		return nil, err
 	}
-	cache, cacheFails, err := runCacheAblationGuarded(ctx, p)
+	cache, cacheFails, err := cacheAblationGrid(ctx, p, CacheAblationShares)
 	if err != nil {
 		return nil, err
 	}
-	incast, incastFails, err := runIncastAblationGuarded(ctx, p)
+	incast, incastFails, err := incastAblationGrid(ctx, p, IncastAblationLatencies)
 	if err != nil {
 		return nil, err
 	}

@@ -4,31 +4,25 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
-	"reflect"
-	"sort"
-	"strings"
+	"strconv"
 )
 
 // This file is the Params canonicalization contract the serving layer's
 // result cache rests on: two semantically equal parameter sets must
 // serialize to the same bytes and therefore hash to the same cache key.
-// encoding/json alone cannot promise that — omitempty drops fields a
-// client spelled out explicitly at their default values, and any future
-// map-typed field would serialize in random key order, silently
-// splitting the cache. CanonicalParams closes both holes: scenario
-// defaults are filled in first (so "left blank" and "spelled out" agree)
-// and every field is emitted explicitly with recursively sorted keys.
+// Marshalling after the merge is canonical: merge makes "left blank" and
+// "spelled out at the default" the same struct value, and encoding/json
+// renders a flat struct in declaration order (it sorts map keys too,
+// should a field ever hold a map), so equal values give equal bytes.
 
 // CanonicalParams returns the deterministic serialization of p for cache
-// keying: p is merged with the scenario's defaults (zero fields filled,
-// exactly as Run applies them), then rendered as JSON with every field
-// explicit — zero values included — and all object keys in sorted order,
-// recursively. Two Params that produce the same effective run produce
-// identical bytes. The output round-trips through json.Unmarshal back to
-// the merged Params.
+// keying: p merged with the scenario's defaults (zero fields filled,
+// exactly as Run applies them), as JSON. Two Params that produce the
+// same effective run produce identical bytes, and the output round-trips
+// through json.Unmarshal back to the merged Params. Values JSON cannot
+// carry (NaN, ±Inf) propagate encoding/json's error.
 func CanonicalParams(p, defaults Params) ([]byte, error) {
-	return canonicalJSON(reflect.ValueOf(p.merge(defaults)))
+	return json.Marshal(p.merge(defaults))
 }
 
 // CacheKey returns the content address of one (scenario, params, seed)
@@ -42,128 +36,14 @@ func CacheKey(scenarioName string, p, defaults Params, seed int64) (string, erro
 	if err != nil {
 		return "", err
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%d\x00", scenarioName, seed)
-	h.Write(canon)
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// canonicalJSON renders v as deterministic JSON: struct fields are
-// emitted under their json tag names in sorted order with no omitempty
-// elision, map keys are sorted, and scalars go through encoding/json
-// (shortest-round-trip floats, standard string escaping). Unsupported
-// values (NaN, Inf, channels, …) propagate encoding/json's error.
-func canonicalJSON(v reflect.Value) ([]byte, error) {
-	switch v.Kind() {
-	case reflect.Pointer, reflect.Interface:
-		if v.IsNil() {
-			return []byte("null"), nil
-		}
-		return canonicalJSON(v.Elem())
-	case reflect.Struct:
-		names, fields := canonicalFields(v)
-		var b []byte
-		b = append(b, '{')
-		for i, name := range names {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			key, err := json.Marshal(name)
-			if err != nil {
-				return nil, err
-			}
-			val, err := canonicalJSON(fields[i])
-			if err != nil {
-				return nil, err
-			}
-			b = append(b, key...)
-			b = append(b, ':')
-			b = append(b, val...)
-		}
-		return append(b, '}'), nil
-	case reflect.Map:
-		if v.Type().Key().Kind() != reflect.String {
-			return nil, fmt.Errorf("scenario: canonical JSON needs string map keys, got %s", v.Type())
-		}
-		keys := make([]string, 0, v.Len())
-		for _, k := range v.MapKeys() {
-			keys = append(keys, k.String())
-		}
-		sort.Strings(keys)
-		var b []byte
-		b = append(b, '{')
-		for i, k := range keys {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			key, err := json.Marshal(k)
-			if err != nil {
-				return nil, err
-			}
-			val, err := canonicalJSON(v.MapIndex(reflect.ValueOf(k)))
-			if err != nil {
-				return nil, err
-			}
-			b = append(b, key...)
-			b = append(b, ':')
-			b = append(b, val...)
-		}
-		return append(b, '}'), nil
-	case reflect.Slice, reflect.Array:
-		if v.Kind() == reflect.Slice && v.IsNil() {
-			return []byte("null"), nil
-		}
-		var b []byte
-		b = append(b, '[')
-		for i := 0; i < v.Len(); i++ {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			val, err := canonicalJSON(v.Index(i))
-			if err != nil {
-				return nil, err
-			}
-			b = append(b, val...)
-		}
-		return append(b, ']'), nil
-	default:
-		return json.Marshal(v.Interface())
-	}
-}
-
-// canonicalFields returns v's exported json-visible fields as parallel
-// (sorted tag name, value) slices. Fields tagged "-" are skipped;
-// omitempty is ignored — canonical form is always explicit.
-func canonicalFields(v reflect.Value) ([]string, []reflect.Value) {
-	t := v.Type()
-	type field struct {
-		name string
-		val  reflect.Value
-	}
-	fields := make([]field, 0, t.NumField())
-	for i := 0; i < t.NumField(); i++ {
-		sf := t.Field(i)
-		if !sf.IsExported() {
-			continue
-		}
-		name := sf.Name
-		if tag, ok := sf.Tag.Lookup("json"); ok {
-			base, _, _ := strings.Cut(tag, ",")
-			if base == "-" {
-				continue
-			}
-			if base != "" {
-				name = base
-			}
-		}
-		fields = append(fields, field{name, v.Field(i)})
-	}
-	sort.Slice(fields, func(i, j int) bool { return fields[i].name < fields[j].name })
-	names := make([]string, len(fields))
-	vals := make([]reflect.Value, len(fields))
-	for i, f := range fields {
-		names[i] = f.name
-		vals[i] = f.val
-	}
-	return names, vals
+	// name NUL seed NUL params, in one buffer: neither a scenario id nor
+	// a decimal holds a NUL, so the three parts cannot run together.
+	buf := make([]byte, 0, len(scenarioName)+22+len(canon))
+	buf = append(buf, scenarioName...)
+	buf = append(buf, 0)
+	buf = strconv.AppendInt(buf, seed, 10)
+	buf = append(buf, 0)
+	buf = append(buf, canon...)
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:]), nil
 }

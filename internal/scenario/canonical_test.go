@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,44 +43,71 @@ func TestCanonicalParamsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCanonicalParamsExplicitAndSorted(t *testing.T) {
-	canon, err := CanonicalParams(Params{}, Params{SweepIters: 600})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every field is explicit: zero-valued fields appear rather than
-	// being omitempty-elided, so "left blank" and "spelled out at zero"
-	// canonicalize identically.
-	var m map[string]any
-	if err := json.Unmarshal(canon, &m); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"sweep_iters", "train_iters", "timeout_s", "max_events", "clock", "workers"} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("canonical form missing explicit field %q:\n%s", key, canon)
+// Every Params field must be wired through all three places the cache
+// key depends on: a json name (so the canonical bytes carry it), the
+// hand-written merge (so a default fills it and a set value survives)
+// and therefore CacheKey. A field added to the struct but forgotten in
+// merge fails here by name.
+func TestParamsFieldsMergedAndKeyed(t *testing.T) {
+	// set returns Params with only field i set, to its k-th non-zero
+	// value (k = 1, 2).
+	set := func(i, k int) Params {
+		var p Params
+		f := reflect.ValueOf(&p).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(k))
+		case reflect.Float64:
+			f.SetFloat(float64(k) + 0.5)
+		case reflect.String:
+			f.SetString(strings.Repeat("a", k))
+		default:
+			t.Fatalf("Params.%s has kind %s: teach this test (and merge) about it",
+				reflect.TypeOf(p).Field(i).Name, f.Kind())
 		}
+		return p
 	}
-	// Keys appear in sorted order in the serialized bytes.
-	var keys []string
-	dec := json.NewDecoder(bytes.NewReader(canon))
-	dec.Token() // {
-	for dec.More() {
-		tok, err := dec.Token()
+	key := func(p, d Params) string {
+		k, err := CacheKey("s", p, d, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k, ok := tok.(string); ok {
-			keys = append(keys, k)
-			var discard any
-			if err := dec.Decode(&discard); err != nil {
-				t.Fatal(err)
-			}
-		}
+		return k
 	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i-1] >= keys[i] {
-			t.Fatalf("canonical keys not sorted: %q before %q\n%s", keys[i-1], keys[i], canon)
-		}
+	typ := reflect.TypeOf(Params{})
+	for i := 0; i < typ.NumField(); i++ {
+		field := typ.Field(i)
+		t.Run(field.Name, func(t *testing.T) {
+			name, _, _ := strings.Cut(field.Tag.Get("json"), ",")
+			if name == "" || name == "-" {
+				t.Fatalf("json tag %q: the field would not reach the canonical bytes", field.Tag.Get("json"))
+			}
+			a, b := set(i, 1), set(i, 2)
+			if got := (Params{}).merge(a); got != a {
+				t.Errorf("merge did not fill the zero field from defaults: %+v, want %+v", got, a)
+			}
+			if got := b.merge(a); got != b {
+				t.Errorf("merge overwrote a set field: %+v, want %+v", got, b)
+			}
+			zero := key(Params{}, Params{})
+			if key(a, Params{}) == zero || key(Params{}, a) == zero {
+				t.Error("setting the field (directly or as a default) left the cache key unchanged")
+			}
+			if key(a, Params{}) == key(b, Params{}) {
+				t.Error("two values of the field share one cache key")
+			}
+			if key(a, Params{}) != key(Params{}, a) {
+				t.Error("spelled out and defaulted give different cache keys")
+			}
+		})
+	}
+}
+
+// JSON cannot carry NaN: the key of such params is an error, never a
+// hash of something else.
+func TestCacheKeyRejectsNaN(t *testing.T) {
+	if k, err := CacheKey("s", Params{Rate: math.NaN()}, Params{}, 0); err == nil {
+		t.Fatalf("NaN rate hashed to %s", k)
 	}
 }
 
@@ -145,4 +174,50 @@ func TestCacheKeyInvariantUnderJSONKeyOrder(t *testing.T) {
 	if keys[0] != keys[1] {
 		t.Errorf("JSON key order split the cache: %s vs %s", keys[0], keys[1])
 	}
+}
+
+// FuzzCanonicalParams: whatever JSON a client sends, the key depends
+// only on the effective params — re-encoding the decoded params, or
+// applying the defaults a second time, leaves it unchanged, and the
+// canonical bytes decode to the merged params. The seed corpus runs
+// under plain go test.
+func FuzzCanonicalParams(f *testing.F) {
+	f.Add(`{}`, `{}`)
+	f.Add(`{"rate": 1.2, "policy": "srpt"}`, `{"sweep_iters": 600, "tenants": 16, "clock": "virtual"}`)
+	f.Add(`{"sweep_iters": 600, "time_scale": -0.0}`, `{"sweep_iters": 600, "time_scale": 0.01}`)
+	f.Add(`{"policy": "\u0000\ud800", "max_events": 9223372036854775807}`, `{"workers": 4}`)
+	f.Add(`{"mtbf_s": 1e-320, "ckpt_interval_s": 1.7976931348623157e308}`, `{"coll_algo": "hier"}`)
+	f.Fuzz(func(t *testing.T, body, defaultsBody string) {
+		var p, d Params
+		if json.Unmarshal([]byte(body), &p) != nil || json.Unmarshal([]byte(defaultsBody), &d) != nil {
+			t.Skip()
+		}
+		// Decoded JSON holds no NaN or Inf, so keying cannot fail.
+		key, err := CacheKey("fuzz", p, d, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again Params
+		if err := json.Unmarshal(raw, &again); err != nil {
+			t.Fatalf("re-encoded params do not parse: %v\n%s", err, raw)
+		}
+		if k, _ := CacheKey("fuzz", again, d, 1); k != key {
+			t.Errorf("key changed across a marshal/unmarshal round trip of %s", raw)
+		}
+		if k, _ := CacheKey("fuzz", p.merge(d), d, 1); k != key {
+			t.Errorf("key changed when the defaults were merged twice into %s", raw)
+		}
+		canon, err := CanonicalParams(p, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Params
+		if err := json.Unmarshal(canon, &back); err != nil || back != p.merge(d) {
+			t.Errorf("canonical bytes %s decode to %+v (%v), want %+v", canon, back, err, p.merge(d))
+		}
+	})
 }

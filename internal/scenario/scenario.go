@@ -10,9 +10,10 @@
 //	scenario.Register(scenario.New("myscenario", "what it shows",
 //		scenario.Params{SweepIters: 600},
 //		func(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
-//			pts, err := sweep.Grid(ctx, backends, sizes, runOnePoint)
+//			rep := sweep.RunGrid(ctx, backends, sizes, p.Guardrails(), runOnePoint)
 //			...
-//			return &scenario.Result{Scenario: "myscenario", Tables: ...}, nil
+//			return &scenario.Result{Scenario: "myscenario", Tables: ...,
+//				Failures: scenario.FailuresFrom("myscenario", rep.Failures)}, nil
 //		}))
 //
 // The cmd/experiments CLI and the pkg/simaibench library API both

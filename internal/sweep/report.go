@@ -141,8 +141,8 @@ type Report[T any] struct {
 	Status []Status
 	// Failures lists every failed cell in index order.
 	Failures []*CellError
-	// CtxErr is the sweep context's error when the sweep was cancelled,
-	// nil otherwise.
+	// CtxErr is the sweep context's error when cancellation left some
+	// cell failed or skipped, nil otherwise.
 	CtxErr error
 }
 
@@ -179,9 +179,8 @@ func (r *Report[T]) Completed() []T {
 
 // Run evaluates f(ctx, 0..n-1) on the bounded worker pool with the full
 // guardrail stack: panic isolation always, plus opts' per-attempt
-// deadline and retry policy. Unlike Map it never discards completion
-// state — every cell ends StatusOK, StatusFailed or StatusSkipped, and
-// the sweep always returns every completed cell.
+// deadline and retry policy. Every cell ends StatusOK, StatusFailed or
+// StatusSkipped, and the sweep always returns every completed cell.
 func Run[T any](ctx context.Context, n int, opts Options, f func(ctx context.Context, i int) (T, error)) *Report[T] {
 	r := &Report[T]{Values: make([]T, n), Status: make([]Status, n)}
 	if n == 0 {
@@ -200,17 +199,23 @@ func Run[T any](ctx context.Context, n int, opts Options, f func(ctx context.Con
 		}
 	}
 	forEachCell(ctx, n, cell)
-	r.CtxErr = ctx.Err()
-	for _, ce := range fails {
+	for i, ce := range fails {
 		if ce != nil {
 			r.Failures = append(r.Failures, ce)
+		}
+		// A cancel that lands after the last cell finished cancelled
+		// nothing: only a sweep with a cell missing reports it.
+		if r.Status[i] != StatusOK && r.CtxErr == nil {
+			r.CtxErr = ctx.Err()
 		}
 	}
 	return r
 }
 
 // RunGrid is Run over the row-major cartesian product of xs × ys — the
-// hardened counterpart of Grid, with the same enumeration order.
+// (backend, size) and (ablated constant, scale) loops of the experiment
+// harnesses. Results keep enumeration order: all ys for xs[0], then all
+// ys for xs[1], …
 func RunGrid[X, Y, T any](ctx context.Context, xs []X, ys []Y, opts Options,
 	f func(ctx context.Context, x X, y Y) (T, error)) *Report[T] {
 	return Run(ctx, len(xs)*len(ys), opts, func(ctx context.Context, i int) (T, error) {

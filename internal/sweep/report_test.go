@@ -31,6 +31,9 @@ func TestRunIsolatesPanics(t *testing.T) {
 			t.Fatalf("workers=%d: %d failures, want 1", workers, len(r.Failures))
 		}
 		ce := r.Failures[0]
+		if r.Err() != error(ce) {
+			t.Fatalf("workers=%d: Err() = %v, want the cell's failure", workers, r.Err())
+		}
 		if ce.Index != 3 || ce.Attempts != 1 {
 			t.Fatalf("workers=%d: failure = %+v, want cell 3, 1 attempt", workers, ce)
 		}
@@ -155,7 +158,7 @@ func TestRunAbandonsHungCell(t *testing.T) {
 	}
 }
 
-// RunGrid keeps Grid's row-major enumeration order.
+// RunGrid enumerates row-major: all ys for xs[0], then xs[1], …
 func TestRunGridOrder(t *testing.T) {
 	r := RunGrid(context.Background(), []string{"a", "b"}, []int{1, 2, 3}, Options{},
 		func(_ context.Context, x string, y int) (string, error) {
@@ -166,22 +169,6 @@ func TestRunGridOrder(t *testing.T) {
 		if r.Values[i] != w {
 			t.Fatalf("cell %d = %q, want %q", i, r.Values[i], w)
 		}
-	}
-}
-
-// Map is now backed by the hardened runner: a panicking cell yields an
-// error instead of killing the process, and healthy behavior is
-// unchanged.
-func TestMapSurvivesPanic(t *testing.T) {
-	_, err := Map(context.Background(), 5, func(i int) int {
-		if i == 1 {
-			panic("boom")
-		}
-		return i
-	})
-	var ce *CellError
-	if !errors.As(err, &ce) || ce.Index != 1 {
-		t.Fatalf("Map error = %v, want *CellError for cell 1", err)
 	}
 }
 

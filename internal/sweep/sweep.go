@@ -1,8 +1,8 @@
 // Package sweep is the parallel parameter-sweep runner shared by every
 // experiment harness: a bounded worker pool that fans independent cells
-// across cores, a declarative cartesian Grid on top of it, and a
-// hardened Run variant (report.go) with panic isolation, per-cell
-// deadlines, retry and per-cell completion state.
+// across cores, and on top of it Run and its cartesian form RunGrid
+// (report.go) with panic isolation, per-cell deadlines, retry and
+// per-cell completion state.
 //
 // Each cell builds its own isolated des.Env and cost model, runs
 // single-threaded and bit-deterministic, and writes only its own result
@@ -57,28 +57,4 @@ func forEachCell(ctx context.Context, n int, cell func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// Map evaluates f(0..n-1) on the bounded worker pool and returns the
-// results in index order. Cancelling ctx stops new cells from starting;
-// Map then returns the partial results alongside ctx.Err(). A panicking
-// cell no longer kills the sweep: it surfaces as a *CellError. Note the
-// returned slice alone cannot distinguish a never-started cell's zero
-// value from a real result — use Run when per-cell completion state
-// matters.
-func Map[T any](ctx context.Context, n int, f func(i int) T) ([]T, error) {
-	r := Run(ctx, n, Options{}, func(_ context.Context, i int) (T, error) {
-		return f(i), nil
-	})
-	return r.Values, r.Err()
-}
-
-// Grid runs f over the row-major cartesian product of xs × ys — the
-// (backend, size) and (ablated constant, scale) loops every experiment
-// used to hand-roll — fanning the cells across the worker pool. Results
-// keep enumeration order: all ys for xs[0], then all ys for xs[1], …
-func Grid[X, Y, T any](ctx context.Context, xs []X, ys []Y, f func(X, Y) T) ([]T, error) {
-	return Map(ctx, len(xs)*len(ys), func(i int) T {
-		return f(xs[i/len(ys)], ys[i%len(ys)])
-	})
 }

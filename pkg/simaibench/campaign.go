@@ -15,7 +15,7 @@ import (
 //	_ = simaibench.ReportResults(os.Stdout, "text", res)
 //
 // while single cells, custom job streams and custom class mixes use
-// GenerateJobs and RunCampaign directly.
+// GenerateJobs and RunCampaignChecked directly.
 
 // Job is one open-loop workload entry: arrival time, node width,
 // service time, deadline, tenant and class.
@@ -63,13 +63,9 @@ type CampaignConfig = experiments.CampaignConfig
 // open-loop invariance contract.
 type CampaignPoint = experiments.CampaignPoint
 
-// RunCampaign simulates one campaign cell; equal configs give
-// bit-equal points.
-func RunCampaign(cfg CampaignConfig) CampaignPoint { return experiments.RunCampaign(cfg) }
-
-// RunCampaignChecked is RunCampaign with errors surfaced: malformed
-// policy ids, degenerate generator configs and blown event budgets
-// return errors instead of zero-value points.
+// RunCampaignChecked simulates one campaign cell; equal configs give
+// bit-equal points. Malformed policy ids, degenerate generator configs
+// and blown event budgets return errors.
 func RunCampaignChecked(cfg CampaignConfig) (CampaignPoint, error) {
 	return experiments.RunCampaignChecked(cfg)
 }

@@ -17,6 +17,14 @@ import (
 //
 // while single points and custom grids use RunGradSync directly, and
 // AllReduceCost prices a collective without simulating anything.
+//
+// Parallelism inside one cell: a simulated cell runs on one sequential
+// event loop — measured fastest for every fig3/fig4/scale-out point up
+// to 4096 nodes — and sweeps fan whole cells across cores. The one
+// harness that also fans out inside a cell is gradsync, whose dragonfly
+// groups share nothing during a run: ScenarioParams.Workers sets how
+// many cores advance them. Metrics are bit-identical at every setting —
+// Workers only trades wall-clock.
 
 // Topology is an explicit dragonfly interconnect: group/router/node
 // shape plus per-hop-class link bandwidth and latency.

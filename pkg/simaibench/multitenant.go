@@ -14,8 +14,8 @@ import (
 //		simaibench.ScenarioParams{SweepIters: 120, Tenants: 4})
 //	_ = simaibench.ReportResults(os.Stdout, "text", res)
 //
-// while single points and custom grids use RunScaleOut directly (see
-// examples/multi-tenant).
+// while single points and custom grids use RunScaleOutChecked directly
+// (see examples/multi-tenant).
 
 // ClusterSpec describes a homogeneous simulated cluster partition.
 type ClusterSpec = cluster.Spec
@@ -56,13 +56,10 @@ type ScaleOutConfig = experiments.ScaleOutConfig
 // aggregate (collapse-curve) throughput.
 type ScaleOutPoint = experiments.ScaleOutPoint
 
-// RunScaleOut simulates one multi-tenant configuration and returns its
-// measurement. Deterministic: equal configs give bit-equal points.
-func RunScaleOut(cfg ScaleOutConfig) ScaleOutPoint { return experiments.RunScaleOut(cfg) }
-
-// RunScaleOutChecked is RunScaleOut under the run guardrails: with
-// cfg.MaxEvents set, a runaway simulation aborts with a structured
-// BudgetExceeded error instead of looping forever.
+// RunScaleOutChecked simulates one multi-tenant configuration and
+// returns its measurement. Deterministic: equal configs give bit-equal
+// points. With cfg.MaxEvents set, a runaway simulation aborts with a
+// structured BudgetExceeded error instead of looping forever.
 func RunScaleOutChecked(cfg ScaleOutConfig) (ScaleOutPoint, error) {
 	return experiments.RunScaleOutChecked(cfg)
 }

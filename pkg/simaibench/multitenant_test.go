@@ -6,8 +6,14 @@ import (
 )
 
 func TestPublicScaleOutPoint(t *testing.T) {
-	one := RunScaleOut(ScaleOutConfig{Tenants: 1, Backend: Redis, SizeMB: 8, TrainIters: 80})
-	four := RunScaleOut(ScaleOutConfig{Tenants: 4, Backend: Redis, SizeMB: 8, TrainIters: 80})
+	one, err := RunScaleOutChecked(ScaleOutConfig{Tenants: 1, Backend: Redis, SizeMB: 8, TrainIters: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := RunScaleOutChecked(ScaleOutConfig{Tenants: 4, Backend: Redis, SizeMB: 8, TrainIters: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if one.Writes == 0 || four.Writes == 0 {
 		t.Fatalf("no writes completed: %+v / %+v", one, four)
 	}

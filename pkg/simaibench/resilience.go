@@ -15,7 +15,7 @@ import (
 //	_ = simaibench.ReportResults(os.Stdout, "text", res)
 //
 // while single points and custom disturbance profiles use
-// RunResilience directly.
+// RunResilienceChecked directly.
 
 // FaultPolicy selects a recovery strategy: fail-stop or
 // checkpoint/restart.
@@ -65,15 +65,12 @@ type ResilienceConfig = experiments.ResilienceConfig
 // (waste-discounted) throughput.
 type ResiliencePoint = experiments.ResiliencePoint
 
-// RunResilience simulates one disturbance configuration and returns
-// its measurement. Deterministic: equal configs give bit-equal points,
-// and the crash timeline is invariant under recovery-policy changes,
-// so cadence sweeps compare policies against identical disturbances.
-// With a healthy profile the staging observables are bit-identical to
-// the equivalent RunScaleOut call.
-func RunResilience(cfg ResilienceConfig) ResiliencePoint { return experiments.RunResilience(cfg) }
-
-// RunResilienceChecked is RunResilience under the run guardrails: with
+// RunResilienceChecked simulates one disturbance configuration and
+// returns its measurement. Deterministic: equal configs give bit-equal
+// points, and the crash timeline is invariant under recovery-policy
+// changes, so cadence sweeps compare policies against identical
+// disturbances. With a healthy profile the staging observables are
+// bit-identical to the equivalent RunScaleOutChecked call. With
 // cfg.MaxEvents set, a runaway simulation aborts with a structured
 // BudgetExceeded error instead of looping forever.
 func RunResilienceChecked(cfg ResilienceConfig) (ResiliencePoint, error) {

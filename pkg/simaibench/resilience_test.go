@@ -6,8 +6,14 @@ import (
 )
 
 func TestPublicResiliencePoint(t *testing.T) {
-	healthy := RunResilience(ResilienceConfig{Backend: Redis, TrainIters: 120})
-	faulty := RunResilience(ResilienceConfig{Backend: Redis, TrainIters: 120, MTBFS: 5, CkptIntervalS: 2})
+	healthy, err := RunResilienceChecked(ResilienceConfig{Backend: Redis, TrainIters: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty, err := RunResilienceChecked(ResilienceConfig{Backend: Redis, TrainIters: 120, MTBFS: 5, CkptIntervalS: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if healthy.Writes == 0 || healthy.Crashes != 0 || healthy.WastedS != 0 {
 		t.Fatalf("healthy point implausible: %+v", healthy)
 	}
