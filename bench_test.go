@@ -135,11 +135,11 @@ func BenchmarkScaleOut(b *testing.B) {
 }
 
 // BenchmarkResilience runs the fault-injection campaign in its two
-// regimes: healthy (MTBF=∞ — the interruptibility hooks riding along
-// for free on the scale-out hot path) and a short failure-dominated
-// checkpoint/restart cell. The healthy cell's cost should track
-// BenchmarkScaleOut/tenants=4; the faulty cell adds injector events,
-// checkpoint traffic and recovery reads.
+// regimes: healthy (MTBF=∞ — every rank carries a fault layer that
+// stays silent) and a short failure-dominated checkpoint/restart cell.
+// The healthy cell reports what BenchmarkScaleOut/tenants=4 reports and
+// costs more (BenchmarkFaultLayerSilent says how much); the faulty cell
+// adds injector events, checkpoint traffic and recovery reads.
 func BenchmarkResilience(b *testing.B) {
 	cells := []struct {
 		name string
@@ -162,6 +162,46 @@ func BenchmarkResilience(b *testing.B) {
 			b.ReportMetric(pt.WastedFrac, "wasted-frac")
 			b.ReportMetric(pt.EffGBps, "eff-GBps")
 			b.ReportMetric(float64(pt.Crashes), "crashes")
+		})
+	}
+}
+
+// BenchmarkFaultLayerSilent prices the fault layer on a run in which it
+// never fires: the same 64-tenant node-local cell as a scale-out run
+// (ranks carry no layer) and as a healthy resilience run (every rank
+// carries one: a des.Hold for its wake-up, two CheckpointOps and two more
+// Holds on a solver rank), at the scale-out periods and at Pattern 1's,
+// where four trainer polls in five are skipped. The two report
+// bit-identical observables (TestResilienceHealthyMatchesScaleOut); the
+// ratio of their ns/op and allocs/op is why a rank carries the layer
+// only when something can interrupt it (ARCHITECTURE.md "Fork or
+// replace"):
+//
+//	go test -run '^$' -bench FaultLayerSilent -benchmem -benchtime 100x -count 3 .
+func BenchmarkFaultLayerSilent(b *testing.B) {
+	for _, periods := range []struct{ write, read int }{{10, 10}, {100, 10}} {
+		name := fmt.Sprintf("write=%d_read=%d", periods.write, periods.read)
+		b.Run(name+"/no-layer", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := experiments.RunScaleOutChecked(experiments.ScaleOutConfig{
+					Tenants: 64, Backend: datastore.NodeLocal, TrainIters: 300,
+					WritePeriod: periods.write, ReadPeriod: periods.read,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/silent-layer", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := experiments.RunResilienceChecked(experiments.ResilienceConfig{
+					Tenants: 64, Backend: datastore.NodeLocal, TrainIters: 300,
+					WritePeriod: periods.write, ReadPeriod: periods.read,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

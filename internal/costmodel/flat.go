@@ -19,7 +19,7 @@ import (
 // identical event sequence and produces bit-identical metrics. That
 // promise is about one transfer, Start to done; when a rank machine
 // starts its next one is the machine's business (experiments/flat.go:
-// aiReader skips the polls that would start nothing).
+// a rank skips the polls that would start nothing).
 
 // LocalXfer models one co-located stage_write/stage_read of a fixed
 // (backend, node, size), completing through a done callback. Construct

@@ -1,0 +1,115 @@
+package experiments
+
+import (
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"simaibench/internal/datastore"
+)
+
+// colocatedEntries are the three entry points over runColocated, each
+// with a small valid config and its float and int fields. The event
+// budget bounds what a bad horizon can cost a failing run of this test.
+var colocatedEntries = []struct {
+	prefix string
+	base   any
+	run    func(cfg any) (any, error)
+	floats []string
+	ints   []string
+}{
+	{
+		prefix: "pattern1 (", base: Pattern1Config{TrainIters: 30, MaxEvents: 1e6},
+		run:    func(c any) (any, error) { return RunPattern1Checked(c.(Pattern1Config)) },
+		floats: []string{"SizeMB", "SimIterS", "TrainIterS"},
+		ints:   []string{"Nodes", "WritePeriod", "ReadPeriod", "TrainIters"},
+	},
+	{
+		prefix: "scale-out (", base: ScaleOutConfig{TrainIters: 30, MaxEvents: 1e6},
+		run:    func(c any) (any, error) { return RunScaleOutChecked(c.(ScaleOutConfig)) },
+		floats: []string{"SizeMB", "SimIterS", "TrainIterS"},
+		ints:   []string{"Tenants", "NodesPerTenant", "WritePeriod", "ReadPeriod", "TrainIters"},
+	},
+	{
+		prefix: "resilience (", base: ResilienceConfig{TrainIters: 30, MaxEvents: 1e6},
+		run: func(c any) (any, error) { return RunResilienceChecked(c.(ResilienceConfig)) },
+		floats: []string{"SizeMB", "SimIterS", "TrainIterS", "MTBFS", "RepairS", "CkptIntervalS", "CkptSizeMB",
+			"StragglerMTBS", "StragglerFactor", "StragglerDurS", "OutageMTBS", "OutageDurS"},
+		ints: []string{"Tenants", "NodesPerTenant", "WritePeriod", "ReadPeriod", "TrainIters"},
+	},
+}
+
+// TestColocatedBadInput: behind a …Checked signature bad input is either
+// given a meaning or refused, never a panic, a hang or a garbage point.
+// For every field of the three co-located configs: NaN and ±Inf are an
+// error that carries the entry point's prefix and names the field (an
+// infinite MTBFS alone is legal: never), and a negative value is the
+// unset value — the harness default, or for the knobs that switch a
+// feature on (a checkpoint cadence, a straggler or outage rate), off.
+func TestColocatedBadInput(t *testing.T) {
+	for _, e := range colocatedEntries {
+		run := func(t *testing.T, field string, set func(reflect.Value)) (pt any, err error) {
+			t.Helper()
+			cfg := reflect.New(reflect.TypeOf(e.base)).Elem()
+			cfg.Set(reflect.ValueOf(e.base))
+			set(cfg.FieldByName(field))
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s%s = %v: panicked: %v", e.prefix, field, cfg.FieldByName(field), p)
+				}
+			}()
+			return e.run(cfg.Interface())
+		}
+		unset := func(t *testing.T, field string) any {
+			pt, err := run(t, field, func(v reflect.Value) { v.SetZero() })
+			if err != nil {
+				t.Fatalf("%s%s unset: %v", e.prefix, field, err)
+			}
+			return pt
+		}
+		for _, field := range e.floats {
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				pt, err := run(t, field, func(v reflect.Value) { v.SetFloat(bad) })
+				if field == "MTBFS" && math.IsInf(bad, 0) {
+					if err != nil || !reflect.DeepEqual(pt, unset(t, field)) {
+						t.Errorf("%sMTBFS = %v: got %+v, %v; want the healthy run", e.prefix, bad, pt, err)
+					}
+					continue
+				}
+				if err == nil || !strings.HasPrefix(err.Error(), e.prefix) || !strings.Contains(err.Error(), field+" = ") {
+					t.Errorf("%s%s = %v: got %+v, error %v; want an error naming the field", e.prefix, field, bad, pt, err)
+				}
+			}
+			if pt, err := run(t, field, func(v reflect.Value) { v.SetFloat(-1) }); err != nil || !reflect.DeepEqual(pt, unset(t, field)) {
+				t.Errorf("%s%s = -1: got %+v, %v; want the run with the field unset", e.prefix, field, pt, err)
+			}
+		}
+		for _, field := range e.ints {
+			if pt, err := run(t, field, func(v reflect.Value) { v.SetInt(-1) }); err != nil || !reflect.DeepEqual(pt, unset(t, field)) {
+				t.Errorf("%s%s = -1: got %+v, %v; want the run with the field unset", e.prefix, field, pt, err)
+			}
+		}
+	}
+}
+
+// TestHealthyPathAllocations pins what a healthy cell allocates to what
+// the cell allocated before solver and trainer ranks, with and without
+// faults, became one machine: a Hold, a CheckpointOp or a per-rank
+// closure creeping onto the path of a rank that carries no fault layer
+// shows up here as thousands of mallocs, by name. The ceilings are the
+// parent commit's counts for the same two cells.
+func TestHealthyPathAllocations(t *testing.T) {
+	p1 := testing.AllocsPerRun(2, func() {
+		checked(t, RunPattern1Checked, Pattern1Config{Nodes: 512, Backend: datastore.NodeLocal, SizeMB: 8, TrainIters: 600})
+	})
+	if p1 > 19_263 {
+		t.Errorf("Pattern 1, 512 nodes: %v mallocs, ceiling 19263", p1)
+	}
+	so := testing.AllocsPerRun(5, func() {
+		checked(t, RunScaleOutChecked, ScaleOutConfig{Tenants: 16, Backend: datastore.NodeLocal, SizeMB: 8, TrainIters: 300})
+	})
+	if so > 1_250 {
+		t.Errorf("scale-out, 16 tenants: %v mallocs, ceiling 1250", so)
+	}
+}

@@ -103,57 +103,66 @@ func TestPattern1MatchesProcessReference(t *testing.T) {
 	}
 }
 
-// TestNextPollMatchesPollChain: aiReader.nextPoll must name the exact
+// TestNextPollMatchesPollChain: stagingRank.nextPoll must name the exact
 // time at which the chain of per-poll events it stands for — wake, find
-// nothing, After(readPeriod), wake again — would first read or stop,
-// bit for bit. The chain below is that poll-every-period loop on a real
-// Env.
+// nothing, After(period), wake again — would first transfer or stop, bit
+// for bit. The chain below is that poll-every-period loop on a real Env.
+// With a zero freshness gap (a solver rank) the chain is one After(period)
+// long: sleep a period, write.
 func TestNextPollMatchesPollChain(t *testing.T) {
-	chain := func(r *aiReader, now float64) float64 {
+	chain := func(r *stagingRank, now float64) (at float64, polls int) {
 		env := des.NewEnv()
-		at, polls := -1.0, 0
+		at = -1.0
 		var wake func()
 		wake = func() {
 			polls++
-			if t := env.Now(); t-r.lastRead < r.writePeriod && t < r.horizon {
-				env.After(r.readPeriod, wake)
+			if t := env.Now(); t-r.lastXfer < r.fresh && t < r.horizon {
+				env.After(r.period, wake)
 			} else {
 				at = t
 			}
 		}
-		env.At(now, func() { env.After(r.readPeriod, wake) })
+		env.At(now, func() { env.After(r.period, wake) })
 		env.Run()
-		if polls > 1 && r.writePeriod < r.readPeriod && r.lastRead <= now {
-			t.Errorf("%+v now=%v: %d polls although a write period is shorter than a read period", r, now, polls)
-		}
-		return at
+		return at, polls
 	}
-	check := func(r aiReader, now float64) {
+	check := func(r stagingRank, now float64) {
 		t.Helper()
-		if got, want := r.nextPoll(now), chain(&r, now); got != want {
-			t.Errorf("readPeriod=%v writePeriod=%v lastRead=%v horizon=%v now=%v: nextPoll %v, the poll chain stops at %v",
-				r.readPeriod, r.writePeriod, r.lastRead, r.horizon, now, got, want)
+		want, polls := chain(&r, now)
+		if got := r.nextPoll(now); got != want {
+			t.Errorf("period=%v fresh=%v lastXfer=%v horizon=%v now=%v: nextPoll %v, the poll chain stops at %v",
+				r.period, r.fresh, r.lastXfer, r.horizon, now, got, want)
+		}
+		if polls > 1 && r.fresh < r.period && r.lastXfer <= now {
+			t.Errorf("%+v now=%v: %d polls although the freshness gap is shorter than a period", r, now, polls)
 		}
 	}
 
 	// Pattern 1's periods: a read just done, the horizon far, between the
 	// second and third idle poll, exactly on a poll, and already behind.
-	p1 := aiReader{readPeriod: 10 * 0.0633, writePeriod: 100 * 0.0325, lastRead: 7.25}
-	for _, horizon := range []float64{1e9, 7.3 + 2.5*p1.readPeriod, 7.3 + p1.readPeriod + p1.readPeriod, 7.3, 1} {
+	p1 := stagingRank{period: 10 * 0.0633, fresh: 100 * 0.0325, lastXfer: 7.25}
+	for _, horizon := range []float64{1e9, 7.3 + 2.5*p1.period, 7.3 + p1.period + p1.period, 7.3, 1} {
 		p1.horizon = horizon
 		check(p1, 7.3)
 	}
 
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20_000; i++ {
-		r := aiReader{readPeriod: 0.01 + 5*rng.Float64(), writePeriod: 0.01 + 20*rng.Float64()}
-		if i%4 == 0 {
-			r.writePeriod = r.readPeriod * rng.Float64() // never skips
+		r := stagingRank{period: 0.01 + 5*rng.Float64(), fresh: 0.01 + 20*rng.Float64()}
+		switch i % 4 {
+		case 0:
+			r.fresh = r.period * rng.Float64() // never skips
+		case 1:
+			r.fresh = 0 // a solver rank
 		}
 		now := 100 * rng.Float64()
-		r.lastRead = now - 2*r.writePeriod*rng.Float64()
+		r.lastXfer = now - 2*r.fresh*rng.Float64()
 		r.horizon = now - 5 + 35*rng.Float64() // behind now one time in seven
 		check(r, now)
+		if r.fresh == 0 && r.nextPoll(now) != now+r.period {
+			t.Errorf("period=%v now=%v: a zero freshness gap must be the plain After(period), got %v",
+				r.period, now, r.nextPoll(now))
+		}
 	}
 }
 

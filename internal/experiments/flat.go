@@ -8,203 +8,147 @@ import (
 )
 
 // Flat rank runners: the workflow components of the simulated-scale
-// experiments as callback state machines. Each rank used to be a spawned
-// goroutine process (one goroutine + one channel handoff pair per
-// event); these structs run the same loops flat on the scheduler
-// goroutine, building every closure once at construction so steady-state
-// iterations allocate nothing. simWriter, fig5Pair and fig6Trainer are
-// exact CPS transforms of the old process bodies — same schedule calls
-// in the same order — so event order and reported metrics are
-// bit-identical. aiReader promises less and delivers the same: it
-// schedules the same *effective* events (a poll that reads, or the last
-// poll before the horizon) at bit-identical times with the same relative
-// order among ranks, and never schedules the idle polls in between (see
-// nextPoll for what "same order" rests on).
-// TestPattern1MatchesProcessReference holds that promise: its process
-// reference still polls every read period.
-//
-// The rule both departures follow is in ARCHITECTURE.md ("Run until the
-// observables are decided"): an event nothing reported depends on is not
-// scheduled.
+// experiments as callback state machines on the scheduler goroutine,
+// every closure built once at construction so steady-state iterations
+// allocate nothing. fig5Pair and fig6Trainer issue the schedule calls of
+// their process references one for one. stagingRank — every solver and
+// trainer rank of Pattern 1, scale-out and resilience, and the load
+// writers of Fig 6 — schedules only the polls that do something, at
+// bit-identical times and in the same relative order among ranks as a
+// loop that polled every period (nextPoll says what that order rests on;
+// TestPattern1MatchesProcessReference holds it against a reference that
+// does poll every period). The rule is ARCHITECTURE.md's "Run until the
+// observables are decided": an event nothing reported depends on is not
+// scheduled. A rank a fault can interrupt also carries a fault layer
+// (rankFaults, resilience.go); a healthy rank carries none.
 
 // xferStarter is what a rank machine needs from its transfer op: both
 // the single-tenant LocalXfer and the multi-tenant SharedXfer satisfy
 // it, so one state machine serves both deployment modes.
 type xferStarter interface{ Start() }
 
-// simWriter replays the simulation rank: sleep one write period, stage a
-// snapshot locally, record stats (when sinks are set), repeat while the
-// wake-up check falls before the horizon.
-type simWriter struct {
-	env     *des.Env
-	period  float64
-	horizon float64
-	start   float64
-	bytes   int64
-	time    *stats.Welford    // optional
-	tput    *stats.Throughput // optional
-	samples *[]float64        // optional per-op latency sink (scale-out p50)
-	xfer    xferStarter
-	wake    func()
+// stagingRank is one staging rank: wake at a poll, transfer when a
+// fresh snapshot can exist (a freshness gap has passed since the last
+// transfer began — never a wait for a solver rank, whose gap is zero),
+// record stats when the transfer is done, schedule the next poll that
+// does anything while the check falls before the horizon.
+type stagingRank struct {
+	env      *des.Env
+	period   float64 // poll period: a solver's write period, a trainer's read period
+	fresh    float64 // freshness gap: a trainer's write period, 0 for a solver
+	horizon  float64
+	lastXfer float64 // when the last transfer began
+	bytes    int64
+	time     *stats.Welford    // optional
+	tput     *stats.Throughput // optional
+	samples  *[]float64        // optional per-op latency sink (scale-out p50)
+	xfer     xferStarter
+	wake     func()
+	faults   *rankFaults // nil: nothing interrupts this rank
 }
 
-// newSimWriter builds the rank and schedules its first activation; the
-// sweeps that build hundreds of ranks preallocate them in a slab and
-// call initSimWriter directly.
-func newSimWriter(env *des.Env, model *costmodel.Model, cfg simWriterConfig) *simWriter {
-	w := &simWriter{}
-	initSimWriter(w, env, model, cfg)
-	return w
-}
-
-// initSimWriter initializes a (possibly slab-allocated) rank in place
-// and schedules its first wake-up directly. Scheduling the first
-// After(period) at construction instead of through a time-zero warm-up
-// event preserves the relative order of every rank's wake-ups (ranks
-// are constructed in a fixed order either way), so event interleaving —
-// and therefore every reported metric — is unchanged.
-func initSimWriter(w *simWriter, env *des.Env, model *costmodel.Model, cfg simWriterConfig) {
-	*w = simWriter{
-		env:     env,
-		period:  cfg.period,
-		horizon: cfg.horizon,
-		bytes:   cfg.bytes,
-		time:    cfg.time,
-		tput:    cfg.tput,
-		samples: cfg.samples,
-	}
-	w.wake = func() {
-		w.start = w.env.Now()
-		w.xfer.Start()
-	}
-	done := func() {
-		now := w.env.Now()
-		d := now - w.start
-		if w.time != nil {
-			w.time.Add(d)
-		}
-		if w.tput != nil {
-			w.tput.Add(w.bytes, d)
-		}
-		if w.samples != nil {
-			*w.samples = append(*w.samples, d)
-		}
-		if now < w.horizon {
-			w.env.After(w.period, w.wake)
-		}
-	}
-	if cfg.shared {
-		w.xfer = model.NewSharedLocalWrite(cfg.backend, cfg.node, cfg.sizeMB, done)
-	} else {
-		w.xfer = model.NewLocalWrite(cfg.backend, cfg.node, cfg.sizeMB, done)
-	}
-	if env.Now() < w.horizon {
-		env.After(w.period, w.wake)
-	}
-}
-
-type simWriterConfig struct {
+type rankConfig struct {
 	backend datastore.Backend
 	node    int
 	sizeMB  float64
+	// write makes the transfer a stage_write (a solver rank); otherwise
+	// it is a stage_read.
+	write bool
+	// shared routes the transfer through the multi-tenant shared
+	// deployment (costmodel.NewSharedLocalWrite/Read).
+	shared  bool
 	period  float64
+	fresh   float64
 	horizon float64
 	bytes   int64
 	time    *stats.Welford
 	tput    *stats.Throughput
 	samples *[]float64
-	// shared routes the write through the multi-tenant shared
-	// deployment (costmodel.NewSharedLocalWrite).
-	shared bool
+	// faults, when set, attaches the fault layer; stagger phases the
+	// layer's first checkpoint.
+	faults  *faultState
+	stagger float64
 }
 
-// aiReader replays the trainer rank of Pattern 1: poll every read
-// period, read only when a fresh snapshot exists (once per write
-// period), record stats. Polls that would find nothing are skipped, not
-// executed (nextPoll).
-type aiReader struct {
-	env         *des.Env
-	readPeriod  float64
-	writePeriod float64
-	horizon     float64
-	lastRead    float64
-	start       float64
-	bytes       int64
-	time        *stats.Welford    // optional
-	tput        *stats.Throughput // optional
-	xfer        xferStarter
-	wake        func()
-}
-
-type aiReaderConfig struct {
-	backend     datastore.Backend
-	node        int
-	sizeMB      float64
-	readPeriod  float64
-	writePeriod float64
-	horizon     float64
-	bytes       int64
-	time        *stats.Welford
-	tput        *stats.Throughput
-	// shared routes the read through the multi-tenant shared deployment
-	// (costmodel.NewSharedLocalRead).
-	shared bool
-}
-
-func newAIReader(env *des.Env, model *costmodel.Model, cfg aiReaderConfig) *aiReader {
-	r := &aiReader{}
-	initAIReader(r, env, model, cfg)
-	return r
-}
-
-// initAIReader initializes a (possibly slab-allocated) trainer rank in
-// place, scheduling its first poll directly like initSimWriter.
-func initAIReader(r *aiReader, env *des.Env, model *costmodel.Model, cfg aiReaderConfig) {
-	*r = aiReader{
-		env: env, readPeriod: cfg.readPeriod, writePeriod: cfg.writePeriod, horizon: cfg.horizon,
-		lastRead: -cfg.writePeriod, bytes: cfg.bytes, time: cfg.time, tput: cfg.tput,
+// initRank initializes a slab-allocated rank in place and schedules its
+// first poll directly. Scheduling it at construction instead of through
+// a time-zero warm-up event preserves the relative order of every rank's
+// wake-ups (ranks are constructed in a fixed order either way), so event
+// interleaving — and therefore every reported metric — is unchanged.
+func initRank(r *stagingRank, env *des.Env, model *costmodel.Model, cfg rankConfig) {
+	*r = stagingRank{
+		env: env, period: cfg.period, fresh: cfg.fresh, horizon: cfg.horizon,
+		lastXfer: -cfg.fresh, bytes: cfg.bytes, time: cfg.time, tput: cfg.tput, samples: cfg.samples,
 	}
 	r.wake = func() {
 		now := r.env.Now()
-		if now-r.lastRead < r.writePeriod {
+		if now-r.lastXfer < r.fresh {
 			// No new snapshot staged yet. nextPoll lands on such a poll
 			// only once the horizon is behind it: the rank is done.
 			return
 		}
-		r.lastRead = now
-		r.start = now
+		if r.faults != nil && !r.faults.admit() {
+			return
+		}
+		r.lastXfer = now
 		r.xfer.Start()
 	}
 	done := func() {
+		if r.faults != nil && !r.faults.landed() {
+			return
+		}
 		now := r.env.Now()
-		d := now - r.start
+		d := now - r.lastXfer
 		if r.time != nil {
 			r.time.Add(d)
 		}
 		if r.tput != nil {
 			r.tput.Add(r.bytes, d)
 		}
-		if now < r.horizon {
-			r.env.At(r.nextPoll(now), r.wake)
+		if r.samples != nil {
+			*r.samples = append(*r.samples, d)
 		}
+		r.arm()
 	}
-	if cfg.shared {
+	switch {
+	case cfg.shared && cfg.write:
+		r.xfer = model.NewSharedLocalWrite(cfg.backend, cfg.node, cfg.sizeMB, done)
+	case cfg.shared:
 		r.xfer = model.NewSharedLocalRead(cfg.backend, cfg.node, cfg.sizeMB, done)
-	} else {
+	case cfg.write:
+		r.xfer = model.NewLocalWrite(cfg.backend, cfg.node, cfg.sizeMB, done)
+	default:
 		r.xfer = model.NewLocalRead(cfg.backend, cfg.node, cfg.sizeMB, done)
 	}
-	if env.Now() < r.horizon {
-		env.At(r.nextPoll(env.Now()), r.wake)
+	if cfg.faults != nil {
+		cfg.faults.attach(r, cfg, done) // arms the first poll through its Hold
+	} else {
+		r.arm()
+	}
+}
+
+// arm schedules the rank's next poll unless the horizon has passed.
+func (r *stagingRank) arm() {
+	now := r.env.Now()
+	if now >= r.horizon {
+		return
+	}
+	if r.faults != nil {
+		r.faults.wake.At(r.nextPoll(now))
+	} else {
+		r.env.At(r.nextPoll(now), r.wake)
 	}
 }
 
 // nextPoll returns the time of the first poll after now that does
-// anything: it reads (a write period has passed since lastRead) or it is
-// the poll that finds the horizon behind it and stops the rank. The polls
-// in between would each read the clock, compare and reschedule
+// anything: it transfers (a freshness gap has passed since lastXfer) or
+// it is the poll that finds the horizon behind it and stops the rank. The
+// polls in between would each read the clock, compare and reschedule
 // themselves, so they are not scheduled. The poll clock advances by the
 // same repeated addition those polls would have performed — After(d) is
-// At(now+d) — so the wake-up lands on the bit-identical float.
+// At(now+d) — so the wake-up lands on the bit-identical float. With a
+// zero freshness gap the first step is always the answer: a solver
+// rank's nextPoll is After(period).
 //
 // Order among simultaneous wake-ups: ranks that left the same instant on
 // the same poll clock (the bulk-synchronous case — every tie these
@@ -215,10 +159,14 @@ func initAIReader(r *aiReader, env *des.Env, model *costmodel.Model, cfg aiReade
 // event of a rank on a different clock, scheduled in between, would
 // resolve the other way; the process-reference tests and the goldens
 // are what say no reported number sees one.
-func (r *aiReader) nextPoll(now float64) float64 {
-	t := now + r.readPeriod
-	for t-r.lastRead < r.writePeriod && t < r.horizon {
-		t += r.readPeriod
+func (r *stagingRank) nextPoll(now float64) float64 {
+	step := r.period
+	if f := r.faults; f != nil && f.solver {
+		step *= f.fs.inj.Slowdown(f.node) // a straggling node stretches its solvers' periods
+	}
+	t := now + step
+	for t-r.lastXfer < r.fresh && t < r.horizon {
+		t += step
 	}
 	return t
 }

@@ -8,17 +8,20 @@
 // Each experiment returns structured results, which the scenario
 // registry renders in the same rows/series the paper reports;
 // EXPERIMENTS.md records the paper-vs-measured comparison.
+//
+// The co-located workflow of Fig 3/4 is also what the scale-out and
+// resilience families run. It is stated once: one staging-rank loop
+// (flat.go), one fault layer a rank carries only when something can
+// interrupt it (resilience.go), one harness (colocated.go).
 package experiments
 
 import (
 	"context"
 	"fmt"
 
-	"simaibench/internal/cluster"
 	"simaibench/internal/costmodel"
 	"simaibench/internal/datastore"
 	"simaibench/internal/scenario"
-	"simaibench/internal/stats"
 )
 
 // Pattern1Config drives the Fig 3/4 sweep: the co-located one-to-one
@@ -50,26 +53,17 @@ type Pattern1Config struct {
 	Params *costmodel.Params
 }
 
-// withDefaults fills unset fields with the paper's values.
+// withDefaults fills unset (zero or negative) fields with the paper's
+// values. SizeMB has none: zero is a zero-byte snapshot. NaN and ±Inf
+// stay where they are for RunPattern1Checked to reject.
 func (c Pattern1Config) withDefaults() Pattern1Config {
-	if c.Nodes == 0 {
-		c.Nodes = 8
-	}
-	if c.SimIterS == 0 {
-		c.SimIterS = 0.0325
-	}
-	if c.TrainIterS == 0 {
-		c.TrainIterS = 0.0633
-	}
-	if c.WritePeriod == 0 {
-		c.WritePeriod = 100
-	}
-	if c.ReadPeriod == 0 {
-		c.ReadPeriod = 10
-	}
-	if c.TrainIters == 0 {
-		c.TrainIters = 600
-	}
+	positiveOr(&c.Nodes, 8)
+	positiveOr(&c.SizeMB, 0)
+	positiveOr(&c.SimIterS, 0.0325)
+	positiveOr(&c.TrainIterS, 0.0633)
+	positiveOr(&c.WritePeriod, 100)
+	positiveOr(&c.ReadPeriod, 10)
+	positiveOr(&c.TrainIters, 600)
 	return c
 }
 
@@ -90,80 +84,36 @@ type Pattern1Point struct {
 
 // RunPattern1Checked simulates the co-located one-to-one workflow: 6
 // simulation ranks and 6 trainer ranks per node, fully asynchronous
-// staging through the chosen backend, and returns throughput and
-// time-per-event statistics averaged over all processes and events (the
-// paper's methodology). Ranks run as flat callback state machines (see
-// flat.go), so a 512-node point costs no goroutines and no steady-state
-// allocations. With cfg.MaxEvents set, a runaway simulation aborts with
-// the structured des.BudgetExceeded error instead of looping forever;
-// with no budget it never fails.
+// staging through a dedicated deployment of the chosen backend
+// (runColocated), and returns throughput and time-per-event statistics
+// averaged over all processes and events (the paper's methodology). A
+// NaN or infinite field is an error naming it; with cfg.MaxEvents set, a
+// runaway simulation aborts with the structured des.BudgetExceeded error
+// instead of looping forever.
 func RunPattern1Checked(cfg Pattern1Config) (Pattern1Point, error) {
 	cfg = cfg.withDefaults()
-	spec := cluster.Aurora(cfg.Nodes)
-	place := cluster.Pattern1Placement(spec)
-	env := newGuardedEnv(cfg.MaxEvents)
-	params := costmodel.Default()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
-	model := costmodel.New(env, spec, params)
-
-	horizon := float64(cfg.TrainIters) * cfg.TrainIterS
-	var writeTput, readTput stats.Throughput
-	var writeTime, readTime stats.Welford
-	bytes := int64(cfg.SizeMB * 1e6)
-
-	// Rank machines live in two slabs — one allocation each instead of
-	// one per rank, which matters at 512 nodes (3072 ranks).
-	writers := make([]simWriter, cfg.Nodes*place.SimTilesPerNode)
-	readers := make([]aiReader, cfg.Nodes*place.AITilesPerNode)
-	wi, ri := 0, 0
-	for node := 0; node < cfg.Nodes; node++ {
-		// Simulation ranks: write one snapshot per write period. The
-		// compute between writes is a single virtual sleep (iteration
-		// timing is deterministic, so batching sleeps loses nothing).
-		for r := 0; r < place.SimTilesPerNode; r++ {
-			initSimWriter(&writers[wi], env, model, simWriterConfig{
-				backend: cfg.Backend, node: node, sizeMB: cfg.SizeMB,
-				period:  float64(cfg.WritePeriod) * cfg.SimIterS,
-				horizon: horizon, bytes: bytes,
-				time: &writeTime, tput: &writeTput,
-			})
-			wi++
-		}
-		// Trainer ranks: read one snapshot per read period, but only
-		// when fresh data exists — once per write period, matching the
-		// asynchronous polling of the real workflow (most polls find
-		// nothing new; those cost no transfer).
-		for r := 0; r < place.AITilesPerNode; r++ {
-			initAIReader(&readers[ri], env, model, aiReaderConfig{
-				backend: cfg.Backend, node: node, sizeMB: cfg.SizeMB,
-				readPeriod:  float64(cfg.ReadPeriod) * cfg.TrainIterS,
-				writePeriod: float64(cfg.WritePeriod) * cfg.SimIterS,
-				horizon:     horizon, bytes: bytes,
-				time: &readTime, tput: &readTput,
-			})
-			ri++
-		}
-	}
-	env.RunUntil(horizon * 1.5)
-	if err := env.Err(); err != nil {
+	run, err := runColocated(ScaleOutConfig{ // one tenant, all the nodes
+		Tenants: 1, NodesPerTenant: cfg.Nodes, Backend: cfg.Backend, SizeMB: cfg.SizeMB,
+		SimIterS: cfg.SimIterS, TrainIterS: cfg.TrainIterS,
+		WritePeriod: cfg.WritePeriod, ReadPeriod: cfg.ReadPeriod, TrainIters: cfg.TrainIters,
+		MaxEvents: cfg.MaxEvents, Params: cfg.Params,
+	}, false, nil)
+	if err != nil {
 		return Pattern1Point{}, fmt.Errorf("pattern1 (%s, %g MB, %d nodes): %w",
 			cfg.Backend, cfg.SizeMB, cfg.Nodes, err)
 	}
-
 	return Pattern1Point{
 		Nodes:     cfg.Nodes,
 		Backend:   cfg.Backend,
 		SizeMB:    cfg.SizeMB,
-		ReadGBps:  readTput.MeanGBps(),
-		WriteGBps: writeTput.MeanGBps(),
-		ReadMeanS: readTime.Mean(),
-		WriteMean: writeTime.Mean(),
+		ReadGBps:  run.readTput.MeanGBps(),
+		WriteGBps: run.writeTput.MeanGBps(),
+		ReadMeanS: run.readTime.Mean(),
+		WriteMean: run.writeTime.Mean(),
 		SimIterS:  cfg.SimIterS,
 		TrainIter: cfg.TrainIterS,
-		Writes:    writeTime.N(),
-		Reads:     readTime.N(),
+		Writes:    run.writeTime.N(),
+		Reads:     run.readTime.N(),
 	}, nil
 }
 

@@ -182,8 +182,8 @@ func RunFig6Checked(cfg Fig6Config) (Fig6Point, error) {
 	// period. For the file-system backend these writes land on the shared
 	// Lustre model and contribute real MDS/OST load.
 	for node := 0; node < cfg.Nodes; node++ {
-		newSimWriter(env, model, simWriterConfig{
-			backend: cfg.Backend, node: node, sizeMB: cfg.SizeMB,
+		initRank(new(stagingRank), env, model, rankConfig{
+			backend: cfg.Backend, node: node, sizeMB: cfg.SizeMB, write: true,
 			period:  float64(cfg.WritePeriod) * cfg.SimIterS,
 			horizon: horizon,
 		})

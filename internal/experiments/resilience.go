@@ -27,17 +27,15 @@ import (
 // interval table comparing the empirical best cadence against Young's
 // √(2·δ·MTBF) approximation.
 //
-// The rank machines below are the scale-out machines of flat.go with
-// interruptibility threaded through: cancellable wake-ups (des.Hold),
-// abortable checkpoints (costmodel.CheckpointOp over cancellable
-// des.Grants), and epoch counters that discard transfers whose node
-// died mid-flight. With a healthy profile (MTBF=∞, checkpointing off)
-// they issue exactly the schedule calls of initSimWriter and the
-// effective ones of initAIReader (resAIReader still executes the idle
-// polls aiReader.nextPoll skips; its default periods have none), so the
-// healthy resilience run is bit-identical to the equivalent scale-out
-// run — pinned by TestResilienceHealthyMatchesScaleOut, idle polls
-// included.
+// The ranks are the staging ranks of flat.go, each carrying a fault layer
+// (rankFaults): a cancellable wake-up (des.Hold), an epoch counter that
+// discards a transfer whose node died mid-flight, outage deferral, and —
+// on solver ranks — abortable checkpoints (costmodel.CheckpointOp over
+// cancellable des.Grants), restore, re-dispatch and waste accounting.
+// With a healthy profile (MTBF=∞, checkpointing off) the layer is silent:
+// a Hold arms at the time and sequence position of the schedule call it
+// replaces, so the run is bit-identical to the equivalent scale-out run,
+// which attaches no layer (TestResilienceHealthyMatchesScaleOut).
 
 // ResilienceConfig drives one disturbance measurement: the scale-out
 // workload of ScaleOutConfig plus a fault profile and recovery policy.
@@ -85,42 +83,24 @@ type ResilienceConfig struct {
 	Params *costmodel.Params
 }
 
-// withDefaults fills unset fields with the resilience defaults,
-// mirroring ScaleOutConfig.withDefaults for the shared workload knobs.
+// withDefaults fills unset (zero or negative) fields with the resilience
+// defaults; the workload knobs share ScaleOutConfig's rule. NaN and ±Inf
+// stay where they are for RunResilienceChecked to reject.
 func (c ResilienceConfig) withDefaults() ResilienceConfig {
-	if c.Tenants <= 0 {
-		c.Tenants = 4
-	}
-	if c.NodesPerTenant <= 0 {
-		c.NodesPerTenant = 2
-	}
-	if c.SizeMB <= 0 {
-		c.SizeMB = 8
-	}
-	if c.SimIterS <= 0 {
-		c.SimIterS = 0.0325
-	}
-	if c.TrainIterS <= 0 {
-		c.TrainIterS = 0.0633
-	}
-	if c.WritePeriod <= 0 {
-		c.WritePeriod = 10
-	}
-	if c.ReadPeriod <= 0 {
-		c.ReadPeriod = 10
-	}
-	if c.TrainIters <= 0 {
-		c.TrainIters = 600
-	}
+	positiveOr(&c.Tenants, 4)
+	positiveOr(&c.NodesPerTenant, 2)
+	positiveOr(&c.SizeMB, 8)
+	positiveOr(&c.SimIterS, 0.0325)
+	positiveOr(&c.TrainIterS, 0.0633)
+	positiveOr(&c.WritePeriod, 10)
+	positiveOr(&c.ReadPeriod, 10)
+	positiveOr(&c.TrainIters, 600)
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.RepairS <= 0 {
-		c.RepairS = 1
-	}
-	if c.CkptSizeMB <= 0 {
-		c.CkptSizeMB = 8
-	}
+	positiveOr(&c.RepairS, 1)
+	positiveOr(&c.CkptIntervalS, 0) // off has one spelling in the point
+	positiveOr(&c.CkptSizeMB, 8)
 	return c
 }
 
@@ -179,434 +159,33 @@ type ResiliencePoint struct {
 	EffGBps float64
 }
 
-// resFaultState is the per-run state shared by every rank machine: the
-// injector plus the model/config handles ranks need to rebuild their
-// transfer objects when re-dispatched.
-type resFaultState struct {
+// faultState is the per-run state every fault layer shares: the
+// injector, the handles a solver rank needs to rebuild its transfer
+// objects when re-dispatched, and the recovery accumulators.
+type faultState struct {
 	inj     *faults.Injector
 	model   *costmodel.Model
 	rec     faults.Recovery
 	backend datastore.Backend
 	sizeMB  float64
 	horizon float64
-	// byNodeW / byNodeR map node index -> resident rank machines;
-	// re-dispatch moves a writer between lists.
-	byNodeW [][]*resSimWriter
-	byNodeR [][]*resAIReader
+	// solvers / trainers map node index -> the layers of the resident
+	// ranks; re-dispatch moves a solver between lists.
+	solvers    [][]*rankFaults
+	trainers   [][]*rankFaults
+	wasted     float64 // compute lost to crashes
+	ckptWrites int64   // completed checkpoint writes, and their duration
+	ckptTotalS float64
 }
 
-// resSimWriter is the solver rank of the resilience campaign: the
-// simWriter loop of flat.go plus crash/repair, checkpointing,
-// straggler re-dispatch and outage deferral.
-type resSimWriter struct {
-	env     *des.Env
-	fs      *resFaultState
-	node    int
-	period  float64
-	horizon float64
-	start   float64
-	bytes   int64
-	time    *stats.Welford
-	tput    *stats.Throughput
-	samples *[]float64
-	xfer    xferStarter
-	wake    *des.Hold
-
-	down       bool
-	busy       bool // staged write in flight
-	epoch      int  // bumps on crash; stale transfers are discarded
-	startEpoch int
-	pendResume bool // resume deferred behind a draining transfer
-	// unrecovered marks a rank whose loss since lastCommit has been
-	// charged but whose recovery has not completed (restore still
-	// running, parked behind an outage, or dropped at the horizon): a
-	// further crash in that window accrued no new work and must charge
-	// nothing.
-	unrecovered bool
-	lastCommit  float64
-	wasted      *float64
-	ckptW       *costmodel.CheckpointOp
-	ckptR       *costmodel.CheckpointOp
-	ckptHold    *des.Hold
-	restoreHold *des.Hold // defers a restore parked behind an outage
-	ckptStart   float64
-	ckptBusy    bool
-	restoring   bool
-	ckptWrites  *int64
-	ckptTotalS  *float64
-	slowdownRef func(node int) float64
-	// stagger phases this rank's first cadence tick within [1, 2)
-	// intervals, spreading the fleet's checkpoints evenly instead of
-	// firing all ranks in one synchronized burst against the shared
-	// deployment.
-	stagger float64
-}
-
-// initResSimWriter mirrors initSimWriter: in a healthy run its
-// schedule calls (one wake push at construction, one per completed
-// write) land at identical (time, order) positions.
-func initResSimWriter(w *resSimWriter, env *des.Env, fs *resFaultState, node int,
-	period float64, bytes int64, time *stats.Welford, tput *stats.Throughput,
-	samples *[]float64, wasted *float64, ckptWrites *int64, ckptTotalS *float64,
-	stagger float64) {
-	*w = resSimWriter{
-		env: env, fs: fs, node: node, period: period, horizon: fs.horizon,
-		bytes: bytes, time: time, tput: tput, samples: samples,
-		lastCommit: env.Now(), wasted: wasted,
-		ckptWrites: ckptWrites, ckptTotalS: ckptTotalS,
-		slowdownRef: fs.inj.Slowdown,
-		stagger:     stagger,
-	}
-	w.wake = des.NewHold(env, func() {
-		if w.down {
-			return // repair resumes us
-		}
-		if fs.inj.OutageActive() {
-			// Defer to the outage end; a deferral past the horizon is
-			// dropped so outage housekeeping cannot stretch the
-			// measured end time.
-			if u := fs.inj.OutageUntil(); u < w.horizon {
-				w.wake.At(u)
-			}
-			return
-		}
-		w.start = env.Now()
-		w.busy = true
-		w.startEpoch = w.epoch
-		w.xfer.Start()
-	})
-	w.bindNode(node)
-	w.ckptHold = des.NewHold(env, func() {
-		if env.Now() >= w.horizon {
-			return // never let checkpoint traffic outlive the campaign
-		}
-		if w.down || w.ckptBusy {
-			// A previous checkpoint is still in flight: skip this
-			// cadence tick rather than stacking operations.
-			if !w.down {
-				w.armCkpt(fs.rec.CkptIntervalS)
-			}
-			return
-		}
-		if fs.inj.OutageActive() {
-			// The datastore is down: no checkpoint can start. Defer the
-			// tick to the outage end (horizon-guarded like every arm).
-			if fs.inj.OutageUntil() < w.horizon {
-				w.ckptHold.At(fs.inj.OutageUntil())
-			}
-			return
-		}
-		w.ckptStart = env.Now()
-		w.ckptBusy = true
-		w.ckptW.Start()
-	})
-	w.restoreHold = des.NewHold(env, w.startRestore)
-	if env.Now() < w.horizon {
-		w.wake.After(w.period)
-	}
-	if fs.rec.Policy == faults.CheckpointRestart && fs.rec.CkptIntervalS > 0 {
-		w.armCkpt(fs.rec.CkptIntervalS * (1 + w.stagger))
-	}
-}
-
-// bindNode (re)builds the transfer objects rooted at the rank's
-// current node — at construction and again on re-dispatch.
-func (w *resSimWriter) bindNode(node int) {
-	w.node = node
-	w.xfer = w.fs.model.NewSharedLocalWrite(w.fs.backend, node, w.fs.sizeMB, w.writeDone)
-	w.ckptW = w.fs.model.NewCheckpointWrite(w.fs.backend, node, w.fs.rec.CkptSizeMB, w.ckptDone)
-	w.ckptR = w.fs.model.NewCheckpointRead(w.fs.backend, node, w.fs.rec.CkptSizeMB, w.restoreDone)
-}
-
-// writeDone completes one staged snapshot write.
-func (w *resSimWriter) writeDone() {
-	w.busy = false
-	now := w.env.Now()
-	if w.startEpoch != w.epoch {
-		// The node died while this transfer was in flight: the result
-		// is gone. If the rank has already been repaired, resume the
-		// loop that was parked behind the drain.
-		if w.pendResume && !w.down {
-			w.pendResume = false
-			w.resume()
-		}
-		return
-	}
-	d := now - w.start
-	if w.time != nil {
-		w.time.Add(d)
-	}
-	if w.tput != nil {
-		w.tput.Add(w.bytes, d)
-	}
-	if w.samples != nil {
-		*w.samples = append(*w.samples, d)
-	}
-	if now < w.horizon {
-		w.wake.After(w.period * w.slowdownRef(w.node))
-	}
-}
-
-// resume re-arms the work loop after recovery, deferring behind a
-// still-draining orphaned transfer.
-func (w *resSimWriter) resume() {
-	if w.busy {
-		w.pendResume = true
-		return
-	}
-	if w.env.Now() < w.horizon {
-		w.wake.After(w.period * w.slowdownRef(w.node))
-	}
-}
-
-// armCkpt schedules the next cadence tick if it lands inside the
-// campaign; a tick past the horizon is never scheduled at all, so
-// checkpoint housekeeping cannot stretch the measured end time.
-func (w *resSimWriter) armCkpt(d float64) {
-	if w.env.Now()+d < w.horizon {
-		w.ckptHold.After(d)
-	}
-}
-
-// ckptDone commits one durable checkpoint. The commit point is the
-// write's *start* time: the checkpoint can only capture state as of
-// the moment it began, so work done while it was being written is not
-// durable and is charged as wasted if the node crashes afterwards.
-func (w *resSimWriter) ckptDone() {
-	w.ckptBusy = false
-	now := w.env.Now()
-	*w.ckptWrites++
-	*w.ckptTotalS += now - w.ckptStart
-	w.lastCommit = w.ckptStart
-	w.armCkpt(w.fs.rec.CkptIntervalS)
-}
-
-// restoreDone completes the post-repair checkpoint read: the rank is
-// recovered and resumes work and checkpointing.
-func (w *resSimWriter) restoreDone() {
-	w.restoring = false
-	w.unrecovered = false
-	w.lastCommit = w.env.Now()
-	w.resume()
-	w.armCkpt(w.fs.rec.CkptIntervalS)
-}
-
-// onCrash tears the rank down: cancel the pending wake and checkpoint
-// cadence, abort in-flight checkpoint operations, account the work
-// lost since the last durable commit. A crash landing mid-recovery —
-// the restore read still running, or parked behind an outage — charges
-// nothing: no work has accrued since the repair, and the loss since
-// lastCommit was already charged at the previous crash.
-func (w *resSimWriter) onCrash() {
-	w.down = true
-	w.epoch++
-	w.pendResume = false
-	w.wake.Cancel()
-	w.ckptHold.Cancel()
-	if w.ckptBusy {
-		w.ckptW.Abort()
-		w.ckptBusy = false
-	}
-	w.restoreHold.Cancel()
-	if w.restoring {
-		w.ckptR.Abort()
-		w.restoring = false
-	}
-	if !w.unrecovered {
-		*w.wasted += w.env.Now() - w.lastCommit
-		w.unrecovered = true
-	}
-}
-
-// onRepair brings the rank back: fail-stop restarts from scratch
-// immediately; checkpoint/restart first replays the last durable
-// checkpoint through the backend.
-func (w *resSimWriter) onRepair() {
-	w.down = false
-	if w.fs.rec.Policy == faults.CheckpointRestart && w.fs.rec.CkptIntervalS > 0 {
-		w.startRestore()
-		return
-	}
-	w.unrecovered = false
-	w.lastCommit = w.env.Now()
-	w.resume()
-}
-
-// startRestore begins the post-repair checkpoint read, waiting out an
-// active datastore outage first (a restore cannot read from a backend
-// that is down).
-func (w *resSimWriter) startRestore() {
-	if w.fs.inj.OutageActive() {
-		if w.fs.inj.OutageUntil() < w.horizon {
-			w.restoreHold.At(w.fs.inj.OutageUntil())
-		}
-		return
-	}
-	w.restoring = true
-	w.ckptR.Start()
-}
-
-// reDispatch migrates the rank to a healthy replacement node (straggler
-// re-dispatch policy). In-flight checkpoint operations bound to the old
-// node are aborted first — rebinding would otherwise orphan their only
-// Abort handle, letting a dead claim fire ckptDone later. An aborted
-// restore is replayed from the new node.
-func (w *resSimWriter) reDispatch(to int) {
-	if w.ckptBusy {
-		w.ckptW.Abort()
-		w.ckptBusy = false
-		// The aborted write was carrying the cadence (ckptDone would
-		// have re-armed it): re-arm, or the migrated rank would never
-		// checkpoint again.
-		w.armCkpt(w.fs.rec.CkptIntervalS)
-	}
-	redoRestore := w.restoring
-	if redoRestore {
-		w.ckptR.Abort()
-		w.restoring = false
-	}
-	w.bindNode(to)
-	if redoRestore {
-		w.startRestore()
-	}
-}
-
-// resAIReader is the trainer rank: the aiReader poll loop plus
-// crash/repair pause and outage deferral.
-type resAIReader struct {
-	env         *des.Env
-	fs          *resFaultState
-	node        int
-	readPeriod  float64
-	writePeriod float64
-	horizon     float64
-	lastRead    float64
-	start       float64
-	bytes       int64
-	tput        *stats.Throughput
-	xfer        xferStarter
-	wake        *des.Hold
-
-	down       bool
-	busy       bool
-	epoch      int
-	startEpoch int
-	pendResume bool
-}
-
-// initResAIReader mirrors initAIReader in a healthy run, except that it
-// executes every poll: an idle one is a point where a crash or an outage
-// can find the rank.
-func initResAIReader(r *resAIReader, env *des.Env, fs *resFaultState, node int,
-	readPeriod, writePeriod float64, bytes int64, tput *stats.Throughput) {
-	*r = resAIReader{
-		env: env, fs: fs, node: node, readPeriod: readPeriod, writePeriod: writePeriod,
-		horizon: fs.horizon, lastRead: -writePeriod, bytes: bytes, tput: tput,
-	}
-	r.xfer = fs.model.NewSharedLocalRead(fs.backend, node, fs.sizeMB, r.readDone)
-	r.wake = des.NewHold(env, func() {
-		if r.down {
-			return
-		}
-		now := env.Now()
-		if now-r.lastRead < r.writePeriod {
-			if now < r.horizon {
-				r.wake.After(r.readPeriod)
-			}
-			return
-		}
-		if fs.inj.OutageActive() {
-			if u := fs.inj.OutageUntil(); u < r.horizon {
-				r.wake.At(u)
-			}
-			return
-		}
-		r.lastRead = now
-		r.start = now
-		r.busy = true
-		r.startEpoch = r.epoch
-		r.xfer.Start()
-	})
-	if env.Now() < r.horizon {
-		r.wake.After(r.readPeriod)
-	}
-}
-
-func (r *resAIReader) readDone() {
-	r.busy = false
-	now := r.env.Now()
-	if r.startEpoch != r.epoch {
-		if r.pendResume && !r.down {
-			r.pendResume = false
-			r.resume()
-		}
-		return
-	}
-	if r.tput != nil {
-		r.tput.Add(r.bytes, now-r.start)
-	}
-	if now < r.horizon {
-		r.wake.After(r.readPeriod)
-	}
-}
-
-func (r *resAIReader) resume() {
-	if r.busy {
-		r.pendResume = true
-		return
-	}
-	if r.env.Now() < r.horizon {
-		r.wake.After(r.readPeriod)
-	}
-}
-
-func (r *resAIReader) onCrash() {
-	r.down = true
-	r.epoch++
-	r.pendResume = false
-	r.wake.Cancel()
-}
-
-func (r *resAIReader) onRepair() {
-	r.down = false
-	r.resume()
-}
-
-// RunResilienceChecked simulates one disturbance configuration and
-// returns its measurement. Deterministic: equal configs give bit-equal
-// points, and the crash timeline depends only on (Seed, MTBFS, RepairS,
-// node count), so sweeping the checkpoint cadence compares recovery
-// policies against identical disturbances. With cfg.MaxEvents set, a
-// runaway simulation aborts with the structured des.BudgetExceeded
-// error; with no budget it never fails.
-func RunResilienceChecked(cfg ResilienceConfig) (ResiliencePoint, error) {
-	cfg = cfg.withDefaults()
-	spec := cluster.Aurora(cfg.Tenants * cfg.NodesPerTenant)
-	tenants, err := cluster.CoSchedule(spec, cfg.Tenants, cfg.NodesPerTenant)
-	if err != nil {
-		// Unreachable with withDefaults-sanitized inputs.
-		panic(err)
-	}
-	place := cluster.Pattern1Placement(spec)
-	env := newGuardedEnv(cfg.MaxEvents)
-	params := costmodel.Default()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
-	model := costmodel.New(env, spec, params)
-
-	horizon := float64(cfg.TrainIters) * cfg.TrainIterS
-	bytes := int64(cfg.SizeMB * 1e6)
-	var writeTput, readTput stats.Throughput
-	var writeTime stats.Welford
-	var wasted, ckptTotalS float64
-	var ckptWrites int64
-
-	fs := &resFaultState{
+// newFaultState builds the layer state of one run and starts its
+// injector, whose hooks reach the ranks attached later.
+func newFaultState(env *des.Env, spec cluster.Spec, model *costmodel.Model, horizon float64, cfg ResilienceConfig) *faultState {
+	fs := &faultState{
 		model: model, rec: cfg.Recovery(), backend: cfg.Backend,
 		sizeMB: cfg.SizeMB, horizon: horizon,
-		byNodeW: make([][]*resSimWriter, spec.Nodes),
-		byNodeR: make([][]*resAIReader, spec.Nodes),
+		solvers:  make([][]*rankFaults, spec.Nodes),
+		trainers: make([][]*rankFaults, spec.Nodes),
 	}
 	fs.inj = faults.New(env, spec, faults.Profile{
 		Seed:            cfg.Seed,
@@ -619,22 +198,8 @@ func RunResilienceChecked(cfg ResilienceConfig) (ResiliencePoint, error) {
 		OutageDurS:      cfg.OutageDurS,
 		Until:           horizon,
 	}, faults.Hooks{
-		Crash: func(node int) {
-			for _, w := range fs.byNodeW[node] {
-				w.onCrash()
-			}
-			for _, r := range fs.byNodeR[node] {
-				r.onCrash()
-			}
-		},
-		Repair: func(node int) {
-			for _, w := range fs.byNodeW[node] {
-				w.onRepair()
-			}
-			for _, r := range fs.byNodeR[node] {
-				r.onRepair()
-			}
-		},
+		Crash:  func(node int) { fs.each(node, (*rankFaults).onCrash) },
+		Repair: func(node int) { fs.each(node, (*rankFaults).onRepair) },
 		StragglerStart: func(node int) {
 			if !fs.rec.ReDispatchStragglers {
 				return
@@ -643,77 +208,346 @@ func RunResilienceChecked(cfg ResilienceConfig) (ResiliencePoint, error) {
 			if !ok {
 				return
 			}
-			moved := fs.byNodeW[node]
-			fs.byNodeW[node] = nil
-			for _, w := range moved {
-				w.reDispatch(to)
+			moved := fs.solvers[node]
+			fs.solvers[node] = nil
+			for _, f := range moved {
+				f.reDispatch(to)
 			}
-			fs.byNodeW[to] = append(fs.byNodeW[to], moved...)
+			fs.solvers[to] = append(fs.solvers[to], moved...)
 		},
 	})
 	fs.inj.Start()
+	return fs
+}
 
-	writePeriod := float64(cfg.WritePeriod) * cfg.SimIterS
-	readPeriod := float64(cfg.ReadPeriod) * cfg.TrainIterS
-	nodes := cfg.Tenants * cfg.NodesPerTenant
-	simRanks := nodes * place.SimTilesPerNode
-	samples := make([]float64, 0, simRanks*(int(horizon/writePeriod)+2))
-	writers := make([]resSimWriter, simRanks)
-	readers := make([]resAIReader, nodes*place.AITilesPerNode)
-	wi, ri := 0, 0
-	for _, tn := range tenants {
-		for _, node := range tn.Nodes {
-			for k := 0; k < place.SimTilesPerNode; k++ {
-				w := &writers[wi]
-				initResSimWriter(w, env, fs, node, writePeriod, bytes,
-					&writeTime, &writeTput, &samples, &wasted, &ckptWrites, &ckptTotalS,
-					float64(wi)/float64(simRanks))
-				fs.byNodeW[node] = append(fs.byNodeW[node], w)
-				wi++
-			}
-			for k := 0; k < place.AITilesPerNode; k++ {
-				r := &readers[ri]
-				initResAIReader(r, env, fs, node, readPeriod, writePeriod, bytes, &readTput)
-				fs.byNodeR[node] = append(fs.byNodeR[node], r)
-				ri++
-			}
+// each applies fn to the layers of node's ranks, solvers first.
+func (fs *faultState) each(node int, fn func(*rankFaults)) {
+	for _, f := range fs.solvers[node] {
+		fn(f)
+	}
+	for _, f := range fs.trainers[node] {
+		fn(f)
+	}
+}
+
+// rankFaults is the fault layer of one staging rank: everything a crash,
+// a repair or a datastore outage does to the loop of flat.go, for solver
+// and trainer ranks alike. The loop asks it three things — may this
+// transfer start (admit), does this completion count (landed), where is
+// the next wake-up armed (wake) — and stretches a solver's period by its
+// node's straggler slowdown; the injector's hooks drive the rest.
+type rankFaults struct {
+	r    *stagingRank
+	fs   *faultState
+	node int
+	done func()    // the rank's completion callback, for rebinding its transfer
+	wake *des.Hold // the rank's wake-up, cancellable
+
+	down       bool
+	busy       bool // transfer in flight
+	epoch      int  // bumps on crash; stale transfers are discarded
+	startEpoch int
+	pendResume bool // resume deferred behind a draining transfer
+
+	// What follows is a solver rank's alone: its checkpoint cadence, its
+	// post-repair restore and its account of work lost.
+	solver bool
+	// unrecovered: the loss since lastCommit has been charged and the
+	// recovery has not completed; a further crash charges nothing.
+	unrecovered bool
+	lastCommit  float64
+	ckptW       *costmodel.CheckpointOp
+	ckptR       *costmodel.CheckpointOp
+	ckptHold    *des.Hold
+	restoreHold *des.Hold // defers a restore parked behind an outage
+	ckptStart   float64
+	ckptBusy    bool
+	restoring   bool
+}
+
+// attach gives r its fault layer and arms its first poll (and, on a
+// solver rank under checkpoint/restart, its first checkpoint). In a
+// healthy run these are the schedule calls of an unlayered rank, at
+// identical (time, order) positions.
+func (fs *faultState) attach(r *stagingRank, cfg rankConfig, done func()) {
+	f := &rankFaults{
+		r: r, fs: fs, node: cfg.node, done: done, wake: des.NewHold(r.env, r.wake),
+		solver: cfg.write, lastCommit: r.env.Now(),
+	}
+	r.faults = f
+	if f.solver {
+		fs.solvers[f.node] = append(fs.solvers[f.node], f)
+		f.bindCkpt()
+		f.ckptHold = des.NewHold(r.env, f.ckptTick)
+		f.restoreHold = des.NewHold(r.env, f.startRestore)
+	} else {
+		fs.trainers[f.node] = append(fs.trainers[f.node], f)
+	}
+	r.arm()
+	if f.solver && fs.rec.Policy == faults.CheckpointRestart {
+		// stagger phases the first cadence tick within [1, 2) intervals,
+		// spreading the fleet's checkpoints evenly instead of firing all
+		// ranks in one synchronized burst against the shared deployment.
+		f.armCkpt(fs.rec.CkptIntervalS * (1 + cfg.stagger))
+	}
+}
+
+// admit is the loop asking to start a transfer. During a datastore
+// outage the answer is no and the wake-up is deferred to the outage end;
+// a deferral past the horizon is dropped so outage housekeeping cannot
+// stretch the measured end time. (A down rank never asks: its crash
+// cancelled the wake-up.)
+func (f *rankFaults) admit() bool {
+	if f.fs.inj.OutageActive() {
+		if u := f.fs.inj.OutageUntil(); u < f.fs.horizon {
+			f.wake.At(u)
 		}
+		return false
 	}
-	endT := env.RunUntil(horizon * 1.5)
-	guardErr := env.Err()
-	if endT <= 0 {
-		endT = horizon
+	f.busy = true
+	f.startEpoch = f.epoch
+	return true
+}
+
+// landed is the loop reporting a completed transfer; it counts unless
+// the node died while it was in flight. Then the result is gone, and if
+// the rank has already been repaired the loop that was parked behind the
+// drain resumes.
+func (f *rankFaults) landed() bool {
+	f.busy = false
+	if f.startEpoch == f.epoch {
+		return true
 	}
-	env.Shutdown() // drop the injector's pending disturbance events
-	if guardErr != nil {
+	if f.pendResume && !f.down {
+		f.pendResume = false
+		f.resume()
+	}
+	return false
+}
+
+// resume re-arms the loop after recovery, deferring behind a
+// still-draining orphaned transfer.
+func (f *rankFaults) resume() {
+	if f.busy {
+		f.pendResume = true
+		return
+	}
+	f.r.arm()
+}
+
+// onCrash tears the rank down: the pending wake-up and checkpoint
+// cadence are cancelled, in-flight checkpoint operations aborted, an
+// in-flight transfer becomes stale, and the work lost since the last
+// durable commit is accounted. A crash landing mid-recovery — the
+// restore read still running, parked behind an outage, or dropped at the
+// horizon — charges nothing: no work has accrued since the repair, and
+// the loss since lastCommit was already charged at the previous crash.
+func (f *rankFaults) onCrash() {
+	f.down = true
+	f.epoch++
+	f.pendResume = false
+	f.wake.Cancel()
+	if !f.solver {
+		return
+	}
+	f.ckptHold.Cancel()
+	if f.ckptBusy {
+		f.ckptW.Abort()
+		f.ckptBusy = false
+	}
+	f.restoreHold.Cancel()
+	if f.restoring {
+		f.ckptR.Abort()
+		f.restoring = false
+	}
+	if !f.unrecovered {
+		f.fs.wasted += f.r.env.Now() - f.lastCommit
+		f.unrecovered = true
+	}
+}
+
+// onRepair brings the rank back: a trainer resumes polling; a fail-stop
+// solver restarts from scratch immediately; under checkpoint/restart it
+// first replays the last durable checkpoint through the backend.
+func (f *rankFaults) onRepair() {
+	f.down = false
+	switch {
+	case !f.solver:
+		f.resume()
+	case f.fs.rec.Policy == faults.CheckpointRestart:
+		f.startRestore()
+	default:
+		f.unrecovered = false
+		f.lastCommit = f.r.env.Now()
+		f.resume()
+	}
+}
+
+// bindCkpt (re)builds the checkpoint operations rooted at the rank's
+// current node — at construction and again on re-dispatch.
+func (f *rankFaults) bindCkpt() {
+	fs := f.fs
+	f.ckptW = fs.model.NewCheckpointWrite(fs.backend, f.node, fs.rec.CkptSizeMB, f.ckptDone)
+	f.ckptR = fs.model.NewCheckpointRead(fs.backend, f.node, fs.rec.CkptSizeMB, f.restoreDone)
+}
+
+// ckptTick is one checkpoint cadence tick.
+func (f *rankFaults) ckptTick() {
+	fs, now := f.fs, f.r.env.Now()
+	if now >= fs.horizon {
+		return // never let checkpoint traffic outlive the campaign
+	}
+	if f.down || f.ckptBusy {
+		// A previous checkpoint is still in flight: skip this cadence
+		// tick rather than stacking operations.
+		if !f.down {
+			f.armCkpt(fs.rec.CkptIntervalS)
+		}
+		return
+	}
+	if fs.inj.OutageActive() {
+		// The datastore is down: no checkpoint can start. Defer the tick
+		// to the outage end (horizon-guarded like every arm).
+		if fs.inj.OutageUntil() < fs.horizon {
+			f.ckptHold.At(fs.inj.OutageUntil())
+		}
+		return
+	}
+	f.ckptStart = now
+	f.ckptBusy = true
+	f.ckptW.Start()
+}
+
+// armCkpt schedules the next cadence tick if it lands inside the
+// campaign; a tick past the horizon is never scheduled at all, so
+// checkpoint housekeeping cannot stretch the measured end time.
+func (f *rankFaults) armCkpt(d float64) {
+	if f.r.env.Now()+d < f.fs.horizon {
+		f.ckptHold.After(d)
+	}
+}
+
+// ckptDone commits one durable checkpoint. The commit point is the
+// write's *start* time: the checkpoint can only capture state as of the
+// moment it began, so work done while it was being written is not
+// durable and is charged as wasted if the node crashes afterwards.
+func (f *rankFaults) ckptDone() {
+	f.ckptBusy = false
+	f.fs.ckptWrites++
+	f.fs.ckptTotalS += f.r.env.Now() - f.ckptStart
+	f.lastCommit = f.ckptStart
+	f.armCkpt(f.fs.rec.CkptIntervalS)
+}
+
+// startRestore begins the post-repair checkpoint read, waiting out an
+// active datastore outage first (a restore cannot read from a backend
+// that is down).
+func (f *rankFaults) startRestore() {
+	if f.fs.inj.OutageActive() {
+		if f.fs.inj.OutageUntil() < f.fs.horizon {
+			f.restoreHold.At(f.fs.inj.OutageUntil())
+		}
+		return
+	}
+	f.restoring = true
+	f.ckptR.Start()
+}
+
+// restoreDone completes the post-repair checkpoint read: the rank is
+// recovered and resumes work and checkpointing.
+func (f *rankFaults) restoreDone() {
+	f.restoring = false
+	f.unrecovered = false
+	f.lastCommit = f.r.env.Now()
+	f.resume()
+	f.armCkpt(f.fs.rec.CkptIntervalS)
+}
+
+// reDispatch migrates a solver rank to a healthy replacement node
+// (straggler re-dispatch policy). In-flight checkpoint operations bound
+// to the old node are aborted first — rebinding would otherwise orphan
+// their only Abort handle, letting a dead claim fire ckptDone later. An
+// aborted restore is replayed from the new node.
+func (f *rankFaults) reDispatch(to int) {
+	if f.ckptBusy {
+		f.ckptW.Abort()
+		f.ckptBusy = false
+		// The aborted write was carrying the cadence (ckptDone would
+		// have re-armed it): re-arm, or the migrated rank would never
+		// checkpoint again.
+		f.armCkpt(f.fs.rec.CkptIntervalS)
+	}
+	redoRestore := f.restoring
+	if redoRestore {
+		f.ckptR.Abort()
+		f.restoring = false
+	}
+	f.node = to
+	f.r.xfer = f.fs.model.NewSharedLocalWrite(f.fs.backend, to, f.fs.sizeMB, f.done)
+	f.bindCkpt()
+	if redoRestore {
+		f.startRestore()
+	}
+}
+
+// RunResilienceChecked simulates one disturbance configuration and
+// returns its measurement. Deterministic: equal configs give bit-equal
+// points, and the crash timeline depends only on (Seed, MTBFS, RepairS,
+// node count), so sweeping the checkpoint cadence compares recovery
+// policies against identical disturbances. A NaN or infinite field
+// (MTBFS may be infinite: never) is an error naming it; with
+// cfg.MaxEvents set, a runaway simulation aborts with the structured
+// des.BudgetExceeded error.
+func RunResilienceChecked(cfg ResilienceConfig) (ResiliencePoint, error) {
+	fail := func(err error) (ResiliencePoint, error) {
 		return ResiliencePoint{}, fmt.Errorf("resilience (%s, mtbf %s, ckpt %s): %w",
-			cfg.Backend, mtbfLabel(cfg.MTBFS), ckptLabel(cfg.CkptIntervalS), guardErr)
+			cfg.Backend, mtbfLabel(cfg.MTBFS), ckptLabel(cfg.CkptIntervalS), err)
+	}
+	if math.IsNaN(cfg.MTBFS) { // ±Inf is "never"
+		return fail(finite(knob{"MTBFS", cfg.MTBFS}))
+	}
+	if err := finite(
+		knob{"RepairS", cfg.RepairS}, knob{"CkptIntervalS", cfg.CkptIntervalS},
+		knob{"CkptSizeMB", cfg.CkptSizeMB}, knob{"StragglerMTBS", cfg.StragglerMTBS},
+		knob{"StragglerFactor", cfg.StragglerFactor}, knob{"StragglerDurS", cfg.StragglerDurS},
+		knob{"OutageMTBS", cfg.OutageMTBS}, knob{"OutageDurS", cfg.OutageDurS},
+	); err != nil {
+		return fail(err)
+	}
+	cfg = cfg.withDefaults()
+	run, err := runColocated(ScaleOutConfig{
+		Tenants: cfg.Tenants, NodesPerTenant: cfg.NodesPerTenant, Backend: cfg.Backend, SizeMB: cfg.SizeMB,
+		SimIterS: cfg.SimIterS, TrainIterS: cfg.TrainIterS,
+		WritePeriod: cfg.WritePeriod, ReadPeriod: cfg.ReadPeriod, TrainIters: cfg.TrainIters,
+		MaxEvents: cfg.MaxEvents, Params: cfg.Params,
+	}, true, func(env *des.Env, spec cluster.Spec, model *costmodel.Model, horizon float64) *faultState {
+		return newFaultState(env, spec, model, horizon, cfg)
+	})
+	if err != nil {
+		return fail(err)
 	}
 
-	aggGBps := 0.0
-	if writeTime.N() > 0 {
-		aggGBps = float64(writeTime.N()) * float64(bytes) / 1e9 / endT
-	}
-	rankSeconds := float64(simRanks) * horizon
+	fs := run.faults
+	rankSeconds := float64(run.simRanks) * run.horizon
 	pt := ResiliencePoint{
 		Tenants:       cfg.Tenants,
 		Backend:       cfg.Backend,
 		SizeMB:        cfg.SizeMB,
 		MTBFS:         cfg.MTBFS,
 		CkptIntervalS: cfg.CkptIntervalS,
-		WriteGBps:     writeTput.MeanGBps(),
-		ReadGBps:      readTput.MeanGBps(),
-		StageMeanS:    writeTime.Mean(),
-		StageP50S:     stats.Quantile(samples, 0.5),
-		SharedWaitS:   model.SharedWaitS(cfg.Backend),
-		AggGBps:       aggGBps,
-		Writes:        writeTime.N(),
+		WriteGBps:     run.writeTput.MeanGBps(),
+		ReadGBps:      run.readTput.MeanGBps(),
+		StageMeanS:    run.writeTime.Mean(),
+		StageP50S:     stats.Quantile(run.samples, 0.5),
+		SharedWaitS:   run.model.SharedWaitS(cfg.Backend),
+		AggGBps:       run.aggGBps(),
+		Writes:        run.writeTime.N(),
 		Crashes:       fs.inj.Crashes(),
-		WastedS:       wasted,
-		WastedFrac:    wasted / rankSeconds,
-		CkptWrites:    ckptWrites,
-		CkptTotalS:    ckptTotalS,
-		CkptFrac:      ckptTotalS / rankSeconds,
+		WastedS:       fs.wasted,
+		WastedFrac:    fs.wasted / rankSeconds,
+		CkptWrites:    fs.ckptWrites,
+		CkptTotalS:    fs.ckptTotalS,
+		CkptFrac:      fs.ckptTotalS / rankSeconds,
 	}
 	pt.EffGBps = pt.AggGBps * (1 - pt.WastedFrac)
 	if cfg.MTBFS <= 0 {

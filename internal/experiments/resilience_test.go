@@ -10,25 +10,26 @@ import (
 	"simaibench/internal/costmodel"
 	"simaibench/internal/datastore"
 	"simaibench/internal/des"
-	"simaibench/internal/faults"
 	"simaibench/internal/scenario"
 	"simaibench/internal/stats"
 )
 
 // TestResilienceHealthyMatchesScaleOut is the equivalence contract of
-// the fault layer: with crashes disabled and checkpointing off, the
-// resilience rank machines must replay the exact event sequence of the
-// scale-out machines — every shared observable bit-identical, for every
-// backend. This is what guarantees the fault layer is a pure extension:
-// its interruptibility hooks cost the healthy path nothing.
+// the fault layer: with crashes disabled and checkpointing off, ranks
+// that carry the layer must replay the exact event sequence of ranks
+// that do not — every shared observable bit-identical, for every
+// backend. Layer attached but silent is the same run as no layer.
 //
 // The second profile (the Pattern 1 periods) writes every 3.25 s and
-// polls every 0.633 s, so four polls in five find nothing: resAIReader
-// executes them, aiReader skips them (nextPoll), and the two must still
-// agree — this is the test that notices if one machine's poll clock is
-// changed without the other's.
+// polls every 0.633 s, so four polls in five find nothing and nextPoll
+// skips them: a wake-up armed through the layer's Hold must land where
+// the plain schedule call does. The third (7/3) is the pair at which the
+// two rank machines this layer replaced did disagree, in the fourth digit
+// on the Redis and Dragon deployments: one executed the idle polls, the
+// other skipped them, and a tie between ranks on different poll clocks
+// resolved the other way (nextPoll's caveat, observed).
 func TestResilienceHealthyMatchesScaleOut(t *testing.T) {
-	for _, periods := range []struct{ write, read int }{{10, 10}, {100, 10}} {
+	for _, periods := range []struct{ write, read int }{{10, 10}, {100, 10}, {7, 3}} {
 		for _, b := range datastore.Backends() {
 			so := checked(t, RunScaleOutChecked, ScaleOutConfig{Tenants: 4, Backend: b, TrainIters: 150,
 				WritePeriod: periods.write, ReadPeriod: periods.read})
@@ -176,40 +177,40 @@ func TestResilienceOutageDefersStaging(t *testing.T) {
 	}
 }
 
+// bareFaultedRank builds one staging rank with its fault layer on a bare
+// Env — node 0 of two, shared Redis, 8 MB, horizon 100 s — under a
+// healthy injector, so the test drives crash, repair and re-dispatch by
+// hand. cfg carries the recovery policy.
+func bareFaultedRank(cfg ResilienceConfig, write bool, period, fresh float64) (*des.Env, *faultState, *stagingRank, *stats.Welford) {
+	env := des.NewEnv()
+	spec := cluster.Aurora(2)
+	model := costmodel.New(env, spec, costmodel.Default())
+	cfg.Backend, cfg.SizeMB, cfg.CkptSizeMB = datastore.Redis, 8, 8
+	fs := newFaultState(env, spec, model, 100, cfg)
+	r, xferTime := &stagingRank{}, &stats.Welford{}
+	initRank(r, env, model, rankConfig{
+		backend: cfg.Backend, sizeMB: cfg.SizeMB, write: write, shared: true,
+		period: period, fresh: fresh, horizon: fs.horizon, bytes: 8e6,
+		time: xferTime, faults: fs,
+	})
+	return env, fs, r, xferTime
+}
+
 // TestCrashDuringRestoreChargesNoExtraWaste: a second crash landing
 // while the post-repair restore read is still running must not
 // re-charge the work already charged at the first crash (no compute has
 // accrued in between).
 func TestCrashDuringRestoreChargesNoExtraWaste(t *testing.T) {
-	env := des.NewEnv()
-	spec := cluster.Aurora(2)
-	model := costmodel.New(env, spec, costmodel.Default())
-	fs := &resFaultState{
-		model:   model,
-		rec:     faults.Recovery{Policy: faults.CheckpointRestart, CkptIntervalS: 50, CkptSizeMB: 8},
-		backend: datastore.Redis, sizeMB: 8, horizon: 100,
-		byNodeW: make([][]*resSimWriter, spec.Nodes),
-		byNodeR: make([][]*resAIReader, spec.Nodes),
-	}
-	fs.inj = faults.New(env, spec, faults.Profile{}, faults.Hooks{})
-	var wt stats.Welford
-	var tput stats.Throughput
-	var wasted, ckptTotal float64
-	var ckptWrites int64
-	samples := []float64{}
-	w := &resSimWriter{}
-	initResSimWriter(w, env, fs, 0, 0.5, 8e6, &wt, &tput, &samples,
-		&wasted, &ckptWrites, &ckptTotal, 0)
-	env.At(10, w.onCrash)
-	env.At(11, w.onRepair)    // restore read begins (~20 ms)
-	env.At(11.001, w.onCrash) // crash mid-restore
-	env.At(12, w.onRepair)    // recover for good
+	env, fs, r, _ := bareFaultedRank(ResilienceConfig{CkptIntervalS: 50}, true, 0.5, 0)
+	env.At(10, r.faults.onCrash)
+	env.At(11, r.faults.onRepair)    // restore read begins (~20 ms)
+	env.At(11.001, r.faults.onCrash) // crash mid-restore
+	env.At(12, r.faults.onRepair)    // recover for good
 	env.RunUntil(40)
-	env.Shutdown()
 	// Only the first crash charges: 10 s since lastCommit(0). The
 	// mid-restore crash accrued no work.
-	if wasted != 10 {
-		t.Fatalf("wasted = %v, want exactly 10 (second crash double-charged)", wasted)
+	if fs.wasted != 10 {
+		t.Fatalf("wasted = %v, want exactly 10 (second crash double-charged)", fs.wasted)
 	}
 }
 
@@ -220,44 +221,90 @@ func TestCrashDuringRestoreChargesNoExtraWaste(t *testing.T) {
 // let the dead claim commit a phantom checkpoint (ckptDone firing for
 // a down rank).
 func TestReDispatchAbandonsInFlightCheckpoint(t *testing.T) {
-	env := des.NewEnv()
-	spec := cluster.Aurora(2)
-	model := costmodel.New(env, spec, costmodel.Default())
-	fs := &resFaultState{
-		model: model,
-		rec: faults.Recovery{Policy: faults.CheckpointRestart, CkptIntervalS: 5,
-			CkptSizeMB: 8, ReDispatchStragglers: true},
-		backend: datastore.Redis, sizeMB: 8, horizon: 100,
-		byNodeW: make([][]*resSimWriter, spec.Nodes),
-		byNodeR: make([][]*resAIReader, spec.Nodes),
-	}
-	fs.inj = faults.New(env, spec, faults.Profile{}, faults.Hooks{})
-	var wt stats.Welford
-	var tput stats.Throughput
-	var wasted, ckptTotal float64
-	var ckptWrites int64
-	samples := []float64{}
-	w := &resSimWriter{}
-	initResSimWriter(w, env, fs, 0, 0.5, 8e6, &wt, &tput, &samples,
-		&wasted, &ckptWrites, &ckptTotal, 0)
+	env, fs, r, _ := bareFaultedRank(ResilienceConfig{CkptIntervalS: 5, ReDispatchStragglers: true}, true, 0.5, 0)
 	// The first cadence tick starts a checkpoint write at t=5; 1 ms into
 	// it the rank is re-dispatched to node 1, and 1 ms later node 1
 	// crashes the rank. Neither the abandoned nor any other checkpoint
 	// may commit while the rank is down.
 	env.At(5.001, func() {
-		if !w.ckptBusy {
+		if !r.faults.ckptBusy {
 			t.Fatal("checkpoint write should be in flight at t=5.001")
 		}
-		w.reDispatch(1)
+		r.faults.reDispatch(1)
 	})
-	env.At(5.002, w.onCrash)
+	env.At(5.002, r.faults.onCrash)
 	env.RunUntil(50)
-	env.Shutdown()
-	if ckptWrites != 0 {
-		t.Fatalf("%d checkpoint(s) committed for a migrated-then-crashed rank", ckptWrites)
+	if fs.ckptWrites != 0 {
+		t.Fatalf("%d checkpoint(s) committed for a migrated-then-crashed rank", fs.ckptWrites)
 	}
-	if w.lastCommit != 0 {
-		t.Fatalf("lastCommit moved to %v for a crashed rank", w.lastCommit)
+	if r.faults.lastCommit != 0 {
+		t.Fatalf("lastCommit moved to %v for a crashed rank", r.faults.lastCommit)
+	}
+}
+
+// TestCrashMidTransfer: a crash that lands while a staged transfer is in
+// flight. The transfer still drains through the backend, but its
+// completion is stale and records nothing; a repair that arrives before
+// the drain ends parks the resume behind it, and the loop re-arms once
+// when the drain ends; a second crash before the drain ends leaves
+// nothing armed at all. The fault layer is one piece of code for both
+// rank kinds, so this is one body and two rows.
+func TestCrashMidTransfer(t *testing.T) {
+	for _, row := range []struct {
+		name  string
+		write bool
+		fresh float64
+	}{{"solver", true, 0}, {"trainer", false, 0.3}} {
+		const first = 0.5 // the first poll; the ~15 ms transfer it starts is hit 1 ms in
+		mid := func(t *testing.T) (*des.Env, *stagingRank, *stats.Welford) {
+			env, _, r, xferTime := bareFaultedRank(ResilienceConfig{}, row.write, first, row.fresh)
+			env.At(first+0.001, func() {
+				if !r.faults.busy {
+					t.Fatal("no transfer in flight 1 ms after the first poll")
+				}
+				r.faults.onCrash()
+				if r.faults.wake.Armed() {
+					t.Error("crash left the wake-up armed")
+				}
+			})
+			env.At(first+0.002, func() {
+				r.faults.onRepair()
+				if !r.faults.pendResume || r.faults.wake.Armed() {
+					t.Errorf("repair mid-drain: pendResume=%v armed=%v, want the resume parked and nothing armed",
+						r.faults.pendResume, r.faults.wake.Armed())
+				}
+			})
+			return env, r, xferTime
+		}
+		t.Run(row.name+"/repair-mid-drain", func(t *testing.T) {
+			env, r, xferTime := mid(t)
+			env.RunUntil(first + 0.1) // the drain is over
+			if r.faults.busy || xferTime.N() != 0 {
+				t.Fatalf("after the drain: busy=%v, %d transfer(s) recorded, want the stale completion to record none",
+					r.faults.busy, xferTime.N())
+			}
+			if r.faults.pendResume || !r.faults.wake.Armed() {
+				t.Fatalf("after the drain: pendResume=%v armed=%v, want the loop re-armed",
+					r.faults.pendResume, r.faults.wake.Armed())
+			}
+			env.RunUntil(2*first + 0.1) // one period on: exactly one transfer
+			if xferTime.N() != 1 || !r.faults.wake.Armed() {
+				t.Fatalf("one period after the drain: %d transfer(s), armed=%v, want 1 and the loop running",
+					xferTime.N(), r.faults.wake.Armed())
+			}
+		})
+		t.Run(row.name+"/second-crash-mid-drain", func(t *testing.T) {
+			env, r, xferTime := mid(t)
+			env.At(first+0.003, r.faults.onCrash)
+			env.RunUntil(50)
+			if r.faults.busy || r.faults.pendResume || r.faults.wake.Armed() || env.Pending() != 0 {
+				t.Fatalf("busy=%v pendResume=%v armed=%v pending=%d, want a down rank with nothing armed",
+					r.faults.busy, r.faults.pendResume, r.faults.wake.Armed(), env.Pending())
+			}
+			if xferTime.N() != 0 {
+				t.Fatalf("%d transfer(s) recorded by a rank that crashed mid-transfer and never came back", xferTime.N())
+			}
+		})
 	}
 }
 

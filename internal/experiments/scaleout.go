@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"simaibench/internal/cluster"
 	"simaibench/internal/costmodel"
 	"simaibench/internal/datastore"
 	"simaibench/internal/scenario"
@@ -16,8 +15,8 @@ import (
 // real clusters co-schedule many AI-HPC workflows on shared Redis /
 // Dragon / Lustre infrastructure. Here N tenants each run the co-located
 // one-to-one workflow on their own nodes (the cluster scales out with
-// tenant count — cluster.CoSchedule hands each a dedicated block), but
-// all staging traffic goes through ONE shared backend deployment
+// tenant count, each tenant a dedicated block of it), but all staging
+// traffic goes through ONE shared backend deployment
 // (costmodel.NewSharedLocalWrite/Read): Redis shards and the Dragon
 // managers serialize on their service slots, the Lustre MDS absorbs
 // every tenant's metadata ops, and per-node tmpfs scales for free. The
@@ -25,6 +24,9 @@ import (
 // the 1-tenant baseline) and the shared backend's queueing delay — the
 // throughput-collapse curves that invert the paper's single-tenant
 // transport rankings.
+//
+// The workload is Pattern 1's on a bigger partition with the deployment
+// shared: the same ranks, the same harness (runColocated, colocated.go).
 
 // ScaleOutConfig drives one multi-tenant measurement: N concurrent
 // one-to-one workflow instances against a shared backend deployment.
@@ -57,34 +59,18 @@ type ScaleOutConfig struct {
 	Params *costmodel.Params
 }
 
-// withDefaults fills unset (or nonsensical non-positive) fields with the
-// scale-out defaults, so RunScaleOutChecked — a public API through
-// pkg/simaibench — never panics on bad input.
+// withDefaults fills unset (zero or negative) fields with the scale-out
+// defaults. NaN and ±Inf stay where they are for RunScaleOutChecked to
+// reject.
 func (c ScaleOutConfig) withDefaults() ScaleOutConfig {
-	if c.Tenants <= 0 {
-		c.Tenants = 1
-	}
-	if c.NodesPerTenant <= 0 {
-		c.NodesPerTenant = 2
-	}
-	if c.SizeMB <= 0 {
-		c.SizeMB = 8
-	}
-	if c.SimIterS <= 0 {
-		c.SimIterS = 0.0325
-	}
-	if c.TrainIterS <= 0 {
-		c.TrainIterS = 0.0633
-	}
-	if c.WritePeriod <= 0 {
-		c.WritePeriod = 10
-	}
-	if c.ReadPeriod <= 0 {
-		c.ReadPeriod = 10
-	}
-	if c.TrainIters <= 0 {
-		c.TrainIters = 300
-	}
+	positiveOr(&c.Tenants, 1)
+	positiveOr(&c.NodesPerTenant, 2)
+	positiveOr(&c.SizeMB, 8)
+	positiveOr(&c.SimIterS, 0.0325)
+	positiveOr(&c.TrainIterS, 0.0633)
+	positiveOr(&c.WritePeriod, 10)
+	positiveOr(&c.ReadPeriod, 10)
+	positiveOr(&c.TrainIters, 300)
 	return c
 }
 
@@ -114,92 +100,29 @@ type ScaleOutPoint struct {
 }
 
 // RunScaleOutChecked simulates cfg.Tenants concurrent one-to-one
-// workflows co-scheduled by cluster.CoSchedule onto dedicated node
-// blocks, all staging through one shared deployment of cfg.Backend. The
-// ranks are the Pattern 1 machines of flat.go in shared mode (shared:
-// true), so single- and multi-tenant runs share one state-machine
-// implementation. With cfg.MaxEvents set, a runaway simulation aborts
-// with the structured des.BudgetExceeded error; with no budget it never
-// fails.
+// workflows on dedicated blocks of cfg.NodesPerTenant nodes (block i is
+// nodes i·NodesPerTenant onward, as cluster.CoSchedule packs them), all
+// staging through one shared deployment of cfg.Backend (runColocated). A
+// NaN or infinite field is an error naming it; with cfg.MaxEvents set, a
+// runaway simulation aborts with the structured des.BudgetExceeded error.
 func RunScaleOutChecked(cfg ScaleOutConfig) (ScaleOutPoint, error) {
 	cfg = cfg.withDefaults()
-	spec := cluster.Aurora(cfg.Tenants * cfg.NodesPerTenant)
-	tenants, err := cluster.CoSchedule(spec, cfg.Tenants, cfg.NodesPerTenant)
+	run, err := runColocated(cfg, true, nil)
 	if err != nil {
-		// Unreachable with withDefaults-sanitized inputs.
-		panic(err)
-	}
-	place := cluster.Pattern1Placement(spec)
-	env := newGuardedEnv(cfg.MaxEvents)
-	params := costmodel.Default()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
-	model := costmodel.New(env, spec, params)
-
-	horizon := float64(cfg.TrainIters) * cfg.TrainIterS
-	bytes := int64(cfg.SizeMB * 1e6)
-	var writeTput, readTput stats.Throughput
-	var writeTime stats.Welford
-
-	writePeriod := float64(cfg.WritePeriod) * cfg.SimIterS
-	nodes := cfg.Tenants * cfg.NodesPerTenant
-	simRanks := nodes * place.SimTilesPerNode
-	// Size the latency-sample sink for the expected write count (ranks ×
-	// periods, plus slack for boundary writes) so recording contention
-	// percentiles never regrows it mid-run.
-	samples := make([]float64, 0, simRanks*(int(horizon/writePeriod)+2))
-	// Slab-allocate the rank machines, as RunPattern1Checked does.
-	writers := make([]simWriter, simRanks)
-	readers := make([]aiReader, nodes*place.AITilesPerNode)
-	wi, ri := 0, 0
-	for _, tn := range tenants {
-		for _, node := range tn.Nodes {
-			for r := 0; r < place.SimTilesPerNode; r++ {
-				initSimWriter(&writers[wi], env, model, simWriterConfig{
-					backend: cfg.Backend, node: node, sizeMB: cfg.SizeMB,
-					period: writePeriod, horizon: horizon, bytes: bytes,
-					time: &writeTime, tput: &writeTput, samples: &samples,
-					shared: true,
-				})
-				wi++
-			}
-			for r := 0; r < place.AITilesPerNode; r++ {
-				initAIReader(&readers[ri], env, model, aiReaderConfig{
-					backend: cfg.Backend, node: node, sizeMB: cfg.SizeMB,
-					readPeriod:  float64(cfg.ReadPeriod) * cfg.TrainIterS,
-					writePeriod: writePeriod,
-					horizon:     horizon, bytes: bytes, tput: &readTput,
-					shared: true,
-				})
-				ri++
-			}
-		}
-	}
-	endT := env.RunUntil(horizon * 1.5)
-	if err := env.Err(); err != nil {
 		return ScaleOutPoint{}, fmt.Errorf("scale-out (%s, %g MB, %d tenants): %w",
 			cfg.Backend, cfg.SizeMB, cfg.Tenants, err)
-	}
-	if endT <= 0 {
-		endT = horizon
-	}
-
-	aggGBps := 0.0
-	if writeTime.N() > 0 {
-		aggGBps = float64(writeTime.N()) * float64(bytes) / 1e9 / endT
 	}
 	return ScaleOutPoint{
 		Tenants:     cfg.Tenants,
 		Backend:     cfg.Backend,
 		SizeMB:      cfg.SizeMB,
-		WriteGBps:   writeTput.MeanGBps(),
-		ReadGBps:    readTput.MeanGBps(),
-		StageMeanS:  writeTime.Mean(),
-		StageP50S:   stats.Quantile(samples, 0.5),
-		SharedWaitS: model.SharedWaitS(cfg.Backend),
-		AggGBps:     aggGBps,
-		Writes:      writeTime.N(),
+		WriteGBps:   run.writeTput.MeanGBps(),
+		ReadGBps:    run.readTput.MeanGBps(),
+		StageMeanS:  run.writeTime.Mean(),
+		StageP50S:   stats.Quantile(run.samples, 0.5),
+		SharedWaitS: run.model.SharedWaitS(cfg.Backend),
+		AggGBps:     run.aggGBps(),
+		Writes:      run.writeTime.N(),
 	}, nil
 }
 

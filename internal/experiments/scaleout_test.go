@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"simaibench/internal/cluster"
 	"simaibench/internal/datastore"
 	"simaibench/internal/scenario"
 	"simaibench/internal/sweep"
@@ -18,6 +19,27 @@ func scaleOutPoint(t *testing.T, b datastore.Backend, tenants int) ScaleOutPoint
 	return checked(t, RunScaleOutChecked, ScaleOutConfig{
 		Tenants: tenants, Backend: b, SizeMB: 8, TrainIters: 120,
 	})
+}
+
+// TestScaleOutBlocksAreCoSchedule: the harness walks nodes 0..N-1 and
+// calls tenant i the block starting at i·NodesPerTenant. That is the
+// placement cluster.CoSchedule makes on a partition sized tenants ×
+// nodes-per-tenant, which is how the family is described.
+func TestScaleOutBlocksAreCoSchedule(t *testing.T) {
+	const tenants, nodesPer = 5, 3
+	placed, err := cluster.CoSchedule(cluster.Aurora(tenants*nodesPer), tenants, nodesPer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for i, tn := range placed {
+		for _, node := range tn.Nodes {
+			if node != next {
+				t.Fatalf("tenant %d holds node %d where the harness's node walk has %d", i, node, next)
+			}
+			next++
+		}
+	}
 }
 
 func TestScaleOutNodeLocalIsFlat(t *testing.T) {

@@ -58,8 +58,10 @@ type ScaleOutPoint = experiments.ScaleOutPoint
 
 // RunScaleOutChecked simulates one multi-tenant configuration and
 // returns its measurement. Deterministic: equal configs give bit-equal
-// points. With cfg.MaxEvents set, a runaway simulation aborts with a
-// structured BudgetExceeded error instead of looping forever.
+// points. A zero or negative field takes its default; a NaN or infinite
+// one is an error naming it. With cfg.MaxEvents set, a runaway simulation
+// aborts with a structured BudgetExceeded error instead of looping
+// forever.
 func RunScaleOutChecked(cfg ScaleOutConfig) (ScaleOutPoint, error) {
 	return experiments.RunScaleOutChecked(cfg)
 }

@@ -70,9 +70,11 @@ type ResiliencePoint = experiments.ResiliencePoint
 // points, and the crash timeline is invariant under recovery-policy
 // changes, so cadence sweeps compare policies against identical
 // disturbances. With a healthy profile the staging observables are
-// bit-identical to the equivalent RunScaleOutChecked call. With
-// cfg.MaxEvents set, a runaway simulation aborts with a structured
-// BudgetExceeded error instead of looping forever.
+// bit-identical to the equivalent RunScaleOutChecked call. A zero or
+// negative field takes its default (or leaves its feature off); a NaN or
+// infinite one — but for MTBFS, where infinite is never — is an error
+// naming it. With cfg.MaxEvents set, a runaway simulation aborts with a
+// structured BudgetExceeded error instead of looping forever.
 func RunResilienceChecked(cfg ResilienceConfig) (ResiliencePoint, error) {
 	return experiments.RunResilienceChecked(cfg)
 }
