@@ -5,21 +5,18 @@ import (
 	"simaibench/internal/des"
 )
 
-// This file is the flat-callback face of the cost model: reusable
-// operation objects that run on the scheduler goroutine instead of
-// blocking a spawned process. Each object is allocated once per rank
-// (all closures are built in the constructor) and Start()ed once per
+// The modeled operations: reusable objects that run as callback chains
+// on the des scheduler. Each object is allocated once per rank (all
+// closures are built in the constructor) and Start()ed once per
 // transfer, so the steady-state hot path performs zero allocations —
 // every step is a value-record push into the event heap.
 //
-// The callback chains are exact CPS transforms of the corresponding
-// process methods (LocalWrite/LocalRead, RemoteReadOne, FetchAll): they
-// issue the same Schedule/Acquire/Release calls in the same order, so a
-// simulation ported from processes to these objects replays the
-// identical event sequence and produces bit-identical metrics. That
-// promise is about one transfer, Start to done; when a rank machine
-// starts its next one is the machine's business (experiments/flat.go:
-// a rank skips the polls that would start nothing).
+// What a chain promises is one transfer, Start to done: which resources
+// it queues on, in which order, for how long. The experiments package
+// restates each chain as a straight-line blocking body in its test-only
+// oracle and holds the two bit-equal. When a rank machine starts its
+// next transfer is the machine's business (experiments/flat.go: a rank
+// skips the polls that would start nothing).
 
 // LocalXfer models one co-located stage_write/stage_read of a fixed
 // (backend, node, size), completing through a done callback. Construct
@@ -53,14 +50,16 @@ type LocalXfer struct {
 	onOSTDone  func()
 }
 
-// NewLocalWrite builds a reusable flat stage_write op; done fires when
-// the transfer completes. The flat counterpart of LocalWrite.
+// NewLocalWrite builds a reusable stage_write op of mb megabytes on node;
+// done fires when the transfer completes.
 func (m *Model) NewLocalWrite(b datastore.Backend, node int, mb float64, done func()) *LocalXfer {
 	return m.newLocalXfer(b, node, mb, 1.0, done)
 }
 
-// NewLocalRead builds a reusable flat stage_read op (reads carry the
-// same 0.85 cost scale as LocalRead).
+// NewLocalRead builds the symmetric stage_read op: the paper's Fig 3
+// shows near-mirrored read/write profiles for local exchange, with reads
+// slightly cheaper (no temp-file rename, no dirty-page copy-back), here
+// a 0.85 cost scale.
 func (m *Model) NewLocalRead(b datastore.Backend, node int, mb float64, done func()) *LocalXfer {
 	return m.newLocalXfer(b, node, mb, 0.85, done)
 }
@@ -69,8 +68,9 @@ func (m *Model) newLocalXfer(b datastore.Backend, node int, mb, costScale float6
 	x := m.allocLocalXfer()
 	x.env, x.done = m.env, done
 	if b == datastore.FileSystem {
-		// CPS transform of lustreTransfer: metaOps × (client RPC sleep,
-		// then the MDS queue), then one OST stream.
+		// One staged read/write against the shared file system: metaOps
+		// × (client RPC, then the single MDS queue — this is where the
+		// 512-node collapse comes from), then one OST stream.
 		x.lustre = true
 		x.metaOps = m.params.LustreMetaOpsPerTransfer
 		x.rpcS = m.params.LustreClientRPCS * costScale
@@ -92,9 +92,9 @@ func (m *Model) newLocalXfer(b datastore.Backend, node int, mb, costScale float6
 		x.onOSTDone = func() { x.ost.Release(); x.done() }
 		return x
 	}
-	// CPS transform of localOp's in-memory branch: one timed hold of the
-	// node's exchange bus. The hold duration is constant per (backend,
-	// size), so it is computed once here.
+	// In-memory exchange: one timed hold of the node's exchange bus. The
+	// hold duration is constant per (backend, size), so it is computed
+	// once here.
 	overhead, bw := m.localMemParams(b)
 	x.hold = (overhead + mb/1000/m.cacheEff(bw, mb)) * costScale
 	x.bus = m.nodeBus[node%len(m.nodeBus)]
@@ -122,8 +122,7 @@ func (x *LocalXfer) Start() {
 }
 
 // RemoteXfer models a single non-local stage_read of a fixed (backend,
-// size): one timed hold of the trainer NIC. The flat counterpart of
-// RemoteReadOne.
+// size) — Fig 5's 2-node experiment: one timed hold of the trainer NIC.
 type RemoteXfer struct {
 	env     *des.Env
 	nic     *des.Resource
@@ -133,7 +132,7 @@ type RemoteXfer struct {
 	onHold  func()
 }
 
-// NewRemoteRead builds a reusable flat non-local read op.
+// NewRemoteRead builds a reusable non-local read op.
 func (m *Model) NewRemoteRead(b datastore.Backend, mb float64, done func()) *RemoteXfer {
 	lat, bw, _ := m.remoteParams(b, mb)
 	x := &RemoteXfer{env: m.env, nic: m.nic(b, bw), hold: lat + mb/1000/bw, done: done}
@@ -149,9 +148,10 @@ func (x *RemoteXfer) Start() {
 
 // EnsembleFetch models the trainer's blocking many-to-one read: n staged
 // arrays fetched with the backend's client concurrency through the
-// shared trainer NIC. The flat counterpart of FetchAll: Start launches
-// all n fetch chains and done fires once every one has completed,
-// awaited in index order exactly as FetchAll waits its spawned fetches.
+// shared trainer NIC. Start launches all n fetch chains and done fires
+// once every one has completed (the paper's AI component "blocks until
+// all data for that specific update iteration has arrived"), awaited in
+// index order as a loop of blocking joins would.
 type EnsembleFetch struct {
 	env      *des.Env
 	done     func()
@@ -175,8 +175,8 @@ type fetchChain struct {
 	onHold    func()
 }
 
-// NewEnsembleFetch builds a reusable flat ensemble read; allocate once
-// per trainer and Start once per read period.
+// NewEnsembleFetch builds a reusable ensemble read; allocate once per
+// trainer and Start once per read period.
 func (m *Model) NewEnsembleFetch(b datastore.Backend, n int, mb float64, done func()) *EnsembleFetch {
 	lat, bw, conc := m.remoteParams(b, mb)
 	if b == datastore.Dragon {
@@ -211,7 +211,7 @@ func (m *Model) NewEnsembleFetch(b datastore.Backend, n int, mb float64, done fu
 		}
 		f.fetches[i] = fc
 	}
-	// await replays WaitAll order semantics: skip completed fetches
+	// await joins the fetches in index order: skip completed ones
 	// synchronously, park on the first pending one.
 	f.await = func() {
 		for f.awaitIdx < len(f.fetches) && f.fetches[f.awaitIdx].completed {

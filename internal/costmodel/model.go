@@ -110,45 +110,6 @@ func (m *Model) localMemParams(b datastore.Backend) (float64, float64) {
 	panic(fmt.Sprintf("costmodel: %v is not an in-memory backend", b))
 }
 
-// LocalWrite blocks the calling process for the modeled duration of a
-// co-located stage_write of mb megabytes on node, returning the elapsed
-// virtual seconds. LocalRead is symmetric: the paper's Fig 3 shows
-// near-mirrored read/write profiles for local exchange, with reads
-// slightly cheaper (no temp-file rename / no dirty-page copy-back).
-func (m *Model) LocalWrite(p *des.Proc, b datastore.Backend, node int, mb float64) float64 {
-	return m.localOp(p, b, node, mb, 1.0)
-}
-
-// LocalRead models a co-located stage_read.
-func (m *Model) LocalRead(p *des.Proc, b datastore.Backend, node int, mb float64) float64 {
-	return m.localOp(p, b, node, mb, 0.85)
-}
-
-func (m *Model) localOp(p *des.Proc, b datastore.Backend, node int, mb float64, costScale float64) float64 {
-	start := p.Now()
-	if b == datastore.FileSystem {
-		m.lustreTransfer(p, mb, costScale)
-		return p.Now() - start
-	}
-	overhead, bw := m.localMemParams(b)
-	eff := m.cacheEff(bw, mb)
-	hold := (overhead + mb/1000/eff) * costScale
-	m.nodeBus[node%len(m.nodeBus)].Use(p, hold)
-	return p.Now() - start
-}
-
-// lustreTransfer models one staged read/write against the shared file
-// system: metadata ops through the single MDS queue (this is where the
-// 512-node collapse comes from), then an OST stream for the payload.
-func (m *Model) lustreTransfer(p *des.Proc, mb float64, costScale float64) {
-	for i := 0; i < m.params.LustreMetaOpsPerTransfer; i++ {
-		p.Sleep(m.params.LustreClientRPCS * costScale)
-		m.mds.Use(p, m.params.LustreMDSServiceS)
-	}
-	stream := mb / 1000 / m.params.LustreStreamBWGBps * costScale
-	m.ostPool.Use(p, stream)
-}
-
 // remoteParams returns (latency, bandwidth(mb), concurrency) for one
 // non-local fetch stream of backend b.
 func (m *Model) remoteParams(b datastore.Backend, mb float64) (lat, bw float64, conc int) {
@@ -169,16 +130,6 @@ func (m *Model) remoteParams(b datastore.Backend, mb float64) (lat, bw float64, 
 	panic(fmt.Sprintf("costmodel: backend %v has no remote model (node-local cannot be read remotely)", b))
 }
 
-// RemoteReadOne models a single non-local stage_read of mb megabytes
-// (Fig 5's 2-node experiment), returning elapsed seconds.
-func (m *Model) RemoteReadOne(p *des.Proc, b datastore.Backend, mb float64) float64 {
-	start := p.Now()
-	lat, bw, _ := m.remoteParams(b, mb)
-	nic := m.nic(b, bw)
-	nic.Use(p, lat+mb/1000/bw)
-	return p.Now() - start
-}
-
 // nic returns the trainer's NIC resource for backend b: capacity is how
 // many full-rate streams of this backend the NIC admits, enforcing the
 // aggregate injection-bandwidth bound in many-to-one incast.
@@ -193,39 +144,6 @@ func (m *Model) nic(b datastore.Backend, perFlowBW float64) *des.Resource {
 	r := des.NewResource(m.env, capacity)
 	m.trainerNIC[b] = r
 	return r
-}
-
-// FetchAll models the trainer's blocking ensemble read: n staged arrays
-// of mb megabytes each, fetched with the backend's effective client
-// concurrency through the shared trainer NIC. It blocks the calling
-// process until every message has arrived (the paper's AI component
-// "blocks until all data for that specific update iteration has
-// arrived") and returns the elapsed virtual seconds.
-func (m *Model) FetchAll(p *des.Proc, b datastore.Backend, n int, mb float64) float64 {
-	start := p.Now()
-	lat, bw, conc := m.remoteParams(b, mb)
-	if b == datastore.Dragon {
-		// Many-to-one drains pay the dictionary's per-message incast
-		// handling on top of the p2p setup cost.
-		lat += m.params.DragonIncastLatencyS
-	}
-	if conc < 1 {
-		conc = 1
-	}
-	nic := m.nic(b, bw)
-	sem := des.NewResource(p.Env(), conc)
-	procs := make([]*des.Proc, n)
-	for i := 0; i < n; i++ {
-		procs[i] = p.Env().Spawn("fetch", func(fp *des.Proc) {
-			sem.Acquire(fp)
-			nic.Use(fp, lat+mb/1000/bw)
-			sem.Release()
-		})
-	}
-	for _, fp := range procs {
-		p.Wait(fp.Done())
-	}
-	return p.Now() - start
 }
 
 // AnalyticLocal returns the closed-form expected duration of a local

@@ -14,21 +14,42 @@ func newModel(nodes int) (*des.Env, *Model) {
 	return env, New(env, cluster.Aurora(nodes), Default())
 }
 
-// runOne executes fn inside a single DES process and returns its result.
-func runOne(env *des.Env, fn func(p *des.Proc) float64) float64 {
-	var out float64
-	env.Spawn("t", func(p *des.Proc) { out = fn(p) })
+// timed starts one modeled operation at the current virtual time — start
+// builds it around the done callback it is given and Starts it — runs the
+// simulation until it completes and returns the virtual seconds it took.
+func timed(t *testing.T, env *des.Env, start func(done func())) float64 {
+	t.Helper()
+	t0, t1 := env.Now(), math.NaN()
+	start(func() { t1 = env.Now() })
 	env.Run()
-	return out
+	if math.IsNaN(t1) {
+		t.Fatal("the operation never completed")
+	}
+	return t1 - t0
+}
+
+// localWrite, remoteRead and fetchAll time one operation of each kind.
+func localWrite(t *testing.T, env *des.Env, m *Model, b datastore.Backend, mb float64) float64 {
+	t.Helper()
+	return timed(t, env, func(done func()) { m.NewLocalWrite(b, 0, mb, done).Start() })
+}
+
+func remoteRead(t *testing.T, env *des.Env, m *Model, b datastore.Backend, mb float64) float64 {
+	t.Helper()
+	return timed(t, env, func(done func()) { m.NewRemoteRead(b, mb, done).Start() })
+}
+
+func fetchAll(t *testing.T, nodes int, b datastore.Backend, n int, mb float64) float64 {
+	t.Helper()
+	env, m := newModel(nodes)
+	return timed(t, env, func(done func()) { m.NewEnsembleFetch(b, n, mb, done).Start() })
 }
 
 func TestUncontendedLocalMatchesAnalytic(t *testing.T) {
 	for _, b := range []datastore.Backend{datastore.NodeLocal, datastore.Dragon, datastore.Redis, datastore.FileSystem} {
 		for _, mb := range []float64{0.4, 2, 8, 32} {
 			env, m := newModel(8)
-			got := runOne(env, func(p *des.Proc) float64 {
-				return m.LocalWrite(p, b, 0, mb)
-			})
+			got := localWrite(t, env, m, b, mb)
 			want := m.AnalyticLocal(b, mb, false)
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("%v %vMB: DES %v vs analytic %v", b, mb, got, want)
@@ -40,12 +61,8 @@ func TestUncontendedLocalMatchesAnalytic(t *testing.T) {
 func TestReadCheaperThanWrite(t *testing.T) {
 	for _, b := range []datastore.Backend{datastore.NodeLocal, datastore.Dragon, datastore.Redis, datastore.FileSystem} {
 		env, m := newModel(8)
-		var w, r float64
-		env.Spawn("t", func(p *des.Proc) {
-			w = m.LocalWrite(p, b, 0, 8)
-			r = m.LocalRead(p, b, 0, 8)
-		})
-		env.Run()
+		w := localWrite(t, env, m, b, 8)
+		r := timed(t, env, func(done func()) { m.NewLocalRead(b, 0, 8, done).Start() })
 		if r >= w {
 			t.Errorf("%v: read %v >= write %v", b, r, w)
 		}
@@ -58,8 +75,7 @@ func TestInMemoryThroughputNonMonotonic(t *testing.T) {
 	for _, b := range []datastore.Backend{datastore.NodeLocal, datastore.Dragon, datastore.Redis} {
 		tput := func(mb float64) float64 {
 			env, m := newModel(8)
-			d := runOne(env, func(p *des.Proc) float64 { return m.LocalWrite(p, b, 0, mb) })
-			return mb / 1000 / d
+			return mb / 1000 / localWrite(t, env, m, b, mb)
 		}
 		t04, t8, t32 := tput(0.4), tput(8), tput(32)
 		if t8 <= t04 {
@@ -76,10 +92,7 @@ func TestFilesystemThroughputMonotonic(t *testing.T) {
 	prev := -1.0
 	for _, mb := range []float64{0.4, 2, 8, 32} {
 		env, m := newModel(8)
-		d := runOne(env, func(p *des.Proc) float64 {
-			return m.LocalWrite(p, datastore.FileSystem, 0, mb)
-		})
-		tput := mb / 1000 / d
+		tput := mb / 1000 / localWrite(t, env, m, datastore.FileSystem, mb)
 		if tput <= prev {
 			t.Fatalf("filesystem throughput not monotonic at %v MB: %v <= %v", mb, tput, prev)
 		}
@@ -91,8 +104,7 @@ func TestBackendOrderingAtPeak(t *testing.T) {
 	// Fig 3: node-local >= dragon > redis for local exchange.
 	tput := func(b datastore.Backend) float64 {
 		env, m := newModel(8)
-		d := runOne(env, func(p *des.Proc) float64 { return m.LocalWrite(p, b, 0, 8) })
-		return 8.0 / 1000 / d
+		return 8.0 / 1000 / localWrite(t, env, m, b, 8)
 	}
 	nl, dr, rd := tput(datastore.NodeLocal), tput(datastore.Dragon), tput(datastore.Redis)
 	if !(nl >= dr && dr > rd) {
@@ -103,24 +115,17 @@ func TestBackendOrderingAtPeak(t *testing.T) {
 func TestMDSContentionEmergesAtScale(t *testing.T) {
 	// Many concurrent Lustre writers must see queueing delay that a
 	// single writer does not — the mechanism behind Fig 3b/4d.
-	solo := func() float64 {
-		env, m := newModel(8)
-		return runOne(env, func(p *des.Proc) float64 {
-			return m.LocalWrite(p, datastore.FileSystem, 0, 2)
-		})
-	}()
-	env, m := newModel(512)
+	env, m := newModel(8)
+	solo := localWrite(t, env, m, datastore.FileSystem, 2)
+	env, m = newModel(512)
 	var worst float64
 	const writers = 2000
 	done := 0
 	for i := 0; i < writers; i++ {
-		env.Spawn("w", func(p *des.Proc) {
-			d := m.LocalWrite(p, datastore.FileSystem, 0, 2)
-			if d > worst {
-				worst = d
-			}
+		m.NewLocalWrite(datastore.FileSystem, 0, 2, func() {
+			worst = max(worst, env.Now()) // every writer started at t=0
 			done++
-		})
+		}).Start()
 	}
 	env.Run()
 	if done != writers {
@@ -137,9 +142,7 @@ func TestInMemoryLocalUnaffectedByScale(t *testing.T) {
 	// local load.
 	dur := func(nodes int) float64 {
 		env, m := newModel(nodes)
-		return runOne(env, func(p *des.Proc) float64 {
-			return m.LocalWrite(p, datastore.NodeLocal, 0, 8)
-		})
+		return localWrite(t, env, m, datastore.NodeLocal, 8)
 	}
 	if d8, d512 := dur(8), dur(512); math.Abs(d8-d512) > 1e-12 {
 		t.Fatalf("node-local op time varies with scale: %v vs %v", d8, d512)
@@ -149,12 +152,8 @@ func TestInMemoryLocalUnaffectedByScale(t *testing.T) {
 func TestRemoteRedisReadPoor(t *testing.T) {
 	// Fig 5a: Redis non-local read throughput far below Dragon's.
 	env, m := newModel(2)
-	var redis, dragon float64
-	env.Spawn("t", func(p *des.Proc) {
-		redis = m.RemoteReadOne(p, datastore.Redis, 8)
-		dragon = m.RemoteReadOne(p, datastore.Dragon, 8)
-	})
-	env.Run()
+	redis := remoteRead(t, env, m, datastore.Redis, 8)
+	dragon := remoteRead(t, env, m, datastore.Dragon, 8)
 	if redis < 3*dragon {
 		t.Fatalf("redis remote read (%v) should be >> dragon (%v)", redis, dragon)
 	}
@@ -164,10 +163,7 @@ func TestDragonRemotePeaksNearWindow(t *testing.T) {
 	// Fig 5: Dragon throughput peaks around ~10 MB then declines.
 	tput := func(mb float64) float64 {
 		env, m := newModel(2)
-		d := runOne(env, func(p *des.Proc) float64 {
-			return m.RemoteReadOne(p, datastore.Dragon, mb)
-		})
-		return mb / 1000 / d
+		return mb / 1000 / remoteRead(t, env, m, datastore.Dragon, mb)
 	}
 	t1, t10, t128 := tput(1), tput(10), tput(128)
 	if t10 <= t1 {
@@ -183,12 +179,8 @@ func TestFSRemoteCatchesDragonAtLargeSizes(t *testing.T) {
 	// Dragon at the largest messages.
 	ratio := func(mb float64) float64 {
 		env, m := newModel(2)
-		var fs, dr float64
-		env.Spawn("t", func(p *des.Proc) {
-			fs = m.RemoteReadOne(p, datastore.FileSystem, mb)
-			dr = m.RemoteReadOne(p, datastore.Dragon, mb)
-		})
-		env.Run()
+		fs := remoteRead(t, env, m, datastore.FileSystem, mb)
+		dr := remoteRead(t, env, m, datastore.Dragon, mb)
 		return fs / dr // >1 means FS slower
 	}
 	small, large := ratio(1), ratio(128)
@@ -201,14 +193,8 @@ func TestFSRemoteCatchesDragonAtLargeSizes(t *testing.T) {
 }
 
 func TestFetchAllBlocksForAllMessages(t *testing.T) {
-	env, m := newModel(8)
-	one := runOne(env, func(p *des.Proc) float64 {
-		return m.FetchAll(p, datastore.Dragon, 1, 4)
-	})
-	env2, m2 := newModel(8)
-	many := runOne(env2, func(p *des.Proc) float64 {
-		return m2.FetchAll(p, datastore.Dragon, 64, 4)
-	})
+	one := fetchAll(t, 8, datastore.Dragon, 1, 4)
+	many := fetchAll(t, 8, datastore.Dragon, 64, 4)
 	if many <= one {
 		t.Fatalf("64-message fetch (%v) not slower than 1-message (%v)", many, one)
 	}
@@ -218,10 +204,7 @@ func TestManyToOneSmallMessagesDragonSlowerThanFS(t *testing.T) {
 	// Fig 6b: at 128 nodes and small messages, Dragon's per-message
 	// latency makes the ensemble read significantly slower than FS.
 	fetch := func(b datastore.Backend, mb float64) float64 {
-		env, m := newModel(128)
-		return runOne(env, func(p *des.Proc) float64 {
-			return m.FetchAll(p, b, 128, mb)
-		})
+		return fetchAll(t, 128, b, 128, mb)
 	}
 	drSmall, fsSmall := fetch(datastore.Dragon, 1), fetch(datastore.FileSystem, 1)
 	if drSmall < 2*fsSmall {
@@ -238,10 +221,7 @@ func TestManyToOneSmallMessagesDragonSlowerThanFS(t *testing.T) {
 func TestRedisWorstForManyToOne(t *testing.T) {
 	// Fig 6: Redis remains the slowest backend at scale.
 	fetch := func(b datastore.Backend) float64 {
-		env, m := newModel(128)
-		return runOne(env, func(p *des.Proc) float64 {
-			return m.FetchAll(p, b, 128, 8)
-		})
+		return fetchAll(t, 128, b, 128, 8)
 	}
 	rd, dr, fs := fetch(datastore.Redis), fetch(datastore.Dragon), fetch(datastore.FileSystem)
 	if rd <= dr || rd <= fs {
@@ -251,11 +231,8 @@ func TestRedisWorstForManyToOne(t *testing.T) {
 
 func TestNICBoundsAggregateFetchRate(t *testing.T) {
 	// Total fetch time can never beat the NIC injection bound N*S/BW.
-	env, m := newModel(128)
 	const n, mb = 128, 64.0
-	got := runOne(env, func(p *des.Proc) float64 {
-		return m.FetchAll(p, datastore.FileSystem, n, mb)
-	})
+	got := fetchAll(t, 128, datastore.FileSystem, n, mb)
 	nicFloor := float64(n) * mb / 1000 / cluster.Aurora(128).NICGBps
 	if got < nicFloor*0.99 {
 		t.Fatalf("fetch %v beat NIC floor %v", got, nicFloor)
@@ -281,18 +258,11 @@ func TestCacheEffMonotoneDecline(t *testing.T) {
 }
 
 func TestNodeLocalHasNoRemoteModel(t *testing.T) {
-	env, m := newModel(2)
-	panicked := false
-	env.Spawn("t", func(p *des.Proc) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		m.RemoteReadOne(p, datastore.NodeLocal, 1)
-	})
-	env.Run()
-	if !panicked {
-		t.Fatal("node-local remote read did not panic (tmpfs is not remotely readable, per the paper)")
-	}
+	_, m := newModel(2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("node-local remote read did not panic (tmpfs is not remotely readable, per the paper)")
+		}
+	}()
+	m.NewRemoteRead(datastore.NodeLocal, 1, func() {})
 }

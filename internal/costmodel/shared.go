@@ -23,7 +23,7 @@ import (
 //     perfectly (and co-located tenants still contend on the node bus).
 //
 // All of this is opt-in through NewSharedLocalWrite/NewSharedLocalRead;
-// the single-tenant operations (LocalWrite, NewLocalWrite, …) never
+// the single-tenant operations (NewLocalWrite, NewLocalRead, …) never
 // touch the shared queues, so the paper's single-tenant scenarios replay
 // exactly the same event sequences as before.
 
@@ -133,7 +133,7 @@ func (m *Model) NewSharedLocalWrite(b datastore.Backend, node int, mb float64, d
 }
 
 // NewSharedLocalRead builds a reusable stage_read op against a shared
-// deployment (reads carry the same 0.85 cost scale as LocalRead).
+// deployment (reads carry the same 0.85 cost scale as NewLocalRead).
 func (m *Model) NewSharedLocalRead(b datastore.Backend, node int, mb float64, done func()) *SharedXfer {
 	return m.newSharedXfer(b, node, mb, 0.85, m.NewLocalRead(b, node, mb, done))
 }

@@ -1,29 +1,20 @@
-// Package des implements a deterministic, process-oriented discrete-event
-// simulation engine in the style of SimPy. It is the substrate for the
-// simulated-scale experiments: virtual Aurora nodes, interconnect links,
-// Lustre servers and workflow components all run as des processes against
-// a virtual clock, so 512-node experiments finish in milliseconds of wall
-// time and are bit-reproducible across runs.
+// Package des implements a deterministic, callback-driven discrete-event
+// simulation engine. It is the substrate for the simulated-scale
+// experiments: virtual Aurora nodes, interconnect links, Lustre servers
+// and workflow components all run as state machines against a virtual
+// clock, so 512-node experiments finish in milliseconds of wall time and
+// are bit-reproducible across runs.
 //
-// Two execution styles share one event queue:
-//
-//   - Processes (Spawn): every process is a goroutine, but exactly one
-//     goroutine (either the scheduler or a single resumed process) runs
-//     at a time. Control is handed over explicitly through unbuffered
-//     channels, so process bodies may mutate shared simulation state
-//     without locks. Convenient for complex control flow.
-//   - Callback events (At/After, Event.OnTrigger, Resource.Request):
-//     plain functions that run flat on the scheduler goroutine with no
-//     goroutine, channel handoff or per-event allocation. This is the
-//     hot path: a Sleep-equivalent reschedule of a cached closure costs
-//     one payload write into a reused slab slot and, at most, one heap
-//     sift.
+// There is one execution style: events are plain functions (At/After,
+// Hold, a Resource.Request grant) that run flat on the goroutine that
+// called Run; nothing is handed between goroutines and nothing is
+// allocated per event. Rescheduling a cached closure costs one payload
+// write into a reused slab slot and, at most, one heap sift. A workflow
+// component is a struct that caches its closures and re-arms them.
 //
 // Determinism: simultaneous events fire in schedule order (a
-// monotonically increasing sequence number breaks time ties), and the
-// two styles interleave on the same (time, seq) total order, so a
-// callback port of a process workload replays the exact event order of
-// the original as long as it issues the same schedule calls.
+// monotonically increasing sequence number breaks time ties), so a run
+// is a function of the schedule calls it issues and nothing else.
 //
 // # The event queue: runs of simultaneous events
 //
@@ -42,7 +33,7 @@
 //   - The 4-ary min-heap holds one pointer-free 24-byte key {t, seq of
 //     the run's first event, slab index of the run's head} per run, so
 //     sifting moves no pointers and needs no GC write barriers. The
-//     {proc, fn, cb, val, kind, next} payloads are written once into a
+//     {fn, cb, val, kind, next} payloads are written once into a
 //     free-listed slab and never move: the slab grows by fixed 32-slot
 //     chunks, so an Env allocates its deepest moment once and copies
 //     nothing.
@@ -79,17 +70,15 @@ import (
 // Event kinds. The slab stores value-type records rather than
 // heap-allocated closures; the kind selects which payload field fires.
 const (
-	evFunc   uint8 = iota // run fn()
-	evResume              // resume proc, delivering val to its wait
-	evCall                // run cb(val)
+	evFunc uint8 = iota // run fn()
+	evCall              // run cb(val)
 )
 
-// event is one queued occurrence's payload: a 48-byte slab record,
+// event is one queued occurrence's payload: a 40-byte slab record,
 // written once when scheduled and cleared when fired. next links the
 // record into its run's FIFO or, once freed, into the slab free list;
 // 0 ends either chain (slab slot 0 is a reserved sentinel).
 type event struct {
-	proc *Proc
 	fn   func()
 	cb   func(any)
 	val  any
@@ -130,7 +119,7 @@ type openRun struct {
 // elements — a 512-node cell's slab was re-allocated and copied some
 // fifteen times, five times its final size in all: a quarter of every
 // byte a sweep allocated, all of it large pointerful objects for the
-// collector to zero, barrier-copy and sweep.) 32 slots, 1.5 KB, are what
+// collector to zero, barrier-copy and sweep.) 32 slots, 1.25 KB, are what
 // one node's ranks keep pending, so a small Env — one LP of an LPSet —
 // stays at one chunk.
 const slabChunk = 32
@@ -163,9 +152,6 @@ type Env struct {
 	vacant  bool                // heap[0] is a hole: its run drained in the running handler
 	open    [runSlots]openRun
 
-	yield   chan struct{}
-	procs   int // live (spawned, unfinished) processes
-	live    []*Proc
 	stopped bool
 
 	// Run guardrails (see guard.go). guarded mirrors guard.enabled() so
@@ -179,9 +165,7 @@ type Env struct {
 }
 
 // NewEnv returns an empty environment with the clock at zero.
-func NewEnv() *Env {
-	return &Env{yield: make(chan struct{})}
-}
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current virtual time in seconds.
 func (e *Env) Now() float64 { return e.now }
@@ -301,7 +285,7 @@ func (e *Env) settle() {
 }
 
 // Schedule runs fn at absolute virtual time t (>= Now). It is the
-// low-level primitive beneath processes, timeouts and event triggers.
+// low-level primitive beneath At, After and Resource grants.
 func (e *Env) Schedule(t float64, fn func()) {
 	s := e.push(t)
 	s.kind, s.fn = evFunc, fn
@@ -316,17 +300,11 @@ func (e *Env) At(t float64, fn func()) { e.Schedule(t, fn) }
 // After runs fn d seconds from now.
 func (e *Env) After(d float64, fn func()) { e.Schedule(e.now+d, fn) }
 
-// call schedules cb(v) at time t: the value-carrying callback used by
-// Event triggers. Allocation-free like all record pushes.
+// call schedules cb(v) at time t: the value-carrying callback Hold arms
+// itself with. Allocation-free like all record pushes.
 func (e *Env) call(t float64, cb func(any), v any) {
 	s := e.push(t)
 	s.kind, s.cb, s.val = evCall, cb, v
-}
-
-// resume schedules delivery of v to parked process p at time t.
-func (e *Env) resume(t float64, p *Proc, v any) {
-	s := e.push(t)
-	s.kind, s.proc, s.val = evResume, p, v
 }
 
 // Run executes events until the queue is empty. It returns the final
@@ -337,6 +315,7 @@ func (e *Env) Run() float64 { return e.RunUntil(math.Inf(1)) }
 // horizon remain queued. It returns the virtual time of the last executed
 // event (or the starting time if nothing ran).
 func (e *Env) RunUntil(until float64) float64 {
+	e.stopped = false
 	e.settle()
 	for e.pending > 0 && !e.stopped {
 		if e.heap[0].t > until {
@@ -375,7 +354,7 @@ func (e *Env) execNext() bool {
 	i := root.head
 	s := e.slot(i)
 	ev := *s
-	s.proc, s.fn, s.cb, s.val = nil, nil, nil, nil // release payload references
+	s.fn, s.cb, s.val = nil, nil, nil // release payload references
 	s.next = e.free
 	e.free = i
 	e.pending--
@@ -392,8 +371,6 @@ func (e *Env) execNext() bool {
 	switch ev.kind {
 	case evFunc:
 		ev.fn()
-	case evResume:
-		e.transfer(ev.proc, ev.val)
 	case evCall:
 		ev.cb(ev.val)
 	}
@@ -405,206 +382,14 @@ func (e *Env) execNext() bool {
 // are preserved; Run/RunUntil may be called again to continue.
 func (e *Env) Stop() { e.stopped = true }
 
-// clearStop clears the stop flag so a later Run continues.
-func (e *Env) clearStop() { e.stopped = false }
-
-// Resume continues a stopped environment until the queue drains.
-func (e *Env) Resume() float64 {
-	e.clearStop()
-	return e.Run()
-}
-
 // Pending reports the number of queued events.
 func (e *Env) Pending() int { return e.pending }
 
-// Procs reports the number of live processes.
-func (e *Env) Procs() int { return e.procs }
-
-// shutdownSignal unwinds a parked process during Shutdown.
-type shutdownSignal struct{}
-
-// Shutdown terminates every live process and drops all queued events,
-// releasing their goroutines. Call it when abandoning an environment
-// whose horizon stopped before all processes finished (RunUntil), so
-// long-lived benchmark runs do not accumulate parked goroutines. The
-// environment must not be used afterwards.
+// Shutdown drops all queued events and the storage behind them. Call it
+// when abandoning an environment whose horizon stopped before its queue
+// drained (RunUntil), so long-lived benchmark runs do not keep the
+// closures of unfired events reachable.
 func (e *Env) Shutdown() {
-	for _, p := range e.live {
-		if p.dead {
-			continue
-		}
-		// Every non-dead process is parked on its resume channel (the
-		// scheduler is idle), so the send cannot block.
-		p.resume <- shutdownSignal{}
-		<-e.yield
-	}
-	e.live = nil
 	e.heap, e.slab, e.used, e.free, e.pending, e.vacant = nil, nil, 0, 0, 0, false
 	e.open = [runSlots]openRun{}
-}
-
-// Proc is the handle a process body uses to interact with the simulation:
-// sleeping, waiting on events, acquiring resources. A Proc is only valid
-// inside the goroutine running its body.
-type Proc struct {
-	env    *Env
-	name   string
-	resume chan any
-	done   *Event
-	dead   bool
-}
-
-// Spawn starts a new process running body immediately (at the current
-// virtual time, after already-queued events at that time). It returns the
-// process handle; the Done event fires when body returns.
-func (e *Env) Spawn(name string, body func(p *Proc)) *Proc {
-	return e.SpawnAt(e.now, name, body)
-}
-
-// SpawnAt starts a new process at absolute virtual time t.
-func (e *Env) SpawnAt(t float64, name string, body func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan any), done: NewEvent(e)}
-	e.procs++
-	e.live = append(e.live, p)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, isShutdown := r.(shutdownSignal); !isShutdown {
-					panic(r) // real failure in the process body
-				}
-			}
-			p.dead = true
-			e.procs--
-			e.yield <- struct{}{}
-		}()
-		if v := <-p.resume; isShutdown(v) { // wait for first activation
-			panic(shutdownSignal{})
-		}
-		body(p)
-		p.done.Trigger(nil)
-	}()
-	e.resume(t, p, nil)
-	return p
-}
-
-// isShutdown reports whether a resume value is the shutdown sentinel.
-func isShutdown(v any) bool {
-	_, ok := v.(shutdownSignal)
-	return ok
-}
-
-// transfer hands control to process p (delivering v from its wait) and
-// blocks the scheduler until p yields again.
-func (e *Env) transfer(p *Proc, v any) {
-	p.resume <- v
-	<-e.yield
-}
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Env returns the owning environment.
-func (p *Proc) Env() *Env { return p.env }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() float64 { return p.env.now }
-
-// Done returns the event triggered when the process body returns.
-func (p *Proc) Done() *Event { return p.done }
-
-// park yields control to the scheduler and blocks until some event
-// resumes this process, returning the value passed to the resume. A
-// shutdown sentinel unwinds the process (recovered in the spawn wrapper).
-func (p *Proc) park() any {
-	p.env.yield <- struct{}{}
-	v := <-p.resume
-	if isShutdown(v) {
-		panic(shutdownSignal{})
-	}
-	return v
-}
-
-// Sleep advances the process by d virtual seconds.
-func (p *Proc) Sleep(d float64) {
-	if d < 0 {
-		panic("des: negative sleep")
-	}
-	p.env.resume(p.env.now+d, p, nil)
-	p.park()
-}
-
-// Wait blocks until ev triggers, returning the trigger value. If ev has
-// already triggered it returns immediately without yielding.
-func (p *Proc) Wait(ev *Event) any {
-	if ev.triggered {
-		return ev.val
-	}
-	ev.waiters = append(ev.waiters, waiter{p: p})
-	return p.park()
-}
-
-// WaitAll blocks until every event has triggered.
-func (p *Proc) WaitAll(evs ...*Event) {
-	for _, ev := range evs {
-		p.Wait(ev)
-	}
-}
-
-// waiter is one subscriber to an Event: a parked process or a flat
-// callback, whichever field is set.
-type waiter struct {
-	p  *Proc
-	cb func(any)
-}
-
-// Event is a one-shot condition that both processes and callbacks can
-// wait on. Triggering resumes all subscribers at the current virtual
-// time, in subscription order.
-type Event struct {
-	env       *Env
-	triggered bool
-	val       any
-	waiters   []waiter
-}
-
-// NewEvent returns an untriggered event bound to env.
-func NewEvent(env *Env) *Event { return &Event{env: env} }
-
-// Triggered reports whether Trigger has been called.
-func (ev *Event) Triggered() bool { return ev.triggered }
-
-// Value returns the trigger value (nil before triggering).
-func (ev *Event) Value() any { return ev.val }
-
-// Trigger fires the event with value v, scheduling resumption of every
-// subscriber at the current time. Triggering twice panics: one-shot
-// events keep workflow completion logic honest.
-func (ev *Event) Trigger(v any) {
-	if ev.triggered {
-		panic("des: event triggered twice")
-	}
-	ev.triggered = true
-	ev.val = v
-	ws := ev.waiters
-	ev.waiters = nil
-	for _, w := range ws {
-		if w.p != nil {
-			ev.env.resume(ev.env.now, w.p, v)
-		} else {
-			ev.env.call(ev.env.now, w.cb, v)
-		}
-	}
-}
-
-// OnTrigger registers fn to receive the trigger value: the flat
-// counterpart of Wait. If the event has already triggered, fn runs
-// synchronously (as Wait returns without yielding); otherwise it is
-// scheduled at trigger time, in subscription order with any parked
-// process waiters.
-func (ev *Event) OnTrigger(fn func(v any)) {
-	if ev.triggered {
-		fn(ev.val)
-		return
-	}
-	ev.waiters = append(ev.waiters, waiter{cb: fn})
 }

@@ -3,11 +3,9 @@ package des
 import (
 	"math"
 	"math/rand"
-	"runtime"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestClockStartsAtZero(t *testing.T) {
@@ -76,164 +74,44 @@ func TestScheduleNaNPanics(t *testing.T) {
 	env.Schedule(math.NaN(), func() {})
 }
 
-func TestProcessSleep(t *testing.T) {
-	env := NewEnv()
-	var wake []float64
-	env.Spawn("sleeper", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			p.Sleep(2.5)
-			wake = append(wake, p.Now())
-		}
-	})
-	end := env.Run()
-	if len(wake) != 3 {
-		t.Fatalf("got %d wakeups, want 3", len(wake))
-	}
-	want := []float64{2.5, 5.0, 7.5}
-	for i := range want {
-		if wake[i] != want[i] {
-			t.Fatalf("wake times = %v, want %v", wake, want)
-		}
-	}
-	if end != 7.5 {
-		t.Fatalf("final time = %v, want 7.5", end)
-	}
-}
-
 func TestNegativeSleepPanics(t *testing.T) {
 	env := NewEnv()
-	panicked := false
-	env.Spawn("bad", func(p *Proc) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		p.Sleep(-1)
-	})
-	env.Run()
-	if !panicked {
-		t.Fatal("negative sleep did not panic")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a negative delay did not panic")
+		}
+		if env.Pending() != 0 {
+			t.Fatalf("rejected delay left %d events pending", env.Pending())
+		}
+	}()
+	env.After(-1, func() {})
 }
 
 func TestZeroSleepYields(t *testing.T) {
-	// A zero-length sleep must still yield so that other same-time
-	// events run in schedule order.
+	// A zero-length delay still goes through the queue, so other
+	// same-time events run first, in schedule order.
 	env := NewEnv()
 	var order []string
-	env.Spawn("a", func(p *Proc) {
+	env.At(0, func() {
 		order = append(order, "a1")
-		p.Sleep(0)
-		order = append(order, "a2")
+		env.After(0, func() { order = append(order, "a2") })
 	})
-	env.Spawn("b", func(p *Proc) {
-		order = append(order, "b1")
-	})
+	env.At(0, func() { order = append(order, "b1") })
 	env.Run()
-	want := []string{"a1", "b1", "a2"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	if want := []string{"a1", "b1", "a2"}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
 
-func TestEventWaitBeforeTrigger(t *testing.T) {
-	env := NewEnv()
-	ev := NewEvent(env)
-	var got any
-	var at float64
-	env.Spawn("waiter", func(p *Proc) {
-		got = p.Wait(ev)
-		at = p.Now()
-	})
-	env.Spawn("trigger", func(p *Proc) {
-		p.Sleep(4)
-		ev.Trigger("payload")
-	})
-	env.Run()
-	if got != "payload" || at != 4 {
-		t.Fatalf("wait returned %v at t=%v, want payload at t=4", got, at)
-	}
-}
-
-func TestEventWaitAfterTrigger(t *testing.T) {
-	env := NewEnv()
-	ev := NewEvent(env)
-	var at float64 = -1
-	env.Spawn("trigger", func(p *Proc) { ev.Trigger(42) })
-	env.SpawnAt(3, "late", func(p *Proc) {
-		if v := p.Wait(ev); v != 42 {
-			t.Errorf("late wait got %v, want 42", v)
-		}
-		at = p.Now()
-	})
-	env.Run()
-	if at != 3 {
-		t.Fatalf("late waiter resumed at %v, want 3 (no extra delay)", at)
-	}
-}
-
-func TestEventMultipleWaiters(t *testing.T) {
-	env := NewEnv()
-	ev := NewEvent(env)
-	woken := 0
-	for i := 0; i < 5; i++ {
-		env.Spawn("w", func(p *Proc) {
-			p.Wait(ev)
-			woken++
+// useFor is the timed hold every Resource test below builds on: claim a
+// slot of res, hold it for d virtual seconds, release it, then call then.
+func useFor(env *Env, res *Resource, d float64, then func()) {
+	res.Request(func() {
+		env.After(d, func() {
+			res.Release()
+			then()
 		})
-	}
-	env.SpawnAt(1, "t", func(p *Proc) { ev.Trigger(nil) })
-	env.Run()
-	if woken != 5 {
-		t.Fatalf("woken = %d, want 5", woken)
-	}
-}
-
-func TestEventDoubleTriggerPanics(t *testing.T) {
-	env := NewEnv()
-	ev := NewEvent(env)
-	ev.Trigger(nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double trigger did not panic")
-		}
-	}()
-	ev.Trigger(nil)
-}
-
-func TestProcDoneEvent(t *testing.T) {
-	env := NewEnv()
-	var doneAt float64
-	worker := env.Spawn("worker", func(p *Proc) { p.Sleep(7) })
-	env.Spawn("joiner", func(p *Proc) {
-		p.Wait(worker.Done())
-		doneAt = p.Now()
 	})
-	env.Run()
-	if doneAt != 7 {
-		t.Fatalf("join time = %v, want 7", doneAt)
-	}
-}
-
-func TestWaitAll(t *testing.T) {
-	env := NewEnv()
-	var procs []*Proc
-	for i := 1; i <= 4; i++ {
-		d := float64(i)
-		procs = append(procs, env.Spawn("w", func(p *Proc) { p.Sleep(d) }))
-	}
-	var at float64
-	env.Spawn("join", func(p *Proc) {
-		p.WaitAll(procs[0].Done(), procs[1].Done(), procs[2].Done(), procs[3].Done())
-		at = p.Now()
-	})
-	env.Run()
-	if at != 4 {
-		t.Fatalf("WaitAll finished at %v, want 4 (slowest)", at)
-	}
 }
 
 func TestResourceSerializes(t *testing.T) {
@@ -241,17 +119,11 @@ func TestResourceSerializes(t *testing.T) {
 	res := NewResource(env, 1)
 	var finish []float64
 	for i := 0; i < 3; i++ {
-		env.Spawn("u", func(p *Proc) {
-			res.Use(p, 2)
-			finish = append(finish, p.Now())
-		})
+		useFor(env, res, 2, func() { finish = append(finish, env.Now()) })
 	}
 	env.Run()
-	want := []float64{2, 4, 6}
-	for i := range want {
-		if finish[i] != want[i] {
-			t.Fatalf("finish times = %v, want %v (capacity-1 serialization)", finish, want)
-		}
+	if want := []float64{2, 4, 6}; !slices.Equal(finish, want) {
+		t.Fatalf("finish times = %v, want %v (capacity-1 serialization)", finish, want)
 	}
 	if res.Peak() != 1 {
 		t.Fatalf("peak = %d, want 1", res.Peak())
@@ -263,19 +135,12 @@ func TestResourceParallelism(t *testing.T) {
 	res := NewResource(env, 3)
 	var finish []float64
 	for i := 0; i < 6; i++ {
-		env.Spawn("u", func(p *Proc) {
-			res.Use(p, 5)
-			finish = append(finish, p.Now())
-		})
+		useFor(env, res, 5, func() { finish = append(finish, env.Now()) })
 	}
 	env.Run()
 	// 6 jobs of 5s on 3 slots: 3 finish at 5, 3 at 10.
-	sort.Float64s(finish)
-	want := []float64{5, 5, 5, 10, 10, 10}
-	for i := range want {
-		if finish[i] != want[i] {
-			t.Fatalf("finish times = %v, want %v", finish, want)
-		}
+	if want := []float64{5, 5, 5, 10, 10, 10}; !slices.Equal(finish, want) {
+		t.Fatalf("finish times = %v, want %v", finish, want)
 	}
 	if res.Peak() != 3 {
 		t.Fatalf("peak = %d, want 3", res.Peak())
@@ -287,19 +152,16 @@ func TestResourceFIFO(t *testing.T) {
 	res := NewResource(env, 1)
 	var order []int
 	for i := 0; i < 5; i++ {
-		i := i
-		env.SpawnAt(float64(i)*0.1, "u", func(p *Proc) {
-			res.Acquire(p)
-			order = append(order, i)
-			p.Sleep(1)
-			res.Release()
+		env.At(float64(i)*0.1, func() {
+			res.Request(func() {
+				order = append(order, i)
+				env.After(1, res.Release)
+			})
 		})
 	}
 	env.Run()
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("acquisition order = %v, want FIFO", order)
-		}
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(order, want) {
+		t.Fatalf("grant order = %v, want FIFO", order)
 	}
 }
 
@@ -308,7 +170,7 @@ func TestResourceWaitAccounting(t *testing.T) {
 	res := NewResource(env, 1)
 	// Three 2s holds requested at t=0: waits are 0, 2 and 4 seconds.
 	for i := 0; i < 3; i++ {
-		env.Spawn("u", func(p *Proc) { res.Use(p, 2) })
+		useFor(env, res, 2, func() {})
 	}
 	env.Run()
 	if res.Grants() != 3 {
@@ -325,8 +187,8 @@ func TestResourceWaitAccounting(t *testing.T) {
 func TestResourceWaitAccountingUncontended(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, 2)
-	env.Spawn("a", func(p *Proc) { res.Use(p, 1) })
-	env.SpawnAt(5, "b", func(p *Proc) { res.Use(p, 1) })
+	useFor(env, res, 1, func() {})
+	env.At(5, func() { useFor(env, res, 1, func() {}) })
 	env.Run()
 	if res.Grants() != 2 || res.TotalWaitS() != 0 || res.AvgWaitS() != 0 {
 		t.Fatalf("uncontended: grants=%d wait=%v avg=%v, want 2/0/0",
@@ -335,8 +197,8 @@ func TestResourceWaitAccountingUncontended(t *testing.T) {
 }
 
 func TestResourceWaitAccountingFlatRequests(t *testing.T) {
-	// The flat callback path (Request) shares the accounting with
-	// Acquire: two immediate grants, one queued 3s.
+	// Immediate and queued grants share the accounting: two immediate
+	// grants, one queued 3s.
 	env := NewEnv()
 	res := NewResource(env, 2)
 	hold := func() { env.After(3, res.Release) }
@@ -392,60 +254,74 @@ func TestRunUntilHorizon(t *testing.T) {
 	}
 }
 
+// TestStopAndResume is Stop's documented contract: the queue survives a
+// Stop, and the next Run or RunUntil continues from it.
 func TestStopAndResume(t *testing.T) {
 	env := NewEnv()
 	var log []float64
-	env.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(1)
-			log = append(log, p.Now())
-			if p.Now() == 3 {
-				env.Stop()
-			}
+	var tick func()
+	tick = func() {
+		log = append(log, env.Now())
+		if env.Now() == 2 || env.Now() == 3 {
+			env.Stop()
 		}
-	})
+		if len(log) < 5 {
+			env.After(1, tick)
+		}
+	}
+	env.After(1, tick)
 	env.Run()
-	if len(log) != 3 {
-		t.Fatalf("ticks before stop = %d, want 3", len(log))
+	if len(log) != 2 || env.Pending() != 1 {
+		t.Fatalf("%d ticks before the stop with %d pending, want 2 and 1", len(log), env.Pending())
 	}
-	env.Resume()
-	if len(log) != 5 {
-		t.Fatalf("ticks after resume = %d, want 5", len(log))
+	env.RunUntil(10)
+	if len(log) != 3 || env.Pending() != 1 {
+		t.Fatalf("%d ticks at the second stop with %d pending, want 3 and 1", len(log), env.Pending())
 	}
+	if end := env.Run(); len(log) != 5 || end != 5 || env.Pending() != 0 {
+		t.Fatalf("%d ticks after the last Run, ending at t=%v with %d pending; want 5, 5, 0", len(log), end, env.Pending())
+	}
+}
+
+// job is one claimant of the seeded contention workloads: it arrives at
+// start and holds a slot for hold seconds.
+type job struct{ start, hold float64 }
+
+func seededJobs(seed int64, n int, span float64) []job {
+	rng := rand.New(rand.NewSource(seed))
+	jobs := make([]job, n)
+	for i := range jobs {
+		jobs[i] = job{start: rng.Float64() * span, hold: rng.Float64()}
+	}
+	return jobs
+}
+
+// completions runs jobs through a resource of the given capacity on a
+// fresh Env and returns their completion times in firing order.
+func completions(jobs []job, capacity int) []float64 {
+	env := NewEnv()
+	res := NewResource(env, capacity)
+	var trace []float64
+	for _, j := range jobs {
+		env.At(j.start, func() {
+			useFor(env, res, j.hold, func() { trace = append(trace, env.Now()) })
+		})
+	}
+	env.Run()
+	return trace
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
 	// Identical seeded workloads must produce identical traces.
-	run := func(seed int64) []float64 {
-		rng := rand.New(rand.NewSource(seed))
-		env := NewEnv()
-		res := NewResource(env, 2)
-		var trace []float64
-		for i := 0; i < 50; i++ {
-			start := rng.Float64() * 10
-			hold := rng.Float64()
-			env.SpawnAt(start, "job", func(p *Proc) {
-				res.Use(p, hold)
-				trace = append(trace, p.Now())
-			})
-		}
-		env.Run()
-		return trace
-	}
-	a, b := run(7), run(7)
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("traces diverge at %d: %v vs %v", i, a[i], b[i])
-		}
+	jobs := seededJobs(7, 50, 10)
+	if a, b := completions(jobs, 2), completions(jobs, 2); len(a) != len(jobs) || !slices.Equal(a, b) {
+		t.Fatalf("traces of one workload differ (or lost jobs): %v vs %v", a, b)
 	}
 }
 
 func TestPropertySleepAccumulates(t *testing.T) {
-	// Property: a process performing n sleeps of durations d_i ends at
-	// sum(d_i), for arbitrary non-negative durations.
+	// Property: a chain of n delays d_i ends at sum(d_i), for arbitrary
+	// non-negative durations.
 	f := func(raw []uint16) bool {
 		if len(raw) > 64 {
 			raw = raw[:64]
@@ -457,15 +333,16 @@ func TestPropertySleepAccumulates(t *testing.T) {
 			ds[i] = float64(r) / 100.0
 			want += ds[i]
 		}
-		var got float64
-		env.Spawn("s", func(p *Proc) {
-			for _, d := range ds {
-				p.Sleep(d)
+		i := 0
+		var step func()
+		step = func() {
+			if i < len(ds) {
+				i++
+				env.After(ds[i-1], step)
 			}
-			got = p.Now()
-		})
-		env.Run()
-		return got == want || (len(ds) == 0 && got == 0)
+		}
+		step()
+		return env.Run() == want && i == len(ds)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -480,12 +357,12 @@ func TestPropertyResourceNeverExceedsCapacity(t *testing.T) {
 		}
 		env := NewEnv()
 		res := NewResource(env, capacity)
+		done := 0
 		for _, h := range holds {
-			d := float64(h%50) / 10
-			env.Spawn("j", func(p *Proc) { res.Use(p, d) })
+			useFor(env, res, float64(h%50)/10, func() { done++ })
 		}
 		env.Run()
-		return res.Peak() <= capacity
+		return res.Peak() <= capacity && done == len(holds) && res.InUse() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -502,61 +379,15 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 }
 
-func BenchmarkProcessSwitch(b *testing.B) {
-	env := NewEnv()
-	env.Spawn("spinner", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1)
-		}
-	})
-	b.ResetTimer()
-	env.Run()
-}
-
-func TestShutdownReleasesParkedProcs(t *testing.T) {
-	env := NewEnv()
-	for i := 0; i < 50; i++ {
-		env.Spawn("sleeper", func(p *Proc) {
-			p.Sleep(1000) // far beyond the horizon
-		})
-	}
-	ev := NewEvent(env)
-	env.Spawn("waiter", func(p *Proc) { p.Wait(ev) }) // never triggered
-	env.RunUntil(1)
-	if env.Procs() != 51 {
-		t.Fatalf("live procs before shutdown = %d, want 51", env.Procs())
-	}
-	env.Shutdown()
-	deadline := time.Now().Add(5 * time.Second)
-	for env.Procs() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("procs after shutdown = %d, want 0", env.Procs())
-		}
-		runtime.Gosched()
-	}
-	if env.Pending() != 0 {
-		t.Fatalf("events after shutdown = %d", env.Pending())
-	}
-}
-
-func TestShutdownWithNeverStartedProc(t *testing.T) {
-	env := NewEnv()
-	env.SpawnAt(100, "late", func(p *Proc) { p.Sleep(1) })
-	env.RunUntil(1) // start event still queued
-	env.Shutdown()
-	deadline := time.Now().Add(5 * time.Second)
-	for env.Procs() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("never-started proc survived shutdown")
-		}
-		runtime.Gosched()
-	}
-}
-
+// TestShutdownIdempotentOnDrainedEnv: Shutdown on an empty queue, twice,
+// is a no-op, and the environment can still report on itself.
 func TestShutdownIdempotentOnDrainedEnv(t *testing.T) {
 	env := NewEnv()
-	env.Spawn("quick", func(p *Proc) { p.Sleep(1) })
+	env.After(1, func() {})
 	env.Run()
 	env.Shutdown()
 	env.Shutdown()
+	if _, ok := env.NextT(); ok || env.Pending() != 0 || env.Now() != 1 {
+		t.Fatalf("after Shutdown: pending=%d now=%v", env.Pending(), env.Now())
+	}
 }

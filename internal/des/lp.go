@@ -69,8 +69,8 @@ func (s *LPSet) Err() error {
 	return nil
 }
 
-// Shutdown terminates every LP's live processes and drops queued
-// events; call when abandoning a set whose horizon stopped early.
+// Shutdown drops every LP's queued events; call when abandoning a set
+// whose horizon stopped early.
 func (s *LPSet) Shutdown() {
 	for _, e := range s.envs {
 		e.Shutdown()

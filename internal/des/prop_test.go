@@ -14,7 +14,7 @@ import (
 // generator builds randomized schedules — including events that schedule
 // more events from inside their own callbacks, the shape every rank
 // machine in this repo has — across 1k seeds and every way the harnesses
-// drive an Env (Run, RunUntil windows, Stop/Resume);
+// drive an Env (Run, RunUntil windows, Stop and Run again);
 // FuzzHeapOrder feeds the same checker from arbitrary byte strings so
 // `go test -fuzz` can walk the queue into corners the seeded generator
 // never reaches.
@@ -29,7 +29,7 @@ type firing struct {
 const (
 	driveRun     = iota // one Run call
 	driveWindows        // RunUntil windows from NextT, as a paused-and-resumed horizon does
-	driveStop           // handlers call Stop; the driver Resumes until drained
+	driveStop           // handlers call Stop; the driver calls Run again until drained
 	driveModes
 )
 
@@ -79,7 +79,7 @@ func runSchedule(t *testing.T, offsets []float64, chainEvery, drive int) {
 		env.Run()
 		for env.Pending() > 0 {
 			r.checkQueue("stopped")
-			env.Resume()
+			env.Run()
 		}
 	}
 	r.checkQueue("after the run")
@@ -359,7 +359,7 @@ func FuzzHeapOrder(f *testing.F) {
 	f.Add([]byte{255, 1, 255, 2, 255, 3, 0})
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7})
 	f.Add([]byte{0, 0, 255, 255, 0, 0, 255, 255, 0, 128, 8})    // signed zeros, windows
-	f.Add([]byte{1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 13}) // alternating times, Stop/Resume
+	f.Add([]byte{1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 13}) // alternating times, Stop and re-Run
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]

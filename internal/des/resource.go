@@ -1,11 +1,10 @@
 package des
 
-// Resource is a counted resource with a FIFO wait queue, equivalent to a
-// SimPy Resource. It models serialization points in the cluster: a NIC
-// that admits a bounded number of concurrent flows, a Lustre metadata
-// server with a single service slot, an OST with k parallel streams.
-// Processes (Acquire) and flat callbacks (Request) share one queue, so
-// both styles contend in strict FIFO order.
+// Resource is a counted resource with a FIFO wait queue. It models
+// serialization points in the cluster: a NIC that admits a bounded
+// number of concurrent flows, a Lustre metadata server with a single
+// service slot, an OST with k parallel streams. Claimants contend in
+// strict FIFO order.
 type Resource struct {
 	env   *Env
 	cap   int
@@ -29,11 +28,10 @@ type Resource struct {
 	grants    int64
 }
 
-// rwaiter is one queued claimant: a parked process or a grant callback,
-// stamped with its enqueue time for queueing-delay accounting. g is
-// non-nil for cancellable requests (RequestCancellable).
+// rwaiter is one queued claimant: its grant callback, stamped with its
+// enqueue time for queueing-delay accounting. g is non-nil for
+// cancellable requests (RequestCancellable).
 type rwaiter struct {
-	p    *Proc
 	fn   func()
 	enqT float64
 	g    *Grant
@@ -87,19 +85,11 @@ func (r *Resource) dequeue() rwaiter {
 	return next
 }
 
-// Acquire blocks the calling process until a slot is free, FIFO order.
-func (r *Resource) Acquire(p *Proc) {
-	if r.take() {
-		return
-	}
-	r.enqueue(rwaiter{p: p, enqT: r.env.now})
-	p.park()
-}
-
-// Request invokes fn holding a slot: synchronously if one is free (as
-// Acquire returns immediately), otherwise when the slot is granted, in
-// FIFO order with any parked processes. The flat counterpart of Acquire;
-// reuse one fn closure across calls to keep the hot path allocation-free.
+// Request invokes fn holding a slot: synchronously if one is free,
+// otherwise as an event at the instant the slot is granted, in FIFO
+// order. The holder calls Release when done — a timed hold is
+// Request(grant) with grant doing After(d, release). Reuse one fn
+// closure across calls to keep the hot path allocation-free.
 func (r *Resource) Request(fn func()) {
 	if r.take() {
 		fn()
@@ -129,11 +119,7 @@ func (r *Resource) Release() {
 			next.g.granted = true
 		}
 		// inUse stays the same: the slot moves to next.
-		if next.p != nil {
-			r.env.resume(r.env.now, next.p, nil)
-		} else {
-			r.env.Schedule(r.env.now, next.fn)
-		}
+		r.env.Schedule(r.env.now, next.fn)
 		return
 	}
 	r.inUse--
@@ -178,26 +164,6 @@ func (r *Resource) RequestCancellable(fn func()) *Grant {
 	}
 	r.enqueue(rwaiter{fn: fn, enqT: r.env.now, g: g})
 	return g
-}
-
-// Use acquires the resource, holds it for d virtual seconds, and releases.
-func (r *Resource) Use(p *Proc, d float64) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
-}
-
-// UseFor is the flat counterpart of Use: hold a slot for d virtual
-// seconds, then release and invoke then. Convenient for one-off timed
-// holds; hot loops should instead cache a Request grant closure that
-// calls After/Release itself, which schedules with zero allocations.
-func (r *Resource) UseFor(d float64, then func()) {
-	r.Request(func() {
-		r.env.After(d, func() {
-			r.Release()
-			then()
-		})
-	})
 }
 
 // InUse reports current utilization; Cap the capacity; Waiting the queue

@@ -3,101 +3,44 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"simaibench/internal/clock"
-	"simaibench/internal/cluster"
-	"simaibench/internal/costmodel"
 	"simaibench/internal/datastore"
 	"simaibench/internal/des"
 	"simaibench/internal/scenario"
-	"simaibench/internal/stats"
 	"simaibench/internal/sweep"
 )
 
 // The flat-callback harnesses (flat.go) must be semantically identical
-// to the process-based bodies they replaced: same event order, same
-// metrics, bit for bit. These tests keep the pre-refactor process
-// implementations alive as references and compare every reported field
-// exactly, across the full backend grid. A divergence anywhere —
-// engine, cost model, or rank state machine — fails here.
-
-// runPattern1Reference is the pre-refactor process implementation of
-// RunPattern1Checked.
-func runPattern1Reference(cfg Pattern1Config) Pattern1Point {
-	cfg = cfg.withDefaults()
-	spec := cluster.Aurora(cfg.Nodes)
-	place := cluster.Pattern1Placement(spec)
-	env := des.NewEnv()
-	params := costmodel.Default()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
-	model := costmodel.New(env, spec, params)
-
-	horizon := float64(cfg.TrainIters) * cfg.TrainIterS
-	var writeTput, readTput stats.Throughput
-	var writeTime, readTime stats.Welford
-	bytes := int64(cfg.SizeMB * 1e6)
-
-	for node := 0; node < cfg.Nodes; node++ {
-		node := node
-		for r := 0; r < place.SimTilesPerNode; r++ {
-			env.Spawn("sim", func(p *des.Proc) {
-				period := float64(cfg.WritePeriod) * cfg.SimIterS
-				for p.Now() < horizon {
-					p.Sleep(period)
-					d := model.LocalWrite(p, cfg.Backend, node, cfg.SizeMB)
-					writeTime.Add(d)
-					writeTput.Add(bytes, d)
-				}
-			})
-		}
-		for r := 0; r < place.AITilesPerNode; r++ {
-			env.Spawn("ai", func(p *des.Proc) {
-				readPeriod := float64(cfg.ReadPeriod) * cfg.TrainIterS
-				writePeriod := float64(cfg.WritePeriod) * cfg.SimIterS
-				lastRead := -writePeriod
-				for p.Now() < horizon {
-					p.Sleep(readPeriod)
-					if p.Now()-lastRead < writePeriod {
-						continue
-					}
-					lastRead = p.Now()
-					d := model.LocalRead(p, cfg.Backend, node, cfg.SizeMB)
-					readTime.Add(d)
-					readTput.Add(bytes, d)
-				}
-			})
-		}
-	}
-	env.RunUntil(horizon * 1.5)
-	env.Shutdown()
-
-	return Pattern1Point{
-		Nodes:     cfg.Nodes,
-		Backend:   cfg.Backend,
-		SizeMB:    cfg.SizeMB,
-		ReadGBps:  readTput.MeanGBps(),
-		WriteGBps: writeTput.MeanGBps(),
-		ReadMeanS: readTime.Mean(),
-		WriteMean: writeTime.Mean(),
-		SimIterS:  cfg.SimIterS,
-		TrainIter: cfg.TrainIterS,
-		Writes:    writeTime.N(),
-		Reads:     readTime.N(),
-	}
-}
+// to the workflows they state as state machines: same metrics, bit for
+// bit. These tests compare every reported field exactly, across the full
+// backend grid, with the naive simulator of oracle_test.go running the
+// same workflows as straight-line blocking processes on its own event
+// list, resources and cost arithmetic. A divergence anywhere — engine,
+// cost model, or rank state machine — fails here.
 
 func TestPattern1MatchesProcessReference(t *testing.T) {
 	for _, b := range datastore.Backends() {
 		for _, size := range []float64{0.4, 8, 32} {
 			cfg := Pattern1Config{Nodes: 4, Backend: b, SizeMB: size, TrainIters: 120}
 			got := checked(t, RunPattern1Checked, cfg)
-			want := runPattern1Reference(cfg)
+			want := oraclePattern1(cfg)
 			if got != want {
 				t.Errorf("%v %gMB: flat %+v != reference %+v", b, size, got, want)
+			}
+		}
+	}
+	// Off the paper's periods, where the polls nextPoll skips fall
+	// differently among the writes.
+	for _, periods := range [][2]int{{100, 3}, {50, 10}, {25, 7}, {10, 10}, {7, 3}, {3, 7}} {
+		for _, b := range []datastore.Backend{datastore.Redis, datastore.FileSystem} {
+			cfg := Pattern1Config{Nodes: 4, Backend: b, SizeMB: 8, TrainIters: 120,
+				WritePeriod: periods[0], ReadPeriod: periods[1]}
+			if got, want := checked(t, RunPattern1Checked, cfg), oraclePattern1(cfg); got != want {
+				t.Errorf("%v, periods %v: flat %+v != reference %+v", b, periods, got, want)
 			}
 		}
 	}
@@ -175,42 +118,9 @@ func TestPattern1MatchesReferenceAtScaleFS(t *testing.T) {
 	}
 	cfg := Pattern1Config{Nodes: 64, Backend: datastore.FileSystem, SizeMB: 8, TrainIters: 60}
 	got := checked(t, RunPattern1Checked, cfg)
-	want := runPattern1Reference(cfg)
+	want := oraclePattern1(cfg)
 	if got != want {
 		t.Errorf("fs@64: flat %+v != reference %+v", got, want)
-	}
-}
-
-// runFig5Reference is the pre-refactor process implementation of
-// RunFig5Checked.
-func runFig5Reference(cfg Fig5Config) Fig5Point {
-	if cfg.Transfers == 0 {
-		cfg.Transfers = 50
-	}
-	spec := cluster.Aurora(2)
-	env := des.NewEnv()
-	params := costmodel.Default()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
-	model := costmodel.New(env, spec, params)
-	bytes := int64(cfg.SizeMB * 1e6)
-
-	var writeTput, readTput stats.Throughput
-	env.Spawn("pair", func(p *des.Proc) {
-		for i := 0; i < cfg.Transfers; i++ {
-			d := model.LocalWrite(p, cfg.Backend, 0, cfg.SizeMB)
-			writeTput.Add(bytes, d)
-			d = model.RemoteReadOne(p, cfg.Backend, cfg.SizeMB)
-			readTput.Add(bytes, d)
-		}
-	})
-	env.Run()
-	return Fig5Point{
-		Backend:   cfg.Backend,
-		SizeMB:    cfg.SizeMB,
-		ReadGBps:  readTput.MeanGBps(),
-		WriteGBps: writeTput.MeanGBps(),
 	}
 }
 
@@ -219,65 +129,11 @@ func TestFig5MatchesProcessReference(t *testing.T) {
 		for _, size := range []float64{1, 10, 128} {
 			cfg := Fig5Config{Backend: b, SizeMB: size, Transfers: 25}
 			got := checked(t, RunFig5Checked, cfg)
-			want := runFig5Reference(cfg)
+			want := oracleFig5(cfg)
 			if got != want {
 				t.Errorf("%v %gMB: flat %+v != reference %+v", b, size, got, want)
 			}
 		}
-	}
-}
-
-// runFig6Reference is the pre-refactor process implementation of
-// RunFig6Checked.
-func runFig6Reference(cfg Fig6Config) Fig6Point {
-	cfg = cfg.withDefaults()
-	spec := cluster.Aurora(cfg.Nodes + 1)
-	env := des.NewEnv()
-	params := costmodel.Default()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
-	model := costmodel.New(env, spec, params)
-
-	horizon := float64(cfg.TrainIters) * cfg.TrainIterS * 10
-	var fetchTime stats.Welford
-
-	for node := 0; node < cfg.Nodes; node++ {
-		node := node
-		env.Spawn("sim", func(p *des.Proc) {
-			period := float64(cfg.WritePeriod) * cfg.SimIterS
-			for p.Now() < horizon {
-				p.Sleep(period)
-				model.LocalWrite(p, cfg.Backend, node, cfg.SizeMB)
-			}
-		})
-	}
-
-	var lastPeriodEnd float64
-	completedPeriods := 0
-	env.Spawn("trainer", func(p *des.Proc) {
-		periods := cfg.TrainIters / cfg.ReadPeriod
-		for i := 0; i < periods; i++ {
-			p.Sleep(float64(cfg.ReadPeriod) * cfg.TrainIterS)
-			d := model.FetchAll(p, cfg.Backend, cfg.Nodes, cfg.SizeMB)
-			fetchTime.Add(d)
-			lastPeriodEnd = p.Now()
-			completedPeriods++
-		}
-	})
-	env.RunUntil(horizon)
-	env.Shutdown()
-
-	execPerIter := 0.0
-	if completedPeriods > 0 {
-		execPerIter = lastPeriodEnd / float64(completedPeriods*cfg.ReadPeriod)
-	}
-	return Fig6Point{
-		Nodes:        cfg.Nodes,
-		Backend:      cfg.Backend,
-		SizeMB:       cfg.SizeMB,
-		ExecPerIterS: execPerIter,
-		FetchMeanS:   fetchTime.Mean(),
 	}
 }
 
@@ -286,7 +142,7 @@ func TestFig6MatchesProcessReference(t *testing.T) {
 		for _, size := range []float64{1, 10} {
 			cfg := Fig6Config{Nodes: 16, Backend: b, SizeMB: size, TrainIters: 100}
 			got := checked(t, RunFig6Checked, cfg)
-			want := runFig6Reference(cfg)
+			want := oracleFig6(cfg)
 			if got != want {
 				t.Errorf("%v %gMB: flat %+v != reference %+v", b, size, got, want)
 			}
@@ -315,7 +171,7 @@ func TestFig6StopsWithTrainer(t *testing.T) {
 	if got != want {
 		t.Errorf("budgeted %+v != unbudgeted %+v", got, want)
 	}
-	if ref := runFig6Reference(cfg); got != ref {
+	if ref := oracleFig6(cfg); got != ref {
 		t.Errorf("stopped run %+v != reference run to the horizon %+v", got, ref)
 	}
 
@@ -324,7 +180,7 @@ func TestFig6StopsWithTrainer(t *testing.T) {
 	// the full-horizon reference reports.
 	for _, size := range []float64{32, 128} {
 		cfg := Fig6Config{Nodes: 128, Backend: datastore.Redis, SizeMB: size, TrainIters: 300}
-		got, want := checked(t, RunFig6Checked, cfg), runFig6Reference(cfg)
+		got, want := checked(t, RunFig6Checked, cfg), oracleFig6(cfg)
 		if got != want {
 			t.Errorf("redis %g MB: flat %+v != reference %+v", size, got, want)
 		}
@@ -345,6 +201,49 @@ func TestFig6StopsWithTrainer(t *testing.T) {
 	}
 	if pt.ExecPerIterS != 0 || pt.FetchMeanS != 0 {
 		t.Errorf("no periods: %+v, want a zero point", pt)
+	}
+}
+
+// TestScaleOutMatchesReference holds the shared deployment to the oracle
+// at the shipped period pairs (scale-out's 10/10, Pattern 1's 100/10) and
+// at 7/3, on every backend, bit for bit — with one named exception, the
+// one observed case of stagingRank.nextPoll's tie-order caveat. The
+// harness queues a trainer's next effective wake-up when its read
+// completes; the oracle's trainer polls every period, so it queues the
+// same wake-up one poll before it fires. An event of a rank on another
+// clock that is queued in between for the bit-identical instant loses
+// the tie in one run and wins it in the other, and at 7/3 on shared Redis
+// that happens: from there on the two runs grant the service slots in a
+// different order. Both are FIFO schedules of the same workload — the
+// same transfers complete by the same time, at means that differ in the
+// fourth digit.
+func TestScaleOutMatchesReference(t *testing.T) {
+	for _, periods := range [][2]int{{10, 10}, {100, 10}, {7, 3}} {
+		for _, b := range datastore.Backends() {
+			cfg := ScaleOutConfig{Tenants: 4, Backend: b, TrainIters: 150, WritePeriod: periods[0], ReadPeriod: periods[1]}
+			got, want := checked(t, RunScaleOutChecked, cfg), oracleScaleOut(cfg)
+			if periods != [2]int{7, 3} || b != datastore.Redis {
+				if got != want {
+					t.Errorf("%v, periods %v: flat %+v != reference %+v", b, periods, got, want)
+				}
+				continue
+			}
+			if got == want {
+				t.Errorf("redis, periods 7/3: the harness now agrees with the poll-every-period reference bit for bit; " +
+					"nextPoll's tie-order caveat (flat.go, ARCHITECTURE.md) has lost its one observed case — restate it")
+			}
+			if got.Writes != want.Writes || got.AggGBps != want.AggGBps {
+				t.Errorf("redis, periods 7/3: nextPoll's tie-order caveat may reorder grants, not change what completes: "+
+					"flat %d writes at %v GB/s, reference %d at %v", got.Writes, got.AggGBps, want.Writes, want.AggGBps)
+			}
+			for _, f := range [][2]float64{{got.WriteGBps, want.WriteGBps}, {got.ReadGBps, want.ReadGBps},
+				{got.StageMeanS, want.StageMeanS}, {got.StageP50S, want.StageP50S}, {got.SharedWaitS, want.SharedWaitS}} {
+				if rel := math.Abs(f[0]-f[1]) / f[1]; rel >= 0.005 {
+					t.Errorf("redis, periods 7/3: flat %+v and reference %+v differ by %.2f %% in one field, "+
+						"more than the tie order of nextPoll's caveat accounts for", got, want, 100*rel)
+				}
+			}
+		}
 	}
 }
 

@@ -10,16 +10,19 @@ import (
 // Flat rank runners: the workflow components of the simulated-scale
 // experiments as callback state machines on the scheduler goroutine,
 // every closure built once at construction so steady-state iterations
-// allocate nothing. fig5Pair and fig6Trainer issue the schedule calls of
-// their process references one for one. stagingRank — every solver and
-// trainer rank of Pattern 1, scale-out and resilience, and the load
+// allocate nothing. The same components are written out a second time as
+// straight-line blocking loops in the test-only oracle (oracle_test.go),
+// which polls every period and runs every cell to its horizon, and the
+// machines here are held bit-equal to it. fig5Pair and fig6Trainer issue
+// one schedule call per step of those loops. stagingRank — every solver
+// and trainer rank of Pattern 1, scale-out and resilience, and the load
 // writers of Fig 6 — schedules only the polls that do something, at
 // bit-identical times and in the same relative order among ranks as a
 // loop that polled every period (nextPoll says what that order rests on;
-// TestPattern1MatchesProcessReference holds it against a reference that
-// does poll every period). The rule is ARCHITECTURE.md's "Run until the
-// observables are decided": an event nothing reported depends on is not
-// scheduled. A rank a fault can interrupt also carries a fault layer
+// TestPattern1MatchesProcessReference and TestScaleOutMatchesReference
+// hold it against the oracle). The rule is ARCHITECTURE.md's "Run until
+// the observables are decided": an event nothing reported depends on is
+// not scheduled. A rank a fault can interrupt also carries a fault layer
 // (rankFaults, resilience.go); a healthy rank carries none.
 
 // xferStarter is what a rank machine needs from its transfer op: both
@@ -157,8 +160,9 @@ func (r *stagingRank) arm() {
 // same order. The wake-up does get its sequence number earlier than the
 // last skipped poll would have issued it, so a bit-exact tie with an
 // event of a rank on a different clock, scheduled in between, would
-// resolve the other way; the process-reference tests and the goldens
-// are what say no reported number sees one.
+// resolve the other way; the oracle comparisons and the goldens are what
+// say no shipped number sees one (TestScaleOutMatchesReference names the
+// one off-default cell that does).
 func (r *stagingRank) nextPoll(now float64) float64 {
 	step := r.period
 	if f := r.faults; f != nil && f.solver {
