@@ -22,14 +22,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
 
-	"simaibench/internal/ai"
+	"simaibench/internal/clock"
 	"simaibench/internal/config"
 	"simaibench/internal/datastore"
-	"simaibench/internal/simulation"
-	"simaibench/internal/workflow"
+	"simaibench/internal/experiments"
 )
 
 // builtinSimConfig is the Listing 2 nekRS emulation, with the heavy
@@ -60,148 +59,64 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
 		os.Exit(serveMain(context.Background(), os.Args[2:], os.Stderr))
 	}
-	backendFlag := flag.String("backend", "node-local", "data transport backend: redis|dragon|node-local|filesystem")
-	simPath := flag.String("sim", "", "simulation component config JSON (default: built-in nekRS emulation)")
-	aiPath := flag.String("ai", "", "AI component config JSON (default: built-in trainer)")
-	trainIters := flag.Int("train-iters", 500, "training iterations before the trainer stops the workflow")
-	writePeriod := flag.Int("write-period", 100, "solver iterations between snapshot writes")
-	readPeriod := flag.Int("read-period", 10, "training iterations between data polls")
-	payloadMB := flag.Float64("payload-mb", 1.2, "staged array size in MB")
-	timeScale := flag.Float64("time-scale", 0.01, "wall-clock compression factor")
-	flag.Parse()
-
-	if err := run(*backendFlag, *simPath, *aiPath, *trainIters, *writePeriod, *readPeriod, *payloadMB, *timeScale); err != nil {
-		fmt.Fprintln(os.Stderr, "simaibench:", err)
-		os.Exit(1)
-	}
+	os.Exit(realMain(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(backendName, simPath, aiPath string, trainIters, writePeriod, readPeriod int, payloadMB, timeScale float64) error {
-	backend, err := datastore.ParseBackend(backendName)
+// realMain is the testable body of the one-shot run: flags to an
+// experiments.OneToOneConfig on the wall clock, RunOneToOne, print. It
+// returns the process exit code (0 done, 1 a rejected value or a failed
+// run, 2 flag-parse failure).
+func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("simaibench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	backendFlag := fs.String("backend", "node-local", "data transport backend: redis|dragon|node-local|filesystem")
+	simPath := fs.String("sim", "", "simulation component config JSON (default: built-in nekRS emulation)")
+	aiPath := fs.String("ai", "", "AI component config JSON (default: built-in trainer)")
+	trainIters := fs.Int("train-iters", 500, "training iterations before the trainer stops the workflow")
+	writePeriod := fs.Int("write-period", 100, "solver iterations between snapshot writes")
+	readPeriod := fs.Int("read-period", 10, "training iterations between data polls")
+	payloadMB := fs.Float64("payload-mb", 1.2, "staged array size in MB")
+	timeScale := fs.Float64("time-scale", 0.01, "wall-clock compression factor")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	res, err := run(ctx, *backendFlag, *simPath, *aiPath, experiments.OneToOneConfig{
+		TrainIters:  *trainIters,
+		WritePeriod: *writePeriod,
+		ReadPeriod:  *readPeriod,
+		ArrayBytes:  []int{int(*payloadMB * 1e6)},
+		TimeScale:   *timeScale,
+		Seed:        1,
+		Clock:       clock.KindWall,
+	})
 	if err != nil {
-		return err
-	}
-	simCfg, err := loadSimConfig(simPath)
-	if err != nil {
-		return err
-	}
-	aiCfg, err := loadAIConfig(aiPath)
-	if err != nil {
-		return err
+		fmt.Fprintln(stderr, "simaibench:", err)
+		return 1
 	}
 
-	mgr, info, err := datastore.StartBackend(backend, "")
-	if err != nil {
-		return err
-	}
-	defer mgr.Stop()
-	fmt.Printf("backend %s deployed (%+v)\n", backend, info)
+	sim, tr := res.Sim, res.Train
+	fmt.Fprintf(stdout, "backend %s, makespan %.1f emulated s\n", *backendFlag, res.MakespanS)
+	fmt.Fprintf(stdout, "Simulation: %d steps, iter %.4f ± %.4f s, %d writes (mean %.4f s, %.3f GB/s)\n",
+		sim.Iterations, sim.IterMean, sim.IterStd, sim.Writes, sim.WriteMean, sim.WriteGBps)
+	fmt.Fprintf(stdout, "Training:   %d steps, iter %.4f ± %.4f s, %d reads (mean %.4f s, %.3f GB/s), final loss %.4g\n",
+		tr.Iterations, tr.IterMean, tr.IterStd, tr.Reads, tr.ReadMean, tr.ReadGBps, tr.LastLoss)
+	return 0
+}
 
-	// Stage real float64 arrays (random bytes would decode to NaNs and
-	// poison the trainer's data loader).
-	rng := rand.New(rand.NewSource(1))
-	vals := make([]float64, int(payloadMB*1e6)/8)
-	for i := range vals {
-		vals[i] = rng.NormFloat64()
+// run resolves the backend and the two component configurations into
+// cfg and runs the workflow.
+func run(ctx context.Context, backend, simPath, aiPath string, cfg experiments.OneToOneConfig) (res experiments.OneToOneResult, err error) {
+	if cfg.Backend, err = datastore.ParseBackend(backend); err != nil {
+		return res, err
 	}
-	payload := ai.EncodeFloat64s(vals)
-
-	const stopKey = "control/stop"
-	var simReport simulation.Report
-	var aiReport ai.Report
-
-	w := workflow.New("simaibench")
-	if err := w.Register(workflow.Component{
-		Name: "sim",
-		Body: func(ctx workflow.Ctx) error {
-			store, err := datastore.Connect(info)
-			if err != nil {
-				return err
-			}
-			defer store.Close()
-			sim, err := simulation.New("sim", simCfg,
-				simulation.WithStore(store), simulation.WithTimeScale(timeScale))
-			if err != nil {
-				return err
-			}
-			for step := 1; ; step++ {
-				if err := sim.RunIteration(); err != nil {
-					return err
-				}
-				if step%writePeriod == 0 {
-					if err := sim.StageWrite(fmt.Sprintf("snap/%d", step), payload); err != nil {
-						return err
-					}
-					if err := store.StageWrite("control/head", []byte(fmt.Sprint(step))); err != nil {
-						return err
-					}
-				}
-				if step%10 == 0 {
-					if stop, _ := store.Poll(stopKey); stop {
-						break
-					}
-				}
-			}
-			simReport = sim.Report()
-			return nil
-		},
-	}); err != nil {
-		return err
+	if cfg.Sim, err = loadSimConfig(simPath); err != nil {
+		return res, err
 	}
-	if err := w.Register(workflow.Component{
-		Name: "train",
-		Body: func(ctx workflow.Ctx) error {
-			store, err := datastore.Connect(info)
-			if err != nil {
-				return err
-			}
-			defer store.Close()
-			tr, err := ai.New("train", aiCfg,
-				ai.WithStore(store), ai.WithTimeScale(timeScale))
-			if err != nil {
-				return err
-			}
-			last := ""
-			for i := 1; i <= trainIters; i++ {
-				if _, err := tr.TrainIteration(); err != nil {
-					return err
-				}
-				if i%readPeriod != 0 {
-					continue
-				}
-				head, err := store.StageRead("control/head")
-				if err != nil {
-					continue // nothing staged yet
-				}
-				if string(head) == last {
-					continue
-				}
-				last = string(head)
-				if err := tr.UpdateLoader("snap/" + last); err != nil {
-					return err
-				}
-			}
-			if err := store.StageWrite(stopKey, []byte("1")); err != nil {
-				return err
-			}
-			aiReport = tr.Report()
-			return nil
-		},
-	}); err != nil {
-		return err
+	if cfg.AI, err = loadAIConfig(aiPath); err != nil {
+		return res, err
 	}
-
-	if err := w.Launch(context.Background()); err != nil {
-		return err
-	}
-
-	fmt.Printf("\nSimulation: %d steps, iter %.4f ± %.4f s, %d writes (mean %.4f s, %.3f GB/s)\n",
-		simReport.Iterations, simReport.IterMean, simReport.IterStd,
-		simReport.Writes, simReport.WriteMean, simReport.WriteGBps)
-	fmt.Printf("Training:   %d steps, iter %.4f ± %.4f s, %d reads (mean %.4f s, %.3f GB/s), final loss %.4g\n",
-		aiReport.Iterations, aiReport.IterMean, aiReport.IterStd,
-		aiReport.Reads, aiReport.ReadMean, aiReport.ReadGBps, aiReport.LastLoss)
-	return nil
+	return experiments.RunOneToOne(ctx, cfg)
 }
 
 func loadSimConfig(path string) (config.SimulationConfig, error) {

@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -61,6 +62,79 @@ func TestExportedSymbolsDocumented(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFacadeNamesAreUsed keeps pkg/simaibench from growing by accretion
+// again: simaibench.go is the paper's Listing-1 vocabulary, and every
+// exported name any other file of the package declares must be
+// referenced by a program under examples/ — a re-export nothing calls
+// is a second way in that no one exercises. Everything else in the repo
+// is reachable through RunScenario.
+func TestFacadeNamesAreUsed(t *testing.T) {
+	used := map[string]bool{}
+	err := filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "simaibench" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, "pkg/simaibench", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go") && fi.Name() != "simaibench.go"
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				for _, id := range declaredNames(decl) {
+					if id.IsExported() && !used[id.Name] {
+						t.Errorf("%s:%d: exported %s is referenced by no example: call it from one, or delete it",
+							name, fset.Position(id.Pos()).Line, id.Name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// declaredNames returns the package-level identifiers decl introduces
+// (methods excluded: they come with their type).
+func declaredNames(decl ast.Decl) []*ast.Ident {
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		if d.Recv == nil {
+			return []*ast.Ident{d.Name}
+		}
+	case *ast.GenDecl:
+		var ids []*ast.Ident
+		for _, spec := range d.Specs {
+			switch s := spec.(type) {
+			case *ast.TypeSpec:
+				ids = append(ids, s.Name)
+			case *ast.ValueSpec:
+				ids = append(ids, s.Names...)
+			}
+		}
+		return ids
+	}
+	return nil
 }
 
 type missingDoc struct {

@@ -3,7 +3,9 @@
 // components run concurrently and fully asynchronously: the simulation
 // stages flow-field snapshots at a fixed period, the trainer polls for
 // fresh data and folds it into its data loader, and after its final
-// iteration it steers the simulation to stop.
+// iteration it steers the simulation to stop. The loop itself is the
+// library's (simaibench.RunOneToOne, the one behind the validation
+// scenarios and the simaibench CLI); this program only configures it.
 //
 //	go run ./examples/nekrs-ml -backend node-local -payload-mb 1.2 \
 //	    -train-iters 500 -time-scale 0.01
@@ -18,7 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"time"
 
@@ -40,12 +41,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mgr, info, err := simaibench.StartBackend(backend, "")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer mgr.Stop()
-
 	// The Listing 2 configuration: nekRS iteration emulated at 0.03147 s
 	// (kernel swapped for a light one so the scaled timing stays exact).
 	simCfg, err := simaibench.ParseSimulationConfig([]byte(`{
@@ -64,130 +59,40 @@ func main() {
 	rt := simaibench.DistSpec{Type: "fixed", Value: 0.061}
 	aiCfg.RunTime = &rt
 
-	// Snapshot payload: a real float array, like a velocity field.
-	rng := rand.New(rand.NewSource(1))
-	field := make([]float64, int(*payloadMB*1e6)/8)
-	for i := range field {
-		field[i] = rng.NormFloat64()
-	}
-	payload := simaibench.EncodeFloat64s(field)
-
-	clk, err := simaibench.ClockFromKind(*clockKind)
+	wallStart := time.Now()
+	res, err := simaibench.RunOneToOne(context.Background(), simaibench.OneToOneConfig{
+		Backend:     backend,
+		Sim:         simCfg,
+		AI:          aiCfg,
+		TrainIters:  *trainIters,
+		WritePeriod: *writePeriod,
+		ReadPeriod:  *readPeriod,
+		// One array per snapshot: a float field, like a velocity field.
+		ArrayBytes: []int{int(*payloadMB * 1e6)},
+		TimeScale:  *timeScale,
+		Seed:       1,
+		Clock:      *clockKind,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	w := simaibench.NewWorkflow("nekrs-ml", simaibench.WorkflowWithClock(clk))
-	tl := simaibench.NewTimeline()
-	start := clk.Now()
-	wallStart := time.Now()
 
-	must(w.Register(simaibench.Component{
-		Name: "nekrs",
-		Body: func(ctx simaibench.Ctx) error {
-			store, err := simaibench.Connect(info)
-			if err != nil {
-				return err
-			}
-			defer store.Close()
-			sim, err := simaibench.NewSimulation("nekrs", simCfg,
-				simaibench.SimWithStore(store),
-				simaibench.SimWithTimeline(tl, "Simulation"),
-				simaibench.SimWithTimeScale(*timeScale),
-				simaibench.SimWithClock(clk))
-			if err != nil {
-				return err
-			}
-			for step := 1; ; step++ {
-				if err := sim.RunIteration(); err != nil {
-					return err
-				}
-				if step%*writePeriod == 0 {
-					if err := sim.StageWrite(fmt.Sprintf("field/%d", step), payload); err != nil {
-						return err
-					}
-					if err := store.StageWrite("head", []byte(fmt.Sprint(step))); err != nil {
-						return err
-					}
-				}
-				if step%10 == 0 {
-					if stop, _ := store.Poll("stop"); stop {
-						r := sim.Report()
-						fmt.Printf("nekrs: stopped after %d steps (iter %.4f ± %.4f s, %d snapshot writes, %.3f GB/s)\n",
-							r.Iterations, r.IterMean, r.IterStd, r.Writes, r.WriteGBps)
-						return nil
-					}
-				}
-			}
-		},
-	}))
-
-	must(w.Register(simaibench.Component{
-		Name: "gnn-trainer",
-		Body: func(ctx simaibench.Ctx) error {
-			store, err := simaibench.Connect(info)
-			if err != nil {
-				return err
-			}
-			defer store.Close()
-			tr, err := simaibench.NewAI("gnn", aiCfg,
-				simaibench.AIWithStore(store),
-				simaibench.AIWithTimeline(tl, "Training"),
-				simaibench.AIWithTimeScale(*timeScale),
-				simaibench.AIWithClock(clk))
-			if err != nil {
-				return err
-			}
-			lastHead := ""
-			for i := 1; i <= *trainIters; i++ {
-				if _, err := tr.TrainIteration(); err != nil {
-					return err
-				}
-				if i%*readPeriod != 0 {
-					continue
-				}
-				head, err := store.StageRead("head")
-				if err != nil {
-					continue // no snapshot yet
-				}
-				if string(head) == lastHead {
-					continue
-				}
-				lastHead = string(head)
-				if err := tr.UpdateLoader("field/" + lastHead); err != nil {
-					return err
-				}
-			}
-			// Steer the workflow: stop the solver.
-			if err := store.StageWrite("stop", []byte("1")); err != nil {
-				return err
-			}
-			r := tr.Report()
-			fmt.Printf("gnn:   %d iterations (iter %.4f ± %.4f s, %d snapshot reads, %.3f GB/s, loss %.4g)\n",
-				r.Iterations, r.IterMean, r.IterStd, r.Reads, r.ReadGBps, r.LastLoss)
-			return nil
-		},
-	}))
-
-	if err := w.Launch(context.Background()); err != nil {
-		log.Fatal(err)
-	}
+	sim, gnn := res.Sim, res.Train
+	fmt.Printf("nekrs: stopped after %d steps (iter %.4f ± %.4f s, %d snapshot writes, %.3f GB/s)\n",
+		sim.Iterations, sim.IterMean, sim.IterStd, sim.Writes, sim.WriteGBps)
+	fmt.Printf("gnn:   %d iterations (iter %.4f ± %.4f s, %d snapshot reads, %.3f GB/s, loss %.4g)\n",
+		gnn.Iterations, gnn.IterMean, gnn.IterStd, gnn.Reads, gnn.ReadGBps, gnn.LastLoss)
 	fmt.Printf("makespan: %.1f emulated s (%.2f s wall, backend %s, clock %s)\n",
-		clk.Now().Sub(start).Seconds()/(*timeScale), time.Since(wallStart).Seconds(), backend, *clockKind)
+		res.MakespanS, time.Since(wallStart).Seconds(), backend, *clockKind)
 	if *timelineCSV != "" {
 		f, err := os.Create(*timelineCSV)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		if err := tl.WriteCSV(f); err != nil {
+		if err := res.Timeline.WriteCSV(f); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("timeline written to %s\n", *timelineCSV)
-	}
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
 	}
 }

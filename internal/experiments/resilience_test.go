@@ -10,6 +10,7 @@ import (
 	"simaibench/internal/costmodel"
 	"simaibench/internal/datastore"
 	"simaibench/internal/des"
+	"simaibench/internal/faults"
 	"simaibench/internal/scenario"
 	"simaibench/internal/stats"
 )
@@ -360,5 +361,26 @@ func TestResilienceParamsNarrowGrids(t *testing.T) {
 	}
 	if got := resilienceCkpts(0); len(got) != len(ResilienceCkptIntervals) {
 		t.Fatalf("resilienceCkpts(0) should be the default grid, got %v", got)
+	}
+}
+
+// TestResilienceRecoveryDerivation: a config implies checkpoint-restart
+// exactly when it sets a checkpoint cadence (what faults.ParsePolicy
+// calls "checkpoint-restart"), fail-stop otherwise, and only a finite
+// positive MTBF injects crashes.
+func TestResilienceRecoveryDerivation(t *testing.T) {
+	want, err := faults.ParsePolicy("checkpoint-restart")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := (ResilienceConfig{CkptIntervalS: 4}).Recovery(); rec.Policy != want || rec.CkptIntervalS != 4 {
+		t.Fatalf("Recovery() = %+v", rec)
+	}
+	if (ResilienceConfig{}).Recovery().Policy != faults.FailStop {
+		t.Fatal("zero config should derive fail-stop")
+	}
+	if !(faults.Profile{MTBFS: 100}).CrashesEnabled() ||
+		(faults.Profile{}).CrashesEnabled() || (faults.Profile{MTBFS: math.Inf(1)}).CrashesEnabled() {
+		t.Fatal("Profile.CrashesEnabled wrong")
 	}
 }

@@ -2,21 +2,14 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math/rand"
-	"strconv"
 	"strings"
-	"time"
 
-	"simaibench/internal/ai"
 	"simaibench/internal/clock"
 	"simaibench/internal/config"
 	"simaibench/internal/datastore"
 	"simaibench/internal/scenario"
-	"simaibench/internal/simulation"
 	"simaibench/internal/trace"
-	"simaibench/internal/workflow"
 )
 
 // ValidationMode selects which side of the Table 2/3 comparison to run.
@@ -27,8 +20,8 @@ const (
 	// iteration-time distributions measured from it (mean 0.0312 s, std
 	// 0.0273 s simulation; 0.0611 s ± 0.1 training). The production run
 	// itself is not available here (it needs Aurora + nekRS), so its
-	// published statistics are the ground truth we sample from — the
-	// substitution documented in DESIGN.md.
+	// published statistics are the ground truth we sample from (the
+	// "Original emulation" rows of EXPERIMENTS.md).
 	Original ValidationMode = iota
 	// MiniApp is the SimAI-Bench mini-app: fixed run_time per the
 	// Listing 2 configuration.
@@ -155,211 +148,54 @@ type ValidationResult struct {
 	MakespanS float64
 }
 
-// control keys (metadata, not counted as data-transport events — they
-// carry a step index, not training data).
-const (
-	keyHead = "control/head"
-	keyStop = "control/stop"
-)
-
-// dataKeys returns the two staged arrays of one snapshot (inputs and
-// targets — each snapshot is two transport events on each side, which is
-// how the original's ~2 events per write period arise).
-func dataKeys(step int) (string, string) {
-	return fmt.Sprintf("data/%d/x", step), fmt.Sprintf("data/%d/y", step)
-}
-
-// headStep parses the head pointer the simulation publishes under
-// keyHead: the decimal step of its newest snapshot. A corrupt pointer is
-// an error naming its value, not step 0 and a misleading ErrNotStaged
-// for data/0/x.
-func headStep(head string) (int, error) {
-	step, err := strconv.Atoi(head)
-	if err != nil {
-		return 0, fmt.Errorf("head pointer %s = %q is not a step number: %w", keyHead, head, err)
+// oneToOne derives the workflow RunValidation runs: the mode's component
+// configurations and the two arrays of a snapshot, inputs and targets
+// (PayloadBytes and an eighth of it).
+func (c ValidationConfig) oneToOne() OneToOneConfig {
+	return OneToOneConfig{
+		Backend:     c.Backend,
+		Sim:         c.simConfig(),
+		AI:          c.aiConfig(),
+		TrainIters:  c.TrainIters,
+		WritePeriod: c.WritePeriod,
+		ReadPeriod:  c.ReadPeriod,
+		ArrayBytes:  []int{c.PayloadBytes, c.PayloadBytes / 8},
+		TimeScale:   c.TimeScale,
+		SimInitS:    c.SimInitS,
+		TrainInitS:  c.TrainInitS,
+		Seed:        c.Seed,
+		Clock:       c.Clock,
 	}
-	return step, nil
 }
 
-// RunValidation executes the one-to-one workflow in real mode: two
-// concurrent components exchanging real bytes through a real backend,
-// with the trainer steering the simulation to stop after its final
-// iteration — the structure of §4.1.1. Both components run against the
-// configured emulation clock: under the default virtual clock all
-// padding is free (the run completes as fast as its real compute and
-// staging allow, deterministically per seed); under the wall clock this
-// is the paper's genuine real-time emulation. Cancelling ctx aborts
+// RunValidation runs the one-to-one workflow (RunOneToOne) configured
+// for one side of the §4.1.1 comparison and reduces the component
+// reports to the rows of Tables 2 and 3. Zero fields take the paper's
+// values; the default clock is the virtual one. Cancelling ctx aborts
 // both components at their next iteration boundary.
 func RunValidation(ctx context.Context, cfg ValidationConfig) (*ValidationResult, error) {
 	cfg = cfg.withDefaults()
-	clk, err := clock.FromKind(cfg.Clock)
+	r, err := RunOneToOne(ctx, cfg.oneToOne())
 	if err != nil {
 		return nil, err
 	}
-	mgr, info, err := datastore.StartBackend(cfg.Backend, "")
-	if err != nil {
-		return nil, err
-	}
-	defer mgr.Stop()
-
-	tl := trace.New()
-	scale := cfg.TimeScale
-	start := clk.Now()
-	elapsed := func() float64 { return clk.Now().Sub(start).Seconds() / scale }
-
-	res := &ValidationResult{Mode: cfg.Mode, Timeline: tl}
-	w := workflow.New("validation-"+cfg.Mode.String(), workflow.WithClock(clk))
-
-	// Simulation component.
-	err = w.Register(workflow.Component{
-		Name: "sim",
-		Body: func(ctx workflow.Ctx) error {
-			store, err := datastore.Connect(info)
-			if err != nil {
-				return err
-			}
-			defer store.Close()
-			sim, err := simulation.New("sim", cfg.simConfig(),
-				simulation.WithStore(store),
-				simulation.WithTimeline(tl, "Simulation"),
-				simulation.WithSeed(cfg.Seed),
-				simulation.WithTimeScale(scale),
-				simulation.WithClock(clk))
-			if err != nil {
-				return err
-			}
-			clk.Sleep(time.Duration(cfg.SimInitS * scale * float64(time.Second)))
-			tl.AddSpan("Simulation", trace.KindInit, 0, elapsed(), "init")
-			// Stage valid float64 arrays so the trainer's loader gets
-			// usable samples (random bytes would decode to NaNs).
-			rng := rand.New(rand.NewSource(cfg.Seed + 100))
-			vals := make([]float64, cfg.PayloadBytes/8)
-			for i := range vals {
-				vals[i] = rng.NormFloat64()
-			}
-			payload := ai.EncodeFloat64s(vals)
-			step := 0
-			for {
-				if err := sim.RunIteration(); err != nil {
-					return err
-				}
-				step++
-				if step%cfg.WritePeriod == 0 {
-					kx, ky := dataKeys(step)
-					if err := sim.StageWrite(kx, payload); err != nil {
-						return err
-					}
-					if err := sim.StageWrite(ky, payload[:cfg.PayloadBytes/8]); err != nil {
-						return err
-					}
-					// Head pointer: control metadata, written raw.
-					if err := store.StageWrite(keyHead, []byte(strconv.Itoa(step))); err != nil {
-						return err
-					}
-				}
-				if step%10 == 0 {
-					stop, err := store.Poll(keyStop)
-					if err != nil {
-						return fmt.Errorf("poll %s: %w", keyStop, err)
-					}
-					if stop {
-						break
-					}
-					if ctx.Err() != nil {
-						return ctx.Err()
-					}
-				}
-			}
-			r := sim.Report()
-			res.Sim = SideStats{
-				Timesteps:       r.Iterations,
-				TransportEvents: r.Writes + r.Reads,
-				IterMean:        r.IterMean,
-				IterStd:         r.IterStd,
-			}
-			return nil
+	return &ValidationResult{
+		Mode: cfg.Mode,
+		Sim: SideStats{
+			Timesteps:       r.Sim.Iterations,
+			TransportEvents: r.Sim.Writes + r.Sim.Reads,
+			IterMean:        r.Sim.IterMean,
+			IterStd:         r.Sim.IterStd,
 		},
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// AI training component.
-	err = w.Register(workflow.Component{
-		Name: "train",
-		Body: func(ctx workflow.Ctx) error {
-			store, err := datastore.Connect(info)
-			if err != nil {
-				return err
-			}
-			defer store.Close()
-			tr, err := ai.New("train", cfg.aiConfig(),
-				ai.WithStore(store),
-				ai.WithTimeline(tl, "Training"),
-				ai.WithSeed(cfg.Seed+7),
-				ai.WithTimeScale(scale),
-				ai.WithClock(clk))
-			if err != nil {
-				return err
-			}
-			clk.Sleep(time.Duration(cfg.TrainInitS * scale * float64(time.Second)))
-			tl.AddSpan("Training", trace.KindInit, 0, elapsed(), "init")
-			lastStep := ""
-			for i := 1; i <= cfg.TrainIters; i++ {
-				if _, err := tr.TrainIteration(); err != nil {
-					return err
-				}
-				if i%cfg.ReadPeriod == 0 {
-					head, err := store.StageRead(keyHead) // control metadata
-					if errors.Is(err, datastore.ErrNotStaged) {
-						continue
-					}
-					if err != nil {
-						return err
-					}
-					if string(head) == lastStep {
-						continue // no new snapshot
-					}
-					lastStep = string(head)
-					step, err := headStep(lastStep)
-					if err != nil {
-						return err
-					}
-					kx, ky := dataKeys(step)
-					if err := tr.UpdateLoader(kx); err != nil {
-						return err
-					}
-					if err := tr.UpdateLoader(ky); err != nil {
-						return err
-					}
-				}
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-			}
-			// Steer the workflow: tell the simulation to stop.
-			if err := store.StageWrite(keyStop, []byte("1")); err != nil {
-				return err
-			}
-			r := tr.Report()
-			res.Train = SideStats{
-				Timesteps:       r.Iterations,
-				TransportEvents: r.Reads,
-				IterMean:        r.IterMean,
-				IterStd:         r.IterStd,
-			}
-			return nil
+		Train: SideStats{
+			Timesteps:       r.Train.Iterations,
+			TransportEvents: r.Train.Reads,
+			IterMean:        r.Train.IterMean,
+			IterStd:         r.Train.IterStd,
 		},
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	if err := w.Launch(ctx); err != nil {
-		return nil, err
-	}
-	res.MakespanS = elapsed()
-	return res, nil
+		Timeline:  r.Timeline,
+		MakespanS: r.MakespanS,
+	}, nil
 }
 
 // table2Table structures the event-count comparison (Table 2).

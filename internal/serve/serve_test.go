@@ -171,6 +171,18 @@ func TestRunColdThenHotByteIdentical(t *testing.T) {
 	if rr.Result.Params.Rate != 7 {
 		t.Fatalf("params did not propagate: rate = %v", rr.Result.Params.Rate)
 	}
+
+	// The typed client reports the same disposition and key.
+	c := &Client{BaseURL: ts.URL}
+	typed := RunRequest{Scenario: "t-ok", Seed: 9}
+	cold, hit, err := c.Run(context.Background(), typed)
+	if err != nil || hit || cold.Result == nil {
+		t.Fatalf("typed cold run: %v (cached %v): %+v", err, hit, cold)
+	}
+	hot, hit, err := c.Run(context.Background(), typed)
+	if err != nil || !hit || hot.Key != cold.Key {
+		t.Fatalf("typed hot run: %v (cached %v, want hit), keys %s vs %s", err, hit, hot.Key, cold.Key)
+	}
 }
 
 func TestRunKeyedBySeedAndParams(t *testing.T) {

@@ -2,7 +2,10 @@ package simaibench
 
 import (
 	"context"
+	"errors"
 	"testing"
+
+	"simaibench/internal/des"
 )
 
 func TestPublicScaleOutPoint(t *testing.T) {
@@ -19,6 +22,15 @@ func TestPublicScaleOutPoint(t *testing.T) {
 	}
 	if four.StageMeanS < one.StageMeanS {
 		t.Fatalf("contention lowered latency: 1 tenant %v vs 4 tenants %v", one.StageMeanS, four.StageMeanS)
+	}
+}
+
+// A checked harness surfaces an event-budget trip as a structured error.
+func TestPublicCheckedHarnessBudget(t *testing.T) {
+	_, err := RunScaleOutChecked(ScaleOutConfig{TrainIters: 50, MaxEvents: 20})
+	var be *des.BudgetExceeded
+	if !errors.As(err, &be) || be.Events < 20 {
+		t.Fatalf("error = %v, want BudgetExceeded after 20 events", err)
 	}
 }
 

@@ -2,95 +2,48 @@ package simaibench
 
 import (
 	"context"
+	"fmt"
 	"io"
 
-	"simaibench/internal/experiments" // registers the paper's scenarios
+	_ "simaibench/internal/experiments" // registers the paper's scenarios
 	"simaibench/internal/scenario"
 )
 
 // The scenario registry: every experiment of the paper's evaluation
-// (and this reproduction's extensions) is an enumerable, programmable
-// Scenario. Library users run the same code path as
-// `cmd/experiments`:
+// (and this reproduction's extensions — scale-out, resilience, campaign,
+// gradsync, streaming, the ablations) is a named scenario, and
+// RunScenario is the one way in. Library users run the same code path
+// as `cmd/experiments` (`experiments -list` enumerates the names):
 //
-//	for _, s := range simaibench.Scenarios() {
-//		fmt.Println(s.Name(), "—", s.Description())
-//	}
-//	s, _ := simaibench.LookupScenario("fig3")
-//	res, _ := s.Run(ctx, simaibench.ScenarioParams{SweepIters: 100})
+//	res, _ := simaibench.RunScenario(ctx, "fig3",
+//		simaibench.ScenarioParams{SweepIters: 100})
 //	_ = simaibench.ReportResults(os.Stdout, "json", res)
-
-// Scenario is one registered experiment: named, self-describing, with
-// paper-default parameters and a context-cancellable Run.
-type Scenario = scenario.Scenario
 
 // ScenarioParams are the shared runtime knobs; zero fields fall back to
 // each scenario's paper defaults.
 type ScenarioParams = scenario.Params
 
-// ScenarioResult is the structured outcome of a run: tables of
-// named-column records, renderable as text, JSON or CSV.
-type ScenarioResult = scenario.Result
-
-// NewScenario builds a Scenario from a name, description, defaults and
-// run function; register it with RegisterScenario to make it visible to
-// Scenarios, ResolveScenarios and the experiments CLI.
-func NewScenario(name, desc string, defaults ScenarioParams, run scenario.RunFunc) Scenario {
-	return scenario.New(name, desc, defaults, run)
-}
-
-// RegisterScenario adds a scenario to the global registry (duplicate
-// names panic).
-func RegisterScenario(s Scenario) { scenario.Register(s) }
-
-// Scenarios returns every registered scenario in registration order.
-func Scenarios() []Scenario { return scenario.All() }
-
-// ScenarioNames returns the registered ids in registration order.
-func ScenarioNames() []string { return scenario.Names() }
-
-// LookupScenario returns the scenario registered under name.
-func LookupScenario(name string) (Scenario, bool) { return scenario.Lookup(name) }
-
-// ResolveScenarios expands an experiment id — a scenario name or a
-// group like "all" — into the scenarios it names, or an error listing
-// the valid ids.
-func ResolveScenarios(id string) ([]Scenario, error) { return scenario.Resolve(id) }
-
 // RunScenario resolves and runs a single scenario by name with the
-// given params.
-func RunScenario(ctx context.Context, name string, p ScenarioParams) (*ScenarioResult, error) {
+// given params. The result is tables of named-column records plus the
+// cells the run guardrails (ScenarioParams.TimeoutS, Retries,
+// MaxEvents) caught as Failures.
+func RunScenario(ctx context.Context, name string, p ScenarioParams) (*scenario.Result, error) {
 	ss, err := scenario.Resolve(name)
 	if err != nil {
 		return nil, err
 	}
 	if len(ss) != 1 {
-		return nil, errGroupNotScenario(name)
+		return nil, fmt.Errorf("simaibench: %s is a scenario group; run its members by name", name)
 	}
 	return ss[0].Run(ctx, p)
 }
 
-// WithValidationCache returns a context under which the real-mode
-// validation scenarios (table2, table3, fig2) share one measurement per
-// configuration — what `cmd/experiments -exp all` uses so validation
-// runs once, not three times. Without it every Run re-measures, so
-// repeated calls see real run-to-run variance.
-func WithValidationCache(ctx context.Context) context.Context {
-	return experiments.WithValidationCache(ctx)
-}
-
 // ReportResults renders results in the given format ("text", "json" or
 // "csv") — the same reporters behind the CLI's -format flag.
-func ReportResults(w io.Writer, format string, results ...*ScenarioResult) error {
+func ReportResults(w io.Writer, format string, results ...*scenario.Result) error {
 	r, err := scenario.NewReporter(format)
 	if err != nil {
 		return err
 	}
 	return r.Report(w, results)
-}
-
-type errGroupNotScenario string
-
-func (e errGroupNotScenario) Error() string {
-	return "simaibench: " + string(e) + " is a scenario group; use ResolveScenarios to run its members"
 }

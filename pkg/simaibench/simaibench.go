@@ -32,15 +32,22 @@
 // (Redis, DragonHPC-style dictionary, node-local, file system); the
 // DataStore client exposes the uniform stage_write / stage_read /
 // poll_staged_data / clean_staged_data interface over all of them.
+//
+// This file is that vocabulary. The rest of the package is what the
+// programs under examples/ call and nothing more (a test holds it to
+// that): RunOneToOne runs the paper's one-to-one workflow — co-located
+// solver and trainer, the trainer steering the solver to stop — on the
+// real stack, on a virtual or the wall clock; RunScenario runs any
+// registered experiment of the evaluation (and ReportResults renders
+// it); RunScaleOutChecked with Aurora/CoSchedule measures single
+// multi-tenant points on the simulated cluster.
 package simaibench
 
 import (
 	"simaibench/internal/ai"
-	"simaibench/internal/clock"
 	"simaibench/internal/config"
 	"simaibench/internal/datastore"
 	"simaibench/internal/simulation"
-	"simaibench/internal/trace"
 	"simaibench/internal/workflow"
 )
 
@@ -106,34 +113,9 @@ const (
 	Remote = workflow.Remote
 )
 
-// NewWorkflow returns an empty workflow; options (WorkflowWithClock)
-// configure it at construction.
-func NewWorkflow(name string, opts ...workflow.Option) *Workflow {
-	return workflow.New(name, opts...)
-}
-
-// Clock is the emulation layer's time source: WallClock is the paper's
-// genuine-compute real-time mode; a VirtualClock runs the same
-// components deterministically at DES speed.
-type Clock = clock.Clock
-
-// VirtualClock is the deterministic simulated emulation clock.
-type VirtualClock = clock.Virtual
-
-// WallClock is the shared real-time clock.
-var WallClock = clock.Wall
-
-// NewVirtualClock returns a fresh virtual clock at the shared epoch.
-func NewVirtualClock() *VirtualClock { return clock.NewVirtual() }
-
-// ClockFromKind resolves "virtual" (or empty) to a fresh virtual clock
-// and "wall" to the wall clock.
-func ClockFromKind(kind string) (Clock, error) { return clock.FromKind(kind) }
-
-// WorkflowWithClock launches a workflow's components against the given
-// emulation clock, operating the virtual clock's participant barrier
-// across the component DAG.
-var WorkflowWithClock = workflow.WithClock
+// NewWorkflow returns an empty workflow; its components run on the wall
+// clock.
+func NewWorkflow(name string) *Workflow { return workflow.New(name) }
 
 // Simulation emulates a solver component.
 type Simulation = simulation.Simulation
@@ -156,11 +138,9 @@ func NewSimulation(name string, cfg SimulationConfig, opts ...simulation.Option)
 var (
 	SimWithStore     = simulation.WithStore
 	SimWithComm      = simulation.WithComm
-	SimWithTimeline  = simulation.WithTimeline
 	SimWithSeed      = simulation.WithSeed
 	SimWithTimeScale = simulation.WithTimeScale
 	SimWithWorkDir   = simulation.WithWorkDir
-	SimWithClock     = simulation.WithClock
 )
 
 // LoadSimulationConfig reads a Listing-2-style JSON file.
@@ -188,10 +168,8 @@ func NewAI(name string, cfg AIConfig, opts ...ai.Option) (*AI, error) {
 var (
 	AIWithStore     = ai.WithStore
 	AIWithComm      = ai.WithComm
-	AIWithTimeline  = ai.WithTimeline
 	AIWithSeed      = ai.WithSeed
 	AIWithTimeScale = ai.WithTimeScale
-	AIWithClock     = ai.WithClock
 )
 
 // LoadAIConfig reads an AI config JSON file.
@@ -203,10 +181,3 @@ var (
 	EncodeFloat64s = ai.EncodeFloat64s
 	DecodeFloat64s = ai.DecodeFloat64s
 )
-
-// Timeline records component execution spans (compute, transfer, init)
-// for Fig-2-style rendering; attach with SimWithTimeline/AIWithTimeline.
-type Timeline = trace.Timeline
-
-// NewTimeline returns an empty timeline.
-func NewTimeline() *Timeline { return trace.New() }
