@@ -294,7 +294,13 @@ func renderScenarioText(t *testing.T, name string, p scenario.Params) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reporter, err := scenario.NewReporter("text")
+	return renderResult(t, "text", res)
+}
+
+// renderResult renders one result through the named reporter.
+func renderResult(t *testing.T, format string, res *scenario.Result) []byte {
+	t.Helper()
+	reporter, err := scenario.NewReporter(format)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,9 @@ import (
 // artifact (the old CLI printed one after most blocks but omitted the
 // trailing one for fig5/ablation; the reporter is consistent). The
 // simulated-scale sweeps are bit-deterministic, so these pin metrics as
-// well as layout; the wall-clock scenarios (table2/3, streaming) are
-// pinned on layout with synthetic stats.
+// well as layout; the real-stack scenarios (table2/3, streaming) are
+// pinned here on layout with synthetic stats — their measured
+// virtual-clock numbers by the *_virtual goldens and determinism_test.go.
 
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()

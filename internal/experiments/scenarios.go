@@ -7,6 +7,7 @@ import (
 	"simaibench/internal/clock"
 	"simaibench/internal/datastore"
 	"simaibench/internal/scenario"
+	"simaibench/internal/sweep"
 )
 
 // This file wires every experiment into the scenario registry: the
@@ -285,15 +286,60 @@ func runFig6Scenario(ctx context.Context, p scenario.Params) (*scenario.Result, 
 var StreamingSizes = []float64{0.4, 2, 8}
 
 func runStreamingScenario(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
+	points, err := streamingGridVia(ctx, p, runStreamingCell)
+	if err != nil {
+		return nil, err
+	}
 	res := &scenario.Result{Scenario: "streaming", Params: p}
-	for _, size := range StreamingSizes {
-		points, err := RunStreamingComparison(ctx, StreamingConfig{SizeMB: size, Clock: p.Clock})
-		if err != nil {
-			return nil, err
-		}
-		res.Tables = append(res.Tables, streamingTable(points))
+	n := len(streamingMethods)
+	for i := range StreamingSizes {
+		res.Tables = append(res.Tables, streamingTable(points[i*n:(i+1)*n]))
 	}
 	return res, nil
+}
+
+// streamingCellRunner takes one streaming measurement (runStreamingCell,
+// or a test's stand-in).
+type streamingCellRunner func(context.Context, StreamingConfig, StreamingMethod) (StreamingPoint, error)
+
+// streamingGridVia measures StreamingSizes × streamingMethods over the
+// given runner under p's guardrails and returns the points in row-major
+// order. The cells share nothing, so validationPairVia's rule applies
+// to them unchanged: on the virtual clock the whole grid is one sweep on
+// the worker pool (sweep.Workers), on the wall clock — where the
+// transfers themselves are timed and two cells competing for the host
+// would distort them — it is nine sweeps of one cell, in the same
+// order. Cancellation is reported as ctx's error, and otherwise the
+// failed cell of lowest index speaks for the grid; on the virtual clock
+// every other cell has still run to its teardown by then.
+func streamingGridVia(ctx context.Context, p scenario.Params, run streamingCellRunner) ([]StreamingPoint, error) {
+	grid := func(sizes []float64, methods []StreamingMethod) ([]StreamingPoint, error) {
+		rep := sweep.RunGrid(ctx, sizes, methods, p.Guardrails(),
+			func(ctx context.Context, size float64, method StreamingMethod) (StreamingPoint, error) {
+				return run(ctx, StreamingConfig{SizeMB: size, Clock: p.Clock}, method)
+			})
+		if rep.CtxErr != nil {
+			return nil, rep.CtxErr
+		}
+		if len(rep.Failures) > 0 {
+			return nil, rep.Failures[0].Err
+		}
+		return rep.Values, nil
+	}
+	if clock.IsVirtual(p.Clock) {
+		return grid(StreamingSizes, streamingMethods)
+	}
+	var points []StreamingPoint
+	for _, size := range StreamingSizes {
+		for _, method := range streamingMethods {
+			pt, err := grid([]float64{size}, []StreamingMethod{method})
+			if err != nil {
+				return nil, err
+			}
+			points = append(points, pt...)
+		}
+	}
+	return points, nil
 }
 
 func runAblationScenario(ctx context.Context, p scenario.Params) (*scenario.Result, error) {

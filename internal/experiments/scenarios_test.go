@@ -100,29 +100,34 @@ func TestValidationPairConcurrentEqualsSequential(t *testing.T) {
 	}
 }
 
-// overlapRunner is a validationRunner that records how many runs were
-// in flight at once and, when rendezvous is set, holds each run until a
-// second one has started (or the wait times out).
-type overlapRunner struct {
-	mu         sync.Mutex
-	inFlight   int
-	peak       int
-	order      []ValidationMode
-	rendezvous bool
-	both       chan struct{}
-	fail       map[ValidationMode]error
+// overlap counts how many runs of a stand-in runner are in flight at
+// once and, when both is set, holds each run until a second one has
+// started (or the wait times out).
+type overlap struct {
+	mu       sync.Mutex
+	inFlight int
+	peak     int
+	both     chan struct{}
 }
 
-func (o *overlapRunner) run(_ context.Context, cfg ValidationConfig) (*ValidationResult, error) {
+// rendezvous is an overlap that holds runs until two are in flight.
+func rendezvous() overlap { return overlap{both: make(chan struct{})} }
+
+// during brackets one run; seen is called as it starts, under the lock.
+func (o *overlap) during(seen func()) {
 	o.mu.Lock()
 	o.inFlight++
 	o.peak = max(o.peak, o.inFlight)
-	o.order = append(o.order, cfg.Mode)
+	seen()
 	if o.inFlight == 2 && o.both != nil {
-		close(o.both)
+		select {
+		case <-o.both:
+		default:
+			close(o.both)
+		}
 	}
 	o.mu.Unlock()
-	if o.rendezvous {
+	if o.both != nil {
 		select {
 		case <-o.both:
 		case <-time.After(5 * time.Second):
@@ -131,6 +136,18 @@ func (o *overlapRunner) run(_ context.Context, cfg ValidationConfig) (*Validatio
 	o.mu.Lock()
 	o.inFlight--
 	o.mu.Unlock()
+}
+
+// overlapRunner is a validationRunner over an overlap that records the
+// order the modes started in and fails the modes it is told to.
+type overlapRunner struct {
+	overlap
+	order []ValidationMode
+	fail  map[ValidationMode]error
+}
+
+func (o *overlapRunner) run(_ context.Context, cfg ValidationConfig) (*ValidationResult, error) {
+	o.during(func() { o.order = append(o.order, cfg.Mode) })
 	if err := o.fail[cfg.Mode]; err != nil {
 		return nil, err
 	}
@@ -142,7 +159,7 @@ func (o *overlapRunner) run(_ context.Context, cfg ValidationConfig) (*Validatio
 // else.
 func TestValidationPairOverlapsOnlyOnVirtualClock(t *testing.T) {
 	for _, kind := range []string{"", clock.KindVirtual} {
-		o := &overlapRunner{rendezvous: true, both: make(chan struct{})}
+		o := &overlapRunner{overlap: rendezvous()}
 		if _, _, err := validationPairVia(bg, scenario.Params{Clock: kind}, o.run); err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +216,7 @@ func TestValidationPairReraisesPanic(t *testing.T) {
 func TestValidationCacheMeasuresEachConfigOnce(t *testing.T) {
 	ctx := WithValidationCache(bg)
 	p := scenario.Params{TrainIters: 7}
-	o := &overlapRunner{rendezvous: true, both: make(chan struct{})}
+	o := &overlapRunner{overlap: rendezvous()}
 	const callers = 8
 	origs, minis := make([]*ValidationResult, callers), make([]*ValidationResult, callers)
 	var wg sync.WaitGroup

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"simaibench/internal/clock"
@@ -37,6 +38,10 @@ type StreamingPoint struct {
 	GBps         float64
 }
 
+// streamingMethods is the order the three disciplines are measured and
+// tabulated in.
+var streamingMethods = []StreamingMethod{MethodStagedPolling, MethodStreamInProc, MethodStreamTCP}
+
 // StreamingConfig drives the comparison.
 type StreamingConfig struct {
 	SizeMB    float64
@@ -50,13 +55,15 @@ type StreamingConfig struct {
 	// Backend for the staged path (the zero value, datastore.Redis, by
 	// default: a live mini-Redis over loopback TCP).
 	Backend datastore.Backend
-	// Clock selects the time domain (clock.KindVirtual by default, see
-	// ValidationConfig.Clock). Wall runs measure real transfer times;
+	// Clock selects the time domain: clock.KindVirtual (the default when
+	// empty) or clock.KindWall. Wall runs measure real transfer times;
 	// virtual runs still move every byte for real but pad each transfer
-	// to the modeled duration SizeMB/XferGBps in virtual time, so the
-	// reported latency keeps the wall decomposition (transfer cost plus
-	// the staged path's poll floor) while the tables are deterministic
-	// and the run never sleeps for real.
+	// to the modeled duration SizeMB/XferGBps on a clock of the
+	// measurement's own, so the reported latency keeps the wall
+	// decomposition (transfer cost plus the staged path's poll floor)
+	// while the tables are deterministic, the run never sleeps for real,
+	// and measurements may run side by side without touching each
+	// other's numbers.
 	Clock string
 	// XferGBps is the modeled transfer bandwidth of virtual runs
 	// (default 2 GB/s, the mid-range of the Fig 3 single-tenant
@@ -64,7 +71,15 @@ type StreamingConfig struct {
 	XferGBps float64
 }
 
-func (c StreamingConfig) withDefaults() StreamingConfig {
+// maxStreamingSizeMB is the largest snapshot a measurement accepts: one
+// stream variable's limit (1 GiB), which also keeps the byte count and
+// the modeled pad inside their integer types.
+const maxStreamingSizeMB = 1 << 10
+
+// resolved fills the zero fields with their defaults and rejects the
+// values that would otherwise panic in an allocation or yield a
+// negative or infinite pad, naming the field.
+func (c StreamingConfig) resolved() (StreamingConfig, error) {
 	if c.SizeMB == 0 {
 		c.SizeMB = 1
 	}
@@ -80,7 +95,20 @@ func (c StreamingConfig) withDefaults() StreamingConfig {
 	if c.XferGBps == 0 {
 		c.XferGBps = 2
 	}
-	return c
+	if !(c.SizeMB > 0 && c.SizeMB <= maxStreamingSizeMB) {
+		return c, fmt.Errorf("streaming: SizeMB = %v, want a size in (0, %d] MB", c.SizeMB, maxStreamingSizeMB)
+	}
+	if c.Snapshots < 1 {
+		return c, fmt.Errorf("streaming: Snapshots = %d, want at least 1", c.Snapshots)
+	}
+	if c.PollInterval < 0 {
+		return c, fmt.Errorf("streaming: PollInterval = %v, want a positive period", c.PollInterval)
+	}
+	// The pad bound keeps SizeMB/XferGBps inside a time.Duration.
+	if !(c.XferGBps > 0) || math.IsInf(c.XferGBps, 0) || c.SizeMB/1000/c.XferGBps > math.MaxInt64/float64(time.Second) {
+		return c, fmt.Errorf("streaming: XferGBps = %v, want a finite positive bandwidth", c.XferGBps)
+	}
+	return c, nil
 }
 
 // xferPad returns the modeled virtual duration of one snapshot
@@ -93,30 +121,67 @@ func (c StreamingConfig) xferPad() time.Duration {
 	return time.Duration(c.SizeMB / 1000 / c.XferGBps * float64(time.Second))
 }
 
-// RunStagedPolling measures the staging path: producer writes snapshots
-// under fresh keys, consumer polls at the configured interval and reads
-// when present. All waiting runs on the configured clock; in virtual
-// mode each write and read is additionally padded to its modeled
-// duration, so the reported latency decomposes exactly as a wall run's
-// (transfer + poll floor) without any real sleeping. Cancelling ctx
-// interrupts the poll loop.
-func RunStagedPolling(ctx context.Context, cfg StreamingConfig) (StreamingPoint, error) {
-	cfg = cfg.withDefaults()
+// runStreamingCell takes one (size, method) measurement. It owns the
+// transport from start to teardown — a live backend and a client for
+// the staged path, a bounded in-process queue or a loopback listener
+// and its dialled reader for the push paths — and every Close and Stop
+// is deferred, so no return leaves a server, a listener or a parked
+// producer behind. Cells share nothing (each has its own clock,
+// transport, payload and accumulators), which is what lets
+// streamingGridVia run them side by side.
+func runStreamingCell(ctx context.Context, cfg StreamingConfig, method StreamingMethod) (StreamingPoint, error) {
+	cfg, err := cfg.resolved()
+	if err != nil {
+		return StreamingPoint{}, err
+	}
+	if err := ctx.Err(); err != nil {
+		return StreamingPoint{}, err
+	}
+	switch method {
+	case MethodStagedPolling:
+		mgr, info, err := datastore.StartBackend(cfg.Backend, "")
+		if err != nil {
+			return StreamingPoint{}, err
+		}
+		defer mgr.Stop()
+		store, err := datastore.Connect(info)
+		if err != nil {
+			return StreamingPoint{}, err
+		}
+		defer store.Close()
+		return runStagedPolling(ctx, cfg, store)
+	case MethodStreamInProc:
+		w, r := stream.Pipe(4)
+		defer r.Close() // the writer holds nothing once its producer has returned
+		return RunStreamDelivery(ctx, cfg, method, w, r)
+	case MethodStreamTCP:
+		w, err := stream.ListenTCP("127.0.0.1:0")
+		if err != nil {
+			return StreamingPoint{}, err
+		}
+		defer w.Close()
+		r, err := stream.DialTCP(w.Addr())
+		if err != nil {
+			return StreamingPoint{}, err
+		}
+		defer r.Close()
+		return RunStreamDelivery(ctx, cfg, method, w, r)
+	}
+	return StreamingPoint{}, fmt.Errorf("streaming: unknown method %q", method)
+}
+
+// runStagedPolling measures the staging path through store: the
+// producer writes snapshots under fresh keys, the consumer polls at the
+// configured interval and reads when present. All waiting runs on the
+// configured clock; in virtual mode each write and read is additionally
+// padded to its modeled duration, so the reported latency decomposes
+// exactly as a wall run's (transfer + poll floor) without any real
+// sleeping. Cancelling ctx interrupts the poll loop. cfg is resolved.
+func runStagedPolling(ctx context.Context, cfg StreamingConfig, store datastore.Store) (StreamingPoint, error) {
 	clk, err := clock.FromKind(cfg.Clock)
 	if err != nil {
 		return StreamingPoint{}, err
 	}
-	mgr, info, err := datastore.StartBackend(cfg.Backend, "")
-	if err != nil {
-		return StreamingPoint{}, err
-	}
-	defer mgr.Stop()
-	store, err := datastore.Connect(info)
-	if err != nil {
-		return StreamingPoint{}, err
-	}
-	defer store.Close()
-
 	pad := cfg.xferPad()
 	payload := make([]byte, int(cfg.SizeMB*1e6))
 	var lat stats.Welford
@@ -171,9 +236,16 @@ func RunStagedPolling(ctx context.Context, cfg StreamingConfig) (StreamingPoint,
 // receipt time; in virtual mode every byte still moves for real, but
 // each delivery is padded to its modeled transfer duration in virtual
 // time — the push path has no poll floor, which is exactly the
-// comparison the tables make.
-func RunStreamDelivery(cfg StreamingConfig, method StreamingMethod, w stream.Writer, r stream.Reader) (StreamingPoint, error) {
-	cfg = cfg.withDefaults()
+// comparison the tables make. The consumer looks at ctx once per step.
+// The producer goroutine never outlives the call: on an early return
+// the reader is closed, which releases a producer parked on a full
+// queue or a full socket, and its exit is waited for. The caller still
+// owns (and closes) both endpoints.
+func RunStreamDelivery(ctx context.Context, cfg StreamingConfig, method StreamingMethod, w stream.Writer, r stream.Reader) (StreamingPoint, error) {
+	cfg, err := cfg.resolved()
+	if err != nil {
+		return StreamingPoint{}, err
+	}
 	clk, err := clock.FromKind(cfg.Clock)
 	if err != nil {
 		return StreamingPoint{}, err
@@ -207,10 +279,18 @@ func RunStreamDelivery(cfg StreamingConfig, method StreamingMethod, w stream.Wri
 		}
 		errCh <- nil
 	}()
+	abandon := func(err error) (StreamingPoint, error) {
+		r.Close()
+		<-errCh
+		return StreamingPoint{}, err
+	}
 	for i := 0; i < cfg.Snapshots; i++ {
+		if err := ctx.Err(); err != nil {
+			return abandon(err)
+		}
 		s, err := r.NextStep()
 		if err != nil {
-			return StreamingPoint{}, err
+			return abandon(err)
 		}
 		start := <-starts
 		var d float64
@@ -233,46 +313,17 @@ func RunStreamDelivery(cfg StreamingConfig, method StreamingMethod, w stream.Wri
 	}, nil
 }
 
-// RunStreamingComparison runs all three methods at one size.
+// RunStreamingComparison measures all three methods at one size, one
+// after another.
 func RunStreamingComparison(ctx context.Context, cfg StreamingConfig) ([]StreamingPoint, error) {
-	cfg = cfg.withDefaults()
-	var points []StreamingPoint
-
-	staged, err := RunStagedPolling(ctx, cfg)
-	if err != nil {
-		return nil, err
+	points := make([]StreamingPoint, 0, len(streamingMethods))
+	for _, method := range streamingMethods {
+		pt, err := runStreamingCell(ctx, cfg, method)
+		if err != nil {
+			return nil, err
+		}
+		points = append(points, pt)
 	}
-	points = append(points, staged)
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	pw, pr := stream.Pipe(4)
-	inproc, err := RunStreamDelivery(cfg, MethodStreamInProc, pw, pr)
-	if err != nil {
-		return nil, err
-	}
-	pr.Close()
-	points = append(points, inproc)
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	tw, err := stream.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	tr, err := stream.DialTCP(tw.Addr())
-	if err != nil {
-		tw.Close()
-		return nil, err
-	}
-	tcp, err := RunStreamDelivery(cfg, MethodStreamTCP, tw, tr)
-	tr.Close()
-	if err != nil {
-		return nil, err
-	}
-	points = append(points, tcp)
 	return points, nil
 }
 

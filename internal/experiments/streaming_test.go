@@ -2,9 +2,21 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"math"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"simaibench/internal/clock"
+	"simaibench/internal/scenario"
+	"simaibench/internal/stream"
+	"simaibench/internal/sweep"
 )
 
 func TestStreamingComparisonRuns(t *testing.T) {
@@ -39,15 +51,15 @@ func TestStreamingComparisonRuns(t *testing.T) {
 }
 
 func TestStagedPollingLatencyIncludesPollInterval(t *testing.T) {
-	fast, err := RunStagedPolling(bg, StreamingConfig{
+	fast, err := runStreamingCell(bg, StreamingConfig{
 		SizeMB: 0.1, Snapshots: 5, PollInterval: time.Millisecond,
-	})
+	}, MethodStagedPolling)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := RunStagedPolling(bg, StreamingConfig{
+	slow, err := runStreamingCell(bg, StreamingConfig{
 		SizeMB: 0.1, Snapshots: 5, PollInterval: 20 * time.Millisecond,
-	})
+	}, MethodStagedPolling)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,4 +82,263 @@ func TestPrintStreaming(t *testing.T) {
 			t.Fatalf("streaming output missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// settlesTo fails the test unless the goroutine count is back to base
+// (or below) within a second.
+func settlesTo(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines a second later, %d before the run", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// hookedReader calls hook before every NextStep from call number `from`
+// on; an error from the hook is returned in the step's place.
+type hookedReader struct {
+	stream.Reader
+	from, calls int
+	hook        func() error
+}
+
+func (h *hookedReader) NextStep() (*stream.Step, error) {
+	if h.calls++; h.calls >= h.from {
+		if err := h.hook(); err != nil {
+			return nil, err
+		}
+	}
+	return h.Reader.NextStep()
+}
+
+// TestStreamingDeliveryEarlyReturnLeavesNoGoroutine: a delivery that
+// stops early — its reader fails, or its context is cancelled — returns
+// that error, and the producer it started is gone: not parked for the
+// life of the process on a queue or a socket nobody drains.
+func TestStreamingDeliveryEarlyReturnLeavesNoGoroutine(t *testing.T) {
+	boom := errors.New("reader failed")
+	for _, method := range []StreamingMethod{MethodStreamInProc, MethodStreamTCP} {
+		for _, tc := range []struct {
+			name    string
+			from    int   // the NextStep call the fault arrives on; 0 = cancelled before the run
+			cancels bool  // the fault cancels the context and the step is still delivered
+			fails   error // the fault is this error in the step's place
+			want    error
+		}{
+			{"reader fails at step 3", 3, false, boom, boom},
+			{"cancelled at step 3", 3, true, nil, context.Canceled},
+			{"cancelled before the run", 0, true, nil, context.Canceled},
+		} {
+			t.Run(string(method)+"/"+tc.name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				var w stream.Writer
+				var r stream.Reader
+				if method == MethodStreamInProc {
+					w, r = stream.Pipe(4)
+				} else {
+					tw, err := stream.ListenTCP("127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					w = tw
+					if r, err = stream.DialTCP(tw.Addr()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				ctx, cancel := context.WithCancel(bg)
+				defer cancel()
+				if tc.from == 0 {
+					cancel()
+				} else {
+					r = &hookedReader{Reader: r, from: tc.from, hook: func() error {
+						if tc.cancels {
+							cancel()
+						}
+						return tc.fails
+					}}
+				}
+				// 20 snapshots against a queue of 4 and a socket buffer
+				// far below 10 MB: the producer is parked when the
+				// consumer stops.
+				_, err := RunStreamDelivery(ctx, StreamingConfig{SizeMB: 0.5}, method, w, r)
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("got error %v, want %v", err, tc.want)
+				}
+				w.Close()
+				r.Close()
+				settlesTo(t, base)
+			})
+		}
+	}
+}
+
+// TestStreamingConfigRejectsBadInput: a value that would panic in an
+// allocation or yield a negative or infinite pad is an error naming the
+// field, on every method, before a transport exists.
+func TestStreamingConfigRejectsBadInput(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   StreamingConfig
+	}{
+		{"SizeMB", StreamingConfig{SizeMB: -1}},
+		{"SizeMB", StreamingConfig{SizeMB: math.NaN()}},
+		{"SizeMB", StreamingConfig{SizeMB: math.Inf(1)}},
+		{"SizeMB", StreamingConfig{SizeMB: 1e13}},
+		{"Snapshots", StreamingConfig{Snapshots: -1}},
+		{"PollInterval", StreamingConfig{PollInterval: -time.Millisecond}},
+		{"XferGBps", StreamingConfig{XferGBps: -2}},
+		{"XferGBps", StreamingConfig{XferGBps: math.NaN()}},
+		{"XferGBps", StreamingConfig{XferGBps: math.Inf(1)}},
+		{"XferGBps", StreamingConfig{XferGBps: 1e-300}},
+	} {
+		base := runtime.NumGoroutine()
+		for _, method := range streamingMethods {
+			_, err := runStreamingCell(bg, tc.cfg, method)
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s, %+v: got error %v, want one naming %s", method, tc.cfg, err, tc.field)
+			}
+		}
+		if _, err := RunStreamingComparison(bg, tc.cfg); err == nil {
+			t.Errorf("%+v: the comparison accepted it", tc.cfg)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%+v: %d goroutines after the refusals, %d before: something was deployed", tc.cfg, n, base)
+		}
+	}
+	w, r := stream.Pipe(1)
+	if _, err := RunStreamDelivery(bg, StreamingConfig{Snapshots: -1}, MethodStreamInProc, w, r); err == nil || !strings.Contains(err.Error(), "Snapshots") {
+		t.Errorf("RunStreamDelivery: got error %v, want one naming Snapshots", err)
+	}
+	if _, err := runStreamingCell(bg, StreamingConfig{}, "carrier-pigeon"); err == nil {
+		t.Error("an unknown method was measured")
+	}
+}
+
+// withSweepWorkers sets the sweep worker pool for the test's duration.
+func withSweepWorkers(t *testing.T, n int) {
+	t.Helper()
+	prev := sweep.Workers
+	t.Cleanup(func() { sweep.Workers = prev })
+	sweep.Workers = n
+}
+
+// TestStreamingFanOutEqualsSerial: what the scenario reports, as text
+// and as JSON, does not depend on how many of its cells run at once.
+func TestStreamingFanOutEqualsSerial(t *testing.T) {
+	var want [2][]byte
+	for _, workers := range []int{1, 1, 4, 4} {
+		withSweepWorkers(t, workers)
+		res, err := runStreamingScenario(bg, scenario.Params{Clock: clock.KindVirtual})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, format := range []string{"text", "json"} {
+			got := renderResult(t, format, res)
+			if want[i] == nil {
+				want[i] = got
+			}
+			if !bytes.Equal(got, want[i]) {
+				t.Errorf("%s at %d workers differs from the first serial run:\n%s\n--- serial ---\n%s", format, workers, got, want[i])
+			}
+		}
+	}
+}
+
+// streamingCell names one cell a stand-in runner was asked for.
+type streamingCell struct {
+	sizeMB float64
+	method StreamingMethod
+}
+
+// rowMajorStreamingCells is the order the scenario tabulates in.
+func rowMajorStreamingCells() []streamingCell {
+	var cells []streamingCell
+	for _, size := range StreamingSizes {
+		for _, method := range streamingMethods {
+			cells = append(cells, streamingCell{size, method})
+		}
+	}
+	return cells
+}
+
+// TestStreamingCellsOverlapOnlyOnVirtualClock: as for the validation
+// pair, side by side or one after another follows the clock kind and
+// nothing else — two workers are on offer both times.
+func TestStreamingCellsOverlapOnlyOnVirtualClock(t *testing.T) {
+	withSweepWorkers(t, 2)
+	measure := func(o *overlap, kind string) []streamingCell {
+		var order []streamingCell
+		points, err := streamingGridVia(bg, scenario.Params{Clock: kind},
+			func(_ context.Context, cfg StreamingConfig, method StreamingMethod) (StreamingPoint, error) {
+				if cfg.Clock != kind {
+					t.Errorf("cell got clock %q, want the scenario's %q", cfg.Clock, kind)
+				}
+				o.during(func() { order = append(order, streamingCell{cfg.SizeMB, method}) })
+				return StreamingPoint{Method: method, SizeMB: cfg.SizeMB}, nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Whatever order they ran in, the points come back row-major.
+		for i, c := range rowMajorStreamingCells() {
+			if points[i].SizeMB != c.sizeMB || points[i].Method != c.method {
+				t.Fatalf("clock %q: point %d is %+v, want cell %+v", kind, i, points[i], c)
+			}
+		}
+		return order
+	}
+	for _, kind := range []string{"", clock.KindVirtual} {
+		o := rendezvous()
+		measure(&o, kind)
+		if o.peak < 2 {
+			t.Fatalf("clock %q: peak of %d cells in flight with two workers, want them side by side", kind, o.peak)
+		}
+	}
+	var o overlap
+	order := measure(&o, clock.KindWall)
+	if o.peak != 1 || !slices.Equal(order, rowMajorStreamingCells()) {
+		t.Fatalf("wall clock: peak %d, order %v; want the row-major order, one cell at a time", o.peak, order)
+	}
+}
+
+// TestStreamingFirstFailureWins: when two cells fail the scenario's
+// error is the one of lower index, even when it failed later, and the
+// seven healthy cells — real ones, shortened — have all run and taken
+// their servers, listeners and producers down again.
+func TestStreamingFirstFailureWins(t *testing.T) {
+	withSweepWorkers(t, 2)
+	cells := rowMajorStreamingCells()
+	lower, higher := cells[3], cells[4]
+	lowerErr, higherErr := errors.New("cell 3 failed"), errors.New("cell 4 failed")
+	higherFailed := make(chan struct{})
+	var failOnce sync.Once
+	var healthy atomic.Int32
+	base := runtime.NumGoroutine()
+	_, err := streamingGridVia(bg, scenario.Params{},
+		func(ctx context.Context, cfg StreamingConfig, method StreamingMethod) (StreamingPoint, error) {
+			switch (streamingCell{cfg.SizeMB, method}) {
+			case lower:
+				select {
+				case <-higherFailed:
+				case <-time.After(5 * time.Second):
+				}
+				return StreamingPoint{}, lowerErr
+			case higher:
+				failOnce.Do(func() { close(higherFailed) })
+				return StreamingPoint{}, higherErr
+			}
+			cfg.Snapshots = 2
+			defer healthy.Add(1)
+			return runStreamingCell(ctx, cfg, method)
+		})
+	if err != lowerErr {
+		t.Fatalf("got error %v, want the lower-index cell's", err)
+	}
+	if n := healthy.Load(); n != 7 {
+		t.Fatalf("%d healthy cells ran, want the other 7", n)
+	}
+	settlesTo(t, base)
 }

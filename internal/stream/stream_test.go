@@ -1,9 +1,14 @@
 package stream
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -249,6 +254,56 @@ func TestLargeStepOverTCP(t *testing.T) {
 	v, _ := s.Get("big")
 	if !bytes.Equal(v, payload) {
 		t.Fatal("4MB step corrupted over TCP")
+	}
+}
+
+// TestStreamingFrameBounds: a reader allocates what a
+// header announces, so a 16-byte corrupt or hostile frame must be
+// refused by its announced sizes, naming the field and the value,
+// before anything of that size is made.
+func TestStreamingFrameBounds(t *testing.T) {
+	frame := func(nvars, nameLen uint32, name string, dataLen uint64) []byte {
+		b := binary.BigEndian.AppendUint64(nil, 7) // step index
+		b = binary.BigEndian.AppendUint32(b, nvars)
+		b = binary.BigEndian.AppendUint32(b, nameLen)
+		if name != "" {
+			b = binary.BigEndian.AppendUint64(append(b, name...), dataLen)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  []string
+	}{
+		{"variable count", frame(endOfStreamMark-1, 1, "", 0), []string{"variable count", "4294967294"}},
+		{"name length", frame(1, maxStreamVar, "", 0), []string{"name length", "1073741824"}},
+		{"data length", frame(1, 1, "u", maxStreamVar+1), []string{`var "u" data length`, "1073741825"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client, server := net.Pipe()
+			defer client.Close()
+			go func() {
+				server.Write(tc.frame)
+				server.Close()
+			}()
+			r := &TCPReader{conn: client, r: bufio.NewReaderSize(client, 1<<16)}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := r.NextStep()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("corrupt frame accepted")
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("refusing the frame allocated %d bytes, want under 1 MB", grew)
+			}
+		})
 	}
 }
 

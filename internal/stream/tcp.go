@@ -19,8 +19,15 @@ import (
 // writer-side bounded queue.
 const endOfStreamMark = ^uint32(0)
 
-// maxStreamVar bounds one variable payload (1 GiB) against corruption.
-const maxStreamVar = 1 << 30
+// Frame bounds: a reader allocates what a header announces before the
+// bytes arrive, so every announced size is checked first. One variable
+// payload may be 1 GiB; names and the variable count get limits no real
+// step comes near, and a corrupt or hostile header cannot cost more.
+const (
+	maxStreamVar  = 1 << 30
+	maxStreamName = 1 << 16
+	maxStreamVars = 1 << 16
+)
 
 // TCPWriter serves a stream to exactly one reader over TCP.
 type TCPWriter struct {
@@ -171,6 +178,9 @@ func (t *TCPReader) NextStep() (*Step, error) {
 		t.done = true
 		return nil, ErrDone
 	}
+	if nvars > maxStreamVars {
+		return nil, fmt.Errorf("stream: variable count %d exceeds limit %d", nvars, maxStreamVars)
+	}
 	s := &Step{Index: int(binary.BigEndian.Uint64(hdr[:8])), vars: map[string][]byte{}}
 	for i := uint32(0); i < nvars; i++ {
 		var nl [4]byte
@@ -178,8 +188,8 @@ func (t *TCPReader) NextStep() (*Step, error) {
 			return nil, err
 		}
 		nameLen := binary.BigEndian.Uint32(nl[:])
-		if nameLen > maxStreamVar {
-			return nil, fmt.Errorf("stream: name length %d exceeds limit", nameLen)
+		if nameLen > maxStreamName {
+			return nil, fmt.Errorf("stream: name length %d exceeds limit %d", nameLen, maxStreamName)
 		}
 		name := make([]byte, nameLen)
 		if _, err := io.ReadFull(t.r, name); err != nil {
@@ -191,7 +201,7 @@ func (t *TCPReader) NextStep() (*Step, error) {
 		}
 		dataLen := binary.BigEndian.Uint64(dl[:])
 		if dataLen > maxStreamVar {
-			return nil, fmt.Errorf("stream: var %q length %d exceeds limit", name, dataLen)
+			return nil, fmt.Errorf("stream: var %q data length %d exceeds limit %d", name, dataLen, maxStreamVar)
 		}
 		data := make([]byte, dataLen)
 		if _, err := io.ReadFull(t.r, data); err != nil {
