@@ -19,6 +19,7 @@ import (
 	"simaibench/internal/clock"
 	"simaibench/internal/datastore"
 	"simaibench/internal/experiments"
+	"simaibench/internal/scenario"
 )
 
 // validationCfg is a scaled-down validation run sized for benchmarking,
@@ -207,25 +208,19 @@ func BenchmarkFaultLayerSilent(b *testing.B) {
 }
 
 // BenchmarkStreaming regenerates the staged-polling vs streaming
-// comparison with real data movement, once per emulation clock: in
+// comparison (the registered scenario: three sizes × three methods) with
+// real data movement, once per emulation clock: in
 // wall mode the consumer genuinely sleeps its poll intervals; in
 // virtual mode the same bytes move but every wait is a virtual-clock
 // pad, so the benchmark runs at transfer speed.
 func BenchmarkStreaming(b *testing.B) {
 	for _, clk := range []string{clock.KindWall, clock.KindVirtual} {
 		b.Run("clock="+clk, func(b *testing.B) {
-			var points []experiments.StreamingPoint
+			sc, _ := scenario.Lookup("streaming")
 			for i := 0; i < b.N; i++ {
-				var err error
-				points, err = experiments.RunStreamingComparison(context.Background(), experiments.StreamingConfig{
-					SizeMB: 1, Snapshots: 10, Clock: clk,
-				})
-				if err != nil {
+				if _, err := sc.Run(context.Background(), scenario.Params{Clock: clk}); err != nil {
 					b.Fatal(err)
 				}
-			}
-			for _, pt := range points {
-				b.ReportMetric(pt.LatencyMeanS*1000, string(pt.Method)+"-latency-ms")
 			}
 		})
 	}

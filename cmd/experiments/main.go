@@ -19,13 +19,12 @@
 // scenarios run on the simulated Aurora cluster either way. Progress
 // goes to stderr so -format json|csv output stays parseable.
 //
-// -timeout, -retries and -max-events arm the run guardrails on every
-// sweep cell (per-cell deadline, bounded retry, DES event budget); a
-// failed cell becomes a structured, rendered failure instead of
-// aborting the campaign, and the process exits nonzero so a partial
-// artifact can never pass as complete. See EXPERIMENTS.md for
-// paper-vs-measured, the exit-code contract and how to add a new
-// scenario.
+// -timeout and -max-events arm the run guardrails on every sweep cell
+// (per-cell deadline, DES event budget); a failed cell becomes a
+// structured, rendered failure instead of aborting the campaign, and the
+// process exits nonzero so a partial artifact can never pass as
+// complete. See EXPERIMENTS.md for paper-vs-measured, the exit-code
+// contract and how to add a new scenario.
 package main
 
 import (
@@ -76,12 +75,15 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	workers := fs.Int("workers", 1, "cores advancing one gradsync cell's logical processes (1 = one core; other scenarios run a cell on one sequential Env and ignore it); metrics are bit-identical at any setting")
 	collAlgo := fs.String("collalgo", "", "collective algorithm for the gradsync family: flat|ring|tree|hier (empty = full algorithm sweep)")
 	timeout := fs.Float64("timeout", 0, "per-sweep-cell wall-clock deadline in seconds (0 = none); a wedged cell is abandoned with a structured failure instead of hanging the run")
-	retries := fs.Int("retries", 0, "extra attempts per sweep cell on retryable failures (0 = fail on first error)")
 	maxEvents := fs.Int64("max-events", 0, "DES event budget per simulated sweep cell (0 = unlimited); a runaway cell aborts with a structured budget error")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
+	if *parallel < 0 {
+		fmt.Fprintf(stderr, "experiments: -parallel is %d: must not be negative\n", *parallel)
+		return 1
+	}
 	sweep.Workers = *parallel
 	if *list {
 		// -o applies to -list too, so `-list -format md -o FILE` can
@@ -124,15 +126,18 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		Policy:       *policy,
 		Jobs:         *jobs,
 		TimeoutS:     *timeout,
-		Retries:      *retries,
 		MaxEvents:    *maxEvents,
 		CollAlgo:     *collAlgo,
 	}
-	if *workers > 1 {
-		// Only record an explicit fan-out request: Workers stays
-		// zero at the default so workers=1 artifacts (JSON params
-		// included) remain byte-identical to pre-knob output.
+	if *workers != 1 {
+		// Only record an explicit request: Workers stays zero at the
+		// default so workers=1 artifacts (JSON params included) remain
+		// byte-identical to pre-knob output.
 		params.Workers = *workers
+	}
+	if err := params.Validate(); err != nil {
+		fmt.Fprintln(stderr, "experiments:", flagForKey.Replace(err.Error()))
+		return 1
 	}
 	failedCells, err := run(ctx, *exp, *format, *out, params, stdout, stderr)
 	if err != nil {
@@ -145,6 +150,15 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	}
 	return 0
 }
+
+// flagForKey rewrites the JSON key a scenario.Params.Validate error
+// names as the flag that set it.
+var flagForKey = strings.NewReplacer(
+	`params: "train_iters"`, "-train-iters", `params: "sweep_iters"`, "-sweep-iters",
+	`params: "time_scale"`, "-time-scale", `params: "tenants"`, "-tenants", `params: "mtbf_s"`, "-mtbf",
+	`params: "ckpt_interval_s"`, "-ckpt", `params: "rate"`, "-rate", `params: "jobs"`, "-jobs",
+	`params: "timeout_s"`, "-timeout", `params: "max_events"`, "-max-events", `params: "workers"`, "-workers",
+)
 
 // printList enumerates the registry: every scenario id with its
 // description, then the runnable groups.
@@ -266,8 +280,8 @@ func run(ctx context.Context, exp, format, outPath string, params scenario.Param
 		}
 		for _, res := range results {
 			for _, f := range res.Failures {
-				fmt.Fprintf(stderr, "experiments: %s: %s[%d] failed after %d attempt(s): %s\n",
-					res.Scenario, f.Sweep, f.Cell, f.Attempts, f.Error)
+				fmt.Fprintf(stderr, "experiments: %s: %s[%d] failed: %s\n",
+					res.Scenario, f.Sweep, f.Cell, f.Error)
 				failedCells++
 			}
 		}

@@ -84,9 +84,32 @@ func TestRealMainUnwritableOutput(t *testing.T) {
 }
 
 func TestRealMainBadFlag(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if code := realMain(context.Background(), []string{"-definitely-not-a-flag"}, &out, &errBuf); code != 2 {
-		t.Fatalf("exit code = %d, want 2 for a flag-parse failure", code)
+	// -retries was a flag until nothing could trigger a retry.
+	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-retries", "1"}} {
+		var out, errBuf bytes.Buffer
+		if code := realMain(context.Background(), args, &out, &errBuf); code != 2 {
+			t.Fatalf("%v: exit code = %d, want 2 for a flag-parse failure", args, code)
+		}
+	}
+}
+
+// A knob that is accepted is acted on: a negative or non-finite value,
+// which the scenarios used to replace with their default grid and exit
+// 0, is refused before anything runs, naming the flag.
+func TestRealMainRejectsBadKnobs(t *testing.T) {
+	for _, tc := range []struct{ exp, flag, value string }{
+		{"campaign", "-rate", "-1"}, {"campaign", "-rate", "NaN"}, {"campaign", "-jobs", "-5"},
+		{"scale-out", "-tenants", "-3"}, {"resilience", "-mtbf", "-1"}, {"resilience", "-ckpt", "NaN"},
+		{"fig3", "-sweep-iters", "-5"}, {"fig3", "-timeout", "-3"}, {"fig3", "-parallel", "-4"},
+		{"gradsync", "-workers", "-2"}, {"table2", "-train-iters", "-1"}, {"table2", "-time-scale", "+Inf"},
+		{"fig5", "-max-events", "-7"},
+	} {
+		var out, errBuf bytes.Buffer
+		code := realMain(context.Background(), []string{"-exp", tc.exp, tc.flag, tc.value}, &out, &errBuf)
+		if code != 1 || !strings.Contains(errBuf.String(), tc.flag+" ") || out.Len() != 0 {
+			t.Errorf("-exp %s %s %s: exit %d, stdout %d bytes, stderr %q; want exit 1 naming the flag and no output",
+				tc.exp, tc.flag, tc.value, code, out.Len(), errBuf.String())
+		}
 	}
 }
 
@@ -108,24 +131,35 @@ func TestRealMainCancelledContext(t *testing.T) {
 // summarizes every failed cell on stderr, and exits nonzero — a partial
 // result must never look like a complete one to a script.
 func TestRealMainPartialResultsExitNonzero(t *testing.T) {
-	outPath := filepath.Join(t.TempDir(), "fig5.txt")
-	var out, errBuf bytes.Buffer
-	code := realMain(context.Background(),
-		[]string{"-exp", "fig5", "-max-events", "10", "-o", outPath}, &out, &errBuf)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1 with failed cells\nstderr:\n%s", code, errBuf.String())
-	}
-	for _, want := range []string{"sweep cell(s) failed", "event budget exceeded", "fig5["} {
-		if !strings.Contains(errBuf.String(), want) {
-			t.Errorf("stderr missing %q:\n%s", want, errBuf.String())
+	for _, tc := range []struct {
+		exp  string
+		args []string
+		want []string
+	}{
+		{"fig5", []string{"-max-events", "10"}, []string{"event budget exceeded", "fig5["}},
+		// Fewer iterations than one read period used to print 36 rows of
+		// zeros and exit 0.
+		{"fig6", []string{"-sweep-iters", "5"}, []string{"TrainIters = 5", "ReadPeriod = 10", "fig6/8-nodes["}},
+	} {
+		outPath := filepath.Join(t.TempDir(), tc.exp+".txt")
+		var out, errBuf bytes.Buffer
+		code := realMain(context.Background(),
+			append([]string{"-exp", tc.exp, "-o", outPath}, tc.args...), &out, &errBuf)
+		if code != 1 {
+			t.Fatalf("%s: exit code = %d, want 1 with failed cells\nstderr:\n%s", tc.exp, code, errBuf.String())
 		}
-	}
-	artifact, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatalf("partial artifact was not written: %v", err)
-	}
-	if !strings.Contains(string(artifact), "FAILED cells — fig5") {
-		t.Errorf("artifact does not render the failed cells:\n%s", artifact)
+		for _, want := range append(tc.want, "sweep cell(s) failed") {
+			if !strings.Contains(errBuf.String(), want) {
+				t.Errorf("%s: stderr missing %q:\n%s", tc.exp, want, errBuf.String())
+			}
+		}
+		artifact, err := os.ReadFile(outPath)
+		if err != nil {
+			t.Fatalf("%s: partial artifact was not written: %v", tc.exp, err)
+		}
+		if !strings.Contains(string(artifact), "FAILED cells — "+tc.exp) {
+			t.Errorf("%s: artifact does not render the failed cells:\n%s", tc.exp, artifact)
+		}
 	}
 }
 
@@ -141,7 +175,7 @@ func TestRealMainGuardrailFlagsZeroCost(t *testing.T) {
 		return out.String()
 	}
 	plain := run()
-	guarded := run("-timeout", "600", "-retries", "2", "-max-events", "1000000000")
+	guarded := run("-timeout", "600", "-max-events", "1000000000")
 	if plain != guarded {
 		t.Errorf("output differs with guardrail flags set\n--- plain ---\n%s\n--- guarded ---\n%s", plain, guarded)
 	}

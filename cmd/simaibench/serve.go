@@ -37,15 +37,13 @@ func serveMain(ctx context.Context, args []string, stderr io.Writer) int {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight runs")
 	runTimeout := fs.Duration("run-timeout", 120*time.Second, "default per-run deadline when the request carries none")
 	maxEvents := fs.Int64("max-events", 0, "default DES event budget per sweep cell when the request carries none (0 = unlimited)")
-	retries := fs.Int("retries", 0, "extra attempts per run on retryable failures")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	s := serve.New(serve.Config{
 		Addr: *addr, Workers: *workers, QueueDepth: *queue, CacheSize: *cacheSize,
-		DrainTimeout: *drainTimeout, RunTimeout: *runTimeout,
-		MaxEvents: *maxEvents, Retries: *retries,
+		DrainTimeout: *drainTimeout, RunTimeout: *runTimeout, MaxEvents: *maxEvents,
 	})
 
 	// First SIGINT/SIGTERM drains gracefully; a second kills outright

@@ -123,8 +123,11 @@ func TestServeSubcommandSIGTERM(t *testing.T) {
 }
 
 func TestServeSubcommandBadFlags(t *testing.T) {
-	var errBuf syncBuffer
-	if code := serveMain(context.Background(), []string{"-no-such-flag"}, &errBuf); code != 2 {
-		t.Fatalf("bad flags: exit %d, want 2", code)
+	// -retries was a flag until nothing could trigger a retry.
+	for _, args := range [][]string{{"-no-such-flag"}, {"-retries", "1"}} {
+		var errBuf syncBuffer
+		if code := serveMain(context.Background(), args, &errBuf); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", args, code)
+		}
 	}
 }

@@ -208,3 +208,133 @@ func exportedReceiver(d *ast.FuncDecl) bool {
 		}
 	}
 }
+
+// Reasons a function may stand without a production caller.
+const (
+	// A one-line read of state a test observes the engine through;
+	// ROADMAP item 1 (run diagnostics) is to give these a consumer.
+	testAccessor = "read accessor tests observe state through"
+	// The torture suite's load driver; ROADMAP item 2 decides it together
+	// with servebench_test.go.
+	loadDriver = "serve torture-suite driver"
+)
+
+// productionCallerExempt lists the functions
+// TestProductionCodeHasProductionCaller lets stand without a non-test
+// caller, each with the reason it stays.
+var productionCallerExempt = map[string]string{
+	"ai.Trainer.LoaderSize":         testAccessor,
+	"clock.Virtual.NowNS":           testAccessor,
+	"cluster.NodeSet.UpCount":       testAccessor,
+	"costmodel.CheckpointOp.Active": testAccessor,
+	"des.Env.NextT":                 testAccessor,
+	"des.Env.Pending":               testAccessor,
+	"des.Env.Executed":              testAccessor,
+	"des.Hold.Armed":                testAccessor,
+	"des.Grant.Granted":             testAccessor,
+	"des.Resource.InUse":            testAccessor,
+	"des.Resource.Cap":              testAccessor,
+	"des.Resource.Waiting":          testAccessor,
+	"des.Resource.Peak":             testAccessor,
+	"des.Resource.Grants":           testAccessor,
+	"des.Resource.TotalWaitS":       testAccessor,
+	"serve.RunLoad":                 loadDriver,
+	"serve.LoadReport.ShedRate":     loadDriver,
+	"config.DistSpec.MarshalJSON":   "json.Marshaler",
+	"config.DistSpec.UnmarshalJSON": "json.Unmarshaler",
+	"scenario.Table.MarshalJSON":    "json.Marshaler",
+	"scenario.Table.UnmarshalJSON":  "json.Unmarshaler",
+	"sweep.CellError.Unwrap":        "errors.Is/As unwrap it",
+}
+
+// TestProductionCodeHasProductionCaller keeps test-only code from
+// growing back: every top-level function or method declared in a
+// non-test file under internal/ or pkg/ must have its name used in some
+// non-test .go file (cmd/, examples/ and benchmark/ included) other than
+// at a function declaration. Matching is by name alone, so it
+// under-reports (a method shares its name with every other method and
+// field so called); what it does report has no production caller at all.
+func TestProductionCodeHasProductionCaller(t *testing.T) {
+	type decl struct {
+		name string
+		pos  token.Position
+	}
+	var decls []decl
+	used := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		declared := map[*ast.Ident]bool{}
+		checked := strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "pkg/")
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				declared[fd.Name] = true
+				if checked && fd.Name.Name != "init" {
+					decls = append(decls, decl{qualifiedName(f, fd), fset.Position(fd.Name.Pos())})
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !declared[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, d := range decls {
+		seen[d.name] = true
+		short := d.name[strings.LastIndex(d.name, ".")+1:]
+		if used[short] || productionCallerExempt[d.name] != "" {
+			continue
+		}
+		t.Errorf("%s:%d: %s is used by no non-test file: give it a production caller, delete it, or exempt it with a reason",
+			d.pos.Filename, d.pos.Line, d.name)
+	}
+	for name := range productionCallerExempt {
+		if !seen[name] {
+			t.Errorf("productionCallerExempt names %s, which is not declared: drop the entry", name)
+		}
+	}
+}
+
+// qualifiedName is "pkg.Func" or "pkg.Type.Method".
+func qualifiedName(f *ast.File, fd *ast.FuncDecl) string {
+	name := f.Name.Name + "."
+	if fd.Recv != nil && len(fd.Recv.List) > 0 {
+		typ := fd.Recv.List[0].Type
+		for {
+			switch tt := typ.(type) {
+			case *ast.StarExpr:
+				typ = tt.X
+				continue
+			case *ast.IndexExpr:
+				typ = tt.X
+				continue
+			case *ast.Ident:
+				name += tt.Name + "."
+			}
+			break
+		}
+	}
+	return name + fd.Name.Name
+}

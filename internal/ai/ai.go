@@ -278,57 +278,6 @@ func (t *Trainer) TrainIteration() (float64, error) {
 	return loss, nil
 }
 
-// Infer runs a forward pass over a batch of inputs, returning the
-// model's predictions. It performs no weight updates and no collective
-// communication.
-func (t *Trainer) Infer(x [][]float64) [][]float64 {
-	return t.model.Forward(x)
-}
-
-// InferIteration emulates one latency-limited inference step of the kind
-// the paper's introduction motivates ("inference workloads can be
-// latency limited, with the cost of data transfer dominating over the
-// computational one"): read a staged input, run a forward pass, stage
-// the prediction back. It returns the end-to-end latency in seconds, of
-// which transfer typically dominates compute.
-func (t *Trainer) InferIteration(inputKey, outputKey string) (float64, error) {
-	if t.store == nil {
-		return 0, fmt.Errorf("ai %s: no data store attached", t.name)
-	}
-	start := t.now()
-	raw, err := t.store.StageRead(inputKey)
-	if err != nil {
-		return 0, err
-	}
-	xs := DecodeFloat64s(raw)
-	w := t.inDim()
-	n := len(xs) / w
-	if n == 0 {
-		return 0, fmt.Errorf("ai %s: staged input %q holds no full samples (got %d floats, need %d)",
-			t.name, inputKey, len(xs), w)
-	}
-	batch := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		batch[i] = xs[i*w : (i+1)*w]
-	}
-	pred := t.model.Forward(batch)
-	flat := make([]float64, 0, n*t.outDim())
-	for _, row := range pred {
-		flat = append(flat, row...)
-	}
-	if err := t.store.StageWrite(outputKey, EncodeFloat64s(flat)); err != nil {
-		return 0, err
-	}
-	lat := t.now().Sub(start).Seconds()
-	t.iterStats.Add(lat / t.timeScale)
-	t.iters++
-	if t.timeline != nil {
-		end := t.Elapsed() / t.timeScale
-		t.timeline.AddSpan(t.lane, trace.KindTransfer, end-lat/t.timeScale, end, "infer "+inputKey)
-	}
-	return lat, nil
-}
-
 // allReduceGrads averages gradients across ranks — the communication
 // PyTorch DDP hides inside loss.backward(), made explicit here.
 func (t *Trainer) allReduceGrads() {

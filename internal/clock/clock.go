@@ -11,7 +11,6 @@
 package clock
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -22,7 +21,7 @@ import (
 // Now/Sleep from a Clock instead of the time package, so one harness
 // runs unchanged in both domains.
 //
-// Join/Leave/Block are the participant protocol of the Virtual clock's
+// Join/Leave are the participant protocol of the Virtual clock's
 // cross-goroutine barrier (no-ops on Wall): a joined participant is a
 // goroutine whose compute must not be overtaken by virtual time.
 // Virtual time advances only when every joined participant is parked in
@@ -36,20 +35,15 @@ type Clock interface {
 	// the caller must be accounted for by a Join (its own or one made
 	// on its behalf), or time may advance past running participants.
 	Sleep(d time.Duration)
-	// After returns a channel that delivers the clock's time once d has
-	// elapsed. On Virtual the timer fires as sleeping participants drag
-	// time past its deadline; it does not advance time by itself.
-	After(d time.Duration) <-chan time.Time
 	// Join registers one timed participant (see the interface comment).
 	Join()
 	// Leave deregisters one participant, releasing the barrier for the
-	// rest. Every Join must be balanced by exactly one Leave.
+	// rest. Every Join must be balanced by exactly one Leave. A
+	// participant waiting on something other goroutines resolve (an MPI
+	// collective, a channel receive) must Leave around the wait and
+	// Join after it, or the barrier would deadlock waiting for a
+	// participant that cannot sleep.
 	Leave()
-	// Block runs fn with one participant temporarily deregistered: use
-	// it around waits that are resolved by other goroutines (an MPI
-	// collective, a channel receive), or the barrier would deadlock
-	// waiting for a participant that cannot sleep.
-	Block(fn func())
 }
 
 // wall is the real-time clock: time.Now plus the spin-precise Sleep the
@@ -57,12 +51,10 @@ type Clock interface {
 // — the operating system is the barrier.
 type wall struct{}
 
-func (wall) Now() time.Time                         { return time.Now() }
-func (wall) Sleep(d time.Duration)                  { spin.Sleep(d) }
-func (wall) After(d time.Duration) <-chan time.Time { return time.After(d) }
-func (wall) Join()                                  {}
-func (wall) Leave()                                 {}
-func (wall) Block(fn func())                        { fn() }
+func (wall) Now() time.Time        { return time.Now() }
+func (wall) Sleep(d time.Duration) { spin.Sleep(d) }
+func (wall) Join()                 {}
+func (wall) Leave()                {}
 
 // Wall is the shared real-time clock.
 var Wall Clock = wall{}
@@ -92,29 +84,3 @@ func FromKind(kind string) (Clock, error) {
 // IsVirtual reports whether kind selects the virtual domain (the
 // default when empty).
 func IsVirtual(kind string) bool { return kind == "" || kind == KindVirtual }
-
-// SleepCtx sleeps d on c, returning early with ctx's error if it is
-// cancelled. On Virtual the sleep itself completes in negligible real
-// time, so cancellation is simply checked around it; otherwise the
-// wait parks fully on the clock's After timer alongside the context —
-// poll cadences need no spin precision, and a parked wait burns no
-// core while a consumer idles between ticks.
-func SleepCtx(ctx context.Context, c Clock, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if v, ok := c.(*Virtual); ok || d <= 0 {
-		if ok {
-			v.Sleep(d)
-		} else {
-			c.Sleep(d)
-		}
-		return ctx.Err()
-	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-c.After(d):
-		return nil
-	}
-}

@@ -27,8 +27,8 @@ import (
 //     sleep (the orchestrator may Join on a goroutine's behalf before
 //     spawning it — Join counts participants, it does not bind them).
 //   - A participant that waits on another participant through anything
-//     other than Sleep (an MPI collective, a channel) must wrap that
-//     wait in Block, or the barrier deadlocks.
+//     other than Sleep (an MPI collective, a channel) must Leave around
+//     that wait and Join after it, or the barrier deadlocks.
 //   - Goroutines outside the barrier (backend servers, stream
 //     producers) must not call Sleep on this clock; their real-time
 //     blocking is invisible to it, which is fine as long as some
@@ -40,7 +40,6 @@ type Virtual struct {
 	joined   int
 	seq      uint64
 	sleepers []vsleeper
-	timers   []vtimer
 }
 
 // vsleeper is one parked Sleep call.
@@ -48,13 +47,6 @@ type vsleeper struct {
 	at  int64
 	seq uint64
 	ch  chan struct{}
-}
-
-// vtimer is one pending After channel.
-type vtimer struct {
-	at  int64
-	seq uint64
-	ch  chan time.Time
 }
 
 // NewVirtual returns a virtual clock at a fixed epoch (time.Unix(0,0)
@@ -102,15 +94,6 @@ func (v *Virtual) Leave() {
 	v.mu.Unlock()
 }
 
-// Block runs fn with the calling participant deregistered for its
-// duration, so waits serviced by other goroutines cannot stall the
-// barrier.
-func (v *Virtual) Block(fn func()) {
-	v.Leave()
-	defer v.Join()
-	fn()
-}
-
 // Sleep parks the caller until virtual time reaches now+d.
 // Non-positive durations return immediately, like spin.Sleep.
 func (v *Virtual) Sleep(d time.Duration) {
@@ -126,23 +109,6 @@ func (v *Virtual) Sleep(d time.Duration) {
 	<-s.ch
 }
 
-// After returns a channel delivering the virtual time once it passes
-// now+d. The timer does not hold the barrier open: it fires when
-// sleeping participants (or a Leave) drag time past its deadline.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	at := v.nowNS + int64(d)
-	if d <= 0 {
-		ch <- v.base.Add(time.Duration(v.nowNS))
-		return ch
-	}
-	v.timers = append(v.timers, vtimer{at: at, seq: v.seq, ch: ch})
-	v.seq++
-	return ch
-}
-
 // advanceLocked wakes the earliest sleeper when every joined
 // participant is parked — the barrier condition. Waking exactly one
 // keeps execution serialized; the woken participant triggers the next
@@ -154,34 +120,10 @@ func (v *Virtual) advanceLocked() {
 		if s.at > v.nowNS {
 			v.nowNS = s.at
 		}
-		v.fireTimersLocked()
 		close(s.ch)
 		if v.joined > 0 {
 			return // exactly one runnable participant at a time
 		}
-	}
-}
-
-// fireTimersLocked delivers every timer whose deadline has passed, in
-// (deadline, creation) order.
-func (v *Virtual) fireTimersLocked() {
-	for {
-		best := -1
-		for i := range v.timers {
-			if v.timers[i].at > v.nowNS {
-				continue
-			}
-			if best < 0 || v.timers[i].at < v.timers[best].at ||
-				(v.timers[i].at == v.timers[best].at && v.timers[i].seq < v.timers[best].seq) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return
-		}
-		t := v.timers[best]
-		v.timers = append(v.timers[:best], v.timers[best+1:]...)
-		t.ch <- v.base.Add(time.Duration(v.nowNS))
 	}
 }
 

@@ -4,10 +4,10 @@
 // numbers come straight from the paper's §4 hardware description and are
 // consumed by internal/costmodel to size resources and cache thresholds.
 //
-// Beyond the paper's single-workflow placements (Pattern1Placement,
-// Pattern2Placement), the package provides the multi-tenant co-scheduler
-// (CoSchedule): N concurrent workflow instances placed round-robin onto
-// a shared partition, the substrate of the scale-out scenario family.
+// Beyond the paper's single-workflow placement (Pattern1Placement), the
+// package provides the multi-tenant co-scheduler (CoSchedule): N
+// concurrent workflow instances placed round-robin onto a shared
+// partition, the substrate of the scale-out scenario family.
 package cluster
 
 import "fmt"
@@ -67,21 +67,6 @@ func (s Spec) Validate() error {
 // TilesPerNode returns the GPU tile count per node (12 on Aurora).
 func (s Spec) TilesPerNode() int { return s.GPUsPerNode * s.TilesPerGPU }
 
-// TotalTiles returns the job-wide tile count.
-func (s Spec) TotalTiles() int { return s.Nodes * s.TilesPerNode() }
-
-// CacheSharePerProcMB returns the per-process L3 share when procs
-// processes run per node: total L3 across sockets divided evenly. With
-// the paper's 12-process configuration this is ~105*2/12 — the paper
-// quotes ~8 MB per process per CPU, i.e. 105/12 with components split
-// per socket; we follow the paper's arithmetic (105 MB / 12 procs).
-func (s Spec) CacheSharePerProcMB(procs int) float64 {
-	if procs < 1 {
-		procs = 1
-	}
-	return s.L3CacheMBPerCPU * float64(s.CPUsPerNode) / 2 / float64(procs) * 2 / float64(s.CPUsPerNode)
-}
-
 // Placement describes how a co-located pattern splits a node's tiles
 // between the simulation and AI components (6 + 6 in the paper).
 type Placement struct {
@@ -95,15 +80,6 @@ func Pattern1Placement(s Spec) Placement {
 	half := s.TilesPerNode() / 2
 	return Placement{SimTilesPerNode: half, AITilesPerNode: half}
 }
-
-// Pattern2Placement gives a component all tiles of its own node (the
-// many-to-one pattern dedicates whole nodes).
-func Pattern2Placement(s Spec) Placement {
-	return Placement{SimTilesPerNode: s.TilesPerNode(), AITilesPerNode: s.TilesPerNode()}
-}
-
-// ProcsPerNode returns total ranks per node under a placement.
-func (p Placement) ProcsPerNode() int { return p.SimTilesPerNode + p.AITilesPerNode }
 
 // Tenant is one co-scheduled workflow instance in a multi-tenant
 // partition: a stable id plus the node indices its components run on.
@@ -233,21 +209,6 @@ func (ns *NodeSet) Restore(node int) bool {
 	ns.up[node] = true
 	ns.nUp++
 	return true
-}
-
-// Replacement returns a deterministic re-placement target for work that
-// was running on a failed node: the first up node scanning round-robin
-// from failed+1 (so consecutive failures spread over the partition
-// instead of piling onto node 0). ok is false when every node is down.
-func (ns *NodeSet) Replacement(failed int) (node int, ok bool) {
-	n := len(ns.up)
-	for i := 1; i <= n; i++ {
-		c := (failed + i) % n
-		if ns.up[c] {
-			return c, true
-		}
-	}
-	return 0, false
 }
 
 // Oversubscription reports the mean number of tenant placements per

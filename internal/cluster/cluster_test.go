@@ -16,9 +16,6 @@ func TestAuroraSpec(t *testing.T) {
 	if s.TilesPerNode() != 12 {
 		t.Fatalf("tiles/node = %d, want 12", s.TilesPerNode())
 	}
-	if s.TotalTiles() != 512*12 {
-		t.Fatalf("total tiles = %d", s.TotalTiles())
-	}
 }
 
 func TestValidateRejectsBadSpecs(t *testing.T) {
@@ -34,34 +31,11 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-func TestCacheSharePerProc(t *testing.T) {
-	s := Aurora(8)
-	// The paper: 105 MB L3 / 12 procs ≈ 8 MB per process.
-	got := s.CacheSharePerProcMB(12)
-	if math.Abs(got-105.0/12) > 1e-9 {
-		t.Fatalf("cache share = %v, want %v", got, 105.0/12)
-	}
-	if s.CacheSharePerProcMB(0) != s.CacheSharePerProcMB(1) {
-		t.Fatal("zero procs should clamp to 1")
-	}
-}
-
 func TestPattern1PlacementSplitsTiles(t *testing.T) {
 	s := Aurora(8)
 	p := Pattern1Placement(s)
 	if p.SimTilesPerNode != 6 || p.AITilesPerNode != 6 {
 		t.Fatalf("placement = %+v, want 6+6", p)
-	}
-	if p.ProcsPerNode() != 12 {
-		t.Fatalf("procs/node = %d", p.ProcsPerNode())
-	}
-}
-
-func TestPattern2PlacementFullNode(t *testing.T) {
-	s := Aurora(2)
-	p := Pattern2Placement(s)
-	if p.SimTilesPerNode != 12 || p.AITilesPerNode != 12 {
-		t.Fatalf("placement = %+v, want 12/12", p)
 	}
 }
 
@@ -169,67 +143,6 @@ func TestNodeSetFailRestore(t *testing.T) {
 	}
 	if !ns.Up(2) || ns.UpCount() != 4 || ns.Fails() != 1 {
 		t.Fatalf("after restore: up=%v upcount=%d fails=%d", ns.Up(2), ns.UpCount(), ns.Fails())
-	}
-}
-
-func TestNodeSetReplacementRoundRobin(t *testing.T) {
-	ns := NewNodeSet(Aurora(4))
-	ns.Fail(1)
-	if n, ok := ns.Replacement(1); !ok || n != 2 {
-		t.Fatalf("Replacement(1) = %d,%v, want 2,true", n, ok)
-	}
-	ns.Fail(2)
-	if n, ok := ns.Replacement(1); !ok || n != 3 {
-		t.Fatalf("Replacement(1) with 2 down = %d,%v, want 3,true", n, ok)
-	}
-	ns.Fail(3)
-	if n, ok := ns.Replacement(3); !ok || n != 0 {
-		t.Fatalf("Replacement(3) wraps to %d,%v, want 0,true", n, ok)
-	}
-	ns.Fail(0)
-	if _, ok := ns.Replacement(0); ok {
-		t.Fatal("Replacement with all nodes down should report !ok")
-	}
-}
-
-// TestNodeSetReplacementPoolExhaustion walks the pool down to empty
-// and back: every intermediate state must still produce a valid up
-// replacement, exhaustion must be reported exactly when the last node
-// falls, and a single restore must re-open the pool with that node.
-func TestNodeSetReplacementPoolExhaustion(t *testing.T) {
-	const n = 8
-	ns := NewNodeSet(Aurora(n))
-	for i := 0; i < n-1; i++ {
-		ns.Fail(i)
-		r, ok := ns.Replacement(i)
-		if !ok {
-			t.Fatalf("pool reported empty with %d nodes still up", ns.UpCount())
-		}
-		if !ns.Up(r) {
-			t.Fatalf("Replacement(%d) = %d, which is down", i, r)
-		}
-	}
-	// Only node n-1 remains: every caller must be routed to it.
-	for failed := 0; failed < n-1; failed++ {
-		if r, ok := ns.Replacement(failed); !ok || r != n-1 {
-			t.Fatalf("Replacement(%d) = %d,%v, want %d,true", failed, r, ok, n-1)
-		}
-	}
-	ns.Fail(n - 1)
-	for failed := 0; failed < n; failed++ {
-		if _, ok := ns.Replacement(failed); ok {
-			t.Fatalf("Replacement(%d) found a node with all %d down", failed, n)
-		}
-	}
-	if ns.UpCount() != 0 || ns.Fails() != n {
-		t.Fatalf("exhausted pool: upcount=%d fails=%d", ns.UpCount(), ns.Fails())
-	}
-	// One repair re-opens the pool, and it is the only candidate.
-	ns.Restore(3)
-	for failed := 0; failed < n; failed++ {
-		if r, ok := ns.Replacement(failed); !ok || r != 3 {
-			t.Fatalf("after restoring 3: Replacement(%d) = %d,%v", failed, r, ok)
-		}
 	}
 }
 

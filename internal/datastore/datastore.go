@@ -18,12 +18,9 @@
 package datastore
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
 
-	"simaibench/internal/clock"
 	"simaibench/internal/dragon"
 	"simaibench/internal/fskv"
 	"simaibench/internal/redis"
@@ -97,38 +94,6 @@ type Store interface {
 	// Close releases client resources (servers are owned by the
 	// ServerManager, not the client).
 	Close() error
-}
-
-// WaitStaged polls key at the given interval until it is staged or ctx
-// is done, returning the value. It is the blocking read the paper's AI
-// trainer uses on the many-to-one pattern. The wait runs on the wall
-// clock; components on an emulation clock use WaitStagedClock so the
-// poll cadence follows their time domain.
-func WaitStaged(ctx context.Context, s Store, key string, interval time.Duration) ([]byte, error) {
-	return WaitStagedClock(ctx, clock.Wall, s, key, interval)
-}
-
-// WaitStagedClock is WaitStaged with the poll interval spent on the
-// given emulation clock: under a clock.Virtual the waiting participant
-// parks in virtual time between polls, so a producer participant can
-// run, and the wait costs (and is accounted as) whole poll ticks of
-// virtual time instead of real ones.
-func WaitStagedClock(ctx context.Context, c clock.Clock, s Store, key string, interval time.Duration) ([]byte, error) {
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	for {
-		v, err := s.StageRead(key)
-		if err == nil {
-			return v, nil
-		}
-		if !errors.Is(err, ErrNotStaged) {
-			return nil, err
-		}
-		if err := clock.SleepCtx(ctx, c, interval); err != nil {
-			return nil, fmt.Errorf("datastore: waiting for %q: %w", key, err)
-		}
-	}
 }
 
 // ClientInfo is everything a client needs to connect to a running

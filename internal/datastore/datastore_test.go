@@ -2,7 +2,6 @@ package datastore
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -10,8 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"simaibench/internal/clock"
 )
 
 // eachBackend runs fn against a live deployment of every backend — the
@@ -184,11 +181,14 @@ func TestConcurrentProducerConsumer(t *testing.T) {
 		}()
 		go func() { // trainer
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
+			deadline := time.Now().Add(10 * time.Second)
 			for i := 0; i < steps; i++ {
 				key := fmt.Sprintf("snap/%d", i)
-				v, err := WaitStaged(ctx, s, key, time.Millisecond)
+				v, err := s.StageRead(key)
+				for errors.Is(err, ErrNotStaged) && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+					v, err = s.StageRead(key)
+				}
 				if err != nil {
 					t.Errorf("wait %s: %v", key, err)
 					return
@@ -201,65 +201,6 @@ func TestConcurrentProducerConsumer(t *testing.T) {
 		}()
 		wg.Wait()
 	})
-}
-
-func TestWaitStagedTimeout(t *testing.T) {
-	mgr, info, err := StartBackend(NodeLocal, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Stop()
-	s, _ := Connect(info)
-	defer s.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	_, err = WaitStaged(ctx, s, "never", time.Millisecond)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-}
-
-// TestWaitStagedClockVirtual: the blocking staged read spends its poll
-// intervals on the active emulation clock — under a clock.Virtual the
-// waiter parks in virtual time between polls, a producer participant
-// runs in the gaps, and the whole exchange costs ~no real time while
-// the virtual wait reflects whole poll ticks.
-func TestWaitStagedClockVirtual(t *testing.T) {
-	mgr, info, err := StartBackend(NodeLocal, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mgr.Stop()
-	s, _ := Connect(info)
-	defer s.Close()
-
-	v := clock.NewVirtual()
-	v.Join() // waiter
-	v.Join() // producer
-	wallStart := time.Now()
-	go func() {
-		defer v.Leave()
-		v.Sleep(50 * time.Millisecond) // virtual production delay
-		if err := s.StageWrite("late", []byte("payload")); err != nil {
-			t.Error(err)
-		}
-	}()
-	got, err := WaitStagedClock(context.Background(), v, s, "late", 10*time.Millisecond)
-	v.Leave()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "payload" {
-		t.Fatalf("got %q", got)
-	}
-	// The producer wrote at virtual 50ms; the waiter discovers it on its
-	// 50ms poll tick (5 x 10ms), all in negligible real time.
-	if el := v.NowNS(); el != int64(50*time.Millisecond) {
-		t.Fatalf("virtual wait ended at %v, want 50ms", time.Duration(el))
-	}
-	if real := time.Since(wallStart); real > 2*time.Second {
-		t.Fatalf("virtual wait consumed %v of real time", real)
-	}
 }
 
 func TestMultiInstanceDeployments(t *testing.T) {

@@ -101,9 +101,6 @@ func (m *ServerManager) Start() (ClientInfo, error) {
 	return m.info, nil
 }
 
-// Info returns the connection info from Start.
-func (m *ServerManager) Info() ClientInfo { return m.info }
-
 // Stop shuts down servers and removes manager-owned temp directories.
 // Idempotent.
 func (m *ServerManager) Stop() error {

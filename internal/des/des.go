@@ -346,7 +346,7 @@ func (e *Env) NextT() (t float64, ok bool) {
 // they were called from inside a handler or after one panicked.
 func (e *Env) execNext() bool {
 	root := &e.heap[0]
-	if e.guarded && e.checkGuard(root.t) {
+	if e.guarded && e.checkGuard() {
 		return false
 	}
 	e.executed++

@@ -5,29 +5,23 @@ import (
 	"sync/atomic"
 )
 
-// Guard bounds one environment's execution: an executed-event budget and
-// a virtual-time horizon that convert a runaway simulation (a
-// self-perpetuating event loop, a mis-parameterized sweep cell) into a
-// structured BudgetExceeded error instead of an unbounded run. The zero
-// value imposes no limits and costs one predictable branch per event.
+// Guard bounds one environment's execution: an executed-event budget
+// that converts a runaway simulation (a self-perpetuating event loop, a
+// mis-parameterized sweep cell) into a structured BudgetExceeded error
+// instead of an unbounded run. The zero value imposes no limit and costs
+// one predictable branch per event.
 type Guard struct {
 	// MaxEvents caps the number of events RunUntil may execute over the
 	// environment's lifetime (0 = unlimited).
 	MaxEvents int64
-	// HorizonS caps virtual time: executing an event scheduled past this
-	// many seconds aborts the run (0 = no horizon). Unlike RunUntil's
-	// `until` argument — which silently pauses at the boundary — crossing
-	// the guard horizon is an error: it means the workload scheduled work
-	// beyond the time budget it promised to stay within.
-	HorizonS float64
 }
 
-// enabled reports whether any limit is set.
-func (g Guard) enabled() bool { return g.MaxEvents > 0 || g.HorizonS > 0 }
+// enabled reports whether the limit is set.
+func (g Guard) enabled() bool { return g.MaxEvents > 0 }
 
 // BudgetExceeded is the structured error recorded on an Env whose Guard
-// tripped. It carries enough to diagnose the runaway: which limit
-// tripped, how far the run got, and the limits in force.
+// tripped. It carries enough to diagnose the runaway: how far the run
+// got and the limit in force.
 type BudgetExceeded struct {
 	// Guard is the limit configuration that tripped.
 	Guard Guard
@@ -35,23 +29,13 @@ type BudgetExceeded struct {
 	Events int64
 	// Now is the virtual time (seconds) when the run aborted.
 	Now float64
-	// NextT is the virtual time of the event that would have run next.
-	NextT float64
-	// ByHorizon reports which limit tripped: true for the virtual-time
-	// horizon, false for the event budget.
-	ByHorizon bool
 	// joint marks the trip of a SharedGuard as LPSet.Err reports it: Now
-	// and NextT are unset, because no LP-local time is a function of
-	// the run.
+	// is unset, because no LP-local time is a function of the run.
 	joint bool
 }
 
 // Error renders the trip diagnosis.
 func (e *BudgetExceeded) Error() string {
-	if e.ByHorizon {
-		return fmt.Sprintf("des: virtual-time horizon exceeded: next event at t=%.6g is past the %.6gs guard horizon (%d events executed, now=%.6g)",
-			e.NextT, e.Guard.HorizonS, e.Events, e.Now)
-	}
 	if e.joint {
 		return fmt.Sprintf("des: event budget exceeded: %d events executed (limit %d) across the LP set with work still queued",
 			e.Events, e.Guard.MaxEvents)
@@ -119,25 +103,18 @@ func (e *Env) ShareGuard(g *SharedGuard) {
 	e.guardErr = nil
 }
 
-// checkGuard reports whether executing the next queued event (at time
-// nextT) would exceed the guard, recording the budget error if so.
-func (e *Env) checkGuard(nextT float64) bool {
+// checkGuard reports whether executing the next queued event would
+// exceed the guard, recording the budget error if so.
+func (e *Env) checkGuard() bool {
 	if e.shared != nil && e.shared.used.Add(1) > e.shared.max {
 		// Reservations beyond the joint budget never execute, so the
 		// executed total across every attached env is exactly max — the
 		// same Events a sequential env reports at its budget trip.
-		e.guardErr = &BudgetExceeded{
-			Guard: Guard{MaxEvents: e.shared.max}, Events: e.shared.max,
-			Now: e.now, NextT: nextT,
-		}
+		e.guardErr = &BudgetExceeded{Guard: Guard{MaxEvents: e.shared.max}, Events: e.shared.max, Now: e.now}
 		return true
 	}
 	if e.guard.MaxEvents > 0 && e.executed >= e.guard.MaxEvents {
-		e.guardErr = &BudgetExceeded{Guard: e.guard, Events: e.executed, Now: e.now, NextT: nextT}
-		return true
-	}
-	if e.guard.HorizonS > 0 && nextT > e.guard.HorizonS {
-		e.guardErr = &BudgetExceeded{Guard: e.guard, Events: e.executed, Now: e.now, NextT: nextT, ByHorizon: true}
+		e.guardErr = &BudgetExceeded{Guard: e.guard, Events: e.executed, Now: e.now}
 		return true
 	}
 	return false

@@ -28,9 +28,6 @@ func TestGuardEventBudget(t *testing.T) {
 	if !errors.As(err, &be) {
 		t.Fatalf("Err() = %T (%v), want *BudgetExceeded", err, err)
 	}
-	if be.ByHorizon {
-		t.Fatalf("tripped by horizon, want event budget: %v", be)
-	}
 	if be.Events != 100 || fired != 100 {
 		t.Fatalf("executed %d events (callback fired %d), want exactly 100", be.Events, fired)
 	}
@@ -39,32 +36,6 @@ func TestGuardEventBudget(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "event budget exceeded") {
 		t.Fatalf("undiagnosable message: %q", err)
-	}
-}
-
-// Events scheduled past the guard horizon abort the run; RunUntil's own
-// horizon argument still pauses silently.
-func TestGuardVirtualTimeHorizon(t *testing.T) {
-	env := NewEnv()
-	env.SetGuard(Guard{HorizonS: 10})
-	var ran int
-	env.At(1, func() { ran++ })
-	env.At(5, func() { ran++ })
-	env.At(50, func() { ran++ }) // past the guard horizon
-
-	env.Run()
-	var be *BudgetExceeded
-	if !errors.As(env.Err(), &be) {
-		t.Fatalf("Err() = %v, want *BudgetExceeded", env.Err())
-	}
-	if !be.ByHorizon || be.NextT != 50 {
-		t.Fatalf("trip = %+v, want horizon trip at next event t=50", be)
-	}
-	if ran != 2 {
-		t.Fatalf("%d events ran, want the 2 inside the horizon", ran)
-	}
-	if now := env.Now(); now != 5 {
-		t.Fatalf("clock at %v, want 5 (the last in-horizon event)", now)
 	}
 }
 
@@ -101,7 +72,7 @@ func TestGuardHealthyRunIdentical(t *testing.T) {
 	run := func(guard bool) []float64 {
 		env := NewEnv()
 		if guard {
-			env.SetGuard(Guard{MaxEvents: 1 << 30, HorizonS: 1e9})
+			env.SetGuard(Guard{MaxEvents: 1 << 30})
 		}
 		var trace []float64
 		var n int

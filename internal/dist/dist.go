@@ -37,25 +37,6 @@ type Normal struct {
 	Std   float64
 }
 
-// NewNormal builds a zero-truncated Gaussian, validating the degenerate
-// parameters the composite literal cannot catch: a negative, NaN or
-// infinite std and a non-finite mean. Open-loop load generators build
-// their samplers through this contract so a misconfigured class fails
-// at construction instead of producing NaN durations mid-campaign. A
-// zero std degenerates to Fixed(mean).
-func NewNormal(mean, std float64) (Sampler, error) {
-	if math.IsNaN(mean) || math.IsInf(mean, 0) {
-		return nil, fmt.Errorf("dist: normal mean must be finite, got %v", mean)
-	}
-	if std < 0 || math.IsNaN(std) || math.IsInf(std, 0) {
-		return nil, fmt.Errorf("dist: normal std must be finite and >= 0, got %v", std)
-	}
-	if std == 0 {
-		return Fixed(mean), nil
-	}
-	return Normal{MeanV: mean, Std: std}, nil
-}
-
 // Sample draws from N(MeanV, Std²), clamped to be non-negative.
 func (n Normal) Sample(rng *rand.Rand) float64 {
 	v := n.MeanV + n.Std*rng.NormFloat64()
@@ -70,8 +51,8 @@ func (n Normal) Sample(rng *rand.Rand) float64 {
 func (n Normal) Mean() float64 { return n.MeanV }
 
 // Exponential is the memoryless distribution: inter-arrival times of
-// node failures and straggler episodes in the fault-injection layer
-// (MTBF draws). Parameterized by its mean (the MTBF itself).
+// node failures in the fault-injection layer (MTBF draws). Parameterized
+// by its mean (the MTBF itself).
 type Exponential struct {
 	MeanV float64
 }

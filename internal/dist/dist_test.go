@@ -174,35 +174,6 @@ func TestSamplersDeterministic(t *testing.T) {
 	}
 }
 
-func TestNewNormalValidates(t *testing.T) {
-	for _, tc := range []struct{ mean, std float64 }{
-		{1, -0.5},
-		{1, math.NaN()},
-		{1, math.Inf(1)},
-		{math.NaN(), 0.1},
-		{math.Inf(1), 0.1},
-	} {
-		if _, err := NewNormal(tc.mean, tc.std); err == nil {
-			t.Errorf("NewNormal(%v, %v) accepted degenerate parameters", tc.mean, tc.std)
-		}
-	}
-	s, err := NewNormal(0.03, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Mean() != 0.03 {
-		t.Fatalf("mean = %v", s.Mean())
-	}
-	// Zero std degenerates to the fixed distribution, like NewLogNormal.
-	s, err = NewNormal(2.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.(Fixed); !ok {
-		t.Fatalf("NewNormal with zero std returned %T, want Fixed", s)
-	}
-}
-
 func TestNewExponentialValidates(t *testing.T) {
 	for _, mean := range []float64{0, -3, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := NewExponential(mean); err == nil {

@@ -35,10 +35,6 @@ type Manager struct {
 	done     chan struct{}
 	data     map[string][]byte
 	closed   sync.Once
-
-	// ops counts operations served, for stats and tests.
-	mu  sync.Mutex
-	ops int64
 }
 
 type managerOp int
@@ -49,7 +45,6 @@ const (
 	opDel
 	opHas
 	opKeys
-	opClear
 	opLen
 )
 
@@ -84,9 +79,6 @@ func (m *Manager) serve() {
 	for {
 		select {
 		case req := <-m.requests:
-			m.mu.Lock()
-			m.ops++
-			m.mu.Unlock()
 			req.reply <- m.handle(req)
 		case <-m.quit:
 			return
@@ -123,9 +115,6 @@ func (m *Manager) handle(req managerReq) managerResp {
 		}
 		sort.Strings(keys)
 		return managerResp{keys: keys, found: true}
-	case opClear:
-		m.data = make(map[string][]byte)
-		return managerResp{found: true}
 	case opLen:
 		return managerResp{n: len(m.data), found: true}
 	}
@@ -148,13 +137,6 @@ func (m *Manager) call(req managerReq) (managerResp, error) {
 	}
 }
 
-// Ops returns the number of operations this manager has served.
-func (m *Manager) Ops() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ops
-}
-
 // Close stops the serve goroutine. Idempotent.
 func (m *Manager) Close() {
 	m.closed.Do(func() { close(m.quit) })
@@ -169,7 +151,6 @@ type Endpoint interface {
 	Del(key string) error
 	Has(key string) (bool, error)
 	Keys() ([]string, error)
-	Clear() error
 	Len() (int, error)
 	Close() error
 }
@@ -211,11 +192,6 @@ func (e localEndpoint) Keys() ([]string, error) {
 	return resp.keys, err
 }
 
-func (e localEndpoint) Clear() error {
-	_, err := e.m.call(managerReq{op: opClear})
-	return err
-}
-
 func (e localEndpoint) Len() (int, error) {
 	resp, err := e.m.call(managerReq{op: opLen})
 	return resp.n, err
@@ -237,9 +213,6 @@ func Attach(eps ...Endpoint) (*Dict, error) {
 	}
 	return &Dict{eps: eps}, nil
 }
-
-// Managers returns the number of shards.
-func (d *Dict) Managers() int { return len(d.eps) }
 
 // Route returns the shard index for key (FNV-1a).
 func (d *Dict) Route(key string) int {
@@ -294,16 +267,6 @@ func (d *Dict) Len() (int, error) {
 		total += n
 	}
 	return total, nil
-}
-
-// Clear empties every shard.
-func (d *Dict) Clear() error {
-	for _, ep := range d.eps {
-		if err := ep.Clear(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Close closes every endpoint.

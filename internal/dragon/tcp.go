@@ -279,14 +279,6 @@ func (e *tcpEndpoint) Keys() ([]string, error) {
 	return decodeKeys(payload)
 }
 
-func (e *tcpEndpoint) Clear() error {
-	status, payload, err := e.roundTrip(opClear, "", nil)
-	if err != nil {
-		return err
-	}
-	return e.check(status, payload, "")
-}
-
 func (e *tcpEndpoint) Len() (int, error) {
 	status, payload, err := e.roundTrip(opLen, "", nil)
 	if err != nil {

@@ -9,8 +9,9 @@ import (
 	"simaibench/internal/datastore"
 )
 
-// colocatedEntries are the three entry points over runColocated, each
-// with a small valid config and its float and int fields. The event
+// colocatedEntries are the three entry points over runColocated and the
+// two of Pattern 2, each with a small valid config and its float and int
+// fields. The event
 // budget bounds what a bad horizon can cost a failing run of this test.
 var colocatedEntries = []struct {
 	prefix string
@@ -33,20 +34,31 @@ var colocatedEntries = []struct {
 	},
 	{
 		prefix: "resilience (", base: ResilienceConfig{TrainIters: 30, MaxEvents: 1e6},
-		run: func(c any) (any, error) { return RunResilienceChecked(c.(ResilienceConfig)) },
-		floats: []string{"SizeMB", "SimIterS", "TrainIterS", "MTBFS", "RepairS", "CkptIntervalS", "CkptSizeMB",
-			"StragglerMTBS", "StragglerFactor", "StragglerDurS", "OutageMTBS", "OutageDurS"},
-		ints: []string{"Tenants", "NodesPerTenant", "WritePeriod", "ReadPeriod", "TrainIters"},
+		run:    func(c any) (any, error) { return RunResilienceChecked(c.(ResilienceConfig)) },
+		floats: []string{"SizeMB", "SimIterS", "TrainIterS", "MTBFS", "RepairS", "CkptIntervalS", "CkptSizeMB"},
+		ints:   []string{"Tenants", "NodesPerTenant", "WritePeriod", "ReadPeriod", "TrainIters"},
+	},
+	{
+		prefix: "fig5 (", base: Fig5Config{SizeMB: 1, Transfers: 5, MaxEvents: 1e6},
+		run:    func(c any) (any, error) { return RunFig5Checked(c.(Fig5Config)) },
+		floats: []string{"SizeMB"},
+		ints:   []string{"Transfers"},
+	},
+	{
+		prefix: "fig6 (", base: Fig6Config{SizeMB: 1, TrainIters: 30, MaxEvents: 1e6},
+		run:    func(c any) (any, error) { return RunFig6Checked(c.(Fig6Config)) },
+		floats: []string{"SizeMB", "SimIterS", "TrainIterS"},
+		ints:   []string{"Nodes", "WritePeriod", "ReadPeriod", "TrainIters"},
 	},
 }
 
 // TestColocatedBadInput: behind a …Checked signature bad input is either
 // given a meaning or refused, never a panic, a hang or a garbage point.
-// For every field of the three co-located configs: NaN and ±Inf are an
+// For every field of the five configs: NaN and ±Inf are an
 // error that carries the entry point's prefix and names the field (an
 // infinite MTBFS alone is legal: never), and a negative value is the
-// unset value — the harness default, or for the knobs that switch a
-// feature on (a checkpoint cadence, a straggler or outage rate), off.
+// unset value — the harness default, or for the knob that switches a
+// feature on (a checkpoint cadence), off.
 func TestColocatedBadInput(t *testing.T) {
 	for _, e := range colocatedEntries {
 		run := func(t *testing.T, field string, set func(reflect.Value)) (pt any, err error) {

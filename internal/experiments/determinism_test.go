@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"simaibench/internal/clock"
@@ -192,15 +193,12 @@ func TestFig6StopsWithTrainer(t *testing.T) {
 		}
 	}
 
-	// No period at all: the trainer never starts, so it never stops the
-	// run either; the writers run out the (short) cap and the point is zero.
+	// No period at all: there is nothing to measure, and a zero point
+	// would read as data.
 	none := Fig6Config{Nodes: 8, Backend: datastore.Dragon, SizeMB: 1, TrainIters: 5, MaxEvents: 10_000}
-	pt, err := RunFig6Checked(none)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.ExecPerIterS != 0 || pt.FetchMeanS != 0 {
-		t.Errorf("no periods: %+v, want a zero point", pt)
+	if pt, err := RunFig6Checked(none); err == nil ||
+		!strings.Contains(err.Error(), "TrainIters = 5") || !strings.Contains(err.Error(), "ReadPeriod = 10") {
+		t.Errorf("no periods: got %+v, %v; want an error naming TrainIters and ReadPeriod", pt, err)
 	}
 }
 

@@ -90,8 +90,8 @@ func initRank(r *stagingRank, env *des.Env, model *costmodel.Model, cfg rankConf
 			// only once the horizon is behind it: the rank is done.
 			return
 		}
-		if r.faults != nil && !r.faults.admit() {
-			return
+		if r.faults != nil {
+			r.faults.started()
 		}
 		r.lastXfer = now
 		r.xfer.Start()
@@ -124,7 +124,7 @@ func initRank(r *stagingRank, env *des.Env, model *costmodel.Model, cfg rankConf
 		r.xfer = model.NewLocalRead(cfg.backend, cfg.node, cfg.sizeMB, done)
 	}
 	if cfg.faults != nil {
-		cfg.faults.attach(r, cfg, done) // arms the first poll through its Hold
+		cfg.faults.attach(r, cfg) // arms the first poll through its Hold
 	} else {
 		r.arm()
 	}
@@ -164,13 +164,9 @@ func (r *stagingRank) arm() {
 // say no shipped number sees one (TestScaleOutMatchesReference names the
 // one off-default cell that does).
 func (r *stagingRank) nextPoll(now float64) float64 {
-	step := r.period
-	if f := r.faults; f != nil && f.solver {
-		step *= f.fs.inj.Slowdown(f.node) // a straggling node stretches its solvers' periods
-	}
-	t := now + step
+	t := now + r.period
 	for t-r.lastXfer < r.fresh && t < r.horizon {
-		t += step
+		t += r.period
 	}
 	return t
 }
@@ -274,10 +270,6 @@ func newFig6Trainer(env *des.Env, model *costmodel.Model, cfg fig6TrainerConfig)
 			t.env.Stop()
 		}
 	})
-	env.At(env.Now(), func() {
-		if t.periods > 0 {
-			t.env.After(t.sleepS, t.wake)
-		}
-	})
+	env.At(env.Now(), func() { t.env.After(t.sleepS, t.wake) })
 	return t
 }

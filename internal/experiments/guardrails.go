@@ -10,11 +10,11 @@ import (
 
 // This file wires the run guardrails into the experiment harnesses. Each
 // scenario sweep runs on the hardened sweep runner (panic isolation,
-// per-cell deadline, bounded retry — see internal/sweep/report.go), and
-// each simulated cell's des.Env carries the per-cell event budget from
-// Params.MaxEvents. A cell that panics, hangs or blows its budget becomes
-// a structured scenario.CellFailure while the rest of the grid completes;
-// with no guardrail params set, every path below is the exact pre-existing
+// per-cell deadline — see internal/sweep/report.go), and each simulated
+// cell's des.Env carries the per-cell event budget from Params.MaxEvents.
+// A cell that panics, hangs or blows its budget becomes a structured
+// scenario.CellFailure while the rest of the grid completes; with no
+// guardrail params set, every path below is the exact pre-existing
 // behavior (the zero Options run cells inline, and an unset budget leaves
 // the env unguarded).
 

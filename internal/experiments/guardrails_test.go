@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,20 +17,20 @@ import (
 )
 
 // This file is the saboteur suite: a deliberately misbehaving test-only
-// scenario proves each run guardrail end-to-end — a panicking cell, a
-// cell wedged on a virtual-clock barrier, a cell that blows its DES event
-// budget, and a flaky cell that recovers under retry — all inside one
-// sweep whose healthy cells must still complete and render. It is built
-// with scenario.New but never Registered, so the registry (and the
+// scenario proves each run guardrail end-to-end with nothing armed that
+// production does not arm — a panicking cell, a cell parked on a
+// mis-joined virtual-clock barrier under the per-cell deadline, and a
+// cell that blows its DES event budget — all inside one sweep whose
+// healthy cell must still complete and render. It is built with
+// scenario.New but never Registered, so the registry (and the
 // EXPERIMENTS.md table pinned to it) is unchanged.
 
 // saboteurModes enumerate the sweep cells in order.
-var saboteurModes = []string{"ok", "panic", "hang", "budget", "flaky"}
+var saboteurModes = []string{"ok", "panic", "hang", "budget"}
 
-// newSaboteurScenario builds the test-only scenario. flakyAttempts counts
-// the flaky cell's attempts; stalls receives the watchdog's diagnosis of
-// the hung cell.
-func newSaboteurScenario(flakyAttempts *atomic.Int64, stalls chan<- *clock.StallError) scenario.Scenario {
+// newSaboteurScenario builds the test-only scenario. The hung cell stays
+// parked until release is closed.
+func newSaboteurScenario(release <-chan struct{}) scenario.Scenario {
 	return scenario.New("saboteur", "test-only: one misbehaving cell per guardrail",
 		scenario.Params{SweepIters: 50},
 		func(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
@@ -47,35 +45,24 @@ func newSaboteurScenario(flakyAttempts *atomic.Int64, stalls chan<- *clock.Stall
 						panic("saboteur: deliberate panic")
 					case "hang":
 						// Two participants join the time barrier but only this
-						// goroutine ever sleeps: the barrier can never complete
-						// on its own. The watchdog must diagnose the stall; its
-						// handler releases the phantom participant so the cell
-						// recovers and reports the stall as its failure.
+						// goroutine ever sleeps: the barrier can never complete,
+						// and nothing but the cell's deadline gets the sweep
+						// past it. (The phantom leaves when the test ends, so
+						// the abandoned goroutine does not outlive it.)
 						v := clock.NewVirtual()
 						v.Join()
 						v.Join() // phantom second participant that never sleeps
-						var stall atomic.Pointer[clock.StallError]
-						stop := v.Watchdog(20*time.Millisecond, func(e *clock.StallError) {
-							stall.Store(e)
-							v.Leave() // release the phantom; the barrier completes
-						})
-						defer stop()
-						v.Sleep(time.Millisecond) // wedges until the watchdog intervenes
+						go func() {
+							<-release
+							v.Leave()
+						}()
+						v.Sleep(time.Millisecond)
 						v.Leave()
-						if e := stall.Load(); e != nil {
-							stalls <- e
-							return Pattern1Point{}, e
-						}
-						return Pattern1Point{}, errors.New("hang cell completed without a stall")
+						return Pattern1Point{}, errors.New("hang cell completed")
 					case "budget":
 						cfg := healthy
 						cfg.MaxEvents = 50 // far below what the run needs
 						return RunPattern1Checked(cfg)
-					case "flaky":
-						if flakyAttempts.Add(1) == 1 {
-							return Pattern1Point{}, sweep.Retryable(errors.New("saboteur: transient failure"))
-						}
-						return RunPattern1Checked(healthy)
 					default:
 						return RunPattern1Checked(healthy)
 					}
@@ -88,15 +75,14 @@ func newSaboteurScenario(flakyAttempts *atomic.Int64, stalls chan<- *clock.Stall
 		})
 }
 
-// One sweep, four sabotages: the panicking, hung and budget-blown cells
-// must each surface as a structured failure with the right diagnosis,
-// the flaky cell must recover under retry, and the healthy cells must
-// complete and render.
+// One sweep, three sabotages: the panicking, hung and budget-blown cells
+// must each surface as a structured failure carrying the typed error of
+// the guardrail that caught it, and the healthy cell must complete and
+// render.
 func TestSaboteurScenarioGuardrails(t *testing.T) {
-	var flakyAttempts atomic.Int64
-	stalls := make(chan *clock.StallError, 1)
-	s := newSaboteurScenario(&flakyAttempts, stalls)
-	res, err := s.Run(bg, scenario.Params{TimeoutS: 30, Retries: 1})
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	res, err := newSaboteurScenario(release).Run(bg, scenario.Params{TimeoutS: 0.5})
 	if err != nil {
 		t.Fatalf("saboteur scenario aborted instead of reporting per-cell failures: %v", err)
 	}
@@ -111,33 +97,19 @@ func TestSaboteurScenarioGuardrails(t *testing.T) {
 	if len(byCell) != 3 {
 		t.Fatalf("failures = %+v, want exactly cells 1 (panic), 2 (hang), 3 (budget)", res.Failures)
 	}
-	if f := byCell[1]; !strings.Contains(f.Error, "panic: saboteur: deliberate panic") || f.Attempts != 1 {
-		t.Errorf("panic cell failure = %+v", f)
+	var pe *sweep.PanicError
+	if f := byCell[1]; !errors.As(f.Err, &pe) || !strings.Contains(f.Error, "panic: saboteur: deliberate panic") {
+		t.Errorf("panic cell failure = %+v, want a *sweep.PanicError", f)
 	}
-	if f := byCell[2]; !strings.Contains(f.Error, "stalled") {
-		t.Errorf("hang cell failure = %+v, want a stall diagnosis", f)
+	if f := byCell[2]; !errors.Is(f.Err, sweep.ErrCellTimeout) {
+		t.Errorf("hang cell failure = %+v, want sweep.ErrCellTimeout", f)
 	}
-	if f := byCell[3]; !strings.Contains(f.Error, "event budget exceeded") {
-		t.Errorf("budget cell failure = %+v, want a budget diagnosis", f)
+	var be *des.BudgetExceeded
+	if f := byCell[3]; !errors.As(f.Err, &be) || !strings.Contains(f.Error, "event budget exceeded") {
+		t.Errorf("budget cell failure = %+v, want a *des.BudgetExceeded", f)
 	}
-
-	// The watchdog fired with a usable diagnosis of the barrier state.
-	select {
-	case e := <-stalls:
-		if !errors.Is(e, clock.ErrStalled) || e.Joined != 2 || e.Sleepers != 1 {
-			t.Errorf("stall diagnosis = %+v, want 2 joined / 1 sleeper", e)
-		}
-	default:
-		t.Error("the hung cell's watchdog never fired")
-	}
-
-	// The flaky cell recovered on its second attempt; with the healthy
-	// cell that makes two completed rows in the rendered table.
-	if got := flakyAttempts.Load(); got != 2 {
-		t.Errorf("flaky cell made %d attempts, want 2", got)
-	}
-	if rows := len(res.Tables[0].Rows); rows != 2 {
-		t.Errorf("table has %d rows, want the 2 surviving cells", rows)
+	if rows := len(res.Tables[0].Rows); rows != 1 {
+		t.Errorf("table has %d rows, want the 1 surviving cell", rows)
 	}
 
 	// The failures render explicitly through the text reporter.
@@ -148,7 +120,8 @@ func TestSaboteurScenarioGuardrails(t *testing.T) {
 	}
 	for _, want := range []string{
 		"FAILED cells — saboteur (3 of the sweep's cells did not complete)",
-		"saboteur/cells[1] after 1 attempt(s): panic: saboteur: deliberate panic",
+		"saboteur/cells[1]: panic: saboteur: deliberate panic",
+		"cell deadline exceeded",
 		"event budget exceeded",
 	} {
 		if !strings.Contains(buf.String(), want) {
@@ -221,7 +194,7 @@ func TestCheckedHarnessesSurfaceBudget(t *testing.T) {
 // generous limits must leave scenario output byte-identical to a run
 // with no guardrails at all.
 func TestGuardrailsZeroCostOnHealthyRuns(t *testing.T) {
-	generous := scenario.Params{TimeoutS: 600, Retries: 2, MaxEvents: 1 << 40}
+	generous := scenario.Params{TimeoutS: 600, MaxEvents: 1 << 40}
 	cases := []struct {
 		name string
 		p    scenario.Params
@@ -233,7 +206,7 @@ func TestGuardrailsZeroCostOnHealthyRuns(t *testing.T) {
 	for _, tc := range cases {
 		plain := renderText(t, tc.name, tc.p)
 		guarded := tc.p
-		guarded.TimeoutS, guarded.Retries, guarded.MaxEvents = generous.TimeoutS, generous.Retries, generous.MaxEvents
+		guarded.TimeoutS, guarded.MaxEvents = generous.TimeoutS, generous.MaxEvents
 		withRails := renderText(t, tc.name, guarded)
 		if !bytes.Equal(plain, withRails) {
 			t.Errorf("%s: output differs with guardrails enabled\n--- plain ---\n%s\n--- guarded ---\n%s",
@@ -257,17 +230,13 @@ func TestCellFailureKindsThroughServe(t *testing.T) {
 		{serve.KindBudgetExceeded, func() (Pattern1Point, error) {
 			return RunPattern1Checked(Pattern1Config{Nodes: 8, SizeMB: 2, TrainIters: 50, MaxEvents: 50})
 		}},
-		{serve.KindStall, func() (Pattern1Point, error) {
-			return Pattern1Point{}, fmt.Errorf("cell gave up: %w",
-				&clock.StallError{Joined: 2, Sleepers: 1, Idle: time.Second})
-		}},
 		{serve.KindPanic, func() (Pattern1Point, error) { panic("saboteur: deliberate") }},
 		{serve.KindTimeout, func() (Pattern1Point, error) {
 			<-release // ignores its deadline: abandoned with sweep.ErrCellTimeout
 			return Pattern1Point{}, nil
 		}},
 		{serve.KindInternal, func() (Pattern1Point, error) {
-			return Pattern1Point{}, errors.New("panic: stalled, event budget exceeded, horizon exceeded, deadline exceeded")
+			return Pattern1Point{}, errors.New("panic: event budget exceeded, deadline exceeded")
 		}},
 	}
 	idx := make([]int, len(cells))

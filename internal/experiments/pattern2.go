@@ -40,11 +40,14 @@ type Fig5Point struct {
 }
 
 // RunFig5Checked measures the 2-node local-write / non-local-read
-// pattern. With cfg.MaxEvents set, a runaway simulation aborts with the
-// structured des.BudgetExceeded error; with no budget it never fails.
+// pattern. A negative field is the unset one; a NaN or infinite SizeMB
+// is an error naming it; with cfg.MaxEvents set, a runaway simulation
+// aborts with the structured des.BudgetExceeded error.
 func RunFig5Checked(cfg Fig5Config) (Fig5Point, error) {
-	if cfg.Transfers == 0 {
-		cfg.Transfers = 50
+	positiveOr(&cfg.Transfers, 50)
+	positiveOr(&cfg.SizeMB, 0)
+	if err := finite(knob{"SizeMB", cfg.SizeMB}); err != nil {
+		return Fig5Point{}, fmt.Errorf("fig5 (%s, %g MB): %w", cfg.Backend, cfg.SizeMB, err)
 	}
 	spec := cluster.Aurora(2)
 	env := newGuardedEnv(cfg.MaxEvents)
@@ -125,25 +128,16 @@ type Fig6Config struct {
 	Params    *costmodel.Params
 }
 
+// withDefaults fills unset (zero or negative) fields with the paper's
+// values, as Pattern1Config's does.
 func (c Fig6Config) withDefaults() Fig6Config {
-	if c.Nodes == 0 {
-		c.Nodes = 8
-	}
-	if c.SimIterS == 0 {
-		c.SimIterS = 0.0325
-	}
-	if c.TrainIterS == 0 {
-		c.TrainIterS = 0.0633
-	}
-	if c.WritePeriod == 0 {
-		c.WritePeriod = 10
-	}
-	if c.ReadPeriod == 0 {
-		c.ReadPeriod = 10
-	}
-	if c.TrainIters == 0 {
-		c.TrainIters = 300
-	}
+	positiveOr(&c.Nodes, 8)
+	positiveOr(&c.SizeMB, 0)
+	positiveOr(&c.SimIterS, 0.0325)
+	positiveOr(&c.TrainIterS, 0.0633)
+	positiveOr(&c.WritePeriod, 10)
+	positiveOr(&c.ReadPeriod, 10)
+	positiveOr(&c.TrainIters, 300)
 	return c
 }
 
@@ -159,11 +153,24 @@ type Fig6Point struct {
 	FetchMeanS   float64 // mean blocking ensemble-read time per period
 }
 
-// RunFig6Checked simulates the many-to-one pattern at scale. With
-// cfg.MaxEvents set, a runaway simulation aborts with the structured
-// des.BudgetExceeded error; with no budget it never fails.
+// RunFig6Checked simulates the many-to-one pattern at scale. A NaN or
+// infinite field is an error naming it, and so is a run too short to hold
+// one training period (it would report zeros as data); with cfg.MaxEvents
+// set, a runaway simulation aborts with the structured
+// des.BudgetExceeded error.
 func RunFig6Checked(cfg Fig6Config) (Fig6Point, error) {
 	cfg = cfg.withDefaults()
+	fail := func(err error) (Fig6Point, error) {
+		return Fig6Point{}, fmt.Errorf("fig6 (%s, %g MB, %d nodes): %w", cfg.Backend, cfg.SizeMB, cfg.Nodes, err)
+	}
+	if err := finite(knob{"SizeMB", cfg.SizeMB}, knob{"SimIterS", cfg.SimIterS}, knob{"TrainIterS", cfg.TrainIterS}); err != nil {
+		return fail(err)
+	}
+	periods := cfg.TrainIters / cfg.ReadPeriod
+	if periods == 0 {
+		return fail(fmt.Errorf("TrainIters = %d is shorter than one ReadPeriod = %d: no training period to measure",
+			cfg.TrainIters, cfg.ReadPeriod))
+	}
 	spec := cluster.Aurora(cfg.Nodes + 1) // +1 trainer node
 	env := newGuardedEnv(cfg.MaxEvents)
 	params := costmodel.Default()
@@ -197,14 +204,13 @@ func RunFig6Checked(cfg Fig6Config) (Fig6Point, error) {
 	completedPeriods := 0
 	newFig6Trainer(env, model, fig6TrainerConfig{
 		backend: cfg.Backend, nodes: cfg.Nodes, sizeMB: cfg.SizeMB,
-		periods:   cfg.TrainIters / cfg.ReadPeriod,
+		periods:   periods,
 		sleepS:    float64(cfg.ReadPeriod) * cfg.TrainIterS,
 		fetchTime: &fetchTime, lastPeriodEnd: &lastPeriodEnd, completedPeriods: &completedPeriods,
 	})
 	env.RunUntil(horizon)
 	if err := env.Err(); err != nil {
-		return Fig6Point{}, fmt.Errorf("fig6 (%s, %g MB, %d nodes): %w",
-			cfg.Backend, cfg.SizeMB, cfg.Nodes, err)
+		return fail(err)
 	}
 
 	execPerIter := 0.0

@@ -17,8 +17,7 @@ import (
 // Resilience family: the scale-out campaign under disturbance. Every
 // other scenario assumes a perfectly healthy cluster; here the same N
 // co-scheduled one-to-one workflows run while a seeded fault injector
-// (internal/faults) crashes nodes, slows stragglers and takes the
-// shared datastore offline, and a recovery policy — fail-stop or
+// (internal/faults) crashes nodes, and a recovery policy — fail-stop or
 // checkpoint/restart through the same backend deployment the snapshots
 // stage through — decides how much work each disturbance costs. The
 // sweep axes are MTBF × checkpoint interval × backend; the observables
@@ -29,9 +28,9 @@ import (
 //
 // The ranks are the staging ranks of flat.go, each carrying a fault layer
 // (rankFaults): a cancellable wake-up (des.Hold), an epoch counter that
-// discards a transfer whose node died mid-flight, outage deferral, and —
-// on solver ranks — abortable checkpoints (costmodel.CheckpointOp over
-// cancellable des.Grants), restore, re-dispatch and waste accounting.
+// discards a transfer whose node died mid-flight, and — on solver ranks —
+// abortable checkpoints (costmodel.CheckpointOp over cancellable
+// des.Grants), restore and waste accounting.
 // With a healthy profile (MTBF=∞, checkpointing off) the layer is silent:
 // a Hold arms at the time and sequence position of the schedule call it
 // replaces, so the run is bit-identical to the equivalent scale-out run,
@@ -65,17 +64,6 @@ type ResilienceConfig struct {
 	CkptIntervalS float64
 	// CkptSizeMB sizes one checkpoint write/read (8 MB).
 	CkptSizeMB float64
-	// ReDispatchStragglers migrates ranks off straggling nodes.
-	ReDispatchStragglers bool
-	// StragglerMTBS / StragglerFactor / StragglerDurS: straggler
-	// episodes (disabled unless all set; see faults.Profile).
-	StragglerMTBS   float64
-	StragglerFactor float64
-	StragglerDurS   float64
-	// OutageMTBS / OutageDurS: transient datastore outages (disabled
-	// unless both set).
-	OutageMTBS float64
-	OutageDurS float64
 	// MaxEvents caps the DES events the run may execute (0 = unlimited);
 	// RunResilienceChecked surfaces the budget trip as an error.
 	MaxEvents int64
@@ -106,15 +94,9 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 
 // Recovery derives the faults.Recovery this config selects: the policy
 // is CheckpointRestart exactly when a checkpoint cadence is set,
-// fail-stop otherwise. Exposed so callers can inspect which policy a
-// configuration implies (e.g. comparing against faults.ParsePolicy
-// output) without re-deriving the rule.
+// fail-stop otherwise.
 func (c ResilienceConfig) Recovery() faults.Recovery {
-	rec := faults.Recovery{
-		CkptIntervalS:        c.CkptIntervalS,
-		CkptSizeMB:           c.CkptSizeMB,
-		ReDispatchStragglers: c.ReDispatchStragglers,
-	}
+	rec := faults.Recovery{CkptIntervalS: c.CkptIntervalS, CkptSizeMB: c.CkptSizeMB}
 	if c.CkptIntervalS > 0 {
 		rec.Policy = faults.CheckpointRestart
 	}
@@ -160,17 +142,16 @@ type ResiliencePoint struct {
 }
 
 // faultState is the per-run state every fault layer shares: the
-// injector, the handles a solver rank needs to rebuild its transfer
-// objects when re-dispatched, and the recovery accumulators.
+// injector, the handles a solver rank builds its checkpoint operations
+// from, and the recovery accumulators.
 type faultState struct {
 	inj     *faults.Injector
 	model   *costmodel.Model
 	rec     faults.Recovery
 	backend datastore.Backend
-	sizeMB  float64
 	horizon float64
 	// solvers / trainers map node index -> the layers of the resident
-	// ranks; re-dispatch moves a solver between lists.
+	// ranks.
 	solvers    [][]*rankFaults
 	trainers   [][]*rankFaults
 	wasted     float64 // compute lost to crashes
@@ -182,39 +163,15 @@ type faultState struct {
 // injector, whose hooks reach the ranks attached later.
 func newFaultState(env *des.Env, spec cluster.Spec, model *costmodel.Model, horizon float64, cfg ResilienceConfig) *faultState {
 	fs := &faultState{
-		model: model, rec: cfg.Recovery(), backend: cfg.Backend,
-		sizeMB: cfg.SizeMB, horizon: horizon,
+		model: model, rec: cfg.Recovery(), backend: cfg.Backend, horizon: horizon,
 		solvers:  make([][]*rankFaults, spec.Nodes),
 		trainers: make([][]*rankFaults, spec.Nodes),
 	}
 	fs.inj = faults.New(env, spec, faults.Profile{
-		Seed:            cfg.Seed,
-		MTBFS:           cfg.MTBFS,
-		RepairS:         cfg.RepairS,
-		StragglerMTBS:   cfg.StragglerMTBS,
-		StragglerFactor: cfg.StragglerFactor,
-		StragglerDurS:   cfg.StragglerDurS,
-		OutageMTBS:      cfg.OutageMTBS,
-		OutageDurS:      cfg.OutageDurS,
-		Until:           horizon,
+		Seed: cfg.Seed, MTBFS: cfg.MTBFS, RepairS: cfg.RepairS, Until: horizon,
 	}, faults.Hooks{
 		Crash:  func(node int) { fs.each(node, (*rankFaults).onCrash) },
 		Repair: func(node int) { fs.each(node, (*rankFaults).onRepair) },
-		StragglerStart: func(node int) {
-			if !fs.rec.ReDispatchStragglers {
-				return
-			}
-			to, ok := fs.inj.NodeSet().Replacement(node)
-			if !ok {
-				return
-			}
-			moved := fs.solvers[node]
-			fs.solvers[node] = nil
-			for _, f := range moved {
-				f.reDispatch(to)
-			}
-			fs.solvers[to] = append(fs.solvers[to], moved...)
-		},
 	})
 	fs.inj.Start()
 	return fs
@@ -230,17 +187,14 @@ func (fs *faultState) each(node int, fn func(*rankFaults)) {
 	}
 }
 
-// rankFaults is the fault layer of one staging rank: everything a crash,
-// a repair or a datastore outage does to the loop of flat.go, for solver
-// and trainer ranks alike. The loop asks it three things — may this
-// transfer start (admit), does this completion count (landed), where is
-// the next wake-up armed (wake) — and stretches a solver's period by its
-// node's straggler slowdown; the injector's hooks drive the rest.
+// rankFaults is the fault layer of one staging rank: everything a crash
+// or a repair does to the loop of flat.go, for solver and trainer ranks
+// alike. The loop tells it that a transfer began (started), asks whether
+// a completed one counts (landed) and arms its next wake-up through it
+// (wake); the injector's hooks drive the rest.
 type rankFaults struct {
 	r    *stagingRank
 	fs   *faultState
-	node int
-	done func()    // the rank's completion callback, for rebinding its transfer
 	wake *des.Hold // the rank's wake-up, cancellable
 
 	down       bool
@@ -259,7 +213,6 @@ type rankFaults struct {
 	ckptW       *costmodel.CheckpointOp
 	ckptR       *costmodel.CheckpointOp
 	ckptHold    *des.Hold
-	restoreHold *des.Hold // defers a restore parked behind an outage
 	ckptStart   float64
 	ckptBusy    bool
 	restoring   bool
@@ -269,19 +222,19 @@ type rankFaults struct {
 // solver rank under checkpoint/restart, its first checkpoint). In a
 // healthy run these are the schedule calls of an unlayered rank, at
 // identical (time, order) positions.
-func (fs *faultState) attach(r *stagingRank, cfg rankConfig, done func()) {
+func (fs *faultState) attach(r *stagingRank, cfg rankConfig) {
 	f := &rankFaults{
-		r: r, fs: fs, node: cfg.node, done: done, wake: des.NewHold(r.env, r.wake),
+		r: r, fs: fs, wake: des.NewHold(r.env, r.wake),
 		solver: cfg.write, lastCommit: r.env.Now(),
 	}
 	r.faults = f
 	if f.solver {
-		fs.solvers[f.node] = append(fs.solvers[f.node], f)
-		f.bindCkpt()
+		fs.solvers[cfg.node] = append(fs.solvers[cfg.node], f)
+		f.ckptW = fs.model.NewCheckpointWrite(fs.backend, cfg.node, fs.rec.CkptSizeMB, f.ckptDone)
+		f.ckptR = fs.model.NewCheckpointRead(fs.backend, cfg.node, fs.rec.CkptSizeMB, f.restoreDone)
 		f.ckptHold = des.NewHold(r.env, f.ckptTick)
-		f.restoreHold = des.NewHold(r.env, f.startRestore)
 	} else {
-		fs.trainers[f.node] = append(fs.trainers[f.node], f)
+		fs.trainers[cfg.node] = append(fs.trainers[cfg.node], f)
 	}
 	r.arm()
 	if f.solver && fs.rec.Policy == faults.CheckpointRestart {
@@ -292,21 +245,11 @@ func (fs *faultState) attach(r *stagingRank, cfg rankConfig, done func()) {
 	}
 }
 
-// admit is the loop asking to start a transfer. During a datastore
-// outage the answer is no and the wake-up is deferred to the outage end;
-// a deferral past the horizon is dropped so outage housekeeping cannot
-// stretch the measured end time. (A down rank never asks: its crash
-// cancelled the wake-up.)
-func (f *rankFaults) admit() bool {
-	if f.fs.inj.OutageActive() {
-		if u := f.fs.inj.OutageUntil(); u < f.fs.horizon {
-			f.wake.At(u)
-		}
-		return false
-	}
+// started is the loop reporting a transfer begun. (A down rank never
+// does: its crash cancelled the wake-up.)
+func (f *rankFaults) started() {
 	f.busy = true
 	f.startEpoch = f.epoch
-	return true
 }
 
 // landed is the loop reporting a completed transfer; it counts unless
@@ -339,9 +282,9 @@ func (f *rankFaults) resume() {
 // cadence are cancelled, in-flight checkpoint operations aborted, an
 // in-flight transfer becomes stale, and the work lost since the last
 // durable commit is accounted. A crash landing mid-recovery — the
-// restore read still running, parked behind an outage, or dropped at the
-// horizon — charges nothing: no work has accrued since the repair, and
-// the loss since lastCommit was already charged at the previous crash.
+// restore read still running — charges nothing: no work has accrued
+// since the repair, and the loss since lastCommit was already charged at
+// the previous crash.
 func (f *rankFaults) onCrash() {
 	f.down = true
 	f.epoch++
@@ -355,7 +298,6 @@ func (f *rankFaults) onCrash() {
 		f.ckptW.Abort()
 		f.ckptBusy = false
 	}
-	f.restoreHold.Cancel()
 	if f.restoring {
 		f.ckptR.Abort()
 		f.restoring = false
@@ -383,14 +325,6 @@ func (f *rankFaults) onRepair() {
 	}
 }
 
-// bindCkpt (re)builds the checkpoint operations rooted at the rank's
-// current node — at construction and again on re-dispatch.
-func (f *rankFaults) bindCkpt() {
-	fs := f.fs
-	f.ckptW = fs.model.NewCheckpointWrite(fs.backend, f.node, fs.rec.CkptSizeMB, f.ckptDone)
-	f.ckptR = fs.model.NewCheckpointRead(fs.backend, f.node, fs.rec.CkptSizeMB, f.restoreDone)
-}
-
 // ckptTick is one checkpoint cadence tick.
 func (f *rankFaults) ckptTick() {
 	fs, now := f.fs, f.r.env.Now()
@@ -402,14 +336,6 @@ func (f *rankFaults) ckptTick() {
 		// tick rather than stacking operations.
 		if !f.down {
 			f.armCkpt(fs.rec.CkptIntervalS)
-		}
-		return
-	}
-	if fs.inj.OutageActive() {
-		// The datastore is down: no checkpoint can start. Defer the tick
-		// to the outage end (horizon-guarded like every arm).
-		if fs.inj.OutageUntil() < fs.horizon {
-			f.ckptHold.At(fs.inj.OutageUntil())
 		}
 		return
 	}
@@ -439,16 +365,8 @@ func (f *rankFaults) ckptDone() {
 	f.armCkpt(f.fs.rec.CkptIntervalS)
 }
 
-// startRestore begins the post-repair checkpoint read, waiting out an
-// active datastore outage first (a restore cannot read from a backend
-// that is down).
+// startRestore begins the post-repair checkpoint read.
 func (f *rankFaults) startRestore() {
-	if f.fs.inj.OutageActive() {
-		if f.fs.inj.OutageUntil() < f.fs.horizon {
-			f.restoreHold.At(f.fs.inj.OutageUntil())
-		}
-		return
-	}
 	f.restoring = true
 	f.ckptR.Start()
 }
@@ -461,33 +379,6 @@ func (f *rankFaults) restoreDone() {
 	f.lastCommit = f.r.env.Now()
 	f.resume()
 	f.armCkpt(f.fs.rec.CkptIntervalS)
-}
-
-// reDispatch migrates a solver rank to a healthy replacement node
-// (straggler re-dispatch policy). In-flight checkpoint operations bound
-// to the old node are aborted first — rebinding would otherwise orphan
-// their only Abort handle, letting a dead claim fire ckptDone later. An
-// aborted restore is replayed from the new node.
-func (f *rankFaults) reDispatch(to int) {
-	if f.ckptBusy {
-		f.ckptW.Abort()
-		f.ckptBusy = false
-		// The aborted write was carrying the cadence (ckptDone would
-		// have re-armed it): re-arm, or the migrated rank would never
-		// checkpoint again.
-		f.armCkpt(f.fs.rec.CkptIntervalS)
-	}
-	redoRestore := f.restoring
-	if redoRestore {
-		f.ckptR.Abort()
-		f.restoring = false
-	}
-	f.node = to
-	f.r.xfer = f.fs.model.NewSharedLocalWrite(f.fs.backend, to, f.fs.sizeMB, f.done)
-	f.bindCkpt()
-	if redoRestore {
-		f.startRestore()
-	}
 }
 
 // RunResilienceChecked simulates one disturbance configuration and
@@ -506,12 +397,8 @@ func RunResilienceChecked(cfg ResilienceConfig) (ResiliencePoint, error) {
 	if math.IsNaN(cfg.MTBFS) { // ±Inf is "never"
 		return fail(finite(knob{"MTBFS", cfg.MTBFS}))
 	}
-	if err := finite(
-		knob{"RepairS", cfg.RepairS}, knob{"CkptIntervalS", cfg.CkptIntervalS},
-		knob{"CkptSizeMB", cfg.CkptSizeMB}, knob{"StragglerMTBS", cfg.StragglerMTBS},
-		knob{"StragglerFactor", cfg.StragglerFactor}, knob{"StragglerDurS", cfg.StragglerDurS},
-		knob{"OutageMTBS", cfg.OutageMTBS}, knob{"OutageDurS", cfg.OutageDurS},
-	); err != nil {
+	if err := finite(knob{"RepairS", cfg.RepairS}, knob{"CkptIntervalS", cfg.CkptIntervalS},
+		knob{"CkptSizeMB", cfg.CkptSizeMB}); err != nil {
 		return fail(err)
 	}
 	cfg = cfg.withDefaults()

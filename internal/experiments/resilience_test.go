@@ -140,48 +140,9 @@ func TestResilienceCheckpointTrafficFlows(t *testing.T) {
 	}
 }
 
-// TestResilienceStragglerReDispatch: under a heavy straggler regime the
-// re-dispatch policy must deliver more completed writes than riding the
-// slowdown out.
-func TestResilienceStragglerReDispatch(t *testing.T) {
-	base := ResilienceConfig{
-		Backend:       datastore.NodeLocal,
-		StragglerMTBS: 15, StragglerFactor: 8, StragglerDurS: 10,
-	}
-	ride := checked(t, RunResilienceChecked, base)
-	red := base
-	red.ReDispatchStragglers = true
-	moved := checked(t, RunResilienceChecked, red)
-	if ride.Writes >= moved.Writes {
-		t.Fatalf("re-dispatch did not help: %d writes vs %d riding it out", moved.Writes, ride.Writes)
-	}
-}
-
-// TestResilienceOutageDefersStaging: transient datastore outages reduce
-// completed staging traffic — and checkpoint traffic, which must not
-// start against a backend that is down — without crashing anything.
-func TestResilienceOutageDefersStaging(t *testing.T) {
-	healthy := checked(t, RunResilienceChecked, ResilienceConfig{Backend: datastore.Redis})
-	out := checked(t, RunResilienceChecked, ResilienceConfig{Backend: datastore.Redis, OutageMTBS: 10, OutageDurS: 2})
-	if out.Crashes != 0 {
-		t.Fatalf("outage run crashed nodes: %+v", out)
-	}
-	if out.Writes >= healthy.Writes {
-		t.Fatalf("outages did not defer staging: %d writes vs healthy %d", out.Writes, healthy.Writes)
-	}
-	ckHealthy := checked(t, RunResilienceChecked, ResilienceConfig{Backend: datastore.Redis, CkptIntervalS: 2})
-	ckOut := checked(t, RunResilienceChecked, ResilienceConfig{Backend: datastore.Redis, CkptIntervalS: 2,
-		OutageMTBS: 10, OutageDurS: 2})
-	if ckOut.CkptWrites == 0 || ckOut.CkptWrites >= ckHealthy.CkptWrites {
-		t.Fatalf("outages did not defer checkpoints: %d commits vs healthy %d",
-			ckOut.CkptWrites, ckHealthy.CkptWrites)
-	}
-}
-
 // bareFaultedRank builds one staging rank with its fault layer on a bare
 // Env — node 0 of two, shared Redis, 8 MB, horizon 100 s — under a
-// healthy injector, so the test drives crash, repair and re-dispatch by
-// hand. cfg carries the recovery policy.
+// healthy injector, so the test drives crash and repair by hand. cfg carries the recovery policy.
 func bareFaultedRank(cfg ResilienceConfig, write bool, period, fresh float64) (*des.Env, *faultState, *stagingRank, *stats.Welford) {
 	env := des.NewEnv()
 	spec := cluster.Aurora(2)
@@ -212,34 +173,6 @@ func TestCrashDuringRestoreChargesNoExtraWaste(t *testing.T) {
 	// mid-restore crash accrued no work.
 	if fs.wasted != 10 {
 		t.Fatalf("wasted = %v, want exactly 10 (second crash double-charged)", fs.wasted)
-	}
-}
-
-// TestReDispatchAbandonsInFlightCheckpoint: migrating a rank off a
-// straggling node while its checkpoint write is in flight must abandon
-// that write — rebinding the transfer objects would otherwise orphan
-// the only Abort handle, and a crash right after the migration would
-// let the dead claim commit a phantom checkpoint (ckptDone firing for
-// a down rank).
-func TestReDispatchAbandonsInFlightCheckpoint(t *testing.T) {
-	env, fs, r, _ := bareFaultedRank(ResilienceConfig{CkptIntervalS: 5, ReDispatchStragglers: true}, true, 0.5, 0)
-	// The first cadence tick starts a checkpoint write at t=5; 1 ms into
-	// it the rank is re-dispatched to node 1, and 1 ms later node 1
-	// crashes the rank. Neither the abandoned nor any other checkpoint
-	// may commit while the rank is down.
-	env.At(5.001, func() {
-		if !r.faults.ckptBusy {
-			t.Fatal("checkpoint write should be in flight at t=5.001")
-		}
-		r.faults.reDispatch(1)
-	})
-	env.At(5.002, r.faults.onCrash)
-	env.RunUntil(50)
-	if fs.ckptWrites != 0 {
-		t.Fatalf("%d checkpoint(s) committed for a migrated-then-crashed rank", fs.ckptWrites)
-	}
-	if r.faults.lastCommit != 0 {
-		t.Fatalf("lastCommit moved to %v for a crashed rank", r.faults.lastCommit)
 	}
 }
 
@@ -365,15 +298,10 @@ func TestResilienceParamsNarrowGrids(t *testing.T) {
 }
 
 // TestResilienceRecoveryDerivation: a config implies checkpoint-restart
-// exactly when it sets a checkpoint cadence (what faults.ParsePolicy
-// calls "checkpoint-restart"), fail-stop otherwise, and only a finite
-// positive MTBF injects crashes.
+// exactly when it sets a checkpoint cadence, fail-stop otherwise, and
+// only a finite positive MTBF injects crashes.
 func TestResilienceRecoveryDerivation(t *testing.T) {
-	want, err := faults.ParsePolicy("checkpoint-restart")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := (ResilienceConfig{CkptIntervalS: 4}).Recovery(); rec.Policy != want || rec.CkptIntervalS != 4 {
+	if rec := (ResilienceConfig{CkptIntervalS: 4}).Recovery(); rec.Policy != faults.CheckpointRestart || rec.CkptIntervalS != 4 {
 		t.Fatalf("Recovery() = %+v", rec)
 	}
 	if (ResilienceConfig{}).Recovery().Policy != faults.FailStop {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -281,7 +282,9 @@ func RunStreamDelivery(ctx context.Context, cfg StreamingConfig, method Streamin
 	}()
 	abandon := func(err error) (StreamingPoint, error) {
 		r.Close()
-		<-errCh
+		if perr := <-errCh; perr != nil && errors.Is(err, stream.ErrDone) {
+			err = perr // the stream ended early because the producer failed
+		}
 		return StreamingPoint{}, err
 	}
 	for i := 0; i < cfg.Snapshots; i++ {
@@ -311,20 +314,6 @@ func RunStreamDelivery(ctx context.Context, cfg StreamingConfig, method Streamin
 		Method: method, SizeMB: cfg.SizeMB,
 		LatencyMeanS: lat.Mean(), GBps: tput.MeanGBps(),
 	}, nil
-}
-
-// RunStreamingComparison measures all three methods at one size, one
-// after another.
-func RunStreamingComparison(ctx context.Context, cfg StreamingConfig) ([]StreamingPoint, error) {
-	points := make([]StreamingPoint, 0, len(streamingMethods))
-	for _, method := range streamingMethods {
-		pt, err := runStreamingCell(ctx, cfg, method)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, pt)
-	}
-	return points, nil
 }
 
 // streamingTable structures the comparison for the reporters.

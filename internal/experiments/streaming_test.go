@@ -19,16 +19,28 @@ import (
 	"simaibench/internal/sweep"
 )
 
+// streamingComparison measures all three methods at one size, one after
+// another.
+func streamingComparison(t *testing.T, cfg StreamingConfig) []StreamingPoint {
+	t.Helper()
+	var points []StreamingPoint
+	for _, method := range streamingMethods {
+		pt, err := runStreamingCell(bg, cfg, method)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points = append(points, pt)
+	}
+	return points
+}
+
 func TestStreamingComparisonRuns(t *testing.T) {
 	// A deliberately wide poll interval: the property under test is that
 	// push streaming removes the polling floor from delivery latency, so
 	// the floor must sit clearly above scheduler/TCP jitter (~ms here).
-	points, err := RunStreamingComparison(bg, StreamingConfig{
+	points := streamingComparison(t, StreamingConfig{
 		SizeMB: 0.5, Snapshots: 8, PollInterval: 15 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(points) != 3 {
 		t.Fatalf("points = %d, want 3 methods", len(points))
 	}
@@ -70,10 +82,7 @@ func TestStagedPollingLatencyIncludesPollInterval(t *testing.T) {
 }
 
 func TestPrintStreaming(t *testing.T) {
-	points, err := RunStreamingComparison(bg, StreamingConfig{SizeMB: 0.2, Snapshots: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := streamingComparison(t, StreamingConfig{SizeMB: 0.2, Snapshots: 4})
 	var buf bytes.Buffer
 	writeTable(t, &buf, streamingTable(points))
 	out := buf.String()
@@ -114,23 +123,41 @@ func (h *hookedReader) NextStep() (*stream.Step, error) {
 	return h.Reader.NextStep()
 }
 
+// hookedWriter fails BeginStep with err from call number `from` on.
+type hookedWriter struct {
+	stream.Writer
+	from, calls int
+	err         error
+}
+
+func (h *hookedWriter) BeginStep() (*stream.OpenStep, error) {
+	if h.calls++; h.calls >= h.from {
+		return nil, h.err
+	}
+	return h.Writer.BeginStep()
+}
+
 // TestStreamingDeliveryEarlyReturnLeavesNoGoroutine: a delivery that
-// stops early — its reader fails, or its context is cancelled — returns
-// that error, and the producer it started is gone: not parked for the
-// life of the process on a queue or a socket nobody drains.
+// stops early — its reader or its writer fails, or its context is
+// cancelled — returns that error (a failed writer's own, not the end of
+// stream the consumer sees because of it), and the producer it started
+// is gone: not parked for the life of the process on a queue or a socket
+// nobody drains.
 func TestStreamingDeliveryEarlyReturnLeavesNoGoroutine(t *testing.T) {
-	boom := errors.New("reader failed")
+	boom, wboom := errors.New("reader failed"), errors.New("writer failed")
 	for _, method := range []StreamingMethod{MethodStreamInProc, MethodStreamTCP} {
 		for _, tc := range []struct {
 			name    string
 			from    int   // the NextStep call the fault arrives on; 0 = cancelled before the run
 			cancels bool  // the fault cancels the context and the step is still delivered
 			fails   error // the fault is this error in the step's place
+			wfails  error // the fault is this error from the writer's BeginStep instead
 			want    error
 		}{
-			{"reader fails at step 3", 3, false, boom, boom},
-			{"cancelled at step 3", 3, true, nil, context.Canceled},
-			{"cancelled before the run", 0, true, nil, context.Canceled},
+			{"reader fails at step 3", 3, false, boom, nil, boom},
+			{"writer fails at step 3", 3, false, nil, wboom, wboom},
+			{"cancelled at step 3", 3, true, nil, nil, context.Canceled},
+			{"cancelled before the run", 0, true, nil, nil, context.Canceled},
 		} {
 			t.Run(string(method)+"/"+tc.name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
@@ -152,6 +179,8 @@ func TestStreamingDeliveryEarlyReturnLeavesNoGoroutine(t *testing.T) {
 				defer cancel()
 				if tc.from == 0 {
 					cancel()
+				} else if tc.wfails != nil {
+					w = &hookedWriter{Writer: w, from: tc.from, err: tc.wfails}
 				} else {
 					r = &hookedReader{Reader: r, from: tc.from, hook: func() error {
 						if tc.cancels {
@@ -200,9 +229,6 @@ func TestStreamingConfigRejectsBadInput(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.field) {
 				t.Errorf("%s, %+v: got error %v, want one naming %s", method, tc.cfg, err, tc.field)
 			}
-		}
-		if _, err := RunStreamingComparison(bg, tc.cfg); err == nil {
-			t.Errorf("%+v: the comparison accepted it", tc.cfg)
 		}
 		if n := runtime.NumGoroutine(); n > base {
 			t.Errorf("%+v: %d goroutines after the refusals, %d before: something was deployed", tc.cfg, n, base)

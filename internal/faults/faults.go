@@ -1,31 +1,28 @@
 // Package faults is the deterministic fault-injection layer of the
-// simulated-scale experiments: seeded, dist-driven disturbance
-// timelines (node crashes, straggler slowdowns, transient datastore
-// outages) driven as ordinary events through a des.Env, plus the
-// recovery-policy vocabulary (fail-stop, checkpoint/restart, straggler
-// re-dispatch) the resilience scenarios sweep.
+// simulated-scale experiments: seeded, dist-driven node-crash timelines
+// driven as ordinary events through a des.Env, plus the recovery-policy
+// vocabulary (fail-stop, checkpoint/restart) the resilience scenarios
+// sweep.
 //
 // Design rules:
 //
-//   - Determinism: every disturbance axis draws from its own
+//   - Determinism: every node draws its crashes from its own
 //     math/rand stream, seeded from (Profile.Seed, node). Two runs with
 //     equal profiles produce bit-identical fault timelines, and — the
 //     property the optimal-checkpoint-interval sweeps rely on — the
 //     crash timeline is invariant under changes to the recovery
 //     configuration, so sweeping the checkpoint cadence compares
 //     policies against the *same* disturbances.
-//   - Nothing when healthy: a profile with every axis disabled
+//   - Nothing when healthy: a profile with crashes disabled
 //     schedules zero events, so a resilient harness running a healthy
 //     profile replays the exact event sequence of its fault-free
 //     counterpart (pinned by the scale-out equivalence contract test).
 //   - The injector owns the cluster.NodeSet: crash/repair transitions
-//     flow through it, and workload-side machines read availability,
-//     slowdown factors and outage windows through the accessors instead
-//     of keeping shadow state.
+//     flow through it, and workload-side machines read availability
+//     through the accessors instead of keeping shadow state.
 package faults
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -56,17 +53,6 @@ func (p Policy) String() string {
 	return "fail-stop"
 }
 
-// ParsePolicy converts a CLI/config string to a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "fail-stop", "failstop", "":
-		return FailStop, nil
-	case "checkpoint-restart", "checkpoint", "ckpt":
-		return CheckpointRestart, nil
-	}
-	return FailStop, fmt.Errorf("faults: unknown policy %q", s)
-}
-
 // Recovery configures how a resilient campaign reacts to disturbances.
 type Recovery struct {
 	// Policy selects fail-stop or checkpoint/restart.
@@ -77,10 +63,6 @@ type Recovery struct {
 	CkptIntervalS float64
 	// CkptSizeMB sizes one checkpoint write/read per rank.
 	CkptSizeMB float64
-	// ReDispatchStragglers migrates a rank off a straggling node to a
-	// healthy replacement (cluster.NodeSet.Replacement) instead of
-	// riding out the slowdown.
-	ReDispatchStragglers bool
 }
 
 // Profile describes the disturbance statistics of one campaign. The
@@ -94,59 +76,30 @@ type Profile struct {
 	MTBFS float64
 	// RepairS is the node repair/reboot time after a crash.
 	RepairS float64
-	// StragglerMTBS is the per-node mean time between straggler
-	// episodes (0 disables).
-	StragglerMTBS float64
-	// StragglerFactor multiplies a straggling node's iteration periods
-	// (> 1; values <= 1 disable).
-	StragglerFactor float64
-	// StragglerDurS is the episode duration.
-	StragglerDurS float64
-	// OutageMTBS is the mean time between transient datastore outages
-	// (0 disables); during an outage staged operations cannot start.
-	OutageMTBS float64
-	// OutageDurS is the outage duration.
-	OutageDurS float64
-	// Until bounds the disturbance streams: no new crash, straggler
-	// episode or outage begins at or after this virtual time (0 =
-	// unbounded). Recovery events (repairs, episode ends) of
-	// disturbances that began before the bound still complete, so a
-	// bounded campaign ends with every node up. Bounding keeps the last
-	// event of a faulty run near the workload's own end, which keeps
-	// delivered-throughput denominators comparable to a healthy run.
+	// Until bounds the crash streams: no new crash begins at or after
+	// this virtual time (0 = unbounded). The repair of a crash that
+	// began before the bound still completes, so a bounded campaign
+	// ends with every node up. Bounding keeps the last event of a
+	// faulty run near the workload's own end, which keeps delivered-
+	// throughput denominators comparable to a healthy run.
 	Until float64
 }
 
 // CrashesEnabled reports whether the profile injects node crashes.
 func (p Profile) CrashesEnabled() bool { return p.MTBFS > 0 && !math.IsInf(p.MTBFS, 1) }
 
-// StragglersEnabled reports whether the profile injects straggler
-// episodes.
-func (p Profile) StragglersEnabled() bool {
-	return p.StragglerMTBS > 0 && p.StragglerFactor > 1 && p.StragglerDurS > 0
-}
-
-// OutagesEnabled reports whether the profile injects datastore outages.
-func (p Profile) OutagesEnabled() bool { return p.OutageMTBS > 0 && p.OutageDurS > 0 }
-
 // Hooks are the workload-side callbacks an Injector drives. Any field
 // may be nil. Hooks run flat on the scheduler goroutine at the virtual
-// time of the transition, after the injector's own state (NodeSet,
-// slowdown, outage window) has been updated.
+// time of the transition, after the injector's NodeSet has been
+// updated.
 type Hooks struct {
 	// Crash fires when a node goes down.
 	Crash func(node int)
 	// Repair fires when a node comes back up.
 	Repair func(node int)
-	// StragglerStart / StragglerEnd bracket a slowdown episode.
-	StragglerStart func(node int)
-	StragglerEnd   func(node int)
-	// OutageStart / OutageEnd bracket a datastore outage.
-	OutageStart func()
-	OutageEnd   func()
 }
 
-// Injector drives a Profile's disturbance timelines against a des.Env.
+// Injector drives a Profile's crash timelines against a des.Env.
 // Construct with New, wire the workload through Hooks and the
 // accessors, then Start before running the environment.
 type Injector struct {
@@ -154,42 +107,26 @@ type Injector struct {
 	nodes *cluster.NodeSet
 	prof  Profile
 	hooks Hooks
-
-	slow        []float64 // per-node slowdown factor, 1 = nominal
-	outageUntil float64
-	stragglers  int
-	outages     int
 }
 
 // New builds an injector for spec's nodes. The injector owns the
 // returned NodeSet view (see NodeSet); it schedules nothing until
 // Start.
 func New(env *des.Env, spec cluster.Spec, prof Profile, hooks Hooks) *Injector {
-	in := &Injector{
-		env:         env,
-		nodes:       cluster.NewNodeSet(spec),
-		prof:        prof,
-		hooks:       hooks,
-		slow:        make([]float64, spec.Nodes),
-		outageUntil: math.Inf(-1),
-	}
-	for i := range in.slow {
-		in.slow[i] = 1
-	}
-	return in
+	return &Injector{env: env, nodes: cluster.NewNodeSet(spec), prof: prof, hooks: hooks}
 }
 
-// nodeRNG returns the seeded stream for one (axis, node) pair: streams
-// are independent across axes and nodes, so adding stragglers cannot
-// shift crash times.
-func (in *Injector) nodeRNG(axis, node int64) *rand.Rand {
-	return rand.New(rand.NewSource(in.prof.Seed*1000003 + axis*7368787 + node*1000000007 + 1))
+// nodeRNG returns the seeded crash stream of one node; streams are
+// independent across nodes. (The constant terms are what the seed
+// formula always added for the crash stream: changing them moves every
+// pinned crash timeline.)
+func (in *Injector) nodeRNG(node int64) *rand.Rand {
+	return rand.New(rand.NewSource(in.prof.Seed*1000003 + 7368787 + node*1000000007 + 1))
 }
 
-// scheduleStart arms a disturbance start after d, honouring the Until
-// bound: a start that would land at or past the bound is dropped (and
-// with it the rest of that stream — every later draw would land past
-// the bound too).
+// scheduleStart arms a crash after d, honouring the Until bound: a start
+// that would land at or past the bound is dropped (and with it the rest
+// of that stream — every later draw would land past the bound too).
 func (in *Injector) scheduleStart(d float64, fn func()) {
 	if in.prof.Until > 0 && in.env.Now()+d >= in.prof.Until {
 		return
@@ -197,14 +134,14 @@ func (in *Injector) scheduleStart(d float64, fn func()) {
 	in.env.After(d, fn)
 }
 
-// Start schedules the first disturbance of every enabled axis. A
-// healthy profile schedules nothing at all.
+// Start schedules every node's first crash. A healthy profile schedules
+// nothing at all.
 func (in *Injector) Start() {
 	if in.prof.CrashesEnabled() {
 		mtbf := dist.Exponential{MeanV: in.prof.MTBFS}
 		for n := 0; n < in.nodes.Nodes(); n++ {
 			n := n
-			rng := in.nodeRNG(1, int64(n))
+			rng := in.nodeRNG(int64(n))
 			var crash func()
 			crash = func() {
 				if !in.nodes.Fail(n) {
@@ -227,50 +164,6 @@ func (in *Injector) Start() {
 			in.scheduleStart(mtbf.Sample(rng), crash)
 		}
 	}
-	if in.prof.StragglersEnabled() {
-		mtbs := dist.Exponential{MeanV: in.prof.StragglerMTBS}
-		for n := 0; n < in.nodes.Nodes(); n++ {
-			n := n
-			rng := in.nodeRNG(2, int64(n))
-			var episode func()
-			episode = func() {
-				if in.nodes.Up(n) && in.slow[n] == 1 {
-					in.slow[n] = in.prof.StragglerFactor
-					in.stragglers++
-					if in.hooks.StragglerStart != nil {
-						in.hooks.StragglerStart(n)
-					}
-					in.env.After(in.prof.StragglerDurS, func() {
-						in.slow[n] = 1
-						if in.hooks.StragglerEnd != nil {
-							in.hooks.StragglerEnd(n)
-						}
-					})
-				}
-				in.scheduleStart(mtbs.Sample(rng), episode)
-			}
-			in.scheduleStart(mtbs.Sample(rng), episode)
-		}
-	}
-	if in.prof.OutagesEnabled() {
-		mtbo := dist.Exponential{MeanV: in.prof.OutageMTBS}
-		rng := in.nodeRNG(3, 0)
-		var outage func()
-		outage = func() {
-			in.outageUntil = in.env.Now() + in.prof.OutageDurS
-			in.outages++
-			if in.hooks.OutageStart != nil {
-				in.hooks.OutageStart()
-			}
-			in.env.After(in.prof.OutageDurS, func() {
-				if in.hooks.OutageEnd != nil {
-					in.hooks.OutageEnd()
-				}
-				in.scheduleStart(mtbo.Sample(rng), outage)
-			})
-		}
-		in.scheduleStart(mtbo.Sample(rng), outage)
-	}
 }
 
 // NodeSet exposes the injector's availability state: workload machines
@@ -280,22 +173,5 @@ func (in *Injector) NodeSet() *cluster.NodeSet { return in.nodes }
 // NodeUp reports whether node is currently available.
 func (in *Injector) NodeUp(node int) bool { return in.nodes.Up(node) }
 
-// Slowdown returns node's current iteration-period multiplier (1 when
-// healthy, Profile.StragglerFactor during an episode).
-func (in *Injector) Slowdown(node int) float64 { return in.slow[node] }
-
-// OutageActive reports whether a datastore outage is in progress.
-func (in *Injector) OutageActive() bool { return in.env.Now() < in.outageUntil }
-
-// OutageUntil returns the end time of the current outage (meaningful
-// only while OutageActive).
-func (in *Injector) OutageUntil() float64 { return in.outageUntil }
-
 // Crashes reports the number of node crashes injected so far.
 func (in *Injector) Crashes() int { return in.nodes.Fails() }
-
-// Stragglers reports the number of straggler episodes started so far.
-func (in *Injector) Stragglers() int { return in.stragglers }
-
-// Outages reports the number of datastore outages started so far.
-func (in *Injector) Outages() int { return in.outages }

@@ -12,7 +12,7 @@ func TestHealthyProfileSchedulesNothing(t *testing.T) {
 	for _, prof := range []Profile{
 		{},
 		{MTBFS: math.Inf(1), RepairS: 1},
-		{MTBFS: -1, StragglerFactor: 0.5, StragglerMTBS: 10},
+		{MTBFS: -1, RepairS: 1},
 	} {
 		env := des.NewEnv()
 		in := New(env, cluster.Aurora(8), prof, Hooks{})
@@ -61,35 +61,6 @@ func TestCrashTimelineDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// TestCrashTimelineInvariantUnderOtherAxes pins the sweep-comparability
-// property: enabling stragglers and outages must not move a single
-// crash.
-func TestCrashTimelineInvariantUnderOtherAxes(t *testing.T) {
-	run := func(prof Profile) []float64 {
-		env := des.NewEnv()
-		var crashes []float64
-		in := New(env, cluster.Aurora(4), prof,
-			Hooks{Crash: func(node int) { crashes = append(crashes, env.Now()) }})
-		in.Start()
-		env.RunUntil(300)
-		env.Shutdown()
-		return crashes
-	}
-	base := Profile{Seed: 3, MTBFS: 15, RepairS: 2}
-	noisy := base
-	noisy.StragglerMTBS, noisy.StragglerFactor, noisy.StragglerDurS = 10, 3, 5
-	noisy.OutageMTBS, noisy.OutageDurS = 40, 3
-	a, b := run(base), run(noisy)
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("crash counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("crash %d moved: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestCrashRepairDrivesNodeSet(t *testing.T) {
 	env := des.NewEnv()
 	var in *Injector
@@ -135,82 +106,5 @@ func TestEmpiricalMTBFMatchesProfile(t *testing.T) {
 	got := float64(in.Crashes())
 	if got < want*0.85 || got > want*1.15 {
 		t.Fatalf("observed %v crashes, want ~%v", got, want)
-	}
-}
-
-func TestStragglerEpisodeSetsSlowdown(t *testing.T) {
-	env := des.NewEnv()
-	var in *Injector
-	starts, ends := 0, 0
-	in = New(env, cluster.Aurora(2),
-		Profile{Seed: 5, StragglerMTBS: 20, StragglerFactor: 4, StragglerDurS: 3},
-		Hooks{
-			StragglerStart: func(node int) {
-				starts++
-				if in.Slowdown(node) != 4 {
-					t.Errorf("slowdown during episode = %v, want 4", in.Slowdown(node))
-				}
-			},
-			StragglerEnd: func(node int) {
-				ends++
-				if in.Slowdown(node) != 1 {
-					t.Errorf("slowdown after episode = %v, want 1", in.Slowdown(node))
-				}
-			},
-		})
-	in.Start()
-	env.RunUntil(500)
-	env.Shutdown()
-	// Episodes straddling the horizon never see their end event; at most
-	// one per node can be in flight.
-	if starts == 0 || ends > starts || starts-ends > 2 {
-		t.Fatalf("episodes: %d starts, %d ends", starts, ends)
-	}
-	if in.Stragglers() != starts {
-		t.Fatalf("Stragglers() = %d, want %d", in.Stragglers(), starts)
-	}
-}
-
-func TestOutageWindow(t *testing.T) {
-	env := des.NewEnv()
-	var in *Injector
-	in = New(env, cluster.Aurora(1), Profile{Seed: 9, OutageMTBS: 30, OutageDurS: 2}, Hooks{
-		OutageStart: func() {
-			if !in.OutageActive() {
-				t.Error("OutageStart ran with OutageActive false")
-			}
-			if got := in.OutageUntil() - env.Now(); math.Abs(got-2) > 1e-12 {
-				t.Errorf("outage window %v, want 2", got)
-			}
-		},
-		OutageEnd: func() {
-			if in.OutageActive() {
-				t.Error("OutageEnd ran with OutageActive still true")
-			}
-		},
-	})
-	in.Start()
-	env.RunUntil(300)
-	env.Shutdown()
-	if in.Outages() == 0 {
-		t.Fatal("no outages in 300 s at MTBO 30")
-	}
-}
-
-func TestParsePolicy(t *testing.T) {
-	for s, want := range map[string]Policy{
-		"": FailStop, "fail-stop": FailStop, "failstop": FailStop,
-		"checkpoint-restart": CheckpointRestart, "ckpt": CheckpointRestart,
-	} {
-		got, err := ParsePolicy(s)
-		if err != nil || got != want {
-			t.Errorf("ParsePolicy(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("ParsePolicy accepted bogus")
-	}
-	if FailStop.String() != "fail-stop" || CheckpointRestart.String() != "checkpoint-restart" {
-		t.Error("Policy.String drifted")
 	}
 }

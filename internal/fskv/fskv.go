@@ -52,12 +52,6 @@ func Open(dir string, shards int) (*Store, error) {
 	return &Store{root: dir, shards: shards}, nil
 }
 
-// Root returns the root directory.
-func (s *Store) Root() string { return s.root }
-
-// Shards returns the shard count.
-func (s *Store) Shards() int { return s.shards }
-
 func shardPath(root string, i int) string {
 	return filepath.Join(root, fmt.Sprintf("shard%04d", i))
 }
@@ -223,6 +217,3 @@ func (s *Store) Clean() error {
 	}
 	return nil
 }
-
-// Destroy removes the entire store directory tree.
-func (s *Store) Destroy() error { return os.RemoveAll(s.root) }

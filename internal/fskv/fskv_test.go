@@ -281,7 +281,7 @@ func TestCleanRemovesStrayTempFiles(t *testing.T) {
 	s := newStore(t, 2)
 	s.Put("k", []byte("v"))
 	// Simulate a crashed writer leaving a temp file behind.
-	stray := filepath.Join(s.Root(), "shard0000", ".tmp-crashed")
+	stray := filepath.Join(s.root, "shard0000", ".tmp-crashed")
 	if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -301,21 +301,6 @@ func TestCleanRemovesStrayTempFiles(t *testing.T) {
 	}
 	if _, err := os.Stat(stray); !errors.Is(err, os.ErrNotExist) {
 		t.Fatal("stray temp file survived clean")
-	}
-}
-
-func TestDestroy(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(filepath.Join(dir, "store"), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Put("k", []byte("v"))
-	if err := s.Destroy(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(s.Root()); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("root survived destroy")
 	}
 }
 

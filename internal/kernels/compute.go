@@ -142,18 +142,6 @@ func FFT(data []complex128) {
 	}
 }
 
-// IFFT inverts FFT (in place).
-func IFFT(data []complex128) {
-	for i := range data {
-		data[i] = cmplx.Conj(data[i])
-	}
-	FFT(data)
-	n := complex(float64(len(data)), 0)
-	for i := range data {
-		data[i] = cmplx.Conj(data[i]) / n
-	}
-}
-
 // axpy computes y = a*x + y over size[0] elements.
 type axpy struct{}
 

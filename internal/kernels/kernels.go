@@ -15,7 +15,6 @@ package kernels
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"simaibench/internal/mpi"
@@ -104,18 +103,6 @@ func New(name string) (Kernel, error) {
 		return nil, fmt.Errorf("kernels: unknown kernel %q", name)
 	}
 	return factory(), nil
-}
-
-// Names lists registered kernels, sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // dim returns size[i] or def when absent/nonpositive.

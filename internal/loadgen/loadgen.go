@@ -152,16 +152,6 @@ func (c Config) NodeSecondsPerJob() float64 {
 	return total / weight
 }
 
-// OfferedLoad returns the campaign's offered utilization of a facility
-// with the given node count: λ·E[nodes·service]/N. Values above 1 mean
-// overload — the queue grows until arrivals stop.
-func (c Config) OfferedLoad(facilityNodes int) float64 {
-	if facilityNodes < 1 {
-		return math.Inf(1)
-	}
-	return c.RatePerS * c.NodeSecondsPerJob() / float64(facilityNodes)
-}
-
 // RateForLoad returns the base arrival rate that offers the given
 // utilization on a facility of the given size under this config's class
 // mix — how the campaign scenario turns "0.7× capacity" into jobs per

@@ -201,7 +201,8 @@ func TestOfferedLoadRoundTrip(t *testing.T) {
 	cfg := testConfig()
 	rate := cfg.RateForLoad(0.9, 64)
 	cfg.RatePerS = rate
-	if got := cfg.OfferedLoad(64); math.Abs(got-0.9) > 1e-12 {
+	// Offered utilization is λ·E[nodes·service]/N.
+	if got := cfg.RatePerS * cfg.NodeSecondsPerJob() / 64; math.Abs(got-0.9) > 1e-12 {
 		t.Fatalf("offered load %v, want 0.9", got)
 	}
 	if cfg.NodeSecondsPerJob() <= 0 {

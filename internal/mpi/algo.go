@@ -54,9 +54,6 @@ const (
 	AlgoHier
 )
 
-// CollAlgos enumerates every algorithm, flat first.
-func CollAlgos() []CollAlgo { return []CollAlgo{AlgoFlat, AlgoRing, AlgoTree, AlgoHier} }
-
 // String returns the algorithm's flag spelling.
 func (a CollAlgo) String() string {
 	switch a {
@@ -296,47 +293,6 @@ func (c *Comm) AllReduceAlgoOn(algo CollAlgo, op Op, buf []float64, routerOf []i
 		return
 	}
 	reduceContribs(op, c.gatherContribs(algo, buf, routerOf), buf)
-}
-
-// AllGatherAlgo is AllGather over the selected algorithm's
-// communication structure: every rank's buf concatenated in rank
-// order, bit-identical to the flat AllGather.
-func (c *Comm) AllGatherAlgo(algo CollAlgo, buf []float64) []float64 {
-	if algo == AlgoFlat || c.world.size == 1 {
-		return c.AllGather(buf)
-	}
-	contribs := c.gatherContribs(algo, buf, nil)
-	var all []float64
-	for r, xs := range contribs {
-		if len(xs) != len(contribs[0]) {
-			panic(fmt.Sprintf("mpi: allgather length mismatch: rank 0 has %d elements, rank %d has %d",
-				len(contribs[0]), r, len(xs)))
-		}
-		all = append(all, xs...)
-	}
-	return all
-}
-
-// ReduceScatterAlgo is ReduceScatter over the selected algorithm's
-// communication structure: the rank-order reduction of buf, of which
-// this rank receives element block Rank. len(buf) must be a multiple
-// of Size on every rank.
-func (c *Comm) ReduceScatterAlgo(algo CollAlgo, op Op, buf []float64) []float64 {
-	n := c.world.size
-	if len(buf)%n != 0 {
-		panic(fmt.Sprintf("mpi: reducescatter length %d not divisible by world size %d (rank %d)",
-			len(buf), n, c.rank))
-	}
-	if algo == AlgoFlat || n == 1 {
-		return c.ReduceScatter(op, buf)
-	}
-	acc := make([]float64, len(buf))
-	copy(acc, buf)
-	reduceContribs(op, c.gatherContribs(algo, buf, nil), acc)
-	chunk := len(buf) / n
-	res := make([]float64, chunk)
-	copy(res, acc[c.rank*chunk:(c.rank+1)*chunk])
-	return res
 }
 
 // gatherContribs runs the algorithm's communication pattern until this

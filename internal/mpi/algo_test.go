@@ -19,6 +19,9 @@ func contribValue(rank, i int) float64 {
 	return 1.0/3.0*float64(rank+1) + float64(i)*1e-7 + math.Pi*float64(rank*i%7)
 }
 
+// collAlgos is every algorithm, flat first.
+var collAlgos = []CollAlgo{AlgoFlat, AlgoRing, AlgoTree, AlgoHier}
+
 // equivalenceLayout assigns ranks round-robin-free to routers of two
 // ranks each, giving the hierarchical algorithm a multi-router,
 // uneven-tail grouping at every tested world size.
@@ -52,7 +55,7 @@ func TestAllReduceAlgoEquivalence(t *testing.T) {
 					want[c.Rank()] = buf
 				})
 			}
-			for _, algo := range CollAlgos() {
+			for _, algo := range collAlgos {
 				for _, layout := range [][]int{nil, equivalenceLayout(n)} {
 					w := NewWorld(n)
 					got := make([][]float64, n)
@@ -87,7 +90,7 @@ func TestAllReduceAlgoEquivalence(t *testing.T) {
 // the p2p mailbox path the algorithms run on.
 func TestAllReduceAlgoUnderClockBridge(t *testing.T) {
 	const n, elems = 5, 4
-	for _, algo := range CollAlgos() {
+	for _, algo := range collAlgos {
 		v := clock.NewVirtual()
 		w := NewWorld(n)
 		w.SetClockBridge(v.Join, v.Leave)
@@ -113,35 +116,6 @@ func TestAllReduceAlgoUnderClockBridge(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestAllGatherAndReduceScatterAlgo pins the building blocks to their
-// flat counterparts across algorithms.
-func TestAllGatherAndReduceScatterAlgo(t *testing.T) {
-	const n = 5
-	for _, algo := range CollAlgos() {
-		w := NewWorld(n)
-		w.Run(func(c *Comm) {
-			buf := make([]float64, 2*n)
-			for i := range buf {
-				buf[i] = contribValue(c.Rank(), i)
-			}
-			wantAG := c.AllGather(buf[:3])
-			gotAG := c.AllGatherAlgo(algo, buf[:3])
-			for i := range wantAG {
-				if gotAG[i] != wantAG[i] {
-					panic(fmt.Sprintf("algo=%s allgather elem %d: got %x want %x", algo, i, gotAG[i], wantAG[i]))
-				}
-			}
-			wantRS := c.ReduceScatter(Sum, buf)
-			gotRS := c.ReduceScatterAlgo(algo, Sum, buf)
-			for i := range wantRS {
-				if gotRS[i] != wantRS[i] {
-					panic(fmt.Sprintf("algo=%s reducescatter elem %d: got %x want %x", algo, i, gotRS[i], wantRS[i]))
-				}
-			}
-		})
 	}
 }
 
@@ -200,7 +174,7 @@ func TestCollCostShapes(t *testing.T) {
 		t.Errorf("hier cost = %+v, want time %v", hier, wantHier)
 	}
 	// Single rank: every algorithm is free.
-	for _, algo := range CollAlgos() {
+	for _, algo := range collAlgos {
 		if c := AllReduceCost(algo, 1, mb, nil, link); c.Steps != 0 || c.TimeS != 0 {
 			t.Errorf("%s cost at n=1 = %+v, want zero", algo, c)
 		}

@@ -7,7 +7,7 @@ import (
 	"sync"
 )
 
-// Op is a reduction operator for Reduce/AllReduce.
+// Op is a reduction operator for AllReduce.
 type Op int
 
 // Reduction operators.
@@ -231,30 +231,6 @@ func (c *Comm) AllReduce(op Op, buf []float64) {
 	copy(buf, out.([]float64))
 }
 
-// Reduce reduces to root only; other ranks receive buf unchanged and the
-// result slice is returned only on root (nil elsewhere). Lengths must
-// match across ranks; a mismatch panics naming both ranks.
-func (c *Comm) Reduce(op Op, root int, buf []float64) []float64 {
-	contribution := make([]float64, len(buf))
-	copy(contribution, buf)
-	out := c.rendezvous(contribution, func(slots []any) any {
-		validateEqualLengths("reduce", slots)
-		acc := make([]float64, len(slots[0].([]float64)))
-		copy(acc, slots[0].([]float64))
-		for r := 1; r < len(slots); r++ {
-			xs := slots[r].([]float64)
-			for i := range acc {
-				acc[i] = op.apply(acc[i], xs[i])
-			}
-		}
-		return acc
-	})
-	if c.rank == root {
-		return out.([]float64)
-	}
-	return nil
-}
-
 // AllGather concatenates every rank's buf in rank order and returns the
 // full vector on every rank.
 func (c *Comm) AllGather(buf []float64) []float64 {
@@ -340,63 +316,4 @@ func decodeFloat64s(b []byte) []float64 {
 		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return xs
-}
-
-// AllToAll exchanges equal chunks between every pair of ranks: rank i
-// sends buf[j*chunk:(j+1)*chunk] to rank j and returns the concatenation
-// of the chunks addressed to it, in source-rank order. len(buf) must be
-// a multiple of Size.
-func (c *Comm) AllToAll(buf []float64) []float64 {
-	n := c.world.size
-	if len(buf)%n != 0 {
-		panic(fmt.Sprintf("mpi: alltoall length %d not divisible by world size %d (rank %d)",
-			len(buf), n, c.rank))
-	}
-	contribution := make([]float64, len(buf))
-	copy(contribution, buf)
-	out := c.rendezvous(contribution, func(slots []any) any {
-		validateEqualLengths("alltoall", slots)
-		// Copy the slot container: ranks slice their columns after the
-		// rendezvous, by which time the shared slots array has been
-		// reset for the next collective.
-		return append([]any(nil), slots...)
-	})
-	slots := out.([]any)
-	chunk := len(buf) / n
-	res := make([]float64, 0, len(buf))
-	for src := 0; src < n; src++ {
-		data := slots[src].([]float64)
-		res = append(res, data[c.rank*chunk:(c.rank+1)*chunk]...)
-	}
-	return res
-}
-
-// ReduceScatter reduces buf element-wise across ranks with op, then
-// scatters the result: rank i receives element block i. len(buf) must be
-// a multiple of Size.
-func (c *Comm) ReduceScatter(op Op, buf []float64) []float64 {
-	n := c.world.size
-	if len(buf)%n != 0 {
-		panic(fmt.Sprintf("mpi: reducescatter length %d not divisible by world size %d (rank %d)",
-			len(buf), n, c.rank))
-	}
-	contribution := make([]float64, len(buf))
-	copy(contribution, buf)
-	out := c.rendezvous(contribution, func(slots []any) any {
-		validateEqualLengths("reducescatter", slots)
-		acc := make([]float64, len(slots[0].([]float64)))
-		copy(acc, slots[0].([]float64))
-		for r := 1; r < len(slots); r++ {
-			xs := slots[r].([]float64)
-			for i := range acc {
-				acc[i] = op.apply(acc[i], xs[i])
-			}
-		}
-		return acc
-	})
-	full := out.([]float64)
-	chunk := len(buf) / n
-	res := make([]float64, chunk)
-	copy(res, full[c.rank*chunk:(c.rank+1)*chunk])
-	return res
 }

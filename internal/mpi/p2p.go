@@ -77,18 +77,6 @@ func (b *mailbox) take(src, tag int) message {
 	}
 }
 
-// probe reports whether a matching message is queued, without removing it.
-func (b *mailbox) probe(src, tag int) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, m := range b.pending {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			return true
-		}
-	}
-	return false
-}
-
 func (b *mailbox) kill() {
 	b.mu.Lock()
 	b.dead = true
@@ -126,11 +114,6 @@ func (c *Comm) Recv(src, tag int) (data []byte, from int) {
 	return m.data, m.src
 }
 
-// Probe reports whether a matching message is already queued.
-func (c *Comm) Probe(src, tag int) bool {
-	return c.world.boxes[c.rank].probe(src, tag)
-}
-
 // SendFloat64s sends a float64 slice (little-endian encoding).
 func (c *Comm) SendFloat64s(dst, tag int, xs []float64) {
 	c.Send(dst, tag, encodeFloat64s(xs))
@@ -140,11 +123,4 @@ func (c *Comm) SendFloat64s(dst, tag int, xs []float64) {
 func (c *Comm) RecvFloat64s(src, tag int) ([]float64, int) {
 	data, from := c.Recv(src, tag)
 	return decodeFloat64s(data), from
-}
-
-// SendRecv performs a combined send to dst and receive from src, a common
-// shift pattern. Eager sends make the ordering deadlock-free.
-func (c *Comm) SendRecv(dst, sendTag int, data []byte, src, recvTag int) ([]byte, int) {
-	c.Send(dst, sendTag, data)
-	return c.Recv(src, recvTag)
 }

@@ -197,15 +197,6 @@ func (m *MLP) Params() []*Param {
 	return ps
 }
 
-// NumParams counts scalar parameters.
-func (m *MLP) NumParams() int {
-	n := 0
-	for _, p := range m.Params() {
-		n += len(p.W)
-	}
-	return n
-}
-
 // ZeroGrad clears all gradient accumulators.
 func (m *MLP) ZeroGrad() {
 	for _, p := range m.Params() {

@@ -45,8 +45,12 @@ func TestMLPConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 4*8+8 + 8*2+2 = 58 params.
-	if m.NumParams() != 58 {
-		t.Fatalf("NumParams = %d, want 58", m.NumParams())
+	n := 0
+	for _, p := range m.Params() {
+		n += len(p.W)
+	}
+	if n != 58 {
+		t.Fatalf("%d scalar parameters, want 58", n)
 	}
 	out := m.Forward([][]float64{{1, 2, 3, 4}})
 	if len(out) != 1 || len(out[0]) != 2 {
@@ -128,8 +132,8 @@ func TestGradientCheck(t *testing.T) {
 			checked++
 		}
 	}
-	if checked != m.NumParams() {
-		t.Fatalf("checked %d of %d params", checked, m.NumParams())
+	if checked != 3*5+5+5*2+2 {
+		t.Fatalf("checked %d of 32 params", checked)
 	}
 }
 

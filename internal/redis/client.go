@@ -63,18 +63,6 @@ func (c *Client) doLocked(cmd string, args ...[]byte) (Value, error) {
 	return v, nil
 }
 
-// Ping round-trips a PING.
-func (c *Client) Ping() error {
-	v, err := c.Do("PING")
-	if err != nil {
-		return err
-	}
-	if v.Text() != "PONG" {
-		return fmt.Errorf("redis: unexpected ping reply %q", v.Text())
-	}
-	return nil
-}
-
 // Set stores value under key.
 func (c *Client) Set(key string, value []byte) error {
 	_, err := c.Do("SET", []byte(key), value)
@@ -126,30 +114,6 @@ func (c *Client) Keys(pattern string) ([]string, error) {
 		out[i] = el.Text()
 	}
 	return out, nil
-}
-
-// DBSize returns the number of keys on the server.
-func (c *Client) DBSize() (int64, error) {
-	v, err := c.Do("DBSIZE")
-	if err != nil {
-		return 0, err
-	}
-	return v.Int, nil
-}
-
-// FlushAll clears the keyspace.
-func (c *Client) FlushAll() error {
-	_, err := c.Do("FLUSHALL")
-	return err
-}
-
-// Incr increments an integer key, returning the new value.
-func (c *Client) Incr(key string) (int64, error) {
-	v, err := c.Do("INCR", []byte(key))
-	if err != nil {
-		return 0, err
-	}
-	return v.Int, nil
 }
 
 // Cluster is a client-side sharded view over several independent server
@@ -215,14 +179,4 @@ func (cl *Cluster) Keys(pattern string) ([]string, error) {
 		all = append(all, ks...)
 	}
 	return all, nil
-}
-
-// FlushAll clears every shard.
-func (cl *Cluster) FlushAll() error {
-	for _, c := range cl.clients {
-		if err := c.FlushAll(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

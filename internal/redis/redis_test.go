@@ -141,13 +141,6 @@ func TestPropertyRESPRoundTrip(t *testing.T) {
 
 // --- Server commands over TCP ---
 
-func TestPing(t *testing.T) {
-	_, c := newPair(t)
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSetGet(t *testing.T) {
 	_, c := newPair(t)
 	val := []byte("hello world")
@@ -211,38 +204,6 @@ func TestKeysGlob(t *testing.T) {
 	sort.Strings(got)
 	if len(got) != 2 || got[0] != "sim:0" || got[1] != "sim:1" {
 		t.Fatalf("keys = %v", got)
-	}
-}
-
-func TestDBSizeAndFlush(t *testing.T) {
-	_, c := newPair(t)
-	for i := 0; i < 5; i++ {
-		c.Set(fmt.Sprintf("k%d", i), []byte("v"))
-	}
-	n, err := c.DBSize()
-	if err != nil || n != 5 {
-		t.Fatalf("dbsize = %d,%v", n, err)
-	}
-	if err := c.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	n, _ = c.DBSize()
-	if n != 0 {
-		t.Fatalf("dbsize after flush = %d", n)
-	}
-}
-
-func TestIncr(t *testing.T) {
-	_, c := newPair(t)
-	for want := int64(1); want <= 3; want++ {
-		got, err := c.Incr("counter")
-		if err != nil || got != want {
-			t.Fatalf("incr = %d,%v want %d", got, err, want)
-		}
-	}
-	c.Set("text", []byte("not-a-number"))
-	if _, err := c.Incr("text"); err == nil {
-		t.Fatal("INCR on text succeeded")
 	}
 }
 
@@ -356,9 +317,9 @@ func TestManyClientsConcurrent(t *testing.T) {
 	wg.Wait()
 	c, _ := Dial(s.Addr())
 	defer c.Close()
-	n, _ := c.DBSize()
-	if n != clients*per {
-		t.Fatalf("dbsize = %d, want %d", n, clients*per)
+	keys, _ := c.Keys("*")
+	if len(keys) != clients*per {
+		t.Fatalf("%d keys, want %d", len(keys), clients*per)
 	}
 }
 
@@ -380,16 +341,6 @@ func TestSharedClientConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-}
-
-func TestServerCountsCommands(t *testing.T) {
-	s, c := newPair(t)
-	before := s.Commands()
-	c.Set("k", []byte("v"))
-	c.Get("k")
-	if got := s.Commands() - before; got != 2 {
-		t.Fatalf("command count delta = %d, want 2", got)
-	}
 }
 
 func TestServerCloseIdempotent(t *testing.T) {
@@ -437,13 +388,13 @@ func TestClusterShardsKeys(t *testing.T) {
 	c2, _ := Dial(s2.Addr())
 	defer c1.Close()
 	defer c2.Close()
-	n1, _ := c1.DBSize()
-	n2, _ := c2.DBSize()
-	if n1+n2 != n {
-		t.Fatalf("shard sizes %d+%d != %d", n1, n2, n)
+	k1, _ := c1.Keys("*")
+	k2, _ := c2.Keys("*")
+	if len(k1)+len(k2) != n {
+		t.Fatalf("shard sizes %d+%d != %d", len(k1), len(k2), n)
 	}
-	if n1 == 0 || n2 == 0 {
-		t.Fatalf("degenerate sharding: %d/%d", n1, n2)
+	if len(k1) == 0 || len(k2) == 0 {
+		t.Fatalf("degenerate sharding: %d/%d", len(k1), len(k2))
 	}
 }
 
@@ -465,13 +416,6 @@ func TestClusterGetRoutesToRightShard(t *testing.T) {
 	keys, err := cl.Keys("rt-*")
 	if err != nil || len(keys) != 20 {
 		t.Fatalf("cluster keys = %d,%v want 20", len(keys), err)
-	}
-	if err := cl.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	keys, _ = cl.Keys("*")
-	if len(keys) != 0 {
-		t.Fatalf("keys after flush: %v", keys)
 	}
 }
 

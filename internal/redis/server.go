@@ -22,9 +22,6 @@ type Server struct {
 
 	// data is owned exclusively by the executor goroutine.
 	data map[string][]byte
-
-	// stats
-	commands atomic.Int64
 }
 
 type request struct {
@@ -53,9 +50,6 @@ func NewServer(addr string) (*Server, error) {
 
 // Addr returns the listener's address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Commands returns the number of commands executed, for tests and stats.
-func (s *Server) Commands() int64 { return s.commands.Load() }
 
 // Close stops the listener, the executor, and all connections.
 func (s *Server) Close() error {
@@ -131,7 +125,6 @@ func (s *Server) executor() {
 	for {
 		select {
 		case req := <-s.requests:
-			s.commands.Add(1)
 			req.reply <- s.execute(req.cmd)
 		case <-s.quit:
 			return
@@ -143,11 +136,6 @@ func (s *Server) execute(cmd []Value) Value {
 	name := strings.ToUpper(cmd[0].Text())
 	args := cmd[1:]
 	switch name {
-	case "PING":
-		if len(args) == 1 {
-			return Bulk(args[0].Bulk)
-		}
-		return Simple("PONG")
 	case "ECHO":
 		if len(args) != 1 {
 			return wrongArity(name)
@@ -199,27 +187,6 @@ func (s *Server) execute(cmd []Value) Value {
 			}
 		}
 		return Array(out...)
-	case "DBSIZE":
-		return Integer(int64(len(s.data)))
-	case "FLUSHALL", "FLUSHDB":
-		s.data = make(map[string][]byte)
-		return Simple("OK")
-	case "INCR":
-		if len(args) != 1 {
-			return wrongArity(name)
-		}
-		key := args[0].Text()
-		cur := int64(0)
-		if v, ok := s.data[key]; ok {
-			parsed, err := parseInt(v)
-			if err != nil {
-				return Errorf("ERR value is not an integer or out of range")
-			}
-			cur = parsed
-		}
-		cur++
-		s.data[key] = []byte(fmt.Sprintf("%d", cur))
-		return Integer(cur)
 	case "MSET":
 		if len(args) == 0 || len(args)%2 != 0 {
 			return wrongArity(name)
@@ -274,12 +241,4 @@ func globMatch(pattern, s string) bool {
 
 func wrongArity(cmd string) Value {
 	return Errorf("ERR wrong number of arguments for '%s' command", strings.ToLower(cmd))
-}
-
-func parseInt(b []byte) (int64, error) {
-	var n int64
-	if _, err := fmt.Sscanf(string(b), "%d", &n); err != nil {
-		return 0, err
-	}
-	return n, nil
 }

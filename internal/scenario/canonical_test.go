@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -47,7 +48,8 @@ func TestCanonicalParamsRoundTrip(t *testing.T) {
 // key depends on: a json name (so the canonical bytes carry it), the
 // hand-written merge (so a default fills it and a set value survives)
 // and therefore CacheKey. A field added to the struct but forgotten in
-// merge fails here by name.
+// merge fails here by name. A numeric one must also be held to Validate's
+// rule: a negative value is refused, naming the field's json key.
 func TestParamsFieldsMergedAndKeyed(t *testing.T) {
 	// set returns Params with only field i set, to its k-th non-zero
 	// value (k = 1, 2).
@@ -99,13 +101,27 @@ func TestParamsFieldsMergedAndKeyed(t *testing.T) {
 			if key(a, Params{}) != key(Params{}, a) {
 				t.Error("spelled out and defaulted give different cache keys")
 			}
+			if err := a.Validate(); err != nil {
+				t.Errorf("Validate refused a positive value: %v", err)
+			}
+			if field.Type.Kind() != reflect.String {
+				neg := set(i, -1)
+				if err := neg.Validate(); err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) {
+					t.Errorf("Validate(%+v) = %v, want an error naming %q", neg, err, name)
+				}
+			}
 		})
 	}
 }
 
 // JSON cannot carry NaN: the key of such params is an error, never a
-// hash of something else.
+// hash of something else, and Validate refuses them and ±Inf first.
 func TestCacheKeyRejectsNaN(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (Params{Rate: bad}).Validate(); err == nil || !strings.Contains(err.Error(), `"rate"`) {
+			t.Errorf("Validate(rate = %v) = %v, want an error naming \"rate\"", bad, err)
+		}
+	}
 	if k, err := CacheKey("s", Params{Rate: math.NaN()}, Params{}, 0); err == nil {
 		t.Fatalf("NaN rate hashed to %s", k)
 	}

@@ -20,7 +20,7 @@ func failingResult() *Result {
 			Rows:    [][]any{{1}, {2}},
 		}},
 		Failures: FailuresFrom("demo/grid", []*sweep.CellError{
-			{Index: 3, Attempts: 2, Err: errors.New("panic: saboteur")},
+			{Index: 3, Err: errors.New("panic: saboteur")},
 		}),
 	}
 }
@@ -34,7 +34,7 @@ func TestReportersRenderFailedCells(t *testing.T) {
 	if err := (textReporter{}).Report(&text, []*Result{res}); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"FAILED cells — demo", "demo/grid[3] after 2 attempt(s): panic: saboteur"} {
+	for _, want := range []string{"FAILED cells — demo", "demo/grid[3]: panic: saboteur"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("text output missing %q:\n%s", want, text.String())
 		}
@@ -53,7 +53,7 @@ func TestReportersRenderFailedCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := decoded.Results[0].Failures
-	if len(f) != 1 || f[0].Sweep != "demo/grid" || f[0].Cell != 3 || f[0].Attempts != 2 {
+	if len(f) != 1 || f[0].Sweep != "demo/grid" || f[0].Cell != 3 {
 		t.Fatalf("JSON failures = %+v", f)
 	}
 
@@ -61,7 +61,7 @@ func TestReportersRenderFailedCells(t *testing.T) {
 	if err := (csvReporter{}).Report(&csvBuf, []*Result{res}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(csvBuf.String(), "demo,demo/grid,3,2,panic: saboteur") {
+	if !strings.Contains(csvBuf.String(), "demo,demo/grid,3,panic: saboteur") {
 		t.Errorf("CSV output missing failure record:\n%s", csvBuf.String())
 	}
 }
@@ -91,13 +91,13 @@ func TestHealthyResultOutputUnchanged(t *testing.T) {
 // Guardrails maps the per-cell params onto the hardened runner's
 // options, and merge propagates the new fields from defaults.
 func TestParamsGuardrails(t *testing.T) {
-	p := Params{TimeoutS: 2.5, Retries: 3}
+	p := Params{TimeoutS: 2.5}
 	opts := p.Guardrails()
-	if opts.Timeout != 2500*time.Millisecond || opts.Retries != 3 {
+	if opts.Timeout != 2500*time.Millisecond {
 		t.Fatalf("Guardrails() = %+v", opts)
 	}
-	merged := Params{}.merge(Params{TimeoutS: 1, Retries: 2, MaxEvents: 99})
-	if merged.TimeoutS != 1 || merged.Retries != 2 || merged.MaxEvents != 99 {
+	merged := Params{}.merge(Params{TimeoutS: 1, MaxEvents: 99})
+	if merged.TimeoutS != 1 || merged.MaxEvents != 99 {
 		t.Fatalf("merge dropped guardrail fields: %+v", merged)
 	}
 }

@@ -100,8 +100,7 @@ func writeFailures(w io.Writer, res *Result) error {
 		return err
 	}
 	for _, f := range res.Failures {
-		if _, err := fmt.Fprintf(w, "  %s[%d] after %d attempt(s): %s\n",
-			f.Sweep, f.Cell, f.Attempts, f.Error); err != nil {
+		if _, err := fmt.Fprintf(w, "  %s[%d]: %s\n", f.Sweep, f.Cell, f.Error); err != nil {
 			return err
 		}
 	}
@@ -218,11 +217,11 @@ func (csvReporter) Report(w io.Writer, results []*Result) error {
 		// consumers see the holes instead of inferring them from missing
 		// rows. Healthy runs emit nothing.
 		if len(res.Failures) > 0 {
-			if err := cw.Write([]string{"scenario", "failed_sweep", "cell", "attempts", "error"}); err != nil {
+			if err := cw.Write([]string{"scenario", "failed_sweep", "cell", "error"}); err != nil {
 				return err
 			}
 			for _, f := range res.Failures {
-				rec := []string{res.Scenario, f.Sweep, fmt.Sprint(f.Cell), fmt.Sprint(f.Attempts), f.Error}
+				rec := []string{res.Scenario, f.Sweep, fmt.Sprint(f.Cell), f.Error}
 				if err := cw.Write(rec); err != nil {
 					return err
 				}

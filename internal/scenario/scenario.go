@@ -22,6 +22,8 @@ package scenario
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"time"
 
 	"simaibench/internal/sweep"
@@ -77,9 +79,6 @@ type Params struct {
 	// barrier — is abandoned with a structured failure instead of
 	// wedging the whole run.
 	TimeoutS float64 `json:"timeout_s,omitempty"`
-	// Retries grants each sweep cell extra attempts when it fails with a
-	// retryable error (0 = fail on first error).
-	Retries int `json:"retries,omitempty"`
 	// MaxEvents caps the DES events each simulated sweep cell may
 	// execute (0 = unlimited); a runaway cell aborts with a structured
 	// budget error instead of looping forever.
@@ -102,10 +101,31 @@ type Params struct {
 // hardened sweep runner's options. (The event budget is not a sweep
 // option: scenarios thread MaxEvents into each cell's des.Env guard.)
 func (p Params) Guardrails() sweep.Options {
-	return sweep.Options{
-		Timeout: time.Duration(p.TimeoutS * float64(time.Second)),
-		Retries: p.Retries,
+	return sweep.Options{Timeout: time.Duration(p.TimeoutS * float64(time.Second))}
+}
+
+// Validate rejects a negative or non-finite numeric knob, naming its JSON
+// key. Zero means "the scenario's default", and the harnesses read a
+// negative value as unset too: accepting one would run — and cache — the
+// default grid under a knob that says otherwise. The CLI and the server
+// call it before running or keying anything.
+func (p Params) Validate() error {
+	for _, k := range []struct {
+		key string
+		v   float64
+	}{
+		{"train_iters", float64(p.TrainIters)}, {"sweep_iters", float64(p.SweepIters)},
+		{"time_scale", p.TimeScale}, {"transfers", float64(p.Transfers)},
+		{"timeline_window_s", p.TimelineWindowS}, {"tenants", float64(p.Tenants)},
+		{"mtbf_s", p.MTBF}, {"ckpt_interval_s", p.CkptInterval}, {"rate", p.Rate},
+		{"jobs", float64(p.Jobs)}, {"timeout_s", p.TimeoutS},
+		{"max_events", float64(p.MaxEvents)}, {"workers", float64(p.Workers)},
+	} {
+		if !(k.v >= 0) || math.IsInf(k.v, 1) {
+			return fmt.Errorf("params: %q is %v: must be finite and not negative", k.key, k.v)
+		}
 	}
+	return nil
 }
 
 // merge fills zero fields of p from d.
@@ -148,9 +168,6 @@ func (p Params) merge(d Params) Params {
 	}
 	if p.TimeoutS == 0 {
 		p.TimeoutS = d.TimeoutS
-	}
-	if p.Retries == 0 {
-		p.Retries = d.Retries
 	}
 	if p.MaxEvents == 0 {
 		p.MaxEvents = d.MaxEvents
@@ -226,8 +243,6 @@ type CellFailure struct {
 	Sweep string `json:"sweep"`
 	// Cell is the cell's index in the sweep's enumeration order.
 	Cell int `json:"cell"`
-	// Attempts is how many attempts the guarded runner made.
-	Attempts int `json:"attempts,omitempty"`
 	// Error is the structured cell failure rendered as text.
 	Error string `json:"error"`
 	// Err is the typed failure Error was rendered from, for consumers
@@ -242,10 +257,7 @@ type CellFailure struct {
 func FailuresFrom(sweepLabel string, errs []*sweep.CellError) []CellFailure {
 	out := make([]CellFailure, 0, len(errs))
 	for _, ce := range errs {
-		out = append(out, CellFailure{
-			Sweep: sweepLabel, Cell: ce.Index, Attempts: ce.Attempts,
-			Error: ce.Err.Error(), Err: ce.Err,
-		})
+		out = append(out, CellFailure{Sweep: sweepLabel, Cell: ce.Index, Error: ce.Err.Error(), Err: ce.Err})
 	}
 	return out
 }

@@ -159,18 +159,13 @@ func (s *Scheduler) trySchedule() {
 }
 
 // place assigns the lowest-indexed free up nodes to q and arms its
-// completion hold. The effective service time is stretched by the
-// worst straggler factor among the chosen nodes, sampled at placement.
+// completion hold.
 func (s *Scheduler) place(q *Queued, now float64) {
 	q.nodes = q.nodes[:0]
-	slow := 1.0
 	for n := 0; n < s.spec.Nodes && len(q.nodes) < q.Job.Nodes; n++ {
 		if s.occupant[n] == nil && s.inj.NodeUp(n) {
 			q.nodes = append(q.nodes, n)
 			s.occupant[n] = q
-			if f := s.inj.Slowdown(n); f > slow {
-				slow = f
-			}
 		}
 	}
 	s.freeUp -= len(q.nodes)
@@ -179,7 +174,7 @@ func (s *Scheduler) place(q *Queued, now float64) {
 		q.firstStartS = now
 		s.m.Wait.Add(now - q.Job.ArriveS)
 	}
-	q.hold.After(q.Job.ServiceS * slow)
+	q.hold.After(q.Job.ServiceS)
 }
 
 // release returns q's nodes to the pool; down (a node index, or -1)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"simaibench/internal/clock"
 	"simaibench/internal/des"
 	"simaibench/internal/scenario"
 	"simaibench/internal/sweep"
@@ -17,7 +16,7 @@ import (
 // machine-readable kind, so a load balancer, a retrying client and a
 // human reading logs all classify the same way. The kinds form the
 // server's error vocabulary; the structured errors the run guardrails
-// produce (des.BudgetExceeded, clock.StallError, sweep.CellError) map
+// produce (des.BudgetExceeded, sweep.CellError) map
 // onto it by errors.As/Is, never by string matching.
 
 // The machine-readable error kinds of the serving API.
@@ -33,11 +32,9 @@ const (
 	KindOverloaded = "overloaded"
 	// KindShuttingDown: the server is draining and admits no new runs.
 	KindShuttingDown = "shutting_down"
-	// KindBudgetExceeded: the run tripped its DES event/horizon budget
+	// KindBudgetExceeded: the run tripped its DES event budget
 	// (des.BudgetExceeded).
 	KindBudgetExceeded = "budget_exceeded"
-	// KindStall: the run's virtual clock wedged (clock.StallError).
-	KindStall = "stall"
 	// KindPanic: the scenario panicked; the panic was isolated by the
 	// hardened runner and the process survived (sweep.PanicError).
 	KindPanic = "panic"
@@ -92,15 +89,12 @@ func writeError(w http.ResponseWriter, e *APIError) {
 // classifyRunError maps a run failure onto the typed error vocabulary.
 // The hardened runner wraps scenario failures in *sweep.CellError, so
 // classification unwraps with errors.As/Is through the whole chain:
-// budget trips, stalls, panics and timeouts each keep their structured
+// budget trips, panics and timeouts each keep their structured
 // diagnosis in the message.
 func classifyRunError(err error) *APIError {
 	var be *des.BudgetExceeded
 	if errors.As(err, &be) {
 		return &APIError{Status: http.StatusUnprocessableEntity, Kind: KindBudgetExceeded, Message: be.Error()}
-	}
-	if errors.Is(err, clock.ErrStalled) {
-		return &APIError{Status: http.StatusInternalServerError, Kind: KindStall, Message: err.Error()}
 	}
 	var pe *sweep.PanicError
 	if errors.As(err, &pe) {

@@ -11,15 +11,14 @@
 //     requests, so a stampede of equal cells costs one simulation.
 //   - Admission control and graceful degradation: a bounded worker pool
 //     running every simulation through the hardened sweep runner (panic
-//     isolation, per-run deadlines, seeded-backoff retry of retryable
-//     errors), and a bounded admission queue that sheds load with
-//     429 + Retry-After instead of queueing unboundedly. Per-request
-//     deadlines propagate from the request into the run context,
-//     scenario.Params.TimeoutS and the DES event guard.
+//     isolation, per-run deadlines), and a bounded admission queue that
+//     sheds load with 429 + Retry-After instead of queueing unboundedly.
+//     Per-request deadlines propagate from the request into the run
+//     context, scenario.Params.TimeoutS and the DES event guard.
 //   - Structured failure: every error the guardrails produce —
-//     des.BudgetExceeded, clock.StallError, sweep panics and timeouts —
-//     maps to a typed JSON error body with a machine-readable kind. No
-//     request can take the process down.
+//     des.BudgetExceeded, sweep panics and timeouts — maps to a typed
+//     JSON error body with a machine-readable kind. No request can take
+//     the process down.
 //   - Lifecycle robustness: graceful shutdown flips /readyz unready
 //     first, stops admitting, drains in-flight runs up to a drain
 //     deadline and flushes every completed result to its waiting
@@ -74,11 +73,6 @@ type Config struct {
 	// when a request carries none (0 = unlimited): the backstop that
 	// turns a runaway simulation into a structured budget_exceeded.
 	MaxEvents int64
-	// Retries grants each run extra attempts when it fails with a
-	// sweep.Retryable error (0 = fail on first error).
-	Retries int
-	// Seed roots the retry backoff jitter (reproducible per config).
-	Seed int64
 }
 
 // withDefaults fills unset fields with the documented defaults.
@@ -316,9 +310,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, &APIError{Status: http.StatusBadRequest, Kind: KindBadRequest, Message: err.Error()})
 		return
 	}
-	if req.TimeoutS < 0 || req.Params.TimeoutS < 0 {
-		writeError(w, &APIError{Status: http.StatusBadRequest, Kind: KindBadRequest,
-			Message: "negative timeout"})
+	// The request-level deadline is held to the same rule as the knob it
+	// flows into.
+	if err := errors.Join(req.Params.Validate(), scenario.Params{TimeoutS: req.TimeoutS}.Validate()); err != nil {
+		writeError(w, &APIError{Status: http.StatusBadRequest, Kind: KindBadRequest, Message: err.Error()})
 		return
 	}
 
@@ -442,13 +437,11 @@ func writeRunBody(w http.ResponseWriter, body []byte, cacheTag string) {
 
 // runner builds the leader's run closure: the scenario executed as one
 // cell of the hardened sweep runner, so the serving path inherits panic
-// isolation, the per-run deadline and seeded-backoff retry of
-// sweep.Retryable errors for free.
+// isolation and the per-run deadline for free.
 func (s *Server) runner(sc scenario.Scenario, name, key string, p scenario.Params,
 	timeout time.Duration, cacheable bool) func(ctx context.Context) ([]byte, error) {
 	return func(ctx context.Context) ([]byte, error) {
-		opts := sweep.Options{Timeout: timeout, Retries: s.cfg.Retries, Seed: s.cfg.Seed}
-		rep := sweep.Run(ctx, 1, opts, func(ctx context.Context, _ int) (*scenario.Result, error) {
+		rep := sweep.Run(ctx, 1, sweep.Options{Timeout: timeout}, func(ctx context.Context, _ int) (*scenario.Result, error) {
 			return sc.Run(ctx, p)
 		})
 		if err := rep.Err(); err != nil {

@@ -92,11 +92,6 @@ func registerTestScenarios() {
 					Guard: des.Guard{MaxEvents: p.MaxEvents}, Events: p.MaxEvents, Now: 1,
 				}
 			}))
-		scenario.Register(scenario.New("t-stall", "test: reports a wedged virtual clock",
-			scenario.Params{Rate: 1},
-			func(context.Context, scenario.Params) (*scenario.Result, error) {
-				return nil, &clock.StallError{Joined: 2, Sleepers: 1, Idle: time.Second}
-			}))
 		scenario.Register(scenario.New("t-hang", "test: ignores nothing, sleeps on ctx",
 			scenario.Params{Rate: 1},
 			func(ctx context.Context, _ scenario.Params) (*scenario.Result, error) {
@@ -222,13 +217,27 @@ func TestRunRequestValidation(t *testing.T) {
 		name, body string
 		status     int
 		kind       string
+		names      string // the message names the offending field
 	}{
-		{"malformed json", `{"scenario":`, http.StatusBadRequest, KindBadRequest},
-		{"unknown field", `{"scenario":"t-ok","bogus":1}`, http.StatusBadRequest, KindBadRequest},
-		{"missing scenario", `{"seed":1}`, http.StatusBadRequest, KindBadRequest},
-		{"unknown scenario", `{"scenario":"no-such"}`, http.StatusNotFound, KindUnknownScenario},
-		{"bad clock", `{"scenario":"t-ok","params":{"clock":"sundial"}}`, http.StatusBadRequest, KindBadRequest},
-		{"negative timeout", `{"scenario":"t-ok","timeout_s":-1}`, http.StatusBadRequest, KindBadRequest},
+		{"malformed json", `{"scenario":`, http.StatusBadRequest, KindBadRequest, ""},
+		{"unknown field", `{"scenario":"t-ok","bogus":1}`, http.StatusBadRequest, KindBadRequest, "bogus"},
+		{"removed knob", `{"scenario":"t-ok","params":{"retries":1}}`, http.StatusBadRequest, KindBadRequest, "retries"},
+		{"missing scenario", `{"seed":1}`, http.StatusBadRequest, KindBadRequest, ""},
+		{"unknown scenario", `{"scenario":"no-such"}`, http.StatusNotFound, KindUnknownScenario, ""},
+		{"bad clock", `{"scenario":"t-ok","params":{"clock":"sundial"}}`, http.StatusBadRequest, KindBadRequest, ""},
+		{"negative timeout", `{"scenario":"t-ok","timeout_s":-1}`, http.StatusBadRequest, KindBadRequest, "timeout_s"},
+		// A knob the server accepts is acted on: the negative values the
+		// scenarios used to replace with their defaults are refused before
+		// keying, so they cannot become cache entries holding the default
+		// body.
+		{"negative cell timeout", `{"scenario":"t-ok","params":{"timeout_s":-3}}`, http.StatusBadRequest, KindBadRequest, "timeout_s"},
+		{"negative rate", `{"scenario":"t-ok","params":{"rate":-1}}`, http.StatusBadRequest, KindBadRequest, "rate"},
+		{"negative jobs", `{"scenario":"t-ok","params":{"jobs":-5}}`, http.StatusBadRequest, KindBadRequest, "jobs"},
+		{"negative tenants", `{"scenario":"t-ok","params":{"tenants":-3}}`, http.StatusBadRequest, KindBadRequest, "tenants"},
+		{"negative mtbf", `{"scenario":"t-ok","params":{"mtbf_s":-1}}`, http.StatusBadRequest, KindBadRequest, "mtbf_s"},
+		{"negative ckpt", `{"scenario":"t-ok","params":{"ckpt_interval_s":-2}}`, http.StatusBadRequest, KindBadRequest, "ckpt_interval_s"},
+		{"negative sweep iters", `{"scenario":"t-ok","params":{"sweep_iters":-5}}`, http.StatusBadRequest, KindBadRequest, "sweep_iters"},
+		{"negative workers", `{"scenario":"t-ok","params":{"workers":-2}}`, http.StatusBadRequest, KindBadRequest, "workers"},
 	}
 	for _, tc := range cases {
 		st, body, _ := postRun(t, ts.URL, tc.body)
@@ -244,6 +253,9 @@ func TestRunRequestValidation(t *testing.T) {
 		if eb.Error.Kind != tc.kind {
 			t.Errorf("%s: kind %q, want %q", tc.name, eb.Error.Kind, tc.kind)
 		}
+		if !strings.Contains(eb.Error.Message, tc.names) {
+			t.Errorf("%s: message %q does not name %q", tc.name, eb.Error.Message, tc.names)
+		}
 	}
 }
 
@@ -256,7 +268,6 @@ func TestGuardrailErrorsAreTyped(t *testing.T) {
 	}{
 		{"t-panic", http.StatusInternalServerError, KindPanic},
 		{"t-budget", http.StatusUnprocessableEntity, KindBudgetExceeded},
-		{"t-stall", http.StatusInternalServerError, KindStall},
 	}
 	for _, tc := range cases {
 		st, body, _ := postRun(t, ts.URL, `{"scenario":"`+tc.scenario+`"}`)

@@ -49,9 +49,6 @@ func WithSeed(seed int64) Option { return func(sim *Simulation) { sim.seed = &se
 // milliseconds without changing its structure.
 func WithTimeScale(f float64) Option { return func(sim *Simulation) { sim.timeScale = f } }
 
-// WithWorkDir sets the directory I/O kernels use.
-func WithWorkDir(dir string) Option { return func(sim *Simulation) { sim.workDir = dir } }
-
 // WithClock runs the component against the given emulation clock: all
 // iteration padding and timestamps come from it. The default is the
 // wall clock (genuine-compute mode); a clock.Virtual makes every pad
@@ -82,7 +79,6 @@ type Simulation struct {
 	rng       *rand.Rand
 	seed      *int64
 	timeScale float64
-	workDir   string
 
 	iterStats  stats.Welford
 	iterations int
@@ -156,7 +152,7 @@ func (s *Simulation) Elapsed() float64 { return s.now().Sub(s.start).Seconds() }
 
 // kernelCtx builds the execution context for one kernel.
 func (s *Simulation) kernelCtx(dev kernels.Device) *kernels.Context {
-	return &kernels.Context{Comm: s.comm, Dir: s.workDir, Rng: s.rng, Device: dev}
+	return &kernels.Context{Comm: s.comm, Rng: s.rng, Device: dev}
 }
 
 // RunIteration executes one solver iteration: every configured kernel

@@ -34,8 +34,3 @@ func Sleep(d time.Duration) {
 		runtime.Gosched()
 	}
 }
-
-// Until blocks until the given deadline with the same precision.
-func Until(deadline time.Time) {
-	Sleep(time.Until(deadline))
-}

@@ -33,11 +33,3 @@ func TestSleepNonPositive(t *testing.T) {
 		t.Fatal("non-positive sleep blocked")
 	}
 }
-
-func TestUntil(t *testing.T) {
-	deadline := time.Now().Add(300 * time.Microsecond)
-	Until(deadline)
-	if time.Now().Before(deadline) {
-		t.Fatal("Until returned before deadline")
-	}
-}

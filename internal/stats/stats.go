@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // Welford accumulates mean and variance online (Welford's algorithm).
@@ -67,54 +66,9 @@ func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 func (w *Welford) Min() float64 { return w.min }
 func (w *Welford) Max() float64 { return w.max }
 
-// Merge folds other into w (Chan et al. parallel combination), so
-// per-rank accumulators can be combined into the per-experiment
-// statistics the paper reports ("averaged over all the processes").
-func (w *Welford) Merge(other *Welford) {
-	if other.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *other
-		return
-	}
-	n := w.n + other.n
-	d := other.mean - w.mean
-	mean := w.mean + d*float64(other.n)/float64(n)
-	m2 := w.m2 + other.m2 + d*d*float64(w.n)*float64(other.n)/float64(n)
-	w.mean, w.m2, w.n = mean, m2, n
-	w.sum += other.sum
-	if other.min < w.min {
-		w.min = other.min
-	}
-	if other.max > w.max {
-		w.max = other.max
-	}
-}
-
 // String formats as "mean ± std (n=N)".
 func (w *Welford) String() string {
 	return fmt.Sprintf("%.4g ± %.4g (n=%d)", w.Mean(), w.Std(), w.n)
-}
-
-// SafeWelford is a mutex-guarded Welford for concurrent recording.
-type SafeWelford struct {
-	mu sync.Mutex
-	w  Welford
-}
-
-// Add records one observation.
-func (s *SafeWelford) Add(x float64) {
-	s.mu.Lock()
-	s.w.Add(x)
-	s.mu.Unlock()
-}
-
-// Snapshot returns a copy of the current accumulator.
-func (s *SafeWelford) Snapshot() Welford {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w
 }
 
 // Throughput converts (bytes, seconds) observations into the GB/s-per-
@@ -136,15 +90,9 @@ func (t *Throughput) Add(bytes int64, seconds float64) {
 // Events returns the number of transfer events recorded.
 func (t *Throughput) Events() int64 { return t.perEvent.N() }
 
-// MeanBps returns mean bytes/second per event.
-func (t *Throughput) MeanBps() float64 { return t.perEvent.Mean() }
-
 // MeanGBps returns mean gigabytes/second per event (decimal GB, as
 // customary for bandwidth plots).
 func (t *Throughput) MeanGBps() float64 { return t.perEvent.Mean() / 1e9 }
-
-// Merge folds another throughput accumulator in.
-func (t *Throughput) Merge(other *Throughput) { t.perEvent.Merge(&other.perEvent) }
 
 // Digest is an exact percentile digest: it collects every sample and
 // serves interpolated quantiles from one deferred sort, so a report

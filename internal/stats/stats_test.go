@@ -2,8 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -44,61 +42,6 @@ func TestWelfordKnownValues(t *testing.T) {
 	}
 }
 
-func TestWelfordMergeMatchesCombined(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var all, a, b Welford
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*3 + 10
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if !almostEqual(a.Mean(), all.Mean(), 1e-9) || !almostEqual(a.Var(), all.Var(), 1e-9) {
-		t.Fatalf("merged %v vs combined %v", a, all)
-	}
-	if a.N() != all.N() || a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatal("merged counts/extremes differ")
-	}
-}
-
-func TestWelfordMergeEmptySides(t *testing.T) {
-	var a, b Welford
-	a.Add(1)
-	a.Add(3)
-	before := a
-	a.Merge(&b) // empty other: no-op
-	if a != before {
-		t.Fatal("merge with empty changed accumulator")
-	}
-	b.Merge(&a) // empty receiver: copy
-	if b.Mean() != 2 || b.N() != 2 {
-		t.Fatalf("empty.Merge: %v", b)
-	}
-}
-
-func TestSafeWelfordConcurrent(t *testing.T) {
-	var s SafeWelford
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				s.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	snap := s.Snapshot()
-	if snap.N() != 8000 || snap.Mean() != 1 {
-		t.Fatalf("concurrent adds: %v", snap)
-	}
-}
-
 func TestThroughput(t *testing.T) {
 	var tp Throughput
 	tp.Add(1e9, 1.0) // 1 GB/s
@@ -109,16 +52,6 @@ func TestThroughput(t *testing.T) {
 	}
 	if !almostEqual(tp.MeanGBps(), 1.5, 1e-12) {
 		t.Fatalf("mean GB/s = %v, want 1.5", tp.MeanGBps())
-	}
-}
-
-func TestThroughputMerge(t *testing.T) {
-	var a, b Throughput
-	a.Add(1e9, 1)
-	b.Add(3e9, 1)
-	a.Merge(&b)
-	if a.Events() != 2 || !almostEqual(a.MeanGBps(), 2, 1e-12) {
-		t.Fatalf("merged throughput: %v events, %v GB/s", a.Events(), a.MeanGBps())
 	}
 }
 
@@ -158,28 +91,6 @@ func TestPropertyWelfordMatchesNaive(t *testing.T) {
 		}
 		naiveVar := ss / float64(len(raw)-1)
 		return almostEqual(w.Mean(), mean, 1e-6) && almostEqual(w.Var(), naiveVar, 1e-4)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyMergeOrderInvariant(t *testing.T) {
-	f := func(xs, ys []int8) bool {
-		var a1, b1, a2, b2 Welford
-		for _, x := range xs {
-			a1.Add(float64(x))
-			a2.Add(float64(x))
-		}
-		for _, y := range ys {
-			b1.Add(float64(y))
-			b2.Add(float64(y))
-		}
-		a1.Merge(&b1) // xs then ys
-		b2.Merge(&a2) // ys then xs
-		return a1.N() == b2.N() &&
-			almostEqual(a1.Mean(), b2.Mean(), 1e-9) &&
-			almostEqual(a1.Var(), b2.Var(), 1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -4,20 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime/debug"
 	"time"
 )
 
 // This file is the hardened sweep runner: the guardrail layer that lets
 // a thousand-cell campaign survive one bad cell. Every cell runs with
-// panic isolation; Options add a per-attempt wall-clock deadline (so a
-// wedged cell is abandoned, not waited on forever) and bounded
-// seeded-backoff retry for cells that fail with Retryable errors. The
-// Report result carries per-cell completion state, so a sweep returns
-// every completed cell plus structured failures instead of being
-// all-or-nothing — and so cancelled sweeps can tell a real zero-value
-// result from a cell that never started.
+// panic isolation; Options add a per-cell wall-clock deadline (so a
+// wedged cell is abandoned, not waited on forever). The Report result
+// carries per-cell completion state, so a sweep returns every completed
+// cell plus structured failures instead of being all-or-nothing — and so
+// cancelled sweeps can tell a real zero-value result from a cell that
+// never started.
 
 // Status classifies one cell of a Report.
 type Status uint8
@@ -30,8 +28,8 @@ const (
 	StatusSkipped Status = iota
 	// StatusOK: the cell completed; its value slot is valid.
 	StatusOK
-	// StatusFailed: the cell panicked, timed out, or returned an error on
-	// its final attempt; its failure is in Report.Failures.
+	// StatusFailed: the cell panicked, timed out, or returned an error;
+	// its failure is in Report.Failures.
 	StatusFailed
 )
 
@@ -58,7 +56,7 @@ type PanicError struct {
 // Error renders the panic value.
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// ErrCellTimeout marks a cell abandoned at its per-attempt deadline
+// ErrCellTimeout marks a cell abandoned at its deadline
 // (Options.Timeout): the cell's goroutine was still running — possibly
 // wedged on a barrier — when the sweep gave up on it.
 var ErrCellTimeout = errors.New("sweep: cell deadline exceeded")
@@ -67,9 +65,7 @@ var ErrCellTimeout = errors.New("sweep: cell deadline exceeded")
 type CellError struct {
 	// Index is the cell's position in enumeration order.
 	Index int
-	// Attempts is how many attempts were made (1 = no retries).
-	Attempts int
-	// Err is the final attempt's error; a *PanicError for panics,
+	// Err is the cell's error; a *PanicError for panics,
 	// ErrCellTimeout (wrapped) for abandoned cells.
 	Err error
 	// Stack is the goroutine stack captured at the panic site, empty for
@@ -79,55 +75,22 @@ type CellError struct {
 
 // Error summarizes the failure without the stack.
 func (e *CellError) Error() string {
-	return fmt.Sprintf("sweep: cell %d failed after %d attempt(s): %v", e.Index, e.Attempts, e.Err)
+	return fmt.Sprintf("sweep: cell %d failed: %v", e.Index, e.Err)
 }
 
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (e *CellError) Unwrap() error { return e.Err }
 
-// retryableError is the marker wrapper set by Retryable.
-type retryableError struct{ err error }
-
-func (e *retryableError) Error() string { return e.err.Error() }
-func (e *retryableError) Unwrap() error { return e.err }
-
-// Retryable marks err as transient: the hardened runner re-attempts a
-// cell that fails with a Retryable error, up to Options.Retries extra
-// attempts with seeded exponential backoff. Unmarked errors, panics and
-// timeouts fail the cell immediately.
-func Retryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &retryableError{err}
-}
-
-// IsRetryable reports whether err (or anything it wraps) was marked
-// with Retryable.
-func IsRetryable(err error) bool {
-	var r *retryableError
-	return errors.As(err, &r)
-}
-
 // Options are the guardrail knobs of a hardened sweep. The zero value
-// runs every cell inline with panic isolation only — no deadline, no
-// retry — which is the zero-cost configuration healthy sweeps use.
+// runs every cell inline with panic isolation only — no deadline —
+// which is the zero-cost configuration healthy sweeps use.
 type Options struct {
-	// Timeout is the per-attempt wall-clock deadline (0 = none). When
-	// set, each attempt runs on its own goroutine and is abandoned at the
+	// Timeout is the per-cell wall-clock deadline (0 = none). When
+	// set, each cell runs on its own goroutine and is abandoned at the
 	// deadline with ErrCellTimeout: a cell wedged on a barrier cannot
 	// hang the sweep, but its goroutine leaks by design — prefer cells
 	// that observe their ctx so abandonment is the last resort.
 	Timeout time.Duration
-	// Retries is the number of extra attempts granted to a cell whose
-	// error is marked Retryable (0 = fail on first error).
-	Retries int
-	// Backoff is the delay before the first retry, doubling each further
-	// retry and jittered deterministically from Seed; 0 defaults to 1ms.
-	Backoff time.Duration
-	// Seed roots the per-cell backoff jitter, so retry timing is
-	// reproducible per (Seed, cell index).
-	Seed int64
 }
 
 // Report is the structured outcome of a hardened sweep: per-cell values,
@@ -178,9 +141,9 @@ func (r *Report[T]) Completed() []T {
 }
 
 // Run evaluates f(ctx, 0..n-1) on the bounded worker pool with the full
-// guardrail stack: panic isolation always, plus opts' per-attempt
-// deadline and retry policy. Every cell ends StatusOK, StatusFailed or
-// StatusSkipped, and the sweep always returns every completed cell.
+// guardrail stack: panic isolation always, plus opts' per-cell deadline.
+// Every cell ends StatusOK, StatusFailed or StatusSkipped, and the sweep
+// always returns every completed cell.
 func Run[T any](ctx context.Context, n int, opts Options, f func(ctx context.Context, i int) (T, error)) *Report[T] {
 	r := &Report[T]{Values: make([]T, n), Status: make([]Status, n)}
 	if n == 0 {
@@ -190,9 +153,9 @@ func Run[T any](ctx context.Context, n int, opts Options, f func(ctx context.Con
 	// its own cells); gathered into index order afterwards.
 	fails := make([]*CellError, n)
 	cell := func(i int) {
-		if v, cerr := runCell(ctx, i, opts, f); cerr != nil {
+		if v, err, stack := runCell(ctx, i, opts.Timeout, f); err != nil {
 			r.Status[i] = StatusFailed
-			fails[i] = cerr
+			fails[i] = &CellError{Index: i, Err: err, Stack: stack}
 		} else {
 			r.Values[i] = v
 			r.Status[i] = StatusOK
@@ -223,40 +186,10 @@ func RunGrid[X, Y, T any](ctx context.Context, xs []X, ys []Y, opts Options,
 	})
 }
 
-// runCell runs one cell's attempt loop: panic isolation on every
-// attempt, bounded seeded-backoff retry for Retryable failures.
-func runCell[T any](ctx context.Context, i int, opts Options, f func(context.Context, int) (T, error)) (T, *CellError) {
-	var zero T
-	var rng *rand.Rand
-	for attempt := 1; ; attempt++ {
-		val, err, stack := runAttempt(ctx, i, opts.Timeout, f)
-		if err == nil {
-			return val, nil
-		}
-		if attempt > opts.Retries || !IsRetryable(err) || ctx.Err() != nil {
-			return zero, &CellError{Index: i, Attempts: attempt, Err: err, Stack: stack}
-		}
-		base := opts.Backoff
-		if base <= 0 {
-			base = time.Millisecond
-		}
-		if rng == nil {
-			// Distinct deterministic stream per (Seed, cell).
-			rng = rand.New(rand.NewSource(opts.Seed ^ (int64(i)+1)*0x9e3779b97f4a7c))
-		}
-		d := time.Duration(float64(base) * float64(int64(1)<<(attempt-1)) * (0.5 + rng.Float64()))
-		select {
-		case <-ctx.Done():
-			return zero, &CellError{Index: i, Attempts: attempt, Err: err, Stack: stack}
-		case <-time.After(d):
-		}
-	}
-}
-
-// runAttempt executes one attempt. Without a timeout it runs inline on
+// runCell executes one cell. Without a timeout it runs inline on
 // the worker (zero extra cost); with one it runs on its own goroutine so
 // a wedged cell can be abandoned at the deadline.
-func runAttempt[T any](ctx context.Context, i int, timeout time.Duration, f func(context.Context, int) (T, error)) (T, error, string) {
+func runCell[T any](ctx context.Context, i int, timeout time.Duration, f func(context.Context, int) (T, error)) (T, error, string) {
 	if timeout <= 0 {
 		return protect(ctx, i, f)
 	}
@@ -276,7 +209,7 @@ func runAttempt[T any](ctx context.Context, i int, timeout time.Duration, f func
 	case o := <-ch:
 		return o.val, o.err, o.stack
 	case <-actx.Done():
-		// Abandon the attempt: its goroutine keeps running until it
+		// Abandon the cell: its goroutine keeps running until it
 		// observes actx (or leaks, if it is truly wedged) — the sweep
 		// must survive either way.
 		var zero T

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -34,8 +33,8 @@ func TestRunIsolatesPanics(t *testing.T) {
 		if r.Err() != error(ce) {
 			t.Fatalf("workers=%d: Err() = %v, want the cell's failure", workers, r.Err())
 		}
-		if ce.Index != 3 || ce.Attempts != 1 {
-			t.Fatalf("workers=%d: failure = %+v, want cell 3, 1 attempt", workers, ce)
+		if ce.Index != 3 {
+			t.Fatalf("workers=%d: failure = %+v, want cell 3", workers, ce)
 		}
 		var pe *PanicError
 		if !errors.As(ce.Err, &pe) || pe.Value != "saboteur" {
@@ -92,47 +91,6 @@ func TestRunCancellationMarksSkippedCells(t *testing.T) {
 	}
 }
 
-// Retryable failures are re-attempted with bounded backoff; the attempt
-// count lands in the report. Non-retryable errors fail immediately.
-func TestRunRetriesRetryableErrors(t *testing.T) {
-	var attempts atomic.Int64
-	r := Run(context.Background(), 1, Options{Retries: 3, Backoff: time.Microsecond},
-		func(_ context.Context, i int) (string, error) {
-			if attempts.Add(1) < 3 {
-				return "", Retryable(errors.New("transient"))
-			}
-			return "recovered", nil
-		})
-	if !r.OK() || r.Values[0] != "recovered" {
-		t.Fatalf("flaky cell did not recover: %+v err=%v", r.Values, r.Err())
-	}
-	if attempts.Load() != 3 {
-		t.Fatalf("made %d attempts, want 3", attempts.Load())
-	}
-
-	// Retries exhausted: the report records every attempt.
-	attempts.Store(0)
-	r2 := Run(context.Background(), 1, Options{Retries: 2, Backoff: time.Microsecond},
-		func(_ context.Context, i int) (string, error) {
-			attempts.Add(1)
-			return "", Retryable(errors.New("always down"))
-		})
-	if r2.OK() || r2.Failures[0].Attempts != 3 || attempts.Load() != 3 {
-		t.Fatalf("exhausted retry: failures=%v attempts=%d", r2.Failures, attempts.Load())
-	}
-
-	// Non-retryable: one attempt only, despite the retry budget.
-	attempts.Store(0)
-	r3 := Run(context.Background(), 1, Options{Retries: 5},
-		func(_ context.Context, i int) (string, error) {
-			attempts.Add(1)
-			return "", errors.New("permanent")
-		})
-	if r3.OK() || attempts.Load() != 1 || r3.Failures[0].Attempts != 1 {
-		t.Fatalf("non-retryable error was retried: attempts=%d", attempts.Load())
-	}
-}
-
 // A cell wedged past its deadline is abandoned with ErrCellTimeout while
 // the rest of the sweep completes.
 func TestRunAbandonsHungCell(t *testing.T) {
@@ -169,22 +127,5 @@ func TestRunGridOrder(t *testing.T) {
 		if r.Values[i] != w {
 			t.Fatalf("cell %d = %q, want %q", i, r.Values[i], w)
 		}
-	}
-}
-
-// Backoff jitter is deterministic per (Seed, cell index).
-func TestRetryBackoffSeeded(t *testing.T) {
-	timing := func(seed int64) time.Duration {
-		start := time.Now()
-		Run(context.Background(), 1, Options{Retries: 2, Backoff: 2 * time.Millisecond, Seed: seed},
-			func(_ context.Context, i int) (int, error) {
-				return 0, Retryable(errors.New("transient"))
-			})
-		return time.Since(start)
-	}
-	// Two runs with the same seed take the same backoff schedule; this is
-	// a smoke check that the path is exercised, not a timing assertion.
-	if d := timing(7); d < 2*time.Millisecond {
-		t.Fatalf("backoff did not delay retries (total %v)", d)
 	}
 }

@@ -1,8 +1,8 @@
 // Package sweep is the parallel parameter-sweep runner shared by every
 // experiment harness: a bounded worker pool that fans independent cells
 // across cores, and on top of it Run and its cartesian form RunGrid
-// (report.go) with panic isolation, per-cell deadlines, retry and
-// per-cell completion state.
+// (report.go) with panic isolation, per-cell deadlines and per-cell
+// completion state.
 //
 // Each cell builds its own isolated des.Env and cost model, runs
 // single-threaded and bit-deterministic, and writes only its own result

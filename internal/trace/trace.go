@@ -110,20 +110,6 @@ func (tl *Timeline) Lanes() []string {
 	return lanes
 }
 
-// Count returns the number of spans of the given kind on a lane
-// (Table 2's "data transport events" when kind is KindTransfer).
-func (tl *Timeline) Count(lane string, kind Kind) int {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	n := 0
-	for _, s := range tl.spans {
-		if s.Lane == lane && s.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
 // WriteCSV emits "lane,kind,start,end,label" rows for external plotting.
 func (tl *Timeline) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "lane,kind,start,end,label"); err != nil {
@@ -202,51 +188,4 @@ func (tl *Timeline) Render(w io.Writer, from, to float64, width int) error {
 	axis := fmt.Sprintf("%-*s %-*.1f%*.1f", maxName, "t(s)", width/2, from, width-width/2, to)
 	_, err := fmt.Fprintln(w, axis)
 	return err
-}
-
-// LaneSummary aggregates a lane's time accounting over a window: the
-// fractions of time spent computing, transferring and initializing —
-// the utilization view a workflow analyst derives from Fig-2 timelines.
-type LaneSummary struct {
-	Lane         string
-	ComputeS     float64
-	TransferS    float64
-	InitS        float64
-	Transfers    int
-	WindowS      float64
-	ComputeFrac  float64
-	TransferFrac float64
-}
-
-// Summarize computes per-lane utilization over [from, to). Spans are
-// clipped to the window; overlapping spans of the same kind double-count
-// (components do not overlap their own compute in practice).
-func (tl *Timeline) Summarize(from, to float64) []LaneSummary {
-	window := to - from
-	if window <= 0 {
-		return nil
-	}
-	var out []LaneSummary
-	for _, lane := range tl.Lanes() {
-		s := LaneSummary{Lane: lane, WindowS: window}
-		for _, sp := range tl.Spans() {
-			if sp.Lane != lane || sp.End <= from || sp.Start >= to {
-				continue
-			}
-			d := math.Min(sp.End, to) - math.Max(sp.Start, from)
-			switch sp.Kind {
-			case KindCompute:
-				s.ComputeS += d
-			case KindTransfer:
-				s.TransferS += d
-				s.Transfers++
-			case KindInit:
-				s.InitS += d
-			}
-		}
-		s.ComputeFrac = s.ComputeS / window
-		s.TransferFrac = s.TransferS / window
-		out = append(out, s)
-	}
-	return out
 }

@@ -34,23 +34,6 @@ func TestLanesFirstAppearanceOrder(t *testing.T) {
 	}
 }
 
-func TestCountByKind(t *testing.T) {
-	tl := New()
-	for i := 0; i < 7; i++ {
-		tl.AddSpan("Simulation", KindTransfer, float64(i), float64(i)+0.1, "")
-	}
-	tl.AddSpan("Simulation", KindCompute, 0, 10, "")
-	if got := tl.Count("Simulation", KindTransfer); got != 7 {
-		t.Fatalf("transfer count = %d, want 7", got)
-	}
-	if got := tl.Count("Simulation", KindCompute); got != 1 {
-		t.Fatalf("compute count = %d, want 1", got)
-	}
-	if got := tl.Count("Training", KindTransfer); got != 0 {
-		t.Fatalf("foreign lane count = %d, want 0", got)
-	}
-}
-
 func TestConcurrentAdd(t *testing.T) {
 	tl := New()
 	var wg sync.WaitGroup
@@ -131,42 +114,6 @@ func TestRenderClipsOutOfWindowSpans(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "█") {
 		t.Fatal("out-of-window span rendered")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	tl := New()
-	tl.AddSpan("Sim", KindInit, 0, 2, "")
-	tl.AddSpan("Sim", KindCompute, 2, 8, "")
-	tl.AddSpan("Sim", KindTransfer, 8, 9, "")
-	tl.AddSpan("Train", KindCompute, 0, 10, "")
-	sums := tl.Summarize(0, 10)
-	if len(sums) != 2 {
-		t.Fatalf("lanes = %d", len(sums))
-	}
-	sim := sums[0]
-	if sim.Lane != "Sim" || sim.ComputeS != 6 || sim.TransferS != 1 || sim.InitS != 2 {
-		t.Fatalf("sim summary = %+v", sim)
-	}
-	if sim.Transfers != 1 || sim.ComputeFrac != 0.6 {
-		t.Fatalf("sim fractions = %+v", sim)
-	}
-}
-
-func TestSummarizeClipsToWindow(t *testing.T) {
-	tl := New()
-	tl.AddSpan("L", KindCompute, 0, 100, "")
-	sums := tl.Summarize(10, 20)
-	if sums[0].ComputeS != 10 || sums[0].ComputeFrac != 1.0 {
-		t.Fatalf("clipped summary = %+v", sums[0])
-	}
-}
-
-func TestSummarizeEmptyWindow(t *testing.T) {
-	tl := New()
-	tl.AddSpan("L", KindCompute, 0, 1, "")
-	if got := tl.Summarize(5, 5); got != nil {
-		t.Fatalf("empty window summary = %v", got)
 	}
 }
 

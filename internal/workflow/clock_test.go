@@ -3,6 +3,7 @@ package workflow
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -234,5 +235,100 @@ func TestWallClockDefault(t *testing.T) {
 	}})
 	if err := w.Launch(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCrashMidAllReduceTearsDownClockBridge injects a hard crash into
+// one rank while its siblings are parked inside an AllReduce with their
+// barrier slots released through the mpi clock bridge — the teardown
+// path a node failure exercises in a virtual-clock run. The workflow
+// must surface the failure (no deadlock: the killed world unblocks the
+// parked collective waiters), every body having run once. Run
+// under -race in CI, this also checks the bridge's join/leave
+// accounting races cleanly with the kill broadcast.
+func TestCrashMidAllReduceTearsDownClockBridge(t *testing.T) {
+	v := clock.NewVirtual()
+	w := New("wf", WithClock(v))
+	const ranks = 4
+	var mu sync.Mutex
+	runs := 0
+	_ = w.Register(Component{
+		Name:  "train",
+		Type:  Remote,
+		Ranks: ranks,
+		Body: func(ctx Ctx) error {
+			mu.Lock()
+			runs++
+			mu.Unlock()
+			ctx.Clock.Sleep(5)
+			if ctx.Comm.Rank() == 1 {
+				// Let the other ranks reach the collective and park
+				// (leaving the clock barrier through the bridge), then
+				// die without ever depositing.
+				ctx.Clock.Sleep(20)
+				panic("node 1 hardware failure")
+			}
+			// Bare AllReduce: collective waits are bridged to the clock
+			// barrier by Launch, so a Leave/Join around them would
+			// double-release the caller's slot.
+			buf := []float64{1}
+			ctx.Comm.AllReduce(mpi.Sum, buf)
+			return nil
+		},
+	})
+	err := w.Launch(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "node 1 hardware failure") {
+		t.Fatalf("Launch = %v, want the injected crash", err)
+	}
+	if runs != ranks {
+		t.Fatalf("bodies ran %d times, want %d", runs, ranks)
+	}
+}
+
+// TestCrashMidHierAllReduceTearsDownClockBridge mirrors the flat-
+// rendezvous crash test for the hierarchical algorithmic AllReduce,
+// whose waits park in point-to-point mailboxes (member→leader gather,
+// leader ring, leader→member broadcast) rather than the collective
+// barrier. A rank dying mid-hierarchy must still unwind every parked
+// sibling through the killed world — leaders waiting on a member that
+// never sends, members waiting on a broadcast that never comes — with
+// the bridge's barrier accounting intact (run under -race in CI).
+func TestCrashMidHierAllReduceTearsDownClockBridge(t *testing.T) {
+	v := clock.NewVirtual()
+	w := New("wf", WithClock(v))
+	const ranks = 4
+	// Two routers of two: rank 1 is router 0's non-leader member, so
+	// leader 0 parks in the gather Recv and router 1's ranks park in
+	// the leader-ring Recv when it dies.
+	routerOf := []int{0, 0, 1, 1}
+	var mu sync.Mutex
+	runs := 0
+	_ = w.Register(Component{
+		Name:  "train",
+		Type:  Remote,
+		Ranks: ranks,
+		Body: func(ctx Ctx) error {
+			mu.Lock()
+			runs++
+			mu.Unlock()
+			ctx.Clock.Sleep(5)
+			if ctx.Comm.Rank() == 1 {
+				// Let the other ranks park inside the hierarchy's p2p
+				// waits (leaving the clock barrier through the mailbox
+				// bridge), then die without ever sending upward.
+				ctx.Clock.Sleep(20)
+				panic("node 1 hardware failure")
+			}
+			buf := []float64{1}
+			ctx.Comm.AllReduceAlgoOn(mpi.AlgoHier, mpi.Sum, buf, routerOf)
+			return nil
+		},
+	})
+	err := w.Launch(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "node 1 hardware failure") {
+		t.Fatalf("Launch = %v, want the injected crash", err)
+	}
+	if runs != ranks {
+		t.Fatalf("bodies ran %d times, want %d", runs, ranks)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"simaibench/internal/clock"
@@ -27,17 +26,6 @@ const (
 	Local LaunchType = iota
 	Remote
 )
-
-// ParseLaunchType converts a config string.
-func ParseLaunchType(s string) (LaunchType, error) {
-	switch s {
-	case "local", "":
-		return Local, nil
-	case "remote":
-		return Remote, nil
-	}
-	return Local, fmt.Errorf("workflow: unknown launch type %q", s)
-}
 
 // String returns the config name.
 func (lt LaunchType) String() string {
@@ -59,74 +47,10 @@ type Ctx struct {
 	Component string
 	// Clock is the workflow's emulation clock (WithClock), never nil:
 	// bodies pad and timestamp against it so one harness runs in both
-	// time domains. Launch handles the participant protocol — bodies
-	// must not Join or Leave, but must wrap waits on sibling components
-	// that bypass the datastore/MPI layers in Clock.Block.
+	// time domains. Launch handles the participant protocol; a body
+	// Leaves and re-Joins only around a wait on a sibling component
+	// that bypasses the datastore/MPI layers.
 	Clock clock.Clock
-	// Attempt counts restarts of this body: 0 on the first run,
-	// incremented each time a Restartable error relaunches it (see
-	// Component.MaxRestarts).
-	Attempt int
-	// Ckpt is the component's checkpoint store: state a body Saves here
-	// survives a restart, so attempt n+1 resumes from the last
-	// checkpoint instead of from scratch. Shared by all ranks of a
-	// remote component (key by rank).
-	Ckpt *Checkpoint
-}
-
-// Checkpoint is a component's in-memory checkpoint store: the
-// restart-recovery analogue of the staged checkpoints the simulated
-// campaigns write through internal/costmodel. Safe for concurrent use
-// by the ranks of a remote component.
-type Checkpoint struct {
-	mu   sync.Mutex
-	vals map[string]any
-}
-
-// NewCheckpoint returns an empty checkpoint store. Launch creates one
-// per component automatically; tests and external harnesses may build
-// their own.
-func NewCheckpoint() *Checkpoint { return &Checkpoint{vals: make(map[string]any)} }
-
-// Save stores v under key, replacing any previous checkpoint.
-func (c *Checkpoint) Save(key string, v any) {
-	c.mu.Lock()
-	c.vals[key] = v
-	c.mu.Unlock()
-}
-
-// Load returns the last value saved under key.
-func (c *Checkpoint) Load(key string) (any, bool) {
-	c.mu.Lock()
-	v, ok := c.vals[key]
-	c.mu.Unlock()
-	return v, ok
-}
-
-// restartableError marks an error as recoverable by restarting the
-// component from its last checkpoint.
-type restartableError struct{ err error }
-
-func (e *restartableError) Error() string { return "restartable: " + e.err.Error() }
-func (e *restartableError) Unwrap() error { return e.err }
-
-// Restartable wraps err to mark the failure as recoverable: Launch
-// re-runs the failing body (up to Component.MaxRestarts times) with the
-// same Checkpoint and an incremented Attempt instead of failing the
-// workflow. Wrapping nil returns nil.
-func Restartable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &restartableError{err: err}
-}
-
-// IsRestartable reports whether err (or anything it wraps) was marked
-// by Restartable. Panics are never restartable: a panicking body has
-// unknown state, and restarting it would mask the bug.
-func IsRestartable(err error) bool {
-	var re *restartableError
-	return errors.As(err, &re)
 }
 
 // Body is a component implementation. For remote components the body
@@ -140,11 +64,6 @@ type Component struct {
 	Ranks int // ranks for Remote (default 1)
 	Deps  []string
 	Body  Body
-	// MaxRestarts bounds how many times a body returning a Restartable
-	// error is re-run from its last checkpoint (0 = never restart). For
-	// remote components each rank restarts independently, re-entering
-	// the collectives its siblings are still parked in.
-	MaxRestarts int
 }
 
 // Option customizes a Workflow at construction.
@@ -158,7 +77,7 @@ type Option func(*Workflow)
 // and a finishing component hands its barrier slots to the dependents
 // it releases before leaving, so the handoff cannot let time slip in
 // between. Remote components additionally get their MPI world's
-// blocking waits bridged through Clock.Block.
+// blocking waits bridged through Clock.Leave/Join.
 func WithClock(c clock.Clock) Option { return func(w *Workflow) { w.clk = c } }
 
 // Workflow is a DAG of components. Register everything, then Launch.
@@ -166,7 +85,6 @@ type Workflow struct {
 	name       string
 	mu         sync.Mutex
 	components map[string]*Component
-	order      []string // registration order, for deterministic reporting
 	launched   bool
 	clk        clock.Clock
 }
@@ -210,20 +128,11 @@ func (w *Workflow) Register(c Component) error {
 	cp := c
 	cp.Deps = append([]string(nil), c.Deps...)
 	w.components[c.Name] = &cp
-	w.order = append(w.order, c.Name)
 	return nil
 }
 
-// Components returns registered names in registration order.
-func (w *Workflow) Components() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]string(nil), w.order...)
-}
-
-// validate checks dependency references and acyclicity, returning a
-// topological order.
-func (w *Workflow) validate() ([]string, error) {
+// validate checks dependency references and acyclicity.
+func (w *Workflow) validate() error {
 	indeg := make(map[string]int, len(w.components))
 	dependents := make(map[string][]string)
 	for name, c := range w.components {
@@ -232,42 +141,38 @@ func (w *Workflow) validate() ([]string, error) {
 		}
 		for _, d := range c.Deps {
 			if _, ok := w.components[d]; !ok {
-				return nil, fmt.Errorf("workflow: component %q depends on unknown %q", name, d)
+				return fmt.Errorf("workflow: component %q depends on unknown %q", name, d)
 			}
 			if d == name {
-				return nil, fmt.Errorf("workflow: component %q depends on itself", name)
+				return fmt.Errorf("workflow: component %q depends on itself", name)
 			}
 			indeg[name]++
 			dependents[d] = append(dependents[d], name)
 		}
 	}
-	// Kahn's algorithm with sorted frontier for determinism.
+	// Kahn's algorithm: a component no order can reach sits on a cycle.
 	var frontier []string
 	for name, d := range indeg {
 		if d == 0 {
 			frontier = append(frontier, name)
 		}
 	}
-	sort.Strings(frontier)
-	var topo []string
+	ordered := 0
 	for len(frontier) > 0 {
-		n := frontier[0]
-		frontier = frontier[1:]
-		topo = append(topo, n)
-		var released []string
+		n := frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
+		ordered++
 		for _, m := range dependents[n] {
 			indeg[m]--
 			if indeg[m] == 0 {
-				released = append(released, m)
+				frontier = append(frontier, m)
 			}
 		}
-		sort.Strings(released)
-		frontier = append(frontier, released...)
 	}
-	if len(topo) != len(w.components) {
-		return nil, errors.New("workflow: dependency cycle detected")
+	if ordered != len(w.components) {
+		return errors.New("workflow: dependency cycle detected")
 	}
-	return topo, nil
+	return nil
 }
 
 // ranks returns a component's barrier weight: one participant per rank.
@@ -383,7 +288,7 @@ func (w *Workflow) Launch(ctx context.Context) error {
 	w.launched = true
 	w.mu.Unlock()
 
-	if _, err := w.validate(); err != nil {
+	if err := w.validate(); err != nil {
 		return err
 	}
 
@@ -456,25 +361,9 @@ func (w *Workflow) Launch(ctx context.Context) error {
 	return firstErr
 }
 
-// runBody executes a component body with restart-from-checkpoint
-// semantics: a Restartable error re-runs the body with the same
-// Checkpoint and an incremented Attempt, up to MaxRestarts times. The
-// barrier slot is retired only after the final attempt, so a
-// restarting rank never lets virtual time slip while it relaunches.
-func (w *Workflow) runBody(ctx context.Context, c *Component, comm *mpi.Comm, ckpt *Checkpoint) error {
-	for attempt := 0; ; attempt++ {
-		err := c.Body(Ctx{Context: ctx, Comm: comm, Component: c.Name, Clock: w.clk,
-			Attempt: attempt, Ckpt: ckpt})
-		if err == nil || !IsRestartable(err) || attempt >= c.MaxRestarts || ctx.Err() != nil {
-			return err
-		}
-	}
-}
-
 // runComponent executes one component body on its launch vehicle,
 // retiring barrier slots rank by rank as bodies return.
 func (w *Workflow) runComponent(ctx context.Context, c *Component, plan *joinPlan) error {
-	ckpt := NewCheckpoint()
 	switch c.Type {
 	case Local:
 		var err error
@@ -485,7 +374,7 @@ func (w *Workflow) runComponent(ctx context.Context, c *Component, plan *joinPla
 				}
 				plan.rankDone(c, w.components, err)
 			}()
-			err = w.runBody(ctx, c, nil, ckpt)
+			err = c.Body(Ctx{Context: ctx, Component: c.Name, Clock: w.clk})
 		}()
 		return err
 	case Remote:
@@ -510,7 +399,7 @@ func (w *Workflow) runComponent(ctx context.Context, c *Component, plan *joinPla
 					}
 					plan.rankDone(c, w.components, e)
 				}()
-				e = w.runBody(ctx, c, comm, ckpt)
+				e = c.Body(Ctx{Context: ctx, Comm: comm, Component: c.Name, Clock: w.clk})
 				if e != nil {
 					mu.Lock()
 					if rankErr == nil {
@@ -528,16 +417,4 @@ func (w *Workflow) runComponent(ctx context.Context, c *Component, plan *joinPla
 	}
 	plan.rankDone(c, w.components, nil)
 	return fmt.Errorf("unknown launch type %v", c.Type)
-}
-
-// Plan returns a topological execution order of the registered
-// components without launching them. It is the exported form third-party
-// workflow managers consume (the paper's §3.5: components "can be
-// exported for use with third-party workflow managers, such as
-// RADICAL-Pilot or Parsl"); an error reports cycles or unknown
-// dependencies.
-func (w *Workflow) Plan() ([]string, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.validate()
 }

@@ -10,21 +10,6 @@ import (
 	"time"
 )
 
-func TestParseLaunchType(t *testing.T) {
-	for in, want := range map[string]LaunchType{"local": Local, "": Local, "remote": Remote} {
-		got, err := ParseLaunchType(in)
-		if err != nil || got != want {
-			t.Errorf("ParseLaunchType(%q) = %v,%v", in, got, err)
-		}
-	}
-	if _, err := ParseLaunchType("cloud"); err == nil {
-		t.Error("unknown launch type parsed")
-	}
-	if Local.String() != "local" || Remote.String() != "remote" {
-		t.Error("launch type String() wrong")
-	}
-}
-
 func TestSingleComponent(t *testing.T) {
 	w := New("wf")
 	ran := false
@@ -269,17 +254,6 @@ func TestLaunchTwiceFails(t *testing.T) {
 	}
 }
 
-func TestComponentsListedInRegistrationOrder(t *testing.T) {
-	w := New("wf")
-	ok := func(Ctx) error { return nil }
-	w.Register(Component{Name: "z", Body: ok})
-	w.Register(Component{Name: "a", Body: ok})
-	got := w.Components()
-	if len(got) != 2 || got[0] != "z" || got[1] != "a" {
-		t.Fatalf("components = %v", got)
-	}
-}
-
 func TestRemoteRankErrorPropagates(t *testing.T) {
 	w := New("wf")
 	bad := errors.New("rank 2 failed")
@@ -291,38 +265,5 @@ func TestRemoteRankErrorPropagates(t *testing.T) {
 	}})
 	if err := w.Launch(context.Background()); !errors.Is(err, bad) {
 		t.Fatalf("err = %v, want rank error", err)
-	}
-}
-
-func TestPlanTopologicalOrder(t *testing.T) {
-	w := New("wf")
-	ok := func(Ctx) error { return nil }
-	w.Register(Component{Name: "train", Deps: []string{"sim", "preprocess"}, Body: ok})
-	w.Register(Component{Name: "sim", Deps: []string{"preprocess"}, Body: ok})
-	w.Register(Component{Name: "preprocess", Body: ok})
-	plan, err := w.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := map[string]int{}
-	for i, name := range plan {
-		pos[name] = i
-	}
-	if !(pos["preprocess"] < pos["sim"] && pos["sim"] < pos["train"]) {
-		t.Fatalf("plan = %v, want topological order", plan)
-	}
-	// Plan does not consume the launch.
-	if err := w.Launch(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPlanReportsCycle(t *testing.T) {
-	w := New("wf")
-	ok := func(Ctx) error { return nil }
-	w.Register(Component{Name: "a", Deps: []string{"b"}, Body: ok})
-	w.Register(Component{Name: "b", Deps: []string{"a"}, Body: ok})
-	if _, err := w.Plan(); err == nil {
-		t.Fatal("cyclic plan accepted")
 	}
 }

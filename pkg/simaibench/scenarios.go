@@ -25,8 +25,8 @@ type ScenarioParams = scenario.Params
 
 // RunScenario resolves and runs a single scenario by name with the
 // given params. The result is tables of named-column records plus the
-// cells the run guardrails (ScenarioParams.TimeoutS, Retries,
-// MaxEvents) caught as Failures.
+// cells the run guardrails (ScenarioParams.TimeoutS, MaxEvents) caught
+// as Failures.
 func RunScenario(ctx context.Context, name string, p ScenarioParams) (*scenario.Result, error) {
 	ss, err := scenario.Resolve(name)
 	if err != nil {

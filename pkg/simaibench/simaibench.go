@@ -140,13 +140,7 @@ var (
 	SimWithComm      = simulation.WithComm
 	SimWithSeed      = simulation.WithSeed
 	SimWithTimeScale = simulation.WithTimeScale
-	SimWithWorkDir   = simulation.WithWorkDir
 )
-
-// LoadSimulationConfig reads a Listing-2-style JSON file.
-func LoadSimulationConfig(path string) (SimulationConfig, error) {
-	return config.LoadSimulation(path)
-}
 
 // ParseSimulationConfig decodes a Listing-2-style JSON document.
 func ParseSimulationConfig(data []byte) (SimulationConfig, error) {
@@ -167,13 +161,8 @@ func NewAI(name string, cfg AIConfig, opts ...ai.Option) (*AI, error) {
 // AI options.
 var (
 	AIWithStore     = ai.WithStore
-	AIWithComm      = ai.WithComm
-	AIWithSeed      = ai.WithSeed
 	AIWithTimeScale = ai.WithTimeScale
 )
-
-// LoadAIConfig reads an AI config JSON file.
-func LoadAIConfig(path string) (AIConfig, error) { return config.LoadAI(path) }
 
 // EncodeFloat64s / DecodeFloat64s are the staging wire format for
 // training arrays.
