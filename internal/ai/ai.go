@@ -88,6 +88,8 @@ type Trainer struct {
 
 	// loader holds the most recently staged training samples.
 	loader loader
+	// raw is UpdateLoader's read buffer, passed back to every read.
+	raw []byte
 
 	iterStats stats.Welford
 	lossStats stats.Welford
@@ -168,17 +170,18 @@ func (t *Trainer) outDim() int { return t.cfg.Layers[len(t.cfg.Layers)-1] }
 // one-to-one pattern). The staged array is reshaped into rows of the
 // model's input width; short tails and non-finite rows are dropped, and
 // beyond maxSamples rows the oldest are evicted first. The staged bytes
-// are decoded straight into the loader's ring: nothing is allocated per
-// sample.
+// are read into the trainer's own buffer and decoded straight into the
+// loader's ring: once both have grown, nothing is allocated per update.
 func (t *Trainer) UpdateLoader(key string) error {
 	if t.store == nil {
 		return fmt.Errorf("ai %s: no data store attached", t.name)
 	}
 	start := t.now()
-	raw, err := t.store.StageRead(key)
+	raw, err := t.store.StageReadInto(key, t.raw)
 	if err != nil {
 		return err
 	}
+	t.raw = raw
 	dur := t.now().Sub(start).Seconds()
 	t.readStats.Add(dur)
 	t.readTput.Add(int64(len(raw)), dur)

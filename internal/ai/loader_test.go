@@ -41,7 +41,7 @@ type mapStore struct {
 	m map[string][]byte
 }
 
-func (s mapStore) StageRead(key string) ([]byte, error) {
+func (s mapStore) StageReadInto(key string, _ []byte) ([]byte, error) {
 	v, ok := s.m[key]
 	if !ok {
 		return nil, datastore.ErrNotStaged

@@ -80,8 +80,15 @@ type Store interface {
 	// StageWrite publishes value under key. Writes are atomic: a
 	// concurrent StageRead sees either the whole value or ErrNotStaged.
 	StageWrite(key string, value []byte) error
-	// StageRead returns the staged value, or ErrNotStaged.
+	// StageRead returns the staged value in a new buffer the caller
+	// owns, or ErrNotStaged. It is StageReadInto(key, nil).
 	StageRead(key string) ([]byte, error)
+	// StageReadInto is StageRead append-style: the value lands in dst's
+	// array when its capacity holds it (dst[:0] grown to the value), in
+	// a new buffer otherwise. A reader that passes its previous result
+	// back stops allocating once the buffer fits. The store keeps no
+	// reference to dst or the result.
+	StageReadInto(key string, dst []byte) ([]byte, error)
 	// Poll reports whether key is currently staged (poll_staged_data).
 	Poll(key string) (bool, error)
 	// Clean removes the given keys; missing keys are ignored
@@ -159,12 +166,17 @@ type fsStore struct {
 
 func (s *fsStore) StageWrite(key string, value []byte) error { return s.store.Put(key, value) }
 
-func (s *fsStore) StageRead(key string) ([]byte, error) {
+func (s *fsStore) StageRead(key string) ([]byte, error) { return s.StageReadInto(key, nil) }
+
+func (s *fsStore) StageReadInto(key string, dst []byte) ([]byte, error) {
 	v, err := s.store.Get(key)
 	if errors.Is(err, fskv.ErrNotFound) {
 		return nil, fmt.Errorf("%w: %q", ErrNotStaged, key)
 	}
-	return v, err
+	if err != nil {
+		return nil, err
+	}
+	return into(dst, v), nil
 }
 
 func (s *fsStore) Poll(key string) (bool, error) { return s.store.Exists(key), nil }
@@ -192,8 +204,11 @@ func (s *redisStore) StageWrite(key string, value []byte) error {
 	return s.cluster.Set(key, value)
 }
 
-func (s *redisStore) StageRead(key string) ([]byte, error) {
-	v, err := s.cluster.Get(key)
+func (s *redisStore) StageRead(key string) ([]byte, error) { return s.StageReadInto(key, nil) }
+
+// StageReadInto reads the reply off the socket straight into dst.
+func (s *redisStore) StageReadInto(key string, dst []byte) ([]byte, error) {
+	v, err := s.cluster.GetInto(key, dst)
 	if errors.Is(err, redis.ErrNil) {
 		return nil, fmt.Errorf("%w: %q", ErrNotStaged, key)
 	}
@@ -225,12 +240,28 @@ func (s *dragonStore) StageWrite(key string, value []byte) error {
 	return s.dict.Put(key, value)
 }
 
-func (s *dragonStore) StageRead(key string) ([]byte, error) {
+func (s *dragonStore) StageRead(key string) ([]byte, error) { return s.StageReadInto(key, nil) }
+
+func (s *dragonStore) StageReadInto(key string, dst []byte) ([]byte, error) {
 	v, err := s.dict.Get(key)
 	if errors.Is(err, dragon.ErrNotFound) {
 		return nil, fmt.Errorf("%w: %q", ErrNotStaged, key)
 	}
-	return v, err
+	if err != nil {
+		return nil, err
+	}
+	return into(dst, v), nil
+}
+
+// into gives the file and Dragon stores StageReadInto's contract over a
+// read that returns its own new buffer v: v is copied into dst when dst
+// holds it, and handed over as it is otherwise (it is already the
+// caller's, so a copy would only add one).
+func into(dst, v []byte) []byte {
+	if dst == nil || cap(dst) < len(v) {
+		return v
+	}
+	return append(dst[:0], v...)
 }
 
 func (s *dragonStore) Poll(key string) (bool, error) { return s.dict.Has(key) }

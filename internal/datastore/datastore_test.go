@@ -162,6 +162,39 @@ func TestLargeValue(t *testing.T) {
 	})
 }
 
+// TestStageReadIntoReusesDst: a read into the previous result lands in
+// its array, for a value of the same size and a smaller one, with the
+// bytes StageRead returns.
+func TestStageReadIntoReusesDst(t *testing.T) {
+	eachBackend(t, func(t *testing.T, s Store) {
+		var buf []byte
+		for i, size := range []int{256 << 10, 256 << 10, 1000} {
+			want := bytes.Repeat([]byte{byte(i + 1)}, size)
+			if err := s.StageWrite("snap", want); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.StageReadInto("snap", buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i > 0 && &got[0] != &buf[0] {
+				t.Errorf("read %d of %d bytes did not reuse the %d-byte dst", i, size, cap(buf))
+			}
+			plain, err := s.StageRead("snap")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) || !bytes.Equal(got, plain) {
+				t.Fatalf("read %d: StageReadInto and StageRead disagree with the staged value", i)
+			}
+			buf = got
+		}
+		if _, err := s.StageReadInto("never-written", buf); !errors.Is(err, ErrNotStaged) {
+			t.Errorf("missing key: err = %v, want ErrNotStaged", err)
+		}
+	})
+}
+
 func TestConcurrentProducerConsumer(t *testing.T) {
 	// The one-to-one pattern in miniature: a writer stages snapshots, a
 	// reader polls for them asynchronously.

@@ -46,6 +46,13 @@ func (s hookedStore) StageRead(key string) ([]byte, error) {
 	return s.Store.StageRead(key)
 }
 
+func (s hookedStore) StageReadInto(key string, dst []byte) ([]byte, error) {
+	if err := s.before("read", key); err != nil {
+		return nil, err
+	}
+	return s.Store.StageReadInto(key, dst)
+}
+
 func (s hookedStore) Poll(key string) (bool, error) {
 	if err := s.before("poll", key); err != nil {
 		return false, err

@@ -35,7 +35,7 @@ const (
 type StreamingPoint struct {
 	Method       StreamingMethod
 	SizeMB       float64
-	LatencyMeanS float64 // producer EndStep/StageWrite start -> consumer has bytes
+	LatencyMeanS float64 // producer Put/StageWrite start -> consumer has bytes
 	GBps         float64
 }
 
@@ -185,6 +185,7 @@ func runStagedPolling(ctx context.Context, cfg StreamingConfig, store datastore.
 	}
 	pad := cfg.xferPad()
 	payload := make([]byte, int(cfg.SizeMB*1e6))
+	var got []byte // the consumer's read buffer, reused across snapshots
 	var lat stats.Welford
 	var tput stats.Throughput
 	for i := 0; i < cfg.Snapshots; i++ {
@@ -211,7 +212,7 @@ func runStagedPolling(ctx context.Context, cfg StreamingConfig, store datastore.
 		// First poll can race the write; model the steady-state consumer
 		// that discovers the key on its next poll tick.
 		clk.Sleep(cfg.PollInterval)
-		got, err := store.StageRead(key)
+		got, err = store.StageReadInto(key, got)
 		if err != nil {
 			return StreamingPoint{}, err
 		}
@@ -233,10 +234,10 @@ func runStagedPolling(ctx context.Context, cfg StreamingConfig, store datastore.
 
 // RunStreamDelivery measures the push path over the given writer/reader
 // pair: the producer publishes steps, the consumer receives them with
-// no polling. In wall mode the latency is the measured EndStep-to-
-// receipt time; in virtual mode every byte still moves for real, but
-// each delivery is padded to its modeled transfer duration in virtual
-// time — the push path has no poll floor, which is exactly the
+// no polling. In wall mode the latency is the measured Put-to-receipt
+// time (the TCP transport sends the payload at Put); in virtual mode
+// every byte still moves for real, but each delivery is padded to its
+// modeled transfer duration in virtual time — the push path has no poll floor, which is exactly the
 // comparison the tables make. The consumer looks at ctx once per step.
 // The producer goroutine never outlives the call: on an early return
 // the reader is closed, which releases a producer parked on a full
@@ -268,11 +269,11 @@ func RunStreamDelivery(ctx context.Context, cfg StreamingConfig, method Streamin
 				errCh <- err
 				return
 			}
+			starts <- time.Now()
 			if err := step.Put("field", payload); err != nil {
 				errCh <- err
 				return
 			}
-			starts <- time.Now()
 			if err := step.EndStep(); err != nil {
 				errCh <- err
 				return

@@ -42,18 +42,32 @@ func (c *Client) Do(cmd string, args ...[]byte) (Value, error) {
 }
 
 func (c *Client) doLocked(cmd string, args ...[]byte) (Value, error) {
+	if err := c.send(cmd, args...); err != nil {
+		return Value{}, err
+	}
+	v, err := c.r.Read()
+	return checkReply(cmd, v, err)
+}
+
+// send writes one command and flushes it.
+func (c *Client) send(cmd string, args ...[]byte) error {
 	parts := make([]Value, 0, len(args)+1)
 	parts = append(parts, BulkString(cmd))
 	for _, a := range args {
 		parts = append(parts, Bulk(a))
 	}
 	if err := c.w.Write(Array(parts...)); err != nil {
-		return Value{}, fmt.Errorf("redis: send %s: %w", cmd, err)
+		return fmt.Errorf("redis: send %s: %w", cmd, err)
 	}
 	if err := c.w.Flush(); err != nil {
-		return Value{}, fmt.Errorf("redis: send %s: %w", cmd, err)
+		return fmt.Errorf("redis: send %s: %w", cmd, err)
 	}
-	v, err := c.r.Read()
+	return nil
+}
+
+// checkReply wraps the outcome of reading cmd's reply; error replies
+// become Go errors.
+func checkReply(cmd string, v Value, err error) (Value, error) {
 	if err != nil {
 		return Value{}, fmt.Errorf("redis: reply %s: %w", cmd, err)
 	}
@@ -69,10 +83,21 @@ func (c *Client) Set(key string, value []byte) error {
 	return err
 }
 
-// Get fetches key; ErrNil if missing.
-func (c *Client) Get(key string) ([]byte, error) {
-	v, err := c.Do("GET", []byte(key))
-	if err != nil {
+// Get fetches key into a new buffer; ErrNil if missing.
+func (c *Client) Get(key string) ([]byte, error) { return c.GetInto(key, nil) }
+
+// GetInto fetches key append-style: the value is read off the socket
+// straight into dst's array when its capacity holds it, and into a new
+// buffer otherwise. ErrNil if missing. The result is the caller's; the
+// client keeps no reference to dst.
+func (c *Client) GetInto(key string, dst []byte) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.send("GET", []byte(key)); err != nil {
+		return nil, err
+	}
+	v, err := c.r.readBulkInto(dst)
+	if v, err = checkReply("GET", v, err); err != nil {
 		return nil, err
 	}
 	if v.IsNull() {
@@ -159,8 +184,10 @@ func (cl *Cluster) pick(key string) *Client {
 // Set stores value on the key's shard.
 func (cl *Cluster) Set(key string, value []byte) error { return cl.pick(key).Set(key, value) }
 
-// Get fetches key from its shard.
-func (cl *Cluster) Get(key string) ([]byte, error) { return cl.pick(key).Get(key) }
+// GetInto fetches key from its shard into dst, as Client.GetInto does.
+func (cl *Cluster) GetInto(key string, dst []byte) ([]byte, error) {
+	return cl.pick(key).GetInto(key, dst)
+}
 
 // Del removes key from its shard.
 func (cl *Cluster) Del(key string) (int64, error) { return cl.pick(key).Del(key) }

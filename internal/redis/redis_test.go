@@ -5,7 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -110,6 +113,82 @@ func TestRESPBulkLengthLimit(t *testing.T) {
 	if !errors.Is(err, ErrProtocol) {
 		t.Fatalf("oversized bulk accepted: %v", err)
 	}
+}
+
+// TestRESPArrayLengthLimit: an array header is held to a bound of its
+// own before its elements are allocated. Checked against the bulk limit
+// alone, the 12-byte first frame asked for 536870912 Values (47 GB) and
+// ended the process with a fatal, unrecoverable out-of-memory error.
+func TestRESPArrayLengthLimit(t *testing.T) {
+	for _, raw := range []string{"*536870912\r\n", "*" + strconv.Itoa(maxArrayLen+1) + "\r\n"} {
+		if _, err := NewReader(strings.NewReader(raw)).Read(); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%q: err = %v, want ErrProtocol", raw, err)
+		}
+	}
+}
+
+func TestRESPNestingDepthLimit(t *testing.T) {
+	nested := func(depth int) string { return strings.Repeat("*1\r\n", depth) + ":1\r\n" }
+	if _, err := NewReader(strings.NewReader(nested(maxDepth))).Read(); err != nil {
+		t.Fatalf("%d nested arrays refused: %v", maxDepth, err)
+	}
+	if _, err := NewReader(strings.NewReader(nested(maxDepth + 1))).Read(); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("%d nested arrays: err = %v, want ErrProtocol", maxDepth+1, err)
+	}
+}
+
+// FuzzRESPReader: Read never panics on arbitrary bytes, and every value
+// it accepts is written back by Writer into a frame that reads as the
+// same value. Inputs announcing a bulk or an array larger than the input
+// (but within the frame limits) are skipped: the reader allocates an
+// announced size, after checking its limit, before the bytes arrive.
+func FuzzRESPReader(f *testing.F) {
+	for _, seed := range []string{
+		"*536870912\r\n",
+		"*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$5\r\nhello\r\n",
+		"+OK\r\n", "-ERR no\r\n", ":-42\r\n", "$-1\r\n", "*-1\r\n", "*0\r\n", "$0\r\n\r\n",
+		strings.Repeat("*1\r\n", maxDepth+1) + ":1\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for i, c := range data {
+			if c != '$' && c != '*' {
+				continue
+			}
+			j := i + 1
+			if j < len(data) && data[j] == '+' {
+				j++
+			}
+			for j < len(data) && data[j] >= '0' && data[j] <= '9' {
+				j++
+			}
+			limit := maxBulkLen
+			if c == '*' {
+				limit = maxArrayLen
+			}
+			if n, err := strconv.Atoi(string(data[i+1 : j])); err == nil && n > len(data) && n <= limit {
+				t.Skip("announces more than the input holds")
+			}
+		}
+		v, err := NewReader(bytes.NewReader(data)).Read()
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if err := w.Write(v); err != nil {
+			t.Fatalf("accepted %+v does not encode: %v", v, err)
+		}
+		w.Flush()
+		got, err := NewReader(&buf).Read()
+		if err != nil {
+			t.Fatalf("re-encoded %q does not decode: %v", buf.Bytes(), err)
+		}
+		if !reflect.DeepEqual(got, v) {
+			t.Fatalf("round trip of %q: got %+v, want %+v", data, got, v)
+		}
+	})
 }
 
 func TestPropertyRESPRoundTrip(t *testing.T) {
@@ -286,6 +365,68 @@ func TestServerSetOwnsValue(t *testing.T) {
 	})
 }
 
+// TestRecycledValueNeverReachesInFlightReply: one connection GETs an
+// 8 MB value while two others DEL it and SET a different 8 MB value.
+// The GET's reply is still being written when the DEL drops its buffer
+// and the SET's reader asks the free list for one, so a buffer recycled
+// while a reply holds it would show up as a reply mixing two values.
+// Every reply must be the whole value the key held when the GET ran,
+// and the server must recycle: 200 rounds of fresh 8 MB buffers would
+// allocate 1.6 GB.
+func TestRecycledValueNeverReachesInFlightReply(t *testing.T) {
+	s := newServer(t)
+	dial := func() *Client {
+		c, err := Dial(s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	getter, deleter, setter := dial(), dial(), dial()
+	const size, rounds = 8 << 20, 200
+	// Round r stores values[r%2], so consecutive values differ.
+	values := [2][]byte{bytes.Repeat([]byte{0xAA}, size), bytes.Repeat([]byte{0x55}, size)}
+	if err := setter.Set("k", values[0]); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var got []byte
+	for r := 1; r <= rounds; r++ {
+		payload := values[r%2]
+		done := make(chan error, 1)
+		go func() {
+			if _, err := deleter.Del("k"); err != nil {
+				done <- err
+				return
+			}
+			done <- setter.Set("k", payload)
+		}()
+		v, err := getter.GetInto("k", got)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if errors.Is(err, ErrNil) {
+			continue // the DEL ran first
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = v
+		if len(got) != size || !bytes.Equal(got[1:], got[:size-1]) {
+			t.Fatalf("round %d: reply of %d bytes mixes values (starts %d, ends %d)", r, len(got), got[0], got[len(got)-1])
+		}
+		if got[0] != values[0][0] && got[0] != values[1][0] {
+			t.Fatalf("round %d: reply holds %#x, a value never stored", r, got[0])
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > rounds*size/4 {
+		t.Errorf("%d rounds allocated %d MB: the server did not recycle its value buffers", rounds, grew>>20)
+	}
+}
+
 func TestManyClientsConcurrent(t *testing.T) {
 	s := newServer(t)
 	const clients, per = 8, 40
@@ -408,7 +549,7 @@ func TestClusterGetRoutesToRightShard(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("rt-%d", i)
 		cl.Set(key, []byte(key))
-		got, err := cl.Get(key)
+		got, err := cl.GetInto(key, nil)
 		if err != nil || string(got) != key {
 			t.Fatalf("cluster get %s = %q,%v", key, got, err)
 		}

@@ -75,9 +75,16 @@ func (v Value) Text() string {
 // ErrProtocol reports malformed RESP input.
 var ErrProtocol = errors.New("redis: protocol error")
 
-// maxBulkLen guards against absurd allocations from corrupt frames
-// (512 MB, Redis's own proto-max-bulk-len default).
-const maxBulkLen = 512 << 20
+// Frame limits, checked before anything is allocated for a frame.
+// maxBulkLen is Redis's own proto-max-bulk-len default (512 MB); an
+// array header is bounded separately because each element costs a Value
+// (88 B) up front, and nesting is bounded because each level costs a
+// stack frame. No command used here comes near either array limit.
+const (
+	maxBulkLen  = 512 << 20
+	maxArrayLen = 1 << 20
+	maxDepth    = 32
+)
 
 // Writer encodes RESP values onto a stream.
 type Writer struct {
@@ -135,17 +142,22 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 // Reader decodes RESP values from a stream.
 type Reader struct {
 	r *bufio.Reader
+	// alloc, when set, supplies the buffer of each decoded bulk in place
+	// of make; it must return n bytes the reader may overwrite.
+	alloc func(n int) []byte
 }
 
 // NewReader returns a RESP reader over r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
 
-// Read decodes one value. Every Bulk is a new buffer the caller owns:
-// the reader keeps no reference to it and never hands it out twice. The
-// server's SET and MSET rely on that to store a value without copying
-// it; a reader that reuses its buffers must not be introduced without
-// changing them.
-func (r *Reader) Read() (Value, error) {
+// Read decodes one value. Every Bulk is a buffer the caller owns: the
+// reader keeps no reference to it and never hands it out twice. It comes
+// from make, or from the reader's alloc when one is set — the server's
+// connections take large bulks from the keyspace's free list (see
+// valuePool), and SET and MSET store them without copying.
+func (r *Reader) Read() (Value, error) { return r.read(0) }
+
+func (r *Reader) read(depth int) (Value, error) {
 	t, err := r.r.ReadByte()
 	if err != nil {
 		return Value{}, err
@@ -168,22 +180,11 @@ func (r *Reader) Read() (Value, error) {
 		}
 		return Integer(n), nil
 	case '$':
-		n, err := r.length()
-		if err != nil {
-			return Value{}, err
-		}
-		if n < 0 {
-			return NullBulk(), nil
-		}
-		buf := make([]byte, n+2)
-		if _, err := io.ReadFull(r.r, buf); err != nil {
-			return Value{}, err
-		}
-		if buf[n] != '\r' || buf[n+1] != '\n' {
-			return Value{}, fmt.Errorf("%w: bulk not CRLF-terminated", ErrProtocol)
-		}
-		return Bulk(buf[:n]), nil
+		return r.bulk(nil)
 	case '*':
+		if depth >= maxDepth {
+			return Value{}, fmt.Errorf("%w: arrays nested deeper than %d", ErrProtocol, maxDepth)
+		}
 		n, err := r.length()
 		if err != nil {
 			return Value{}, err
@@ -191,9 +192,12 @@ func (r *Reader) Read() (Value, error) {
 		if n < 0 {
 			return Value{Kind: KindArray, Null: true}, nil
 		}
+		if n > maxArrayLen {
+			return Value{}, fmt.Errorf("%w: array of %d elements exceeds limit %d", ErrProtocol, n, maxArrayLen)
+		}
 		arr := make([]Value, n)
 		for i := range arr {
-			arr[i], err = r.Read()
+			arr[i], err = r.read(depth + 1)
 			if err != nil {
 				return Value{}, err
 			}
@@ -202,6 +206,58 @@ func (r *Reader) Read() (Value, error) {
 	default:
 		return Value{}, fmt.Errorf("%w: unexpected type byte %q", ErrProtocol, t)
 	}
+}
+
+// readBulkInto decodes one reply. A bulk string is read into dst's array
+// when its capacity holds the payload (append-style: dst[:0] grown to
+// the payload), into a new buffer otherwise; any other reply is decoded
+// as Read does.
+func (r *Reader) readBulkInto(dst []byte) (Value, error) {
+	t, err := r.r.ReadByte()
+	if err != nil {
+		return Value{}, err
+	}
+	if t != '$' {
+		r.r.UnreadByte()
+		return r.Read()
+	}
+	return r.bulk(dst)
+}
+
+// bulk reads the rest of a bulk string whose '$' is consumed, into dst
+// when it has the capacity and into a new buffer otherwise.
+func (r *Reader) bulk(dst []byte) (Value, error) {
+	n, err := r.length()
+	if err != nil {
+		return Value{}, err
+	}
+	if n < 0 {
+		return NullBulk(), nil
+	}
+	var buf []byte
+	switch {
+	case dst != nil && cap(dst) >= n:
+		buf = dst[:n]
+	case r.alloc != nil:
+		buf = r.alloc(n)
+	default:
+		buf = make([]byte, n)
+	}
+	if _, err := io.ReadFull(r.r, buf); err != nil {
+		return Value{}, err
+	}
+	cr, err := r.r.ReadByte()
+	if err != nil {
+		return Value{}, err
+	}
+	lf, err := r.r.ReadByte()
+	if err != nil {
+		return Value{}, err
+	}
+	if cr != '\r' || lf != '\n' {
+		return Value{}, fmt.Errorf("%w: bulk not CRLF-terminated", ErrProtocol)
+	}
+	return Bulk(buf), nil
 }
 
 // line reads one CRLF-terminated line (without the terminator).

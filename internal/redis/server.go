@@ -3,10 +3,10 @@ package redis
 import (
 	"fmt"
 	"net"
-
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Server is a mini Redis server: a TCP listener whose connections feed a
@@ -22,6 +22,8 @@ type Server struct {
 
 	// data is owned exclusively by the executor goroutine.
 	data map[string][]byte
+	// values recycles data's large value buffers.
+	values valuePool
 }
 
 type request struct {
@@ -41,6 +43,7 @@ func NewServer(addr string) (*Server, error) {
 		requests: make(chan request, 128),
 		quit:     make(chan struct{}),
 		data:     make(map[string][]byte),
+		values:   valuePool{pins: make(map[*byte]pin)},
 	}
 	s.wg.Add(2)
 	go s.acceptLoop()
@@ -82,6 +85,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	r := NewReader(conn)
+	r.alloc = s.values.get
 	w := NewWriter(conn)
 	reply := make(chan Value, 1)
 	for {
@@ -106,7 +110,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		case <-s.quit:
 			return
 		}
-		if err := writeAndFlush(w, resp); err != nil {
+		err = writeAndFlush(w, resp)
+		s.values.unpin(resp) // the reply's bytes are in the socket
+		if err != nil {
 			return
 		}
 	}
@@ -147,7 +153,7 @@ func (s *Server) execute(cmd []Value) Value {
 		}
 		// The bulk is this request's own buffer (see Reader.Read), so
 		// the keyspace takes it over instead of copying it.
-		s.data[args[0].Text()] = args[1].Bulk
+		s.store(args[0].Text(), args[1].Bulk)
 		return Simple("OK")
 	case "GET":
 		if len(args) != 1 {
@@ -157,12 +163,14 @@ func (s *Server) execute(cmd []Value) Value {
 		if !ok {
 			return NullBulk()
 		}
+		s.values.pin(v)
 		return Bulk(v)
 	case "DEL":
 		n := int64(0)
 		for _, a := range args {
-			if _, ok := s.data[a.Text()]; ok {
+			if v, ok := s.data[a.Text()]; ok {
 				delete(s.data, a.Text())
+				s.values.drop(v)
 				n++
 			}
 		}
@@ -192,13 +200,14 @@ func (s *Server) execute(cmd []Value) Value {
 			return wrongArity(name)
 		}
 		for i := 0; i < len(args); i += 2 {
-			s.data[args[i].Text()] = args[i+1].Bulk // owned, as in SET
+			s.store(args[i].Text(), args[i+1].Bulk) // owned, as in SET
 		}
 		return Simple("OK")
 	case "MGET":
 		out := make([]Value, len(args))
 		for i, a := range args {
 			if v, ok := s.data[a.Text()]; ok {
+				s.values.pin(v)
 				out[i] = Bulk(v)
 			} else {
 				out[i] = NullBulk()
@@ -208,6 +217,143 @@ func (s *Server) execute(cmd []Value) Value {
 	default:
 		return Errorf("ERR unknown command '%s'", name)
 	}
+}
+
+// store sets key to v, which the keyspace now owns, and drops the value
+// it replaces.
+func (s *Server) store(key string, v []byte) {
+	if old, ok := s.data[key]; ok {
+		s.values.drop(old)
+	}
+	s.data[key] = v
+}
+
+// Value buffers of at least minPooledLen are recycled through a free
+// list of at most maxFreeValues; smaller ones are left to the GC.
+const (
+	minPooledLen  = 64 << 10
+	maxFreeValues = 8
+)
+
+// valuePool recycles the keyspace's large value buffers, so a steady
+// stream of SETs over the same keys reuses a few buffers instead of
+// allocating (and zeroing, and faulting in) a new one per request. A
+// large buffer is at any time in exactly one of these places: the free
+// list; a connection's reader, filling it (get); the keyspace; or, once
+// the keyspace dropped it, the replies still being written from it. The
+// executor pins a value when a GET or MGET reply carries it, and the
+// connection unpins it once the reply is flushed, so a buffer returns to
+// the free list only when the keyspace has dropped it and no reply holds
+// it — a recycled value never reaches an in-flight reply.
+type valuePool struct {
+	mu   sync.Mutex
+	free [][]byte
+	pins map[*byte]pin // pinned buffers, by first byte
+}
+
+// pin counts the replies holding one buffer.
+type pin struct {
+	n       int
+	dropped bool // left the keyspace while pinned: free on the last unpin
+}
+
+// pooled reports whether b is large enough to recycle.
+func pooled(b []byte) bool { return cap(b) >= minPooledLen }
+
+// get returns an n-byte buffer for a connection's reader: a free one
+// with the capacity, or a new one.
+func (p *valuePool) get(n int) []byte {
+	if n >= minPooledLen {
+		p.mu.Lock()
+		for i, b := range p.free {
+			if cap(b) >= n {
+				last := len(p.free) - 1
+				p.free[i], p.free[last] = p.free[last], nil
+				p.free = p.free[:last]
+				p.mu.Unlock()
+				return b[:n]
+			}
+		}
+		p.mu.Unlock()
+	}
+	return make([]byte, n)
+}
+
+// drop records that the keyspace no longer holds b (executor only).
+func (p *valuePool) drop(b []byte) {
+	if !pooled(b) {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	k := unsafe.SliceData(b)
+	if pn, ok := p.pins[k]; ok {
+		pn.dropped = true
+		p.pins[k] = pn
+		return
+	}
+	p.release(b)
+}
+
+// pin records one more reply holding b (executor only).
+func (p *valuePool) pin(b []byte) {
+	if !pooled(b) {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	k := unsafe.SliceData(b)
+	pn := p.pins[k]
+	pn.n++
+	p.pins[k] = pn
+}
+
+// unpin releases the pins of a flushed reply: its bulk, or each bulk of
+// an array. A buffer no pin covers (an ECHO of a request's own bulk) is
+// skipped.
+func (p *valuePool) unpin(v Value) {
+	if v.Kind == KindArray {
+		for _, el := range v.Array {
+			p.unpin(el)
+		}
+		return
+	}
+	if v.Kind != KindBulk || !pooled(v.Bulk) {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	k := unsafe.SliceData(v.Bulk)
+	pn, ok := p.pins[k]
+	if !ok {
+		return
+	}
+	if pn.n--; pn.n > 0 {
+		p.pins[k] = pn
+		return
+	}
+	delete(p.pins, k)
+	if pn.dropped {
+		p.release(v.Bulk)
+	}
+}
+
+// release puts b on the free list, evicting the smallest buffer when the
+// list is full. p.mu is held.
+func (p *valuePool) release(b []byte) {
+	p.free = append(p.free, b[:cap(b)])
+	if len(p.free) <= maxFreeValues {
+		return
+	}
+	small := 0
+	for i, f := range p.free {
+		if cap(f) < cap(p.free[small]) {
+			small = i
+		}
+	}
+	last := len(p.free) - 1
+	p.free[small], p.free[last] = p.free[last], nil
+	p.free = p.free[:last]
 }
 
 // globMatch implements Redis-style glob matching: '*' matches any run of

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -257,6 +258,61 @@ func TestRunRequestValidation(t *testing.T) {
 			t.Errorf("%s: message %q does not name %q", tc.name, eb.Error.Message, tc.names)
 		}
 	}
+}
+
+// FuzzRunRequest: decoding a /v1/run body, validating its params and
+// keying it never panic, and a body refused at any of those steps gets
+// a typed error from the handler: 400 bad_request, or 404
+// unknown_scenario for a well-formed body naming no scenario. Accepted
+// bodies are not run.
+func FuzzRunRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"scenario":"t-ok","params":{"rate":3},"seed":7}`,
+		`{"scenario":"t-ok","timeout_s":-1}`,
+		`{"scenario":"t-ok","params":{"clock":"sundial"}}`,
+		`{"scenario":"t-ok","params":{"sweep_iters":-5,"mtbf_s":1e308}}`,
+		`{"scenario":"t-ok","bogus":1}`,
+		`{"scenario":"no-such"}`,
+		`{"seed":1}`,
+		`{"scenario":`,
+	} {
+		f.Add([]byte(seed))
+	}
+	registerTestScenarios()
+	srv := New(Config{Workers: 1})
+	f.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		wantStatus, wantKind := http.StatusBadRequest, KindBadRequest
+		var req RunRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&req); err == nil && req.Scenario != "" {
+			sc, ok := scenario.Lookup(req.Scenario)
+			if !ok {
+				wantStatus, wantKind = http.StatusNotFound, KindUnknownScenario
+			} else {
+				_, clockErr := clock.FromKind(req.Params.Clock)
+				err := errors.Join(clockErr, req.Params.Validate(), scenario.Params{TimeoutS: req.TimeoutS}.Validate())
+				if _, keyErr := scenario.CacheKey(req.Scenario, req.Params, sc.Defaults(), req.Seed); err == nil && keyErr == nil {
+					return // accepted: the handler would run it
+				}
+			}
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		var eb errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == nil {
+			t.Fatalf("body %q: status %d without a typed error: %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code != wantStatus || eb.Error.Kind != wantKind {
+			t.Fatalf("body %q: %d %s, want %d %s (%s)", body, rec.Code, eb.Error.Kind, wantStatus, wantKind, eb.Error.Message)
+		}
+	})
 }
 
 func TestGuardrailErrorsAreTyped(t *testing.T) {

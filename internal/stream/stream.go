@@ -7,16 +7,15 @@
 // sequence, blocking until the next step arrives.
 //
 // Two transports mirror the rest of the repo: an in-process bounded
-// queue, and a TCP transport with length-prefixed frames. Semantics
+// queue, and a TCP transport with length-prefixed records. Semantics
 // follow SST's bounded queue: when the queue is full the writer's
-// EndStep blocks (reliable mode) until the reader drains a step.
+// EndStep blocks (reliable mode) until the reader drains a step; over
+// TCP, flow control blocks the writer's Put instead.
 package stream
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -37,16 +36,6 @@ type Step struct {
 func (s *Step) Get(name string) (data []byte, ok bool) {
 	data, ok = s.vars[name]
 	return
-}
-
-// Vars lists variable names, sorted.
-func (s *Step) Vars() []string {
-	names := make([]string, 0, len(s.vars))
-	for n := range s.vars {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Bytes returns the total payload size of the step.
@@ -72,26 +61,35 @@ type Writer interface {
 // Reader consumes steps in order.
 type Reader interface {
 	// NextStep blocks for the next step; ErrDone after the writer
-	// closes and the queue drains.
+	// closes and the queue drains. The returned step's payloads are
+	// valid until the next NextStep or Close, which recycle them for
+	// later steps: a consumer that keeps data longer copies it.
 	NextStep() (*Step, error)
 	// Close releases the reader.
 	Close() error
 }
 
-// OpenStep is a step under construction on the writer side.
-type OpenStep struct {
-	step   *Step
-	commit func(*Step) error
-	done   bool
+// stepSink is the transport under an OpenStep.
+type stepSink interface {
+	put(s *Step, name string, data []byte) error
+	commit(s *Step) error
 }
 
-// Put adds a named variable to the open step. The payload is copied.
+// OpenStep is a step under construction on the writer side.
+type OpenStep struct {
+	step *Step
+	sink stepSink
+	done bool
+}
+
+// Put adds a named variable to the open step. The payload is copied —
+// into a recycled buffer of the pipe, or onto the TCP connection — so
+// the caller may reuse data as soon as Put returns.
 func (o *OpenStep) Put(name string, data []byte) error {
 	if o.done {
 		return fmt.Errorf("stream: Put after EndStep")
 	}
-	o.step.vars[name] = bytes.Clone(data)
-	return nil
+	return o.sink.put(o.step, name, data)
 }
 
 // EndStep publishes the step, blocking while the queue is full
@@ -101,7 +99,56 @@ func (o *OpenStep) EndStep() error {
 		return fmt.Errorf("stream: double EndStep")
 	}
 	o.done = true
-	return o.commit(o.step)
+	return o.sink.commit(o.step)
+}
+
+// maxFree bounds a free list of payload buffers.
+const maxFree = 16
+
+// freeList holds payload buffers of consumed steps for reuse, so a
+// stream of equally shaped steps stops allocating after its first few.
+type freeList [][]byte
+
+// get returns an n-byte buffer: a free one with the capacity, or a new
+// one.
+func (f *freeList) get(n int) []byte {
+	l := *f
+	for i, b := range l {
+		if cap(b) >= n {
+			last := len(l) - 1
+			l[i], l[last] = l[last], nil
+			*f = l[:last]
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
+// put takes b back, evicting the smallest buffer when the list is full.
+func (f *freeList) put(b []byte) {
+	l := append(*f, b)
+	if len(l) > maxFree {
+		small := 0
+		for i, x := range l {
+			if cap(x) < cap(l[small]) {
+				small = i
+			}
+		}
+		last := len(l) - 1
+		l[small], l[last] = l[last], nil
+		l = l[:last]
+	}
+	*f = l
+}
+
+// putStep takes back every payload of s.
+func (f *freeList) putStep(s *Step) {
+	if s == nil {
+		return
+	}
+	for _, b := range s.vars {
+		f.put(b)
+	}
 }
 
 // pipe is the in-process transport: a bounded queue of steps.
@@ -113,7 +160,9 @@ type pipe struct {
 	next     int
 	closedW  bool
 	closedR  bool
-	open     bool // a step is under construction
+	open     bool  // a step is under construction
+	held     *Step // the step the reader has, until its next NextStep or Close
+	free     freeList
 }
 
 // Pipe returns a connected in-process writer/reader pair with the given
@@ -142,10 +191,20 @@ func (w *pipeWriter) BeginStep() (*OpenStep, error) {
 	p.open = true
 	idx := p.next
 	p.next++
-	return &OpenStep{
-		step:   &Step{Index: idx, vars: map[string][]byte{}},
-		commit: p.commit,
-	}, nil
+	return &OpenStep{step: &Step{Index: idx, vars: map[string][]byte{}}, sink: p}, nil
+}
+
+// put copies data into a recycled buffer: the pipe's one copy.
+func (p *pipe) put(s *Step, name string, data []byte) error {
+	p.mu.Lock()
+	buf := p.free.get(len(data))
+	if old, ok := s.vars[name]; ok {
+		p.free.put(old)
+	}
+	p.mu.Unlock()
+	copy(buf, data)
+	s.vars[name] = buf
+	return nil
 }
 
 func (p *pipe) commit(s *Step) error {
@@ -161,6 +220,7 @@ func (p *pipe) commit(s *Step) error {
 	if p.closedR {
 		// Reader gone: drop the step (writer keeps running, like SST
 		// with a departed reader).
+		p.free.putStep(s)
 		p.cond.Broadcast()
 		return nil
 	}
@@ -184,6 +244,8 @@ func (r *pipeReader) NextStep() (*Step, error) {
 	p := (*pipe)(r)
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.free.putStep(p.held)
+	p.held = nil
 	for {
 		if p.closedR {
 			return nil, ErrClosed
@@ -191,6 +253,7 @@ func (r *pipeReader) NextStep() (*Step, error) {
 		if len(p.queue) > 0 {
 			s := p.queue[0]
 			p.queue = p.queue[1:]
+			p.held = s
 			p.cond.Broadcast() // wake a writer blocked on a full queue
 			return s, nil
 		}
@@ -206,6 +269,8 @@ func (r *pipeReader) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.closedR = true
+	p.free.putStep(p.held)
+	p.held = nil
 	p.cond.Broadcast()
 	return nil
 }

@@ -75,8 +75,8 @@ func TestSingleStepRoundTrip(t *testing.T) {
 		if !ok || string(v) != "vvv" {
 			t.Fatalf("velocity = %q,%v", v, ok)
 		}
-		if got := s.Vars(); len(got) != 2 || got[0] != "pressure" {
-			t.Fatalf("vars = %v", got)
+		if p, ok := s.Get("pressure"); !ok || string(p) != "pp" {
+			t.Fatalf("pressure = %q,%v", p, ok)
 		}
 		if s.Bytes() != 5 {
 			t.Fatalf("bytes = %d", s.Bytes())
@@ -208,22 +208,59 @@ func TestReaderGoneDropsSteps(t *testing.T) {
 }
 
 func TestPutCopiesData(t *testing.T) {
-	w, r := Pipe(2)
-	defer w.Close()
-	defer r.Close()
-	buf := []byte{1, 2, 3}
-	step, _ := w.BeginStep()
-	step.Put("x", buf)
-	buf[0] = 99
-	step.EndStep()
-	s, err := r.NextStep()
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _ := s.Get("x")
-	if v[0] != 1 {
-		t.Fatalf("payload mutated after Put: %v", v)
-	}
+	transports(t, func(t *testing.T, w Writer, r Reader) {
+		buf := []byte{1, 2, 3}
+		step, err := w.BeginStep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := step.Put("x", buf); err != nil {
+			t.Fatal(err)
+		}
+		buf[0] = 99
+		if err := step.EndStep(); err != nil {
+			t.Fatal(err)
+		}
+		s, err := r.NextStep()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := s.Get("x"); v[0] != 1 {
+			t.Fatalf("payload mutated after Put: %v", v)
+		}
+	})
+}
+
+// TestStepDataValidUntilNextStep pins the Reader contract both ways: a
+// step's payload stays intact while the writer publishes later steps,
+// and after the next NextStep its buffer is recycled for a later step.
+func TestStepDataValidUntilNextStep(t *testing.T) {
+	transports(t, func(t *testing.T, w Writer, r Reader) {
+		fill := func(b byte) []byte { return bytes.Repeat([]byte{b}, 4096) }
+		read := func(want byte) []byte {
+			t.Helper()
+			s, err := r.NextStep()
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, _ := s.Get("x")
+			if !bytes.Equal(v, fill(want)) {
+				t.Fatalf("step %d payload starts %v, want all %d", s.Index, v[:4], want)
+			}
+			return v
+		}
+		publish(t, w, map[string][]byte{"x": fill(1)})
+		v0 := read(1)
+		publish(t, w, map[string][]byte{"x": fill(2)})
+		if !bytes.Equal(v0, fill(1)) {
+			t.Fatal("publishing the next step overwrote the held step's payload")
+		}
+		read(2)
+		publish(t, w, map[string][]byte{"x": fill(3)})
+		if v2 := read(3); &v2[0] != &v0[0] {
+			t.Error("a consumed step's buffer was not recycled")
+		}
+	})
 }
 
 func TestLargeStepOverTCP(t *testing.T) {
@@ -257,40 +294,30 @@ func TestLargeStepOverTCP(t *testing.T) {
 	}
 }
 
-// TestStreamingFrameBounds: a reader allocates what a
-// header announces, so a 16-byte corrupt or hostile frame must be
-// refused by its announced sizes, naming the field and the value,
-// before anything of that size is made.
+// varRecord frames one variable record with the given header fields.
+func varRecord(nameLen uint32, name string, dataLen uint64) []byte {
+	b := binary.BigEndian.AppendUint32(nil, nameLen)
+	return binary.BigEndian.AppendUint64(append(b, name...), dataLen)
+}
+
+// TestStreamingFrameBounds: a reader allocates what a header announces,
+// so a corrupt or hostile record must be refused by its announced
+// sizes, naming the field and the value, before anything of that size
+// is made.
 func TestStreamingFrameBounds(t *testing.T) {
-	frame := func(nvars, nameLen uint32, name string, dataLen uint64) []byte {
-		b := binary.BigEndian.AppendUint64(nil, 7) // step index
-		b = binary.BigEndian.AppendUint32(b, nvars)
-		b = binary.BigEndian.AppendUint32(b, nameLen)
-		if name != "" {
-			b = binary.BigEndian.AppendUint64(append(b, name...), dataLen)
-		}
-		return b
-	}
 	for _, tc := range []struct {
 		name  string
 		frame []byte
 		want  []string
 	}{
-		{"variable count", frame(endOfStreamMark-1, 1, "", 0), []string{"variable count", "4294967294"}},
-		{"name length", frame(1, maxStreamVar, "", 0), []string{"name length", "1073741824"}},
-		{"data length", frame(1, 1, "u", maxStreamVar+1), []string{`var "u" data length`, "1073741825"}},
+		{"variable count", bytes.Repeat(varRecord(0, "", 0), maxStreamVars+1), []string{"variable count", "65536"}},
+		{"name length", binary.BigEndian.AppendUint32(nil, maxStreamName+1), []string{"name length", "65537"}},
+		{"data length", varRecord(1, "u", maxStreamVar+1), []string{`var "u" data length`, "1073741825"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			client, server := net.Pipe()
-			defer client.Close()
-			go func() {
-				server.Write(tc.frame)
-				server.Close()
-			}()
-			r := &TCPReader{conn: client, r: bufio.NewReaderSize(client, 1<<16)}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, err := r.NextStep()
+			_, err := frameReader(tc.frame).NextStep()
 			runtime.ReadMemStats(&after)
 			if err == nil {
 				t.Fatal("corrupt frame accepted")
@@ -305,6 +332,53 @@ func TestStreamingFrameBounds(t *testing.T) {
 			}
 		})
 	}
+}
+
+// frameReader returns a TCPReader over an in-memory connection that
+// carries frame and then closes.
+func frameReader(frame []byte) *TCPReader {
+	client, server := net.Pipe()
+	go func() {
+		server.Write(frame)
+		server.Close()
+	}()
+	return &TCPReader{conn: client, r: bufio.NewReaderSize(client, 1<<16)}
+}
+
+// FuzzStreamFrame feeds arbitrary bytes to TCPReader.NextStep until it
+// ends. It must never panic, and must allocate in proportion to the
+// bytes it was given: a header announcing more than the input carries
+// (up to the 1 GiB frame bound) is skipped, since the reader allocates
+// an announced payload — after checking its bound — before it arrives.
+func FuzzStreamFrame(f *testing.F) {
+	step := append(varRecord(1, "x", 3), 1, 2, 3)
+	step = binary.BigEndian.AppendUint32(step, endOfStepMark)
+	step = binary.BigEndian.AppendUint64(step, 7)
+	f.Add(step)
+	f.Add(append(step, binary.BigEndian.AppendUint32(nil, endOfStreamMark)...))
+	f.Add(append(step, step...))
+	f.Add(varRecord(1, "u", maxStreamVar+1))
+	f.Add(binary.BigEndian.AppendUint32(nil, maxStreamName+1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for i := 0; i+8 <= len(data); i++ {
+			if n := binary.BigEndian.Uint64(data[i:]); n > uint64(len(data)) && n <= maxStreamVar {
+				t.Skip("announces a payload longer than the input")
+			}
+		}
+		r := frameReader(data)
+		defer r.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for steps := 0; steps <= len(data); steps++ {
+			if _, err := r.NextStep(); err != nil {
+				break
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+256*uint64(len(data)) {
+			t.Fatalf("%d input bytes cost %d allocated bytes", len(data), grew)
+		}
+	})
 }
 
 func TestConcurrentProducerConsumerThroughput(t *testing.T) {

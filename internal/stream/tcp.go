@@ -6,23 +6,30 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 )
 
-// TCP framing: each step is
+// TCP framing: a stream is a sequence of records, each opened by a 4-byte
+// word that is a name length or a mark:
 //
-//	[8B step index][4B var count]
-//	repeated: [4B name length][name][8B data length][data]
+//	variable:     [4B name length][name][8B data length][data]
+//	end of step:  [4B endOfStepMark][8B step index]
+//	end of stream:[4B endOfStreamMark]
 //
-// followed by the next step; a frame with var count 0xFFFFFFFF marks
-// end-of-stream. Backpressure comes from TCP flow control plus the
-// writer-side bounded queue.
-const endOfStreamMark = ^uint32(0)
+// The writer sends each variable as it is Put and the end-of-step record
+// at EndStep, so a payload goes from the caller's buffer to the socket
+// with no staging copy. Backpressure comes from TCP flow control.
+const (
+	endOfStepMark   = ^uint32(0) - 1
+	endOfStreamMark = ^uint32(0)
+)
 
 // Frame bounds: a reader allocates what a header announces before the
 // bytes arrive, so every announced size is checked first. One variable
-// payload may be 1 GiB; names and the variable count get limits no real
-// step comes near, and a corrupt or hostile header cannot cost more.
+// payload may be 1 GiB; names and the variables of one step get limits
+// no real step comes near, and a corrupt or hostile header cannot cost
+// more.
 const (
 	maxStreamVar  = 1 << 30
 	maxStreamName = 1 << 16
@@ -38,6 +45,7 @@ type TCPWriter struct {
 	next int
 	open bool
 	done bool
+	hdr  [12]byte // record header scratch (a local would escape through the socket write)
 }
 
 // ListenTCP starts a stream writer on addr; the returned writer's
@@ -83,12 +91,32 @@ func (t *TCPWriter) BeginStep() (*OpenStep, error) {
 	t.open = true
 	idx := t.next
 	t.next++
-	return &OpenStep{
-		step:   &Step{Index: idx, vars: map[string][]byte{}},
-		commit: t.commit,
-	}, nil
+	return &OpenStep{step: &Step{Index: idx}, sink: t}, nil
 }
 
+// put writes one variable record.
+func (t *TCPWriter) put(_ *Step, name string, data []byte) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.done {
+		return ErrClosed
+	}
+	binary.BigEndian.PutUint32(t.hdr[:4], uint32(len(name)))
+	if _, err := t.w.Write(t.hdr[:4]); err != nil {
+		return err
+	}
+	if _, err := t.w.WriteString(name); err != nil {
+		return err
+	}
+	binary.BigEndian.PutUint64(t.hdr[:8], uint64(len(data)))
+	if _, err := t.w.Write(t.hdr[:8]); err != nil {
+		return err
+	}
+	_, err := t.w.Write(data)
+	return err
+}
+
+// commit writes the end-of-step record and flushes.
 func (t *TCPWriter) commit(s *Step) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -96,30 +124,10 @@ func (t *TCPWriter) commit(s *Step) error {
 	if t.done {
 		return ErrClosed
 	}
-	var hdr [12]byte
-	binary.BigEndian.PutUint64(hdr[:8], uint64(s.Index))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(len(s.vars)))
-	if _, err := t.w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(t.hdr[:4], endOfStepMark)
+	binary.BigEndian.PutUint64(t.hdr[4:], uint64(s.Index))
+	if _, err := t.w.Write(t.hdr[:]); err != nil {
 		return err
-	}
-	for _, name := range s.Vars() {
-		data := s.vars[name]
-		var nl [4]byte
-		binary.BigEndian.PutUint32(nl[:], uint32(len(name)))
-		if _, err := t.w.Write(nl[:]); err != nil {
-			return err
-		}
-		if _, err := t.w.WriteString(name); err != nil {
-			return err
-		}
-		var dl [8]byte
-		binary.BigEndian.PutUint64(dl[:], uint64(len(data)))
-		if _, err := t.w.Write(dl[:]); err != nil {
-			return err
-		}
-		if _, err := t.w.Write(data); err != nil {
-			return err
-		}
 	}
 	return t.w.Flush()
 }
@@ -133,9 +141,8 @@ func (t *TCPWriter) Close() error {
 	}
 	t.done = true
 	if t.w != nil {
-		var hdr [12]byte
-		binary.BigEndian.PutUint32(hdr[8:], endOfStreamMark)
-		t.w.Write(hdr[:])
+		binary.BigEndian.PutUint32(t.hdr[:4], endOfStreamMark)
+		t.w.Write(t.hdr[:4])
 		t.w.Flush()
 	}
 	if t.conn != nil {
@@ -149,6 +156,10 @@ type TCPReader struct {
 	conn net.Conn
 	r    *bufio.Reader
 	done bool
+	last *Step    // returned by the last NextStep; its payloads are recycled by the next
+	free freeList // payload buffers of consumed steps
+	name []byte   // name scratch
+	word [8]byte  // fixed-size field scratch (a local would escape through io.ReadFull)
 }
 
 // DialTCP connects to a stream writer.
@@ -160,56 +171,64 @@ func DialTCP(addr string) (*TCPReader, error) {
 	return &TCPReader{conn: conn, r: bufio.NewReaderSize(conn, 1<<16)}, nil
 }
 
-// NextStep blocks for the next framed step.
+// NextStep blocks for the next framed step. Payloads are read into the
+// buffers of the step it returned last.
 func (t *TCPReader) NextStep() (*Step, error) {
 	if t.done {
 		return nil, ErrDone
 	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(t.r, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			t.done = true
-			return nil, ErrDone
-		}
-		return nil, err
-	}
-	nvars := binary.BigEndian.Uint32(hdr[8:])
-	if nvars == endOfStreamMark {
-		t.done = true
-		return nil, ErrDone
-	}
-	if nvars > maxStreamVars {
-		return nil, fmt.Errorf("stream: variable count %d exceeds limit %d", nvars, maxStreamVars)
-	}
-	s := &Step{Index: int(binary.BigEndian.Uint64(hdr[:8])), vars: map[string][]byte{}}
-	for i := uint32(0); i < nvars; i++ {
-		var nl [4]byte
-		if _, err := io.ReadFull(t.r, nl[:]); err != nil {
+	t.free.putStep(t.last)
+	t.last = nil
+	s := &Step{vars: map[string][]byte{}}
+	for nvars := 0; ; nvars++ {
+		if _, err := io.ReadFull(t.r, t.word[:4]); err != nil {
+			if nvars == 0 && (err == io.EOF || err == io.ErrUnexpectedEOF) {
+				t.done = true
+				return nil, ErrDone
+			}
 			return nil, err
 		}
-		nameLen := binary.BigEndian.Uint32(nl[:])
+		nameLen := binary.BigEndian.Uint32(t.word[:4])
+		switch nameLen {
+		case endOfStreamMark:
+			t.done = true
+			t.free.putStep(s)
+			return nil, ErrDone
+		case endOfStepMark:
+			if _, err := io.ReadFull(t.r, t.word[:]); err != nil {
+				return nil, err
+			}
+			s.Index = int(binary.BigEndian.Uint64(t.word[:]))
+			t.last = s
+			return s, nil
+		}
+		if nvars == maxStreamVars {
+			return nil, fmt.Errorf("stream: variable count exceeds limit %d", maxStreamVars)
+		}
 		if nameLen > maxStreamName {
 			return nil, fmt.Errorf("stream: name length %d exceeds limit %d", nameLen, maxStreamName)
 		}
-		name := make([]byte, nameLen)
-		if _, err := io.ReadFull(t.r, name); err != nil {
+		t.name = slices.Grow(t.name[:0], int(nameLen))[:nameLen]
+		if _, err := io.ReadFull(t.r, t.name); err != nil {
 			return nil, err
 		}
-		var dl [8]byte
-		if _, err := io.ReadFull(t.r, dl[:]); err != nil {
+		if _, err := io.ReadFull(t.r, t.word[:]); err != nil {
 			return nil, err
 		}
-		dataLen := binary.BigEndian.Uint64(dl[:])
+		dataLen := binary.BigEndian.Uint64(t.word[:])
 		if dataLen > maxStreamVar {
-			return nil, fmt.Errorf("stream: var %q data length %d exceeds limit %d", name, dataLen, maxStreamVar)
+			return nil, fmt.Errorf("stream: var %q data length %d exceeds limit %d", t.name, dataLen, maxStreamVar)
 		}
-		data := make([]byte, dataLen)
+		data := t.free.get(int(dataLen))
 		if _, err := io.ReadFull(t.r, data); err != nil {
 			return nil, err
 		}
-		s.vars[string(name)] = data
+		name := string(t.name)
+		if old, ok := s.vars[name]; ok {
+			t.free.put(old)
+		}
+		s.vars[name] = data
 	}
-	return s, nil
 }
 
 // Close releases the connection.
