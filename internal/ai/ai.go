@@ -76,6 +76,7 @@ type Trainer struct {
 	name      string
 	cfg       config.AIConfig
 	model     *nn.MLP
+	loss      nn.MSE
 	opt       nn.SGD
 	store     datastore.Store
 	comm      *mpi.Comm
@@ -90,6 +91,11 @@ type Trainer struct {
 	loader loader
 	// raw is UpdateLoader's read buffer, passed back to every read.
 	raw []byte
+	// xs, ys and synth are sampleBatch's minibatch, allocated once: xs
+	// rows alias the loader's ring or synth (synthetic inputs), ys rows
+	// are the targets.
+	xs, ys [][]float64
+	synth  []float64
 
 	iterStats stats.Welford
 	lossStats stats.Welford
@@ -130,6 +136,13 @@ func New(name string, cfg config.AIConfig, opts ...Option) (*Trainer, error) {
 	}
 	t.model = model
 	t.loader.w = t.inDim()
+	b, in, out := t.batchSize(), t.inDim(), t.outDim()
+	t.xs, t.synth = make([][]float64, b), make([]float64, b*in)
+	t.ys = make([][]float64, b)
+	targets := make([]float64, b*out)
+	for i := range t.ys {
+		t.ys[i] = targets[i*out : (i+1)*out : (i+1)*out]
+	}
 	lr := cfg.LR
 	if lr == 0 {
 		lr = 0.01
@@ -211,24 +224,23 @@ func (t *Trainer) LoaderSize() int { return t.loader.n }
 // original GNN warm-starts the same way). Targets are a fixed smooth
 // function of the inputs, giving the optimizer a real signal.
 //
-// Rows drawn from the loader alias its ring: they are valid until the
-// next UpdateLoader on the same goroutine, which may overwrite them.
+// The batch is the trainer's own, rewritten by every call. Rows drawn
+// from the loader alias its ring: they are valid until the next
+// UpdateLoader on the same goroutine, which may overwrite them.
 func (t *Trainer) sampleBatch() (xs, ys [][]float64) {
-	b := t.batchSize()
-	xs = make([][]float64, b)
-	ys = make([][]float64, b)
-	for i := 0; i < b; i++ {
+	in := t.inDim()
+	for i := range t.xs {
 		var row []float64
 		if n := t.loader.n; n > 0 {
 			row = t.loader.row(t.rng.Intn(n))
 		} else {
-			row = make([]float64, t.inDim())
+			row = t.synth[i*in : (i+1)*in : (i+1)*in]
 			for j := range row {
 				row[j] = t.rng.NormFloat64()
 			}
 		}
-		xs[i] = row
-		y := make([]float64, t.outDim())
+		t.xs[i] = row
+		y := t.ys[i]
 		for j := range y {
 			s := 0.0
 			for k, v := range row {
@@ -240,15 +252,16 @@ func (t *Trainer) sampleBatch() (xs, ys [][]float64) {
 			}
 			y[j] = math.Tanh(s / float64(len(row)))
 		}
-		ys[i] = y
 	}
-	return xs, ys
+	return t.xs, t.ys
 }
 
 // TrainIteration performs one real DDP step: forward, MSE loss,
 // backward, gradient all-reduce (when a communicator is attached), SGD
 // update — then pads to the sampled run_time so the iteration matches
-// the profiled duration (0.061 s for the paper's GNN).
+// the profiled duration (0.061 s for the paper's GNN). Batch, activations
+// and gradients live in buffers the trainer and its model reuse, so
+// without a communicator or timeline a step allocates nothing.
 func (t *Trainer) TrainIteration() (float64, error) {
 	iterStart := t.now()
 	var target float64
@@ -258,7 +271,7 @@ func (t *Trainer) TrainIteration() (float64, error) {
 	xs, ys := t.sampleBatch()
 	t.model.ZeroGrad()
 	pred := t.model.Forward(xs)
-	loss, grad := nn.MSELoss(pred, ys)
+	loss, grad := t.loss.Loss(pred, ys)
 	t.model.Backward(grad)
 	if t.comm != nil && t.comm.Size() > 1 {
 		t.allReduceGrads()

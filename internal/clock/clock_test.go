@@ -162,6 +162,39 @@ func TestVirtualNoParticipantsDrains(t *testing.T) {
 	}
 }
 
+// TestVirtualSleepAllocatesNothing: a Sleep parks on a recycled wake
+// channel, so padding on the virtual clock allocates nothing — alone,
+// and with a second participant handing the barrier back and forth.
+func TestVirtualSleepAllocatesNothing(t *testing.T) {
+	v := NewVirtual()
+	if allocs := testing.AllocsPerRun(100, func() { v.Sleep(time.Millisecond) }); allocs != 0 {
+		t.Fatalf("a lone Sleep allocates %v times, want 0", allocs)
+	}
+	v.Join()
+	v.Join()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer v.Leave()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				v.Sleep(time.Millisecond)
+			}
+		}
+	}()
+	allocs := testing.AllocsPerRun(100, func() { v.Sleep(time.Millisecond) })
+	close(stop)
+	v.Leave()
+	<-done
+	if allocs != 0 {
+		t.Fatalf("a Sleep beside another participant allocates %v times, want 0", allocs)
+	}
+}
+
 // An unmatched Leave must panic loudly instead of silently corrupting
 // the barrier condition with a negative participant count.
 func TestLeaveUnderflowPanics(t *testing.T) {

@@ -49,6 +49,12 @@ type vsleeper struct {
 	ch  chan struct{}
 }
 
+// wakeChans recycles the channels parked sleepers wait on, so a Sleep
+// allocates nothing once the pool is warm. Each is buffered: the single
+// wake-up a sleeper receives never blocks the waker, and the sleeper
+// returns its channel drained.
+var wakeChans = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
+
 // NewVirtual returns a virtual clock at a fixed epoch (time.Unix(0,0)
 // UTC), so every run starts from the same instant.
 func NewVirtual() *Virtual {
@@ -100,13 +106,14 @@ func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
+	ch := wakeChans.Get().(chan struct{})
 	v.mu.Lock()
-	s := vsleeper{at: v.nowNS + int64(d), seq: v.seq, ch: make(chan struct{})}
+	v.pushSleeper(vsleeper{at: v.nowNS + int64(d), seq: v.seq, ch: ch})
 	v.seq++
-	v.pushSleeper(s)
 	v.advanceLocked()
 	v.mu.Unlock()
-	<-s.ch
+	<-ch
+	wakeChans.Put(ch)
 }
 
 // advanceLocked wakes the earliest sleeper when every joined
@@ -120,7 +127,7 @@ func (v *Virtual) advanceLocked() {
 		if s.at > v.nowNS {
 			v.nowNS = s.at
 		}
-		close(s.ch)
+		s.ch <- struct{}{}
 		if v.joined > 0 {
 			return // exactly one runnable participant at a time
 		}

@@ -153,6 +153,27 @@ func stagedArrays(seed int64, sizes []int) [][]byte {
 	return arrays
 }
 
+// cleanSnapshots is the trainer's clean_staged_data: having consumed the
+// snapshot at step, it removes that snapshot and every older one it
+// skipped — each step after cleaned, to step, that is a multiple of the
+// write period — and returns step as the new cleaned. The solver only
+// writes past step once it has published head step, so nothing it still
+// writes is touched, and the backend holds only what is yet to be read
+// (letting the mini-Redis recycle the dropped values). The removal goes
+// through the store, not the component, so it is not a transport event.
+func cleanSnapshots(store datastore.Store, cfg OneToOneConfig, cleaned, step int) (int, error) {
+	first := (cleaned/cfg.WritePeriod + 1) * cfg.WritePeriod
+	for s := first; s <= step; s += cfg.WritePeriod {
+		for a := range cfg.ArrayBytes {
+			key := dataKey(s, a)
+			if err := store.Clean(key); err != nil {
+				return cleaned, fmt.Errorf("clean %s: %w", key, err)
+			}
+		}
+	}
+	return step, nil
+}
+
 // RunOneToOne executes the one-to-one workflow on the real stack — the
 // structure of §4.1.1. Both components run against the configured
 // emulation clock: under the virtual clock all padding is free (the run
@@ -257,13 +278,15 @@ func runOneToOne(ctx context.Context, cfg OneToOneConfig, clk clock.Clock, conne
 			return err
 		}
 		initialize("Training", cfg.TrainInitS)
-		lastHead := ""
+		lastHead, cleaned := "", 0 // cleaned: newest snapshot step removed
+		var head []byte            // the head poll's read buffer
 		for i := 1; i <= cfg.TrainIters; i++ {
 			if _, err := tr.TrainIteration(); err != nil {
 				return err
 			}
 			if i%cfg.ReadPeriod == 0 {
-				head, err := store.StageRead(keyHead)
+				var err error
+				head, err = store.StageReadInto(keyHead, head)
 				if errors.Is(err, datastore.ErrNotStaged) {
 					continue // no snapshot yet
 				}
@@ -283,6 +306,9 @@ func runOneToOne(ctx context.Context, cfg OneToOneConfig, clk clock.Clock, conne
 					if err := tr.UpdateLoader(key); err != nil {
 						return fmt.Errorf("read %s: %w", key, err)
 					}
+				}
+				if cleaned, err = cleanSnapshots(store, cfg, cleaned, step); err != nil {
+					return err
 				}
 			}
 			if ctx.Err() != nil {

@@ -3,9 +3,11 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -138,6 +140,77 @@ func TestOneToOneDeadBackendIsAnError(t *testing.T) {
 					})
 				if err == nil || !(strings.Contains(err.Error(), "control/") || strings.Contains(err.Error(), "data/")) {
 					t.Fatalf("error = %v, want one naming the key that could not be reached", err)
+				}
+			})
+		}
+	}
+}
+
+// TestOneToOneCleansWhatItConsumed: when the run ends, no snapshot the
+// trainer read — nor any older one it skipped — is still staged, on
+// either clock; what remains is only what the solver wrote after the
+// trainer's last read. The removals are not transport events.
+func TestOneToOneCleansWhatItConsumed(t *testing.T) {
+	for _, backend := range []datastore.Backend{datastore.Redis, datastore.NodeLocal} {
+		for _, clk := range []string{clock.KindVirtual, clock.KindWall} {
+			t.Run(backend.String()+"/"+clk, func(t *testing.T) {
+				cfg := smallOneToOne(backend, clk)
+				c, err := clock.FromKind(clk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mgr, info, err := datastore.StartBackend(backend, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer mgr.Stop()
+				var mu sync.Mutex
+				newest := 0 // newest snapshot step the trainer read
+				connect := func() (datastore.Store, error) {
+					s, err := datastore.Connect(info)
+					if err != nil {
+						return nil, err
+					}
+					return hookedStore{s, func(op, key string) error {
+						var step int
+						if _, err := fmt.Sscanf(key, "data/%d/", &step); op == "read" && err == nil {
+							mu.Lock()
+							newest = max(newest, step)
+							mu.Unlock()
+						}
+						return nil
+					}}, nil
+				}
+				res, err := runOneToOne(bg, cfg, c, connect)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if newest == 0 {
+					t.Fatal("the trainer read no snapshot: nothing to check")
+				}
+				s, err := datastore.Connect(info)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				keys, err := s.Keys()
+				if err != nil {
+					t.Fatal(err)
+				}
+				written := res.Sim.Iterations / cfg.WritePeriod
+				data := 0
+				for _, k := range keys {
+					var step int
+					if _, err := fmt.Sscanf(k, "data/%d/", &step); err != nil {
+						continue
+					}
+					data++
+					if step <= newest {
+						t.Errorf("%s still staged after the trainer read step %d", k, newest)
+					}
+				}
+				if want := 2 * (written - newest/cfg.WritePeriod); data != want {
+					t.Errorf("%d data keys staged, want %d (the %d snapshots after step %d)", data, want, want/2, newest)
 				}
 			})
 		}

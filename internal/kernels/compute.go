@@ -10,34 +10,34 @@ import (
 // matMulSimple2D multiplies two square size[0]×size[0] matrices — the
 // kernel the paper uses to emulate nekRS iterations ("data_size":
 // [256, 256]).
-type matMulSimple2D struct{}
+type matMulSimple2D struct{ a, b, c []float64 }
 
-func (matMulSimple2D) Name() string { return "MatMulSimple2D" }
+func (*matMulSimple2D) Name() string { return "MatMulSimple2D" }
 
-func (matMulSimple2D) Run(ctx *Context, size []int) error {
+func (k *matMulSimple2D) Run(ctx *Context, size []int) error {
 	n := dim(size, 0, 256)
-	a := deterministicMatrix(n, n, 1)
-	b := deterministicMatrix(n, n, 2)
-	c := make([]float64, n*n)
-	matmul(c, a, b, n, n, n)
-	keep(c[0])
+	k.a = deterministicMatrix(k.a, n*n, 1)
+	k.b = deterministicMatrix(k.b, n*n, 2)
+	k.c = zeroed(k.c, n*n)
+	matmul(k.c, k.a, k.b, n, n, n)
+	keep(k.c[0])
 	return nil
 }
 
 // matMulGeneral multiplies size[0]×size[1] by size[1]×size[2] (GEMM).
-type matMulGeneral struct{}
+type matMulGeneral struct{ a, b, c []float64 }
 
-func (matMulGeneral) Name() string { return "MatMulGeneral" }
+func (*matMulGeneral) Name() string { return "MatMulGeneral" }
 
-func (matMulGeneral) Run(ctx *Context, size []int) error {
+func (k *matMulGeneral) Run(ctx *Context, size []int) error {
 	m := dim(size, 0, 128)
-	k := dim(size, 1, 128)
+	kk := dim(size, 1, 128)
 	n := dim(size, 2, 128)
-	a := deterministicMatrix(m, k, 1)
-	b := deterministicMatrix(k, n, 2)
-	c := make([]float64, m*n)
-	matmul(c, a, b, m, k, n)
-	keep(c[0])
+	k.a = deterministicMatrix(k.a, m*kk, 1)
+	k.b = deterministicMatrix(k.b, kk*n, 2)
+	k.c = zeroed(k.c, m*n)
+	matmul(k.c, k.a, k.b, m, kk, n)
+	keep(k.c[0])
 	return nil
 }
 
@@ -56,15 +56,33 @@ func matmul(c, a, b []float64, m, k, n int) {
 	}
 }
 
-// deterministicMatrix fills an m×n matrix with a cheap deterministic
-// pattern so kernels are reproducible without holding RNG state.
-// math.Trunc lowers to a single rounding instruction, and for finite
-// positive x, x - Trunc(x) equals math.Mod(x, 1) exactly — same values,
-// an order of magnitude faster, which matters under the virtual clock
-// where kernel data generation is real compute on the critical path
-// instead of being hidden inside the iteration pad.
-func deterministicMatrix(m, n int, seed float64) []float64 {
-	out := make([]float64, m*n)
+// resize returns buf with n elements, reallocating only when its
+// capacity is short: the scratch rule of every kernel here, which keeps
+// its buffers between runs so an iteration allocates nothing once they
+// have grown. The contents are stale.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// zeroed is resize with every element cleared.
+func zeroed(buf []float64, n int) []float64 {
+	buf = resize(buf, n)
+	clear(buf)
+	return buf
+}
+
+// deterministicMatrix fills n elements — resize(buf, n) — with a cheap
+// deterministic pattern so kernels are reproducible without holding RNG
+// state. math.Trunc lowers to a single rounding instruction, and for
+// finite positive x, x - Trunc(x) equals math.Mod(x, 1) exactly — same
+// values, an order of magnitude faster, which matters under the virtual
+// clock where kernel data generation is real compute on the critical
+// path instead of being hidden inside the iteration pad.
+func deterministicMatrix(buf []float64, n int, seed float64) []float64 {
+	out := resize(buf, n)
 	for i := range out {
 		v := seed * float64(i+1) * 0.618033988749895
 		out[i] = v - math.Trunc(v)
@@ -82,18 +100,18 @@ func keep(v float64) { sink.Store(math.Float64bits(v)) }
 
 // fftKernel runs an in-place radix-2 Cooley-Tukey FFT over size[0]
 // complex points (rounded up to a power of two).
-type fftKernel struct{}
+type fftKernel struct{ data []complex128 }
 
-func (fftKernel) Name() string { return "FFT" }
+func (*fftKernel) Name() string { return "FFT" }
 
-func (fftKernel) Run(ctx *Context, size []int) error {
+func (k *fftKernel) Run(ctx *Context, size []int) error {
 	n := nextPow2(dim(size, 0, 1024))
-	data := make([]complex128, n)
-	for i := range data {
-		data[i] = complex(math.Sin(float64(i)), 0)
+	k.data = resize(k.data, n)
+	for i := range k.data {
+		k.data[i] = complex(math.Sin(float64(i)), 0)
 	}
-	FFT(data)
-	keep(real(data[0]))
+	FFT(k.data)
+	keep(real(k.data[0]))
 	return nil
 }
 
@@ -143,67 +161,67 @@ func FFT(data []complex128) {
 }
 
 // axpy computes y = a*x + y over size[0] elements.
-type axpy struct{}
+type axpy struct{ x, y []float64 }
 
-func (axpy) Name() string { return "AXPY" }
+func (*axpy) Name() string { return "AXPY" }
 
-func (axpy) Run(ctx *Context, size []int) error {
+func (k *axpy) Run(ctx *Context, size []int) error {
 	n := dim(size, 0, 1<<16)
-	x := deterministicMatrix(1, n, 1)
-	y := deterministicMatrix(1, n, 2)
+	k.x = deterministicMatrix(k.x, n, 1)
+	k.y = deterministicMatrix(k.y, n, 2)
 	const a = 2.5
-	for i := range y {
-		y[i] += a * x[i]
+	for i := range k.y {
+		k.y[i] += a * k.x[i]
 	}
-	keep(y[n-1])
+	keep(k.y[n-1])
 	return nil
 }
 
 // inplaceCompute applies f(x) = sin(x)+x² element-wise in place over
 // size[0] elements.
-type inplaceCompute struct{}
+type inplaceCompute struct{ x []float64 }
 
-func (inplaceCompute) Name() string { return "InplaceCompute" }
+func (*inplaceCompute) Name() string { return "InplaceCompute" }
 
-func (inplaceCompute) Run(ctx *Context, size []int) error {
+func (k *inplaceCompute) Run(ctx *Context, size []int) error {
 	n := dim(size, 0, 1<<16)
-	x := deterministicMatrix(1, n, 3)
-	for i := range x {
-		x[i] = math.Sin(x[i]) + x[i]*x[i]
+	k.x = deterministicMatrix(k.x, n, 3)
+	for i, v := range k.x {
+		k.x[i] = math.Sin(v) + v*v
 	}
-	keep(x[0])
+	keep(k.x[0])
 	return nil
 }
 
 // generateRandom fills size[0] elements from the context RNG.
-type generateRandom struct{}
+type generateRandom struct{ out []float64 }
 
-func (generateRandom) Name() string { return "GenerateRandomNumber" }
+func (*generateRandom) Name() string { return "GenerateRandomNumber" }
 
-func (generateRandom) Run(ctx *Context, size []int) error {
+func (k *generateRandom) Run(ctx *Context, size []int) error {
 	n := dim(size, 0, 1<<16)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = ctx.Rng.Float64()
+	k.out = resize(k.out, n)
+	for i := range k.out {
+		k.out[i] = ctx.Rng.Float64()
 	}
-	keep(out[n-1])
+	keep(k.out[n-1])
 	return nil
 }
 
 // scatterAdd scatters size[0] values into a size[1]-element accumulator
 // at RNG-chosen indices (the classic scatter-add primitive of mesh/GNN
 // workloads).
-type scatterAdd struct{}
+type scatterAdd struct{ acc []float64 }
 
-func (scatterAdd) Name() string { return "ScatterAdd" }
+func (*scatterAdd) Name() string { return "ScatterAdd" }
 
-func (scatterAdd) Run(ctx *Context, size []int) error {
+func (k *scatterAdd) Run(ctx *Context, size []int) error {
 	nVals := dim(size, 0, 1<<16)
 	nBins := dim(size, 1, 1024)
-	acc := make([]float64, nBins)
+	k.acc = zeroed(k.acc, nBins)
 	for i := 0; i < nVals; i++ {
-		acc[ctx.Rng.Intn(nBins)] += float64(i)
+		k.acc[ctx.Rng.Intn(nBins)] += float64(i)
 	}
-	keep(acc[0])
+	keep(k.acc[0])
 	return nil
 }

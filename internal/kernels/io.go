@@ -10,10 +10,11 @@ import (
 	"simaibench/internal/mpi"
 )
 
-// payload builds size[0] float64s of deterministic data for I/O kernels.
-func payload(size []int) []byte {
+// payload builds size[0] float64s of deterministic data for I/O kernels
+// in resize(buf, ...).
+func payload(buf []byte, size []int) []byte {
 	n := dim(size, 0, 1<<14)
-	buf := make([]byte, 8*n)
+	buf = resize(buf, 8*n)
 	for i := 0; i < n; i++ {
 		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(float64(i)))
 	}
@@ -34,45 +35,48 @@ func requireDir(ctx *Context, name string) error {
 
 // writeSingleRank has rank 0 write the whole payload; other ranks idle,
 // like the paper's "a single process writes data to a file".
-type writeSingleRank struct{}
+type writeSingleRank struct{ buf []byte }
 
-func (writeSingleRank) Name() string { return "WriteSingleRank" }
+func (*writeSingleRank) Name() string { return "WriteSingleRank" }
 
-func (writeSingleRank) Run(ctx *Context, size []int) error {
+func (k *writeSingleRank) Run(ctx *Context, size []int) error {
 	if err := requireDir(ctx, "WriteSingleRank"); err != nil {
 		return err
 	}
 	if ctx.rank() != 0 {
 		return nil
 	}
-	return os.WriteFile(ioPath(ctx, 0), payload(size), 0o644)
+	k.buf = payload(k.buf, size)
+	return os.WriteFile(ioPath(ctx, 0), k.buf, 0o644)
 }
 
 // writeNonMPI has every rank write its own file independently ("writes
 // data to a file without MPI-IO").
-type writeNonMPI struct{}
+type writeNonMPI struct{ buf []byte }
 
-func (writeNonMPI) Name() string { return "WriteNonMPI" }
+func (*writeNonMPI) Name() string { return "WriteNonMPI" }
 
-func (writeNonMPI) Run(ctx *Context, size []int) error {
+func (k *writeNonMPI) Run(ctx *Context, size []int) error {
 	if err := requireDir(ctx, "WriteNonMPI"); err != nil {
 		return err
 	}
-	return os.WriteFile(ioPath(ctx, ctx.rank()), payload(size), 0o644)
+	k.buf = payload(k.buf, size)
+	return os.WriteFile(ioPath(ctx, ctx.rank()), k.buf, 0o644)
 }
 
 // writeWithMPI emulates an MPI-IO collective write: ranks gather their
 // blocks to rank 0, which writes one shared file.
-type writeWithMPI struct{}
+type writeWithMPI struct{ buf []byte }
 
-func (writeWithMPI) Name() string { return "WriteWithMPI" }
+func (*writeWithMPI) Name() string { return "WriteWithMPI" }
 
-func (writeWithMPI) Run(ctx *Context, size []int) error {
+func (k *writeWithMPI) Run(ctx *Context, size []int) error {
 	if err := requireDir(ctx, "WriteWithMPI"); err != nil {
 		return err
 	}
 	if ctx.Comm == nil {
-		return os.WriteFile(filepath.Join(ctx.Dir, "kernel-io-shared.bin"), payload(size), 0o644)
+		k.buf = payload(k.buf, size)
+		return os.WriteFile(filepath.Join(ctx.Dir, "kernel-io-shared.bin"), k.buf, 0o644)
 	}
 	n := dim(size, 0, 1<<14)
 	local := make([]float64, n)
@@ -97,9 +101,9 @@ func (writeWithMPI) Run(ctx *Context, size []int) error {
 // WriteSingleRank for rank 0).
 type readNonMPI struct{}
 
-func (readNonMPI) Name() string { return "ReadNonMPI" }
+func (*readNonMPI) Name() string { return "ReadNonMPI" }
 
-func (readNonMPI) Run(ctx *Context, size []int) error {
+func (*readNonMPI) Run(ctx *Context, size []int) error {
 	if err := requireDir(ctx, "ReadNonMPI"); err != nil {
 		return err
 	}
@@ -117,9 +121,9 @@ func (readNonMPI) Run(ctx *Context, size []int) error {
 // shared file and scatters equal blocks.
 type readWithMPI struct{}
 
-func (readWithMPI) Name() string { return "ReadWithMPI" }
+func (*readWithMPI) Name() string { return "ReadWithMPI" }
 
-func (readWithMPI) Run(ctx *Context, size []int) error {
+func (*readWithMPI) Run(ctx *Context, size []int) error {
 	if err := requireDir(ctx, "ReadWithMPI"); err != nil {
 		return err
 	}
@@ -161,36 +165,36 @@ func (readWithMPI) Run(ctx *Context, size []int) error {
 }
 
 // allReduce performs an all-reduce over size[0] elements.
-type allReduce struct{}
+type allReduce struct{ buf []float64 }
 
-func (allReduce) Name() string { return "AllReduce" }
+func (*allReduce) Name() string { return "AllReduce" }
 
-func (allReduce) Run(ctx *Context, size []int) error {
+func (k *allReduce) Run(ctx *Context, size []int) error {
 	if ctx.Comm == nil {
 		return fmt.Errorf("kernels: AllReduce needs Context.Comm")
 	}
 	n := dim(size, 0, 1<<14)
-	buf := make([]float64, n)
-	for i := range buf {
-		buf[i] = float64(ctx.Comm.Rank())
+	k.buf = resize(k.buf, n)
+	for i := range k.buf {
+		k.buf[i] = float64(ctx.Comm.Rank())
 	}
-	ctx.Comm.AllReduce(mpi.Sum, buf)
-	keep(buf[0])
+	ctx.Comm.AllReduce(mpi.Sum, k.buf)
+	keep(k.buf[0])
 	return nil
 }
 
 // allGather performs an all-gather of size[0] elements per rank.
-type allGather struct{}
+type allGather struct{ buf []float64 }
 
-func (allGather) Name() string { return "AllGather" }
+func (*allGather) Name() string { return "AllGather" }
 
-func (allGather) Run(ctx *Context, size []int) error {
+func (k *allGather) Run(ctx *Context, size []int) error {
 	if ctx.Comm == nil {
 		return fmt.Errorf("kernels: AllGather needs Context.Comm")
 	}
 	n := dim(size, 0, 1<<12)
-	buf := make([]float64, n)
-	out := ctx.Comm.AllGather(buf)
+	k.buf = zeroed(k.buf, n)
+	out := ctx.Comm.AllGather(k.buf)
 	keep(out[0])
 	return nil
 }
@@ -199,29 +203,29 @@ func (allGather) Run(ctx *Context, size []int) error {
 // buffers standing in for DDR and HBM. The byte volume is what matters
 // for the transport studies; PCIe/fabric latency belongs to the DES cost
 // models.
-type copyH2D struct{}
+type copyH2D struct{ host, device []float64 }
 
-func (copyH2D) Name() string { return "CopyHostToDevice" }
+func (*copyH2D) Name() string { return "CopyHostToDevice" }
 
-func (copyH2D) Run(ctx *Context, size []int) error {
+func (k *copyH2D) Run(ctx *Context, size []int) error {
 	n := dim(size, 0, 1<<16)
-	host := deterministicMatrix(1, n, 1)
-	device := make([]float64, n)
-	copy(device, host)
-	keep(device[n-1])
+	k.host = deterministicMatrix(k.host, n, 1)
+	k.device = resize(k.device, n)
+	copy(k.device, k.host)
+	keep(k.device[n-1])
 	return nil
 }
 
 // copyD2H models the reverse device-to-host copy.
-type copyD2H struct{}
+type copyD2H struct{ device, host []float64 }
 
-func (copyD2H) Name() string { return "CopyDeviceToHost" }
+func (*copyD2H) Name() string { return "CopyDeviceToHost" }
 
-func (copyD2H) Run(ctx *Context, size []int) error {
+func (k *copyD2H) Run(ctx *Context, size []int) error {
 	n := dim(size, 0, 1<<16)
-	device := deterministicMatrix(1, n, 2)
-	host := make([]float64, n)
-	copy(host, device)
-	keep(host[n-1])
+	k.device = deterministicMatrix(k.device, n, 2)
+	k.host = resize(k.host, n)
+	copy(k.host, k.device)
+	keep(k.host[n-1])
 	return nil
 }

@@ -72,6 +72,11 @@ func (c *Context) rank() int {
 // Kernel is one runnable primitive. Size is the data_size from the
 // configuration: its interpretation is kernel-specific (matrix dims,
 // vector length, element count...). Run executes one iteration.
+//
+// A Kernel keeps its scratch buffers from one Run to the next, so an
+// iteration allocates nothing once they have grown; an instance is
+// therefore not safe for concurrent use, and New returns a fresh one per
+// caller.
 type Kernel interface {
 	Name() string
 	Run(ctx *Context, size []int) error
@@ -114,20 +119,20 @@ func dim(size []int, i, def int) int {
 }
 
 func init() {
-	Register("MatMulSimple2D", func() Kernel { return matMulSimple2D{} })
-	Register("MatMulGeneral", func() Kernel { return matMulGeneral{} })
-	Register("FFT", func() Kernel { return fftKernel{} })
-	Register("AXPY", func() Kernel { return axpy{} })
-	Register("InplaceCompute", func() Kernel { return inplaceCompute{} })
-	Register("GenerateRandomNumber", func() Kernel { return generateRandom{} })
-	Register("ScatterAdd", func() Kernel { return scatterAdd{} })
-	Register("WriteSingleRank", func() Kernel { return writeSingleRank{} })
-	Register("WriteNonMPI", func() Kernel { return writeNonMPI{} })
-	Register("WriteWithMPI", func() Kernel { return writeWithMPI{} })
-	Register("ReadNonMPI", func() Kernel { return readNonMPI{} })
-	Register("ReadWithMPI", func() Kernel { return readWithMPI{} })
-	Register("AllReduce", func() Kernel { return allReduce{} })
-	Register("AllGather", func() Kernel { return allGather{} })
-	Register("CopyHostToDevice", func() Kernel { return copyH2D{} })
-	Register("CopyDeviceToHost", func() Kernel { return copyD2H{} })
+	Register("MatMulSimple2D", func() Kernel { return &matMulSimple2D{} })
+	Register("MatMulGeneral", func() Kernel { return &matMulGeneral{} })
+	Register("FFT", func() Kernel { return &fftKernel{} })
+	Register("AXPY", func() Kernel { return &axpy{} })
+	Register("InplaceCompute", func() Kernel { return &inplaceCompute{} })
+	Register("GenerateRandomNumber", func() Kernel { return &generateRandom{} })
+	Register("ScatterAdd", func() Kernel { return &scatterAdd{} })
+	Register("WriteSingleRank", func() Kernel { return &writeSingleRank{} })
+	Register("WriteNonMPI", func() Kernel { return &writeNonMPI{} })
+	Register("WriteWithMPI", func() Kernel { return &writeWithMPI{} })
+	Register("ReadNonMPI", func() Kernel { return &readNonMPI{} })
+	Register("ReadWithMPI", func() Kernel { return &readWithMPI{} })
+	Register("AllReduce", func() Kernel { return &allReduce{} })
+	Register("AllGather", func() Kernel { return &allGather{} })
+	Register("CopyHostToDevice", func() Kernel { return &copyH2D{} })
+	Register("CopyDeviceToHost", func() Kernel { return &copyD2H{} })
 }

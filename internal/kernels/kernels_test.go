@@ -51,7 +51,7 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 			t.Fatal("duplicate registration did not panic")
 		}
 	}()
-	Register("MatMulSimple2D", func() Kernel { return matMulSimple2D{} })
+	Register("MatMulSimple2D", func() Kernel { return &matMulSimple2D{} })
 }
 
 func TestParseDevice(t *testing.T) {
@@ -86,6 +86,53 @@ func TestComputeKernelsRunSerial(t *testing.T) {
 		// Default sizes must also work.
 		if err := k.Run(ctx, nil); err != nil {
 			t.Errorf("%s with default size: %v", name, err)
+		}
+	}
+}
+
+// TestComputeKernelsAllocateNothing: a compute or copy kernel keeps its
+// buffers between runs, so once they have grown an iteration allocates
+// nothing, at every size it has grown to.
+func TestComputeKernelsAllocateNothing(t *testing.T) {
+	ctx := serialCtx(t)
+	for _, name := range []string{
+		"MatMulSimple2D", "MatMulGeneral", "FFT", "AXPY",
+		"InplaceCompute", "GenerateRandomNumber", "ScatterAdd",
+		"CopyHostToDevice", "CopyDeviceToHost",
+	} {
+		k, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range [][]int{{128, 32, 16}, {64, 64, 64}} {
+			if allocs := testing.AllocsPerRun(5, func() {
+				if err := k.Run(ctx, size); err != nil {
+					t.Fatal(err)
+				}
+			}); allocs != 0 {
+				t.Errorf("%s %v: a run allocates %v times, want 0", name, size, allocs)
+			}
+		}
+	}
+}
+
+// TestScratchReuseKeepsResults: a kernel whose buffers hold a previous,
+// larger run's values computes what a fresh instance computes.
+func TestScratchReuseKeepsResults(t *testing.T) {
+	ctx := &Context{Rng: rand.New(rand.NewSource(1))}
+	for _, name := range []string{"MatMulGeneral", "ScatterAdd", "AXPY", "FFT"} {
+		reused, _ := New(name)
+		if err := reused.Run(ctx, []int{48, 40, 32}); err != nil {
+			t.Fatal(err)
+		}
+		ctx.Rng.Seed(3)
+		reused.Run(ctx, []int{16, 8, 4})
+		got := sink.Load()
+		fresh, _ := New(name)
+		ctx.Rng.Seed(3)
+		fresh.Run(ctx, []int{16, 8, 4})
+		if want := sink.Load(); got != want {
+			t.Errorf("%s: reused instance kept %#x, fresh %#x", name, got, want)
 		}
 	}
 }

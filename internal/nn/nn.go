@@ -6,6 +6,12 @@
 //
 // Layout conventions: batches are [][]float64 (batch of row vectors);
 // Linear weights are row-major [out][in].
+//
+// Buffer ownership: every layer and the MSE loss write their results
+// into buffers they own and reuse, so a training step allocates nothing
+// once the batch size stops growing. A returned batch is valid until
+// the same object's next call of the same method; a caller that keeps
+// one longer copies it.
 package nn
 
 import (
@@ -22,11 +28,35 @@ type Param struct {
 }
 
 // Layer is one differentiable stage. Backward consumes dL/d(output) and
-// returns dL/d(input), accumulating parameter gradients internally.
+// returns dL/d(input), accumulating parameter gradients internally. Both
+// results live in buffers the layer owns (see the package doc).
 type Layer interface {
 	Forward(x [][]float64) [][]float64
 	Backward(grad [][]float64) [][]float64
 	Params() []*Param
+}
+
+// batchBuf is a reusable batch: one contiguous backing array and the row
+// headers over it.
+type batchBuf struct {
+	flat []float64
+	rows [][]float64
+}
+
+// shape returns the buffer as n rows of w floats, growing it only when it
+// is too small. The contents are stale: callers overwrite every element.
+func (b *batchBuf) shape(n, w int) [][]float64 {
+	if cap(b.flat) < n*w {
+		b.flat = make([]float64, n*w)
+	}
+	if cap(b.rows) < n {
+		b.rows = make([][]float64, n)
+	}
+	flat, rows := b.flat[:n*w], b.rows[:n]
+	for i := range rows {
+		rows[i] = flat[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
 }
 
 // Linear is a dense layer: y = xWᵀ + b.
@@ -35,6 +65,7 @@ type Linear struct {
 	weight  *Param
 	bias    *Param
 	lastX   [][]float64
+	out, dx batchBuf
 }
 
 // NewLinear builds a dense layer with Xavier-uniform initialization from
@@ -54,15 +85,16 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 	return l
 }
 
-// Forward computes y[b][o] = Σ_i x[b][i]·W[o][i] + bias[o].
+// Forward computes y[b][o] = Σ_i x[b][i]·W[o][i] + bias[o]. It keeps x
+// for Backward, so x must not change in between.
 func (l *Linear) Forward(x [][]float64) [][]float64 {
 	l.lastX = x
-	out := make([][]float64, len(x))
+	out := l.out.shape(len(x), l.Out)
 	for b, xb := range x {
 		if len(xb) != l.In {
 			panic(fmt.Sprintf("nn: linear input dim %d, want %d", len(xb), l.In))
 		}
-		row := make([]float64, l.Out)
+		row := out[b]
 		for o := 0; o < l.Out; o++ {
 			w := l.weight.W[o*l.In : (o+1)*l.In]
 			s := l.bias.W[o]
@@ -71,7 +103,6 @@ func (l *Linear) Forward(x [][]float64) [][]float64 {
 			}
 			row[o] = s
 		}
-		out[b] = row
 	}
 	return out
 }
@@ -81,10 +112,11 @@ func (l *Linear) Backward(grad [][]float64) [][]float64 {
 	if l.lastX == nil {
 		panic("nn: linear backward before forward")
 	}
-	dx := make([][]float64, len(grad))
+	dx := l.dx.shape(len(grad), l.In)
 	for b, gb := range grad {
 		xb := l.lastX[b]
-		row := make([]float64, l.In)
+		row := dx[b]
+		clear(row)
 		for o := 0; o < l.Out; o++ {
 			g := gb[o]
 			l.bias.Grad[o] += g
@@ -95,7 +127,6 @@ func (l *Linear) Backward(grad [][]float64) [][]float64 {
 				row[i] += g * wRow[i]
 			}
 		}
-		dx[b] = row
 	}
 	return dx
 }
@@ -105,24 +136,38 @@ func (l *Linear) Params() []*Param { return []*Param{l.weight, l.bias} }
 
 // ReLU is the rectified-linear activation.
 type ReLU struct {
-	mask [][]bool
+	// mask[b*w+i] records whether input (b, i) was positive; nil until
+	// the first Forward.
+	mask    []bool
+	w       int
+	out, dx batchBuf
 }
 
-// Forward zeroes negatives and remembers the mask.
+// Forward zeroes negatives and remembers the mask. Every row of x must
+// have the same width.
 func (r *ReLU) Forward(x [][]float64) [][]float64 {
-	out := make([][]float64, len(x))
-	r.mask = make([][]bool, len(x))
+	w := 0
+	if len(x) > 0 {
+		w = len(x[0])
+	}
+	if r.mask == nil || cap(r.mask) < len(x)*w {
+		r.mask = make([]bool, len(x)*w)
+	}
+	r.mask, r.w = r.mask[:len(x)*w], w
+	out := r.out.shape(len(x), w)
 	for b, xb := range x {
-		row := make([]float64, len(xb))
-		m := make([]bool, len(xb))
+		if len(xb) != w {
+			panic(fmt.Sprintf("nn: relu row %d has %d values, want %d", b, len(xb), w))
+		}
+		row, m := out[b], r.mask[b*w:(b+1)*w]
 		for i, v := range xb {
-			if v > 0 {
+			m[i] = v > 0
+			if m[i] {
 				row[i] = v
-				m[i] = true
+			} else {
+				row[i] = 0
 			}
 		}
-		out[b] = row
-		r.mask[b] = m
 	}
 	return out
 }
@@ -132,15 +177,16 @@ func (r *ReLU) Backward(grad [][]float64) [][]float64 {
 	if r.mask == nil {
 		panic("nn: relu backward before forward")
 	}
-	out := make([][]float64, len(grad))
+	out := r.dx.shape(len(grad), r.w)
 	for b, gb := range grad {
-		row := make([]float64, len(gb))
+		row, m := out[b], r.mask[b*r.w:(b+1)*r.w]
 		for i, g := range gb {
-			if r.mask[b][i] {
+			if m[i] {
 				row[i] = g
+			} else {
+				row[i] = 0
 			}
 		}
-		out[b] = row
 	}
 	return out
 }
@@ -151,6 +197,7 @@ func (r *ReLU) Params() []*Param { return nil }
 // MLP is a feed-forward stack: Linear → ReLU → ... → Linear.
 type MLP struct {
 	layers []Layer
+	params []*Param
 }
 
 // NewMLP builds an MLP with the given layer widths (e.g. [64, 128, 128, 8]
@@ -168,6 +215,9 @@ func NewMLP(widths []int, rng *rand.Rand) (*MLP, error) {
 		if i+2 < len(widths) {
 			m.layers = append(m.layers, &ReLU{})
 		}
+	}
+	for _, l := range m.layers {
+		m.params = append(m.params, l.Params()...)
 	}
 	return m, nil
 }
@@ -188,27 +238,28 @@ func (m *MLP) Backward(grad [][]float64) [][]float64 {
 	return grad
 }
 
-// Params returns all trainable parameters in layer order.
-func (m *MLP) Params() []*Param {
-	var ps []*Param
-	for _, l := range m.layers {
-		ps = append(ps, l.Params()...)
-	}
-	return ps
-}
+// Params returns all trainable parameters in layer order. The slice is
+// the model's own; callers must not modify it.
+func (m *MLP) Params() []*Param { return m.params }
 
 // ZeroGrad clears all gradient accumulators.
 func (m *MLP) ZeroGrad() {
-	for _, p := range m.Params() {
-		for i := range p.Grad {
-			p.Grad[i] = 0
-		}
+	for _, p := range m.params {
+		clear(p.Grad)
 	}
 }
 
-// MSELoss returns the mean-squared error over a batch and the gradient
-// dL/d(pred) for the backward pass (mean over batch*dim elements).
-func MSELoss(pred, target [][]float64) (float64, [][]float64) {
+// MSE is the mean-squared-error loss. The zero value is ready to use;
+// Loss writes the gradient into a buffer the MSE owns and reuses.
+type MSE struct {
+	grad batchBuf
+}
+
+// Loss returns the mean-squared error over a batch and the gradient
+// dL/d(pred) for the backward pass (mean over batch*dim elements). Every
+// row of pred must have the same width. The gradient is valid until the
+// next Loss call; it is nil for an empty batch.
+func (l *MSE) Loss(pred, target [][]float64) (float64, [][]float64) {
 	if len(pred) != len(target) {
 		panic(fmt.Sprintf("nn: pred batch %d vs target %d", len(pred), len(target)))
 	}
@@ -220,18 +271,17 @@ func MSELoss(pred, target [][]float64) (float64, [][]float64) {
 		return 0, nil
 	}
 	loss := 0.0
-	grad := make([][]float64, len(pred))
+	grad := l.grad.shape(len(pred), len(pred[0]))
 	for b := range pred {
-		if len(pred[b]) != len(target[b]) {
+		if len(pred[b]) != len(target[b]) || len(pred[b]) != len(grad[b]) {
 			panic("nn: pred/target dim mismatch")
 		}
-		row := make([]float64, len(pred[b]))
+		row := grad[b]
 		for i := range pred[b] {
 			d := pred[b][i] - target[b][i]
 			loss += d * d
 			row[i] = 2 * d / float64(n)
 		}
-		grad[b] = row
 	}
 	return loss / float64(n), grad
 }

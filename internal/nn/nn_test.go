@@ -71,7 +71,7 @@ func TestMLPValidation(t *testing.T) {
 func TestMSELossKnown(t *testing.T) {
 	pred := [][]float64{{1, 2}}
 	target := [][]float64{{0, 0}}
-	loss, grad := MSELoss(pred, target)
+	loss, grad := mseLoss(pred, target)
 	if math.Abs(loss-2.5) > 1e-12 { // (1+4)/2
 		t.Fatalf("loss = %v, want 2.5", loss)
 	}
@@ -82,7 +82,7 @@ func TestMSELossKnown(t *testing.T) {
 
 func TestMSELossZeroWhenEqual(t *testing.T) {
 	x := [][]float64{{3, 4, 5}}
-	loss, grad := MSELoss(x, x)
+	loss, grad := mseLoss(x, x)
 	if loss != 0 {
 		t.Fatalf("loss = %v", loss)
 	}
@@ -98,9 +98,9 @@ func numericalGrad(m *MLP, x, target [][]float64, p *Param, i int) float64 {
 	const eps = 1e-6
 	orig := p.W[i]
 	p.W[i] = orig + eps
-	lossP, _ := MSELoss(m.Forward(x), target)
+	lossP, _ := mseLoss(m.Forward(x), target)
 	p.W[i] = orig - eps
-	lossM, _ := MSELoss(m.Forward(x), target)
+	lossM, _ := mseLoss(m.Forward(x), target)
 	p.W[i] = orig
 	return (lossP - lossM) / (2 * eps)
 }
@@ -118,7 +118,7 @@ func TestGradientCheck(t *testing.T) {
 
 	m.ZeroGrad()
 	pred := m.Forward(x)
-	_, lossGrad := MSELoss(pred, target)
+	_, lossGrad := mseLoss(pred, target)
 	m.Backward(lossGrad)
 
 	checked := 0
@@ -145,16 +145,16 @@ func TestBackwardInputGradient(t *testing.T) {
 	target := [][]float64{{0.5}}
 
 	m.ZeroGrad()
-	_, lossGrad := MSELoss(m.Forward(x), target)
+	_, lossGrad := mseLoss(m.Forward(x), target)
 	dx := m.Backward(lossGrad)
 
 	const eps = 1e-6
 	for i := range x[0] {
 		orig := x[0][i]
 		x[0][i] = orig + eps
-		lp, _ := MSELoss(m.Forward(x), target)
+		lp, _ := mseLoss(m.Forward(x), target)
 		x[0][i] = orig - eps
-		lm, _ := MSELoss(m.Forward(x), target)
+		lm, _ := mseLoss(m.Forward(x), target)
 		x[0][i] = orig
 		want := (lp - lm) / (2 * eps)
 		if math.Abs(dx[0][i]-want) > 1e-5*(1+math.Abs(want)) {
@@ -179,15 +179,15 @@ func TestTrainingReducesLoss(t *testing.T) {
 		return x, y
 	}
 	x0, y0 := batch()
-	first, _ := MSELoss(m.Forward(x0), y0)
+	first, _ := mseLoss(m.Forward(x0), y0)
 	for epoch := 0; epoch < 400; epoch++ {
 		x, y := batch()
 		m.ZeroGrad()
-		_, g := MSELoss(m.Forward(x), y)
+		_, g := mseLoss(m.Forward(x), y)
 		m.Backward(g)
 		opt.Step(m.Params())
 	}
-	last, _ := MSELoss(m.Forward(x0), y0)
+	last, _ := mseLoss(m.Forward(x0), y0)
 	if last > first/50 {
 		t.Fatalf("training did not converge: %v -> %v", first, last)
 	}
@@ -197,7 +197,7 @@ func TestZeroGrad(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m, _ := NewMLP([]int{2, 2}, rng)
 	x := [][]float64{{1, 1}}
-	_, g := MSELoss(m.Forward(x), [][]float64{{0, 0}})
+	_, g := mseLoss(m.Forward(x), [][]float64{{0, 0}})
 	m.Backward(g)
 	nonzero := false
 	for _, p := range m.Params() {
@@ -228,13 +228,13 @@ func TestGradAccumulationAcrossBatches(t *testing.T) {
 	tgt := [][]float64{{0, 0}}
 
 	m.ZeroGrad()
-	_, g := MSELoss(m.Forward(x), tgt)
+	_, g := mseLoss(m.Forward(x), tgt)
 	m.Backward(g)
 	single := append([]float64(nil), m.Params()[0].Grad...)
 
 	m.ZeroGrad()
 	for i := 0; i < 2; i++ {
-		_, g := MSELoss(m.Forward(x), tgt)
+		_, g := mseLoss(m.Forward(x), tgt)
 		m.Backward(g)
 	}
 	for i, gv := range m.Params()[0].Grad {
@@ -265,7 +265,7 @@ func TestPropertyMSELossNonNegative(t *testing.T) {
 		half := len(raw) / 2
 		pred := [][]float64{raw[:half]}
 		target := [][]float64{raw[half : 2*half]}
-		loss, _ := MSELoss(pred, target)
+		loss, _ := mseLoss(pred, target)
 		return loss >= 0 || math.IsNaN(loss) == containsNaN(raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -282,6 +282,93 @@ func containsNaN(xs []float64) bool {
 	return false
 }
 
+// mseLoss is the loss of a fresh MSE, whose gradient buffer nothing
+// else shares.
+func mseLoss(pred, target [][]float64) (float64, [][]float64) {
+	return new(MSE).Loss(pred, target)
+}
+
+// randBatch is n rows of w standard-normal values.
+func randBatch(rng *rand.Rand, n, w int) [][]float64 {
+	x := make([][]float64, n)
+	for i := range x {
+		x[i] = make([]float64, w)
+		for j := range x[i] {
+			x[i][j] = rng.NormFloat64()
+		}
+	}
+	return x
+}
+
+// TestReusedBuffersMatchFresh: a model whose buffers carry stale values
+// from earlier steps — of a larger batch, then a smaller one, then a
+// larger again — computes bit for bit what a model with fresh buffers
+// and the same weights computes: outputs, loss, input gradient and every
+// parameter gradient.
+func TestReusedBuffersMatchFresh(t *testing.T) {
+	widths := []int{5, 9, 7, 3}
+	rng := rand.New(rand.NewSource(21))
+	reused, _ := NewMLP(widths, rand.New(rand.NewSource(4)))
+	var mse MSE
+	opt := SGD{LR: 0.03}
+	for step, n := range []int{16, 4, 1, 16, 9, 16} {
+		x, y := randBatch(rng, n, widths[0]), randBatch(rng, n, widths[len(widths)-1])
+		fresh, _ := NewMLP(widths, rand.New(rand.NewSource(4)))
+		for i, p := range fresh.Params() {
+			copy(p.W, reused.Params()[i].W)
+		}
+
+		reused.ZeroGrad()
+		out := reused.Forward(x)
+		loss, g := mse.Loss(out, y)
+		dx := reused.Backward(g)
+
+		fOut := fresh.Forward(x)
+		fLoss, fg := mseLoss(fOut, y)
+		fdx := fresh.Backward(fg)
+
+		if math.Float64bits(loss) != math.Float64bits(fLoss) {
+			t.Fatalf("step %d: loss %v, fresh %v", step, loss, fLoss)
+		}
+		for _, pair := range [][2][][]float64{{out, fOut}, {dx, fdx}} {
+			for b := range pair[0] {
+				for i, v := range pair[0][b] {
+					if math.Float64bits(v) != math.Float64bits(pair[1][b][i]) {
+						t.Fatalf("step %d: row %d[%d] = %v, fresh %v", step, b, i, v, pair[1][b][i])
+					}
+				}
+			}
+		}
+		for i, p := range reused.Params() {
+			for j, gv := range p.Grad {
+				if math.Float64bits(gv) != math.Float64bits(fresh.Params()[i].Grad[j]) {
+					t.Fatalf("step %d: %s grad[%d] = %v, fresh %v", step, p.Name, j, gv, fresh.Params()[i].Grad[j])
+				}
+			}
+		}
+		opt.Step(reused.Params())
+	}
+}
+
+// TestTrainStepAllocatesNothing: once its buffers have grown to the
+// batch, a whole training step — zero, forward, loss, backward, update —
+// allocates nothing.
+func TestTrainStepAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	m, _ := NewMLP([]int{8, 16, 8}, rng)
+	x, y := randBatch(rng, 16, 8), randBatch(rng, 16, 8)
+	var mse MSE
+	opt := SGD{LR: 0.01}
+	if allocs := testing.AllocsPerRun(50, func() {
+		m.ZeroGrad()
+		_, g := mse.Loss(m.Forward(x), y)
+		m.Backward(g)
+		opt.Step(m.Params())
+	}); allocs != 0 {
+		t.Fatalf("a training step allocates %v times, want 0", allocs)
+	}
+}
+
 func BenchmarkForwardBackward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m, _ := NewMLP([]int{64, 128, 128, 8}, rng)
@@ -291,11 +378,13 @@ func BenchmarkForwardBackward(b *testing.B) {
 		x[i] = make([]float64, 64)
 		y[i] = make([]float64, 8)
 	}
+	var mse MSE
 	opt := SGD{LR: 0.01}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ZeroGrad()
-		_, g := MSELoss(m.Forward(x), y)
+		_, g := mse.Loss(m.Forward(x), y)
 		m.Backward(g)
 		opt.Step(m.Params())
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"simaibench/internal/clock"
 	"simaibench/internal/config"
 	"simaibench/internal/datastore"
 	"simaibench/internal/trace"
@@ -49,6 +50,32 @@ func TestRunIterationPadsToRunTime(t *testing.T) {
 	}
 	if math.Abs(r.IterMean-target)/target > 0.5 {
 		t.Fatalf("iter mean = %v, want ~%v", r.IterMean, target)
+	}
+}
+
+// TestRunIterationAllocatesNothing: the validation solver's iteration —
+// an AXPY padded to a lognormal run_time on the virtual clock — and a
+// count-driven one allocate nothing once the kernels' buffers have grown.
+func TestRunIterationAllocatesNothing(t *testing.T) {
+	for name, js := range map[string]string{
+		"time-driven":  `{"kernels":[{"name":"iter","mini_app_kernel":"AXPY","run_time":{"type":"lognormal","mean":0.0312,"std":0.0273},"data_size":[512],"device":"xpu"}]}`,
+		"count-driven": `{"kernels":[{"name":"iter","mini_app_kernel":"MatMulSimple2D","run_count":3,"data_size":[32]}]}`,
+	} {
+		cfg, err := config.ParseSimulation([]byte(js))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := New("sim", cfg, WithClock(clock.NewVirtual()), WithTimeScale(0.002))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() {
+			if err := sim.RunIteration(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: an iteration allocates %v times, want 0", name, allocs)
+		}
 	}
 }
 
