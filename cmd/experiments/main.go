@@ -30,15 +30,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
-	"simaibench/internal/clock"
 	"simaibench/internal/experiments" // registers the paper's scenarios
-	"simaibench/internal/mpi"
 	"simaibench/internal/scenario"
 	"simaibench/internal/sigctx"
 	"simaibench/internal/sweep"
@@ -61,21 +60,9 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	list := fs.Bool("list", false, "list registered scenarios and groups, then exit (-format md emits the EXPERIMENTS.md table)")
 	format := fs.String("format", "text", "output format: text|json|csv (with -list: text|md)")
 	out := fs.String("o", "", "write output to FILE (default stdout)")
-	trainIters := fs.Int("train-iters", 2500, "validation training iterations (paper: 5000)")
-	sweepIters := fs.Int("sweep-iters", 600, "simulated training iterations per sweep point")
-	timeScale := fs.Float64("time-scale", 0.01, "wall-clock compression for real-mode validation")
-	clockKind := fs.String("clock", "", "emulation clock for the real-mode scenarios: virtual (default; deterministic, DES speed) or wall (genuine real-time emulation)")
-	tenants := fs.Int("tenants", 0, "max co-scheduled workflows for the scale-out family (0 = scenario default, 16)")
-	mtbf := fs.Float64("mtbf", 0, "per-node MTBF seconds for the resilience family: narrows the sweep to {healthy, MTBF} (0 = full default grid)")
-	ckpt := fs.Float64("ckpt", 0, "checkpoint interval seconds for the resilience family: narrows the sweep to {fail-stop, CKPT} (0 = full default grid)")
-	rate := fs.Float64("rate", 0, "offered load multiple for the campaign family: narrows the sweep to {RATE} (0 = full default grid)")
-	policy := fs.String("policy", "", "scheduling policy for the campaign family: fifo|edf|srpt|hermod (empty = all policies)")
-	jobs := fs.Int("jobs", 0, "open-loop jobs per campaign sweep cell (0 = scenario default, 2000)")
+	var params scenario.Params
+	scenario.BindFlags(fs, &params)
 	parallel := fs.Int("parallel", 0, "sweep worker count (0 = all cores, 1 = serial); results are identical at any setting")
-	workers := fs.Int("workers", 1, "cores advancing one gradsync cell's logical processes (1 = one core; other scenarios run a cell on one sequential Env and ignore it); metrics are bit-identical at any setting")
-	collAlgo := fs.String("collalgo", "", "collective algorithm for the gradsync family: flat|ring|tree|hier (empty = full algorithm sweep)")
-	timeout := fs.Float64("timeout", 0, "per-sweep-cell wall-clock deadline in seconds (0 = none); a wedged cell is abandoned with a structured failure instead of hanging the run")
-	maxEvents := fs.Int64("max-events", 0, "DES event budget per simulated sweep cell (0 = unlimited); a runaway cell aborts with a structured budget error")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -106,40 +93,29 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		}
 		return 0
 	}
-	if _, err := clock.FromKind(*clockKind); err != nil {
-		fmt.Fprintln(stderr, "experiments:", err)
-		return 1
-	}
-	if _, err := mpi.ParseCollAlgo(*collAlgo); err != nil {
-		fmt.Fprintln(stderr, "experiments:", err)
-		return 1
-	}
-	params := scenario.Params{
-		TrainIters:   *trainIters,
-		SweepIters:   *sweepIters,
-		TimeScale:    *timeScale,
-		Tenants:      *tenants,
-		Clock:        *clockKind,
-		MTBF:         *mtbf,
-		CkptInterval: *ckpt,
-		Rate:         *rate,
-		Policy:       *policy,
-		Jobs:         *jobs,
-		TimeoutS:     *timeout,
-		MaxEvents:    *maxEvents,
-		CollAlgo:     *collAlgo,
-	}
-	if *workers != 1 {
+	if params.Workers == 1 {
 		// Only record an explicit request: Workers stays zero at the
 		// default so workers=1 artifacts (JSON params included) remain
 		// byte-identical to pre-knob output.
-		params.Workers = *workers
+		params.Workers = 0
 	}
 	if err := params.Validate(); err != nil {
-		fmt.Fprintln(stderr, "experiments:", flagForKey.Replace(err.Error()))
+		fmt.Fprintln(stderr, "experiments:", flagError(err))
 		return 1
 	}
-	failedCells, err := run(ctx, *exp, *format, *out, params, stdout, stderr)
+	scenarios, err := scenario.Resolve(*exp)
+	if err != nil {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 1
+	}
+	// A flag none of the resolved scenarios reads would change nothing:
+	// refuse it rather than let e.g. a mistyped -exp pass as the run the
+	// flag was meant for.
+	if err := scenario.CheckReads(scenario.FlagKnobs(fs), scenarios...); err != nil {
+		fmt.Fprintln(stderr, "experiments:", flagError(err))
+		return 1
+	}
+	failedCells, err := run(ctx, scenarios, *format, *out, params, stdout, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "experiments:", err)
 		return 1
@@ -151,21 +127,22 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 	return 0
 }
 
-// flagForKey rewrites the JSON key a scenario.Params.Validate error
-// names as the flag that set it.
-var flagForKey = strings.NewReplacer(
-	`params: "train_iters"`, "-train-iters", `params: "sweep_iters"`, "-sweep-iters",
-	`params: "time_scale"`, "-time-scale", `params: "tenants"`, "-tenants", `params: "mtbf_s"`, "-mtbf",
-	`params: "ckpt_interval_s"`, "-ckpt", `params: "rate"`, "-rate", `params: "jobs"`, "-jobs",
-	`params: "timeout_s"`, "-timeout", `params: "max_events"`, "-max-events", `params: "workers"`, "-workers",
-)
+// flagError names the flag that set the knob a scenario.KnobError is
+// about.
+func flagError(err error) string {
+	var ke *scenario.KnobError
+	if errors.As(err, &ke) && ke.Flag != "" {
+		return "-" + ke.Flag + " " + ke.Detail
+	}
+	return err.Error()
+}
 
 // printList enumerates the registry: every scenario id with its
-// description, then the runnable groups.
+// description and the knobs it reads, then the runnable groups.
 func printList(w io.Writer) {
 	fmt.Fprintln(w, "Scenarios:")
 	for _, s := range scenario.All() {
-		fmt.Fprintf(w, "  %-10s %s\n", s.Name(), s.Description())
+		fmt.Fprintf(w, "  %-10s %s\n  %-10s knobs: %s\n", s.Name(), s.Description(), "", knobsText(s.Reads(), "", " "))
 	}
 	fmt.Fprintln(w, "Groups:")
 	for _, g := range scenario.Groups() {
@@ -185,22 +162,38 @@ func printList(w io.Writer) {
 // EXPERIMENTS.md (between the scenario-table markers). The doc table is
 // generated from the registry — and a test pins the EXPERIMENTS.md copy
 // to this output — so the CLI's -list and the documentation cannot
-// diverge.
+// diverge. A group's knobs are those any of its members reads.
 func scenarioTableMD() string {
 	var b strings.Builder
-	b.WriteString("| id | description |\n|---|---|\n")
+	b.WriteString("| id | description | knobs |\n|---|---|---|\n")
 	for _, s := range scenario.All() {
-		fmt.Fprintf(&b, "| `%s` | %s |\n", s.Name(), s.Description())
+		fmt.Fprintf(&b, "| `%s` | %s | %s |\n", s.Name(), s.Description(), knobsMD(s.Reads()))
 	}
 	for _, g := range scenario.Groups() {
 		members, _ := scenario.Resolve(g)
 		names := make([]string, len(members))
+		var reads scenario.Knob
 		for i, m := range members {
 			names[i] = m.Name()
+			reads |= m.Reads()
 		}
-		fmt.Fprintf(&b, "| `%s` (group) | %s |\n", g, strings.Join(names, " "))
+		fmt.Fprintf(&b, "| `%s` (group) | %s | %s |\n", g, strings.Join(names, " "), knobsMD(reads))
 	}
 	return b.String()
+}
+
+// knobsMD renders a knob set as code spans.
+func knobsMD(k scenario.Knob) string { return knobsText(k, "`", " ") }
+
+// knobsText renders a knob set, each key quoted by q: the knobs that bear
+// on the result, then those that only bound or speed up the run.
+func knobsText(k scenario.Knob, q, sep string) string {
+	join := func(k scenario.Knob) string { return q + strings.Join(k.Keys(), q+sep+q) + q }
+	s := join(k.Results())
+	if rest := k &^ k.Results(); rest != 0 {
+		s += " · run control: " + join(rest)
+	}
+	return s
 }
 
 // writeOut writes data to path, or to stdout when path is empty,
@@ -217,12 +210,8 @@ func writeOut(path string, stdout io.Writer, data []byte) error {
 // number of sweep cells the guardrails caught failing (the scenarios
 // still completed around them — their partial artifacts are written) and
 // the first hard error, if any.
-func run(ctx context.Context, exp, format, outPath string, params scenario.Params,
+func run(ctx context.Context, scenarios []*scenario.Scenario, format, outPath string, params scenario.Params,
 	stdout, stderr io.Writer) (failedCells int, _ error) {
-	scenarios, err := scenario.Resolve(exp)
-	if err != nil {
-		return 0, err
-	}
 	reporter, err := scenario.NewReporter(format)
 	if err != nil {
 		return 0, err

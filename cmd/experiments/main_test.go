@@ -103,6 +103,7 @@ func TestRealMainRejectsBadKnobs(t *testing.T) {
 		{"fig3", "-sweep-iters", "-5"}, {"fig3", "-timeout", "-3"}, {"fig3", "-parallel", "-4"},
 		{"gradsync", "-workers", "-2"}, {"table2", "-train-iters", "-1"}, {"table2", "-time-scale", "+Inf"},
 		{"fig5", "-max-events", "-7"},
+		{"campaign", "-policy", "lottery"}, {"gradsync", "-collalgo", "star"}, {"table2", "-clock", "sundial"},
 	} {
 		var out, errBuf bytes.Buffer
 		code := realMain(context.Background(), []string{"-exp", tc.exp, tc.flag, tc.value}, &out, &errBuf)
@@ -110,6 +111,53 @@ func TestRealMainRejectsBadKnobs(t *testing.T) {
 			t.Errorf("-exp %s %s %s: exit %d, stdout %d bytes, stderr %q; want exit 1 naming the flag and no output",
 				tc.exp, tc.flag, tc.value, code, out.Len(), errBuf.String())
 		}
+	}
+}
+
+// An unknown id of an enum knob is refused before any cell runs, naming
+// the flag and the valid ids: a cell given it could only fail.
+func TestRealMainRejectsUnknownIDs(t *testing.T) {
+	for _, tc := range []struct{ exp, flag, value, valid string }{
+		{"campaign", "-policy", "lottery", "fifo, edf, srpt, hermod"},
+		{"gradsync", "-collalgo", "star", "flat, ring, tree, hier"},
+		{"streaming", "-clock", "sundial", "virtual, wall"},
+	} {
+		var out, errBuf bytes.Buffer
+		code := realMain(context.Background(), []string{"-exp", tc.exp, tc.flag, tc.value}, &out, &errBuf)
+		if code != 1 || !strings.Contains(errBuf.String(), tc.flag+" ") || !strings.Contains(errBuf.String(), tc.valid) ||
+			strings.Contains(errBuf.String(), "running") || out.Len() != 0 {
+			t.Errorf("-exp %s %s %s: exit %d, stdout %d bytes, stderr %q; want exit 1 naming the flag and %q before anything runs",
+				tc.exp, tc.flag, tc.value, code, out.Len(), errBuf.String(), tc.valid)
+		}
+	}
+}
+
+// A knob flag set explicitly that none of the resolved scenarios reads
+// changes nothing, so it is refused before anything runs, naming the
+// flag and the scenarios; a flag any member of a group reads passes.
+func TestRealMainRefusesUnreadKnobs(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		names string
+	}{
+		{[]string{"-exp", "fig3", "-policy", "edf"}, "fig3"},
+		{[]string{"-exp", "all", "-tenants", "4"}, "table2, table3, fig2, fig3, fig4, fig5, fig6"},
+		{[]string{"-exp", "fig5", "-sweep-iters", "600"}, "fig5"}, // even at the CLI default
+		{[]string{"-exp", "table2", "-workers", "1"}, "table2"},
+	} {
+		args := tc.args
+		var out, errBuf bytes.Buffer
+		code := realMain(context.Background(), args, &out, &errBuf)
+		if code != 1 || !strings.Contains(errBuf.String(), args[2]+" is read by none of "+tc.names) ||
+			strings.Contains(errBuf.String(), "running") || out.Len() != 0 {
+			t.Errorf("%v: exit %d, stdout %d bytes, stderr %q; want exit 1 naming the flag and the scenario",
+				args, code, out.Len(), errBuf.String())
+		}
+	}
+	var out, errBuf bytes.Buffer
+	args := []string{"-exp", "all", "-sweep-iters", "20", "-train-iters", "40", "-o", filepath.Join(t.TempDir(), "all.txt")}
+	if code := realMain(context.Background(), args, &out, &errBuf); code != 0 {
+		t.Errorf("%v: exit %d, want 0 (each flag is read by a member)\nstderr:\n%s", args, code, errBuf.String())
 	}
 }
 
@@ -187,7 +235,7 @@ func TestScenarioTableMDShape(t *testing.T) {
 	if len(lines) < 3 {
 		t.Fatalf("markdown table too short:\n%s", md)
 	}
-	if lines[0] != "| id | description |" || lines[1] != "|---|---|" {
+	if lines[0] != "| id | description | knobs |" || lines[1] != "|---|---|---|" {
 		t.Fatalf("markdown header malformed:\n%s", md)
 	}
 	for _, l := range lines {
@@ -195,7 +243,7 @@ func TestScenarioTableMDShape(t *testing.T) {
 			t.Errorf("not a table row: %q", l)
 		}
 	}
-	if !strings.Contains(md, "| `scale-out` |") {
+	if !strings.Contains(md, "| `scale-out` |") || !strings.Contains(md, "`tenants`") {
 		t.Errorf("scale-out missing from markdown table:\n%s", md)
 	}
 	if !strings.Contains(md, "| `all` (group) |") {

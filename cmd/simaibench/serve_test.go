@@ -78,7 +78,7 @@ func TestServeSubcommandSIGTERM(t *testing.T) {
 
 	// One real scenario, cold then hot: byte-identical bodies, the
 	// disposition only in X-Cache.
-	req := `{"scenario":"fig5","params":{"sweep_iters":40},"seed":1}`
+	req := `{"scenario":"fig5","params":{"transfers":20}}`
 	post := func() (int, []byte, string) {
 		resp, err := http.Post(base+"/v1/run", "application/json", strings.NewReader(req))
 		if err != nil {

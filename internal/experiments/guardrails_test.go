@@ -30,9 +30,9 @@ var saboteurModes = []string{"ok", "panic", "hang", "budget"}
 
 // newSaboteurScenario builds the test-only scenario. The hung cell stays
 // parked until release is closed.
-func newSaboteurScenario(release <-chan struct{}) scenario.Scenario {
+func newSaboteurScenario(release <-chan struct{}) *scenario.Scenario {
 	return scenario.New("saboteur", "test-only: one misbehaving cell per guardrail",
-		scenario.Params{SweepIters: 50},
+		scenario.Params{SweepIters: 50}, sweepKnobs,
 		func(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
 			healthy := Pattern1Config{
 				Nodes: 8, Backend: 0, SizeMB: 2,
@@ -244,7 +244,7 @@ func TestCellFailureKindsThroughServe(t *testing.T) {
 		idx[i] = i
 	}
 	scenario.Register(scenario.New("t-cell-kinds", "test-only: one failing cell per failure kind",
-		scenario.Params{},
+		scenario.Params{}, guardKnobs,
 		func(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
 			_, fails, err := guardedGrid(ctx, p, "t-cell-kinds/cells", idx, []int{0},
 				func(i, _ int) (Pattern1Point, error) { return cells[i].run() })

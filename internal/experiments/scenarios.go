@@ -33,54 +33,66 @@ var (
 // TrainIters/TimeScale for quick runs. The default clock is virtual —
 // the run is bit-deterministic and completes at DES speed; -clock wall
 // restores the genuine real-time emulation the paper measures with.
-var validationDefaults = scenario.Params{
-	TrainIters: 5000, TimeScale: 0.01, TimelineWindowS: 25, Clock: clock.KindVirtual,
-}
+// fig2 adds the width of its timeline window.
+var validationDefaults = scenario.Params{TrainIters: 5000, TimeScale: 0.01, Clock: clock.KindVirtual}
 
 // sweepDefaults drive the simulated-scale sweeps; 600 iterations per
 // point preserve the steady-state statistics of the paper's >=2500.
 var sweepDefaults = scenario.Params{SweepIters: 600}
 
+// The knobs the scenarios read: the validation runs read their length,
+// compression and clock; every guarded sweep reads the per-cell deadline
+// and event budget.
+const (
+	validationKnobs = scenario.TrainIters | scenario.TimeScale | scenario.Clock
+	guardKnobs      = scenario.TimeoutS | scenario.MaxEvents
+	sweepKnobs      = scenario.SweepIters | guardKnobs
+)
+
 func init() {
+	fig2Defaults := validationDefaults
+	fig2Defaults.TimelineWindowS = 25
 	scenario.Register(scenario.New("table2",
 		"Table 2 — time-step and transport-event validation, original vs mini-app (real mode)",
-		validationDefaults, runTable2))
+		validationDefaults, validationKnobs, runTable2))
 	scenario.Register(scenario.New("table3",
 		"Table 3 — iteration-time statistics, original vs mini-app (real mode)",
-		validationDefaults, runTable3))
+		validationDefaults, validationKnobs, runTable3))
 	scenario.Register(scenario.New("fig2",
 		"Fig 2 — execution timelines of both validation runs (ASCII)",
-		validationDefaults, runFig2))
+		fig2Defaults, validationKnobs|scenario.TimelineWindowS, runFig2))
 	scenario.Register(scenario.New("fig3",
 		"Fig 3 — Pattern 1 per-process throughput sweep (8 and 512 simulated nodes)",
-		sweepDefaults, runFig3Scenario))
+		sweepDefaults, sweepKnobs, runFig3Scenario))
 	scenario.Register(scenario.New("fig4",
 		"Fig 4 — Pattern 1 compute vs transport time per event (8 and 512 nodes)",
-		sweepDefaults, runFig4Scenario))
+		sweepDefaults, sweepKnobs, runFig4Scenario))
 	scenario.Register(scenario.New("fig5",
 		"Fig 5 — Pattern 2 two-node non-local read / local write throughput",
-		scenario.Params{Transfers: 50}, runFig5Scenario))
+		scenario.Params{Transfers: 50}, scenario.Transfers|guardKnobs, runFig5Scenario))
 	scenario.Register(scenario.New("fig6",
 		"Fig 6 — Pattern 2 many-to-one training runtime scaling (8 and 128 sim nodes)",
-		sweepDefaults, runFig6Scenario))
+		sweepDefaults, sweepKnobs, runFig6Scenario))
 	scenario.Register(scenario.New("streaming",
 		"Extension — staged polling vs point-to-point streaming (real data movement)",
-		scenario.Params{Clock: clock.KindVirtual}, runStreamingScenario))
+		scenario.Params{Clock: clock.KindVirtual}, scenario.Clock|scenario.TimeoutS, runStreamingScenario))
 	scenario.Register(scenario.New("ablation",
 		"Mechanism ablations — MDS service time, cache share, Dragon incast latency",
-		sweepDefaults, runAblationScenario))
+		sweepDefaults, sweepKnobs, runAblationScenario))
 	scenario.Register(scenario.New("scale-out",
 		"Multi-tenant contention — N co-scheduled workflows on one shared deployment (slowdown + collapse curves)",
-		scenario.Params{SweepIters: 600, Tenants: 16}, runScaleOutScenario))
+		scenario.Params{SweepIters: 600, Tenants: 16}, sweepKnobs|scenario.Tenants, runScaleOutScenario))
 	scenario.Register(scenario.New("resilience",
 		"Fault injection — node crashes vs checkpoint/restart cadence per backend (wasted work + optimal interval)",
-		scenario.Params{SweepIters: 600, Tenants: 4}, runResilienceScenario))
+		scenario.Params{SweepIters: 600, Tenants: 4},
+		sweepKnobs|scenario.Tenants|scenario.MTBF|scenario.CkptInterval, runResilienceScenario))
 	scenario.Register(scenario.New("campaign",
 		"Facility-scale scheduling — open-loop job stream vs global policy (queueing tails, utilization, fairness)",
-		scenario.Params{Jobs: 2000, Tenants: 8}, runCampaignScenario))
+		scenario.Params{Jobs: 2000, Tenants: 8},
+		guardKnobs|scenario.Jobs|scenario.Tenants|scenario.Rate|scenario.Policy, runCampaignScenario))
 	scenario.Register(scenario.New("gradsync",
 		"Gradient synchronization — AllReduce algorithms (ring/tree/hier) over the dragonfly topology (step time, comm fraction, crossover)",
-		sweepDefaults, runGradSyncScenario))
+		sweepDefaults, sweepKnobs|scenario.Workers|scenario.CollAlgo, runGradSyncScenario))
 	// "all" reproduces the paper's core artifacts in presentation order
 	// (the streaming extension and ablations remain separate ids, as in
 	// the pre-registry CLI).

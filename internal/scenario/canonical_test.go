@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -44,13 +46,22 @@ func TestCanonicalParamsRoundTrip(t *testing.T) {
 	}
 }
 
-// Every Params field must be wired through all three places the cache
-// key depends on: a json name (so the canonical bytes carry it), the
-// hand-written merge (so a default fills it and a set value survives)
-// and therefore CacheKey. A field added to the struct but forgotten in
-// merge fails here by name. A numeric one must also be held to Validate's
-// rule: a negative value is refused, naming the field's json key.
+// Every Params field must be wired through all the places the cache key
+// and the edges depend on: a json name (so the canonical bytes carry it)
+// that is its knob-table row's key, merge (so a default fills it and a
+// set value survives) and therefore CacheKey, Knobs, and — when the row
+// has a flag — the CLI flag that writes it. A field added to the struct
+// but not to the table fails here by name. A numeric one must also be
+// held to Validate's rule: a negative value is refused, naming the
+// field's json key; a string one is checked against its parser.
 func TestParamsFieldsMergedAndKeyed(t *testing.T) {
+	if n := reflect.TypeOf(Params{}).NumField(); n != len(knobs) {
+		t.Fatalf("Params has %d fields, the knob table %d rows", n, len(knobs))
+	}
+	// valid holds two accepted ids of each string knob with a parser.
+	valid := map[string][2]string{
+		"clock": {"virtual", "wall"}, "policy": {"fifo", "edf"}, "coll_algo": {"flat", "ring"},
+	}
 	// set returns Params with only field i set, to its k-th non-zero
 	// value (k = 1, 2).
 	set := func(i, k int) Params {
@@ -62,7 +73,11 @@ func TestParamsFieldsMergedAndKeyed(t *testing.T) {
 		case reflect.Float64:
 			f.SetFloat(float64(k) + 0.5)
 		case reflect.String:
-			f.SetString(strings.Repeat("a", k))
+			if ids, ok := valid[knobs[i].key]; ok && k > 0 {
+				f.SetString(ids[k-1])
+			} else {
+				f.SetString(strings.Repeat("a", k))
+			}
 		default:
 			t.Fatalf("Params.%s has kind %s: teach this test (and merge) about it",
 				reflect.TypeOf(p).Field(i).Name, f.Kind())
@@ -84,7 +99,35 @@ func TestParamsFieldsMergedAndKeyed(t *testing.T) {
 			if name == "" || name == "-" {
 				t.Fatalf("json tag %q: the field would not reach the canonical bytes", field.Tag.Get("json"))
 			}
+			row := knobs[i]
+			if row.key != name || row.knob != Knob(1)<<i {
+				t.Fatalf("knob table row %d is %q (bit %#x), want the field's json key %q (bit %#x)",
+					i, row.key, row.knob, name, Knob(1)<<i)
+			}
 			a, b := set(i, 1), set(i, 2)
+			if got := a.Knobs(); got != row.knob {
+				t.Errorf("Knobs() = %v, want [%s]", got.Keys(), name)
+			}
+			if row.flag != "" {
+				var p Params
+				fs := flag.NewFlagSet("t", flag.ContinueOnError)
+				BindFlags(fs, &p)
+				if fs.Lookup(row.flag).DefValue != fmt.Sprint(row.def) && field.Type.Kind() != reflect.String {
+					t.Errorf("-%s defaults to %s, want %v", row.flag, fs.Lookup(row.flag).DefValue, row.def)
+				}
+				raw, _ := json.Marshal(reflect.ValueOf(b).Field(i).Interface())
+				value, _ := strconv.Unquote(string(raw))
+				if value == "" {
+					value = string(raw)
+				}
+				if err := fs.Parse([]string{"-" + row.flag, value}); err != nil {
+					t.Fatalf("-%s %s: %v", row.flag, value, err)
+				}
+				got, want := reflect.ValueOf(p).Field(i).Interface(), reflect.ValueOf(b).Field(i).Interface()
+				if got != want || FlagKnobs(fs) != row.knob {
+					t.Errorf("-%s %s wrote %v (knobs %v), want %v", row.flag, value, got, FlagKnobs(fs).Keys(), want)
+				}
+			}
 			if got := (Params{}).merge(a); got != a {
 				t.Errorf("merge did not fill the zero field from defaults: %+v, want %+v", got, a)
 			}
@@ -108,6 +151,13 @@ func TestParamsFieldsMergedAndKeyed(t *testing.T) {
 				neg := set(i, -1)
 				if err := neg.Validate(); err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) {
 					t.Errorf("Validate(%+v) = %v, want an error naming %q", neg, err, name)
+				}
+			} else if row.check != nil {
+				var bad Params
+				reflect.ValueOf(&bad).Elem().Field(i).SetString("bogus")
+				if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), strconv.Quote(name)) ||
+					!strings.Contains(err.Error(), valid[name][0]) {
+					t.Errorf("Validate(%+v) = %v, want an error naming %q and the valid ids", bad, err, name)
 				}
 			}
 		})

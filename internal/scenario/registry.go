@@ -14,7 +14,7 @@ import (
 var registry struct {
 	sync.Mutex
 	order  []string
-	byName map[string]Scenario
+	byName map[string]*Scenario
 	groups map[string][]string
 	gorder []string
 }
@@ -23,7 +23,7 @@ var registry struct {
 // empty name, or a name that collides with a group, panics: scenario ids
 // are a flat public namespace and a silent overwrite would change what
 // an experiment id means.
-func Register(s Scenario) {
+func Register(s *Scenario) {
 	registry.Lock()
 	defer registry.Unlock()
 	name := s.Name()
@@ -31,7 +31,7 @@ func Register(s Scenario) {
 		panic("scenario: Register with empty name")
 	}
 	if registry.byName == nil {
-		registry.byName = make(map[string]Scenario)
+		registry.byName = make(map[string]*Scenario)
 	}
 	if _, dup := registry.byName[name]; dup {
 		panic(fmt.Sprintf("scenario: duplicate registration of %q", name))
@@ -72,7 +72,7 @@ func RegisterGroup(name string, members ...string) {
 }
 
 // Lookup returns the scenario registered under name.
-func Lookup(name string) (Scenario, bool) {
+func Lookup(name string) (*Scenario, bool) {
 	registry.Lock()
 	defer registry.Unlock()
 	s, ok := registry.byName[name]
@@ -80,10 +80,10 @@ func Lookup(name string) (Scenario, bool) {
 }
 
 // All returns every registered scenario in registration order.
-func All() []Scenario {
+func All() []*Scenario {
 	registry.Lock()
 	defer registry.Unlock()
-	out := make([]Scenario, 0, len(registry.order))
+	out := make([]*Scenario, 0, len(registry.order))
 	for _, name := range registry.order {
 		out = append(out, registry.byName[name])
 	}
@@ -107,14 +107,14 @@ func Groups() []string {
 // Resolve expands an experiment id into the scenarios it names: a
 // scenario id yields that scenario, a group id its members in group
 // order. Unknown ids return an error naming every valid id.
-func Resolve(id string) ([]Scenario, error) {
+func Resolve(id string) ([]*Scenario, error) {
 	registry.Lock()
 	defer registry.Unlock()
 	if s, ok := registry.byName[id]; ok {
-		return []Scenario{s}, nil
+		return []*Scenario{s}, nil
 	}
 	if members, ok := registry.groups[id]; ok {
-		out := make([]Scenario, len(members))
+		out := make([]*Scenario, len(members))
 		for i, m := range members {
 			out[i] = registry.byName[m]
 		}

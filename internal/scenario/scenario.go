@@ -8,7 +8,7 @@
 // Adding a workload is one Register call:
 //
 //	scenario.Register(scenario.New("myscenario", "what it shows",
-//		scenario.Params{SweepIters: 600},
+//		scenario.Params{SweepIters: 600}, scenario.SweepIters|scenario.TimeoutS,
 //		func(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
 //			rep := sweep.RunGrid(ctx, backends, sizes, p.Guardrails(), runOnePoint)
 //			...
@@ -23,7 +23,6 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"simaibench/internal/sweep"
@@ -104,118 +103,48 @@ func (p Params) Guardrails() sweep.Options {
 	return sweep.Options{Timeout: time.Duration(p.TimeoutS * float64(time.Second))}
 }
 
-// Validate rejects a negative or non-finite numeric knob, naming its JSON
-// key. Zero means "the scenario's default", and the harnesses read a
-// negative value as unset too: accepting one would run — and cache — the
-// default grid under a knob that says otherwise. The CLI and the server
-// call it before running or keying anything.
-func (p Params) Validate() error {
-	for _, k := range []struct {
-		key string
-		v   float64
-	}{
-		{"train_iters", float64(p.TrainIters)}, {"sweep_iters", float64(p.SweepIters)},
-		{"time_scale", p.TimeScale}, {"transfers", float64(p.Transfers)},
-		{"timeline_window_s", p.TimelineWindowS}, {"tenants", float64(p.Tenants)},
-		{"mtbf_s", p.MTBF}, {"ckpt_interval_s", p.CkptInterval}, {"rate", p.Rate},
-		{"jobs", float64(p.Jobs)}, {"timeout_s", p.TimeoutS},
-		{"max_events", float64(p.MaxEvents)}, {"workers", float64(p.Workers)},
-	} {
-		if !(k.v >= 0) || math.IsInf(k.v, 1) {
-			return fmt.Errorf("params: %q is %v: must be finite and not negative", k.key, k.v)
-		}
-	}
-	return nil
-}
-
-// merge fills zero fields of p from d.
-func (p Params) merge(d Params) Params {
-	if p.TrainIters == 0 {
-		p.TrainIters = d.TrainIters
-	}
-	if p.SweepIters == 0 {
-		p.SweepIters = d.SweepIters
-	}
-	if p.TimeScale == 0 {
-		p.TimeScale = d.TimeScale
-	}
-	if p.Transfers == 0 {
-		p.Transfers = d.Transfers
-	}
-	if p.TimelineWindowS == 0 {
-		p.TimelineWindowS = d.TimelineWindowS
-	}
-	if p.Tenants == 0 {
-		p.Tenants = d.Tenants
-	}
-	if p.Clock == "" {
-		p.Clock = d.Clock
-	}
-	if p.MTBF == 0 {
-		p.MTBF = d.MTBF
-	}
-	if p.CkptInterval == 0 {
-		p.CkptInterval = d.CkptInterval
-	}
-	if p.Rate == 0 {
-		p.Rate = d.Rate
-	}
-	if p.Policy == "" {
-		p.Policy = d.Policy
-	}
-	if p.Jobs == 0 {
-		p.Jobs = d.Jobs
-	}
-	if p.TimeoutS == 0 {
-		p.TimeoutS = d.TimeoutS
-	}
-	if p.MaxEvents == 0 {
-		p.MaxEvents = d.MaxEvents
-	}
-	if p.Workers == 0 {
-		p.Workers = d.Workers
-	}
-	if p.CollAlgo == "" {
-		p.CollAlgo = d.CollAlgo
-	}
-	return p
-}
-
 // Scenario is one registered experiment: a named, self-describing
-// workload with paper-default parameters and a context-cancellable run.
-type Scenario interface {
-	// Name is the stable id used by -exp and the library API.
-	Name() string
-	// Description is the one-line summary shown by -list.
-	Description() string
-	// Defaults are the paper's parameter values for this scenario.
-	Defaults() Params
-	// Run executes the scenario; zero fields of p fall back to Defaults.
-	Run(ctx context.Context, p Params) (*Result, error)
-}
-
-// RunFunc is the body of a func-backed Scenario. It receives params with
-// defaults already applied.
-type RunFunc func(ctx context.Context, p Params) (*Result, error)
-
-// funcScenario adapts a RunFunc to the Scenario interface.
-type funcScenario struct {
+// workload with paper-default parameters, the knobs it reads and a
+// context-cancellable run.
+type Scenario struct {
 	name, desc string
 	defaults   Params
+	reads      Knob
 	run        RunFunc
 }
 
-// New builds a Scenario from a name, description, paper-default params
-// and a run function.
-func New(name, desc string, defaults Params, run RunFunc) Scenario {
-	return &funcScenario{name: name, desc: desc, defaults: defaults, run: run}
+// RunFunc is the body of a Scenario. It receives params with defaults
+// already applied.
+type RunFunc func(ctx context.Context, p Params) (*Result, error)
+
+// New builds a Scenario from a name, description, paper-default params,
+// the set of knobs its run reads and the run function. Defaults for a
+// knob the scenario does not read panic: they could only split the
+// result cache.
+func New(name, desc string, defaults Params, reads Knob, run RunFunc) *Scenario {
+	if extra := defaults.Knobs() &^ reads; extra != 0 {
+		panic(fmt.Sprintf("scenario: %q defaults knobs it does not read: %v", name, extra.Keys()))
+	}
+	return &Scenario{name: name, desc: desc, defaults: defaults, reads: reads, run: run}
 }
 
-func (s *funcScenario) Name() string        { return s.name }
-func (s *funcScenario) Description() string { return s.desc }
-func (s *funcScenario) Defaults() Params    { return s.defaults }
+// Name is the stable id used by -exp and the library API.
+func (s *Scenario) Name() string { return s.name }
 
-func (s *funcScenario) Run(ctx context.Context, p Params) (*Result, error) {
+// Description is the one-line summary shown by -list.
+func (s *Scenario) Description() string { return s.desc }
+
+// Defaults are the paper's parameter values for this scenario.
+func (s *Scenario) Defaults() Params { return s.defaults }
+
+// Reads is the set of knobs the scenario's run reads; a request that
+// sets any other knob is refused by CheckReads.
+func (s *Scenario) Reads() Knob { return s.reads }
+
+// Run executes the scenario; zero fields of p fall back to Defaults. It
+// neither refuses nor drops a knob the scenario does not read: the
+// edges that take requests check them with CheckReads.
+func (s *Scenario) Run(ctx context.Context, p Params) (*Result, error) {
 	return s.run(ctx, p.merge(s.defaults))
 }
 

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-func stub(name string) Scenario {
-	return New(name, "stub scenario "+name, Params{SweepIters: 600},
+func stub(name string) *Scenario {
+	return New(name, "stub scenario "+name, Params{SweepIters: 600}, SweepIters,
 		func(ctx context.Context, p Params) (*Result, error) {
 			return &Result{Scenario: name, Params: p}, nil
 		})
@@ -88,7 +88,7 @@ func TestResolveOrderAndErrors(t *testing.T) {
 
 func TestDefaultsMergeIntoRun(t *testing.T) {
 	var got Params
-	s := New("m", "", Params{SweepIters: 600, TimeScale: 0.01},
+	s := New("m", "", Params{SweepIters: 600, TimeScale: 0.01}, SweepIters|TimeScale,
 		func(ctx context.Context, p Params) (*Result, error) {
 			got = p
 			return &Result{Scenario: "m", Params: p}, nil

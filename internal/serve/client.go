@@ -23,8 +23,10 @@ type RunRequest struct {
 	// Params are the scenario parameters; zero fields fall back to the
 	// scenario's paper defaults, exactly as the CLI's flags do.
 	Params scenario.Params `json:"params,omitempty"`
-	// Seed is part of the result's content address: requests with
-	// different seeds are distinct cache cells even at equal params.
+	// Seed must be 0: no scenario reads a seed, so the server refuses a
+	// request that sets one (400 naming "seed") instead of caching the
+	// same result under a second key. To make distinct cells, vary a
+	// knob the scenario reads (ScenarioInfo.Knobs).
 	Seed int64 `json:"seed,omitempty"`
 	// TimeoutS bounds the whole run in wall-clock seconds (0 = the
 	// server's default). It propagates into the run context, the
@@ -38,7 +40,8 @@ type RunRequest struct {
 // the body.
 type RunResponse struct {
 	// Key is the content address of this result: the canonical hash of
-	// (scenario, effective params, seed).
+	// the scenario and its effective params — the knobs it declares plus
+	// the server-filled guardrails, merged with its defaults.
 	Key string `json:"key"`
 	// Scenario echoes the scenario id.
 	Scenario string `json:"scenario"`
@@ -59,6 +62,9 @@ type ScenarioInfo struct {
 	Description string `json:"description"`
 	// Defaults are the paper-default parameters.
 	Defaults scenario.Params `json:"defaults"`
+	// Knobs are the JSON keys of the params the scenario reads; a
+	// request setting any other is refused with 400.
+	Knobs []string `json:"knobs"`
 }
 
 // scenarioList is the envelope of GET /v1/scenarios.

@@ -18,7 +18,7 @@ import (
 func TestSingleflightStampede(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 64})
 	const callers = 16
-	req := `{"scenario":"t-count","params":{"rate":3},"seed":100}`
+	req := `{"scenario":"t-count","params":{"rate":3}}`
 
 	before := tCountRuns.Load()
 	var (
@@ -69,7 +69,7 @@ func TestCallerCancelDoesNotCancelSharedRun(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 64})
 	// t-slow runs ~300ms; impatient's 50ms client deadline expires
 	// mid-flight while patient waits the run out.
-	req := `{"scenario":"t-slow","params":{"timeline_window_s":0.3},"seed":200}`
+	req := `{"scenario":"t-slow","params":{"timeline_window_s":0.3}}`
 
 	patientDone := make(chan error, 1)
 	var patientBody []byte
@@ -96,7 +96,7 @@ func TestCallerCancelDoesNotCancelSharedRun(t *testing.T) {
 	defer icancel()
 	c := &Client{BaseURL: ts.URL}
 	if _, _, err := c.Run(ictx, RunRequest{Scenario: "t-slow",
-		Params: paramsFromJSON(t, `{"timeline_window_s":0.3}`), Seed: 200}); err == nil {
+		Params: paramsFromJSON(t, `{"timeline_window_s":0.3}`)}); err == nil {
 		t.Fatalf("impatient caller unexpectedly got a result before its deadline")
 	}
 

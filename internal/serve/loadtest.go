@@ -9,6 +9,7 @@ import (
 
 	"simaibench/internal/dist"
 	"simaibench/internal/loadgen"
+	"simaibench/internal/scenario"
 	"simaibench/internal/stats"
 )
 
@@ -30,11 +31,12 @@ type LoadMix struct {
 	Weight float64
 	// Request is the template each arrival of this species submits.
 	Request RunRequest
-	// VarySeed, when true, gives the i-th arrival of the whole test
-	// Request.Seed + i — every request a distinct cache cell, the
-	// cache-cold traffic shape. False replays the template verbatim,
+	// Vary, when set, adds i to the numeric knobs it names in the i-th
+	// arrival's Request.Params — every request a distinct cache cell, the
+	// cache-cold traffic shape. Name a knob the scenario reads, or the
+	// server refuses the request. Zero replays the template verbatim,
 	// the cache-hot shape.
-	VarySeed bool
+	Vary scenario.Knob
 }
 
 // LoadConfig describes one load test: how many requests, at what rate,
@@ -147,9 +149,7 @@ func RunLoad(ctx context.Context, c *Client, cfg LoadConfig) (*LoadReport, error
 		}
 		mix := byName[job.Class]
 		req := mix.Request
-		if mix.VarySeed {
-			req.Seed += int64(i)
-		}
+		req.Params.Add(mix.Vary, i)
 		report.Sent++
 		wg.Add(1)
 		go func() {

@@ -5,8 +5,9 @@
 // architecture, layered end to end:
 //
 //   - A content-addressed result cache (bounded LRU) keyed by the
-//     canonical hash of (scenario, params, seed) — correct by
-//     construction because virtual-clock runs are bit-deterministic —
+//     canonical hash of (scenario, effective params) — correct by
+//     construction because virtual-clock runs are bit-deterministic, and
+//     tight because a param the scenario does not read is refused —
 //     with a singleflight layer that dedupes identical in-flight
 //     requests, so a stampede of equal cells costs one simulation.
 //   - Admission control and graceful degradation: a bounded worker pool
@@ -254,7 +255,8 @@ func (s *Server) Stats() Stats {
 }
 
 // handleScenarios lists the registry: every scenario with its paper
-// defaults, so clients can discover valid ids and parameter baselines.
+// defaults and the knobs it reads, so clients can discover valid ids,
+// parameter baselines and which params a request may set.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, &APIError{Status: http.StatusMethodNotAllowed,
@@ -265,6 +267,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	for _, sc := range scenario.All() {
 		infos = append(infos, ScenarioInfo{
 			Name: sc.Name(), Description: sc.Description(), Defaults: sc.Defaults(),
+			Knobs: sc.Reads().Keys(),
 		})
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -306,13 +309,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				req.Scenario, strings.Join(scenario.Names(), ", "))})
 		return
 	}
-	if _, err := clock.FromKind(req.Params.Clock); err != nil {
-		writeError(w, &APIError{Status: http.StatusBadRequest, Kind: KindBadRequest, Message: err.Error()})
-		return
-	}
-	// The request-level deadline is held to the same rule as the knob it
-	// flows into.
-	if err := errors.Join(req.Params.Validate(), scenario.Params{TimeoutS: req.TimeoutS}.Validate()); err != nil {
+	if err := checkRequest(&req, sc); err != nil {
 		writeError(w, &APIError{Status: http.StatusBadRequest, Kind: KindBadRequest, Message: err.Error()})
 		return
 	}
@@ -419,6 +416,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// checkRequest refuses, before anything is keyed or run, a request the
+// scenario would not act on as written: a knob value Validate refuses
+// (the request-level deadline is held to the same rule as the knob it
+// flows into), a knob sc does not read, or a seed — no scenario reads
+// one, so a seed could only split the result cache.
+func checkRequest(req *RunRequest, sc *scenario.Scenario) error {
+	if err := errors.Join(req.Params.Validate(), scenario.Params{TimeoutS: req.TimeoutS}.Validate()); err != nil {
+		return err
+	}
+	if req.Seed != 0 {
+		return fmt.Errorf("request body: \"seed\" is %d: no scenario reads a seed; vary a knob %s reads (%s) instead",
+			req.Seed, sc.Name(), strings.Join(sc.Reads().Keys(), ", "))
+	}
+	return scenario.CheckReads(req.Params.Knobs(), sc)
+}
+
 // shuttingDownError is the typed 503 the drain path serves.
 func shuttingDownError() *APIError {
 	return &APIError{Status: http.StatusServiceUnavailable, Kind: KindShuttingDown,
@@ -438,7 +451,7 @@ func writeRunBody(w http.ResponseWriter, body []byte, cacheTag string) {
 // runner builds the leader's run closure: the scenario executed as one
 // cell of the hardened sweep runner, so the serving path inherits panic
 // isolation and the per-run deadline for free.
-func (s *Server) runner(sc scenario.Scenario, name, key string, p scenario.Params,
+func (s *Server) runner(sc *scenario.Scenario, name, key string, p scenario.Params,
 	timeout time.Duration, cacheable bool) func(ctx context.Context) ([]byte, error) {
 	return func(ctx context.Context) ([]byte, error) {
 		rep := sweep.Run(ctx, 1, sweep.Options{Timeout: timeout}, func(ctx context.Context, _ int) (*scenario.Result, error) {

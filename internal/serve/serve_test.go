@@ -34,7 +34,8 @@ var (
 	tSlowStarted = make(chan struct{}, 64)
 )
 
-// okResult builds a small deterministic Result echoing p.Rate.
+// okResult builds a small deterministic Result echoing p.Rate. Every
+// test scenario declares rate, so it is the suite's cache-buster.
 func okResult(name string, p scenario.Params) *scenario.Result {
 	return &scenario.Result{Scenario: name, Params: p, Tables: []scenario.Table{{
 		Title:   name,
@@ -47,17 +48,17 @@ func okResult(name string, p scenario.Params) *scenario.Result {
 func registerTestScenarios() {
 	registerOnce.Do(func() {
 		scenario.Register(scenario.New("t-ok", "test: deterministic healthy run",
-			scenario.Params{Rate: 2},
+			scenario.Params{Rate: 2}, scenario.Rate,
 			func(_ context.Context, p scenario.Params) (*scenario.Result, error) {
 				return okResult("t-ok", p), nil
 			}))
 		scenario.Register(scenario.New("t-wall", "test: wall-clock run (uncacheable)",
-			scenario.Params{Rate: 1, Clock: clock.KindWall},
+			scenario.Params{Rate: 1, Clock: clock.KindWall}, scenario.Rate|scenario.Clock,
 			func(_ context.Context, p scenario.Params) (*scenario.Result, error) {
 				return okResult("t-wall", p), nil
 			}))
 		scenario.Register(scenario.New("t-count", "test: counts executions, briefly slow",
-			scenario.Params{Rate: 1},
+			scenario.Params{Rate: 1}, scenario.Rate,
 			func(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
 				tCountRuns.Add(1)
 				select {
@@ -68,7 +69,7 @@ func registerTestScenarios() {
 				return okResult("t-count", p), nil
 			}))
 		scenario.Register(scenario.New("t-slow", "test: runs for TimelineWindowS seconds",
-			scenario.Params{Rate: 1, TimelineWindowS: 0.2},
+			scenario.Params{Rate: 1, TimelineWindowS: 0.2}, scenario.Rate|scenario.TimelineWindowS,
 			func(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
 				select {
 				case tSlowStarted <- struct{}{}:
@@ -82,19 +83,19 @@ func registerTestScenarios() {
 				return okResult("t-slow", p), nil
 			}))
 		scenario.Register(scenario.New("t-panic", "test: panics on every run",
-			scenario.Params{Rate: 1},
+			scenario.Params{Rate: 1}, scenario.Rate,
 			func(context.Context, scenario.Params) (*scenario.Result, error) {
 				panic("t-panic: deliberate test panic")
 			}))
 		scenario.Register(scenario.New("t-budget", "test: trips the DES event budget",
-			scenario.Params{Rate: 1},
+			scenario.Params{Rate: 1}, scenario.Rate|scenario.MaxEvents,
 			func(_ context.Context, p scenario.Params) (*scenario.Result, error) {
 				return nil, &des.BudgetExceeded{
 					Guard: des.Guard{MaxEvents: p.MaxEvents}, Events: p.MaxEvents, Now: 1,
 				}
 			}))
 		scenario.Register(scenario.New("t-hang", "test: ignores nothing, sleeps on ctx",
-			scenario.Params{Rate: 1},
+			scenario.Params{Rate: 1}, scenario.Rate,
 			func(ctx context.Context, _ scenario.Params) (*scenario.Result, error) {
 				<-ctx.Done()
 				return nil, ctx.Err()
@@ -143,7 +144,7 @@ func postRun(t *testing.T, url string, body string) (int, []byte, string) {
 
 func TestRunColdThenHotByteIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
-	req := `{"scenario":"t-ok","params":{"rate":7},"seed":1}`
+	req := `{"scenario":"t-ok","params":{"rate":7}}`
 
 	st1, body1, tag1 := postRun(t, ts.URL, req)
 	if st1 != http.StatusOK || tag1 != "miss" {
@@ -170,7 +171,7 @@ func TestRunColdThenHotByteIdentical(t *testing.T) {
 
 	// The typed client reports the same disposition and key.
 	c := &Client{BaseURL: ts.URL}
-	typed := RunRequest{Scenario: "t-ok", Seed: 9}
+	typed := RunRequest{Scenario: "t-ok", Params: scenario.Params{Rate: 9}}
 	cold, hit, err := c.Run(context.Background(), typed)
 	if err != nil || hit || cold.Result == nil {
 		t.Fatalf("typed cold run: %v (cached %v): %+v", err, hit, cold)
@@ -181,15 +182,28 @@ func TestRunColdThenHotByteIdentical(t *testing.T) {
 	}
 }
 
+// No scenario reads a seed, so a nonzero one is refused by name rather
+// than keyed: it could only store the same result twice. The key is the
+// effective params: a different value of a declared knob is a new cell,
+// and explicit defaults are the implicit ones.
 func TestRunKeyedBySeedAndParams(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	_, b1, _ := postRun(t, ts.URL, `{"scenario":"t-ok","seed":1}`)
-	st, _, tag := postRun(t, ts.URL, `{"scenario":"t-ok","seed":2}`)
+	s, ts := newTestServer(t, Config{Workers: 2})
+	_, b1, _ := postRun(t, ts.URL, `{"scenario":"t-ok"}`)
+	st, body, _ := postRun(t, ts.URL, `{"scenario":"t-ok","seed":2}`)
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); st != http.StatusBadRequest || err != nil || eb.Error == nil ||
+		eb.Error.Kind != KindBadRequest || !strings.Contains(eb.Error.Message, `"seed"`) {
+		t.Fatalf("seed 2: status %d body %s, want a 400 bad_request naming \"seed\"", st, body)
+	}
+	if n := s.Stats().CacheLen; n != 1 {
+		t.Fatalf("the refused seed reached the cache: cache_len = %d, want 1", n)
+	}
+	st, _, tag := postRun(t, ts.URL, `{"scenario":"t-ok","params":{"rate":3}}`)
 	if st != http.StatusOK || tag == "hit" {
-		t.Fatalf("different seed served from cache (status %d, X-Cache %q)", st, tag)
+		t.Fatalf("different rate served from cache (status %d, X-Cache %q)", st, tag)
 	}
 	// Same effective params spelled implicitly vs explicitly: one key.
-	st, b3, tag := postRun(t, ts.URL, `{"scenario":"t-ok","params":{"rate":2},"seed":1}`)
+	st, b3, tag := postRun(t, ts.URL, `{"scenario":"t-ok","params":{"rate":2},"seed":0}`)
 	if st != http.StatusOK || tag != "hit" {
 		t.Fatalf("explicit defaults missed the cache (status %d, X-Cache %q)", st, tag)
 	}
@@ -200,7 +214,7 @@ func TestRunKeyedBySeedAndParams(t *testing.T) {
 
 func TestWallClockBypassesCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
-	req := `{"scenario":"t-wall","seed":1}`
+	req := `{"scenario":"t-wall"}`
 	for i := 0; i < 2; i++ {
 		st, _, tag := postRun(t, ts.URL, req)
 		if st != http.StatusOK || tag == "hit" {
@@ -225,7 +239,19 @@ func TestRunRequestValidation(t *testing.T) {
 		{"removed knob", `{"scenario":"t-ok","params":{"retries":1}}`, http.StatusBadRequest, KindBadRequest, "retries"},
 		{"missing scenario", `{"seed":1}`, http.StatusBadRequest, KindBadRequest, ""},
 		{"unknown scenario", `{"scenario":"no-such"}`, http.StatusNotFound, KindUnknownScenario, ""},
-		{"bad clock", `{"scenario":"t-ok","params":{"clock":"sundial"}}`, http.StatusBadRequest, KindBadRequest, ""},
+		{"bad clock", `{"scenario":"t-ok","params":{"clock":"sundial"}}`, http.StatusBadRequest, KindBadRequest, `"clock" is "sundial"`},
+		// An unknown id is refused naming the key and the valid ids, before
+		// a cell runs into it (and an all-failed body is cached).
+		{"bad policy", `{"scenario":"t-ok","params":{"policy":"lottery"}}`, http.StatusBadRequest, KindBadRequest, `"policy" is "lottery"`},
+		{"bad policy ids", `{"scenario":"t-ok","params":{"policy":"lottery"}}`, http.StatusBadRequest, KindBadRequest, "fifo"},
+		{"bad coll_algo", `{"scenario":"t-ok","params":{"coll_algo":"star"}}`, http.StatusBadRequest, KindBadRequest, `"coll_algo" is "star"`},
+		{"bad coll_algo ids", `{"scenario":"t-ok","params":{"coll_algo":"star"}}`, http.StatusBadRequest, KindBadRequest, "ring"},
+		{"bad clock ids", `{"scenario":"t-ok","params":{"clock":"sundial"}}`, http.StatusBadRequest, KindBadRequest, "virtual"},
+		// A knob the scenario does not read, or a seed, would only split
+		// the cache: refused naming the knob and the scenario.
+		{"undeclared knob", `{"scenario":"t-ok","params":{"sweep_iters":5}}`, http.StatusBadRequest, KindBadRequest, `"sweep_iters"`},
+		{"undeclared knob names scenario", `{"scenario":"t-ok","params":{"policy":"edf"}}`, http.StatusBadRequest, KindBadRequest, "t-ok"},
+		{"seed", `{"scenario":"t-ok","seed":7}`, http.StatusBadRequest, KindBadRequest, `"seed"`},
 		{"negative timeout", `{"scenario":"t-ok","timeout_s":-1}`, http.StatusBadRequest, KindBadRequest, "timeout_s"},
 		// A knob the server accepts is acted on: the negative values the
 		// scenarios used to replace with their defaults are refused before
@@ -263,7 +289,9 @@ func TestRunRequestValidation(t *testing.T) {
 // FuzzRunRequest: decoding a /v1/run body, validating its params and
 // keying it never panic, and a body refused at any of those steps gets
 // a typed error from the handler: 400 bad_request, or 404
-// unknown_scenario for a well-formed body naming no scenario. Accepted
+// unknown_scenario for a well-formed body naming no scenario. A body
+// that sets a knob its scenario does not declare, or a seed, is among
+// the refused — so a 200 implies every knob set was declared. Accepted
 // bodies are not run.
 func FuzzRunRequest(f *testing.F) {
 	for _, seed := range []string{
@@ -296,9 +324,9 @@ func FuzzRunRequest(f *testing.F) {
 			if !ok {
 				wantStatus, wantKind = http.StatusNotFound, KindUnknownScenario
 			} else {
-				_, clockErr := clock.FromKind(req.Params.Clock)
-				err := errors.Join(clockErr, req.Params.Validate(), scenario.Params{TimeoutS: req.TimeoutS}.Validate())
-				if _, keyErr := scenario.CacheKey(req.Scenario, req.Params, sc.Defaults(), req.Seed); err == nil && keyErr == nil {
+				err := errors.Join(req.Params.Validate(), scenario.Params{TimeoutS: req.TimeoutS}.Validate())
+				declared := req.Seed == 0 && req.Params.Knobs()&^sc.Reads() == 0
+				if _, keyErr := scenario.CacheKey(req.Scenario, req.Params, sc.Defaults(), req.Seed); err == nil && keyErr == nil && declared {
 					return // accepted: the handler would run it
 				}
 			}
@@ -368,6 +396,9 @@ func TestScenariosEndpoint(t *testing.T) {
 			if in.Defaults.Rate != 2 {
 				t.Errorf("t-ok defaults not served: %+v", in.Defaults)
 			}
+			if len(in.Knobs) != 1 || in.Knobs[0] != "rate" {
+				t.Errorf("t-ok knobs = %v, want [rate]", in.Knobs)
+			}
 		}
 	}
 	if !found {
@@ -384,8 +415,8 @@ func TestHealthReadyStatz(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	postRun(t, ts.URL, `{"scenario":"t-ok","seed":41}`)
-	postRun(t, ts.URL, `{"scenario":"t-ok","seed":41}`)
+	postRun(t, ts.URL, `{"scenario":"t-ok","params":{"rate":41}}`)
+	postRun(t, ts.URL, `{"scenario":"t-ok","params":{"rate":41}}`)
 
 	c := &Client{BaseURL: ts.URL}
 	st, err := c.Stats(context.Background())

@@ -52,7 +52,7 @@ func TestGracefulShutdownServesInFlight(t *testing.T) {
 	var cacheTag string
 	go func() {
 		resp, err := http.Post(url+"/v1/run", "application/json",
-			strings.NewReader(`{"scenario":"t-slow","params":{"timeline_window_s":0.4},"seed":300}`))
+			strings.NewReader(`{"scenario":"t-slow","params":{"timeline_window_s":0.4}}`))
 		if err != nil {
 			inflight <- err
 			return
@@ -78,7 +78,7 @@ func TestGracefulShutdownServesInFlight(t *testing.T) {
 	sawRefusal := false
 	for time.Now().Before(deadline) && !sawRefusal {
 		resp, err := http.Post(url+"/v1/run", "application/json",
-			strings.NewReader(`{"scenario":"t-ok","seed":301}`))
+			strings.NewReader(`{"scenario":"t-ok","params":{"rate":301}}`))
 		if err != nil {
 			break // listener already closed: drain finished first
 		}
@@ -134,7 +134,7 @@ func TestDrainDeadlineAbandonsWedgedRun(t *testing.T) {
 	}, 1)
 	go func() {
 		resp, err := http.Post(url+"/v1/run", "application/json",
-			strings.NewReader(`{"scenario":"t-hang","timeout_s":60,"seed":310}`))
+			strings.NewReader(`{"scenario":"t-hang","timeout_s":60}`))
 		if err != nil {
 			hung <- struct {
 				status int

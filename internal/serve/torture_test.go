@@ -17,6 +17,12 @@ import (
 // a typed body or a 200, overload absorbed by shedding rather than
 // unbounded queueing.
 
+// rateRequest addresses scenario name with the rate knob every test
+// scenario reads, the suite's way to make distinct cache cells.
+func rateRequest(name string, rate float64) RunRequest {
+	return RunRequest{Scenario: name, Params: scenario.Params{Rate: rate}}
+}
+
 func TestTortureMixedHostileTraffic(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers: 2, QueueDepth: 4, CacheSize: 32,
@@ -25,11 +31,12 @@ func TestTortureMixedHostileTraffic(t *testing.T) {
 	c := &Client{BaseURL: ts.URL}
 
 	mix := []LoadMix{
-		{Name: "healthy-hot", Weight: 4, Request: RunRequest{Scenario: "t-ok", Seed: 1}},
-		{Name: "healthy-cold", Weight: 2, Request: RunRequest{Scenario: "t-ok", Seed: 1000}, VarySeed: true},
-		{Name: "panicker", Weight: 1, Request: RunRequest{Scenario: "t-panic", Seed: 2000}, VarySeed: true},
-		{Name: "budget-trip", Weight: 1, Request: RunRequest{Scenario: "t-budget", Seed: 3000}, VarySeed: true},
-		{Name: "hanger", Weight: 1, Request: RunRequest{Scenario: "t-hang", Seed: 5000, TimeoutS: 0.05}, VarySeed: true},
+		{Name: "healthy-hot", Weight: 4, Request: RunRequest{Scenario: "t-ok"}},
+		{Name: "healthy-cold", Weight: 2, Request: rateRequest("t-ok", 1000), Vary: scenario.Rate},
+		{Name: "panicker", Weight: 1, Request: rateRequest("t-panic", 2000), Vary: scenario.Rate},
+		{Name: "budget-trip", Weight: 1, Request: rateRequest("t-budget", 3000), Vary: scenario.Rate},
+		{Name: "hanger", Weight: 1, Request: RunRequest{Scenario: "t-hang", Params: scenario.Params{Rate: 5000}, TimeoutS: 0.05},
+			Vary: scenario.Rate},
 	}
 	report, err := RunLoad(context.Background(), c, LoadConfig{
 		Seed: 9, Requests: 120, RatePerS: 400, Mix: mix, Timeout: 10 * time.Second,
@@ -63,7 +70,7 @@ func TestTortureMixedHostileTraffic(t *testing.T) {
 		t.Fatalf("/healthz after torture: %v (status %d)", err, resp.StatusCode)
 	}
 	resp.Body.Close()
-	if _, _, err := c.Run(context.Background(), RunRequest{Scenario: "t-ok", Seed: 77}); err != nil {
+	if _, _, err := c.Run(context.Background(), rateRequest("t-ok", 77)); err != nil {
 		t.Fatalf("healthy request after torture: %v", err)
 	}
 }
@@ -75,10 +82,10 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	c := &Client{BaseURL: ts.URL}
 
 	mix := []LoadMix{{
-		Name: "slow-cold", Weight: 1, VarySeed: true,
+		Name: "slow-cold", Weight: 1, Vary: scenario.Rate,
 		Request: RunRequest{
-			Scenario: "t-slow", Seed: 6000,
-			Params: scenario.Params{TimelineWindowS: 0.1},
+			Scenario: "t-slow",
+			Params:   scenario.Params{Rate: 6000, TimelineWindowS: 0.1},
 		},
 	}}
 	report, err := RunLoad(context.Background(), c, LoadConfig{
@@ -104,9 +111,9 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	// fill the queue with distinct hanging runs (fired asynchronously),
 	// then probe until one request sheds.
 	for i := 0; i < 3; i++ {
-		seed := 7000 + i
+		req := RunRequest{Scenario: "t-hang", Params: scenario.Params{Rate: float64(7000 + i)}, TimeoutS: 1}
 		go func() {
-			c.Run(context.Background(), RunRequest{Scenario: "t-hang", Seed: int64(seed), TimeoutS: 1})
+			c.Run(context.Background(), req)
 		}()
 	}
 	time.Sleep(100 * time.Millisecond) // let the hangs fill worker + queue
@@ -115,7 +122,7 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	sawRetryAfter := false
 	for i := 0; time.Now().Before(deadline) && !sawRetryAfter; i++ {
 		resp, err := probe.Post(ts.URL+"/v1/run", "application/json",
-			strings.NewReader(`{"scenario":"t-hang","timeout_s":1,"seed":`+strconv.Itoa(8000+i)+`}`))
+			strings.NewReader(`{"scenario":"t-hang","timeout_s":1,"params":{"rate":`+strconv.Itoa(8000+i)+`}}`))
 		if err != nil {
 			continue // probe was admitted and outlived its client timeout
 		}
@@ -137,7 +144,7 @@ func TestLoadReportLatencies(t *testing.T) {
 	c := &Client{BaseURL: ts.URL}
 	report, err := RunLoad(context.Background(), c, LoadConfig{
 		Seed: 11, Requests: 30, RatePerS: 300,
-		Mix:     []LoadMix{{Name: "hot", Weight: 1, Request: RunRequest{Scenario: "t-ok", Seed: 900}}},
+		Mix:     []LoadMix{{Name: "hot", Weight: 1, Request: rateRequest("t-ok", 900)}},
 		Timeout: 10 * time.Second,
 	})
 	if err != nil {

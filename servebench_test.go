@@ -46,13 +46,13 @@ func reportLoad(b *testing.B, r *serve.LoadReport) {
 }
 
 // BenchmarkServeHot replays a cache-hot mix: every request addresses the
-// same (scenario, params, seed) cell, so after the first miss the server
+// same (scenario, params) cell, so after the first miss the server
 // answers from the content-addressed cache. The p50 here is the serving
 // floor — decode, key, one map lookup, write.
 func BenchmarkServeHot(b *testing.B) {
 	c, cleanup := newServeBench(b, serve.Config{Workers: 2})
 	defer cleanup()
-	req := serve.RunRequest{Scenario: "fig5", Params: scenario.Params{SweepIters: 40}, Seed: 1}
+	req := serve.RunRequest{Scenario: "fig5", Params: scenario.Params{Transfers: 20}}
 	if _, _, err := c.Run(context.Background(), req); err != nil {
 		b.Fatal(err)
 	}
@@ -74,8 +74,9 @@ func BenchmarkServeHot(b *testing.B) {
 }
 
 // BenchmarkServeCold replays a cache-cold mix: every request is a
-// distinct cell (the seed varies per arrival), so each one is admitted
-// and simulated. This is the serving path's full cost — admission,
+// distinct cell, so each one is admitted and simulated. The arrivals
+// vary fig5's event budget, a knob it reads that leaves the result — and
+// so the cost of a cell — unchanged at any value this large. This is the serving path's full cost — admission,
 // hardened run, encode, cache insert.
 func BenchmarkServeCold(b *testing.B) {
 	c, cleanup := newServeBench(b, serve.Config{Workers: 2})
@@ -84,10 +85,9 @@ func BenchmarkServeCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		report, err := serve.RunLoad(context.Background(), c, serve.LoadConfig{
 			Seed: int64(i + 1), Requests: 100, RatePerS: 400,
-			Mix: []serve.LoadMix{{Name: "cold", Weight: 1, VarySeed: true,
+			Mix: []serve.LoadMix{{Name: "cold", Weight: 1, Vary: scenario.MaxEvents,
 				Request: serve.RunRequest{Scenario: "fig5",
-					Params: scenario.Params{SweepIters: 40},
-					Seed:   int64(10_000 + i*1_000_000)}}},
+					Params: scenario.Params{Transfers: 20, MaxEvents: int64(1_000_000_000 + i*1_000)}}}},
 			Timeout: 30 * time.Second,
 		})
 		if err != nil {
@@ -104,10 +104,12 @@ func BenchmarkServeCold(b *testing.B) {
 // of a heavier scenario (table2, ~tens of ms per run) at queue depth 2:
 // graceful degradation means the excess sheds with typed 429s while
 // admitted requests still complete. shed-rate is the headline metric.
+// Each arrival trains one iteration more than the last: a distinct cell
+// at near-equal cost.
 func BenchmarkServeOverload(b *testing.B) {
 	c, cleanup := newServeBench(b, serve.Config{Workers: 1, QueueDepth: 2})
 	defer cleanup()
-	req := serve.RunRequest{Scenario: "table2", Params: scenario.Params{TrainIters: 100}, Seed: 1}
+	req := serve.RunRequest{Scenario: "table2", Params: scenario.Params{TrainIters: 100}}
 
 	// Calibrate capacity: one cold run's wall time on the only worker.
 	t0 := time.Now()
@@ -122,10 +124,9 @@ func BenchmarkServeOverload(b *testing.B) {
 		b.ReportMetric(serviceS*1000, "service-ms")
 		report, err := serve.RunLoad(context.Background(), c, serve.LoadConfig{
 			Seed: int64(i + 1), Requests: 30, RatePerS: rate,
-			Mix: []serve.LoadMix{{Name: "overload", Weight: 1, VarySeed: true,
+			Mix: []serve.LoadMix{{Name: "overload", Weight: 1, Vary: scenario.TrainIters,
 				Request: serve.RunRequest{Scenario: "table2",
-					Params: scenario.Params{TrainIters: 100},
-					Seed:   int64(20_000 + i*1_000_000)}}},
+					Params: scenario.Params{TrainIters: 101 + 30*i}}}},
 			Timeout: 120 * time.Second,
 		})
 		if err != nil {
