@@ -65,7 +65,7 @@ func (m *Model) NewLocalRead(b datastore.Backend, node int, mb float64, done fun
 }
 
 func (m *Model) newLocalXfer(b datastore.Backend, node int, mb, costScale float64, done func()) *LocalXfer {
-	x := m.allocLocalXfer()
+	x := m.localArena.alloc()
 	x.env, x.done = m.env, done
 	if b == datastore.FileSystem {
 		// One staged read/write against the shared file system: metaOps

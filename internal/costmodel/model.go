@@ -21,46 +21,40 @@ type Model struct {
 	mds     *des.Resource   // single shared Lustre metadata server
 	ostPool *des.Resource   // OST stream slots
 
-	trainerNIC map[datastore.Backend]*des.Resource
-	sharedSvc  map[datastore.Backend]*des.Resource // multi-tenant shared-deployment service queues (see shared.go)
+	// Per-backend resources, created on first use.
+	trainerNIC [datastore.NumBackends]*des.Resource
+	sharedSvc  [datastore.NumBackends]*des.Resource // multi-tenant shared-deployment service queues (see shared.go)
 
 	// Chunked arenas for the flat transfer objects: the sweeps build one
-	// LocalXfer/SharedXfer per rank, and handing them out of fixed-size
-	// chunks costs one allocation per chunk instead of one per rank.
-	// Outstanding pointers stay valid because a full chunk is abandoned
-	// in place, never copied.
-	localArena  []LocalXfer
-	sharedArena []SharedXfer
+	// LocalXfer/SharedXfer per rank, and handing them out of chunks
+	// costs one allocation per chunk instead of one per rank.
+	localArena  xferArena[LocalXfer]
+	sharedArena xferArena[SharedXfer]
 }
 
-// xferArenaChunk is the arena chunk size; 64 fits a 512-node sweep's
-// per-model rank count in a handful of allocations without oversizing
-// the 2-node cases.
-const xferArenaChunk = 64
+// xferArenaMaxChunk caps an arena's chunk size. Chunks double from 1,
+// so a two-node cell allocates one slot for the one transfer it makes
+// instead of a 64-slot chunk (10 KB zeroed), and a 512-node model
+// reaches 64-slot chunks after six small ones.
+const xferArenaMaxChunk = 64
 
-// allocLocalXfer hands out one zeroed LocalXfer from the arena.
-func (m *Model) allocLocalXfer() *LocalXfer {
-	if len(m.localArena) == cap(m.localArena) {
-		m.localArena = make([]LocalXfer, 0, xferArenaChunk)
-	}
-	m.localArena = append(m.localArena, LocalXfer{})
-	return &m.localArena[len(m.localArena)-1]
-}
+// xferArena hands out zeroed Ts from chunks that grow geometrically up
+// to xferArenaMaxChunk. Outstanding pointers stay valid because a full
+// chunk is abandoned in place, never copied.
+type xferArena[T any] []T
 
-// allocSharedXfer hands out one zeroed SharedXfer from the arena.
-func (m *Model) allocSharedXfer() *SharedXfer {
-	if len(m.sharedArena) == cap(m.sharedArena) {
-		m.sharedArena = make([]SharedXfer, 0, xferArenaChunk)
+func (a *xferArena[T]) alloc() *T {
+	if len(*a) == cap(*a) {
+		*a = make([]T, 0, min(max(2*cap(*a), 1), xferArenaMaxChunk))
 	}
-	m.sharedArena = append(m.sharedArena, SharedXfer{})
-	return &m.sharedArena[len(m.sharedArena)-1]
+	var zero T
+	*a = append(*a, zero)
+	return &(*a)[len(*a)-1]
 }
 
 // New builds a model for env/spec with the given parameters.
 func New(env *des.Env, spec cluster.Spec, p Params) *Model {
-	m := &Model{env: env, spec: spec, params: p,
-		trainerNIC: map[datastore.Backend]*des.Resource{},
-		sharedSvc:  map[datastore.Backend]*des.Resource{}}
+	m := &Model{env: env, spec: spec, params: p}
 	m.nodeBus = make([]*des.Resource, spec.Nodes)
 	for i := range m.nodeBus {
 		m.nodeBus[i] = des.NewResource(env, p.NodeBusConcurrency)
@@ -134,7 +128,7 @@ func (m *Model) remoteParams(b datastore.Backend, mb float64) (lat, bw float64, 
 // many full-rate streams of this backend the NIC admits, enforcing the
 // aggregate injection-bandwidth bound in many-to-one incast.
 func (m *Model) nic(b datastore.Backend, perFlowBW float64) *des.Resource {
-	if r, ok := m.trainerNIC[b]; ok {
+	if r := m.trainerNIC[b]; r != nil {
 		return r
 	}
 	capacity := int(m.spec.NICGBps / perFlowBW)

@@ -60,7 +60,7 @@ func (m *Model) sharedParams() Params {
 // service queue for backend b, or nil when b has no server-side queue of
 // its own (node-local: nothing shared; filesystem: MDS/OST model it).
 func (m *Model) sharedService(b datastore.Backend) *des.Resource {
-	if r, ok := m.sharedSvc[b]; ok {
+	if r := m.sharedSvc[b]; r != nil {
 		return r
 	}
 	cfg := datastore.ServerConfig{Backend: b}
@@ -70,7 +70,6 @@ func (m *Model) sharedService(b datastore.Backend) *des.Resource {
 	case datastore.Dragon:
 		cfg.Instances = m.sharedParams().DragonSharedSlots
 	default:
-		m.sharedSvc[b] = nil
 		return nil
 	}
 	r := des.NewResource(m.env, cfg.ServiceSlots())
@@ -139,7 +138,7 @@ func (m *Model) NewSharedLocalRead(b datastore.Backend, node int, mb float64, do
 }
 
 func (m *Model) newSharedXfer(b datastore.Backend, node int, mb, costScale float64, inner *LocalXfer) *SharedXfer {
-	x := m.allocSharedXfer()
+	x := m.sharedArena.alloc()
 	x.env, x.inner = m.env, inner
 	if !datastore.SharedDeployment(b) {
 		return x

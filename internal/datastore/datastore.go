@@ -35,6 +35,10 @@ const (
 	Dragon
 	NodeLocal
 	FileSystem
+
+	// NumBackends counts the backends above: the length of an array
+	// indexed by Backend.
+	NumBackends = iota
 )
 
 // ParseBackend converts a CLI/config string to a Backend.

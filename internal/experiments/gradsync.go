@@ -135,7 +135,9 @@ type GradSyncPoint struct {
 // gradRank is one trainer's event-driven state machine: compute
 // (jittered), wait at the gradient barrier, AllReduce, update, next
 // step. The barrier bound gmax is precomputed, so the machine needs
-// two events per step and no cross-rank edges.
+// two events per step and no cross-rank edges. Both events re-arm
+// callbacks bound once in initGradRank, and the step's compute time
+// waits in the rank, so a step allocates nothing.
 type gradRank struct {
 	env       *des.Env
 	rank      int
@@ -146,26 +148,33 @@ type gradRank struct {
 	gmax      []float64
 	step      int
 	stepStart float64
+	compute   float64 // this step's jittered compute time
 	stepLog   *sampleLog
 	skewLog   *sampleLog
+
+	gradsReadyFn, endStepFn func()
 }
 
 func initGradRank(g *gradRank) {
+	g.gradsReadyFn, g.endStepFn = g.gradsReady, g.endStep
 	g.env.At(0, g.startStep)
 }
 
 func (g *gradRank) startStep() {
 	s := g.step
-	compute := g.computeS * (1 + gradSyncJitterFrac*gradSyncJitter(g.rank, s))
-	g.env.At(g.stepStart+compute, func() {
-		// Gradients ready: record the straggler wait until the slowest
-		// rank reaches the AllReduce.
-		g.skewLog.add(g.env.Now(), g.gmax[s]-compute)
-	})
+	g.compute = g.computeS * (1 + gradSyncJitterFrac*gradSyncJitter(g.rank, s))
+	g.env.At(g.stepStart+g.compute, g.gradsReadyFn)
 	// The step boundary is the same expression on every rank — the
 	// barrier, the collective and the update are global — so all ranks
 	// advance in lockstep to the bit.
-	g.env.At(g.stepStart+g.gmax[s]+g.collS+g.updateS, g.endStep)
+	g.env.At(g.stepStart+g.gmax[s]+g.collS+g.updateS, g.endStepFn)
+}
+
+// gradsReady records the straggler wait until the slowest rank reaches
+// the AllReduce. It fires before the step's end, so g.step and
+// g.compute still describe its step.
+func (g *gradRank) gradsReady() {
+	g.skewLog.add(g.env.Now(), g.gmax[g.step]-g.compute)
 }
 
 func (g *gradRank) endStep() {

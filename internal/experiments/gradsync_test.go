@@ -145,3 +145,22 @@ func BenchmarkGradSync(b *testing.B) {
 		})
 	}
 }
+
+// TestGradSyncMallocsDoNotScaleWithSteps: a rank re-arms the same two
+// cached callbacks every step, so a longer run allocates only for its
+// longer sample logs, never once per rank-step.
+func TestGradSyncMallocsDoNotScaleWithSteps(t *testing.T) {
+	const ranks = 64
+	mallocs := func(steps int) float64 {
+		return testing.AllocsPerRun(2, func() {
+			if _, err := RunGradSync(GradSyncConfig{Ranks: ranks, ModelMB: 4, Algo: "hier", Steps: steps}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := mallocs(100), mallocs(400)
+	if grew := long - short; grew > ranks {
+		t.Errorf("300 more steps of %d ranks cost %v more mallocs (%v → %v), want ≤ %d: a per-rank-step allocation is back",
+			ranks, grew, short, long, ranks)
+	}
+}

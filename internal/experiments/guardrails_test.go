@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -215,18 +216,29 @@ func TestGuardrailsZeroCostOnHealthyRuns(t *testing.T) {
 	}
 }
 
+// cellKinds are the failing cells the t-cell-kinds scenario runs: set
+// by each TestCellFailureKindsThroughServe run before it posts, read by
+// the scenario, which the registry holds once per process.
+var (
+	cellKinds         []cellKind
+	cellKindsRegister sync.Once
+)
+
+type cellKind struct {
+	kind string
+	run  func() (Pattern1Point, error)
+}
+
 // TestCellFailureKindsThroughServe: a failed cell of a guarded sweep
 // reaches the serve layer's failure_kinds by its type, never by its
 // text. One cell per guardrail goes through guardedGrid and POST /v1/run;
 // the decoy cell's message carries every phrase the old text classifier
-// keyed on and must still be "internal".
+// keyed on and must still be "internal". Repeatable with -count=N: the
+// scenario is registered once and reads this run's cells.
 func TestCellFailureKindsThroughServe(t *testing.T) {
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
-	cells := []struct {
-		kind string
-		run  func() (Pattern1Point, error)
-	}{
+	cells := []cellKind{
 		{serve.KindBudgetExceeded, func() (Pattern1Point, error) {
 			return RunPattern1Checked(Pattern1Config{Nodes: 8, SizeMB: 2, TrainIters: 50, MaxEvents: 50})
 		}},
@@ -239,20 +251,24 @@ func TestCellFailureKindsThroughServe(t *testing.T) {
 			return Pattern1Point{}, errors.New("panic: event budget exceeded, deadline exceeded")
 		}},
 	}
-	idx := make([]int, len(cells))
-	for i := range idx {
-		idx[i] = i
-	}
-	scenario.Register(scenario.New("t-cell-kinds", "test-only: one failing cell per failure kind",
-		scenario.Params{}, guardKnobs,
-		func(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
-			_, fails, err := guardedGrid(ctx, p, "t-cell-kinds/cells", idx, []int{0},
-				func(i, _ int) (Pattern1Point, error) { return cells[i].run() })
-			if err != nil {
-				return nil, err
-			}
-			return &scenario.Result{Scenario: "t-cell-kinds", Params: p, Failures: fails}, nil
-		}))
+	cellKinds = cells
+	cellKindsRegister.Do(func() {
+		scenario.Register(scenario.New("t-cell-kinds", "test-only: one failing cell per failure kind",
+			scenario.Params{}, guardKnobs,
+			func(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
+				cells := cellKinds
+				idx := make([]int, len(cells))
+				for i := range idx {
+					idx[i] = i
+				}
+				_, fails, err := guardedGrid(ctx, p, "t-cell-kinds/cells", idx, []int{0},
+					func(i, _ int) (Pattern1Point, error) { return cells[i].run() })
+				if err != nil {
+					return nil, err
+				}
+				return &scenario.Result{Scenario: "t-cell-kinds", Params: p, Failures: fails}, nil
+			}))
+	})
 
 	srv := serve.New(serve.Config{Workers: 1})
 	ts := httptest.NewServer(srv.Handler())

@@ -3,7 +3,9 @@ package experiments
 import (
 	"cmp"
 	"context"
+	"encoding/json"
 	"errors"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -268,5 +270,38 @@ func TestHeadStep(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
 			t.Fatalf("headStep(%q) error = %v, want one naming the value", bad, err)
 		}
+	}
+}
+
+// TestFig5RunAndEncodeBytes pins what a cold serving miss allocates for
+// the cell work it runs: one fig5 run of the serve-cold key stream plus
+// its JSON encode. The ceiling holds only while each of the 18 two-node
+// cells sizes its transfer arenas to the one transfer it makes and the
+// table encodes its rows without building a map per row.
+func TestFig5RunAndEncodeBytes(t *testing.T) {
+	fig5, ok := scenario.Lookup("fig5")
+	if !ok {
+		t.Fatal("fig5 not registered")
+	}
+	p := scenario.Params{Transfers: 150}
+	runAndEncode := func() {
+		res, err := fig5.Run(bg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runAndEncode() // warm: the registry, sync.Pools, encoding/json's type cache
+	const rounds = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		runAndEncode()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / rounds; perRun > 150<<10 {
+		t.Errorf("fig5 at Transfers 150 plus its encode allocates %d KB per run, ceiling 150 KB", perRun>>10)
 	}
 }

@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // A Reporter renders scenario results to a writer. The text reporter
@@ -110,7 +114,11 @@ func writeFailures(w io.Writer, res *Result) error {
 
 // MarshalJSON renders a Table as {"title", "columns", "rows"} with rows
 // as key→value records (or {"title", "text"} for freeform tables), so
-// JSON output needs no knowledge of the text-layout fmt verbs.
+// JSON output needs no knowledge of the text-layout fmt verbs. A row's
+// record is what encoding/json makes of a map[string]any holding it —
+// keys sorted, a duplicated column key keeping the row's last value, and
+// a ragged row's cells past the last column dropped (possible in
+// user-registered scenarios) — appended straight into one buffer.
 func (t Table) MarshalJSON() ([]byte, error) {
 	if len(t.Columns) == 0 {
 		return json.Marshal(struct {
@@ -118,28 +126,108 @@ func (t Table) MarshalJSON() ([]byte, error) {
 			Text  string `json:"text"`
 		}{t.Title, t.Text})
 	}
-	keys := make([]string, len(t.Columns))
+	// byKey lists the column indices in key order, ties by index, so the
+	// last column of a run of equal keys is the one a map would keep.
+	byKey := make([]int, len(t.Columns))
+	rowSize := 2
 	for i, c := range t.Columns {
-		keys[i] = c.Key
+		byKey[i] = i
+		rowSize += len(c.Key) + 24 // quotes, colon, comma and a number
 	}
-	rows := make([]map[string]any, len(t.Rows))
-	for i, row := range t.Rows {
-		rec := make(map[string]any, len(row))
-		// Ragged rows (possible in user-registered scenarios) drop the
-		// excess cells rather than panicking mid-encode.
-		for j, v := range row {
-			if j >= len(keys) {
-				break
-			}
-			rec[keys[j]] = v
+	slices.SortStableFunc(byKey, func(a, b int) int { return strings.Compare(t.Columns[a].Key, t.Columns[b].Key) })
+
+	b := make([]byte, 0, 32+len(t.Title)+rowSize*(len(t.Rows)+1))
+	b = append(b, `{"title":`...)
+	b = appendJSONString(b, t.Title)
+	b = append(b, `,"columns":[`...)
+	for i, c := range t.Columns {
+		if i > 0 {
+			b = append(b, ',')
 		}
-		rows[i] = rec
+		b = appendJSONString(b, c.Key)
 	}
-	return json.Marshal(struct {
-		Title   string           `json:"title"`
-		Columns []string         `json:"columns"`
-		Rows    []map[string]any `json:"rows"`
-	}{t.Title, keys, rows})
+	b = append(b, `],"rows":[`...)
+	for i, row := range t.Rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '{')
+		n, first := min(len(row), len(t.Columns)), true
+		for k, j := range byKey {
+			key := t.Columns[j].Key
+			if j >= n || k+1 < len(byKey) && byKey[k+1] < n && t.Columns[byKey[k+1]].Key == key {
+				continue // past the row's end, or overwritten by a later duplicate
+			}
+			if !first {
+				b = append(b, ',')
+			}
+			first = false
+			b = appendJSONString(b, key)
+			b = append(b, ':')
+			var err error
+			if b, err = appendJSONValue(b, row[j]); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, '}')
+	}
+	return append(b, "]}"...), nil
+}
+
+// appendJSONString appends s quoted as encoding/json quotes it. Plain
+// printable ASCII with nothing to HTML-escape is copied as is; any other
+// string goes through encoding/json.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always encodes
+			return append(b, quoted...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONValue appends one cell as encoding/json encodes it. The
+// types tables are built from are written directly; anything else, and
+// the NaN and ±Inf floats encoding/json refuses, goes through it.
+func appendJSONValue(b []byte, v any) ([]byte, error) {
+	switch v := v.(type) {
+	case nil:
+		return append(b, "null"...), nil
+	case string:
+		return appendJSONString(b, v), nil
+	case bool:
+		return strconv.AppendBool(b, v), nil
+	case int:
+		return strconv.AppendInt(b, int64(v), 10), nil
+	case float64:
+		if !math.IsInf(v, 0) && !math.IsNaN(v) {
+			return appendJSONFloat(b, v), nil
+		}
+	}
+	enc, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, enc...), nil
+}
+
+// appendJSONFloat appends a finite float64 in encoding/json's format:
+// the shortest representation, in exponent form below 1e-6 and from
+// 1e21 up, with the exponent's leading zero dropped.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 → e-7
+		b = b[:n-1]
+	}
+	return b
 }
 
 // UnmarshalJSON inverts MarshalJSON so JSON results round-trip (the

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -97,6 +99,41 @@ func BenchmarkServeCold(b *testing.B) {
 			b.Fatalf("cold replay lost requests: %+v", report)
 		}
 		reportLoad(b, report)
+	}
+}
+
+// BenchmarkServeColdMiss is one cold POST /v1/run in process, with no
+// socket: the serve-cold key stream (fig5 at Transfers 20, 21, …, 256
+// distinct cells) through the handler into a 64-entry cache, so every
+// request is admitted, run, encoded and stored with an eviction. With
+// -benchmem, B/op and allocs/op are what a cold request allocates.
+func BenchmarkServeColdMiss(b *testing.B) {
+	const keys, cacheSize = 256, 64
+	bodies := make([][]byte, keys)
+	for i := range bodies {
+		body, err := json.Marshal(serve.RunRequest{Scenario: "fig5", Params: scenario.Params{Transfers: 20 + i}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	s := serve.New(serve.Config{CacheSize: cacheSize})
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	post := func(i int) {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/run", bytes.NewReader(bodies[i%keys])))
+		if got := rr.Header().Get("X-Cache"); got != "miss" {
+			b.Fatalf("request %d: X-Cache %q (status %d), want miss", i, got, rr.Code)
+		}
+	}
+	for i := range keys { // fill the cache so every timed request evicts
+		post(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(keys + i)
 	}
 }
 
