@@ -60,6 +60,57 @@
 // caught. (A one-entry "last run" table was measured: it catches 0.1 %
 // of gradsync's ties against 48 % with 64 slots, because ranks alternate
 // between a few distinct wake times.)
+//
+// # Delay lanes: runs created with one delay
+//
+// A deep queue is deep with runs that were all created "d from now" for
+// a handful of delays d: a service time, a write period, a poll period.
+// (Fig 3's 512-node file-system cell averages some 1 900 runs in the
+// heap at a push; 99.7 % of the runs it creates carry one of at most 64
+// delays.) now never decreases, so the runs of one delay arrive already
+// in time order, and a FIFO per delay is a sorted queue that needs only
+// its head in the heap — Brown's calendar queue (CACM 1988) narrowed to
+// a few distinct delays:
+//
+//   - Once the queue is deep (below), a run that a push creates is filed
+//     under a lane: one of 64 direct-mapped slots keyed on the bit
+//     pattern of t − now (hashed as the run table hashes times). The lane's
+//     earliest run is its one heap key; the rest wait in a free-listed
+//     pool of {key, next} entries, and leave a vacant root for a later
+//     push or the handler's return to fill. A run whose lane slot is
+//     free claims it and enters the heap as the lane's head; one whose
+//     slot another delay holds enters the heap as a plain run.
+//   - When a lane's head run drains at the root, the lane's next run is
+//     sifted into the root in its place; a lane left empty is freed for
+//     any delay to claim. Only a drained run of no lane, or of an empty
+//     one, leaves the root vacant as above.
+//   - Each heap key names its lane in the low laneBits bits of seq
+//     (seq<<7 | lane+1, with tag 0 for a plain run). seq is unique, so the tag never
+//     decides an order, and the key keeps its three-field 24-byte shape:
+//     a prototype that marked lane heads with a fourth int32 field, with
+//     no lane logic at all, slowed a three-backend fig5 cell from 64–68
+//     to 80–86 µs, and with lanes lost 18 % of serve-cold's qps.
+//   - The lane table is allocated the first time the heap grows to
+//     laneDepth (64) runs, and the lane code sits out of line behind one
+//     nil check. A queue that never gets that deep — every serve-cold
+//     fig5 cell, which never holds more than a couple of runs — pays that
+//     check per new run and keeps NewEnv at one allocation; an eager
+//     table cost serve-cold its qps as above. This is a selection from
+//     the queue's observed depth, not a knob, and Shutdown returns an Env
+//     to it.
+//
+// Why lanes keep the order exactly (t, seq). A run joins a live lane only
+// if its delay bits match the lane's and its time is not earlier than the
+// lane's last run. seq strictly increases, so each lane is in (t, seq)
+// order by that comparison alone, its head is its minimum, and the heap
+// minimum — the minimum over plain runs and lane heads — is the global
+// minimum. The bits only decide which runs share a lane; the comparison
+// is what is exact. It is needed: under round-half-to-even two distinct
+// times can give bit-equal differences (at now = 2^-52, 2+3·2^-51 and
+// 2+2·2^-51 both give 2+2·2^-51), and the second, earlier run then goes
+// to the heap. As with the run table, any lane count or hash is exact.
+// Appending an event to a run that waits in a lane works as before: the
+// run table holds the run's tail, wherever its key is.
 package des
 
 import (
@@ -88,12 +139,18 @@ type event struct {
 
 // runKey is one heap entry: a run of events that share one time, ordered
 // by (t, seq of the run's first event). head is the slab index of the
-// run's earliest unfired event. Pointer-free by design.
+// run's earliest unfired event. Pointer-free by design. seq holds the
+// first event's sequence number shifted up by laneBits, with the run's
+// lane tag (lane index + 1, or 0 for none) in the bits below: sequence
+// numbers are unique, so the tag never decides an order.
 type runKey struct {
 	t    float64
 	seq  int64
 	head int32
 }
+
+// lane returns the index of the delay lane the run belongs to, or -1.
+func (k *runKey) lane() int { return int(k.seq&laneMask) - 1 }
 
 // before reports heap ordering: earlier time first, creation order
 // breaking ties.
@@ -130,16 +187,54 @@ const runSlots = 64
 
 // runSlot maps a time to its run-table slot: Fibonacci hashing of the
 // bit pattern with the sign bit dropped, so that +0.0 and -0.0 share a
-// slot (the exactness argument in the package doc depends on it).
+// slot (the exactness argument in the package doc depends on it). A
+// delay maps to its lane slot the same way.
 func runSlot(t float64) int {
 	return int((math.Float64bits(t) << 1) * 0x9E3779B97F4A7C15 >> 58)
+}
+
+// Delay lanes (see the package doc). Constants, not knobs: laneSlots
+// lanes share the run table's hash, laneDepth is the heap depth at which
+// an Env allocates its lane table, and laneBits is the width of the lane
+// tag under a key's seq (it must hold laneSlots + 1 values; the 56 bits
+// left for seq outlast any run: 2^56 pushes at 10 ns each take 22 years).
+const (
+	laneSlots = runSlots
+	laneDepth = 64
+	laneBits  = 7
+	laneMask  = 1<<laneBits - 1
+)
+
+// lane is one slot of the lane table: the runs created with the delay of
+// bit pattern bits, in (t, seq) order. While live, exactly one of them —
+// the earliest — is in the heap; the rest wait in the pool FIFO
+// head..tail (pool indices, 0 = none). last is the time of the lane's
+// latest run, the bound a joining run must not undercut.
+type lane struct {
+	bits       uint64
+	last       float64
+	head, tail int32
+	live       bool
+}
+
+// laneRun is a pool entry: a run waiting in a lane, and the next one.
+type laneRun struct {
+	key  runKey
+	next int32
+}
+
+// laneTable is what an Env allocates once its heap gets deep.
+type laneTable struct {
+	lanes [laneSlots]lane
+	pool  []laneRun // entry 0 reserved; free entries chained through next
+	free  int32
 }
 
 // Env is a simulation environment: a virtual clock plus a pending-event
 // queue. The zero value is not usable; construct with NewEnv.
 type Env struct {
 	now float64
-	seq int64
+	seq int64 // sequence number of the latest push, in steps of 1<<laneBits
 
 	// The pending queue (see the package doc): heap orders the live
 	// runs, slab holds every pending payload, open finds the run a
@@ -151,6 +246,7 @@ type Env struct {
 	pending int                 // queued events (not runs)
 	vacant  bool                // heap[0] is a hole: its run drained in the running handler
 	open    [runSlots]openRun
+	lanes   *laneTable // nil until the heap first holds laneDepth runs
 
 	stopped bool
 
@@ -186,7 +282,7 @@ func (e *Env) push(t float64) *event {
 	if !(t >= e.now) { // also rejects NaN, which no comparison could order
 		panic(fmt.Sprintf("des: schedule at t=%v before now=%v", t, e.now))
 	}
-	e.seq++
+	e.seq += 1 << laneBits // the bits below hold a key's lane tag
 	e.pending++
 	i := e.free
 	var s *event
@@ -217,6 +313,12 @@ func (e *Env) push(t float64) *event {
 	}
 	*o = openRun{bits: bits, tail: i}
 	k := runKey{t: t, seq: e.seq, head: i}
+	if e.lanes != nil {
+		var queued bool
+		if k.seq, queued = e.joinLane(k); queued {
+			return s
+		}
+	}
 	if e.vacant {
 		e.vacant = false
 		e.siftDown(k)
@@ -224,6 +326,9 @@ func (e *Env) push(t float64) *event {
 	}
 	// Hole-based sift-up: the new key is written exactly once.
 	h := append(e.heap, k)
+	if len(h) == laneDepth && e.lanes == nil {
+		e.lanes = &laneTable{pool: make([]laneRun, 1, laneDepth)}
+	}
 	j := len(h) - 1
 	for j > 0 {
 		parent := (j - 1) / 4
@@ -236,6 +341,67 @@ func (e *Env) push(t float64) *event {
 	h[j] = k
 	e.heap = h
 	return s
+}
+
+// joinLane files the new run k under the lane of its delay t − now and
+// returns k's seq with the lane tag it now carries, if any. queued
+// reports that the run waits in the lane's pool, behind the lane's run in
+// the heap; otherwise k goes to the heap, heading its lane if tagged. A run joins a live lane only if its delay bits match
+// and it is not earlier than the lane's last run, so each lane stays in
+// (t, seq) order by comparison alone (two times can round to one
+// difference).
+func (e *Env) joinLane(k runKey) (seq int64, queued bool) {
+	lt := e.lanes
+	d := k.t - e.now
+	id := runSlot(d)
+	l := &lt.lanes[id]
+	bits := math.Float64bits(d)
+	if !l.live {
+		*l = lane{bits: bits, last: k.t, live: true}
+		return k.seq | int64(id+1), false
+	}
+	if l.bits != bits || k.t < l.last {
+		return k.seq, false // the slot holds another delay, or the lane is ahead of k
+	}
+	l.last = k.t
+	k.seq |= int64(id + 1)
+	j := lt.free
+	if j != 0 {
+		lt.free = lt.pool[j].next
+		lt.pool[j] = laneRun{key: k}
+	} else {
+		j = int32(len(lt.pool))
+		lt.pool = append(lt.pool, laneRun{key: k})
+	}
+	if l.tail != 0 {
+		lt.pool[l.tail].next = j
+	} else {
+		l.head = j
+	}
+	l.tail = j
+	return k.seq, true
+}
+
+// promote replaces the drained root run of lane id with the lane's next
+// run, reporting false (and retiring the lane) when none waits.
+func (e *Env) promote(id int) bool {
+	lt := e.lanes
+	l := &lt.lanes[id]
+	j := l.head
+	if j == 0 {
+		l.live = false
+		return false
+	}
+	r := &lt.pool[j]
+	l.head = r.next
+	if l.head == 0 {
+		l.tail = 0
+	}
+	k := r.key
+	r.next = lt.free
+	lt.free = j
+	e.siftDown(k)
+	return true
 }
 
 // siftDown places k in the hole at the heap's root and restores the
@@ -361,12 +527,15 @@ func (e *Env) execNext() bool {
 	if ev.next != 0 {
 		root.head = ev.next
 	} else {
-		// The run is drained: close it to appends and leave the root
-		// vacant for the handler's first new run to take.
+		// The run is drained: close it to appends, and sift its lane's
+		// next run into the root or leave the root vacant for the
+		// handler's first new run to take.
 		if o := &e.open[runSlot(root.t)]; o.tail == i {
 			o.tail = 0
 		}
-		e.vacant = true
+		if id := root.lane(); id < 0 || !e.promote(id) {
+			e.vacant = true
+		}
 	}
 	switch ev.kind {
 	case evFunc:
@@ -392,4 +561,5 @@ func (e *Env) Pending() int { return e.pending }
 func (e *Env) Shutdown() {
 	e.heap, e.slab, e.used, e.free, e.pending, e.vacant = nil, nil, 0, 0, 0, false
 	e.open = [runSlots]openRun{}
+	e.lanes = nil
 }

@@ -94,53 +94,61 @@ func BenchmarkCallbackTick(b *testing.B) {
 	env.Run()
 }
 
-// tickers starts n self-rescheduling callbacks of period 1 on env, the
-// i-th first firing at phase(i), and returns the counter of fired ticks;
-// the environment stops itself once the counter reaches limit.
-func tickers(env *Env, n int, phase func(i int) float64, limit int) *int {
+// tickers starts n self-rescheduling callbacks on env, the i-th first
+// firing at phase(i) and then every period(i), and returns the counter of
+// fired ticks; the environment stops itself once the counter reaches
+// limit.
+func tickers(env *Env, n int, phase, period func(i int) float64, limit int) *int {
 	fired := new(int)
 	for i := 0; i < n; i++ {
 		var tick func()
+		p := period(i)
 		tick = func() {
 			if *fired++; *fired >= limit {
 				env.Stop()
 				return
 			}
-			env.After(1, tick)
+			env.After(p, tick)
 		}
 		env.At(phase(i), tick)
 	}
 	return fired
 }
 
-// The two regimes of the run queue (see the package doc), plus the
-// deep-heap case of the benchmark's des.ns_per_event_deep probe.
+// The regimes of the run queue (see the package doc), plus the deep-heap
+// case of the benchmark's des.ns_per_event_deep probe.
 var (
-	tiedPhase     = func(int) float64 { return 0 }                   // every ticker wakes at the same instants
-	distinctPhase = func(i int) float64 { return float64(i) / 4096 } // no two pending times are equal
+	tiedPhase     = func(int) float64 { return 0 }                        // every ticker wakes at the same instants
+	distinctPhase = func(i int) float64 { return float64(i) / 4096 }      // no two pending times are equal
+	oneDelay      = func(int) float64 { return 1 }                        // every ticker shares one delay lane
+	ownDelay      = func(i int) float64 { return 1 + float64(i)/(1<<20) } // no two tickers share a delay
 )
 
 // BenchmarkQueue measures one schedule+fire through the run queue with
-// 4096 pending tickers that all tie (one run, no sifts), with 4096 that
-// never tie (one run per event, the plain 4-ary heap cost), and with
-// one ticker above 49152 timers that never fire (a deep heap whose root
-// the ticker keeps re-taking).
+// 4096 pending tickers that all tie (one run, no sifts); with 4096 that
+// never tie but share one period (one run per event, all in one delay
+// lane: a FIFO append and a promotion per event); with 4096 that neither
+// tie nor share a period (one heap run per event, the plain 4-ary heap
+// cost); and with one ticker above 49152 timers that never fire (a deep
+// heap whose root the ticker keeps re-taking, and whose lane slots the
+// timers hold).
 func BenchmarkQueue(b *testing.B) {
 	for _, c := range []struct {
 		name            string
 		tickers, timers int
-		phase           func(int) float64
+		phase, period   func(int) float64
 	}{
-		{"ties=4096", 4096, 0, tiedPhase},
-		{"distinct", 4096, 0, distinctPhase},
-		{"deep-49152", 1, 49152, tiedPhase},
+		{"ties=4096", 4096, 0, tiedPhase, oneDelay},
+		{"one-delay", 4096, 0, distinctPhase, oneDelay},
+		{"distinct", 4096, 0, distinctPhase, ownDelay},
+		{"deep-49152", 1, 49152, tiedPhase, oneDelay},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			env := NewEnv()
 			for i := 0; i < c.timers; i++ {
 				env.At(1e15+float64(i), func() {})
 			}
-			tickers(env, c.tickers, c.phase, b.N)
+			tickers(env, c.tickers, c.phase, c.period, b.N)
 			b.ReportAllocs()
 			b.ResetTimer()
 			env.Run()
@@ -189,13 +197,18 @@ func TestResourceQueueReusesStorage(t *testing.T) {
 }
 
 // TestEventQueueReusesStorage pins the run queue's steady state: once
-// the slab, its free list and the heap have grown to the working set, a
-// warmed Env schedules and fires with zero allocations, whether every
-// event ties with a pending one or none does.
+// the slab, its free list, the heap and the lane pool have grown to the
+// working set, a warmed Env schedules and fires with zero allocations,
+// whether every event ties with a pending one, none does but all share a
+// delay lane, or none shares either.
 func TestEventQueueReusesStorage(t *testing.T) {
-	for name, phase := range map[string]func(int) float64{"ties": tiedPhase, "distinct": distinctPhase} {
+	for name, c := range map[string][2]func(int) float64{
+		"ties":      {tiedPhase, oneDelay},
+		"one-delay": {distinctPhase, oneDelay},
+		"distinct":  {distinctPhase, ownDelay},
+	} {
 		env := NewEnv()
-		fired := tickers(env, 256, phase, math.MaxInt)
+		fired := tickers(env, 256, c[0], c[1], math.MaxInt)
 		env.RunUntil(8)
 		allocs := testing.AllocsPerRun(20, func() { env.RunUntil(env.Now() + 8) })
 		if allocs > 0 {

@@ -14,7 +14,8 @@ import (
 // generator builds randomized schedules — including events that schedule
 // more events from inside their own callbacks, the shape every rank
 // machine in this repo has — across 1k seeds and every way the harnesses
-// drive an Env (Run, RunUntil windows, Stop and Run again);
+// drive an Env (Run, RunUntil windows, Stop and Run again), and past the
+// depth at which the queue turns on its delay lanes;
 // FuzzHeapOrder feeds the same checker from arbitrary byte strings so
 // `go test -fuzz` can walk the queue into corners the seeded generator
 // never reaches.
@@ -43,6 +44,7 @@ type orderRun struct {
 	offsets    []float64
 	chainEvery int
 	drive      int
+	delays     []float64 // if set, every chained follow-up is now + one of these
 	times      []float64
 	done       []bool
 	fired      []firing
@@ -50,12 +52,13 @@ type orderRun struct {
 
 // runSchedule schedules events at the given offsets (each a delay from
 // time zero; negative values are clamped to zero), with every
-// chainEvery-th event scheduling follow-ups from inside its callback,
-// drives the environment to completion in the given mode and checks the
-// firing sequence against the exact (t, schedule index) order.
-func runSchedule(t *testing.T, offsets []float64, chainEvery, drive int) {
+// chainEvery-th event scheduling follow-ups from inside its callback —
+// drawn from delays when it is set — drives the environment to
+// completion in the given mode and checks the firing sequence against
+// the exact (t, schedule index) order.
+func runSchedule(t *testing.T, offsets []float64, chainEvery, drive int, delays []float64) *orderRun {
 	t.Helper()
-	r := &orderRun{t: t, env: NewEnv(), offsets: offsets, chainEvery: chainEvery, drive: drive}
+	r := &orderRun{t: t, env: NewEnv(), offsets: offsets, chainEvery: chainEvery, drive: drive, delays: delays}
 	for _, off := range offsets {
 		if off < 0 {
 			off = 0
@@ -84,6 +87,7 @@ func runSchedule(t *testing.T, offsets []float64, chainEvery, drive int) {
 	}
 	r.checkQueue("after the run")
 	r.checkOrder()
+	return r
 }
 
 // add schedules one more event and records it in the model.
@@ -109,6 +113,13 @@ func (r *orderRun) fire(id int) {
 		env.Stop()
 	}
 	if r.chainEvery == 0 || id%r.chainEvery != r.chainEvery-1 || len(r.times) >= 4*len(r.offsets) {
+		return
+	}
+	if n := len(r.delays); n > 0 {
+		// Two follow-ups from the alphabet: a shared delay queues in its
+		// lane, 0 lands on this instant, slot mates collide.
+		r.add(now + r.delays[id%n])
+		r.add(now + r.delays[id/n%n])
 		return
 	}
 	at := r.times[id]
@@ -175,7 +186,8 @@ func (r *orderRun) checkOrder() {
 }
 
 // slotMates returns n distinct positive times that all map to one slot
-// of the run table, so runs for them keep evicting each other.
+// of the run table, so runs for them keep evicting each other; as
+// delays, they share one lane slot.
 func slotMates(n, slot int) []float64 {
 	var mates []float64
 	for k := 1; len(mates) < n; k++ {
@@ -186,19 +198,33 @@ func slotMates(n, slot int) []float64 {
 	return mates
 }
 
+// laneAlphabet is the delay alphabet of the lane shape: 0 (this
+// instant), one delay many runs share, a delay that does not round-trip
+// through now + d − now, and two delays whose bits share a lane slot.
+func laneAlphabet() []float64 {
+	mates := slotMates(2, runSlot(0.75)^1)
+	return []float64{0, 0.75, 0.1, mates[0], mates[1]}
+}
+
 // TestHeapOrderRandomSchedules is the 1k-seed property test: randomized
 // schedules must fire in exact (t, schedule index) order under every
 // drive mode. Shapes: the original uniform / small-grid / clustered mix;
 // more distinct pending times than the run table has slots; times
-// crafted to share one table slot; and signed zeros.
+// crafted to share one table slot; signed zeros; and a queue that
+// crosses the lane depth mid-run, its follow-ups drawn from
+// laneAlphabet, so lane appends, slot collisions, promotions and the
+// lazy enable all meet the sort-based reference.
 func TestHeapOrderRandomSchedules(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for seed := int64(0); seed < 1000; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(64)
-		shape := rng.Intn(8)
-		if shape == 4 {
+		shape := rng.Intn(9)
+		switch shape {
+		case 4:
 			n = 2*runSlots + rng.Intn(3*runSlots)
+		case 8:
+			n = laneDepth - 8 + rng.Intn(8) // below the depth until the follow-ups pile up
 		}
 		mates := slotMates(2+rng.Intn(3), rng.Intn(runSlots))
 		offsets := make([]float64, n)
@@ -210,6 +236,11 @@ func TestHeapOrderRandomSchedules(t *testing.T) {
 				offsets[i] = mates[rng.Intn(len(mates))]
 			case 6: // signed zeros among a few other instants
 				offsets[i] = []float64{0, negZero, negZero, 0, 0.5, 1}[rng.Intn(6)]
+			case 8: // one unit of scattered instants, one in eight a tie
+				offsets[i] = rng.Float64()
+				if i > 0 && rng.Intn(8) == 0 {
+					offsets[i] = offsets[rng.Intn(i)]
+				}
 			default:
 				switch rng.Intn(3) {
 				case 0: // uniform spread
@@ -225,7 +256,14 @@ func TestHeapOrderRandomSchedules(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			chain = 1 + rng.Intn(5)
 		}
-		runSchedule(t, offsets, chain, rng.Intn(driveModes))
+		if shape != 8 {
+			runSchedule(t, offsets, chain, rng.Intn(driveModes), nil)
+			continue
+		}
+		r := runSchedule(t, offsets, 1, rng.Intn(driveModes), laneAlphabet())
+		if r.env.lanes == nil || len(r.env.lanes.pool) < 2 {
+			t.Fatalf("seed %d: the lane shape never queued a run in a lane", seed)
+		}
 	}
 }
 
@@ -241,7 +279,7 @@ func TestHeapTieOrderIsScheduleOrder(t *testing.T) {
 		for i := range offsets {
 			offsets[i] = at
 		}
-		runSchedule(t, offsets, int(seed%3), driveRun)
+		runSchedule(t, offsets, int(seed%3), driveRun, nil)
 	}
 }
 
@@ -350,8 +388,8 @@ func TestGrantCancelPreservesFIFO(t *testing.T) {
 // FuzzHeapOrder drives the order oracle from arbitrary bytes: each
 // 2-byte group becomes one event offset (coarse 0-255 grid plus a fine
 // fraction, maximizing tie pressure; the pair 255,255 is -0.0), and the
-// final byte selects the chaining density and the drive mode. CI runs
-// this as a 30 s smoke
+// final byte selects the chaining density, the drive mode and whether
+// follow-ups come from laneAlphabet. CI runs this as a 30 s smoke
 // (`go test -fuzz=FuzzHeapOrder -fuzztime=30s ./internal/des`).
 func FuzzHeapOrder(f *testing.F) {
 	f.Add([]byte{})
@@ -360,14 +398,28 @@ func FuzzHeapOrder(f *testing.F) {
 	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 7})
 	f.Add([]byte{0, 0, 255, 255, 0, 0, 255, 255, 0, 128, 8})    // signed zeros, windows
 	f.Add([]byte{1, 0, 2, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 13}) // alternating times, Stop and re-Run
+	// The lane shape: distinct offsets in one unit, just below the lane
+	// depth, every event chaining two follow-ups from the alphabet, under
+	// each drive mode.
+	for _, ctl := range []byte{18 + 1, 18 + 6 + 1, 18 + 12 + 1} {
+		var data []byte
+		for i := 0; i < laneDepth-8; i++ {
+			data = append(data, 0, byte(4*i))
+		}
+		f.Add(append(data, ctl))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			data = data[:512]
 		}
 		chain, drive := 0, driveRun
+		var delays []float64
 		if len(data) > 0 {
 			ctl := int(data[len(data)-1])
 			chain, drive = ctl%6, ctl/6%driveModes
+			if ctl/18%2 == 1 {
+				delays = laneAlphabet()
+			}
 			data = data[:len(data)-1]
 		}
 		var offsets []float64
@@ -381,6 +433,6 @@ func FuzzHeapOrder(f *testing.F) {
 		if len(offsets) == 0 {
 			return
 		}
-		runSchedule(t, offsets, chain, drive)
+		runSchedule(t, offsets, chain, drive, delays)
 	})
 }

@@ -7,10 +7,11 @@ import (
 	"unsafe"
 )
 
-// White-box tests of the run queue's three mechanisms (see the package
-// doc). prop_test.go checks the firing order they must preserve; these
-// pin that each mechanism actually engages, so a change that quietly
-// turns one off shows up as a test failure and not only as a slowdown.
+// White-box tests of the run queue's four mechanisms — runs, the run
+// table, the vacant root and the delay lanes (see the package doc).
+// prop_test.go checks the firing order they must preserve; these pin
+// that each mechanism actually engages, so a change that quietly turns
+// one off shows up as a test failure and not only as a slowdown.
 
 // TestSimultaneousEventsShareOneRun: ties join the open run without
 // touching the heap, and a run that lost its table slot is never
@@ -228,4 +229,186 @@ func TestEventRecordAndEnvFootprint(t *testing.T) {
 		t.Errorf("NewEnv allocates %v objects, want 1", allocs)
 	}
 	_ = env
+}
+
+// deepEnv returns an Env whose heap holds exactly laneDepth plain runs,
+// far in the future and never reached by the tests below: the lane table
+// is allocated, and the next push that starts a run files it in a lane.
+func deepEnv(t *testing.T) *Env {
+	t.Helper()
+	env := NewEnv()
+	filler := func() { t.Error("a filler run fired") }
+	for i := 0; i < laneDepth-1; i++ {
+		env.At(1e9+float64(i), filler)
+	}
+	if env.lanes != nil {
+		t.Fatalf("a heap of %d runs allocated the lane table", laneDepth-1)
+	}
+	env.At(2e9, filler)
+	if env.lanes == nil || len(env.heap) != laneDepth {
+		t.Fatalf("a heap of %d runs: lanes allocated=%v, %d heap keys", laneDepth, env.lanes != nil, len(env.heap))
+	}
+	return env
+}
+
+// waiting returns the runs queued behind the heap in lane id.
+func waiting(env *Env, id int) []runKey {
+	var keys []runKey
+	for j := env.lanes.lanes[id].head; j != 0; j = env.lanes.pool[j].next {
+		keys = append(keys, env.lanes.pool[j].key)
+	}
+	return keys
+}
+
+// TestLaneTableIsAllocatedAtDepth: an Env allocates its lane table the
+// first time its heap grows to laneDepth runs (deepEnv checks both sides
+// of that step), and never below it, however many events a shallow queue
+// schedules.
+func TestLaneTableIsAllocatedAtDepth(t *testing.T) {
+	shallow := NewEnv()
+	fired := tickers(shallow, laneDepth-1, distinctPhase, oneDelay, 100*laneDepth)
+	shallow.Run()
+	if *fired != 100*laneDepth || shallow.lanes != nil {
+		t.Fatalf("%d tickers fired %d times and allocated lanes=%v, want no lane table", laneDepth-1, *fired, shallow.lanes != nil)
+	}
+	env := deepEnv(t)
+	for id := range env.lanes.lanes {
+		if env.lanes.lanes[id].live {
+			t.Fatalf("lane %d is live before any run was filed in a lane", id)
+		}
+	}
+}
+
+// TestOneDelayHoldsOneHeapKey: at depth, runs created with one delay wait
+// in their lane, and only the earliest is a heap key; a handler that
+// drains a lane's head finds its successor already promoted to the root.
+func TestOneDelayHoldsOneHeapKey(t *testing.T) {
+	env := deepEnv(t)
+	const spawns, d = 10, 100.0
+	id := runSlot(d)
+	if id == runSlot(1) {
+		t.Fatal("test delays share a lane slot")
+	}
+	var got []float64
+	var payload func()
+	payload = func() {
+		got = append(got, env.Now())
+		if next := env.Now() + 1; next <= spawns+d {
+			// The drained head's successor is at the root already: no
+			// vacancy for this handler's pushes to fill.
+			if env.vacant || env.heap[0].t != next || env.heap[0].lane() != id {
+				t.Errorf("t=%v: root %+v (vacant=%v) after the lane head drained, want the run at %v promoted",
+					env.Now(), env.heap[0], env.vacant, next)
+			}
+		}
+	}
+	var spawn func()
+	spawn = func() {
+		env.After(d, payload)
+		if env.Now() < spawns {
+			env.After(1, spawn)
+		}
+	}
+	env.At(1, spawn)
+	env.RunUntil(spawns + 0.5)
+	if n := len(env.heap); n != laneDepth+1 {
+		t.Fatalf("%d runs of one delay pending: %d heap keys, want the %d fillers and one lane head", spawns, n, laneDepth)
+	}
+	if w := waiting(env, id); len(w) != spawns-1 {
+		t.Fatalf("lane of delay %v holds %d waiting runs, want %d", d, len(w), spawns-1)
+	}
+	env.RunUntil(1e8)
+	if len(got) != spawns || got[0] != 1+d || got[spawns-1] != spawns+d {
+		t.Fatalf("payloads fired at %v, want 101..110", got)
+	}
+	if w := waiting(env, id); len(w) != 0 || env.lanes.lanes[id].live {
+		t.Fatalf("drained lane still live with %d waiting runs", len(w))
+	}
+}
+
+// TestLaneSlotCollisionFallsBackToHeap: a delay whose lane slot another
+// live delay holds starts a plain, untagged heap run.
+func TestLaneSlotCollisionFallsBackToHeap(t *testing.T) {
+	env := deepEnv(t)
+	mates := slotMates(2, 11)
+	a, b := mates[0], mates[1]
+	var got []float64
+	note := func() { got = append(got, env.Now()) }
+	env.At(a, note) // claims the lane slot for delay a
+	env.At(b, note) // same lane slot, other delay, later time: a plain heap run
+	// b also took a's run-table slot, so this starts a second run for a,
+	// and the second run queues behind the first in a's lane.
+	env.At(a, note)
+	tags := map[float64]int{}
+	for _, k := range env.heap {
+		if k.t < 1e9 {
+			tags[k.t] = k.lane()
+		}
+	}
+	if len(tags) != 2 || tags[a] != 11 || tags[b] != -1 || len(waiting(env, 11)) != 1 {
+		t.Fatalf("heap lane tags %v with %d runs waiting in lane 11; want %v heading lane 11, one run behind it and %v untagged",
+			tags, len(waiting(env, 11)), a, b)
+	}
+	env.RunUntil(1e8)
+	if !slices.Equal(got, []float64{a, a, b}) {
+		t.Fatalf("fired at %v, want [%v %v %v]", got, a, a, b)
+	}
+}
+
+// TestLaneRefusesAnEarlierRun: equal delay bits are not enough to join a
+// lane. At now = 2^-52, 2+3·2^-51 and 2+2·2^-51 both round to the
+// difference 2+2·2^-51 (ties to even), so the second, earlier run matches
+// the lane's bits; the t ≥ last guard must send it to the heap, and the
+// two must fire in time order.
+func TestLaneRefusesAnEarlierRun(t *testing.T) {
+	const now, late, early = 0x1p-52, 2 + 3*0x1p-51, 2 + 2*0x1p-51
+	if math.Float64bits(late-now) != math.Float64bits(early-now) {
+		t.Fatalf("%v − now and %v − now differ; the test needs them bit-equal", late, early)
+	}
+	var got []float64
+	env := NewEnv()
+	env.At(now, func() {
+		for i := 0; i < laneDepth; i++ { // depth, without claiming a lane
+			env.At(1e9+float64(i), func() {})
+		}
+		env.At(late, func() { got = append(got, env.Now()) })
+		env.At(early, func() { got = append(got, env.Now()) })
+		id := runSlot(late - now)
+		for _, k := range env.heap {
+			if k.t == early && k.lane() != -1 {
+				t.Errorf("the earlier run joined lane %d", k.lane())
+			}
+			if k.t == late && k.lane() != id {
+				t.Errorf("the later run heads lane %d, want %d", k.lane(), id)
+			}
+		}
+	})
+	env.RunUntil(10)
+	if !slices.Equal(got, []float64{early, late}) {
+		t.Fatalf("fired at %v, want [%v %v]", got, early, late)
+	}
+}
+
+// TestShutdownClearsLanes: Shutdown drops the lane table with the rest of
+// the queue, and the Env runs again from a clean, shallow state.
+func TestShutdownClearsLanes(t *testing.T) {
+	env := deepEnv(t)
+	var spawn func()
+	spawn = func() { env.After(1, spawn); env.After(5, func() {}) }
+	env.At(0, spawn)
+	env.RunUntil(20)
+	if env.lanes == nil || len(waiting(env, runSlot(5))) == 0 {
+		t.Fatal("setup: no runs waiting in a lane")
+	}
+	env.Shutdown()
+	if env.lanes != nil || env.Pending() != 0 || len(env.heap) != 0 {
+		t.Fatalf("after Shutdown: lanes allocated=%v, %d pending, %d heap keys", env.lanes != nil, env.Pending(), len(env.heap))
+	}
+	var got []int
+	env.At(env.Now()+2, func() { got = append(got, 2) })
+	env.At(env.Now()+1, func() { got = append(got, 1) })
+	env.Run()
+	if !slices.Equal(got, []int{1, 2}) || env.lanes != nil {
+		t.Fatalf("reused Env fired %v (lanes allocated=%v), want [1 2] on a shallow queue", got, env.lanes != nil)
+	}
 }

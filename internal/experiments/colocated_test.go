@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -100,6 +101,39 @@ func TestColocatedBadInput(t *testing.T) {
 		for _, field := range e.ints {
 			if pt, err := run(t, field, func(v reflect.Value) { v.SetInt(-1) }); err != nil || !reflect.DeepEqual(pt, unset(t, field)) {
 				t.Errorf("%s%s = -1: got %+v, %v; want the run with the field unset", e.prefix, field, pt, err)
+			}
+		}
+	}
+}
+
+// TestPattern2RefusesLocalOnlyBackends: both Pattern 2 harnesses read
+// the staged arrays from another node, so a backend without a remote
+// path — node-local, or a value outside the enum — is an error naming
+// the Backend field, returned before anything is built, not a panic in
+// the cost model.
+func TestPattern2RefusesLocalOnlyBackends(t *testing.T) {
+	for _, c := range []struct {
+		prefix string
+		run    func(datastore.Backend) (any, error)
+	}{
+		{"fig5 (", func(b datastore.Backend) (any, error) {
+			return RunFig5Checked(Fig5Config{Backend: b, SizeMB: 1, Transfers: 5})
+		}},
+		{"fig6 (", func(b datastore.Backend) (any, error) {
+			return RunFig6Checked(Fig6Config{Backend: b, SizeMB: 1, Nodes: 2, TrainIters: 30})
+		}},
+	} {
+		for _, b := range []datastore.Backend{datastore.NodeLocal, datastore.NumBackends} {
+			pt, err := func() (pt any, err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						err = fmt.Errorf("panicked: %v", p)
+					}
+				}()
+				return c.run(b)
+			}()
+			if err == nil || !strings.HasPrefix(err.Error(), c.prefix) || !strings.Contains(err.Error(), "Backend = "+b.String()) {
+				t.Errorf("%sBackend = %v: got %+v, error %v; want an error naming the Backend field", c.prefix, b, pt, err)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"simaibench/internal/cluster"
 	"simaibench/internal/costmodel"
@@ -15,6 +16,16 @@ import (
 // (node-local tmpfs is excluded, exactly as in the paper: "a node-local
 // solution using tmpfs is not possible in this case").
 var Pattern2Backends = []datastore.Backend{datastore.Redis, datastore.FileSystem, datastore.Dragon}
+
+// remoteBackend refuses, naming the Backend field, a backend the AI
+// component could not read from another node: the cost model has no
+// remote path for it and would panic mid-run.
+func remoteBackend(b datastore.Backend) error {
+	if slices.Contains(Pattern2Backends, b) {
+		return nil
+	}
+	return fmt.Errorf("Backend = %v: pattern 2 reads the staged data from another node, want one of %v", b, Pattern2Backends)
+}
 
 // Fig5Config drives the 2-node point-to-point experiment: the simulation
 // stages data to its local backend on node 0, the AI component reads it
@@ -40,13 +51,18 @@ type Fig5Point struct {
 }
 
 // RunFig5Checked measures the 2-node local-write / non-local-read
-// pattern. A negative field is the unset one; a NaN or infinite SizeMB
-// is an error naming it; with cfg.MaxEvents set, a runaway simulation
-// aborts with the structured des.BudgetExceeded error.
+// pattern. A negative field is the unset one; a NaN or infinite SizeMB,
+// or a backend outside Pattern2Backends, is an error naming the field;
+// with cfg.MaxEvents set, a runaway simulation aborts with the
+// structured des.BudgetExceeded error.
 func RunFig5Checked(cfg Fig5Config) (Fig5Point, error) {
 	positiveOr(&cfg.Transfers, 50)
 	positiveOr(&cfg.SizeMB, 0)
-	if err := finite(knob{"SizeMB", cfg.SizeMB}); err != nil {
+	err := remoteBackend(cfg.Backend)
+	if err == nil {
+		err = finite(knob{"SizeMB", cfg.SizeMB})
+	}
+	if err != nil {
 		return Fig5Point{}, fmt.Errorf("fig5 (%s, %g MB): %w", cfg.Backend, cfg.SizeMB, err)
 	}
 	spec := cluster.Aurora(2)
@@ -154,14 +170,17 @@ type Fig6Point struct {
 }
 
 // RunFig6Checked simulates the many-to-one pattern at scale. A NaN or
-// infinite field is an error naming it, and so is a run too short to hold
-// one training period (it would report zeros as data); with cfg.MaxEvents
-// set, a runaway simulation aborts with the structured
-// des.BudgetExceeded error.
+// infinite field, or a backend outside Pattern2Backends, is an error
+// naming it, and so is a run too short to hold one training period (it
+// would report zeros as data); with cfg.MaxEvents set, a runaway
+// simulation aborts with the structured des.BudgetExceeded error.
 func RunFig6Checked(cfg Fig6Config) (Fig6Point, error) {
 	cfg = cfg.withDefaults()
 	fail := func(err error) (Fig6Point, error) {
 		return Fig6Point{}, fmt.Errorf("fig6 (%s, %g MB, %d nodes): %w", cfg.Backend, cfg.SizeMB, cfg.Nodes, err)
+	}
+	if err := remoteBackend(cfg.Backend); err != nil {
+		return fail(err)
 	}
 	if err := finite(knob{"SizeMB", cfg.SizeMB}, knob{"SimIterS", cfg.SimIterS}, knob{"TrainIterS", cfg.TrainIterS}); err != nil {
 		return fail(err)
