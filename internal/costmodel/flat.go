@@ -24,31 +24,32 @@ import (
 type LocalXfer struct {
 	env  *des.Env
 	done func()
-
-	// in-memory exchange (node-local, dragon, redis): one two-phase
-	// closure (grant → timed hold → release) instead of a closure per
-	// phase, halving the per-rank closure allocations of the sweeps.
-	bus     *des.Resource
-	hold    float64
-	holding bool
-	memStep func()
-
-	// shared file system (lustre)
-	lustre     bool
-	metaOps    int
-	i          int
-	rpcS       float64
-	mdsS       float64
-	streamS    float64
+	// step is the one closure of every phase: each call runs the phase
+	// the previous one left, so a transfer allocates one closure.
+	step  func()
+	phase int
+	// A file-system transfer first makes metaOps metadata rounds
+	// (client RPC, then the single MDS queue — this is where the
+	// 512-node collapse comes from); an in-memory one makes none.
+	metaOps, i int
+	rpcS, mdsS float64
 	mds        *des.Resource
-	ost        *des.Resource
-	step       func()
-	afterRPC   func()
-	onMDSGrant func()
-	onMDSDone  func()
-	onOSTGrant func()
-	onOSTDone  func()
+	// Then one timed hold of bus: the node's exchange bus for the
+	// in-memory backends (node-local, dragon, redis), an OST stream slot
+	// for the file system.
+	bus  *des.Resource
+	hold float64
 }
+
+// The phases of a LocalXfer: what its next step call finds done.
+const (
+	xferStarted    = iota // Start, or the previous metadata round
+	xferRPCDone           // a client RPC
+	xferMDSGranted        // the MDS queue
+	xferMDSDone           // the MDS service
+	xferGranted           // the bus (or OST) queue
+	xferHeld              // the timed hold
+)
 
 // NewLocalWrite builds a reusable stage_write op of mb megabytes on node;
 // done fires when the transfer completes.
@@ -68,57 +69,54 @@ func (m *Model) newLocalXfer(b datastore.Backend, node int, mb, costScale float6
 	x := m.localArena.alloc()
 	x.env, x.done = m.env, done
 	if b == datastore.FileSystem {
-		// One staged read/write against the shared file system: metaOps
-		// × (client RPC, then the single MDS queue — this is where the
-		// 512-node collapse comes from), then one OST stream.
-		x.lustre = true
 		x.metaOps = m.params.LustreMetaOpsPerTransfer
 		x.rpcS = m.params.LustreClientRPCS * costScale
 		x.mdsS = m.params.LustreMDSServiceS
-		x.streamS = mb / 1000 / m.params.LustreStreamBWGBps * costScale
-		x.mds, x.ost = m.mds, m.ostPool
-		x.step = func() {
+		x.mds, x.bus = m.mds, m.ostPool
+		x.hold = mb / 1000 / m.params.LustreStreamBWGBps * costScale
+	} else {
+		// The in-memory hold is constant per (backend, size), so it is
+		// computed once here.
+		overhead, bw := m.localMemParams(b)
+		x.hold = (overhead + mb/1000/m.cacheEff(bw, mb)) * costScale
+		x.bus = m.nodeBus[node%len(m.nodeBus)]
+	}
+	x.step = func() {
+		switch x.phase {
+		case xferStarted:
 			if x.i < x.metaOps {
 				x.i++
-				x.env.After(x.rpcS, x.afterRPC)
+				x.phase = xferRPCDone
+				x.env.After(x.rpcS, x.step)
 				return
 			}
-			x.ost.Request(x.onOSTGrant)
+			x.phase = xferGranted
+			x.bus.Request(x.step)
+		case xferRPCDone:
+			x.phase = xferMDSGranted
+			x.mds.Request(x.step)
+		case xferMDSGranted:
+			x.phase = xferMDSDone
+			x.env.After(x.mdsS, x.step)
+		case xferMDSDone:
+			x.mds.Release()
+			x.phase = xferStarted
+			x.step()
+		case xferGranted:
+			x.phase = xferHeld
+			x.env.After(x.hold, x.step)
+		case xferHeld:
+			x.bus.Release()
+			x.done()
 		}
-		x.afterRPC = func() { x.mds.Request(x.onMDSGrant) }
-		x.onMDSGrant = func() { x.env.After(x.mdsS, x.onMDSDone) }
-		x.onMDSDone = func() { x.mds.Release(); x.step() }
-		x.onOSTGrant = func() { x.env.After(x.streamS, x.onOSTDone) }
-		x.onOSTDone = func() { x.ost.Release(); x.done() }
-		return x
-	}
-	// In-memory exchange: one timed hold of the node's exchange bus. The
-	// hold duration is constant per (backend, size), so it is computed
-	// once here.
-	overhead, bw := m.localMemParams(b)
-	x.hold = (overhead + mb/1000/m.cacheEff(bw, mb)) * costScale
-	x.bus = m.nodeBus[node%len(m.nodeBus)]
-	x.memStep = func() {
-		if !x.holding {
-			x.holding = true // granted: hold the bus for the transfer
-			x.env.After(x.hold, x.memStep)
-			return
-		}
-		x.holding = false
-		x.bus.Release()
-		x.done()
 	}
 	return x
 }
 
 // Start begins the transfer at the current virtual time.
 func (x *LocalXfer) Start() {
-	if x.lustre {
-		x.i = 0
-		x.step()
-		return
-	}
-	x.bus.Request(x.memStep)
+	x.i, x.phase = 0, xferStarted
+	x.step()
 }
 
 // RemoteXfer models a single non-local stage_read of a fixed (backend,

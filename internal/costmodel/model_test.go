@@ -266,3 +266,21 @@ func TestNodeLocalHasNoRemoteModel(t *testing.T) {
 	}()
 	m.NewRemoteRead(datastore.NodeLocal, 1, func() {})
 }
+
+// TestLocalXferBuildsOneClosure: every phase of a transfer runs on the
+// one step closure, so building one costs that closure and nothing
+// else (the transfer itself comes out of the model's arena, one chunk
+// per 64). The file-system chain, with five phases of its own, is held
+// to the same count as an in-memory transfer.
+func TestLocalXferBuildsOneClosure(t *testing.T) {
+	for _, b := range []datastore.Backend{datastore.FileSystem, datastore.NodeLocal} {
+		_, m := newModel(8)
+		for range xferArenaMaxChunk {
+			m.NewLocalWrite(b, 0, 8, func() {}) // grow the arena's chunks to full size
+		}
+		done := func() {}
+		if got := testing.AllocsPerRun(10*xferArenaMaxChunk, func() { m.NewLocalWrite(b, 0, 8, done) }); got != 1 {
+			t.Errorf("%v: building a LocalXfer costs %v allocations, want 1 (its step closure)", b, got)
+		}
+	}
+}

@@ -120,7 +120,7 @@ type SharedXfer struct {
 	inner *LocalXfer
 	// step is the two-phase service closure (grant → timed hold →
 	// release + inner transfer); one closure per rank, reused across
-	// every Start, like LocalXfer's memStep.
+	// every Start, like LocalXfer's step.
 	holding bool
 	step    func()
 }

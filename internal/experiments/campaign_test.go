@@ -131,3 +131,26 @@ func TestCampaignFaultyAccounting(t *testing.T) {
 		t.Errorf("util %v / fairness %v out of range", pt.Util, pt.Fairness)
 	}
 }
+
+// TestCampaignMallocsDoNotScaleWithJobs: a Submit allocates its batch's
+// slabs and one arrival callback, and completions re-arm one hold per
+// node, so a longer campaign allocates only for its longer job list,
+// sample digests and event slab (a 32-slot chunk per 32 arrivals
+// pending at once), never once per job.
+func TestCampaignMallocsDoNotScaleWithJobs(t *testing.T) {
+	const short, long = 500, 2000
+	for _, pol := range campaignPolicies("") {
+		mallocs := func(jobs int) float64 {
+			return testing.AllocsPerRun(2, func() {
+				if _, err := RunCampaignChecked(CampaignConfig{Load: 1.2, Policy: pol, Jobs: jobs}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		a, b := mallocs(short), mallocs(long)
+		if grew := b - a; grew > (long-short)/16 {
+			t.Errorf("%s: %d more jobs cost %v more mallocs (%v → %v), want ≤ %d: a per-job allocation is back",
+				pol, long-short, grew, a, b, (long-short)/16)
+		}
+	}
+}

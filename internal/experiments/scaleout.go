@@ -119,7 +119,7 @@ func RunScaleOutChecked(cfg ScaleOutConfig) (ScaleOutPoint, error) {
 		WriteGBps:   run.writeTput.MeanGBps(),
 		ReadGBps:    run.readTput.MeanGBps(),
 		StageMeanS:  run.writeTime.Mean(),
-		StageP50S:   stats.Quantile(run.samples, 0.5),
+		StageP50S:   stats.QuantileInPlace(run.samples, 0.5),
 		SharedWaitS: run.model.SharedWaitS(cfg.Backend),
 		AggGBps:     run.aggGBps(),
 		Writes:      run.writeTime.N(),

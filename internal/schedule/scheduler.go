@@ -1,7 +1,9 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"simaibench/internal/cluster"
@@ -31,8 +33,7 @@ type Queued struct {
 
 	firstStartS float64 // first placement time, -1 while never placed
 	startS      float64 // current placement time
-	nodes       []int   // currently held node indices
-	hold        *des.Hold
+	nodes       []int   // currently held node indices; capacity Job.Nodes
 }
 
 // Config parameterizes a Scheduler run.
@@ -64,10 +65,12 @@ type Scheduler struct {
 	cfg  Config
 	inj  *faults.Injector
 
-	occupant []*Queued // node index -> running job, nil when free
-	freeUp   int       // nodes both up and unoccupied
+	occupant []*Queued   // node index -> running job, nil when free
+	holds    []*des.Hold // node index -> completion of the job placed from it
+	freeUp   int         // nodes both up and unoccupied
 
-	pending   []*Queued
+	pending   []*Queued // a binary heap under Policy.Less when ordered
+	ordered   bool      // the policy's order does not depend on now
 	submitted int
 	finished  int
 
@@ -92,7 +95,12 @@ func New(env *des.Env, spec cluster.Spec, cfg Config) (*Scheduler, error) {
 		spec:     spec,
 		cfg:      cfg,
 		occupant: make([]*Queued, spec.Nodes),
+		holds:    make([]*des.Hold, spec.Nodes),
 		freeUp:   spec.Nodes,
+	}
+	switch cfg.Policy.(type) {
+	case fifoPolicy, edfPolicy, srptPolicy:
+		s.ordered = true
 	}
 	s.m.tenant = map[int]*stats.Welford{}
 	s.inj = faults.New(env, spec, cfg.Faults, faults.Hooks{
@@ -107,8 +115,12 @@ func New(env *des.Env, spec cluster.Spec, cfg Config) (*Scheduler, error) {
 // Every job must fit the facility (1 <= Nodes <= spec.Nodes) and have
 // positive service time; otherwise nothing is scheduled and an error
 // names the offender. Submit may be called once or many times, before
-// or during a run, as long as arrivals are not in the past.
+// or during a run, as long as arrivals are not in the past. It
+// allocates one Queued slab, one node slab and one arrival callback:
+// arrival events fire in stable (ArriveS, batch index) order, so each
+// takes the next job of the batch stable-sorted by ArriveS.
 func (s *Scheduler) Submit(jobs []loadgen.Job) error {
+	width := 0
 	for _, j := range jobs {
 		if j.Nodes < 1 || j.Nodes > s.spec.Nodes {
 			return fmt.Errorf("schedule: job %d requests %d nodes on a %d-node facility",
@@ -117,34 +129,54 @@ func (s *Scheduler) Submit(jobs []loadgen.Job) error {
 		if !(j.ServiceS > 0) {
 			return fmt.Errorf("schedule: job %d has service time %v", j.ID, j.ServiceS)
 		}
-		if j.ArriveS < s.env.Now() {
+		if !(j.ArriveS >= s.env.Now()) {
 			return fmt.Errorf("schedule: job %d arrives in the past (%v < now %v)",
 				j.ID, j.ArriveS, s.env.Now())
 		}
+		width += j.Nodes
+	}
+	qs, nodes := make([]Queued, len(jobs)), make([]int, width)
+	for i, j := range jobs {
+		qs[i] = Queued{Job: j, firstStartS: -1, nodes: nodes[:0:j.Nodes]}
+		nodes = nodes[j.Nodes:]
+	}
+	slices.SortStableFunc(qs, func(a, b Queued) int { return cmp.Compare(a.Job.ArriveS, b.Job.ArriveS) })
+	arrive := func() {
+		s.enqueue(&qs[0])
+		qs = qs[1:]
+		s.trySchedule()
 	}
 	for _, j := range jobs {
-		j := j
-		s.submitted++
-		s.env.At(j.ArriveS, func() {
-			q := &Queued{Job: j, firstStartS: -1}
-			q.hold = des.NewHold(s.env, func() { s.complete(q) })
-			s.pending = append(s.pending, q)
-			s.trySchedule()
-		})
+		s.env.At(j.ArriveS, arrive)
 	}
+	s.submitted += len(jobs)
 	return nil
 }
+
+// enqueue adds q to the pending queue, sifted up the heap when ordered.
+func (s *Scheduler) enqueue(q *Queued) {
+	s.pending = append(s.pending, q)
+	for i := len(s.pending) - 1; s.ordered && i > 0 && s.less(i, (i-1)/2); i = (i - 1) / 2 {
+		s.pending[i], s.pending[(i-1)/2] = s.pending[(i-1)/2], s.pending[i]
+	}
+}
+
+// less is the heap order: an ordered policy's Less ignores now.
+func (s *Scheduler) less(i, j int) bool { return s.cfg.Policy.Less(s.pending[i], s.pending[j], 0) }
 
 // trySchedule drains the pending queue in policy order: repeatedly
 // pick the least job under Policy.Less and place it if it fits the
 // free capacity, stopping at the first job that does not fit (strict
 // priority with head-of-line blocking, no backfill — uniform across
-// policies so a comparison isolates the ordering).
+// policies so a comparison isolates the ordering). The least job is the
+// heap's root, or found by a linear scan (Hermod's order moves with
+// now); it is unique (Less breaks ties on Job.ID), so swapping it with
+// the last entry to remove it cannot change a later pick.
 func (s *Scheduler) trySchedule() {
 	now := s.env.Now()
 	for len(s.pending) > 0 {
 		best := 0
-		for i := 1; i < len(s.pending); i++ {
+		for i := 1; !s.ordered && i < len(s.pending); i++ {
 			if s.cfg.Policy.Less(s.pending[i], s.pending[best], now) {
 				best = i
 			}
@@ -153,15 +185,25 @@ func (s *Scheduler) trySchedule() {
 		if q.Job.Nodes > s.freeUp {
 			return
 		}
-		s.pending = append(s.pending[:best], s.pending[best+1:]...)
+		last := len(s.pending) - 1
+		s.pending[best], s.pending[last] = s.pending[last], nil
+		s.pending = s.pending[:last]
+		for i, c := 0, 1; s.ordered && c < last; i, c = c, 2*c+1 {
+			if c+1 < last && s.less(c+1, c) {
+				c++
+			}
+			if !s.less(c, i) {
+				break
+			}
+			s.pending[i], s.pending[c] = s.pending[c], s.pending[i]
+		}
 		s.place(q, now)
 	}
 }
 
-// place assigns the lowest-indexed free up nodes to q and arms its
-// completion hold.
+// place assigns the lowest-indexed free up nodes to q and arms the
+// completion hold of its first node, built on that node's first use.
 func (s *Scheduler) place(q *Queued, now float64) {
-	q.nodes = q.nodes[:0]
 	for n := 0; n < s.spec.Nodes && len(q.nodes) < q.Job.Nodes; n++ {
 		if s.occupant[n] == nil && s.inj.NodeUp(n) {
 			q.nodes = append(q.nodes, n)
@@ -174,7 +216,11 @@ func (s *Scheduler) place(q *Queued, now float64) {
 		q.firstStartS = now
 		s.m.Wait.Add(now - q.Job.ArriveS)
 	}
-	q.hold.After(q.Job.ServiceS)
+	first := q.nodes[0]
+	if s.holds[first] == nil {
+		s.holds[first] = des.NewHold(s.env, func() { s.complete(s.occupant[first]) })
+	}
+	s.holds[first].After(q.Job.ServiceS)
 }
 
 // release returns q's nodes to the pool; down (a node index, or -1)
@@ -234,7 +280,7 @@ func (s *Scheduler) onCrash(node int) {
 	}
 	now := s.env.Now()
 	width := float64(len(q.nodes))
-	q.hold.Cancel()
+	s.holds[q.nodes[0]].Cancel()
 	s.release(q, node)
 	lost := (now - q.startS) * width
 	s.m.BusyNodeS += lost
@@ -245,7 +291,7 @@ func (s *Scheduler) onCrash(node int) {
 		s.m.Dropped++
 		s.finishOne()
 	} else {
-		s.pending = append(s.pending, q)
+		s.enqueue(q)
 	}
 	s.trySchedule()
 }

@@ -8,6 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -120,26 +121,11 @@ func (d *Digest) N() int { return len(d.xs) }
 // the sorted samples, or NaN when empty. The first call after an Add
 // sorts; subsequent calls are O(1) lookups.
 func (d *Digest) Quantile(q float64) float64 {
-	if len(d.xs) == 0 {
-		return math.NaN()
-	}
 	if !d.sorted {
 		sort.Float64s(d.xs)
 		d.sorted = true
 	}
-	if q <= 0 {
-		return d.xs[0]
-	}
-	if q >= 1 {
-		return d.xs[len(d.xs)-1]
-	}
-	pos := q * float64(len(d.xs)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(d.xs) {
-		return d.xs[lo]
-	}
-	return d.xs[lo]*(1-frac) + d.xs[lo+1]*frac
+	return sortedQuantile(d.xs, q)
 }
 
 // P50, P99 and P999 are the campaign reports' tail quantiles.
@@ -183,24 +169,34 @@ func Jain(xs []float64) float64 {
 }
 
 // Quantile computes the q-quantile (0..1) of a sample slice by linear
-// interpolation, used in reports; the input is not modified.
+// interpolation, or NaN when it is empty; the input is not modified.
 func Quantile(xs []float64, q float64) float64 {
+	return QuantileInPlace(slices.Clone(xs), q)
+}
+
+// QuantileInPlace is Quantile sorting xs in place, copying nothing.
+func QuantileInPlace(xs []float64, q float64) float64 {
+	sort.Float64s(xs)
+	return sortedQuantile(xs, q)
+}
+
+// sortedQuantile interpolates the q-quantile of sorted samples, or NaN
+// when there are none.
+func sortedQuantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
 	if q <= 0 {
-		return cp[0]
+		return xs[0]
 	}
 	if q >= 1 {
-		return cp[len(cp)-1]
+		return xs[len(xs)-1]
 	}
-	pos := q * float64(len(cp)-1)
+	pos := q * float64(len(xs)-1)
 	lo := int(pos)
 	frac := pos - float64(lo)
-	if lo+1 >= len(cp) {
-		return cp[lo]
+	if lo+1 >= len(xs) {
+		return xs[lo]
 	}
-	return cp[lo]*(1-frac) + cp[lo+1]*frac
+	return xs[lo]*(1-frac) + xs[lo+1]*frac
 }

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -130,6 +132,29 @@ func TestDigestQuantiles(t *testing.T) {
 	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
 		if a, b := d2.Quantile(q), Quantile(xs, q); a != b {
 			t.Fatalf("Digest.Quantile(%v) = %v, Quantile = %v", q, a, b)
+		}
+	}
+}
+
+// TestQuantileInPlaceMatchesQuantile: the in-place form returns the
+// copying form's bits and leaves its input sorted.
+func TestQuantileInPlaceMatchesQuantile(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for n := 0; n < 40; n++ {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = r.ExpFloat64()
+		}
+		for _, q := range []float64{-1, 0, 0.1, 0.5, 0.99, 1, 2} {
+			want := Quantile(xs, q)
+			own := slices.Clone(xs)
+			got := QuantileInPlace(own, q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d q=%v: in place %v, Quantile %v", n, q, got, want)
+			}
+			if !slices.IsSorted(own) {
+				t.Fatalf("n=%d: QuantileInPlace left its input unsorted", n)
+			}
 		}
 	}
 }
