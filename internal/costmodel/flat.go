@@ -34,21 +34,19 @@ type LocalXfer struct {
 	metaOps, i int
 	rpcS, mdsS float64
 	mds        *des.Resource
-	// Then one timed hold of bus: the node's exchange bus for the
-	// in-memory backends (node-local, dragon, redis), an OST stream slot
-	// for the file system.
+	// Then one timed hold of bus: the node's exchange bus (node-local,
+	// dragon, redis) or an OST stream slot (file system).
 	bus  *des.Resource
 	hold float64
 }
 
 // The phases of a LocalXfer: what its next step call finds done.
 const (
-	xferStarted    = iota // Start, or the previous metadata round
+	xferGranted    = iota // the bus (or OST) queue
+	xferHeld              // the timed hold
 	xferRPCDone           // a client RPC
 	xferMDSGranted        // the MDS queue
 	xferMDSDone           // the MDS service
-	xferGranted           // the bus (or OST) queue
-	xferHeld              // the timed hold
 )
 
 // NewLocalWrite builds a reusable stage_write op of mb megabytes on node;
@@ -83,15 +81,12 @@ func (m *Model) newLocalXfer(b datastore.Backend, node int, mb, costScale float6
 	}
 	x.step = func() {
 		switch x.phase {
-		case xferStarted:
-			if x.i < x.metaOps {
-				x.i++
-				x.phase = xferRPCDone
-				x.env.After(x.rpcS, x.step)
-				return
-			}
-			x.phase = xferGranted
-			x.bus.Request(x.step)
+		case xferGranted:
+			x.phase = xferHeld
+			x.env.After(x.hold, x.step)
+		case xferHeld:
+			x.bus.Release()
+			x.done()
 		case xferRPCDone:
 			x.phase = xferMDSGranted
 			x.mds.Request(x.step)
@@ -100,14 +95,7 @@ func (m *Model) newLocalXfer(b datastore.Backend, node int, mb, costScale float6
 			x.env.After(x.mdsS, x.step)
 		case xferMDSDone:
 			x.mds.Release()
-			x.phase = xferStarted
-			x.step()
-		case xferGranted:
-			x.phase = xferHeld
-			x.env.After(x.hold, x.step)
-		case xferHeld:
-			x.bus.Release()
-			x.done()
+			x.next()
 		}
 	}
 	return x
@@ -115,8 +103,20 @@ func (m *Model) newLocalXfer(b datastore.Backend, node int, mb, costScale float6
 
 // Start begins the transfer at the current virtual time.
 func (x *LocalXfer) Start() {
-	x.i, x.phase = 0, xferStarted
-	x.step()
+	x.i = 0
+	x.next()
+}
+
+// next starts the next metadata round or, after the last, queues for bus.
+func (x *LocalXfer) next() {
+	if x.i < x.metaOps {
+		x.i++
+		x.phase = xferRPCDone
+		x.env.After(x.rpcS, x.step)
+		return
+	}
+	x.phase = xferGranted
+	x.bus.Request(x.step)
 }
 
 // RemoteXfer models a single non-local stage_read of a fixed (backend,
