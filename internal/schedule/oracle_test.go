@@ -31,7 +31,6 @@ type refScheduler struct {
 // refJob is one job in the oracle: Policy.Less reads its Queued.
 type refJob struct {
 	q     Queued
-	start float64
 	nodes []int
 	hold  *des.Hold
 }
@@ -82,7 +81,6 @@ func (r *refScheduler) try() {
 			}
 		}
 		r.freeUp -= len(rj.nodes)
-		rj.start = now
 		r.trace = append(r.trace, placement{rj.q.Job.ID, now, rj.nodes})
 		rj.hold.After(rj.q.Job.ServiceS)
 	}

@@ -232,6 +232,7 @@ func TestSubmitValidates(t *testing.T) {
 		"zero nodes":   {ID: 1, ArriveS: 0, Nodes: 0, ServiceS: 1},
 		"zero service": {ID: 2, ArriveS: 0, Nodes: 1, ServiceS: 0},
 		"NaN service":  {ID: 3, ArriveS: 0, Nodes: 1, ServiceS: math.NaN()},
+		"NaN arrival":  {ID: 4, ArriveS: math.NaN(), Nodes: 1, ServiceS: 1},
 	} {
 		if err := s.Submit([]loadgen.Job{bad}); err == nil {
 			t.Errorf("%s: accepted", name)
