@@ -1,25 +1,27 @@
-// Package bench holds the top-level testing.B harness: the real-mode
-// artifacts (Table 2/3, Fig 2, streaming) and single cells of the
-// simulated families (scale-out, resilience, guardrails, campaign), each
-// run end to end and reporting its headline quantities as custom
-// metrics:
+// Package bench holds the four testing.B benchmarks that measure what
+// the repo benchmark (benchmark/, `bash benchmark/run.sh`) cannot, each
+// the command a doc cites for its number:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem .
 //
-// The figure sweeps are timed by benchmark/ (scenario.run_ms.*); their
-// full rows/series come from `go run ./cmd/experiments -exp all`. See
-// EXPERIMENTS.md for the paper-vs-measured record.
+// Every other figure — scenario and cell run times, serve latency and
+// throughput, per-layer costs — comes from benchmark/. See EXPERIMENTS.md
+// "Where the time goes".
 package bench
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"testing"
 
 	"simaibench/internal/clock"
 	"simaibench/internal/datastore"
 	"simaibench/internal/experiments"
 	"simaibench/internal/scenario"
+	"simaibench/internal/serve"
 )
 
 // validationCfg is a scaled-down validation run sized for benchmarking,
@@ -44,12 +46,13 @@ func validationCfg(mode experiments.ValidationMode, clk string) experiments.Vali
 	}
 }
 
-// BenchmarkTable2 regenerates Table 2 — the event-count comparison
-// between the emulated original workflow and the mini-app — once per
-// emulation clock. The wall/virtual ns-per-op ratio is the headline
-// speedup of the virtual-time clock (recorded in BENCH_DES.json): the
-// same two-component emulation, identical event structure, no real
-// sleeping.
+// BenchmarkTable2 runs Table 2's pair — the emulated original workflow
+// and the mini-app — once per emulation clock. The wall/virtual ns-per-op
+// ratio is the speed-up of the virtual-time clock (ARCHITECTURE.md "The
+// two time domains"): the same two-component emulation with no real
+// sleeping. benchmark/ runs the virtual clock only.
+//
+//	go test -run '^$' -bench Table2 -benchtime 3x .
 func BenchmarkTable2(b *testing.B) {
 	for _, clk := range []string{clock.KindWall, clock.KindVirtual} {
 		b.Run("clock="+clk, func(b *testing.B) {
@@ -67,102 +70,6 @@ func BenchmarkTable2(b *testing.B) {
 				b.ReportMetric(float64(orig.Sim.TransportEvents), "orig-sim-events")
 				b.ReportMetric(float64(mini.Sim.TransportEvents), "mini-sim-events")
 			}
-		})
-	}
-}
-
-// BenchmarkTable3IterationStats regenerates Table 3: iteration-time
-// mean/std for both modes (virtual clock — the default scenario path).
-func BenchmarkTable3IterationStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		orig, err := experiments.RunValidation(context.Background(), validationCfg(experiments.Original, clock.KindVirtual))
-		if err != nil {
-			b.Fatal(err)
-		}
-		mini, err := experiments.RunValidation(context.Background(), validationCfg(experiments.MiniApp, clock.KindVirtual))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(orig.Sim.IterMean*1000, "orig-sim-iter-ms")
-		b.ReportMetric(mini.Sim.IterMean*1000, "mini-sim-iter-ms")
-		b.ReportMetric(orig.Sim.IterStd*1000, "orig-sim-std-ms")
-		b.ReportMetric(mini.Sim.IterStd*1000, "mini-sim-std-ms")
-	}
-}
-
-// BenchmarkFig2Timeline regenerates Fig 2: the execution-timeline
-// rendering of a validation run.
-func BenchmarkFig2Timeline(b *testing.B) {
-	res, err := experiments.RunValidation(context.Background(), validationCfg(experiments.MiniApp, clock.KindVirtual))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sink discard
-		if err := res.Timeline.Render(&sink, 0, 0.25, 100); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(res.Timeline.Spans())), "timeline-spans")
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-// BenchmarkScaleOut tracks the multi-tenant subsystem: one shared-Redis
-// scale-out point per tenant count, reporting the contention observables
-// (mean staging latency and aggregate delivered throughput) so the perf
-// trajectory of the co-scheduler + shared-queue path is recorded next to
-// the single-tenant figures.
-func BenchmarkScaleOut(b *testing.B) {
-	for _, tenants := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) {
-			var pt experiments.ScaleOutPoint
-			for i := 0; i < b.N; i++ {
-				var err error
-				pt, err = experiments.RunScaleOutChecked(experiments.ScaleOutConfig{
-					Tenants: tenants, Backend: datastore.Redis, SizeMB: 8, TrainIters: 200,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(pt.StageMeanS*1000, "redis-8MB-stage-ms")
-			b.ReportMetric(pt.AggGBps, "redis-8MB-agg-GBps")
-		})
-	}
-}
-
-// BenchmarkResilience runs the fault-injection campaign in its two
-// regimes: healthy (MTBF=∞ — every rank carries a fault layer that
-// stays silent) and a short failure-dominated checkpoint/restart cell.
-// The healthy cell reports what BenchmarkScaleOut/tenants=4 reports and
-// costs more (BenchmarkFaultLayerSilent says how much); the faulty cell
-// adds injector events, checkpoint traffic and recovery reads.
-func BenchmarkResilience(b *testing.B) {
-	cells := []struct {
-		name string
-		cfg  experiments.ResilienceConfig
-	}{
-		{"mtbf=inf", experiments.ResilienceConfig{Backend: datastore.Redis, TrainIters: 200}},
-		{"mtbf=20_ckpt=4", experiments.ResilienceConfig{
-			Backend: datastore.Redis, TrainIters: 200, MTBFS: 20, CkptIntervalS: 4}},
-	}
-	for _, cell := range cells {
-		b.Run(cell.name, func(b *testing.B) {
-			var pt experiments.ResiliencePoint
-			for i := 0; i < b.N; i++ {
-				var err error
-				pt, err = experiments.RunResilienceChecked(cell.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(pt.WastedFrac, "wasted-frac")
-			b.ReportMetric(pt.EffGBps, "eff-GBps")
-			b.ReportMetric(float64(pt.Crashes), "crashes")
 		})
 	}
 }
@@ -207,32 +114,13 @@ func BenchmarkFaultLayerSilent(b *testing.B) {
 	}
 }
 
-// BenchmarkStreaming regenerates the staged-polling vs streaming
-// comparison (the registered scenario: three sizes × three methods) with
-// real data movement, once per emulation clock: in
-// wall mode the consumer genuinely sleeps its poll intervals; in
-// virtual mode the same bytes move but every wait is a virtual-clock
-// pad, so the benchmark runs at transfer speed.
-func BenchmarkStreaming(b *testing.B) {
-	for _, clk := range []string{clock.KindWall, clock.KindVirtual} {
-		b.Run("clock="+clk, func(b *testing.B) {
-			sc, _ := scenario.Lookup("streaming")
-			for i := 0; i < b.N; i++ {
-				if _, err := sc.Run(context.Background(), scenario.Params{Clock: clk}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkGuardrails prices the run guardrails on a healthy sweep
 // cell: one Fig 3 point (node-local, 8 MB, 8 nodes) with the DES event
 // budget disarmed versus armed with a generous limit. An armed guard
-// costs one branch per executed event and nothing else — the guard=on
-// vs guard=off delta recorded in BENCH_DES.json is the zero-cost
-// evidence, alongside the byte-identical-output tests
-// (TestGuardrailsZeroCostOnHealthyRuns).
+// costs one branch per executed event and nothing else; the outputs are
+// byte-identical (TestGuardrailsZeroCostOnHealthyRuns):
+//
+//	go test -run '^$' -bench Guardrails -benchtime 3000x -count 8 .
 func BenchmarkGuardrails(b *testing.B) {
 	cfg := experiments.Pattern1Config{
 		Nodes: 8, Backend: datastore.NodeLocal, SizeMB: 8, TrainIters: 300,
@@ -257,31 +145,38 @@ func BenchmarkGuardrails(b *testing.B) {
 	}
 }
 
-// BenchmarkCampaign runs the facility-scale scheduling campaign at the
-// two interesting offered-load multiples: 0.7× capacity (the healthy
-// operating point) and 1.2× (sustained overload, where discipline
-// choice dominates the tails). The reported p99 slowdowns are the
-// headline contract recorded in BENCH_DES.json: at overload the
-// size-aware policies (SRPT, Hermod) hold the p99 slowdown an order of
-// magnitude below FIFO at the same ≥0.9 utilization.
-func BenchmarkCampaign(b *testing.B) {
-	for _, load := range []float64{0.7, 1.2} {
-		for _, pol := range []string{"fifo", "srpt", "hermod"} {
-			b.Run(fmt.Sprintf("load=%.1f_policy=%s", load, pol), func(b *testing.B) {
-				var pt experiments.CampaignPoint
-				for i := 0; i < b.N; i++ {
-					var err error
-					pt, err = experiments.RunCampaignChecked(experiments.CampaignConfig{
-						Load: load, Policy: pol, Jobs: 2000,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(pt.SlowP99, "p99-slowdown")
-				b.ReportMetric(pt.WaitP99S, "p99-wait-s")
-				b.ReportMetric(pt.Util, "util")
-			})
+// BenchmarkServeColdMiss is one cold POST /v1/run in process, with no
+// socket: the serve-cold key stream (fig5 at Transfers 20, 21, …, 256
+// distinct cells) through the handler into a 64-entry cache, so every
+// request is admitted, run, encoded and stored with an eviction. With
+// -benchmem, B/op and allocs/op are what a cold request allocates
+// (EXPERIMENTS.md "What a cold request costs").
+func BenchmarkServeColdMiss(b *testing.B) {
+	const keys, cacheSize = 256, 64
+	bodies := make([][]byte, keys)
+	for i := range bodies {
+		body, err := json.Marshal(serve.RunRequest{Scenario: "fig5", Params: scenario.Params{Transfers: 20 + i}})
+		if err != nil {
+			b.Fatal(err)
 		}
+		bodies[i] = body
+	}
+	s := serve.New(serve.Config{CacheSize: cacheSize})
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	post := func(i int) {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/run", bytes.NewReader(bodies[i%keys])))
+		if got := rr.Header().Get("X-Cache"); got != "miss" {
+			b.Fatalf("request %d: X-Cache %q (status %d), want miss", i, got, rr.Code)
+		}
+	}
+	for i := range keys { // fill the cache so every timed request evicts
+		post(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(keys + i)
 	}
 }

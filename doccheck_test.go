@@ -209,15 +209,10 @@ func exportedReceiver(d *ast.FuncDecl) bool {
 	}
 }
 
-// Reasons a function may stand without a production caller.
-const (
-	// A one-line read of state a test observes the engine through;
-	// ROADMAP item 1 (run diagnostics) is to give these a consumer.
-	testAccessor = "read accessor tests observe state through"
-	// The torture suite's load driver; ROADMAP item 2 decides it together
-	// with servebench_test.go.
-	loadDriver = "serve torture-suite driver"
-)
+// testAccessor is why a one-line read of state a test observes the
+// engine through may stand without a production caller; ROADMAP item 1
+// (run diagnostics) is to give these a consumer.
+const testAccessor = "read accessor tests observe state through"
 
 // productionCallerExempt lists the functions
 // TestProductionCodeHasProductionCaller lets stand without a non-test
@@ -238,8 +233,6 @@ var productionCallerExempt = map[string]string{
 	"des.Resource.Peak":             testAccessor,
 	"des.Resource.Grants":           testAccessor,
 	"des.Resource.TotalWaitS":       testAccessor,
-	"serve.RunLoad":                 loadDriver,
-	"serve.LoadReport.ShedRate":     loadDriver,
 	"config.DistSpec.MarshalJSON":   "json.Marshaler",
 	"config.DistSpec.UnmarshalJSON": "json.Unmarshaler",
 	"scenario.Table.MarshalJSON":    "json.Marshaler",

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"time"
 
@@ -28,6 +29,21 @@ func main() {
 	readPeriod := flag.Int("read-period", 10, "trainer iterations between ensemble reads")
 	timeScale := flag.Float64("time-scale", 0.01, "wall-clock compression")
 	flag.Parse()
+
+	// Refuse, before any backend starts, what would hang (a period of 0)
+	// or measure nothing (no members, no iterations, an empty payload).
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"members", float64(*members)}, {"train-iters", float64(*trainIters)},
+		{"write-period", float64(*writePeriod)}, {"read-period", float64(*readPeriod)},
+		{"payload-mb", *payloadMB}, {"time-scale", *timeScale},
+	} {
+		if !(f.v > 0) || math.IsInf(f.v, 0) {
+			log.Fatalf("-%s = %v, want a finite value above 0", f.name, f.v)
+		}
+	}
 
 	backend, err := simaibench.ParseBackend(*backendName)
 	if err != nil {
@@ -181,11 +197,4 @@ func main() {
 	}
 	fmt.Printf("makespan: %.1f emulated s (%.2f s wall, backend %s, %d members)\n",
 		time.Since(start).Seconds()/(*timeScale), time.Since(start).Seconds(), backend, *members)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -103,8 +103,10 @@ func TestGuardHealthyRunIdentical(t *testing.T) {
 
 // BenchmarkGuardedTick is BenchmarkCallbackTick with a (never-tripping)
 // guard armed: the same cached self-rescheduling closure, plus the one
-// budget branch per executed event. The guard=off/on delta recorded in
-// BENCH_DES.json comes from this pair.
+// budget branch per executed event. The pair measures what an armed
+// guard costs per event:
+//
+//	go test -run '^$' -bench 'CallbackTick|GuardedTick' -benchmem ./internal/des/
 func BenchmarkGuardedTick(b *testing.B) {
 	env := NewEnv()
 	env.SetGuard(Guard{MaxEvents: 1 << 60})

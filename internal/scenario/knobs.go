@@ -182,23 +182,6 @@ func (p Params) Knobs() Knob {
 	return set
 }
 
-// Add adds delta to every numeric knob of set k in p: the cache-buster
-// of load tests, which vary a knob the scenario reads.
-func (p *Params) Add(k Knob, delta int) {
-	pv := fields(p)
-	for i := range knobs {
-		if knobs[i].knob&k == 0 {
-			continue
-		}
-		switch f := pv.Field(i); f.Kind() {
-		case reflect.Int, reflect.Int64:
-			f.SetInt(f.Int() + int64(delta))
-		case reflect.Float64:
-			f.SetFloat(f.Float() + float64(delta))
-		}
-	}
-}
-
 // Keys returns the JSON keys of the knobs in k, in Params field order.
 func (k Knob) Keys() []string {
 	keys := []string{}

@@ -12,8 +12,7 @@ import (
 )
 
 // The wire vocabulary of the /v1 API plus a minimal typed client — what
-// the self-benchmark harness replays traffic with and what library
-// users embed instead of hand-rolling HTTP.
+// library users embed instead of hand-rolling HTTP.
 
 // RunRequest is the body of POST /v1/run: which scenario to run, with
 // what parameters, under what identity seed and deadline.

@@ -22,7 +22,8 @@ import (
 // registry is empty here and the suite registers its own test-only
 // scenarios (the saboteur pattern the guardrail tests use): a healthy
 // deterministic run, a run counter for dedup assertions, a slow run for
-// drain tests, and one misbehaving run per guardrail.
+// drain tests, one misbehaving run per guardrail, and a wedged run only
+// the test can release.
 
 var (
 	registerOnce sync.Once
@@ -32,6 +33,9 @@ var (
 	// tSlowStarted receives one tick per t-slow run start, so drain tests
 	// can SIGTERM mid-run instead of racing the admission.
 	tSlowStarted = make(chan struct{}, 64)
+	// tWedge releases one t-wedge run per value sent: the test's only
+	// handle on a run that ignores its context.
+	tWedge = make(chan struct{})
 )
 
 // okResult builds a small deterministic Result echoing p.Rate. Every
@@ -99,6 +103,12 @@ func registerTestScenarios() {
 			func(ctx context.Context, _ scenario.Params) (*scenario.Result, error) {
 				<-ctx.Done()
 				return nil, ctx.Err()
+			}))
+		scenario.Register(scenario.New("t-wedge", "test: ignores its ctx until the test releases it",
+			scenario.Params{Rate: 1}, scenario.Rate,
+			func(context.Context, scenario.Params) (*scenario.Result, error) {
+				<-tWedge
+				return nil, errors.New("t-wedge: released")
 			}))
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -43,7 +44,21 @@ func startServing(t *testing.T, cfg Config) (url string, shutdown context.Cancel
 	return "http://" + s.Addr(), cancel, done
 }
 
+// settlesTo fails the test unless the goroutine count is back to base
+// (or below) within a second: the drain left nothing running.
+func settlesTo(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines a second after the drain, %d before the server started", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 func TestGracefulShutdownServesInFlight(t *testing.T) {
+	base := runtime.NumGoroutine()
 	url, shutdown, done := startServing(t, Config{Workers: 2, DrainTimeout: 5 * time.Second})
 
 	// A slow run (~400ms) goes in flight...
@@ -121,20 +136,22 @@ func TestGracefulShutdownServesInFlight(t *testing.T) {
 	case <-time.After(6 * time.Second):
 		t.Fatalf("server did not exit within the drain deadline")
 	}
+	settlesTo(t, base)
 }
 
 func TestDrainDeadlineAbandonsWedgedRun(t *testing.T) {
+	base := runtime.NumGoroutine()
 	url, shutdown, done := startServing(t, Config{Workers: 1, DrainTimeout: 200 * time.Millisecond})
 
-	// A run that never finishes on its own occupies the worker. Its own
-	// RunTimeout is long, so only the drain deadline can unstick it.
+	// A run that ignores its context occupies the worker. Its own
+	// timeout is long, so only the drain deadline can abandon it.
 	hung := make(chan struct {
 		status int
 		body   []byte
 	}, 1)
 	go func() {
 		resp, err := http.Post(url+"/v1/run", "application/json",
-			strings.NewReader(`{"scenario":"t-hang","timeout_s":60}`))
+			strings.NewReader(`{"scenario":"t-wedge","timeout_s":60}`))
 		if err != nil {
 			hung <- struct {
 				status int
@@ -170,4 +187,12 @@ func TestDrainDeadlineAbandonsWedgedRun(t *testing.T) {
 	if r.status != http.StatusServiceUnavailable && r.status != http.StatusGatewayTimeout {
 		t.Fatalf("abandoned caller: status %d body %s", r.status, r.body)
 	}
+	// The abandoned run is the one goroutine the server may leave
+	// behind; once the test releases it, nothing else remains.
+	select {
+	case tWedge <- struct{}{}:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("the wedged run is not running")
+	}
+	settlesTo(t, base)
 }

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,6 +25,72 @@ func rateRequest(name string, rate float64) RunRequest {
 	return RunRequest{Scenario: name, Params: scenario.Params{Rate: rate}}
 }
 
+// species is one kind of request in a mix: weight sends in every cycle
+// of the mix, each the template req. A cold species adds the send's
+// index to Params.Rate, so every send is a distinct cache cell; a hot
+// one replays req verbatim.
+type species struct {
+	weight int
+	cold   bool
+	req    RunRequest
+}
+
+// outcome classifies every response of a burst.
+type outcome struct {
+	sent, ok, shed, failed int
+	kinds                  map[string]int // failures by APIError kind, or "transport"
+}
+
+// fire sends n requests open loop, one every interval whatever the
+// server answers, cycling through mix by weight, and returns once every
+// response has resolved.
+func fire(c *Client, n int, interval time.Duration, mix []species) outcome {
+	var cycle []species
+	for _, s := range mix {
+		for range s.weight {
+			cycle = append(cycle, s)
+		}
+	}
+	out := outcome{sent: n, kinds: make(map[string]int)}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	tick := time.NewTicker(interval)
+	defer tick.Stop()
+	for i := range n {
+		s := cycle[i%len(cycle)]
+		req := s.req
+		if s.cold {
+			req.Params.Rate += float64(i)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			_, _, err := c.Run(ctx, req)
+			mu.Lock()
+			defer mu.Unlock()
+			var ae *APIError
+			switch {
+			case err == nil:
+				out.ok++
+			case !errors.As(err, &ae):
+				out.kinds["transport"]++
+				out.failed++
+			case ae.Kind == KindOverloaded:
+				out.kinds[ae.Kind]++
+				out.shed++
+			default:
+				out.kinds[ae.Kind]++
+				out.failed++
+			}
+		}()
+		<-tick.C
+	}
+	wg.Wait()
+	return out
+}
+
 func TestTortureMixedHostileTraffic(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers: 2, QueueDepth: 4, CacheSize: 32,
@@ -30,37 +98,30 @@ func TestTortureMixedHostileTraffic(t *testing.T) {
 	})
 	c := &Client{BaseURL: ts.URL}
 
-	mix := []LoadMix{
-		{Name: "healthy-hot", Weight: 4, Request: RunRequest{Scenario: "t-ok"}},
-		{Name: "healthy-cold", Weight: 2, Request: rateRequest("t-ok", 1000), Vary: scenario.Rate},
-		{Name: "panicker", Weight: 1, Request: rateRequest("t-panic", 2000), Vary: scenario.Rate},
-		{Name: "budget-trip", Weight: 1, Request: rateRequest("t-budget", 3000), Vary: scenario.Rate},
-		{Name: "hanger", Weight: 1, Request: RunRequest{Scenario: "t-hang", Params: scenario.Params{Rate: 5000}, TimeoutS: 0.05},
-			Vary: scenario.Rate},
-	}
-	report, err := RunLoad(context.Background(), c, LoadConfig{
-		Seed: 9, Requests: 120, RatePerS: 400, Mix: mix, Timeout: 10 * time.Second,
+	report := fire(c, 120, 2500*time.Microsecond, []species{ // 400 requests/s
+		{weight: 4, req: RunRequest{Scenario: "t-ok"}},
+		{weight: 2, cold: true, req: rateRequest("t-ok", 1000)},
+		{weight: 1, cold: true, req: rateRequest("t-panic", 2000)},
+		{weight: 1, cold: true, req: rateRequest("t-budget", 3000)},
+		{weight: 1, cold: true, req: RunRequest{Scenario: "t-hang", Params: scenario.Params{Rate: 5000}, TimeoutS: 0.05}},
 	})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
 
 	// The process survived (we're still here) and every offered request
 	// resolved to a classified outcome — nothing vanished.
-	if got := report.OK + report.Shed + report.Failed; got != report.Sent {
-		t.Fatalf("%d of %d requests unaccounted for: %+v", report.Sent-got, report.Sent, report)
+	if got := report.ok + report.shed + report.failed; got != report.sent {
+		t.Fatalf("%d of %d requests unaccounted for: %+v", report.sent-got, report.sent, report)
 	}
-	if report.OK == 0 {
+	if report.ok == 0 {
 		t.Fatalf("no healthy request survived the torture mix: %+v", report)
 	}
-	if report.ErrorKinds["transport"] != 0 {
+	if report.kinds["transport"] != 0 {
 		t.Fatalf("%d transport-level failures (dropped connections?): %+v",
-			report.ErrorKinds["transport"], report)
+			report.kinds["transport"], report)
 	}
 	// Each saboteur species produced its own typed kind.
 	for _, kind := range []string{KindPanic, KindBudgetExceeded, KindTimeout} {
-		if report.ErrorKinds[kind] == 0 {
-			t.Errorf("no %s failures classified; kinds: %v", kind, report.ErrorKinds)
+		if report.kinds[kind] == 0 {
+			t.Errorf("no %s failures classified; kinds: %v", kind, report.kinds)
 		}
 	}
 
@@ -81,26 +142,17 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
 	c := &Client{BaseURL: ts.URL}
 
-	mix := []LoadMix{{
-		Name: "slow-cold", Weight: 1, Vary: scenario.Rate,
-		Request: RunRequest{
-			Scenario: "t-slow",
-			Params:   scenario.Params{Rate: 6000, TimelineWindowS: 0.1},
-		},
-	}}
-	report, err := RunLoad(context.Background(), c, LoadConfig{
-		Seed: 10, Requests: 40, RatePerS: 200, Mix: mix, Timeout: 30 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
-	if report.Shed == 0 {
+	report := fire(c, 40, 5*time.Millisecond, []species{{ // 200 requests/s
+		weight: 1, cold: true,
+		req: RunRequest{Scenario: "t-slow", Params: scenario.Params{Rate: 6000, TimelineWindowS: 0.1}},
+	}})
+	if report.shed == 0 {
 		t.Fatalf("overload produced no shedding: %+v", report)
 	}
-	if report.OK == 0 {
+	if report.ok == 0 {
 		t.Fatalf("overload starved every request: %+v", report)
 	}
-	if report.ErrorKinds["transport"] != 0 || report.Failed != 0 {
+	if report.kinds["transport"] != 0 || report.failed != 0 {
 		t.Fatalf("overload produced non-shed failures: %+v", report)
 	}
 	if st := s.Stats(); st.Shed == 0 {
@@ -136,34 +188,5 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	}
 	if !sawRetryAfter {
 		t.Fatalf("saturated server never shed with 429")
-	}
-}
-
-func TestLoadReportLatencies(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	c := &Client{BaseURL: ts.URL}
-	report, err := RunLoad(context.Background(), c, LoadConfig{
-		Seed: 11, Requests: 30, RatePerS: 300,
-		Mix:     []LoadMix{{Name: "hot", Weight: 1, Request: rateRequest("t-ok", 900)}},
-		Timeout: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
-	if report.OK != 30 {
-		t.Fatalf("hot replay failed: %+v", report)
-	}
-	if report.CacheHits == 0 {
-		t.Fatalf("hot replay produced no cache hits: %+v", report)
-	}
-	if !(report.P50Ms > 0) || !(report.P99Ms >= report.P50Ms) || !(report.MaxMs >= report.P99Ms) {
-		t.Fatalf("latency percentiles not ordered: p50 %v p99 %v max %v",
-			report.P50Ms, report.P99Ms, report.MaxMs)
-	}
-	if !(report.QPS > 0) || !(report.DurationS > 0) {
-		t.Fatalf("throughput not recorded: %+v", report)
-	}
-	if report.ShedRate() != 0 {
-		t.Fatalf("unexpected shedding on an underloaded server: %+v", report)
 	}
 }

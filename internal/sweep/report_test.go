@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -92,10 +93,11 @@ func TestRunCancellationMarksSkippedCells(t *testing.T) {
 }
 
 // A cell wedged past its deadline is abandoned with ErrCellTimeout while
-// the rest of the sweep completes.
+// the rest of the sweep completes. Once the test releases the wedged
+// cell, the sweep has left no goroutine behind.
 func TestRunAbandonsHungCell(t *testing.T) {
+	base := runtime.NumGoroutine()
 	hang := make(chan struct{})
-	defer close(hang) // release the abandoned goroutine at test end
 	r := Run(context.Background(), 4, Options{Timeout: 50 * time.Millisecond},
 		func(_ context.Context, i int) (int, error) {
 			if i == 2 {
@@ -113,6 +115,21 @@ func TestRunAbandonsHungCell(t *testing.T) {
 		if r.Status[i] != StatusOK || r.Values[i] != i {
 			t.Fatalf("healthy cell %d = (%v, %d)", i, r.Status[i], r.Values[i])
 		}
+	}
+	close(hang)
+	settlesTo(t, base)
+}
+
+// settlesTo fails the test unless the goroutine count is back to base
+// (or below) within a second.
+func settlesTo(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines a second later, %d before the run", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
