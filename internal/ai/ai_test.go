@@ -371,3 +371,68 @@ func TestLoaderDropsNonFiniteRows(t *testing.T) {
 		t.Fatalf("loader kept %d rows, want 1 (non-finite rows dropped)", tr.LoaderSize())
 	}
 }
+
+// refTargets is the per-output loop sampleBatch ran before it shared the
+// two parity sums, kept as the oracle: y[j] = tanh(s/len(row)), where s
+// starts at +0 and adds row[k] when k+j is even and subtracts it when
+// odd, in k order.
+func refTargets(row, y []float64) {
+	for j := range y {
+		s := 0.0
+		for k, v := range row {
+			if (k+j)%2 == 0 {
+				s += v
+			} else {
+				s -= v
+			}
+		}
+		y[j] = math.Tanh(s / float64(len(row)))
+	}
+}
+
+// TestTargetsMatchOracle: over input and output widths of both
+// parities, synthetic batches and loader-fed ones — including rows whose
+// signed sums are ±0 and rows of signed zeros — every target is the
+// oracle's bit for bit.
+func TestTargetsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	negZero := math.Copysign(0, -1)
+	for _, in := range []int{1, 2, 3, 4, 8} {
+		for _, out := range []int{1, 2, 3, 8} {
+			tr, err := New("ai", config.AIConfig{Layers: []int{in, 4, out}, Batch: 16}, WithSeed(int64(in*10+out)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rows []float64
+			for r := 0; r < 64; r++ {
+				for k := 0; k < in; k++ {
+					v := rng.NormFloat64()
+					switch r % 4 {
+					case 0: // pairs cancel: both parity sums are exactly zero
+						v = float64(1 + k/2)
+					case 1:
+						v = []float64{0, negZero}[rng.Intn(2)]
+					}
+					rows = append(rows, v)
+				}
+			}
+			want := make([]float64, out)
+			for fed := range 2 {
+				if fed == 1 {
+					tr.loader.ingest(EncodeFloat64s(rows))
+				}
+				for range 4 {
+					xs, ys := tr.sampleBatch()
+					for i, x := range xs {
+						refTargets(x, want)
+						for j := range want {
+							if math.Float64bits(ys[i][j]) != math.Float64bits(want[j]) {
+								t.Fatalf("in %d out %d fed %d: target %d of row %v = %v, oracle %v", in, out, fed, j, x, ys[i][j], want[j])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package ai
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -31,6 +33,58 @@ func (r *refLoader) ingest(raw []byte) {
 	}
 	if len(r.rows) > maxSamples {
 		r.rows = r.rows[len(r.rows)-maxSamples:]
+	}
+}
+
+// refFiniteRow is the per-word check: a float64 is finite unless its
+// exponent bits are all ones.
+func refFiniteRow(b []byte) bool {
+	for ; len(b) >= 8; b = b[8:] {
+		if v := math.Float64frombits(binary.LittleEndian.Uint64(b)); math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// refRingIngest is the row-at-a-time ingest the ring first had, kept as
+// the oracle for the ring's state, not only its logical rows: each
+// finite row is decoded into the slot after the newest, evicting the
+// oldest once the ring is full.
+func refRingIngest(l *loader, raw []byte) {
+	w := l.w
+	rowBytes := 8 * w
+	l.reserve(len(raw) / rowBytes)
+	capRows := len(l.buf) / w
+	for ; len(raw) >= rowBytes; raw = raw[rowBytes:] {
+		if !refFiniteRow(raw[:rowBytes]) {
+			continue
+		}
+		p := (l.head + l.n) % capRows
+		slot := l.buf[p*w : (p+1)*w]
+		for j := range slot {
+			slot[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+		}
+		if l.n < capRows {
+			l.n++
+		} else {
+			l.head = (l.head + 1) % capRows
+		}
+	}
+}
+
+// sameRing fails unless two loaders hold the same storage, bit for bit,
+// and the same head and row count.
+func sameRing(t *testing.T, what string, got, want *loader) {
+	t.Helper()
+	if got.head != want.head || got.n != want.n || len(got.buf) != len(want.buf) {
+		t.Fatalf("%s: head %d, n %d, %d floats; oracle head %d, n %d, %d floats",
+			what, got.head, got.n, len(got.buf), want.head, want.n, len(want.buf))
+	}
+	for i, v := range got.buf {
+		if math.Float64bits(v) != math.Float64bits(want.buf[i]) {
+			t.Fatalf("%s: float %d = %v, oracle %v", what, i, v, want.buf[i])
+		}
 	}
 }
 
@@ -219,4 +273,57 @@ func TestUpdateLoaderSteadyStateAllocs(t *testing.T) {
 // configWithInput is a small model reading rows of w floats.
 func configWithInput(w int) config.AIConfig {
 	return config.AIConfig{Layers: []int{w, 4, 2}, LR: 0.01, Batch: 8}
+}
+
+// TestFiniteRowMatchesPerWordCheck: with NaN, ±Inf, ±MaxFloat64, the
+// smallest subnormal or ±0 at every word offset of rows up to nine words
+// long, the row check agrees with the per-word one.
+func TestFiniteRowMatchesPerWordCheck(t *testing.T) {
+	specials := []float64{math.NaN(), math.Float64frombits(0xfff8000000000001), math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0, math.Copysign(0, -1), 1.5}
+	for words := 1; words <= 9; words++ {
+		for at := 0; at < words; at++ {
+			for _, v := range specials {
+				row := make([]float64, words)
+				for i := range row {
+					row[i] = float64(i) - 3.25
+				}
+				row[at] = v
+				raw := EncodeFloat64s(row)
+				if got, want := finiteRow(raw), refFiniteRow(raw); got != want {
+					t.Fatalf("%v at word %d of %d: finiteRow = %v, per-word check %v", v, at, words, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzLoaderIngest: over arbitrary bytes at widths 1–5 — short tails,
+// NaN and infinite rows, repeated ingests, an ingest that wraps the full
+// ring at an arbitrary row and one longer than the ring — ingest leaves
+// the storage, head and row count the row-at-a-time oracle leaves.
+func FuzzLoaderIngest(f *testing.F) {
+	nan := EncodeFloat64s([]float64{1, math.NaN(), 2, 3, math.Inf(-1), 4, 5})
+	f.Add(uint8(1), uint32(0), nan)
+	f.Add(uint8(0), uint32(7), nan)
+	f.Add(uint8(4), uint32(1<<20+3), EncodeFloat64s([]float64{-0.5, 7, 8, 9, 1e300}))
+	f.Add(uint8(2), uint32(5), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 2})
+	f.Fuzz(func(t *testing.T, w uint8, fill uint32, data []byte) {
+		width := 1 + int(w%5)
+		got, want := &loader{w: width}, &loader{w: width}
+		ingest := func(what string, raw []byte) {
+			got.ingest(raw)
+			refRingIngest(want, raw)
+			sameRing(t, what, got, want)
+		}
+		ingest("first", data)
+		if fill%2 == 1 && len(data) > 0 {
+			// Tile data past the ring's bound, by up to one more ring.
+			rows := maxSamples + int(fill>>1)%(2*maxSamples)
+			ingest("tiled", bytes.Repeat(data, rows*8*width/len(data)+1))
+		}
+		ingest("again", data)
+		ingest("offset", data[len(data)/3:])
+	})
 }

@@ -304,3 +304,30 @@ func TestOneToOneIsValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestOneToOneLossPinned: the training loss of a short virtual-clock
+// run, in both validation modes, is these bits. No table digest holds a
+// loss, so this is what catches a dense layer, a target or a loader
+// that computes a different number.
+func TestOneToOneLossPinned(t *testing.T) {
+	want := map[ValidationMode][2]uint64{
+		Original: {0x3fd44306a3266b08, 0x3fd117ab0d4348a1},
+		MiniApp:  {0x3fd410890018912a, 0x3fce6f87cc51aeb6},
+	}
+	for _, mode := range []ValidationMode{Original, MiniApp} {
+		cfg := ValidationConfig{Mode: mode, TrainIters: 120, WritePeriod: 25, ReadPeriod: 5,
+			PayloadBytes: 20_000, Backend: datastore.NodeLocal}
+		r, err := RunOneToOne(bg, cfg.withDefaults().oneToOne())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Train.Reads == 0 {
+			t.Fatalf("%v: the trainer read no snapshot, so the loader went untested", mode)
+		}
+		got := [2]uint64{math.Float64bits(r.Train.LossMean), math.Float64bits(r.Train.LastLoss)}
+		if got != want[mode] {
+			t.Errorf("%v: LossMean, LastLoss = %v, %v (%#x, %#x), want %#x, %#x",
+				mode, r.Train.LossMean, r.Train.LastLoss, got[0], got[1], want[mode][0], want[mode][1])
+		}
+	}
+}

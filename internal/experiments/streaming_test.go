@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -331,40 +332,44 @@ func TestStreamingCellsOverlapOnlyOnVirtualClock(t *testing.T) {
 }
 
 // TestStreamingFirstFailureWins: when two cells fail the scenario's
-// error is the one of lower index, even when it failed later, and the
-// seven healthy cells — real ones, shortened — have all run and taken
-// their servers, listeners and producers down again.
+// error is the one of lower table index, even when it failed later —
+// in one size row, and in two size rows whose order of running is not
+// their table order — and the seven healthy cells — real ones,
+// shortened — have all run and taken their servers, listeners and
+// producers down again.
 func TestStreamingFirstFailureWins(t *testing.T) {
 	withSweepWorkers(t, 2)
 	cells := rowMajorStreamingCells()
-	lower, higher := cells[3], cells[4]
-	lowerErr, higherErr := errors.New("cell 3 failed"), errors.New("cell 4 failed")
-	higherFailed := make(chan struct{})
-	var failOnce sync.Once
-	var healthy atomic.Int32
-	base := runtime.NumGoroutine()
-	_, err := streamingGridVia(bg, scenario.Params{},
-		func(ctx context.Context, cfg StreamingConfig, method StreamingMethod) (StreamingPoint, error) {
-			switch (streamingCell{cfg.SizeMB, method}) {
-			case lower:
-				select {
-				case <-higherFailed:
-				case <-time.After(5 * time.Second):
+	for _, pair := range [][2]int{{3, 4}, {1, 7}} {
+		lower, higher := cells[pair[0]], cells[pair[1]]
+		lowerErr, higherErr := fmt.Errorf("cell %d failed", pair[0]), fmt.Errorf("cell %d failed", pair[1])
+		higherFailed := make(chan struct{})
+		var failOnce sync.Once
+		var healthy atomic.Int32
+		base := runtime.NumGoroutine()
+		_, err := streamingGridVia(bg, scenario.Params{},
+			func(ctx context.Context, cfg StreamingConfig, method StreamingMethod) (StreamingPoint, error) {
+				switch (streamingCell{cfg.SizeMB, method}) {
+				case lower:
+					select {
+					case <-higherFailed:
+					case <-time.After(5 * time.Second):
+					}
+					return StreamingPoint{}, lowerErr
+				case higher:
+					failOnce.Do(func() { close(higherFailed) })
+					return StreamingPoint{}, higherErr
 				}
-				return StreamingPoint{}, lowerErr
-			case higher:
-				failOnce.Do(func() { close(higherFailed) })
-				return StreamingPoint{}, higherErr
-			}
-			cfg.Snapshots = 2
-			defer healthy.Add(1)
-			return runStreamingCell(ctx, cfg, method)
-		})
-	if err != lowerErr {
-		t.Fatalf("got error %v, want the lower-index cell's", err)
+				cfg.Snapshots = 2
+				defer healthy.Add(1)
+				return runStreamingCell(ctx, cfg, method)
+			})
+		if err != lowerErr {
+			t.Fatalf("cells %v: got error %v, want the lower-index cell's", pair, err)
+		}
+		if n := healthy.Load(); n != 7 {
+			t.Fatalf("cells %v: %d healthy cells ran, want the other 7", pair, n)
+		}
+		settlesTo(t, base)
 	}
-	if n := healthy.Load(); n != 7 {
-		t.Fatalf("%d healthy cells ran, want the other 7", n)
-	}
-	settlesTo(t, base)
 }

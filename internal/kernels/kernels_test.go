@@ -402,3 +402,19 @@ func BenchmarkFFT64K(b *testing.B) {
 		k.Run(ctx, []int{1 << 16})
 	}
 }
+
+// TestDeterministicMatrixMatchesTrunc: for every seed the kernels fill
+// with, over more than 2^20 elements, the fill is bit for bit the
+// v - math.Trunc(v) form it was first written in.
+func TestDeterministicMatrixMatchesTrunc(t *testing.T) {
+	const n = 1<<20 + 5
+	buf := make([]float64, n)
+	for _, seed := range []float64{1, 2, 3} {
+		for i, got := range deterministicMatrix(buf, n, seed) {
+			v := seed * float64(i+1) * 0.618033988749895
+			if want := v - math.Trunc(v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %v element %d = %v, Trunc form %v", seed, i, got, want)
+			}
+		}
+	}
+}

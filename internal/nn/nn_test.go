@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -387,5 +388,114 @@ func BenchmarkForwardBackward(b *testing.B) {
 		_, g := mse.Loss(m.Forward(x), y)
 		m.Backward(g)
 		opt.Step(m.Params())
+	}
+}
+
+// refLinearForward is the one-output-at-a-time loop Linear.Forward ran
+// before its outputs were blocked by four, kept as the oracle the
+// blocked loop must match bit for bit: each sum starts at its bias and
+// adds w[o][i]·x[i] in i order.
+func refLinearForward(l *Linear, x [][]float64) [][]float64 {
+	out := make([][]float64, len(x))
+	for b, xb := range x {
+		out[b] = make([]float64, l.Out)
+		for o := range l.Out {
+			w := l.weight.W[o*l.In : (o+1)*l.In]
+			s := l.bias.W[o]
+			for i, xv := range xb {
+				s += w[i] * xv
+			}
+			out[b][o] = s
+		}
+	}
+	return out
+}
+
+// refLinearBackward is the matching oracle for Backward: it accumulates
+// into wGrad and bGrad the way Backward accumulates into the layer's own
+// gradients, and returns dL/dx.
+func refLinearBackward(l *Linear, x, grad [][]float64, wGrad, bGrad []float64) [][]float64 {
+	dx := make([][]float64, len(grad))
+	for b, gb := range grad {
+		row := make([]float64, l.In)
+		for o := range l.Out {
+			g := gb[o]
+			bGrad[o] += g
+			wRow := l.weight.W[o*l.In : (o+1)*l.In]
+			gRow := wGrad[o*l.In : (o+1)*l.In]
+			for i := range l.In {
+				gRow[i] += g * x[b][i]
+				row[i] += g * wRow[i]
+			}
+		}
+		dx[b] = row
+	}
+	return dx
+}
+
+// signedBatch is randBatch with about one value in eight replaced by +0
+// or -0, so the sign of a zero sum is exercised too.
+func signedBatch(rng *rand.Rand, n, w int) [][]float64 {
+	x := randBatch(rng, n, w)
+	for _, row := range x {
+		for i := range row {
+			switch rng.Intn(16) {
+			case 0:
+				row[i] = 0
+			case 1:
+				row[i] = math.Copysign(0, -1)
+			}
+		}
+	}
+	return x
+}
+
+// sameBits fails unless got and want hold the same float64 bit patterns.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d] = %v (%#x), oracle %v (%#x)", what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestLinearMatchesOracle: over seeded shapes — Out not a multiple of
+// four, In = 1, batch 1 — and two backward passes that accumulate, the
+// layer's outputs, input gradient and parameter gradients are the
+// oracle's bit for bit.
+func TestLinearMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	shapes := [][3]int{ // in, out, batch
+		{1, 1, 1}, {1, 4, 1}, {1, 7, 3}, {3, 5, 1}, {8, 16, 16}, {16, 8, 16},
+		{5, 9, 7}, {7, 3, 2}, {13, 6, 4}, {2, 8, 1}, {64, 128, 32},
+	}
+	for range 20 {
+		shapes = append(shapes, [3]int{1 + rng.Intn(20), 1 + rng.Intn(20), 1 + rng.Intn(9)})
+	}
+	for _, s := range shapes {
+		in, out, n := s[0], s[1], s[2]
+		l := NewLinear(in, out, rng)
+		for i := range l.bias.W {
+			l.bias.W[i] = rng.NormFloat64()
+		}
+		for i := range l.weight.Grad {
+			l.weight.Grad[i] = rng.NormFloat64()
+		}
+		wGrad, bGrad := append([]float64(nil), l.weight.Grad...), append([]float64(nil), l.bias.Grad...)
+		for pass := range 2 {
+			x, g := signedBatch(rng, n, in), signedBatch(rng, n, out)
+			what := fmt.Sprintf("%dx%d batch %d pass %d", in, out, n, pass)
+			y, want := l.Forward(x), refLinearForward(l, x)
+			for b := range want {
+				sameBits(t, what+" y", y[b], want[b])
+			}
+			dx, wantDx := l.Backward(g), refLinearBackward(l, x, g, wGrad, bGrad)
+			for b := range wantDx {
+				sameBits(t, what+" dx", dx[b], wantDx[b])
+			}
+			sameBits(t, what+" weight grad", l.weight.Grad, wGrad)
+			sameBits(t, what+" bias grad", l.bias.Grad, bGrad)
+		}
 	}
 }
