@@ -240,17 +240,24 @@ func (t *Trainer) sampleBatch() (xs, ys [][]float64) {
 			}
 		}
 		t.xs[i] = row
+		// Target j is tanh of the row's mean with alternating signs,
+		// + where k+j is even: one sum serves every even j and one every
+		// odd j, each added up from +0 in k order.
+		even, odd := 0.0, 0.0
+		for k, v := range row {
+			if k%2 == 0 {
+				even, odd = even+v, odd-v
+			} else {
+				even, odd = even-v, odd+v
+			}
+		}
+		te, to := math.Tanh(even/float64(len(row))), math.Tanh(odd/float64(len(row)))
 		y := t.ys[i]
 		for j := range y {
-			s := 0.0
-			for k, v := range row {
-				if (k+j)%2 == 0 {
-					s += v
-				} else {
-					s -= v
-				}
+			y[j] = te
+			if j%2 == 1 {
+				y[j] = to
 			}
-			y[j] = math.Tanh(s / float64(len(row)))
 		}
 	}
 	return t.xs, t.ys

@@ -3,6 +3,7 @@ package ai
 import (
 	"encoding/binary"
 	"math"
+	"unsafe"
 )
 
 // maxSamples bounds loader memory like a real streaming dataset: once
@@ -35,29 +36,58 @@ func (l *loader) row(i int) []float64 {
 // ingest appends the rows of a staged little-endian float64 array, w
 // floats each. A short tail is dropped, and so is any row holding a NaN
 // or an infinity — before it is committed, so a rejected row never
-// displaces a good one, even when the ring is full.
+// displaces a good one, even when the ring is full. Each run of finite
+// rows is copied in as a block; the ring ends exactly where committing
+// the rows one at a time would leave it.
 func (l *loader) ingest(raw []byte) {
-	w := l.w
-	rowBytes := 8 * w
+	rowBytes := 8 * l.w
+	raw = raw[:len(raw)-len(raw)%rowBytes]
 	l.reserve(len(raw) / rowBytes)
-	capRows := len(l.buf) / w
-	for ; len(raw) >= rowBytes; raw = raw[rowBytes:] {
-		if !finiteRow(raw[:rowBytes]) {
-			continue // drop corrupt samples rather than poison training
+	// Scan a block of rows at a time, and row by row only inside a block
+	// that holds a non-finite word.
+	block := rowBytes * max(1, 4096/rowBytes)
+	for len(raw) > 0 {
+		run := 0
+		for run < len(raw) && finiteRow(raw[run:min(run+block, len(raw))]) {
+			run = min(run+block, len(raw))
 		}
-		// The slot after the newest row: free while the ring is filling,
-		// the oldest row once it is full.
-		p := (l.head + l.n) % capRows
-		slot := l.buf[p*w : (p+1)*w]
-		for j := range slot {
-			slot[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+		for run < len(raw) && finiteRow(raw[run:run+rowBytes]) {
+			run += rowBytes
 		}
-		if l.n < capRows {
-			l.n++
-		} else {
-			l.head = (l.head + 1) % capRows
-		}
+		l.push(raw[:run])
+		// Drop the corrupt row that ended the run rather than poison
+		// training.
+		raw = raw[min(run+rowBytes, len(raw)):]
 	}
+}
+
+// push commits the whole, finite rows of src in order, each to the slot
+// after the newest row: a free one while the ring is filling, the
+// oldest row's once it is full. Rows a later row of src would overwrite
+// are never copied, and the rest go in at most two segments, split at
+// the wrap.
+func (l *loader) push(src []byte) {
+	w, capRows := l.w, len(l.buf)/l.w
+	rows := len(src) / (8 * w)
+	if skip := rows - capRows; skip > 0 {
+		l.advance(skip, capRows)
+		src, rows = src[8*w*skip:], capRows
+	}
+	for rows > 0 {
+		p := (l.head + l.n) % capRows
+		seg := min(rows, capRows-p)
+		decodeInto(l.buf[p*w:(p+seg)*w], src[:8*w*seg])
+		l.advance(seg, capRows)
+		src, rows = src[8*w*seg:], rows-seg
+	}
+}
+
+// advance accounts for rows more rows committed: they fill free slots
+// first, and each one past those evicts the oldest row.
+func (l *loader) advance(rows, capRows int) {
+	fill := min(rows, capRows-l.n)
+	l.n += fill
+	l.head = (l.head + rows - fill) % capRows
 }
 
 // reserve makes room for extra more rows, at least doubling the storage
@@ -75,13 +105,34 @@ func (l *loader) reserve(extra int) {
 }
 
 // finiteRow reports whether every little-endian float64 in b is a finite
-// number (exponent bits not all ones).
+// number, in one branch-free pass: a word's exponent bits are all ones
+// exactly when adding 1 to them carries into the sign bit.
 func finiteRow(b []byte) bool {
-	const expMask = 0x7ff << 52
-	for ; len(b) >= 8; b = b[8:] {
-		if binary.LittleEndian.Uint64(b)&expMask == expMask {
-			return false
-		}
+	const expMask, expOne = 0x7ff << 52, 1 << 52
+	le := binary.LittleEndian
+	var carry uint64
+	for ; len(b) >= 32; b = b[32:] {
+		carry |= (le.Uint64(b)&expMask + expOne) | (le.Uint64(b[8:])&expMask + expOne) |
+			(le.Uint64(b[16:])&expMask + expOne) | (le.Uint64(b[24:])&expMask + expOne)
 	}
-	return true
+	for ; len(b) >= 8; b = b[8:] {
+		carry |= le.Uint64(b)&expMask + expOne
+	}
+	return carry>>63 == 0
+}
+
+// littleEndian reports whether this host stores a float64 the way the
+// staged arrays do.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// decodeInto fills dst with the little-endian float64s in src, 8 bytes
+// each. On a little-endian host that is a byte copy into dst's memory.
+func decodeInto(dst []float64, src []byte) {
+	if littleEndian {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*len(dst)), src)
+		return
+	}
+	for j := range dst {
+		dst[j] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*j:]))
+	}
 }

@@ -327,3 +327,24 @@ func FuzzLoaderIngest(f *testing.F) {
 		ingest("offset", data[len(data)/3:])
 	})
 }
+
+// TestDecodeIntoFormsAgree: the byte copy a little-endian host makes and
+// the decode loop a big-endian host runs both fill DecodeFloat64s's
+// bits, NaN payloads included.
+func TestDecodeIntoFormsAgree(t *testing.T) {
+	src := make([]byte, 8*37)
+	rand.New(rand.NewSource(34)).Read(src)
+	want := DecodeFloat64s(src)
+	prev := littleEndian
+	t.Cleanup(func() { littleEndian = prev })
+	for _, le := range []bool{true, false} {
+		littleEndian = le
+		got := make([]float64, len(want))
+		decodeInto(got, src)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("little-endian form %v: float %d = %#x, want %#x", le, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 
 	"simaibench/internal/clock"
@@ -316,39 +318,55 @@ type streamingCellRunner func(context.Context, StreamingConfig, StreamingMethod)
 
 // streamingGridVia measures StreamingSizes × streamingMethods over the
 // given runner under p's guardrails and returns the points in row-major
-// order. The cells share nothing, so validationPairVia's rule applies
-// to them unchanged: on the virtual clock the whole grid is one sweep on
-// the worker pool (sweep.Workers), on the wall clock — where the
-// transfers themselves are timed and two cells competing for the host
-// would distort them — it is nine sweeps of one cell, in the same
-// order. Cancellation is reported as ctx's error, and otherwise the
-// failed cell of lowest index speaks for the grid; on the virtual clock
-// every other cell has still run to its teardown by then.
+// (table) order. The cells share nothing, so validationPairVia's rule
+// applies to them unchanged: on the virtual clock the whole grid is one
+// sweep on the worker pool (sweep.Workers), largest size first — the
+// 8 MB cells take longest, so starting them first shortens the grid's
+// makespan; on the wall clock — where the transfers themselves are
+// timed and two cells competing for the host would distort them — it
+// is nine sweeps of one cell, in table order. Cancellation is reported
+// as ctx's error, and otherwise the failed cell of lowest table index
+// speaks for the grid; on the virtual clock every other cell has still
+// run to its teardown by then.
 func streamingGridVia(ctx context.Context, p scenario.Params, run streamingCellRunner) ([]StreamingPoint, error) {
-	grid := func(sizes []float64, methods []StreamingMethod) ([]StreamingPoint, error) {
-		rep := sweep.RunGrid(ctx, sizes, methods, p.Guardrails(),
-			func(ctx context.Context, size float64, method StreamingMethod) (StreamingPoint, error) {
-				return run(ctx, StreamingConfig{SizeMB: size, Clock: p.Clock}, method)
-			})
+	n := len(streamingMethods)
+	points := make([]StreamingPoint, len(StreamingSizes)*n)
+	// sweepCells runs the cells of the given table indices as one sweep,
+	// in that order, and files each point under its index.
+	sweepCells := func(cells []int) error {
+		rep := sweep.Run(ctx, len(cells), p.Guardrails(), func(ctx context.Context, i int) (StreamingPoint, error) {
+			c := cells[i]
+			return run(ctx, StreamingConfig{SizeMB: StreamingSizes[c/n], Clock: p.Clock}, streamingMethods[c%n])
+		})
 		if rep.CtxErr != nil {
-			return nil, rep.CtxErr
+			return rep.CtxErr
 		}
 		if len(rep.Failures) > 0 {
-			return nil, rep.Failures[0].Err
+			first := slices.MinFunc(rep.Failures, func(a, b *sweep.CellError) int {
+				return cmp.Compare(cells[a.Index], cells[b.Index])
+			})
+			return first.Err
 		}
-		return rep.Values, nil
+		for i, c := range cells {
+			points[c] = rep.Values[i]
+		}
+		return nil
 	}
 	if clock.IsVirtual(p.Clock) {
-		return grid(StreamingSizes, streamingMethods)
-	}
-	var points []StreamingPoint
-	for _, size := range StreamingSizes {
-		for _, method := range streamingMethods {
-			pt, err := grid([]float64{size}, []StreamingMethod{method})
-			if err != nil {
-				return nil, err
+		cells := make([]int, 0, len(points))
+		for size := len(StreamingSizes) - 1; size >= 0; size-- {
+			for method := range n {
+				cells = append(cells, size*n+method)
 			}
-			points = append(points, pt...)
+		}
+		if err := sweepCells(cells); err != nil {
+			return nil, err
+		}
+		return points, nil
+	}
+	for c := range points {
+		if err := sweepCells([]int{c}); err != nil {
+			return nil, err
 		}
 	}
 	return points, nil

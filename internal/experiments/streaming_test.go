@@ -317,17 +317,33 @@ func TestStreamingCellsOverlapOnlyOnVirtualClock(t *testing.T) {
 		}
 		return order
 	}
+	first := streamingCell{StreamingSizes[len(StreamingSizes)-1], MethodStagedPolling}
 	for _, kind := range []string{"", clock.KindVirtual} {
 		o := rendezvous()
-		measure(&o, kind)
+		order := measure(&o, kind)
 		if o.peak < 2 {
 			t.Fatalf("clock %q: peak of %d cells in flight with two workers, want them side by side", kind, o.peak)
+		}
+		if !slices.Contains(order[:2], first) {
+			t.Fatalf("clock %q: the two workers started %v, want the largest staged-poll cell among them", kind, order[:2])
 		}
 	}
 	var o overlap
 	order := measure(&o, clock.KindWall)
 	if o.peak != 1 || !slices.Equal(order, rowMajorStreamingCells()) {
 		t.Fatalf("wall clock: peak %d, order %v; want the row-major order, one cell at a time", o.peak, order)
+	}
+	// One worker shows the order the virtual grid feeds the pool in:
+	// largest size first, each size's methods in table order.
+	withSweepWorkers(t, 1)
+	var want []streamingCell
+	for i := len(StreamingSizes) - 1; i >= 0; i-- {
+		for _, method := range streamingMethods {
+			want = append(want, streamingCell{StreamingSizes[i], method})
+		}
+	}
+	if order := measure(&o, clock.KindVirtual); !slices.Equal(order, want) {
+		t.Fatalf("virtual clock, one worker: order %v, want %v", order, want)
 	}
 }
 

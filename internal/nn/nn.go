@@ -87,17 +87,35 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 
 // Forward computes y[b][o] = Σ_i x[b][i]·W[o][i] + bias[o]. It keeps x
 // for Backward, so x must not change in between.
+//
+// Four outputs share each pass over an input row. Every sum still
+// starts at its bias and adds its products in i order, so the result is
+// the one-output-at-a-time loop's, bit for bit.
 func (l *Linear) Forward(x [][]float64) [][]float64 {
 	l.lastX = x
+	in, W, bias := l.In, l.weight.W, l.bias.W
 	out := l.out.shape(len(x), l.Out)
 	for b, xb := range x {
-		if len(xb) != l.In {
-			panic(fmt.Sprintf("nn: linear input dim %d, want %d", len(xb), l.In))
+		if len(xb) != in {
+			panic(fmt.Sprintf("nn: linear input dim %d, want %d", len(xb), in))
 		}
 		row := out[b]
-		for o := 0; o < l.Out; o++ {
-			w := l.weight.W[o*l.In : (o+1)*l.In]
-			s := l.bias.W[o]
+		o := 0
+		for ; o+4 <= l.Out; o += 4 {
+			w0, w1 := W[o*in : (o+1)*in][:len(xb)], W[(o+1)*in : (o+2)*in][:len(xb)]
+			w2, w3 := W[(o+2)*in : (o+3)*in][:len(xb)], W[(o+3)*in : (o+4)*in][:len(xb)]
+			s0, s1, s2, s3 := bias[o], bias[o+1], bias[o+2], bias[o+3]
+			for i, xv := range xb {
+				s0 += w0[i] * xv
+				s1 += w1[i] * xv
+				s2 += w2[i] * xv
+				s3 += w3[i] * xv
+			}
+			row[o], row[o+1], row[o+2], row[o+3] = s0, s1, s2, s3
+		}
+		for ; o < l.Out; o++ {
+			w := W[o*in : (o+1)*in][:len(xb)]
+			s := bias[o]
 			for i, xv := range xb {
 				s += w[i] * xv
 			}
@@ -108,22 +126,50 @@ func (l *Linear) Forward(x [][]float64) [][]float64 {
 }
 
 // Backward accumulates dW, db and returns dL/dx.
+//
+// dx[b][i] gathers four outputs' terms in a register, in o order, and
+// each gradient element still accumulates over b in order: the same
+// sums, bit for bit, as one output at a time.
 func (l *Linear) Backward(grad [][]float64) [][]float64 {
 	if l.lastX == nil {
 		panic("nn: linear backward before forward")
 	}
-	dx := l.dx.shape(len(grad), l.In)
+	in, W, G := l.In, l.weight.W, l.weight.Grad
+	dx := l.dx.shape(len(grad), in)
 	for b, gb := range grad {
-		xb := l.lastX[b]
+		xb := l.lastX[b][:in]
 		row := dx[b]
 		clear(row)
-		for o := 0; o < l.Out; o++ {
+		o := 0
+		for ; o+4 <= l.Out; o += 4 {
+			g0, g1, g2, g3 := gb[o], gb[o+1], gb[o+2], gb[o+3]
+			l.bias.Grad[o] += g0
+			l.bias.Grad[o+1] += g1
+			l.bias.Grad[o+2] += g2
+			l.bias.Grad[o+3] += g3
+			w0, w1 := W[o*in : (o+1)*in][:in], W[(o+1)*in : (o+2)*in][:in]
+			w2, w3 := W[(o+2)*in : (o+3)*in][:in], W[(o+3)*in : (o+4)*in][:in]
+			r0, r1 := G[o*in : (o+1)*in][:in], G[(o+1)*in : (o+2)*in][:in]
+			r2, r3 := G[(o+2)*in : (o+3)*in][:in], G[(o+3)*in : (o+4)*in][:in]
+			for i, xv := range xb {
+				r0[i] += g0 * xv
+				r1[i] += g1 * xv
+				r2[i] += g2 * xv
+				r3[i] += g3 * xv
+				d := row[i]
+				d += g0 * w0[i]
+				d += g1 * w1[i]
+				d += g2 * w2[i]
+				d += g3 * w3[i]
+				row[i] = d
+			}
+		}
+		for ; o < l.Out; o++ {
 			g := gb[o]
 			l.bias.Grad[o] += g
-			wRow := l.weight.W[o*l.In : (o+1)*l.In]
-			gRow := l.weight.Grad[o*l.In : (o+1)*l.In]
-			for i := 0; i < l.In; i++ {
-				gRow[i] += g * xb[i]
+			wRow, gRow := W[o*in : (o+1)*in][:in], G[o*in : (o+1)*in][:in]
+			for i, xv := range xb {
+				gRow[i] += g * xv
 				row[i] += g * wRow[i]
 			}
 		}
