@@ -35,29 +35,30 @@ func (c *Client) Close() error { return c.conn.Close() }
 
 // Do sends one command (name plus bulk-string arguments) and returns the
 // reply. Error replies become Go errors.
-func (c *Client) Do(cmd string, args ...[]byte) (Value, error) {
+func (c *Client) Do(cmd string, args ...[]byte) (Value, error) { return c.do(cmd, nil, args...) }
+
+// do sends cmd with keys, then vals, as its arguments and reads the
+// reply.
+func (c *Client) do(cmd string, keys []string, vals ...[]byte) (Value, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.doLocked(cmd, args...)
-}
-
-func (c *Client) doLocked(cmd string, args ...[]byte) (Value, error) {
-	if err := c.send(cmd, args...); err != nil {
+	if err := c.send(cmd, keys, vals...); err != nil {
 		return Value{}, err
 	}
 	v, err := c.r.Read()
 	return checkReply(cmd, v, err)
 }
 
-// send writes one command and flushes it.
-func (c *Client) send(cmd string, args ...[]byte) error {
-	parts := make([]Value, 0, len(args)+1)
-	parts = append(parts, BulkString(cmd))
-	for _, a := range args {
-		parts = append(parts, Bulk(a))
+// send encodes one command — an array of bulk strings: cmd, keys, then
+// vals — straight into the writer, building no Values, and flushes it.
+func (c *Client) send(cmd string, keys []string, vals ...[]byte) error {
+	c.w.header('*', 1+len(keys)+len(vals))
+	c.w.bulkString(cmd)
+	for _, k := range keys {
+		c.w.bulkString(k)
 	}
-	if err := c.w.Write(Array(parts...)); err != nil {
-		return fmt.Errorf("redis: send %s: %w", cmd, err)
+	for _, v := range vals {
+		c.w.bulk(v)
 	}
 	if err := c.w.Flush(); err != nil {
 		return fmt.Errorf("redis: send %s: %w", cmd, err)
@@ -79,7 +80,7 @@ func checkReply(cmd string, v Value, err error) (Value, error) {
 
 // Set stores value under key.
 func (c *Client) Set(key string, value []byte) error {
-	_, err := c.Do("SET", []byte(key), value)
+	_, err := c.do("SET", []string{key}, value)
 	return err
 }
 
@@ -93,7 +94,7 @@ func (c *Client) Get(key string) ([]byte, error) { return c.GetInto(key, nil) }
 func (c *Client) GetInto(key string, dst []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.send("GET", []byte(key)); err != nil {
+	if err := c.send("GET", []string{key}); err != nil {
 		return nil, err
 	}
 	v, err := c.r.readBulkInto(dst)
@@ -108,11 +109,7 @@ func (c *Client) GetInto(key string, dst []byte) ([]byte, error) {
 
 // Del removes keys, returning how many existed.
 func (c *Client) Del(keys ...string) (int64, error) {
-	args := make([][]byte, len(keys))
-	for i, k := range keys {
-		args[i] = []byte(k)
-	}
-	v, err := c.Do("DEL", args...)
+	v, err := c.do("DEL", keys)
 	if err != nil {
 		return 0, err
 	}
@@ -121,7 +118,7 @@ func (c *Client) Del(keys ...string) (int64, error) {
 
 // Exists reports whether key is present.
 func (c *Client) Exists(key string) (bool, error) {
-	v, err := c.Do("EXISTS", []byte(key))
+	v, err := c.do("EXISTS", []string{key})
 	if err != nil {
 		return false, err
 	}
@@ -130,7 +127,7 @@ func (c *Client) Exists(key string) (bool, error) {
 
 // Keys returns keys matching a glob pattern.
 func (c *Client) Keys(pattern string) ([]string, error) {
-	v, err := c.Do("KEYS", []byte(pattern))
+	v, err := c.do("KEYS", []string{pattern})
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -64,6 +65,17 @@ func TestRESPError(t *testing.T) {
 	got := respRoundTrip(t, Errorf("ERR boom %d", 7))
 	if got.Kind != KindError || got.Str != "ERR boom 7" {
 		t.Fatalf("got %+v", got)
+	}
+}
+
+// TestRESPLineLongerThanBuffer: a status or error line longer than the
+// reader's buffer is gathered whole.
+func TestRESPLineLongerThanBuffer(t *testing.T) {
+	long := strings.Repeat("x", 3*4096+17)
+	for _, v := range []Value{Simple(long), Errorf("ERR %s", long)} {
+		if got := respRoundTrip(t, v); !reflect.DeepEqual(got, v) {
+			t.Fatalf("got a %d-byte %v line back, want %d bytes", len(got.Str), got.Kind, len(v.Str))
+		}
 	}
 }
 
@@ -615,5 +627,61 @@ func TestGlobMatch(t *testing.T) {
 		if got := globMatch(tc.pattern, tc.s); got != tc.want {
 			t.Errorf("globMatch(%q,%q) = %v, want %v", tc.pattern, tc.s, got, tc.want)
 		}
+	}
+}
+
+// loopReader serves one reply over and over, as a server answering every
+// command alike would.
+type loopReader struct {
+	reply []byte
+	off   int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.reply[l.off:])
+	l.off = (l.off + n) % len(l.reply)
+	return n, nil
+}
+
+// TestClientControlPlaneAllocatesNothing: the calls a staging poll loop
+// makes — Exists, a small Set, a GetInto whose buffer holds the value,
+// Del — allocate nothing in the client. The replies are canned, so the
+// count is the client's alone, not the server's.
+func TestClientControlPlaneAllocatesNothing(t *testing.T) {
+	val, dst := []byte("12"), make([]byte, 0, 16)
+	for _, c := range []struct {
+		name, reply string
+		op          func(*Client) error
+	}{
+		{"Exists", ":1\r\n", func(c *Client) error { _, err := c.Exists("snap/12"); return err }},
+		{"Set", "+OK\r\n", func(c *Client) error { return c.Set("control/head", val) }},
+		{"GetInto", "$5\r\nhello\r\n", func(c *Client) error { _, err := c.GetInto("control/head", dst); return err }},
+		{"Del", ":1\r\n", func(c *Client) error { _, err := c.Del("snap/12"); return err }},
+	} {
+		cl := &Client{r: NewReader(&loopReader{reply: []byte(c.reply)}), w: NewWriter(io.Discard)}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := c.op(cl); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s allocates %v times, want 0", c.name, allocs)
+		}
+	}
+}
+
+// TestClientEncodesAsWriter: a command the client encodes straight into
+// its writer is the frame Writer makes of the same Values, byte for byte.
+func TestClientEncodesAsWriter(t *testing.T) {
+	var got, want bytes.Buffer
+	c := &Client{w: NewWriter(&got)}
+	big := bytes.Repeat([]byte{'\r'}, 5000)
+	if err := c.send("MSET", []string{"k", ""}, []byte("v\r\n"), nil, big); err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(&want)
+	w.Write(Array(BulkString("MSET"), BulkString("k"), BulkString(""), Bulk([]byte("v\r\n")), Bulk(nil), Bulk(big)))
+	w.Flush()
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("client sent %q, Writer encodes %q", got.Bytes(), want.Bytes())
 	}
 }

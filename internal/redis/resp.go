@@ -110,18 +110,14 @@ func (w *Writer) Write(v Value) error {
 		if v.Null {
 			w.w.WriteString("$-1")
 		} else {
-			w.w.WriteByte('$')
-			w.w.WriteString(strconv.Itoa(len(v.Bulk)))
-			w.w.WriteString("\r\n")
+			w.header('$', len(v.Bulk))
 			w.w.Write(v.Bulk)
 		}
 	case KindArray:
 		if v.Null {
 			w.w.WriteString("*-1")
 		} else {
-			w.w.WriteByte('*')
-			w.w.WriteString(strconv.Itoa(len(v.Array)))
-			w.w.WriteString("\r\n")
+			w.header('*', len(v.Array))
 			for _, el := range v.Array {
 				if err := w.Write(el); err != nil {
 					return err
@@ -134,6 +130,26 @@ func (w *Writer) Write(v Value) error {
 	}
 	_, err := w.w.WriteString("\r\n")
 	return err
+}
+
+// header writes a type byte, a decimal length and CRLF.
+func (w *Writer) header(kind byte, n int) {
+	b := strconv.AppendInt(append(w.w.AvailableBuffer(), kind), int64(n), 10)
+	w.w.Write(append(b, '\r', '\n'))
+}
+
+// bulkString and bulk write one bulk string, as Write(Bulk(...)) does.
+// Errors stick in the buffered writer until Flush.
+func (w *Writer) bulkString(s string) {
+	w.header('$', len(s))
+	w.w.WriteString(s)
+	w.w.WriteString("\r\n")
+}
+
+func (w *Writer) bulk(b []byte) {
+	w.header('$', len(b))
+	w.w.Write(b)
+	w.w.WriteString("\r\n")
 }
 
 // Flush pushes buffered output to the underlying stream.
@@ -165,16 +181,19 @@ func (r *Reader) read(depth int) (Value, error) {
 	switch t {
 	case '+':
 		s, err := r.line()
-		return Value{Kind: KindSimple, Str: s}, err
+		if string(s) == "OK" {
+			return Simple("OK"), err // every SET's reply: one shared string
+		}
+		return Value{Kind: KindSimple, Str: string(s)}, err
 	case '-':
 		s, err := r.line()
-		return Value{Kind: KindError, Str: s}, err
+		return Value{Kind: KindError, Str: string(s)}, err
 	case ':':
 		s, err := r.line()
 		if err != nil {
 			return Value{}, err
 		}
-		n, err := strconv.ParseInt(s, 10, 64)
+		n, err := strconv.ParseInt(string(s), 10, 64)
 		if err != nil {
 			return Value{}, fmt.Errorf("%w: bad integer %q", ErrProtocol, s)
 		}
@@ -260,16 +279,26 @@ func (r *Reader) bulk(dst []byte) (Value, error) {
 	return Bulk(buf), nil
 }
 
-// line reads one CRLF-terminated line (without the terminator).
-func (r *Reader) line() (string, error) {
-	s, err := r.r.ReadString('\n')
+// line reads one CRLF-terminated line (without the terminator). The
+// slice aliases the reader's buffer, valid until its next read; a line
+// longer than the buffer is gathered into a new one.
+func (r *Reader) line() ([]byte, error) {
+	b, err := r.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		long := append([]byte(nil), b...)
+		for err == bufio.ErrBufferFull {
+			b, err = r.r.ReadSlice('\n')
+			long = append(long, b...)
+		}
+		b = long
+	}
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if len(s) < 2 || s[len(s)-2] != '\r' {
-		return "", fmt.Errorf("%w: line not CRLF-terminated", ErrProtocol)
+	if len(b) < 2 || b[len(b)-2] != '\r' {
+		return nil, fmt.Errorf("%w: line not CRLF-terminated", ErrProtocol)
 	}
-	return s[:len(s)-2], nil
+	return b[:len(b)-2], nil
 }
 
 // length reads a CRLF-terminated signed length.
@@ -278,7 +307,7 @@ func (r *Reader) length() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, err := strconv.Atoi(s)
+	n, err := strconv.Atoi(string(s))
 	if err != nil {
 		return 0, fmt.Errorf("%w: bad length %q", ErrProtocol, s)
 	}
