@@ -37,16 +37,17 @@ func (l *loader) row(i int) []float64 {
 // floats each. A short tail is dropped, and so is any row holding a NaN
 // or an infinity — before it is committed, so a rejected row never
 // displaces a good one, even when the ring is full. Each run of finite
-// rows is copied in as a block; the ring ends exactly where committing
-// the rows one at a time would leave it.
+// rows is copied in as a block, and the ring ends exactly where
+// committing the rows one at a time would leave it.
 func (l *loader) ingest(raw []byte) {
-	rowBytes := 8 * l.w
+	w, rowBytes := l.w, 8*l.w
 	raw = raw[:len(raw)-len(raw)%rowBytes]
 	l.reserve(len(raw) / rowBytes)
-	// Scan a block of rows at a time, and row by row only inside a block
-	// that holds a non-finite word.
+	capRows := len(l.buf) / w
 	block := rowBytes * max(1, 4096/rowBytes)
 	for len(raw) > 0 {
+		// Find the run of finite rows ahead a block of rows at a time,
+		// and row by row only inside a block holding a non-finite word.
 		run := 0
 		for run < len(raw) && finiteRow(raw[run:min(run+block, len(raw))]) {
 			run = min(run+block, len(raw))
@@ -54,40 +55,21 @@ func (l *loader) ingest(raw []byte) {
 		for run < len(raw) && finiteRow(raw[run:run+rowBytes]) {
 			run += rowBytes
 		}
-		l.push(raw[:run])
+		// Each row takes the slot after the newest: a free one while the
+		// ring is filling, the oldest row's once it is full. The run goes
+		// in as segments split at the wrap.
+		for src := raw[:run]; len(src) > 0; {
+			p := (l.head + l.n) % capRows
+			seg := min(len(src)/rowBytes, capRows-p)
+			decodeInto(l.buf[p*w:(p+seg)*w], src[:seg*rowBytes])
+			fill := min(seg, capRows-l.n)
+			l.n, l.head = l.n+fill, (l.head+seg-fill)%capRows
+			src = src[seg*rowBytes:]
+		}
 		// Drop the corrupt row that ended the run rather than poison
 		// training.
 		raw = raw[min(run+rowBytes, len(raw)):]
 	}
-}
-
-// push commits the whole, finite rows of src in order, each to the slot
-// after the newest row: a free one while the ring is filling, the
-// oldest row's once it is full. Rows a later row of src would overwrite
-// are never copied, and the rest go in at most two segments, split at
-// the wrap.
-func (l *loader) push(src []byte) {
-	w, capRows := l.w, len(l.buf)/l.w
-	rows := len(src) / (8 * w)
-	if skip := rows - capRows; skip > 0 {
-		l.advance(skip, capRows)
-		src, rows = src[8*w*skip:], capRows
-	}
-	for rows > 0 {
-		p := (l.head + l.n) % capRows
-		seg := min(rows, capRows-p)
-		decodeInto(l.buf[p*w:(p+seg)*w], src[:8*w*seg])
-		l.advance(seg, capRows)
-		src, rows = src[8*w*seg:], rows-seg
-	}
-}
-
-// advance accounts for rows more rows committed: they fill free slots
-// first, and each one past those evicts the oldest row.
-func (l *loader) advance(rows, capRows int) {
-	fill := min(rows, capRows-l.n)
-	l.n += fill
-	l.head = (l.head + rows - fill) % capRows
 }
 
 // reserve makes room for extra more rows, at least doubling the storage

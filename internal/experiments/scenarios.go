@@ -335,17 +335,15 @@ func streamingGridVia(ctx context.Context, p scenario.Params, run streamingCellR
 	// in that order, and files each point under its index.
 	sweepCells := func(cells []int) error {
 		rep := sweep.Run(ctx, len(cells), p.Guardrails(), func(ctx context.Context, i int) (StreamingPoint, error) {
-			c := cells[i]
-			return run(ctx, StreamingConfig{SizeMB: StreamingSizes[c/n], Clock: p.Clock}, streamingMethods[c%n])
+			return run(ctx, StreamingConfig{SizeMB: StreamingSizes[cells[i]/n], Clock: p.Clock}, streamingMethods[cells[i]%n])
 		})
 		if rep.CtxErr != nil {
 			return rep.CtxErr
 		}
 		if len(rep.Failures) > 0 {
-			first := slices.MinFunc(rep.Failures, func(a, b *sweep.CellError) int {
+			return slices.MinFunc(rep.Failures, func(a, b *sweep.CellError) int {
 				return cmp.Compare(cells[a.Index], cells[b.Index])
-			})
-			return first.Err
+			}).Err
 		}
 		for i, c := range cells {
 			points[c] = rep.Values[i]
@@ -353,11 +351,9 @@ func streamingGridVia(ctx context.Context, p scenario.Params, run streamingCellR
 		return nil
 	}
 	if clock.IsVirtual(p.Clock) {
-		cells := make([]int, 0, len(points))
-		for size := len(StreamingSizes) - 1; size >= 0; size-- {
-			for method := range n {
-				cells = append(cells, size*n+method)
-			}
+		cells := make([]int, len(points))
+		for i := range cells {
+			cells[i] = (len(StreamingSizes)-1-i/n)*n + i%n // largest size first
 		}
 		if err := sweepCells(cells); err != nil {
 			return nil, err

@@ -156,12 +156,8 @@ func (l *Linear) Backward(grad [][]float64) [][]float64 {
 				r1[i] += g1 * xv
 				r2[i] += g2 * xv
 				r3[i] += g3 * xv
-				d := row[i]
-				d += g0 * w0[i]
-				d += g1 * w1[i]
-				d += g2 * w2[i]
-				d += g3 * w3[i]
-				row[i] = d
+				// Left to right: not row[i] += (the four products).
+				row[i] = row[i] + g0*w0[i] + g1*w1[i] + g2*w2[i] + g3*w3[i]
 			}
 		}
 		for ; o < l.Out; o++ {

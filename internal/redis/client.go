@@ -58,7 +58,7 @@ func (c *Client) send(cmd string, keys []string, vals ...[]byte) error {
 		c.w.bulkString(k)
 	}
 	for _, v := range vals {
-		c.w.bulk(v)
+		c.w.Write(Bulk(v))
 	}
 	if err := c.w.Flush(); err != nil {
 		return fmt.Errorf("redis: send %s: %w", cmd, err)

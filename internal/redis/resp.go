@@ -138,17 +138,11 @@ func (w *Writer) header(kind byte, n int) {
 	w.w.Write(append(b, '\r', '\n'))
 }
 
-// bulkString and bulk write one bulk string, as Write(Bulk(...)) does.
-// Errors stick in the buffered writer until Flush.
+// bulkString writes s as a bulk string, as Write(BulkString(s)) does
+// without copying s. Errors stick in the buffered writer until Flush.
 func (w *Writer) bulkString(s string) {
 	w.header('$', len(s))
 	w.w.WriteString(s)
-	w.w.WriteString("\r\n")
-}
-
-func (w *Writer) bulk(b []byte) {
-	w.header('$', len(b))
-	w.w.Write(b)
 	w.w.WriteString("\r\n")
 }
 
