@@ -49,10 +49,10 @@ func (l *loader) ingest(raw []byte) {
 		// Find the run of finite rows ahead a block of rows at a time,
 		// and row by row only inside a block holding a non-finite word.
 		run := 0
-		for run < len(raw) && finiteRow(raw[run:min(run+block, len(raw))]) {
+		for run < len(raw) && allFinite(raw[run:min(run+block, len(raw))]) {
 			run = min(run+block, len(raw))
 		}
-		for run < len(raw) && finiteRow(raw[run:run+rowBytes]) {
+		for run < len(raw) && allFinite(raw[run:run+rowBytes]) {
 			run += rowBytes
 		}
 		// Each row takes the slot after the newest: a free one while the
@@ -86,10 +86,10 @@ func (l *loader) reserve(extra int) {
 	l.buf = grown
 }
 
-// finiteRow reports whether every little-endian float64 in b is a finite
+// allFinite reports whether every little-endian float64 in b is a finite
 // number, in one branch-free pass: a word's exponent bits are all ones
 // exactly when adding 1 to them carries into the sign bit.
-func finiteRow(b []byte) bool {
+func allFinite(b []byte) bool {
 	const expMask, expOne = 0x7ff << 52, 1 << 52
 	le := binary.LittleEndian
 	var carry uint64

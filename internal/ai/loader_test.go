@@ -36,9 +36,9 @@ func (r *refLoader) ingest(raw []byte) {
 	}
 }
 
-// refFiniteRow is the per-word check: a float64 is finite unless its
+// refAllFinite is the per-word check: a float64 is finite unless its
 // exponent bits are all ones.
-func refFiniteRow(b []byte) bool {
+func refAllFinite(b []byte) bool {
 	for ; len(b) >= 8; b = b[8:] {
 		if v := math.Float64frombits(binary.LittleEndian.Uint64(b)); math.IsNaN(v) || math.IsInf(v, 0) {
 			return false
@@ -57,7 +57,7 @@ func refRingIngest(l *loader, raw []byte) {
 	l.reserve(len(raw) / rowBytes)
 	capRows := len(l.buf) / w
 	for ; len(raw) >= rowBytes; raw = raw[rowBytes:] {
-		if !refFiniteRow(raw[:rowBytes]) {
+		if !refAllFinite(raw[:rowBytes]) {
 			continue
 		}
 		p := (l.head + l.n) % capRows
@@ -275,10 +275,10 @@ func configWithInput(w int) config.AIConfig {
 	return config.AIConfig{Layers: []int{w, 4, 2}, LR: 0.01, Batch: 8}
 }
 
-// TestFiniteRowMatchesPerWordCheck: with NaN, ±Inf, ±MaxFloat64, the
+// TestAllFiniteMatchesPerWordCheck: with NaN, ±Inf, ±MaxFloat64, the
 // smallest subnormal or ±0 at every word offset of rows up to nine words
 // long, the row check agrees with the per-word one.
-func TestFiniteRowMatchesPerWordCheck(t *testing.T) {
+func TestAllFiniteMatchesPerWordCheck(t *testing.T) {
 	specials := []float64{math.NaN(), math.Float64frombits(0xfff8000000000001), math.Inf(1), math.Inf(-1),
 		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
 		0, math.Copysign(0, -1), 1.5}
@@ -291,8 +291,8 @@ func TestFiniteRowMatchesPerWordCheck(t *testing.T) {
 				}
 				row[at] = v
 				raw := EncodeFloat64s(row)
-				if got, want := finiteRow(raw), refFiniteRow(raw); got != want {
-					t.Fatalf("%v at word %d of %d: finiteRow = %v, per-word check %v", v, at, words, got, want)
+				if got, want := allFinite(raw), refAllFinite(raw); got != want {
+					t.Fatalf("%v at word %d of %d: allFinite = %v, per-word check %v", v, at, words, got, want)
 				}
 			}
 		}

@@ -51,6 +51,7 @@ func (c *Client) do(cmd string, keys []string, vals ...[]byte) (Value, error) {
 
 // send encodes one command — an array of bulk strings: cmd, keys, then
 // vals — straight into the writer, building no Values, and flushes it.
+// A failed write sticks in the buffered writer, so Flush reports it.
 func (c *Client) send(cmd string, keys []string, vals ...[]byte) error {
 	c.w.header('*', 1+len(keys)+len(vals))
 	c.w.bulkString(cmd)
