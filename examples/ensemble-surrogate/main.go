@@ -117,7 +117,11 @@ func main() {
 						}
 					}
 					if step%10 == 0 {
-						if stop, _ := store.Poll("stop"); stop {
+						stop, err := store.Poll("stop")
+						if err != nil {
+							return err
+						}
+						if stop {
 							return nil
 						}
 					}
@@ -155,15 +159,25 @@ func main() {
 					continue
 				}
 				// Block until every member has fresh data, then read all
-				// of it — the consistent-workload rule of the paper.
+				// of it — the consistent-workload rule of the paper. A
+				// head not yet staged, or not yet moved, is "not yet";
+				// any error ends the trainer.
 				fetchStart := time.Now()
 				for m := 0; m < *members; m++ {
 					headKey := fmt.Sprintf("member%d/head", m)
 					var head []byte
 					for {
-						head, err = store.StageRead(headKey)
-						if err == nil && string(head) != lastHead[m] {
-							break
+						staged, err := store.Poll(headKey)
+						if err != nil {
+							return err
+						}
+						if staged {
+							if head, err = store.StageRead(headKey); err != nil {
+								return err
+							}
+							if string(head) != lastHead[m] {
+								break
+							}
 						}
 						time.Sleep(time.Duration(*timeScale * float64(time.Millisecond) * 100))
 					}

@@ -98,10 +98,6 @@ type Store interface {
 	// Clean removes the given keys; missing keys are ignored
 	// (clean_staged_data).
 	Clean(keys ...string) error
-	// Keys lists staged keys (diagnostics, ensemble discovery).
-	Keys() ([]string, error)
-	// Backend reports which transport this store uses.
-	Backend() Backend
 	// Close releases client resources (servers are owned by the
 	// ServerManager, not the client).
 	Close() error
@@ -128,21 +124,7 @@ func Connect(info ClientInfo) (Store, error) {
 		}
 		return &redisStore{cluster: cl}, nil
 	case Dragon:
-		if len(info.Addrs) == 0 {
-			return nil, errors.New("datastore: dragon needs server addresses")
-		}
-		eps := make([]dragon.Endpoint, 0, len(info.Addrs))
-		for _, a := range info.Addrs {
-			ep, err := dragon.DialEndpoint(a)
-			if err != nil {
-				for _, e := range eps {
-					e.Close()
-				}
-				return nil, err
-			}
-			eps = append(eps, ep)
-		}
-		d, err := dragon.Attach(eps...)
+		d, err := dragon.Dial(info.Addrs)
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +138,7 @@ func Connect(info ClientInfo) (Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &fsStore{store: st, backend: info.Backend}, nil
+		return &fsStore{store: st}, nil
 	}
 	return nil, fmt.Errorf("datastore: unknown backend %v", info.Backend)
 }
@@ -164,8 +146,7 @@ func Connect(info ClientInfo) (Store, error) {
 // --- file-backed store (node-local and filesystem) ---
 
 type fsStore struct {
-	store   *fskv.Store
-	backend Backend
+	store *fskv.Store
 }
 
 func (s *fsStore) StageWrite(key string, value []byte) error { return s.store.Put(key, value) }
@@ -194,9 +175,7 @@ func (s *fsStore) Clean(keys ...string) error {
 	return nil
 }
 
-func (s *fsStore) Keys() ([]string, error) { return s.store.Keys() }
-func (s *fsStore) Backend() Backend        { return s.backend }
-func (s *fsStore) Close() error            { return nil }
+func (s *fsStore) Close() error { return nil }
 
 // --- redis-backed store ---
 
@@ -230,9 +209,7 @@ func (s *redisStore) Clean(keys ...string) error {
 	return nil
 }
 
-func (s *redisStore) Keys() ([]string, error) { return s.cluster.Keys("*") }
-func (s *redisStore) Backend() Backend        { return Redis }
-func (s *redisStore) Close() error            { return s.cluster.Close() }
+func (s *redisStore) Close() error { return s.cluster.Close() }
 
 // --- dragon-backed store ---
 
@@ -279,6 +256,4 @@ func (s *dragonStore) Clean(keys ...string) error {
 	return nil
 }
 
-func (s *dragonStore) Keys() ([]string, error) { return s.dict.Keys() }
-func (s *dragonStore) Backend() Backend        { return Dragon }
-func (s *dragonStore) Close() error            { return s.dict.Close() }
+func (s *dragonStore) Close() error { return s.dict.Close() }

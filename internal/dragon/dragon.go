@@ -3,10 +3,8 @@
 // processes (one per node in the paper's deployments), and clients attach
 // to all managers and route each operation directly to the owning shard.
 //
-// Two transports are provided, mirroring Dragon's channel abstraction:
-// an in-process transport (goroutine + request channel per manager) used
-// when client and manager share an address space, and a TCP transport
-// with a compact length-prefixed binary protocol for cross-process use.
+// Managers serve their shard over TCP with a compact length-prefixed
+// binary protocol (tcp.go); Dial attaches a client to every manager.
 // The binary protocol deliberately has lower framing overhead than RESP,
 // reflecting the paper's observation that Dragon outperforms Redis on
 // raw throughput.
@@ -16,7 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"net"
 	"sync"
 )
 
@@ -26,254 +24,139 @@ var ErrNotFound = errors.New("dragon: key not found")
 // ErrClosed reports use after Close.
 var ErrClosed = errors.New("dragon: closed")
 
-// Manager owns one shard of the dictionary. All operations funnel through
-// a single serve goroutine over a request channel — the analogue of a
-// Dragon channel endpoint — so shard state needs no locks.
+// Manager owns one shard of the dictionary: a map behind one mutex, so
+// the shard serves one operation at a time. A put keeps the request's
+// own buffer and a get hands out the stored slice: a stored value is
+// never written again (a put replaces the entry), so the slice stays
+// valid to write to a socket after the lock is released.
 type Manager struct {
-	requests chan managerReq
-	quit     chan struct{}
-	done     chan struct{}
-	data     map[string][]byte
-	closed   sync.Once
+	mu   sync.Mutex
+	data map[string][]byte // nil once closed
 }
 
-type managerOp int
-
+// The operations a request names.
 const (
-	opPut managerOp = iota
+	opPut byte = iota
 	opGet
 	opDel
 	opHas
-	opKeys
-	opLen
 )
 
-type managerReq struct {
-	op    managerOp
-	key   string
-	value []byte
-	reply chan managerResp
-}
+// NewManager returns a manager with an empty shard.
+func NewManager() *Manager { return &Manager{data: make(map[string][]byte)} }
 
-type managerResp struct {
-	value []byte
-	keys  []string
-	found bool
-	n     int
-}
-
-// NewManager starts a manager with an empty shard.
-func NewManager() *Manager {
-	m := &Manager{
-		requests: make(chan managerReq, 64),
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
-		data:     make(map[string][]byte),
+// handle applies one request to the shard and returns the response's
+// status and payload.
+func (m *Manager) handle(op byte, key string, value []byte) (status byte, payload []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.data == nil {
+		return statusError, []byte(ErrClosed.Error())
 	}
-	go m.serve()
-	return m
-}
-
-func (m *Manager) serve() {
-	defer close(m.done)
-	for {
-		select {
-		case req := <-m.requests:
-			req.reply <- m.handle(req)
-		case <-m.quit:
-			return
-		}
-	}
-}
-
-func (m *Manager) handle(req managerReq) managerResp {
-	switch req.op {
+	switch op {
 	case opPut:
-		buf := make([]byte, len(req.value))
-		copy(buf, req.value)
-		m.data[req.key] = buf
-		return managerResp{found: true}
+		m.data[key] = value
+		return statusOK, nil
 	case opGet:
-		v, ok := m.data[req.key]
+		v, ok := m.data[key]
 		if !ok {
-			return managerResp{}
+			return statusNotFound, nil
 		}
-		out := make([]byte, len(v))
-		copy(out, v)
-		return managerResp{value: out, found: true}
+		return statusOK, v
 	case opDel:
-		_, ok := m.data[req.key]
-		delete(m.data, req.key)
-		return managerResp{found: ok}
+		delete(m.data, key)
+		return statusOK, nil
 	case opHas:
-		_, ok := m.data[req.key]
-		return managerResp{found: ok}
-	case opKeys:
-		keys := make([]string, 0, len(m.data))
-		for k := range m.data {
-			keys = append(keys, k)
+		_, ok := m.data[key]
+		if ok {
+			return statusOK, []byte{1}
 		}
-		sort.Strings(keys)
-		return managerResp{keys: keys, found: true}
-	case opLen:
-		return managerResp{n: len(m.data), found: true}
+		return statusOK, []byte{0}
 	}
-	return managerResp{}
+	return statusError, fmt.Appendf(nil, "dragon: unknown op %d", op)
 }
 
-// call performs one round trip to the serve goroutine.
-func (m *Manager) call(req managerReq) (managerResp, error) {
-	req.reply = make(chan managerResp, 1)
-	select {
-	case m.requests <- req:
-	case <-m.quit:
-		return managerResp{}, ErrClosed
-	}
-	select {
-	case resp := <-req.reply:
-		return resp, nil
-	case <-m.quit:
-		return managerResp{}, ErrClosed
-	}
-}
-
-// Close stops the serve goroutine. Idempotent.
+// Close drops the shard; every later request gets ErrClosed.
+// Idempotent.
 func (m *Manager) Close() {
-	m.closed.Do(func() { close(m.quit) })
-	<-m.done
+	m.mu.Lock()
+	m.data = nil
+	m.mu.Unlock()
 }
 
-// Endpoint is one attachable shard endpoint: either a local manager or a
-// TCP connection to a remote one.
-type Endpoint interface {
-	Put(key string, value []byte) error
-	Get(key string) ([]byte, error)
-	Del(key string) error
-	Has(key string) (bool, error)
-	Keys() ([]string, error)
-	Len() (int, error)
-	Close() error
-}
-
-// localEndpoint adapts a Manager to the Endpoint interface in-process.
-type localEndpoint struct{ m *Manager }
-
-// Local returns an in-process endpoint for m.
-func Local(m *Manager) Endpoint { return localEndpoint{m} }
-
-func (e localEndpoint) Put(key string, value []byte) error {
-	_, err := e.m.call(managerReq{op: opPut, key: key, value: value})
-	return err
-}
-
-func (e localEndpoint) Get(key string) ([]byte, error) {
-	resp, err := e.m.call(managerReq{op: opGet, key: key})
-	if err != nil {
-		return nil, err
-	}
-	if !resp.found {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
-	}
-	return resp.value, nil
-}
-
-func (e localEndpoint) Del(key string) error {
-	_, err := e.m.call(managerReq{op: opDel, key: key})
-	return err
-}
-
-func (e localEndpoint) Has(key string) (bool, error) {
-	resp, err := e.m.call(managerReq{op: opHas, key: key})
-	return resp.found, err
-}
-
-func (e localEndpoint) Keys() ([]string, error) {
-	resp, err := e.m.call(managerReq{op: opKeys})
-	return resp.keys, err
-}
-
-func (e localEndpoint) Len() (int, error) {
-	resp, err := e.m.call(managerReq{op: opLen})
-	return resp.n, err
-}
-
-func (e localEndpoint) Close() error { return nil }
-
-// Dict is the client view of the distributed dictionary: a set of
-// endpoints (one per manager) with hash routing.
+// Dict is the client view of the distributed dictionary: one connection
+// per manager, with hash routing. It is safe for concurrent use;
+// requests to one manager serialize over its connection.
 type Dict struct {
-	eps []Endpoint
+	shards []*managerConn
 }
 
-// Attach builds a dictionary over the given endpoints. Endpoint order
-// must be identical across all clients for routing to agree.
-func Attach(eps ...Endpoint) (*Dict, error) {
-	if len(eps) == 0 {
-		return nil, errors.New("dragon: attach needs at least one endpoint")
+// Dial attaches to the managers served at addrs. Address order must be
+// identical across all clients for routing to agree.
+func Dial(addrs []string) (*Dict, error) {
+	if len(addrs) == 0 {
+		return nil, errors.New("dragon: dial needs at least one manager address")
 	}
-	return &Dict{eps: eps}, nil
+	d := &Dict{}
+	for _, a := range addrs {
+		c, err := net.Dial("tcp", a)
+		if err != nil {
+			d.Close()
+			return nil, fmt.Errorf("dragon: dial %s: %w", a, err)
+		}
+		d.shards = append(d.shards, newManagerConn(c))
+	}
+	return d, nil
 }
 
 // Route returns the shard index for key (FNV-1a).
 func (d *Dict) Route(key string) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(len(d.eps)))
+	return int(h.Sum32() % uint32(len(d.shards)))
+}
+
+// do sends one request to key's shard and returns the response payload.
+func (d *Dict) do(op byte, key string, value []byte) ([]byte, error) {
+	status, payload, err := d.shards[d.Route(key)].roundTrip(op, key, value)
+	if err != nil {
+		return nil, err
+	}
+	switch status {
+	case statusOK:
+		return payload, nil
+	case statusNotFound:
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+	}
+	return nil, fmt.Errorf("dragon: server error: %s", payload)
 }
 
 // Put stores value under key on its owning shard.
 func (d *Dict) Put(key string, value []byte) error {
-	return d.eps[d.Route(key)].Put(key, value)
+	_, err := d.do(opPut, key, value)
+	return err
 }
 
-// Get fetches key from its owning shard.
-func (d *Dict) Get(key string) ([]byte, error) {
-	return d.eps[d.Route(key)].Get(key)
-}
+// Get fetches key from its owning shard into a new buffer.
+func (d *Dict) Get(key string) ([]byte, error) { return d.do(opGet, key, nil) }
 
-// Del removes key.
+// Del removes key; a missing key is not an error.
 func (d *Dict) Del(key string) error {
-	return d.eps[d.Route(key)].Del(key)
+	_, err := d.do(opDel, key, nil)
+	return err
 }
 
 // Has reports whether key is present.
 func (d *Dict) Has(key string) (bool, error) {
-	return d.eps[d.Route(key)].Has(key)
+	payload, err := d.do(opHas, key, nil)
+	return len(payload) == 1 && payload[0] == 1, err
 }
 
-// Keys merges all shards' keys (each shard's keys are sorted; the merged
-// result is globally sorted).
-func (d *Dict) Keys() ([]string, error) {
-	var all []string
-	for _, ep := range d.eps {
-		ks, err := ep.Keys()
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, ks...)
-	}
-	sort.Strings(all)
-	return all, nil
-}
-
-// Len sums shard sizes.
-func (d *Dict) Len() (int, error) {
-	total := 0
-	for _, ep := range d.eps {
-		n, err := ep.Len()
-		if err != nil {
-			return 0, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// Close closes every endpoint.
+// Close closes every manager connection.
 func (d *Dict) Close() error {
 	var first error
-	for _, ep := range d.eps {
-		if err := ep.Close(); err != nil && first == nil {
+	for _, c := range d.shards {
+		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

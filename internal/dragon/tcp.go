@@ -18,15 +18,19 @@ import (
 //	[1B status][8B payload length][payload]
 //
 // Status 0 = ok, 1 = not found, 2 = error (payload is the message).
-// Keys lists are encoded as repeated [4B len][bytes] inside the payload.
 const (
 	statusOK byte = iota
 	statusNotFound
 	statusError
 )
 
-// maxWireValue bounds a single value (1 GiB) to catch corrupt frames.
-const maxWireValue = 1 << 30
+// Frame limits, checked before anything is allocated for a frame:
+// maxWireKey bounds a key (as internal/stream bounds a stream name) and
+// maxWireValue a value or payload (1 GiB).
+const (
+	maxWireKey   = 1 << 16
+	maxWireValue = 1 << 30
+)
 
 // Serve exposes manager m on ln until the listener closes. It returns
 // once the accept loop exits; per-connection goroutines drain on their
@@ -52,6 +56,8 @@ func ListenAndServe(m *Manager, addr string) (net.Listener, error) {
 	return ln, nil
 }
 
+// serveConn answers one connection's requests in order until it closes
+// or sends a frame that cannot be decoded.
 func serveConn(m *Manager, conn net.Conn) {
 	defer conn.Close()
 	r := bufio.NewReader(conn)
@@ -61,43 +67,24 @@ func serveConn(m *Manager, conn net.Conn) {
 		if err != nil {
 			return
 		}
-		var status byte
-		var payload []byte
-		resp, err := m.call(managerReq{op: op, key: key, value: value})
-		switch {
-		case err != nil:
-			status, payload = statusError, []byte(err.Error())
-		case op == opGet && !resp.found:
-			status = statusNotFound
-		case op == opHas:
-			if resp.found {
-				payload = []byte{1}
-			} else {
-				payload = []byte{0}
-			}
-		case op == opGet:
-			payload = resp.value
-		case op == opKeys:
-			payload = encodeKeys(resp.keys)
-		case op == opLen:
-			payload = make([]byte, 8)
-			binary.BigEndian.PutUint64(payload, uint64(resp.n))
-		}
+		status, payload := m.handle(op, key, value)
 		if err := writeResponse(w, status, payload); err != nil {
 			return
 		}
 	}
 }
 
-func readRequest(r *bufio.Reader) (op managerOp, key string, value []byte, err error) {
+// readRequest decodes one request. The value is a new buffer the caller
+// owns.
+func readRequest(r *bufio.Reader) (op byte, key string, value []byte, err error) {
 	var hdr [5]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return
 	}
-	op = managerOp(hdr[0])
+	op = hdr[0]
 	keyLen := binary.BigEndian.Uint32(hdr[1:])
-	if keyLen > maxWireValue {
-		err = fmt.Errorf("dragon: key length %d exceeds limit", keyLen)
+	if keyLen > maxWireKey {
+		err = fmt.Errorf("dragon: key length %d exceeds limit %d", keyLen, maxWireKey)
 		return
 	}
 	keyBuf := make([]byte, keyLen)
@@ -120,177 +107,60 @@ func readRequest(r *bufio.Reader) (op managerOp, key string, value []byte, err e
 	return op, string(keyBuf), value, nil
 }
 
+// writeRequest encodes one request and flushes it.
+func writeRequest(w *bufio.Writer, op byte, key string, value []byte) error {
+	hdr := binary.BigEndian.AppendUint32(append(w.AvailableBuffer(), op), uint32(len(key)))
+	w.Write(hdr)
+	w.WriteString(key)
+	w.Write(binary.BigEndian.AppendUint64(w.AvailableBuffer(), uint64(len(value))))
+	w.Write(value)
+	return w.Flush() // a failed write sticks in w, so Flush reports it
+}
+
 func writeResponse(w *bufio.Writer, status byte, payload []byte) error {
-	if err := w.WriteByte(status); err != nil {
-		return err
-	}
-	var lenBuf [8]byte
-	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(payload)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
+	hdr := binary.BigEndian.AppendUint64(append(w.AvailableBuffer(), status), uint64(len(payload)))
+	w.Write(hdr)
+	w.Write(payload)
 	return w.Flush()
 }
 
-func encodeKeys(keys []string) []byte {
-	var out []byte
-	var lenBuf [4]byte
-	for _, k := range keys {
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(k)))
-		out = append(out, lenBuf[:]...)
-		out = append(out, k...)
-	}
-	return out
+// managerConn is a client connection to one manager. Safe for
+// concurrent use; requests serialize over the one connection.
+type managerConn struct {
+	mu sync.Mutex
+	c  net.Conn
+	r  *bufio.Reader
+	w  *bufio.Writer
 }
 
-func decodeKeys(payload []byte) ([]string, error) {
-	var keys []string
-	for len(payload) > 0 {
-		if len(payload) < 4 {
-			return nil, fmt.Errorf("dragon: truncated key list")
-		}
-		n := binary.BigEndian.Uint32(payload)
-		payload = payload[4:]
-		if uint32(len(payload)) < n {
-			return nil, fmt.Errorf("dragon: truncated key")
-		}
-		keys = append(keys, string(payload[:n]))
-		payload = payload[n:]
-	}
-	return keys, nil
+func newManagerConn(c net.Conn) *managerConn {
+	return &managerConn{c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c)}
 }
 
-// tcpEndpoint is a client connection to a remote manager. Safe for
-// concurrent use; requests serialize over one connection.
-type tcpEndpoint struct {
-	mu   sync.Mutex
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-}
-
-// DialEndpoint connects to a manager served at addr.
-func DialEndpoint(addr string) (Endpoint, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dragon: dial %s: %w", addr, err)
+// roundTrip sends one request and reads its response; the payload is a
+// new buffer.
+func (c *managerConn) roundTrip(op byte, key string, value []byte) (status byte, payload []byte, err error) {
+	if len(key) > maxWireKey {
+		return 0, nil, fmt.Errorf("dragon: key length %d exceeds limit %d", len(key), maxWireKey)
 	}
-	return &tcpEndpoint{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
-}
-
-func (e *tcpEndpoint) roundTrip(op managerOp, key string, value []byte) (status byte, payload []byte, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var hdr [5]byte
-	hdr[0] = byte(op)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(key)))
-	if _, err = e.w.Write(hdr[:]); err != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err = writeRequest(c.w, op, key, value); err != nil {
 		return
 	}
-	if _, err = e.w.WriteString(key); err != nil {
+	var hdr [9]byte
+	if _, err = io.ReadFull(c.r, hdr[:]); err != nil {
 		return
 	}
-	var lenBuf [8]byte
-	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(value)))
-	if _, err = e.w.Write(lenBuf[:]); err != nil {
-		return
-	}
-	if _, err = e.w.Write(value); err != nil {
-		return
-	}
-	if err = e.w.Flush(); err != nil {
-		return
-	}
-	var shdr [9]byte
-	if _, err = io.ReadFull(e.r, shdr[:]); err != nil {
-		return
-	}
-	status = shdr[0]
-	n := binary.BigEndian.Uint64(shdr[1:])
+	status = hdr[0]
+	n := binary.BigEndian.Uint64(hdr[1:])
 	if n > maxWireValue {
 		err = fmt.Errorf("dragon: response length %d exceeds limit", n)
 		return
 	}
 	payload = make([]byte, n)
-	_, err = io.ReadFull(e.r, payload)
+	_, err = io.ReadFull(c.r, payload)
 	return
 }
 
-func (e *tcpEndpoint) check(status byte, payload []byte, key string) error {
-	switch status {
-	case statusOK:
-		return nil
-	case statusNotFound:
-		return fmt.Errorf("%w: %q", ErrNotFound, key)
-	default:
-		return fmt.Errorf("dragon: server error: %s", payload)
-	}
-}
-
-func (e *tcpEndpoint) Put(key string, value []byte) error {
-	status, payload, err := e.roundTrip(opPut, key, value)
-	if err != nil {
-		return err
-	}
-	return e.check(status, payload, key)
-}
-
-func (e *tcpEndpoint) Get(key string) ([]byte, error) {
-	status, payload, err := e.roundTrip(opGet, key, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.check(status, payload, key); err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
-func (e *tcpEndpoint) Del(key string) error {
-	status, payload, err := e.roundTrip(opDel, key, nil)
-	if err != nil {
-		return err
-	}
-	return e.check(status, payload, key)
-}
-
-func (e *tcpEndpoint) Has(key string) (bool, error) {
-	status, payload, err := e.roundTrip(opHas, key, nil)
-	if err != nil {
-		return false, err
-	}
-	if err := e.check(status, payload, key); err != nil {
-		return false, err
-	}
-	return len(payload) == 1 && payload[0] == 1, nil
-}
-
-func (e *tcpEndpoint) Keys() ([]string, error) {
-	status, payload, err := e.roundTrip(opKeys, "", nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.check(status, payload, ""); err != nil {
-		return nil, err
-	}
-	return decodeKeys(payload)
-}
-
-func (e *tcpEndpoint) Len() (int, error) {
-	status, payload, err := e.roundTrip(opLen, "", nil)
-	if err != nil {
-		return 0, err
-	}
-	if err := e.check(status, payload, ""); err != nil {
-		return 0, err
-	}
-	if len(payload) != 8 {
-		return 0, fmt.Errorf("dragon: bad len payload")
-	}
-	return int(binary.BigEndian.Uint64(payload)), nil
-}
-
-func (e *tcpEndpoint) Close() error { return e.conn.Close() }
+func (c *managerConn) Close() error { return c.c.Close() }

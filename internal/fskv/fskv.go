@@ -20,7 +20,6 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"strings"
 )
 
 // ErrNotFound reports a missing key.
@@ -69,26 +68,15 @@ const maxNameLen = 200
 // longPrefix marks hashed filenames for keys too long to escape inline.
 const longPrefix = "long-"
 
-// keyExt is the suffix of the companion file holding the full key for
-// hashed names, so Keys can recover them.
-const keyExt = ".key"
-
-// fileName returns the base name (without extension) under which key is
-// stored, and whether the hashed fallback was used.
-func fileName(key string) (name string, hashed bool) {
-	esc := url.PathEscape(key)
-	if len(esc) <= maxNameLen {
-		return esc, false
-	}
-	sum := sha256.Sum256([]byte(key))
-	return longPrefix + hex.EncodeToString(sum[:]), true
-}
-
 // path returns the final value path for key. Keys are percent-escaped so
-// arbitrary strings (including separators) are valid; very long keys use
-// a content-hashed filename with a companion .key file.
+// arbitrary strings (including separators) are valid; a key whose escape
+// is longer than maxNameLen is stored under the SHA-256 of the key.
 func (s *Store) path(key string) string {
-	name, _ := fileName(key)
+	name := url.PathEscape(key)
+	if len(name) > maxNameLen {
+		sum := sha256.Sum256([]byte(key))
+		name = longPrefix + hex.EncodeToString(sum[:])
+	}
 	return filepath.Join(shardPath(s.root, s.Shard(key)), name+valueExt)
 }
 
@@ -97,14 +85,6 @@ func (s *Store) path(key string) string {
 // same key leave one complete value; readers never see partial data.
 func (s *Store) Put(key string, value []byte) error {
 	final := s.path(key)
-	if name, hashed := fileName(key); hashed {
-		// Companion file lets Keys recover the original key. Written
-		// first so any visible value has a resolvable key.
-		keyFile := filepath.Join(filepath.Dir(final), name+keyExt)
-		if err := os.WriteFile(keyFile, []byte(key), 0o644); err != nil {
-			return fmt.Errorf("fskv: put %q: %w", key, err)
-		}
-	}
 	tmp, err := os.CreateTemp(filepath.Dir(final), ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("fskv: put %q: %w", key, err)
@@ -147,73 +127,9 @@ func (s *Store) Exists(key string) bool {
 // Delete removes key. Deleting a missing key is not an error, mirroring
 // the idempotent clean-up semantics of the paper's clean_staged_data.
 func (s *Store) Delete(key string) error {
-	final := s.path(key)
-	err := os.Remove(final)
+	err := os.Remove(s.path(key))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("fskv: delete %q: %w", key, err)
-	}
-	if name, hashed := fileName(key); hashed {
-		os.Remove(filepath.Join(filepath.Dir(final), name+keyExt))
-	}
-	return nil
-}
-
-// Keys returns every committed key, in no particular order. Temporary
-// files from in-flight writes are skipped.
-func (s *Store) Keys() ([]string, error) {
-	var keys []string
-	for i := 0; i < s.shards; i++ {
-		entries, err := os.ReadDir(shardPath(s.root, i))
-		if err != nil {
-			return nil, fmt.Errorf("fskv: keys: %w", err)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if !strings.HasSuffix(name, valueExt) {
-				continue
-			}
-			base := strings.TrimSuffix(name, valueExt)
-			if strings.HasPrefix(base, longPrefix) {
-				raw, err := os.ReadFile(filepath.Join(shardPath(s.root, i), base+keyExt))
-				if err != nil {
-					continue // orphaned hashed value
-				}
-				keys = append(keys, string(raw))
-				continue
-			}
-			key, err := url.PathUnescape(base)
-			if err != nil {
-				continue // foreign file in the shard dir
-			}
-			keys = append(keys, key)
-		}
-	}
-	return keys, nil
-}
-
-// Len returns the number of committed keys.
-func (s *Store) Len() (int, error) {
-	keys, err := s.Keys()
-	if err != nil {
-		return 0, err
-	}
-	return len(keys), nil
-}
-
-// Clean removes every committed value and stray temp file, keeping the
-// shard directories so the store stays usable.
-func (s *Store) Clean() error {
-	for i := 0; i < s.shards; i++ {
-		dir := shardPath(s.root, i)
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			return fmt.Errorf("fskv: clean: %w", err)
-		}
-		for _, e := range entries {
-			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !errors.Is(err, os.ErrNotExist) {
-				return fmt.Errorf("fskv: clean: %w", err)
-			}
-		}
 	}
 	return nil
 }

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net/url"
 	"os"
-	"path/filepath"
-	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -99,52 +99,6 @@ func TestDelete(t *testing.T) {
 	// Deleting again is idempotent.
 	if err := s.Delete("k"); err != nil {
 		t.Fatalf("second delete: %v", err)
-	}
-}
-
-func TestKeysListing(t *testing.T) {
-	s := newStore(t, 8)
-	want := []string{"a", "b/with/slashes", "c with spaces", "d%percent", "häagen"}
-	for _, k := range want {
-		if err := s.Put(k, []byte(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := s.Keys()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(got)
-	sort.Strings(want)
-	if len(got) != len(want) {
-		t.Fatalf("keys = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("keys = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestLenAndClean(t *testing.T) {
-	s := newStore(t, 4)
-	for i := 0; i < 10; i++ {
-		s.Put(fmt.Sprintf("k%d", i), []byte("v"))
-	}
-	n, err := s.Len()
-	if err != nil || n != 10 {
-		t.Fatalf("Len = %d,%v want 10", n, err)
-	}
-	if err := s.Clean(); err != nil {
-		t.Fatal(err)
-	}
-	n, _ = s.Len()
-	if n != 0 {
-		t.Fatalf("Len after clean = %d, want 0", n)
-	}
-	// Store must stay usable after Clean.
-	if err := s.Put("again", []byte("v")); err != nil {
-		t.Fatalf("put after clean: %v", err)
 	}
 }
 
@@ -271,36 +225,64 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	cnt, err := s.Len()
-	if err != nil || cnt != n {
-		t.Fatalf("Len = %d,%v want %d", cnt, err, n)
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		if got, err := s.Get(key); err != nil || string(got) != key {
+			t.Fatalf("get %s = %q,%v", key, got, err)
+		}
 	}
 }
 
-func TestCleanRemovesStrayTempFiles(t *testing.T) {
-	s := newStore(t, 2)
-	s.Put("k", []byte("v"))
-	// Simulate a crashed writer leaving a temp file behind.
-	stray := filepath.Join(s.root, "shard0000", ".tmp-crashed")
-	if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
+// TestLongKeysHashedName: a key whose escape exceeds maxNameLen is stored
+// under a hashed name. It passes Put/Get/Exists/Delete like any key, two
+// long keys sharing their first maxNameLen bytes stay apart, and the
+// value file is the only file a key leaves.
+func TestLongKeysHashedName(t *testing.T) {
+	s := newStore(t, 1)
+	prefix := strings.Repeat("p", maxNameLen)
+	keys := []string{prefix + "/a", prefix + "/b", strings.Repeat("/", maxNameLen/3+1)}
+	for _, k := range keys {
+		if len(url.PathEscape(k)) <= maxNameLen {
+			t.Fatalf("escape of %q fits in %d bytes: not a long key", k, maxNameLen)
+		}
+		if err := s.Put(k, []byte(k)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Keys must skip it...
-	keys, err := s.Keys()
+	shard := shardPath(s.root, 0)
+	entries, err := os.ReadDir(shard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range keys {
-		if k == ".tmp-crashed" {
-			t.Fatal("stray temp file listed as key")
+	if len(entries) != len(keys) {
+		t.Fatalf("%d keys left %d files, want one each", len(keys), len(entries))
+	}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), longPrefix) || !strings.HasSuffix(e.Name(), valueExt) {
+			t.Errorf("file %q is not a hashed value name", e.Name())
 		}
 	}
-	// ...and Clean must remove it.
-	if err := s.Clean(); err != nil {
+	for _, k := range keys {
+		if got, err := s.Get(k); err != nil || string(got) != k {
+			t.Fatalf("get %.20q… = %.20q…,%v", k, got, err)
+		}
+		if !s.Exists(k) {
+			t.Fatalf("%.20q… does not exist after put", k)
+		}
+	}
+	if err := s.Delete(keys[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(stray); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("stray temp file survived clean")
+	if s.Exists(keys[0]) || !s.Exists(keys[1]) {
+		t.Fatal("deleting one long key did not delete exactly that key")
+	}
+	for _, k := range keys[1:] {
+		if err := s.Delete(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if entries, _ := os.ReadDir(shard); len(entries) != 0 {
+		t.Fatalf("%d files left after every key was deleted", len(entries))
 	}
 }
 

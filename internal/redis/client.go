@@ -33,12 +33,8 @@ func Dial(addr string) (*Client, error) {
 // Close tears down the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Do sends one command (name plus bulk-string arguments) and returns the
-// reply. Error replies become Go errors.
-func (c *Client) Do(cmd string, args ...[]byte) (Value, error) { return c.do(cmd, nil, args...) }
-
 // do sends cmd with keys, then vals, as its arguments and reads the
-// reply.
+// reply. Error replies become Go errors.
 func (c *Client) do(cmd string, keys []string, vals ...[]byte) (Value, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -85,9 +81,6 @@ func (c *Client) Set(key string, value []byte) error {
 	return err
 }
 
-// Get fetches key into a new buffer; ErrNil if missing.
-func (c *Client) Get(key string) ([]byte, error) { return c.GetInto(key, nil) }
-
 // GetInto fetches key append-style: the value is read off the socket
 // straight into dst's array when its capacity holds it, and into a new
 // buffer otherwise. ErrNil if missing. The result is the caller's; the
@@ -124,19 +117,6 @@ func (c *Client) Exists(key string) (bool, error) {
 		return false, err
 	}
 	return v.Int > 0, nil
-}
-
-// Keys returns keys matching a glob pattern.
-func (c *Client) Keys(pattern string) ([]string, error) {
-	v, err := c.do("KEYS", []string{pattern})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(v.Array))
-	for i, el := range v.Array {
-		out[i] = el.Text()
-	}
-	return out, nil
 }
 
 // Cluster is a client-side sharded view over several independent server
@@ -192,16 +172,3 @@ func (cl *Cluster) Del(key string) (int64, error) { return cl.pick(key).Del(key)
 
 // Exists checks key on its shard.
 func (cl *Cluster) Exists(key string) (bool, error) { return cl.pick(key).Exists(key) }
-
-// Keys merges KEYS results from all shards.
-func (cl *Cluster) Keys(pattern string) ([]string, error) {
-	var all []string
-	for _, c := range cl.clients {
-		ks, err := c.Keys(pattern)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, ks...)
-	}
-	return all, nil
-}

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,6 +37,8 @@ func newPair(t *testing.T) (*Server, *Client) {
 }
 
 // --- RESP codec ---
+
+func array(vs ...Value) Value { return Value{Kind: KindArray, Array: vs} }
 
 func respRoundTrip(t *testing.T, v Value) Value {
 	t.Helper()
@@ -104,7 +105,7 @@ func TestRESPNullBulk(t *testing.T) {
 }
 
 func TestRESPNestedArray(t *testing.T) {
-	v := Array(BulkString("SET"), Array(Integer(1), Simple("x")), NullBulk())
+	v := array(Bulk([]byte("SET")), array(Integer(1), Simple("x")), NullBulk())
 	got := respRoundTrip(t, v)
 	if len(got.Array) != 3 || len(got.Array[1].Array) != 2 || !got.Array[2].IsNull() {
 		t.Fatalf("got %+v", got)
@@ -211,7 +212,7 @@ func TestPropertyRESPRoundTrip(t *testing.T) {
 			}
 			return r
 		}, s)
-		v := Array(Bulk(payload), Integer(n), Simple(s))
+		v := array(Bulk(payload), Integer(n), Simple(s))
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
 		if err := w.Write(v); err != nil {
@@ -238,7 +239,7 @@ func TestSetGet(t *testing.T) {
 	if err := c.Set("greeting", val); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get("greeting")
+	got, err := c.GetInto("greeting", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestSetGet(t *testing.T) {
 
 func TestGetMissingIsErrNil(t *testing.T) {
 	_, c := newPair(t)
-	_, err := c.Get("missing")
+	_, err := c.GetInto("missing", nil)
 	if !errors.Is(err, ErrNil) {
 		t.Fatalf("err = %v, want ErrNil", err)
 	}
@@ -259,7 +260,7 @@ func TestSetOverwrite(t *testing.T) {
 	_, c := newPair(t)
 	c.Set("k", []byte("one"))
 	c.Set("k", []byte("two"))
-	got, _ := c.Get("k")
+	got, _ := c.GetInto("k", nil)
 	if string(got) != "two" {
 		t.Fatalf("got %q", got)
 	}
@@ -283,24 +284,9 @@ func TestDelAndExists(t *testing.T) {
 	}
 }
 
-func TestKeysGlob(t *testing.T) {
-	_, c := newPair(t)
-	for _, k := range []string{"sim:0", "sim:1", "train:0"} {
-		c.Set(k, []byte("x"))
-	}
-	got, err := c.Keys("sim:*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(got)
-	if len(got) != 2 || got[0] != "sim:0" || got[1] != "sim:1" {
-		t.Fatalf("keys = %v", got)
-	}
-}
-
 func TestUnknownCommand(t *testing.T) {
 	_, c := newPair(t)
-	_, err := c.Do("NOSUCH")
+	_, err := c.do("NOSUCH", nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown command") {
 		t.Fatalf("err = %v", err)
 	}
@@ -308,7 +294,7 @@ func TestUnknownCommand(t *testing.T) {
 
 func TestWrongArity(t *testing.T) {
 	_, c := newPair(t)
-	_, err := c.Do("SET", []byte("only-key"))
+	_, err := c.do("SET", []string{"only-key"})
 	if err == nil || !strings.Contains(err.Error(), "wrong number of arguments") {
 		t.Fatalf("err = %v", err)
 	}
@@ -319,7 +305,7 @@ func TestBinaryValues(t *testing.T) {
 	val := make([]byte, 4096)
 	rand.New(rand.NewSource(1)).Read(val)
 	c.Set("bin", val)
-	got, err := c.Get("bin")
+	got, err := c.GetInto("bin", nil)
 	if err != nil || !bytes.Equal(got, val) {
 		t.Fatalf("binary round trip failed: %v", err)
 	}
@@ -331,14 +317,14 @@ func TestLargeValue8MB(t *testing.T) {
 	if err := c.Set("big", val); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get("big")
+	got, err := c.GetInto("big", nil)
 	if err != nil || !bytes.Equal(got, val) {
 		t.Fatal("8MB round trip failed")
 	}
 }
 
-// TestServerSetOwnsValue: SET and MSET store the bulk their connection's
-// reader decoded, without copying it. That is only sound while every
+// TestServerSetOwnsValue: SET stores the bulk its connection's reader
+// decoded, without copying it. That is only sound while every
 // decoded bulk is a buffer of its own, so write several large values
 // over one connection and read the first back: a reader that recycled
 // its buffer would have overwritten it with a later one.
@@ -346,7 +332,7 @@ func TestServerSetOwnsValue(t *testing.T) {
 	big := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, 1<<20) }
 	sameAs := func(t *testing.T, c *Client, key string, want []byte) {
 		t.Helper()
-		got, err := c.Get(key)
+		got, err := c.GetInto(key, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,17 +349,6 @@ func TestServerSetOwnsValue(t *testing.T) {
 		}
 		sameAs(t, c, "first", big(1))
 		sameAs(t, c, "second", big(2))
-	})
-	t.Run("MSET", func(t *testing.T) {
-		_, c := newPair(t)
-		if _, err := c.Do("MSET", []byte("a"), big(1), []byte("b"), big(2)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Do("MSET", []byte("c"), big(3), []byte("d"), big(4)); err != nil {
-			t.Fatal(err)
-		}
-		sameAs(t, c, "a", big(1))
-		sameAs(t, c, "b", big(2))
 	})
 }
 
@@ -459,7 +434,7 @@ func TestManyClientsConcurrent(t *testing.T) {
 					t.Errorf("set: %v", err)
 					return
 				}
-				got, err := c.Get(key)
+				got, err := c.GetInto(key, nil)
 				if err != nil || string(got) != key {
 					t.Errorf("get %s = %q,%v", key, got, err)
 					return
@@ -468,11 +443,17 @@ func TestManyClientsConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	c, _ := Dial(s.Addr())
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer c.Close()
-	keys, _ := c.Keys("*")
-	if len(keys) != clients*per {
-		t.Fatalf("%d keys, want %d", len(keys), clients*per)
+	for i := 0; i < clients; i++ {
+		for j := 0; j < per; j++ {
+			if ok, err := c.Exists(fmt.Sprintf("c%d-k%d", i, j)); err != nil || !ok {
+				t.Fatalf("c%d-k%d exists = %v,%v", i, j, ok, err)
+			}
+		}
 	}
 }
 
@@ -487,7 +468,7 @@ func TestSharedClientConcurrent(t *testing.T) {
 			if err := c.Set(key, []byte{byte(i)}); err != nil {
 				t.Errorf("set: %v", err)
 			}
-			got, err := c.Get(key)
+			got, err := c.GetInto(key, nil)
 			if err != nil || got[0] != byte(i) {
 				t.Errorf("get: %v %v", got, err)
 			}
@@ -517,7 +498,7 @@ func TestClientAfterServerClose(t *testing.T) {
 	}
 	defer c.Close()
 	s.Close()
-	if _, err := c.Get("k"); err == nil {
+	if _, err := c.GetInto("k", nil); err == nil {
 		t.Fatal("request to closed server succeeded")
 	}
 }
@@ -541,13 +522,21 @@ func TestClusterShardsKeys(t *testing.T) {
 	c2, _ := Dial(s2.Addr())
 	defer c1.Close()
 	defer c2.Close()
-	k1, _ := c1.Keys("*")
-	k2, _ := c2.Keys("*")
-	if len(k1)+len(k2) != n {
-		t.Fatalf("shard sizes %d+%d != %d", len(k1), len(k2), n)
+	k1, k2 := 0, 0
+	for i := 0; i < n; i++ {
+		on1, err1 := c1.Exists(fmt.Sprintf("key-%d", i))
+		on2, err2 := c2.Exists(fmt.Sprintf("key-%d", i))
+		if err1 != nil || err2 != nil || on1 == on2 {
+			t.Fatalf("key-%d on shard 1: %v,%v, on shard 2: %v,%v; want exactly one", i, on1, err1, on2, err2)
+		}
+		if on1 {
+			k1++
+		} else {
+			k2++
+		}
 	}
-	if len(k1) == 0 || len(k2) == 0 {
-		t.Fatalf("degenerate sharding: %d/%d", len(k1), len(k2))
+	if k1 == 0 || k2 == 0 {
+		t.Fatalf("degenerate sharding: %d/%d", k1, k2)
 	}
 }
 
@@ -566,9 +555,13 @@ func TestClusterGetRoutesToRightShard(t *testing.T) {
 			t.Fatalf("cluster get %s = %q,%v", key, got, err)
 		}
 	}
-	keys, err := cl.Keys("rt-*")
-	if err != nil || len(keys) != 20 {
-		t.Fatalf("cluster keys = %d,%v want 20", len(keys), err)
+	for i, c := range cl.clients {
+		for j := 0; j < 20; j++ {
+			key := fmt.Sprintf("rt-%d", j)
+			if ok, err := c.Exists(key); err != nil || ok != (cl.pick(key) == c) {
+				t.Fatalf("%s on shard %d = %v,%v; want it on its routed shard only", key, i, ok, err)
+			}
+		}
 	}
 }
 
@@ -597,36 +590,11 @@ func BenchmarkSetGet(b *testing.B) {
 				if err := c.Set("bench", val); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := c.Get("bench"); err != nil {
+				if _, err := c.GetInto("bench", nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-func TestGlobMatch(t *testing.T) {
-	cases := []struct {
-		pattern, s string
-		want       bool
-	}{
-		{"*", "anything/with/slashes", true},
-		{"*", "", true},
-		{"sim:*", "sim:0", true},
-		{"sim:*", "train:0", false},
-		{"data/*/x", "data/100/x", true},
-		{"data/*/x", "data/100/y", false},
-		{"k?y", "key", true},
-		{"k?y", "ky", false},
-		{"a*b*c", "axxbyyc", true},
-		{"a*b*c", "axxbyy", false},
-		{"exact", "exact", true},
-		{"exact", "exact!", false},
-	}
-	for _, tc := range cases {
-		if got := globMatch(tc.pattern, tc.s); got != tc.want {
-			t.Errorf("globMatch(%q,%q) = %v, want %v", tc.pattern, tc.s, got, tc.want)
-		}
 	}
 }
 
@@ -675,11 +643,11 @@ func TestClientEncodesAsWriter(t *testing.T) {
 	var got, want bytes.Buffer
 	c := &Client{w: NewWriter(&got)}
 	big := bytes.Repeat([]byte{'\r'}, 5000)
-	if err := c.send("MSET", []string{"k", ""}, []byte("v\r\n"), nil, big); err != nil {
+	if err := c.send("SET", []string{"k", ""}, []byte("v\r\n"), nil, big); err != nil {
 		t.Fatal(err)
 	}
 	w := NewWriter(&want)
-	w.Write(Array(BulkString("MSET"), BulkString("k"), BulkString(""), Bulk([]byte("v\r\n")), Bulk(nil), Bulk(big)))
+	w.Write(array(Bulk([]byte("SET")), Bulk([]byte("k")), Bulk([]byte("")), Bulk([]byte("v\r\n")), Bulk(nil), Bulk(big)))
 	w.Flush()
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("client sent %q, Writer encodes %q", got.Bytes(), want.Bytes())

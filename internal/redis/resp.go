@@ -49,11 +49,7 @@ func Errorf(format string, args ...any) Value {
 }
 func Integer(n int64) Value { return Value{Kind: KindInteger, Int: n} }
 func Bulk(b []byte) Value   { return Value{Kind: KindBulk, Bulk: b} }
-func BulkString(s string) Value {
-	return Value{Kind: KindBulk, Bulk: []byte(s)}
-}
-func NullBulk() Value         { return Value{Kind: KindBulk, Null: true} }
-func Array(vs ...Value) Value { return Value{Kind: KindArray, Array: vs} }
+func NullBulk() Value       { return Value{Kind: KindBulk, Null: true} }
 
 // IsNull reports whether v is a RESP null.
 func (v Value) IsNull() bool { return v.Null }
@@ -138,7 +134,7 @@ func (w *Writer) header(kind byte, n int) {
 	w.w.Write(append(b, '\r', '\n'))
 }
 
-// bulkString writes s as a bulk string, as Write(BulkString(s)) does
+// bulkString writes s as a bulk string, as Write(Bulk([]byte(s))) does
 // without copying s. Errors stick in the buffered writer until Flush.
 func (w *Writer) bulkString(s string) {
 	w.header('$', len(s))
@@ -164,7 +160,7 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
 // reader keeps no reference to it and never hands it out twice. It comes
 // from make, or from the reader's alloc when one is set — the server's
 // connections take large bulks from the keyspace's free list (see
-// valuePool), and SET and MSET store them without copying.
+// valuePool), and SET stores them without copying.
 func (r *Reader) Read() (Value, error) { return r.read(0) }
 
 func (r *Reader) read(depth int) (Value, error) {

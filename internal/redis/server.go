@@ -111,7 +111,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		err = writeAndFlush(w, resp)
-		s.values.unpin(resp) // the reply's bytes are in the socket
+		s.values.unpin(resp.Bulk) // the reply's bytes are in the socket
 		if err != nil {
 			return
 		}
@@ -142,18 +142,17 @@ func (s *Server) execute(cmd []Value) Value {
 	name := strings.ToUpper(cmd[0].Text())
 	args := cmd[1:]
 	switch name {
-	case "ECHO":
-		if len(args) != 1 {
-			return wrongArity(name)
-		}
-		return Bulk(args[0].Bulk)
 	case "SET":
 		if len(args) != 2 {
 			return wrongArity(name)
 		}
 		// The bulk is this request's own buffer (see Reader.Read), so
 		// the keyspace takes it over instead of copying it.
-		s.store(args[0].Text(), args[1].Bulk)
+		key := args[0].Text()
+		if old, ok := s.data[key]; ok {
+			s.values.drop(old)
+		}
+		s.data[key] = args[1].Bulk
 		return Simple("OK")
 	case "GET":
 		if len(args) != 1 {
@@ -183,49 +182,9 @@ func (s *Server) execute(cmd []Value) Value {
 			}
 		}
 		return Integer(n)
-	case "KEYS":
-		if len(args) != 1 {
-			return wrongArity(name)
-		}
-		pattern := args[0].Text()
-		var out []Value
-		for k := range s.data {
-			if globMatch(pattern, k) {
-				out = append(out, BulkString(k))
-			}
-		}
-		return Array(out...)
-	case "MSET":
-		if len(args) == 0 || len(args)%2 != 0 {
-			return wrongArity(name)
-		}
-		for i := 0; i < len(args); i += 2 {
-			s.store(args[i].Text(), args[i+1].Bulk) // owned, as in SET
-		}
-		return Simple("OK")
-	case "MGET":
-		out := make([]Value, len(args))
-		for i, a := range args {
-			if v, ok := s.data[a.Text()]; ok {
-				s.values.pin(v)
-				out[i] = Bulk(v)
-			} else {
-				out[i] = NullBulk()
-			}
-		}
-		return Value{Kind: KindArray, Array: out}
 	default:
 		return Errorf("ERR unknown command '%s'", name)
 	}
-}
-
-// store sets key to v, which the keyspace now owns, and drops the value
-// it replaces.
-func (s *Server) store(key string, v []byte) {
-	if old, ok := s.data[key]; ok {
-		s.values.drop(old)
-	}
-	s.data[key] = v
 }
 
 // Value buffers of at least minPooledLen are recycled through a free
@@ -241,7 +200,7 @@ const (
 // large buffer is at any time in exactly one of these places: the free
 // list; a connection's reader, filling it (get); the keyspace; or, once
 // the keyspace dropped it, the replies still being written from it. The
-// executor pins a value when a GET or MGET reply carries it, and the
+// executor pins a value when a GET reply carries it, and the
 // connection unpins it once the reply is flushed, so a buffer returns to
 // the free list only when the keyspace has dropped it and no reply holds
 // it — a recycled value never reaches an in-flight reply.
@@ -308,33 +267,23 @@ func (p *valuePool) pin(b []byte) {
 	p.pins[k] = pn
 }
 
-// unpin releases the pins of a flushed reply: its bulk, or each bulk of
-// an array. A buffer no pin covers (an ECHO of a request's own bulk) is
-// skipped.
-func (p *valuePool) unpin(v Value) {
-	if v.Kind == KindArray {
-		for _, el := range v.Array {
-			p.unpin(el)
-		}
-		return
-	}
-	if v.Kind != KindBulk || !pooled(v.Bulk) {
+// unpin releases the pin of a flushed reply's bulk b (nil for a reply
+// that carries none).
+func (p *valuePool) unpin(b []byte) {
+	if !pooled(b) {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	k := unsafe.SliceData(v.Bulk)
-	pn, ok := p.pins[k]
-	if !ok {
-		return
-	}
+	k := unsafe.SliceData(b)
+	pn := p.pins[k]
 	if pn.n--; pn.n > 0 {
 		p.pins[k] = pn
 		return
 	}
 	delete(p.pins, k)
 	if pn.dropped {
-		p.release(v.Bulk)
+		p.release(b)
 	}
 }
 
@@ -354,35 +303,6 @@ func (p *valuePool) release(b []byte) {
 	last := len(p.free) - 1
 	p.free[small], p.free[last] = p.free[last], nil
 	p.free = p.free[:last]
-}
-
-// globMatch implements Redis-style glob matching: '*' matches any run of
-// characters (including separators, unlike filepath.Match), '?' matches
-// one character, everything else is literal.
-func globMatch(pattern, s string) bool {
-	// Iterative wildcard matching with backtracking to the last '*'.
-	pi, si := 0, 0
-	star, mark := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(pattern) && (pattern[pi] == '?' || pattern[pi] == s[si]):
-			pi++
-			si++
-		case pi < len(pattern) && pattern[pi] == '*':
-			star, mark = pi, si
-			pi++
-		case star >= 0:
-			pi = star + 1
-			mark++
-			si = mark
-		default:
-			return false
-		}
-	}
-	for pi < len(pattern) && pattern[pi] == '*' {
-		pi++
-	}
-	return pi == len(pattern)
 }
 
 func wrongArity(cmd string) Value {
