@@ -210,8 +210,8 @@ func exportedReceiver(d *ast.FuncDecl) bool {
 }
 
 // testAccessor is why a one-line read of state a test observes the
-// engine through may stand without a production caller; ROADMAP item 1
-// (run diagnostics) is to give these a consumer.
+// engine through may stand without a production caller; the ROADMAP's
+// diagnostics-block item is to give these a consumer.
 const testAccessor = "read accessor tests observe state through"
 
 // productionCallerExempt lists the functions

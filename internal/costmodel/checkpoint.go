@@ -68,12 +68,12 @@ func (m *Model) NewCheckpointWrite(b datastore.Backend, node int, mb float64, do
 }
 
 // NewCheckpointRead builds a reusable checkpoint restore op (reads
-// carry the same 0.85 cost scale as LocalRead), used by the
+// carry the same cost scale as LocalRead), used by the
 // checkpoint/restart recovery policy when a repaired node reloads its
 // last durable state. The node argument of the returned op is fixed at
 // construction like every flat transfer object.
 func (m *Model) NewCheckpointRead(b datastore.Backend, node int, mb float64, done func()) *CheckpointOp {
-	return m.newCheckpointOp(b, node, mb, 0.85, done, m.NewLocalRead)
+	return m.newCheckpointOp(b, node, mb, readCostScale, done, m.NewLocalRead)
 }
 
 func (m *Model) newCheckpointOp(b datastore.Backend, node int, mb, costScale float64, done func(),

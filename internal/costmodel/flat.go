@@ -18,6 +18,50 @@ import (
 // next transfer is the machine's business (experiments/flat.go: a rank
 // skips the polls that would start nothing).
 
+// XferCost is one uncontended transfer, phase by phase as the chains
+// schedule it: MetaOps metadata rounds, each a client RPC (RPCS) then
+// the MDS service (MDSS), then one timed hold (HoldS) of the node bus,
+// an OST stream slot or the trainer NIC.
+type XferCost struct {
+	MetaOps    int
+	RPCS, MDSS float64
+	HoldS      float64
+}
+
+// readCostScale is what a stage_read costs relative to its stage_write:
+// the paper's Fig 3 shows near-mirrored read/write profiles for local
+// exchange, with reads slightly cheaper (no temp-file rename, no
+// dirty-page copy-back).
+const readCostScale = 0.85
+
+// LocalCost returns the cost of one co-located stage_write of mb
+// megabytes on backend b or, with read, of the stage_read.
+func (p *Params) LocalCost(b datastore.Backend, mb float64, read bool) XferCost {
+	scale := 1.0
+	if read {
+		scale = readCostScale
+	}
+	if b == datastore.FileSystem {
+		// The single MDS queue is where the 512-node collapse comes from.
+		return XferCost{
+			MetaOps: p.LustreMetaOpsPerTransfer,
+			RPCS:    p.LustreClientRPCS * scale,
+			MDSS:    p.LustreMDSServiceS,
+			HoldS:   mb / 1000 / p.LustreStreamBWGBps * scale,
+		}
+	}
+	overhead, bw := p.localMemParams(b)
+	return XferCost{HoldS: (overhead + mb/1000/p.cacheEff(bw, mb)) * scale}
+}
+
+// RemoteReadCost returns the cost of one non-local stage_read of mb
+// megabytes — Fig 5's 2-node experiment: one timed hold of the trainer
+// NIC. Node-local has none: it panics.
+func (p *Params) RemoteReadCost(b datastore.Backend, mb float64) XferCost {
+	lat, bw, _ := p.remoteParams(b, mb)
+	return XferCost{HoldS: lat + mb/1000/bw}
+}
+
 // LocalXfer models one co-located stage_write/stage_read of a fixed
 // (backend, node, size), completing through a done callback. Construct
 // with NewLocalWrite/NewLocalRead; call Start at most once at a time.
@@ -28,16 +72,11 @@ type LocalXfer struct {
 	// the previous one left, so a transfer allocates one closure.
 	step  func()
 	phase int
-	// A file-system transfer first makes metaOps metadata rounds
-	// (client RPC, then the single MDS queue — this is where the
-	// 512-node collapse comes from); an in-memory one makes none.
-	metaOps, i int
-	rpcS, mdsS float64
-	mds        *des.Resource
-	// Then one timed hold of bus: the node's exchange bus (node-local,
-	// dragon, redis) or an OST stream slot (file system).
-	bus  *des.Resource
-	hold float64
+	cost  XferCost
+	i     int // metadata rounds made
+	// A file-system transfer queues its metadata rounds on mds and holds
+	// an OST slot; an in-memory one holds the node's exchange bus.
+	mds, bus *des.Resource
 }
 
 // The phases of a LocalXfer: what its next step call finds done.
@@ -52,38 +91,29 @@ const (
 // NewLocalWrite builds a reusable stage_write op of mb megabytes on node;
 // done fires when the transfer completes.
 func (m *Model) NewLocalWrite(b datastore.Backend, node int, mb float64, done func()) *LocalXfer {
-	return m.newLocalXfer(b, node, mb, 1.0, done)
+	return m.newLocalXfer(b, node, mb, false, done)
 }
 
-// NewLocalRead builds the symmetric stage_read op: the paper's Fig 3
-// shows near-mirrored read/write profiles for local exchange, with reads
-// slightly cheaper (no temp-file rename, no dirty-page copy-back), here
-// a 0.85 cost scale.
+// NewLocalRead builds the symmetric stage_read op (LocalCost's read
+// scale).
 func (m *Model) NewLocalRead(b datastore.Backend, node int, mb float64, done func()) *LocalXfer {
-	return m.newLocalXfer(b, node, mb, 0.85, done)
+	return m.newLocalXfer(b, node, mb, true, done)
 }
 
-func (m *Model) newLocalXfer(b datastore.Backend, node int, mb, costScale float64, done func()) *LocalXfer {
+func (m *Model) newLocalXfer(b datastore.Backend, node int, mb float64, read bool, done func()) *LocalXfer {
 	x := m.localArena.alloc()
 	x.env, x.done = m.env, done
+	x.cost = m.params.LocalCost(b, mb, read)
 	if b == datastore.FileSystem {
-		x.metaOps = m.params.LustreMetaOpsPerTransfer
-		x.rpcS = m.params.LustreClientRPCS * costScale
-		x.mdsS = m.params.LustreMDSServiceS
 		x.mds, x.bus = m.mds, m.ostPool
-		x.hold = mb / 1000 / m.params.LustreStreamBWGBps * costScale
 	} else {
-		// The in-memory hold is constant per (backend, size), so it is
-		// computed once here.
-		overhead, bw := m.localMemParams(b)
-		x.hold = (overhead + mb/1000/m.cacheEff(bw, mb)) * costScale
 		x.bus = m.nodeBus[node%len(m.nodeBus)]
 	}
 	x.step = func() {
 		switch x.phase {
 		case xferGranted:
 			x.phase = xferHeld
-			x.env.After(x.hold, x.step)
+			x.env.After(x.cost.HoldS, x.step)
 		case xferHeld:
 			x.bus.Release()
 			x.done()
@@ -92,7 +122,7 @@ func (m *Model) newLocalXfer(b datastore.Backend, node int, mb, costScale float6
 			x.mds.Request(x.step)
 		case xferMDSGranted:
 			x.phase = xferMDSDone
-			x.env.After(x.mdsS, x.step)
+			x.env.After(x.cost.MDSS, x.step)
 		case xferMDSDone:
 			x.mds.Release()
 			x.next()
@@ -109,39 +139,14 @@ func (x *LocalXfer) Start() {
 
 // next starts the next metadata round or, after the last, queues for bus.
 func (x *LocalXfer) next() {
-	if x.i < x.metaOps {
+	if x.i < x.cost.MetaOps {
 		x.i++
 		x.phase = xferRPCDone
-		x.env.After(x.rpcS, x.step)
+		x.env.After(x.cost.RPCS, x.step)
 		return
 	}
 	x.phase = xferGranted
 	x.bus.Request(x.step)
-}
-
-// RemoteXfer models a single non-local stage_read of a fixed (backend,
-// size) — Fig 5's 2-node experiment: one timed hold of the trainer NIC.
-type RemoteXfer struct {
-	env     *des.Env
-	nic     *des.Resource
-	hold    float64
-	done    func()
-	onGrant func()
-	onHold  func()
-}
-
-// NewRemoteRead builds a reusable non-local read op.
-func (m *Model) NewRemoteRead(b datastore.Backend, mb float64, done func()) *RemoteXfer {
-	lat, bw, _ := m.remoteParams(b, mb)
-	x := &RemoteXfer{env: m.env, nic: m.nic(b, bw), hold: lat + mb/1000/bw, done: done}
-	x.onGrant = func() { x.env.After(x.hold, x.onHold) }
-	x.onHold = func() { x.nic.Release(); x.done() }
-	return x
-}
-
-// Start begins the read at the current virtual time.
-func (x *RemoteXfer) Start() {
-	x.nic.Request(x.onGrant)
 }
 
 // EnsembleFetch models the trainer's blocking many-to-one read: n staged
@@ -176,7 +181,7 @@ type fetchChain struct {
 // NewEnsembleFetch builds a reusable ensemble read; allocate once per
 // trainer and Start once per read period.
 func (m *Model) NewEnsembleFetch(b datastore.Backend, n int, mb float64, done func()) *EnsembleFetch {
-	lat, bw, conc := m.remoteParams(b, mb)
+	lat, bw, conc := m.params.remoteParams(b, mb)
 	if b == datastore.Dragon {
 		// Many-to-one drains pay the dictionary's per-message incast
 		// handling on top of the p2p setup cost.

@@ -70,56 +70,56 @@ func (m *Model) Params() Params { return m.params }
 // cacheEff returns bandwidth degraded by L3 spill beyond the per-process
 // cache share: per doubling above the share, bandwidth shrinks by
 // CacheSpillFactor of itself.
-func (m *Model) cacheEff(bw, mb float64) float64 {
-	share := m.params.CacheShareMB
+func (p *Params) cacheEff(bw, mb float64) float64 {
+	share := p.CacheShareMB
 	if mb <= share {
 		return bw
 	}
 	doublings := math.Log2(mb / share)
-	return bw / (1 + m.params.CacheSpillFactor*doublings)
+	return bw / (1 + p.CacheSpillFactor*doublings)
 }
 
 // windowEff degrades Dragon's remote bandwidth beyond its protocol
 // window, giving the ~10 MB peak of Fig 5.
-func (m *Model) windowEff(bw, mb float64) float64 {
-	w := m.params.DragonWindowMB
+func (p *Params) windowEff(bw, mb float64) float64 {
+	w := p.DragonWindowMB
 	if mb <= w {
 		return bw
 	}
 	doublings := math.Log2(mb / w)
-	return bw / (1 + m.params.DragonWindowFactor*doublings)
+	return bw / (1 + p.DragonWindowFactor*doublings)
 }
 
 // localMemParams returns (overhead, peak bandwidth) for the in-memory
 // stores' node-local exchange.
-func (m *Model) localMemParams(b datastore.Backend) (float64, float64) {
+func (p *Params) localMemParams(b datastore.Backend) (float64, float64) {
 	switch b {
 	case datastore.NodeLocal:
-		return m.params.NodeLocalOverheadS, m.params.NodeLocalBWGBps
+		return p.NodeLocalOverheadS, p.NodeLocalBWGBps
 	case datastore.Dragon:
-		return m.params.DragonOverheadS, m.params.DragonBWGBps
+		return p.DragonOverheadS, p.DragonBWGBps
 	case datastore.Redis:
-		return m.params.RedisOverheadS, m.params.RedisBWGBps
+		return p.RedisOverheadS, p.RedisBWGBps
 	}
 	panic(fmt.Sprintf("costmodel: %v is not an in-memory backend", b))
 }
 
 // remoteParams returns (latency, bandwidth(mb), concurrency) for one
 // non-local fetch stream of backend b.
-func (m *Model) remoteParams(b datastore.Backend, mb float64) (lat, bw float64, conc int) {
+func (p *Params) remoteParams(b datastore.Backend, mb float64) (lat, bw float64, conc int) {
 	switch b {
 	case datastore.Redis:
-		return m.params.RedisRemoteLatencyS, m.params.RedisRemoteBWGBps, m.params.RedisRemoteConcurrency
+		return p.RedisRemoteLatencyS, p.RedisRemoteBWGBps, p.RedisRemoteConcurrency
 	case datastore.Dragon:
-		return m.params.DragonRemoteLatencyS,
-			m.windowEff(m.params.DragonRemoteBWGBps, mb),
-			m.params.DragonRemoteConcurrency
+		return p.DragonRemoteLatencyS,
+			p.windowEff(p.DragonRemoteBWGBps, mb),
+			p.DragonRemoteConcurrency
 	case datastore.FileSystem:
 		// Per-stream cost mirrors a Lustre read: client RPCs for
 		// metadata plus OST streaming.
-		lat := float64(m.params.LustreMetaOpsPerTransfer) *
-			(m.params.LustreClientRPCS + m.params.LustreMDSServiceS)
-		return lat, m.params.LustreStreamBWGBps, m.params.FSRemoteConcurrency
+		lat := float64(p.LustreMetaOpsPerTransfer) *
+			(p.LustreClientRPCS + p.LustreMDSServiceS)
+		return lat, p.LustreStreamBWGBps, p.FSRemoteConcurrency
 	}
 	panic(fmt.Sprintf("costmodel: backend %v has no remote model (node-local cannot be read remotely)", b))
 }
@@ -144,15 +144,6 @@ func (m *Model) nic(b datastore.Backend, perFlowBW float64) *des.Resource {
 // operation absent contention — used by tests to check that the DES
 // reduces to the analytic model under no load, and by documentation.
 func (m *Model) AnalyticLocal(b datastore.Backend, mb float64, read bool) float64 {
-	scale := 1.0
-	if read {
-		scale = 0.85
-	}
-	if b == datastore.FileSystem {
-		meta := float64(m.params.LustreMetaOpsPerTransfer) *
-			(m.params.LustreClientRPCS*scale + m.params.LustreMDSServiceS)
-		return meta + mb/1000/m.params.LustreStreamBWGBps*scale
-	}
-	overhead, bw := m.localMemParams(b)
-	return (overhead + mb/1000/m.cacheEff(bw, mb)) * scale
+	c := m.params.LocalCost(b, mb, read)
+	return float64(c.MetaOps)*(c.RPCS+c.MDSS) + c.HoldS
 }

@@ -28,15 +28,16 @@ func timed(t *testing.T, env *des.Env, start func(done func())) float64 {
 	return t1 - t0
 }
 
-// localWrite, remoteRead and fetchAll time one operation of each kind.
+// localWrite and fetchAll time one operation of each kind.
 func localWrite(t *testing.T, env *des.Env, m *Model, b datastore.Backend, mb float64) float64 {
 	t.Helper()
 	return timed(t, env, func(done func()) { m.NewLocalWrite(b, 0, mb, done).Start() })
 }
 
-func remoteRead(t *testing.T, env *des.Env, m *Model, b datastore.Backend, mb float64) float64 {
-	t.Helper()
-	return timed(t, env, func(done func()) { m.NewRemoteRead(b, mb, done).Start() })
+// remoteRead is one uncontended non-local read: its one timed hold.
+func remoteRead(b datastore.Backend, mb float64) float64 {
+	p := Default()
+	return p.RemoteReadCost(b, mb).HoldS
 }
 
 func fetchAll(t *testing.T, nodes int, b datastore.Backend, n int, mb float64) float64 {
@@ -151,9 +152,8 @@ func TestInMemoryLocalUnaffectedByScale(t *testing.T) {
 
 func TestRemoteRedisReadPoor(t *testing.T) {
 	// Fig 5a: Redis non-local read throughput far below Dragon's.
-	env, m := newModel(2)
-	redis := remoteRead(t, env, m, datastore.Redis, 8)
-	dragon := remoteRead(t, env, m, datastore.Dragon, 8)
+	redis := remoteRead(datastore.Redis, 8)
+	dragon := remoteRead(datastore.Dragon, 8)
 	if redis < 3*dragon {
 		t.Fatalf("redis remote read (%v) should be >> dragon (%v)", redis, dragon)
 	}
@@ -162,8 +162,7 @@ func TestRemoteRedisReadPoor(t *testing.T) {
 func TestDragonRemotePeaksNearWindow(t *testing.T) {
 	// Fig 5: Dragon throughput peaks around ~10 MB then declines.
 	tput := func(mb float64) float64 {
-		env, m := newModel(2)
-		return mb / 1000 / remoteRead(t, env, m, datastore.Dragon, mb)
+		return mb / 1000 / remoteRead(datastore.Dragon, mb)
 	}
 	t1, t10, t128 := tput(1), tput(10), tput(128)
 	if t10 <= t1 {
@@ -178,9 +177,8 @@ func TestFSRemoteCatchesDragonAtLargeSizes(t *testing.T) {
 	// Fig 5: FS throughput grows with size, becoming comparable to
 	// Dragon at the largest messages.
 	ratio := func(mb float64) float64 {
-		env, m := newModel(2)
-		fs := remoteRead(t, env, m, datastore.FileSystem, mb)
-		dr := remoteRead(t, env, m, datastore.Dragon, mb)
+		fs := remoteRead(datastore.FileSystem, mb)
+		dr := remoteRead(datastore.Dragon, mb)
 		return fs / dr // >1 means FS slower
 	}
 	small, large := ratio(1), ratio(128)
@@ -240,10 +238,10 @@ func TestNICBoundsAggregateFetchRate(t *testing.T) {
 }
 
 func TestCacheEffMonotoneDecline(t *testing.T) {
-	_, m := newModel(8)
+	p := Default()
 	prev := math.Inf(1)
 	for _, mb := range []float64{1, 8, 16, 32, 64, 128} {
-		eff := m.cacheEff(2.5, mb)
+		eff := p.cacheEff(2.5, mb)
 		if eff > prev+1e-12 {
 			t.Fatalf("cacheEff increased at %v MB", mb)
 		}
@@ -252,19 +250,65 @@ func TestCacheEffMonotoneDecline(t *testing.T) {
 		}
 		prev = eff
 	}
-	if m.cacheEff(2.5, 4) != 2.5 {
+	if p.cacheEff(2.5, 4) != 2.5 {
 		t.Fatal("cacheEff should be flat below the share")
 	}
 }
 
 func TestNodeLocalHasNoRemoteModel(t *testing.T) {
-	_, m := newModel(2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("node-local remote read did not panic (tmpfs is not remotely readable, per the paper)")
 		}
 	}()
-	m.NewRemoteRead(datastore.NodeLocal, 1, func() {})
+	remoteRead(datastore.NodeLocal, 1)
+}
+
+// TestFig5PairEndsAtClosedForm: Fig 5's pair — a local write on node 0,
+// then a non-local read holding the trainer NIC — run on a fresh Env
+// completes at exactly (==, not within a tolerance) the times that
+// adding its phases up in chain order gives. That sum is what
+// experiments.RunFig5Checked computes instead of running the chain.
+func TestFig5PairEndsAtClosedForm(t *testing.T) {
+	closedForm := func(now float64, c XferCost) float64 {
+		for range c.MetaOps {
+			now += c.RPCS
+			now += c.MDSS
+		}
+		return now + c.HoldS
+	}
+	for _, b := range datastore.Backends() {
+		for _, mb := range []float64{0.4, 1, 4, 10, 32, 128} { // experiments.Fig5Sizes
+			env, m := newModel(2)
+			var wrote, read float64
+			write := m.params.LocalCost(b, mb, false)
+			m.NewLocalWrite(b, 0, mb, func() {
+				wrote = env.Now()
+				if b == datastore.NodeLocal {
+					return // no remote read (TestNodeLocalHasNoRemoteModel)
+				}
+				_, bw, _ := m.params.remoteParams(b, mb)
+				nic, hold := m.nic(b, bw), m.params.RemoteReadCost(b, mb).HoldS
+				nic.Request(func() {
+					env.After(hold, func() {
+						nic.Release()
+						read = env.Now()
+					})
+				})
+			}).Start()
+			env.Run()
+			want := closedForm(0, write)
+			if wrote != want {
+				t.Errorf("%v %v MB: write ends at %v, closed form %v", b, mb, wrote, want)
+			}
+			if b == datastore.NodeLocal {
+				continue
+			}
+			if want = closedForm(want, m.params.RemoteReadCost(b, mb)); read != want {
+				t.Errorf("%v %v MB: read ends at %v, closed form %v", b, mb, read, want)
+			}
+		}
+	}
 }
 
 // TestLocalXferBuildsOneClosure: every phase of a transfer runs on the

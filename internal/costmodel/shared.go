@@ -132,9 +132,9 @@ func (m *Model) NewSharedLocalWrite(b datastore.Backend, node int, mb float64, d
 }
 
 // NewSharedLocalRead builds a reusable stage_read op against a shared
-// deployment (reads carry the same 0.85 cost scale as NewLocalRead).
+// deployment (reads carry the same cost scale as NewLocalRead).
 func (m *Model) NewSharedLocalRead(b datastore.Backend, node int, mb float64, done func()) *SharedXfer {
-	return m.newSharedXfer(b, node, mb, 0.85, m.NewLocalRead(b, node, mb, done))
+	return m.newSharedXfer(b, node, mb, readCostScale, m.NewLocalRead(b, node, mb, done))
 }
 
 func (m *Model) newSharedXfer(b datastore.Backend, node int, mb, costScale float64, inner *LocalXfer) *SharedXfer {

@@ -21,8 +21,9 @@
 // The simulated workloads are bulk-synchronous: thousands of identical
 // ranks wake, stage and poll at the same virtual instants. Half of the
 // events an `experiments -exp all` pass schedules (fig3 69 %, scale-out
-// 50 %, fig6 47 %, fig4 44 %, resilience 36 %; fig5 and campaign 0 %)
-// carry a timestamp bit-equal to an event already pending. The queue
+// 50 %, fig6 47 %, fig4 44 %, resilience 36 %, campaign 0 %; fig5
+// schedules none) carry a timestamp bit-equal to an event already
+// pending. The queue
 // therefore orders runs of simultaneous events, not single events:
 //
 //   - A run is a FIFO of events with one bit-identical time, linked
@@ -89,14 +90,17 @@
 //     decides an order, and the key keeps its three-field 24-byte shape:
 //     a prototype that marked lane heads with a fourth int32 field, with
 //     no lane logic at all, slowed a three-backend fig5 cell from 64–68
-//     to 80–86 µs, and with lanes lost 18 % of serve-cold's qps.
+//     to 80–86 µs, and with lanes lost 18 % of serve-cold's qps (measured
+//     while fig5 cells still ran on an Env).
 //   - The lane table is allocated the first time the heap grows to
 //     laneDepth (64) runs, and the lane code sits out of line behind one
-//     nil check. A queue that never gets that deep — every serve-cold
-//     fig5 cell, which never holds more than a couple of runs — pays that
-//     check per new run and keeps NewEnv at one allocation; an eager
-//     table cost serve-cold its qps as above. This is a selection from
-//     the queue's observed depth, not a knob, and Shutdown returns an Env
+//     nil check. A queue that never gets that deep pays that check per
+//     new run and keeps NewEnv at one allocation: p1-nl-512 and
+//     fig6-redis-128 average 2.9 and 2.8 runs at a push. The choice was
+//     measured on serve-cold's fig5 cells, which held a couple of runs
+//     and lost qps to an eager table; fig5 now adds its phases up in
+//     closed form and builds no Env. This is a selection from the
+//     queue's observed depth, not a knob, and Shutdown returns an Env
 //     to it.
 //
 // Why lanes keep the order exactly (t, seq). A run joins a live lane only

@@ -32,6 +32,10 @@ var ErrClosed = errors.New("dragon: closed")
 type Manager struct {
 	mu   sync.Mutex
 	data map[string][]byte // nil once closed
+	// conns are the connections Serve is answering; Close hangs them
+	// up and waits for their goroutines.
+	conns map[net.Conn]struct{}
+	wg    sync.WaitGroup
 }
 
 // The operations a request names.
@@ -43,7 +47,9 @@ const (
 )
 
 // NewManager returns a manager with an empty shard.
-func NewManager() *Manager { return &Manager{data: make(map[string][]byte)} }
+func NewManager() *Manager {
+	return &Manager{data: make(map[string][]byte), conns: make(map[net.Conn]struct{})}
+}
 
 // handle applies one request to the shard and returns the response's
 // status and payload.
@@ -76,12 +82,39 @@ func (m *Manager) handle(op byte, key string, value []byte) (status byte, payloa
 	return statusError, fmt.Appendf(nil, "dragon: unknown op %d", op)
 }
 
-// Close drops the shard; every later request gets ErrClosed.
+// Close drops the shard, hangs up every connection it serves and waits
+// for their goroutines to end; a client's next call gets ErrClosed.
 // Idempotent.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	m.data = nil
+	for c := range m.conns {
+		c.Close()
+	}
+	m.conns = nil
 	m.mu.Unlock()
+	m.wg.Wait()
+}
+
+// track registers a connection Serve is about to answer, reporting
+// false once the manager is closed.
+func (m *Manager) track(c net.Conn) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.data == nil {
+		return false
+	}
+	m.conns[c] = struct{}{}
+	m.wg.Add(1)
+	return true
+}
+
+// untrack ends a connection's registration when its goroutine exits.
+func (m *Manager) untrack(c net.Conn) {
+	m.mu.Lock()
+	delete(m.conns, c)
+	m.mu.Unlock()
+	m.wg.Done()
 }
 
 // Dict is the client view of the distributed dictionary: one connection

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -264,6 +265,37 @@ func TestManagerCloseUnblocksClients(t *testing.T) {
 	ms[0].Close()
 	if err := d.Put("k", []byte("v")); err == nil || !strings.Contains(err.Error(), ErrClosed.Error()) {
 		t.Fatalf("put after close = %v, want a server error naming %q", err, ErrClosed)
+	}
+}
+
+// TestManagerCloseEndsConnections: Close hangs up on a connected
+// client instead of leaving its goroutine parked on the socket: the
+// client's next call fails with ErrClosed, and no goroutine Serve
+// started outlives the manager and its listener.
+func TestManagerCloseEndsConnections(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	m := NewManager()
+	ln, err := ListenAndServe(m, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Dial([]string{ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	ln.Close()
+	if _, err := d.Get("k"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("get after close = %v, want ErrClosed", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after close, %d before the manager", runtime.NumGoroutine(), baseline)
+		}
 	}
 }
 

@@ -33,13 +33,17 @@ const (
 )
 
 // Serve exposes manager m on ln until the listener closes. It returns
-// once the accept loop exits; per-connection goroutines drain on their
-// own.
+// once the accept loop exits; a connection's goroutine ends when its
+// client hangs up or m is closed.
 func Serve(m *Manager, ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
+		}
+		if !m.track(conn) {
+			conn.Close()
+			continue
 		}
 		go serveConn(m, conn)
 	}
@@ -59,6 +63,7 @@ func ListenAndServe(m *Manager, addr string) (net.Listener, error) {
 // serveConn answers one connection's requests in order until it closes
 // or sends a frame that cannot be decoded.
 func serveConn(m *Manager, conn net.Conn) {
+	defer m.untrack(conn)
 	defer conn.Close()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
@@ -146,11 +151,11 @@ func (c *managerConn) roundTrip(op byte, key string, value []byte) (status byte,
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err = writeRequest(c.w, op, key, value); err != nil {
-		return
+		return 0, nil, hungUp(err)
 	}
 	var hdr [9]byte
 	if _, err = io.ReadFull(c.r, hdr[:]); err != nil {
-		return
+		return 0, nil, hungUp(err)
 	}
 	status = hdr[0]
 	n := binary.BigEndian.Uint64(hdr[1:])
@@ -159,8 +164,14 @@ func (c *managerConn) roundTrip(op byte, key string, value []byte) (status byte,
 		return
 	}
 	payload = make([]byte, n)
-	_, err = io.ReadFull(c.r, payload)
+	if _, err = io.ReadFull(c.r, payload); err != nil {
+		return 0, nil, hungUp(err)
+	}
 	return
 }
 
 func (c *managerConn) Close() error { return c.c.Close() }
+
+// hungUp reports a request the connection could not carry: a closed
+// manager hangs up on its clients, so to the caller it is ErrClosed.
+func hungUp(err error) error { return fmt.Errorf("%w: connection lost: %w", ErrClosed, err) }

@@ -13,8 +13,8 @@ import (
 // allocate nothing. The same components are written out a second time as
 // straight-line blocking loops in the test-only oracle (oracle_test.go),
 // which polls every period and runs every cell to its horizon, and the
-// machines here are held bit-equal to it. fig5Pair and fig6Trainer issue
-// one schedule call per step of those loops. stagingRank — every solver
+// machines here are held bit-equal to it. fig6Trainer makes one
+// schedule call per step of its loop. stagingRank — every solver
 // and trainer rank of Pattern 1, scale-out and resilience, and the load
 // writers of Fig 6 — schedules only the polls that do something, at
 // bit-identical times and in the same relative order among ranks as a
@@ -169,52 +169,6 @@ func (r *stagingRank) nextPoll(now float64) float64 {
 		t += r.period
 	}
 	return t
-}
-
-// fig5Pair replays the 2-node point-to-point loop: a local write on node
-// 0 followed by a non-local read, a fixed number of times.
-type fig5Pair struct {
-	env        *des.Env
-	transfers  int
-	i          int
-	bytes      int64
-	writeStart float64
-	readStart  float64
-	writeTput  *stats.Throughput
-	readTput   *stats.Throughput
-	write      *costmodel.LocalXfer
-	read       *costmodel.RemoteXfer
-	beginWrite func()
-}
-
-func newFig5Pair(env *des.Env, model *costmodel.Model, backend datastore.Backend, sizeMB float64,
-	transfers int, bytes int64, writeTput, readTput *stats.Throughput) *fig5Pair {
-	p := &fig5Pair{
-		env: env, transfers: transfers, bytes: bytes,
-		writeTput: writeTput, readTput: readTput,
-	}
-	p.beginWrite = func() {
-		p.writeStart = p.env.Now()
-		p.write.Start()
-	}
-	p.write = model.NewLocalWrite(backend, 0, sizeMB, func() {
-		p.writeTput.Add(p.bytes, p.env.Now()-p.writeStart)
-		p.readStart = p.env.Now()
-		p.read.Start()
-	})
-	p.read = model.NewRemoteRead(backend, sizeMB, func() {
-		p.readTput.Add(p.bytes, p.env.Now()-p.readStart)
-		p.i++
-		if p.i < p.transfers {
-			p.beginWrite()
-		}
-	})
-	env.At(env.Now(), func() {
-		if p.transfers > 0 {
-			p.beginWrite()
-		}
-	})
-	return p
 }
 
 // fig6Trainer replays the many-to-one trainer: compute for a read

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"simaibench/internal/clock"
+	"simaibench/internal/datastore"
 	"simaibench/internal/des"
 	"simaibench/internal/scenario"
 	"simaibench/internal/serve"
@@ -187,6 +188,39 @@ func TestCheckedHarnessesSurfaceBudget(t *testing.T) {
 		var be *des.BudgetExceeded
 		if !errors.As(err, &be) {
 			t.Errorf("%s: error = %v, want des.BudgetExceeded", name, err)
+		}
+	}
+}
+
+// TestFig5BudgetTrips holds Fig 5's event budget to the event chain it
+// replaces: a file-system pair makes 6 timed phases per transfer (two
+// metadata rounds of RPC and MDS service, the OST hold, the NIC hold),
+// so 5 transfers execute 31 events with the start. Every row was
+// recorded from the des.Env run of the chain; Now is compared with ==.
+func TestFig5BudgetTrips(t *testing.T) {
+	for _, c := range []struct {
+		maxEvents int64
+		events    int64 // 0: the run completes
+		now       float64
+	}{
+		{1, 1, 0},
+		{2, 2, 0.002},
+		{7, 7, 0.0256},
+		{30, 30, 0.11520000000000002},
+		{31, 0, 0},
+		{0, 0, 0},
+	} {
+		_, err := RunFig5Checked(Fig5Config{Backend: datastore.FileSystem, SizeMB: 8, Transfers: 5, MaxEvents: c.maxEvents})
+		var be *des.BudgetExceeded
+		switch {
+		case c.events == 0 && err != nil:
+			t.Errorf("MaxEvents %d: %v, want a completed run", c.maxEvents, err)
+		case c.events == 0:
+		case !errors.As(err, &be):
+			t.Errorf("MaxEvents %d: error = %v, want des.BudgetExceeded", c.maxEvents, err)
+		case be.Events != c.events || be.Now != c.now || be.Guard.MaxEvents != c.maxEvents:
+			t.Errorf("MaxEvents %d: tripped at (%d events, t=%v, limit %d), want (%d, t=%v)",
+				c.maxEvents, be.Events, be.Now, be.Guard.MaxEvents, c.events, c.now)
 		}
 	}
 }

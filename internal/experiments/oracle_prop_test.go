@@ -118,8 +118,10 @@ func FuzzHarnessVsOracle(f *testing.F) {
 	f.Add(uint8(kindPattern1), uint8(230), uint8(0), uint8(4), uint8(99), uint8(9), uint8(0))  // deep file-system Pattern 1
 	f.Add(uint8(kindFig6), uint8(250), uint8(0), uint8(2), uint8(9), uint8(9), uint8(0))       // deep file-system Fig 6
 	f.Add(uint8(kindPattern1), uint8(15), uint8(2), uint8(5), uint8(6), uint8(2), uint8(150))  // periods 7/3
-	f.Add(uint8(kindFig5), uint8(0), uint8(1), uint8(5), uint8(0), uint8(0), uint8(20))        // Fig 5, 32 MB over Dragon
+	f.Add(uint8(kindFig5), uint8(0), uint8(1), uint8(5), uint8(0), uint8(0), uint8(20))        // Fig 5, 32 MB over the file system (metadata phases)
 	f.Add(uint8(kindResilience), uint8(3), uint8(0), uint8(4), uint8(9), uint8(9), uint8(120)) // resilience, 4 tenants, scale-out periods
+	f.Add(uint8(kindFig5), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0), uint8(70))        // Fig 5, 0.4 MB over Redis
+	f.Add(uint8(kindFig5), uint8(0), uint8(2), uint8(4), uint8(0), uint8(0), uint8(0))         // Fig 5, 8 MB over Dragon
 	f.Fuzz(func(t *testing.T, kind, nodes, backend, size, write, read, it uint8) {
 		oracleCase{kind: kind, nodes: nodes, backend: backend, size: size, write: write, read: read, it: it}.check(t)
 	})

@@ -8,6 +8,7 @@ import (
 	"simaibench/internal/cluster"
 	"simaibench/internal/costmodel"
 	"simaibench/internal/datastore"
+	"simaibench/internal/des"
 	"simaibench/internal/scenario"
 	"simaibench/internal/stats"
 )
@@ -35,8 +36,9 @@ type Fig5Config struct {
 	SizeMB  float64
 	// Transfers: how many write/read pairs to sample.
 	Transfers int
-	// MaxEvents caps the DES events the run may execute (0 = unlimited);
-	// RunFig5Checked surfaces the budget trip as an error.
+	// MaxEvents caps the events the transfer chain may execute — its
+	// start and one per timed phase (0 = unlimited); RunFig5Checked
+	// surfaces the budget trip as a des.BudgetExceeded error.
 	MaxEvents int64
 	Params    *costmodel.Params
 }
@@ -65,22 +67,31 @@ func RunFig5Checked(cfg Fig5Config) (Fig5Point, error) {
 	if err != nil {
 		return Fig5Point{}, fmt.Errorf("fig5 (%s, %g MB): %w", cfg.Backend, cfg.SizeMB, err)
 	}
-	spec := cluster.Aurora(2)
-	env := newGuardedEnv(cfg.MaxEvents)
 	params := costmodel.Default()
 	if cfg.Params != nil {
 		params = *cfg.Params
 	}
-	model := costmodel.New(env, spec, params)
+	write := params.LocalCost(cfg.Backend, cfg.SizeMB, false)
+	read := params.RemoteReadCost(cfg.Backend, cfg.SizeMB)
 	bytes := int64(cfg.SizeMB * 1e6)
 
-	// One flat chain alternates the local write on node 0 with the
-	// remote AI read over the fabric (see flat.go).
+	// The local write on node 0 and the remote read are strictly serial,
+	// and every resource they touch has this one claimant, so each request
+	// is granted at once and only the timed phases move the clock. Adding
+	// them up in chain order gives the floats an Env would (After(d) is
+	// At(now+d)); the start event counts against the budget too.
+	clock := serialClock{budget: cfg.MaxEvents, events: 1}
 	var writeTput, readTput stats.Throughput
-	newFig5Pair(env, model, cfg.Backend, cfg.SizeMB, cfg.Transfers, bytes, &writeTput, &readTput)
-	env.Run()
-	if err := env.Err(); err != nil {
-		return Fig5Point{}, fmt.Errorf("fig5 (%s, %g MB): %w", cfg.Backend, cfg.SizeMB, err)
+	for range cfg.Transfers {
+		start := clock.now
+		clock.xfer(write)
+		writeTput.Add(bytes, clock.now-start)
+		start = clock.now
+		clock.xfer(read)
+		readTput.Add(bytes, clock.now-start)
+		if clock.err != nil {
+			return Fig5Point{}, fmt.Errorf("fig5 (%s, %g MB): %w", cfg.Backend, cfg.SizeMB, clock.err)
+		}
 	}
 	return Fig5Point{
 		Backend:   cfg.Backend,
@@ -88,6 +99,37 @@ func RunFig5Checked(cfg Fig5Config) (Fig5Point, error) {
 		ReadGBps:  readTput.MeanGBps(),
 		WriteGBps: writeTput.MeanGBps(),
 	}, nil
+}
+
+// serialClock is the clock of one serial chain of timed phases under a
+// guarded des.Env's event budget: the phase that would exceed it is not
+// taken, and err records the trip as the Env would.
+type serialClock struct {
+	now    float64
+	events int64
+	budget int64 // 0 = unlimited
+	err    *des.BudgetExceeded
+}
+
+// xfer takes one transfer's phases in the order a transfer chain
+// schedules them.
+func (c *serialClock) xfer(x costmodel.XferCost) {
+	for range x.MetaOps {
+		c.phase(x.RPCS)
+		c.phase(x.MDSS)
+	}
+	c.phase(x.HoldS)
+}
+
+func (c *serialClock) phase(d float64) {
+	switch {
+	case c.err != nil:
+	case c.budget > 0 && c.events >= c.budget:
+		c.err = &des.BudgetExceeded{Guard: des.Guard{MaxEvents: c.budget}, Events: c.events, Now: c.now}
+	default:
+		c.events++
+		c.now += d
+	}
 }
 
 // Fig5Sizes spans the paper's log-scale x axis (10^0 .. ~10^2 MB).

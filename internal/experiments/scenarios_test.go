@@ -275,9 +275,12 @@ func TestHeadStep(t *testing.T) {
 
 // TestFig5RunAndEncodeBytes pins what a cold serving miss allocates for
 // the cell work it runs: one fig5 run of the serve-cold key stream plus
-// its JSON encode. The ceiling holds only while each of the 18 two-node
-// cells sizes its transfer arenas to the one transfer it makes and the
-// table encodes its rows without building a map per row.
+// its JSON encode. It measured 10.1–10.7 KB per run, 11.6–13.0 KB
+// under -race (go1.24.0, linux/amd64); the 20 KB ceiling is the -race
+// figure plus half. It holds only while
+// each of the 18 two-node cells adds its phases up in closed form — no
+// des.Env, Model, Resource or transfer arena per cell — and the table
+// encodes its rows without building a map per row.
 func TestFig5RunAndEncodeBytes(t *testing.T) {
 	fig5, ok := scenario.Lookup("fig5")
 	if !ok {
@@ -301,7 +304,7 @@ func TestFig5RunAndEncodeBytes(t *testing.T) {
 		runAndEncode()
 	}
 	runtime.ReadMemStats(&after)
-	if perRun := (after.TotalAlloc - before.TotalAlloc) / rounds; perRun > 150<<10 {
-		t.Errorf("fig5 at Transfers 150 plus its encode allocates %d KB per run, ceiling 150 KB", perRun>>10)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / rounds; perRun > 20<<10 {
+		t.Errorf("fig5 at Transfers 150 plus its encode allocates %d B per run, ceiling 20 KB", perRun)
 	}
 }
