@@ -1,13 +1,22 @@
 package bench
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -216,7 +225,8 @@ const testAccessor = "read accessor tests observe state through"
 
 // productionCallerExempt lists the functions
 // TestProductionCodeHasProductionCaller lets stand without a non-test
-// caller, each with the reason it stays.
+// user, each with the reason it stays. A method the standard library
+// calls through one of stdInterfaces needs no entry.
 var productionCallerExempt = map[string]string{
 	"ai.Trainer.LoaderSize":         testAccessor,
 	"clock.Virtual.NowNS":           testAccessor,
@@ -233,101 +243,397 @@ var productionCallerExempt = map[string]string{
 	"des.Resource.Peak":             testAccessor,
 	"des.Resource.Grants":           testAccessor,
 	"des.Resource.TotalWaitS":       testAccessor,
-	"config.DistSpec.MarshalJSON":   "json.Marshaler",
-	"config.DistSpec.UnmarshalJSON": "json.Unmarshaler",
-	"scenario.Table.MarshalJSON":    "json.Marshaler",
-	"scenario.Table.UnmarshalJSON":  "json.Unmarshaler",
 	"sweep.CellError.Unwrap":        "errors.Is/As unwrap it",
 }
 
+// stdInterfaces are the standard-library interfaces through which the
+// standard library calls a module type's methods: a method that
+// implements one of theirs counts as used.
+var stdInterfaces = []struct{ pkg, name string }{
+	{"", "error"},
+	{"fmt", "Stringer"},
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
+	{"sort", "Interface"},
+	{"container/heap", "Interface"},
+	{"io", "Reader"},
+	{"io", "Writer"},
+	{"io", "Closer"},
+	{"net/http", "Handler"},
+}
+
 // TestProductionCodeHasProductionCaller keeps test-only code from
-// growing back: every top-level function or method declared in a
-// non-test file under internal/ or pkg/ must have its name used in some
-// non-test .go file (cmd/, examples/ and benchmark/ included) other than
-// at a function declaration. Matching is by name alone, so it
-// under-reports (a method shares its name with every other method and
-// field so called); what it does report has no production caller at all.
+// growing back: every function or method declared in a non-test file
+// under internal/ or pkg/ must have a non-test user (cmd/, examples/
+// and benchmark/ count) by the type-checked rules of unusedFuncs, or an
+// entry in productionCallerExempt.
 func TestProductionCodeHasProductionCaller(t *testing.T) {
-	type decl struct {
-		name string
-		pos  token.Position
+	unused, err := unusedFuncs([]callerRoot{{".", "simaibench"}, {"benchmark", "simaibench/benchmark"}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var decls []decl
-	used := map[string]bool{}
+	exempted := map[string]bool{}
+	for _, u := range unused {
+		if reason := productionCallerExempt[u.name]; reason != "" {
+			exempted[u.name] = true
+			t.Logf("%s has no non-test user; exempt: %s", u.name, reason)
+			continue
+		}
+		t.Errorf("%s: %s is used by no non-test code: give it a production caller, delete it, or exempt it with a reason",
+			u.pos, u.name)
+	}
+	for name := range productionCallerExempt {
+		if !exempted[name] {
+			t.Errorf("productionCallerExempt names %s, which is not declared or has a non-test user: drop the entry", name)
+		}
+	}
+}
+
+// TestCallerCensusFixture holds the census to the cases a name match
+// gets wrong (testdata/callers): a method whose only caller is a test
+// although a production method shares its name, and the implementation
+// of an interface method nobody calls, are reported; a generic method
+// reached only through an instantiation is not.
+func TestCallerCensusFixture(t *testing.T) {
+	unused, err := unusedFuncs([]callerRoot{{"testdata/callers", "callers"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, u := range unused {
+		got = append(got, u.name)
+	}
+	if want := []string{"fix.Probe.Size", "fix.Quiet.Ping"}; !slices.Equal(got, want) {
+		t.Errorf("census reports %v, want %v", got, want)
+	}
+}
+
+// callerRoot is a module the census loads: its directory and its path.
+type callerRoot struct{ dir, path string }
+
+// unusedFunc is one census hit.
+type unusedFunc struct {
+	name string // "pkg.Func" or "pkg.Type.Method"
+	pos  token.Position
+}
+
+// unusedFuncs type-checks every non-test package of roots (the standard
+// library from source) and returns, in file order, each function and
+// method declared under internal/ or pkg/ of roots[0] that no non-test
+// code uses. A function is used when
+//   - non-test code calls or selects it; a use through a generic
+//     instantiation counts for its origin;
+//   - it implements a method of a module interface that non-test code
+//     calls; or
+//   - it implements a method of one of stdInterfaces.
+//
+// So an interface method nobody calls keeps none of its implementations
+// alive.
+func unusedFuncs(roots []callerRoot) ([]unusedFunc, error) {
+	fset, std := stdSource()
+	l := &censusLoader{
+		fset: fset,
+		std:  std,
+		srcs: map[string]censusPkg{},
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+	}
+	for i, r := range roots {
+		if err := l.find(r, i == 0); err != nil {
+			return nil, err
+		}
+	}
+	for path := range l.srcs {
+		if _, err := l.Import(path); err != nil {
+			return nil, err
+		}
+	}
+
+	used := map[*types.Func]bool{}
+	called := map[*types.Func]bool{} // module interface methods non-test code calls
+	for _, obj := range l.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		used[fn] = true
+		if typ := recvType(fn); typ != nil && types.IsInterface(typ) && fn.Pkg() != nil && l.pkgs[fn.Pkg().Path()] != nil {
+			called[fn] = true
+		}
+	}
+	var stdIfaces []*types.Interface
+	for _, s := range stdInterfaces {
+		scope := types.Universe
+		if s.pkg != "" {
+			p, err := l.std.Import(s.pkg)
+			if err != nil {
+				return nil, err
+			}
+			scope = p.Scope()
+		}
+		stdIfaces = append(stdIfaces, scope.Lookup(s.name).Type().Underlying().(*types.Interface))
+	}
+	implemented := func(fn *types.Func) bool {
+		for m := range called {
+			if m.Name() == fn.Name() && implements(fn, recvType(m).Underlying().(*types.Interface)) {
+				return true
+			}
+		}
+		for _, iface := range stdIfaces {
+			for i := range iface.NumMethods() {
+				if iface.Method(i).Name() == fn.Name() && implements(fn, iface) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	var out []unusedFunc
+	for _, d := range l.decls {
+		if !used[d] && !implemented(d) {
+			out = append(out, unusedFunc{funcName(d), fset.Position(d.Pos())})
+		}
+	}
+	slices.SortFunc(out, func(a, b unusedFunc) int {
+		return cmp.Or(strings.Compare(a.pos.Filename, b.pos.Filename), a.pos.Line-b.pos.Line)
+	})
+	return out, nil
+}
+
+// stdSource is the standard library's source importer and its file
+// set, shared by every census so each package is type-checked once.
+var stdSource = sync.OnceValues(func() (*token.FileSet, types.ImporterFrom) {
 	fset := token.NewFileSet()
+	return fset, importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+})
+
+// implements reports whether the receiver of method fn, or a pointer to
+// it, implements iface. Methods of generic types never do: an
+// uninstantiated type cannot be asked.
+func implements(fn *types.Func, iface *types.Interface) bool {
+	typ := recvType(fn)
+	if typ == nil {
+		return false
+	}
+	if n, ok := typ.(*types.Named); ok && n.TypeParams().Len() > 0 {
+		return false
+	}
+	return types.Implements(typ, iface) || types.Implements(types.NewPointer(typ), iface)
+}
+
+// recvType is fn's receiver type without its pointer, or nil for a
+// plain function.
+func recvType(fn *types.Func) types.Type {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	if p, ok := recv.Type().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return recv.Type()
+}
+
+// funcName is "pkg.Func" or "pkg.Type.Method".
+func funcName(fn *types.Func) string {
+	name := fn.Pkg().Name() + "."
+	if typ := recvType(fn); typ != nil {
+		name += typ.(*types.Named).Obj().Name() + "."
+	}
+	return name + fn.Name()
+}
+
+// censusPkg is one non-test package the census type-checks.
+type censusPkg struct {
+	dir     string
+	files   []string // non-test Go files under the default build context
+	checked bool     // its functions must have a non-test user
+}
+
+// censusLoader type-checks the module packages it has found, sharing
+// one types.Info, and hands every other import to the standard
+// library's source importer.
+type censusLoader struct {
+	fset  *token.FileSet
+	std   types.ImporterFrom
+	srcs  map[string]censusPkg
+	pkgs  map[string]*types.Package
+	info  *types.Info
+	decls []*types.Func // the functions and methods the census checks
+}
+
+// find registers every package of root r; a directory holding its own
+// go.mod is another module and is skipped, as are testdata and dot
+// directories. With checked set, the packages under internal/ and pkg/
+// are the ones checked.
+func (l *censusLoader) find(r callerRoot, checked bool) error {
+	return filepath.WalkDir(r.dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != r.dir {
+			if name := d.Name(); strings.HasPrefix(name, ".") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		bp, err := build.ImportDir(path, 0)
+		if err != nil {
+			var noGo *build.NoGoError
+			if errors.As(err, &noGo) {
+				return nil
+			}
+			return err
+		}
+		rel, err := filepath.Rel(r.dir, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		importPath := r.path
+		if rel != "." {
+			importPath += "/" + rel
+		}
+		l.srcs[importPath] = censusPkg{
+			dir:     path,
+			files:   bp.GoFiles,
+			checked: checked && (strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "pkg/")),
+		}
+		return nil
+	})
+}
+
+func (l *censusLoader) Import(path string) (*types.Package, error) {
+	return l.ImportFrom(path, "", 0)
+}
+
+func (l *censusLoader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	src, ok := l.srcs[path]
+	if !ok {
+		return l.std.ImportFrom(path, dir, mode)
+	}
+	if p := l.pkgs[path]; p != nil {
+		return p, nil
+	}
+	var files []*ast.File
+	for _, name := range src.files {
+		f, err := parser.ParseFile(l.fset, filepath.Join(src.dir, name), nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: l}
+	p, err := conf.Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = p
+	if src.checked {
+		for _, f := range files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name != "init" {
+					l.decls = append(l.decls, l.info.Defs[fd.Name].(*types.Func))
+				}
+			}
+		}
+	}
+	return p, nil
+}
+
+// citingDocs are the documents whose Test/Fuzz/Benchmark citations
+// TestDocsCiteExistingTests resolves.
+var citingDocs = []string{
+	"ARCHITECTURE.md",
+	"EXPERIMENTS.md",
+	".github/workflows/ci.yml",
+	".claude/skills/verify/SKILL.md",
+}
+
+// testCitation matches a cited test name: the prefix, then an upper-case
+// letter, digit, underscore or brace group, with {a,b} alternatives and
+// a trailing * (a prefix) allowed.
+var testCitation = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)(?:[A-Z0-9_]|\{[A-Za-z0-9_,]*\})(?:[A-Za-z0-9_]|\{[A-Za-z0-9_,]*\})*\*?`)
+
+// TestDocsCiteExistingTests keeps the docs from citing a test that was
+// renamed or deleted: every Test…/Fuzz…/Benchmark… name in citingDocs
+// must be declared in some _test.go file of the repo. {,Hier} expands to
+// each alternative, and a trailing * matches any test with that prefix.
+func TestDocsCiteExistingTests(t *testing.T) {
+	declared := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if strings.HasPrefix(d.Name(), ".") && path != "." {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		declared := map[*ast.Ident]bool{}
-		checked := strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "pkg/")
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				declared[fd.Name] = true
-				if checked && fd.Name.Name != "init" {
-					decls = append(decls, decl{qualifiedName(f, fd), fset.Position(fd.Name.Pos())})
-				}
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+				declared[fd.Name.Name] = true
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
-			}
-			return true
-		})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{}
-	for _, d := range decls {
-		seen[d.name] = true
-		short := d.name[strings.LastIndex(d.name, ".")+1:]
-		if used[short] || productionCallerExempt[d.name] != "" {
-			continue
+	for _, doc := range citingDocs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Errorf("%s:%d: %s is used by no non-test file: give it a production caller, delete it, or exempt it with a reason",
-			d.pos.Filename, d.pos.Line, d.name)
-	}
-	for name := range productionCallerExempt {
-		if !seen[name] {
-			t.Errorf("productionCallerExempt names %s, which is not declared: drop the entry", name)
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, cite := range testCitation.FindAllString(line, -1) {
+				for _, name := range expandBraces(cite) {
+					if !citedTestExists(declared, name) {
+						t.Errorf("%s:%d: cites %s, which no _test.go declares", doc, i+1, name)
+					}
+				}
+			}
 		}
 	}
 }
 
-// qualifiedName is "pkg.Func" or "pkg.Type.Method".
-func qualifiedName(f *ast.File, fd *ast.FuncDecl) string {
-	name := f.Name.Name + "."
-	if fd.Recv != nil && len(fd.Recv.List) > 0 {
-		typ := fd.Recv.List[0].Type
-		for {
-			switch tt := typ.(type) {
-			case *ast.StarExpr:
-				typ = tt.X
-				continue
-			case *ast.IndexExpr:
-				typ = tt.X
-				continue
-			case *ast.Ident:
-				name += tt.Name + "."
-			}
-			break
+// expandBraces expands every {a,b,…} group of s into each alternative.
+func expandBraces(s string) []string {
+	open := strings.IndexByte(s, '{')
+	if open < 0 {
+		return []string{s}
+	}
+	end := open + strings.IndexByte(s[open:], '}')
+	var out []string
+	for _, alt := range strings.Split(s[open+1:end], ",") {
+		out = append(out, expandBraces(s[:open]+alt+s[end+1:])...)
+	}
+	return out
+}
+
+// citedTestExists reports whether name, or with a trailing * any name
+// it prefixes, is declared.
+func citedTestExists(declared map[string]bool, name string) bool {
+	prefix, ok := strings.CutSuffix(name, "*")
+	if !ok {
+		return declared[name]
+	}
+	for d := range declared {
+		if strings.HasPrefix(d, prefix) {
+			return true
 		}
 	}
-	return name + fd.Name.Name
+	return false
 }

@@ -1,8 +1,8 @@
-// Package ai implements the paper's AI class (§3.4): a training/inference
-// component built on the nn substrate with distributed data-parallel
-// semantics (gradient all-reduce over the MPI runtime, the stand-in for
-// PyTorch DDP), a data loader fed from the DataStore, and the same
-// run_time/run_count execution control as the Simulation class.
+// Package ai implements the paper's AI class (§3.4): a training
+// component built on the nn substrate, a data loader fed from the
+// DataStore, and the same run_time/run_count execution control as the
+// Simulation class. Each trainer steps one rank's model: no gradient
+// all-reduce runs.
 package ai
 
 import (
@@ -16,7 +16,6 @@ import (
 	"simaibench/internal/config"
 	"simaibench/internal/datastore"
 	"simaibench/internal/dist"
-	"simaibench/internal/mpi"
 	"simaibench/internal/nn"
 	"simaibench/internal/spin"
 	"simaibench/internal/stats"
@@ -48,10 +47,6 @@ type Option func(*Trainer)
 // WithStore attaches the data-transport client.
 func WithStore(s datastore.Store) Option { return func(t *Trainer) { t.store = s } }
 
-// WithComm enables DDP over the communicator: gradients are all-reduced
-// and averaged across ranks each step.
-func WithComm(c *mpi.Comm) Option { return func(t *Trainer) { t.comm = c } }
-
 // WithTimeline attaches a trace timeline.
 func WithTimeline(tl *trace.Timeline, lane string) Option {
 	return func(t *Trainer) { t.timeline, t.lane = tl, lane }
@@ -65,8 +60,8 @@ func WithTimeScale(f float64) Option { return func(t *Trainer) { t.timeScale = f
 
 // WithClock runs the trainer against the given emulation clock, exactly
 // as simulation.WithClock does for the solver: padding and timestamps
-// come from the clock, while the real DDP step still executes (in zero
-// virtual time under a clock.Virtual).
+// come from the clock, while the real training step still executes (in
+// zero virtual time under a clock.Virtual).
 func WithClock(c clock.Clock) Option {
 	return func(t *Trainer) { t.now, t.sleep = c.Now, c.Sleep }
 }
@@ -79,7 +74,6 @@ type Trainer struct {
 	loss      nn.MSE
 	opt       nn.SGD
 	store     datastore.Store
-	comm      *mpi.Comm
 	timeline  *trace.Timeline
 	lane      string
 	rng       *rand.Rand
@@ -157,12 +151,6 @@ func New(name string, cfg config.AIConfig, opts ...Option) (*Trainer, error) {
 	return t, nil
 }
 
-// Name returns the component name.
-func (t *Trainer) Name() string { return t.name }
-
-// Model exposes the underlying network (weight inspection in tests).
-func (t *Trainer) Model() *nn.MLP { return t.model }
-
 // Elapsed returns wall seconds since construction.
 func (t *Trainer) Elapsed() float64 { return t.now().Sub(t.start).Seconds() }
 
@@ -206,14 +194,6 @@ func (t *Trainer) UpdateLoader(key string) error {
 	}
 	t.loader.ingest(raw)
 	return nil
-}
-
-// Poll checks whether a key is staged.
-func (t *Trainer) Poll(key string) (bool, error) {
-	if t.store == nil {
-		return false, fmt.Errorf("ai %s: no data store attached", t.name)
-	}
-	return t.store.Poll(key)
 }
 
 // LoaderSize reports the number of buffered training samples.
@@ -263,12 +243,11 @@ func (t *Trainer) sampleBatch() (xs, ys [][]float64) {
 	return t.xs, t.ys
 }
 
-// TrainIteration performs one real DDP step: forward, MSE loss,
-// backward, gradient all-reduce (when a communicator is attached), SGD
-// update — then pads to the sampled run_time so the iteration matches
-// the profiled duration (0.061 s for the paper's GNN). Batch, activations
-// and gradients live in buffers the trainer and its model reuse, so
-// without a communicator or timeline a step allocates nothing.
+// TrainIteration performs one real training step: forward, MSE loss,
+// backward, SGD update — then pads to the sampled run_time so the
+// iteration matches the profiled duration (0.061 s for the paper's GNN).
+// Batch, activations and gradients live in buffers the trainer and its
+// model reuse, so without a timeline a step allocates nothing.
 func (t *Trainer) TrainIteration() (float64, error) {
 	iterStart := t.now()
 	var target float64
@@ -280,9 +259,6 @@ func (t *Trainer) TrainIteration() (float64, error) {
 	pred := t.model.Forward(xs)
 	loss, grad := t.loss.Loss(pred, ys)
 	t.model.Backward(grad)
-	if t.comm != nil && t.comm.Size() > 1 {
-		t.allReduceGrads()
-	}
 	t.opt.Step(t.model.Params())
 	if target > 0 {
 		if rem := target - t.now().Sub(iterStart).Seconds(); rem > 0 {
@@ -297,30 +273,6 @@ func (t *Trainer) TrainIteration() (float64, error) {
 	if t.timeline != nil {
 		end := t.Elapsed() / t.timeScale
 		t.timeline.AddSpan(t.lane, trace.KindCompute, end-dur/t.timeScale, end, "train")
-	}
-	return loss, nil
-}
-
-// allReduceGrads averages gradients across ranks — the communication
-// PyTorch DDP hides inside loss.backward(), made explicit here.
-func (t *Trainer) allReduceGrads() {
-	for _, p := range t.model.Params() {
-		t.comm.AllReduce(mpi.Sum, p.Grad)
-		inv := 1.0 / float64(t.comm.Size())
-		for i := range p.Grad {
-			p.Grad[i] *= inv
-		}
-	}
-}
-
-// Train runs n iterations, returning the final loss.
-func (t *Trainer) Train(n int) (float64, error) {
-	var loss float64
-	var err error
-	for i := 0; i < n; i++ {
-		if loss, err = t.TrainIteration(); err != nil {
-			return loss, err
-		}
 	}
 	return loss, nil
 }

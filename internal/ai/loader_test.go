@@ -217,7 +217,7 @@ func TestLoaderGrowsWithData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Train(1)
+	tr.TrainIteration()
 	l := &tr.loader
 	if l.buf != nil {
 		t.Fatalf("loader allocated %d floats before any update", len(l.buf))

@@ -1,7 +1,5 @@
 package cluster
 
-import "fmt"
-
 // This file models the interconnect the Spec's headline NIC numbers sit
 // on: a Slingshot-class dragonfly. Spec carries per-node injection
 // bandwidth and one fabric latency; Topology resolves *where the two
@@ -92,22 +90,6 @@ func AuroraTopology(nodes int) Topology {
 		GlobalLatencyS:  4.2e-6,
 	}
 }
-
-// Validate reports configuration errors.
-func (t Topology) Validate() error {
-	switch {
-	case t.Groups < 1 || t.RoutersPerGroup < 1 || t.NodesPerRouter < 1:
-		return fmt.Errorf("cluster: topology shape %d×%d×%d", t.Groups, t.RoutersPerGroup, t.NodesPerRouter)
-	case t.LocalBWGBps <= 0 || t.GroupBWGBps <= 0 || t.GlobalBWGBps <= 0:
-		return fmt.Errorf("cluster: topology bandwidths %v/%v/%v GB/s", t.LocalBWGBps, t.GroupBWGBps, t.GlobalBWGBps)
-	case t.LocalLatencyS < 0 || t.GroupLatencyS < 0 || t.GlobalLatencyS < 0:
-		return fmt.Errorf("cluster: topology latencies %v/%v/%v s", t.LocalLatencyS, t.GroupLatencyS, t.GlobalLatencyS)
-	}
-	return nil
-}
-
-// Nodes returns the topology's node capacity.
-func (t Topology) Nodes() int { return t.Groups * t.RoutersPerGroup * t.NodesPerRouter }
 
 // Router returns the global router index of a node.
 func (t Topology) Router(node int) int { return node / t.NodesPerRouter }

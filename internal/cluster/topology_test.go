@@ -12,14 +12,11 @@ func TestAuroraTopologyShape(t *testing.T) {
 		{1, 1}, {8, 1}, {32, 1}, {33, 2}, {64, 2}, {512, 16},
 	} {
 		topo := AuroraTopology(tc.nodes)
-		if err := topo.Validate(); err != nil {
-			t.Fatalf("AuroraTopology(%d): %v", tc.nodes, err)
-		}
 		if topo.Groups != tc.groups {
 			t.Errorf("AuroraTopology(%d).Groups = %d, want %d", tc.nodes, topo.Groups, tc.groups)
 		}
-		if topo.Nodes() < tc.nodes {
-			t.Errorf("AuroraTopology(%d) capacity %d < node count", tc.nodes, topo.Nodes())
+		if capacity := topo.Groups * topo.RoutersPerGroup * topo.NodesPerRouter; capacity < tc.nodes {
+			t.Errorf("AuroraTopology(%d) capacity %d < node count", tc.nodes, capacity)
 		}
 	}
 }
@@ -46,6 +43,9 @@ func TestTopologyHopResolution(t *testing.T) {
 			t.Errorf("Hop(%d, %d) = %s, want %s (asymmetric)", tc.b, tc.a, got, tc.want)
 		}
 	}
+	if HopClass(99).String() != "unknown" {
+		t.Error("out-of-range HopClass should stringify as unknown")
+	}
 }
 
 func TestTopologyTransferCost(t *testing.T) {
@@ -69,22 +69,5 @@ func TestTopologyTransferCost(t *testing.T) {
 	// Zero-size transfers still pay the hop latency.
 	if got := topo.TransferS(0, 40, 0); got != topo.GlobalLatencyS {
 		t.Fatalf("zero-size global transfer = %v, want latency %v", got, topo.GlobalLatencyS)
-	}
-}
-
-func TestTopologyValidate(t *testing.T) {
-	bad := []Topology{
-		{},
-		{Groups: 1, RoutersPerGroup: 0, NodesPerRouter: 1, LocalBWGBps: 1, GroupBWGBps: 1, GlobalBWGBps: 1},
-		{Groups: 1, RoutersPerGroup: 1, NodesPerRouter: 1, LocalBWGBps: 0, GroupBWGBps: 1, GlobalBWGBps: 1},
-		{Groups: 1, RoutersPerGroup: 1, NodesPerRouter: 1, LocalBWGBps: 1, GroupBWGBps: 1, GlobalBWGBps: 1, GroupLatencyS: -1},
-	}
-	for i, topo := range bad {
-		if topo.Validate() == nil {
-			t.Errorf("case %d: Validate accepted %+v", i, topo)
-		}
-	}
-	if HopClass(99).String() != "unknown" {
-		t.Error("out-of-range HopClass should stringify as unknown")
 	}
 }

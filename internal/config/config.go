@@ -31,15 +31,13 @@ type DistSpec struct {
 	Weights []float64 `json:"weights,omitempty"`
 	Mean    float64   `json:"mean,omitempty"`
 	Std     float64   `json:"std,omitempty"`
-
-	fixed bool // set when unmarshaled from a bare number
 }
 
 // UnmarshalJSON accepts either a bare number or the object form.
 func (d *DistSpec) UnmarshalJSON(b []byte) error {
 	var num float64
 	if err := json.Unmarshal(b, &num); err == nil {
-		*d = DistSpec{Type: "fixed", Value: num, fixed: true}
+		*d = DistSpec{Type: "fixed", Value: num}
 		return nil
 	}
 	type raw DistSpec
@@ -77,6 +75,11 @@ func (d *DistSpec) Sampler() (dist.Sampler, error) {
 		}
 		return dist.Fixed(d.Value), nil
 	case "discrete":
+		for _, v := range d.Values {
+			if v < 0 {
+				return nil, fmt.Errorf("config: negative discrete value %v", v)
+			}
+		}
 		return dist.NewDiscrete(d.Values, d.Weights)
 	case "lognormal":
 		return dist.NewLogNormal(d.Mean, d.Std)
@@ -88,9 +91,6 @@ func (d *DistSpec) Sampler() (dist.Sampler, error) {
 	}
 	return nil, fmt.Errorf("config: unknown distribution type %q", d.Type)
 }
-
-// Fixed reports whether the spec came from a bare JSON number.
-func (d *DistSpec) Fixed() bool { return d.fixed || d.Type == "fixed" || d.Type == "" }
 
 // KernelSpec configures one kernel of a simulation component
 // (Listing 2's entries).

@@ -36,7 +36,7 @@ func TestParseListing2(t *testing.T) {
 	if len(k.DataSize) != 2 || k.DataSize[0] != 256 {
 		t.Fatalf("data_size = %v", k.DataSize)
 	}
-	if !k.RunTime.Fixed() || k.RunTime.Value != 0.03147 {
+	if k.RunTime.Type != "fixed" || k.RunTime.Value != 0.03147 {
 		t.Fatalf("run_time = %+v", k.RunTime)
 	}
 	s, err := k.RunTime.Sampler()
@@ -125,6 +125,10 @@ func TestSimulationValidation(t *testing.T) {
 		`{"kernels":[{"name":"x","mini_app_kernel":"AXPY","run_time":1,"device":"abacus"}]}`,
 		`{"kernels":[{"name":"x","mini_app_kernel":"AXPY","run_time":1,"data_size":[0]}]}`,
 		`{"kernels":[{"name":"x","mini_app_kernel":"AXPY","run_time":-0.1}]}`,
+		`{"kernels":[{"name":"x","mini_app_kernel":"AXPY","run_time":{"values":[-0.5]}}]}`,
+		`{"kernels":[{"name":"x","mini_app_kernel":"AXPY","run_time":{"type":"discrete","values":[0.1,-0.5],"weights":[1,1]}}]}`,
+		`{"kernels":[{"name":"x","mini_app_kernel":"AXPY","run_count":-2}]}`,
+		`{"kernels":[{"name":"x","mini_app_kernel":"AXPY","run_count":{"values":[3,-1]}}]}`,
 	}
 	for _, js := range bad {
 		if _, err := ParseSimulation([]byte(js)); err == nil {
@@ -182,6 +186,8 @@ func TestAIValidation(t *testing.T) {
 		`{"layers":[64,8],"lr":-1}`,
 		`{"layers":[64,8],"batch":-2}`,
 		`{"layers":[64,8],"device":"quantum"}`,
+		`{"layers":[64,8],"run_time":-0.1}`,
+		`{"layers":[64,8],"run_time":{"values":[-0.5]}}`,
 	}
 	for _, js := range bad {
 		if _, err := ParseAI([]byte(js)); err == nil {

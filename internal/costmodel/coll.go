@@ -1,8 +1,6 @@
 package costmodel
 
 import (
-	"fmt"
-
 	"simaibench/internal/cluster"
 	"simaibench/internal/mpi"
 )
@@ -12,8 +10,8 @@ import (
 // LinkCost — and cluster.Topology is deliberately algorithm-blind.
 // This file joins them: a rank→node placement plus a dragonfly
 // topology become the LinkCost and rank→router layout the mpi layer
-// needs, and Params.CollAlgo selects which algorithm gets priced. The
-// gradsync scenario family derives every AllReduce's DES cost here.
+// needs, for an algorithm the caller names. The gradsync scenario
+// family derives every AllReduce's DES cost here.
 
 // TopologyLink adapts a dragonfly topology and a rank→node placement
 // (nil = rank i on node i) to the mpi cost layer's LinkCost: the
@@ -53,18 +51,4 @@ func RankRouters(topo cluster.Topology, n int, rankNode []int) []int {
 func CollAllReduceCost(algo mpi.CollAlgo, topo cluster.Topology, n int, mb float64, rankNode []int) mpi.CollCost {
 	return mpi.AllReduceCost(algo, n, mb,
 		RankRouters(topo, n, rankNode), TopologyLink(topo, rankNode))
-}
-
-// AllReduceCost prices one n-rank AllReduce under the params' CollAlgo
-// (empty = flat, the legacy single-cost behavior). An unknown
-// algorithm name is an error, surfaced before any simulation runs.
-func (p Params) AllReduceCost(topo cluster.Topology, n int, mb float64, rankNode []int) (mpi.CollCost, error) {
-	algo, err := mpi.ParseCollAlgo(p.CollAlgo)
-	if err != nil {
-		return mpi.CollCost{}, err
-	}
-	if err := topo.Validate(); err != nil {
-		return mpi.CollCost{}, fmt.Errorf("costmodel: %w", err)
-	}
-	return CollAllReduceCost(algo, topo, n, mb, rankNode), nil
 }

@@ -52,34 +52,3 @@ func TestTopologyLinkPlacement(t *testing.T) {
 		t.Fatalf("RankRouters placement = %v, want [x x y]", routers)
 	}
 }
-
-// TestParamsAllReduceCost covers the CollAlgo param dispatch: the zero
-// value prices as flat, named algorithms dispatch, and a bad name or
-// topology errors before simulation.
-func TestParamsAllReduceCost(t *testing.T) {
-	topo := cluster.AuroraTopology(8)
-	p := Default()
-	got, err := p.AllReduceCost(topo, 8, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := CollAllReduceCost(mpi.AlgoFlat, topo, 8, 4, nil); got != want {
-		t.Fatalf("default CollAlgo priced %+v, want flat %+v", got, want)
-	}
-	p.CollAlgo = "ring"
-	got, err = p.AllReduceCost(topo, 8, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := CollAllReduceCost(mpi.AlgoRing, topo, 8, 4, nil); got != want {
-		t.Fatalf("ring CollAlgo priced %+v, want %+v", got, want)
-	}
-	p.CollAlgo = "butterfly"
-	if _, err := p.AllReduceCost(topo, 8, 4, nil); err == nil {
-		t.Fatal("unknown CollAlgo should error")
-	}
-	p.CollAlgo = ""
-	if _, err := p.AllReduceCost(cluster.Topology{}, 8, 4, nil); err == nil {
-		t.Fatal("invalid topology should error")
-	}
-}

@@ -64,9 +64,6 @@ func New(env *des.Env, spec cluster.Spec, p Params) *Model {
 	return m
 }
 
-// Params returns the active parameter set.
-func (m *Model) Params() Params { return m.params }
-
 // cacheEff returns bandwidth degraded by L3 spill beyond the per-process
 // cache share: per doubling above the share, bandwidth shrinks by
 // CacheSpillFactor of itself.

@@ -59,7 +59,7 @@ func stagedP50(k int, b datastore.Backend) float64 {
 		env.At(0, wake)
 	}
 	env.RunUntil(horizon * 2)
-	return stats.Quantile(samples, 0.5)
+	return stats.QuantileInPlace(samples, 0.5)
 }
 
 // TestContentionP50MonotoneByBackend is the multi-tenant contract, in

@@ -88,9 +88,6 @@ func NewSharedGuard(maxEvents int64) *SharedGuard {
 	return &SharedGuard{max: maxEvents}
 }
 
-// MaxEvents returns the joint budget.
-func (g *SharedGuard) MaxEvents() int64 { return g.max }
-
 // Exceeded reports whether the joint budget has tripped.
 func (g *SharedGuard) Exceeded() bool { return g.used.Load() > g.max }
 

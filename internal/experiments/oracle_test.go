@@ -377,7 +377,7 @@ func oracleScaleOut(cfg ScaleOutConfig) ScaleOutPoint {
 	return ScaleOutPoint{
 		Tenants: cfg.Tenants, Backend: cfg.Backend, SizeMB: cfg.SizeMB,
 		WriteGBps: run.writeTput.MeanGBps(), ReadGBps: run.readTput.MeanGBps(),
-		StageMeanS: run.writeTime.Mean(), StageP50S: stats.Quantile(run.writes, 0.5),
+		StageMeanS: run.writeTime.Mean(), StageP50S: stats.QuantileInPlace(run.writes, 0.5),
 		SharedWaitS: run.sharedWaitS, AggGBps: run.aggGBps, Writes: run.writeTime.N(),
 	}
 }

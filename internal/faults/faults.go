@@ -166,10 +166,6 @@ func (in *Injector) Start() {
 	}
 }
 
-// NodeSet exposes the injector's availability state: workload machines
-// read placement decisions from it (and must not mutate it).
-func (in *Injector) NodeSet() *cluster.NodeSet { return in.nodes }
-
 // NodeUp reports whether node is currently available.
 func (in *Injector) NodeUp(node int) bool { return in.nodes.Up(node) }
 

@@ -87,8 +87,8 @@ func TestCrashRepairDrivesNodeSet(t *testing.T) {
 	if in.Crashes() != downDuring {
 		t.Fatalf("Crashes() = %d, hooks saw %d", in.Crashes(), downDuring)
 	}
-	if in.NodeSet().UpCount() != 2 {
-		t.Fatalf("after horizon both nodes should be repaired, %d up", in.NodeSet().UpCount())
+	if in.nodes.UpCount() != 2 {
+		t.Fatalf("after horizon both nodes should be repaired, %d up", in.nodes.UpCount())
 	}
 }
 

@@ -12,8 +12,6 @@ import (
 // [256, 256]).
 type matMulSimple2D struct{ a, b, c []float64 }
 
-func (*matMulSimple2D) Name() string { return "MatMulSimple2D" }
-
 func (k *matMulSimple2D) Run(ctx *Context, size []int) error {
 	n := dim(size, 0, 256)
 	k.a = deterministicMatrix(k.a, n*n, 1)
@@ -26,8 +24,6 @@ func (k *matMulSimple2D) Run(ctx *Context, size []int) error {
 
 // matMulGeneral multiplies size[0]×size[1] by size[1]×size[2] (GEMM).
 type matMulGeneral struct{ a, b, c []float64 }
-
-func (*matMulGeneral) Name() string { return "MatMulGeneral" }
 
 func (k *matMulGeneral) Run(ctx *Context, size []int) error {
 	m := dim(size, 0, 128)
@@ -105,8 +101,6 @@ func keep(v float64) { sink.Store(math.Float64bits(v)) }
 // complex points (rounded up to a power of two).
 type fftKernel struct{ data []complex128 }
 
-func (*fftKernel) Name() string { return "FFT" }
-
 func (k *fftKernel) Run(ctx *Context, size []int) error {
 	n := nextPow2(dim(size, 0, 1024))
 	k.data = resize(k.data, n)
@@ -166,8 +160,6 @@ func FFT(data []complex128) {
 // axpy computes y = a*x + y over size[0] elements.
 type axpy struct{ x, y []float64 }
 
-func (*axpy) Name() string { return "AXPY" }
-
 func (k *axpy) Run(ctx *Context, size []int) error {
 	n := dim(size, 0, 1<<16)
 	k.x = deterministicMatrix(k.x, n, 1)
@@ -184,8 +176,6 @@ func (k *axpy) Run(ctx *Context, size []int) error {
 // size[0] elements.
 type inplaceCompute struct{ x []float64 }
 
-func (*inplaceCompute) Name() string { return "InplaceCompute" }
-
 func (k *inplaceCompute) Run(ctx *Context, size []int) error {
 	n := dim(size, 0, 1<<16)
 	k.x = deterministicMatrix(k.x, n, 3)
@@ -198,8 +188,6 @@ func (k *inplaceCompute) Run(ctx *Context, size []int) error {
 
 // generateRandom fills size[0] elements from the context RNG.
 type generateRandom struct{ out []float64 }
-
-func (*generateRandom) Name() string { return "GenerateRandomNumber" }
 
 func (k *generateRandom) Run(ctx *Context, size []int) error {
 	n := dim(size, 0, 1<<16)
@@ -215,8 +203,6 @@ func (k *generateRandom) Run(ctx *Context, size []int) error {
 // at RNG-chosen indices (the classic scatter-add primitive of mesh/GNN
 // workloads).
 type scatterAdd struct{ acc []float64 }
-
-func (*scatterAdd) Name() string { return "ScatterAdd" }
 
 func (k *scatterAdd) Run(ctx *Context, size []int) error {
 	nVals := dim(size, 0, 1<<16)

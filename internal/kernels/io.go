@@ -37,8 +37,6 @@ func requireDir(ctx *Context, name string) error {
 // like the paper's "a single process writes data to a file".
 type writeSingleRank struct{ buf []byte }
 
-func (*writeSingleRank) Name() string { return "WriteSingleRank" }
-
 func (k *writeSingleRank) Run(ctx *Context, size []int) error {
 	if err := requireDir(ctx, "WriteSingleRank"); err != nil {
 		return err
@@ -54,8 +52,6 @@ func (k *writeSingleRank) Run(ctx *Context, size []int) error {
 // data to a file without MPI-IO").
 type writeNonMPI struct{ buf []byte }
 
-func (*writeNonMPI) Name() string { return "WriteNonMPI" }
-
 func (k *writeNonMPI) Run(ctx *Context, size []int) error {
 	if err := requireDir(ctx, "WriteNonMPI"); err != nil {
 		return err
@@ -67,8 +63,6 @@ func (k *writeNonMPI) Run(ctx *Context, size []int) error {
 // writeWithMPI emulates an MPI-IO collective write: ranks gather their
 // blocks to rank 0, which writes one shared file.
 type writeWithMPI struct{ buf []byte }
-
-func (*writeWithMPI) Name() string { return "WriteWithMPI" }
 
 func (k *writeWithMPI) Run(ctx *Context, size []int) error {
 	if err := requireDir(ctx, "WriteWithMPI"); err != nil {
@@ -101,8 +95,6 @@ func (k *writeWithMPI) Run(ctx *Context, size []int) error {
 // WriteSingleRank for rank 0).
 type readNonMPI struct{}
 
-func (*readNonMPI) Name() string { return "ReadNonMPI" }
-
 func (*readNonMPI) Run(ctx *Context, size []int) error {
 	if err := requireDir(ctx, "ReadNonMPI"); err != nil {
 		return err
@@ -120,8 +112,6 @@ func (*readNonMPI) Run(ctx *Context, size []int) error {
 // readWithMPI emulates an MPI-IO collective read: rank 0 reads the
 // shared file and scatters equal blocks.
 type readWithMPI struct{}
-
-func (*readWithMPI) Name() string { return "ReadWithMPI" }
 
 func (*readWithMPI) Run(ctx *Context, size []int) error {
 	if err := requireDir(ctx, "ReadWithMPI"); err != nil {
@@ -167,8 +157,6 @@ func (*readWithMPI) Run(ctx *Context, size []int) error {
 // allReduce performs an all-reduce over size[0] elements.
 type allReduce struct{ buf []float64 }
 
-func (*allReduce) Name() string { return "AllReduce" }
-
 func (k *allReduce) Run(ctx *Context, size []int) error {
 	if ctx.Comm == nil {
 		return fmt.Errorf("kernels: AllReduce needs Context.Comm")
@@ -185,8 +173,6 @@ func (k *allReduce) Run(ctx *Context, size []int) error {
 
 // allGather performs an all-gather of size[0] elements per rank.
 type allGather struct{ buf []float64 }
-
-func (*allGather) Name() string { return "AllGather" }
 
 func (k *allGather) Run(ctx *Context, size []int) error {
 	if ctx.Comm == nil {
@@ -205,8 +191,6 @@ func (k *allGather) Run(ctx *Context, size []int) error {
 // models.
 type copyH2D struct{ host, device []float64 }
 
-func (*copyH2D) Name() string { return "CopyHostToDevice" }
-
 func (k *copyH2D) Run(ctx *Context, size []int) error {
 	n := dim(size, 0, 1<<16)
 	k.host = deterministicMatrix(k.host, n, 1)
@@ -218,8 +202,6 @@ func (k *copyH2D) Run(ctx *Context, size []int) error {
 
 // copyD2H models the reverse device-to-host copy.
 type copyD2H struct{ device, host []float64 }
-
-func (*copyD2H) Name() string { return "CopyDeviceToHost" }
 
 func (k *copyD2H) Run(ctx *Context, size []int) error {
 	n := dim(size, 0, 1<<16)

@@ -78,7 +78,6 @@ func (c *Context) rank() int {
 // therefore not safe for concurrent use, and New returns a fresh one per
 // caller.
 type Kernel interface {
-	Name() string
 	Run(ctx *Context, size []int) error
 }
 

@@ -28,13 +28,8 @@ func TestRegistryHasTable1Kernels(t *testing.T) {
 		"CopyHostToDevice", "CopyDeviceToHost",
 	}
 	for _, name := range want {
-		k, err := New(name)
-		if err != nil {
+		if _, err := New(name); err != nil {
 			t.Errorf("New(%q): %v", name, err)
-			continue
-		}
-		if k.Name() != name {
-			t.Errorf("kernel %q reports name %q", name, k.Name())
 		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 
 func TestWorldSize(t *testing.T) {
 	w := NewWorld(4)
-	if w.Size() != 4 {
-		t.Fatalf("size = %d, want 4", w.Size())
+	if w.size != 4 {
+		t.Fatalf("size = %d, want 4", w.size)
 	}
 }
 

@@ -45,9 +45,6 @@ func NewWorld(size int) *World {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
 // SetClockBridge connects this world's blocking waits to an emulation
 // clock's participant barrier (clock.Virtual). A rank that parks inside
 // MPI — a Recv with no matching message, a collective waiting for
@@ -130,6 +127,3 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the world size.
 func (c *Comm) Size() int { return c.world.size }
-
-// World returns the owning world.
-func (c *Comm) World() *World { return c.world }

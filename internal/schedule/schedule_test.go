@@ -68,7 +68,7 @@ func TestPolicyOrdering(t *testing.T) {
 		job(3, 3, 1, 1),
 	}
 	maxWait := func(pol Policy) float64 {
-		return run(t, pol, jobs, 2, faults.Profile{}).Wait.Max()
+		return run(t, pol, jobs, 2, faults.Profile{}).Wait.Quantile(1)
 	}
 	if got := maxWait(FIFO()); got != 103 {
 		t.Errorf("FIFO max wait %v, want 103 (short jobs starve behind the wide one)", got)

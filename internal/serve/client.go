@@ -121,46 +121,6 @@ func (c *Client) Run(ctx context.Context, req RunRequest) (resp *RunResponse, ca
 	return &out, hresp.Header.Get("X-Cache") == "hit", nil
 }
 
-// Scenarios lists the server's registered scenarios.
-func (c *Client) Scenarios(ctx context.Context) ([]ScenarioInfo, error) {
-	var out scenarioList
-	if err := c.getJSON(ctx, "/v1/scenarios", &out); err != nil {
-		return nil, err
-	}
-	return out.Scenarios, nil
-}
-
-// Stats fetches the /statz counters.
-func (c *Client) Stats(ctx context.Context) (*Stats, error) {
-	var out Stats
-	if err := c.getJSON(ctx, "/statz", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// getJSON fetches one GET endpoint into out, mapping non-200s to
-// *APIError.
-func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return err
-	}
-	hresp, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return err
-	}
-	defer hresp.Body.Close()
-	data, err := io.ReadAll(hresp.Body)
-	if err != nil {
-		return err
-	}
-	if hresp.StatusCode != http.StatusOK {
-		return decodeAPIError(hresp.StatusCode, data)
-	}
-	return json.Unmarshal(data, out)
-}
-
 // decodeAPIError recovers the typed error from an error response,
 // falling back to a generic APIError when the body is not the typed
 // envelope (e.g. a proxy's HTML error page).

@@ -152,6 +152,22 @@ func postRun(t *testing.T, url string, body string) (int, []byte, string) {
 	return resp.StatusCode, buf.Bytes(), resp.Header.Get("X-Cache")
 }
 
+// fetchJSON decodes the 200 body of GET url into out.
+func fetchJSON(t *testing.T, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+}
+
 func TestRunColdThenHotByteIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	req := `{"scenario":"t-ok","params":{"rate":7}}`
@@ -394,11 +410,9 @@ func TestRunDeadlineAbandonsHungRun(t *testing.T) {
 
 func TestScenariosEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	c := &Client{BaseURL: ts.URL}
-	infos, err := c.Scenarios(context.Background())
-	if err != nil {
-		t.Fatalf("Scenarios: %v", err)
-	}
+	var list scenarioList
+	fetchJSON(t, ts.URL+"/v1/scenarios", &list)
+	infos := list.Scenarios
 	found := false
 	for _, in := range infos {
 		if in.Name == "t-ok" {
@@ -428,11 +442,8 @@ func TestHealthReadyStatz(t *testing.T) {
 	postRun(t, ts.URL, `{"scenario":"t-ok","params":{"rate":41}}`)
 	postRun(t, ts.URL, `{"scenario":"t-ok","params":{"rate":41}}`)
 
-	c := &Client{BaseURL: ts.URL}
-	st, err := c.Stats(context.Background())
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
+	var st Stats
+	fetchJSON(t, ts.URL+"/statz", &st)
 	if st.Requests < 2 || st.CacheHits < 1 || st.CacheMisses < 1 || !st.Ready {
 		t.Fatalf("unexpected counters: %+v", st)
 	}

@@ -147,9 +147,6 @@ func New(name string, cfg config.SimulationConfig, opts ...Option) (*Simulation,
 	return sim, nil
 }
 
-// Name returns the component name.
-func (s *Simulation) Name() string { return s.name }
-
 // Elapsed returns wall time since construction (scaled domain).
 func (s *Simulation) Elapsed() float64 { return s.now().Sub(s.start).Seconds() }
 
@@ -247,14 +244,6 @@ func (s *Simulation) StageRead(key string) ([]byte, error) {
 		s.timeline.AddSpan(s.lane, trace.KindTransfer, end-dur/s.timeScale, end, "read "+key)
 	}
 	return v, nil
-}
-
-// Poll checks for staged data without reading it.
-func (s *Simulation) Poll(key string) (bool, error) {
-	if s.store == nil {
-		return false, fmt.Errorf("simulation %s: no data store attached", s.name)
-	}
-	return s.store.Poll(key)
 }
 
 // Report is a snapshot of component statistics, the raw material of

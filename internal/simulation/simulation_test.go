@@ -182,7 +182,7 @@ func TestStagingThroughStore(t *testing.T) {
 	if err != nil || len(got) != len(payload) {
 		t.Fatalf("read = %d bytes, %v", len(got), err)
 	}
-	ok, err := sim.Poll("snap/1")
+	ok, err := store.Poll("snap/1")
 	if err != nil || !ok {
 		t.Fatalf("poll = %v,%v", ok, err)
 	}

@@ -19,8 +19,8 @@ import (
 func TestVirtualClockTwoComponents(t *testing.T) {
 	v := clock.NewVirtual()
 	w := New("wf", WithClock(v))
-	if w.Clock() != v {
-		t.Fatal("Clock() should return the attached clock")
+	if w.clk != v {
+		t.Fatal("WithClock should attach the clock")
 	}
 	var mu sync.Mutex
 	var order []string

@@ -98,12 +98,6 @@ func New(name string, opts ...Option) *Workflow {
 	return w
 }
 
-// Name returns the workflow name.
-func (w *Workflow) Name() string { return w.name }
-
-// Clock returns the emulation clock the workflow launches against.
-func (w *Workflow) Clock() clock.Clock { return w.clk }
-
 // Register adds a component. It is the Go analogue of the paper's
 // @w.component decorator. Errors: duplicate names, nil bodies,
 // nonpositive rank counts.

@@ -6,10 +6,7 @@
 //
 // The API mirrors the paper's Python package (its Listing 1):
 //
-//	mgr, _ := simaibench.NewServerManager(simaibench.ServerConfig{
-//		Backend: simaibench.NodeLocal,
-//	})
-//	info, _ := mgr.Start()
+//	mgr, info, _ := simaibench.StartBackend(simaibench.NodeLocal, "")
 //	defer mgr.Stop()
 //
 //	w := simaibench.NewWorkflow("demo")
@@ -27,9 +24,9 @@
 //	w.Launch(context.Background())
 //
 // Components: Simulation emulates solvers from configurable kernel
-// sequences; AI emulates training with a real feed-forward network and
-// DDP semantics; ServerManager deploys the four data-transport backends
-// (Redis, DragonHPC-style dictionary, node-local, file system); the
+// sequences; AI emulates training with a real feed-forward network;
+// ServerManager deploys the four data-transport backends (Redis,
+// DragonHPC-style dictionary, node-local, file system); the
 // DataStore client exposes the uniform stage_write / stage_read /
 // poll_staged_data / clean_staged_data interface over all of them.
 //
@@ -75,19 +72,11 @@ type Store = datastore.Store
 // ClientInfo describes a running deployment for clients.
 type ClientInfo = datastore.ClientInfo
 
-// ServerConfig configures a backend deployment.
-type ServerConfig = datastore.ServerConfig
-
 // ServerManager deploys and tears down data-staging backends.
 type ServerManager = datastore.ServerManager
 
 // ErrNotStaged reports a read of a key with no staged value.
 var ErrNotStaged = datastore.ErrNotStaged
-
-// NewServerManager builds a manager; call Start to deploy.
-func NewServerManager(cfg ServerConfig) (*ServerManager, error) {
-	return datastore.NewServerManager(cfg)
-}
 
 // Connect opens a client store against a running deployment.
 func Connect(info ClientInfo) (Store, error) { return datastore.Connect(info) }

@@ -9,11 +9,7 @@ import (
 // through the public API: a server deployment, two components with a
 // dependency, cross-component staging, launch, teardown.
 func TestListing1Workflow(t *testing.T) {
-	mgr, err := NewServerManager(ServerConfig{Backend: NodeLocal, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := mgr.Start()
+	mgr, info, err := StartBackend(NodeLocal, t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +125,10 @@ func TestPublicAIRoundTrip(t *testing.T) {
 	if trainer.LoaderSize() != 10 {
 		t.Fatalf("loader = %d", trainer.LoaderSize())
 	}
-	if _, err := trainer.Train(3); err != nil {
-		t.Fatal(err)
+	for range 3 {
+		if _, err := trainer.TrainIteration(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
