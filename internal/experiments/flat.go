@@ -174,8 +174,8 @@ func (r *stagingRank) nextPoll(now float64) float64 {
 // fig6Trainer replays the many-to-one trainer: compute for a read
 // period, then a blocking ensemble read of the whole ensemble, tracking
 // per-period progress so exec/iter stays correct when a slow backend
-// does not finish within the horizon. Its last period stops the
-// environment: it is the only rank of its harness that reports anything.
+// does not finish within the horizon. It is the only rank of its
+// harness, so the run ends with its last period.
 type fig6Trainer struct {
 	env              *des.Env
 	periods          int
@@ -217,11 +217,6 @@ func newFig6Trainer(env *des.Env, model *costmodel.Model, cfg fig6TrainerConfig)
 		t.i++
 		if t.i < t.periods {
 			t.env.After(t.sleepS, t.wake)
-		} else {
-			// Everything Fig 6 reports was final three lines up, and the
-			// writers still running record nothing: end the run here
-			// instead of at the horizon cap.
-			t.env.Stop()
 		}
 	})
 	env.At(env.Now(), func() { t.env.After(t.sleepS, t.wake) })

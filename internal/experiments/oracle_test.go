@@ -402,7 +402,11 @@ func oracleFig5(cfg Fig5Config) Fig5Point {
 // oracleFig6 is the many-to-one workflow: one simulation per node
 // staging locally every write period, and one trainer on a node of its
 // own that computes a read period, then blocks until it has fetched the
-// whole ensemble. Everything runs to the horizon cap.
+// whole ensemble. Everything runs to the horizon cap. RunFig6Checked
+// leaves the writers out — their load lands on the node buses and the
+// Lustre model, and a fetch queues only on its own semaphore and the
+// trainer's NIC — so the writers are kept here: a harness point equal to
+// this one is what proves leaving them out exact.
 func oracleFig6(cfg Fig6Config) Fig6Point {
 	cfg = cfg.withDefaults()
 	sim := &oSim{}

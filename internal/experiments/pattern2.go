@@ -165,7 +165,9 @@ func fig5Table(points []Fig5Point) scenario.Table {
 // Fig6Config drives the many-to-one scaling experiment: one simulation
 // component per node staging locally, a single AI component on its own
 // node reading the whole ensemble every read period and blocking until
-// all arrays arrive.
+// all arrays arrive. Only the AI component is simulated: the staging
+// writes load the node buses and the Lustre model, which no ensemble
+// fetch queues on, so they cannot move what Fig 6 reports.
 type Fig6Config struct {
 	// Nodes is the number of simulation nodes (one sim component each);
 	// the trainer gets its own additional node.
@@ -173,6 +175,7 @@ type Fig6Config struct {
 	Backend datastore.Backend
 	SizeMB  float64
 	// SimIterS / TrainIterS: emulated iteration times (same as Pattern 1).
+	// SimIterS and WritePeriod pace the unsimulated staging writes.
 	SimIterS   float64
 	TrainIterS float64
 	// WritePeriod / ReadPeriod in iterations (10 and 10 in the paper).
@@ -240,22 +243,11 @@ func RunFig6Checked(cfg Fig6Config) (Fig6Point, error) {
 	}
 	model := costmodel.New(env, spec, params)
 
-	// A cap, not the expected run length: the trainer stops the run at
-	// the end of its last period (fig6Trainer), and only a backend too
-	// slow to finish inside ten times the compute time runs this far.
+	// A cap, not the expected run length: the run ends with the
+	// trainer's last period, and only a backend too slow to finish
+	// inside ten times the compute time runs this far.
 	horizon := float64(cfg.TrainIters) * cfg.TrainIterS * 10
 	var fetchTime stats.Welford
-
-	// Simulation components: one per node, staging locally every write
-	// period. For the file-system backend these writes land on the shared
-	// Lustre model and contribute real MDS/OST load.
-	for node := 0; node < cfg.Nodes; node++ {
-		initRank(new(stagingRank), env, model, rankConfig{
-			backend: cfg.Backend, node: node, sizeMB: cfg.SizeMB, write: true,
-			period:  float64(cfg.WritePeriod) * cfg.SimIterS,
-			horizon: horizon,
-		})
-	}
 
 	// Trainer: compute for a read period, then a blocking ensemble read
 	// of one array from every simulation. Progress is tracked per period

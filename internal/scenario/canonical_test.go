@@ -177,6 +177,24 @@ func TestCacheKeyRejectsNaN(t *testing.T) {
 	}
 }
 
+// A timeout_s past what a time.Duration holds would wrap negative and
+// silently arm no deadline: Validate refuses it by name, and the longest
+// value it accepts still converts to a positive deadline.
+func TestValidateRefusesTimeoutPastDuration(t *testing.T) {
+	for _, bad := range []float64{1e10, 9.3e9, maxTimeoutS} {
+		if err := (Params{TimeoutS: bad}).Validate(); err == nil || !strings.Contains(err.Error(), `"timeout_s"`) {
+			t.Errorf("Validate(timeout_s = %v) = %v, want an error naming \"timeout_s\"", bad, err)
+		}
+	}
+	longest := Params{TimeoutS: math.Nextafter(maxTimeoutS, 0)}
+	if err := longest.Validate(); err != nil {
+		t.Fatalf("Validate(timeout_s = %v) = %v", longest.TimeoutS, err)
+	}
+	if d := longest.Guardrails().Timeout; d <= 0 {
+		t.Errorf("timeout_s = %v converts to %v", longest.TimeoutS, d)
+	}
+}
+
 // Two semantically equal parameter sets — one leaving scenario defaults
 // implicit, one spelling every default out — must hash to the same key;
 // different effective params, or a different seed, must not.

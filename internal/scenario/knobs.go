@@ -138,13 +138,19 @@ func (p Params) merge(d Params) Params {
 	return p
 }
 
+// maxTimeoutS is the first timeout_s that Guardrails' conversion to
+// nanoseconds overflows: the float64 nearest MaxInt64/1e9 rounds up past
+// the exact quotient, so it is refused too.
+const maxTimeoutS = math.MaxInt64 / 1e9
+
 // Validate refuses a negative or non-finite numeric knob and a string
 // knob its parser does not know (an unknown clock, policy or collective
 // algorithm), naming its JSON key. Zero means "the scenario's default",
 // and the harnesses read a negative value as unset too: accepting one
 // would run — and cache — the default grid under a knob that says
-// otherwise. The CLI and the server call it before running or keying
-// anything.
+// otherwise. A timeout_s too long for a time.Duration is refused too:
+// it would wrap negative and arm no deadline. The CLI and the server
+// call it before running or keying anything.
 func (p Params) Validate() error {
 	pv := fields(&p)
 	for i := range knobs {
@@ -165,6 +171,9 @@ func (p Params) Validate() error {
 		}
 		if !(v >= 0) || math.IsInf(v, 1) {
 			return r.errorf("is %v: must be finite and not negative", v)
+		}
+		if r.knob == TimeoutS && v >= maxTimeoutS {
+			return r.errorf("is %v: must be below %v, the longest deadline a time.Duration holds", v, maxTimeoutS)
 		}
 	}
 	return nil

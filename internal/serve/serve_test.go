@@ -284,6 +284,10 @@ func TestRunRequestValidation(t *testing.T) {
 		// keying, so they cannot become cache entries holding the default
 		// body.
 		{"negative cell timeout", `{"scenario":"t-ok","params":{"timeout_s":-3}}`, http.StatusBadRequest, KindBadRequest, "timeout_s"},
+		// Too long for a time.Duration: it would wrap negative and run the
+		// request under the 120 s default, or a cell under no deadline.
+		{"huge timeout", `{"scenario":"t-ok","timeout_s":1e10}`, http.StatusBadRequest, KindBadRequest, `"timeout_s" is 1e+10: must be below`},
+		{"huge cell timeout", `{"scenario":"t-ok","params":{"timeout_s":1e10}}`, http.StatusBadRequest, KindBadRequest, `"timeout_s" is 1e+10: must be below`},
 		{"negative rate", `{"scenario":"t-ok","params":{"rate":-1}}`, http.StatusBadRequest, KindBadRequest, "rate"},
 		{"negative jobs", `{"scenario":"t-ok","params":{"jobs":-5}}`, http.StatusBadRequest, KindBadRequest, "jobs"},
 		{"negative tenants", `{"scenario":"t-ok","params":{"tenants":-3}}`, http.StatusBadRequest, KindBadRequest, "tenants"},

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"time"
 )
 
@@ -57,8 +58,8 @@ type PanicError struct {
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
 // ErrCellTimeout marks a cell abandoned at its deadline
-// (Options.Timeout): the cell's goroutine was still running — possibly
-// wedged on a barrier — when the sweep gave up on it.
+// (Options.Timeout): the cell was still running — possibly wedged on a
+// barrier — when the sweep gave up on it.
 var ErrCellTimeout = errors.New("sweep: cell deadline exceeded")
 
 // CellError is the structured failure of one sweep cell.
@@ -85,11 +86,11 @@ func (e *CellError) Unwrap() error { return e.Err }
 // runs every cell inline with panic isolation only — no deadline —
 // which is the zero-cost configuration healthy sweeps use.
 type Options struct {
-	// Timeout is the per-cell wall-clock deadline (0 = none). When
-	// set, each cell runs on its own goroutine and is abandoned at the
-	// deadline with ErrCellTimeout: a cell wedged on a barrier cannot
-	// hang the sweep, but its goroutine leaks by design — prefer cells
-	// that observe their ctx so abandonment is the last resort.
+	// Timeout is the per-cell wall-clock deadline (0 = none). A cell
+	// past it fails with ErrCellTimeout, its ctx is cancelled and a
+	// replacement worker takes its place; a cell that ignores its ctx
+	// keeps the abandoned worker until it returns (forever, if truly
+	// wedged).
 	Timeout time.Duration
 }
 
@@ -149,11 +150,11 @@ func Run[T any](ctx context.Context, n int, opts Options, f func(ctx context.Con
 	if n == 0 {
 		return r
 	}
-	// Per-slot failure storage keeps workers lock-free (each writes only
-	// its own cells); gathered into index order afterwards.
+	// Per-slot failure storage, one write per cell (by its worker or the
+	// watchdog that abandoned it); gathered into index order afterwards.
 	fails := make([]*CellError, n)
-	cell := func(i int) {
-		if v, err, stack := runCell(ctx, i, opts.Timeout, f); err != nil {
+	record := func(i int, v T, err error, stack string) {
+		if err != nil {
 			r.Status[i] = StatusFailed
 			fails[i] = &CellError{Index: i, Err: err, Stack: stack}
 		} else {
@@ -161,7 +162,14 @@ func Run[T any](ctx context.Context, n int, opts Options, f func(ctx context.Con
 			r.Status[i] = StatusOK
 		}
 	}
-	forEachCell(ctx, n, cell)
+	if opts.Timeout > 0 {
+		runTimed(ctx, n, opts.Timeout, f, record)
+	} else {
+		forEachCell(ctx, n, func(i int) {
+			v, err, stack := protect(ctx, i, f)
+			record(i, v, err, stack)
+		})
+	}
 	for i, ce := range fails {
 		if ce != nil {
 			r.Failures = append(r.Failures, ce)
@@ -186,38 +194,101 @@ func RunGrid[X, Y, T any](ctx context.Context, xs []X, ys []Y, opts Options,
 	})
 }
 
-// runCell executes one cell. Without a timeout it runs inline on
-// the worker (zero extra cost); with one it runs on its own goroutine so
-// a wedged cell can be abandoned at the deadline.
-func runCell[T any](ctx context.Context, i int, timeout time.Duration, f func(context.Context, int) (T, error)) (T, error, string) {
-	if timeout <= 0 {
-		return protect(ctx, i, f)
-	}
-	actx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	type outcome struct {
-		val   T
-		err   error
-		stack string
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		v, e, s := protect(actx, i, f)
-		ch <- outcome{v, e, s}
-	}()
-	select {
-	case o := <-ch:
-		return o.val, o.err, o.stack
-	case <-actx.Done():
-		// Abandon the cell: its goroutine keeps running until it
-		// observes actx (or leaks, if it is truly wedged) — the sweep
-		// must survive either way.
+// worker is a timed sweep's goroutine, with the ctx and timer it reuses.
+type worker struct {
+	ctx      context.Context
+	cancel   context.CancelFunc
+	timer    *time.Timer
+	cell     int // the cell in flight; -1 between cells and once abandoned
+	deadline time.Time
+}
+
+// runTimed runs a sweep's cells inline on worker goroutines under a
+// per-cell deadline. The caller only waits, so it returns at a deadline
+// even when a lone cell wedges; cancelling ctx fails every cell in
+// flight with ctx.Err().
+func runTimed[T any](ctx context.Context, n int, timeout time.Duration,
+	f func(context.Context, int) (T, error), record func(int, T, error, string)) {
+	var (
+		mu      sync.Mutex     // guards next, workers and each worker's cell and record
+		wg      sync.WaitGroup // a count per worker neither retired nor abandoned
+		next    int            // the first unclaimed cell
+		workers []*worker
+		spawn   func() // starts a worker; the caller holds mu
+	)
+	// abandon fails w's cell with err and gives up on w, whose goroutine
+	// exits if the cell ever returns. The caller holds mu.
+	abandon := func(w *worker, err error) {
 		var zero T
-		if err := ctx.Err(); err != nil {
-			return zero, err, "" // parent cancellation, not a cell timeout
-		}
-		return zero, fmt.Errorf("%w (after %v)", ErrCellTimeout, timeout), ""
+		record(w.cell, zero, err, "")
+		w.cell = -1
+		w.cancel()
+		wg.Done()
 	}
+	// work runs cells on w until none is left, the sweep is cancelled (a
+	// claimed cell it does not start stays StatusSkipped) or w is abandoned.
+	work := func(w *worker) {
+		defer w.cancel()
+		defer w.timer.Stop()
+		mu.Lock()
+		defer mu.Unlock()
+		for {
+			i := next
+			next++
+			if i >= n || ctx.Err() != nil {
+				w.cell = -1
+				wg.Done()
+				return
+			}
+			w.cell, w.deadline = i, time.Now().Add(timeout)
+			w.timer.Reset(timeout)
+			mu.Unlock()
+			v, err, stack := protect(w.ctx, i, f)
+			mu.Lock()
+			if w.cell != i {
+				return // abandoned while it ran: its outcome is dropped
+			}
+			record(i, v, err, stack)
+		}
+	}
+	// expire is w's timer callback. It checks the cell's own deadline, so
+	// a late fire armed for an earlier cell does nothing.
+	expire := func(w *worker) {
+		mu.Lock()
+		defer mu.Unlock()
+		if w.cell < 0 || time.Now().Before(w.deadline) {
+			return
+		}
+		err := ctx.Err() // parent cancellation, not a cell timeout
+		if err == nil {
+			spawn() // before abandon's Done, so wg never reads zero early
+			err = fmt.Errorf("%w (after %v)", ErrCellTimeout, timeout)
+		}
+		abandon(w, err)
+	}
+	spawn = func() {
+		w := &worker{cell: -1}
+		w.ctx, w.cancel = context.WithCancel(ctx)
+		w.timer = time.AfterFunc(timeout, func() { expire(w) })
+		workers = append(workers, w)
+		wg.Add(1)
+		go work(w)
+	}
+	defer context.AfterFunc(ctx, func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, w := range workers {
+			if w.cell >= 0 {
+				abandon(w, ctx.Err())
+			}
+		}
+	})()
+	mu.Lock()
+	for range poolSize(n) {
+		spawn()
+	}
+	mu.Unlock()
+	wg.Wait()
 }
 
 // protect runs f with panic isolation, capturing the stack at the panic

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -118,6 +119,160 @@ func TestRunAbandonsHungCell(t *testing.T) {
 	}
 	close(hang)
 	settlesTo(t, base)
+}
+
+// A wedged cell costs the sweep one worker, not its width: the watchdog
+// abandons the cell at its deadline and a replacement worker runs the
+// cells still unclaimed. Each worker runs its cells on one context of its
+// own, so three distinct contexts over the eight cells means the
+// replacement ran.
+func TestWatchdogReplacesAbandonedWorker(t *testing.T) {
+	prev := Workers
+	defer func() { Workers = prev }()
+	Workers = 2
+	base := runtime.NumGoroutine()
+	const timeout = 150 * time.Millisecond
+	hang, wedged := make(chan struct{}), make(chan struct{})
+	var mu sync.Mutex
+	ctxs := map[context.Context]bool{}
+	r := Run(context.Background(), 8, Options{Timeout: timeout}, func(ctx context.Context, i int) (int, error) {
+		mu.Lock()
+		ctxs[ctx] = true
+		mu.Unlock()
+		switch i {
+		case 0:
+		case 1:
+			close(wedged)
+			<-hang
+		default:
+			// The wedge starts first, so the live worker has claimed at
+			// most four of these six cells when it is abandoned.
+			<-wedged
+			time.Sleep(timeout / 3)
+		}
+		return i, nil
+	})
+	if len(r.Failures) != 1 || r.Failures[0].Index != 1 || !errors.Is(r.Failures[0].Err, ErrCellTimeout) {
+		t.Fatalf("failures = %v, want exactly cell 1 timed out", r.Failures)
+	}
+	for i := 0; i < 8; i++ {
+		if i != 1 && (r.Status[i] != StatusOK || r.Values[i] != i) {
+			t.Fatalf("healthy cell %d = (%v, %d)", i, r.Status[i], r.Values[i])
+		}
+	}
+	if len(ctxs) != 3 {
+		t.Fatalf("cells ran on %d worker contexts, want 3 (two workers and a replacement)", len(ctxs))
+	}
+	close(hang)
+	settlesTo(t, base)
+}
+
+// Each worker re-arms one timer per cell: cells that each take most of
+// the deadline, back to back on one worker, all complete, so no timer
+// armed for an earlier cell cuts a later one short.
+func TestWatchdogIgnoresStaleTimer(t *testing.T) {
+	prev := Workers
+	defer func() { Workers = prev }()
+	Workers = 1
+	base := runtime.NumGoroutine()
+	const timeout = 150 * time.Millisecond
+	r := Run(context.Background(), 5, Options{Timeout: timeout}, func(_ context.Context, i int) (int, error) {
+		time.Sleep(timeout * 6 / 10)
+		return i, nil
+	})
+	if !r.OK() {
+		t.Fatalf("cells under their deadline failed: %v", r.Err())
+	}
+	settlesTo(t, base)
+}
+
+// Cancelling the sweep while a cell is wedged fails that cell with the
+// context's error, not a timeout, and leaves the unclaimed cells
+// skipped; Run returns without waiting for the wedged cell.
+func TestWatchdogParentCancelWhileWedged(t *testing.T) {
+	prev := Workers
+	defer func() { Workers = prev }()
+	Workers = 1
+	base := runtime.NumGoroutine()
+	hang := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := Run(ctx, 10, Options{Timeout: time.Hour}, func(_ context.Context, i int) (int, error) {
+		if i == 2 {
+			cancel()
+			<-hang
+		}
+		return i, nil
+	})
+	if !errors.Is(r.CtxErr, context.Canceled) {
+		t.Fatalf("CtxErr = %v, want Canceled", r.CtxErr)
+	}
+	if len(r.Failures) != 1 || r.Failures[0].Index != 2 ||
+		!errors.Is(r.Failures[0].Err, context.Canceled) || errors.Is(r.Failures[0].Err, ErrCellTimeout) {
+		t.Fatalf("failures = %v, want cell 2 failed with Canceled", r.Failures)
+	}
+	for i := 0; i < 10; i++ {
+		want := StatusSkipped
+		switch {
+		case i < 2:
+			want = StatusOK
+		case i == 2:
+			want = StatusFailed
+		}
+		if r.Status[i] != want {
+			t.Fatalf("cell %d = %v, want %v", i, r.Status[i], want)
+		}
+	}
+	close(hang)
+	settlesTo(t, base)
+}
+
+// A cell that watches its ctx sees it cancelled at its deadline, and the
+// next cell starts on a live context of its own.
+func TestWatchdogCancelsCellCtxAtDeadline(t *testing.T) {
+	prev := Workers
+	defer func() { Workers = prev }()
+	Workers = 1
+	base := runtime.NumGoroutine()
+	const timeout = 30 * time.Millisecond
+	waited := make(chan time.Duration, 1)
+	start := time.Now()
+	r := Run(context.Background(), 2, Options{Timeout: timeout}, func(ctx context.Context, i int) (int, error) {
+		if i == 0 {
+			<-ctx.Done()
+			waited <- time.Since(start)
+			return 0, ctx.Err()
+		}
+		return i, ctx.Err()
+	})
+	if len(r.Failures) != 1 || r.Failures[0].Index != 0 || !errors.Is(r.Failures[0].Err, ErrCellTimeout) {
+		t.Fatalf("failures = %v, want cell 0 timed out", r.Failures)
+	}
+	if r.Status[1] != StatusOK {
+		t.Fatalf("cell after the timeout = %v", r.Status[1])
+	}
+	if d := <-waited; d < timeout {
+		t.Fatalf("cell ctx cancelled after %v, before its %v deadline", d, timeout)
+	}
+	settlesTo(t, base)
+}
+
+// A timed sweep pays for its workers and its watchdog once: no
+// goroutine, timer, channel or context per cell.
+func TestTimedSweepAllocatesPerSweepNotPerCell(t *testing.T) {
+	prev := Workers
+	defer func() { Workers = prev }()
+	Workers = 2
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			Run(context.Background(), n, Options{Timeout: time.Hour}, func(_ context.Context, i int) (int, error) {
+				return i, nil
+			})
+		})
+	}
+	if a8, a64 := allocs(8), allocs(64); a8 != a64 {
+		t.Fatalf("%v allocations for 8 cells, %v for 64", a8, a64)
+	}
 }
 
 // settlesTo fails the test unless the goroutine count is back to base

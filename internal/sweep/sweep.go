@@ -2,7 +2,8 @@
 // experiment harness: a bounded worker pool that fans independent cells
 // across cores, and on top of it Run and its cartesian form RunGrid
 // (report.go) with panic isolation, per-cell deadlines and per-cell
-// completion state.
+// completion state. A timed sweep's workers each reuse one context and
+// one timer for all their cells: a cell starts no goroutine of its own.
 //
 // Each cell builds its own isolated des.Env and cost model, runs
 // single-threaded and bit-deterministic, and writes only its own result
@@ -22,16 +23,19 @@ import (
 // execution.
 var Workers int
 
+// poolSize is the worker count of an n-cell sweep: Workers, or
+// GOMAXPROCS when that is unset, and never more than n.
+func poolSize(n int) int {
+	if Workers > 0 {
+		return min(Workers, n)
+	}
+	return min(runtime.GOMAXPROCS(0), n)
+}
+
 // forEachCell dispatches cell(0..n-1) over the bounded worker pool,
 // stopping dispatch (but not in-flight cells) when ctx is cancelled.
 func forEachCell(ctx context.Context, n int, cell func(i int)) {
-	workers := Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := poolSize(n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
