@@ -93,12 +93,6 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) int 
 		}
 		return 0
 	}
-	if params.Workers == 1 {
-		// Only record an explicit request: Workers stays zero at the
-		// default so workers=1 artifacts (JSON params included) remain
-		// byte-identical to pre-knob output.
-		params.Workers = 0
-	}
 	if err := params.Validate(); err != nil {
 		fmt.Fprintln(stderr, "experiments:", flagError(err))
 		return 1

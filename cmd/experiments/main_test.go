@@ -84,8 +84,9 @@ func TestRealMainUnwritableOutput(t *testing.T) {
 }
 
 func TestRealMainBadFlag(t *testing.T) {
-	// -retries was a flag until nothing could trigger a retry.
-	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-retries", "1"}} {
+	// -retries was a flag until nothing could trigger a retry, and
+	// -workers until no cell ran on more than one core.
+	for _, args := range [][]string{{"-definitely-not-a-flag"}, {"-retries", "1"}, {"-exp", "gradsync", "-workers", "2"}} {
 		var out, errBuf bytes.Buffer
 		if code := realMain(context.Background(), args, &out, &errBuf); code != 2 {
 			t.Fatalf("%v: exit code = %d, want 2 for a flag-parse failure", args, code)
@@ -101,7 +102,7 @@ func TestRealMainRejectsBadKnobs(t *testing.T) {
 		{"campaign", "-rate", "-1"}, {"campaign", "-rate", "NaN"}, {"campaign", "-jobs", "-5"},
 		{"scale-out", "-tenants", "-3"}, {"resilience", "-mtbf", "-1"}, {"resilience", "-ckpt", "NaN"},
 		{"fig3", "-sweep-iters", "-5"}, {"fig3", "-timeout", "-3"}, {"fig3", "-parallel", "-4"},
-		{"gradsync", "-workers", "-2"}, {"table2", "-train-iters", "-1"}, {"table2", "-time-scale", "+Inf"},
+		{"gradsync", "-sweep-iters", "-2"}, {"table2", "-train-iters", "-1"}, {"table2", "-time-scale", "+Inf"},
 		{"fig5", "-max-events", "-7"},
 		{"campaign", "-policy", "lottery"}, {"gradsync", "-collalgo", "star"}, {"table2", "-clock", "sundial"},
 	} {
@@ -143,7 +144,7 @@ func TestRealMainRefusesUnreadKnobs(t *testing.T) {
 		{[]string{"-exp", "fig3", "-policy", "edf"}, "fig3"},
 		{[]string{"-exp", "all", "-tenants", "4"}, "table2, table3, fig2, fig3, fig4, fig5, fig6"},
 		{[]string{"-exp", "fig5", "-sweep-iters", "600"}, "fig5"}, // even at the CLI default
-		{[]string{"-exp", "table2", "-workers", "1"}, "table2"},
+		{[]string{"-exp", "table2", "-collalgo", "ring"}, "table2"},
 	} {
 		args := tc.args
 		var out, errBuf bytes.Buffer

@@ -117,41 +117,6 @@ func CoSchedule(s Spec, n, nodesPer int) ([]Tenant, error) {
 	return tenants, nil
 }
 
-// Block is a contiguous range of a partition's node indices assigned to
-// one logical process of a share-nothing run (des.LPSet): the
-// node-block granularity of LP partitioning.
-type Block struct {
-	// Start is the first global node index of the block.
-	Start int
-	// Nodes is the number of nodes in the block.
-	Nodes int
-}
-
-// LPBlocks partitions nodes into contiguous blocks of blockNodes each
-// (the final block takes any remainder) — the block→LP mapping of the
-// gradsync harness. The mapping is a pure function of (nodes,
-// blockNodes), deliberately independent of worker count: the canonical
-// merge order of the per-LP sample logs — and therefore every bit of
-// the run's metrics — depends only on the partition, so results cannot
-// vary with how many cores executed it.
-func LPBlocks(nodes, blockNodes int) []Block {
-	if nodes < 1 {
-		return nil
-	}
-	if blockNodes < 1 {
-		blockNodes = 1
-	}
-	blocks := make([]Block, 0, (nodes+blockNodes-1)/blockNodes)
-	for start := 0; start < nodes; start += blockNodes {
-		n := blockNodes
-		if start+n > nodes {
-			n = nodes - start
-		}
-		blocks = append(blocks, Block{Start: start, Nodes: n})
-	}
-	return blocks
-}
-
 // NodeSet tracks the up/down availability of a partition's nodes — the
 // cluster-side state of the fault-injection layer (internal/faults).
 // The zero value is unusable; construct with NewNodeSet, which starts

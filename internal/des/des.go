@@ -181,8 +181,7 @@ type openRun struct {
 // fifteen times, five times its final size in all: a quarter of every
 // byte a sweep allocated, all of it large pointerful objects for the
 // collector to zero, barrier-copy and sweep.) 32 slots, 1.25 KB, are what
-// one node's ranks keep pending, so a small Env — one LP of an LPSet —
-// stays at one chunk.
+// one node's ranks keep pending, so a small Env stays at one chunk.
 const slabChunk = 32
 
 // runSlots is the size of the direct-mapped run table. A constant, not
@@ -255,10 +254,8 @@ type Env struct {
 	stopped bool
 
 	// Run guardrails (see guard.go). guarded mirrors guard.enabled() so
-	// the healthy hot path pays one predictable branch per event. shared
-	// is the joint event budget of an LPSet run (nil outside one).
+	// the healthy hot path pays one predictable branch per event.
 	guard    Guard
-	shared   *SharedGuard
 	guarded  bool
 	executed int64
 	guardErr error

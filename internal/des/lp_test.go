@@ -1,7 +1,6 @@
 package des
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 )
@@ -71,67 +70,6 @@ func TestLPIndependentMatchesSingleEnv(t *testing.T) {
 	}
 }
 
-// TestLPSharedGuardBudget: MaxEvents on an LPSet is enforced globally
-// across LPs, and the structured error matches what a sequential Env
-// reports for the same budget — same Guard, same Events — and carries
-// nothing else: which LP tripped, and when on its own clock, depends on
-// worker scheduling.
-func TestLPSharedGuardBudget(t *testing.T) {
-	const budget = 25
-	build := func(envOf func(i int) *Env) {
-		for i := 0; i < 4; i++ {
-			newTickMachine(envOf(i), 0.1*float64(i), 0.25, 1000)
-		}
-	}
-
-	ref := NewEnv()
-	ref.SetGuard(Guard{MaxEvents: budget})
-	build(func(int) *Env { return ref })
-	ref.RunUntil(1e6)
-	var refErr *BudgetExceeded
-	if !errors.As(ref.Err(), &refErr) {
-		t.Fatalf("sequential run did not trip: %v", ref.Err())
-	}
-
-	for _, workers := range []int{1, 4} {
-		set := NewLPSet(4)
-		set.SetSharedGuard(NewSharedGuard(budget))
-		build(func(i int) *Env { return set.Env(i) })
-		set.Run(workers, 1e6)
-		var lpErr *BudgetExceeded
-		if !errors.As(set.Err(), &lpErr) {
-			t.Fatalf("workers=%d: parallel run did not trip: %v", workers, set.Err())
-		}
-		if lpErr.Guard != refErr.Guard || lpErr.Events != refErr.Events {
-			t.Errorf("workers=%d: BudgetExceeded{Guard:%+v Events:%d}, sequential {Guard:%+v Events:%d}",
-				workers, lpErr.Guard, lpErr.Events, refErr.Guard, refErr.Events)
-		}
-		if want := (BudgetExceeded{Guard: Guard{MaxEvents: budget}, Events: budget, joint: true}); *lpErr != want {
-			t.Errorf("workers=%d: joint trip %+v carries LP-local state, want %+v", workers, *lpErr, want)
-		}
-		if got := executed(set, 4); got != budget {
-			t.Errorf("workers=%d: executed %d events across LPs, budget %d", workers, got, budget)
-		}
-	}
-}
-
-// TestLPShareGuardSurvivesSetGuard: installing a per-env Guard after a
-// shared budget is attached must not disarm the shared budget.
-func TestLPShareGuardSurvivesSetGuard(t *testing.T) {
-	env := NewEnv()
-	env.ShareGuard(NewSharedGuard(3))
-	env.SetGuard(Guard{}) // zero guard: no per-env limits
-	newTickMachine(env, 0, 0.1, 100)
-	env.RunUntil(1e6)
-	var be *BudgetExceeded
-	if !errors.As(env.Err(), &be) {
-		t.Fatalf("shared budget disarmed by SetGuard: %v", env.Err())
-	}
-	if be.Events != 3 {
-		t.Errorf("Events = %d, want 3", be.Events)
-	}
-}
-
 // TestLPPanicPropagation: a panic inside any LP's window surfaces from
 // Run on the calling goroutine, at every worker count, so callers'
 // recover-based isolation keeps working.
@@ -178,7 +116,7 @@ func TestLPRunHonorsHorizon(t *testing.T) {
 
 // TestLPDegenerateShapes pins the edges of the fan-out: a set with no
 // events, a single LP, more workers than LPs, a non-positive worker
-// count, and the constructors' size checks.
+// count, and the constructor's size check.
 func TestLPDegenerateShapes(t *testing.T) {
 	if end := NewLPSet(3).Run(2, 100); end != 0 {
 		t.Errorf("empty run end = %v, want 0", end)
@@ -201,7 +139,6 @@ func TestLPDegenerateShapes(t *testing.T) {
 		}
 	}
 	mustPanic(t, "empty set", func() { NewLPSet(0) })
-	mustPanic(t, "bad budget", func() { NewSharedGuard(0) })
 }
 
 func mustPanic(t *testing.T, name string, f func()) {

@@ -219,7 +219,7 @@ func TestSlabGrowsByChunksAndNeverMoves(t *testing.T) {
 // TestEventRecordAndEnvFootprint pins what every queued event and every
 // Env costs: a 40-byte {fn, cb, val, next, kind} record — three
 // pointerful fields cleared per fire — and one object per NewEnv (a
-// 512-node sweep builds thousands, an LPSet one per LP).
+// 512-node sweep builds thousands).
 func TestEventRecordAndEnvFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(event{}); got != 40 {
 		t.Errorf("event record is %d bytes, want 40", got)

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"simaibench/internal/cluster"
 	"simaibench/internal/costmodel"
-	"simaibench/internal/des"
 	"simaibench/internal/mpi"
 	"simaibench/internal/scenario"
 	"simaibench/internal/stats"
@@ -26,13 +26,10 @@ import (
 // counts (latency-bound), the ring wins at large messages
 // (bandwidth-bound).
 //
-// Every cell runs as a share-nothing des.LPSet, one LP per dragonfly
-// group — the one harness that fans out inside a cell. The gradient
-// barrier makes every rank's step boundary a pure function of the
-// per-(rank, step) compute jitter — precomputed once and shared
-// read-only — so no LP's event ever reaches another, and metrics are
-// bit-identical at any worker count via the canonical sampleLog merge
-// (parallel.go).
+// No cell runs an event queue. The gradient barrier makes every rank's
+// step boundary the same expression of the per-(rank, step) compute
+// jitter, so RunGradSync adds the steps up in closed form, in the order
+// a sequential des.Env would execute them.
 
 // Gradsync sweep axes (the -exp gradsync grid).
 var (
@@ -60,7 +57,7 @@ const (
 
 // gradSyncJitter returns the deterministic jitter u ∈ [0, 1) of one
 // (rank, step) pair — a splitmix64-style hash, so the straggler
-// pattern is reproducible bit-for-bit on any engine or worker count.
+// pattern is reproducible bit-for-bit.
 func gradSyncJitter(rank, step int) float64 {
 	x := uint64(rank)*0x9E3779B97F4A7C15 + uint64(step)*0xBF58476D1CE4E5B9 + 0x94D049BB133111EB
 	x ^= x >> 30
@@ -84,8 +81,8 @@ type GradSyncConfig struct {
 	Algo string
 	// Steps is the number of training steps (600).
 	Steps int
-	// Workers caps the parallel DES workers (1 = serial; metrics are
-	// bit-identical at any value).
+	// Deprecated: ignored — a cell is a closed form on one core; kept
+	// until the benchmark stops setting it.
 	Workers int
 	// MaxEvents arms the DES event budget (0 = unlimited).
 	MaxEvents int64
@@ -97,14 +94,9 @@ func (c GradSyncConfig) withDefaults() GradSyncConfig {
 	if c.Ranks < 1 {
 		c.Ranks = 8
 	}
-	if c.ModelMB <= 0 {
-		c.ModelMB = 4
-	}
+	positiveOr(&c.ModelMB, 4)
 	if c.Steps < 1 {
 		c.Steps = 600
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
 	}
 	return c
 }
@@ -132,66 +124,41 @@ type GradSyncPoint struct {
 	Steps int64
 }
 
-// gradRank is one trainer's event-driven state machine: compute
-// (jittered), wait at the gradient barrier, AllReduce, update, next
-// step. The barrier bound gmax is precomputed, so the machine needs
-// two events per step and no cross-rank edges. Both events re-arm
-// callbacks bound once in initGradRank, and the step's compute time
-// waits in the rank, so a step allocates nothing.
-type gradRank struct {
-	env       *des.Env
-	rank      int
-	steps     int
-	computeS  float64
-	updateS   float64
-	collS     float64
-	gmax      []float64
-	step      int
-	stepStart float64
-	compute   float64 // this step's jittered compute time
-	stepLog   *sampleLog
-	skewLog   *sampleLog
-
-	gradsReadyFn, endStepFn func()
+// gradReady is one rank's gradients-ready event of a step: its time,
+// the rank, and the rank's jittered compute.
+type gradReady struct {
+	t    float64
+	rank int
+	c    float64
 }
 
-func initGradRank(g *gradRank) {
-	g.gradsReadyFn, g.endStepFn = g.gradsReady, g.endStep
-	g.env.At(0, g.startStep)
-}
-
-func (g *gradRank) startStep() {
-	s := g.step
-	g.compute = g.computeS * (1 + gradSyncJitterFrac*gradSyncJitter(g.rank, s))
-	g.env.At(g.stepStart+g.compute, g.gradsReadyFn)
-	// The step boundary is the same expression on every rank — the
-	// barrier, the collective and the update are global — so all ranks
-	// advance in lockstep to the bit.
-	g.env.At(g.stepStart+g.gmax[s]+g.collS+g.updateS, g.endStepFn)
-}
-
-// gradsReady records the straggler wait until the slowest rank reaches
-// the AllReduce. It fires before the step's end, so g.step and
-// g.compute still describe its step.
-func (g *gradRank) gradsReady() {
-	g.skewLog.add(g.env.Now(), g.gmax[g.step]-g.compute)
-}
-
-func (g *gradRank) endStep() {
-	now := g.env.Now()
-	g.stepLog.add(now, now-g.stepStart)
-	g.step++
-	if g.step < g.steps {
-		g.stepStart = now
-		g.startStep()
+// readyOrder orders a step's gradients-ready events as a des.Env
+// executes them: by time, then by rank, the order they were queued in.
+// Two computes can round to one ready time, so the key is the time, not
+// the compute.
+func readyOrder(a, b gradReady) int {
+	switch {
+	case a.t < b.t:
+		return -1
+	case a.t > b.t:
+		return 1
 	}
+	return a.rank - b.rank
 }
 
-// RunGradSync simulates one gradsync configuration and returns its
-// measurement. Deterministic: equal configs give bit-equal points at
-// any Workers value.
+// RunGradSync computes one gradsync configuration's measurement. A
+// rank computes (jittered), waits at the gradient barrier for the
+// slowest rank, AllReduces and updates; the step ends at the same time
+// on every rank. The samples are added in the order a sequential
+// des.Env running one two-event machine per rank executes them, so its
+// event budget trips at the same event, and a non-finite ModelMB is an
+// error naming the field. Deterministic: equal configs give bit-equal
+// points.
 func RunGradSync(cfg GradSyncConfig) (GradSyncPoint, error) {
 	cfg = cfg.withDefaults()
+	if err := finite(knob{"ModelMB", cfg.ModelMB}); err != nil {
+		return GradSyncPoint{}, fmt.Errorf("gradsync: %w", err)
+	}
 	params := costmodel.Default()
 	if cfg.Params != nil {
 		params = *cfg.Params
@@ -212,54 +179,42 @@ func RunGradSync(cfg GradSyncConfig) (GradSyncPoint, error) {
 	computeS := gradSyncComputeBaseS + gradSyncComputePerMBS*cfg.ModelMB
 	updateS := gradSyncUpdatePerMBS * cfg.ModelMB
 
-	// Precompute each step's straggler bound — the time the slowest
-	// rank reaches the gradient barrier. A pure function of (rank,
-	// step), shared read-only by every LP, so the LPs share nothing
-	// that changes during the run.
-	gmax := make([]float64, cfg.Steps)
-	horizon := 1.0
-	for s := range gmax {
-		m := 0.0
-		for r := 0; r < cfg.Ranks; r++ {
-			if c := computeS * (1 + gradSyncJitterFrac*gradSyncJitter(r, s)); c > m {
-				m = c
-			}
-		}
-		gmax[s] = m
-		horizon += m + coll.TimeS + updateS
+	// The Env this adds up executes every rank's start at t=0. Each step
+	// it then executes every rank's gradients-ready event in readyOrder
+	// and every rank's step end, all at one time.
+	clock := serialClock{budget: cfg.MaxEvents}
+	for range cfg.Ranks {
+		clock.at(0)
 	}
-
-	// One LP per dragonfly group (the partition is a pure function of
-	// the workload shape, never of Workers — see parallel.go).
-	blocks := cluster.LPBlocks(cfg.Ranks, topo.NodesPerRouter*topo.RoutersPerGroup)
-	set := des.NewLPSet(len(blocks))
-	if cfg.MaxEvents > 0 {
-		set.SetSharedGuard(des.NewSharedGuard(cfg.MaxEvents))
-	}
-	stepLogs := make([]*sampleLog, len(blocks))
-	skewLogs := make([]*sampleLog, len(blocks))
-	for li, blk := range blocks {
-		env := set.Env(li)
-		stepLogs[li], skewLogs[li] = &sampleLog{}, &sampleLog{}
-		ranks := make([]gradRank, blk.Nodes)
-		for i := range ranks {
-			ranks[i] = gradRank{
-				env: env, rank: blk.Start + i, steps: cfg.Steps,
-				computeS: computeS, updateS: updateS, collS: coll.TimeS,
-				gmax: gmax, stepLog: stepLogs[li], skewLog: skewLogs[li],
-			}
-			initGradRank(&ranks[i])
-		}
-	}
-	set.Run(cfg.Workers, horizon)
-	if err := set.Err(); err != nil {
-		return GradSyncPoint{}, fmt.Errorf("gradsync (%s, %g MB, %d ranks): %w",
-			algo, cfg.ModelMB, cfg.Ranks, err)
-	}
-
+	ready := make([]gradReady, cfg.Ranks)
 	var stepTime, skew stats.Welford
-	mergeLogs(stepLogs, stepTime.Add)
-	mergeLogs(skewLogs, skew.Add)
+	start := 0.0
+	for s := range cfg.Steps {
+		gmax := 0.0
+		for r := range ready {
+			c := computeS * (1 + gradSyncJitterFrac*gradSyncJitter(r, s))
+			ready[r] = gradReady{t: start + c, rank: r, c: c}
+			if c > gmax {
+				gmax = c
+			}
+		}
+		slices.SortFunc(ready, readyOrder)
+		for _, g := range ready {
+			clock.at(g.t)
+			skew.Add(gmax - g.c)
+		}
+		end := start + gmax + coll.TimeS + updateS
+		for range cfg.Ranks {
+			clock.at(end)
+			stepTime.Add(end - start)
+		}
+		if clock.err != nil {
+			return GradSyncPoint{}, fmt.Errorf("gradsync (%s, %g MB, %d ranks): %w",
+				algo, cfg.ModelMB, cfg.Ranks, clock.err)
+		}
+		start = end
+	}
+
 	commFrac := 0.0
 	if stepTime.Mean() > 0 {
 		commFrac = coll.TimeS / stepTime.Mean()
@@ -378,7 +333,7 @@ func runGradSyncScenario(ctx context.Context, p scenario.Params) (*scenario.Resu
 			func(size float64, algo string) (GradSyncPoint, error) {
 				return RunGradSync(GradSyncConfig{
 					Ranks: ranks, ModelMB: size, Algo: algo,
-					Steps: p.SweepIters, Workers: p.Workers, MaxEvents: p.MaxEvents,
+					Steps: p.SweepIters, MaxEvents: p.MaxEvents,
 				})
 			})
 		if err != nil {

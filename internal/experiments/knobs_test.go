@@ -39,7 +39,7 @@ func field(p *scenario.Params, k scenario.Knob) reflect.Value {
 // TestEveryScenarioActsOnItsKnobs holds each registered scenario to what
 // it declares: every declared knob that bears on the result changes the
 // reported tables, the run-control knobs (a generous deadline and event
-// budget, more workers) leave them unchanged, and every knob it does not
+// budget) leave them unchanged, and every knob it does not
 // declare is refused by the check both edges run. The tables are compared
 // as their JSON records, at full precision: fig5's transfer count moves
 // its steady-state throughputs in the last digits only, below what the
@@ -92,9 +92,6 @@ func TestEveryScenarioActsOnItsKnobs(t *testing.T) {
 			}
 			if reads&scenario.MaxEvents != 0 {
 				p.MaxEvents = 1 << 40
-			}
-			if reads&scenario.Workers != 0 {
-				p.Workers = 2
 			}
 			if got := run(p); got != base {
 				t.Errorf("run-control knobs %v change the tables", (p.Knobs() &^ reads.Results()).Keys())

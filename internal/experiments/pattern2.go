@@ -101,9 +101,9 @@ func RunFig5Checked(cfg Fig5Config) (Fig5Point, error) {
 	}, nil
 }
 
-// serialClock is the clock of one serial chain of timed phases under a
-// guarded des.Env's event budget: the phase that would exceed it is not
-// taken, and err records the trip as the Env would.
+// serialClock is the clock of one serial chain of events under a
+// guarded des.Env's event budget: the event that would exceed it is not
+// executed, and err records the trip as the Env would.
 type serialClock struct {
 	now    float64
 	events int64
@@ -121,14 +121,18 @@ func (c *serialClock) xfer(x costmodel.XferCost) {
 	c.phase(x.HoldS)
 }
 
-func (c *serialClock) phase(d float64) {
+// phase is an event d after the last one.
+func (c *serialClock) phase(d float64) { c.at(c.now + d) }
+
+// at executes an event at time t, which is not before the last one.
+func (c *serialClock) at(t float64) {
 	switch {
 	case c.err != nil:
 	case c.budget > 0 && c.events >= c.budget:
 		c.err = &des.BudgetExceeded{Guard: des.Guard{MaxEvents: c.budget}, Events: c.events, Now: c.now}
 	default:
 		c.events++
-		c.now += d
+		c.now = t
 	}
 }
 

@@ -94,7 +94,7 @@ func init() {
 		guardKnobs|scenario.Jobs|scenario.Tenants|scenario.Rate|scenario.Policy, runCampaignScenario))
 	scenario.Register(scenario.New("gradsync",
 		"Gradient synchronization — AllReduce algorithms (ring/tree/hier) over the dragonfly topology (step time, comm fraction, crossover)",
-		sweepDefaults, sweepKnobs|scenario.Workers|scenario.CollAlgo, runGradSyncScenario))
+		sweepDefaults, sweepKnobs|scenario.CollAlgo, runGradSyncScenario))
 	// "all" reproduces the paper's core artifacts in presentation order
 	// (the streaming extension and ablations remain separate ids, as in
 	// the pre-registry CLI).

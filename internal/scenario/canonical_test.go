@@ -269,7 +269,7 @@ func FuzzCanonicalParams(f *testing.F) {
 	f.Add(`{}`, `{}`)
 	f.Add(`{"rate": 1.2, "policy": "srpt"}`, `{"sweep_iters": 600, "tenants": 16, "clock": "virtual"}`)
 	f.Add(`{"sweep_iters": 600, "time_scale": -0.0}`, `{"sweep_iters": 600, "time_scale": 0.01}`)
-	f.Add(`{"policy": "\u0000\ud800", "max_events": 9223372036854775807}`, `{"workers": 4}`)
+	f.Add(`{"policy": "\u0000\ud800", "max_events": 9223372036854775807}`, `{"jobs": 4}`)
 	f.Add(`{"mtbf_s": 1e-320, "ckpt_interval_s": 1.7976931348623157e308}`, `{"coll_algo": "hier"}`)
 	f.Fuzz(func(t *testing.T, body, defaultsBody string) {
 		var p, d Params

@@ -34,7 +34,6 @@ const (
 	Jobs
 	TimeoutS
 	MaxEvents
-	Workers
 	CollAlgo
 )
 
@@ -69,7 +68,6 @@ var knobs = [...]knobRow{
 	{Jobs, "jobs", "jobs", 0, true, nil, "open-loop jobs per campaign sweep cell (0 = scenario default, 2000)"},
 	{TimeoutS, "timeout_s", "timeout", 0, false, nil, "per-sweep-cell wall-clock deadline in seconds (0 = none); a wedged cell is abandoned with a structured failure instead of hanging the run"},
 	{MaxEvents, "max_events", "max-events", 0, false, nil, "DES event budget per simulated sweep cell (0 = unlimited); a runaway cell aborts with a structured budget error"},
-	{Workers, "workers", "workers", 1, false, nil, "cores advancing one gradsync cell's logical processes (1 = one core; other scenarios run a cell on one sequential Env and ignore it); metrics are bit-identical at any setting"},
 	{CollAlgo, "coll_algo", "collalgo", 0, true, checkCollAlgo, "collective algorithm for the gradsync family: flat|ring|tree|hier (empty = full algorithm sweep)"},
 }
 

@@ -82,12 +82,6 @@ type Params struct {
 	// execute (0 = unlimited); a runaway cell aborts with a structured
 	// budget error instead of looping forever.
 	MaxEvents int64 `json:"max_events,omitempty"`
-	// Workers is consumed by gradsync alone: each of its cells is one
-	// logical process per dragonfly group, sharing nothing, advanced by
-	// up to that many cores (des.LPSet; 0 or 1 = one core). Every other
-	// scenario runs a cell on one sequential Env and ignores it. Metrics
-	// are bit-identical for every value — Workers only trades wall-clock.
-	Workers int `json:"workers,omitempty"`
 	// CollAlgo narrows the gradsync family's collective-algorithm sweep
 	// to one algorithm: "flat", "ring", "tree" or "hier" (empty = the
 	// full algorithm axis; other scenarios ignore it). Threaded into

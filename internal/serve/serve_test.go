@@ -294,7 +294,8 @@ func TestRunRequestValidation(t *testing.T) {
 		{"negative mtbf", `{"scenario":"t-ok","params":{"mtbf_s":-1}}`, http.StatusBadRequest, KindBadRequest, "mtbf_s"},
 		{"negative ckpt", `{"scenario":"t-ok","params":{"ckpt_interval_s":-2}}`, http.StatusBadRequest, KindBadRequest, "ckpt_interval_s"},
 		{"negative sweep iters", `{"scenario":"t-ok","params":{"sweep_iters":-5}}`, http.StatusBadRequest, KindBadRequest, "sweep_iters"},
-		{"negative workers", `{"scenario":"t-ok","params":{"workers":-2}}`, http.StatusBadRequest, KindBadRequest, "workers"},
+		// workers was a knob until no cell ran on more than one core.
+		{"dropped workers knob", `{"scenario":"t-ok","params":{"workers":2}}`, http.StatusBadRequest, KindBadRequest, "workers"},
 	}
 	for _, tc := range cases {
 		st, body, _ := postRun(t, ts.URL, tc.body)
