@@ -154,7 +154,10 @@ func (x *LocalXfer) next() {
 // shared trainer NIC. Start launches all n fetch chains and done fires
 // once every one has completed (the paper's AI component "blocks until
 // all data for that specific update iteration has arrived"), awaited in
-// index order as a loop of blocking joins would.
+// index order as a loop of blocking joins would. No scenario runs it —
+// Fig 6 walks EnsembleFetchCost's description of it instead — only the
+// costmodel.ns_per_fetch probe and the tests that hold the two equal;
+// its hold, concurrency and NIC capacity come from that one method.
 type EnsembleFetch struct {
 	env      *des.Env
 	done     func()
@@ -178,24 +181,56 @@ type fetchChain struct {
 	onHold    func()
 }
 
-// NewEnsembleFetch builds a reusable ensemble read; allocate once per
-// trainer and Start once per read period.
-func (m *Model) NewEnsembleFetch(b datastore.Backend, n int, mb float64, done func()) *EnsembleFetch {
-	lat, bw, conc := m.params.remoteParams(b, mb)
+// FetchCost is one ensemble read of N arrays by a trainer whose fetch
+// slots and NIC are idle when it starts, event by event as
+// EnsembleFetch's chains run it. The read's instant executes one start
+// event per fetch. Every fetch holds the NIC for HoldS, so the fetches
+// complete in index order, in waves of min(Conc, NICCap) one hold apart.
+type FetchCost struct {
+	HoldS  float64 // latency (plus Dragon's incast handling) and streaming
+	Conc   int     // the backend's client fetch concurrency
+	NICCap int     // full-rate streams of this backend the trainer NIC admits
+	N      int
+}
+
+// EnsembleFetchCost returns the cost of reading n arrays of mb megabytes
+// from backend b through a trainer NIC of nicGBps.
+func (p *Params) EnsembleFetchCost(b datastore.Backend, n int, mb, nicGBps float64) FetchCost {
+	lat, bw, conc := p.remoteParams(b, mb)
 	if b == datastore.Dragon {
 		// Many-to-one drains pay the dictionary's per-message incast
 		// handling on top of the p2p setup cost.
-		lat += m.params.DragonIncastLatencyS
+		lat += p.DragonIncastLatencyS
 	}
-	if conc < 1 {
-		conc = 1
-	}
+	return FetchCost{HoldS: lat + mb/1000/bw, Conc: max(conc, 1), NICCap: max(int(nicGBps/bw), 1), N: n}
+}
+
+// Waves returns how many holds the read lasts.
+func (c FetchCost) Waves() int {
+	w := min(c.Conc, c.NICCap)
+	return (c.N + w - 1) / w
+}
+
+// WaveEvents returns the events executed when wave j (from 0) ends: each
+// of its fetches' onHold, the NIC and fetch-slot grants those releases
+// hand to queued fetches, and one join; the last wave's join fires done.
+func (c FetchCost) WaveEvents(j int) int64 {
+	left := c.N - j*min(c.Conc, c.NICCap) // fetches not yet complete
+	slotted := min(left, c.Conc)          // ... holding a fetch slot
+	s := min(slotted, c.NICCap)           // ... and the NIC: this wave
+	return int64(s + min(s, slotted-s) + min(s, left-slotted) + 1)
+}
+
+// NewEnsembleFetch builds a reusable ensemble read; allocate once per
+// trainer and Start once per read period.
+func (m *Model) NewEnsembleFetch(b datastore.Backend, n int, mb float64, done func()) *EnsembleFetch {
+	c := m.params.EnsembleFetchCost(b, n, mb, m.spec.NICGBps)
 	f := &EnsembleFetch{
 		env:  m.env,
 		done: done,
-		sem:  des.NewResource(m.env, conc),
-		nic:  m.nic(b, bw),
-		hold: lat + mb/1000/bw,
+		sem:  des.NewResource(m.env, c.Conc),
+		nic:  m.nic(b, c.NICCap),
+		hold: c.HoldS,
 	}
 	f.fetches = make([]*fetchChain, n)
 	for i := range f.fetches {

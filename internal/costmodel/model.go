@@ -121,18 +121,14 @@ func (p *Params) remoteParams(b datastore.Backend, mb float64) (lat, bw float64,
 	panic(fmt.Sprintf("costmodel: backend %v has no remote model (node-local cannot be read remotely)", b))
 }
 
-// nic returns the trainer's NIC resource for backend b: capacity is how
-// many full-rate streams of this backend the NIC admits, enforcing the
-// aggregate injection-bandwidth bound in many-to-one incast.
-func (m *Model) nic(b datastore.Backend, perFlowBW float64) *des.Resource {
+// nic returns the trainer's NIC resource for backend b, admitting
+// streams full-rate streams of it: the aggregate injection-bandwidth
+// bound in many-to-one incast.
+func (m *Model) nic(b datastore.Backend, streams int) *des.Resource {
 	if r := m.trainerNIC[b]; r != nil {
 		return r
 	}
-	capacity := int(m.spec.NICGBps / perFlowBW)
-	if capacity < 1 {
-		capacity = 1
-	}
-	r := des.NewResource(m.env, capacity)
+	r := des.NewResource(m.env, streams)
 	m.trainerNIC[b] = r
 	return r
 }

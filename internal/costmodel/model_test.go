@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"simaibench/internal/cluster"
@@ -237,6 +238,59 @@ func TestNICBoundsAggregateFetchRate(t *testing.T) {
 	}
 }
 
+// TestEnsembleFetchRunsItsCost: an ensemble read run on a fresh Env
+// executes exactly the events EnsembleFetchCost describes — N at the
+// read's instant, then WaveEvents(j) at each wave's end, one hold
+// after the last — at those instants and no others, and fires done at
+// the last wave's, over random fetch counts, concurrencies and NIC
+// capacities on both sides of each other. That walk is what
+// experiments.RunFig6Checked computes instead of running the chain.
+func TestEnsembleFetchRunsItsCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	regimes := map[bool]int{}
+	for i := 0; i < 400; i++ {
+		b := []datastore.Backend{datastore.Redis, datastore.FileSystem, datastore.Dragon}[rng.Intn(3)]
+		p := Default()
+		p.RedisRemoteConcurrency = 1 + rng.Intn(40)
+		p.FSRemoteConcurrency = 1 + rng.Intn(40)
+		p.DragonRemoteConcurrency = 1 + rng.Intn(40)
+		spec := cluster.Aurora(2)
+		spec.NICGBps = 0.05 + 50*rng.Float64()
+		n, mb := 1+rng.Intn(300), []float64{0.4, 4, 32}[rng.Intn(3)]
+		env := des.NewEnv()
+		m := New(env, spec, p)
+		c := p.EnsembleFetchCost(b, n, mb, spec.NICGBps)
+		regimes[c.Conc > c.NICCap]++
+		doneAt := math.NaN()
+		m.NewEnsembleFetch(b, n, mb, func() { doneAt = env.Now() }).Start()
+
+		now, want := 0.0, []int64{int64(c.N)}
+		for j := range c.Waves() {
+			want = append(want, c.WaveEvents(j))
+		}
+		for k, w := range want {
+			next, ok := env.NextT()
+			if k > 0 {
+				now += c.HoldS
+			}
+			if !ok || next != now {
+				t.Fatalf("%+v: instant %d at %v (pending %v), want %v", c, k, next, ok, now)
+			}
+			before := env.Executed()
+			env.RunUntil(now)
+			if got := env.Executed() - before; got != w {
+				t.Fatalf("%+v: instant %d executed %d events, want %d", c, k, got, w)
+			}
+		}
+		if env.Pending() != 0 || doneAt != now {
+			t.Fatalf("%+v: %d events left, done at %v, want none and %v", c, env.Pending(), doneAt, now)
+		}
+	}
+	if regimes[true] < 50 || regimes[false] < 50 {
+		t.Fatalf("regimes drawn (NIC-bound: count) %v: too few of one", regimes)
+	}
+}
+
 func TestCacheEffMonotoneDecline(t *testing.T) {
 	p := Default()
 	prev := math.Inf(1)
@@ -287,8 +341,8 @@ func TestFig5PairEndsAtClosedForm(t *testing.T) {
 				if b == datastore.NodeLocal {
 					return // no remote read (TestNodeLocalHasNoRemoteModel)
 				}
-				_, bw, _ := m.params.remoteParams(b, mb)
-				nic, hold := m.nic(b, bw), m.params.RemoteReadCost(b, mb).HoldS
+				nic := m.nic(b, m.params.EnsembleFetchCost(b, 1, mb, m.spec.NICGBps).NICCap)
+				hold := m.params.RemoteReadCost(b, mb).HoldS
 				nic.Request(func() {
 					env.After(hold, func() {
 						nic.Release()

@@ -41,6 +41,14 @@ func positiveOr[T int | float64](v *T, def T) {
 	}
 }
 
+// paramsOr returns *p, or the default cost-model constants for nil.
+func paramsOr(p *costmodel.Params) costmodel.Params {
+	if p == nil {
+		return costmodel.Default()
+	}
+	return *p
+}
+
 // knob is a float field under its exported name.
 type knob struct {
 	name string
@@ -75,12 +83,8 @@ func runColocated(w ScaleOutConfig, shared bool, disturb func(*des.Env, cluster.
 	spec := cluster.Aurora(nodes)
 	place := cluster.Pattern1Placement(spec)
 	env := newGuardedEnv(w.MaxEvents)
-	params := costmodel.Default()
-	if w.Params != nil {
-		params = *w.Params
-	}
 	run := &colocatedRun{
-		model:    costmodel.New(env, spec, params),
+		model:    costmodel.New(env, spec, paramsOr(w.Params)),
 		horizon:  float64(w.TrainIters) * w.TrainIterS,
 		bytes:    int64(w.SizeMB * 1e6),
 		simRanks: nodes * place.SimTilesPerNode,
@@ -104,8 +108,14 @@ func runColocated(w ScaleOutConfig, shared bool, disturb func(*des.Env, cluster.
 		time: &run.readTime, tput: &run.readTput,
 	}
 	if shared {
-		// Sized for ranks × periods writes, plus boundary slack.
-		run.samples = make([]float64, 0, run.simRanks*(int(run.horizon/writePeriod)+2))
+		// Sized for ranks × periods writes plus boundary slack, but for no
+		// more than the budget lets complete (each write is an event) nor
+		// 8 MiB: every shipped cell fits, and append grows past it.
+		n := float64(run.simRanks) * (math.Floor(run.horizon/writePeriod) + 2)
+		if w.MaxEvents > 0 {
+			n = min(n, float64(w.MaxEvents))
+		}
+		run.samples = make([]float64, 0, int(min(n, 1<<20)))
 		solver.samples = &run.samples
 	}
 	if disturb != nil {

@@ -48,8 +48,8 @@ var colocatedEntries = []struct {
 	{
 		prefix: "fig6 (", base: Fig6Config{SizeMB: 1, TrainIters: 30, MaxEvents: 1e6},
 		run:    func(c any) (any, error) { return RunFig6Checked(c.(Fig6Config)) },
-		floats: []string{"SizeMB", "SimIterS", "TrainIterS"},
-		ints:   []string{"Nodes", "WritePeriod", "ReadPeriod", "TrainIters"},
+		floats: []string{"SizeMB", "TrainIterS"},
+		ints:   []string{"Nodes", "ReadPeriod", "TrainIters"},
 	},
 }
 

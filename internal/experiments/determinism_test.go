@@ -142,7 +142,7 @@ func TestFig6MatchesProcessReference(t *testing.T) {
 		for _, size := range []float64{1, 10} {
 			cfg := Fig6Config{Nodes: 16, Backend: b, SizeMB: size, TrainIters: 100}
 			got := checked(t, RunFig6Checked, cfg)
-			want := oracleFig6(cfg)
+			want := oracleFig6(cfg, paperWriteEveryS)
 			if got != want {
 				t.Errorf("%v %gMB: flat %+v != reference %+v", b, size, got, want)
 			}
@@ -150,7 +150,7 @@ func TestFig6MatchesProcessReference(t *testing.T) {
 	}
 }
 
-// TestFig6StopsWithTrainer: a Fig 6 cell simulates its trainer and
+// TestFig6StopsWithTrainer: a Fig 6 cell models its trainer and
 // nothing else, so it ends when the trainer's last period does —
 // everything the point reports is final then — and only then: a cell
 // whose trainer cannot finish inside the horizon cap still runs to the
@@ -160,7 +160,8 @@ func TestFig6StopsWithTrainer(t *testing.T) {
 	// This cell's trainer executes 11 311 events and ends at t = 20.2 s
 	// of the 189.9 s cap. With the writers the cell executed 67 417
 	// events to that instant and 540 969 to the cap. The event budget is
-	// the pin: the trainer's events fit it, and no writer's would.
+	// the pin, exact on both sides: the trainer's events fit it, one
+	// fewer trips it, and no writer's would fit.
 	cfg := Fig6Config{Nodes: 128, Backend: datastore.FileSystem, SizeMB: 0.4, TrainIters: 300}
 	want, err := RunFig6Checked(cfg)
 	if err != nil {
@@ -174,8 +175,12 @@ func TestFig6StopsWithTrainer(t *testing.T) {
 	if got != want {
 		t.Errorf("budgeted %+v != unbudgeted %+v", got, want)
 	}
-	if ref := oracleFig6(cfg); got != ref {
+	if ref := oracleFig6(cfg, paperWriteEveryS); got != ref {
 		t.Errorf("trainer-only run %+v != reference run with writers to the horizon %+v", got, ref)
+	}
+	cfg.MaxEvents = 11_310
+	if _, err := RunFig6Checked(cfg); err == nil || !strings.Contains(err.Error(), "11310 events executed (limit 11310) at t=20.238 ") {
+		t.Errorf("MaxEvents 11 310: %v, want the trip at the trainer's last event", err)
 	}
 
 	// 128-node Redis completes 11 and 2 of its 30 periods inside the cap:
@@ -183,7 +188,7 @@ func TestFig6StopsWithTrainer(t *testing.T) {
 	// reports.
 	for _, size := range []float64{32, 128} {
 		cfg := Fig6Config{Nodes: 128, Backend: datastore.Redis, SizeMB: size, TrainIters: 300}
-		got, want := checked(t, RunFig6Checked, cfg), oracleFig6(cfg)
+		got, want := checked(t, RunFig6Checked, cfg), oracleFig6(cfg, paperWriteEveryS)
 		if got != want {
 			t.Errorf("redis %g MB: flat %+v != reference %+v", size, got, want)
 		}

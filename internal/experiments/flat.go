@@ -13,12 +13,11 @@ import (
 // allocate nothing. The same components are written out a second time as
 // straight-line blocking loops in the test-only oracle (oracle_test.go),
 // which polls every period and runs every cell to its horizon, and the
-// machines here are held bit-equal to it. fig6Trainer makes one
-// schedule call per step of its loop. stagingRank — every solver
-// and trainer rank of Pattern 1, scale-out and resilience, and the load
-// writers of Fig 6 — schedules only the polls that do something, at
-// bit-identical times and in the same relative order among ranks as a
-// loop that polled every period (nextPoll says what that order rests on;
+// machines here are held bit-equal to it. stagingRank — every solver and
+// trainer rank of Pattern 1, scale-out and resilience — schedules only
+// the polls that do something, at bit-identical times and in the same
+// relative order among ranks as a loop that polled every period
+// (nextPoll says what that order rests on;
 // TestPattern1MatchesProcessReference and TestScaleOutMatchesReference
 // hold it against the oracle). The rule is ARCHITECTURE.md's "Run until
 // the observables are decided": an event nothing reported depends on is
@@ -168,57 +167,5 @@ func (r *stagingRank) nextPoll(now float64) float64 {
 	for t-r.lastXfer < r.fresh && t < r.horizon {
 		t += r.period
 	}
-	return t
-}
-
-// fig6Trainer replays the many-to-one trainer: compute for a read
-// period, then a blocking ensemble read of the whole ensemble, tracking
-// per-period progress so exec/iter stays correct when a slow backend
-// does not finish within the horizon. It is the only rank of its
-// harness, so the run ends with its last period.
-type fig6Trainer struct {
-	env              *des.Env
-	periods          int
-	i                int
-	sleepS           float64
-	fetchStart       float64
-	fetchTime        *stats.Welford
-	lastPeriodEnd    *float64
-	completedPeriods *int
-	fetch            *costmodel.EnsembleFetch
-	wake             func()
-}
-
-type fig6TrainerConfig struct {
-	backend          datastore.Backend
-	nodes            int
-	sizeMB           float64
-	periods          int
-	sleepS           float64
-	fetchTime        *stats.Welford
-	lastPeriodEnd    *float64
-	completedPeriods *int
-}
-
-func newFig6Trainer(env *des.Env, model *costmodel.Model, cfg fig6TrainerConfig) *fig6Trainer {
-	t := &fig6Trainer{
-		env: env, periods: cfg.periods, sleepS: cfg.sleepS,
-		fetchTime: cfg.fetchTime, lastPeriodEnd: cfg.lastPeriodEnd, completedPeriods: cfg.completedPeriods,
-	}
-	t.wake = func() {
-		t.fetchStart = t.env.Now()
-		t.fetch.Start()
-	}
-	t.fetch = model.NewEnsembleFetch(cfg.backend, cfg.nodes, cfg.sizeMB, func() {
-		now := t.env.Now()
-		t.fetchTime.Add(now - t.fetchStart)
-		*t.lastPeriodEnd = now
-		*t.completedPeriods++
-		t.i++
-		if t.i < t.periods {
-			t.env.After(t.sleepS, t.wake)
-		}
-	})
-	env.At(env.Now(), func() { t.env.After(t.sleepS, t.wake) })
 	return t
 }

@@ -159,10 +159,7 @@ func RunGradSync(cfg GradSyncConfig) (GradSyncPoint, error) {
 	if err := finite(knob{"ModelMB", cfg.ModelMB}); err != nil {
 		return GradSyncPoint{}, fmt.Errorf("gradsync: %w", err)
 	}
-	params := costmodel.Default()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
+	params := paramsOr(cfg.Params)
 	algoName := cfg.Algo
 	if algoName == "" {
 		algoName = params.CollAlgo
@@ -183,9 +180,7 @@ func RunGradSync(cfg GradSyncConfig) (GradSyncPoint, error) {
 	// it then executes every rank's gradients-ready event in readyOrder
 	// and every rank's step end, all at one time.
 	clock := serialClock{budget: cfg.MaxEvents}
-	for range cfg.Ranks {
-		clock.at(0)
-	}
+	clock.run(0, int64(cfg.Ranks))
 	ready := make([]gradReady, cfg.Ranks)
 	var stepTime, skew stats.Welford
 	start := 0.0
@@ -200,12 +195,12 @@ func RunGradSync(cfg GradSyncConfig) (GradSyncPoint, error) {
 		}
 		slices.SortFunc(ready, readyOrder)
 		for _, g := range ready {
-			clock.at(g.t)
+			clock.run(g.t, 1)
 			skew.Add(gmax - g.c)
 		}
 		end := start + gmax + coll.TimeS + updateS
+		clock.run(end, int64(cfg.Ranks))
 		for range cfg.Ranks {
-			clock.at(end)
 			stepTime.Add(end - start)
 		}
 		if clock.err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -189,6 +190,56 @@ func TestCheckedHarnessesSurfaceBudget(t *testing.T) {
 		if !errors.As(err, &be) {
 			t.Errorf("%s: error = %v, want des.BudgetExceeded", name, err)
 		}
+	}
+}
+
+// TestBudgetBoundsAllocation: a shared co-located cell keeps every
+// write's latency, and a requested horizon of 10^10 training iterations
+// is not work done. Under a 1000-event budget the cell must allocate for
+// the writes it can complete and trip the budget — directly, and as a
+// scale-out request to the server, which answers 200 with every cell a
+// budget_exceeded failure and stays up.
+func TestBudgetBoundsAllocation(t *testing.T) {
+	const iters, budget = 10_000_000_000, 1000
+	for name, run := range map[string]func() error{
+		"scale-out": func() error {
+			_, err := RunScaleOutChecked(ScaleOutConfig{Tenants: 16, Backend: datastore.Redis, TrainIters: iters, MaxEvents: budget})
+			return err
+		},
+		"resilience": func() error {
+			_, err := RunResilienceChecked(ResilienceConfig{Tenants: 16, Backend: datastore.Redis, TrainIters: iters, MaxEvents: budget})
+			return err
+		},
+	} {
+		var be *des.BudgetExceeded
+		if err := run(); !errors.As(err, &be) {
+			t.Errorf("%s: error = %v, want des.BudgetExceeded", name, err)
+		}
+	}
+
+	srv := serve.New(serve.Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Shutdown(bg)
+	})
+	c := &serve.Client{BaseURL: ts.URL}
+	resp, _, err := c.Run(bg, serve.RunRequest{Scenario: "scale-out", Params: scenario.Params{SweepIters: iters, MaxEvents: budget}})
+	if err != nil {
+		t.Fatalf("scale-out with sweep_iters %d: %v, want 200", iters, err)
+	}
+	if len(resp.FailureKinds) == 0 {
+		t.Fatal("no failed cells, want every cell over its budget")
+	}
+	for i, k := range resp.FailureKinds {
+		if k != serve.KindBudgetExceeded {
+			t.Errorf("cell %d: kind %q (%s), want %q", i, k, resp.Result.Failures[i].Error, serve.KindBudgetExceeded)
+		}
+	}
+	if h, err := http.Get(ts.URL + "/healthz"); err != nil || h.StatusCode != http.StatusOK {
+		t.Errorf("/healthz after the request: %v, %v", h, err)
+	} else {
+		h.Body.Close()
 	}
 }
 

@@ -78,9 +78,10 @@ func (c oracleCase) check(t *testing.T) {
 		if deep {
 			nodes, b, iters = 64+int(c.nodes)%32, datastore.FileSystem, 30+int(c.it)%32
 		}
-		cfg := Fig6Config{Nodes: nodes, Backend: b, SizeMB: size, WritePeriod: write, ReadPeriod: read, TrainIters: iters}
-		if got, want := checked(t, RunFig6Checked, cfg), oracleFig6(cfg); got != want {
-			t.Fatalf("%+v: harness %+v != oracle %+v", cfg, got, want)
+		cfg := Fig6Config{Nodes: nodes, Backend: b, SizeMB: size, ReadPeriod: read, TrainIters: iters}
+		writeEveryS := float64(write) * 0.0325 // solver iterations of the paper's length
+		if got, want := checked(t, RunFig6Checked, cfg), oracleFig6(cfg, writeEveryS); got != want {
+			t.Fatalf("%+v, writers every %g s: harness %+v != oracle %+v", cfg, writeEveryS, got, want)
 		}
 		return
 	}

@@ -399,15 +399,21 @@ func oracleFig5(cfg Fig5Config) Fig5Point {
 	return Fig5Point{Backend: cfg.Backend, SizeMB: cfg.SizeMB, ReadGBps: readTput.MeanGBps(), WriteGBps: writeTput.MeanGBps()}
 }
 
+// paperWriteEveryS is the paper's staging pace: a write every 10 solver
+// iterations of 0.0325 s.
+const paperWriteEveryS = 10 * 0.0325
+
 // oracleFig6 is the many-to-one workflow: one simulation per node
-// staging locally every write period, and one trainer on a node of its
-// own that computes a read period, then blocks until it has fetched the
-// whole ensemble. Everything runs to the horizon cap. RunFig6Checked
-// leaves the writers out — their load lands on the node buses and the
-// Lustre model, and a fetch queues only on its own semaphore and the
-// trainer's NIC — so the writers are kept here: a harness point equal to
-// this one is what proves leaving them out exact.
-func oracleFig6(cfg Fig6Config) Fig6Point {
+// staging locally every writeEveryS seconds, and one trainer on a node
+// of its own that computes a read period, then blocks until it has
+// fetched the whole ensemble. Everything runs to the horizon cap.
+// RunFig6Checked leaves the writers out — their load lands on the node
+// buses and the Lustre model, and a fetch queues only on its own
+// semaphore and the trainer's NIC — and Fig6Config has no knob for their
+// pace, so the writers are kept here at a pace of the caller's: a
+// harness point equal to this one at any pace is what proves leaving
+// them out exact.
+func oracleFig6(cfg Fig6Config, writeEveryS float64) Fig6Point {
 	cfg = cfg.withDefaults()
 	sim := &oSim{}
 	m := newOModel(sim, cluster.Aurora(cfg.Nodes+1), cfg.Params, false, cfg.Backend)
@@ -415,7 +421,7 @@ func oracleFig6(cfg Fig6Config) Fig6Point {
 	for node := range cfg.Nodes {
 		sim.spawn(func(p *oProc) {
 			for sim.now < horizon {
-				p.sleep(float64(cfg.WritePeriod) * cfg.SimIterS)
+				p.sleep(writeEveryS)
 				m.local(p, cfg.Backend, node, cfg.SizeMB, 1)
 			}
 		})

@@ -67,10 +67,7 @@ func RunFig5Checked(cfg Fig5Config) (Fig5Point, error) {
 	if err != nil {
 		return Fig5Point{}, fmt.Errorf("fig5 (%s, %g MB): %w", cfg.Backend, cfg.SizeMB, err)
 	}
-	params := costmodel.Default()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
+	params := paramsOr(cfg.Params)
 	write := params.LocalCost(cfg.Backend, cfg.SizeMB, false)
 	read := params.RemoteReadCost(cfg.Backend, cfg.SizeMB)
 	bytes := int64(cfg.SizeMB * 1e6)
@@ -103,11 +100,13 @@ func RunFig5Checked(cfg Fig5Config) (Fig5Point, error) {
 
 // serialClock is the clock of one serial chain of events under a
 // guarded des.Env's event budget: the event that would exceed it is not
-// executed, and err records the trip as the Env would.
+// executed, and err records the trip as the Env would. An event past
+// until is not executed either, as in RunUntil.
 type serialClock struct {
 	now    float64
 	events int64
-	budget int64 // 0 = unlimited
+	budget int64   // 0 = unlimited
+	until  float64 // 0 = none
 	err    *des.BudgetExceeded
 }
 
@@ -122,18 +121,24 @@ func (c *serialClock) xfer(x costmodel.XferCost) {
 }
 
 // phase is an event d after the last one.
-func (c *serialClock) phase(d float64) { c.at(c.now + d) }
+func (c *serialClock) phase(d float64) { c.run(c.now+d, 1) }
 
-// at executes an event at time t, which is not before the last one.
-func (c *serialClock) at(t float64) {
+// run executes n events at time t, which is not before the last one —
+// as many as the budget leaves — and reports whether it executed all.
+func (c *serialClock) run(t float64, n int64) bool {
 	switch {
-	case c.err != nil:
-	case c.budget > 0 && c.events >= c.budget:
+	case c.err != nil || c.until > 0 && t > c.until:
+		return false
+	case c.budget > 0 && c.events+n > c.budget:
+		if c.events < c.budget {
+			c.events, c.now = c.budget, t
+		}
 		c.err = &des.BudgetExceeded{Guard: des.Guard{MaxEvents: c.budget}, Events: c.events, Now: c.now}
-	default:
-		c.events++
-		c.now = t
+		return false
 	}
+	c.events += n
+	c.now = t
+	return true
 }
 
 // Fig5Sizes spans the paper's log-scale x axis (10^0 .. ~10^2 MB).
@@ -169,7 +174,7 @@ func fig5Table(points []Fig5Point) scenario.Table {
 // Fig6Config drives the many-to-one scaling experiment: one simulation
 // component per node staging locally, a single AI component on its own
 // node reading the whole ensemble every read period and blocking until
-// all arrays arrive. Only the AI component is simulated: the staging
+// all arrays arrive. Only the AI component is modeled: the staging
 // writes load the node buses and the Lustre model, which no ensemble
 // fetch queues on, so they cannot move what Fig 6 reports.
 type Fig6Config struct {
@@ -178,17 +183,14 @@ type Fig6Config struct {
 	Nodes   int
 	Backend datastore.Backend
 	SizeMB  float64
-	// SimIterS / TrainIterS: emulated iteration times (same as Pattern 1).
-	// SimIterS and WritePeriod pace the unsimulated staging writes.
-	SimIterS   float64
+	// TrainIterS: emulated training iteration time (same as Pattern 1);
+	// ReadPeriod in iterations (10 in the paper).
 	TrainIterS float64
-	// WritePeriod / ReadPeriod in iterations (10 and 10 in the paper).
-	WritePeriod int
-	ReadPeriod  int
+	ReadPeriod int
 	// TrainIters: training iterations to simulate.
 	TrainIters int
-	// MaxEvents caps the DES events the run may execute (0 = unlimited);
-	// RunFig6Checked surfaces the budget trip as an error.
+	// MaxEvents caps the events the trainer's chain may execute (0 =
+	// unlimited); RunFig6Checked surfaces the budget trip as an error.
 	MaxEvents int64
 	Params    *costmodel.Params
 }
@@ -198,9 +200,7 @@ type Fig6Config struct {
 func (c Fig6Config) withDefaults() Fig6Config {
 	positiveOr(&c.Nodes, 8)
 	positiveOr(&c.SizeMB, 0)
-	positiveOr(&c.SimIterS, 0.0325)
 	positiveOr(&c.TrainIterS, 0.0633)
-	positiveOr(&c.WritePeriod, 10)
 	positiveOr(&c.ReadPeriod, 10)
 	positiveOr(&c.TrainIters, 300)
 	return c
@@ -231,7 +231,7 @@ func RunFig6Checked(cfg Fig6Config) (Fig6Point, error) {
 	if err := remoteBackend(cfg.Backend); err != nil {
 		return fail(err)
 	}
-	if err := finite(knob{"SizeMB", cfg.SizeMB}, knob{"SimIterS", cfg.SimIterS}, knob{"TrainIterS", cfg.TrainIterS}); err != nil {
+	if err := finite(knob{"SizeMB", cfg.SizeMB}, knob{"TrainIterS", cfg.TrainIterS}); err != nil {
 		return fail(err)
 	}
 	periods := cfg.TrainIters / cfg.ReadPeriod
@@ -239,35 +239,38 @@ func RunFig6Checked(cfg Fig6Config) (Fig6Point, error) {
 		return fail(fmt.Errorf("TrainIters = %d is shorter than one ReadPeriod = %d: no training period to measure",
 			cfg.TrainIters, cfg.ReadPeriod))
 	}
-	spec := cluster.Aurora(cfg.Nodes + 1) // +1 trainer node
-	env := newGuardedEnv(cfg.MaxEvents)
-	params := costmodel.Default()
-	if cfg.Params != nil {
-		params = *cfg.Params
-	}
-	model := costmodel.New(env, spec, params)
+	params := paramsOr(cfg.Params)
+	fetch := params.EnsembleFetchCost(cfg.Backend, cfg.Nodes, cfg.SizeMB, cluster.Aurora(cfg.Nodes+1).NICGBps)
+	sleepS := float64(cfg.ReadPeriod) * cfg.TrainIterS
 
-	// A cap, not the expected run length: the run ends with the
-	// trainer's last period, and only a backend too slow to finish
-	// inside ten times the compute time runs this far.
-	horizon := float64(cfg.TrainIters) * cfg.TrainIterS * 10
+	// The trainer's first event, at 0, sleeps a read period; each wake
+	// then reads one array from every simulation, blocking until all
+	// arrive. As the fetches' one claimant, a read starts on an idle NIC
+	// and semaphore and runs as FetchCost says, and adding its waves up
+	// in chain order gives the floats an Env would. Only completed
+	// periods count, so exec/iter stays right when a slow backend (Redis
+	// at 32+ MB) does not finish inside the horizon, a 10x compute cap.
+	clock := serialClock{budget: cfg.MaxEvents, events: 1, until: float64(cfg.TrainIters) * cfg.TrainIterS * 10}
 	var fetchTime stats.Welford
-
-	// Trainer: compute for a read period, then a blocking ensemble read
-	// of one array from every simulation. Progress is tracked per period
-	// so the exec/iter metric stays correct even when a slow backend
-	// (Redis at the largest sizes) does not finish within the horizon.
-	var lastPeriodEnd float64
-	completedPeriods := 0
-	newFig6Trainer(env, model, fig6TrainerConfig{
-		backend: cfg.Backend, nodes: cfg.Nodes, sizeMB: cfg.SizeMB,
-		periods:   periods,
-		sleepS:    float64(cfg.ReadPeriod) * cfg.TrainIterS,
-		fetchTime: &fetchTime, lastPeriodEnd: &lastPeriodEnd, completedPeriods: &completedPeriods,
-	})
-	env.RunUntil(horizon)
-	if err := env.Err(); err != nil {
-		return fail(err)
+	lastPeriodEnd, completedPeriods := 0.0, 0
+periods:
+	for range periods {
+		start := lastPeriodEnd + sleepS
+		t := start
+		if !clock.run(t, 1+int64(fetch.N)) { // the wake, and one start per fetch
+			break
+		}
+		for j := range fetch.Waves() {
+			if t += fetch.HoldS; !clock.run(t, fetch.WaveEvents(j)) {
+				break periods
+			}
+		}
+		fetchTime.Add(t - start)
+		lastPeriodEnd = t
+		completedPeriods++
+	}
+	if clock.err != nil {
+		return fail(clock.err)
 	}
 
 	execPerIter := 0.0
