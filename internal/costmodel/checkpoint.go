@@ -9,7 +9,7 @@ import (
 // component state through the same backend deployments the workflow
 // stages snapshots through, so checkpoint traffic pays the same costs —
 // and contends on the same shared serialization points — as the staging
-// traffic it rides alongside. A CheckpointOp is a SharedXfer with
+// traffic it rides alongside. A CheckpointOp is a shared transfer with
 // interruptibility: the node writing a checkpoint can itself crash at
 // any phase, so the op must be abortable while queued on the shared
 // service slots (des.Grant), while holding a service slot (des.Hold),
@@ -36,58 +36,63 @@ const (
 // CheckpointOp is one reusable, abortable checkpoint write or read of a
 // fixed (backend, node, size). Construct with NewCheckpointWrite or
 // NewCheckpointRead; Start at most one operation at a time; Abort tears
-// down an in-progress operation from any phase (the done callback then
+// down an in-progress operation from any phase (the done handler then
 // never fires for it).
 type CheckpointOp struct {
-	env   *des.Env
-	svc   *des.Resource // nil: no shared service queue (node-local, lustre)
-	holdS float64
-	inner *LocalXfer
-	done  func()
+	env     *des.Env
+	svc     *des.Resource // nil: no shared service queue (node-local, lustre)
+	holdS   float64
+	inner   *XferTable // one row; fires the op as ckLanded
+	done    des.Handler
+	doneRow int32
 
 	state     uint8
 	innerBusy bool // client transfer in flight (survives Abort)
 	discard   bool // Abort hit ckInner: swallow the completion
 	restart   bool // Start arrived while an aborted transfer drains
 	grant     *des.Grant
-	hold      *des.Hold
-	// grantGen stamps each queued claim. An Abort that arrives after
-	// the slot was already granted — Grant.Cancel too late, the grant
-	// callback scheduled but not yet run — bumps the generation, so the
-	// orphaned callback releases the slot and stops instead of carrying
-	// a dead client's checkpoint forward.
-	grantGen int
+	hold      des.Hold // fires the op as ckHeld
+	// grantGen stamps each queued claim, and a claim's grant fires with
+	// it as the row. An Abort that arrives after the slot was already
+	// granted — Grant.Cancel too late, the grant scheduled but not yet
+	// run — bumps the generation, so the orphaned grant releases the
+	// slot and stops instead of carrying a dead client's checkpoint
+	// forward.
+	grantGen int32
 }
+
+// The op's three events, each a Handler over the same op: its service
+// slot granted (row: the claim's generation), its service hold over,
+// and its client transfer landed.
+type (
+	ckGranted CheckpointOp
+	ckHeld    CheckpointOp
+	ckLanded  CheckpointOp
+)
 
 // NewCheckpointWrite builds a reusable checkpoint write op against
 // backend b from node: service queue (when b has one), then the
-// client-side transfer chain. done fires when the checkpoint is
-// durable; an Abort suppresses it.
-func (m *Model) NewCheckpointWrite(b datastore.Backend, node int, mb float64, done func()) *CheckpointOp {
-	return m.newCheckpointOp(b, node, mb, 1.0, done, m.NewLocalWrite)
+// client-side transfer chain. done.Fire(row) runs when the checkpoint
+// is durable; an Abort suppresses it.
+func (m *Model) NewCheckpointWrite(b datastore.Backend, node int, mb float64, done des.Handler, row int32) *CheckpointOp {
+	return m.newCheckpointOp(b, node, mb, false, done, row)
 }
 
 // NewCheckpointRead builds a reusable checkpoint restore op (reads
-// carry the same cost scale as LocalRead), used by the
-// checkpoint/restart recovery policy when a repaired node reloads its
-// last durable state. The node argument of the returned op is fixed at
-// construction like every flat transfer object.
-func (m *Model) NewCheckpointRead(b datastore.Backend, node int, mb float64, done func()) *CheckpointOp {
-	return m.newCheckpointOp(b, node, mb, readCostScale, done, m.NewLocalRead)
+// carry LocalCost's read scale), used by the checkpoint/restart
+// recovery policy when a repaired node reloads its last durable state.
+func (m *Model) NewCheckpointRead(b datastore.Backend, node int, mb float64, done des.Handler, row int32) *CheckpointOp {
+	return m.newCheckpointOp(b, node, mb, true, done, row)
 }
 
-func (m *Model) newCheckpointOp(b datastore.Backend, node int, mb, costScale float64, done func(),
-	newInner func(datastore.Backend, int, float64, func()) *LocalXfer) *CheckpointOp {
-	op := &CheckpointOp{env: m.env, done: done}
-	op.inner = newInner(b, node, mb, op.innerDone)
+func (m *Model) newCheckpointOp(b datastore.Backend, node int, mb float64, read bool, done des.Handler, row int32) *CheckpointOp {
+	op := &CheckpointOp{env: m.env, done: done, doneRow: row}
+	op.inner = m.newXferTable(b, node, 1, 1, mb, read, false, (*ckLanded)(op))
 	if datastore.SharedDeployment(b) {
 		op.svc = m.sharedService(b) // nil for lustre: MDS/OST model it
-		op.holdS = m.sharedHold(b, mb, costScale)
+		op.holdS = m.sharedHold(b, mb, read)
 	}
-	op.hold = des.NewHold(m.env, func() {
-		op.svc.Release()
-		op.startInner()
-	})
+	op.hold = des.MakeHold(m.env, (*ckHeld)(op), 0)
 	return op
 }
 
@@ -109,14 +114,14 @@ func (op *CheckpointOp) begin() {
 		return
 	}
 	op.state = ckQueued
-	gen := op.grantGen
-	op.grant = op.svc.RequestCancellable(func() { op.onGrant(gen) })
+	op.grant = op.svc.RequestCancellable((*ckGranted)(op), op.grantGen)
 }
 
-// onGrant owns a service slot. A stale generation means the claim was
+// Fire owns a service slot. A stale generation means the claim was
 // aborted after the slot had already been handed over: the dead
 // client's slot frees and nothing else happens.
-func (op *CheckpointOp) onGrant(gen int) {
+func (g *ckGranted) Fire(gen int32) {
+	op := (*CheckpointOp)(g)
 	if gen != op.grantGen {
 		op.svc.Release()
 		return
@@ -125,28 +130,35 @@ func (op *CheckpointOp) onGrant(gen int) {
 	op.hold.After(op.holdS)
 }
 
+// Fire ends the service hold and starts the client transfer.
+func (h *ckHeld) Fire(int32) {
+	op := (*CheckpointOp)(h)
+	op.svc.Release()
+	op.startInner()
+}
+
 func (op *CheckpointOp) startInner() {
 	op.state = ckInner
 	op.innerBusy = true
-	op.inner.Start()
+	op.inner.Start(0)
 }
 
-// innerDone is the client transfer's completion: normally the
-// checkpoint is durable and done fires; after an Abort the completion
-// is discarded, and a Start that arrived while draining begins now.
-func (op *CheckpointOp) innerDone() {
+// Fire is the client transfer's completion: normally the checkpoint is
+// durable and done fires; after an Abort the completion is discarded,
+// and a Start that arrived while draining begins now.
+func (l *ckLanded) Fire(int32) {
+	op := (*CheckpointOp)(l)
 	op.innerBusy = false
+	op.state = ckIdle
 	if op.discard {
 		op.discard = false
-		op.state = ckIdle
 		if op.restart {
 			op.restart = false
 			op.begin()
 		}
 		return
 	}
-	op.state = ckIdle
-	op.done()
+	op.done.Fire(op.doneRow)
 }
 
 // Abort tears down the in-progress operation: a queued claim is
@@ -186,5 +198,5 @@ func (op *CheckpointOp) Active() bool { return op.state != ckIdle || op.innerBus
 // Young/Daly optimal-interval reference points in the resilience
 // tables.
 func (m *Model) AnalyticCheckpoint(b datastore.Backend, mb float64) float64 {
-	return m.sharedHold(b, mb, 1.0) + m.AnalyticLocal(b, mb, false)
+	return m.sharedHold(b, mb, false) + m.AnalyticLocal(b, mb, false)
 }

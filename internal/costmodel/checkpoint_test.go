@@ -19,7 +19,7 @@ func TestCheckpointWriteMatchesAnalytic(t *testing.T) {
 	for _, b := range datastore.Backends() {
 		env, m := newCkptModel()
 		doneAt := -1.0
-		op := m.NewCheckpointWrite(b, 0, 8, func() { doneAt = env.Now() })
+		op := m.NewCheckpointWrite(b, 0, 8, des.Func(func() { doneAt = env.Now() }), 0)
 		op.Start()
 		env.Run()
 		if doneAt < 0 {
@@ -39,11 +39,11 @@ func TestCheckpointReadCheaperThanWrite(t *testing.T) {
 	for _, b := range datastore.Backends() {
 		env, m := newCkptModel()
 		var wAt, rAt float64
-		w := m.NewCheckpointWrite(b, 0, 8, func() { wAt = env.Now() })
+		w := m.NewCheckpointWrite(b, 0, 8, des.Func(func() { wAt = env.Now() }), 0)
 		w.Start()
 		env.Run()
 		env2, m2 := newCkptModel()
-		r := m2.NewCheckpointRead(b, 0, 8, func() { rAt = env2.Now() })
+		r := m2.NewCheckpointRead(b, 0, 8, des.Func(func() { rAt = env2.Now() }), 0)
 		r.Start()
 		env2.Run()
 		if rAt >= wAt {
@@ -63,7 +63,7 @@ func TestCheckpointAbortWhileQueued(t *testing.T) {
 		svc.Request(func() { env.After(100, svc.Release) })
 	}
 	fired := false
-	op := m.NewCheckpointWrite(datastore.Redis, 0, 8, func() { fired = true })
+	op := m.NewCheckpointWrite(datastore.Redis, 0, 8, des.Func(func() { fired = true }), 0)
 	op.Start()
 	if !op.Active() {
 		t.Fatal("queued op should be active")
@@ -90,9 +90,9 @@ func TestCheckpointAbortWhileHolding(t *testing.T) {
 		svc.Request(func() { env.After(1000, svc.Release) })
 	}
 	fired := false
-	op := m.NewCheckpointWrite(datastore.Redis, 0, 8, func() { fired = true })
+	op := m.NewCheckpointWrite(datastore.Redis, 0, 8, des.Func(func() { fired = true }), 0)
 	op.Start() // grabs the last slot, enters the timed hold
-	holdS := m.sharedHold(datastore.Redis, 8, 1.0)
+	holdS := m.sharedHold(datastore.Redis, 8, false)
 	waiterAt := -1.0
 	env.After(holdS/4, func() { svc.Request(func() { waiterAt = env.Now(); svc.Release() }) })
 	abortAt := holdS / 2
@@ -119,7 +119,7 @@ func TestCheckpointAbortAfterGrantScheduled(t *testing.T) {
 		svc.Request(func() { env.After(5, svc.Release) })
 	}
 	fired := false
-	op := m.NewCheckpointWrite(datastore.Redis, 0, 8, func() { fired = true })
+	op := m.NewCheckpointWrite(datastore.Redis, 0, 8, des.Func(func() { fired = true }), 0)
 	op.Start()
 	// At t=5, scheduled after the releases: the slot is already granted
 	// (the grant callback is in the event queue) when the abort lands.
@@ -145,9 +145,9 @@ func TestCheckpointAbortAfterGrantScheduled(t *testing.T) {
 func TestCheckpointAbortMidTransferThenRestart(t *testing.T) {
 	env, m := newCkptModel()
 	var doneTimes []float64
-	op := m.NewCheckpointWrite(datastore.NodeLocal, 0, 8, func() {
+	op := m.NewCheckpointWrite(datastore.NodeLocal, 0, 8, des.Func(func() {
 		doneTimes = append(doneTimes, env.Now())
-	})
+	}), 0)
 	full := m.AnalyticCheckpoint(datastore.NodeLocal, 8)
 	op.Start()
 	env.After(full/2, func() {
@@ -169,7 +169,7 @@ func TestCheckpointAbortMidTransferThenRestart(t *testing.T) {
 func TestCheckpointAbortIdleNoop(t *testing.T) {
 	env, m := newCkptModel()
 	fired := 0
-	op := m.NewCheckpointWrite(datastore.Dragon, 1, 2, func() { fired++ })
+	op := m.NewCheckpointWrite(datastore.Dragon, 1, 2, des.Func(func() { fired++ }), 0)
 	op.Abort()
 	op.Start()
 	env.Run()

@@ -5,11 +5,12 @@ import (
 	"simaibench/internal/des"
 )
 
-// The modeled operations: reusable objects that run as callback chains
-// on the des scheduler. Each object is allocated once per rank (all
-// closures are built in the constructor) and Start()ed once per
-// transfer, so the steady-state hot path performs zero allocations —
-// every step is a value-record push into the event heap.
+// The modeled operations run as callback chains on the des scheduler.
+// A co-located transfer is a row of an XferTable: the table holds the
+// one cost its rows share and the resources they queue on, a row holds
+// only its phase and metadata round, and the table is the des.Handler
+// every phase of every row fires, so a cell's transfers cost a few
+// slices however many ranks it has, and starting one allocates nothing.
 //
 // What a chain promises is one transfer, Start to done: which resources
 // it queues on, in which order, for how long. The experiments package
@@ -62,91 +63,145 @@ func (p *Params) RemoteReadCost(b datastore.Backend, mb float64) XferCost {
 	return XferCost{HoldS: lat + mb/1000/bw}
 }
 
-// LocalXfer models one co-located stage_write/stage_read of a fixed
-// (backend, node, size), completing through a done callback. Construct
-// with NewLocalWrite/NewLocalRead; call Start at most once at a time.
-type LocalXfer struct {
-	env  *des.Env
-	done func()
-	// step is the one closure of every phase: each call runs the phase
-	// the previous one left, so a transfer allocates one closure.
-	step  func()
-	phase int
+// XferTable is a table of co-located stage_writes or stage_reads of one
+// (backend, size): Start(row) begins row's transfer at the current
+// virtual time, and when it completes the table fires its owner's
+// Fire(row), synchronously. A row must not be started again before
+// then. Rows sit perNode to a node, from node 0 up: an in-memory
+// transfer holds its node's exchange bus, a file-system one queues its
+// metadata rounds on the MDS and holds an OST slot.
+type XferTable struct {
+	env   *des.Env
+	owner des.Handler
 	cost  XferCost
-	i     int // metadata rounds made
-	// A file-system transfer queues its metadata rounds on mds and holds
-	// an OST slot; an in-memory one holds the node's exchange bus.
-	mds, bus *des.Resource
+	// buses[row/perNode] is the row's bus: its node's exchange bus, or
+	// for the file system the OST pool (perNode = every row).
+	buses   []des.Resource
+	perNode int32
+	mds     *des.Resource
+	// Against a shared multi-tenant deployment (shared.go) a transfer
+	// first holds one of svc's service slots for svcS; nil: it does not.
+	svc  *des.Resource
+	svcS float64
+	rows []xferRow
 }
 
-// The phases of a LocalXfer: what its next step call finds done.
+// xferRow is one transfer's progress: the phase its next Fire finds
+// done, and the metadata rounds made.
+type xferRow struct {
+	phase uint8
+	meta  int32
+}
+
+// The phases of a transfer: what the row's next Fire finds done.
 const (
-	xferGranted    = iota // the bus (or OST) queue
+	xferSvcGranted = iota // the shared deployment's service queue
+	xferSvcHeld           // the service hold
+	xferGranted           // the bus (or OST) queue
 	xferHeld              // the timed hold
 	xferRPCDone           // a client RPC
 	xferMDSGranted        // the MDS queue
 	xferMDSDone           // the MDS service
 )
 
-// NewLocalWrite builds a reusable stage_write op of mb megabytes on node;
-// done fires when the transfer completes.
-func (m *Model) NewLocalWrite(b datastore.Backend, node int, mb float64, done func()) *LocalXfer {
-	return m.newLocalXfer(b, node, mb, false, done)
+// NewXferTable builds n transfers of mb megabytes on backend b, perNode
+// rows to a node: stage_writes, or with read stage_reads (LocalCost's
+// read scale), and with shared against a multi-tenant deployment of b.
+// Row r fires owner.Fire(r) when its transfer completes.
+func (m *Model) NewXferTable(b datastore.Backend, n, perNode int, mb float64, read, shared bool, owner des.Handler) *XferTable {
+	return m.newXferTable(b, 0, n, perNode, mb, read, shared, owner)
 }
 
-// NewLocalRead builds the symmetric stage_read op (LocalCost's read
-// scale).
-func (m *Model) NewLocalRead(b datastore.Backend, node int, mb float64, done func()) *LocalXfer {
-	return m.newLocalXfer(b, node, mb, true, done)
-}
-
-func (m *Model) newLocalXfer(b datastore.Backend, node int, mb float64, read bool, done func()) *LocalXfer {
-	x := m.localArena.alloc()
-	x.env, x.done = m.env, done
-	x.cost = m.params.LocalCost(b, mb, read)
-	if b == datastore.FileSystem {
-		x.mds, x.bus = m.mds, m.ostPool
-	} else {
-		x.bus = m.nodeBus[node%len(m.nodeBus)]
+// newXferTable is NewXferTable with the first row on node node0.
+func (m *Model) newXferTable(b datastore.Backend, node0, n, perNode int, mb float64, read, shared bool, owner des.Handler) *XferTable {
+	x := &XferTable{
+		env: m.env, owner: owner, cost: m.params.LocalCost(b, mb, read),
+		perNode: int32(perNode), rows: make([]xferRow, n),
 	}
-	x.step = func() {
-		switch x.phase {
-		case xferGranted:
-			x.phase = xferHeld
-			x.env.After(x.cost.HoldS, x.step)
-		case xferHeld:
-			x.bus.Release()
-			x.done()
-		case xferRPCDone:
-			x.phase = xferMDSGranted
-			x.mds.Request(x.step)
-		case xferMDSGranted:
-			x.phase = xferMDSDone
-			x.env.After(x.cost.MDSS, x.step)
-		case xferMDSDone:
-			x.mds.Release()
-			x.next()
-		}
+	if b == datastore.FileSystem {
+		x.mds, x.buses, x.perNode = m.mds, m.ost, int32(max(n, 1))
+	} else {
+		x.buses = m.nodeBus[node0%len(m.nodeBus):]
+	}
+	if shared {
+		x.svc, x.svcS = m.sharedService(b), m.sharedHold(b, mb, read)
 	}
 	return x
 }
 
+// Xfer is one transfer, the one row of its table: what NewLocalWrite
+// and NewSharedLocalWrite build.
+type Xfer struct{ t *XferTable }
+
 // Start begins the transfer at the current virtual time.
-func (x *LocalXfer) Start() {
-	x.i = 0
-	x.next()
+func (x Xfer) Start() { x.t.Start(0) }
+
+// NewLocalWrite builds a reusable stage_write op of mb megabytes on node;
+// done fires when the transfer completes.
+func (m *Model) NewLocalWrite(b datastore.Backend, node int, mb float64, done func()) Xfer {
+	return Xfer{m.newXferTable(b, node, 1, 1, mb, false, false, des.Func(done))}
 }
 
-// next starts the next metadata round or, after the last, queues for bus.
-func (x *LocalXfer) next() {
-	if x.i < x.cost.MetaOps {
-		x.i++
-		x.phase = xferRPCDone
-		x.env.After(x.cost.RPCS, x.step)
+// Start begins row's transfer at the current virtual time.
+func (x *XferTable) Start(row int32) {
+	if x.svc != nil {
+		x.rows[row].phase = xferSvcGranted
+		x.svc.RequestRow(x, row)
 		return
 	}
-	x.phase = xferGranted
-	x.bus.Request(x.step)
+	x.begin(row)
+}
+
+// begin starts row's client-side transfer.
+func (x *XferTable) begin(row int32) {
+	x.rows[row].meta = 0
+	x.next(row)
+}
+
+// next starts row's next metadata round or, after the last, queues it
+// for its bus.
+func (x *XferTable) next(row int32) {
+	r := &x.rows[row]
+	if int(r.meta) < x.cost.MetaOps {
+		r.meta++
+		r.phase = xferRPCDone
+		x.env.AfterRow(x.cost.RPCS, x, row)
+		return
+	}
+	r.phase = xferGranted
+	x.bus(row).RequestRow(x, row)
+}
+
+// bus returns the resource row's transfer holds: its node's bus or the
+// OST pool.
+func (x *XferTable) bus(row int32) *des.Resource { return &x.buses[row/x.perNode] }
+
+// Fire runs the phase row's last one left.
+func (x *XferTable) Fire(row int32) {
+	r := &x.rows[row]
+	switch r.phase {
+	case xferSvcGranted:
+		r.phase = xferSvcHeld
+		x.env.AfterRow(x.svcS, x, row)
+	case xferSvcHeld:
+		x.svc.Release()
+		x.begin(row)
+	case xferGranted:
+		r.phase = xferHeld
+		x.env.AfterRow(x.cost.HoldS, x, row)
+	case xferHeld:
+		x.bus(row).Release()
+		x.owner.Fire(row)
+	case xferRPCDone:
+		r.phase = xferMDSGranted
+		x.mds.RequestRow(x, row)
+	case xferMDSGranted:
+		r.phase = xferMDSDone
+		x.env.AfterRow(x.cost.MDSS, x, row)
+	case xferMDSDone:
+		x.mds.Release()
+		x.next(row)
+	}
 }
 
 // EnsembleFetch models the trainer's blocking many-to-one read: n staged

@@ -17,50 +17,21 @@ type Model struct {
 	spec   cluster.Spec
 	params Params
 
-	nodeBus []*des.Resource // per-node local-exchange concurrency
-	mds     *des.Resource   // single shared Lustre metadata server
-	ostPool *des.Resource   // OST stream slots
+	nodeBus []des.Resource // per-node local-exchange concurrency
+	mds     *des.Resource  // single shared Lustre metadata server
+	ost     []des.Resource // the OST stream slots: one resource
 
 	// Per-backend resources, created on first use.
 	trainerNIC [datastore.NumBackends]*des.Resource
 	sharedSvc  [datastore.NumBackends]*des.Resource // multi-tenant shared-deployment service queues (see shared.go)
-
-	// Chunked arenas for the flat transfer objects: the sweeps build one
-	// LocalXfer/SharedXfer per rank, and handing them out of chunks
-	// costs one allocation per chunk instead of one per rank.
-	localArena  xferArena[LocalXfer]
-	sharedArena xferArena[SharedXfer]
-}
-
-// xferArenaMaxChunk caps an arena's chunk size. Chunks double from 1,
-// so a two-node cell allocates one slot for the one transfer it makes
-// instead of a 64-slot chunk (10 KB zeroed), and a 512-node model
-// reaches 64-slot chunks after six small ones.
-const xferArenaMaxChunk = 64
-
-// xferArena hands out zeroed Ts from chunks that grow geometrically up
-// to xferArenaMaxChunk. Outstanding pointers stay valid because a full
-// chunk is abandoned in place, never copied.
-type xferArena[T any] []T
-
-func (a *xferArena[T]) alloc() *T {
-	if len(*a) == cap(*a) {
-		*a = make([]T, 0, min(max(2*cap(*a), 1), xferArenaMaxChunk))
-	}
-	var zero T
-	*a = append(*a, zero)
-	return &(*a)[len(*a)-1]
 }
 
 // New builds a model for env/spec with the given parameters.
 func New(env *des.Env, spec cluster.Spec, p Params) *Model {
 	m := &Model{env: env, spec: spec, params: p}
-	m.nodeBus = make([]*des.Resource, spec.Nodes)
-	for i := range m.nodeBus {
-		m.nodeBus[i] = des.NewResource(env, p.NodeBusConcurrency)
-	}
+	m.nodeBus = des.NewResources(env, spec.Nodes, p.NodeBusConcurrency)
 	m.mds = des.NewResource(env, 1)
-	m.ostPool = des.NewResource(env, p.LustreOSTConcurrency)
+	m.ost = des.NewResources(env, 1, p.LustreOSTConcurrency)
 	return m
 }
 

@@ -64,7 +64,7 @@ func TestReadCheaperThanWrite(t *testing.T) {
 	for _, b := range []datastore.Backend{datastore.NodeLocal, datastore.Dragon, datastore.Redis, datastore.FileSystem} {
 		env, m := newModel(8)
 		w := localWrite(t, env, m, b, 8)
-		r := timed(t, env, func(done func()) { m.NewLocalRead(b, 0, 8, done).Start() })
+		r := timed(t, env, func(done func()) { m.NewXferTable(b, 1, 1, 8, true, false, des.Func(done)).Start(0) })
 		if r >= w {
 			t.Errorf("%v: read %v >= write %v", b, r, w)
 		}
@@ -365,20 +365,29 @@ func TestFig5PairEndsAtClosedForm(t *testing.T) {
 	}
 }
 
-// TestLocalXferBuildsOneClosure: every phase of a transfer runs on the
-// one step closure, so building one costs that closure and nothing
-// else (the transfer itself comes out of the model's arena, one chunk
-// per 64). The file-system chain, with five phases of its own, is held
-// to the same count as an in-memory transfer.
-func TestLocalXferBuildsOneClosure(t *testing.T) {
+// TestXferTableAllocatesPerTable: a table of transfers is one object
+// and one row slice however many rows it has — the file-system chain,
+// with five phases of its own, as an in-memory transfer — and running
+// every row's transfer allocates nothing once the queues are warm.
+func TestXferTableAllocatesPerTable(t *testing.T) {
 	for _, b := range []datastore.Backend{datastore.FileSystem, datastore.NodeLocal} {
-		_, m := newModel(8)
-		for range xferArenaMaxChunk {
-			m.NewLocalWrite(b, 0, 8, func() {}) // grow the arena's chunks to full size
-		}
-		done := func() {}
-		if got := testing.AllocsPerRun(10*xferArenaMaxChunk, func() { m.NewLocalWrite(b, 0, 8, done) }); got != 1 {
-			t.Errorf("%v: building a LocalXfer costs %v allocations, want 1 (its step closure)", b, got)
+		for _, n := range []int{1, 6 * 512} {
+			env, m := newModel(512)
+			var x *XferTable
+			done := des.Func(func() {})
+			if got := testing.AllocsPerRun(10, func() { x = m.NewXferTable(b, n, 6, 8, false, false, done) }); got != 2 {
+				t.Errorf("%v: building a %d-row table costs %v allocations, want 2 (the table and its rows)", b, n, got)
+			}
+			run := func() {
+				for r := range n {
+					x.Start(int32(r))
+				}
+				env.Run()
+			}
+			run() // grow the event slab and the resource queues
+			if got := testing.AllocsPerRun(3, run); got != 0 {
+				t.Errorf("%v: running %d transfers allocates %v objects, want 0", b, n, got)
+			}
 		}
 	}
 }

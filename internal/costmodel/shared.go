@@ -22,10 +22,10 @@ import (
 //   - NodeLocal: nothing shared; tenants on dedicated nodes scale
 //     perfectly (and co-located tenants still contend on the node bus).
 //
-// All of this is opt-in through NewSharedLocalWrite/NewSharedLocalRead;
-// the single-tenant operations (NewLocalWrite, NewLocalRead, …) never
-// touch the shared queues, so the paper's single-tenant scenarios replay
-// exactly the same event sequences as before.
+// All of this is opt-in through a shared XferTable (NewXferTable with
+// shared, NewSharedLocalWrite); single-tenant transfers never touch the
+// shared queues, so the paper's single-tenant scenarios replay exactly
+// the same event sequences as before.
 
 // sharedParams returns the model's shared-deployment constants with any
 // zero field replaced by the calibrated default. Callers routinely build
@@ -78,9 +78,14 @@ func (m *Model) sharedService(b datastore.Backend) *des.Resource {
 }
 
 // sharedHold returns the server-side service duration of one mb-MB op
-// against backend b's shared deployment.
-func (m *Model) sharedHold(b datastore.Backend, mb, costScale float64) float64 {
+// against backend b's shared deployment: a write's or, with read, a
+// read's (which carries LocalCost's read scale).
+func (m *Model) sharedHold(b datastore.Backend, mb float64, read bool) float64 {
 	p := m.sharedParams()
+	costScale := 1.0
+	if read {
+		costScale = readCostScale
+	}
 	switch b {
 	case datastore.Redis:
 		return (p.RedisSharedServiceS + mb/1000/p.RedisSharedBWGBps) * costScale
@@ -107,68 +112,10 @@ func (m *Model) SharedWaitS(b datastore.Backend) float64 {
 	return 0
 }
 
-// SharedXfer models one staged operation against a shared multi-tenant
-// deployment: queue for a server-side service slot (when the backend has
-// one), hold it for the service duration, then run the ordinary
-// client-side transfer. Construct with NewSharedLocalWrite or
-// NewSharedLocalRead; like LocalXfer it is allocated once per rank and
-// Started once per transfer, allocation-free in steady state.
-type SharedXfer struct {
-	env   *des.Env
-	svc   *des.Resource // nil: no shared serialization point
-	holdS float64
-	inner *LocalXfer
-	// step is the two-phase service closure (grant → timed hold →
-	// release + inner transfer); one closure per rank, reused across
-	// every Start, like LocalXfer's step.
-	holding bool
-	step    func()
-}
-
 // NewSharedLocalWrite builds a reusable stage_write op against a shared
-// deployment of backend b; done fires when the transfer completes.
-func (m *Model) NewSharedLocalWrite(b datastore.Backend, node int, mb float64, done func()) *SharedXfer {
-	return m.newSharedXfer(b, node, mb, 1.0, m.NewLocalWrite(b, node, mb, done))
-}
-
-// NewSharedLocalRead builds a reusable stage_read op against a shared
-// deployment (reads carry the same cost scale as NewLocalRead).
-func (m *Model) NewSharedLocalRead(b datastore.Backend, node int, mb float64, done func()) *SharedXfer {
-	return m.newSharedXfer(b, node, mb, readCostScale, m.NewLocalRead(b, node, mb, done))
-}
-
-func (m *Model) newSharedXfer(b datastore.Backend, node int, mb, costScale float64, inner *LocalXfer) *SharedXfer {
-	x := m.sharedArena.alloc()
-	x.env, x.inner = m.env, inner
-	if !datastore.SharedDeployment(b) {
-		return x
-	}
-	x.svc = m.sharedService(b)
-	if x.svc == nil {
-		// FileSystem: the inner transfer already queues on the shared
-		// MDS/OST resources.
-		return x
-	}
-	x.holdS = m.sharedHold(b, mb, costScale)
-	x.step = func() {
-		if !x.holding {
-			x.holding = true // granted: hold a service slot
-			x.env.After(x.holdS, x.step)
-			return
-		}
-		x.holding = false
-		x.svc.Release()
-		x.inner.Start()
-	}
-	return x
-}
-
-// Start begins the operation at the current virtual time. Start must not
-// be called again before the done callback fires.
-func (x *SharedXfer) Start() {
-	if x.svc == nil {
-		x.inner.Start()
-		return
-	}
-	x.svc.Request(x.step)
+// deployment of backend b: queue for a server-side service slot (when
+// the backend has one), hold it for the service duration, then run the
+// ordinary client-side transfer. done fires when the transfer completes.
+func (m *Model) NewSharedLocalWrite(b datastore.Backend, node int, mb float64, done func()) Xfer {
+	return Xfer{m.newXferTable(b, node, 1, 1, mb, false, true, des.Func(done))}
 }

@@ -53,7 +53,7 @@ func TestSharedRedisQueuesBeyondSlots(t *testing.T) {
 		minL = math.Min(minL, d)
 		maxL = math.Max(maxL, d)
 	}
-	hold := m.sharedHold(datastore.Redis, 8, 1.0)
+	hold := m.sharedHold(datastore.Redis, 8, false)
 	if maxL-minL < 3*hold*0.99 {
 		t.Fatalf("burst spread = %v, want >= %v (3 queued service rounds)", maxL-minL, 3*hold)
 	}
@@ -68,7 +68,7 @@ func TestSharedSingleOpAddsOnlyServiceTime(t *testing.T) {
 	for _, b := range []datastore.Backend{datastore.Redis, datastore.Dragon} {
 		env, m := newModel(4)
 		lat := sharedBurst(env, m, b, 1, 8)
-		want := m.AnalyticLocal(b, 8, false) + m.sharedHold(b, 8, 1.0)
+		want := m.AnalyticLocal(b, 8, false) + m.sharedHold(b, 8, false)
 		if math.Abs(lat[0]-want) > 1e-12 {
 			t.Fatalf("%s single shared op = %v, want %v", b, lat[0], want)
 		}
@@ -119,7 +119,7 @@ func TestSharedZeroParamsFallBackToDefaults(t *testing.T) {
 	if r := m.sharedService(datastore.Redis); r == nil || r.Cap() != d.RedisSharedSlots {
 		t.Fatalf("redis slots with zero params = %v, want default %d", r, d.RedisSharedSlots)
 	}
-	if got, want := m.sharedHold(datastore.Redis, 8, 1.0),
+	if got, want := m.sharedHold(datastore.Redis, 8, false),
 		d.RedisSharedServiceS+8.0/1000/d.RedisSharedBWGBps; got != want {
 		t.Fatalf("redis hold with zero params = %v, want default-derived %v", got, want)
 	}

@@ -31,13 +31,13 @@ func stagedP50(k int, b datastore.Backend) float64 {
 		var (
 			start    float64
 			inFlight bool
-			xfer     *costmodel.SharedXfer
+			xfer     costmodel.Xfer
 			wake     func()
 		)
 		// Open-loop cadence: the next wake is scheduled relative to this
 		// one, not to op completion, so clients stay phase-aligned and
 		// every period bursts k-wide. A wake that finds the previous op
-		// still in flight skips its turn (SharedXfer.Start must not be
+		// still in flight skips its turn (a transfer must not be
 		// re-entered), dropping that sample rather than corrupting it —
 		// under the calibrated constants ops drain well within a period,
 		// so nothing is actually dropped today.

@@ -5,12 +5,18 @@
 // clock, so 512-node experiments finish in milliseconds of wall time and
 // are bit-reproducible across runs.
 //
-// There is one execution style: events are plain functions (At/After,
-// Hold, a Resource.Request grant) that run flat on the goroutine that
-// called Run; nothing is handed between goroutines and nothing is
-// allocated per event. Rescheduling a cached closure costs one payload
-// write into a reused slab slot and, at most, one heap sift. A workflow
-// component is a struct that caches its closures and re-arms them.
+// There is one execution style and one event shape: an event is a
+// (Handler, row) pair — Fire(row) runs flat on the goroutine that called
+// Run — and nothing is handed between goroutines or allocated per event.
+// A table of identical state machines (a harness's ranks, a cost model's
+// transfers) is one Handler whose Fire dispatches on the row, so a
+// thousand ranks cost a few slices, not a thousand objects and closures.
+// At, After, Schedule, NewHold and Resource.Request keep their func()
+// signatures as adapters: Func turns a func into a Handler that ignores
+// its row, and a func value is one pointer, so storing it in the Handler
+// interface allocates nothing.
+// Rescheduling costs one 24-byte record write into a reused slab slot
+// and, at most, one heap sift.
 //
 // Determinism: simultaneous events fire in schedule order (a
 // monotonically increasing sequence number breaks time ties), so a run
@@ -34,10 +40,11 @@
 //   - The 4-ary min-heap holds one pointer-free 24-byte key {t, seq of
 //     the run's first event, slab index of the run's head} per run, so
 //     sifting moves no pointers and needs no GC write barriers. The
-//     {fn, cb, val, kind, next} payloads are written once into a
-//     free-listed slab and never move: the slab grows by fixed 32-slot
-//     chunks, so an Env allocates its deepest moment once and copies
-//     nothing.
+//     24-byte {handler, row, next} payloads are written once into a
+//     free-listed slab of 32-slot chunks and never move: each growth
+//     allocates a block of as many chunks as the slab already has, so a
+//     queue as deep as a 4096-node cell's 49 152 ranks costs a dozen
+//     allocations, not one per chunk, and copies nothing.
 //   - When the root run empties, the root is left vacant while the
 //     handler runs. The handler's first push that starts a new run is
 //     placed at the root with one sift-down (pop and push fused);
@@ -122,23 +129,27 @@ import (
 	"math"
 )
 
-// Event kinds. The slab stores value-type records rather than
-// heap-allocated closures; the kind selects which payload field fires.
-const (
-	evFunc uint8 = iota // run fn()
-	evCall              // run cb(val)
-)
+// Handler is what an event runs: Fire(row) at the event's time. A
+// table of state machines implements it once and keeps each machine's
+// state in row row of its slices; Hold fires with its generation as the
+// row, and Func ignores it.
+type Handler interface{ Fire(row int32) }
 
-// event is one queued occurrence's payload: a 40-byte slab record,
+// Func adapts a func() to a Handler. The conversion allocates nothing: a
+// func value is one pointer, which an interface holds as it is.
+type Func func()
+
+// Fire runs f.
+func (f Func) Fire(int32) { f() }
+
+// event is one queued occurrence's payload: a 24-byte slab record,
 // written once when scheduled and cleared when fired. next links the
 // record into its run's FIFO or, once freed, into the slab free list;
 // 0 ends either chain (slab slot 0 is a reserved sentinel).
 type event struct {
-	fn   func()
-	cb   func(any)
-	val  any
+	h    Handler
+	row  int32
 	next int32
-	kind uint8
 }
 
 // runKey is one heap entry: a run of events that share one time, ordered
@@ -173,14 +184,14 @@ type openRun struct {
 	tail int32
 }
 
-// slabChunk is the number of payload slots the slab grows by. The slab
-// is a list of fixed chunks, not one slice: growing it copies nothing,
+// slabChunk is the number of payload slots in a slab chunk. The slab is
+// a list of fixed chunks, not one slice: growing it copies nothing,
 // slots never move, and an Env allocates the slots of its deepest
 // moment once. (As one slice grown by append — 1.25x steps past 256
 // elements — a 512-node cell's slab was re-allocated and copied some
 // fifteen times, five times its final size in all: a quarter of every
 // byte a sweep allocated, all of it large pointerful objects for the
-// collector to zero, barrier-copy and sweep.) 32 slots, 1.25 KB, are what
+// collector to zero, barrier-copy and sweep.) 32 slots, 768 B, are what
 // one node's ranks keep pending, so a small Env stays at one chunk.
 const slabChunk = 32
 
@@ -293,13 +304,7 @@ func (e *Env) push(t float64) *event {
 		s.next = 0
 	} else {
 		if int(e.used) == len(e.slab)*slabChunk {
-			if len(e.slab) == math.MaxInt32/slabChunk {
-				panic("des: more than 2^31 pending events")
-			}
-			e.slab = append(e.slab, new([slabChunk]event))
-			if e.used == 0 {
-				e.used = 1 // the sentinel slot
-			}
+			e.grow()
 		}
 		i = e.used
 		e.used++
@@ -342,6 +347,25 @@ func (e *Env) push(t float64) *event {
 	h[j] = k
 	e.heap = h
 	return s
+}
+
+// grow adds a block of as many chunks as the slab holds (one for an
+// empty slab) in one allocation: the slab doubles per allocation, so its
+// chunk count stays a power of two and a deep queue costs a logarithmic
+// number of allocations.
+func (e *Env) grow() {
+	const maxChunks = math.MaxInt32 / slabChunk
+	n := min(max(len(e.slab), 1), maxChunks-len(e.slab))
+	if n == 0 {
+		panic("des: more than 2^31 pending events")
+	}
+	block := make([][slabChunk]event, n)
+	for i := range block {
+		e.slab = append(e.slab, &block[i])
+	}
+	if e.used == 0 {
+		e.used = 1 // the sentinel slot
+	}
 }
 
 // joinLane files the new run k under the lane of its delay t − now and
@@ -451,28 +475,27 @@ func (e *Env) settle() {
 	}
 }
 
-// Schedule runs fn at absolute virtual time t (>= Now). It is the
-// low-level primitive beneath At, After and Resource grants.
-func (e *Env) Schedule(t float64, fn func()) {
+// AtRow fires h.Fire(row) at absolute virtual time t (>= Now): the one
+// scheduling primitive, beneath At, After, Hold and Resource grants.
+func (e *Env) AtRow(t float64, h Handler, row int32) {
 	s := e.push(t)
-	s.kind, s.fn = evFunc, fn
+	s.h, s.row = h, row
 }
+
+// AfterRow fires h.Fire(row) d seconds from now.
+func (e *Env) AfterRow(d float64, h Handler, row int32) { e.AtRow(e.now+d, h, row) }
+
+// Schedule runs fn at absolute virtual time t (>= Now).
+func (e *Env) Schedule(t float64, fn func()) { e.AtRow(t, Func(fn), 0) }
 
 // At is Schedule under its callback-fast-path name: run fn at absolute
 // virtual time t, flat on the scheduler goroutine. Reuse one closure
 // across reschedules (store it in your state struct) and the only
 // per-occurrence cost is a value push into the event queue.
-func (e *Env) At(t float64, fn func()) { e.Schedule(t, fn) }
+func (e *Env) At(t float64, fn func()) { e.AtRow(t, Func(fn), 0) }
 
 // After runs fn d seconds from now.
-func (e *Env) After(d float64, fn func()) { e.Schedule(e.now+d, fn) }
-
-// call schedules cb(v) at time t: the value-carrying callback Hold arms
-// itself with. Allocation-free like all record pushes.
-func (e *Env) call(t float64, cb func(any), v any) {
-	s := e.push(t)
-	s.kind, s.cb, s.val = evCall, cb, v
-}
+func (e *Env) After(d float64, fn func()) { e.AtRow(e.now+d, Func(fn), 0) }
 
 // Run executes events until the queue is empty. It returns the final
 // virtual time.
@@ -520,13 +543,13 @@ func (e *Env) execNext() bool {
 	e.now = root.t
 	i := root.head
 	s := e.slot(i)
-	ev := *s
-	s.fn, s.cb, s.val = nil, nil, nil // release payload references
+	h, row, next := s.h, s.row, s.next
+	s.h = nil // release the handler reference
 	s.next = e.free
 	e.free = i
 	e.pending--
-	if ev.next != 0 {
-		root.head = ev.next
+	if next != 0 {
+		root.head = next
 	} else {
 		// The run is drained: close it to appends, and sift its lane's
 		// next run into the root or leave the root vacant for the
@@ -538,12 +561,7 @@ func (e *Env) execNext() bool {
 			e.vacant = true
 		}
 	}
-	switch ev.kind {
-	case evFunc:
-		ev.fn()
-	case evCall:
-		ev.cb(ev.val)
-	}
+	h.Fire(row)
 	e.settle()
 	return true
 }
@@ -558,7 +576,7 @@ func (e *Env) Pending() int { return e.pending }
 // Shutdown drops all queued events and the storage behind them. Call it
 // when abandoning an environment whose horizon stopped before its queue
 // drained (RunUntil), so long-lived benchmark runs do not keep the
-// closures of unfired events reachable.
+// handlers of unfired events reachable.
 func (e *Env) Shutdown() {
 	e.heap, e.slab, e.used, e.free, e.pending, e.vacant = nil, nil, 0, 0, 0, false
 	e.open = [runSlots]openRun{}

@@ -219,3 +219,30 @@ func TestEventQueueReusesStorage(t *testing.T) {
 		}
 	}
 }
+
+// TestHoldArmsWithoutAllocating: arming a Hold pushes one record whose
+// row is its generation, so re-arming allocates nothing however many
+// cancel and re-arm cycles came before (a generation boxed into an
+// interface allocated once it passed 255).
+func TestHoldArmsWithoutAllocating(t *testing.T) {
+	env := NewEnv()
+	fired := 0
+	h := NewHold(env, func() { fired++ })
+	for range 1000 {
+		h.After(1)
+		h.Cancel()
+	}
+	env.Run() // drain the orphans; the slab keeps its slots
+	allocs := testing.AllocsPerRun(100, func() {
+		h.After(1)
+		h.Cancel()
+		h.After(1)
+		env.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("arming a hold at generation %d allocates %v objects per cycle, want 0", h.gen, allocs)
+	}
+	if fired != 101 {
+		t.Fatalf("fired %d times, want once per uncancelled arming (101)", fired)
+	}
+}

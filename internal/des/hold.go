@@ -6,36 +6,45 @@ package des
 // repair deadline). A Hold owns at most one pending occurrence at a
 // time; Cancel orphans the pending occurrence without touching the
 // event queue — the record still pops at its scheduled time, sees a
-// stale generation, and falls through without running the callback.
-// Armed/fired/cancelled occurrences all keep the (time, seq) order of
-// every other event untouched, so adding cancellation to a schedule
-// cannot perturb the events around it.
+// stale generation, and falls through without firing. Armed/fired/
+// cancelled occurrences all keep the (time, seq) order of every other
+// event untouched, so adding cancellation to a schedule cannot perturb
+// the events around it.
 //
-// Like the flat transfer objects, a Hold is allocated once (NewHold
-// builds its closure) and re-armed for free: arming pushes one value
-// record, and the generation payload is a small boxed int.
+// Arming pushes one record whose row is the arming's generation, so it
+// allocates nothing however often a Hold is re-armed. A Hold has no
+// self-reference: MakeHold's value can live in a table row.
 type Hold struct {
 	env *Env
-	fn  func()
+	h   Handler
+	row int32
 	// gen stamps each arming; Cancel bumps it so the pending record's
 	// stale stamp no longer matches.
-	gen   int
+	gen   int32
 	armed bool
-	check func(any)
 }
 
 // NewHold returns an unarmed hold that runs fn when a pending arming
 // fires uncancelled.
 func NewHold(env *Env, fn func()) *Hold {
-	h := &Hold{env: env, fn: fn}
-	h.check = func(v any) {
-		if v.(int) != h.gen {
-			return // cancelled (or superseded) arming
-		}
-		h.armed = false
-		h.fn()
+	h := MakeHold(env, Func(fn), 0)
+	return &h
+}
+
+// MakeHold returns an unarmed hold that fires h.Fire(row) when a pending
+// arming fires uncancelled.
+func MakeHold(env *Env, h Handler, row int32) Hold { return Hold{env: env, h: h, row: row} }
+
+// holdFire is the Handler a Hold arms itself with: the event's row is
+// the generation it was armed under.
+type holdFire Hold
+
+func (h *holdFire) Fire(gen int32) {
+	if gen != h.gen {
+		return // cancelled (or superseded) arming
 	}
-	return h
+	h.armed = false
+	h.h.Fire(h.row)
 }
 
 // At arms the hold to fire at absolute virtual time t (>= Now). Arming
@@ -46,7 +55,7 @@ func (h *Hold) At(t float64) {
 		h.gen++
 	}
 	h.armed = true
-	h.env.call(t, h.check, h.gen)
+	h.env.AtRow(t, (*holdFire)(h), h.gen)
 }
 
 // After arms the hold to fire d seconds from now.

@@ -346,10 +346,10 @@ func TestGrantCancelPreservesFIFO(t *testing.T) {
 		cancel := map[int]bool{}
 		for i := 0; i < n; i++ {
 			i := i
-			grants[i] = r.RequestCancellable(func() {
+			grants[i] = r.RequestCancellable(Func(func() {
 				order = append(order, i)
 				env.Schedule(env.Now()+1, r.Release)
-			})
+			}), 0)
 			if rng.Intn(3) == 0 {
 				cancel[i] = true
 			}

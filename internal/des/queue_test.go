@@ -187,8 +187,9 @@ func TestShutdownMidRun(t *testing.T) {
 }
 
 // TestSlabGrowsByChunksAndNeverMoves: the payload slab is sized by the
-// deepest moment of the run, one chunk at a time; growing it leaves
-// queued payloads where they are, and a drained queue reuses its slots.
+// deepest moment of the run, doubling its chunk count per allocation;
+// growing it leaves queued payloads where they are, and a drained queue
+// reuses its slots.
 func TestSlabGrowsByChunksAndNeverMoves(t *testing.T) {
 	env := NewEnv()
 	fired := 0
@@ -199,11 +200,11 @@ func TestSlabGrowsByChunksAndNeverMoves(t *testing.T) {
 	for i := 1; i < n; i++ {
 		env.Schedule(float64(1+i%7), tick)
 	}
-	wantChunks := (n + 1 + slabChunk - 1) / slabChunk // slot 0 is the sentinel
+	wantChunks := 4 // 1, 1, 2: the power of two that holds n + the sentinel
 	if len(env.slab) != wantChunks {
 		t.Fatalf("%d pending events hold %d chunks, want %d", n, len(env.slab), wantChunks)
 	}
-	if env.slot(1) != first || first.fn == nil {
+	if env.slot(1) != first || first.h == nil {
 		t.Fatal("growing the slab moved or lost a queued payload")
 	}
 	env.Run()
@@ -216,13 +217,30 @@ func TestSlabGrowsByChunksAndNeverMoves(t *testing.T) {
 	}
 }
 
+// TestSlabAllocationsAreLogarithmic: a queue 49 152 events deep over
+// 4096 times — a 4096-node cell's ranks — costs a few dozen allocations
+// (slab blocks, the chunk directory, the heap and lane pool growing),
+// where a chunk per allocation would cost 1 537 for the slab alone.
+func TestSlabAllocationsAreLogarithmic(t *testing.T) {
+	tick := func() {}
+	allocs := testing.AllocsPerRun(5, func() {
+		env := NewEnv()
+		for i := range 49152 {
+			env.At(float64(i%4096), tick)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("a 49152-deep queue costs %v allocations, want at most 64", allocs)
+	}
+}
+
 // TestEventRecordAndEnvFootprint pins what every queued event and every
-// Env costs: a 40-byte {fn, cb, val, next, kind} record — three
-// pointerful fields cleared per fire — and one object per NewEnv (a
-// 512-node sweep builds thousands).
+// Env costs: a 24-byte {handler, row, next} record — one pointerful
+// field cleared per fire — and one object per NewEnv (a 512-node sweep
+// builds thousands).
 func TestEventRecordAndEnvFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 40 {
-		t.Errorf("event record is %d bytes, want 40", got)
+	if got := unsafe.Sizeof(event{}); got != 24 {
+		t.Errorf("event record is %d bytes, want 24", got)
 	}
 	var env *Env
 	if allocs := testing.AllocsPerRun(100, func() { env = NewEnv() }); allocs != 1 {

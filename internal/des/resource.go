@@ -28,21 +28,34 @@ type Resource struct {
 	grants    int64
 }
 
-// rwaiter is one queued claimant: its grant callback, stamped with its
-// enqueue time for queueing-delay accounting. g is non-nil for
-// cancellable requests (RequestCancellable).
+// rwaiter is one queued claimant: the (handler, row) its grant fires,
+// stamped with its enqueue time for queueing-delay accounting. g is
+// non-nil for cancellable requests (RequestCancellable).
 type rwaiter struct {
-	fn   func()
+	h    Handler
+	row  int32
 	enqT float64
 	g    *Grant
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
 func NewResource(env *Env, capacity int) *Resource {
+	r := NewResources(env, 1, capacity)
+	return &r[0]
+}
+
+// NewResources returns n resources of the given capacity (>= 1) in one
+// slice: a per-node resource of a large cluster costs one allocation,
+// not one per node.
+func NewResources(env *Env, n, capacity int) []Resource {
 	if capacity < 1 {
 		panic("des: resource capacity must be >= 1")
 	}
-	return &Resource{env: env, cap: capacity}
+	rs := make([]Resource, n)
+	for i := range rs {
+		rs[i] = Resource{env: env, cap: capacity}
+	}
+	return rs
 }
 
 // take claims a free slot; returns false when at capacity.
@@ -85,18 +98,21 @@ func (r *Resource) dequeue() rwaiter {
 	return next
 }
 
-// Request invokes fn holding a slot: synchronously if one is free,
-// otherwise as an event at the instant the slot is granted, in FIFO
-// order. The holder calls Release when done — a timed hold is
-// Request(grant) with grant doing After(d, release). Reuse one fn
-// closure across calls to keep the hot path allocation-free.
-func (r *Resource) Request(fn func()) {
+// RequestRow fires h.Fire(row) holding a slot: synchronously if one is
+// free, otherwise as an event at the instant the slot is granted, in
+// FIFO order. The holder calls Release when done — a timed hold is a
+// grant that arms AfterRow(d, …) and releases when that fires.
+func (r *Resource) RequestRow(h Handler, row int32) {
 	if r.take() {
-		fn()
+		h.Fire(row)
 		return
 	}
-	r.enqueue(rwaiter{fn: fn, enqT: r.env.now})
+	r.enqueue(rwaiter{h: h, row: row, enqT: r.env.now})
 }
+
+// Request is RequestRow for a func: fn runs holding a slot. Reuse one fn
+// closure across calls to keep the hot path allocation-free.
+func (r *Resource) Request(fn func()) { r.RequestRow(Func(fn), 0) }
 
 // Release frees one slot, waking the longest-waiting claimant if any.
 // The slot transfers directly to the woken claimant, preserving FIFO
@@ -119,7 +135,7 @@ func (r *Resource) Release() {
 			next.g.granted = true
 		}
 		// inUse stays the same: the slot moves to next.
-		r.env.Schedule(r.env.now, next.fn)
+		r.env.AtRow(r.env.now, next.h, next.row)
 		return
 	}
 	r.inUse--
@@ -151,18 +167,19 @@ func (g *Grant) Cancel() bool {
 	return true
 }
 
-// RequestCancellable is Request with a cancellation handle: fn runs
-// holding a slot — synchronously if one is free, otherwise when granted
-// in FIFO order — unless the returned Grant is cancelled while still
-// queued. Event order is identical to Request for uncancelled grants.
-func (r *Resource) RequestCancellable(fn func()) *Grant {
+// RequestCancellable is RequestRow with a cancellation handle:
+// h.Fire(row) runs holding a slot — synchronously if one is free,
+// otherwise when granted in FIFO order — unless the returned Grant is
+// cancelled while still queued. Event order is identical to RequestRow
+// for uncancelled grants.
+func (r *Resource) RequestCancellable(h Handler, row int32) *Grant {
 	g := &Grant{}
 	if r.take() {
 		g.granted = true
-		fn()
+		h.Fire(row)
 		return g
 	}
-	r.enqueue(rwaiter{fn: fn, enqT: r.env.now, g: g})
+	r.enqueue(rwaiter{h: h, row: row, enqT: r.env.now, g: g})
 	return g
 }
 

@@ -122,22 +122,18 @@ func runColocated(w ScaleOutConfig, shared bool, disturb func(*des.Env, cluster.
 		run.faults = disturb(env, spec, run.model, run.horizon)
 		solver.faults, trainer.faults = run.faults, run.faults
 	}
-	// A slab per rank kind, not an allocation per rank (6144 ranks at 512
-	// nodes), and not one slab for both: ranks of a kind wake together,
+	// A table per rank kind, not an object per rank (6144 ranks at 512
+	// nodes), and not one table for both: ranks of a kind wake together,
 	// and a 4096-node cell runs 8 % slower with trainers in between.
-	solvers := make([]stagingRank, run.simRanks)
-	trainers := make([]stagingRank, nodes*place.AITilesPerNode)
-	wi, ri := 0, 0
+	sPer, tPer := place.SimTilesPerNode, place.AITilesPerNode
+	solvers := newRankTable(env, run.model, solver, run.simRanks, sPer)
+	trainers := newRankTable(env, run.model, trainer, nodes*tPer, tPer)
 	for node := 0; node < nodes; node++ {
-		solver.node, trainer.node = node, node
-		for k := 0; k < place.SimTilesPerNode; k++ {
-			solver.stagger = float64(wi) / float64(run.simRanks)
-			initRank(&solvers[wi], env, run.model, solver)
-			wi++
+		for k := 0; k < sPer; k++ {
+			solvers.start(int32(node*sPer + k))
 		}
-		for k := 0; k < place.AITilesPerNode; k++ {
-			initRank(&trainers[ri], env, run.model, trainer)
-			ri++
+		for k := 0; k < tPer; k++ {
+			trainers.start(int32(node*tPer + k))
 		}
 	}
 	run.endT = env.RunUntil(run.horizon * 1.5)

@@ -139,23 +139,40 @@ func TestPattern2RefusesLocalOnlyBackends(t *testing.T) {
 	}
 }
 
-// TestHealthyPathAllocations pins what a healthy cell allocates to what
-// the cell allocated before solver and trainer ranks, with and without
-// faults, became one machine: a Hold, a CheckpointOp or a per-rank
-// closure creeping onto the path of a rank that carries no fault layer
-// shows up here as thousands of mallocs, by name. The ceilings are the
-// parent commit's counts for the same two cells.
+// TestHealthyPathAllocations pins what a healthy cell allocates: a few
+// slices per rank table and transfer table, the model's resources and a
+// logarithmic number of event-queue blocks. A Hold, a CheckpointOp or a
+// per-rank object creeping onto the path of a rank that carries no fault
+// layer shows up here as thousands of mallocs, by name. The ceilings are
+// the counts of the rank tables on the same two cells.
 func TestHealthyPathAllocations(t *testing.T) {
 	p1 := testing.AllocsPerRun(2, func() {
 		checked(t, RunPattern1Checked, Pattern1Config{Nodes: 512, Backend: datastore.NodeLocal, SizeMB: 8, TrainIters: 600})
 	})
-	if p1 > 19_263 {
-		t.Errorf("Pattern 1, 512 nodes: %v mallocs, ceiling 19263", p1)
+	if p1 > 35 {
+		t.Errorf("Pattern 1, 512 nodes: %v mallocs, ceiling 35", p1)
 	}
 	so := testing.AllocsPerRun(5, func() {
 		checked(t, RunScaleOutChecked, ScaleOutConfig{Tenants: 16, Backend: datastore.NodeLocal, SizeMB: 8, TrainIters: 300})
 	})
-	if so > 1_250 {
-		t.Errorf("scale-out, 16 tenants: %v mallocs, ceiling 1250", so)
+	if so > 28 {
+		t.Errorf("scale-out, 16 tenants: %v mallocs, ceiling 28", so)
+	}
+}
+
+// TestColocatedAllocationsDoNotScaleWithRanks: no co-located cell
+// allocates per rank or per node. Pattern 1 on node-local at 1024 nodes
+// (12 288 ranks) allocates within 16 mallocs of the same cell at 64
+// nodes (768 ranks): what grows with the cell is the event queue's slab
+// blocks, heap and lane pool, logarithmically.
+func TestColocatedAllocationsDoNotScaleWithRanks(t *testing.T) {
+	mallocs := func(nodes int) float64 {
+		return testing.AllocsPerRun(2, func() {
+			checked(t, RunPattern1Checked, Pattern1Config{Nodes: nodes, Backend: datastore.NodeLocal, SizeMB: 8, TrainIters: 600})
+		})
+	}
+	small, large := mallocs(64), mallocs(1024)
+	if large-small > 16 {
+		t.Errorf("Pattern 1 node-local: %v mallocs at 64 nodes, %v at 1024, want within 16", small, large)
 	}
 }

@@ -46,20 +46,20 @@ func TestPattern1MatchesProcessReference(t *testing.T) {
 	}
 }
 
-// TestNextPollMatchesPollChain: stagingRank.nextPoll must name the exact
+// TestNextPollMatchesPollChain: rankTable.nextPoll must name the exact
 // time at which the chain of per-poll events it stands for — wake, find
 // nothing, After(period), wake again — would first transfer or stop, bit
 // for bit. The chain below is that poll-every-period loop on a real Env.
 // With a zero freshness gap (a solver rank) the chain is one After(period)
 // long: sleep a period, write.
 func TestNextPollMatchesPollChain(t *testing.T) {
-	chain := func(r *stagingRank, now float64) (at float64, polls int) {
+	chain := func(r *rankTable, now float64) (at float64, polls int) {
 		env := des.NewEnv()
 		at = -1.0
 		var wake func()
 		wake = func() {
 			polls++
-			if t := env.Now(); t-r.lastXfer < r.fresh && t < r.horizon {
+			if t := env.Now(); t-r.lastXfer[0] < r.fresh && t < r.horizon {
 				env.After(r.period, wake)
 			} else {
 				at = t
@@ -69,21 +69,22 @@ func TestNextPollMatchesPollChain(t *testing.T) {
 		env.Run()
 		return at, polls
 	}
-	check := func(r stagingRank, now float64) {
+	check := func(r rankTable, now float64) {
 		t.Helper()
 		want, polls := chain(&r, now)
-		if got := r.nextPoll(now); got != want {
+		if got := r.nextPoll(0, now); got != want {
 			t.Errorf("period=%v fresh=%v lastXfer=%v horizon=%v now=%v: nextPoll %v, the poll chain stops at %v",
-				r.period, r.fresh, r.lastXfer, r.horizon, now, got, want)
+				r.period, r.fresh, r.lastXfer[0], r.horizon, now, got, want)
 		}
-		if polls > 1 && r.fresh < r.period && r.lastXfer <= now {
-			t.Errorf("%+v now=%v: %d polls although the freshness gap is shorter than a period", r, now, polls)
+		if polls > 1 && r.fresh < r.period && r.lastXfer[0] <= now {
+			t.Errorf("period=%v fresh=%v lastXfer=%v now=%v: %d polls although the freshness gap is shorter than a period",
+				r.period, r.fresh, r.lastXfer[0], now, polls)
 		}
 	}
 
 	// Pattern 1's periods: a read just done, the horizon far, between the
 	// second and third idle poll, exactly on a poll, and already behind.
-	p1 := stagingRank{period: 10 * 0.0633, fresh: 100 * 0.0325, lastXfer: 7.25}
+	p1 := rankTable{period: 10 * 0.0633, fresh: 100 * 0.0325, lastXfer: []float64{7.25}}
 	for _, horizon := range []float64{1e9, 7.3 + 2.5*p1.period, 7.3 + p1.period + p1.period, 7.3, 1} {
 		p1.horizon = horizon
 		check(p1, 7.3)
@@ -91,7 +92,7 @@ func TestNextPollMatchesPollChain(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20_000; i++ {
-		r := stagingRank{period: 0.01 + 5*rng.Float64(), fresh: 0.01 + 20*rng.Float64()}
+		r := rankTable{period: 0.01 + 5*rng.Float64(), fresh: 0.01 + 20*rng.Float64()}
 		switch i % 4 {
 		case 0:
 			r.fresh = r.period * rng.Float64() // never skips
@@ -99,12 +100,12 @@ func TestNextPollMatchesPollChain(t *testing.T) {
 			r.fresh = 0 // a solver rank
 		}
 		now := 100 * rng.Float64()
-		r.lastXfer = now - 2*r.fresh*rng.Float64()
+		r.lastXfer = []float64{now - 2*r.fresh*rng.Float64()}
 		r.horizon = now - 5 + 35*rng.Float64() // behind now one time in seven
 		check(r, now)
-		if r.fresh == 0 && r.nextPoll(now) != now+r.period {
+		if r.fresh == 0 && r.nextPoll(0, now) != now+r.period {
 			t.Errorf("period=%v now=%v: a zero freshness gap must be the plain After(period), got %v",
-				r.period, now, r.nextPoll(now))
+				r.period, now, r.nextPoll(0, now))
 		}
 	}
 }
@@ -212,7 +213,7 @@ func TestFig6StopsWithTrainer(t *testing.T) {
 // TestScaleOutMatchesReference holds the shared deployment to the oracle
 // at the shipped period pairs (scale-out's 10/10, Pattern 1's 100/10) and
 // at 7/3, on every backend, bit for bit — with one named exception, the
-// one observed case of stagingRank.nextPoll's tie-order caveat. The
+// one observed case of rankTable.nextPoll's tie-order caveat. The
 // harness queues a trainer's next effective wake-up when its read
 // completes; the oracle's trainer polls every period, so it queues the
 // same wake-up one poll before it fires. An event of a rank on another

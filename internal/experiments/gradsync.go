@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"simaibench/internal/cluster"
 	"simaibench/internal/costmodel"
@@ -124,26 +123,52 @@ type GradSyncPoint struct {
 	Steps int64
 }
 
-// gradReady is one rank's gradients-ready event of a step: its time,
-// the rank, and the rank's jittered compute.
-type gradReady struct {
-	t    float64
-	rank int
-	c    float64
-}
-
-// readyOrder orders a step's gradients-ready events as a des.Env
+// readySorter orders a step's gradients-ready events as a des.Env
 // executes them: by time, then by rank, the order they were queued in.
 // Two computes can round to one ready time, so the key is the time, not
-// the compute.
-func readyOrder(a, b gradReady) int {
-	switch {
-	case a.t < b.t:
-		return -1
-	case a.t > b.t:
-		return 1
+// the compute. It is a stable LSD radix sort on the times' bit patterns,
+// fed in rank order so that ties keep rank order: ready times are
+// positive, so their bit patterns order as their values do, and a byte
+// in which every key agrees orders nothing and is skipped.
+type readySorter struct {
+	// keys[i] is a ready time's bit pattern and vals[i] what travels
+	// with it; sort puts both in event order.
+	keys, vals       []uint64
+	tmpKeys, tmpVals []uint64
+}
+
+func newReadySorter(n int) readySorter {
+	buf := make([]uint64, 4*n)
+	return readySorter{keys: buf[:n:n], vals: buf[n : 2*n : 2*n], tmpKeys: buf[2*n : 3*n : 3*n], tmpVals: buf[3*n:]}
+}
+
+// sort orders the events, which must be in rank order on entry.
+func (s *readySorter) sort() {
+	var diff uint64
+	for _, k := range s.keys {
+		diff |= k ^ s.keys[0]
 	}
-	return a.rank - b.rank
+	for shift := 0; shift < 64; shift += 8 {
+		if diff>>shift&0xff == 0 {
+			continue
+		}
+		var at [256]int32
+		for _, k := range s.keys {
+			at[byte(k>>shift)]++
+		}
+		sum := int32(0)
+		for b, n := range at {
+			at[b] = sum
+			sum += n
+		}
+		for i, k := range s.keys {
+			j := &at[byte(k>>shift)]
+			s.tmpKeys[*j], s.tmpVals[*j] = k, s.vals[i]
+			*j++
+		}
+		s.keys, s.tmpKeys = s.tmpKeys, s.keys
+		s.vals, s.tmpVals = s.tmpVals, s.vals
+	}
 }
 
 // RunGradSync computes one gradsync configuration's measurement. A
@@ -177,32 +202,30 @@ func RunGradSync(cfg GradSyncConfig) (GradSyncPoint, error) {
 	updateS := gradSyncUpdatePerMBS * cfg.ModelMB
 
 	// The Env this adds up executes every rank's start at t=0. Each step
-	// it then executes every rank's gradients-ready event in readyOrder
-	// and every rank's step end, all at one time.
+	// it then executes every rank's gradients-ready event in readySorter's
+	// order and every rank's step end, all at one time. The skew and the
+	// step time each see their samples in that order; adding both in one
+	// loop overlaps their two dependency chains.
 	clock := serialClock{budget: cfg.MaxEvents}
 	clock.run(0, int64(cfg.Ranks))
-	ready := make([]gradReady, cfg.Ranks)
+	sorter := newReadySorter(cfg.Ranks) // each event carries its rank's compute
 	var stepTime, skew stats.Welford
 	start := 0.0
 	for s := range cfg.Steps {
 		gmax := 0.0
-		for r := range ready {
+		for r := range cfg.Ranks {
 			c := computeS * (1 + gradSyncJitterFrac*gradSyncJitter(r, s))
-			ready[r] = gradReady{t: start + c, rank: r, c: c}
-			if c > gmax {
-				gmax = c
-			}
+			sorter.keys[r], sorter.vals[r] = math.Float64bits(start+c), math.Float64bits(c)
+			gmax = max(gmax, c)
 		}
-		slices.SortFunc(ready, readyOrder)
-		for _, g := range ready {
-			clock.run(g.t, 1)
-			skew.Add(gmax - g.c)
-		}
+		sorter.sort()
 		end := start + gmax + coll.TimeS + updateS
-		clock.run(end, int64(cfg.Ranks))
-		for range cfg.Ranks {
+		for i, c := range sorter.vals {
+			clock.run(math.Float64frombits(sorter.keys[i]), 1)
+			skew.Add(gmax - math.Float64frombits(c))
 			stepTime.Add(end - start)
 		}
+		clock.run(end, int64(cfg.Ranks))
 		if clock.err != nil {
 			return GradSyncPoint{}, fmt.Errorf("gradsync (%s, %g MB, %d ranks): %w",
 				algo, cfg.ModelMB, cfg.Ranks, clock.err)

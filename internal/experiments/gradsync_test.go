@@ -265,6 +265,62 @@ func refGradSync(t *testing.T, cfg GradSyncConfig) (GradSyncPoint, error) {
 	}, nil
 }
 
+// gradReady is one rank's gradients-ready event of a step: its time,
+// the rank, and the rank's jittered compute.
+type gradReady struct {
+	t    float64
+	rank int
+	c    float64
+}
+
+// readyOrder is the reference order readySorter must give: a step's
+// gradients-ready events as a des.Env executes them, by time, then by
+// rank, the order they were queued in.
+func readyOrder(a, b gradReady) int {
+	switch {
+	case a.t < b.t:
+		return -1
+	case a.t > b.t:
+		return 1
+	}
+	return a.rank - b.rank
+}
+
+// TestReadySorterMatchesReferenceOrder holds the radix sort to
+// slices.SortFunc with readyOrder on random steps: sizes around the
+// 256-wide digit, times forced into heavy ties, and times that straddle
+// a binade (their exponent bytes differ, so no byte is skipped there).
+func TestReadySorterMatchesReferenceOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(44, 1))
+	for _, n := range []int{0, 1, 2, 3, 255, 256, 257, 512, 4096} {
+		for trial := range 12 {
+			s := newReadySorter(n)
+			want := make([]gradReady, n)
+			for r := range n {
+				var at float64
+				switch trial % 3 {
+				case 0: // a step's spread of jittered computes
+					at = 17.25 + 0.03*(1+0.08*rng.Float64())
+				case 1: // heavy ties: a handful of distinct times
+					at = 3 + float64(rng.IntN(4))*0.125
+				case 2: // either side of 2.0
+					at = math.Nextafter(2, 0) + (rng.Float64()-0.5)*1e-3*float64(rng.IntN(3))
+				}
+				s.keys[r], s.vals[r] = math.Float64bits(at), uint64(r)
+				want[r] = gradReady{t: at, rank: r}
+			}
+			s.sort()
+			slices.SortFunc(want, readyOrder)
+			for i, w := range want {
+				if got := math.Float64frombits(s.keys[i]); int(s.vals[i]) != w.rank || got != w.t {
+					t.Fatalf("n=%d trial %d: event %d is rank %d at %v, reference rank %d at %v",
+						n, trial, i, s.vals[i], got, w.rank, w.t)
+				}
+			}
+		}
+	}
+}
+
 // TestGradSyncReadyOrderKeysOnTime: ready times tie only when a step
 // starts so late that two computes round to one sum, which no config
 // the reference can run in a test reaches. So the order is pinned here:

@@ -26,11 +26,12 @@ import (
 // interval table comparing the empirical best cadence against Young's
 // √(2·δ·MTBF) approximation.
 //
-// The ranks are the staging ranks of flat.go, each carrying a fault layer
-// (rankFaults): a cancellable wake-up (des.Hold), an epoch counter that
-// discards a transfer whose node died mid-flight, and — on solver ranks —
-// abortable checkpoints (costmodel.CheckpointOp over cancellable
-// des.Grants), restore and waste accounting.
+// The ranks are the staging ranks of flat.go, each row carrying a fault
+// layer (rankFaults): a cancellable wake-up (des.Hold), an epoch counter
+// that discards a transfer whose node died mid-flight, and — on solver
+// ranks under checkpoint/restart — abortable checkpoints
+// (costmodel.CheckpointOp over cancellable des.Grants), restore and waste
+// accounting.
 // With a healthy profile (MTBF=∞, checkpointing off) the layer is silent:
 // a Hold arms at the time and sequence position of the schedule call it
 // replaces, so the run is bit-identical to the equivalent scale-out run,
@@ -150,23 +151,18 @@ type faultState struct {
 	rec     faults.Recovery
 	backend datastore.Backend
 	horizon float64
-	// solvers / trainers map node index -> the layers of the resident
-	// ranks.
-	solvers    [][]*rankFaults
-	trainers   [][]*rankFaults
-	wasted     float64 // compute lost to crashes
-	ckptWrites int64   // completed checkpoint writes, and their duration
-	ckptTotalS float64
+	// solvers / trainers are the rank tables whose rows carry the
+	// layers (nil until attached).
+	solvers, trainers *rankTable
+	wasted            float64 // compute lost to crashes
+	ckptWrites        int64   // completed checkpoint writes, and their duration
+	ckptTotalS        float64
 }
 
 // newFaultState builds the layer state of one run and starts its
 // injector, whose hooks reach the ranks attached later.
 func newFaultState(env *des.Env, spec cluster.Spec, model *costmodel.Model, horizon float64, cfg ResilienceConfig) *faultState {
-	fs := &faultState{
-		model: model, rec: cfg.Recovery(), backend: cfg.Backend, horizon: horizon,
-		solvers:  make([][]*rankFaults, spec.Nodes),
-		trainers: make([][]*rankFaults, spec.Nodes),
-	}
+	fs := &faultState{model: model, rec: cfg.Recovery(), backend: cfg.Backend, horizon: horizon}
 	fs.inj = faults.New(env, spec, faults.Profile{
 		Seed: cfg.Seed, MTBFS: cfg.MTBFS, RepairS: cfg.RepairS, Until: horizon,
 	}, faults.Hooks{
@@ -179,23 +175,27 @@ func newFaultState(env *des.Env, spec cluster.Spec, model *costmodel.Model, hori
 
 // each applies fn to the layers of node's ranks, solvers first.
 func (fs *faultState) each(node int, fn func(*rankFaults)) {
-	for _, f := range fs.solvers[node] {
-		fn(f)
-	}
-	for _, f := range fs.trainers[node] {
-		fn(f)
+	for _, t := range [...]*rankTable{fs.solvers, fs.trainers} {
+		if t == nil {
+			continue
+		}
+		for i := node * t.perNode; i < min((node+1)*t.perNode, len(t.faults)); i++ {
+			fn(&t.faults[i])
+		}
 	}
 }
 
-// rankFaults is the fault layer of one staging rank: everything a crash
-// or a repair does to the loop of flat.go, for solver and trainer ranks
-// alike. The loop tells it that a transfer began (started), asks whether
-// a completed one counts (landed) and arms its next wake-up through it
-// (wake); the injector's hooks drive the rest.
+// rankFaults is the fault layer of one staging rank, row row of its
+// table: everything a crash or a repair does to the loop of flat.go, for
+// solver and trainer ranks alike. The loop tells it that a transfer
+// began (started), asks whether a completed one counts (landed) and arms
+// its next wake-up through it (wake); the injector's hooks drive the
+// rest. It is the des.Handler of its own checkpoint events (Fire).
 type rankFaults struct {
-	r    *stagingRank
+	t    *rankTable
+	row  int32
 	fs   *faultState
-	wake *des.Hold // the rank's wake-up, cancellable
+	wake des.Hold // the rank's wake-up, cancellable
 
 	down       bool
 	busy       bool // transfer in flight
@@ -204,7 +204,8 @@ type rankFaults struct {
 	pendResume bool // resume deferred behind a draining transfer
 
 	// What follows is a solver rank's alone: its checkpoint cadence, its
-	// post-repair restore and its account of work lost.
+	// post-repair restore and its account of work lost. The checkpoint
+	// operations exist under checkpoint/restart only.
 	solver bool
 	// unrecovered: the loss since lastCommit has been charged and the
 	// recovery has not completed; a further crash charges nothing.
@@ -212,36 +213,69 @@ type rankFaults struct {
 	lastCommit  float64
 	ckptW       *costmodel.CheckpointOp
 	ckptR       *costmodel.CheckpointOp
-	ckptHold    *des.Hold
+	ckptHold    des.Hold
 	ckptStart   float64
 	ckptBusy    bool
 	restoring   bool
 }
 
-// attach gives r its fault layer and arms its first poll (and, on a
-// solver rank under checkpoint/restart, its first checkpoint). In a
-// healthy run these are the schedule calls of an unlayered rank, at
-// identical (time, order) positions.
-func (fs *faultState) attach(r *stagingRank, cfg rankConfig) {
-	f := &rankFaults{
-		r: r, fs: fs, wake: des.NewHold(r.env, r.wake),
-		solver: cfg.write, lastCommit: r.env.Now(),
+// A layer's own events: the row it fires itself with.
+const (
+	faultCkptTick int32 = iota
+	faultCkptDone
+	faultRestoreDone
+)
+
+// Fire runs one of the layer's own events.
+func (f *rankFaults) Fire(event int32) {
+	switch event {
+	case faultCkptTick:
+		f.ckptTick()
+	case faultCkptDone:
+		f.ckptDone()
+	case faultRestoreDone:
+		f.restoreDone()
 	}
-	r.faults = f
-	if f.solver {
-		fs.solvers[cfg.node] = append(fs.solvers[cfg.node], f)
-		f.ckptW = fs.model.NewCheckpointWrite(fs.backend, cfg.node, fs.rec.CkptSizeMB, f.ckptDone)
-		f.ckptR = fs.model.NewCheckpointRead(fs.backend, cfg.node, fs.rec.CkptSizeMB, f.restoreDone)
-		f.ckptHold = des.NewHold(r.env, f.ckptTick)
+}
+
+// attach gives every row of t its fault layer. It schedules nothing:
+// rankTable.start arms each row through its layer's start.
+func (fs *faultState) attach(t *rankTable, solver bool) {
+	if solver {
+		fs.solvers = t
 	} else {
-		fs.trainers[cfg.node] = append(fs.trainers[cfg.node], f)
+		fs.trainers = t
 	}
-	r.arm()
-	if f.solver && fs.rec.Policy == faults.CheckpointRestart {
-		// stagger phases the first cadence tick within [1, 2) intervals,
-		// spreading the fleet's checkpoints evenly instead of firing all
-		// ranks in one synchronized burst against the shared deployment.
-		f.armCkpt(fs.rec.CkptIntervalS * (1 + cfg.stagger))
+	ckpt := solver && fs.rec.Policy == faults.CheckpointRestart
+	t.faults = make([]rankFaults, len(t.lastXfer))
+	for i := range t.faults {
+		f, row := &t.faults[i], int32(i)
+		*f = rankFaults{
+			t: t, row: row, fs: fs, wake: des.MakeHold(t.env, t, ^row),
+			solver: solver, lastCommit: t.env.Now(),
+		}
+		if ckpt {
+			node := i / t.perNode
+			f.ckptW = fs.model.NewCheckpointWrite(fs.backend, node, fs.rec.CkptSizeMB, f, faultCkptDone)
+			f.ckptR = fs.model.NewCheckpointRead(fs.backend, node, fs.rec.CkptSizeMB, f, faultRestoreDone)
+			f.ckptHold = des.MakeHold(t.env, f, faultCkptTick)
+		}
+	}
+}
+
+// start arms the rank's first poll and, on a solver rank under
+// checkpoint/restart, its first checkpoint. In a healthy run these are
+// the schedule calls of an unlayered rank, at identical (time, order)
+// positions.
+func (f *rankFaults) start() {
+	f.t.arm(f.row)
+	if f.ckptW != nil {
+		// The stagger phases the first cadence tick within [1, 2)
+		// intervals, spreading the fleet's checkpoints evenly instead of
+		// firing all ranks in one synchronized burst against the shared
+		// deployment.
+		stagger := float64(f.row) / float64(len(f.t.faults))
+		f.armCkpt(f.fs.rec.CkptIntervalS * (1 + stagger))
 	}
 }
 
@@ -275,7 +309,7 @@ func (f *rankFaults) resume() {
 		f.pendResume = true
 		return
 	}
-	f.r.arm()
+	f.t.arm(f.row)
 }
 
 // onCrash tears the rank down: the pending wake-up and checkpoint
@@ -303,7 +337,7 @@ func (f *rankFaults) onCrash() {
 		f.restoring = false
 	}
 	if !f.unrecovered {
-		f.fs.wasted += f.r.env.Now() - f.lastCommit
+		f.fs.wasted += f.t.env.Now() - f.lastCommit
 		f.unrecovered = true
 	}
 }
@@ -320,14 +354,14 @@ func (f *rankFaults) onRepair() {
 		f.startRestore()
 	default:
 		f.unrecovered = false
-		f.lastCommit = f.r.env.Now()
+		f.lastCommit = f.t.env.Now()
 		f.resume()
 	}
 }
 
 // ckptTick is one checkpoint cadence tick.
 func (f *rankFaults) ckptTick() {
-	fs, now := f.fs, f.r.env.Now()
+	fs, now := f.fs, f.t.env.Now()
 	if now >= fs.horizon {
 		return // never let checkpoint traffic outlive the campaign
 	}
@@ -348,7 +382,7 @@ func (f *rankFaults) ckptTick() {
 // campaign; a tick past the horizon is never scheduled at all, so
 // checkpoint housekeeping cannot stretch the measured end time.
 func (f *rankFaults) armCkpt(d float64) {
-	if f.r.env.Now()+d < f.fs.horizon {
+	if f.t.env.Now()+d < f.fs.horizon {
 		f.ckptHold.After(d)
 	}
 }
@@ -360,7 +394,7 @@ func (f *rankFaults) armCkpt(d float64) {
 func (f *rankFaults) ckptDone() {
 	f.ckptBusy = false
 	f.fs.ckptWrites++
-	f.fs.ckptTotalS += f.r.env.Now() - f.ckptStart
+	f.fs.ckptTotalS += f.t.env.Now() - f.ckptStart
 	f.lastCommit = f.ckptStart
 	f.armCkpt(f.fs.rec.CkptIntervalS)
 }
@@ -376,7 +410,7 @@ func (f *rankFaults) startRestore() {
 func (f *rankFaults) restoreDone() {
 	f.restoring = false
 	f.unrecovered = false
-	f.lastCommit = f.r.env.Now()
+	f.lastCommit = f.t.env.Now()
 	f.resume()
 	f.armCkpt(f.fs.rec.CkptIntervalS)
 }

@@ -143,19 +143,20 @@ func TestResilienceCheckpointTrafficFlows(t *testing.T) {
 // bareFaultedRank builds one staging rank with its fault layer on a bare
 // Env — node 0 of two, shared Redis, 8 MB, horizon 100 s — under a
 // healthy injector, so the test drives crash and repair by hand. cfg carries the recovery policy.
-func bareFaultedRank(cfg ResilienceConfig, write bool, period, fresh float64) (*des.Env, *faultState, *stagingRank, *stats.Welford) {
+func bareFaultedRank(cfg ResilienceConfig, write bool, period, fresh float64) (*des.Env, *faultState, *rankFaults, *stats.Welford) {
 	env := des.NewEnv()
 	spec := cluster.Aurora(2)
 	model := costmodel.New(env, spec, costmodel.Default())
 	cfg.Backend, cfg.SizeMB, cfg.CkptSizeMB = datastore.Redis, 8, 8
 	fs := newFaultState(env, spec, model, 100, cfg)
-	r, xferTime := &stagingRank{}, &stats.Welford{}
-	initRank(r, env, model, rankConfig{
+	xferTime := &stats.Welford{}
+	r := newRankTable(env, model, rankConfig{
 		backend: cfg.Backend, sizeMB: cfg.SizeMB, write: write, shared: true,
 		period: period, fresh: fresh, horizon: fs.horizon, bytes: 8e6,
 		time: xferTime, faults: fs,
-	})
-	return env, fs, r, xferTime
+	}, 1, 1)
+	r.start(0)
+	return env, fs, &r.faults[0], xferTime
 }
 
 // TestCrashDuringRestoreChargesNoExtraWaste: a second crash landing
@@ -163,11 +164,11 @@ func bareFaultedRank(cfg ResilienceConfig, write bool, period, fresh float64) (*
 // re-charge the work already charged at the first crash (no compute has
 // accrued in between).
 func TestCrashDuringRestoreChargesNoExtraWaste(t *testing.T) {
-	env, fs, r, _ := bareFaultedRank(ResilienceConfig{CkptIntervalS: 50}, true, 0.5, 0)
-	env.At(10, r.faults.onCrash)
-	env.At(11, r.faults.onRepair)    // restore read begins (~20 ms)
-	env.At(11.001, r.faults.onCrash) // crash mid-restore
-	env.At(12, r.faults.onRepair)    // recover for good
+	env, fs, f, _ := bareFaultedRank(ResilienceConfig{CkptIntervalS: 50}, true, 0.5, 0)
+	env.At(10, f.onCrash)
+	env.At(11, f.onRepair)    // restore read begins (~20 ms)
+	env.At(11.001, f.onCrash) // crash mid-restore
+	env.At(12, f.onRepair)    // recover for good
 	env.RunUntil(40)
 	// Only the first crash charges: 10 s since lastCommit(0). The
 	// mid-restore crash accrued no work.
@@ -190,50 +191,50 @@ func TestCrashMidTransfer(t *testing.T) {
 		fresh float64
 	}{{"solver", true, 0}, {"trainer", false, 0.3}} {
 		const first = 0.5 // the first poll; the ~15 ms transfer it starts is hit 1 ms in
-		mid := func(t *testing.T) (*des.Env, *stagingRank, *stats.Welford) {
-			env, _, r, xferTime := bareFaultedRank(ResilienceConfig{}, row.write, first, row.fresh)
+		mid := func(t *testing.T) (*des.Env, *rankFaults, *stats.Welford) {
+			env, _, f, xferTime := bareFaultedRank(ResilienceConfig{}, row.write, first, row.fresh)
 			env.At(first+0.001, func() {
-				if !r.faults.busy {
+				if !f.busy {
 					t.Fatal("no transfer in flight 1 ms after the first poll")
 				}
-				r.faults.onCrash()
-				if r.faults.wake.Armed() {
+				f.onCrash()
+				if f.wake.Armed() {
 					t.Error("crash left the wake-up armed")
 				}
 			})
 			env.At(first+0.002, func() {
-				r.faults.onRepair()
-				if !r.faults.pendResume || r.faults.wake.Armed() {
+				f.onRepair()
+				if !f.pendResume || f.wake.Armed() {
 					t.Errorf("repair mid-drain: pendResume=%v armed=%v, want the resume parked and nothing armed",
-						r.faults.pendResume, r.faults.wake.Armed())
+						f.pendResume, f.wake.Armed())
 				}
 			})
-			return env, r, xferTime
+			return env, f, xferTime
 		}
 		t.Run(row.name+"/repair-mid-drain", func(t *testing.T) {
-			env, r, xferTime := mid(t)
+			env, f, xferTime := mid(t)
 			env.RunUntil(first + 0.1) // the drain is over
-			if r.faults.busy || xferTime.N() != 0 {
+			if f.busy || xferTime.N() != 0 {
 				t.Fatalf("after the drain: busy=%v, %d transfer(s) recorded, want the stale completion to record none",
-					r.faults.busy, xferTime.N())
+					f.busy, xferTime.N())
 			}
-			if r.faults.pendResume || !r.faults.wake.Armed() {
+			if f.pendResume || !f.wake.Armed() {
 				t.Fatalf("after the drain: pendResume=%v armed=%v, want the loop re-armed",
-					r.faults.pendResume, r.faults.wake.Armed())
+					f.pendResume, f.wake.Armed())
 			}
 			env.RunUntil(2*first + 0.1) // one period on: exactly one transfer
-			if xferTime.N() != 1 || !r.faults.wake.Armed() {
+			if xferTime.N() != 1 || !f.wake.Armed() {
 				t.Fatalf("one period after the drain: %d transfer(s), armed=%v, want 1 and the loop running",
-					xferTime.N(), r.faults.wake.Armed())
+					xferTime.N(), f.wake.Armed())
 			}
 		})
 		t.Run(row.name+"/second-crash-mid-drain", func(t *testing.T) {
-			env, r, xferTime := mid(t)
-			env.At(first+0.003, r.faults.onCrash)
+			env, f, xferTime := mid(t)
+			env.At(first+0.003, f.onCrash)
 			env.RunUntil(50)
-			if r.faults.busy || r.faults.pendResume || r.faults.wake.Armed() || env.Pending() != 0 {
+			if f.busy || f.pendResume || f.wake.Armed() || env.Pending() != 0 {
 				t.Fatalf("busy=%v pendResume=%v armed=%v pending=%d, want a down rank with nothing armed",
-					r.faults.busy, r.faults.pendResume, r.faults.wake.Armed(), env.Pending())
+					f.busy, f.pendResume, f.wake.Armed(), env.Pending())
 			}
 			if xferTime.N() != 0 {
 				t.Fatalf("%d transfer(s) recorded by a rank that crashed mid-transfer and never came back", xferTime.N())
