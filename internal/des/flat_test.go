@@ -3,6 +3,7 @@ package des
 import (
 	"cmp"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -193,6 +194,78 @@ func TestResourceQueueReusesStorage(t *testing.T) {
 	}
 	if grants == 0 || res.Waiting() != 7 {
 		t.Fatalf("bad accounting: grants=%d waiting=%d", grants, res.Waiting())
+	}
+}
+
+// grantLog is a Handler that records the rows it is fired with.
+type grantLog []int32
+
+func (g *grantLog) Fire(row int32) { *g = append(*g, row) }
+
+// TestResourceQueueFIFOAcrossWrapAndGrowth: the wait ring grants in
+// request order, skipping cancelled claimants, while its head wraps
+// past the end of the backing array and while it doubles with the
+// live queue split across that end. A reference FIFO of ids decides
+// every grant; the run must reach both ring states it is named after.
+func TestResourceQueueFIFOAcrossWrapAndGrowth(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	env := NewEnv()
+	res := NewResource(env, 1)
+	var got grantLog
+	var want []int32 // ids granted, in order
+	type queued struct {
+		id int32
+		g  *Grant // nil: not cancellable
+	}
+	var fifo []queued
+	res.RequestRow(&got, -1) // hold the one slot so every later request queues
+	wrapped, grewSplit := false, false
+	next := int32(0)
+	for step := range 20000 {
+		// Drift the queue length up and down so the ring both wraps and grows.
+		enqueueBias := 2 + (step/2000)%2*5 // 2/8 of the steps enqueue, then 7/8
+		switch op := rng.Intn(8); {
+		case op < enqueueBias:
+			if res.qLen == len(res.waitQ) && res.qHead > 0 {
+				grewSplit = true
+			}
+			q := queued{id: next}
+			if rng.Intn(3) == 0 {
+				q.g = res.RequestCancellable(&got, next)
+			} else {
+				res.RequestRow(&got, next)
+			}
+			fifo = append(fifo, q)
+			next++
+			if res.qHead+res.qLen > len(res.waitQ) {
+				wrapped = true
+			}
+		case op == enqueueBias && len(fifo) > 0:
+			if q := fifo[rng.Intn(len(fifo))]; q.g != nil {
+				q.g.Cancel()
+			}
+		default:
+			for len(fifo) > 0 && fifo[0].g != nil && fifo[0].g.cancelled {
+				fifo = fifo[1:]
+			}
+			if len(fifo) == 0 {
+				continue // keep holding the slot: nothing live to hand it to
+			}
+			want = append(want, fifo[0].id)
+			fifo = fifo[1:]
+			res.Release()
+			env.Run()
+		}
+		if res.Waiting() < len(fifo) {
+			t.Fatalf("step %d: %d waiting, %d live claimants", step, res.Waiting(), len(fifo))
+		}
+	}
+	if !slices.Equal(got[1:], want) {
+		t.Fatalf("grant order diverges from the reference FIFO (%d vs %d grants)", len(got)-1, len(want))
+	}
+	if !wrapped || !grewSplit || len(want) < 1000 {
+		t.Fatalf("run reached wrapped=%v grewSplit=%v with %d grants; the test no longer covers the ring",
+			wrapped, grewSplit, len(want))
 	}
 }
 

@@ -9,13 +9,14 @@ type Resource struct {
 	env   *Env
 	cap   int
 	inUse int
-	// waitQ[qHead:] is the FIFO of queued claimants. Popping advances
-	// qHead instead of reslicing, and enqueue compacts the consumed
-	// prefix back to the front once the backing array fills, so a
-	// steady-state contention workload (the multi-tenant shared queues)
-	// enqueues with zero allocations after warm-up.
+	// waitQ is a ring holding the FIFO of queued claimants: qLen of
+	// them from qHead on, wrapping at len(waitQ), a power of two. A full
+	// ring doubles, so a steady-state contention workload (the
+	// multi-tenant shared queues) enqueues with zero allocations after
+	// warm-up, and no enqueue moves the live queue.
 	waitQ []rwaiter
 	qHead int
+	qLen  int
 	// peak tracks the maximum simultaneous utilization, handy for
 	// asserting contention in tests.
 	peak int
@@ -71,30 +72,24 @@ func (r *Resource) take() bool {
 	return true
 }
 
-// enqueue appends a claimant, reusing the consumed front of the backing
-// array before growing it.
+// enqueue appends a claimant, doubling the ring when it is full.
 func (r *Resource) enqueue(w rwaiter) {
-	if r.qHead > 0 && len(r.waitQ) == cap(r.waitQ) {
-		n := copy(r.waitQ, r.waitQ[r.qHead:])
-		tail := r.waitQ[n:]
-		for i := range tail {
-			tail[i] = rwaiter{} // release claimant references
-		}
-		r.waitQ = r.waitQ[:n]
-		r.qHead = 0
+	if r.qLen == len(r.waitQ) {
+		q := make([]rwaiter, max(4, 2*len(r.waitQ)))
+		n := copy(q, r.waitQ[r.qHead:])
+		copy(q[n:], r.waitQ[:r.qHead])
+		r.waitQ, r.qHead = q, 0
 	}
-	r.waitQ = append(r.waitQ, w)
+	r.waitQ[(r.qHead+r.qLen)&(len(r.waitQ)-1)] = w
+	r.qLen++
 }
 
 // dequeue removes and returns the longest-waiting claimant.
 func (r *Resource) dequeue() rwaiter {
 	next := r.waitQ[r.qHead]
-	r.waitQ[r.qHead] = rwaiter{}
-	r.qHead++
-	if r.qHead == len(r.waitQ) {
-		r.waitQ = r.waitQ[:0]
-		r.qHead = 0
-	}
+	r.waitQ[r.qHead] = rwaiter{} // release claimant references
+	r.qHead = (r.qHead + 1) & (len(r.waitQ) - 1)
+	r.qLen--
 	return next
 }
 
@@ -124,7 +119,7 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("des: release of idle resource")
 	}
-	for len(r.waitQ) > r.qHead {
+	for r.qLen > 0 {
 		next := r.dequeue()
 		if next.g != nil && next.g.cancelled {
 			continue // claimant withdrew while queued
@@ -188,7 +183,7 @@ func (r *Resource) RequestCancellable(h Handler, row int32) *Grant {
 // Release); Peak the maximum utilization observed.
 func (r *Resource) InUse() int   { return r.inUse }
 func (r *Resource) Cap() int     { return r.cap }
-func (r *Resource) Waiting() int { return len(r.waitQ) - r.qHead }
+func (r *Resource) Waiting() int { return r.qLen }
 func (r *Resource) Peak() int    { return r.peak }
 
 // Grants reports how many slot grants have occurred (immediate and

@@ -76,19 +76,31 @@ func RunFig5Checked(cfg Fig5Config) (Fig5Point, error) {
 	// and every resource they touch has this one claimant, so each request
 	// is granted at once and only the timed phases move the clock. Adding
 	// them up in chain order gives the floats an Env would (After(d) is
-	// At(now+d)); the start event counts against the budget too.
-	clock := serialClock{budget: cfg.MaxEvents, events: 1}
+	// At(now+d)); the start event counts against the budget too. Every
+	// transfer the budget lets finish runs in one loop that keeps the
+	// clock and both means in registers; the one that would cross the
+	// budget then runs phase by phase, so the trip reports the Env's
+	// Events and Now.
+	perXfer := xferEvents(write) + xferEvents(read)
+	fits := cfg.Transfers
+	if cfg.MaxEvents > 0 {
+		fits = int(min(int64(fits), (cfg.MaxEvents-1)/perXfer))
+	}
+	now := 0.0
 	var writeTput, readTput stats.Throughput
-	for range cfg.Transfers {
-		start := clock.now
+	for range fits {
+		start := now
+		now = xferEnd(write, now)
+		writeTput = writeTput.With(bytes, now-start)
+		start = now
+		now = xferEnd(read, now)
+		readTput = readTput.With(bytes, now-start)
+	}
+	if fits < cfg.Transfers {
+		clock := serialClock{now: now, events: 1 + int64(fits)*perXfer, budget: cfg.MaxEvents}
 		clock.xfer(write)
-		writeTput.Add(bytes, clock.now-start)
-		start = clock.now
 		clock.xfer(read)
-		readTput.Add(bytes, clock.now-start)
-		if clock.err != nil {
-			return Fig5Point{}, fmt.Errorf("fig5 (%s, %g MB): %w", cfg.Backend, cfg.SizeMB, clock.err)
-		}
+		return Fig5Point{}, fmt.Errorf("fig5 (%s, %g MB): %w", cfg.Backend, cfg.SizeMB, clock.err)
 	}
 	return Fig5Point{
 		Backend:   cfg.Backend,
@@ -97,6 +109,19 @@ func RunFig5Checked(cfg Fig5Config) (Fig5Point, error) {
 		WriteGBps: writeTput.MeanGBps(),
 	}, nil
 }
+
+// xferEnd is when a transfer started at now ends: its phases added up
+// in the order serialClock.xfer runs them.
+func xferEnd(x costmodel.XferCost, now float64) float64 {
+	for range x.MetaOps {
+		now += x.RPCS
+		now += x.MDSS
+	}
+	return now + x.HoldS
+}
+
+// xferEvents is the number of events serialClock.xfer runs for x.
+func xferEvents(x costmodel.XferCost) int64 { return 2*int64(max(x.MetaOps, 0)) + 1 }
 
 // serialClock is the clock of one serial chain of events under a
 // guarded des.Env's event budget: the event that would exceed it is not

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -164,5 +165,137 @@ func TestFig6ClosedFormMatchesChain(t *testing.T) {
 	t.Logf("%d draws: %d NIC-bound, %d cut by the horizon", draws, nicBound, cut)
 	if nicBound < draws/20 || cut < draws/20 {
 		t.Errorf("%d NIC-bound and %d horizon-cut cells of %d: the draws no longer reach both", nicBound, cut, draws)
+	}
+}
+
+// chainFig5 is a Fig 5 cell run as an event chain on one guarded Env: a
+// start event, then per transfer the cost model's stage_write chain on
+// node 0 and the non-local read's one timed hold (the trainer NIC's
+// only claimant is granted at once, TestFig5PairEndsAtClosedForm). It
+// returns the point, or the budget trip wrapped as RunFig5Checked wraps
+// it, and the events the Env executed.
+func chainFig5(cfg Fig5Config) (Fig5Point, int64, error) {
+	env := newGuardedEnv(cfg.MaxEvents)
+	p := paramsOr(cfg.Params)
+	readHold := p.RemoteReadCost(cfg.Backend, cfg.SizeMB).HoldS
+	bytes := int64(cfg.SizeMB * 1e6)
+	var writeTput, readTput stats.Throughput
+	var write costmodel.Xfer
+	start, done := 0.0, 0
+	startWrite := func() {
+		start = env.Now()
+		write.Start()
+	}
+	readDone := func() {
+		readTput.Add(bytes, env.Now()-start)
+		if done++; done < cfg.Transfers {
+			startWrite()
+		}
+	}
+	write = costmodel.New(env, cluster.Aurora(2), p).NewLocalWrite(cfg.Backend, 0, cfg.SizeMB, func() {
+		writeTput.Add(bytes, env.Now()-start)
+		start = env.Now()
+		env.After(readHold, readDone)
+	})
+	env.At(0, startWrite)
+	env.Run()
+	if err := env.Err(); err != nil {
+		return Fig5Point{}, env.Executed(), fmt.Errorf("fig5 (%s, %g MB): %w", cfg.Backend, cfg.SizeMB, err)
+	}
+	return Fig5Point{Backend: cfg.Backend, SizeMB: cfg.SizeMB,
+		ReadGBps: readTput.MeanGBps(), WriteGBps: writeTput.MeanGBps()}, env.Executed(), nil
+}
+
+// randomFig5Params perturbs every cost Fig 5's pair reads: metadata
+// rounds 0-4, and each latency, overhead and bandwidth scaled, the
+// latencies and overheads sometimes to zero, so a 0 MB transfer can
+// take no time at all.
+func randomFig5Params(rng *rand.Rand) *costmodel.Params {
+	scale := func(x float64, zeroable bool) float64 {
+		if zeroable && rng.Intn(2) == 0 {
+			return 0
+		}
+		return x * (0.25 + 2*rng.Float64())
+	}
+	p := costmodel.Default()
+	p.LustreMetaOpsPerTransfer = rng.Intn(5)
+	p.LustreClientRPCS = scale(p.LustreClientRPCS, true)
+	p.LustreMDSServiceS = scale(p.LustreMDSServiceS, true)
+	p.LustreStreamBWGBps = scale(p.LustreStreamBWGBps, false)
+	p.RedisOverheadS = scale(p.RedisOverheadS, true)
+	p.RedisBWGBps = scale(p.RedisBWGBps, false)
+	p.DragonOverheadS = scale(p.DragonOverheadS, true)
+	p.DragonBWGBps = scale(p.DragonBWGBps, false)
+	p.RedisRemoteLatencyS = scale(p.RedisRemoteLatencyS, true)
+	p.RedisRemoteBWGBps = scale(p.RedisRemoteBWGBps, false)
+	p.DragonRemoteLatencyS = scale(p.DragonRemoteLatencyS, true)
+	p.DragonRemoteBWGBps = scale(p.DragonRemoteBWGBps, false)
+	return &p
+}
+
+// TestFig5LoopMatchesOracleAndChain holds RunFig5Checked's one loop to
+// oracleFig5 (==, every field) over seeded random cells — every Pattern 2
+// backend, sizes from 0 MB, 1-300 transfers, one cell in three with
+// custom costs — and its event budget to the event chain's: at the
+// first event, at a whole number k of transfers and one event past it,
+// around the run's total and at a random budget, both trip (or not)
+// with the same Events, Now and error text.
+func TestFig5LoopMatchesOracleAndChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	const draws = 540
+	sizes := []float64{0.4, 1, 4, 8, 10, 32, 128}
+	zeroTime, trips := 0, 0
+	for i := range draws {
+		cfg := Fig5Config{
+			Backend:   Pattern2Backends[rng.Intn(len(Pattern2Backends))],
+			SizeMB:    sizes[rng.Intn(len(sizes))] * (0.5 + rng.Float64()),
+			Transfers: 1 + rng.Intn(300),
+		}
+		if i < 6 {
+			cfg.Transfers = []int{1, 300}[i%2]
+		}
+		if rng.Intn(4) == 0 {
+			cfg.SizeMB = 0
+		}
+		if i%3 == 0 {
+			cfg.Params = randomFig5Params(rng)
+		}
+		p := paramsOr(cfg.Params)
+		if xferEnd(p.LocalCost(cfg.Backend, cfg.SizeMB, false), 0) == 0 || xferEnd(p.RemoteReadCost(cfg.Backend, cfg.SizeMB), 0) == 0 {
+			zeroTime++
+		}
+		got := checked(t, RunFig5Checked, cfg)
+		if want := oracleFig5(cfg); got != want {
+			t.Fatalf("%+v: loop %+v != oracle %+v", cfg, got, want)
+		}
+		chain, total, err := chainFig5(cfg)
+		if err != nil || chain != got {
+			t.Fatalf("%+v: loop %+v != chain %+v (%v)", cfg, got, chain, err)
+		}
+
+		perXfer := (total - 1) / int64(cfg.Transfers)
+		k := 1 + rng.Int63n(int64(cfg.Transfers))
+		for _, budget := range []int64{1, k * perXfer, k*perXfer + 1, total - 1, total, total + 1, 1 + rng.Int63n(total+1)} {
+			if budget < 1 {
+				continue
+			}
+			cfg.MaxEvents = budget
+			_, _, wantErr := chainFig5(cfg)
+			gotPt, gotErr := RunFig5Checked(cfg)
+			var want, got *des.BudgetExceeded
+			switch {
+			case wantErr == nil && (gotErr != nil || gotPt != chain):
+				t.Fatalf("%+v: loop %+v, %v; the chain completes with %+v", cfg, gotPt, gotErr, chain)
+			case wantErr == nil:
+			case !errors.As(gotErr, &got) || !errors.As(wantErr, &want) || *got != *want || gotErr.Error() != wantErr.Error():
+				t.Fatalf("%+v: loop trips with %v, the chain with %v", cfg, gotErr, wantErr)
+			default:
+				trips++
+			}
+		}
+	}
+	t.Logf("%d draws: %d with a transfer that takes no time, %d budget trips", draws, zeroTime, trips)
+	if zeroTime < draws/50 || trips < 4*draws {
+		t.Errorf("%d zero-time cells and %d trips in %d draws: the draws no longer reach the skip and the tail", zeroTime, trips, draws)
 	}
 }

@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -236,29 +238,42 @@ func AllReduceCost(algo CollAlgo, n int, mb float64, routerOf []int, link LinkCo
 
 // routerPartition groups ranks by router id (nil routerOf = one
 // router). members holds each router's ranks ascending (so members[i][0]
-// is that router's leader); leaders lists every leader rank ascending —
-// the deterministic ring order of the hierarchical algorithm.
+// is that router's leader), as subslices of one rank slice; leaders
+// lists every leader rank ascending — the deterministic ring order of
+// the hierarchical algorithm. Router ids may be any ints, so the ranks
+// are sorted by (router, rank) rather than counted into id buckets.
 func routerPartition(n int, routerOf []int) (members [][]int, leaders []int) {
+	ranks := make([]int, n)
+	for r := range ranks {
+		ranks[r] = r
+	}
 	if routerOf == nil {
-		all := make([]int, n)
-		for r := range all {
-			all[r] = r
-		}
-		return [][]int{all}, []int{0}
+		return [][]int{ranks}, []int{0}
 	}
 	if len(routerOf) != n {
 		panic(fmt.Sprintf("mpi: router layout has %d entries for %d ranks", len(routerOf), n))
 	}
-	byRouter := map[int][]int{}
-	for r := 0; r < n; r++ {
-		byRouter[routerOf[r]] = append(byRouter[routerOf[r]], r)
+	slices.SortFunc(ranks, func(a, b int) int { return cmp.Or(cmp.Compare(routerOf[a], routerOf[b]), a-b) })
+	groups := 0
+	for i, r := range ranks {
+		if i == 0 || routerOf[r] != routerOf[ranks[i-1]] {
+			groups++
+		}
 	}
-	for _, ms := range byRouter {
-		members = append(members, ms)
-		leaders = append(leaders, ms[0])
+	members = make([][]int, 0, groups)
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && routerOf[ranks[j]] == routerOf[ranks[i]] {
+			j++
+		}
+		members = append(members, ranks[i:j:j])
+		i = j
 	}
-	sort.Ints(leaders)
-	sort.Slice(members, func(i, j int) bool { return members[i][0] < members[j][0] })
+	slices.SortFunc(members, func(a, b []int) int { return a[0] - b[0] })
+	leaders = make([]int, len(members))
+	for i, ms := range members {
+		leaders[i] = ms[0]
+	}
 	return members, leaders
 }
 

@@ -3,6 +3,8 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -184,6 +186,63 @@ func TestCollCostShapes(t *testing.T) {
 // TestScatterValidatesBeforeRendezvous: a root passing a non-divisible
 // length must fail at the call site, before depositing into the shared
 // barrier — the world's unwind then names the scatter, not a confusing
+// mapRouterPartition is routerPartition as a map of per-router slices:
+// the reference TestRouterPartitionMatchesMapReference holds it to.
+func mapRouterPartition(n int, routerOf []int) (members [][]int, leaders []int) {
+	byRouter := map[int][]int{}
+	for r := range n {
+		byRouter[routerOf[r]] = append(byRouter[routerOf[r]], r)
+	}
+	for _, ms := range byRouter {
+		members = append(members, ms)
+		leaders = append(leaders, ms[0])
+	}
+	slices.Sort(leaders)
+	slices.SortFunc(members, func(a, b []int) int { return a[0] - b[0] })
+	return members, leaders
+}
+
+// TestRouterPartitionMatchesMapReference: the sorted partition equals
+// the map-based one on random layouts — router ids dense, sparse,
+// negative or huge, routers interleaved — and costs three allocations
+// (the rank slice, the member list, the leaders) however many ranks
+// and routers there are.
+func TestRouterPartitionMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := range 400 {
+		n := 1 + rng.Intn(600)
+		routers := 1 + rng.Intn(n)
+		ids := make([]int, routers)
+		for i := range ids {
+			switch trial % 3 {
+			case 0:
+				ids[i] = i
+			case 1:
+				ids[i] = rng.Intn(1 << 40)
+			default:
+				ids[i] = -rng.Intn(50)
+			}
+		}
+		routerOf := make([]int, n)
+		for r := range routerOf {
+			if trial%2 == 0 {
+				routerOf[r] = ids[r*routers/n] // contiguous blocks
+			} else {
+				routerOf[r] = ids[rng.Intn(routers)] // interleaved
+			}
+		}
+		members, leaders := routerPartition(n, routerOf)
+		wantMembers, wantLeaders := mapRouterPartition(n, routerOf)
+		if !slices.Equal(leaders, wantLeaders) || !slices.EqualFunc(members, wantMembers, slices.Equal) {
+			t.Fatalf("trial %d (n=%d): partition %v / %v, map reference %v / %v",
+				trial, n, members, leaders, wantMembers, wantLeaders)
+		}
+		if allocs := testing.AllocsPerRun(2, func() { routerPartition(n, routerOf) }); allocs > 3 {
+			t.Fatalf("trial %d (n=%d, %d routers): %v allocs, want <= 3", trial, n, len(leaders), allocs)
+		}
+	}
+}
+
 // post-barrier panic on every rank.
 func TestScatterValidatesBeforeRendezvous(t *testing.T) {
 	defer func() {

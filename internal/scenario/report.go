@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -114,37 +115,43 @@ func writeFailures(w io.Writer, res *Result) error {
 
 // MarshalJSON renders a Table as {"title", "columns", "rows"} with rows
 // as key→value records (or {"title", "text"} for freeform tables), so
-// JSON output needs no knowledge of the text-layout fmt verbs. A row's
-// record is what encoding/json makes of a map[string]any holding it —
-// keys sorted, a duplicated column key keeping the row's last value, and
-// a ragged row's cells past the last column dropped (possible in
-// user-registered scenarios) — appended straight into one buffer.
-func (t Table) MarshalJSON() ([]byte, error) {
+// JSON output needs no knowledge of the text-layout fmt verbs. It is
+// AppendJSON(nil).
+func (t Table) MarshalJSON() ([]byte, error) { return t.AppendJSON(nil) }
+
+// AppendJSON appends the table's MarshalJSON bytes to b. A row's record
+// is what encoding/json makes of a map[string]any holding it — keys
+// sorted, a duplicated column key keeping the row's last value, and a
+// ragged row's cells past the last column dropped (possible in
+// user-registered scenarios) — appended straight into b. On error it
+// returns nil.
+func (t Table) AppendJSON(b []byte) ([]byte, error) {
 	if len(t.Columns) == 0 {
-		return json.Marshal(struct {
-			Title string `json:"title"`
-			Text  string `json:"text"`
-		}{t.Title, t.Text})
+		b = append(b, `{"title":`...)
+		b = AppendJSONString(b, t.Title)
+		b = append(b, `,"text":`...)
+		b = AppendJSONString(b, t.Text)
+		return append(b, '}'), nil
 	}
 	// byKey lists the column indices in key order, ties by index, so the
-	// last column of a run of equal keys is the one a map would keep.
-	byKey := make([]int, len(t.Columns))
-	rowSize := 2
-	for i, c := range t.Columns {
-		byKey[i] = i
-		rowSize += len(c.Key) + 24 // quotes, colon, comma and a number
+	// last column of a run of equal keys is the one a map would keep. It
+	// stays on the stack up to 16 columns.
+	var keyOrder [16]int
+	byKey := keyOrder[:0]
+	for i := range t.Columns {
+		byKey = append(byKey, i)
 	}
 	slices.SortStableFunc(byKey, func(a, b int) int { return strings.Compare(t.Columns[a].Key, t.Columns[b].Key) })
 
-	b := make([]byte, 0, 32+len(t.Title)+rowSize*(len(t.Rows)+1))
+	b = slices.Grow(b, t.jsonSize())
 	b = append(b, `{"title":`...)
-	b = appendJSONString(b, t.Title)
+	b = AppendJSONString(b, t.Title)
 	b = append(b, `,"columns":[`...)
 	for i, c := range t.Columns {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendJSONString(b, c.Key)
+		b = AppendJSONString(b, c.Key)
 	}
 	b = append(b, `],"rows":[`...)
 	for i, row := range t.Rows {
@@ -162,7 +169,7 @@ func (t Table) MarshalJSON() ([]byte, error) {
 				b = append(b, ',')
 			}
 			first = false
-			b = appendJSONString(b, key)
+			b = AppendJSONString(b, key)
 			b = append(b, ':')
 			var err error
 			if b, err = appendJSONValue(b, row[j]); err != nil {
@@ -174,10 +181,76 @@ func (t Table) MarshalJSON() ([]byte, error) {
 	return append(b, "]}"...), nil
 }
 
-// appendJSONString appends s quoted as encoding/json quotes it. Plain
+// AppendJSON appends exactly what json.Marshal(r) returns, error text
+// included: the params go through encoding/json, and each table's bytes
+// are appended by Table.AppendJSON into the same buffer, so nothing
+// re-validates or re-compacts them.
+func (r *Result) AppendJSON(b []byte) ([]byte, error) {
+	if r == nil {
+		return append(b, "null"...), nil
+	}
+	params, err := json.Marshal(&r.Params)
+	if err != nil {
+		return nil, err
+	}
+	size := 64 + len(r.Scenario) + len(params)
+	for _, t := range r.Tables {
+		size += t.jsonSize()
+	}
+	b = slices.Grow(b, size)
+	b = append(b, `{"scenario":`...)
+	b = AppendJSONString(b, r.Scenario)
+	b = append(b, `,"params":`...)
+	b = append(b, params...)
+	b = append(b, `,"tables":`...)
+	if r.Tables == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, t := range r.Tables {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = t.AppendJSON(b); err != nil {
+				return nil, &json.MarshalerError{Type: reflect.TypeFor[Table](), Err: err}
+			}
+		}
+		b = append(b, ']')
+	}
+	if len(r.Failures) > 0 {
+		b = append(b, `,"failures":[`...)
+		for i, f := range r.Failures {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"sweep":`...)
+			b = AppendJSONString(b, f.Sweep)
+			b = append(b, `,"cell":`...)
+			b = strconv.AppendInt(b, int64(f.Cell), 10)
+			b = append(b, `,"error":`...)
+			b = AppendJSONString(b, f.Error)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}'), nil
+}
+
+// jsonSize estimates the length of the table's JSON: its title and
+// text, and per row (and once for the column list) each key with its
+// quotes, colon and comma plus a number.
+func (t Table) jsonSize() int {
+	rowSize := 2
+	for _, c := range t.Columns {
+		rowSize += len(c.Key) + 24
+	}
+	return 32 + len(t.Title) + len(t.Text) + rowSize*(len(t.Rows)+1)
+}
+
+// AppendJSONString appends s quoted as encoding/json quotes it. Plain
 // printable ASCII with nothing to HTML-escape is copied as is; any other
 // string goes through encoding/json.
-func appendJSONString(b []byte, s string) []byte {
+func AppendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			quoted, _ := json.Marshal(s) // a string always encodes
@@ -197,7 +270,7 @@ func appendJSONValue(b []byte, v any) ([]byte, error) {
 	case nil:
 		return append(b, "null"...), nil
 	case string:
-		return appendJSONString(b, v), nil
+		return AppendJSONString(b, v), nil
 	case bool:
 		return strconv.AppendBool(b, v), nil
 	case int:

@@ -475,18 +475,33 @@ func (s *Server) runner(sc *scenario.Scenario, name, key string, p scenario.Para
 }
 
 // encodeRunResponse renders the response body stored in the cache and
-// served to every caller of the key. Per-cell guardrail failures inside
-// a partially completed sweep are annotated with machine-readable kinds.
+// served to every caller of the key: json.Marshal of the RunResponse
+// plus a newline, appended in one pass (Result.AppendJSON) so
+// encoding/json never re-compacts the table bytes. Per-cell guardrail
+// failures inside a partially completed sweep are annotated with
+// machine-readable kinds.
 func encodeRunResponse(name, key string, res *scenario.Result) ([]byte, error) {
-	resp := RunResponse{Key: key, Scenario: name, Result: res}
-	for _, f := range res.Failures {
-		resp.FailureKinds = append(resp.FailureKinds, cellFailureKind(f))
-	}
-	body, err := json.Marshal(resp)
+	b := make([]byte, 0, 64+len(key)+len(name))
+	b = append(b, `{"key":`...)
+	b = scenario.AppendJSONString(b, key)
+	b = append(b, `,"scenario":`...)
+	b = scenario.AppendJSONString(b, name)
+	b = append(b, `,"result":`...)
+	b, err := res.AppendJSON(b)
 	if err != nil {
 		return nil, fmt.Errorf("encoding result: %w", err)
 	}
-	return append(body, '\n'), nil
+	if res != nil && len(res.Failures) > 0 {
+		b = append(b, `,"failure_kinds":[`...)
+		for i, f := range res.Failures {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = scenario.AppendJSONString(b, cellFailureKind(f))
+		}
+		b = append(b, ']')
+	}
+	return append(b, "}\n"...), nil
 }
 
 // Shutdown drains the server: admission closes, queued and in-flight

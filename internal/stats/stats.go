@@ -52,22 +52,35 @@ func (w *Welford) String() string {
 // Throughput converts (bytes, seconds) observations into the GB/s-per-
 // process numbers of Fig 3/5: each event contributes bytes/seconds, and
 // the reported value is the mean over events, matching "averaging over
-// all the processes and events".
+// all the processes and events". The running mean is Welford's, so
+// MeanGBps is bit-equal to a Welford's Mean fed the same rates, over
+// 1e9. The zero value is ready to use.
 type Throughput struct {
-	perEvent Welford
+	n    int64
+	mean float64
 }
 
-// Add records one transfer event.
-func (t *Throughput) Add(bytes int64, seconds float64) {
+// Add records one transfer event; one that took no time is skipped.
+func (t *Throughput) Add(bytes int64, seconds float64) { *t = t.With(bytes, seconds) }
+
+// With returns t with one more transfer event recorded, as Add would
+// leave it: a loop that carries a Throughput by value keeps it in
+// registers.
+func (t Throughput) With(bytes int64, seconds float64) Throughput {
 	if seconds <= 0 {
-		return
+		return t
 	}
-	t.perEvent.Add(float64(bytes) / seconds)
+	t.n++
+	x := float64(bytes) / seconds
+	t.mean += (x - t.mean) / float64(t.n)
+	return t
 }
 
 // MeanGBps returns mean gigabytes/second per event (decimal GB, as
-// customary for bandwidth plots).
-func (t *Throughput) MeanGBps() float64 { return t.perEvent.Mean() / 1e9 }
+// customary for bandwidth plots). Its receiver is a value: taking a
+// local Throughput's address would keep it in memory for its whole
+// life, loop included.
+func (t Throughput) MeanGBps() float64 { return t.mean / 1e9 }
 
 // Digest is an exact percentile digest: it collects every sample and
 // serves interpolated quantiles from one deferred sort, so a report

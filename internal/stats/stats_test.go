@@ -46,11 +46,37 @@ func TestThroughput(t *testing.T) {
 	tp.Add(1e9, 1.0) // 1 GB/s
 	tp.Add(2e9, 1.0) // 2 GB/s
 	tp.Add(1e9, 0)   // ignored: zero duration
-	if tp.perEvent.n != 2 {
-		t.Fatalf("events = %d, want 2", tp.perEvent.n)
+	if tp.n != 2 {
+		t.Fatalf("events = %d, want 2", tp.n)
 	}
 	if !almostEqual(tp.MeanGBps(), 1.5, 1e-12) {
 		t.Fatalf("mean GB/s = %v, want 1.5", tp.MeanGBps())
+	}
+}
+
+// TestThroughputMatchesWelford: a Throughput, by Add or carried by value
+// through With, reports exactly (==) a Welford's mean of the same rates
+// over 1e9, skipping the events that took no time.
+func TestThroughputMatchesWelford(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := range 200 {
+		var byAdd, byValue Throughput
+		var ref Welford
+		for range rng.Intn(300) {
+			bytes, seconds := rng.Int63n(1<<30), rng.ExpFloat64()*1e-3
+			if rng.Intn(10) == 0 {
+				seconds = -seconds * float64(rng.Intn(2)) // zero or negative: skipped
+			}
+			byAdd.Add(bytes, seconds)
+			byValue = byValue.With(bytes, seconds)
+			if seconds > 0 {
+				ref.Add(float64(bytes) / seconds)
+			}
+		}
+		if want := ref.Mean() / 1e9; byAdd.MeanGBps() != want || byValue.MeanGBps() != want || byAdd.n != ref.N() {
+			t.Fatalf("trial %d: Add %v, With %v (n=%d), Welford %v (n=%d)",
+				trial, byAdd.MeanGBps(), byValue.MeanGBps(), byAdd.n, want, ref.N())
+		}
 	}
 }
 
