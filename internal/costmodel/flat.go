@@ -78,7 +78,9 @@ type XferTable struct {
 	// for the file system the OST pool (perNode = every row).
 	buses   []des.Resource
 	perNode int32
-	mds     *des.Resource
+	// mds serves a file-system table's metadata rounds (table mdsTab).
+	mds             *mdsQueue
+	mdsTab, mdsRing int32
 	// Against a shared multi-tenant deployment (shared.go) a transfer
 	// first holds one of svc's service slots for svcS; nil: it does not.
 	svc  *des.Resource
@@ -99,9 +101,6 @@ const (
 	xferSvcHeld           // the service hold
 	xferGranted           // the bus (or OST) queue
 	xferHeld              // the timed hold
-	xferRPCDone           // a client RPC
-	xferMDSGranted        // the MDS queue
-	xferMDSDone           // the MDS service
 )
 
 // NewXferTable builds n transfers of mb megabytes on backend b, perNode
@@ -119,7 +118,11 @@ func (m *Model) newXferTable(b datastore.Backend, node0, n, perNode int, mb floa
 		perNode: int32(perNode), rows: make([]xferRow, n),
 	}
 	if b == datastore.FileSystem {
-		x.mds, x.buses, x.perNode = m.mds, m.ost, int32(max(n, 1))
+		x.buses, x.perNode = m.ost, int32(max(n, 1))
+		if x.cost.MetaOps > 0 {
+			x.mds = &m.mds
+			x.mdsTab, x.mdsRing = m.mds.register(x, x.cost.RPCS)
+		}
 	} else {
 		x.buses = m.nodeBus[node0%len(m.nodeBus):]
 	}
@@ -164,8 +167,7 @@ func (x *XferTable) next(row int32) {
 	r := &x.rows[row]
 	if int(r.meta) < x.cost.MetaOps {
 		r.meta++
-		r.phase = xferRPCDone
-		x.env.AfterRow(x.cost.RPCS, x, row)
+		x.mds.claim(x.mdsTab, x.mdsRing, row)
 		return
 	}
 	r.phase = xferGranted
@@ -192,15 +194,6 @@ func (x *XferTable) Fire(row int32) {
 	case xferHeld:
 		x.bus(row).Release()
 		x.owner.Fire(row)
-	case xferRPCDone:
-		r.phase = xferMDSGranted
-		x.mds.RequestRow(x, row)
-	case xferMDSGranted:
-		r.phase = xferMDSDone
-		x.env.AfterRow(x.cost.MDSS, x, row)
-	case xferMDSDone:
-		x.mds.Release()
-		x.next(row)
 	}
 }
 

@@ -18,7 +18,7 @@ type Model struct {
 	params Params
 
 	nodeBus []des.Resource // per-node local-exchange concurrency
-	mds     *des.Resource  // single shared Lustre metadata server
+	mds     mdsQueue       // single shared Lustre metadata server
 	ost     []des.Resource // the OST stream slots: one resource
 
 	// Per-backend resources, created on first use.
@@ -30,7 +30,7 @@ type Model struct {
 func New(env *des.Env, spec cluster.Spec, p Params) *Model {
 	m := &Model{env: env, spec: spec, params: p}
 	m.nodeBus = des.NewResources(env, spec.Nodes, p.NodeBusConcurrency)
-	m.mds = des.NewResource(env, 1)
+	m.mds = mdsQueue{env: env, svcS: p.LustreMDSServiceS}
 	m.ost = des.NewResources(env, 1, p.LustreOSTConcurrency)
 	return m
 }

@@ -20,6 +20,7 @@ package datastore
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"simaibench/internal/dragon"
 	"simaibench/internal/fskv"
@@ -78,6 +79,10 @@ func Backends() []Backend { return []Backend{Redis, FileSystem, Dragon, NodeLoca
 // as "try again".
 var ErrNotStaged = errors.New("datastore: key not staged")
 
+// ErrStopped reports an operation on a file-backed deployment after its
+// ServerManager stopped it.
+var ErrStopped = errors.New("datastore: deployment stopped")
+
 // Store is the uniform client API (the paper's DataStore class).
 // Implementations are safe for concurrent use.
 type Store interface {
@@ -112,6 +117,20 @@ type ClientInfo struct {
 	Addrs   []string `json:"addrs,omitempty"`  // redis / dragon server addresses
 	Dir     string   `json:"dir,omitempty"`    // node-local / filesystem root
 	Shards  int      `json:"shards,omitempty"` // file-store shard count
+	// live is the file-backed deployment's state, shared with the stores
+	// Connect opens in this process; nil once the info went through JSON.
+	live *liveness
+}
+
+// liveness is whether a file-backed deployment is still up. Removing its
+// directory alone does not stop it: a write in flight can keep the
+// directory in place, and then later operations succeed. So every
+// operation of a store holds a read lock while it runs and fails once
+// stopped is set, and the ServerManager sets stopped under the write
+// lock before it removes the directory, when no operation is in flight.
+type liveness struct {
+	mu      sync.RWMutex
+	stopped bool
 }
 
 // Connect opens a client Store for a running deployment.
@@ -130,15 +149,16 @@ func Connect(info ClientInfo) (Store, error) {
 		}
 		return &dragonStore{dict: d}, nil
 	case NodeLocal, FileSystem:
-		shards := info.Shards
-		if shards < 1 {
-			shards = 1
+		s := &fsStore{live: info.live}
+		if err := s.enter("connect", info.Dir); err != nil {
+			return s, nil // a client of a stopped deployment: every operation fails
 		}
-		st, err := fskv.Open(info.Dir, shards)
-		if err != nil {
+		defer s.exit()
+		var err error
+		if s.store, err = fskv.Open(info.Dir, max(info.Shards, 1)); err != nil {
 			return nil, err
 		}
-		return &fsStore{store: st}, nil
+		return s, nil
 	}
 	return nil, fmt.Errorf("datastore: unknown backend %v", info.Backend)
 }
@@ -147,13 +167,44 @@ func Connect(info ClientInfo) (Store, error) {
 
 type fsStore struct {
 	store *fskv.Store
+	live  *liveness
 }
 
-func (s *fsStore) StageWrite(key string, value []byte) error { return s.store.Put(key, value) }
+// enter admits one operation on key, or fails it once the deployment is
+// stopped; an admitted operation calls exit when it is done.
+func (s *fsStore) enter(op, key string) error {
+	if s.live == nil {
+		return nil
+	}
+	s.live.mu.RLock()
+	if s.live.stopped {
+		s.live.mu.RUnlock()
+		return fmt.Errorf("datastore: %s %q: %w", op, key, ErrStopped)
+	}
+	return nil
+}
+
+func (s *fsStore) exit() {
+	if s.live != nil {
+		s.live.mu.RUnlock()
+	}
+}
+
+func (s *fsStore) StageWrite(key string, value []byte) error {
+	if err := s.enter("write", key); err != nil {
+		return err
+	}
+	defer s.exit()
+	return s.store.Put(key, value)
+}
 
 func (s *fsStore) StageRead(key string) ([]byte, error) { return s.StageReadInto(key, nil) }
 
 func (s *fsStore) StageReadInto(key string, dst []byte) ([]byte, error) {
+	if err := s.enter("read", key); err != nil {
+		return nil, err
+	}
+	defer s.exit()
 	v, err := s.store.Get(key)
 	if errors.Is(err, fskv.ErrNotFound) {
 		return nil, fmt.Errorf("%w: %q", ErrNotStaged, key)
@@ -164,11 +215,22 @@ func (s *fsStore) StageReadInto(key string, dst []byte) ([]byte, error) {
 	return into(dst, v), nil
 }
 
-func (s *fsStore) Poll(key string) (bool, error) { return s.store.Exists(key), nil }
+func (s *fsStore) Poll(key string) (bool, error) {
+	if err := s.enter("poll", key); err != nil {
+		return false, err
+	}
+	defer s.exit()
+	return s.store.Exists(key), nil
+}
 
 func (s *fsStore) Clean(keys ...string) error {
 	for _, k := range keys {
-		if err := s.store.Delete(k); err != nil {
+		if err := s.enter("clean", k); err != nil {
+			return err
+		}
+		err := s.store.Delete(k)
+		s.exit()
+		if err != nil {
 			return err
 		}
 	}

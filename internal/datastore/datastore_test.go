@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -348,6 +350,73 @@ func TestServerCrashSurfacesError(t *testing.T) {
 			mgr.Stop()
 			if err := s.StageWrite("k2", []byte("v")); err == nil {
 				t.Fatal("write to dead server succeeded")
+			}
+		})
+	}
+}
+
+// TestStoppedFileStoreRefusesEveryLaterOperation: a file-backed
+// deployment stopped while writes are in flight refuses every operation
+// after Stop returns, from a client it had or one connected later, and
+// its directory is gone: no write in flight kept it in place.
+func TestStoppedFileStoreRefusesEveryLaterOperation(t *testing.T) {
+	for _, b := range []Backend{NodeLocal, FileSystem} {
+		t.Run(b.String(), func(t *testing.T) {
+			for range 20 {
+				mgr, info, err := StartBackend(b, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, err := Connect(info)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var (
+					wg      sync.WaitGroup
+					stopped atomic.Bool
+				)
+				started := make(chan struct{}, 2)
+				for w := range 2 {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for k := 0; !stopped.Load(); k++ {
+							if s.StageWrite(fmt.Sprintf("w%d/%d", w, k%8), make([]byte, 4096)) != nil {
+								return
+							}
+							if k == 0 {
+								started <- struct{}{}
+							}
+						}
+					}()
+				}
+				<-started
+				<-started
+				mgr.Stop()
+				stopped.Store(true)
+				wg.Wait()
+				late, err := Connect(info)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []Store{s, late} {
+					ok, err := c.Poll("w0/0")
+					if !errors.Is(err, ErrStopped) {
+						t.Fatalf("Poll after Stop: %v, %v; want ErrStopped", ok, err)
+					}
+					for op, err := range map[string]error{
+						"write": c.StageWrite("k", []byte("v")),
+						"read":  func() error { _, err := c.StageRead("w0/0"); return err }(),
+						"clean": c.Clean("w0/0"),
+					} {
+						if !errors.Is(err, ErrStopped) {
+							t.Fatalf("%s after Stop: %v, want ErrStopped", op, err)
+						}
+					}
+				}
+				if _, err := os.Stat(info.Dir); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("the stopped deployment's directory is still there: %v", err)
+				}
 			}
 		})
 	}

@@ -93,6 +93,7 @@ func (m *ServerManager) Start() (ClientInfo, error) {
 		}
 		m.info.Dir = dir
 		m.info.Shards = m.cfg.Shards
+		m.info.live = &liveness{}
 	default:
 		return ClientInfo{}, fmt.Errorf("datastore: unknown backend %v", m.cfg.Backend)
 	}
@@ -102,7 +103,8 @@ func (m *ServerManager) Start() (ClientInfo, error) {
 }
 
 // Stop shuts down servers and removes manager-owned temp directories.
-// Idempotent.
+// Every later operation of a client of a file-backed deployment fails
+// with ErrStopped. Idempotent.
 func (m *ServerManager) Stop() error {
 	var first error
 	for _, s := range m.redis {
@@ -121,6 +123,12 @@ func (m *ServerManager) Stop() error {
 		mgr.Close()
 	}
 	m.mgrs = nil
+	if l := m.info.live; l != nil {
+		l.mu.Lock() // waits out the operations in flight
+		l.stopped = true
+		l.mu.Unlock()
+		m.info.live = nil
+	}
 	if m.tempDir != "" {
 		if err := os.RemoveAll(m.tempDir); err != nil && first == nil {
 			first = err

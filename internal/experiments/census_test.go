@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"simaibench/internal/datastore"
 	"simaibench/internal/des"
 	"simaibench/internal/scenario"
 )
@@ -52,12 +53,12 @@ func TestEventCensus(t *testing.T) {
 		name    string
 		ceiling int64
 	}{
-		{"fig3", 3_359_926},
-		{"fig4", 2_236_726},
+		{"fig3", 2_528_456},
+		{"fig4", 1_405_256},
 		{"fig5", 0}, // closed form: no Env
 		{"fig6", 0}, // closed form: no Env
-		{"scale-out", 2_049_773},
-		{"resilience", 1_983_253},
+		{"scale-out", 1_781_748},
+		{"resilience", 1_801_501},
 		{"campaign", 128_876},
 	} {
 		n := eventCensus(t, c.name, scenario.Params{})
@@ -68,4 +69,21 @@ func TestEventCensus(t *testing.T) {
 		total += n
 	}
 	t.Logf("%-10s %10d events", "pass", total)
+}
+
+// TestFileSystemCellEvents pins the events of the benchmark's p1-fs-512
+// cell (Pattern 1, 512 nodes, file system, 8 MB, 600 iterations), the
+// costliest cell of a sim-sweep pass: 205 507, where an event per client
+// RPC and per MDS grant made it 411 006.
+func TestFileSystemCellEvents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the 512-node file-system cell")
+	}
+	var env *des.Env
+	onCellEnv = func(e *des.Env) { env = e }
+	defer func() { onCellEnv = nil }()
+	checked(t, RunPattern1Checked, Pattern1Config{Nodes: 512, Backend: datastore.FileSystem, SizeMB: 8, TrainIters: 600})
+	if n := env.Executed(); n > 205_507 {
+		t.Errorf("p1-fs-512 executed %d events, ceiling 205 507", n)
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -144,19 +146,21 @@ func TestPattern2RefusesLocalOnlyBackends(t *testing.T) {
 // logarithmic number of event-queue blocks. A Hold, a CheckpointOp or a
 // per-rank object creeping onto the path of a rank that carries no fault
 // layer shows up here as thousands of mallocs, by name. The ceilings are
-// the counts of the rank tables on the same two cells.
+// the counts of the rank tables on the same two cells, measured with the
+// collector held off: a cycle that ends during a run can add a malloc
+// or two that no line of the cell makes.
 func TestHealthyPathAllocations(t *testing.T) {
-	p1 := testing.AllocsPerRun(2, func() {
+	p1 := allocsWithoutGC(2, func() {
 		checked(t, RunPattern1Checked, Pattern1Config{Nodes: 512, Backend: datastore.NodeLocal, SizeMB: 8, TrainIters: 600})
 	})
-	if p1 > 35 {
-		t.Errorf("Pattern 1, 512 nodes: %v mallocs, ceiling 35", p1)
+	if p1 > 34 {
+		t.Errorf("Pattern 1, 512 nodes: %v mallocs, ceiling 34", p1)
 	}
-	so := testing.AllocsPerRun(5, func() {
+	so := allocsWithoutGC(5, func() {
 		checked(t, RunScaleOutChecked, ScaleOutConfig{Tenants: 16, Backend: datastore.NodeLocal, SizeMB: 8, TrainIters: 300})
 	})
-	if so > 28 {
-		t.Errorf("scale-out, 16 tenants: %v mallocs, ceiling 28", so)
+	if so > 27 {
+		t.Errorf("scale-out, 16 tenants: %v mallocs, ceiling 27", so)
 	}
 }
 
@@ -167,7 +171,7 @@ func TestHealthyPathAllocations(t *testing.T) {
 // blocks, heap and lane pool, logarithmically.
 func TestColocatedAllocationsDoNotScaleWithRanks(t *testing.T) {
 	mallocs := func(nodes int) float64 {
-		return testing.AllocsPerRun(2, func() {
+		return allocsWithoutGC(2, func() {
 			checked(t, RunPattern1Checked, Pattern1Config{Nodes: nodes, Backend: datastore.NodeLocal, SizeMB: 8, TrainIters: 600})
 		})
 	}
@@ -175,4 +179,12 @@ func TestColocatedAllocationsDoNotScaleWithRanks(t *testing.T) {
 	if large-small > 16 {
 		t.Errorf("Pattern 1 node-local: %v mallocs at 64 nodes, %v at 1024, want within 16", small, large)
 	}
+}
+
+// allocsWithoutGC is testing.AllocsPerRun with the collector off: it
+// collects once, disables GC for the runs and restores the old setting.
+func allocsWithoutGC(runs int, f func()) float64 {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(runs, f)
 }

@@ -125,16 +125,22 @@ func TestOneToOneFailingTrainerStopsSolver(t *testing.T) {
 // TestOneToOneDeadBackendIsAnError: a deployment that goes away mid-run
 // (stopped as the solver publishes its second head pointer) is an error
 // naming a key, not a trainer that reads every failure as "nothing
-// staged yet" beside a solver that drops its poll errors.
+// staged yet" beside a solver that drops its poll errors. On the wall
+// clock a loaded host can starve the solver until the trainer has run
+// all its iterations, so the trainer's stop signal stops the deployment
+// too if it comes first.
 func TestOneToOneDeadBackendIsAnError(t *testing.T) {
 	for _, backend := range []datastore.Backend{datastore.Redis, datastore.NodeLocal} {
 		for _, clk := range []string{clock.KindVirtual, clock.KindWall} {
 			t.Run(backend.String()+"/"+clk, func(t *testing.T) {
-				var heads atomic.Int32
+				var (
+					heads atomic.Int32
+					stop  sync.Once
+				)
 				err := runHooked(t, smallOneToOne(backend, clk),
 					func(mgr *datastore.ServerManager, op, key string) error {
-						if op == "write" && key == keyHead && heads.Add(1) == 2 {
-							mgr.Stop()
+						if op == "write" && (key == keyHead && heads.Add(1) == 2 || key == keyStop) {
+							stop.Do(func() { mgr.Stop() })
 						}
 						return nil
 					})
