@@ -106,6 +106,10 @@ func TestRunTimePadding(t *testing.T) {
 	}
 }
 
+// TestTimeScale measures the host, not only the code: two iterations of
+// a 0.5 s run_time at scale 0.01 sleep 10 ms of real time in all and must
+// end within 0.5 s of wall time, which a host too loaded to schedule the
+// test for that long fails.
 func TestTimeScale(t *testing.T) {
 	cfg := smallAIConfig()
 	rt := config.DistSpec{Type: "fixed", Value: 0.5}

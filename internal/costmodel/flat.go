@@ -292,7 +292,7 @@ func (m *Model) NewEnsembleFetch(b datastore.Backend, n int, mb float64, done fu
 			fc.completed = true
 			if fc.notify {
 				fc.notify = false
-				f.env.Schedule(f.env.Now(), f.await)
+				f.env.At(f.env.Now(), f.await)
 			}
 		}
 		f.fetches[i] = fc
@@ -319,7 +319,7 @@ func (f *EnsembleFetch) Start() {
 	now := f.env.Now()
 	for _, fc := range f.fetches {
 		fc.completed = false
-		f.env.Schedule(now, fc.start)
+		f.env.At(now, fc.start)
 	}
 	f.await()
 }

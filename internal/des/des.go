@@ -11,9 +11,9 @@
 // A table of identical state machines (a harness's ranks, a cost model's
 // transfers) is one Handler whose Fire dispatches on the row, so a
 // thousand ranks cost a few slices, not a thousand objects and closures.
-// At, After, Schedule, NewHold and Resource.Request keep their func()
-// signatures as adapters: Func turns a func into a Handler that ignores
-// its row, and a func value is one pointer, so storing it in the Handler
+// At, After, NewHold and Resource.Request keep their func() signatures
+// as adapters: Func turns a func into a Handler that ignores its row,
+// and a func value is one pointer, so storing it in the Handler
 // interface allocates nothing.
 // Rescheduling costs one 24-byte record write into a reused slab slot
 // and, at most, one heap sift.
@@ -485,13 +485,10 @@ func (e *Env) AtRow(t float64, h Handler, row int32) {
 // AfterRow fires h.Fire(row) d seconds from now.
 func (e *Env) AfterRow(d float64, h Handler, row int32) { e.AtRow(e.now+d, h, row) }
 
-// Schedule runs fn at absolute virtual time t (>= Now).
-func (e *Env) Schedule(t float64, fn func()) { e.AtRow(t, Func(fn), 0) }
-
-// At is Schedule under its callback-fast-path name: run fn at absolute
-// virtual time t, flat on the scheduler goroutine. Reuse one closure
-// across reschedules (store it in your state struct) and the only
-// per-occurrence cost is a value push into the event queue.
+// At runs fn at absolute virtual time t (>= Now), flat on the scheduler
+// goroutine. Reuse one closure across reschedules (store it in your
+// state struct) and the only per-occurrence cost is a value push into
+// the event queue.
 func (e *Env) At(t float64, fn func()) { e.AtRow(t, Func(fn), 0) }
 
 // After runs fn d seconds from now.

@@ -20,7 +20,7 @@ func TestScheduleOrdering(t *testing.T) {
 	var got []float64
 	for _, d := range []float64{3, 1, 2, 1.5} {
 		d := d
-		env.Schedule(d, func() { got = append(got, d) })
+		env.At(d, func() { got = append(got, d) })
 	}
 	env.Run()
 	want := []float64{1, 1.5, 2, 3}
@@ -36,7 +36,7 @@ func TestTieBreakBySequence(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		env.Schedule(5, func() { got = append(got, i) })
+		env.At(5, func() { got = append(got, i) })
 	}
 	env.Run()
 	for i := range got {
@@ -48,14 +48,14 @@ func TestTieBreakBySequence(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	env := NewEnv()
-	env.Schedule(10, func() {})
+	env.At(10, func() {})
 	env.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	env.Schedule(5, func() {})
+	env.At(5, func() {})
 }
 
 // TestScheduleNaNPanics: a NaN time compares false against everything,
@@ -71,7 +71,7 @@ func TestScheduleNaNPanics(t *testing.T) {
 			t.Fatalf("rejected NaN schedule left %d events pending", env.Pending())
 		}
 	}()
-	env.Schedule(math.NaN(), func() {})
+	env.At(math.NaN(), func() {})
 }
 
 func TestNegativeSleepPanics(t *testing.T) {
@@ -238,9 +238,9 @@ func TestResourceBadCapacityPanics(t *testing.T) {
 func TestRunUntilHorizon(t *testing.T) {
 	env := NewEnv()
 	fired := 0
-	env.Schedule(1, func() { fired++ })
-	env.Schedule(5, func() { fired++ })
-	env.Schedule(10, func() { fired++ })
+	env.At(1, func() { fired++ })
+	env.At(5, func() { fired++ })
+	env.At(10, func() { fired++ })
 	env.RunUntil(5)
 	if fired != 2 {
 		t.Fatalf("fired = %d at horizon 5, want 2", fired)
@@ -373,7 +373,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		env := NewEnv()
 		for j := 0; j < 1000; j++ {
-			env.Schedule(float64(j%17), func() {})
+			env.At(float64(j%17), func() {})
 		}
 		env.Run()
 	}

@@ -164,7 +164,7 @@ func BenchmarkScheduleDrain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		env := NewEnv()
 		for j := 0; j < 1024; j++ {
-			env.Schedule(float64(j%31), fn)
+			env.At(float64(j%31), fn)
 		}
 		env.Run()
 	}

@@ -95,7 +95,7 @@ func (r *orderRun) add(at float64) {
 	id := len(r.times)
 	r.times = append(r.times, at)
 	r.done = append(r.done, false)
-	r.env.Schedule(at, func() { r.fire(id) })
+	r.env.At(at, func() { r.fire(id) })
 }
 
 // fire is every event's handler.
@@ -294,7 +294,7 @@ func TestHoldCancelDoesNotPerturbOrder(t *testing.T) {
 		plain := 1 + rng.Intn(20)
 		for i := 0; i < plain; i++ {
 			at := rng.Float64() * 20
-			env.Schedule(at, func() { fired = append(fired, at) })
+			env.At(at, func() { fired = append(fired, at) })
 		}
 		holds := make([]*Hold, 1+rng.Intn(8))
 		holdFired := 0
@@ -340,7 +340,7 @@ func TestGrantCancelPreservesFIFO(t *testing.T) {
 		r := NewResource(env, 1)
 		var order []int
 		// Holder keeps the slot busy until t=10.
-		r.Request(func() { env.Schedule(10, r.Release) })
+		r.Request(func() { env.At(10, r.Release) })
 		n := 2 + rng.Intn(10)
 		grants := make([]*Grant, n)
 		cancel := map[int]bool{}
@@ -348,7 +348,7 @@ func TestGrantCancelPreservesFIFO(t *testing.T) {
 			i := i
 			grants[i] = r.RequestCancellable(Func(func() {
 				order = append(order, i)
-				env.Schedule(env.Now()+1, r.Release)
+				env.At(env.Now()+1, r.Release)
 			}), 0)
 			if rng.Intn(3) == 0 {
 				cancel[i] = true

@@ -24,15 +24,15 @@ func TestSimultaneousEventsShareOneRun(t *testing.T) {
 	a, b := mates[0], mates[1] // a < b, same table slot
 
 	for i := 0; i < 100; i++ {
-		env.Schedule(a, note(i))
+		env.At(a, note(i))
 	}
 	if len(env.heap) != 1 || env.Pending() != 100 {
 		t.Fatalf("100 simultaneous events: %d runs, %d pending; want 1 run, 100 pending", len(env.heap), env.Pending())
 	}
-	env.Schedule(b, note(100)) // evicts a's run from the table
-	env.Schedule(a, note(101)) // must not rejoin it: a second run for a
-	env.Schedule(a, note(102)) // joins the second run
-	env.Schedule(b, note(103)) // b's run was evicted in turn: a second run for b
+	env.At(b, note(100)) // evicts a's run from the table
+	env.At(a, note(101)) // must not rejoin it: a second run for a
+	env.At(a, note(102)) // joins the second run
+	env.At(b, note(103)) // b's run was evicted in turn: a second run for b
 	if len(env.heap) != 4 {
 		t.Fatalf("%d runs after alternating two times in one slot, want 4", len(env.heap))
 	}
@@ -63,7 +63,7 @@ func TestSignedZerosFireInScheduleOrder(t *testing.T) {
 	var got []int
 	for i, at := range times {
 		i, at := i, at
-		env.Schedule(at, func() {
+		env.At(at, func() {
 			got = append(got, i)
 			if math.Signbit(env.Now()) != math.Signbit(at) {
 				t.Errorf("event %d scheduled at %v observed Now()=%v", i, at, env.Now())
@@ -86,19 +86,19 @@ func TestVacantRootIsRetakenOrRefilled(t *testing.T) {
 	var got []string
 	note := func(s string) func() { return func() { got = append(got, s) } }
 
-	env.Schedule(1, func() { // sole event of the root run
+	env.At(1, func() { // sole event of the root run
 		got = append(got, "retake")
 		if !env.vacant {
 			t.Error("root not vacant inside the handler that drained its run")
 		}
-		env.Schedule(2.5, note("new run")) // takes the root, then sinks below t=2
+		env.At(2.5, note("new run")) // takes the root, then sinks below t=2
 		if env.vacant || len(env.heap) != 4 {
 			t.Errorf("new run did not retake the root: vacant=%v, %d keys", env.vacant, len(env.heap))
 		}
 	})
-	env.Schedule(2, func() {
+	env.At(2, func() {
 		got = append(got, "join")
-		env.Schedule(3, note("joined")) // t=3 is pending: no new run
+		env.At(3, note("joined")) // t=3 is pending: no new run
 		if !env.vacant {
 			t.Error("a push that joined another run filled the vacant root")
 		}
@@ -112,8 +112,8 @@ func TestVacantRootIsRetakenOrRefilled(t *testing.T) {
 			t.Error("NextT left the root vacant")
 		}
 	})
-	env.Schedule(3, note("first at 3"))
-	env.Schedule(4, note("idle")) // pushes nothing: the run loop refills the root
+	env.At(3, note("first at 3"))
+	env.At(4, note("idle")) // pushes nothing: the run loop refills the root
 	env.Run()
 	want := []string{"retake", "join", "new run", "first at 3", "joined", "idle"}
 	if !slices.Equal(got, want) {
@@ -130,14 +130,14 @@ func TestVacantRootIsRetakenOrRefilled(t *testing.T) {
 func TestRescheduleAtNowJoinsDrainingRun(t *testing.T) {
 	env := NewEnv()
 	var got []string
-	env.Schedule(1, func() {
+	env.At(1, func() {
 		got = append(got, "a")
-		env.Schedule(env.Now(), func() { got = append(got, "a'") })
+		env.At(env.Now(), func() { got = append(got, "a'") })
 		if len(env.heap) != 1 {
 			t.Errorf("reschedule at Now() started run %d, want it appended to the draining run", len(env.heap))
 		}
 	})
-	env.Schedule(1, func() { got = append(got, "b") })
+	env.At(1, func() { got = append(got, "b") })
 	env.Run()
 	if !slices.Equal(got, []string{"a", "b", "a'"}) {
 		t.Fatalf("fired %v, want [a b a']", got)
@@ -150,13 +150,13 @@ func TestRunFromInsideHandler(t *testing.T) {
 	env := NewEnv()
 	var got []string
 	note := func(s string) func() { return func() { got = append(got, s) } }
-	env.Schedule(1, func() {
+	env.At(1, func() {
 		got = append(got, "outer")
 		env.RunUntil(2) // nested: fires t=2 before the outer handler returns
 		got = append(got, "outer done")
 	})
-	env.Schedule(2, note("inner"))
-	env.Schedule(3, note("after"))
+	env.At(2, note("inner"))
+	env.At(3, note("after"))
 	env.Run()
 	if want := []string{"outer", "inner", "outer done", "after"}; !slices.Equal(got, want) {
 		t.Fatalf("fired %v, want %v", got, want)
@@ -170,12 +170,12 @@ func TestShutdownMidRun(t *testing.T) {
 	for _, tail := range []int{0, 3} { // shutting down from the last / not the last event of a run
 		env := NewEnv()
 		late := 0
-		env.Schedule(1, func() { env.Shutdown() })
+		env.At(1, func() { env.Shutdown() })
 		for i := 0; i < tail; i++ {
-			env.Schedule(1, func() { late++ })
+			env.At(1, func() { late++ })
 		}
-		env.Schedule(2, func() { late++ })
-		env.Schedule(100, func() { late++ })
+		env.At(2, func() { late++ })
+		env.At(100, func() { late++ })
 		env.Run()
 		if late != 0 || env.Pending() != 0 {
 			t.Fatalf("tail=%d: after mid-run Shutdown %d later events fired, %d pending", tail, late, env.Pending())
@@ -194,11 +194,11 @@ func TestSlabGrowsByChunksAndNeverMoves(t *testing.T) {
 	env := NewEnv()
 	fired := 0
 	tick := func() { fired++ }
-	env.Schedule(1, tick)
+	env.At(1, tick)
 	first := env.slot(1)
 	const n = 3*slabChunk + 5
 	for i := 1; i < n; i++ {
-		env.Schedule(float64(1+i%7), tick)
+		env.At(float64(1+i%7), tick)
 	}
 	wantChunks := 4 // 1, 1, 2: the power of two that holds n + the sentinel
 	if len(env.slab) != wantChunks {

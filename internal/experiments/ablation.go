@@ -49,16 +49,13 @@ func mdsAblationGrid(ctx context.Context, p scenario.Params, services []float64)
 
 // mdsAblationTable structures the sweep for the reporters.
 func mdsAblationTable(points []MDSAblationPoint) scenario.Table {
-	t := scenario.Table{
-		Title: "Ablation — Lustre MDS service time vs FS write latency (Pattern 1, 8 MB)",
-		Columns: []scenario.Column{
-			{Key: "mds_svc_ms", Head: "mds-svc(ms)", HeadFmt: "%14s", CellFmt: "%14.2f"},
-			{Key: "nodes", Head: "nodes", HeadFmt: "%8s", CellFmt: "%8d"},
-			{Key: "write_mean_s", Head: "write-mean(s)", HeadFmt: "%14s", CellFmt: "%14.4f"},
-		},
-	}
+	t := scenario.NewTable("Ablation — Lustre MDS service time vs FS write latency (Pattern 1, 8 MB)", len(points), []scenario.Column{
+		{Key: "mds_svc_ms", Head: "mds-svc(ms)", HeadFmt: "%14s", CellFmt: "%14.2f"},
+		{Key: "nodes", Head: "nodes", HeadFmt: "%8s", CellFmt: "%8d"},
+		{Key: "write_mean_s", Head: "write-mean(s)", HeadFmt: "%14s", CellFmt: "%14.4f"},
+	})
 	for _, pt := range points {
-		t.Rows = append(t.Rows, []any{pt.MDSServiceS * 1000, pt.Nodes, pt.WriteMeanS})
+		t.AddRow(scenario.F(pt.MDSServiceS*1000), scenario.I(pt.Nodes), scenario.F(pt.WriteMeanS))
 	}
 	return t
 }
@@ -90,16 +87,13 @@ func cacheAblationGrid(ctx context.Context, p scenario.Params, shares []float64)
 
 // cacheAblationTable structures the sweep for the reporters.
 func cacheAblationTable(points []CacheAblationPoint) scenario.Table {
-	t := scenario.Table{
-		Title: "Ablation — per-process L3 share vs node-local throughput profile (Pattern 1, 8 nodes)",
-		Columns: []scenario.Column{
-			{Key: "share_mb", Head: "share(MB)", HeadFmt: "%14s", CellFmt: "%14.1f"},
-			{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
-			{Key: "write_gbps", Head: "write(GB/s)", HeadFmt: "%14s", CellFmt: "%14.3f"},
-		},
-	}
+	t := scenario.NewTable("Ablation — per-process L3 share vs node-local throughput profile (Pattern 1, 8 nodes)", len(points), []scenario.Column{
+		{Key: "share_mb", Head: "share(MB)", HeadFmt: "%14s", CellFmt: "%14.1f"},
+		{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
+		{Key: "write_gbps", Head: "write(GB/s)", HeadFmt: "%14s", CellFmt: "%14.3f"},
+	})
 	for _, pt := range points {
-		t.Rows = append(t.Rows, []any{pt.CacheShareMB, pt.SizeMB, pt.WriteGBps})
+		t.AddRow(scenario.F(pt.CacheShareMB), scenario.F(pt.SizeMB), scenario.F(pt.WriteGBps))
 	}
 	return t
 }
@@ -144,17 +138,14 @@ func incastAblationGrid(ctx context.Context, p scenario.Params, latencies []floa
 
 // incastAblationTable structures the sweep for the reporters.
 func incastAblationTable(points []IncastAblationPoint) scenario.Table {
-	t := scenario.Table{
-		Title: "Ablation — Dragon incast latency vs many-to-one fetch time (128 nodes)",
-		Columns: []scenario.Column{
-			{Key: "incast_lat_ms", Head: "incast-lat(ms)", HeadFmt: "%16s", CellFmt: "%16.1f"},
-			{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
-			{Key: "dragon_fetch_s", Head: "dragon-fetch(s)", HeadFmt: "%16s", CellFmt: "%16.4f"},
-			{Key: "fs_fetch_s", Head: "fs-fetch(s)", HeadFmt: "%14s", CellFmt: "%14.4f"},
-		},
-	}
+	t := scenario.NewTable("Ablation — Dragon incast latency vs many-to-one fetch time (128 nodes)", len(points), []scenario.Column{
+		{Key: "incast_lat_ms", Head: "incast-lat(ms)", HeadFmt: "%16s", CellFmt: "%16.1f"},
+		{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
+		{Key: "dragon_fetch_s", Head: "dragon-fetch(s)", HeadFmt: "%16s", CellFmt: "%16.4f"},
+		{Key: "fs_fetch_s", Head: "fs-fetch(s)", HeadFmt: "%14s", CellFmt: "%14.4f"},
+	})
 	for _, pt := range points {
-		t.Rows = append(t.Rows, []any{pt.IncastLatencyS * 1000, pt.SizeMB, pt.DragonFetchS, pt.FSFetchS})
+		t.AddRow(scenario.F(pt.IncastLatencyS*1000), scenario.F(pt.SizeMB), scenario.F(pt.DragonFetchS), scenario.F(pt.FSFetchS))
 	}
 	return t
 }

@@ -220,24 +220,22 @@ func campaignPolicies(policy string) []string {
 
 // campaignTable structures one fault profile's load × policy grid.
 func campaignTable(label string, points []CampaignPoint) scenario.Table {
-	t := scenario.Table{
-		Title: fmt.Sprintf("Campaign — %s: queueing and fairness under offered load × scheduling policy", label),
-		Columns: []scenario.Column{
-			{Key: "load", Head: "load", HeadFmt: "%5s", CellFmt: "%5.2f"},
-			{Key: "policy", Head: "policy", HeadFmt: "%-7s", CellFmt: "%-7s"},
-			{Key: "wait_p50_s", Head: "p50-wait(s)", HeadFmt: "%12s", CellFmt: "%12.1f"},
-			{Key: "wait_p99_s", Head: "p99-wait(s)", HeadFmt: "%12s", CellFmt: "%12.1f"},
-			{Key: "wait_p999_s", Head: "p999-wait(s)", HeadFmt: "%13s", CellFmt: "%13.1f"},
-			{Key: "slow_p99", Head: "p99-slow", HeadFmt: "%9s", CellFmt: "%9.2f"},
-			{Key: "util", Head: "util", HeadFmt: "%6s", CellFmt: "%6.3f"},
-			{Key: "fairness", Head: "jain", HeadFmt: "%6s", CellFmt: "%6.3f"},
-			{Key: "dropped", Head: "dropped", HeadFmt: "%8s", CellFmt: "%8d"},
-			{Key: "crashes", Head: "crashes", HeadFmt: "%8s", CellFmt: "%8d"},
-		},
-	}
+	t := scenario.NewTable(fmt.Sprintf("Campaign — %s: queueing and fairness under offered load × scheduling policy", label), len(points), []scenario.Column{
+		{Key: "load", Head: "load", HeadFmt: "%5s", CellFmt: "%5.2f"},
+		{Key: "policy", Head: "policy", HeadFmt: "%-7s", CellFmt: "%-7s"},
+		{Key: "wait_p50_s", Head: "p50-wait(s)", HeadFmt: "%12s", CellFmt: "%12.1f"},
+		{Key: "wait_p99_s", Head: "p99-wait(s)", HeadFmt: "%12s", CellFmt: "%12.1f"},
+		{Key: "wait_p999_s", Head: "p999-wait(s)", HeadFmt: "%13s", CellFmt: "%13.1f"},
+		{Key: "slow_p99", Head: "p99-slow", HeadFmt: "%9s", CellFmt: "%9.2f"},
+		{Key: "util", Head: "util", HeadFmt: "%6s", CellFmt: "%6.3f"},
+		{Key: "fairness", Head: "jain", HeadFmt: "%6s", CellFmt: "%6.3f"},
+		{Key: "dropped", Head: "dropped", HeadFmt: "%8s", CellFmt: "%8d"},
+		{Key: "crashes", Head: "crashes", HeadFmt: "%8s", CellFmt: "%8d"},
+	})
 	for _, pt := range points {
-		t.Rows = append(t.Rows, []any{pt.Load, pt.Policy, pt.WaitP50S, pt.WaitP99S,
-			pt.WaitP999S, pt.SlowP99, pt.Util, pt.Fairness, pt.Dropped, pt.Crashes})
+		t.AddRow(scenario.F(pt.Load), scenario.S(pt.Policy), scenario.F(pt.WaitP50S), scenario.F(pt.WaitP99S),
+			scenario.F(pt.WaitP999S), scenario.F(pt.SlowP99), scenario.F(pt.Util), scenario.F(pt.Fairness),
+			scenario.I(pt.Dropped), scenario.I(pt.Crashes))
 	}
 	return t
 }

@@ -89,8 +89,8 @@ func TestCampaignNarrowedParams(t *testing.T) {
 		t.Fatalf("%d tables, want 2 (healthy + faulty)", len(res.Tables))
 	}
 	for _, tb := range res.Tables {
-		if len(tb.Rows) != 1 {
-			t.Errorf("%q has %d rows, want 1", tb.Title, len(tb.Rows))
+		if len(tb.Cells) != len(tb.Columns) {
+			t.Errorf("%q has %d cells for %d columns, want 1 row", tb.Title, len(tb.Cells), len(tb.Columns))
 		}
 	}
 	if len(res.Failures) != 0 {

@@ -74,7 +74,8 @@ func finite(knobs ...knob) error {
 // keeps every write's latency for the p50 those harnesses report.
 // disturb, when set, is called once the model exists and before any rank
 // does, and every rank carries the fault layer of the state it returns.
-// The only errors are a non-finite knob and a tripped event budget.
+// The errors are a non-finite knob, a tripped event budget, and a shared
+// run in which no staging write completed (its p50 would be NaN).
 func runColocated(w ScaleOutConfig, shared bool, disturb func(*des.Env, cluster.Spec, *costmodel.Model, float64) *faultState) (*colocatedRun, error) {
 	if err := finite(knob{"SizeMB", w.SizeMB}, knob{"SimIterS", w.SimIterS}, knob{"TrainIterS", w.TrainIterS}); err != nil {
 		return nil, err
@@ -139,6 +140,10 @@ func runColocated(w ScaleOutConfig, shared bool, disturb func(*des.Env, cluster.
 	run.endT = env.RunUntil(run.horizon * 1.5)
 	if err := env.Err(); err != nil {
 		return nil, err
+	}
+	if shared && len(run.samples) == 0 {
+		return nil, fmt.Errorf("TrainIters = %d ends before the first staging write of WritePeriod = %d completes: no staging latency to measure",
+			w.TrainIters, w.WritePeriod)
 	}
 	if run.endT <= 0 {
 		run.endT = run.horizon

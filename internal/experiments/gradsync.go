@@ -248,24 +248,20 @@ func RunGradSync(cfg GradSyncConfig) (GradSyncPoint, error) {
 // gradSyncTable renders one rank count's size × algorithm grid.
 func gradSyncTable(ranks int, points []GradSyncPoint) scenario.Table {
 	topo := cluster.AuroraTopology(ranks)
-	t := scenario.Table{
-		Title: fmt.Sprintf("gradsync — %d ranks on dragonfly %d groups × %d routers × %d nodes (training step vs AllReduce algorithm)",
-			ranks, topo.Groups, topo.RoutersPerGroup, topo.NodesPerRouter),
-		Columns: []scenario.Column{
-			{Key: "size_mb", Head: "size(MB)", HeadFmt: "%9s", CellFmt: "%9.2f"},
-			{Key: "algo", Head: "algo", HeadFmt: "%6s", CellFmt: "%6s"},
-			{Key: "coll_steps", Head: "steps", HeadFmt: "%6s", CellFmt: "%6d"},
-			{Key: "coll_ms", Head: "coll(ms)", HeadFmt: "%10s", CellFmt: "%10.4f"},
-			{Key: "skew_ms", Head: "skew(ms)", HeadFmt: "%9s", CellFmt: "%9.4f"},
-			{Key: "step_ms", Head: "step(ms)", HeadFmt: "%10s", CellFmt: "%10.4f"},
-			{Key: "comm_frac", Head: "comm", HeadFmt: "%6s", CellFmt: "%6.3f"},
-		},
-	}
+	title := fmt.Sprintf("gradsync — %d ranks on dragonfly %d groups × %d routers × %d nodes (training step vs AllReduce algorithm)",
+		ranks, topo.Groups, topo.RoutersPerGroup, topo.NodesPerRouter)
+	t := scenario.NewTable(title, len(points), []scenario.Column{
+		{Key: "size_mb", Head: "size(MB)", HeadFmt: "%9s", CellFmt: "%9.2f"},
+		{Key: "algo", Head: "algo", HeadFmt: "%6s", CellFmt: "%6s"},
+		{Key: "coll_steps", Head: "steps", HeadFmt: "%6s", CellFmt: "%6d"},
+		{Key: "coll_ms", Head: "coll(ms)", HeadFmt: "%10s", CellFmt: "%10.4f"},
+		{Key: "skew_ms", Head: "skew(ms)", HeadFmt: "%9s", CellFmt: "%9.4f"},
+		{Key: "step_ms", Head: "step(ms)", HeadFmt: "%10s", CellFmt: "%10.4f"},
+		{Key: "comm_frac", Head: "comm", HeadFmt: "%6s", CellFmt: "%6.3f"},
+	})
 	for _, p := range points {
-		t.Rows = append(t.Rows, []any{
-			p.ModelMB, p.Algo, p.CollSteps, p.CollS * 1e3,
-			p.SkewMeanS * 1e3, p.StepMeanS * 1e3, p.CommFrac,
-		})
+		t.AddRow(scenario.F(p.ModelMB), scenario.S(p.Algo), scenario.I(p.CollSteps), scenario.F(p.CollS*1e3),
+			scenario.F(p.SkewMeanS*1e3), scenario.F(p.StepMeanS*1e3), scenario.F(p.CommFrac))
 	}
 	return t
 }
@@ -277,18 +273,6 @@ func gradSyncTable(ranks int, points []GradSyncPoint) scenario.Table {
 // optimality does). The flat model is excluded — it is the legacy
 // single-cost abstraction, not an executable algorithm.
 func gradSyncCrossoverTable(points []GradSyncPoint) scenario.Table {
-	t := scenario.Table{
-		Title: "gradsync — algorithm crossover (best AllReduce per ranks × size)",
-		Columns: []scenario.Column{
-			{Key: "ranks", Head: "ranks", HeadFmt: "%6s", CellFmt: "%6d"},
-			{Key: "size_mb", Head: "size(MB)", HeadFmt: "%9s", CellFmt: "%9.2f"},
-			{Key: "ring_ms", Head: "ring(ms)", HeadFmt: "%10s", CellFmt: "%10.4f"},
-			{Key: "tree_ms", Head: "tree(ms)", HeadFmt: "%10s", CellFmt: "%10.4f"},
-			{Key: "hier_ms", Head: "hier(ms)", HeadFmt: "%10s", CellFmt: "%10.4f"},
-			{Key: "best", Head: "best", HeadFmt: "%6s", CellFmt: "%6s"},
-			{Key: "hier_vs_ring", Head: "hier-vs-ring", HeadFmt: "%13s", CellFmt: "%13.2f"},
-		},
-	}
 	type cell struct{ ring, tree, hier float64 }
 	cells := map[[2]float64]*cell{}
 	for _, p := range points {
@@ -307,6 +291,15 @@ func gradSyncCrossoverTable(points []GradSyncPoint) scenario.Table {
 			c.hier = p.CollS
 		}
 	}
+	t := scenario.NewTable("gradsync — algorithm crossover (best AllReduce per ranks × size)", len(cells), []scenario.Column{
+		{Key: "ranks", Head: "ranks", HeadFmt: "%6s", CellFmt: "%6d"},
+		{Key: "size_mb", Head: "size(MB)", HeadFmt: "%9s", CellFmt: "%9.2f"},
+		{Key: "ring_ms", Head: "ring(ms)", HeadFmt: "%10s", CellFmt: "%10.4f"},
+		{Key: "tree_ms", Head: "tree(ms)", HeadFmt: "%10s", CellFmt: "%10.4f"},
+		{Key: "hier_ms", Head: "hier(ms)", HeadFmt: "%10s", CellFmt: "%10.4f"},
+		{Key: "best", Head: "best", HeadFmt: "%6s", CellFmt: "%6s"},
+		{Key: "hier_vs_ring", Head: "hier-vs-ring", HeadFmt: "%13s", CellFmt: "%13.2f"},
+	})
 	for _, ranks := range GradSyncRanks {
 		for _, size := range GradSyncSizes {
 			c := cells[[2]float64{float64(ranks), size}]
@@ -324,9 +317,8 @@ func gradSyncCrossoverTable(points []GradSyncPoint) scenario.Table {
 			if c.hier > 0 {
 				speedup = c.ring / c.hier
 			}
-			t.Rows = append(t.Rows, []any{
-				ranks, size, c.ring * 1e3, c.tree * 1e3, c.hier * 1e3, best, speedup,
-			})
+			t.AddRow(scenario.I(ranks), scenario.F(size), scenario.F(c.ring*1e3), scenario.F(c.tree*1e3),
+				scenario.F(c.hier*1e3), scenario.S(best), scenario.F(speedup))
 		}
 	}
 	return t

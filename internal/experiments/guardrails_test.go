@@ -111,8 +111,8 @@ func TestSaboteurScenarioGuardrails(t *testing.T) {
 	if f := byCell[3]; !errors.As(f.Err, &be) || !strings.Contains(f.Error, "event budget exceeded") {
 		t.Errorf("budget cell failure = %+v, want a *des.BudgetExceeded", f)
 	}
-	if rows := len(res.Tables[0].Rows); rows != 1 {
-		t.Errorf("table has %d rows, want the 1 surviving cell", rows)
+	if tb := res.Tables[0]; len(tb.Cells) != len(tb.Columns) {
+		t.Errorf("table has %d cells, want the 1 surviving cell's row of %d", len(tb.Cells), len(tb.Columns))
 	}
 
 	// The failures render explicitly through the text reporter.
@@ -154,7 +154,7 @@ func TestRegisteredScenarioBudgetBlowout(t *testing.T) {
 			t.Fatalf("cell %d failed with %q, want a budget diagnosis", f.Cell, f.Error)
 		}
 	}
-	if rows := len(res.Tables[0].Rows); rows != 0 {
+	if rows := len(res.Tables[0].Cells); rows != 0 {
 		t.Fatalf("table has %d rows from budget-starved cells", rows)
 	}
 }

@@ -126,3 +126,47 @@ func knobByKey(t *testing.T, key string) scenario.Knob {
 	t.Fatalf("no knob has key %q", key)
 	return 0
 }
+
+// TestEveryScenarioEncodesAtItsSmallestCounts runs every registered
+// scenario from its knob case with one count knob it reads at 1, the
+// smallest value a set knob may take, for each such knob. The result,
+// failed cells included, must encode as JSON on the CLI's path and the
+// server's, and no table may repeat a column key: a row is one JSON
+// record keyed by column.
+func TestEveryScenarioEncodesAtItsSmallestCounts(t *testing.T) {
+	for _, name := range scenario.Names() {
+		if strings.HasPrefix(name, "t-") {
+			continue // registered by another test
+		}
+		sc, _ := scenario.Lookup(name)
+		for _, key := range sc.Reads().Keys() {
+			p := knobCases[name].base
+			f := field(&p, knobByKey(t, key))
+			if f.Kind() != reflect.Int && f.Kind() != reflect.Int64 {
+				continue
+			}
+			f.SetInt(1)
+			t.Run(name+"/"+key, func(t *testing.T) {
+				res, err := sc.Run(context.Background(), p)
+				if err != nil {
+					t.Fatalf("%+v: %v", p, err)
+				}
+				if _, err := json.Marshal(res); err != nil {
+					t.Errorf("%+v: %v (%d failed cells)", p, err, len(res.Failures))
+				}
+				if _, err := res.AppendJSON(nil); err != nil {
+					t.Errorf("%+v: AppendJSON: %v", p, err)
+				}
+				for _, tb := range res.Tables {
+					seen := map[string]bool{}
+					for _, c := range tb.Columns {
+						if seen[c.Key] {
+							t.Errorf("table %q repeats column key %q", tb.Title, c.Key)
+						}
+						seen[c.Key] = true
+					}
+				}
+			})
+		}
+	}
+}

@@ -140,20 +140,14 @@ func pattern1Grid(ctx context.Context, p scenario.Params, fig string, backends [
 // fig3Table structures Fig-3-style rows — per-process read and write
 // throughput by backend and data size — for the reporters.
 func fig3Table(nodes int, points []Pattern1Point) scenario.Table {
-	t := scenario.Table{
-		Title: fmt.Sprintf("Fig 3 — Pattern 1 read/write throughput per process, %d nodes", nodes),
-		Columns: []scenario.Column{
-			{Key: "backend", Head: "backend", HeadFmt: "%-12s", CellFmt: "%-12s"},
-			{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
-			{Key: "read_gbps", Head: "read(GB/s)", HeadFmt: "%14s", CellFmt: "%14.3f"},
-			{Key: "write_gbps", Head: "write(GB/s)", HeadFmt: "%14s", CellFmt: "%14.3f"},
-		},
-	}
+	t := scenario.NewTable(fmt.Sprintf("Fig 3 — Pattern 1 read/write throughput per process, %d nodes", nodes), len(points), []scenario.Column{
+		{Key: "backend", Head: "backend", HeadFmt: "%-12s", CellFmt: "%-12s"},
+		{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
+		{Key: "read_gbps", Head: "read(GB/s)", HeadFmt: "%14s", CellFmt: "%14.3f"},
+		{Key: "write_gbps", Head: "write(GB/s)", HeadFmt: "%14s", CellFmt: "%14.3f"},
+	})
 	for _, pt := range points {
-		if pt.Nodes != nodes {
-			continue
-		}
-		t.Rows = append(t.Rows, []any{pt.Backend.String(), pt.SizeMB, pt.ReadGBps, pt.WriteGBps})
+		t.AddRow(scenario.S(pt.Backend.String()), scenario.F(pt.SizeMB), scenario.F(pt.ReadGBps), scenario.F(pt.WriteGBps))
 	}
 	return t
 }
@@ -164,23 +158,17 @@ var Fig4Backends = []datastore.Backend{datastore.NodeLocal, datastore.FileSystem
 // fig4Table structures Fig-4-style rows: mean time per event for compute
 // (Sim iter, AI iter) versus transport (read, write).
 func fig4Table(nodes int, points []Pattern1Point) scenario.Table {
-	t := scenario.Table{
-		Title: fmt.Sprintf("Fig 4 — Pattern 1 compute vs transport time per event, %d nodes", nodes),
-		Columns: []scenario.Column{
-			{Key: "backend", Head: "backend", HeadFmt: "%-12s", CellFmt: "%-12s"},
-			{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
-			{Key: "sim_iter_s", Head: "sim-iter(s)", HeadFmt: "%12s", CellFmt: "%12.4f"},
-			{Key: "ai_iter_s", Head: "ai-iter(s)", HeadFmt: "%12s", CellFmt: "%12.4f"},
-			{Key: "write_mean_s", Head: "write(s)", HeadFmt: "%12s", CellFmt: "%12.4f"},
-			{Key: "read_mean_s", Head: "read(s)", HeadFmt: "%12s", CellFmt: "%12.4f"},
-		},
-	}
+	t := scenario.NewTable(fmt.Sprintf("Fig 4 — Pattern 1 compute vs transport time per event, %d nodes", nodes), len(points), []scenario.Column{
+		{Key: "backend", Head: "backend", HeadFmt: "%-12s", CellFmt: "%-12s"},
+		{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
+		{Key: "sim_iter_s", Head: "sim-iter(s)", HeadFmt: "%12s", CellFmt: "%12.4f"},
+		{Key: "ai_iter_s", Head: "ai-iter(s)", HeadFmt: "%12s", CellFmt: "%12.4f"},
+		{Key: "write_mean_s", Head: "write(s)", HeadFmt: "%12s", CellFmt: "%12.4f"},
+		{Key: "read_mean_s", Head: "read(s)", HeadFmt: "%12s", CellFmt: "%12.4f"},
+	})
 	for _, pt := range points {
-		if pt.Nodes != nodes {
-			continue
-		}
-		t.Rows = append(t.Rows, []any{pt.Backend.String(), pt.SizeMB,
-			pt.SimIterS, pt.TrainIter, pt.WriteMean, pt.ReadMeanS})
+		t.AddRow(scenario.S(pt.Backend.String()), scenario.F(pt.SizeMB),
+			scenario.F(pt.SimIterS), scenario.F(pt.TrainIter), scenario.F(pt.WriteMean), scenario.F(pt.ReadMeanS))
 	}
 	return t
 }

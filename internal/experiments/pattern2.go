@@ -181,17 +181,14 @@ func fig5Grid(ctx context.Context, p scenario.Params) ([]Fig5Point, []scenario.C
 
 // fig5Table structures Fig-5-style rows for the reporters.
 func fig5Table(points []Fig5Point) scenario.Table {
-	t := scenario.Table{
-		Title: "Fig 5 — Pattern 2, 2 nodes: non-local read / local write throughput per process",
-		Columns: []scenario.Column{
-			{Key: "backend", Head: "backend", HeadFmt: "%-12s", CellFmt: "%-12s"},
-			{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
-			{Key: "read_gbps", Head: "read(GB/s)", HeadFmt: "%14s", CellFmt: "%14.3f"},
-			{Key: "write_gbps", Head: "write(GB/s)", HeadFmt: "%14s", CellFmt: "%14.3f"},
-		},
-	}
+	t := scenario.NewTable("Fig 5 — Pattern 2, 2 nodes: non-local read / local write throughput per process", len(points), []scenario.Column{
+		{Key: "backend", Head: "backend", HeadFmt: "%-12s", CellFmt: "%-12s"},
+		{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
+		{Key: "read_gbps", Head: "read(GB/s)", HeadFmt: "%14s", CellFmt: "%14.3f"},
+		{Key: "write_gbps", Head: "write(GB/s)", HeadFmt: "%14s", CellFmt: "%14.3f"},
+	})
 	for _, pt := range points {
-		t.Rows = append(t.Rows, []any{pt.Backend.String(), pt.SizeMB, pt.ReadGBps, pt.WriteGBps})
+		t.AddRow(scenario.S(pt.Backend.String()), scenario.F(pt.SizeMB), scenario.F(pt.ReadGBps), scenario.F(pt.WriteGBps))
 	}
 	return t
 }
@@ -331,20 +328,14 @@ func fig6Grid(ctx context.Context, p scenario.Params, nodes int) ([]Fig6Point, [
 
 // fig6Table structures Fig-6-style rows for the reporters.
 func fig6Table(nodes int, points []Fig6Point) scenario.Table {
-	t := scenario.Table{
-		Title: fmt.Sprintf("Fig 6 — Pattern 2 training runtime per iteration, %d simulation nodes", nodes),
-		Columns: []scenario.Column{
-			{Key: "backend", Head: "backend", HeadFmt: "%-12s", CellFmt: "%-12s"},
-			{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
-			{Key: "exec_per_iter_s", Head: "exec/iter(s)", HeadFmt: "%18s", CellFmt: "%18.4f"},
-			{Key: "fetch_mean_s", Head: "fetch-mean(s)", HeadFmt: "%16s", CellFmt: "%16.4f"},
-		},
-	}
+	t := scenario.NewTable(fmt.Sprintf("Fig 6 — Pattern 2 training runtime per iteration, %d simulation nodes", nodes), len(points), []scenario.Column{
+		{Key: "backend", Head: "backend", HeadFmt: "%-12s", CellFmt: "%-12s"},
+		{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
+		{Key: "exec_per_iter_s", Head: "exec/iter(s)", HeadFmt: "%18s", CellFmt: "%18.4f"},
+		{Key: "fetch_mean_s", Head: "fetch-mean(s)", HeadFmt: "%16s", CellFmt: "%16.4f"},
+	})
 	for _, pt := range points {
-		if pt.Nodes != nodes {
-			continue
-		}
-		t.Rows = append(t.Rows, []any{pt.Backend.String(), pt.SizeMB, pt.ExecPerIterS, pt.FetchMeanS})
+		t.AddRow(scenario.S(pt.Backend.String()), scenario.F(pt.SizeMB), scenario.F(pt.ExecPerIterS), scenario.F(pt.FetchMeanS))
 	}
 	return t
 }

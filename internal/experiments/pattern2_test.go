@@ -299,3 +299,21 @@ func TestFig5LoopMatchesOracleAndChain(t *testing.T) {
 		t.Errorf("%d zero-time cells and %d trips in %d draws: the draws no longer reach the skip and the tail", zeroTime, trips, draws)
 	}
 }
+
+// TestFig5TableAllocatesTwice pins what a cold fig5 request pays for its
+// table: one slice of columns and one of cells, however many rows, with
+// the collector held off so a GC cycle cannot add to the count.
+func TestFig5TableAllocatesTwice(t *testing.T) {
+	var points []Fig5Point
+	for _, b := range Pattern2Backends {
+		for _, size := range Fig5Sizes {
+			points = append(points, Fig5Point{Backend: b, SizeMB: size, ReadGBps: size / 3, WriteGBps: size / 7})
+		}
+	}
+	if len(points) != 18 {
+		t.Fatalf("%d points, want the 18 of a fig5 run", len(points))
+	}
+	if n := allocsWithoutGC(100, func() { fig5Table(points) }); n > 2 {
+		t.Fatalf("fig5Table of 18 points makes %v mallocs, ceiling 2", n)
+	}
+}

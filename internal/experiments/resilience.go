@@ -526,19 +526,16 @@ func ckptLabel(ckpt float64) string {
 // column is each row's delivered aggregate throughput relative to the
 // healthy fail-stop baseline row of the same backend.
 func resilienceTable(b datastore.Backend, points []ResiliencePoint) scenario.Table {
-	t := scenario.Table{
-		Title: fmt.Sprintf("Resilience — %s: wasted work and effective throughput under node failures", b),
-		Columns: []scenario.Column{
-			{Key: "mtbf_s", Head: "mtbf(s)", HeadFmt: "%8s", CellFmt: "%8s"},
-			{Key: "ckpt_s", Head: "ckpt(s)", HeadFmt: "%8s", CellFmt: "%8s"},
-			{Key: "crashes", Head: "crashes", HeadFmt: "%8s", CellFmt: "%8d"},
-			{Key: "wasted_frac", Head: "wasted", HeadFmt: "%8s", CellFmt: "%8.4f"},
-			{Key: "ckpt_frac", Head: "ckpt-ovh", HeadFmt: "%9s", CellFmt: "%9.4f"},
-			{Key: "stage_p50_s", Head: "p50-stage(s)", HeadFmt: "%13s", CellFmt: "%13.5f"},
-			{Key: "agg_gbps", Head: "agg(GB/s)", HeadFmt: "%10s", CellFmt: "%10.3f"},
-			{Key: "eff", Head: "eff", HeadFmt: "%6s", CellFmt: "%6.3f"},
-		},
-	}
+	t := scenario.NewTable(fmt.Sprintf("Resilience — %s: wasted work and effective throughput under node failures", b), len(points), []scenario.Column{
+		{Key: "mtbf_s", Head: "mtbf(s)", HeadFmt: "%8s", CellFmt: "%8s"},
+		{Key: "ckpt_s", Head: "ckpt(s)", HeadFmt: "%8s", CellFmt: "%8s"},
+		{Key: "crashes", Head: "crashes", HeadFmt: "%8s", CellFmt: "%8d"},
+		{Key: "wasted_frac", Head: "wasted", HeadFmt: "%8s", CellFmt: "%8.4f"},
+		{Key: "ckpt_frac", Head: "ckpt-ovh", HeadFmt: "%9s", CellFmt: "%9.4f"},
+		{Key: "stage_p50_s", Head: "p50-stage(s)", HeadFmt: "%13s", CellFmt: "%13.5f"},
+		{Key: "agg_gbps", Head: "agg(GB/s)", HeadFmt: "%10s", CellFmt: "%10.3f"},
+		{Key: "eff", Head: "eff", HeadFmt: "%6s", CellFmt: "%6.3f"},
+	})
 	base := 0.0
 	for _, pt := range points {
 		if math.IsInf(pt.MTBFS, 1) && pt.CkptIntervalS == 0 {
@@ -550,8 +547,8 @@ func resilienceTable(b datastore.Backend, points []ResiliencePoint) scenario.Tab
 		if base > 0 {
 			eff = pt.EffGBps / base
 		}
-		t.Rows = append(t.Rows, []any{mtbfLabel(pt.MTBFS), ckptLabel(pt.CkptIntervalS),
-			pt.Crashes, pt.WastedFrac, pt.CkptFrac, pt.StageP50S, pt.AggGBps, eff})
+		t.AddRow(scenario.S(mtbfLabel(pt.MTBFS)), scenario.S(ckptLabel(pt.CkptIntervalS)), scenario.I(pt.Crashes),
+			scenario.F(pt.WastedFrac), scenario.F(pt.CkptFrac), scenario.F(pt.StageP50S), scenario.F(pt.AggGBps), scenario.F(eff))
 	}
 	return t
 }
@@ -561,17 +558,16 @@ func resilienceTable(b datastore.Backend, points []ResiliencePoint) scenario.Tab
 // throughput) against Young's √(2·δ·MTBF) approximation, with δ the
 // analytic uncontended checkpoint write time.
 func optimalCkptTable(byBackend map[datastore.Backend][]ResiliencePoint, ckptSizeMB float64) scenario.Table {
-	t := scenario.Table{
-		Title: "Resilience — optimal checkpoint interval per backend (empirical best vs Young's approximation)",
-		Columns: []scenario.Column{
-			{Key: "backend", Head: "backend", HeadFmt: "%-12s", CellFmt: "%-12s"},
-			{Key: "mtbf_s", Head: "mtbf(s)", HeadFmt: "%8s", CellFmt: "%8s"},
-			{Key: "best_ckpt_s", Head: "best-ckpt(s)", HeadFmt: "%13s", CellFmt: "%13s"},
-			{Key: "young_ckpt_s", Head: "young-ckpt(s)", HeadFmt: "%14s", CellFmt: "%14.2f"},
-			{Key: "eff_best_gbps", Head: "eff@best", HeadFmt: "%9s", CellFmt: "%9.3f"},
-			{Key: "eff_failstop_gbps", Head: "eff@off", HeadFmt: "%8s", CellFmt: "%8.3f"},
-		},
-	}
+	// One row per backend and finite MTBF: the count is known only after
+	// the scan below.
+	t := scenario.NewTable("Resilience — optimal checkpoint interval per backend (empirical best vs Young's approximation)", 0, []scenario.Column{
+		{Key: "backend", Head: "backend", HeadFmt: "%-12s", CellFmt: "%-12s"},
+		{Key: "mtbf_s", Head: "mtbf(s)", HeadFmt: "%8s", CellFmt: "%8s"},
+		{Key: "best_ckpt_s", Head: "best-ckpt(s)", HeadFmt: "%13s", CellFmt: "%13s"},
+		{Key: "young_ckpt_s", Head: "young-ckpt(s)", HeadFmt: "%14s", CellFmt: "%14.2f"},
+		{Key: "eff_best_gbps", Head: "eff@best", HeadFmt: "%9s", CellFmt: "%9.3f"},
+		{Key: "eff_failstop_gbps", Head: "eff@off", HeadFmt: "%8s", CellFmt: "%8.3f"},
+	})
 	// Analytic checkpoint cost needs a model instance; the constants are
 	// size-independent of the cluster, so a minimal spec serves.
 	model := costmodel.New(des.NewEnv(), cluster.Aurora(1), costmodel.Default())
@@ -599,8 +595,8 @@ func optimalCkptTable(byBackend map[datastore.Backend][]ResiliencePoint, ckptSiz
 					bestEff, best = pt.EffGBps, pt.CkptIntervalS
 				}
 			}
-			t.Rows = append(t.Rows, []any{b.String(), mtbfLabel(m), ckptLabel(best),
-				math.Sqrt(2 * delta * m), bestEff, failstopEff})
+			t.AddRow(scenario.S(b.String()), scenario.S(mtbfLabel(m)), scenario.S(ckptLabel(best)),
+				scenario.F(math.Sqrt(2*delta*m)), scenario.F(bestEff), scenario.F(failstopEff))
 		}
 	}
 	return t

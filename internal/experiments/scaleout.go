@@ -165,19 +165,16 @@ func scaleOutGrid(ctx context.Context, p scenario.Params, b datastore.Backend) (
 // slowdown is each row's mean staging latency over the 1-tenant baseline
 // at the same size.
 func scaleOutTable(b datastore.Backend, points []ScaleOutPoint) scenario.Table {
-	t := scenario.Table{
-		Title: fmt.Sprintf("Scale-out — %s: multi-tenant contention on one shared deployment", b),
-		Columns: []scenario.Column{
-			{Key: "tenants", Head: "tenants", HeadFmt: "%8s", CellFmt: "%8d"},
-			{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
-			{Key: "write_gbps", Head: "write(GB/s)", HeadFmt: "%12s", CellFmt: "%12.3f"},
-			{Key: "read_gbps", Head: "read(GB/s)", HeadFmt: "%12s", CellFmt: "%12.3f"},
-			{Key: "stage_p50_s", Head: "p50-stage(s)", HeadFmt: "%13s", CellFmt: "%13.5f"},
-			{Key: "shared_wait_s", Head: "queue-wait(s)", HeadFmt: "%14s", CellFmt: "%14.5f"},
-			{Key: "agg_gbps", Head: "agg(GB/s)", HeadFmt: "%10s", CellFmt: "%10.3f"},
-			{Key: "slowdown", Head: "slowdown", HeadFmt: "%9s", CellFmt: "%9.2f"},
-		},
-	}
+	t := scenario.NewTable(fmt.Sprintf("Scale-out — %s: multi-tenant contention on one shared deployment", b), len(points), []scenario.Column{
+		{Key: "tenants", Head: "tenants", HeadFmt: "%8s", CellFmt: "%8d"},
+		{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
+		{Key: "write_gbps", Head: "write(GB/s)", HeadFmt: "%12s", CellFmt: "%12.3f"},
+		{Key: "read_gbps", Head: "read(GB/s)", HeadFmt: "%12s", CellFmt: "%12.3f"},
+		{Key: "stage_p50_s", Head: "p50-stage(s)", HeadFmt: "%13s", CellFmt: "%13.5f"},
+		{Key: "shared_wait_s", Head: "queue-wait(s)", HeadFmt: "%14s", CellFmt: "%14.5f"},
+		{Key: "agg_gbps", Head: "agg(GB/s)", HeadFmt: "%10s", CellFmt: "%10.3f"},
+		{Key: "slowdown", Head: "slowdown", HeadFmt: "%9s", CellFmt: "%9.2f"},
+	})
 	// 1-tenant baselines by size, for the slowdown column.
 	base := map[float64]float64{}
 	for _, pt := range points {
@@ -190,8 +187,8 @@ func scaleOutTable(b datastore.Backend, points []ScaleOutPoint) scenario.Table {
 		if b, ok := base[pt.SizeMB]; ok && b > 0 {
 			slowdown = pt.StageMeanS / b
 		}
-		t.Rows = append(t.Rows, []any{pt.Tenants, pt.SizeMB, pt.WriteGBps, pt.ReadGBps,
-			pt.StageP50S, pt.SharedWaitS, pt.AggGBps, slowdown})
+		t.AddRow(scenario.I(pt.Tenants), scenario.F(pt.SizeMB), scenario.F(pt.WriteGBps), scenario.F(pt.ReadGBps),
+			scenario.F(pt.StageP50S), scenario.F(pt.SharedWaitS), scenario.F(pt.AggGBps), scenario.F(slowdown))
 	}
 	return t
 }

@@ -140,8 +140,8 @@ func TestScaleOutScenarioRegistered(t *testing.T) {
 	}
 	for i, tab := range res.Tables {
 		// Tenants capped at 2 → {1, 2} × two sizes.
-		if len(tab.Rows) != 4 {
-			t.Fatalf("table %d has %d rows, want 4", i, len(tab.Rows))
+		if len(tab.Cells) != 4*len(tab.Columns) {
+			t.Fatalf("table %d has %d cells, want 4 rows of %d", i, len(tab.Cells), len(tab.Columns))
 		}
 		// Every row carries the slowdown column, and the tenants=1 rows
 		// are the 1.00 baseline.
@@ -149,8 +149,9 @@ func TestScaleOutScenarioRegistered(t *testing.T) {
 		if tab.Columns[slowCol].Key != "slowdown" {
 			t.Fatalf("table %d last column = %q, want slowdown", i, tab.Columns[slowCol].Key)
 		}
-		for _, row := range tab.Rows {
-			if row[0].(int) == 1 && row[slowCol].(float64) != 1.0 {
+		for r := 0; r < len(tab.Cells); r += len(tab.Columns) {
+			row := tab.Cells[r : r+len(tab.Columns)]
+			if row[0] == scenario.I(1) && row[slowCol] != scenario.F(1.0) {
 				t.Fatalf("table %d baseline slowdown = %v, want 1.0", i, row[slowCol])
 			}
 		}

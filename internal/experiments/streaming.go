@@ -319,17 +319,14 @@ func RunStreamDelivery(ctx context.Context, cfg StreamingConfig, method Streamin
 
 // streamingTable structures the comparison for the reporters.
 func streamingTable(points []StreamingPoint) scenario.Table {
-	t := scenario.Table{
-		Title: "Extension — staged polling vs point-to-point streaming (real data movement)",
-		Columns: []scenario.Column{
-			{Key: "method", Head: "method", HeadFmt: "%-14s", CellFmt: "%-14s"},
-			{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
-			{Key: "latency_mean_ms", Head: "latency-mean(ms)", HeadFmt: "%16s", CellFmt: "%16.3f"},
-			{Key: "gbps", Head: "GB/s", HeadFmt: "%12s", CellFmt: "%12.3f"},
-		},
-	}
+	t := scenario.NewTable("Extension — staged polling vs point-to-point streaming (real data movement)", len(points), []scenario.Column{
+		{Key: "method", Head: "method", HeadFmt: "%-14s", CellFmt: "%-14s"},
+		{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
+		{Key: "latency_mean_ms", Head: "latency-mean(ms)", HeadFmt: "%16s", CellFmt: "%16.3f"},
+		{Key: "gbps", Head: "GB/s", HeadFmt: "%12s", CellFmt: "%12.3f"},
+	})
 	for _, pt := range points {
-		t.Rows = append(t.Rows, []any{string(pt.Method), pt.SizeMB, pt.LatencyMeanS * 1000, pt.GBps})
+		t.AddRow(scenario.S(string(pt.Method)), scenario.F(pt.SizeMB), scenario.F(pt.LatencyMeanS*1000), scenario.F(pt.GBps))
 	}
 	return t
 }

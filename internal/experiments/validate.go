@@ -200,38 +200,32 @@ func RunValidation(ctx context.Context, cfg ValidationConfig) (*ValidationResult
 
 // table2Table structures the event-count comparison (Table 2).
 func table2Table(original, miniApp *ValidationResult) scenario.Table {
-	t := scenario.Table{
-		Title: "Table 2 — time steps and data-transport events",
-		Columns: []scenario.Column{
-			{Key: "mode", Head: "", HeadFmt: "%-10s", CellFmt: "%-10s"},
-			{Key: "sim_steps", Head: "sim steps", HeadFmt: "%12s", CellFmt: "%12d"},
-			{Key: "sim_transport", Head: "sim transport", HeadFmt: "%14s", CellFmt: "%14d"},
-			{Key: "train_steps", Head: "train steps", HeadFmt: "%12s", CellFmt: "%12d"},
-			{Key: "train_transport", Head: "train transport", HeadFmt: "%14s", CellFmt: "%14d"},
-		},
-	}
+	t := scenario.NewTable("Table 2 — time steps and data-transport events", 2, []scenario.Column{
+		{Key: "mode", Head: "", HeadFmt: "%-10s", CellFmt: "%-10s"},
+		{Key: "sim_steps", Head: "sim steps", HeadFmt: "%12s", CellFmt: "%12d"},
+		{Key: "sim_transport", Head: "sim transport", HeadFmt: "%14s", CellFmt: "%14d"},
+		{Key: "train_steps", Head: "train steps", HeadFmt: "%12s", CellFmt: "%12d"},
+		{Key: "train_transport", Head: "train transport", HeadFmt: "%14s", CellFmt: "%14d"},
+	})
 	for _, r := range []*ValidationResult{original, miniApp} {
-		t.Rows = append(t.Rows, []any{r.Mode.String(), r.Sim.Timesteps, r.Sim.TransportEvents,
-			r.Train.Timesteps, r.Train.TransportEvents})
+		t.AddRow(scenario.S(r.Mode.String()), scenario.I(r.Sim.Timesteps), scenario.I(r.Sim.TransportEvents),
+			scenario.I(r.Train.Timesteps), scenario.I(r.Train.TransportEvents))
 	}
 	return t
 }
 
 // table3Table structures the iteration-time comparison (Table 3).
 func table3Table(original, miniApp *ValidationResult) scenario.Table {
-	t := scenario.Table{
-		Title: "Table 3 — iteration time mean / std (s)",
-		Columns: []scenario.Column{
-			{Key: "mode", Head: "", HeadFmt: "%-10s", CellFmt: "%-10s"},
-			{Key: "sim_iter_mean_s", Head: "sim mean", HeadFmt: "%12s", CellFmt: "%12.4f"},
-			{Key: "sim_iter_std_s", Head: "sim std", HeadFmt: "%12s", CellFmt: "%12.4f"},
-			{Key: "train_iter_mean_s", Head: "train mean", HeadFmt: "%12s", CellFmt: "%12.4f"},
-			{Key: "train_iter_std_s", Head: "train std", HeadFmt: "%12s", CellFmt: "%12.4f"},
-		},
-	}
+	t := scenario.NewTable("Table 3 — iteration time mean / std (s)", 2, []scenario.Column{
+		{Key: "mode", Head: "", HeadFmt: "%-10s", CellFmt: "%-10s"},
+		{Key: "sim_iter_mean_s", Head: "sim mean", HeadFmt: "%12s", CellFmt: "%12.4f"},
+		{Key: "sim_iter_std_s", Head: "sim std", HeadFmt: "%12s", CellFmt: "%12.4f"},
+		{Key: "train_iter_mean_s", Head: "train mean", HeadFmt: "%12s", CellFmt: "%12.4f"},
+		{Key: "train_iter_std_s", Head: "train std", HeadFmt: "%12s", CellFmt: "%12.4f"},
+	})
 	for _, r := range []*ValidationResult{original, miniApp} {
-		t.Rows = append(t.Rows, []any{r.Mode.String(), r.Sim.IterMean, r.Sim.IterStd,
-			r.Train.IterMean, r.Train.IterStd})
+		t.AddRow(scenario.S(r.Mode.String()), scenario.F(r.Sim.IterMean), scenario.F(r.Sim.IterStd),
+			scenario.F(r.Train.IterMean), scenario.F(r.Train.IterStd))
 	}
 	return t
 }

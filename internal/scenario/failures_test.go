@@ -17,7 +17,7 @@ func failingResult() *Result {
 		Tables: []Table{{
 			Title:   "Demo table",
 			Columns: []Column{{Key: "x", Head: "x", HeadFmt: "%4s", CellFmt: "%4d"}},
-			Rows:    [][]any{{1}, {2}},
+			Cells:   []Cell{I(1), I(2)},
 		}},
 		Failures: FailuresFrom("demo/grid", []*sweep.CellError{
 			{Index: 3, Err: errors.New("panic: saboteur")},

@@ -52,18 +52,21 @@ func WriteTable(w io.Writer, t Table) error {
 	}
 	headFmts := make([]string, len(t.Columns))
 	cellFmts := make([]string, len(t.Columns))
-	heads := make([]any, len(t.Columns))
+	args := make([]any, len(t.Columns))
 	for i, c := range t.Columns {
 		headFmts[i] = c.HeadFmt
 		cellFmts[i] = c.CellFmt
-		heads[i] = c.Head
+		args[i] = c.Head
 	}
-	if _, err := fmt.Fprintf(w, strings.Join(headFmts, " ")+"\n", heads...); err != nil {
+	if _, err := fmt.Fprintf(w, strings.Join(headFmts, " ")+"\n", args...); err != nil {
 		return err
 	}
 	rowFmt := strings.Join(cellFmts, " ") + "\n"
-	for _, row := range t.Rows {
-		if _, err := fmt.Fprintf(w, rowFmt, row...); err != nil {
+	for i := 0; i < len(t.Cells); i += len(args) {
+		for j := range args {
+			args[j] = t.Cells[i+j].value()
+		}
+		if _, err := fmt.Fprintf(w, rowFmt, args...); err != nil {
 			return err
 		}
 	}
@@ -120,11 +123,8 @@ func writeFailures(w io.Writer, res *Result) error {
 func (t Table) MarshalJSON() ([]byte, error) { return t.AppendJSON(nil) }
 
 // AppendJSON appends the table's MarshalJSON bytes to b. A row's record
-// is what encoding/json makes of a map[string]any holding it — keys
-// sorted, a duplicated column key keeping the row's last value, and a
-// ragged row's cells past the last column dropped (possible in
-// user-registered scenarios) — appended straight into b. On error it
-// returns nil.
+// is what encoding/json makes of a map[string]any holding it, keys
+// sorted, appended straight into b. On error it returns nil.
 func (t Table) AppendJSON(b []byte) ([]byte, error) {
 	if len(t.Columns) == 0 {
 		b = append(b, `{"title":`...)
@@ -133,15 +133,14 @@ func (t Table) AppendJSON(b []byte) ([]byte, error) {
 		b = AppendJSONString(b, t.Text)
 		return append(b, '}'), nil
 	}
-	// byKey lists the column indices in key order, ties by index, so the
-	// last column of a run of equal keys is the one a map would keep. It
-	// stays on the stack up to 16 columns.
+	// byKey lists the column indices in key order. It stays on the stack
+	// up to 16 columns.
 	var keyOrder [16]int
 	byKey := keyOrder[:0]
 	for i := range t.Columns {
 		byKey = append(byKey, i)
 	}
-	slices.SortStableFunc(byKey, func(a, b int) int { return strings.Compare(t.Columns[a].Key, t.Columns[b].Key) })
+	slices.SortFunc(byKey, func(a, b int) int { return strings.Compare(t.Columns[a].Key, t.Columns[b].Key) })
 
 	b = slices.Grow(b, t.jsonSize())
 	b = append(b, `{"title":`...)
@@ -154,25 +153,19 @@ func (t Table) AppendJSON(b []byte) ([]byte, error) {
 		b = AppendJSONString(b, c.Key)
 	}
 	b = append(b, `],"rows":[`...)
-	for i, row := range t.Rows {
+	for i := 0; i < len(t.Cells); i += len(byKey) {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = append(b, '{')
-		n, first := min(len(row), len(t.Columns)), true
 		for k, j := range byKey {
-			key := t.Columns[j].Key
-			if j >= n || k+1 < len(byKey) && byKey[k+1] < n && t.Columns[byKey[k+1]].Key == key {
-				continue // past the row's end, or overwritten by a later duplicate
-			}
-			if !first {
+			if k > 0 {
 				b = append(b, ',')
 			}
-			first = false
-			b = AppendJSONString(b, key)
+			b = AppendJSONString(b, t.Columns[j].Key)
 			b = append(b, ':')
 			var err error
-			if b, err = appendJSONValue(b, row[j]); err != nil {
+			if b, err = t.Cells[i+j].appendJSON(b); err != nil {
 				return nil, err
 			}
 		}
@@ -244,7 +237,7 @@ func (t Table) jsonSize() int {
 	for _, c := range t.Columns {
 		rowSize += len(c.Key) + 24
 	}
-	return 32 + len(t.Title) + len(t.Text) + rowSize*(len(t.Rows)+1)
+	return 32 + len(t.Title) + len(t.Text) + rowSize*(len(t.Cells)/max(len(t.Columns), 1)+1)
 }
 
 // AppendJSONString appends s quoted as encoding/json quotes it. Plain
@@ -262,29 +255,19 @@ func AppendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// appendJSONValue appends one cell as encoding/json encodes it. The
-// types tables are built from are written directly; anything else, and
-// the NaN and ±Inf floats encoding/json refuses, goes through it.
-func appendJSONValue(b []byte, v any) ([]byte, error) {
-	switch v := v.(type) {
-	case nil:
-		return append(b, "null"...), nil
-	case string:
-		return AppendJSONString(b, v), nil
-	case bool:
-		return strconv.AppendBool(b, v), nil
-	case int:
-		return strconv.AppendInt(b, int64(v), 10), nil
-	case float64:
-		if !math.IsInf(v, 0) && !math.IsNaN(v) {
-			return appendJSONFloat(b, v), nil
-		}
-	}
-	enc, err := json.Marshal(v)
-	if err != nil {
+// appendJSON appends the cell as encoding/json encodes its value. A NaN
+// or ±Inf float, which encoding/json refuses, fails with its error.
+func (c Cell) appendJSON(b []byte) ([]byte, error) {
+	switch {
+	case c.kind == 's':
+		return AppendJSONString(b, c.s), nil
+	case c.kind == 'd':
+		return strconv.AppendInt(b, int64(c.n), 10), nil
+	case math.IsInf(c.f, 0) || math.IsNaN(c.f):
+		_, err := json.Marshal(c.f)
 		return nil, err
 	}
-	return append(b, enc...), nil
+	return appendJSONFloat(b, c.f), nil
 }
 
 // appendJSONFloat appends a finite float64 in encoding/json's format:
@@ -306,7 +289,8 @@ func appendJSONFloat(b []byte, f float64) []byte {
 // UnmarshalJSON inverts MarshalJSON so JSON results round-trip (the
 // serving client depends on this). The text-layout fmt verbs are not
 // part of the wire shape, so decoded Columns carry keys only and
-// numeric cells come back as float64.
+// numeric cells come back as F. A record that lacks a column, or holds
+// anything but a number or a string, is an error.
 func (t *Table) UnmarshalJSON(data []byte) error {
 	var aux struct {
 		Title   string           `json:"title"`
@@ -318,16 +302,21 @@ func (t *Table) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	t.Title, t.Text = aux.Title, aux.Text
-	t.Columns, t.Rows = nil, nil
+	t.Columns, t.Cells = nil, nil
 	for _, k := range aux.Columns {
 		t.Columns = append(t.Columns, Column{Key: k})
 	}
-	for _, rec := range aux.Rows {
-		row := make([]any, len(aux.Columns))
-		for j, k := range aux.Columns {
-			row[j] = rec[k]
+	for i, rec := range aux.Rows {
+		for _, k := range aux.Columns {
+			switch v := rec[k].(type) {
+			case float64:
+				t.Cells = append(t.Cells, F(v))
+			case string:
+				t.Cells = append(t.Cells, S(v))
+			default:
+				return fmt.Errorf("scenario: table %q row %d: %q is %v, not a number or a string", t.Title, i, k, v)
+			}
 		}
-		t.Rows = append(t.Rows, row)
 	}
 	return nil
 }
@@ -358,16 +347,10 @@ func (csvReporter) Report(w io.Writer, results []*Result) error {
 			if err := cw.Write(header); err != nil {
 				return err
 			}
-			for _, row := range t.Rows {
+			for i := 0; i < len(t.Cells); i += len(t.Columns) {
 				rec := []string{res.Scenario, t.Title}
-				// Bound by the header width so ragged rows from
-				// user-registered scenarios cannot emit records wider than
-				// the header (matching the JSON marshaller's truncation).
-				for j, v := range row {
-					if j >= len(t.Columns) {
-						break
-					}
-					rec = append(rec, fmt.Sprint(v))
+				for _, c := range t.Cells[i : i+len(t.Columns)] {
+					rec = append(rec, fmt.Sprint(c.value()))
 				}
 				if err := cw.Write(rec); err != nil {
 					return err

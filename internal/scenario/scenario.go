@@ -186,17 +186,63 @@ func FailuresFrom(sweepLabel string, errs []*sweep.CellError) []CellFailure {
 }
 
 // Table is one rendered artifact: either a column-formatted table
-// (Columns + Rows) or a freeform text block (Text, e.g. the Fig 2 ASCII
+// (Columns + Cells) or a freeform text block (Text, e.g. the Fig 2 ASCII
 // timelines).
 type Table struct {
 	// Title is printed verbatim above the table.
 	Title string
 	// Columns describe the cells of each row; nil for freeform tables.
 	Columns []Column
-	// Rows hold one value per column, in column order.
-	Rows [][]any
+	// Cells hold the rows flat, one cell per column in column order: row
+	// i is Cells[i*len(Columns) : (i+1)*len(Columns)]. AddRow appends one.
+	Cells []Cell
 	// Text is the freeform body when Columns is nil; must end with "\n".
 	Text string
+}
+
+// NewTable returns a column-formatted table with room for rows rows, so
+// that a producer which knows its row count allocates the cells once.
+func NewTable(title string, rows int, columns []Column) Table {
+	return Table{Title: title, Columns: columns, Cells: make([]Cell, 0, rows*len(columns))}
+}
+
+// AddRow appends one row. It panics unless there is one cell per column,
+// as an index out of range would: a row cannot be ragged.
+func (t *Table) AddRow(cells ...Cell) {
+	if len(cells) != len(t.Columns) {
+		panic(fmt.Sprintf("scenario: %d cells for the %d columns of table %q", len(cells), len(t.Columns), t.Title))
+	}
+	t.Cells = append(t.Cells, cells...)
+}
+
+// A Cell is one table value: a string, a float64 or an integer (for the
+// %d columns). S, F and I build one.
+type Cell struct {
+	kind byte // 's', 'f' or 'd': the fmt verb its value prints under
+	s    string
+	f    float64
+	n    int
+}
+
+// S is a string cell.
+func S(s string) Cell { return Cell{kind: 's', s: s} }
+
+// F is a float64 cell.
+func F(f float64) Cell { return Cell{kind: 'f', f: f} }
+
+// I is an integer cell.
+func I(n int) Cell { return Cell{kind: 'd', n: n} }
+
+// value is the Go value the cell holds, for the fmt verbs of the text
+// and CSV renderers.
+func (c Cell) value() any {
+	switch c.kind {
+	case 's':
+		return c.s
+	case 'd':
+		return c.n
+	}
+	return c.f
 }
 
 // Column is one table column: a machine-readable key for JSON/CSV plus

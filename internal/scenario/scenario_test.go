@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -110,7 +111,7 @@ func sampleResult() *Result {
 				{Key: "backend", Head: "backend", HeadFmt: "%-12s", CellFmt: "%-12s"},
 				{Key: "size_mb", Head: "size(MB)", HeadFmt: "%10s", CellFmt: "%10.2f"},
 			},
-			Rows: [][]any{{"redis", 0.4}, {"dragon", 32.0}},
+			Cells: []Cell{S("redis"), F(0.4), S("dragon"), F(32)},
 		}, {
 			Title: "Sample — freeform",
 			Text:  "ascii art\n",
@@ -190,43 +191,56 @@ func TestCSVReporter(t *testing.T) {
 	}
 }
 
-func TestCSVReporterRaggedRow(t *testing.T) {
-	var buf bytes.Buffer
-	r, _ := NewReporter("csv")
-	res := &Result{Scenario: "r", Tables: []Table{{
-		Title:   "ragged",
-		Columns: []Column{{Key: "a", Head: "a", HeadFmt: "%s", CellFmt: "%v"}},
-		Rows:    [][]any{{1, 2, 3}},
-	}}}
-	if err := r.Report(&buf, []*Result{res}); err != nil {
-		t.Fatal(err)
+// TestAddRowRefusesRaggedRows: a row of more or fewer cells than
+// columns panics, as an index out of range would, so every encoder may
+// read the cells in strides of len(Columns).
+func TestAddRowRefusesRaggedRows(t *testing.T) {
+	tb := Table{Title: "ragged", Columns: []Column{{Key: "a"}, {Key: "b"}}}
+	tb.AddRow(I(1), S("x"))
+	for _, row := range [][]Cell{{I(2)}, {I(2), F(3), S("y")}, nil} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddRow of %d cells for 2 columns did not panic", len(row))
+				}
+			}()
+			tb.AddRow(row...)
+		}()
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "scenario,table,a" || lines[1] != "r,ragged,1" {
-		t.Fatalf("ragged CSV record wider than header:\n%s", buf.String())
+	if want := []Cell{I(1), S("x")}; !slices.Equal(tb.Cells, want) {
+		t.Fatalf("cells = %v, want %v", tb.Cells, want)
 	}
 }
 
-func TestJSONMarshalRaggedRow(t *testing.T) {
-	// A user-registered scenario can build a row with more cells than
-	// columns; JSON must drop the excess, not panic.
-	tb := Table{
-		Title:   "ragged",
-		Columns: []Column{{Key: "a", Head: "a", HeadFmt: "%s", CellFmt: "%v"}},
-		Rows:    [][]any{{1, 2, 3}},
-	}
+// TestTableJSONRoundTrip: UnmarshalJSON gives back every cell, numbers
+// as F, and refuses a record that lacks a column or holds a value no
+// cell can.
+func TestTableJSONRoundTrip(t *testing.T) {
+	tb := Table{Title: "t", Columns: []Column{{Key: "n"}, {Key: "s"}, {Key: "x"}}}
+	tb.AddRow(I(3), S("a<b"), F(0.25))
+	tb.AddRow(I(-1), S(""), F(1e21))
 	data, err := json.Marshal(tb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		Rows []map[string]any `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
+	var back Table
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Rows) != 1 || doc.Rows[0]["a"].(float64) != 1 || len(doc.Rows[0]) != 1 {
-		t.Fatalf("ragged row record = %v", doc.Rows[0])
+	if want := []Cell{F(3), S("a<b"), F(0.25), F(-1), S(""), F(1e21)}; !slices.Equal(back.Cells, want) {
+		t.Fatalf("decoded cells = %v, want %v", back.Cells, want)
+	}
+	if again, _ := json.Marshal(back); !bytes.Equal(again, data) {
+		t.Fatalf("re-encoded\n%s\nwant\n%s", again, data)
+	}
+	for _, body := range []string{
+		`{"title":"t","columns":["a","b"],"rows":[{"a":1}]}`,
+		`{"title":"t","columns":["a"],"rows":[{"a":null}]}`,
+		`{"title":"t","columns":["a"],"rows":[{"a":true}]}`,
+	} {
+		if err := json.Unmarshal([]byte(body), &back); err == nil {
+			t.Errorf("%s decoded without an error", body)
+		}
 	}
 }
 

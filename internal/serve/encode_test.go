@@ -22,14 +22,15 @@ func TestEncodeRunResponseMatchesEncodingJSON(t *testing.T) {
 		Columns: []scenario.Column{
 			{Key: "backend"}, {Key: "size_mb"}, {Key: "read_gbps"}, {Key: "write_gbps"},
 		},
-		Rows: [][]any{
-			{"redis", 0.4, 0.12345678901234, 1.5e-7},
-			{"filesystem", 128.0, 3.0, 2.5e21},
+		Cells: []scenario.Cell{
+			scenario.S("redis"), scenario.F(0.4), scenario.F(0.12345678901234), scenario.F(1.5e-7),
+			scenario.S("filesystem"), scenario.F(128), scenario.F(3), scenario.F(2.5e21),
 		},
 	}
 	budget := &des.BudgetExceeded{Guard: des.Guard{MaxEvents: 10}, Events: 10, Now: 0.25}
-	withNumber := func(v any) []scenario.Table {
-		return []scenario.Table{{Title: "t", Columns: []scenario.Column{{Key: "a"}, {Key: "b"}}, Rows: [][]any{{1, v}}}}
+	withNumber := func(v float64) []scenario.Table {
+		return []scenario.Table{{Title: "t", Columns: []scenario.Column{{Key: "a"}, {Key: "b"}},
+			Cells: []scenario.Cell{scenario.I(1), scenario.F(v)}}}
 	}
 	for _, c := range []struct {
 		name string
@@ -54,16 +55,21 @@ func TestEncodeRunResponseMatchesEncodingJSON(t *testing.T) {
 		{"NaN cell", &scenario.Result{Scenario: "nan", Tables: withNumber(math.NaN())}},
 		{"+Inf cell", &scenario.Result{Scenario: "inf", Tables: withNumber(math.Inf(1))}},
 		{"-Inf cell", &scenario.Result{Scenario: "inf", Tables: withNumber(math.Inf(-1))}},
-		{"Inf in the fallback", &scenario.Result{Scenario: "inf", Tables: withNumber(float32(math.Inf(1)))}},
 		{"escaping", &scenario.Result{Scenario: "<script>&amp;</script>", Params: scenario.Params{Policy: "<edf>&", Clock: "virtuél"},
 			Tables: []scenario.Table{{
 				Title:   "a < b && c > d — ünïcödé   \xff",
 				Columns: []scenario.Column{{Key: "lt<"}, {Key: "gt>"}, {Key: "amp&"}, {Key: "é"}, {Key: "plain"}},
-				Rows:    [][]any{{"1<2", "2>1", "a&b", "naïve\u2028", 1e-7}, {nil, true, -0.0}},
+				Cells: []scenario.Cell{
+					scenario.S("1<2"), scenario.S("2>1"), scenario.S("a&b"), scenario.S("naïve\u2028"), scenario.F(1e-7),
+					scenario.S("\xff bad"), scenario.I(-1), scenario.F(math.Copysign(0, -1)), scenario.S(""), scenario.I(math.MaxInt64),
+				},
 			}}}},
-		{"duplicate keys and ragged rows", &scenario.Result{Scenario: "ragged", Tables: []scenario.Table{
-			{Title: "dup", Columns: []scenario.Column{{Key: "a"}, {Key: "b"}, {Key: "a"}, {Key: "c"}},
-				Rows: [][]any{{1, 2, 3, 4, 5, 6}, {7}, {}, nil, {8, 9, 10}}},
+		{"integer string and float cells", &scenario.Result{Scenario: "gradsync", Tables: []scenario.Table{
+			{Title: "mixed", Columns: []scenario.Column{{Key: "ranks"}, {Key: "best"}, {Key: "coll_ms"}, {Key: "algo"}},
+				Cells: []scenario.Cell{
+					scenario.I(512), scenario.S("hier"), scenario.F(0.0123), scenario.S("ring"),
+					scenario.I(0), scenario.S("tree"), scenario.F(1e21), scenario.S("flat"),
+				}},
 			fig5,
 		}}},
 	} {

@@ -44,7 +44,7 @@ func okResult(name string, p scenario.Params) *scenario.Result {
 	return &scenario.Result{Scenario: name, Params: p, Tables: []scenario.Table{{
 		Title:   name,
 		Columns: []scenario.Column{{Key: "rate", Head: "rate", HeadFmt: "%8s", CellFmt: "%8.2f"}},
-		Rows:    [][]any{{p.Rate}},
+		Cells:   []scenario.Cell{scenario.F(p.Rate)},
 	}}}
 }
 

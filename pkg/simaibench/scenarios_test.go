@@ -87,7 +87,7 @@ func TestCampaignScenarioThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tables) != 2 || len(res.Tables[0].Rows) != 1 {
+	if len(res.Tables) != 2 || len(res.Tables[0].Cells) != len(res.Tables[0].Columns) {
 		t.Fatalf("unexpected result shape: %d tables", len(res.Tables))
 	}
 }
