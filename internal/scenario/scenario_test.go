@@ -191,6 +191,56 @@ func TestCSVReporter(t *testing.T) {
 	}
 }
 
+// raggedTable is a one-column table holding the row {1} after AddRow
+// refused the ragged row {1, 2, 3}.
+func raggedTable(t *testing.T) Table {
+	t.Helper()
+	tb := Table{Title: "ragged", Columns: []Column{{Key: "a", Head: "a", HeadFmt: "%s", CellFmt: "%v"}}}
+	tb.AddRow(I(1))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("AddRow of 3 cells for 1 column did not panic")
+			}
+		}()
+		tb.AddRow(I(1), I(2), I(3))
+	}()
+	return tb
+}
+
+// TestCSVReporterRaggedRow: a refused ragged row leaves no record wider
+// than the header in the CSV.
+func TestCSVReporterRaggedRow(t *testing.T) {
+	var buf bytes.Buffer
+	r, _ := NewReporter("csv")
+	res := &Result{Scenario: "r", Tables: []Table{raggedTable(t)}}
+	if err := r.Report(&buf, []*Result{res}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 || lines[0] != "scenario,table,a" || lines[1] != "r,ragged,1" {
+		t.Fatalf("ragged CSV record wider than header:\n%s", buf.String())
+	}
+}
+
+// TestJSONMarshalRaggedRow: a refused ragged row leaves one record of
+// one key in the JSON.
+func TestJSONMarshalRaggedRow(t *testing.T) {
+	data, err := json.Marshal(raggedTable(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Rows []map[string]any `json:"rows"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Rows) != 1 || doc.Rows[0]["a"].(float64) != 1 || len(doc.Rows[0]) != 1 {
+		t.Fatalf("ragged row records = %v", doc.Rows)
+	}
+}
+
 // TestAddRowRefusesRaggedRows: a row of more or fewer cells than
 // columns panics, as an index out of range would, so every encoder may
 // read the cells in strides of len(Columns).
