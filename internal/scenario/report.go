@@ -64,7 +64,7 @@ func WriteTable(w io.Writer, t Table) error {
 	rowFmt := strings.Join(cellFmts, " ") + "\n"
 	for i := 0; i < len(t.Cells); i += len(args) {
 		for j := range args {
-			args[j] = t.Cells[i+j].value()
+			args[j] = t.Cells[i+j].Value()
 		}
 		if _, err := fmt.Fprintf(w, rowFmt, args...); err != nil {
 			return err
@@ -350,7 +350,7 @@ func (csvReporter) Report(w io.Writer, results []*Result) error {
 			for i := 0; i < len(t.Cells); i += len(t.Columns) {
 				rec := []string{res.Scenario, t.Title}
 				for _, c := range t.Cells[i : i+len(t.Columns)] {
-					rec = append(rec, fmt.Sprint(c.value()))
+					rec = append(rec, fmt.Sprint(c.Value()))
 				}
 				if err := cw.Write(rec); err != nil {
 					return err

@@ -28,7 +28,7 @@ func mapTableJSON(t Table) ([]byte, error) {
 	for i := range rows {
 		rec := make(map[string]any, len(keys))
 		for j, k := range keys {
-			rec[k] = t.Cells[i*len(keys)+j].value()
+			rec[k] = t.Cells[i*len(keys)+j].Value()
 		}
 		rows[i] = rec
 	}

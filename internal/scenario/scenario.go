@@ -194,7 +194,9 @@ type Table struct {
 	// Columns describe the cells of each row; nil for freeform tables.
 	Columns []Column
 	// Cells hold the rows flat, one cell per column in column order: row
-	// i is Cells[i*len(Columns) : (i+1)*len(Columns)]. AddRow appends one.
+	// i is Cells[i*len(Columns) : (i+1)*len(Columns)]. Its length is a
+	// multiple of len(Columns): build it only with AddRow (or
+	// UnmarshalJSON), since the reporters index it by that stride.
 	Cells []Cell
 	// Text is the freeform body when Columns is nil; must end with "\n".
 	Text string
@@ -233,9 +235,9 @@ func F(f float64) Cell { return Cell{kind: 'f', f: f} }
 // I is an integer cell.
 func I(n int) Cell { return Cell{kind: 'd', n: n} }
 
-// value is the Go value the cell holds, for the fmt verbs of the text
-// and CSV renderers.
-func (c Cell) value() any {
+// Value is the Go value the cell holds: a string, a float64 or an int.
+// The text and CSV reporters hand it to their fmt verbs.
+func (c Cell) Value() any {
 	switch c.kind {
 	case 's':
 		return c.s

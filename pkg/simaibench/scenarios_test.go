@@ -43,6 +43,15 @@ func TestRunScenarioProgrammatic(t *testing.T) {
 	if res.Scenario != "fig5" || len(res.Tables) != 1 {
 		t.Fatalf("unexpected result shape: %+v", res)
 	}
+	// A library user reads the cells in Go, too: read_gbps is a float64.
+	tab := res.Tables[0]
+	col := slices.IndexFunc(tab.Columns, func(c scenario.Column) bool { return c.Key == "read_gbps" })
+	if col < 0 || len(tab.Cells) < len(tab.Columns) {
+		t.Fatalf("fig5 table has no read_gbps column or no row: %+v", tab.Columns)
+	}
+	if v, ok := tab.Cells[col].Value().(float64); !ok || !(v > 0) {
+		t.Fatalf("first row's read_gbps cell = %#v, want a positive float64", tab.Cells[col].Value())
+	}
 	var buf bytes.Buffer
 	if err := ReportResults(&buf, "json", res); err != nil {
 		t.Fatal(err)
