@@ -264,10 +264,9 @@ type Env struct {
 
 	stopped bool
 
-	// Run guardrails (see guard.go). guarded mirrors guard.enabled() so
-	// the healthy hot path pays one predictable branch per event.
+	// Run guardrails (see guard.go): the healthy hot path pays one
+	// predictable branch per event, guard.enabled().
 	guard    Guard
-	guarded  bool
 	executed int64
 	guardErr error
 }
@@ -533,7 +532,7 @@ func (e *Env) NextT() (t float64, ok bool) {
 // they were called from inside a handler or after one panicked.
 func (e *Env) execNext() bool {
 	root := &e.heap[0]
-	if e.guarded && e.checkGuard() {
+	if e.guard.enabled() && e.checkGuard() {
 		return false
 	}
 	e.executed++

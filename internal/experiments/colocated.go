@@ -7,6 +7,7 @@ import (
 	"simaibench/internal/cluster"
 	"simaibench/internal/costmodel"
 	"simaibench/internal/des"
+	"simaibench/internal/scenario"
 	"simaibench/internal/stats"
 )
 
@@ -142,8 +143,8 @@ func runColocated(w ScaleOutConfig, shared bool, disturb func(*des.Env, cluster.
 		return nil, err
 	}
 	if shared && len(run.samples) == 0 {
-		return nil, fmt.Errorf("TrainIters = %d ends before the first staging write of WritePeriod = %d completes: no staging latency to measure",
-			w.TrainIters, w.WritePeriod)
+		return nil, scenario.TooShortError(fmt.Sprintf("TrainIters = %d ends before the first staging write of WritePeriod = %d completes: no staging latency to measure",
+			w.TrainIters, w.WritePeriod))
 	}
 	if run.endT <= 0 {
 		run.endT = run.horizon

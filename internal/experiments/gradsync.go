@@ -7,6 +7,7 @@ import (
 
 	"simaibench/internal/cluster"
 	"simaibench/internal/costmodel"
+	"simaibench/internal/des"
 	"simaibench/internal/mpi"
 	"simaibench/internal/scenario"
 	"simaibench/internal/stats"
@@ -206,8 +207,8 @@ func RunGradSync(cfg GradSyncConfig) (GradSyncPoint, error) {
 	// order and every rank's step end, all at one time. The skew and the
 	// step time each see their samples in that order; adding both in one
 	// loop overlaps their two dependency chains.
-	clock := serialClock{budget: cfg.MaxEvents}
-	clock.run(0, int64(cfg.Ranks))
+	clock := des.NewSerial(des.Guard{MaxEvents: cfg.MaxEvents})
+	clock.Run(0, int64(cfg.Ranks))
 	sorter := newReadySorter(cfg.Ranks) // each event carries its rank's compute
 	var stepTime, skew stats.Welford
 	start := 0.0
@@ -221,14 +222,14 @@ func RunGradSync(cfg GradSyncConfig) (GradSyncPoint, error) {
 		sorter.sort()
 		end := start + gmax + coll.TimeS + updateS
 		for i, c := range sorter.vals {
-			clock.run(math.Float64frombits(sorter.keys[i]), 1)
+			clock.Run(math.Float64frombits(sorter.keys[i]), 1)
 			skew.Add(gmax - math.Float64frombits(c))
 			stepTime.Add(end - start)
 		}
-		clock.run(end, int64(cfg.Ranks))
-		if clock.err != nil {
+		clock.Run(end, int64(cfg.Ranks))
+		if err := clock.Err(); err != nil {
 			return GradSyncPoint{}, fmt.Errorf("gradsync (%s, %g MB, %d ranks): %w",
-				algo, cfg.ModelMB, cfg.Ranks, clock.err)
+				algo, cfg.ModelMB, cfg.Ranks, err)
 		}
 		start = end
 	}

@@ -22,9 +22,7 @@ import (
 // the per-cell event budget (0 = unguarded, the zero-cost default).
 func newGuardedEnv(maxEvents int64) *des.Env {
 	env := des.NewEnv()
-	if maxEvents > 0 {
-		env.SetGuard(des.Guard{MaxEvents: maxEvents})
-	}
+	env.SetGuard(des.Guard{MaxEvents: maxEvents})
 	if onCellEnv != nil {
 		onCellEnv(env)
 	}

@@ -316,10 +316,11 @@ type cellKind struct {
 
 // TestCellFailureKindsThroughServe: a failed cell of a guarded sweep
 // reaches the serve layer's failure_kinds by its type, never by its
-// text. One cell per guardrail goes through guardedGrid and POST /v1/run;
-// the decoy cell's message carries every phrase the old text classifier
-// keyed on and must still be "internal". Repeatable with -count=N: the
-// scenario is registered once and reads this run's cells.
+// text. One cell per guardrail and one run too short to measure go
+// through guardedGrid and POST /v1/run; the decoy cell's message carries
+// every phrase the old text classifier keyed on and must still be
+// "internal". Repeatable with -count=N: the scenario is registered once
+// and reads this run's cells.
 func TestCellFailureKindsThroughServe(t *testing.T) {
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
@@ -331,6 +332,10 @@ func TestCellFailureKindsThroughServe(t *testing.T) {
 		{serve.KindTimeout, func() (Pattern1Point, error) {
 			<-release // ignores its deadline: abandoned with sweep.ErrCellTimeout
 			return Pattern1Point{}, nil
+		}},
+		{serve.KindBadRequest, func() (Pattern1Point, error) {
+			_, err := RunScaleOutChecked(ScaleOutConfig{TrainIters: 1})
+			return Pattern1Point{}, err
 		}},
 		{serve.KindInternal, func() (Pattern1Point, error) {
 			return Pattern1Point{}, errors.New("panic: event budget exceeded, deadline exceeded")

@@ -76,16 +76,15 @@ func RunFig5Checked(cfg Fig5Config) (Fig5Point, error) {
 	// and every resource they touch has this one claimant, so each request
 	// is granted at once and only the timed phases move the clock. Adding
 	// them up in chain order gives the floats an Env would (After(d) is
-	// At(now+d)); the start event counts against the budget too. Every
-	// transfer the budget lets finish runs in one loop that keeps the
-	// clock and both means in registers; the one that would cross the
-	// budget then runs phase by phase, so the trip reports the Env's
-	// Events and Now.
-	perXfer := xferEvents(write) + xferEvents(read)
-	fits := cfg.Transfers
-	if cfg.MaxEvents > 0 {
-		fits = int(min(int64(fits), (cfg.MaxEvents-1)/perXfer))
-	}
+	// At(now+d)). After the start event, every transfer the budget lets
+	// finish runs in one loop that keeps the clock and both means in
+	// registers; the one that would cross it then runs phase by phase, so
+	// the trip reports the Env's Events and Now. A transfer's chain runs
+	// two events per metadata round and one for its hold.
+	clock := des.NewSerial(des.Guard{MaxEvents: cfg.MaxEvents})
+	clock.Run(0, 1)
+	perXfer := 2*int64(max(write.MetaOps, 0)+max(read.MetaOps, 0)) + 2
+	fits := min(cfg.Transfers, clock.Fits(perXfer))
 	now := 0.0
 	var writeTput, readTput stats.Throughput
 	for range fits {
@@ -96,11 +95,19 @@ func RunFig5Checked(cfg Fig5Config) (Fig5Point, error) {
 		now = xferEnd(read, now)
 		readTput = readTput.With(bytes, now-start)
 	}
+	clock.Run(now, int64(fits)*perXfer)
 	if fits < cfg.Transfers {
-		clock := serialClock{now: now, events: 1 + int64(fits)*perXfer, budget: cfg.MaxEvents}
-		clock.xfer(write)
-		clock.xfer(read)
-		return Fig5Point{}, fmt.Errorf("fig5 (%s, %g MB): %w", cfg.Backend, cfg.SizeMB, clock.err)
+		for _, x := range [2]costmodel.XferCost{write, read} {
+			for range x.MetaOps {
+				now += x.RPCS
+				clock.Run(now, 1)
+				now += x.MDSS
+				clock.Run(now, 1)
+			}
+			now += x.HoldS
+			clock.Run(now, 1)
+		}
+		return Fig5Point{}, fmt.Errorf("fig5 (%s, %g MB): %w", cfg.Backend, cfg.SizeMB, clock.Err())
 	}
 	return Fig5Point{
 		Backend:   cfg.Backend,
@@ -111,59 +118,13 @@ func RunFig5Checked(cfg Fig5Config) (Fig5Point, error) {
 }
 
 // xferEnd is when a transfer started at now ends: its phases added up
-// in the order serialClock.xfer runs them.
+// in the order a transfer chain schedules them.
 func xferEnd(x costmodel.XferCost, now float64) float64 {
 	for range x.MetaOps {
 		now += x.RPCS
 		now += x.MDSS
 	}
 	return now + x.HoldS
-}
-
-// xferEvents is the number of events serialClock.xfer runs for x.
-func xferEvents(x costmodel.XferCost) int64 { return 2*int64(max(x.MetaOps, 0)) + 1 }
-
-// serialClock is the clock of one serial chain of events under a
-// guarded des.Env's event budget: the event that would exceed it is not
-// executed, and err records the trip as the Env would. An event past
-// until is not executed either, as in RunUntil.
-type serialClock struct {
-	now    float64
-	events int64
-	budget int64   // 0 = unlimited
-	until  float64 // 0 = none
-	err    *des.BudgetExceeded
-}
-
-// xfer takes one transfer's phases in the order a transfer chain
-// schedules them.
-func (c *serialClock) xfer(x costmodel.XferCost) {
-	for range x.MetaOps {
-		c.phase(x.RPCS)
-		c.phase(x.MDSS)
-	}
-	c.phase(x.HoldS)
-}
-
-// phase is an event d after the last one.
-func (c *serialClock) phase(d float64) { c.run(c.now+d, 1) }
-
-// run executes n events at time t, which is not before the last one —
-// as many as the budget leaves — and reports whether it executed all.
-func (c *serialClock) run(t float64, n int64) bool {
-	switch {
-	case c.err != nil || c.until > 0 && t > c.until:
-		return false
-	case c.budget > 0 && c.events+n > c.budget:
-		if c.events < c.budget {
-			c.events, c.now = c.budget, t
-		}
-		c.err = &des.BudgetExceeded{Guard: des.Guard{MaxEvents: c.budget}, Events: c.events, Now: c.now}
-		return false
-	}
-	c.events += n
-	c.now = t
-	return true
 }
 
 // Fig5Sizes spans the paper's log-scale x axis (10^0 .. ~10^2 MB).
@@ -258,8 +219,8 @@ func RunFig6Checked(cfg Fig6Config) (Fig6Point, error) {
 	}
 	periods := cfg.TrainIters / cfg.ReadPeriod
 	if periods == 0 {
-		return fail(fmt.Errorf("TrainIters = %d is shorter than one ReadPeriod = %d: no training period to measure",
-			cfg.TrainIters, cfg.ReadPeriod))
+		return fail(scenario.TooShortError(fmt.Sprintf("TrainIters = %d is shorter than one ReadPeriod = %d: no training period to measure",
+			cfg.TrainIters, cfg.ReadPeriod)))
 	}
 	params := paramsOr(cfg.Params)
 	fetch := params.EnsembleFetchCost(cfg.Backend, cfg.Nodes, cfg.SizeMB, cluster.Aurora(cfg.Nodes+1).NICGBps)
@@ -272,32 +233,33 @@ func RunFig6Checked(cfg Fig6Config) (Fig6Point, error) {
 	// in chain order gives the floats an Env would. Only completed
 	// periods count, so exec/iter stays right when a slow backend (Redis
 	// at 32+ MB) does not finish inside the horizon, a 10x compute cap.
-	clock := serialClock{budget: cfg.MaxEvents, events: 1, until: float64(cfg.TrainIters) * cfg.TrainIterS * 10}
+	clock := des.NewSerial(des.Guard{MaxEvents: cfg.MaxEvents})
+	clock.SetHorizon(float64(cfg.TrainIters) * cfg.TrainIterS * 10)
+	clock.Run(0, 1)
 	var fetchTime stats.Welford
-	lastPeriodEnd, completedPeriods := 0.0, 0
+	lastPeriodEnd := 0.0
 periods:
 	for range periods {
 		start := lastPeriodEnd + sleepS
 		t := start
-		if !clock.run(t, 1+int64(fetch.N)) { // the wake, and one start per fetch
+		if !clock.Run(t, 1+int64(fetch.N)) { // the wake, and one start per fetch
 			break
 		}
 		for j := range fetch.Waves() {
-			if t += fetch.HoldS; !clock.run(t, fetch.WaveEvents(j)) {
+			if t += fetch.HoldS; !clock.Run(t, fetch.WaveEvents(j)) {
 				break periods
 			}
 		}
 		fetchTime.Add(t - start)
 		lastPeriodEnd = t
-		completedPeriods++
 	}
-	if clock.err != nil {
-		return fail(clock.err)
+	if err := clock.Err(); err != nil {
+		return fail(err)
 	}
 
 	execPerIter := 0.0
-	if completedPeriods > 0 {
-		execPerIter = lastPeriodEnd / float64(completedPeriods*cfg.ReadPeriod)
+	if n := fetchTime.N(); n > 0 {
+		execPerIter = lastPeriodEnd / float64(n*int64(cfg.ReadPeriod))
 	}
 	return Fig6Point{
 		Nodes:        cfg.Nodes,

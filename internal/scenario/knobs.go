@@ -96,6 +96,13 @@ type KnobError struct {
 // Error names the knob by its JSON key.
 func (e *KnobError) Error() string { return fmt.Sprintf("params: %q %s", e.Key, e.Detail) }
 
+// TooShortError refuses a cell whose run ends before the first period
+// it measures, so its row would hold zeros or NaN as data.
+type TooShortError string
+
+// Error returns the refusal.
+func (e TooShortError) Error() string { return string(e) }
+
 func (r *knobRow) errorf(format string, args ...any) *KnobError {
 	return &KnobError{Key: r.key, Flag: r.flag, Detail: fmt.Sprintf(format, args...)}
 }

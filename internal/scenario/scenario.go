@@ -30,63 +30,40 @@ import (
 
 // Params are the shared runtime knobs every scenario understands. The
 // zero value means "use this scenario's defaults"; a Scenario's
-// Defaults() carries the paper's values.
+// Defaults() carries the paper's values. Each field is a row of the knob
+// table (knobs.go), whose usage text is the CLI flag's; the comments
+// below add only what that text does not say.
 type Params struct {
 	// TrainIters: real-mode validation training iterations (paper: 5000).
 	TrainIters int `json:"train_iters,omitempty"`
-	// SweepIters: simulated training iterations per sweep point (600
-	// preserves the steady-state statistics of the paper's >=2500).
+	// SweepIters: simulated training iterations per sweep point.
 	SweepIters int `json:"sweep_iters,omitempty"`
-	// TimeScale: wall-clock compression for real-mode runs (paper runs in
-	// real time; 0.01 compresses a 300-virtual-second run to ~3 s).
+	// TimeScale: 0.01 compresses a 300-virtual-second real-mode run to ~3 s.
 	TimeScale float64 `json:"time_scale,omitempty"`
 	// Transfers: write/read pairs per Fig-5 point (50).
 	Transfers int `json:"transfers,omitempty"`
 	// TimelineWindowS: emulated seconds of timeline rendered by Fig 2 (25).
 	TimelineWindowS float64 `json:"timeline_window_s,omitempty"`
-	// Tenants caps the co-scheduled workflow count of the multi-tenant
-	// scale-out family: the tenant sweep doubles 1, 2, 4, … up to this
-	// value (16).
+	// Tenants caps the scale-out family's tenant sweep 1, 2, 4, … (16).
 	Tenants int `json:"tenants,omitempty"`
-	// Clock selects the emulation time domain of the real-mode
-	// scenarios (table2/table3/fig2, streaming): "virtual" (their
-	// default) pads on a deterministic virtual clock and runs at DES
-	// speed; "wall" keeps the genuine wall-clock emulation. The
-	// simulated-scale scenarios always run on DES virtual time and
-	// ignore this.
+	// Clock: the simulated-scale scenarios ignore it (always DES time).
 	Clock string `json:"clock,omitempty"`
-	// MTBF narrows the resilience family's per-node mean-time-between-
-	// failures sweep to {healthy, MTBF} seconds (0 = the scenario's full
-	// default grid).
+	// MTBF narrows the resilience MTBF sweep to {healthy, MTBF} seconds.
 	MTBF float64 `json:"mtbf_s,omitempty"`
-	// CkptInterval narrows the resilience family's checkpoint-cadence
-	// sweep to {fail-stop, CkptInterval} seconds (0 = the full default
-	// grid).
+	// CkptInterval narrows the resilience sweep to {fail-stop, CkptInterval} s.
 	CkptInterval float64 `json:"ckpt_interval_s,omitempty"`
-	// Rate narrows the campaign family's offered-load sweep to the
-	// single multiple of facility capacity (0 = the full default grid,
-	// e.g. 1.2 = 20% overload).
+	// Rate narrows the campaign load sweep to one multiple of capacity.
 	Rate float64 `json:"rate,omitempty"`
-	// Policy narrows the campaign family's scheduling-policy sweep to
-	// one policy id (empty = all built-in policies).
+	// Policy narrows the campaign policy sweep to one policy id.
 	Policy string `json:"policy,omitempty"`
-	// Jobs sets the campaign family's open-loop job count per sweep
-	// cell (0 = the scenario default).
+	// Jobs sets the campaign family's open-loop jobs per sweep cell.
 	Jobs int `json:"jobs,omitempty"`
-	// TimeoutS is the per-sweep-cell wall-clock deadline in seconds
-	// (0 = none): a cell that hangs — e.g. on a mis-joined virtual-clock
-	// barrier — is abandoned with a structured failure instead of
-	// wedging the whole run.
+	// TimeoutS is the per-sweep-cell wall-clock deadline (0 = none).
 	TimeoutS float64 `json:"timeout_s,omitempty"`
-	// MaxEvents caps the DES events each simulated sweep cell may
-	// execute (0 = unlimited); a runaway cell aborts with a structured
-	// budget error instead of looping forever.
+	// MaxEvents caps the DES events of each simulated cell (0 = unlimited).
 	MaxEvents int64 `json:"max_events,omitempty"`
-	// CollAlgo narrows the gradsync family's collective-algorithm sweep
-	// to one algorithm: "flat", "ring", "tree" or "hier" (empty = the
-	// full algorithm axis; other scenarios ignore it). Threaded into
-	// costmodel.Params.CollAlgo, whose empty default prices collectives
-	// as the legacy flat rendezvous.
+	// CollAlgo narrows the gradsync algorithm sweep; it is threaded into
+	// costmodel.Params.CollAlgo, whose empty default prices the flat model.
 	CollAlgo string `json:"coll_algo,omitempty"`
 }
 

@@ -107,6 +107,10 @@ func classifyRunError(err error) *APIError {
 		return &APIError{Status: http.StatusServiceUnavailable, Kind: KindCanceled,
 			Message: "run cancelled by server shutdown: " + err.Error(), RetryAfterS: 1}
 	}
+	var short scenario.TooShortError
+	if errors.As(err, &short) {
+		return &APIError{Status: http.StatusBadRequest, Kind: KindBadRequest, Message: err.Error()}
+	}
 	var ae *APIError
 	if errors.As(err, &ae) {
 		return ae
