@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -311,5 +314,36 @@ func TestResilienceRecoveryDerivation(t *testing.T) {
 	if !(faults.Profile{MTBFS: 100}).CrashesEnabled() ||
 		(faults.Profile{}).CrashesEnabled() || (faults.Profile{MTBFS: math.Inf(1)}).CrashesEnabled() {
 		t.Fatal("Profile.CrashesEnabled wrong")
+	}
+}
+
+// TestResilienceAbortPathsPinned pins the checkpoint abort paths at the
+// scenario level: a dense, crash-heavy grid (every backend, MTBF 5 and
+// 12 s, checkpoints every 0.5, 1 and 3 s, three seeds). Its 256 MB
+// checkpoints and 0.1 s repairs make crashes withdraw queued checkpoint
+// claims, land too late after a grant was scheduled, hit a held service
+// slot, and abort client transfers that a restart then waits behind; on
+// the Redis and Dragon deployments every one of these runs. The digest
+// of the %+v points is the one the grid produced before the checkpoint
+// path was rebuilt as rows of one table per rank table.
+func TestResilienceAbortPathsPinned(t *testing.T) {
+	const want = "e26eefbfcb6c46ca73a0d0bee09599b1f6c3d30f1106a715b76780b8c1d60e6d"
+	h := sha256.New()
+	for _, b := range datastore.Backends() {
+		for _, mtbf := range []float64{5, 12} {
+			for _, ckpt := range []float64{0.5, 1, 3} {
+				for seed := int64(1); seed <= 3; seed++ {
+					pt := checked(t, RunResilienceChecked, ResilienceConfig{Tenants: 2, Backend: b, TrainIters: 150,
+						Seed: seed, MTBFS: mtbf, RepairS: 0.1, CkptIntervalS: ckpt, CkptSizeMB: 256})
+					if pt.Crashes == 0 {
+						t.Fatalf("%v mtbf %v ckpt %v seed %d: no crashes", b, mtbf, ckpt, seed)
+					}
+					fmt.Fprintf(h, "%+v\n", pt)
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("abort-path grid digest %s, want %s", got, want)
 	}
 }
