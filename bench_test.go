@@ -77,13 +77,16 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkFaultLayerSilent prices the fault layer on a run in which it
 // never fires: the same 64-tenant node-local cell as a scale-out run
 // (ranks carry no layer) and as a healthy resilience run (every rank
-// carries one: a des.Hold for its wake-up, two CheckpointOps and two more
-// Holds on a solver rank), at the scale-out periods and at Pattern 1's,
-// where four trainer polls in five are skipped. The two report
-// bit-identical observables (TestResilienceHealthyMatchesScaleOut); the
-// ratio of their ns/op and allocs/op is why a rank carries the layer
+// carries one: a des.Hold for its wake-up), at the scale-out periods and
+// at Pattern 1's, where four trainer polls in five are skipped. The two
+// report bit-identical observables (TestResilienceHealthyMatchesScaleOut);
+// the ratio of their ns/op and allocs/op is why a rank carries the layer
 // only when something can interrupt it (ARCHITECTURE.md "Fork or
-// replace"):
+// replace"). The checkpoints sub-benchmark prices checkpoint/restart on
+// the same healthy 64-tenant cell against the shared Redis deployment,
+// a checkpoint every 2 s: a solver rank's checkpoints are rows of the
+// write and restore tables of its rank table, so what it allocates does
+// not grow with ranks or checkpoints:
 //
 //	go test -run '^$' -bench FaultLayerSilent -benchmem -benchtime 100x -count 3 .
 func BenchmarkFaultLayerSilent(b *testing.B) {
@@ -112,6 +115,16 @@ func BenchmarkFaultLayerSilent(b *testing.B) {
 			}
 		})
 	}
+	b.Run("checkpoints/redis_ckpt=2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := experiments.RunResilienceChecked(experiments.ResilienceConfig{
+				Tenants: 64, Backend: datastore.Redis, TrainIters: 300, CkptIntervalS: 2,
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkGuardrails prices the run guardrails on a healthy sweep

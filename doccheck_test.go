@@ -234,22 +234,20 @@ const probeOnly = "only a benchmark probe calls it; it goes with the probe"
 // user, each with the reason it stays. A method the standard library
 // calls through one of stdInterfaces needs no entry.
 var productionCallerExempt = map[string]string{
-	"ai.Trainer.LoaderSize":         testAccessor,
-	"clock.Virtual.NowNS":           testAccessor,
-	"cluster.NodeSet.UpCount":       testAccessor,
-	"costmodel.CheckpointOp.Active": testAccessor,
-	"des.Env.NextT":                 testAccessor,
-	"des.Env.Pending":               testAccessor,
-	"des.Env.Executed":              testAccessor,
-	"des.Hold.Armed":                testAccessor,
-	"des.Grant.Granted":             testAccessor,
-	"des.Resource.InUse":            testAccessor,
-	"des.Resource.Cap":              testAccessor,
-	"des.Resource.Waiting":          testAccessor,
-	"des.Resource.Peak":             testAccessor,
-	"des.Resource.Grants":           testAccessor,
-	"des.Resource.TotalWaitS":       testAccessor,
-	"sweep.CellError.Unwrap":        "errors.Is/As unwrap it",
+	"ai.Trainer.LoaderSize":   testAccessor,
+	"clock.Virtual.NowNS":     testAccessor,
+	"cluster.NodeSet.UpCount": testAccessor,
+	"des.Env.NextT":           testAccessor,
+	"des.Env.Pending":         testAccessor,
+	"des.Env.Executed":        testAccessor,
+	"des.Hold.Armed":          testAccessor,
+	"des.Resource.InUse":      testAccessor,
+	"des.Resource.Cap":        testAccessor,
+	"des.Resource.Waiting":    testAccessor,
+	"des.Resource.Peak":       testAccessor,
+	"des.Resource.Grants":     testAccessor,
+	"des.Resource.TotalWaitS": testAccessor,
+	"sweep.CellError.Unwrap":  "errors.Is/As unwrap it",
 
 	"costmodel.Xfer.Start":                probeOnly,
 	"costmodel.Model.NewLocalWrite":       probeOnly,

@@ -5,17 +5,17 @@ import (
 	"simaibench/internal/des"
 )
 
-// Checkpoint staging: the recovery policies of internal/faults persist
-// component state through the same backend deployments the workflow
-// stages snapshots through, so checkpoint traffic pays the same costs —
-// and contends on the same shared serialization points — as the staging
-// traffic it rides alongside. A CheckpointOp is a shared transfer with
-// interruptibility: the node writing a checkpoint can itself crash at
-// any phase, so the op must be abortable while queued on the shared
-// service slots (des.Grant), while holding a service slot (des.Hold),
-// and while the client-side transfer is in flight (the modeled transfer
-// completes server-side but its completion is discarded — the client
-// that asked for it is gone).
+// Checkpoint staging: a solver rank under checkpoint/restart persists
+// its state through the same backend deployments the workflow stages
+// snapshots through, so checkpoint traffic pays the same costs — and
+// contends on the same shared serialization points — as the staging
+// traffic it rides alongside. A checkpoint is a shared transfer with
+// interruptibility: the node writing it can itself crash at any phase,
+// so it must be abortable while queued on the shared service slots
+// (des.Resource.Withdraw), while holding a service slot, and while the
+// client-side transfer is in flight (the modeled transfer completes
+// server-side but its completion is discarded — the client that asked
+// for it is gone).
 //
 // For the node-local backend a "checkpoint" models partner
 // checkpointing: the snapshot is mirrored into a neighbour's tmpfs over
@@ -23,9 +23,9 @@ import (
 // and the data survives the owner's crash. The shared backends (Redis,
 // Dragon, Lustre) persist checkpoints exactly like staged snapshots.
 
-// CheckpointOp phases. ckInner tracks only the interruptible state
+// A checkpoint's phases. ckInner tracks only the interruptible state
 // machine; the client transfer keeps its own busy flag so an aborted
-// in-flight transfer can drain before the op restarts.
+// in-flight transfer can drain before the row restarts.
 const (
 	ckIdle uint8 = iota
 	ckQueued
@@ -33,164 +33,161 @@ const (
 	ckInner
 )
 
-// CheckpointOp is one reusable, abortable checkpoint write or read of a
-// fixed (backend, node, size). Construct with NewCheckpointWrite or
-// NewCheckpointRead; Start at most one operation at a time; Abort tears
-// down an in-progress operation from any phase (the done handler then
-// never fires for it).
-type CheckpointOp struct {
-	env     *des.Env
-	svc     *des.Resource // nil: no shared service queue (node-local, lustre)
-	holdS   float64
-	inner   *XferTable // one row; fires the op as ckLanded
-	done    des.Handler
-	doneRow int32
+// CheckpointTable is a rank table's checkpoint writes, or its restore
+// reads, of one (backend, size): row r is rank r's, perNode rows to a
+// node from node 0 up, as the rank table lays its ranks out. Start(row)
+// begins row's checkpoint, at most one at a time; Abort(row) tears it
+// down from any phase; done.Fire(row) runs when it completes, never for
+// an aborted one. The rows' client transfers are the rows of one inner
+// XferTable.
+type CheckpointTable struct {
+	env   *des.Env
+	svc   *des.Resource // nil: no shared service queue (node-local, lustre)
+	holdS float64
+	inner *XferTable // fires the table as ckLanded
+	done  des.Handler
+	rows  []ckRow
+}
 
+// ckRow is one rank's checkpoint.
+type ckRow struct {
+	t         *CheckpointTable
+	row       int32
 	state     uint8
 	innerBusy bool // client transfer in flight (survives Abort)
 	discard   bool // Abort hit ckInner: swallow the completion
 	restart   bool // Start arrived while an aborted transfer drains
-	grant     *des.Grant
-	hold      des.Hold // fires the op as ckHeld
-	// grantGen stamps each queued claim, and a claim's grant fires with
-	// it as the row. An Abort that arrives after the slot was already
-	// granted — Grant.Cancel too late, the grant scheduled but not yet
-	// run — bumps the generation, so the orphaned grant releases the
-	// slot and stops instead of carrying a dead client's checkpoint
-	// forward.
-	grantGen int32
+	// gen stamps each queued claim and each service hold: the grant or
+	// the hold's end fires with it as the row. An Abort that cannot take
+	// the pending event back — the grant scheduled but not yet run, or
+	// the hold armed — bumps it, so an orphaned grant releases the slot
+	// and stops, and an orphaned hold does nothing, instead of carrying
+	// a dead client's checkpoint forward.
+	gen int32
 }
 
-// The op's three events, each a Handler over the same op: its service
-// slot granted (row: the claim's generation), its service hold over,
-// and its client transfer landed.
+// A row's two service events, each a Handler over the row: its service
+// slot granted and its service hold over (row: the generation). The
+// table is the Handler of its inner transfers (ckLanded).
 type (
-	ckGranted CheckpointOp
-	ckHeld    CheckpointOp
-	ckLanded  CheckpointOp
+	ckGranted ckRow
+	ckHeld    ckRow
+	ckLanded  CheckpointTable
 )
 
-// NewCheckpointWrite builds a reusable checkpoint write op against
-// backend b from node: service queue (when b has one), then the
-// client-side transfer chain. done.Fire(row) runs when the checkpoint
-// is durable; an Abort suppresses it.
-func (m *Model) NewCheckpointWrite(b datastore.Backend, node int, mb float64, done des.Handler, row int32) *CheckpointOp {
-	return m.newCheckpointOp(b, node, mb, false, done, row)
-}
-
-// NewCheckpointRead builds a reusable checkpoint restore op (reads
-// carry LocalCost's read scale), used by the checkpoint/restart
-// recovery policy when a repaired node reloads its last durable state.
-func (m *Model) NewCheckpointRead(b datastore.Backend, node int, mb float64, done des.Handler, row int32) *CheckpointOp {
-	return m.newCheckpointOp(b, node, mb, true, done, row)
-}
-
-func (m *Model) newCheckpointOp(b datastore.Backend, node int, mb float64, read bool, done des.Handler, row int32) *CheckpointOp {
-	op := &CheckpointOp{env: m.env, done: done, doneRow: row}
-	op.inner = m.newXferTable(b, node, 1, 1, mb, read, false, (*ckLanded)(op))
+// NewCheckpointTable builds n checkpoints of mb megabytes against
+// backend b, perNode rows to a node: writes, or with read restore reads
+// (LocalCost's read scale). Each queues for the shared deployment's
+// service slots when b has them, then runs the client-side transfer.
+func (m *Model) NewCheckpointTable(b datastore.Backend, n, perNode int, mb float64, read bool, done des.Handler) *CheckpointTable {
+	t := &CheckpointTable{env: m.env, done: done, rows: make([]ckRow, n)}
+	for i := range t.rows {
+		t.rows[i] = ckRow{t: t, row: int32(i)}
+	}
+	t.inner = m.NewXferTable(b, n, perNode, mb, read, false, (*ckLanded)(t))
 	if datastore.SharedDeployment(b) {
-		op.svc = m.sharedService(b) // nil for lustre: MDS/OST model it
-		op.holdS = m.sharedHold(b, mb, read)
+		t.svc = m.sharedService(b) // nil for lustre: MDS/OST model it
+		t.holdS = m.sharedHold(b, mb, read)
 	}
-	op.hold = des.MakeHold(m.env, (*ckHeld)(op), 0)
-	return op
+	return t
 }
 
-// Start begins the checkpoint at the current virtual time. Starting
-// while a previous operation is still active is the caller's bug —
+// Start begins row's checkpoint at the current virtual time. Starting
+// while the row's previous one is still active is the caller's bug —
 // except immediately after an Abort whose client transfer has not
-// drained yet, in which case the new operation begins when it does.
-func (op *CheckpointOp) Start() {
-	if op.innerBusy {
-		op.restart = true
+// drained yet, in which case the new checkpoint begins when it does.
+func (t *CheckpointTable) Start(row int32) {
+	r := &t.rows[row]
+	if r.innerBusy {
+		r.restart = true
 		return
 	}
-	op.begin()
+	r.begin()
 }
 
-func (op *CheckpointOp) begin() {
-	if op.svc == nil {
-		op.startInner()
+func (r *ckRow) begin() {
+	if r.t.svc == nil {
+		r.startInner()
 		return
 	}
-	op.state = ckQueued
-	op.grant = op.svc.RequestCancellable((*ckGranted)(op), op.grantGen)
+	r.state = ckQueued
+	r.t.svc.RequestRow((*ckGranted)(r), r.gen)
 }
 
 // Fire owns a service slot. A stale generation means the claim was
 // aborted after the slot had already been handed over: the dead
 // client's slot frees and nothing else happens.
 func (g *ckGranted) Fire(gen int32) {
-	op := (*CheckpointOp)(g)
-	if gen != op.grantGen {
-		op.svc.Release()
+	r := (*ckRow)(g)
+	if gen != r.gen {
+		r.t.svc.Release()
 		return
 	}
-	op.state = ckHolding
-	op.hold.After(op.holdS)
+	r.state = ckHolding
+	r.t.env.AfterRow(r.t.holdS, (*ckHeld)(r), gen)
 }
 
-// Fire ends the service hold and starts the client transfer.
-func (h *ckHeld) Fire(int32) {
-	op := (*CheckpointOp)(h)
-	op.svc.Release()
-	op.startInner()
+// Fire ends the service hold and starts the client transfer; a stale
+// generation means Abort already freed the slot.
+func (h *ckHeld) Fire(gen int32) {
+	r := (*ckRow)(h)
+	if gen != r.gen {
+		return
+	}
+	r.t.svc.Release()
+	r.startInner()
 }
 
-func (op *CheckpointOp) startInner() {
-	op.state = ckInner
-	op.innerBusy = true
-	op.inner.Start(0)
+func (r *ckRow) startInner() {
+	r.state = ckInner
+	r.innerBusy = true
+	r.t.inner.Start(r.row)
 }
 
-// Fire is the client transfer's completion: normally the checkpoint is
-// durable and done fires; after an Abort the completion is discarded,
-// and a Start that arrived while draining begins now.
-func (l *ckLanded) Fire(int32) {
-	op := (*CheckpointOp)(l)
-	op.innerBusy = false
-	op.state = ckIdle
-	if op.discard {
-		op.discard = false
-		if op.restart {
-			op.restart = false
-			op.begin()
+// Fire is row's client transfer completing: normally the checkpoint is
+// done and done fires; after an Abort the completion is discarded, and
+// a Start that arrived while draining begins now.
+func (l *ckLanded) Fire(row int32) {
+	t := (*CheckpointTable)(l)
+	r := &t.rows[row]
+	r.innerBusy = false
+	r.state = ckIdle
+	if r.discard {
+		r.discard = false
+		if r.restart {
+			r.restart = false
+			r.begin()
 		}
 		return
 	}
-	op.done.Fire(op.doneRow)
+	t.done.Fire(row)
 }
 
-// Abort tears down the in-progress operation: a queued claim is
+// Abort tears down row's checkpoint in progress: a queued claim is
 // withdrawn from the service FIFO, a held service slot is released (the
 // server thread frees when its client dies), and an in-flight client
-// transfer completes silently without firing done. Aborting an idle op
+// transfer completes silently without firing done. Aborting an idle row
 // is a no-op. Abort also cancels a Start deferred behind a draining
 // transfer.
-func (op *CheckpointOp) Abort() {
-	op.restart = false
-	switch op.state {
+func (t *CheckpointTable) Abort(row int32) {
+	r := &t.rows[row]
+	r.restart = false
+	switch r.state {
 	case ckQueued:
-		if !op.grant.Cancel() {
+		if !t.svc.Withdraw((*ckGranted)(r), r.gen) {
 			// Too late to withdraw: the slot is granted and the grant
-			// callback is already scheduled. Orphan it by generation;
-			// it will release the slot when it runs.
-			op.grantGen++
+			// event is already scheduled. Orphan it by generation; it
+			// will release the slot when it runs.
+			r.gen++
 		}
-		op.state = ckIdle
 	case ckHolding:
-		op.hold.Cancel()
-		op.svc.Release()
-		op.state = ckIdle
+		r.gen++ // orphan the hold's end
+		t.svc.Release()
 	case ckInner:
-		op.discard = true
-		op.state = ckIdle
+		r.discard = true
 	}
+	r.state = ckIdle
 }
-
-// Active reports whether an operation (or an aborted-but-draining
-// transfer) is in progress.
-func (op *CheckpointOp) Active() bool { return op.state != ckIdle || op.innerBusy }
 
 // AnalyticCheckpoint returns the closed-form expected duration of one
 // uncontended checkpoint write of mb megabytes against backend b:

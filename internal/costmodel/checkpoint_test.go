@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"simaibench/internal/cluster"
@@ -15,22 +16,28 @@ func newCkptModel() (*des.Env, *Model) {
 	return env, New(env, cluster.Aurora(2), Default())
 }
 
+// newCkpt builds a one-row checkpoint write table on node 0 whose done
+// runs fn.
+func newCkpt(m *Model, b datastore.Backend, read bool, fn func()) *CheckpointTable {
+	return m.NewCheckpointTable(b, 1, 1, 8, read, des.Func(fn))
+}
+
 func TestCheckpointWriteMatchesAnalytic(t *testing.T) {
 	for _, b := range datastore.Backends() {
 		env, m := newCkptModel()
-		doneAt := -1.0
-		op := m.NewCheckpointWrite(b, 0, 8, des.Func(func() { doneAt = env.Now() }), 0)
-		op.Start()
+		doneAt, fired := -1.0, 0
+		ck := newCkpt(m, b, false, func() { doneAt = env.Now(); fired++ })
+		ck.Start(0)
 		env.Run()
-		if doneAt < 0 {
-			t.Fatalf("%v: checkpoint never completed", b)
+		if fired != 1 {
+			t.Fatalf("%v: checkpoint completed %d times, want once", b, fired)
 		}
 		want := m.AnalyticCheckpoint(b, 8)
 		if math.Abs(doneAt-want) > 1e-12 {
 			t.Errorf("%v: uncontended checkpoint took %v, analytic %v", b, doneAt, want)
 		}
-		if op.Active() {
-			t.Errorf("%v: op still active after completion", b)
+		if svc := m.sharedService(b); svc != nil && (svc.InUse() != 0 || svc.Waiting() != 0) {
+			t.Errorf("%v: completed checkpoint left %d slots in use, %d claims queued", b, svc.InUse(), svc.Waiting())
 		}
 	}
 }
@@ -39,12 +46,10 @@ func TestCheckpointReadCheaperThanWrite(t *testing.T) {
 	for _, b := range datastore.Backends() {
 		env, m := newCkptModel()
 		var wAt, rAt float64
-		w := m.NewCheckpointWrite(b, 0, 8, des.Func(func() { wAt = env.Now() }), 0)
-		w.Start()
+		newCkpt(m, b, false, func() { wAt = env.Now() }).Start(0)
 		env.Run()
 		env2, m2 := newCkptModel()
-		r := m2.NewCheckpointRead(b, 0, 8, des.Func(func() { rAt = env2.Now() }), 0)
-		r.Start()
+		newCkpt(m2, b, true, func() { rAt = env2.Now() }).Start(0)
 		env2.Run()
 		if rAt >= wAt {
 			t.Errorf("%v: restore read %v not cheaper than write %v", b, rAt, wAt)
@@ -63,21 +68,21 @@ func TestCheckpointAbortWhileQueued(t *testing.T) {
 		svc.Request(func() { env.After(100, svc.Release) })
 	}
 	fired := false
-	op := m.NewCheckpointWrite(datastore.Redis, 0, 8, des.Func(func() { fired = true }), 0)
-	op.Start()
-	if !op.Active() {
-		t.Fatal("queued op should be active")
+	ck := newCkpt(m, datastore.Redis, false, func() { fired = true })
+	ck.Start(0)
+	if svc.Waiting() != 1 {
+		t.Fatalf("%d claims queued, want the checkpoint's", svc.Waiting())
 	}
-	env.After(10, op.Abort)
+	env.After(10, func() { ck.Abort(0) })
 	env.Run()
 	if fired {
 		t.Fatal("aborted checkpoint's done fired")
 	}
-	if op.Active() {
-		t.Fatal("aborted op still active")
+	if svc.InUse() != 0 || svc.Waiting() != 0 {
+		t.Fatalf("after the run: %d slots in use, %d queued, want none", svc.InUse(), svc.Waiting())
 	}
 	if got := svc.Grants(); got != int64(svc.Cap()) {
-		t.Fatalf("cancelled claim consumed a grant: %d grants, want %d", got, svc.Cap())
+		t.Fatalf("withdrawn claim consumed a grant: %d grants, want %d", got, svc.Cap())
 	}
 }
 
@@ -90,13 +95,13 @@ func TestCheckpointAbortWhileHolding(t *testing.T) {
 		svc.Request(func() { env.After(1000, svc.Release) })
 	}
 	fired := false
-	op := m.NewCheckpointWrite(datastore.Redis, 0, 8, des.Func(func() { fired = true }), 0)
-	op.Start() // grabs the last slot, enters the timed hold
+	ck := newCkpt(m, datastore.Redis, false, func() { fired = true })
+	ck.Start(0) // grabs the last slot, enters the timed hold
 	holdS := m.sharedHold(datastore.Redis, 8, false)
 	waiterAt := -1.0
 	env.After(holdS/4, func() { svc.Request(func() { waiterAt = env.Now(); svc.Release() }) })
 	abortAt := holdS / 2
-	env.After(abortAt, op.Abort)
+	env.After(abortAt, func() { ck.Abort(0) })
 	env.Run()
 	if fired {
 		t.Fatal("aborted checkpoint's done fired")
@@ -104,11 +109,14 @@ func TestCheckpointAbortWhileHolding(t *testing.T) {
 	if math.Abs(waiterAt-abortAt) > 1e-15 {
 		t.Fatalf("slot released at %v, want %v (abort time)", waiterAt, abortAt)
 	}
+	if svc.InUse() != 0 {
+		t.Fatalf("the orphaned hold's end released a slot twice or never: %d in use", svc.InUse())
+	}
 }
 
 // TestCheckpointAbortAfterGrantScheduled: the slot can be handed to a
-// queued claim (Release → grant callback scheduled) in the same instant
-// a crash aborts it — Grant.Cancel is too late. The orphaned grant must
+// queued claim (Release → grant event scheduled) in the same instant a
+// crash aborts it — Withdraw is too late. The orphaned grant must
 // release the slot when it runs, and done must never fire.
 func TestCheckpointAbortAfterGrantScheduled(t *testing.T) {
 	env, m := newCkptModel()
@@ -119,11 +127,11 @@ func TestCheckpointAbortAfterGrantScheduled(t *testing.T) {
 		svc.Request(func() { env.After(5, svc.Release) })
 	}
 	fired := false
-	op := m.NewCheckpointWrite(datastore.Redis, 0, 8, des.Func(func() { fired = true }), 0)
-	op.Start()
+	ck := newCkpt(m, datastore.Redis, false, func() { fired = true })
+	ck.Start(0)
 	// At t=5, scheduled after the releases: the slot is already granted
-	// (the grant callback is in the event queue) when the abort lands.
-	env.After(5, op.Abort)
+	// (the grant event is in the event queue) when the abort lands.
+	env.After(5, func() { ck.Abort(0) })
 	env.Run()
 	if fired {
 		t.Fatal("done fired for a claim aborted after grant transfer")
@@ -131,11 +139,11 @@ func TestCheckpointAbortAfterGrantScheduled(t *testing.T) {
 	if svc.InUse() != 0 {
 		t.Fatalf("orphaned grant leaked a slot: %d in use", svc.InUse())
 	}
-	// The op is reusable afterwards.
-	op.Start()
+	// The row is reusable afterwards.
+	ck.Start(0)
 	env.Run()
 	if !fired {
-		t.Fatal("op unusable after orphaned-grant abort")
+		t.Fatal("row unusable after orphaned-grant abort")
 	}
 }
 
@@ -145,14 +153,12 @@ func TestCheckpointAbortAfterGrantScheduled(t *testing.T) {
 func TestCheckpointAbortMidTransferThenRestart(t *testing.T) {
 	env, m := newCkptModel()
 	var doneTimes []float64
-	op := m.NewCheckpointWrite(datastore.NodeLocal, 0, 8, des.Func(func() {
-		doneTimes = append(doneTimes, env.Now())
-	}), 0)
+	ck := newCkpt(m, datastore.NodeLocal, false, func() { doneTimes = append(doneTimes, env.Now()) })
 	full := m.AnalyticCheckpoint(datastore.NodeLocal, 8)
-	op.Start()
+	ck.Start(0)
 	env.After(full/2, func() {
-		op.Abort()
-		op.Start() // re-checkpoint immediately; must wait for the drain
+		ck.Abort(0)
+		ck.Start(0) // re-checkpoint immediately; must wait for the drain
 	})
 	env.Run()
 	if len(doneTimes) != 1 {
@@ -165,15 +171,56 @@ func TestCheckpointAbortMidTransferThenRestart(t *testing.T) {
 	}
 }
 
-// TestCheckpointAbortIdleNoop: aborting an idle op changes nothing.
+// TestCheckpointAbortIdleNoop: aborting an idle row changes nothing, on
+// a table of one row per node whose row 1 is node 1's.
 func TestCheckpointAbortIdleNoop(t *testing.T) {
 	env, m := newCkptModel()
-	fired := 0
-	op := m.NewCheckpointWrite(datastore.Dragon, 1, 2, des.Func(func() { fired++ }), 0)
-	op.Abort()
-	op.Start()
+	done := &rowLog{env: env}
+	ck := m.NewCheckpointTable(datastore.Dragon, 2, 1, 2, false, done)
+	ck.Abort(1)
+	ck.Start(1)
 	env.Run()
-	if fired != 1 || op.Active() {
-		t.Fatalf("after idle abort + start: fired=%d active=%v", fired, op.Active())
+	if len(done.rows) != 1 || done.rows[0] != 1 {
+		t.Fatalf("after idle abort + start: done fired for rows %v, want [1]", done.rows)
 	}
+}
+
+// TestCheckpointRowsShareTheirNodeBus: a table's rows sit perNode to a
+// node and hold their node's bus, as a one-row table at that node does:
+// with one bus slot per node, two rows of a node run one after the
+// other, while a row of the other node runs alongside them.
+func TestCheckpointRowsShareTheirNodeBus(t *testing.T) {
+	env := des.NewEnv()
+	p := Default()
+	p.NodeBusConcurrency = 1
+	m := New(env, cluster.Aurora(2), p)
+	done := &rowLog{env: env}
+	ck := m.NewCheckpointTable(datastore.NodeLocal, 4, 2, 8, false, done)
+	for row := range int32(4) {
+		ck.Start(row)
+	}
+	env.Run()
+	full := m.AnalyticCheckpoint(datastore.NodeLocal, 8)
+	wantRows := []int32{0, 2, 1, 3}
+	wantAt := []float64{full, full, 2 * full, 2 * full}
+	if !slices.Equal(done.rows, wantRows) {
+		t.Fatalf("done fired for rows %v, want %v", done.rows, wantRows)
+	}
+	for i, w := range wantAt {
+		if math.Abs(done.at[i]-w) > 1e-12 {
+			t.Errorf("row %d done at %v, want %v", done.rows[i], done.at[i], w)
+		}
+	}
+}
+
+// rowLog is a Handler that records the rows it is fired with and when.
+type rowLog struct {
+	env  *des.Env
+	rows []int32
+	at   []float64
+}
+
+func (l *rowLog) Fire(row int32) {
+	l.rows = append(l.rows, row)
+	l.at = append(l.at, l.env.Now())
 }

@@ -203,10 +203,11 @@ type grantLog []int32
 func (g *grantLog) Fire(row int32) { *g = append(*g, row) }
 
 // TestResourceQueueFIFOAcrossWrapAndGrowth: the wait ring grants in
-// request order, skipping cancelled claimants, while its head wraps
+// request order, skipping withdrawn claimants, while its head wraps
 // past the end of the backing array and while it doubles with the
 // live queue split across that end. A reference FIFO of ids decides
-// every grant; the run must reach both ring states it is named after.
+// every grant and every Withdraw's answer; the run must reach both ring
+// states it is named after.
 func TestResourceQueueFIFOAcrossWrapAndGrowth(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	env := NewEnv()
@@ -214,10 +215,11 @@ func TestResourceQueueFIFOAcrossWrapAndGrowth(t *testing.T) {
 	var got grantLog
 	var want []int32 // ids granted, in order
 	type queued struct {
-		id int32
-		g  *Grant // nil: not cancellable
+		id          int32
+		withdrawing bool // a third of the claims may be withdrawn
 	}
 	var fifo []queued
+	withdrawn := map[int32]bool{}
 	res.RequestRow(&got, -1) // hold the one slot so every later request queues
 	wrapped, grewSplit := false, false
 	next := int32(0)
@@ -229,23 +231,22 @@ func TestResourceQueueFIFOAcrossWrapAndGrowth(t *testing.T) {
 			if res.qLen == len(res.waitQ) && res.qHead > 0 {
 				grewSplit = true
 			}
-			q := queued{id: next}
-			if rng.Intn(3) == 0 {
-				q.g = res.RequestCancellable(&got, next)
-			} else {
-				res.RequestRow(&got, next)
-			}
-			fifo = append(fifo, q)
+			fifo = append(fifo, queued{id: next, withdrawing: rng.Intn(3) == 0})
+			res.RequestRow(&got, next)
 			next++
 			if res.qHead+res.qLen > len(res.waitQ) {
 				wrapped = true
 			}
 		case op == enqueueBias && len(fifo) > 0:
-			if q := fifo[rng.Intn(len(fifo))]; q.g != nil {
-				q.g.Cancel()
+			if q := fifo[rng.Intn(len(fifo))]; q.withdrawing {
+				if res.Withdraw(&got, q.id) == withdrawn[q.id] {
+					t.Fatalf("step %d: Withdraw of claim %d answered %v, already withdrawn %v",
+						step, q.id, !withdrawn[q.id], withdrawn[q.id])
+				}
+				withdrawn[q.id] = true
 			}
 		default:
-			for len(fifo) > 0 && fifo[0].g != nil && fifo[0].g.cancelled {
+			for len(fifo) > 0 && withdrawn[fifo[0].id] {
 				fifo = fifo[1:]
 			}
 			if len(fifo) == 0 {

@@ -3,6 +3,7 @@ package des
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -330,59 +331,162 @@ func TestHoldCancelDoesNotPerturbOrder(t *testing.T) {
 	}
 }
 
-// TestGrantCancelPreservesFIFO checks the cancellable-grant contract:
-// cancelled claimants vanish from the FIFO without consuming a grant or
-// skewing the wait accounting of the survivors.
-func TestGrantCancelPreservesFIFO(t *testing.T) {
+// TestWithdrawPreservesFIFO checks the withdrawal contract: withdrawn
+// claimants vanish from the FIFO without consuming a grant or skewing
+// the wait accounting of the survivors.
+func TestWithdrawPreservesFIFO(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed ^ 0x9a27))
 		env := NewEnv()
 		r := NewResource(env, 1)
-		var order []int
+		var order []int32
 		// Holder keeps the slot busy until t=10.
 		r.Request(func() { env.At(10, r.Release) })
 		n := 2 + rng.Intn(10)
-		grants := make([]*Grant, n)
-		cancel := map[int]bool{}
-		for i := 0; i < n; i++ {
-			i := i
-			grants[i] = r.RequestCancellable(Func(func() {
-				order = append(order, i)
-				env.At(env.Now()+1, r.Release)
-			}), 0)
+		claimant := fifoClaimant{env: env, r: r, order: &order}
+		withdraw := map[int32]bool{}
+		for i := int32(0); i < int32(n); i++ {
+			r.RequestRow(&claimant, i)
 			if rng.Intn(3) == 0 {
-				cancel[i] = true
+				withdraw[i] = true
 			}
 		}
-		for i := range cancel {
-			if !grants[i].Cancel() {
-				t.Fatalf("seed %d: queued grant %d refused Cancel", seed, i)
+		for i := range withdraw {
+			if !r.Withdraw(&claimant, i) {
+				t.Fatalf("seed %d: queued claim %d refused Withdraw", seed, i)
 			}
-			if grants[i].Cancel() {
-				t.Fatalf("seed %d: grant %d cancelled twice", seed, i)
+			if r.Withdraw(&claimant, i) {
+				t.Fatalf("seed %d: claim %d withdrawn twice", seed, i)
 			}
 		}
 		env.Run()
-		want := 0
-		for i := 0; i < n; i++ {
-			if cancel[i] {
-				if grants[i].Granted() {
-					t.Fatalf("seed %d: cancelled grant %d was granted", seed, i)
-				}
-				continue
+		var want []int32
+		for i := int32(0); i < int32(n); i++ {
+			if !withdraw[i] {
+				want = append(want, i)
 			}
-			if !grants[i].Granted() {
-				t.Fatalf("seed %d: surviving grant %d never granted", seed, i)
-			}
-			if want >= len(order) || order[want] != i {
-				t.Fatalf("seed %d: FIFO broken: got %v", seed, order)
-			}
-			want++
 		}
-		if len(order) != want {
-			t.Fatalf("seed %d: %d grants ran, want %d", seed, len(order), want)
+		if !slices.Equal(order, want) {
+			t.Fatalf("seed %d: FIFO broken: got %v, want %v", seed, order, want)
+		}
+		// Every claim queued at 0; the k-th survivor is granted at 10+k.
+		wantWait := 0.0
+		for k := range want {
+			wantWait += float64(10 + k)
+		}
+		if r.Grants() != int64(1+len(want)) || r.TotalWaitS() != wantWait || r.Waiting() != 0 {
+			t.Fatalf("seed %d: %d grants, %v s waited, %d waiting, want %d, %v s and 0",
+				seed, r.Grants(), r.TotalWaitS(), r.Waiting(), 1+len(want), wantWait)
+		}
+		for _, i := range want {
+			if r.Withdraw(&claimant, i) {
+				t.Fatalf("seed %d: granted claim %d withdrawn", seed, i)
+			}
 		}
 	}
+}
+
+// fifoClaimant records the rows it is granted and holds each slot for
+// one second.
+type fifoClaimant struct {
+	env   *Env
+	r     *Resource
+	order *[]int32
+}
+
+func (c *fifoClaimant) Fire(row int32) {
+	*c.order = append(*c.order, row)
+	c.env.At(c.env.Now()+1, c.r.Release)
+}
+
+// FuzzResourceWithdraw runs byte-decoded sequences of requests,
+// withdrawals, releases and clock advances against a Resource and a
+// reference FIFO slice that keeps withdrawn claims as dead entries until
+// a release drains them. The first byte sets the capacity (1-4); each
+// later byte is an operation (low two bits) and its argument (the rest):
+// a request of the next id, a withdrawal of id arg (one never requested,
+// granted, queued or already withdrawn), a release when a slot is held,
+// or an advance of the clock by arg/8 s. After every operation the grant
+// order, Withdraw's answer, Grants, TotalWaitS and Waiting must agree.
+// CI runs this as a 10 s smoke (`go test -fuzz=FuzzResourceWithdraw
+// -fuzztime=10s ./internal/des`).
+func FuzzResourceWithdraw(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{0, 0, 0, 0, 1, 5, 2, 2, 2})        // cap 1: the holder refuses, the first queued withdraws
+	f.Add([]byte{1, 0, 0, 0, 0, 7, 3, 9, 2, 2, 2})  // cap 2: two queue, wait, the first withdraws
+	f.Add([]byte{0, 0, 0, 0, 0, 11, 9, 9, 2, 2, 2}) // cap 1: wait, a tombstone refuses a second withdrawal
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 512 {
+			return
+		}
+		env := NewEnv()
+		r := NewResource(env, 1+int(data[0])%4)
+		type claim struct {
+			id   int32
+			enqT float64
+			dead bool
+		}
+		var (
+			log, want grantLog
+			queue     []claim
+			inUse     int
+			grants    int64
+			waitTotal float64
+			next      int32
+		)
+		for step, b := range data[1:] {
+			op, arg := b&3, int32(b>>2)
+			switch op {
+			case 0: // request
+				if inUse < r.Cap() {
+					inUse++
+					grants++
+					want = append(want, next)
+				} else {
+					queue = append(queue, claim{id: next, enqT: env.Now()})
+				}
+				r.RequestRow(&log, next)
+				next++
+			case 1: // withdraw
+				ok := false
+				for i := range queue {
+					if queue[i].id == arg && !queue[i].dead {
+						queue[i].dead, ok = true, true
+						break
+					}
+				}
+				if got := r.Withdraw(&log, arg); got != ok {
+					t.Fatalf("step %d: Withdraw(%d) = %v, want %v", step, arg, got, ok)
+				}
+			case 2: // release
+				if inUse == 0 {
+					continue
+				}
+				for len(queue) > 0 && queue[0].dead {
+					queue = queue[1:]
+				}
+				if len(queue) > 0 {
+					grants++
+					waitTotal += env.Now() - queue[0].enqT
+					want = append(want, queue[0].id)
+					queue = queue[1:]
+				} else {
+					inUse--
+				}
+				r.Release()
+			case 3: // advance
+				env.At(env.Now()+float64(arg)/8, func() {})
+			}
+			env.Run()
+			if !slices.Equal(log, want) {
+				t.Fatalf("step %d: granted %v, want %v", step, log, want)
+			}
+			if r.Grants() != grants || r.TotalWaitS() != waitTotal || r.Waiting() != len(queue) || r.InUse() != inUse {
+				t.Fatalf("step %d: grants %d, waited %v s, %d waiting, %d in use; want %d, %v s, %d, %d",
+					step, r.Grants(), r.TotalWaitS(), r.Waiting(), r.InUse(), grants, waitTotal, len(queue), inUse)
+			}
+		}
+	})
 }
 
 // FuzzHeapOrder drives the order oracle from arbitrary bytes: each

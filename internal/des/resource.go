@@ -30,13 +30,12 @@ type Resource struct {
 }
 
 // rwaiter is one queued claimant: the (handler, row) its grant fires,
-// stamped with its enqueue time for queueing-delay accounting. g is
-// non-nil for cancellable requests (RequestCancellable).
+// stamped with its enqueue time for queueing-delay accounting. A
+// withdrawn claimant stays in the ring as a tombstone, h nil.
 type rwaiter struct {
 	h    Handler
 	row  int32
 	enqT float64
-	g    *Grant
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
@@ -111,24 +110,21 @@ func (r *Resource) Request(fn func()) { r.RequestRow(Func(fn), 0) }
 
 // Release frees one slot, waking the longest-waiting claimant if any.
 // The slot transfers directly to the woken claimant, preserving FIFO
-// fairness (no barging). Cancelled claimants (Grant.Cancel) are dropped
-// silently on the way: they count neither as grants nor toward the
-// queueing-delay totals, and a release that finds only cancelled
-// claimants frees the slot as if the queue were empty.
+// fairness (no barging). Tombstones (Withdraw) are dropped silently on
+// the way: they count neither as grants nor toward the queueing-delay
+// totals, and a release that finds only tombstones frees the slot as if
+// the queue were empty.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("des: release of idle resource")
 	}
 	for r.qLen > 0 {
 		next := r.dequeue()
-		if next.g != nil && next.g.cancelled {
+		if next.h == nil {
 			continue // claimant withdrew while queued
 		}
 		r.waitTotal += r.env.now - next.enqT
 		r.grants++
-		if next.g != nil {
-			next.g.granted = true
-		}
 		// inUse stays the same: the slot moves to next.
 		r.env.AtRow(r.env.now, next.h, next.row)
 		return
@@ -136,51 +132,28 @@ func (r *Resource) Release() {
 	r.inUse--
 }
 
-// Grant is the cancellation handle of RequestCancellable: the claimant
-// side of an interruptible queue entry (a checkpoint write whose node
-// crashes while queued on the shared service slots). Cancel withdraws
-// the claimant while it is still queued; once the slot is granted the
-// handle is inert and the holder must Release as usual.
-type Grant struct {
-	granted   bool
-	cancelled bool
-}
-
-// Granted reports whether the slot was handed to the claimant (its fn
-// ran or is scheduled to run).
-func (g *Grant) Granted() bool { return g.granted }
-
-// Cancel withdraws a still-queued claimant, reporting whether it
-// actually withdrew (false once granted or already cancelled). A
-// withdrawn claimant's fn never runs and its wait never counts in the
-// queueing-delay accounting.
-func (g *Grant) Cancel() bool {
-	if g.granted || g.cancelled {
-		return false
+// Withdraw takes back a still-queued claim of RequestRow(h, row): the
+// claimant is left in the ring as a tombstone that never fires and
+// never counts in the queueing-delay accounting (a checkpoint write
+// whose node crashes while queued on the shared service slots). It
+// reports whether a claim was withdrawn: false once the slot has been
+// granted (h.Fire(row) ran or is scheduled) and for a claim already
+// withdrawn. With several matching claims the oldest goes. h must be
+// comparable, such as a pointer: comparing two Func values panics.
+func (r *Resource) Withdraw(h Handler, row int32) bool {
+	for i := range r.qLen {
+		w := &r.waitQ[(r.qHead+i)&(len(r.waitQ)-1)]
+		if w.h != nil && w.h == h && w.row == row {
+			*w = rwaiter{}
+			return true
+		}
 	}
-	g.cancelled = true
-	return true
-}
-
-// RequestCancellable is RequestRow with a cancellation handle:
-// h.Fire(row) runs holding a slot — synchronously if one is free,
-// otherwise when granted in FIFO order — unless the returned Grant is
-// cancelled while still queued. Event order is identical to RequestRow
-// for uncancelled grants.
-func (r *Resource) RequestCancellable(h Handler, row int32) *Grant {
-	g := &Grant{}
-	if r.take() {
-		g.granted = true
-		h.Fire(row)
-		return g
-	}
-	r.enqueue(rwaiter{h: h, row: row, enqT: r.env.now, g: g})
-	return g
+	return false
 }
 
 // InUse reports current utilization; Cap the capacity; Waiting the queue
-// length (including claimants cancelled but not yet drained by a
-// Release); Peak the maximum utilization observed.
+// length (including tombstones of withdrawn claimants not yet drained
+// by a Release); Peak the maximum utilization observed.
 func (r *Resource) InUse() int   { return r.inUse }
 func (r *Resource) Cap() int     { return r.cap }
 func (r *Resource) Waiting() int { return r.qLen }

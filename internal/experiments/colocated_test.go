@@ -143,9 +143,9 @@ func TestPattern2RefusesLocalOnlyBackends(t *testing.T) {
 
 // TestHealthyPathAllocations pins what a healthy cell allocates: a few
 // slices per rank table and transfer table, the model's resources and a
-// logarithmic number of event-queue blocks. A Hold, a CheckpointOp or a
-// per-rank object creeping onto the path of a rank that carries no fault
-// layer shows up here as thousands of mallocs, by name. The ceilings are
+// logarithmic number of event-queue blocks. A Hold, a checkpoint or any
+// other per-rank object creeping onto the path of a rank that carries no
+// fault layer shows up here as thousands of mallocs, by name. The ceilings are
 // the counts of the rank tables on the same two cells, measured with the
 // collector held off: a cycle that ends during a run can add a malloc
 // or two that no line of the cell makes.
@@ -178,6 +178,31 @@ func TestColocatedAllocationsDoNotScaleWithRanks(t *testing.T) {
 	small, large := mallocs(64), mallocs(1024)
 	if large-small > 16 {
 		t.Errorf("Pattern 1 node-local: %v mallocs at 64 nodes, %v at 1024, want within 16", small, large)
+	}
+}
+
+// TestResilienceAllocationsDoNotScaleWithCheckpoints: checkpointing
+// allocates per rank table, not per solver rank nor per checkpoint. A
+// healthy resilience cell with checkpoints every 16 s or every 1 s
+// allocates within 24 mallocs of the same cell with checkpointing off,
+// on every backend at 4 and 16 tenants: the write and restore tables,
+// their inner transfer tables and the rows of the three.
+func TestResilienceAllocationsDoNotScaleWithCheckpoints(t *testing.T) {
+	for _, b := range datastore.Backends() {
+		for _, tenants := range []int{4, 16} {
+			mallocs := func(ckpt float64) float64 {
+				return allocsWithoutGC(2, func() {
+					checked(t, RunResilienceChecked, ResilienceConfig{Tenants: tenants, Backend: b, CkptIntervalS: ckpt})
+				})
+			}
+			off := mallocs(0)
+			for _, ckpt := range []float64{16, 1} {
+				if on := mallocs(ckpt); on-off > 24 {
+					t.Errorf("%v, %d tenants: %v mallocs with checkpoints every %g s, %v with them off, want within 24",
+						b, tenants, on, ckpt, off)
+				}
+			}
+		}
 	}
 }
 

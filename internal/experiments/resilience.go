@@ -29,9 +29,9 @@ import (
 // The ranks are the staging ranks of flat.go, each row carrying a fault
 // layer (rankFaults): a cancellable wake-up (des.Hold), an epoch counter
 // that discards a transfer whose node died mid-flight, and — on solver
-// ranks under checkpoint/restart — abortable checkpoints
-// (costmodel.CheckpointOp over cancellable des.Grants), restore and waste
-// accounting.
+// ranks under checkpoint/restart — a checkpoint cadence, restore and
+// waste accounting. The solver table's checkpoint writes and restore
+// reads are the rows of two abortable costmodel.CheckpointTables.
 // With a healthy profile (MTBF=∞, checkpointing off) the layer is silent:
 // a Hold arms at the time and sequence position of the schedule call it
 // replaces, so the run is bit-identical to the equivalent scale-out run,
@@ -61,7 +61,10 @@ type ResilienceConfig struct {
 	// RepairS is the node reboot time after a crash (1 s).
 	RepairS float64
 	// CkptIntervalS is the checkpoint cadence per sim rank; <= 0
-	// disables checkpointing (fail-stop recovery).
+	// disables checkpointing: the recovery is fail-stop, and a repaired
+	// rank restarts its lost work from scratch. Otherwise it is
+	// checkpoint/restart: a repaired rank reloads its last durable
+	// checkpoint through the backend first.
 	CkptIntervalS float64
 	// CkptSizeMB sizes one checkpoint write/read (8 MB).
 	CkptSizeMB float64
@@ -91,17 +94,6 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	positiveOr(&c.CkptIntervalS, 0) // off has one spelling in the point
 	positiveOr(&c.CkptSizeMB, 8)
 	return c
-}
-
-// Recovery derives the faults.Recovery this config selects: the policy
-// is CheckpointRestart exactly when a checkpoint cadence is set,
-// fail-stop otherwise.
-func (c ResilienceConfig) Recovery() faults.Recovery {
-	rec := faults.Recovery{CkptIntervalS: c.CkptIntervalS, CkptSizeMB: c.CkptSizeMB}
-	if c.CkptIntervalS > 0 {
-		rec.Policy = faults.CheckpointRestart
-	}
-	return rec
 }
 
 // ResiliencePoint is one (mtbf, ckpt-interval, backend) measurement.
@@ -143,26 +135,32 @@ type ResiliencePoint struct {
 }
 
 // faultState is the per-run state every fault layer shares: the
-// injector, the handles a solver rank builds its checkpoint operations
-// from, and the recovery accumulators.
+// injector, the checkpoint cadence and the tables of the solver ranks'
+// checkpoints, and the recovery accumulators.
 type faultState struct {
 	inj     *faults.Injector
 	model   *costmodel.Model
-	rec     faults.Recovery
 	backend datastore.Backend
 	horizon float64
+	// ckptIntervalS / ckptSizeMB: the checkpoint cadence (<= 0: none,
+	// fail-stop) and the size of one checkpoint write or read.
+	ckptIntervalS, ckptSizeMB float64
 	// solvers / trainers are the rank tables whose rows carry the
 	// layers (nil until attached).
 	solvers, trainers *rankTable
-	wasted            float64 // compute lost to crashes
-	ckptWrites        int64   // completed checkpoint writes, and their duration
-	ckptTotalS        float64
+	// ckptW / ckptR are the solver ranks' checkpoint writes and restore
+	// reads, row for row; nil under fail-stop.
+	ckptW, ckptR *costmodel.CheckpointTable
+	wasted       float64 // compute lost to crashes
+	ckptWrites   int64   // completed checkpoint writes, and their duration
+	ckptTotalS   float64
 }
 
 // newFaultState builds the layer state of one run and starts its
 // injector, whose hooks reach the ranks attached later.
 func newFaultState(env *des.Env, spec cluster.Spec, model *costmodel.Model, horizon float64, cfg ResilienceConfig) *faultState {
-	fs := &faultState{model: model, rec: cfg.Recovery(), backend: cfg.Backend, horizon: horizon}
+	fs := &faultState{model: model, backend: cfg.Backend, horizon: horizon,
+		ckptIntervalS: cfg.CkptIntervalS, ckptSizeMB: cfg.CkptSizeMB}
 	fs.inj = faults.New(env, spec, faults.Profile{
 		Seed: cfg.Seed, MTBFS: cfg.MTBFS, RepairS: cfg.RepairS, Until: horizon,
 	}, faults.Hooks{
@@ -190,7 +188,7 @@ func (fs *faultState) each(node int, fn func(*rankFaults)) {
 // solver and trainer ranks alike. The loop tells it that a transfer
 // began (started), asks whether a completed one counts (landed) and arms
 // its next wake-up through it (wake); the injector's hooks drive the
-// rest. It is the des.Handler of its own checkpoint events (Fire).
+// rest. It is the des.Handler of its checkpoint cadence (Fire).
 type rankFaults struct {
 	t    *rankTable
 	row  int32
@@ -204,39 +202,31 @@ type rankFaults struct {
 	pendResume bool // resume deferred behind a draining transfer
 
 	// What follows is a solver rank's alone: its checkpoint cadence, its
-	// post-repair restore and its account of work lost. The checkpoint
-	// operations exist under checkpoint/restart only.
+	// post-repair restore and its account of work lost. Its checkpoints
+	// are row row of fs.ckptW and fs.ckptR.
 	solver bool
 	// unrecovered: the loss since lastCommit has been charged and the
 	// recovery has not completed; a further crash charges nothing.
 	unrecovered bool
 	lastCommit  float64
-	ckptW       *costmodel.CheckpointOp
-	ckptR       *costmodel.CheckpointOp
 	ckptHold    des.Hold
 	ckptStart   float64
 	ckptBusy    bool
 	restoring   bool
 }
 
-// A layer's own events: the row it fires itself with.
-const (
-	faultCkptTick int32 = iota
-	faultCkptDone
-	faultRestoreDone
+// Fire is the rank's checkpoint cadence tick.
+func (f *rankFaults) Fire(int32) { f.ckptTick() }
+
+// The owners of the checkpoint tables: a solver rank's checkpoint write
+// is durable, or its restore read is done.
+type (
+	ckptWritten  faultState
+	ckptRestored faultState
 )
 
-// Fire runs one of the layer's own events.
-func (f *rankFaults) Fire(event int32) {
-	switch event {
-	case faultCkptTick:
-		f.ckptTick()
-	case faultCkptDone:
-		f.ckptDone()
-	case faultRestoreDone:
-		f.restoreDone()
-	}
-}
+func (w *ckptWritten) Fire(row int32)  { w.solvers.faults[row].ckptDone() }
+func (r *ckptRestored) Fire(row int32) { r.solvers.faults[row].restoreDone() }
 
 // attach gives every row of t its fault layer. It schedules nothing:
 // rankTable.start arms each row through its layer's start.
@@ -246,19 +236,17 @@ func (fs *faultState) attach(t *rankTable, solver bool) {
 	} else {
 		fs.trainers = t
 	}
-	ckpt := solver && fs.rec.Policy == faults.CheckpointRestart
-	t.faults = make([]rankFaults, len(t.lastXfer))
+	n := len(t.lastXfer)
+	if solver && fs.ckptIntervalS > 0 {
+		fs.ckptW = fs.model.NewCheckpointTable(fs.backend, n, t.perNode, fs.ckptSizeMB, false, (*ckptWritten)(fs))
+		fs.ckptR = fs.model.NewCheckpointTable(fs.backend, n, t.perNode, fs.ckptSizeMB, true, (*ckptRestored)(fs))
+	}
+	t.faults = make([]rankFaults, n)
 	for i := range t.faults {
 		f, row := &t.faults[i], int32(i)
 		*f = rankFaults{
 			t: t, row: row, fs: fs, wake: des.MakeHold(t.env, t, ^row),
-			solver: solver, lastCommit: t.env.Now(),
-		}
-		if ckpt {
-			node := i / t.perNode
-			f.ckptW = fs.model.NewCheckpointWrite(fs.backend, node, fs.rec.CkptSizeMB, f, faultCkptDone)
-			f.ckptR = fs.model.NewCheckpointRead(fs.backend, node, fs.rec.CkptSizeMB, f, faultRestoreDone)
-			f.ckptHold = des.MakeHold(t.env, f, faultCkptTick)
+			ckptHold: des.MakeHold(t.env, f, 0), solver: solver, lastCommit: t.env.Now(),
 		}
 	}
 }
@@ -269,13 +257,13 @@ func (fs *faultState) attach(t *rankTable, solver bool) {
 // positions.
 func (f *rankFaults) start() {
 	f.t.arm(f.row)
-	if f.ckptW != nil {
+	if f.solver && f.fs.ckptW != nil {
 		// The stagger phases the first cadence tick within [1, 2)
 		// intervals, spreading the fleet's checkpoints evenly instead of
 		// firing all ranks in one synchronized burst against the shared
 		// deployment.
 		stagger := float64(f.row) / float64(len(f.t.faults))
-		f.armCkpt(f.fs.rec.CkptIntervalS * (1 + stagger))
+		f.armCkpt(f.fs.ckptIntervalS * (1 + stagger))
 	}
 }
 
@@ -329,11 +317,11 @@ func (f *rankFaults) onCrash() {
 	}
 	f.ckptHold.Cancel()
 	if f.ckptBusy {
-		f.ckptW.Abort()
+		f.fs.ckptW.Abort(f.row)
 		f.ckptBusy = false
 	}
 	if f.restoring {
-		f.ckptR.Abort()
+		f.fs.ckptR.Abort(f.row)
 		f.restoring = false
 	}
 	if !f.unrecovered {
@@ -350,7 +338,7 @@ func (f *rankFaults) onRepair() {
 	switch {
 	case !f.solver:
 		f.resume()
-	case f.fs.rec.Policy == faults.CheckpointRestart:
+	case f.fs.ckptR != nil:
 		f.startRestore()
 	default:
 		f.unrecovered = false
@@ -369,13 +357,13 @@ func (f *rankFaults) ckptTick() {
 		// A previous checkpoint is still in flight: skip this cadence
 		// tick rather than stacking operations.
 		if !f.down {
-			f.armCkpt(fs.rec.CkptIntervalS)
+			f.armCkpt(fs.ckptIntervalS)
 		}
 		return
 	}
 	f.ckptStart = now
 	f.ckptBusy = true
-	f.ckptW.Start()
+	fs.ckptW.Start(f.row)
 }
 
 // armCkpt schedules the next cadence tick if it lands inside the
@@ -396,13 +384,13 @@ func (f *rankFaults) ckptDone() {
 	f.fs.ckptWrites++
 	f.fs.ckptTotalS += f.t.env.Now() - f.ckptStart
 	f.lastCommit = f.ckptStart
-	f.armCkpt(f.fs.rec.CkptIntervalS)
+	f.armCkpt(f.fs.ckptIntervalS)
 }
 
 // startRestore begins the post-repair checkpoint read.
 func (f *rankFaults) startRestore() {
 	f.restoring = true
-	f.ckptR.Start()
+	f.fs.ckptR.Start(f.row)
 }
 
 // restoreDone completes the post-repair checkpoint read: the rank is
@@ -412,7 +400,7 @@ func (f *rankFaults) restoreDone() {
 	f.unrecovered = false
 	f.lastCommit = f.t.env.Now()
 	f.resume()
-	f.armCkpt(f.fs.rec.CkptIntervalS)
+	f.armCkpt(f.fs.ckptIntervalS)
 }
 
 // RunResilienceChecked simulates one disturbance configuration and

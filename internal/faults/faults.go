@@ -1,8 +1,9 @@
 // Package faults is the deterministic fault-injection layer of the
 // simulated-scale experiments: seeded, dist-driven node-crash timelines
-// driven as ordinary events through a des.Env, plus the recovery-policy
-// vocabulary (fail-stop, checkpoint/restart) the resilience scenarios
-// sweep.
+// driven as ordinary events through a des.Env. How a workload recovers
+// from a crash (fail-stop, or checkpoint/restart at the cadence the
+// resilience scenarios sweep) is the workload's business: the injector
+// only reports crashes and repairs through its Hooks.
 //
 // Design rules:
 //
@@ -30,40 +31,6 @@ import (
 	"simaibench/internal/des"
 	"simaibench/internal/dist"
 )
-
-// Policy selects the recovery strategy of a resilient campaign.
-type Policy int
-
-// The recovery policies the resilience scenarios compare.
-const (
-	// FailStop restarts lost work from the beginning of the run: no
-	// checkpoints, maximal wasted work — the baseline.
-	FailStop Policy = iota
-	// CheckpointRestart persists state through the datastore backend at
-	// a configurable cadence and restarts from the last durable
-	// checkpoint.
-	CheckpointRestart
-)
-
-// String returns the config name.
-func (p Policy) String() string {
-	if p == CheckpointRestart {
-		return "checkpoint-restart"
-	}
-	return "fail-stop"
-}
-
-// Recovery configures how a resilient campaign reacts to disturbances.
-type Recovery struct {
-	// Policy selects fail-stop or checkpoint/restart.
-	Policy Policy
-	// CkptIntervalS is the checkpoint cadence in virtual seconds
-	// (checkpoint/restart only; <= 0 disables checkpointing, degrading
-	// the policy to fail-stop).
-	CkptIntervalS float64
-	// CkptSizeMB sizes one checkpoint write/read per rank.
-	CkptSizeMB float64
-}
 
 // Profile describes the disturbance statistics of one campaign. The
 // zero value injects nothing.
