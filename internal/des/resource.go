@@ -143,7 +143,7 @@ func (r *Resource) Release() {
 func (r *Resource) Withdraw(h Handler, row int32) bool {
 	for i := range r.qLen {
 		w := &r.waitQ[(r.qHead+i)&(len(r.waitQ)-1)]
-		if w.h != nil && w.h == h && w.row == row {
+		if w.h == h && w.row == row {
 			*w = rwaiter{}
 			return true
 		}

@@ -62,7 +62,7 @@ type ResilienceConfig struct {
 	RepairS float64
 	// CkptIntervalS is the checkpoint cadence per sim rank; <= 0
 	// disables checkpointing: the recovery is fail-stop, and a repaired
-	// rank restarts its lost work from scratch. Otherwise it is
+	// rank resumes at once, its lost work gone. Otherwise it is
 	// checkpoint/restart: a repaired rank reloads its last durable
 	// checkpoint through the backend first.
 	CkptIntervalS float64
