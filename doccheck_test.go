@@ -241,12 +241,6 @@ var productionCallerExempt = map[string]string{
 	"des.Env.Pending":         testAccessor,
 	"des.Env.Executed":        testAccessor,
 	"des.Hold.Armed":          testAccessor,
-	"des.Resource.InUse":      testAccessor,
-	"des.Resource.Cap":        testAccessor,
-	"des.Resource.Waiting":    testAccessor,
-	"des.Resource.Peak":       testAccessor,
-	"des.Resource.Grants":     testAccessor,
-	"des.Resource.TotalWaitS": testAccessor,
 	"sweep.CellError.Unwrap":  "errors.Is/As unwrap it",
 
 	"costmodel.Xfer.Start":                probeOnly,

@@ -36,8 +36,10 @@ func TestCheckpointWriteMatchesAnalytic(t *testing.T) {
 		if math.Abs(doneAt-want) > 1e-12 {
 			t.Errorf("%v: uncontended checkpoint took %v, analytic %v", b, doneAt, want)
 		}
-		if svc := m.sharedService(b); svc != nil && (svc.InUse() != 0 || svc.Waiting() != 0) {
-			t.Errorf("%v: completed checkpoint left %d slots in use, %d claims queued", b, svc.InUse(), svc.Waiting())
+		if svc := m.sharedService(b); svc != nil {
+			if st := svc.Stats(); st.InUse != 0 || st.Waiting != 0 {
+				t.Errorf("%v: completed checkpoint left %d slots in use, %d claims queued", b, st.InUse, st.Waiting)
+			}
 		}
 	}
 }
@@ -64,25 +66,26 @@ func TestCheckpointAbortWhileQueued(t *testing.T) {
 	env, m := newCkptModel()
 	svc := m.sharedService(datastore.Redis)
 	// Saturate every service slot until t=100.
-	for i := 0; i < svc.Cap(); i++ {
+	for i := 0; i < svc.Stats().Cap; i++ {
 		svc.Request(func() { env.After(100, svc.Release) })
 	}
 	fired := false
 	ck := newCkpt(m, datastore.Redis, false, func() { fired = true })
 	ck.Start(0)
-	if svc.Waiting() != 1 {
-		t.Fatalf("%d claims queued, want the checkpoint's", svc.Waiting())
+	if svc.Stats().Waiting != 1 {
+		t.Fatalf("%d claims queued, want the checkpoint's", svc.Stats().Waiting)
 	}
 	env.After(10, func() { ck.Abort(0) })
 	env.Run()
 	if fired {
 		t.Fatal("aborted checkpoint's done fired")
 	}
-	if svc.InUse() != 0 || svc.Waiting() != 0 {
-		t.Fatalf("after the run: %d slots in use, %d queued, want none", svc.InUse(), svc.Waiting())
+	st := svc.Stats()
+	if st.InUse != 0 || st.Waiting != 0 {
+		t.Fatalf("after the run: %d slots in use, %d queued, want none", st.InUse, st.Waiting)
 	}
-	if got := svc.Grants(); got != int64(svc.Cap()) {
-		t.Fatalf("withdrawn claim consumed a grant: %d grants, want %d", got, svc.Cap())
+	if st.Grants != int64(st.Cap) {
+		t.Fatalf("withdrawn claim consumed a grant: %d grants, want %d", st.Grants, st.Cap)
 	}
 }
 
@@ -91,7 +94,7 @@ func TestCheckpointAbortWhileQueued(t *testing.T) {
 func TestCheckpointAbortWhileHolding(t *testing.T) {
 	env, m := newCkptModel()
 	svc := m.sharedService(datastore.Redis)
-	for i := 0; i < svc.Cap()-1; i++ {
+	for i := 0; i < svc.Stats().Cap-1; i++ {
 		svc.Request(func() { env.After(1000, svc.Release) })
 	}
 	fired := false
@@ -109,8 +112,8 @@ func TestCheckpointAbortWhileHolding(t *testing.T) {
 	if math.Abs(waiterAt-abortAt) > 1e-15 {
 		t.Fatalf("slot released at %v, want %v (abort time)", waiterAt, abortAt)
 	}
-	if svc.InUse() != 0 {
-		t.Fatalf("the orphaned hold's end released a slot twice or never: %d in use", svc.InUse())
+	if svc.Stats().InUse != 0 {
+		t.Fatalf("the orphaned hold's end released a slot twice or never: %d in use", svc.Stats().InUse)
 	}
 }
 
@@ -123,7 +126,7 @@ func TestCheckpointAbortAfterGrantScheduled(t *testing.T) {
 	svc := m.sharedService(datastore.Redis)
 	// Saturate every slot; the releases at t=5 each hand a slot straight
 	// to a queued claim.
-	for i := 0; i < svc.Cap(); i++ {
+	for i := 0; i < svc.Stats().Cap; i++ {
 		svc.Request(func() { env.After(5, svc.Release) })
 	}
 	fired := false
@@ -136,8 +139,8 @@ func TestCheckpointAbortAfterGrantScheduled(t *testing.T) {
 	if fired {
 		t.Fatal("done fired for a claim aborted after grant transfer")
 	}
-	if svc.InUse() != 0 {
-		t.Fatalf("orphaned grant leaked a slot: %d in use", svc.InUse())
+	if svc.Stats().InUse != 0 {
+		t.Fatalf("orphaned grant leaked a slot: %d in use", svc.Stats().InUse)
 	}
 	// The row is reusable afterwards.
 	ck.Start(0)

@@ -12,7 +12,9 @@ import "simaibench/internal/des"
 // progress or, while the server is free, a wake. A service's end runs
 // the round's continuation, then starts the next claim, as the
 // capacity-1 Resource it replaces granted after the releasing round's
-// continuation; grants and waitTotal add up in service order.
+// continuation. A round's grant and wait count when its service starts,
+// as that Resource counted them when it granted, so stats adds them up
+// in the same order.
 type mdsQueue struct {
 	env    *des.Env
 	svcS   float64
@@ -25,8 +27,8 @@ type mdsQueue struct {
 	cur          mdsClaim
 	started      float64
 
-	grants    int64
-	waitTotal float64
+	grants    int64   // rounds whose service has started
+	waitTotal float64 // their waits from arrival to service start
 }
 
 // mdsClaim is a waiting metadata round, pointer-free so rings cost no GC.
@@ -39,30 +41,10 @@ type mdsClaim struct {
 // mdsClient runs next(row) when a round of its row row ends: *XferTable.
 type mdsClient interface{ next(row int32) }
 
-// mdsRing holds one RPC delay's claims in arrival order: n from head
-// on, in a power-of-two ring that doubles when full.
+// mdsRing holds one RPC delay's claims in arrival order.
 type mdsRing struct {
-	rpcS    float64
-	q       []mdsClaim
-	head, n int
-}
-
-func (r *mdsRing) push(c mdsClaim) {
-	if r.n == len(r.q) {
-		q := make([]mdsClaim, max(16, 2*len(r.q)))
-		k := copy(q, r.q[r.head:])
-		copy(q[k:], r.q[:r.head])
-		r.q, r.head = q, 0
-	}
-	r.q[(r.head+r.n)&(len(r.q)-1)] = c
-	r.n++
-}
-
-func (r *mdsRing) pop() mdsClaim {
-	c := r.q[r.head]
-	r.head = (r.head + 1) & (len(r.q) - 1)
-	r.n--
-	return c
+	rpcS float64
+	des.Ring[mdsClaim]
 }
 
 // register enrolls x, whose rounds cost rpcS each, and returns its
@@ -89,7 +71,7 @@ func (q *mdsQueue) claim(tab, ring, row int32) {
 	r := &q.rings[ring]
 	q.order++
 	c := mdsClaim{t: q.env.Now() + r.rpcS, order: q.order, tab: tab, row: row}
-	r.push(c)
+	r.Push(c)
 	if !q.busy && !q.waking {
 		q.wake(c.t) // the rings held nothing else
 	}
@@ -104,30 +86,31 @@ func (q *mdsQueue) Fire(int32) {
 	if woke {
 		q.waking = false
 	} else {
-		q.grants++
-		q.waitTotal += q.started - q.cur.t
 		q.tables[q.cur.tab].next(q.cur.row) // busy still: its next round only queues
 		q.busy = false
 	}
 	var next *mdsRing
+	var head *mdsClaim
 	for i := range q.rings {
 		r := &q.rings[i]
-		if r.n == 0 {
+		if r.Len() == 0 {
 			continue
 		}
-		if c, b := &r.q[r.head], next; b == nil || c.t < b.q[b.head].t || c.t == b.q[b.head].t && c.order < b.q[b.head].order {
-			next = r
+		if c := r.At(0); head == nil || c.t < head.t || c.t == head.t && c.order < head.order {
+			next, head = r, c
 		}
 	}
 	if next == nil {
 		return
 	}
 	now := q.env.Now()
-	if t := next.q[next.head].t; t > now || t == now && !woke {
-		q.wake(t)
+	if head.t > now || head.t == now && !woke {
+		q.wake(head.t)
 		return
 	}
-	q.cur, q.started, q.busy = next.pop(), now, true
+	q.cur, q.started, q.busy = next.Pop(), now, true
+	q.grants++
+	q.waitTotal += now - q.cur.t
 	q.env.AfterRow(q.svcS, q, 0)
 }
 
@@ -144,14 +127,19 @@ func (q *mdsQueue) wake(t float64) {
 	q.env.AtRow(t, q, 0)
 }
 
-// avgWaitS is the mean wait per round granted, the one in service too.
-func (q *mdsQueue) avgWaitS() float64 {
-	g, w := q.grants, q.waitTotal
+// stats reports the server's counters as a capacity-1 Resource's.
+// Waiting counts every claimed round not yet in service, those whose
+// RPC is still in flight included.
+func (q *mdsQueue) stats() des.QueueStats {
+	s := des.QueueStats{Cap: 1, Grants: q.grants, WaitS: q.waitTotal}
 	if q.busy {
-		g, w = g+1, w+(q.started-q.cur.t)
+		s.InUse = 1
 	}
-	if g == 0 {
-		return 0
+	if q.grants > 0 {
+		s.Peak = 1
 	}
-	return w / float64(g)
+	for i := range q.rings {
+		s.Waiting += q.rings[i].Len()
+	}
+	return s
 }

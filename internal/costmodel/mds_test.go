@@ -13,7 +13,7 @@ import (
 // RPC event (AfterRow(RPCS)), a RequestRow on a capacity-1 des.Resource,
 // a service event (AfterRow(MDSS)) and a Release before the round's
 // continuation. Both serve the same claimants, and the service order,
-// every start and end, and the grant and wait totals must be ==.
+// every start and end, and the queue's whole des.QueueStats must be ==.
 
 // mdsStream is one random arrival stream: claimants that start their
 // metadata rounds at given times, each on one of the RPC delays.
@@ -127,14 +127,14 @@ func (r *refMDS) Fire(row int32) {
 	}
 }
 
-func runRefMDS(s mdsStream) ([]mdsService, int64, float64) {
+func runRefMDS(s mdsStream) ([]mdsService, des.QueueStats) {
 	env := des.NewEnv()
 	r := &refMDS{env: env, s: s, res: des.NewResource(env, 1),
 		round: make([]int, len(s.claim)), phase: make([]int, len(s.claim)), start: make([]float64, len(s.claim))}
 	d := &mdsStarter{start: r.next}
 	d.schedule(env, s)
 	env.Run()
-	return r.log, r.res.Grants(), r.res.TotalWaitS()
+	return r.log, r.res.Stats()
 }
 
 // mdsTable is a client table of the queue under test: one per ring, as
@@ -178,7 +178,7 @@ func (r *mdsRun) mdsPending() int {
 	return r.env.Pending() - (len(r.s.claim) - r.starter.fired)
 }
 
-func runMDSQueue(t *testing.T, s mdsStream) ([]mdsService, int64, float64) {
+func runMDSQueue(t *testing.T, s mdsStream) ([]mdsService, des.QueueStats) {
 	env := des.NewEnv()
 	q := &mdsQueue{env: env, svcS: s.svcS}
 	r := &mdsRun{t: t, env: env, s: s, q: q, round: make([]int, len(s.claim))}
@@ -198,13 +198,13 @@ func runMDSQueue(t *testing.T, s mdsStream) ([]mdsService, int64, float64) {
 	if q.busy || q.waking {
 		t.Fatal("the queue is not idle once the run drains")
 	}
-	return r.log, q.grants, q.waitTotal
+	return r.log, q.stats()
 }
 
 func checkMDSStream(t *testing.T, s mdsStream) {
 	t.Helper()
-	want, wantGrants, wantWait := runRefMDS(s)
-	got, gotGrants, gotWait := runMDSQueue(t, s)
+	want, wantStats := runRefMDS(s)
+	got, gotStats := runMDSQueue(t, s)
 	if len(got) != len(want) {
 		t.Fatalf("%+v: %d services, reference %d", s, len(got), len(want))
 	}
@@ -213,8 +213,8 @@ func checkMDSStream(t *testing.T, s mdsStream) {
 			t.Fatalf("%+v: service %d is %+v, reference %+v", s, i, got[i], want[i])
 		}
 	}
-	if gotGrants != wantGrants || gotWait != wantWait {
-		t.Fatalf("%+v: grants %d, wait %v; reference %d, %v", s, gotGrants, gotWait, wantGrants, wantWait)
+	if gotStats != wantStats {
+		t.Fatalf("%+v: stats %+v; reference %+v", s, gotStats, wantStats)
 	}
 }
 

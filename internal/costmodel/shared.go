@@ -103,10 +103,10 @@ func (m *Model) sharedHold(b datastore.Backend, mb float64, read bool) float64 {
 func (m *Model) SharedWaitS(b datastore.Backend) float64 {
 	switch b {
 	case datastore.FileSystem:
-		return m.mds.avgWaitS()
+		return m.mds.stats().AvgWaitS()
 	case datastore.Redis, datastore.Dragon:
 		if r := m.sharedService(b); r != nil {
-			return r.AvgWaitS()
+			return r.Stats().AvgWaitS()
 		}
 	}
 	return 0

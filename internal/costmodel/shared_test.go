@@ -97,7 +97,7 @@ func TestSharedSlotsFollowServerConfig(t *testing.T) {
 	env := des.NewEnv()
 	m := New(env, cluster.Aurora(8), p)
 	r := m.sharedService(datastore.Redis)
-	if r == nil || r.Cap() != 2 {
+	if r == nil || r.Stats().Cap != 2 {
 		t.Fatalf("redis service slots = %v, want capacity 2", r)
 	}
 	if m.sharedService(datastore.NodeLocal) != nil {
@@ -116,7 +116,7 @@ func TestSharedZeroParamsFallBackToDefaults(t *testing.T) {
 	env := des.NewEnv()
 	m := New(env, cluster.Aurora(8), p)
 	d := Default()
-	if r := m.sharedService(datastore.Redis); r == nil || r.Cap() != d.RedisSharedSlots {
+	if r := m.sharedService(datastore.Redis); r == nil || r.Stats().Cap != d.RedisSharedSlots {
 		t.Fatalf("redis slots with zero params = %v, want default %d", r, d.RedisSharedSlots)
 	}
 	if got, want := m.sharedHold(datastore.Redis, 8, false),

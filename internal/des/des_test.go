@@ -125,8 +125,8 @@ func TestResourceSerializes(t *testing.T) {
 	if want := []float64{2, 4, 6}; !slices.Equal(finish, want) {
 		t.Fatalf("finish times = %v, want %v (capacity-1 serialization)", finish, want)
 	}
-	if res.Peak() != 1 {
-		t.Fatalf("peak = %d, want 1", res.Peak())
+	if res.Stats().Peak != 1 {
+		t.Fatalf("peak = %d, want 1", res.Stats().Peak)
 	}
 }
 
@@ -142,8 +142,8 @@ func TestResourceParallelism(t *testing.T) {
 	if want := []float64{5, 5, 5, 10, 10, 10}; !slices.Equal(finish, want) {
 		t.Fatalf("finish times = %v, want %v", finish, want)
 	}
-	if res.Peak() != 3 {
-		t.Fatalf("peak = %d, want 3", res.Peak())
+	if res.Stats().Peak != 3 {
+		t.Fatalf("peak = %d, want 3", res.Stats().Peak)
 	}
 }
 
@@ -173,14 +173,11 @@ func TestResourceWaitAccounting(t *testing.T) {
 		useFor(env, res, 2, func() {})
 	}
 	env.Run()
-	if res.Grants() != 3 {
-		t.Fatalf("grants = %d, want 3", res.Grants())
+	if got, want := res.Stats(), (QueueStats{Cap: 1, Peak: 1, Grants: 3, WaitS: 6}); got != want {
+		t.Fatalf("stats = %+v, want %+v (waits 0+2+4)", got, want)
 	}
-	if res.TotalWaitS() != 6 {
-		t.Fatalf("total wait = %v, want 6 (0+2+4)", res.TotalWaitS())
-	}
-	if res.AvgWaitS() != 2 {
-		t.Fatalf("avg wait = %v, want 2", res.AvgWaitS())
+	if avg := res.Stats().AvgWaitS(); avg != 2 {
+		t.Fatalf("avg wait = %v, want 2", avg)
 	}
 }
 
@@ -190,9 +187,8 @@ func TestResourceWaitAccountingUncontended(t *testing.T) {
 	useFor(env, res, 1, func() {})
 	env.At(5, func() { useFor(env, res, 1, func() {}) })
 	env.Run()
-	if res.Grants() != 2 || res.TotalWaitS() != 0 || res.AvgWaitS() != 0 {
-		t.Fatalf("uncontended: grants=%d wait=%v avg=%v, want 2/0/0",
-			res.Grants(), res.TotalWaitS(), res.AvgWaitS())
+	if s := res.Stats(); s != (QueueStats{Cap: 2, Peak: 1, Grants: 2}) || s.AvgWaitS() != 0 {
+		t.Fatalf("uncontended: stats %+v avg=%v, want 2 grants, peak 1, no wait", s, s.AvgWaitS())
 	}
 }
 
@@ -206,11 +202,8 @@ func TestResourceWaitAccountingFlatRequests(t *testing.T) {
 	res.Request(hold)
 	res.Request(hold)
 	env.Run()
-	if res.Grants() != 3 {
-		t.Fatalf("grants = %d, want 3", res.Grants())
-	}
-	if res.TotalWaitS() != 3 {
-		t.Fatalf("total wait = %v, want 3", res.TotalWaitS())
+	if got, want := res.Stats(), (QueueStats{Cap: 2, Peak: 2, Grants: 3, WaitS: 3}); got != want {
+		t.Fatalf("stats = %+v, want %+v", got, want)
 	}
 }
 
@@ -362,7 +355,8 @@ func TestPropertyResourceNeverExceedsCapacity(t *testing.T) {
 			useFor(env, res, float64(h%50)/10, func() { done++ })
 		}
 		env.Run()
-		return res.Peak() <= capacity && done == len(holds) && res.InUse() == 0
+		s := res.Stats()
+		return s.Peak <= capacity && done == len(holds) && s.InUse == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -29,8 +29,8 @@ func TestResourceRequestSynchronousWhenFree(t *testing.T) {
 	if !called {
 		t.Fatal("Request on a free resource did not grant synchronously")
 	}
-	if res.InUse() != 1 {
-		t.Fatalf("inUse = %d after grant", res.InUse())
+	if res.Stats().InUse != 1 {
+		t.Fatalf("inUse = %d after grant", res.Stats().InUse)
 	}
 	res.Release()
 }
@@ -173,7 +173,7 @@ func BenchmarkScheduleDrain(b *testing.B) {
 func TestResourceQueueReusesStorage(t *testing.T) {
 	// The wait queue must reach a steady state with no per-grant
 	// allocations: claimants recycle the consumed front of the backing
-	// array (enqueue/dequeue) instead of growing it. This is the
+	// array (Ring.Push/Pop) instead of growing it. This is the
 	// multi-tenant shared-queue hot path. Each claimant caches its two
 	// closures up front, per the package's reuse discipline.
 	env := NewEnv()
@@ -190,10 +190,10 @@ func TestResourceQueueReusesStorage(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() { env.RunUntil(env.Now() + 64) })
 	if allocs > 0 {
 		t.Fatalf("steady-state queue churn allocates %.1f allocs/run, want 0 (grants=%d, waiting=%d)",
-			allocs, grants, res.Waiting())
+			allocs, grants, res.Stats().Waiting)
 	}
-	if grants == 0 || res.Waiting() != 7 {
-		t.Fatalf("bad accounting: grants=%d waiting=%d", grants, res.Waiting())
+	if grants == 0 || res.Stats().Waiting != 7 {
+		t.Fatalf("bad accounting: grants=%d waiting=%d", grants, res.Stats().Waiting)
 	}
 }
 
@@ -228,13 +228,13 @@ func TestResourceQueueFIFOAcrossWrapAndGrowth(t *testing.T) {
 		enqueueBias := 2 + (step/2000)%2*5 // 2/8 of the steps enqueue, then 7/8
 		switch op := rng.Intn(8); {
 		case op < enqueueBias:
-			if res.qLen == len(res.waitQ) && res.qHead > 0 {
+			if q := &res.waitQ; q.n == len(q.buf) && q.head > 0 {
 				grewSplit = true
 			}
 			fifo = append(fifo, queued{id: next, withdrawing: rng.Intn(3) == 0})
 			res.RequestRow(&got, next)
 			next++
-			if res.qHead+res.qLen > len(res.waitQ) {
+			if q := &res.waitQ; q.head+q.n > len(q.buf) {
 				wrapped = true
 			}
 		case op == enqueueBias && len(fifo) > 0:
@@ -257,8 +257,8 @@ func TestResourceQueueFIFOAcrossWrapAndGrowth(t *testing.T) {
 			res.Release()
 			env.Run()
 		}
-		if res.Waiting() < len(fifo) {
-			t.Fatalf("step %d: %d waiting, %d live claimants", step, res.Waiting(), len(fifo))
+		if res.Stats().Waiting < len(fifo) {
+			t.Fatalf("step %d: %d waiting, %d live claimants", step, res.Stats().Waiting, len(fifo))
 		}
 	}
 	if !slices.Equal(got[1:], want) {
@@ -267,6 +267,21 @@ func TestResourceQueueFIFOAcrossWrapAndGrowth(t *testing.T) {
 	if !wrapped || !grewSplit || len(want) < 1000 {
 		t.Fatalf("run reached wrapped=%v grewSplit=%v with %d grants; the test no longer covers the ring",
 			wrapped, grewSplit, len(want))
+	}
+}
+
+// TestRingPopReleasesTheSlot: Pop zeroes the slot it empties, so a
+// ring of claimants keeps no granted Handler reachable.
+func TestRingPopReleasesTheSlot(t *testing.T) {
+	var r Ring[rwaiter]
+	for range 3 {
+		r.Push(rwaiter{h: &grantLog{}})
+	}
+	r.Pop()
+	for i, w := range r.buf {
+		if live := i >= r.head && i < r.head+r.n; !live && w.h != nil {
+			t.Fatalf("slot %d still holds a handler after Pop", i)
+		}
 	}
 }
 

@@ -374,9 +374,9 @@ func TestWithdrawPreservesFIFO(t *testing.T) {
 		for k := range want {
 			wantWait += float64(10 + k)
 		}
-		if r.Grants() != int64(1+len(want)) || r.TotalWaitS() != wantWait || r.Waiting() != 0 {
+		if s := r.Stats(); s.Grants != int64(1+len(want)) || s.WaitS != wantWait || s.Waiting != 0 {
 			t.Fatalf("seed %d: %d grants, %v s waited, %d waiting, want %d, %v s and 0",
-				seed, r.Grants(), r.TotalWaitS(), r.Waiting(), 1+len(want), wantWait)
+				seed, s.Grants, s.WaitS, s.Waiting, 1+len(want), wantWait)
 		}
 		for _, i := range want {
 			if r.Withdraw(&claimant, i) {
@@ -407,7 +407,7 @@ func (c *fifoClaimant) Fire(row int32) {
 // a request of the next id, a withdrawal of id arg (one never requested,
 // granted, queued or already withdrawn), a release when a slot is held,
 // or an advance of the clock by arg/8 s. After every operation the grant
-// order, Withdraw's answer, Grants, TotalWaitS and Waiting must agree.
+// order, Withdraw's answer and every field of Stats must agree.
 // CI runs this as a 10 s smoke (`go test -fuzz=FuzzResourceWithdraw
 // -fuzztime=10s ./internal/des`).
 func FuzzResourceWithdraw(f *testing.F) {
@@ -420,7 +420,8 @@ func FuzzResourceWithdraw(f *testing.F) {
 			return
 		}
 		env := NewEnv()
-		r := NewResource(env, 1+int(data[0])%4)
+		capacity := 1 + int(data[0])%4
+		r := NewResource(env, capacity)
 		type claim struct {
 			id   int32
 			enqT float64
@@ -430,6 +431,7 @@ func FuzzResourceWithdraw(f *testing.F) {
 			log, want grantLog
 			queue     []claim
 			inUse     int
+			peak      int
 			grants    int64
 			waitTotal float64
 			next      int32
@@ -438,8 +440,9 @@ func FuzzResourceWithdraw(f *testing.F) {
 			op, arg := b&3, int32(b>>2)
 			switch op {
 			case 0: // request
-				if inUse < r.Cap() {
+				if inUse < capacity {
 					inUse++
+					peak = max(peak, inUse)
 					grants++
 					want = append(want, next)
 				} else {
@@ -481,9 +484,9 @@ func FuzzResourceWithdraw(f *testing.F) {
 			if !slices.Equal(log, want) {
 				t.Fatalf("step %d: granted %v, want %v", step, log, want)
 			}
-			if r.Grants() != grants || r.TotalWaitS() != waitTotal || r.Waiting() != len(queue) || r.InUse() != inUse {
-				t.Fatalf("step %d: grants %d, waited %v s, %d waiting, %d in use; want %d, %v s, %d, %d",
-					step, r.Grants(), r.TotalWaitS(), r.Waiting(), r.InUse(), grants, waitTotal, len(queue), inUse)
+			want := QueueStats{Cap: capacity, InUse: inUse, Peak: peak, Waiting: len(queue), Grants: grants, WaitS: waitTotal}
+			if got := r.Stats(); got != want {
+				t.Fatalf("step %d: stats %+v, want %+v", step, got, want)
 			}
 		}
 	})

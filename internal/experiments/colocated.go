@@ -34,6 +34,10 @@ type colocatedRun struct {
 	faults    *faultState // what disturb returned, if anything did
 }
 
+// solverIterS and trainerIterS are the default SimIterS and TrainIterS:
+// the iteration times (s) profiled from the production workflow.
+const solverIterS, trainerIterS = 0.0325, 0.0633
+
 // positiveOr replaces a non-positive knob with its default; NaN and ±Inf
 // stay, for finite to name.
 func positiveOr[T int | float64](v *T, def T) {

@@ -59,8 +59,8 @@ type Pattern1Config struct {
 func (c Pattern1Config) withDefaults() Pattern1Config {
 	positiveOr(&c.Nodes, 8)
 	positiveOr(&c.SizeMB, 0)
-	positiveOr(&c.SimIterS, 0.0325)
-	positiveOr(&c.TrainIterS, 0.0633)
+	positiveOr(&c.SimIterS, solverIterS)
+	positiveOr(&c.TrainIterS, trainerIterS)
 	positiveOr(&c.WritePeriod, 100)
 	positiveOr(&c.ReadPeriod, 10)
 	positiveOr(&c.TrainIters, 600)

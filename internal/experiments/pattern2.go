@@ -183,7 +183,7 @@ type Fig6Config struct {
 func (c Fig6Config) withDefaults() Fig6Config {
 	positiveOr(&c.Nodes, 8)
 	positiveOr(&c.SizeMB, 0)
-	positiveOr(&c.TrainIterS, 0.0633)
+	positiveOr(&c.TrainIterS, trainerIterS)
 	positiveOr(&c.ReadPeriod, 10)
 	positiveOr(&c.TrainIters, 300)
 	return c

@@ -82,8 +82,8 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	positiveOr(&c.Tenants, 4)
 	positiveOr(&c.NodesPerTenant, 2)
 	positiveOr(&c.SizeMB, 8)
-	positiveOr(&c.SimIterS, 0.0325)
-	positiveOr(&c.TrainIterS, 0.0633)
+	positiveOr(&c.SimIterS, solverIterS)
+	positiveOr(&c.TrainIterS, trainerIterS)
 	positiveOr(&c.WritePeriod, 10)
 	positiveOr(&c.ReadPeriod, 10)
 	positiveOr(&c.TrainIters, 600)

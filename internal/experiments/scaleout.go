@@ -16,14 +16,14 @@ import (
 // Dragon / Lustre infrastructure. Here N tenants each run the co-located
 // one-to-one workflow on their own nodes (the cluster scales out with
 // tenant count, each tenant a dedicated block of it), but all staging
-// traffic goes through ONE shared backend deployment
-// (costmodel.NewSharedLocalWrite/Read): Redis shards and the Dragon
-// managers serialize on their service slots, the Lustre MDS absorbs
-// every tenant's metadata ops, and per-node tmpfs scales for free. The
-// reported observables are per-tenant slowdown (mean staging latency vs
-// the 1-tenant baseline) and the shared backend's queueing delay — the
-// throughput-collapse curves that invert the paper's single-tenant
-// transport rankings.
+// traffic goes through ONE shared backend deployment (the rows of
+// shared costmodel.XferTables, NewXferTable with shared set): Redis
+// shards and the Dragon managers serialize on their service slots, the
+// Lustre MDS absorbs every tenant's metadata ops, and per-node tmpfs
+// scales for free. The reported observables are per-tenant slowdown
+// (mean staging latency vs the 1-tenant baseline) and the shared
+// backend's queueing delay — the throughput-collapse curves that invert
+// the paper's single-tenant transport rankings.
 //
 // The workload is Pattern 1's on a bigger partition with the deployment
 // shared: the same ranks, the same harness (runColocated, colocated.go).
@@ -66,8 +66,8 @@ func (c ScaleOutConfig) withDefaults() ScaleOutConfig {
 	positiveOr(&c.Tenants, 1)
 	positiveOr(&c.NodesPerTenant, 2)
 	positiveOr(&c.SizeMB, 8)
-	positiveOr(&c.SimIterS, 0.0325)
-	positiveOr(&c.TrainIterS, 0.0633)
+	positiveOr(&c.SimIterS, solverIterS)
+	positiveOr(&c.TrainIterS, trainerIterS)
 	positiveOr(&c.WritePeriod, 10)
 	positiveOr(&c.ReadPeriod, 10)
 	positiveOr(&c.TrainIters, 300)
