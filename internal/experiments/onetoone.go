@@ -18,19 +18,27 @@ import (
 	"simaibench/internal/workflow"
 )
 
-// OneToOneConfig drives one real-stack run of the paper's first
-// workload (§4.1): a co-located solver and trainer exchanging real bytes
-// through a real backend, the trainer steering the solver to stop. It is
-// the wall/virtual-clock twin of the DES harness in colocated.go, and
-// the one statement of that workflow under the validation scenarios,
-// the simaibench CLI and examples/nekrs-ml. There are no defaults: every
-// count and the time scale must be set.
+// OneToOneConfig drives one real-stack run of the paper's coupled
+// workflows: solvers and a trainer exchanging real bytes through a real
+// backend, the trainer steering the solvers to stop. With Ensemble 0 or
+// 1 it is the first workload (§4.1), one co-located solver and trainer,
+// the wall/virtual-clock twin of the DES harness in colocated.go; above
+// 1 it is the second (§4.2), an ensemble of solvers feeding one trainer.
+// It is the one statement of that loop under the validation scenarios,
+// the simaibench CLI, examples/nekrs-ml and examples/ensemble-surrogate.
+// There are no defaults: every count and the time scale must be set.
 type OneToOneConfig struct {
 	// Backend is deployed for the run and torn down after it.
 	Backend datastore.Backend
-	// Sim and AI configure the two components (Listing 2 schema).
+	// Sim and AI configure the components (Listing 2 schema).
 	Sim config.SimulationConfig
 	AI  config.AIConfig
+	// Ensemble: solver components. 0 or 1 is one solver, whose trainer
+	// skips a read period with no new snapshot. Above 1, member m stages
+	// under the key prefix "member<m>/" with its own head pointer, and
+	// the trainer blocks each read period until every member's head has
+	// moved, then reads every member's arrays.
+	Ensemble int
 	// TrainIters: training iterations before the trainer stops the
 	// workflow.
 	TrainIters int
@@ -49,8 +57,9 @@ type OneToOneConfig struct {
 	// component's first iteration (the gray areas of Fig 2); 0 skips it.
 	SimInitS   float64
 	TrainInitS float64
-	// Seed fixes the solver (Seed), trainer (Seed+7) and payload
-	// (Seed+100) random streams.
+	// Seed fixes the solver (Seed; ensemble member m, Seed+m), trainer
+	// (Seed+7) and payload (Seed+100) random streams. Every member
+	// stages the same payload.
 	Seed int64
 	// Clock is the emulation time domain: clock.KindVirtual (also "")
 	// or clock.KindWall.
@@ -74,6 +83,9 @@ func (c OneToOneConfig) validate() error {
 			return fmt.Errorf("one-to-one: %s = %d, want at least 1", k.name, k.v)
 		}
 	}
+	if c.Ensemble < 0 {
+		return fmt.Errorf("one-to-one: Ensemble (-members) = %d, want 0 or more", c.Ensemble)
+	}
 	if len(c.ArrayBytes) == 0 {
 		return errors.New("one-to-one: ArrayBytes is empty, want at least one staged array")
 	}
@@ -88,9 +100,10 @@ func (c OneToOneConfig) validate() error {
 	return nil
 }
 
-// OneToOneResult is what a run leaves behind: both component reports,
-// the timeline they recorded (lanes "Simulation" and "Training",
-// emulated seconds) and the unscaled workflow duration.
+// OneToOneResult is what a run leaves behind: the solver's and the
+// trainer's reports (for an ensemble, Sim is member 0's), the timeline
+// they recorded (lanes "Simulation", or "Simulation <m>" per member, and
+// "Training"; emulated seconds) and the unscaled workflow duration.
 type OneToOneResult struct {
 	Sim       simulation.Report
 	Train     ai.Report
@@ -98,37 +111,59 @@ type OneToOneResult struct {
 	MakespanS float64
 }
 
-// The control protocol. The solver publishes the step of its newest
-// snapshot under keyHead; the trainer stages keyStop after its last
-// iteration. Both are metadata written raw through the store, so the
-// components do not count them as data-transport events.
+// The control protocol. Each solver publishes the step of its newest
+// snapshot under its key prefix + keyHead; the trainer stages keyStop,
+// which every solver polls, after its last iteration. Both are metadata
+// written raw through the store, so the components do not count them as
+// data-transport events.
 const (
 	keyHead = "control/head"
 	keyStop = "control/stop"
 	// stopPollSteps: solver iterations between looks at keyStop and at
 	// its context.
 	stopPollSteps = 10
+	// ensemblePollS: emulated seconds an ensemble's trainer sleeps
+	// between looks at a member head that has not moved.
+	ensemblePollS = 0.01
 )
 
-// dataKey names array i of the snapshot taken at step. The first two
-// are the inputs and targets of the validation workflow (each snapshot
-// is two transport events on each side, which is how the original's ~2
-// events per write period arise).
-func dataKey(step, i int) string {
-	if names := [...]string{"x", "y"}; i < len(names) {
-		return fmt.Sprintf("data/%d/%s", step, names[i])
-	}
-	return fmt.Sprintf("data/%d/%d", step, i)
+// member is one solver component: its name, timeline lane, key prefix
+// and seed. A lone solver is "sim" on lane "Simulation" with no prefix.
+type member struct {
+	name, lane, prefix string
+	seed               int64
 }
 
-// headStep parses the head pointer the simulation publishes under
-// keyHead: the decimal step of its newest snapshot. A corrupt pointer is
-// an error naming its value, not step 0 and a misleading ErrNotStaged
-// for data/0/x.
+// members lists the run's solver components.
+func (c OneToOneConfig) members() []member {
+	if c.Ensemble <= 1 {
+		return []member{{"sim", "Simulation", "", c.Seed}}
+	}
+	ms := make([]member, c.Ensemble)
+	for m := range ms {
+		ms[m] = member{fmt.Sprintf("sim%d", m), fmt.Sprintf("Simulation %d", m), fmt.Sprintf("member%d/", m), c.Seed + int64(m)}
+	}
+	return ms
+}
+
+// dataKey names array i of the snapshot a solver with key prefix
+// prefix took at step. The first two are the inputs and targets of the
+// validation workflow (each snapshot is two transport events on each
+// side, which is how the original's ~2 events per write period arise).
+func dataKey(prefix string, step, i int) string {
+	if names := [...]string{"x", "y"}; i < len(names) {
+		return fmt.Sprintf("%sdata/%d/%s", prefix, step, names[i])
+	}
+	return fmt.Sprintf("%sdata/%d/%d", prefix, step, i)
+}
+
+// headStep parses a head pointer: the decimal step of a solver's newest
+// snapshot. A corrupt pointer is an error naming its value, not step 0
+// and a misleading ErrNotStaged for data/0/x.
 func headStep(head string) (int, error) {
 	step, err := strconv.Atoi(head)
 	if err != nil {
-		return 0, fmt.Errorf("head pointer %s = %q is not a step number: %w", keyHead, head, err)
+		return 0, fmt.Errorf("head pointer %q is not a step number: %w", head, err)
 	}
 	return step, nil
 }
@@ -154,18 +189,19 @@ func stagedArrays(seed int64, sizes []int) [][]byte {
 }
 
 // cleanSnapshots is the trainer's clean_staged_data: having consumed the
-// snapshot at step, it removes that snapshot and every older one it
-// skipped — each step after cleaned, to step, that is a multiple of the
-// write period — and returns step as the new cleaned. The solver only
-// writes past step once it has published head step, so nothing it still
-// writes is touched, and the backend holds only what is yet to be read
-// (letting the mini-Redis recycle the dropped values). The removal goes
-// through the store, not the component, so it is not a transport event.
-func cleanSnapshots(store datastore.Store, cfg OneToOneConfig, cleaned, step int) (int, error) {
+// snapshot the solver with key prefix prefix took at step, it removes
+// that snapshot and every older one it skipped — each step after
+// cleaned, to step, that is a multiple of the write period — and returns
+// step as the new cleaned. The solver only writes past step once it has
+// published head step, so nothing it still writes is touched, and the
+// backend holds only what is yet to be read (letting the mini-Redis
+// recycle the dropped values). The removal goes through the store, not
+// the component, so it is not a transport event.
+func cleanSnapshots(store datastore.Store, cfg OneToOneConfig, prefix string, cleaned, step int) (int, error) {
 	first := (cleaned/cfg.WritePeriod + 1) * cfg.WritePeriod
 	for s := first; s <= step; s += cfg.WritePeriod {
 		for a := range cfg.ArrayBytes {
-			key := dataKey(s, a)
+			key := dataKey(prefix, s, a)
 			if err := store.Clean(key); err != nil {
 				return cleaned, fmt.Errorf("clean %s: %w", key, err)
 			}
@@ -174,14 +210,15 @@ func cleanSnapshots(store datastore.Store, cfg OneToOneConfig, cleaned, step int
 	return step, nil
 }
 
-// RunOneToOne executes the one-to-one workflow on the real stack — the
-// structure of §4.1.1. Both components run against the configured
-// emulation clock: under the virtual clock all padding is free (the run
-// completes as fast as its real compute and staging allow,
-// deterministically per seed); under the wall clock this is the paper's
-// genuine real-time emulation. A failing component or a cancelled ctx
-// stops the other at its next poll; a backend that dies mid-run is an
-// error naming the key that could not be reached.
+// RunOneToOne executes the workflow on the real stack — the structure
+// of §4.1.1, or with an Ensemble the many-to-one pattern of §4.2. Every
+// component runs against the configured emulation clock: under the
+// virtual clock all padding is free (the run completes as fast as its
+// real compute and staging allow, deterministically per seed); under the
+// wall clock this is the paper's genuine real-time emulation. A failing
+// component or a cancelled ctx stops the others at their next poll; a
+// backend that dies mid-run is an error naming the key that could not
+// be reached.
 func RunOneToOne(ctx context.Context, cfg OneToOneConfig) (OneToOneResult, error) {
 	if err := cfg.validate(); err != nil {
 		return OneToOneResult{}, err
@@ -212,37 +249,40 @@ func runOneToOne(ctx context.Context, cfg OneToOneConfig, clk clock.Clock, conne
 			tl.AddSpan(lane, trace.KindInit, 0, elapsed(), "init")
 		}
 	}
+	members := cfg.members()
+	sims := make([]simulation.Report, len(members))
+	arrays := stagedArrays(cfg.Seed+100, cfg.ArrayBytes)
 
-	solver := func(ctx workflow.Ctx) error {
+	solver := func(ctx workflow.Ctx, idx int, m member) error {
 		store, err := connect()
 		if err != nil {
 			return err
 		}
 		defer store.Close()
-		sim, err := simulation.New("sim", cfg.Sim,
+		sim, err := simulation.New(m.name, cfg.Sim,
 			simulation.WithStore(store),
-			simulation.WithTimeline(tl, "Simulation"),
-			simulation.WithSeed(cfg.Seed),
+			simulation.WithTimeline(tl, m.lane),
+			simulation.WithSeed(m.seed),
 			simulation.WithTimeScale(scale),
 			simulation.WithClock(clk))
 		if err != nil {
 			return err
 		}
-		initialize("Simulation", cfg.SimInitS)
-		arrays := stagedArrays(cfg.Seed+100, cfg.ArrayBytes)
+		initialize(m.lane, cfg.SimInitS)
+		head := m.prefix + keyHead
 		for step := 1; ; step++ {
 			if err := sim.RunIteration(); err != nil {
 				return err
 			}
 			if step%cfg.WritePeriod == 0 {
 				for i, a := range arrays {
-					key := dataKey(step, i)
+					key := dataKey(m.prefix, step, i)
 					if err := sim.StageWrite(key, a); err != nil {
 						return fmt.Errorf("write %s: %w", key, err)
 					}
 				}
-				if err := store.StageWrite(keyHead, []byte(strconv.Itoa(step))); err != nil {
-					return fmt.Errorf("write %s: %w", keyHead, err)
+				if err := store.StageWrite(head, []byte(strconv.Itoa(step))); err != nil {
+					return fmt.Errorf("write %s: %w", head, err)
 				}
 			}
 			if step%stopPollSteps == 0 {
@@ -258,7 +298,7 @@ func runOneToOne(ctx context.Context, cfg OneToOneConfig, clk clock.Clock, conne
 				}
 			}
 		}
-		res.Sim = sim.Report()
+		sims[idx] = sim.Report()
 		return nil
 	}
 
@@ -278,44 +318,61 @@ func runOneToOne(ctx context.Context, cfg OneToOneConfig, clk clock.Clock, conne
 			return err
 		}
 		initialize("Training", cfg.TrainInitS)
-		lastHead, cleaned := "", 0 // cleaned: newest snapshot step removed
-		var head []byte            // the head poll's read buffer
+		// Per member: the head poll's read buffer, the head last
+		// consumed, and the newest snapshot step removed.
+		heads := make([][]byte, len(members))
+		last := make([]string, len(members))
+		cleaned := make([]int, len(members))
+		poll := time.Duration(ensemblePollS * scale * float64(time.Second))
+	iterations:
 		for i := 1; i <= cfg.TrainIters; i++ {
 			if _, err := tr.TrainIteration(); err != nil {
 				return err
 			}
 			if i%cfg.ReadPeriod == 0 {
-				var err error
-				head, err = store.StageReadInto(keyHead, head)
-				if errors.Is(err, datastore.ErrNotStaged) {
-					continue // no snapshot yet
-				}
-				if err != nil {
-					return fmt.Errorf("read %s: %w", keyHead, err)
-				}
-				if string(head) == lastHead {
-					continue // no new snapshot
-				}
-				lastHead = string(head)
-				step, err := headStep(lastHead)
-				if err != nil {
-					return err
-				}
-				for a := range cfg.ArrayBytes {
-					key := dataKey(step, a)
-					if err := tr.UpdateLoader(key); err != nil {
-						return fmt.Errorf("read %s: %w", key, err)
+				// A lone solver's trainer skips a period with no new
+				// snapshot (ErrNotStaged is "not yet"); an ensemble's
+				// polls until every member's head has moved (§4.2).
+				for m, mb := range members {
+					for key := mb.prefix + keyHead; ; clk.Sleep(poll) {
+						var err error
+						heads[m], err = store.StageReadInto(key, heads[m])
+						if err != nil && !errors.Is(err, datastore.ErrNotStaged) {
+							return fmt.Errorf("read %s: %w", key, err)
+						}
+						if err == nil && string(heads[m]) != last[m] {
+							break
+						}
+						if len(members) == 1 {
+							continue iterations
+						}
+						if ctx.Err() != nil {
+							return ctx.Err()
+						}
 					}
 				}
-				if cleaned, err = cleanSnapshots(store, cfg, cleaned, step); err != nil {
-					return err
+				for m, mb := range members {
+					last[m] = string(heads[m])
+					step, err := headStep(last[m])
+					if err != nil {
+						return fmt.Errorf("read %s: %w", mb.prefix+keyHead, err)
+					}
+					for a := range cfg.ArrayBytes {
+						key := dataKey(mb.prefix, step, a)
+						if err := tr.UpdateLoader(key); err != nil {
+							return fmt.Errorf("read %s: %w", key, err)
+						}
+					}
+					if cleaned[m], err = cleanSnapshots(store, cfg, mb.prefix, cleaned[m], step); err != nil {
+						return err
+					}
 				}
 			}
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
 		}
-		// Steer the workflow: tell the simulation to stop.
+		// Steer the workflow: tell the solvers to stop.
 		if err := store.StageWrite(keyStop, []byte("1")); err != nil {
 			return fmt.Errorf("write %s: %w", keyStop, err)
 		}
@@ -324,14 +381,18 @@ func runOneToOne(ctx context.Context, cfg OneToOneConfig, clk clock.Clock, conne
 	}
 
 	w := workflow.New("one-to-one", workflow.WithClock(clk))
-	for _, c := range []workflow.Component{{Name: "sim", Body: solver}, {Name: "train", Body: trainer}} {
-		if err := w.Register(c); err != nil {
+	if err := w.Register(workflow.Component{Name: "train", Body: trainer}); err != nil {
+		return OneToOneResult{}, err
+	}
+	for i, m := range members {
+		body := func(ctx workflow.Ctx) error { return solver(ctx, i, m) }
+		if err := w.Register(workflow.Component{Name: m.name, Body: body}); err != nil {
 			return OneToOneResult{}, err
 		}
 	}
 	if err := w.Launch(ctx); err != nil {
 		return OneToOneResult{}, err
 	}
-	res.MakespanS = elapsed()
+	res.Sim, res.MakespanS = sims[0], elapsed()
 	return res, nil
 }

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"simaibench/internal/clock"
+	"simaibench/internal/cluster"
+	"simaibench/internal/costmodel"
 	"simaibench/internal/datastore"
 )
 
@@ -99,26 +101,42 @@ func runHooked(t *testing.T, cfg OneToOneConfig, before func(mgr *datastore.Serv
 	}
 }
 
-// TestOneToOneFailingTrainerStopsSolver: a trainer that errors mid-run
-// (its third snapshot read fails) ends the workflow with that error on
-// both clocks — the solver sees the cancelled context at its next stop
-// poll instead of waiting for a stop key that will never come.
+// TestOneToOneFailingTrainerStopsSolver: a component that errors
+// mid-run ends the workflow with its error on both clocks, and the
+// others stop instead of hanging. A failing trainer (its third snapshot
+// read fails) stops the lone solver or every ensemble member: each sees
+// the cancelled context at its next stop poll instead of waiting for a
+// stop key that will never come. A failing member (its third array
+// write fails) stops the ensemble's trainer, which looks at its context
+// on every poll of a head that has not moved.
 func TestOneToOneFailingTrainerStopsSolver(t *testing.T) {
 	boom := errors.New("loader exploded")
-	for _, clk := range []string{clock.KindVirtual, clock.KindWall} {
-		t.Run(clk, func(t *testing.T) {
-			var reads atomic.Int32
-			err := runHooked(t, smallOneToOne(datastore.NodeLocal, clk),
-				func(_ *datastore.ServerManager, op, key string) error {
-					if op == "read" && strings.HasPrefix(key, "data/") && reads.Add(1) == 3 {
+	for _, tc := range []struct {
+		name      string
+		ensemble  int
+		op, key   string // the failing operation and its key prefix
+		component string
+	}{
+		{"", 0, "read", "data/", "train"},
+		{"/ensemble", 4, "read", "member1/data/", "train"},
+		{"/ensemble-member", 4, "write", "member2/data/", "sim2"},
+	} {
+		for _, clk := range []string{clock.KindVirtual, clock.KindWall} {
+			t.Run(clk+tc.name, func(t *testing.T) {
+				cfg := smallOneToOne(datastore.NodeLocal, clk)
+				cfg.Ensemble = tc.ensemble
+				var n atomic.Int32
+				err := runHooked(t, cfg, func(_ *datastore.ServerManager, op, key string) error {
+					if op == tc.op && strings.HasPrefix(key, tc.key) && n.Add(1) == 3 {
 						return boom
 					}
 					return nil
 				})
-			if !errors.Is(err, boom) || !strings.Contains(err.Error(), "component train") {
-				t.Fatalf("error = %v, want the trainer's", err)
-			}
-		})
+				if !errors.Is(err, boom) || !strings.Contains(err.Error(), "component "+tc.component+":") {
+					t.Fatalf("error = %v, want component %s's", err, tc.component)
+				}
+			})
+		}
 	}
 }
 
@@ -154,76 +172,129 @@ func TestOneToOneDeadBackendIsAnError(t *testing.T) {
 
 // TestOneToOneCleansWhatItConsumed: when the run ends, no snapshot the
 // trainer read — nor any older one it skipped — is still staged, on
-// either clock; what remains is only what the solver wrote after the
+// either clock, for a lone solver and for each member of an ensemble;
+// what remains of the lone solver's is only what it wrote after the
 // trainer's last read. The removals are not transport events.
 func TestOneToOneCleansWhatItConsumed(t *testing.T) {
-	for _, backend := range []datastore.Backend{datastore.Redis, datastore.NodeLocal} {
-		for _, clk := range []string{clock.KindVirtual, clock.KindWall} {
-			t.Run(backend.String()+"/"+clk, func(t *testing.T) {
-				cfg := smallOneToOne(backend, clk)
-				c, err := clock.FromKind(clk)
-				if err != nil {
-					t.Fatal(err)
+	for _, ensemble := range []int{0, 4} {
+		for _, backend := range []datastore.Backend{datastore.Redis, datastore.NodeLocal} {
+			for _, clk := range []string{clock.KindVirtual, clock.KindWall} {
+				name := backend.String() + "/" + clk
+				if ensemble > 1 {
+					name += "/ensemble"
 				}
-				mgr, info, err := datastore.StartBackend(backend, "")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer mgr.Stop()
-				var mu sync.Mutex
-				newest := 0 // newest snapshot step the trainer read
-				connect := func() (datastore.Store, error) {
+				t.Run(name, func(t *testing.T) {
+					cfg := smallOneToOne(backend, clk)
+					cfg.Ensemble = ensemble
+					c, err := clock.FromKind(clk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mgr, info, err := datastore.StartBackend(backend, "")
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer mgr.Stop()
+					var mu sync.Mutex
+					newest := map[string]int{} // per key prefix: newest snapshot step the trainer read
+					connect := func() (datastore.Store, error) {
+						s, err := datastore.Connect(info)
+						if err != nil {
+							return nil, err
+						}
+						return hookedStore{s, func(op, key string) error {
+							prefix, rest, _ := strings.Cut(key, "data/")
+							var step int
+							if _, err := fmt.Sscanf(rest, "%d/", &step); op == "read" && err == nil {
+								mu.Lock()
+								newest[prefix] = max(newest[prefix], step)
+								mu.Unlock()
+							}
+							return nil
+						}}, nil
+					}
+					res, err := runOneToOne(bg, cfg, c, connect)
+					if err != nil {
+						t.Fatal(err)
+					}
 					s, err := datastore.Connect(info)
 					if err != nil {
-						return nil, err
+						t.Fatal(err)
 					}
-					return hookedStore{s, func(op, key string) error {
-						var step int
-						if _, err := fmt.Sscanf(key, "data/%d/", &step); op == "read" && err == nil {
-							mu.Lock()
-							newest = max(newest, step)
-							mu.Unlock()
+					defer s.Close()
+					// Poll every key the trainer should have removed and,
+					// for the lone solver, every one it could have staged,
+					// one snapshot past its last.
+					written := res.Sim.Iterations / cfg.WritePeriod
+					for _, m := range cfg.members() {
+						read := newest[m.prefix]
+						if read == 0 {
+							t.Fatalf("the trainer read no snapshot of %q: nothing to check", m.name)
 						}
-						return nil
-					}}, nil
-				}
-				res, err := runOneToOne(bg, cfg, c, connect)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if newest == 0 {
-					t.Fatal("the trainer read no snapshot: nothing to check")
-				}
-				s, err := datastore.Connect(info)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				// Poll every key the solver could have staged, one
-				// snapshot past its last.
-				written := res.Sim.Iterations / cfg.WritePeriod
-				data := 0
-				for step := cfg.WritePeriod; step <= (written+1)*cfg.WritePeriod; step += cfg.WritePeriod {
-					for a := range cfg.ArrayBytes {
-						k := dataKey(step, a)
-						staged, err := s.Poll(k)
-						if err != nil {
-							t.Fatal(err)
+						data := 0
+						for step := cfg.WritePeriod; step <= max(read, (written+1)*cfg.WritePeriod); step += cfg.WritePeriod {
+							for a := range cfg.ArrayBytes {
+								k := dataKey(m.prefix, step, a)
+								staged, err := s.Poll(k)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !staged {
+									continue
+								}
+								data++
+								if step <= read {
+									t.Errorf("%s still staged after the trainer read step %d", k, read)
+								}
+							}
 						}
-						if !staged {
-							continue
-						}
-						data++
-						if step <= newest {
-							t.Errorf("%s still staged after the trainer read step %d", k, newest)
+						if want := 2 * (written - read/cfg.WritePeriod); ensemble <= 1 && data != want {
+							t.Errorf("%d data keys staged, want %d (the %d snapshots after step %d)", data, want, want/2, read)
 						}
 					}
-				}
-				if want := 2 * (written - newest/cfg.WritePeriod); data != want {
-					t.Errorf("%d data keys staged, want %d (the %d snapshots after step %d)", data, want, want/2, newest)
-				}
-			})
+				})
+			}
 		}
+	}
+}
+
+// TestEnsembleReadsMatchFig6: on the virtual clock, with members that
+// write faster than the trainer reads, the real-stack ensemble trainer
+// reads one array from every member in every read period: the fetches
+// Fig 6's closed form charges a period (EnsembleFetchCost(…).N), and
+// no more. Two runs agree field for field. The makespans are not
+// compared, since the real stack's transfers take no pads from
+// costmodel.Params.
+func TestEnsembleReadsMatchFig6(t *testing.T) {
+	cfg := smallOneToOne(datastore.Redis, clock.KindVirtual)
+	// A member writes every 2 × 0.03147 s, the trainer reads every
+	// 5 × 0.061 s.
+	cfg.Ensemble, cfg.TrainIters, cfg.WritePeriod = 4, 60, 2
+	cfg.ArrayBytes = cfg.ArrayBytes[:1]
+	periods := cfg.TrainIters / cfg.ReadPeriod
+	p := costmodel.Default()
+	fetch := p.EnsembleFetchCost(cfg.Backend, cfg.Ensemble, float64(cfg.ArrayBytes[0])/1e6, cluster.Aurora(cfg.Ensemble+1).NICGBps)
+	if want := cfg.Ensemble * len(cfg.ArrayBytes) * periods; fetch.N*periods != want {
+		t.Fatalf("Fig 6 charges %d fetches in %d periods, want %d", fetch.N*periods, periods, want)
+	}
+	var runs [2]OneToOneResult
+	for i := range runs {
+		r, err := RunOneToOne(bg, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Train.Reads != fetch.N*periods {
+			t.Errorf("run %d: the trainer read %d arrays, want %d (%d per period)", i, r.Train.Reads, fetch.N*periods, fetch.N)
+		}
+		if r.Sim.Writes <= r.Train.Reads/cfg.Ensemble {
+			t.Errorf("run %d: member 0 wrote %d snapshots, want more than the trainer read", i, r.Sim.Writes)
+		}
+		runs[i] = r
+	}
+	a, b := runs[0], runs[1]
+	if a.Sim != b.Sim || a.Train != b.Train || a.MakespanS != b.MakespanS ||
+		!reflect.DeepEqual(sortedSpans(&ValidationResult{Timeline: a.Timeline}), sortedSpans(&ValidationResult{Timeline: b.Timeline})) {
+		t.Errorf("two runs differ:\n%+v %+v %v\n%+v %+v %v", a.Sim, a.Train, a.MakespanS, b.Sim, b.Train, b.MakespanS)
 	}
 }
 
@@ -260,6 +331,7 @@ func TestOneToOneRejectsBadKnobs(t *testing.T) {
 		"WritePeriod":   func(c *OneToOneConfig) { c.WritePeriod = 0 },
 		"-write-period": func(c *OneToOneConfig) { c.WritePeriod = -3 },
 		"ReadPeriod":    func(c *OneToOneConfig) { c.ReadPeriod = 0 },
+		"-members":      func(c *OneToOneConfig) { c.Ensemble = -1 },
 		"ArrayBytes":    func(c *OneToOneConfig) { c.ArrayBytes = nil },
 		"ArrayBytes[1]": func(c *OneToOneConfig) { c.ArrayBytes = []int{64, 7} },
 		"TimeScale":     func(c *OneToOneConfig) { c.TimeScale = 0 },

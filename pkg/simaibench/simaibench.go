@@ -33,8 +33,9 @@
 // This file is that vocabulary. The rest of the package is what the
 // programs under examples/ call and nothing more (a test holds it to
 // that): RunOneToOne runs the paper's one-to-one workflow — co-located
-// solver and trainer, the trainer steering the solver to stop — on the
-// real stack, on a virtual or the wall clock; RunScenario runs any
+// solver and trainer, the trainer steering the solver to stop — or, with
+// an Ensemble, its many-to-one workflow, on the real stack, on a virtual
+// or the wall clock; RunScenario runs any
 // registered experiment of the evaluation (and ReportResults renders
 // it); RunScaleOutChecked with Aurora/CoSchedule measures single
 // multi-tenant points on the simulated cluster.
