@@ -3,11 +3,10 @@
 // ensemble member stages an array every write period; the trainer blocks
 // every read period until the data from *all* members has arrived (the
 // consistent-workload rule of §4.2), folds it into its loader and cleans
-// what it read. The loop is the library's (simaibench.RunOneToOne with
-// Ensemble set, as behind examples/nekrs-ml), run on the deterministic
-// virtual clock: on the wall clock, more pad-spinning members than cores
-// stall every loopback round trip on the Go runtime's 10 ms network
-// poll, and the trainer falls ever further behind what it must clean.
+// what it read. One member runs the lone-solver trainer instead, which
+// skips a read period with no new array. The loop is the library's
+// (simaibench.RunOneToOne with Ensemble set, as behind examples/nekrs-ml),
+// on the wall clock.
 //
 //	go run ./examples/ensemble-surrogate -members 8 -backend dragon \
 //	    -payload-mb 1 -train-iters 200 -time-scale 0.01
@@ -24,7 +23,7 @@ import (
 )
 
 func main() {
-	members := flag.Int("members", 8, "ensemble size (simulation components)")
+	members := flag.Int("members", 8, "ensemble size (simulation components); 1 runs the lone-solver trainer, which skips a read period with no new array")
 	backendName := flag.String("backend", "dragon", "staging backend (node-local is not valid for non-local reads)")
 	payloadMB := flag.Float64("payload-mb", 1.0, "array size per member in MB")
 	trainIters := flag.Int("train-iters", 200, "training iterations")
@@ -32,6 +31,9 @@ func main() {
 	readPeriod := flag.Int("read-period", 10, "trainer iterations between ensemble reads")
 	timeScale := flag.Float64("time-scale", 0.01, "wall-clock compression")
 	flag.Parse()
+	if *members < 1 {
+		log.Fatalf("-members = %d, want at least 1", *members)
+	}
 
 	backend, err := simaibench.ParseBackend(*backendName)
 	if err != nil {
@@ -68,15 +70,15 @@ func main() {
 		ArrayBytes:  []int{int(*payloadMB * 1e6)},
 		TimeScale:   *timeScale,
 		Seed:        1,
-		Clock:       "virtual",
+		Clock:       "wall",
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	r := res.Train
-	fmt.Printf("trainer: %d iterations, %d array reads from %d members, exec/iter %.4f s, loss %.4g\n",
-		r.Iterations, r.Reads, *members, res.MakespanS/float64(r.Iterations), r.LastLoss)
+	fmt.Printf("trainer: %d iterations, %d array reads from %d members, exec/iter %.4f s, read %.3f GB/s, loss %.4g\n",
+		r.Iterations, r.Reads, *members, res.MakespanS/float64(r.Iterations), r.ReadGBps, r.LastLoss)
 	fmt.Printf("member 0: %d steps, %d snapshot writes\n", res.Sim.Iterations, res.Sim.Writes)
 	fmt.Printf("makespan: %.1f emulated s (%.2f s wall, backend %s)\n",
 		res.MakespanS, time.Since(wallStart).Seconds(), backend)

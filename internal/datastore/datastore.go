@@ -101,7 +101,8 @@ type Store interface {
 	// Poll reports whether key is currently staged (poll_staged_data).
 	Poll(key string) (bool, error)
 	// Clean removes the given keys; missing keys are ignored
-	// (clean_staged_data).
+	// (clean_staged_data). The Redis and Dragon stores send them as one
+	// request or pipelined batch per server, not one round trip per key.
 	Clean(keys ...string) error
 	// Close releases client resources (servers are owned by the
 	// ServerManager, not the client).
@@ -262,14 +263,7 @@ func (s *redisStore) StageReadInto(key string, dst []byte) ([]byte, error) {
 
 func (s *redisStore) Poll(key string) (bool, error) { return s.cluster.Exists(key) }
 
-func (s *redisStore) Clean(keys ...string) error {
-	for _, k := range keys {
-		if _, err := s.cluster.Del(k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (s *redisStore) Clean(keys ...string) error { return s.cluster.Del(keys...) }
 
 func (s *redisStore) Close() error { return s.cluster.Close() }
 
@@ -309,13 +303,6 @@ func into(dst, v []byte) []byte {
 
 func (s *dragonStore) Poll(key string) (bool, error) { return s.dict.Has(key) }
 
-func (s *dragonStore) Clean(keys ...string) error {
-	for _, k := range keys {
-		if err := s.dict.Del(k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (s *dragonStore) Clean(keys ...string) error { return s.dict.Del(keys...) }
 
 func (s *dragonStore) Close() error { return s.dict.Close() }

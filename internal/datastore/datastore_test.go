@@ -115,6 +115,29 @@ func TestCleanIdempotent(t *testing.T) {
 	})
 }
 
+// TestCleanManyKeys: one Clean of more keys than a Dragon manager takes
+// in one pipelined batch removes every one, on every backend.
+func TestCleanManyKeys(t *testing.T) {
+	eachBackend(t, func(t *testing.T, s Store) {
+		var keys []string
+		for i := 0; i < 600; i++ {
+			k := fmt.Sprintf("data/%d/x", i)
+			if err := s.StageWrite(k, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			keys = append(keys, k)
+		}
+		if err := s.Clean(keys...); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if ok, err := s.Poll(k); err != nil || ok {
+				t.Fatalf("%s staged = %v, %v after Clean", k, ok, err)
+			}
+		}
+	})
+}
+
 func TestOverwriteLatestWins(t *testing.T) {
 	eachBackend(t, func(t *testing.T, s Store) {
 		for i := 0; i < 5; i++ {

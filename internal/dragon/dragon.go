@@ -173,10 +173,21 @@ func (d *Dict) Put(key string, value []byte) error {
 // Get fetches key from its owning shard into a new buffer.
 func (d *Dict) Get(key string) ([]byte, error) { return d.do(opGet, key, nil) }
 
-// Del removes key; a missing key is not an error.
-func (d *Dict) Del(key string) error {
-	_, err := d.do(opDel, key, nil)
-	return err
+// Del removes keys; a missing key is not an error. The keys a manager
+// owns go to it as one pipelined batch, so many keys cost about one
+// round trip per manager, not one per key.
+func (d *Dict) Del(keys ...string) error {
+	shards := make([][]string, len(d.shards))
+	for _, k := range keys {
+		i := d.Route(k)
+		shards[i] = append(shards[i], k)
+	}
+	for i, ks := range shards {
+		if err := d.shards[i].delAll(ks); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Has reports whether key is present.

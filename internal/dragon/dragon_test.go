@@ -110,6 +110,36 @@ func TestHasDel(t *testing.T) {
 	})
 }
 
+// TestDelPipelined: one Del of keys spread over every manager, more of
+// them than one pipelined batch holds and some never stored, leaves no
+// shard holding any, and the connections stay in step for the next
+// request.
+func TestDelPipelined(t *testing.T) {
+	d, ms := newDict(t, 2)
+	keys := []string{"ghost"}
+	for i := range 5*pipelineDepth + 7 {
+		k := fmt.Sprintf("snap/%d", i)
+		if err := d.Put(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	if err := d.Del(keys...); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range ms {
+		if n := m.size(); n != 0 {
+			t.Errorf("manager %d holds %d keys after Del", i, n)
+		}
+	}
+	if err := d.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := d.Get("k"); err != nil || string(got) != "v" {
+		t.Fatalf("get after Del = %q, %v", got, err)
+	}
+}
+
 func TestEmptyValue(t *testing.T) {
 	overTCP(t, 2, func(t *testing.T, d *Dict) {
 		if err := d.Put("empty", nil); err != nil {
@@ -266,6 +296,9 @@ func TestManagerCloseUnblocksClients(t *testing.T) {
 	if err := d.Put("k", []byte("v")); err == nil || !strings.Contains(err.Error(), ErrClosed.Error()) {
 		t.Fatalf("put after close = %v, want a server error naming %q", err, ErrClosed)
 	}
+	if err := d.Del("k", "l"); err == nil || !strings.Contains(err.Error(), ErrClosed.Error()) {
+		t.Fatalf("del after close = %v, want an error naming %q", err, ErrClosed)
+	}
 }
 
 // TestManagerCloseEndsConnections: Close hangs up on a connected
@@ -408,6 +441,12 @@ func TestServerRefusesOversizedKey(t *testing.T) {
 	}
 	if err := d.Put(key+"k", []byte("v")); err == nil || !strings.Contains(err.Error(), "key length") {
 		t.Fatalf("key of %d bytes: err = %v, want the client to refuse it", len(key)+1, err)
+	}
+	if err := d.Del("k", key+"k"); err == nil || !strings.Contains(err.Error(), "key length") {
+		t.Fatalf("del of a %d-byte key: err = %v, want the client to refuse it", len(key)+1, err)
+	}
+	if err := d.Del(key); err != nil {
+		t.Fatalf("del after a refused batch: %v", err)
 	}
 }
 

@@ -153,21 +153,61 @@ func (c *managerConn) roundTrip(op byte, key string, value []byte) (status byte,
 	if err = writeRequest(c.w, op, key, value); err != nil {
 		return 0, nil, hungUp(err)
 	}
+	return c.readResponse()
+}
+
+// pipelineDepth bounds the requests delAll writes before it reads their
+// responses, so the responses not yet read fit in the socket buffers and
+// the manager never blocks writing one while the client writes on.
+const pipelineDepth = 256
+
+// delAll deletes keys pipelined: up to pipelineDepth requests go out
+// before their responses are read. Every response is read, so the
+// connection stays in step; the first error status is returned.
+func (c *managerConn) delAll(keys []string) (first error) {
+	for _, k := range keys {
+		if len(k) > maxWireKey {
+			return fmt.Errorf("dragon: key length %d exceeds limit %d", len(k), maxWireKey)
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(keys) > 0 {
+		batch := keys[:min(len(keys), pipelineDepth)]
+		keys = keys[len(batch):]
+		for _, k := range batch {
+			if err := writeRequest(c.w, opDel, k, nil); err != nil {
+				return hungUp(err)
+			}
+		}
+		for range batch {
+			status, payload, err := c.readResponse()
+			if err != nil {
+				return err
+			}
+			if status != statusOK && first == nil {
+				first = fmt.Errorf("dragon: server error: %s", payload)
+			}
+		}
+	}
+	return first
+}
+
+// readResponse reads one response; the payload is a new buffer.
+func (c *managerConn) readResponse() (status byte, payload []byte, err error) {
 	var hdr [9]byte
 	if _, err = io.ReadFull(c.r, hdr[:]); err != nil {
 		return 0, nil, hungUp(err)
 	}
-	status = hdr[0]
 	n := binary.BigEndian.Uint64(hdr[1:])
 	if n > maxWireValue {
-		err = fmt.Errorf("dragon: response length %d exceeds limit", n)
-		return
+		return 0, nil, fmt.Errorf("dragon: response length %d exceeds limit", n)
 	}
 	payload = make([]byte, n)
 	if _, err = io.ReadFull(c.r, payload); err != nil {
 		return 0, nil, hungUp(err)
 	}
-	return
+	return hdr[0], payload, nil
 }
 
 func (c *managerConn) Close() error { return c.c.Close() }

@@ -37,7 +37,11 @@ type OneToOneConfig struct {
 	// skips a read period with no new snapshot. Above 1, member m stages
 	// under the key prefix "member<m>/" with its own head pointer, and
 	// the trainer blocks each read period until every member's head has
-	// moved, then reads every member's arrays.
+	// moved, then reads every member's arrays. On the wall clock with
+	// more components than cores, yield-spun pads delay each network
+	// round trip by milliseconds, so the run takes longer than it pads
+	// to and the members stage several snapshots per read period; the
+	// trainer removes all of them in one Clean, so memory stays bounded.
 	Ensemble int
 	// TrainIters: training iterations before the trainer stops the
 	// workflow.
@@ -188,26 +192,21 @@ func stagedArrays(seed int64, sizes []int) [][]byte {
 	return arrays
 }
 
-// cleanSnapshots is the trainer's clean_staged_data: having consumed the
-// snapshot the solver with key prefix prefix took at step, it removes
-// that snapshot and every older one it skipped — each step after
-// cleaned, to step, that is a multiple of the write period — and returns
-// step as the new cleaned. The solver only writes past step once it has
-// published head step, so nothing it still writes is touched, and the
-// backend holds only what is yet to be read (letting the mini-Redis
-// recycle the dropped values). The removal goes through the store, not
-// the component, so it is not a transport event.
-func cleanSnapshots(store datastore.Store, cfg OneToOneConfig, prefix string, cleaned, step int) (int, error) {
-	first := (cleaned/cfg.WritePeriod + 1) * cfg.WritePeriod
-	for s := first; s <= step; s += cfg.WritePeriod {
+// staleKeys appends to keys what the trainer's clean_staged_data
+// removes for one solver once it has consumed the snapshot the solver
+// with key prefix prefix took at step: the arrays of that snapshot and
+// of every older one it skipped — each step after cleaned, to step, that
+// is a multiple of the write period. The solver only writes past step
+// once it has published head step, so nothing it still writes is named,
+// and once they are removed the backend holds only what is yet to be
+// read (letting the mini-Redis recycle the dropped values).
+func staleKeys(keys []string, cfg OneToOneConfig, prefix string, cleaned, step int) []string {
+	for s := (cleaned/cfg.WritePeriod + 1) * cfg.WritePeriod; s <= step; s += cfg.WritePeriod {
 		for a := range cfg.ArrayBytes {
-			key := dataKey(prefix, s, a)
-			if err := store.Clean(key); err != nil {
-				return cleaned, fmt.Errorf("clean %s: %w", key, err)
-			}
+			keys = append(keys, dataKey(prefix, s, a))
 		}
 	}
-	return step, nil
+	return keys
 }
 
 // RunOneToOne executes the workflow on the real stack — the structure
@@ -319,10 +318,12 @@ func runOneToOne(ctx context.Context, cfg OneToOneConfig, clk clock.Clock, conne
 		}
 		initialize("Training", cfg.TrainInitS)
 		// Per member: the head poll's read buffer, the head last
-		// consumed, and the newest snapshot step removed.
+		// consumed, and the newest snapshot step removed; then the keys
+		// a read period removes.
 		heads := make([][]byte, len(members))
 		last := make([]string, len(members))
 		cleaned := make([]int, len(members))
+		var stale []string
 		poll := time.Duration(ensemblePollS * scale * float64(time.Second))
 	iterations:
 		for i := 1; i <= cfg.TrainIters; i++ {
@@ -351,6 +352,7 @@ func runOneToOne(ctx context.Context, cfg OneToOneConfig, clk clock.Clock, conne
 						}
 					}
 				}
+				stale = stale[:0]
 				for m, mb := range members {
 					last[m] = string(heads[m])
 					step, err := headStep(last[m])
@@ -363,9 +365,15 @@ func runOneToOne(ctx context.Context, cfg OneToOneConfig, clk clock.Clock, conne
 							return fmt.Errorf("read %s: %w", key, err)
 						}
 					}
-					if cleaned[m], err = cleanSnapshots(store, cfg, mb.prefix, cleaned[m], step); err != nil {
-						return err
-					}
+					stale = staleKeys(stale, cfg, mb.prefix, cleaned[m], step)
+					cleaned[m] = step
+				}
+				// One Clean a period, whatever the backlog: a trainer
+				// that paid a round trip per skipped snapshot would fall
+				// further behind its members each period. The removal
+				// goes through the store, so it is no transport event.
+				if err := store.Clean(stale...); err != nil {
+					return fmt.Errorf("clean %s and %d more: %w", stale[0], len(stale)-1, err)
 				}
 			}
 			if ctx.Err() != nil {

@@ -177,7 +177,7 @@ func TestOneToOneDeadBackendIsAnError(t *testing.T) {
 // trainer's last read. The removals are not transport events.
 func TestOneToOneCleansWhatItConsumed(t *testing.T) {
 	for _, ensemble := range []int{0, 4} {
-		for _, backend := range []datastore.Backend{datastore.Redis, datastore.NodeLocal} {
+		for _, backend := range []datastore.Backend{datastore.Redis, datastore.Dragon, datastore.NodeLocal} {
 			for _, clk := range []string{clock.KindVirtual, clock.KindWall} {
 				name := backend.String() + "/" + clk
 				if ensemble > 1 {

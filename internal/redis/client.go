@@ -167,8 +167,19 @@ func (cl *Cluster) GetInto(key string, dst []byte) ([]byte, error) {
 	return cl.pick(key).GetInto(key, dst)
 }
 
-// Del removes key from its shard.
-func (cl *Cluster) Del(key string) (int64, error) { return cl.pick(key).Del(key) }
+// Del removes keys with one DEL per shard they route to.
+func (cl *Cluster) Del(keys ...string) error {
+	shards := make(map[*Client][]string)
+	for _, k := range keys {
+		shards[cl.pick(k)] = append(shards[cl.pick(k)], k)
+	}
+	for c, ks := range shards {
+		if _, err := c.Del(ks...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Exists checks key on its shard.
 func (cl *Cluster) Exists(key string) (bool, error) { return cl.pick(key).Exists(key) }

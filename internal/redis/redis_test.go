@@ -540,6 +540,33 @@ func TestClusterShardsKeys(t *testing.T) {
 	}
 }
 
+// TestClusterDelEveryShard: one Del of keys that route to both shards,
+// and of one never set, removes every one of them.
+func TestClusterDelEveryShard(t *testing.T) {
+	s1, s2 := newServer(t), newServer(t)
+	cl, err := DialCluster([]string{s1.Addr(), s2.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	keys := []string{"ghost"}
+	for i := 0; i < 50; i++ {
+		k := fmt.Sprintf("key-%d", i)
+		if err := cl.Set(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k)
+	}
+	if err := cl.Del(keys...); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if ok, err := cl.Exists(k); err != nil || ok {
+			t.Fatalf("%s exists = %v, %v after Del", k, ok, err)
+		}
+	}
+}
+
 func TestClusterGetRoutesToRightShard(t *testing.T) {
 	s1, s2 := newServer(t), newServer(t)
 	cl, err := DialCluster([]string{s1.Addr(), s2.Addr()})

@@ -14,7 +14,8 @@ import (
 // each read period until every member has staged a new snapshot. Every
 // count, ArrayBytes and TimeScale must be set; Clock is "virtual" (the
 // default: deterministic, as fast as the real compute allows) or "wall"
-// (the genuine real-time emulation).
+// (the genuine real-time emulation; an ensemble with more components
+// than cores runs slower than it pads to, see Ensemble).
 type OneToOneConfig = experiments.OneToOneConfig
 
 // RunOneToOne deploys the backend, runs every component to completion
