@@ -254,6 +254,7 @@ var productionCallerExempt = map[string]string{
 	"des.LPSet.Shutdown":                  probeOnly,
 	"mpi.Comm.AllReduceAlgo":              probeOnly,
 	"serve.Client.Run":                    probeOnly,
+	"sweep.Report.Err":                    probeOnly,
 }
 
 // stdInterfaces are the standard-library interfaces through which the

@@ -206,14 +206,11 @@ func (s *fsStore) StageReadInto(key string, dst []byte) ([]byte, error) {
 		return nil, err
 	}
 	defer s.exit()
-	v, err := s.store.Get(key)
+	v, err := s.store.GetInto(key, dst)
 	if errors.Is(err, fskv.ErrNotFound) {
 		return nil, fmt.Errorf("%w: %q", ErrNotStaged, key)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return into(dst, v), nil
+	return v, err
 }
 
 func (s *fsStore) Poll(key string) (bool, error) {
@@ -252,7 +249,6 @@ func (s *redisStore) StageWrite(key string, value []byte) error {
 
 func (s *redisStore) StageRead(key string) ([]byte, error) { return s.StageReadInto(key, nil) }
 
-// StageReadInto reads the reply off the socket straight into dst.
 func (s *redisStore) StageReadInto(key string, dst []byte) ([]byte, error) {
 	v, err := s.cluster.GetInto(key, dst)
 	if errors.Is(err, redis.ErrNil) {
@@ -280,25 +276,11 @@ func (s *dragonStore) StageWrite(key string, value []byte) error {
 func (s *dragonStore) StageRead(key string) ([]byte, error) { return s.StageReadInto(key, nil) }
 
 func (s *dragonStore) StageReadInto(key string, dst []byte) ([]byte, error) {
-	v, err := s.dict.Get(key)
+	v, err := s.dict.GetInto(key, dst)
 	if errors.Is(err, dragon.ErrNotFound) {
 		return nil, fmt.Errorf("%w: %q", ErrNotStaged, key)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return into(dst, v), nil
-}
-
-// into gives the file and Dragon stores StageReadInto's contract over a
-// read that returns its own new buffer v: v is copied into dst when dst
-// holds it, and handed over as it is otherwise (it is already the
-// caller's, so a copy would only add one).
-func into(dst, v []byte) []byte {
-	if dst == nil || cap(dst) < len(v) {
-		return v
-	}
-	return append(dst[:0], v...)
+	return v, err
 }
 
 func (s *dragonStore) Poll(key string) (bool, error) { return s.dict.Has(key) }

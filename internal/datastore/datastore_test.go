@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -193,6 +194,36 @@ func TestStageReadIntoReusesDst(t *testing.T) {
 		}
 		if _, err := s.StageReadInto("never-written", buf); !errors.Is(err, ErrNotStaged) {
 			t.Errorf("missing key: err = %v, want ErrNotStaged", err)
+		}
+	})
+}
+
+// TestStageReadIntoAllocatesNoValue: a read into a dst that fits comes
+// back in dst's array without allocating a buffer of the value's size,
+// on every backend: the Dragon client reads the reply off the socket and
+// the file stores read the file straight into dst.
+func TestStageReadIntoAllocatesNoValue(t *testing.T) {
+	const size, reads = 1 << 20, 8
+	eachBackend(t, func(t *testing.T, s Store) {
+		want := bytes.Repeat([]byte{7}, size)
+		if err := s.StageWrite("snap", want); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 0, size+100)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range reads {
+			got, err := s.StageReadInto("snap", buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(got) != cap(buf) || &got[0] != &buf[:1][0] || !bytes.Equal(got, want) {
+				t.Fatalf("read of %d bytes did not come back in the %d-byte dst", len(got), cap(buf))
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if perRead := (after.TotalAlloc - before.TotalAlloc) / reads; perRead >= size/4 {
+			t.Fatalf("a read into a fitting dst allocated %d bytes; the value is %d", perRead, size)
 		}
 	})
 }

@@ -149,9 +149,10 @@ func (d *Dict) Route(key string) int {
 	return int(h.Sum32() % uint32(len(d.shards)))
 }
 
-// do sends one request to key's shard and returns the response payload.
-func (d *Dict) do(op byte, key string, value []byte) ([]byte, error) {
-	status, payload, err := d.shards[d.Route(key)].roundTrip(op, key, value)
+// do sends one request to key's shard and returns the response payload,
+// read into dst when its capacity holds it.
+func (d *Dict) do(op byte, key string, value, dst []byte) ([]byte, error) {
+	status, payload, err := d.shards[d.Route(key)].roundTrip(op, key, value, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -166,12 +167,15 @@ func (d *Dict) do(op byte, key string, value []byte) ([]byte, error) {
 
 // Put stores value under key on its owning shard.
 func (d *Dict) Put(key string, value []byte) error {
-	_, err := d.do(opPut, key, value)
+	_, err := d.do(opPut, key, value, nil)
 	return err
 }
 
-// Get fetches key from its owning shard into a new buffer.
-func (d *Dict) Get(key string) ([]byte, error) { return d.do(opGet, key, nil) }
+// GetInto fetches key from its owning shard append-style: the value is
+// read off the socket straight into dst's array when its capacity holds
+// it, and into a new buffer otherwise. The result is the caller's; the
+// client keeps no reference to dst.
+func (d *Dict) GetInto(key string, dst []byte) ([]byte, error) { return d.do(opGet, key, nil, dst) }
 
 // Del removes keys; a missing key is not an error. The keys a manager
 // owns go to it as one pipelined batch, so many keys cost about one
@@ -192,7 +196,7 @@ func (d *Dict) Del(keys ...string) error {
 
 // Has reports whether key is present.
 func (d *Dict) Has(key string) (bool, error) {
-	payload, err := d.do(opHas, key, nil)
+	payload, err := d.do(opHas, key, nil, nil)
 	return len(payload) == 1 && payload[0] == 1, err
 }
 

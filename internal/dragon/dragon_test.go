@@ -70,7 +70,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		if err := d.Put("k", want); err != nil {
 			t.Fatal(err)
 		}
-		got, err := d.Get("k")
+		got, err := d.GetInto("k", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestGetMissing(t *testing.T) {
 	overTCP(t, 2, func(t *testing.T, d *Dict) {
-		_, err := d.Get("missing")
+		_, err := d.GetInto("missing", nil)
 		if !errors.Is(err, ErrNotFound) {
 			t.Fatalf("err = %v, want ErrNotFound", err)
 		}
@@ -135,7 +135,7 @@ func TestDelPipelined(t *testing.T) {
 	if err := d.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := d.Get("k"); err != nil || string(got) != "v" {
+	if got, err := d.GetInto("k", nil); err != nil || string(got) != "v" {
 		t.Fatalf("get after Del = %q, %v", got, err)
 	}
 }
@@ -145,7 +145,7 @@ func TestEmptyValue(t *testing.T) {
 		if err := d.Put("empty", nil); err != nil {
 			t.Fatal(err)
 		}
-		got, err := d.Get("empty")
+		got, err := d.GetInto("empty", nil)
 		if err != nil || len(got) != 0 {
 			t.Fatalf("empty value: %v,%v", got, err)
 		}
@@ -182,9 +182,9 @@ func TestValueIsolation(t *testing.T) {
 	buf := []byte{1, 2, 3}
 	d.Put("iso", buf)
 	buf[0] = 99
-	got1, _ := d.Get("iso")
+	got1, _ := d.GetInto("iso", nil)
 	got1[1] = 88
-	got2, _ := d.Get("iso")
+	got2, _ := d.GetInto("iso", nil)
 	if got2[0] != 1 || got2[1] != 2 {
 		t.Fatalf("stored value corrupted: %v", got2)
 	}
@@ -221,7 +221,7 @@ func TestReplaceDuringGetIsWhole(t *testing.T) {
 		done <- nil
 	}()
 	for r := 0; r < rounds; r++ {
-		got, err := getter.Get("k")
+		got, err := getter.GetInto("k", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestLargeValueOverTCP(t *testing.T) {
 	if err := d.Put("big", val); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Get("big")
+	got, err := d.GetInto("big", nil)
 	if err != nil || !bytes.Equal(got, val) {
 		t.Fatal("8MB TCP round trip failed")
 	}
@@ -253,7 +253,7 @@ func TestBinaryKeysAndValues(t *testing.T) {
 	if err := d.Put(key, val); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.Get(key)
+	got, err := d.GetInto(key, nil)
 	if err != nil || !bytes.Equal(got, val) {
 		t.Fatalf("binary kv failed: %v %v", got, err)
 	}
@@ -272,7 +272,7 @@ func TestConcurrentClients(t *testing.T) {
 					t.Errorf("put: %v", err)
 					return
 				}
-				got, err := d.Get(k)
+				got, err := d.GetInto(k, nil)
 				if err != nil || string(got) != k {
 					t.Errorf("get %s: %q %v", k, got, err)
 					return
@@ -322,7 +322,7 @@ func TestManagerCloseEndsConnections(t *testing.T) {
 	}
 	m.Close()
 	ln.Close()
-	if _, err := d.Get("k"); !errors.Is(err, ErrClosed) {
+	if _, err := d.GetInto("k", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("get after close = %v, want ErrClosed", err)
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
@@ -492,7 +492,7 @@ func TestPropertyRoundTripArbitraryKV(t *testing.T) {
 		if err := d.Put(key, value); err != nil {
 			return false
 		}
-		got, err := d.Get(key)
+		got, err := d.GetInto(key, nil)
 		return err == nil && bytes.Equal(got, value)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -507,6 +507,6 @@ func BenchmarkTCPPutGet1MB(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Put("bench", val)
-		d.Get("bench")
+		d.GetInto("bench", nil)
 	}
 }

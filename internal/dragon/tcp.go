@@ -142,9 +142,9 @@ func newManagerConn(c net.Conn) *managerConn {
 	return &managerConn{c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c)}
 }
 
-// roundTrip sends one request and reads its response; the payload is a
-// new buffer.
-func (c *managerConn) roundTrip(op byte, key string, value []byte) (status byte, payload []byte, err error) {
+// roundTrip sends one request and reads its response into dst, as
+// readResponse does.
+func (c *managerConn) roundTrip(op byte, key string, value, dst []byte) (status byte, payload []byte, err error) {
 	if len(key) > maxWireKey {
 		return 0, nil, fmt.Errorf("dragon: key length %d exceeds limit %d", len(key), maxWireKey)
 	}
@@ -153,7 +153,7 @@ func (c *managerConn) roundTrip(op byte, key string, value []byte) (status byte,
 	if err = writeRequest(c.w, op, key, value); err != nil {
 		return 0, nil, hungUp(err)
 	}
-	return c.readResponse()
+	return c.readResponse(dst)
 }
 
 // pipelineDepth bounds the requests delAll writes before it reads their
@@ -181,7 +181,7 @@ func (c *managerConn) delAll(keys []string) (first error) {
 			}
 		}
 		for range batch {
-			status, payload, err := c.readResponse()
+			status, payload, err := c.readResponse(nil)
 			if err != nil {
 				return err
 			}
@@ -193,8 +193,9 @@ func (c *managerConn) delAll(keys []string) (first error) {
 	return first
 }
 
-// readResponse reads one response; the payload is a new buffer.
-func (c *managerConn) readResponse() (status byte, payload []byte, err error) {
+// readResponse reads one response. The payload lands in dst's array when
+// its capacity holds it, in a new buffer otherwise.
+func (c *managerConn) readResponse(dst []byte) (status byte, payload []byte, err error) {
 	var hdr [9]byte
 	if _, err = io.ReadFull(c.r, hdr[:]); err != nil {
 		return 0, nil, hungUp(err)
@@ -203,7 +204,10 @@ func (c *managerConn) readResponse() (status byte, payload []byte, err error) {
 	if n > maxWireValue {
 		return 0, nil, fmt.Errorf("dragon: response length %d exceeds limit", n)
 	}
-	payload = make([]byte, n)
+	if dst == nil || uint64(cap(dst)) < n {
+		dst = make([]byte, n)
+	}
+	payload = dst[:n]
 	if _, err = io.ReadFull(c.r, payload); err != nil {
 		return 0, nil, hungUp(err)
 	}

@@ -41,8 +41,22 @@ var onCellEnv func(*des.Env)
 // cell failures are data, not reasons to abort the scenario.
 func guardedGrid[X, Y, T any](ctx context.Context, p scenario.Params, label string,
 	xs []X, ys []Y, f func(x X, y Y) (T, error)) ([]T, []scenario.CellFailure, error) {
-	rep := sweep.RunGrid(ctx, xs, ys, p.Guardrails(),
-		func(_ context.Context, x X, y Y) (T, error) { return f(x, y) })
+	return gridOutcome(label, sweep.RunGrid(ctx, xs, ys, p.Guardrails(),
+		func(_ context.Context, x X, y Y) (T, error) { return f(x, y) }))
+}
+
+// inOrderGrid is guardedGrid for grids of microsecond closed forms,
+// whose cells cost less to run than to hand to another goroutine: they
+// run in order on the calling goroutine unless a watchdog is armed.
+func inOrderGrid[X, Y, T any](ctx context.Context, p scenario.Params, label string,
+	xs []X, ys []Y, f func(x X, y Y) (T, error)) ([]T, []scenario.CellFailure, error) {
+	return gridOutcome(label, sweep.InOrder(ctx, len(xs)*len(ys), p.Guardrails(),
+		func(_ context.Context, i int) (T, error) { return f(xs[i/len(ys)], ys[i%len(ys)]) }))
+}
+
+// gridOutcome splits a grid's report into its completed points and
+// failure records, or the context error that cut it short.
+func gridOutcome[T any](label string, rep *sweep.Report[T]) ([]T, []scenario.CellFailure, error) {
 	if rep.CtxErr != nil {
 		return nil, nil, rep.CtxErr
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -378,5 +379,43 @@ func TestCellFailureKindsThroughServe(t *testing.T) {
 		if got, want := resp.FailureKinds[i], cells[f.Cell].kind; got != want {
 			t.Errorf("cell %d (%s): kind %q, want %q", f.Cell, f.Error, got, want)
 		}
+	}
+}
+
+// TestServeColdMissAllocations: one cold POST /v1/run of the serve-cold
+// key stream, in process (the request BenchmarkServeColdMiss makes):
+// Fig 5 at a fresh Transfers, run on the worker that dequeued it under
+// one deadline, encoded and stored in a full cache with an eviction. It
+// measures 72 mallocs with the collector held off, 77–78 under the race
+// detector (which makes sync.Pool drop items at random); the ceiling
+// clears both, and a per-request layer of sweeps, goroutines or timers
+// back on the miss path (117 mallocs before) breaks it.
+func TestServeColdMissAllocations(t *testing.T) {
+	const cacheSize, runs, ceiling = 64, 100, 80
+	bodies := make([][]byte, cacheSize+runs+1)
+	for i := range bodies {
+		body, err := json.Marshal(serve.RunRequest{Scenario: "fig5", Params: scenario.Params{Transfers: 20 + i}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	srv := serve.New(serve.Config{CacheSize: cacheSize})
+	t.Cleanup(func() { srv.Shutdown(bg) })
+	h := srv.Handler()
+	next := 0
+	post := func() {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/run", bytes.NewReader(bodies[next])))
+		if got := rr.Header().Get("X-Cache"); got != "miss" {
+			t.Fatalf("request %d: X-Cache %q (status %d), want miss", next, got, rr.Code)
+		}
+		next++
+	}
+	for range cacheSize { // fill the cache so every counted request evicts
+		post()
+	}
+	if a := allocsWithoutGC(runs, post); a > ceiling {
+		t.Errorf("one cold miss: %v mallocs, ceiling %d", a, ceiling)
 	}
 }

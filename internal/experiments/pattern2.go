@@ -130,9 +130,11 @@ func xferEnd(x costmodel.XferCost, now float64) float64 {
 // Fig5Sizes spans the paper's log-scale x axis (10^0 .. ~10^2 MB).
 var Fig5Sizes = []float64{0.4, 1, 4, 10, 32, 128}
 
-// fig5Grid runs the full Fig 5 grid, one worker per point.
+// fig5Grid runs the full Fig 5 grid, its points in order on the
+// calling goroutine: each is a closed form of a few microseconds, which
+// a second worker would slow down.
 func fig5Grid(ctx context.Context, p scenario.Params) ([]Fig5Point, []scenario.CellFailure, error) {
-	return guardedGrid(ctx, p, "fig5", Pattern2Backends, Fig5Sizes,
+	return inOrderGrid(ctx, p, "fig5", Pattern2Backends, Fig5Sizes,
 		func(b datastore.Backend, size float64) (Fig5Point, error) {
 			return RunFig5Checked(Fig5Config{
 				Backend: b, SizeMB: size, Transfers: p.Transfers, MaxEvents: p.MaxEvents,
@@ -276,10 +278,11 @@ var Fig6Sizes = []float64{0.4, 1, 4, 10, 32, 128}
 // Fig6NodeCounts are the two ensemble scales of Fig 6.
 var Fig6NodeCounts = []int{8, 128}
 
-// fig6Grid runs the full Fig 6 grid at one node count, one worker per
-// point.
+// fig6Grid runs the full Fig 6 grid at one node count, its points in
+// order on the calling goroutine: each is a closed form of a few to a
+// few dozen microseconds, for which a second worker saves nothing.
 func fig6Grid(ctx context.Context, p scenario.Params, nodes int) ([]Fig6Point, []scenario.CellFailure, error) {
-	return guardedGrid(ctx, p, fmt.Sprintf("fig6/%d-nodes", nodes), Pattern2Backends, Fig6Sizes,
+	return inOrderGrid(ctx, p, fmt.Sprintf("fig6/%d-nodes", nodes), Pattern2Backends, Fig6Sizes,
 		func(b datastore.Backend, size float64) (Fig6Point, error) {
 			return RunFig6Checked(Fig6Config{
 				Nodes: nodes, Backend: b, SizeMB: size,

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -106,16 +107,32 @@ func (s *Store) Put(key string, value []byte) error {
 	return nil
 }
 
-// Get returns the value for key, or ErrNotFound.
-func (s *Store) Get(key string) ([]byte, error) {
-	data, err := os.ReadFile(s.path(key))
+// GetInto returns the value for key append-style, or ErrNotFound: the
+// file is read straight into dst's array when its capacity holds the
+// value, into a new buffer otherwise. A committed file never changes
+// (writers rename a new one over it), so its size at open is the value's.
+func (s *Store) GetInto(key string, dst []byte) ([]byte, error) {
+	f, err := os.Open(s.path(key))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("fskv: get %q: %w", key, err)
 	}
-	return data, nil
+	defer f.Close()
+	fi, err := f.Stat()
+	if err == nil {
+		if n := int(fi.Size()); dst == nil || cap(dst) < n {
+			dst = make([]byte, n)
+		} else {
+			dst = dst[:n]
+		}
+		_, err = io.ReadFull(f, dst)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("fskv: get %q: %w", key, err)
+	}
+	return dst, nil
 }
 
 // Exists reports whether key has a committed value.

@@ -26,7 +26,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err := s.Put("alpha", []byte("value-1")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get("alpha")
+	got, err := s.GetInto("alpha", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestGetMissingKey(t *testing.T) {
 	s := newStore(t, 2)
-	_, err := s.Get("nope")
+	_, err := s.GetInto("nope", nil)
 	if !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
 	}
@@ -50,7 +50,7 @@ func TestOverwrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := s.Get("k")
+	got, err := s.GetInto("k", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestEmptyValue(t *testing.T) {
 	if err := s.Put("empty", nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get("empty")
+	got, err := s.GetInto("empty", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestReopenSeesData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s2.Get("persist")
+	got, err := s2.GetInto("persist", nil)
 	if err != nil || string(got) != "xyz" {
 		t.Fatalf("reopen get = %q,%v", got, err)
 	}
@@ -187,7 +187,7 @@ func TestConcurrentWritersAtomicity(t *testing.T) {
 					return
 				default:
 				}
-				got, err := s.Get("hot")
+				got, err := s.GetInto("hot", nil)
 				if err != nil {
 					t.Errorf("reader: %v", err)
 					return
@@ -227,7 +227,7 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		if got, err := s.Get(key); err != nil || string(got) != key {
+		if got, err := s.GetInto(key, nil); err != nil || string(got) != key {
 			t.Fatalf("get %s = %q,%v", key, got, err)
 		}
 	}
@@ -263,7 +263,7 @@ func TestLongKeysHashedName(t *testing.T) {
 		}
 	}
 	for _, k := range keys {
-		if got, err := s.Get(k); err != nil || string(got) != k {
+		if got, err := s.GetInto(k, nil); err != nil || string(got) != k {
 			t.Fatalf("get %.20q… = %.20q…,%v", k, got, err)
 		}
 		if !s.Exists(k) {
@@ -295,7 +295,7 @@ func TestPropertyRoundTripArbitraryKV(t *testing.T) {
 		if err := s.Put(key, value); err != nil {
 			return false
 		}
-		got, err := s.Get(key)
+		got, err := s.GetInto(key, nil)
 		if err != nil {
 			return false
 		}
@@ -343,7 +343,7 @@ func BenchmarkGet1MB(b *testing.B) {
 	b.SetBytes(1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Get("k"); err != nil {
+		if _, err := s.GetInto("k", nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,9 +11,11 @@
 //     with a singleflight layer that dedupes identical in-flight
 //     requests, so a stampede of equal cells costs one simulation.
 //   - Admission control and graceful degradation: a bounded worker pool
-//     running every simulation through the hardened sweep runner (panic
-//     isolation, per-run deadlines), and a bounded admission queue that
-//     sheds load with 429 + Retry-After instead of queueing unboundedly.
+//     running every simulation on the worker that dequeued it, with
+//     panic isolation (sweep.Do) under one per-run deadline whose
+//     callback answers the caller and replaces the worker, and a bounded
+//     admission queue that sheds load with 429 + Retry-After instead of
+//     queueing unboundedly.
 //     Per-request deadlines propagate from the request into the run
 //     context, scenario.Params.TimeoutS and the DES event guard.
 //   - Structured failure: every error the guardrails produce —
@@ -131,12 +133,15 @@ type Stats struct {
 	Ready bool `json:"ready"`
 }
 
-// task is one admitted unit of work: the leader's run closure plus the
-// flight every waiter is parked on.
+// task is one admitted unit of work: the scenario run, its deadline and
+// the flight every waiter is parked on.
 type task struct {
-	key string
-	f   *flight
-	run func(ctx context.Context) ([]byte, error)
+	key, name string
+	f         *flight
+	sc        *scenario.Scenario
+	p         scenario.Params
+	timeout   time.Duration
+	cacheable bool
 }
 
 // Server is the simulation service. Create with New, mount Handler or
@@ -189,18 +194,64 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// worker executes admitted tasks one at a time until the server stops.
+// worker executes admitted tasks one at a time until the server stops,
+// or until a run outlives its deadline: the worker then ends with the
+// abandoned run, a replacement having taken its place.
 func (s *Server) worker() {
 	for {
 		select {
 		case t := <-s.queue:
-			body, err := t.run(s.runCtx)
-			s.flights.complete(t.key, t.f, body, err)
-			s.pending.Add(-1)
+			if !s.execute(t) {
+				return
+			}
 		case <-s.stopped:
 			return
 		}
 	}
+}
+
+// execute runs t on the calling worker under one deadline, with panic
+// isolation, and reports whether the run beat its deadline. At the
+// deadline, or when a drain cancels runCtx, a callback answers t's
+// flight with the typed error and starts a replacement worker; the
+// abandoned run's late outcome is neither cached, counted nor published.
+func (s *Server) execute(t *task) bool {
+	ctx, cancel := context.WithTimeout(s.runCtx, t.timeout)
+	defer cancel()
+	stop := context.AfterFunc(ctx, func() {
+		err := ctx.Err()
+		if errors.Is(err, context.DeadlineExceeded) {
+			err = &sweep.CellError{Err: fmt.Errorf("%w (after %v)", sweep.ErrCellTimeout, t.timeout)}
+		}
+		s.finish(t, nil, err)
+		go s.worker()
+	})
+	res, err := sweep.Do(ctx, func(ctx context.Context, _ int) (*scenario.Result, error) {
+		return t.sc.Run(ctx, t.p)
+	})
+	if !stop() {
+		return false
+	}
+	var body []byte
+	if err == nil {
+		body, err = encodeRunResponse(t.name, t.key, res)
+	}
+	if err == nil && t.cacheable {
+		s.cache.Put(t.key, body)
+	}
+	s.finish(t, body, err)
+	return true
+}
+
+// finish counts t's outcome and publishes it to every waiter.
+func (s *Server) finish(t *task, body []byte, err error) {
+	if err != nil {
+		s.nFailed.Add(1)
+	} else {
+		s.nDone.Add(1)
+	}
+	s.flights.complete(t.key, t.f, body, err)
+	s.pending.Add(-1)
 }
 
 // Handler returns the server's HTTP API:
@@ -315,9 +366,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Deadline and budget propagation: the request deadline bounds the
-	// whole run (hardened-runner timeout) and flows into
+	// whole run (the worker's one deadline, see execute) and flows into
 	// Params.TimeoutS, where the scenario's guarded sweeps apply it per
-	// cell; the server's default event budget flows into
+	// cell. Copied, it can never fire before the run's, so those sweeps
+	// arm no watchdog (sweep.Do); a smaller params.timeout_s can, and
+	// keeps its own. The server's default event budget flows into
 	// Params.MaxEvents, where the simulated harnesses arm des.Guard.
 	// All of it happens BEFORE keying, so equal effective requests get
 	// equal cache keys.
@@ -365,7 +418,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// error so every waiter (including callers that joined in the
 		// meantime) gets the same 429.
 		s.nMisses.Add(1)
-		t := &task{key: key, f: f, run: s.runner(sc, req.Scenario, key, p, timeout, cacheable)}
+		t := &task{key: key, name: req.Scenario, f: f, sc: sc, p: p, timeout: timeout, cacheable: cacheable}
 		s.pending.Add(1)
 		if s.draining.Load() {
 			s.pending.Add(-1)
@@ -446,32 +499,6 @@ func writeRunBody(w http.ResponseWriter, body []byte, cacheTag string) {
 	w.Header().Set("X-Cache", cacheTag)
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
-}
-
-// runner builds the leader's run closure: the scenario executed as one
-// cell of the hardened sweep runner, so the serving path inherits panic
-// isolation and the per-run deadline for free.
-func (s *Server) runner(sc *scenario.Scenario, name, key string, p scenario.Params,
-	timeout time.Duration, cacheable bool) func(ctx context.Context) ([]byte, error) {
-	return func(ctx context.Context) ([]byte, error) {
-		rep := sweep.Run(ctx, 1, sweep.Options{Timeout: timeout}, func(ctx context.Context, _ int) (*scenario.Result, error) {
-			return sc.Run(ctx, p)
-		})
-		if err := rep.Err(); err != nil {
-			s.nFailed.Add(1)
-			return nil, err
-		}
-		body, err := encodeRunResponse(name, key, rep.Values[0])
-		if err != nil {
-			s.nFailed.Add(1)
-			return nil, err
-		}
-		if cacheable {
-			s.cache.Put(key, body)
-		}
-		s.nDone.Add(1)
-		return body, nil
-	}
 }
 
 // encodeRunResponse renders the response body stored in the cache and

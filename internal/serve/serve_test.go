@@ -16,6 +16,7 @@ import (
 	"simaibench/internal/clock"
 	"simaibench/internal/des"
 	"simaibench/internal/scenario"
+	"simaibench/internal/sweep"
 )
 
 // The serve tests do not import the experiments packages, so the global
@@ -36,6 +37,9 @@ var (
 	// tWedge releases one t-wedge run per value sent: the test's only
 	// handle on a run that ignores its context.
 	tWedge = make(chan struct{})
+	// tLate releases one t-late run per value sent, which then succeeds
+	// however far past its deadline it is.
+	tLate = make(chan struct{})
 )
 
 // okResult builds a small deterministic Result echoing p.Rate. Every
@@ -109,6 +113,26 @@ func registerTestScenarios() {
 			func(context.Context, scenario.Params) (*scenario.Result, error) {
 				<-tWedge
 				return nil, errors.New("t-wedge: released")
+			}))
+		scenario.Register(scenario.New("t-late", "test: ignores its ctx, then succeeds when the test releases it",
+			scenario.Params{Rate: 1}, scenario.Rate,
+			func(_ context.Context, p scenario.Params) (*scenario.Result, error) {
+				<-tLate
+				return okResult("t-late", p), nil
+			}))
+		scenario.Register(scenario.New("t-grid", "test: a guarded two-cell sweep whose second cell waits on its ctx",
+			scenario.Params{Rate: 1}, scenario.Rate|scenario.TimeoutS,
+			func(ctx context.Context, p scenario.Params) (*scenario.Result, error) {
+				rep := sweep.Run(ctx, 2, p.Guardrails(), func(ctx context.Context, i int) (float64, error) {
+					if i == 1 {
+						<-ctx.Done()
+						return 0, ctx.Err()
+					}
+					return p.Rate, nil
+				})
+				res := okResult("t-grid", p)
+				res.Failures = scenario.FailuresFrom("t-grid", rep.Failures)
+				return res, nil
 			}))
 	})
 }
@@ -410,6 +434,75 @@ func TestRunDeadlineAbandonsHungRun(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("deadline did not bound the run: took %v", elapsed)
+	}
+}
+
+// A run that ignores its ctx holds the only worker past its deadline:
+// the caller gets the typed timeout at the deadline, and the request
+// after it runs on the worker that replaced the abandoned one.
+func TestRunTimeoutReplacesWedgedWorker(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	defer func() { tWedge <- struct{}{} }()
+	start := time.Now()
+	st, body, _ := postRun(t, ts.URL, `{"scenario":"t-wedge","timeout_s":0.1}`)
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || st != http.StatusGatewayTimeout || eb.Error == nil || eb.Error.Kind != KindTimeout {
+		t.Fatalf("wedged run: status %d, body %s; want 504 %s", st, body, KindTimeout)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("deadline did not bound the wedged run: took %v", elapsed)
+	}
+	if st, body, _ := postRun(t, ts.URL, `{"scenario":"t-ok"}`); st != http.StatusOK {
+		t.Fatalf("request after the abandoned run: status %d, body %s", st, body)
+	}
+}
+
+// The abandoned run's late success is dropped: the cache does not hold
+// it, and /statz counts the run once, as the failure its caller saw.
+func TestAbandonedRunLateResultIsDropped(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	const req = `{"scenario":"t-late","timeout_s":0.05}`
+	if st, body, _ := postRun(t, ts.URL, req); st != http.StatusGatewayTimeout {
+		t.Fatalf("late run: status %d, body %s; want 504", st, body)
+	}
+	tLate <- struct{}{} // the abandoned run now returns its result
+	type reply struct {
+		status int
+		tag    string
+	}
+	again := make(chan reply, 1)
+	go func() {
+		st, _, tag := postRun(t, ts.URL, `{"scenario":"t-late","timeout_s":5}`)
+		again <- reply{st, tag}
+	}()
+	tLate <- struct{}{}
+	if r := <-again; r.status != http.StatusOK || r.tag != "miss" {
+		t.Fatalf("same key after the late result: status %d, X-Cache %q; want 200 miss", r.status, r.tag)
+	}
+	st := s.Stats()
+	if st.RunsFailed != 1 || st.RunsCompleted != 1 || st.CacheMisses != 2 {
+		t.Fatalf("stats %+v: want 1 failed (the abandoned run), 1 completed, 2 misses", st)
+	}
+}
+
+// A params.timeout_s below the run deadline can fire first, so the
+// scenario's nested sweep keeps its watchdog: the wedged cell fails as a
+// timeout inside a 200 long before the run deadline.
+func TestParamsTimeoutBelowRunDeadlineFailsCells(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	start := time.Now()
+	st, body, _ := postRun(t, ts.URL, `{"scenario":"t-grid","timeout_s":10,"params":{"timeout_s":0.05}}`)
+	var resp struct {
+		FailureKinds []string `json:"failure_kinds"`
+	}
+	if err := json.Unmarshal(body, &resp); err != nil || st != http.StatusOK {
+		t.Fatalf("status %d, body %s; want 200", st, body)
+	}
+	if len(resp.FailureKinds) != 1 || resp.FailureKinds[0] != KindTimeout {
+		t.Fatalf("failure kinds %v, want [%s]", resp.FailureKinds, KindTimeout)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("the cell deadline did not fire: took %v", elapsed)
 	}
 }
 

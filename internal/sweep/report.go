@@ -144,8 +144,22 @@ func (r *Report[T]) Completed() []T {
 // Run evaluates f(ctx, 0..n-1) on the bounded worker pool with the full
 // guardrail stack: panic isolation always, plus opts' per-cell deadline.
 // Every cell ends StatusOK, StatusFailed or StatusSkipped, and the sweep
-// always returns every completed cell.
+// always returns every completed cell. Within Do's run, when Do's caller
+// abandons the run before any cell's deadline could pass, the sweep runs
+// untimed: the caller's deadline is the one that fires.
 func Run[T any](ctx context.Context, n int, opts Options, f func(ctx context.Context, i int) (T, error)) *Report[T] {
+	return run(ctx, n, poolSize(n), opts, f)
+}
+
+// InOrder is Run for cells that cost less to evaluate than to hand to
+// another goroutine, such as microsecond closed forms: it evaluates them
+// in index order, on the calling goroutine unless a watchdog is armed.
+func InOrder[T any](ctx context.Context, n int, opts Options, f func(ctx context.Context, i int) (T, error)) *Report[T] {
+	return run(ctx, n, 1, opts, f)
+}
+
+// run is Run on a pool of workers.
+func run[T any](ctx context.Context, n, workers int, opts Options, f func(ctx context.Context, i int) (T, error)) *Report[T] {
 	r := &Report[T]{Values: make([]T, n), Status: make([]Status, n)}
 	if n == 0 {
 		return r
@@ -162,10 +176,10 @@ func Run[T any](ctx context.Context, n int, opts Options, f func(ctx context.Con
 			r.Status[i] = StatusOK
 		}
 	}
-	if opts.Timeout > 0 {
-		runTimed(ctx, n, opts.Timeout, f, record)
+	if opts.Timeout > 0 && !abandonedFirst(ctx, opts.Timeout) {
+		runTimed(ctx, n, workers, opts.Timeout, f, record)
 	} else {
-		forEachCell(ctx, n, func(i int) {
+		forEachCell(ctx, n, workers, func(i int) {
 			v, err, stack := protect(ctx, i, f)
 			record(i, v, err, stack)
 		})
@@ -207,7 +221,7 @@ type worker struct {
 // per-cell deadline. The caller only waits, so it returns at a deadline
 // even when a lone cell wedges; cancelling ctx fails every cell in
 // flight with ctx.Err().
-func runTimed[T any](ctx context.Context, n int, timeout time.Duration,
+func runTimed[T any](ctx context.Context, n, pool int, timeout time.Duration,
 	f func(context.Context, int) (T, error), record func(int, T, error, string)) {
 	var (
 		mu      sync.Mutex     // guards next, workers and each worker's cell and record
@@ -284,11 +298,40 @@ func runTimed[T any](ctx context.Context, n int, timeout time.Duration,
 		}
 	})()
 	mu.Lock()
-	for range poolSize(n) {
+	for range pool {
 		spawn()
 	}
 	mu.Unlock()
 	wg.Wait()
+}
+
+// abandonsKey keys the ctx of Do's run, whose deadline Do's caller
+// enforces, in every context derived from it.
+type abandonsKey struct{}
+
+// Do runs cell 0 of f on the calling goroutine with panic isolation; a
+// failure comes back as the *CellError a one-cell Run would report. Its
+// caller abandons the run at ctx's deadline, and the ctx f receives says
+// so: a timed Run nested in f whose cells' deadlines cannot come first
+// starts no watchdog goroutine or timer.
+func Do[T any](ctx context.Context, f func(ctx context.Context, i int) (T, error)) (T, error) {
+	v, err, stack := protect(context.WithValue(ctx, abandonsKey{}, ctx), 0, f)
+	if err != nil {
+		return v, &CellError{Err: err, Stack: stack}
+	}
+	return v, nil
+}
+
+// abandonedFirst reports whether ctx lies within Do's run and Do's
+// caller abandons that run no later than a cell deadline timeout from
+// now, so a watchdog could never fire first.
+func abandonedFirst(ctx context.Context, timeout time.Duration) bool {
+	outer, ok := ctx.Value(abandonsKey{}).(context.Context)
+	if !ok {
+		return false
+	}
+	d, ok := outer.Deadline()
+	return ok && !d.After(time.Now().Add(timeout))
 }
 
 // protect runs f with panic isolation, capturing the stack at the panic

@@ -301,3 +301,108 @@ func TestRunGridOrder(t *testing.T) {
 		}
 	}
 }
+
+// markedCtx returns the ctx Do hands its cell, for ctx.
+func markedCtx(ctx context.Context) context.Context {
+	var marked context.Context
+	Do(ctx, func(c context.Context, _ int) (int, error) { marked = c; return 0, nil })
+	return marked
+}
+
+// Within Do's run, a timed sweep whose cells' deadlines cannot come
+// before Do's caller abandons the run starts no watchdog: its one cell
+// runs on the calling goroutine and it allocates what an untimed sweep
+// does. A cell deadline that can fire first keeps its watchdog.
+func TestTimedRunUnderDoArmsNoWatchdog(t *testing.T) {
+	prev := Workers
+	defer func() { Workers = prev }()
+	Workers = 1
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	marked := markedCtx(ctx)
+	cell := func(_ context.Context, i int) (int, error) { return i, nil }
+	allocs := func(ctx context.Context, opts Options) float64 {
+		return testing.AllocsPerRun(50, func() { Run(ctx, 4, opts, cell) })
+	}
+	untimed, skipped, plain := allocs(marked, Options{}), allocs(marked, Options{Timeout: time.Hour}), allocs(ctx, Options{Timeout: time.Hour})
+	if skipped != untimed || plain <= untimed {
+		t.Fatalf("allocations: %v untimed, %v timed under Do, %v timed under a plain deadline; want the first two equal and below the third",
+			untimed, skipped, plain)
+	}
+	base := runtime.NumGoroutine()
+	r := Run(marked, 1, Options{Timeout: time.Hour}, func(context.Context, int) (int, error) {
+		return runtime.NumGoroutine(), nil
+	})
+	if r.Values[0] > base {
+		t.Fatalf("%d goroutines while the cell ran, %d before: a watchdog worker started", r.Values[0], base)
+	}
+	r = Run(marked, 1, Options{Timeout: 20 * time.Millisecond}, func(ctx context.Context, _ int) (int, error) {
+		<-ctx.Done()
+		return 0, ctx.Err()
+	})
+	if len(r.Failures) != 1 || !errors.Is(r.Failures[0].Err, ErrCellTimeout) {
+		t.Fatalf("failures = %v, want the cell timed out at its own, earlier deadline", r.Failures)
+	}
+}
+
+// A bare ctx deadline does not stand for Do's caller: a timed sweep
+// under it still returns at the deadline while its cell is wedged.
+func TestTimedRunUnderPlainDeadlineAbandonsWedgedCell(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	hang := make(chan struct{})
+	start := time.Now()
+	r := Run(ctx, 1, Options{Timeout: time.Hour}, func(context.Context, int) (int, error) {
+		<-hang
+		return 0, nil
+	})
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("Run waited %v for a wedged cell", elapsed)
+	}
+	if !errors.Is(r.CtxErr, context.DeadlineExceeded) || r.Status[0] != StatusFailed {
+		t.Fatalf("CtxErr = %v, cell %v; want DeadlineExceeded and a failed cell", r.CtxErr, r.Status[0])
+	}
+	close(hang)
+	settlesTo(t, base)
+}
+
+// Do isolates a panic as a one-cell Run reports it, and hands back a
+// cell's own error wrapped the same way.
+func TestDoIsolatesPanics(t *testing.T) {
+	_, err := Do(context.Background(), func(context.Context, int) (int, error) { panic("boom") })
+	var ce *CellError
+	var pe *PanicError
+	if !errors.As(err, &ce) || ce.Index != 0 || !errors.As(err, &pe) || pe.Value != "boom" || !strings.Contains(ce.Stack, "panic") {
+		t.Fatalf("Do of a panicking cell = %v, want a cell 0 *CellError over the *PanicError, with its stack", err)
+	}
+	want := errors.New("cell failed")
+	if _, err := Do(context.Background(), func(context.Context, int) (int, error) { return 0, want }); !errors.As(err, &ce) || ce.Err != want {
+		t.Fatalf("Do of a failing cell = %v, want a *CellError over its error", err)
+	}
+}
+
+// InOrder evaluates its cells in index order on the calling goroutine
+// whatever Workers says, and on one watchdog worker when timed.
+func TestInOrderRunsOnCallingGoroutine(t *testing.T) {
+	prev := Workers
+	defer func() { Workers = prev }()
+	Workers = 8
+	base := runtime.NumGoroutine()
+	for _, opts := range []Options{{}, {Timeout: time.Hour}} {
+		var order []int
+		r := InOrder(context.Background(), 10, opts, func(_ context.Context, i int) (int, error) {
+			order = append(order, i)
+			return runtime.NumGoroutine() - base, nil
+		})
+		want := 0
+		if opts.Timeout > 0 {
+			want = 1
+		}
+		for i, extra := range r.Values {
+			if order[i] != i || extra > want {
+				t.Fatalf("timeout %v: cell %d ran %dth with %d extra goroutines, want in order with at most %d", opts.Timeout, i, order[i], extra, want)
+			}
+		}
+	}
+}

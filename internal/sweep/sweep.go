@@ -4,6 +4,9 @@
 // (report.go) with panic isolation, per-cell deadlines and per-cell
 // completion state. A timed sweep's workers each reuse one context and
 // one timer for all their cells: a cell starts no goroutine of its own.
+// A timed sweep nested in Do's run arms no watchdog at all when Do's
+// caller abandons the run at a deadline no later than any cell's, and
+// InOrder runs cells too cheap to fan out on the calling goroutine.
 //
 // Each cell builds its own isolated des.Env and cost model, runs
 // single-threaded and bit-deterministic, and writes only its own result
@@ -32,10 +35,9 @@ func poolSize(n int) int {
 	return min(runtime.GOMAXPROCS(0), n)
 }
 
-// forEachCell dispatches cell(0..n-1) over the bounded worker pool,
+// forEachCell dispatches cell(0..n-1) over a pool of workers,
 // stopping dispatch (but not in-flight cells) when ctx is cancelled.
-func forEachCell(ctx context.Context, n int, cell func(i int)) {
-	workers := poolSize(n)
+func forEachCell(ctx context.Context, n, workers int, cell func(i int)) {
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if ctx.Err() != nil {
