@@ -1,12 +1,13 @@
-// Package bench holds the four testing.B benchmarks that measure what
+// Package bench holds the three testing.B benchmarks that measure what
 // the repo benchmark (benchmark/, `bash benchmark/run.sh`) cannot, each
 // the command a doc cites for its number:
 //
 //	go test -run '^$' -bench . -benchmem .
 //
 // Every other figure — scenario and cell run times, serve latency and
-// throughput, per-layer costs — comes from benchmark/. See EXPERIMENTS.md
-// "Where the time goes".
+// throughput, per-layer costs — comes from benchmark/, except the wall
+// vs virtual clock Table 2 pair, BenchmarkTable2 in internal/experiments.
+// See EXPERIMENTS.md "Where the time goes".
 package bench
 
 import (
@@ -17,62 +18,11 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"simaibench/internal/clock"
 	"simaibench/internal/datastore"
 	"simaibench/internal/experiments"
 	"simaibench/internal/scenario"
 	"simaibench/internal/serve"
 )
-
-// validationCfg is a scaled-down validation run sized for benchmarking,
-// parameterized by emulation clock. TimeScale 0.1 keeps the wall-mode
-// run meaningful — padded iterations well above scheduler noise, yet
-// still 10× compressed relative to the paper's native real-time mode —
-// while the virtual run completes as fast as its real compute allows,
-// so the measured wall/virtual ratio *understates* the speedup over an
-// uncompressed run by 10×.
-func validationCfg(mode experiments.ValidationMode, clk string) experiments.ValidationConfig {
-	return experiments.ValidationConfig{
-		Mode:         mode,
-		TrainIters:   200,
-		WritePeriod:  25,
-		ReadPeriod:   5,
-		PayloadBytes: 50_000,
-		TimeScale:    0.1,
-		Backend:      datastore.NodeLocal,
-		SimInitS:     0.5,
-		TrainInitS:   1.0,
-		Clock:        clk,
-	}
-}
-
-// BenchmarkTable2 runs Table 2's pair — the emulated original workflow
-// and the mini-app — once per emulation clock. The wall/virtual ns-per-op
-// ratio is the speed-up of the virtual-time clock (ARCHITECTURE.md "The
-// two time domains"): the same two-component emulation with no real
-// sleeping. benchmark/ runs the virtual clock only.
-//
-//	go test -run '^$' -bench Table2 -benchtime 3x .
-func BenchmarkTable2(b *testing.B) {
-	for _, clk := range []string{clock.KindWall, clock.KindVirtual} {
-		b.Run("clock="+clk, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				orig, err := experiments.RunValidation(context.Background(), validationCfg(experiments.Original, clk))
-				if err != nil {
-					b.Fatal(err)
-				}
-				mini, err := experiments.RunValidation(context.Background(), validationCfg(experiments.MiniApp, clk))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(orig.Sim.Timesteps), "orig-sim-steps")
-				b.ReportMetric(float64(mini.Sim.Timesteps), "mini-sim-steps")
-				b.ReportMetric(float64(orig.Sim.TransportEvents), "orig-sim-events")
-				b.ReportMetric(float64(mini.Sim.TransportEvents), "mini-sim-events")
-			}
-		})
-	}
-}
 
 // BenchmarkFaultLayerSilent prices the fault layer on a run in which it
 // never fires: the same 64-tenant node-local cell as a scale-out run

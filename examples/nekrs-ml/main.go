@@ -77,11 +77,23 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// Staging takes no emulated time on the virtual clock, so a rate
+	// there would read 0 on working code: it is printed on the wall
+	// clock only, and only over transfers that happened.
+	rate := func(n int, gbps float64) string {
+		switch {
+		case *clockKind != "wall":
+			return "— GB/s, staging takes no virtual time"
+		case n == 0:
+			return "— GB/s, no transfers"
+		}
+		return fmt.Sprintf("%.3f GB/s", gbps)
+	}
 	sim, gnn := res.Sim, res.Train
-	fmt.Printf("nekrs: stopped after %d steps (iter %.4f ± %.4f s, %d snapshot writes, %.3f GB/s)\n",
-		sim.Iterations, sim.IterMean, sim.IterStd, sim.Writes, sim.WriteGBps)
-	fmt.Printf("gnn:   %d iterations (iter %.4f ± %.4f s, %d snapshot reads, %.3f GB/s, loss %.4g)\n",
-		gnn.Iterations, gnn.IterMean, gnn.IterStd, gnn.Reads, gnn.ReadGBps, gnn.LastLoss)
+	fmt.Printf("nekrs: stopped after %d steps (iter %.4f ± %.4f s, %d snapshot writes, %s)\n",
+		sim.Iterations, sim.IterMean, sim.IterStd, sim.Writes, rate(sim.Writes, sim.WriteGBps))
+	fmt.Printf("gnn:   %d iterations (iter %.4f ± %.4f s, %d snapshot reads, %s, loss %.4g)\n",
+		gnn.Iterations, gnn.IterMean, gnn.IterStd, gnn.Reads, rate(gnn.Reads, gnn.ReadGBps), gnn.LastLoss)
 	fmt.Printf("makespan: %.1f emulated s (%.2f s wall, backend %s, clock %s)\n",
 		res.MakespanS, time.Since(wallStart).Seconds(), backend, *clockKind)
 	if *timelineCSV != "" {

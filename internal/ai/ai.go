@@ -10,14 +10,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"simaibench/internal/clock"
 	"simaibench/internal/config"
 	"simaibench/internal/datastore"
 	"simaibench/internal/dist"
 	"simaibench/internal/nn"
-	"simaibench/internal/spin"
 	"simaibench/internal/stats"
 	"simaibench/internal/trace"
 )
@@ -49,37 +47,35 @@ func WithStore(s datastore.Store) Option { return func(t *Trainer) { t.store = s
 
 // WithTimeline attaches a trace timeline.
 func WithTimeline(tl *trace.Timeline, lane string) Option {
-	return func(t *Trainer) { t.timeline, t.lane = tl, lane }
+	return func(t *Trainer) { t.lane.Timeline, t.lane.Name = tl, lane }
 }
 
 // WithSeed fixes the model-init and data RNG seed.
 func WithSeed(seed int64) Option { return func(t *Trainer) { t.seed = &seed } }
 
 // WithTimeScale scales emulated durations like simulation.WithTimeScale.
-func WithTimeScale(f float64) Option { return func(t *Trainer) { t.timeScale = f } }
+func WithTimeScale(f float64) Option { return func(t *Trainer) { t.lane.Scale = f } }
 
 // WithClock runs the trainer against the given emulation clock, exactly
 // as simulation.WithClock does for the solver: padding and timestamps
 // come from the clock, while the real training step still executes (in
 // zero virtual time under a clock.Virtual).
 func WithClock(c clock.Clock) Option {
-	return func(t *Trainer) { t.now, t.sleep = c.Now, c.Sleep }
+	return func(t *Trainer) { t.lane.Clock = c }
 }
 
 // Trainer is one AI component instance.
 type Trainer struct {
-	name      string
-	cfg       config.AIConfig
-	model     *nn.MLP
-	loss      nn.MSE
-	opt       nn.SGD
-	store     datastore.Store
-	timeline  *trace.Timeline
-	lane      string
-	rng       *rand.Rand
-	seed      *int64
-	timeScale float64
-	runTime   dist.Sampler
+	name    string
+	cfg     config.AIConfig
+	model   *nn.MLP
+	loss    nn.MSE
+	opt     nn.SGD
+	store   datastore.Store
+	lane    trace.Lane
+	rng     *rand.Rand
+	seed    *int64
+	runTime dist.Sampler
 
 	// loader holds the most recently staged training samples.
 	loader loader
@@ -96,12 +92,6 @@ type Trainer struct {
 	lastLoss  float64
 	readStats stats.Welford
 	readTput  stats.Throughput
-	reads     int
-	iters     int
-
-	start time.Time
-	now   func() time.Time
-	sleep func(time.Duration)
 }
 
 // New builds a trainer from a validated config.
@@ -109,13 +99,7 @@ func New(name string, cfg config.AIConfig, opts ...Option) (*Trainer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Trainer{
-		name:      name,
-		cfg:       cfg,
-		timeScale: 1,
-		now:       time.Now,
-		sleep:     spin.Sleep,
-	}
+	t := &Trainer{name: name, cfg: cfg, lane: trace.Lane{Clock: clock.Wall, Scale: 1}}
 	for _, o := range opts {
 		o(t)
 	}
@@ -147,12 +131,9 @@ func New(name string, cfg config.AIConfig, opts ...Option) (*Trainer, error) {
 			return nil, err
 		}
 	}
-	t.start = t.now()
+	t.lane.Start = t.lane.Clock.Now()
 	return t, nil
 }
-
-// Elapsed returns wall seconds since construction.
-func (t *Trainer) Elapsed() float64 { return t.now().Sub(t.start).Seconds() }
 
 // batchSize returns the configured batch (default 16).
 func (t *Trainer) batchSize() int {
@@ -177,21 +158,15 @@ func (t *Trainer) UpdateLoader(key string) error {
 	if t.store == nil {
 		return fmt.Errorf("ai %s: no data store attached", t.name)
 	}
-	start := t.now()
+	start := t.lane.Clock.Now()
 	raw, err := t.store.StageReadInto(key, t.raw)
 	if err != nil {
 		return err
 	}
 	t.raw = raw
-	dur := t.now().Sub(start).Seconds()
+	dur := t.lane.Measure(start, trace.KindTransfer, "read ", key)
 	t.readStats.Add(dur)
 	t.readTput.Add(int64(len(raw)), dur)
-	t.reads++
-	if t.timeline != nil {
-		// Timeline coordinates are emulated (unscaled) seconds.
-		end := t.Elapsed() / t.timeScale
-		t.timeline.AddSpan(t.lane, trace.KindTransfer, end-dur/t.timeScale, end, "read "+key)
-	}
 	t.loader.ingest(raw)
 	return nil
 }
@@ -249,10 +224,10 @@ func (t *Trainer) sampleBatch() (xs, ys [][]float64) {
 // Batch, activations and gradients live in buffers the trainer and its
 // model reuse, so without a timeline a step allocates nothing.
 func (t *Trainer) TrainIteration() (float64, error) {
-	iterStart := t.now()
+	iterStart := t.lane.Clock.Now()
 	var target float64
 	if t.runTime != nil {
-		target = t.runTime.Sample(t.rng) * t.timeScale
+		target = t.runTime.Sample(t.rng)
 	}
 	xs, ys := t.sampleBatch()
 	t.model.ZeroGrad()
@@ -260,20 +235,11 @@ func (t *Trainer) TrainIteration() (float64, error) {
 	loss, grad := t.loss.Loss(pred, ys)
 	t.model.Backward(grad)
 	t.opt.Step(t.model.Params())
-	if target > 0 {
-		if rem := target - t.now().Sub(iterStart).Seconds(); rem > 0 {
-			t.sleep(time.Duration(rem * float64(time.Second)))
-		}
-	}
-	dur := t.now().Sub(iterStart).Seconds()
-	t.iterStats.Add(dur / t.timeScale)
+	t.lane.Pad(iterStart, target)
+	dur := t.lane.Measure(iterStart, trace.KindCompute, "train", "")
+	t.iterStats.Add(dur / t.lane.Scale)
 	t.lossStats.Add(loss)
 	t.lastLoss = loss
-	t.iters++
-	if t.timeline != nil {
-		end := t.Elapsed() / t.timeScale
-		t.timeline.AddSpan(t.lane, trace.KindCompute, end-dur/t.timeScale, end, "train")
-	}
 	return loss, nil
 }
 
@@ -294,10 +260,10 @@ type Report struct {
 func (t *Trainer) Report() Report {
 	return Report{
 		Name:       t.name,
-		Iterations: t.iters,
+		Iterations: int(t.iterStats.N()),
 		IterMean:   t.iterStats.Mean(),
 		IterStd:    t.iterStats.Std(),
-		Reads:      t.reads,
+		Reads:      int(t.readStats.N()),
 		ReadMean:   t.readStats.Mean(),
 		ReadGBps:   t.readTput.MeanGBps(),
 		LossMean:   t.lossStats.Mean(),

@@ -3,18 +3,18 @@
 // (internal/simulation, internal/ai, the validation and streaming
 // harnesses) ran on the wall clock, padding every iteration with real
 // sleeps. A Clock abstracts that second domain: Wall keeps the
-// genuine-compute emulation the paper validates with (spin-precise real
-// sleeps), while Virtual replaces every pad with a deterministic
-// cooperative scheduler, so a 300-virtual-second validation run
-// completes as fast as its real compute allows and is bit-reproducible
-// per seed.
+// genuine-compute emulation the paper validates with, whose Sleep parks
+// the goroutine for the bulk of a pad and yield-spins its last stretch
+// to wait to the microsecond, while Virtual replaces every pad with a
+// deterministic cooperative scheduler, so a 300-virtual-second
+// validation run completes as fast as its real compute allows and is
+// bit-reproducible per seed.
 package clock
 
 import (
 	"fmt"
+	"runtime"
 	"time"
-
-	"simaibench/internal/spin"
 )
 
 // Clock is the emulation layer's time source. Components take their
@@ -27,7 +27,7 @@ import (
 // Virtual time advances only when every joined participant is parked in
 // Sleep, and only one participant is woken per advance, so concurrently
 // padding components interleave in deterministic virtual-deadline order
-// — exactly the order their pads complete under spin.Sleep.
+// — exactly the order their pads complete under Wall's Sleep.
 type Clock interface {
 	// Now returns the current time in this clock's domain.
 	Now() time.Time
@@ -46,15 +46,44 @@ type Clock interface {
 	Leave()
 }
 
-// wall is the real-time clock: time.Now plus the spin-precise Sleep the
-// emulation layer has always used. The participant protocol is a no-op
-// — the operating system is the barrier.
+// wall is the real-time clock: time.Now plus a pad precise to the
+// microsecond. The paper's mini-apps pad every iteration to a target
+// duration, and a time-scaled run (a 300-second workflow compressed
+// into a few hundred milliseconds) shrinks targets to tens of
+// microseconds, far below time.Sleep's scheduling granularity. The
+// participant protocol is a no-op — the operating system is the
+// barrier.
 type wall struct{}
 
 func (wall) Now() time.Time        { return time.Now() }
-func (wall) Sleep(d time.Duration) { spin.Sleep(d) }
+func (wall) Sleep(d time.Duration) { wallSleep(d, time.Now, time.Sleep, runtime.Gosched) }
 func (wall) Join()                 {}
 func (wall) Leave()                {}
+
+// spinTail is the tail of every wall pad that is yield-spun instead of
+// parked. A host whose timer wakes a parked goroutine later than this
+// ends a pad late by the difference.
+const spinTail = 500 * time.Microsecond
+
+// wallSleep blocks for at least d as measured by now: it parks for all
+// but the last spinTail of d, then yields until the deadline. The yield
+// keeps concurrent components (a simulation and a trainer padding
+// simultaneously) interleaving fairly even on a single-core machine,
+// while the spin gives microsecond accuracy. Non-positive durations
+// return at once. now, park and yield are time.Now, time.Sleep and
+// runtime.Gosched, or a test's scripted clock.
+func wallSleep(d time.Duration, now func() time.Time, park func(time.Duration), yield func()) {
+	if d <= 0 {
+		return
+	}
+	deadline := now().Add(d)
+	if d > spinTail {
+		park(d - spinTail)
+	}
+	for now().Before(deadline) {
+		yield()
+	}
+}
 
 // Wall is the shared real-time clock.
 var Wall Clock = wall{}

@@ -12,7 +12,7 @@ import (
 // sleeper — the one with the earliest deadline, schedule order breaking
 // ties — is woken per advance, so participants execute one at a time in
 // virtual-deadline order: the same interleaving their pads would
-// produce under spin.Sleep, minus the waiting. The single-wake rule is
+// produce under Wall's Sleep, minus the waiting. The single-wake rule is
 // the cross-goroutine barrier that makes concurrent components (a
 // simulation and a trainer padding simultaneously) bit-deterministic.
 //
@@ -101,7 +101,7 @@ func (v *Virtual) Leave() {
 }
 
 // Sleep parks the caller until virtual time reaches now+d.
-// Non-positive durations return immediately, like spin.Sleep.
+// Non-positive durations return immediately, as on Wall.
 func (v *Virtual) Sleep(d time.Duration) {
 	if d <= 0 {
 		return

@@ -362,32 +362,32 @@ func TestWallVirtualMakespanConsistency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a real-time wall-clock run")
 	}
-	cfg := ValidationConfig{
-		Mode: MiniApp, TrainIters: 60, WritePeriod: 25, ReadPeriod: 5,
-		PayloadBytes: 20_000, TimeScale: 0.05, Backend: datastore.NodeLocal,
-		SimInitS: 0.2, TrainInitS: 0.4,
-	}
-	runs := map[string]*ValidationResult{}
+	cfg := validationRun(MiniApp, scenario.Params{TrainIters: 60, TimeScale: 0.05})
+	cfg.WritePeriod, cfg.ReadPeriod = 25, 5
+	cfg.ArrayBytes = []int{20_000, 20_000 / 8}
+	cfg.Backend = datastore.NodeLocal
+	cfg.SimInitS, cfg.TrainInitS = 0.2, 0.4
+	runs := map[string]OneToOneResult{}
 	for _, clk := range []string{clock.KindVirtual, clock.KindWall} {
 		cfg.Clock = clk
-		r, err := RunValidation(bg, cfg)
+		r, err := RunOneToOne(bg, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		runs[clk] = r
-		if r.Train.Timesteps != cfg.TrainIters {
-			t.Errorf("%s: %d train steps, want %d", clk, r.Train.Timesteps, cfg.TrainIters)
+		if r.Train.Iterations != cfg.TrainIters {
+			t.Errorf("%s: %d train steps, want %d", clk, r.Train.Iterations, cfg.TrainIters)
 		}
-		if s := r.Sim.Timesteps; s < stopPollSteps || s%stopPollSteps != 0 {
+		if s := r.Sim.Iterations; s < stopPollSteps || s%stopPollSteps != 0 {
 			t.Errorf("%s: solver stopped at step %d, not at a poll of %s", clk, s, keyStop)
 		}
 		// A snapshot is two arrays: the solver stages both every write
 		// period, the trainer reads both of each fresh one, at most one
 		// per read period.
-		if got, want := r.Sim.TransportEvents, 2*(r.Sim.Timesteps/cfg.WritePeriod); got != want {
-			t.Errorf("%s: %d solver transport events in %d steps, want %d", clk, got, r.Sim.Timesteps, want)
+		if got, want := r.Sim.Writes+r.Sim.Reads, 2*(r.Sim.Iterations/cfg.WritePeriod); got != want {
+			t.Errorf("%s: %d solver transport events in %d steps, want %d", clk, got, r.Sim.Iterations, want)
 		}
-		if e := r.Train.TransportEvents; e%2 != 0 || e > 2*(cfg.TrainIters/cfg.ReadPeriod) {
+		if e := r.Train.Reads; e%2 != 0 || e > 2*(cfg.TrainIters/cfg.ReadPeriod) {
 			t.Errorf("%s: %d trainer transport events, want an even count of at most %d",
 				clk, e, 2*(cfg.TrainIters/cfg.ReadPeriod))
 		}

@@ -253,22 +253,17 @@ func TestPrintFig5Fig6(t *testing.T) {
 // --- Validation (Tables 2/3, Fig 2) ---
 
 // smallValidation runs a scaled-down validation quickly.
-func smallValidation(t *testing.T, mode ValidationMode) *ValidationResult {
+func smallValidation(t *testing.T, mode ValidationMode) OneToOneResult {
 	t.Helper()
-	res, err := RunValidation(bg, ValidationConfig{
-		Mode:         mode,
-		TrainIters:   300,
-		WritePeriod:  25,
-		ReadPeriod:   5,
-		PayloadBytes: 50_000,
-		// A gentle compression: aggressive scales push padded iteration
-		// targets below the scheduler noise floor on small machines and
-		// the Table-3 variance comparison washes out.
-		TimeScale:  0.01,
-		Backend:    datastore.NodeLocal,
-		SimInitS:   0.5,
-		TrainInitS: 1.0,
-	})
+	// A gentle compression: aggressive scales push padded iteration
+	// targets below the scheduler noise floor on small machines and the
+	// Table-3 variance comparison washes out.
+	cfg := validationRun(mode, scenario.Params{TrainIters: 300, TimeScale: 0.01})
+	cfg.WritePeriod, cfg.ReadPeriod = 25, 5
+	cfg.ArrayBytes = []int{50_000, 50_000 / 8}
+	cfg.Backend = datastore.NodeLocal
+	cfg.SimInitS, cfg.TrainInitS = 0.5, 1.0
+	res, err := RunOneToOne(bg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,30 +272,30 @@ func smallValidation(t *testing.T, mode ValidationMode) *ValidationResult {
 
 func TestValidationTrainerRunsExactIterations(t *testing.T) {
 	res := smallValidation(t, MiniApp)
-	if res.Train.Timesteps != 300 {
-		t.Fatalf("train steps = %d, want exactly 300", res.Train.Timesteps)
+	if res.Train.Iterations != 300 {
+		t.Fatalf("train steps = %d, want exactly 300", res.Train.Iterations)
 	}
 }
 
 func TestValidationSimStopsAfterSteering(t *testing.T) {
 	res := smallValidation(t, MiniApp)
 	// Sim runs ~ (300·0.061)/0.0315 ≈ 580 steps before the stop signal.
-	if res.Sim.Timesteps < 300 || res.Sim.Timesteps > 1200 {
-		t.Fatalf("sim steps = %d, want ~580", res.Sim.Timesteps)
+	if res.Sim.Iterations < 300 || res.Sim.Iterations > 1200 {
+		t.Fatalf("sim steps = %d, want ~580", res.Sim.Iterations)
 	}
 }
 
 func TestValidationTransportEventCounts(t *testing.T) {
 	res := smallValidation(t, MiniApp)
 	// Two staged arrays per write period on the sim side.
-	expWrites := 2 * (res.Sim.Timesteps / 25)
-	if res.Sim.TransportEvents < expWrites-4 || res.Sim.TransportEvents > expWrites+4 {
-		t.Fatalf("sim transport = %d, want ~%d", res.Sim.TransportEvents, expWrites)
+	expWrites := 2 * (res.Sim.Iterations / 25)
+	if simEvents := res.Sim.Writes + res.Sim.Reads; simEvents < expWrites-4 || simEvents > expWrites+4 {
+		t.Fatalf("sim transport = %d, want ~%d", simEvents, expWrites)
 	}
 	// The trainer reads each fresh snapshot once (2 events each); it can
 	// never read more snapshots than were written.
-	if res.Train.TransportEvents == 0 || res.Train.TransportEvents > res.Sim.TransportEvents+4 {
-		t.Fatalf("train transport = %d vs sim %d", res.Train.TransportEvents, res.Sim.TransportEvents)
+	if res.Train.Reads == 0 || res.Train.Reads > res.Sim.Writes+4 {
+		t.Fatalf("train transport = %d vs sim %d", res.Train.Reads, res.Sim.Writes)
 	}
 }
 
@@ -378,26 +373,27 @@ func TestValidationAcrossBackends(t *testing.T) {
 	// same workflow over Redis, Dragon and node-local staging produces
 	// the same trainer iteration count and closely matching transport
 	// event counts (transport *performance* differs; structure must not).
-	var results []*ValidationResult
+	var results []OneToOneResult
 	for _, b := range []datastore.Backend{datastore.NodeLocal, datastore.Redis, datastore.Dragon} {
-		res, err := RunValidation(bg, ValidationConfig{
-			Mode: MiniApp, TrainIters: 200, WritePeriod: 25, ReadPeriod: 5,
-			PayloadBytes: 20_000, TimeScale: 0.01, Backend: b,
-			SimInitS: 0.2, TrainInitS: 0.4,
-		})
+		cfg := validationRun(MiniApp, scenario.Params{TrainIters: 200, TimeScale: 0.01})
+		cfg.WritePeriod, cfg.ReadPeriod = 25, 5
+		cfg.ArrayBytes = []int{20_000, 20_000 / 8}
+		cfg.Backend = b
+		cfg.SimInitS, cfg.TrainInitS = 0.2, 0.4
+		res, err := RunOneToOne(bg, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", b, err)
 		}
-		if res.Train.Timesteps != 200 {
-			t.Fatalf("%v: train steps = %d", b, res.Train.Timesteps)
+		if res.Train.Iterations != 200 {
+			t.Fatalf("%v: train steps = %d", b, res.Train.Iterations)
 		}
 		results = append(results, res)
 	}
 	for _, res := range results[1:] {
 		// Sim step counts vary slightly with backend write latency; the
 		// events-per-step structure must agree within a few snapshots.
-		ratio0 := float64(results[0].Sim.TransportEvents) / float64(results[0].Sim.Timesteps)
-		ratioB := float64(res.Sim.TransportEvents) / float64(res.Sim.Timesteps)
+		ratio0 := float64(results[0].Sim.Writes+results[0].Sim.Reads) / float64(results[0].Sim.Iterations)
+		ratioB := float64(res.Sim.Writes+res.Sim.Reads) / float64(res.Sim.Iterations)
 		if math.Abs(ratio0-ratioB) > 0.02 {
 			t.Fatalf("event structure differs across backends: %v vs %v", ratio0, ratioB)
 		}

@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"simaibench/internal/ai"
 	"simaibench/internal/clock"
 	"simaibench/internal/scenario"
+	"simaibench/internal/simulation"
 )
 
 // Golden tests: every table the text reporter renders must be
@@ -101,13 +103,13 @@ func TestGoldenAblationTables(t *testing.T) {
 
 // syntheticValidation pins the Table 2/3 layout without a wall-clock
 // run (the stats are the EXPERIMENTS.md reference numbers).
-func syntheticValidation() (orig, mini *ValidationResult) {
-	orig = &ValidationResult{Mode: Original,
-		Sim:   SideStats{Timesteps: 1590, TransportEvents: 30, IterMean: 0.0356, IterStd: 0.0485},
-		Train: SideStats{Timesteps: 800, TransportEvents: 30, IterMean: 0.0693, IterStd: 0.1112}}
-	mini = &ValidationResult{Mode: MiniApp,
-		Sim:   SideStats{Timesteps: 2070, TransportEvents: 40, IterMean: 0.0328, IterStd: 0.0130},
-		Train: SideStats{Timesteps: 800, TransportEvents: 40, IterMean: 0.0626, IterStd: 0.0140}}
+func syntheticValidation() (orig, mini OneToOneResult) {
+	orig = OneToOneResult{
+		Sim:   simulation.Report{Iterations: 1590, Writes: 30, IterMean: 0.0356, IterStd: 0.0485},
+		Train: ai.Report{Iterations: 800, Reads: 30, IterMean: 0.0693, IterStd: 0.1112}}
+	mini = OneToOneResult{
+		Sim:   simulation.Report{Iterations: 2070, Writes: 40, IterMean: 0.0328, IterStd: 0.0130},
+		Train: ai.Report{Iterations: 800, Reads: 40, IterMean: 0.0626, IterStd: 0.0140}}
 	return orig, mini
 }
 

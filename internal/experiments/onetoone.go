@@ -239,13 +239,15 @@ func RunOneToOne(ctx context.Context, cfg OneToOneConfig) (OneToOneResult, error
 func runOneToOne(ctx context.Context, cfg OneToOneConfig, clk clock.Clock, connect func() (datastore.Store, error)) (OneToOneResult, error) {
 	res := OneToOneResult{Timeline: trace.New()}
 	tl, scale := res.Timeline, cfg.TimeScale
-	start := clk.Now()
-	elapsed := func() float64 { return clk.Now().Sub(start).Seconds() / scale }
-	// initialize spends a component's emulated start-up time.
+	run := trace.Lane{Clock: clk, Scale: scale, Timeline: tl, Start: clk.Now()}
+	// initialize spends a component's emulated start-up time, recorded
+	// on its lane from the workflow's start.
 	initialize := func(lane string, initS float64) {
 		if initS > 0 {
-			clk.Sleep(time.Duration(initS * scale * float64(time.Second)))
-			tl.AddSpan(lane, trace.KindInit, 0, elapsed(), "init")
+			l := run
+			l.Name = lane
+			l.Pad(clk.Now(), initS)
+			l.Measure(l.Start, trace.KindInit, "init", "")
 		}
 	}
 	members := cfg.members()
@@ -401,6 +403,6 @@ func runOneToOne(ctx context.Context, cfg OneToOneConfig, clk clock.Clock, conne
 	if err := w.Launch(ctx); err != nil {
 		return OneToOneResult{}, err
 	}
-	res.Sim, res.MakespanS = sims[0], elapsed()
+	res.Sim, res.MakespanS = sims[0], clk.Now().Sub(run.Start).Seconds()/scale
 	return res, nil
 }

@@ -16,15 +16,16 @@ import (
 	"simaibench/internal/cluster"
 	"simaibench/internal/costmodel"
 	"simaibench/internal/datastore"
+	"simaibench/internal/scenario"
 )
 
 // smallOneToOne is a mini-app run short enough for the wall clock:
 // 200 training iterations of 61 µs, a snapshot every 20 solver steps.
 func smallOneToOne(backend datastore.Backend, clk string) OneToOneConfig {
-	cfg := ValidationConfig{
-		Mode: MiniApp, TrainIters: 200, WritePeriod: 20, ReadPeriod: 5,
-		PayloadBytes: 4096, TimeScale: 0.001, Backend: backend, Clock: clk,
-	}.withDefaults().oneToOne()
+	cfg := validationRun(MiniApp, scenario.Params{TrainIters: 200, TimeScale: 0.001, Clock: clk})
+	cfg.WritePeriod, cfg.ReadPeriod = 20, 5
+	cfg.ArrayBytes = []int{4096, 4096 / 8}
+	cfg.Backend = backend
 	cfg.SimInitS, cfg.TrainInitS = 0, 0
 	return cfg
 }
@@ -293,7 +294,7 @@ func TestEnsembleReadsMatchFig6(t *testing.T) {
 	}
 	a, b := runs[0], runs[1]
 	if a.Sim != b.Sim || a.Train != b.Train || a.MakespanS != b.MakespanS ||
-		!reflect.DeepEqual(sortedSpans(&ValidationResult{Timeline: a.Timeline}), sortedSpans(&ValidationResult{Timeline: b.Timeline})) {
+		!reflect.DeepEqual(sortedSpans(a.Timeline), sortedSpans(b.Timeline)) {
 		t.Errorf("two runs differ:\n%+v %+v %v\n%+v %+v %v", a.Sim, a.Train, a.MakespanS, b.Sim, b.Train, b.MakespanS)
 	}
 }
@@ -350,43 +351,6 @@ func TestOneToOneRejectsBadKnobs(t *testing.T) {
 	}
 }
 
-// TestOneToOneIsValidation: RunValidation is RunOneToOne on the inputs
-// ValidationConfig derives, reduced to SideStats — field for field, in
-// both modes, on the virtual clock where runs repeat exactly.
-func TestOneToOneIsValidation(t *testing.T) {
-	for _, mode := range []ValidationMode{Original, MiniApp} {
-		for _, seed := range []int64{1, 5} {
-			cfg := ValidationConfig{Mode: mode, TrainIters: 120, WritePeriod: 25, ReadPeriod: 5,
-				PayloadBytes: 20_000, Backend: datastore.NodeLocal, Seed: seed}
-			v, err := RunValidation(bg, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := RunOneToOne(bg, cfg.withDefaults().oneToOne())
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := ValidationResult{
-				Mode:      mode,
-				Sim:       SideStats{r.Sim.Iterations, r.Sim.Writes + r.Sim.Reads, r.Sim.IterMean, r.Sim.IterStd},
-				Train:     SideStats{r.Train.Iterations, r.Train.Reads, r.Train.IterMean, r.Train.IterStd},
-				MakespanS: r.MakespanS,
-			}
-			got := *v
-			got.Timeline = nil
-			if got != want {
-				t.Errorf("%v seed %d: RunValidation = %+v, RunOneToOne gives %+v", mode, seed, got, want)
-			}
-			if r.Train.Reads == 0 || r.Sim.Writes != 2*(r.Sim.Iterations/25) {
-				t.Errorf("%v seed %d: run staged nothing to compare: %+v / %+v", mode, seed, r.Sim, r.Train)
-			}
-			if !reflect.DeepEqual(sortedSpans(v), sortedSpans(&ValidationResult{Timeline: r.Timeline})) {
-				t.Errorf("%v seed %d: timelines differ", mode, seed)
-			}
-		}
-	}
-}
-
 // TestOneToOneLossPinned: the training loss of a short virtual-clock
 // run, in both validation modes, is these bits. No table digest holds a
 // loss, so this is what catches a dense layer, a target or a loader
@@ -397,9 +361,11 @@ func TestOneToOneLossPinned(t *testing.T) {
 		MiniApp:  {0x3fd410890018912a, 0x3fce6f87cc51aeb6},
 	}
 	for _, mode := range []ValidationMode{Original, MiniApp} {
-		cfg := ValidationConfig{Mode: mode, TrainIters: 120, WritePeriod: 25, ReadPeriod: 5,
-			PayloadBytes: 20_000, Backend: datastore.NodeLocal}
-		r, err := RunOneToOne(bg, cfg.withDefaults().oneToOne())
+		cfg := validationRun(mode, scenario.Params{TrainIters: 120, TimeScale: 0.002})
+		cfg.WritePeriod, cfg.ReadPeriod = 25, 5
+		cfg.ArrayBytes = []int{20_000, 20_000 / 8}
+		cfg.Backend = datastore.NodeLocal
+		r, err := RunOneToOne(bg, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

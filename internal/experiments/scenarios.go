@@ -103,46 +103,56 @@ func init() {
 
 // validationCache memoizes real-mode validation runs within one
 // context tree, so the table2/table3/fig2 scenarios share one
-// (mode, iters, scale) measurement when run together — exactly as the
-// pre-registry CLI ran validation once for table2+table3+fig2 — while
-// independent Run calls (fresh contexts) re-measure from scratch.
+// (mode, iters, scale, clock) measurement when run together — exactly
+// as the pre-registry CLI ran validation once for table2+table3+fig2 —
+// while independent Run calls (fresh contexts) re-measure from scratch.
 type validationCache struct {
 	mu sync.Mutex // guards m only; never held across a run
-	m  map[ValidationConfig]*validationEntry
+	m  map[validationKey]*validationEntry
+}
+
+// validationKey is what a validation run varies in: its side of the
+// comparison and the three knobs validationRun takes from the params.
+type validationKey struct {
+	mode       ValidationMode
+	trainIters int
+	timeScale  float64
+	clock      string
 }
 
 // validationEntry is one configuration's measurement: callers arriving
 // while it is in flight wait in once.Do and share its outcome.
 type validationEntry struct {
 	once sync.Once
-	res  *ValidationResult
+	res  OneToOneResult
 	err  error
 }
 
-// validationRunner measures one configuration (RunValidation, or a
-// test's stand-in).
-type validationRunner func(context.Context, ValidationConfig) (*ValidationResult, error)
+// validationRunner measures one configuration (RunOneToOne, or a test's
+// stand-in).
+type validationRunner func(context.Context, OneToOneConfig) (OneToOneResult, error)
 
-// get returns cfg's measurement, running it if this context tree has
-// not yet: one configuration is measured once however many callers ask
-// for it at once, different configurations do not wait for each other,
-// and a failed run is forgotten so that a later call measures again. A
-// nil cache measures every time.
-func (c *validationCache) get(ctx context.Context, cfg ValidationConfig, run validationRunner) (*ValidationResult, error) {
+// get returns the measurement of mode under p, running it if this
+// context tree has not yet: one configuration is measured once however
+// many callers ask for it at once, different configurations do not wait
+// for each other, and a failed run is forgotten so that a later call
+// measures again. A nil cache measures every time.
+func (c *validationCache) get(ctx context.Context, mode ValidationMode, p scenario.Params, run validationRunner) (OneToOneResult, error) {
 	if c == nil {
-		return run(ctx, cfg)
+		return run(ctx, validationRun(mode, p))
 	}
+	key := validationKey{mode, p.TrainIters, p.TimeScale, p.Clock}
 	c.mu.Lock()
-	e, ok := c.m[cfg]
+	e, ok := c.m[key]
 	if !ok {
 		e = new(validationEntry)
-		c.m[cfg] = e
+		c.m[key] = e
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		if e.res, e.err = run(ctx, cfg); e.err != nil {
+		if e.res, e.err = run(ctx, validationRun(mode, p)); e.err != nil {
 			c.mu.Lock()
-			delete(c.m, cfg)
+			delete(c.m, key)
 			c.mu.Unlock()
 		}
 	})
@@ -153,17 +163,17 @@ type validationCacheKey struct{}
 
 // WithValidationCache returns a context under which the validation
 // scenarios memoize their runs: every scenario Run sharing this context
-// reuses the same measured ValidationResult per configuration. Without
+// reuses the same measured OneToOneResult per configuration. Without
 // it each Run measures independently.
 func WithValidationCache(ctx context.Context) context.Context {
 	return context.WithValue(ctx, validationCacheKey{},
-		&validationCache{m: map[ValidationConfig]*validationEntry{}})
+		&validationCache{m: map[validationKey]*validationEntry{}})
 }
 
 // validationPair returns the Original and MiniApp runs for p, sharing
 // measurements through the context's validation cache when present.
-func validationPair(ctx context.Context, p scenario.Params) (orig, mini *ValidationResult, err error) {
-	return validationPairVia(ctx, p, RunValidation)
+func validationPair(ctx context.Context, p scenario.Params) (orig, mini OneToOneResult, err error) {
+	return validationPairVia(ctx, p, RunOneToOne)
 }
 
 // validationPairVia is validationPair over the given runner. The two
@@ -175,18 +185,17 @@ func validationPair(ctx context.Context, p scenario.Params) (orig, mini *Validat
 // the spin-sleep padding of four components competing for the host's
 // cores would distort exactly what wall mode measures. When both runs
 // fail the Original's error is returned, whichever failed first.
-func validationPairVia(ctx context.Context, p scenario.Params, run validationRunner) (orig, mini *ValidationResult, err error) {
+func validationPairVia(ctx context.Context, p scenario.Params, run validationRunner) (orig, mini OneToOneResult, err error) {
 	cache, _ := ctx.Value(validationCacheKey{}).(*validationCache)
-	measure := func(mode ValidationMode) (*ValidationResult, error) {
-		cfg := ValidationConfig{Mode: mode, TrainIters: p.TrainIters, TimeScale: p.TimeScale, Clock: p.Clock}
-		return cache.get(ctx, cfg, run)
+	measure := func(mode ValidationMode) (OneToOneResult, error) {
+		return cache.get(ctx, mode, p, run)
 	}
 	if !clock.IsVirtual(p.Clock) {
 		if orig, err = measure(Original); err != nil {
-			return nil, nil, err
+			return OneToOneResult{}, OneToOneResult{}, err
 		}
 		if mini, err = measure(MiniApp); err != nil {
-			return nil, nil, err
+			return OneToOneResult{}, OneToOneResult{}, err
 		}
 		return orig, mini, nil
 	}
@@ -207,7 +216,7 @@ func validationPairVia(ctx context.Context, p scenario.Params, run validationRun
 		err = miniErr
 	}
 	if err != nil {
-		return nil, nil, err
+		return OneToOneResult{}, OneToOneResult{}, err
 	}
 	return orig, mini, nil
 }

@@ -35,7 +35,7 @@ func TestValidationCacheScopedToContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o1 != o2 || m1 != m2 {
+	if o1.Timeline != o2.Timeline || m1.Timeline != m2.Timeline {
 		t.Fatal("same cache context should reuse the measured results")
 	}
 
@@ -43,7 +43,7 @@ func TestValidationCacheScopedToContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o3 == o1 {
+	if o3.Timeline == o1.Timeline {
 		t.Fatal("fresh cache context should re-measure, not reuse")
 	}
 
@@ -52,15 +52,15 @@ func TestValidationCacheScopedToContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o4 == o1 {
+	if o4.Timeline == o1.Timeline {
 		t.Fatal("cache-less context should never reuse results")
 	}
 }
 
 // sortedSpans returns a run's timeline in one total order, so two
 // timelines compare as multisets of spans.
-func sortedSpans(r *ValidationResult) []trace.Span {
-	spans := r.Timeline.Spans()
+func sortedSpans(tl *trace.Timeline) []trace.Span {
+	spans := tl.Spans()
 	slices.SortFunc(spans, func(a, b trace.Span) int {
 		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Lane, b.Lane),
 			cmp.Compare(a.End, b.End), cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Label, b.Label))
@@ -70,34 +70,28 @@ func sortedSpans(r *ValidationResult) []trace.Span {
 
 // TestValidationPairConcurrentEqualsSequential: on the virtual clock the
 // pair runs its two workflows side by side, and each result is what a
-// direct RunValidation call on its own returns — counts, iteration
-// statistics, makespan and every timeline span.
+// direct RunOneToOne call of validationRun on its own returns — the
+// component reports, makespan and every timeline span.
 func TestValidationPairConcurrentEqualsSequential(t *testing.T) {
 	p := scenario.Params{TrainIters: 120, TimeScale: 0.01, Clock: clock.KindVirtual}
-	same := func(rep int, got, want *ValidationResult) {
-		t.Helper()
-		if got.Mode != want.Mode || got.Sim != want.Sim || got.Train != want.Train || got.MakespanS != want.MakespanS {
-			t.Fatalf("repeat %d, %s: pair measured %+v, a run alone %+v", rep, want.Mode, *got, *want)
-		}
-		if !slices.Equal(sortedSpans(got), sortedSpans(want)) {
-			t.Fatalf("repeat %d, %s: timelines differ", rep, want.Mode)
-		}
-	}
 	for rep := 0; rep < 3; rep++ {
 		orig, mini, err := validationPair(WithValidationCache(bg), p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, got := range []*ValidationResult{orig, mini} {
-			want, err := RunValidation(bg, ValidationConfig{
-				Mode: got.Mode, TrainIters: p.TrainIters, TimeScale: p.TimeScale, Clock: p.Clock})
+		for mode, got := range [...]OneToOneResult{Original: orig, MiniApp: mini} {
+			mode := ValidationMode(mode)
+			want, err := RunOneToOne(bg, validationRun(mode, p))
 			if err != nil {
 				t.Fatal(err)
 			}
-			same(rep, got, want)
-		}
-		if orig.Mode != Original || mini.Mode != MiniApp {
-			t.Fatalf("pair returned modes (%v, %v)", orig.Mode, mini.Mode)
+			if got.Sim != want.Sim || got.Train != want.Train || got.MakespanS != want.MakespanS {
+				t.Fatalf("repeat %d, %s: pair measured %+v %+v %v, a run alone %+v %+v %v",
+					rep, mode, got.Sim, got.Train, got.MakespanS, want.Sim, want.Train, want.MakespanS)
+			}
+			if !slices.Equal(sortedSpans(got.Timeline), sortedSpans(want.Timeline)) {
+				t.Fatalf("repeat %d, %s: timelines differ", rep, mode)
+			}
 		}
 	}
 }
@@ -141,19 +135,31 @@ func (o *overlap) during(seen func()) {
 }
 
 // overlapRunner is a validationRunner over an overlap that records the
-// order the modes started in and fails the modes it is told to.
+// order the modes started in and fails the modes it is told to. Each
+// run it completes has a timeline of its own, which tells the runs
+// apart.
 type overlapRunner struct {
 	overlap
 	order []ValidationMode
 	fail  map[ValidationMode]error
 }
 
-func (o *overlapRunner) run(_ context.Context, cfg ValidationConfig) (*ValidationResult, error) {
-	o.during(func() { o.order = append(o.order, cfg.Mode) })
-	if err := o.fail[cfg.Mode]; err != nil {
-		return nil, err
+// modeOf reads which side of the comparison validationRun configured:
+// only the Original samples its solver's run_time from a lognormal.
+func modeOf(cfg OneToOneConfig) ValidationMode {
+	if cfg.Sim.Kernels[0].RunTime.Type == "lognormal" {
+		return Original
 	}
-	return &ValidationResult{Mode: cfg.Mode}, nil
+	return MiniApp
+}
+
+func (o *overlapRunner) run(_ context.Context, cfg OneToOneConfig) (OneToOneResult, error) {
+	mode := modeOf(cfg)
+	o.during(func() { o.order = append(o.order, mode) })
+	if err := o.fail[mode]; err != nil {
+		return OneToOneResult{}, err
+	}
+	return OneToOneResult{Timeline: trace.New()}, nil
 }
 
 // TestValidationPairOverlapsOnlyOnVirtualClock: the choice between side
@@ -197,11 +203,11 @@ func TestValidationPairReturnsOriginalsError(t *testing.T) {
 // TestValidationPairReraisesPanic: a panic in the run that has its own
 // goroutine surfaces on the caller's, where a guard can recover it.
 func TestValidationPairReraisesPanic(t *testing.T) {
-	run := func(_ context.Context, cfg ValidationConfig) (*ValidationResult, error) {
-		if cfg.Mode == MiniApp {
+	run := func(_ context.Context, cfg OneToOneConfig) (OneToOneResult, error) {
+		if modeOf(cfg) == MiniApp {
 			panic("mini-app blew up")
 		}
-		return &ValidationResult{Mode: cfg.Mode}, nil
+		return OneToOneResult{}, nil
 	}
 	defer func() {
 		if p := recover(); p != "mini-app blew up" {
@@ -220,7 +226,7 @@ func TestValidationCacheMeasuresEachConfigOnce(t *testing.T) {
 	p := scenario.Params{TrainIters: 7}
 	o := &overlapRunner{overlap: rendezvous()}
 	const callers = 8
-	origs, minis := make([]*ValidationResult, callers), make([]*ValidationResult, callers)
+	origs, minis := make([]OneToOneResult, callers), make([]OneToOneResult, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
@@ -237,7 +243,8 @@ func TestValidationCacheMeasuresEachConfigOnce(t *testing.T) {
 		t.Fatalf("%d callers of one pair started %d runs, want 2", callers, len(o.order))
 	}
 	for i := range origs {
-		if origs[i] != origs[0] || minis[i] != minis[0] || origs[i] == nil || minis[i] == nil {
+		if origs[i].Timeline != origs[0].Timeline || minis[i].Timeline != minis[0].Timeline ||
+			origs[i].Timeline == nil || minis[i].Timeline == nil {
 			t.Fatalf("caller %d got its own results", i)
 		}
 	}

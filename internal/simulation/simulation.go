@@ -13,7 +13,6 @@ package simulation
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"simaibench/internal/clock"
 	"simaibench/internal/config"
@@ -21,7 +20,6 @@ import (
 	"simaibench/internal/dist"
 	"simaibench/internal/kernels"
 	"simaibench/internal/mpi"
-	"simaibench/internal/spin"
 	"simaibench/internal/stats"
 	"simaibench/internal/trace"
 )
@@ -38,7 +36,7 @@ func WithComm(c *mpi.Comm) Option { return func(sim *Simulation) { sim.comm = c 
 
 // WithTimeline attaches a trace timeline (Fig 2 rendering).
 func WithTimeline(tl *trace.Timeline, lane string) Option {
-	return func(sim *Simulation) { sim.timeline, sim.lane = tl, lane }
+	return func(sim *Simulation) { sim.lane.Timeline, sim.lane.Name = tl, lane }
 }
 
 // WithSeed fixes the RNG seed (default: derived from the name).
@@ -47,7 +45,7 @@ func WithSeed(seed int64) Option { return func(sim *Simulation) { sim.seed = &se
 // WithTimeScale scales all emulated durations by f (0 < f <= 1 shrinks
 // them) so tests and demos can run a 10,000-iteration workflow in
 // milliseconds without changing its structure.
-func WithTimeScale(f float64) Option { return func(sim *Simulation) { sim.timeScale = f } }
+func WithTimeScale(f float64) Option { return func(sim *Simulation) { sim.lane.Scale = f } }
 
 // WithClock runs the component against the given emulation clock: all
 // iteration padding and timestamps come from it. The default is the
@@ -56,7 +54,7 @@ func WithTimeScale(f float64) Option { return func(sim *Simulation) { sim.timeSc
 // execute for real — their work simply occupies zero virtual time, and
 // the pad covers the whole sampled run_time.
 func WithClock(c clock.Clock) Option {
-	return func(sim *Simulation) { sim.now, sim.sleep = c.Now, c.Sleep }
+	return func(sim *Simulation) { sim.lane.Clock = c }
 }
 
 // boundKernel is a compiled kernel spec with the execution context every
@@ -72,29 +70,19 @@ type boundKernel struct {
 
 // Simulation is one emulated solver component.
 type Simulation struct {
-	name      string
-	kernels   []boundKernel
-	store     datastore.Store
-	comm      *mpi.Comm
-	timeline  *trace.Timeline
-	lane      string
-	rng       *rand.Rand
-	seed      *int64
-	timeScale float64
+	name    string
+	kernels []boundKernel
+	store   datastore.Store
+	comm    *mpi.Comm
+	lane    trace.Lane
+	rng     *rand.Rand
+	seed    *int64
 
 	iterStats  stats.Welford
-	iterations int
-
 	writeStats stats.Welford
 	readStats  stats.Welford
 	writeTput  stats.Throughput
 	readTput   stats.Throughput
-	writes     int
-	reads      int
-
-	start time.Time
-	now   func() time.Time
-	sleep func(time.Duration)
 }
 
 // New compiles a validated configuration into a runnable component.
@@ -102,12 +90,7 @@ func New(name string, cfg config.SimulationConfig, opts ...Option) (*Simulation,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sim := &Simulation{
-		name:      name,
-		timeScale: 1,
-		now:       time.Now,
-		sleep:     spin.Sleep,
-	}
+	sim := &Simulation{name: name, lane: trace.Lane{Clock: clock.Wall, Scale: 1}}
 	for _, o := range opts {
 		o(sim)
 	}
@@ -143,12 +126,9 @@ func New(name string, cfg config.SimulationConfig, opts ...Option) (*Simulation,
 		}
 		sim.kernels = append(sim.kernels, bk)
 	}
-	sim.start = sim.now()
+	sim.lane.Start = sim.lane.Clock.Now()
 	return sim, nil
 }
-
-// Elapsed returns wall time since construction (scaled domain).
-func (s *Simulation) Elapsed() float64 { return s.now().Sub(s.start).Seconds() }
 
 // RunIteration executes one solver iteration: every configured kernel
 // runs once (time-driven kernels are padded to their sampled run_time,
@@ -157,19 +137,17 @@ func (s *Simulation) Elapsed() float64 { return s.now().Sub(s.start).Seconds() }
 // their buffers, so a compute-kernel iteration without a timeline
 // allocates nothing.
 func (s *Simulation) RunIteration() error {
-	iterStart := s.now()
+	iterStart := s.lane.Clock.Now()
 	for i := range s.kernels {
 		bk := &s.kernels[i]
 		switch {
 		case bk.runTime != nil:
-			target := bk.runTime.Sample(s.rng) * s.timeScale
-			kStart := s.now()
+			target := bk.runTime.Sample(s.rng)
+			kStart := s.lane.Clock.Now()
 			if err := bk.kernel.Run(&bk.ctx, bk.spec.DataSize); err != nil {
 				return fmt.Errorf("simulation %s: kernel %s: %w", s.name, bk.spec.Name, err)
 			}
-			if rem := target - s.now().Sub(kStart).Seconds(); rem > 0 {
-				s.sleep(time.Duration(rem * float64(time.Second)))
-			}
+			s.lane.Pad(kStart, target)
 		default:
 			n := int(bk.runCount.Sample(s.rng))
 			if n < 1 {
@@ -182,14 +160,8 @@ func (s *Simulation) RunIteration() error {
 			}
 		}
 	}
-	dur := s.now().Sub(iterStart).Seconds()
-	s.iterStats.Add(dur / s.timeScale) // report unscaled statistics
-	s.iterations++
-	if s.timeline != nil {
-		// Timeline coordinates are emulated (unscaled) seconds.
-		end := s.Elapsed() / s.timeScale
-		s.timeline.AddSpan(s.lane, trace.KindCompute, end-dur/s.timeScale, end, "iter")
-	}
+	dur := s.lane.Measure(iterStart, trace.KindCompute, "iter", "")
+	s.iterStats.Add(dur / s.lane.Scale) // report unscaled statistics
 	return nil
 }
 
@@ -209,18 +181,13 @@ func (s *Simulation) StageWrite(key string, value []byte) error {
 	if s.store == nil {
 		return fmt.Errorf("simulation %s: no data store attached", s.name)
 	}
-	start := s.now()
+	start := s.lane.Clock.Now()
 	if err := s.store.StageWrite(key, value); err != nil {
 		return err
 	}
-	dur := s.now().Sub(start).Seconds()
+	dur := s.lane.Measure(start, trace.KindTransfer, "write ", key)
 	s.writeStats.Add(dur)
 	s.writeTput.Add(int64(len(value)), dur)
-	s.writes++
-	if s.timeline != nil {
-		end := s.Elapsed() / s.timeScale
-		s.timeline.AddSpan(s.lane, trace.KindTransfer, end-dur/s.timeScale, end, "write "+key)
-	}
 	return nil
 }
 
@@ -230,19 +197,14 @@ func (s *Simulation) StageRead(key string) ([]byte, error) {
 	if s.store == nil {
 		return nil, fmt.Errorf("simulation %s: no data store attached", s.name)
 	}
-	start := s.now()
+	start := s.lane.Clock.Now()
 	v, err := s.store.StageRead(key)
 	if err != nil {
 		return nil, err
 	}
-	dur := s.now().Sub(start).Seconds()
+	dur := s.lane.Measure(start, trace.KindTransfer, "read ", key)
 	s.readStats.Add(dur)
 	s.readTput.Add(int64(len(v)), dur)
-	s.reads++
-	if s.timeline != nil {
-		end := s.Elapsed() / s.timeScale
-		s.timeline.AddSpan(s.lane, trace.KindTransfer, end-dur/s.timeScale, end, "read "+key)
-	}
 	return v, nil
 }
 
@@ -265,11 +227,11 @@ type Report struct {
 func (s *Simulation) Report() Report {
 	return Report{
 		Name:       s.name,
-		Iterations: s.iterations,
+		Iterations: int(s.iterStats.N()),
 		IterMean:   s.iterStats.Mean(),
 		IterStd:    s.iterStats.Std(),
-		Writes:     s.writes,
-		Reads:      s.reads,
+		Writes:     int(s.writeStats.N()),
+		Reads:      int(s.readStats.N()),
 		WriteMean:  s.writeStats.Mean(),
 		ReadMean:   s.readStats.Mean(),
 		WriteGBps:  s.writeTput.MeanGBps(),

@@ -2,7 +2,9 @@
 // compute spans, data-transfer marks and initialization periods — and
 // renders them as the Fig-2-style timeline comparison (ASCII art in a
 // terminal, CSV for plotting). Each component gets one lane; events carry
-// a kind so the renderer can distinguish computation from transfers.
+// a kind so the renderer can distinguish computation from transfers. A
+// Lane is also how a component keeps time: it pads on the component's
+// clock and measures the spans it records.
 package trace
 
 import (
@@ -12,6 +14,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
+
+	"simaibench/internal/clock"
 )
 
 // Kind classifies a span.
@@ -188,4 +193,38 @@ func (tl *Timeline) Render(w io.Writer, from, to float64, width int) error {
 	axis := fmt.Sprintf("%-*s %-*.1f%*.1f", maxName, "t(s)", width/2, from, width-width/2, to)
 	_, err := fmt.Fprintln(w, axis)
 	return err
+}
+
+// Lane is one emulated component's time: the clock it pads on, the
+// factor that scales its emulated seconds to that clock's, and the
+// timeline (nil records nothing) and lane name its spans go to. Start
+// is the clock reading that emulated second 0 stands for.
+type Lane struct {
+	Clock    clock.Clock
+	Scale    float64
+	Timeline *Timeline
+	Name     string
+	Start    time.Time
+}
+
+// Pad sleeps on the lane's clock until target emulated seconds have
+// passed since from. A target already reached does not sleep.
+func (l *Lane) Pad(from time.Time, target float64) {
+	if rem := target*l.Scale - l.Clock.Now().Sub(from).Seconds(); rem > 0 {
+		l.Clock.Sleep(time.Duration(rem * float64(time.Second)))
+	}
+}
+
+// Measure returns the clock seconds since from and records them as a
+// span of kind ending now, in emulated seconds since Start, labelled
+// label+key. The label is built only when a timeline is attached, so
+// without one a measurement allocates nothing.
+func (l *Lane) Measure(from time.Time, kind Kind, label, key string) float64 {
+	now := l.Clock.Now()
+	dur := now.Sub(from).Seconds()
+	if l.Timeline != nil {
+		end := now.Sub(l.Start).Seconds() / l.Scale
+		l.Timeline.AddSpan(l.Name, kind, end-dur/l.Scale, end, label+key)
+	}
+	return dur
 }

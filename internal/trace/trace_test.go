@@ -2,9 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"simaibench/internal/clock"
 )
 
 func TestSpansSortedByStart(t *testing.T) {
@@ -142,5 +146,63 @@ func TestLanesOrderedByStartThenName(t *testing.T) {
 	tl.AddSpan("Late", KindCompute, -1, 0, "")
 	if got := tl.Lanes(); got[0] != "Late" {
 		t.Fatalf("after backdated span, lanes = %v, want Late first", got)
+	}
+}
+
+// TestLaneInitPadSpansZeroToTarget: an initialization padded on a
+// virtual clock from the lane's start records exactly [0, s] emulated
+// seconds, at any time scale that carries s to a whole number of
+// nanoseconds.
+func TestLaneInitPadSpansZeroToTarget(t *testing.T) {
+	for _, c := range []struct{ s, scale float64 }{{2, 0.01}, {5, 0.01}, {0.5, 0.1}, {1, 1}} {
+		v := clock.NewVirtual()
+		v.Join()
+		tl := New()
+		l := Lane{Clock: v, Scale: c.scale, Timeline: tl, Name: "Simulation", Start: v.Now()}
+		l.Pad(v.Now(), c.s)
+		l.Measure(l.Start, KindInit, "init", "")
+		v.Leave()
+		want := []Span{{Lane: "Simulation", Kind: KindInit, Start: 0, End: c.s, Label: "init"}}
+		if got := tl.Spans(); !slices.Equal(got, want) {
+			t.Fatalf("init of %v s at scale %v: spans %+v, want %+v", c.s, c.scale, got, want)
+		}
+	}
+}
+
+// stepClock is a clock.Clock that moves only when a test sets it, and
+// records every Sleep.
+type stepClock struct {
+	at    time.Time
+	slept []time.Duration
+}
+
+func (c *stepClock) Now() time.Time        { return c.at }
+func (c *stepClock) Sleep(d time.Duration) { c.slept = append(c.slept, d) }
+func (c *stepClock) Join()                 {}
+func (c *stepClock) Leave()                {}
+
+// TestLanePadSleepsOnlyTheRemainder: Pad sleeps the part of a target
+// not yet spent since from, and not at all once the target is reached
+// or exceeded.
+func TestLanePadSleepsOnlyTheRemainder(t *testing.T) {
+	for _, c := range []struct {
+		spent  time.Duration
+		target float64 // emulated s; the scale is 0.5
+		want   []time.Duration
+	}{
+		{0, 0.004, []time.Duration{2 * time.Millisecond}},
+		{time.Millisecond, 0.004, []time.Duration{time.Millisecond}},
+		{2 * time.Millisecond, 0.004, nil},
+		{3 * time.Millisecond, 0.004, nil},
+		{time.Millisecond, 0, nil},
+	} {
+		clk := &stepClock{at: time.Unix(100, 0)}
+		l := Lane{Clock: clk, Scale: 0.5}
+		from := clk.at
+		clk.at = clk.at.Add(c.spent)
+		l.Pad(from, c.target)
+		if !slices.Equal(clk.slept, c.want) {
+			t.Errorf("%v spent of a %v s target: slept %v, want %v", c.spent, c.target, clk.slept, c.want)
+		}
 	}
 }
